@@ -119,44 +119,6 @@ let read_control wire fd =
           | Error _ -> None
           | Ok ctl -> Some ctl))))
 
-(* The node's protocol metrics are a single-threaded record bumped by the
-   main loop; rather than scatter registry calls through lib/recovery, a
-   collect hook mirrors them into the daemon's registry whenever a
-   snapshot is taken (Stats scrape or the Quit-time metrics file).  The
-   latency summaries keep their raw samples, so the hook rebuilds exact
-   histograms — sum/min/max are exact, only the quantile estimates are
-   bucket-quantised.  Counter names carry the [_total] suffix the
-   exposition format uses throughout. *)
-let node_metric_counters : (string * (Recovery.Metrics.t -> int)) list =
-  [
-    ("deliveries_total", fun m -> m.Recovery.Metrics.deliveries);
-    ("sends_total", fun m -> m.Recovery.Metrics.sends);
-    ("releases_total", fun m -> m.Recovery.Metrics.releases);
-    ("orphans_discarded_total", fun m -> m.Recovery.Metrics.orphans_discarded);
-    ("duplicates_dropped_total", fun m -> m.Recovery.Metrics.duplicates_dropped);
-    ("cancelled_sends_total", fun m -> m.Recovery.Metrics.cancelled_sends);
-    ("induced_rollbacks_total", fun m -> m.Recovery.Metrics.induced_rollbacks);
-    ("restarts_total", fun m -> m.Recovery.Metrics.restarts);
-    ("undone_intervals_total", fun m -> m.Recovery.Metrics.undone_intervals);
-    ("lost_intervals_total", fun m -> m.Recovery.Metrics.lost_intervals);
-    ("replayed_total", fun m -> m.Recovery.Metrics.replayed);
-    ("outputs_committed_total", fun m -> m.Recovery.Metrics.outputs_committed);
-    ("notices_total", fun m -> m.Recovery.Metrics.notices);
-    ("announcements_sent_total", fun m -> m.Recovery.Metrics.announcements_sent);
-    ("acks_sent_total", fun m -> m.Recovery.Metrics.acks_sent);
-    ("retransmissions_total", fun m -> m.Recovery.Metrics.retransmissions);
-  ]
-
-(* Histograms of the node's abstract-unit latency summaries (config time
-   units, not seconds — the bucket grid is unit-agnostic). *)
-let node_metric_summaries : (string * (Recovery.Metrics.t -> Sim.Summary.t)) list =
-  [
-    ("blocked_time", fun m -> m.Recovery.Metrics.blocked_time);
-    ("release_dep_entries", fun m -> m.Recovery.Metrics.release_dep_entries);
-    ("delivery_delay", fun m -> m.Recovery.Metrics.delivery_delay);
-    ("output_latency", fun m -> m.Recovery.Metrics.output_latency);
-  ]
-
 let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
     ~(wire : msg App_model.App_intf.wire_format) ~pid ~n ~k ~listen_port ~peers
     ~control_port ~store_dir ~trace_file ~metrics_file ~epoch ~time_scale
@@ -178,49 +140,15 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
   let trace = Trace.create () in
   let writer = Trace_codec.open_writer trace_file in
   let mb = mailbox () in
-  (* One registry for the whole process: the store (and its group-commit
-     layer), the transport, the main loop's phase spans and the
-     metrics-record bridge below all land in it, so a single Stats scrape
-     — or the Quit-time metrics file — is the full picture.  A [Crash]
-     respawn reuses it: the reopened store's counters continue rather
-     than reset, matching the incarnation-spanning metrics record. *)
+  (* One registry for the whole process: the node's protocol metrics, the
+     store (and its group-commit layer), the transport and the main
+     loop's phase spans all land in it, so a single Stats scrape — or the
+     Quit-time metrics file — is the full picture.  A [Crash] respawn
+     reuses it: the new node and its reopened store get back the same
+     counters and continue them rather than reset. *)
   let obs = Obs.Registry.create () in
   let node = ref (Node.create ~config ~pid ~app ~store_dir ~obs ~trace) in
-  (* Bridge the node's single-threaded metrics record into the registry
-     at collect time (see [node_metric_counters] above).  The hook reads
-     [!node] each collect, so it survives Crash respawns. *)
-  let bridge_counters =
-    List.map
-      (fun (name, read) -> (Obs.Registry.counter obs name, read))
-      node_metric_counters
-  in
-  let bridge_hists =
-    List.map
-      (fun (name, read) -> (Obs.Registry.histogram obs name, read))
-      node_metric_summaries
-  in
-  let g_recovery_active = Obs.Registry.gauge obs "recovery_active" in
-  let g_replay_pending = Obs.Registry.gauge obs "recovery_replay_pending" in
-  let g_parts_total = Obs.Registry.gauge obs "recovery_partitions_total" in
-  let g_parts_recovered = Obs.Registry.gauge obs "recovery_partitions_recovered" in
-  Obs.Registry.on_collect obs (fun () ->
-      let m = Node.metrics !node in
-      List.iter (fun (c, read) -> Obs.Counter.set c (read m)) bridge_counters;
-      List.iter
-        (fun (h, read) ->
-          Obs.Histogram.reset h;
-          List.iter (Obs.Histogram.observe h) (Sim.Summary.samples (read m)))
-        bridge_hists;
-      Obs.Gauge.set g_recovery_active
-        (if Node.recovery_active !node then 1. else 0.);
-      Obs.Gauge.set g_replay_pending (float_of_int (Node.recovery_pending !node));
-      let parts = Node.partition_count !node in
-      Obs.Gauge.set g_parts_total (float_of_int parts);
-      let recovered = ref 0 in
-      for p = 0 to parts - 1 do
-        if Node.partition_recovered !node p then incr recovered
-      done;
-      Obs.Gauge.set g_parts_recovered (float_of_int !recovered));
+  let c_deliveries = Obs.Registry.counter obs "deliveries_total" in
 
   (* Transport: frames from peers become mailbox events; decode failures
      are reported on stderr (and counted by the transport), never lost. *)
@@ -427,14 +355,15 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
             | `Notice -> Node.broadcast_notice)
         | Wire_codec.Crash ->
           (* Soft fail-stop: same recovery path as a SIGKILL + respawn,
-             without losing the OS process. *)
+             without losing the OS process.  The new node registers over
+             the process registry, so its counters carry on from the old
+             node's values. *)
           Node.halt !node ~now:(now ());
           Trace_codec.sync writer trace;
           Thread.delay (Config.real_restart_delay ~time_scale config.Config.timing);
           node := Node.create ~config ~pid ~app ~store_dir ~obs ~trace;
           add (fst (Node.restart_begin !node ~now:(now ())))
         | Wire_codec.Status_req ->
-          let m = Node.metrics !node in
           reply fd
             (Wire_codec.Status
                {
@@ -443,7 +372,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
                  st_send_buf = Node.send_buffer_size !node;
                  st_recv_buf = Node.receive_buffer_size !node;
                  st_out_buf = Node.output_buffer_size !node;
-                 st_deliveries = m.Recovery.Metrics.deliveries;
+                 st_deliveries = Obs.Counter.value c_deliveries;
                  st_trace_len = Trace.length trace;
                  st_current = Node.current !node;
                  st_recovering = Node.recovery_active !node;

@@ -10,6 +10,8 @@ module Node = Recovery.Node
 module Config = Recovery.Config
 module Bank = App_model.Bank_app
 
+let count nd name = Obs.Counter.value (Obs.Registry.counter (Node.obs nd) name)
+
 let () =
   let n = 4 in
   let timing =
@@ -57,7 +59,7 @@ let () =
       Rt.with_node rt pid (fun nd ->
           Fmt.pr "shard %d: balance %6d | restarts %d | replayed %d@." pid
             (Bank.total (Node.app_state nd))
-            (Node.metrics nd).restarts (Node.metrics nd).replayed))
+            (count nd "restarts_total") (count nd "replayed_total")))
     (List.init n Fun.id);
   Fmt.pr "deposited %d, final global balance %d -> %s@." !deposited (total ())
     (if settled then "money conserved through the crash" else "NOT SETTLED");

@@ -578,7 +578,6 @@ let sync_writes t = with_lock t (fun () -> Obs.Counter.value t.sync_writes)
 
 let flushes t = with_lock t (fun () -> Obs.Counter.value t.flushes)
 
-let commit_stats t = Group_commit.stats t.gc
 
 let kill t =
   (* [exclusive] waits out an fsync in flight: descriptors must not close

@@ -158,9 +158,6 @@ val flushes : ('ckpt, 'log, 'ann) t -> int
     the flush path (strictly less than the number of callers whenever
     coalescing happened). *)
 
-val commit_stats : ('ckpt, 'log, 'ann) t -> Group_commit.stats
-(** Group-commit coordinator counters: rounds led and callers coalesced. *)
-
 (** {1 Process death and fault injection} *)
 
 val kill : ('ckpt, 'log, 'ann) t -> unit

@@ -25,6 +25,10 @@ type ('state, 'msg) t = {
   storage_rng : Sim.Rng.t option;
   sched : Sim.Scheduler.t option;
   mutable nodes : ('state, 'msg) Node.t array; (* slots replaced on kill *)
+  mutable registries : Obs.Registry.t array;
+      (* one per pid, shared by every node that pid ever runs — kills
+         respawn over it and joins append one — like a daemon's
+         per-process registry *)
   queue : 'msg event Sim.Event_queue.t;
   net : Netmodel.t;
   trace_ : Recovery.Trace.t;
@@ -39,8 +43,6 @@ type ('state, 'msg) t = {
   mutable inject_seq : int;
   mutable client_log : (int * int * 'msg) list; (* seq, dst, payload *)
   mutable busy_time : float;
-  mutable dead_metrics : Recovery.Metrics.t list;
-      (* metrics of node handles discarded by kills, so [stats] stays whole *)
   mutable storage_reports_ :
     (int * float * string * Storage.Stable_store.open_report) list;
       (* (pid, respawn time, injected-damage description, report), oldest last *)
@@ -215,7 +217,6 @@ let handle_event t = function
   | Kill { pid; fault } ->
     if not t.down.(pid) then begin
       t.down.(pid) <- true;
-      t.dead_metrics <- Node.metrics t.nodes.(pid) :: t.dead_metrics;
       Node.halt t.nodes.(pid) ~now:t.now;
       (* Post-mortem file damage happens between death and respawn. *)
       (match (fault, t.store_root, t.storage_rng) with
@@ -236,8 +237,8 @@ let handle_event t = function
       | None -> invalid_arg "Cluster: Respawn without a store root"
     in
     let fresh =
-      Node.create ~config:t.cfg ~pid ~app:t.app ~store_dir:dir ?obs:None
-        ~trace:t.trace_
+      Node.create ~config:t.cfg ~pid ~app:t.app ~store_dir:dir
+        ~obs:t.registries.(pid) ~trace:t.trace_
     in
     t.nodes.(pid) <- fresh;
     (match Node.storage_report fresh with
@@ -263,11 +264,13 @@ let handle_event t = function
          vectors then — membership growth is protocol traffic, not an
          out-of-band reconfiguration. *)
       let jcfg = Config.validate_exn { t.cfg with Config.n = pid + 1 } in
+      let obs = Obs.Registry.create () in
       let fresh =
-        Node.create ~config:jcfg ~pid ~app:t.app ?store_dir:(node_dir_of t pid)
-          ?obs:None ~trace:t.trace_
+        Node.create ~config:jcfg ~pid ~app:t.app ?store_dir:(node_dir_of t pid) ~obs
+          ~trace:t.trace_
       in
       t.nodes <- Array.append t.nodes [| fresh |];
+      t.registries <- Array.append t.registries [| obs |];
       t.next_free <- Array.append t.next_free [| t.now |];
       t.down <- Array.append t.down [| false |];
       arm_timers t ~pid;
@@ -424,9 +427,10 @@ let create ~config ~app ?(seed = 42) ?(horizon = 10_000.) ?net_override
   let node_dir pid =
     Option.map (fun root -> Filename.concat root (Printf.sprintf "p%d" pid)) store_root
   in
+  let registries = Array.init n (fun _ -> Obs.Registry.create ()) in
   let nodes =
     Array.init n (fun pid ->
-        Node.create ~config ~pid ~app ?store_dir:(node_dir pid) ?obs:None
+        Node.create ~config ~pid ~app ?store_dir:(node_dir pid) ~obs:registries.(pid)
           ~trace:trace_)
   in
   (* Bind the splits in sequence: the first must be the timing stream (the
@@ -447,6 +451,7 @@ let create ~config ~app ?(seed = 42) ?(horizon = 10_000.) ?net_override
       storage_rng;
       sched = scheduler;
       nodes;
+      registries;
       queue = Sim.Event_queue.create ();
       net =
         Netmodel.create ~n ~timing:config.Config.timing ~rng:net_rng ~fault_rng
@@ -462,7 +467,6 @@ let create ~config ~app ?(seed = 42) ?(horizon = 10_000.) ?net_override
       inject_seq = 0;
       client_log = [];
       busy_time = 0.;
-      dead_metrics = [];
       storage_reports_ = [];
       fault_notes = [];
     }
@@ -597,36 +601,66 @@ type stats = {
   busy_time : float;
 }
 
+(* The exact distributions, in one fold over the trace: blocked time,
+   wire vector size, dependency entries, receive-buffer wait and output
+   latency.  Each summary is fed pid by pid in descending order, each
+   pid's samples oldest first — Welford's running mean depends on
+   insertion order, and this is the order the per-node sample sets were
+   historically merged in. *)
+let trace_summaries t =
+  let samples = Array.make 5 [] (* (pid, sample), newest first *) in
+  let push i pid x = samples.(i) <- (pid, x) :: samples.(i) in
+  List.iter
+    (fun (e : Recovery.Trace.entry) ->
+      match e.ev with
+      | Message_released r ->
+        let pid = r.id.Wire.origin in
+        push 0 pid r.blocked;
+        push 1 pid (float_of_int r.wire_vector);
+        push 2 pid (float_of_int r.dep_size)
+      | Message_delivered d -> push 3 d.dst d.waited
+      | Output_committed o -> push 4 o.pid o.latency
+      | _ -> ())
+    (Recovery.Trace.events t.trace_);
+  Array.map
+    (fun l ->
+      let s = Sim.Summary.create () in
+      List.iter
+        (fun (_, x) -> Sim.Summary.add s x)
+        (List.stable_sort (fun (p, _) (q, _) -> compare q p) (List.rev l));
+      s)
+    samples
+
 let stats t =
-  let ms = t.dead_metrics @ Array.to_list (Array.map Node.metrics t.nodes) in
-  let sum f = List.fold_left (fun acc m -> acc + f m) 0 ms in
-  let merge f =
-    List.fold_left (fun acc m -> Sim.Summary.merge acc (f m)) (Sim.Summary.create ()) ms
+  let snap =
+    Obs.Snapshot.merge_all (Array.to_list (Array.map Obs.Registry.snapshot t.registries))
   in
+  let count name = Obs.Snapshot.counter snap (name ^ "_total") in
+  let dist = trace_summaries t in
   {
     makespan = t.now;
-    deliveries = sum (fun m -> m.Recovery.Metrics.deliveries);
-    releases = sum (fun m -> m.Recovery.Metrics.releases);
-    sends = sum (fun m -> m.Recovery.Metrics.sends);
+    deliveries = count "deliveries";
+    releases = count "releases";
+    sends = count "sends";
     sync_writes =
       Array.fold_left (fun acc nd -> acc + Node.sync_writes nd) 0 t.nodes;
     flushes = Array.fold_left (fun acc nd -> acc + Node.flushes nd) 0 t.nodes;
-    blocked_time = merge (fun m -> m.Recovery.Metrics.blocked_time);
-    wire_vector_size = merge (fun m -> m.Recovery.Metrics.wire_vector_size);
-    release_dep_entries = merge (fun m -> m.Recovery.Metrics.release_dep_entries);
-    delivery_delay = merge (fun m -> m.Recovery.Metrics.delivery_delay);
-    output_latency = merge (fun m -> m.Recovery.Metrics.output_latency);
-    outputs_committed = sum (fun m -> m.Recovery.Metrics.outputs_committed);
-    orphans_discarded = sum (fun m -> m.Recovery.Metrics.orphans_discarded);
-    duplicates_dropped = sum (fun m -> m.Recovery.Metrics.duplicates_dropped);
-    induced_rollbacks = sum (fun m -> m.Recovery.Metrics.induced_rollbacks);
-    restarts = sum (fun m -> m.Recovery.Metrics.restarts);
-    undone_intervals = sum (fun m -> m.Recovery.Metrics.undone_intervals);
-    lost_intervals = sum (fun m -> m.Recovery.Metrics.lost_intervals);
-    replayed = sum (fun m -> m.Recovery.Metrics.replayed);
-    retransmissions = sum (fun m -> m.Recovery.Metrics.retransmissions);
-    announcements = sum (fun m -> m.Recovery.Metrics.announcements_sent);
-    notices = sum (fun m -> m.Recovery.Metrics.notices);
+    blocked_time = dist.(0);
+    wire_vector_size = dist.(1);
+    release_dep_entries = dist.(2);
+    delivery_delay = dist.(3);
+    output_latency = dist.(4);
+    outputs_committed = count "outputs_committed";
+    orphans_discarded = count "orphans_discarded";
+    duplicates_dropped = count "duplicates_dropped";
+    induced_rollbacks = count "induced_rollbacks";
+    restarts = count "restarts";
+    undone_intervals = count "undone_intervals";
+    lost_intervals = count "lost_intervals";
+    replayed = count "replayed";
+    retransmissions = count "retransmissions";
+    announcements = count "announcements_sent";
+    notices = count "notices";
     packets = Netmodel.packets_sent t.net;
     piggyback_entries = Netmodel.entries_carried t.net;
     net_faults = Netmodel.fault_stats t.net;

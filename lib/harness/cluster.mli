@@ -192,8 +192,8 @@ val trace : ('state, 'msg) t -> Recovery.Trace.t
 
 val config : ('state, 'msg) t -> Recovery.Config.t
 
-(** Aggregate run statistics (sums / merges over all nodes plus network
-    accounting). *)
+(** Aggregate run statistics over every process the run ever had,
+    killed incarnations included, plus network accounting. *)
 type stats = {
   makespan : float;  (** time of the last processed event *)
   deliveries : int;
@@ -225,3 +225,8 @@ type stats = {
 }
 
 val stats : ('state, 'msg) t -> stats
+(** Integer fields: {!Obs.Snapshot.merge_all} over one registry per pid,
+    shared by every node that pid runs (kills respawn over it), as a
+    daemon keeps one per process.  The {!Sim.Summary.t} fields are exact,
+    from one fold over {!trace} ([Message_released], [Message_delivered],
+    [Output_committed]), fed pid by pid downwards, each oldest first. *)

@@ -487,7 +487,8 @@ let gc_footprint ?(n = 8) ?(seeds = default_seeds) () =
           in
           let reclaimed =
             Array.fold_left
-              (fun acc nd -> acc + (Recovery.Node.metrics nd).Recovery.Metrics.gc_records)
+              (fun acc nd ->
+                acc + Obs.Counter.value (Obs.Registry.counter (Recovery.Node.obs nd) "gc_records_total"))
               0 nodes
           in
           (retained, written, reclaimed, (Cluster.stats cluster).Cluster.outputs_committed))
@@ -548,7 +549,8 @@ let tracking_comparison ?(n = 8) ?(seeds = default_seeds) () =
             failwith (Fmt.str "E9 run incorrect: %a" Oracle.pp_report oracle);
           let queries =
             Array.fold_left
-              (fun acc nd -> acc + (Recovery.Node.metrics nd).Recovery.Metrics.dep_queries)
+              (fun acc nd ->
+                acc + Obs.Counter.value (Obs.Registry.counter (Recovery.Node.obs nd) "dep_queries_total"))
               0 (Cluster.nodes cluster)
           in
           (Cluster.stats cluster, queries))

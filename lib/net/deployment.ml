@@ -355,6 +355,8 @@ let kill_only t ~dst =
 
 let respawn t ~dst = spawn t t.nodes.(dst)
 
+let crash t ~dst = ignore (ctl_send t.nodes.(dst) Wire_codec.Crash : bool)
+
 (* ------------------------------------------------------------------ *)
 (* Membership churn                                                    *)
 

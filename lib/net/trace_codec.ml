@@ -43,14 +43,16 @@ let put_event b ev =
     put_int b src;
     put_int b dst;
     put_entry b send_interval
-  | Trace.Message_released { id; dep_size; blocked } ->
+  | Trace.Message_released { id; dep_size; wire_vector; blocked } ->
     put_identity b id;
     put_int b dep_size;
+    put_int b wire_vector;
     put_float b blocked
-  | Trace.Message_delivered { id; dst; interval } ->
+  | Trace.Message_delivered { id; dst; interval; waited } ->
     put_identity b id;
     put_int b dst;
-    put_entry b interval
+    put_entry b interval;
+    put_float b waited
   | Trace.Message_discarded { id; dst; reason } ->
     put_identity b id;
     put_int b dst;
@@ -123,13 +125,15 @@ let read_event c =
   | 2 ->
     let id = get_identity c in
     let dep_size = get_int c in
+    let wire_vector = get_int c in
     let blocked = get_float c in
-    Trace.Message_released { id; dep_size; blocked }
+    Trace.Message_released { id; dep_size; wire_vector; blocked }
   | 3 ->
     let id = get_identity c in
     let dst = get_int c in
     let interval = get_entry c in
-    Trace.Message_delivered { id; dst; interval }
+    let waited = get_float c in
+    Trace.Message_delivered { id; dst; interval; waited }
   | 4 ->
     let id = get_identity c in
     let dst = get_int c in

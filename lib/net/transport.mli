@@ -29,14 +29,6 @@
     dialer re-establishes it) — a corrupt frame is never delivered and
     never silently swallowed. *)
 
-type stats = {
-  frames_sent : int;
-  frames_dropped : int;  (** outbound queue overflow *)
-  frames_received : int;
-  decode_errors : int;
-  reconnects : int;  (** dial attempts after the first per peer *)
-}
-
 type t
 
 val create :
@@ -58,11 +50,16 @@ val create :
     [backoff_base] (default 0.05 s) and doubles to [backoff_cap] (default
     2 s).
 
-    [obs] is the registry where the transport registers its counters
-    ([transport_frames_sent_total], [transport_frames_dropped_total],
-    [transport_frames_received_total], [transport_decode_errors_total],
-    [transport_reconnects_total]); it defaults to a private registry so
-    unwired transports keep exact per-instance counts. *)
+    [obs] (default: a private registry) is where the transport registers
+    its counters: [transport_frames_sent_total],
+    [transport_frames_dropped_total] (outbound queue overflow),
+    [transport_frames_received_total], [transport_decode_errors_total] and
+    [transport_reconnects_total] (dial attempts after the first per
+    peer).  Several reader and writer threads bump them, always under
+    the transport's own counters mutex; a snapshot is atomic per counter
+    but may straddle an in-flight batch across counters, and is exact
+    once {!close} has stopped the writers (then [frames_sent +
+    frames_dropped] accounts for every frame {!send} accepted). *)
 
 val add_peer : t -> pid:int -> port:int -> unit
 (** Register a peer that joined after {!create} (membership churn): frames
@@ -75,15 +72,6 @@ val send : t -> dst:int -> string -> unit
 
 val broadcast : t -> string -> unit
 (** [send] to every peer. *)
-
-val stats : t -> stats
-(** Consistency contract: the counters are bumped by several writer and
-    reader threads, always under the transport's counters mutex, and
-    [stats] reads all five under that same mutex — so the record is a
-    consistent cut (e.g. [frames_sent + frames_dropped] accounts for
-    every frame {!send} accepted once the transport is closed).  Reading
-    the cells through a raw {!Obs.Registry.snapshot} of [obs] is atomic
-    per counter but may straddle an in-flight batch across counters. *)
 
 val close : t -> unit
 (** Stop accepting, close every socket and wake the writer threads.

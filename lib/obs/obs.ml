@@ -14,7 +14,6 @@ module Counter = struct
   let value t = t.c
   let incr t = t.c <- t.c + 1
   let add t n = t.c <- t.c + n
-  let set t n = t.c <- n
 end
 
 module Gauge = struct
@@ -50,7 +49,7 @@ module Histogram = struct
     end
 
   type t = {
-    counts : int array;
+    mutable counts : int array; (* [||] until the first observation *)
     mutable n : int;
     mutable sum : float;
     mutable minv : float;
@@ -58,11 +57,12 @@ module Histogram = struct
   }
 
   let make () =
-    { counts = Array.make bucket_count 0; n = 0; sum = 0.; minv = nan; maxv = nan }
+    { counts = [||]; n = 0; sum = 0.; minv = nan; maxv = nan }
 
   let observe t v =
     if not (Float.is_nan v) then begin
       let i = bucket_of v in
+      if t.n = 0 then t.counts <- Array.make bucket_count 0;
       t.counts.(i) <- t.counts.(i) + 1;
       t.n <- t.n + 1;
       t.sum <- t.sum +. v;
@@ -74,13 +74,6 @@ module Histogram = struct
   let sum t = t.sum
   let min_value t = t.minv
   let max_value t = t.maxv
-
-  let reset t =
-    Array.fill t.counts 0 bucket_count 0;
-    t.n <- 0;
-    t.sum <- 0.;
-    t.minv <- nan;
-    t.maxv <- nan
 end
 
 (* ------------------------------------------------------------------ *)
@@ -549,15 +542,29 @@ module Registry = struct
     | MGauge of Gauge.t
     | MHist of Histogram.t
 
+  (* A group instance's cells, newest first.  Only the defining run
+     records their names ([naming]): every instance creates the same
+     cells in the same order, so one name list serves them all. *)
+  type cells = { mutable metrics : metric list; mutable names : string list; naming : bool }
+
+  (* [names]: newest first, like [metrics]; group metrics are unlabeled *)
+  type 'a group = { id : 'a Type.Id.t; build : cells -> 'a; names : string list }
+
+  type instance = Instance : 'a Type.Id.t * 'a -> instance
+
   type t = {
     tbl : (Snapshot.key, metric) Hashtbl.t;
     kinds : (string, string) Hashtbl.t; (* family name -> kind *)
-    mutable hooks : (unit -> unit) list;
+    mutable instances : instance list; (* groups instantiated here *)
+    mutable unindexed : (string list * metric list) list;
+        (* their cells, until the next lookup or snapshot moves them
+           into [tbl] *)
     mu : Mutex.t;
   }
 
   let create () =
-    { tbl = Hashtbl.create 64; kinds = Hashtbl.create 32; hooks = []; mu = Mutex.create () }
+    { tbl = Hashtbl.create 16; kinds = Hashtbl.create 16; instances = []; unindexed = [];
+      mu = Mutex.create () }
 
   let with_lock t f =
     Mutex.lock t.mu;
@@ -593,22 +600,40 @@ module Registry = struct
                  name suf))
         hist_suffixes
 
-  let get_or_create t ?(labels = []) name make =
+  (* Insert a cell under [key], validating its family; the caller holds
+     the lock and has checked that [key] is absent. *)
+  let insert t ((name, _) as key) m =
     check_name "metric name" name;
+    (match Hashtbl.find_opt t.kinds name with
+    | Some k when k <> kind_name m ->
+      invalid_arg (Printf.sprintf "Obs.Registry: %s already registered as a %s" name k)
+    | _ ->
+      check_suffixes t name (kind_name m = "histogram");
+      Hashtbl.replace t.kinds name (kind_name m));
+    Hashtbl.replace t.tbl key m
+
+  let index t =
+    let pending = t.unindexed in
+    t.unindexed <- [];
+    List.iter
+      (fun (names, metrics) ->
+        List.iter2
+          (fun name m ->
+            if Hashtbl.mem t.tbl (name, []) then
+              invalid_arg (Printf.sprintf "Obs.Registry: group metric %s already registered" name);
+            insert t (name, []) m)
+          names metrics)
+      pending
+
+  let get_or_create t ?(labels = []) name make =
     let key = (name, norm_labels labels) in
     with_lock t (fun () ->
+        index t;
         match Hashtbl.find_opt t.tbl key with
         | Some m -> m
         | None ->
           let m = make () in
-          (match Hashtbl.find_opt t.kinds name with
-          | Some k when k <> kind_name m ->
-            invalid_arg
-              (Printf.sprintf "Obs.Registry: %s already registered as a %s" name k)
-          | _ ->
-            check_suffixes t name (kind_name m = "histogram");
-            Hashtbl.replace t.kinds name (kind_name m));
-          Hashtbl.replace t.tbl key m;
+          insert t key m;
           m)
 
   let counter t ?labels name =
@@ -636,13 +661,23 @@ module Registry = struct
       invalid_arg
         (Printf.sprintf "Obs.Registry: %s is a %s, not a histogram" name (kind_name m))
 
-  let on_collect t hook = with_lock t (fun () -> t.hooks <- t.hooks @ [ hook ])
+  let group (type a) t (g : a group) : a =
+    let same (Instance (id, v)) : a option =
+      match Type.Id.provably_equal id g.id with Some Type.Equal -> Some v | None -> None
+    in
+    with_lock t (fun () ->
+        match List.find_map same t.instances with
+        | Some v -> v
+        | None ->
+          let c = { metrics = []; names = []; naming = false } in
+          let v = g.build c in
+          t.unindexed <- (g.names, c.metrics) :: t.unindexed;
+          t.instances <- Instance (g.id, v) :: t.instances;
+          v)
 
   let snapshot t =
-    (* Hooks run outside the mutex so they may register metrics. *)
-    let hooks = with_lock t (fun () -> t.hooks) in
-    List.iter (fun h -> h ()) hooks;
     with_lock t (fun () ->
+        index t;
         Snapshot.of_bindings
           (Hashtbl.fold
              (fun key m acc ->
@@ -651,9 +686,12 @@ module Registry = struct
                  | MCounter c -> Snapshot.Counter (Counter.value c)
                  | MGauge g -> Snapshot.Gauge (Gauge.value g)
                  | MHist h ->
+                   let counts = h.Histogram.counts in
                    Snapshot.Hist
                      {
-                       Snapshot.counts = Array.copy h.Histogram.counts;
+                       Snapshot.counts =
+                         (if Array.length counts = 0 then Array.make Histogram.bucket_count 0
+                          else Array.copy counts);
                        sum = h.Histogram.sum;
                        minv = h.Histogram.minv;
                        maxv = h.Histogram.maxv;
@@ -661,6 +699,28 @@ module Registry = struct
                in
                (key, v) :: acc)
              t.tbl []))
+end
+
+(* ------------------------------------------------------------------ *)
+(* Groups                                                              *)
+
+module Group = struct
+  type 'a t = 'a Registry.group
+  type cells = Registry.cells
+
+  let add (c : cells) name m cell =
+    c.metrics <- m :: c.metrics;
+    if c.naming then c.names <- name :: c.names;
+    cell
+
+  let counter cells name = let c = Counter.make () in add cells name (Registry.MCounter c) c
+  let gauge cells name = let g = Gauge.make () in add cells name (Registry.MGauge g) g
+  let histogram cells name = let h = Histogram.make () in add cells name (Registry.MHist h) h
+
+  let make build =
+    let c = { Registry.metrics = []; names = []; naming = true } in
+    ignore (build c);
+    { Registry.id = Type.Id.make (); build; names = c.names }
 end
 
 (* ------------------------------------------------------------------ *)

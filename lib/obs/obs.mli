@@ -38,11 +38,6 @@ module Counter : sig
   val value : t -> int
   val incr : t -> unit
   val add : t -> int -> unit
-
-  val set : t -> int -> unit
-  (** [set] exists for bridge code that mirrors an externally-owned
-      counter (e.g. a [Recovery.Metrics] field) into the registry at
-      collect time; hot paths use {!incr}/{!add}. *)
 end
 
 module Gauge : sig
@@ -58,7 +53,8 @@ module Histogram : sig
       observations in [(2^(i-31), 2^(i-30)]] seconds — spanning
       ~1 ns to 128 s — with one final overflow bucket; underflow and
       non-positive values land in bucket 0.  Observing is O(1): one
-      [frexp], five cell writes.  NaN observations are ignored. *)
+      [frexp], five cell writes; the bucket array is allocated by the
+      first observation.  NaN observations are ignored. *)
 
   type t
 
@@ -77,10 +73,6 @@ module Histogram : sig
 
   val max_value : t -> float
   (** Largest observation, [nan] while empty. *)
-
-  val reset : t -> unit
-  (** Zero every cell.  For bridge code that rebuilds a histogram from
-      an externally-owned sample set at collect time. *)
 end
 
 module Snapshot : sig
@@ -149,6 +141,25 @@ module Snapshot : sig
       the offending line. *)
 end
 
+module Group : sig
+  (** A module's fixed metric set, e.g. a protocol node's.  Instantiating
+      it in a registry ({!Registry.group}) only allocates the cells; the
+      names are checked when the registry indexes them.  The model checker
+      builds a fresh cluster, one registry per process, per schedule. *)
+
+  type 'a t
+  type cells
+
+  val make : (cells -> 'a) -> 'a t
+  (** [build] creates the metrics with {!counter}, {!gauge} and
+      {!histogram} and returns their handles; it must create the same
+      metrics in the same order on every call. *)
+
+  val counter : cells -> string -> Counter.t
+  val gauge : cells -> string -> Gauge.t
+  val histogram : cells -> string -> Histogram.t
+end
+
 module Registry : sig
   type t
 
@@ -166,11 +177,11 @@ module Registry : sig
   val gauge : t -> ?labels:(string * string) list -> string -> Gauge.t
   val histogram : t -> ?labels:(string * string) list -> string -> Histogram.t
 
-  val on_collect : t -> (unit -> unit) -> unit
-  (** Register a hook run at the start of every {!snapshot} — the
-      bridge point for modules that keep their own bookkeeping
-      (hooks typically [Counter.set] mirrored values).  Hooks run
-      outside the registry mutex and may register metrics. *)
+  val group : t -> 'a Group.t -> 'a
+  (** Get-or-create: the first call creates the group's cells, later ones
+      return the same handles.  The cells are ordinary metrics for
+      lookups and snapshots, which index them first — raising
+      [Invalid_argument] on a malformed name or one already registered. *)
 
   val snapshot : t -> Snapshot.t
 end

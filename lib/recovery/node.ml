@@ -22,6 +22,81 @@ let add_cost a b =
     checkpoints = a.checkpoints + b.checkpoints;
   }
 
+(* Protocol metrics, one registry group (see Node.obs): the paper's two
+   axes, failure-free overhead (blocked sends, piggyback size, output
+   latency) and recovery cost (rollbacks, undone intervals, replay).
+   Instantiating the group is a handful of allocations — the model
+   checker creates nodes by the million — and get-or-create, so a node
+   re-created over its predecessor's registry keeps counting. *)
+type meters = {
+  deliveries : Obs.Counter.t;  (* application messages delivered live *)
+  sends : Obs.Counter.t;  (* logical sends performed by the application *)
+  releases : Obs.Counter.t;  (* messages actually released to the network *)
+  orphans_discarded : Obs.Counter.t;
+  duplicates_dropped : Obs.Counter.t;
+  cancelled_sends : Obs.Counter.t;  (* unreleased sends dropped at rollback *)
+  induced_rollbacks : Obs.Counter.t;  (* rollbacks of non-failed processes *)
+  restarts : Obs.Counter.t;  (* recoveries from actual crashes *)
+  undone_intervals : Obs.Counter.t;  (* state intervals rolled back *)
+  lost_intervals : Obs.Counter.t;  (* intervals irrecoverably lost to crashes *)
+  replayed : Obs.Counter.t;  (* logged deliveries re-executed during recovery *)
+  outputs_committed : Obs.Counter.t;
+  notices : Obs.Counter.t;
+  notice_entries : Obs.Counter.t;
+  announcements_sent : Obs.Counter.t;
+  acks_sent : Obs.Counter.t;
+  retransmissions : Obs.Counter.t;
+  gc_records : Obs.Counter.t;  (* stable-log records reclaimed by GC *)
+  dep_queries : Obs.Counter.t;  (* direct-tracking assembly queries sent *)
+  part_ckpt_dropped : Obs.Counter.t;  (* damaged Part_ckpt payloads dropped *)
+  blocked_time : Obs.Histogram.t;  (* per release: time held in the send buffer *)
+  release_dep_entries : Obs.Histogram.t;  (* piggybacked entries per release *)
+  wire_vector_size : Obs.Histogram.t;  (* entries, or N for fixed-size vectors *)
+  delivery_delay : Obs.Histogram.t;  (* per live delivery: receive-buffer wait *)
+  output_latency : Obs.Histogram.t;  (* buffer-to-commit delay per output *)
+  recovery_active : Obs.Gauge.t;
+  recovery_replay_pending : Obs.Gauge.t;
+  recovery_partitions_total : Obs.Gauge.t;
+  recovery_partitions_recovered : Obs.Gauge.t;
+}
+
+let meters_group =
+  Obs.Group.make (fun cells ->
+      let c = Obs.Group.counter cells in
+      let h = Obs.Group.histogram cells in
+      let g = Obs.Group.gauge cells in
+      {
+        deliveries = c "deliveries_total";
+        sends = c "sends_total";
+        releases = c "releases_total";
+        orphans_discarded = c "orphans_discarded_total";
+        duplicates_dropped = c "duplicates_dropped_total";
+        cancelled_sends = c "cancelled_sends_total";
+        induced_rollbacks = c "induced_rollbacks_total";
+        restarts = c "restarts_total";
+        undone_intervals = c "undone_intervals_total";
+        lost_intervals = c "lost_intervals_total";
+        replayed = c "replayed_total";
+        outputs_committed = c "outputs_committed_total";
+        notices = c "notices_total";
+        notice_entries = c "notice_entries_total";
+        announcements_sent = c "announcements_sent_total";
+        acks_sent = c "acks_sent_total";
+        retransmissions = c "retransmissions_total";
+        gc_records = c "gc_records_total";
+        dep_queries = c "dep_queries_total";
+        part_ckpt_dropped = c "part_ckpt_dropped_total";
+        blocked_time = h "blocked_time";
+        release_dep_entries = h "release_dep_entries";
+        wire_vector_size = h "wire_vector_size";
+        delivery_delay = h "delivery_delay";
+        output_latency = h "output_latency";
+        recovery_active = g "recovery_active";
+        recovery_replay_pending = g "recovery_replay_pending";
+        recovery_partitions_total = g "recovery_partitions_total";
+        recovery_partitions_recovered = g "recovery_partitions_recovered";
+      })
+
 (* A buffered, not-yet-released send (Figure 2's Send_buffer entry).  Its
    vector snapshot is mutated in place as stability news arrives. *)
 type 'msg pending_send = {
@@ -181,7 +256,8 @@ type ('state, 'msg) t = {
          replay — and membership can change between the two. *)
   app : ('state, 'msg) App_intf.t;
   trace : Trace.t;
-  metrics : Metrics.t;
+  obs : Obs.Registry.t;
+  meters : meters;
   store : (('state, 'msg) ckpt, 'msg logged, Wire.sync_record) Storage.Stable_store.t;
   (* --- volatile protocol state (lost at crash) --- *)
   mutable up : bool;
@@ -389,17 +465,16 @@ let release_send t ~now (ps : 'msg pending_send) =
       payload = ps.ps_payload;
     }
   in
-  let m = t.metrics in
-  m.releases <- m.releases + 1;
-  Sim.Summary.add m.blocked_time (now -. ps.ps_enqueued);
-  Sim.Summary.add_int m.release_dep_entries (List.length dep);
-  Sim.Summary.add_int m.wire_vector_size
-    (if (proto t).commit_tracking then List.length dep else t.n);
+  let dep_size = List.length dep in
+  let wire_vector = if (proto t).commit_tracking then dep_size else t.n in
+  let blocked = now -. ps.ps_enqueued in
+  Obs.Counter.incr t.meters.releases;
+  Obs.Histogram.observe t.meters.blocked_time blocked;
+  Obs.Histogram.observe t.meters.release_dep_entries (float_of_int dep_size);
+  Obs.Histogram.observe t.meters.wire_vector_size (float_of_int wire_vector);
   if (proto t).retransmit_on_failure || t.cfg.Config.timing.retransmit_interval <> None
   then Archive.add t.archive wire;
-  trace t ~now
-    (Message_released
-       { id = ps.ps_id; dep_size = List.length dep; blocked = now -. ps.ps_enqueued });
+  trace t ~now (Message_released { id = ps.ps_id; dep_size; wire_vector; blocked });
   push t (Unicast { dst = ps.ps_dst; packet = Wire.App wire })
 
 let check_send_buffer t ~now =
@@ -430,7 +505,7 @@ let send_message_at t ~now ~interval ~tdv ~idx ~dst ~k payload =
      — receivers drop the duplicates by identity. *)
   if Hashtbl.mem t.released_ids id || Hashtbl.mem t.buffered_send_ids id then ()
   else begin
-    t.metrics.sends <- t.metrics.sends + 1;
+    Obs.Counter.incr t.meters.sends;
     trace t ~now (Message_sent { id; src = t.pid; dst; send_interval = interval });
     let k =
       match k with
@@ -474,12 +549,10 @@ let commit_output t ~now po =
   Hashtbl.replace t.committed_ids po.po_id ();
   Store.log_announcement t.store (Wire.Committed po.po_id);
   t.outputs_log <- (po.po_text, now) :: t.outputs_log;
-  let m = t.metrics in
-  m.outputs_committed <- m.outputs_committed + 1;
-  Sim.Summary.add m.output_latency (now -. po.po_buffered);
-  trace t ~now
-    (Output_committed
-       { pid = t.pid; id = po.po_id; text = po.po_text; latency = now -. po.po_buffered })
+  let latency = now -. po.po_buffered in
+  Obs.Counter.incr t.meters.outputs_committed;
+  Obs.Histogram.observe t.meters.output_latency latency;
+  trace t ~now (Output_committed { pid = t.pid; id = po.po_id; text = po.po_text; latency })
 
 (* --- Direct-tracking commit assembly (Section 5's tradeoff) --------- *)
 
@@ -545,7 +618,7 @@ let assembly_step t ~now asm =
     !local;
   Hashtbl.iter
     (fun owner intervals ->
-      t.metrics.dep_queries <- t.metrics.dep_queries + 1;
+      Obs.Counter.incr t.meters.dep_queries;
       push t
         (Unicast { dst = owner; packet = Wire.Dep_query { from_ = t.pid; intervals } }))
     pending_remote
@@ -659,7 +732,7 @@ and do_flush_acks t ~ack =
       t.unacked;
     Hashtbl.iter
       (fun src ids ->
-        t.metrics.acks_sent <- t.metrics.acks_sent + 1;
+        Obs.Counter.incr t.meters.acks_sent;
         push t (Unicast { dst = src; packet = Wire.Ack { from_ = t.pid; to_ = src; ids } }))
       by_src;
     t.unacked <- []
@@ -686,7 +759,7 @@ let mark_part_dirty t payload =
     | Some p -> t.part_dirty.(p) <- t.part_dirty.(p) + 1
     | None -> ()
 
-let deliver t ~now ~replay (m : 'msg Wire.app_message) =
+let deliver t ~now ~replay ~waited (m : 'msg Wire.app_message) =
   let pred = t.current in
   ensure_deps t m.dep;
   (match (proto t).tracking with
@@ -705,7 +778,7 @@ let deliver t ~now ~replay (m : 'msg Wire.app_message) =
   Hashtbl.replace t.direct_parents t.current
     ((t.pid, pred) :: (if m.src >= 0 then [ (m.src, m.send_interval) ] else []));
   Hashtbl.replace t.delivered m.id t.current;
-  if replay then t.metrics.replayed <- t.metrics.replayed + 1
+  if replay then Obs.Counter.incr t.meters.replayed
   else begin
     Store.append_volatile t.store
       (Delivery
@@ -718,8 +791,9 @@ let deliver t ~now ~replay (m : 'msg Wire.app_message) =
     | Some rc -> rc.rc_live_delivered <- true
     | None -> ());
     if m.src >= 0 then t.unacked <- (m.src, m.id) :: t.unacked;
-    t.metrics.deliveries <- t.metrics.deliveries + 1;
-    trace t ~now (Message_delivered { id = m.id; dst = t.pid; interval = t.current })
+    Obs.Counter.incr t.meters.deliveries;
+    Obs.Histogram.observe t.meters.delivery_delay waited;
+    trace t ~now (Message_delivered { id = m.id; dst = t.pid; interval = t.current; waited })
   end;
   mark_part_dirty t m.payload;
   let state', effects = t.app.handle ~pid:t.pid ~n:t.app_n t.state ~src:m.src m.payload in
@@ -779,8 +853,7 @@ let rec drain t ~now =
   | None -> ()
   | Some ((arrived, m) as cell) ->
     t.recv_buf <- List.filter (fun x -> x != cell) t.recv_buf;
-    Sim.Summary.add t.metrics.delivery_delay (now -. arrived);
-    deliver t ~now ~replay:false m;
+    deliver t ~now ~replay:false ~waited:(now -. arrived) m;
     drain t ~now
 
 let recheck t ~now =
@@ -798,7 +871,7 @@ let recheck t ~now =
    divergence.  Certification happens once, at the frontier, when the
    state has converged to the serial result. *)
 let replay_exec t ~now (ri : 'msg replay_item) =
-  t.metrics.replayed <- t.metrics.replayed + 1;
+  Obs.Counter.incr t.meters.replayed;
   let state', effects =
     t.app.handle ~pid:t.pid ~n:t.app_n t.state ~src:ri.ri_msg.Wire.src
       ri.ri_msg.Wire.payload
@@ -1039,7 +1112,7 @@ let rebuild t ~now ~ck ~halt =
     | _, (Delivery d as r) :: rs ->
       if halt r then ()
       else begin
-        deliver t ~now ~replay:true d.lg_msg;
+        deliver t ~now ~replay:true ~waited:0. d.lg_msg;
         assert (Entry.equal t.current d.lg_interval);
         incr pos;
         walk markers rs
@@ -1053,7 +1126,7 @@ let rebuild t ~now ~ck ~halt =
 
 let cancel_send t ~now (ps : 'msg pending_send) =
   Hashtbl.remove t.buffered_send_ids ps.ps_id;
-  t.metrics.cancelled_sends <- t.metrics.cancelled_sends + 1;
+  Obs.Counter.incr t.meters.cancelled_sends;
   trace t ~now (Send_cancelled { id = ps.ps_id; src = t.pid })
 
 let rollback t ~now ~(because : Wire.announcement) =
@@ -1061,7 +1134,7 @@ let rollback t ~now ~(because : Wire.announcement) =
   (* A rollback reasons about one coherent state and truncates the log the
      pending replay items point into: complete the replay first. *)
   finish_recovery t ~now;
-  t.metrics.induced_rollbacks <- t.metrics.induced_rollbacks + 1;
+  Obs.Counter.incr t.meters.induced_rollbacks;
   let old_current = t.current in
   (* "Log all the unlogged messages to the stable storage": the surviving
      prefix must be replayable.  No stability is claimed here — part of
@@ -1133,7 +1206,7 @@ let rollback t ~now ~(because : Wire.announcement) =
     (fun lg ->
       let m = match lg with Delivery d -> d.lg_msg | Requeued m -> m in
       if orphan_wire t m && not (breakage t).break_orphan_check then begin
-        t.metrics.orphans_discarded <- t.metrics.orphans_discarded + 1;
+        Obs.Counter.incr t.meters.orphans_discarded;
         trace t ~now
           (Message_discarded { id = m.Wire.id; dst = t.pid; reason = Trace.Orphan_message })
       end
@@ -1183,7 +1256,7 @@ let rollback t ~now ~(because : Wire.announcement) =
       Hashtbl.remove t.buffered_out_ids po.po_id;
       Hashtbl.remove t.assemblies po.po_id)
     dropped_outs;
-  t.metrics.undone_intervals <- t.metrics.undone_intervals + (old_current.sii - stop.sii);
+  Obs.Counter.add t.meters.undone_intervals (old_current.sii - stop.sii);
   (* Start a new incarnation, "as if it itself has failed".  The new number
      must exceed every incarnation this process ever used; [old_current.inc]
      is that maximum.  The bump is persisted so that a crash immediately
@@ -1218,7 +1291,7 @@ let rollback t ~now ~(because : Wire.announcement) =
     note_ann t fa;
     t.iet.(t.pid) <- Entry_set.insert_min t.iet.(t.pid) fa.ending;
     t.log_tab.(t.pid) <- Entry_set.insert t.log_tab.(t.pid) fa.ending;
-    t.metrics.announcements_sent <- t.metrics.announcements_sent + 1;
+    Obs.Counter.incr t.meters.announcements_sent;
     push t (Broadcast (Wire.Ann fa))
   end
 
@@ -1233,7 +1306,7 @@ let discard_orphan_receives t ~now =
   t.recv_buf <- kept;
   List.iter
     (fun ((_, m) : float * 'msg Wire.app_message) ->
-      t.metrics.orphans_discarded <- t.metrics.orphans_discarded + 1;
+      Obs.Counter.incr t.meters.orphans_discarded;
       trace t ~now
         (Message_discarded { id = m.id; dst = t.pid; reason = Trace.Orphan_message }))
     orphans
@@ -1246,7 +1319,7 @@ let cancel_orphan_sends t ~now =
 let retransmit t ~dst =
   Archive.iter_oldest t.archive (fun (m : 'msg Wire.app_message) ->
       if m.dst = dst && not (orphan_wire t m) then begin
-        t.metrics.retransmissions <- t.metrics.retransmissions + 1;
+        Obs.Counter.incr t.meters.retransmissions;
         push t (Unicast { dst; packet = Wire.App m })
       end)
 
@@ -1260,7 +1333,7 @@ let retransmit t ~dst =
 let do_retransmit_tick t =
   Archive.due_oldest t.archive (fun (m : 'msg Wire.app_message) ->
       if not (orphan_wire t m) then begin
-        t.metrics.retransmissions <- t.metrics.retransmissions + 1;
+        Obs.Counter.incr t.meters.retransmissions;
         push t (Unicast { dst = m.Wire.dst; packet = Wire.App m })
       end)
 
@@ -1335,7 +1408,7 @@ let receive_app t ~now (m : 'msg Wire.app_message) =
     else None
   with
   | Some kind ->
-    t.metrics.duplicates_dropped <- t.metrics.duplicates_dropped + 1;
+    Obs.Counter.incr t.meters.duplicates_dropped;
     trace t ~now (Message_discarded { id = m.id; dst = t.pid; reason = Trace.Duplicate });
     (* The duplicate proves the sender still archives this message; if its
        delivery is already stable here, ack it so the sender can GC.  A
@@ -1348,7 +1421,7 @@ let receive_app t ~now (m : 'msg Wire.app_message) =
       push t (Unicast { dst = m.src; packet = Wire.Ack { from_ = t.pid; to_ = m.src; ids = [ m.id ] } })
   | None ->
     if orphan_wire t m && not (breakage t).break_orphan_check then begin
-      t.metrics.orphans_discarded <- t.metrics.orphans_discarded + 1;
+      Obs.Counter.incr t.meters.orphans_discarded;
       trace t ~now (Message_discarded { id = m.id; dst = t.pid; reason = Trace.Orphan_message })
     end
     else begin
@@ -1402,8 +1475,7 @@ let run_gc t =
         (* Persist the stub identities before dropping the records. *)
         Store.log_announcement t.store (Wire.Gc_stubs (List.rev !stub_ids));
         List.iter (fun id -> Hashtbl.replace t.stubs id ()) !stub_ids;
-        t.metrics.gc_records <-
-          t.metrics.gc_records + Store.discard_log_prefix t.store ~before:!boundary
+        Obs.Counter.add t.meters.gc_records (Store.discard_log_prefix t.store ~before:!boundary)
       end
     end;
     (* Checkpoints older than the anchor are never restored again. *)
@@ -1477,7 +1549,7 @@ let do_crash t ~now =
          volatile buffer starts with a delivery whenever it is non-empty. *)
       None
   in
-  t.metrics.lost_intervals <- t.metrics.lost_intervals + Store.volatile_length t.store;
+  Obs.Counter.add t.meters.lost_intervals (Store.volatile_length t.store);
   ignore (Store.crash t.store : int);
   t.up <- false;
   t.recovery <- None;
@@ -1492,7 +1564,7 @@ let do_crash t ~now =
    partition, invalidated by any later marker that truncated below its
    covered prefix). *)
 let restart_prologue t =
-  t.metrics.restarts <- t.metrics.restarts + 1;
+  Obs.Counter.incr t.meters.restarts;
   (* Volatile state is gone. *)
   t.recovery <- None;
   if t.part_dirty <> [||] then Array.fill t.part_dirty 0 (Array.length t.part_dirty) 0;
@@ -1603,12 +1675,12 @@ let restart_epilogue t ~now =
   t.out_idx <- 0;
   elide_tdv t;
   t.up <- true;
-  t.metrics.announcements_sent <- t.metrics.announcements_sent + 1;
+  Obs.Counter.incr t.meters.announcements_sent;
   trace t ~now (Restarted { pid = t.pid; announced = fa; new_current });
   push t (Broadcast (Wire.Ann fa))
 
 let do_restart t ~now =
-  let rep0 = t.metrics.replayed in
+  let rep0 = Obs.Counter.value t.meters.replayed in
   let ck, _part_ck = restart_prologue t in
   let _, requeued = rebuild t ~now ~ck ~halt:(fun _ -> false) in
   (* Recover the retransmission archive: replay re-released the sends of
@@ -1627,7 +1699,7 @@ let do_restart t ~now =
     requeued;
   restart_epilogue t ~now;
   trace t ~now
-    (Recovery_completed { pid = t.pid; replayed = t.metrics.replayed - rep0 });
+    (Recovery_completed { pid = t.pid; replayed = Obs.Counter.value t.meters.replayed - rep0 });
   recheck t ~now
 
 (* Restart's fast-path variant: come back up {e before} replaying.  The
@@ -1717,7 +1789,7 @@ let do_restart_begin t ~now =
           match imported with
           | None ->
             part_ck.(p) <- None;
-            t.metrics.part_ckpt_dropped <- t.metrics.part_ckpt_dropped + 1
+            Obs.Counter.incr t.meters.part_ckpt_dropped
           | Some (_, sends, outs, archive) ->
             reinstate_saved_sends t sends;
             reinstate_saved_outs t outs;
@@ -1902,6 +1974,40 @@ let do_partition_checkpoint t ~now =
 (* ------------------------------------------------------------------ *)
 (* Public driver interface                                             *)
 
+let recovery_active t = t.recovery <> None
+
+let recovery_pending t =
+  match t.recovery with
+  | None -> 0
+  | Some rc -> Array.fold_left ( + ) 0 rc.rc_part_pending + rc.rc_barriers_pending
+
+let partition_count t =
+  match t.app.App_intf.partitioning with Some pt -> pt.parts | None -> 0
+
+let partition_recovered t p =
+  match t.recovery with
+  | None -> true
+  | Some rc ->
+    p >= 0 && p < rc.rc_parts
+    && rc.rc_part_pending.(p) = 0
+    && rc.rc_barriers_pending = 0
+
+(* The recovery-window gauges: set at creation, then refreshed after a
+   crash and after every driver step while a window is open or has just
+   closed — the only places it can move. *)
+let set_recovery_gauges t =
+  let parts = partition_count t in
+  let recovered = List.length (List.filter (partition_recovered t) (List.init parts Fun.id)) in
+  let set g v = Obs.Gauge.set g (float_of_int v) in
+  set t.meters.recovery_active (if recovery_active t then 1 else 0);
+  set t.meters.recovery_replay_pending (recovery_pending t);
+  set t.meters.recovery_partitions_total parts;
+  set t.meters.recovery_partitions_recovered recovered
+
+let refresh_recovery_gauges t =
+  if t.recovery <> None || Obs.Gauge.value t.meters.recovery_active > 0. then
+    set_recovery_gauges t
+
 (* [?store_dir] and [?obs] sit before the labelled [~trace], so they can
    never be erased by a positional application — warning 16 does not apply
    to how this function is actually used (every caller passes the
@@ -1911,11 +2017,12 @@ let[@warning "-16"] create ~config ~pid ~app ?store_dir ?obs ~trace:tr =
   let n = config.Config.n in
   if pid < 0 || pid >= n then invalid_arg "Node.create: pid out of range";
   let state = app.App_intf.init ~pid ~n in
+  let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
   let store, fresh_store =
     match store_dir with
     | None -> (Store.create (), true)
     | Some dir ->
-      let store, report = Store.open_durable ~dir ?obs () in
+      let store, report = Store.open_durable ~dir ~obs () in
       (store, report.Store.fresh)
   in
   let t =
@@ -1926,7 +2033,8 @@ let[@warning "-16"] create ~config ~pid ~app ?store_dir ?obs ~trace:tr =
       app_n = n;
       app;
       trace = tr;
-      metrics = Metrics.create ();
+      obs;
+      meters = Obs.Registry.group obs meters_group;
       store;
       up = fresh_store;
       current = Entry.initial;
@@ -2001,21 +2109,23 @@ let[@warning "-16"] create ~config ~pid ~app ?store_dir ?obs ~trace:tr =
      incarnation of the process died); the driver brings it back with
      [restart], which rebuilds everything from the persisted state —
      Figure 3's Restart, now from real files. *)
+  set_recovery_gauges t;
   t
 
 let with_cost t f =
   let sync0 = Store.sync_writes t.store in
-  let del0 = t.metrics.deliveries in
-  let rep0 = t.metrics.replayed in
+  let del0 = Obs.Counter.value t.meters.deliveries in
+  let rep0 = Obs.Counter.value t.meters.replayed in
   let ck0 = t.ckpt_ops in
   t.actions <- [];
   f ();
+  refresh_recovery_gauges t;
   let actions = List.rev t.actions in
   t.actions <- [];
   ( actions,
     {
-      deliveries = t.metrics.deliveries - del0;
-      replays = t.metrics.replayed - rep0;
+      deliveries = Obs.Counter.value t.meters.deliveries - del0;
+      replays = Obs.Counter.value t.meters.replayed - rep0;
       sync_writes = Store.sync_writes t.store - sync0;
       checkpoints = t.ckpt_ops - ck0;
     } )
@@ -2149,8 +2259,8 @@ let broadcast_notice t ~now =
             else [ (t.pid, Entry_set.entries t.log_tab.(t.pid)) ]
           in
           let entries = List.fold_left (fun acc (_, es) -> acc + List.length es) 0 rows in
-          t.metrics.notices <- t.metrics.notices + 1;
-          t.metrics.notice_entries <- t.metrics.notice_entries + entries;
+          Obs.Counter.incr t.meters.notices;
+          Obs.Counter.add t.meters.notice_entries entries;
           trace t ~now (Notice_sent { pid = t.pid; entries });
           push t (Broadcast (Wire.Notice { from_ = t.pid; rows; anns = gossip_anns t }))))
 
@@ -2158,12 +2268,14 @@ let retransmit_tick t ~now =
   ignore now;
   with_cost t (fun () -> guard t (fun () -> do_retransmit_tick t))
 
-let crash t ~now = if t.up then do_crash t ~now
+let crash t ~now =
+  if t.up then do_crash t ~now;
+  refresh_recovery_gauges t
 
 let halt t ~now =
   if not (Store.is_durable t.store) then
     invalid_arg "Node.halt: only a node with a durable store can be killed";
-  if t.up then do_crash t ~now;
+  crash t ~now;
   Store.kill t.store
 
 let restart t ~now =
@@ -2276,32 +2388,14 @@ let stable_frontier t = t.frontier
 
 (* --- fast-recovery inspection --- *)
 
-let recovery_active t = t.recovery <> None
-
-let recovery_pending t =
-  match t.recovery with
-  | None -> 0
-  | Some rc -> Array.fold_left ( + ) 0 rc.rc_part_pending + rc.rc_barriers_pending
-
-let partition_count t =
-  match t.app.App_intf.partitioning with Some pt -> pt.parts | None -> 0
-
 let partition_of_payload t payload = part_of_payload t payload
-
-let partition_recovered t p =
-  match t.recovery with
-  | None -> true
-  | Some rc ->
-    p >= 0 && p < rc.rc_parts
-    && rc.rc_part_pending.(p) = 0
-    && rc.rc_barriers_pending = 0
 
 let partition_digest t p =
   match t.app.App_intf.partitioning with
   | Some pt when p >= 0 && p < pt.parts -> Some (pt.part_digest t.state p)
   | Some _ | None -> None
 
-let metrics t = t.metrics
+let obs t = t.obs
 
 let sync_writes t = Store.sync_writes t.store
 

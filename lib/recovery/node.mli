@@ -54,11 +54,12 @@ val create :
     node starts {e down} with nothing but what open-time recovery salvaged
     from the files; call {!restart} to run Figure 3's Restart from disk.
 
-    [obs] (meaningful only with [store_dir]) is the registry where the
-    durable store registers its flush/fsync metric families — see
-    {!Storage.Stable_store.open_durable}.  The node's own protocol
-    counters live in {!metrics}, a single-threaded record the daemon
-    bridges into its registry at collect time. *)
+    [obs] (default: a fresh private registry) receives the node's
+    protocol metrics and, with [store_dir], the durable store's
+    flush/fsync families (see {!Storage.Stable_store.open_durable}).
+    Registration is get-or-create, so a node re-created over the
+    registry of its predecessor — an in-process respawn — continues that
+    predecessor's counters instead of restarting them; see {!obs}. *)
 
 (** {1 Driver interface} *)
 
@@ -289,7 +290,17 @@ val committed_outputs : ('state, 'msg) t -> (string * float) list
 val stable_frontier : ('state, 'msg) t -> Entry.t
 (** Highest interval of the process's own chain known stable. *)
 
-val metrics : ('state, 'msg) t -> Metrics.t
+val obs : ('state, 'msg) t -> Obs.Registry.t
+(** The registry the node bumps its protocol metrics in, each where its
+    event happens: a [<event>_total] counter per protocol event
+    ([deliveries_total], [releases_total], [restarts_total], ...), the
+    histograms [blocked_time], [release_dep_entries], [wire_vector_size],
+    [delivery_delay] and [output_latency] (abstract config units or
+    counts), and the [recovery_*] window gauges.  Each series is O(1)
+    memory, so a scrape costs O(series × buckets) however much traffic
+    the node has seen; exact per-sample distributions come from the trace
+    ({!Harness.Cluster.stats}).  The node's own calls are the only
+    writers; a snapshot from another thread is atomic per cell. *)
 
 val sync_writes : ('state, 'msg) t -> int
 (** Synchronous stable-storage operations performed so far. *)

@@ -32,8 +32,12 @@ type event =
       dst : int;
       send_interval : Entry.t;
     }  (** logical send (buffered); release may come later *)
-  | Message_released of { id : Wire.identity; dep_size : int; blocked : float }
-  | Message_delivered of { id : Wire.identity; dst : int; interval : Entry.t }
+  | Message_released of { id : Wire.identity; dep_size : int; wire_vector : int; blocked : float }
+      (** [blocked]: time held in the send buffer; [wire_vector]: vector
+          length on the wire ([dep_size], or N for fixed-size vectors) *)
+  | Message_delivered of { id : Wire.identity; dst : int; interval : Entry.t; waited : float }
+      (** live deliveries only; [waited]: time undeliverable in the
+          receive buffer *)
   | Message_discarded of { id : Wire.identity; dst : int; reason : discard_reason }
   | Send_cancelled of { id : Wire.identity; src : int }
       (** an unreleased buffered send was dropped (its interval rolled back) *)

@@ -16,7 +16,7 @@
 
 type t
 
-type latency_stats = {
+type ack_latency = {
   acked : int;  (** tagged operations whose output committed *)
   outstanding : int;  (** tagged operations never acked *)
   p50 : float;  (** seconds, injection -> output commit *)
@@ -50,7 +50,7 @@ module Latency : sig
       clock via [epoch +. time *. time_scale].  Idempotent: a tag acks at
       most once, across calls and across duplicate commit events. *)
 
-  val stats : t -> latency_stats
+  val stats : t -> ack_latency
   (** [acked], [outstanding] and [max] are exact; [p50]/[p99] are
       histogram quantiles — upper bucket bounds, within one power of two
       above the exact order statistic ([nan] when nothing acked). *)
@@ -108,12 +108,6 @@ val run_open_loop : ?start:float -> t -> Harness.Workload.timed_kv_op list -> un
     for earlier operations, so a slow cluster builds a backlog instead of
     silently throttling the load.  Pass the same [start] across calls to
     keep one schedule honest around mid-run kills. *)
-
-val latency_stats : t -> Recovery.Trace.t -> latency_stats
-[@@ocaml.deprecated "use Service.latency + Latency.ingest/Latency.stats"]
-(** [Latency.ingest (latency t) trace; Latency.stats (latency t)].  Kept
-    for callers of the pre-registry API; note the percentile semantics
-    changed from exact order statistics to histogram bucket bounds. *)
 
 val experiment : ?smoke:bool -> unit -> Harness.Report.t * (string * float) list
 (** E15: the sharded KV service on live clusters.  Per cluster size

@@ -52,8 +52,6 @@ let sorted t =
     t.sorted <- Some a;
     a
 
-let samples t = List.rev t.samples
-
 let percentile t p =
   if t.n = 0 then Float.nan
   else begin

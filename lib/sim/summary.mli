@@ -28,10 +28,6 @@ val min : t -> float
 val max : t -> float
 (** [nan] when empty. *)
 
-val samples : t -> float list
-(** Every recorded sample, oldest first — lets bridge code rebuild a
-    different aggregate (e.g. an [Obs] histogram) from the exact data. *)
-
 val percentile : t -> float -> float
 (** [percentile t p] for [p] in [\[0,100\]], nearest-rank on sorted samples;
     [nan] when empty. *)

@@ -430,7 +430,7 @@ let test_inner_seal_damage_dropped () =
       done;
       Alcotest.(check bool)
         "drop reported, not silent" true
-        ((Node.metrics d'.D.node).Recovery.Metrics.part_ckpt_dropped >= 1);
+        (Util.metric d'.D.node "part_ckpt_dropped" >= 1);
       check_recovered_digests ~msg:"inner" d'.D.node expected;
       ignore d)
 

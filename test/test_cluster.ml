@@ -184,9 +184,54 @@ let test_busy_gating_serializes_node () =
   let st : Counter.state = Node.app_state (Cluster.node c 0) in
   Alcotest.(check int) "all processed" 5 st.total
 
+(* [Cluster.stats] reads its counters from the per-pid registries, while
+   the trace records each of those events as well.  Under loss,
+   duplication, a crash, a cascade and two kills respawned from disk, the
+   two sources must agree exactly. *)
+let test_stats_agree_with_trace () =
+  let root = Durable.Temp.fresh_dir ~prefix:"test-stats-trace" () in
+  Fun.protect
+    ~finally:(fun () -> Durable.Temp.rm_rf root)
+    (fun () ->
+      let config = Config.harden (Config.k_optimistic ~n:4 ~k:2 ()) in
+      let fault_plan =
+        { Harness.Netmodel.benign with loss = 0.05; duplicate = 0.05; reorder = 0.1;
+          reorder_spread = 5. }
+      in
+      let c =
+        Cluster.create ~config ~app:App_model.Telecom_app.app ~seed:21 ~horizon:1500.
+          ~fault_plan ~store_root:root ()
+      in
+      Harness.Workload.telecom c ~rng:(Sim.Rng.create 21) ~calls:60 ~hops:4 ~start:10.
+        ~rate:1.0;
+      Cluster.crash_at c ~time:30. ~pid:1;
+      Cluster.cascade_crash_at c ~time:45. ~pids:[ 2; 3 ] ();
+      Cluster.kill_at c ~time:60. ~pid:0 ();
+      Cluster.kill_at c ~time:80. ~pid:2 ();
+      Cluster.run c;
+      let oracle = Harness.Oracle.check ~k:2 ~n:4 (Cluster.trace c) in
+      Alcotest.(check (list string)) "certified" [] oracle.Harness.Oracle.violations;
+      Alcotest.(check int) "both kills respawned" 2 (List.length (Cluster.storage_reports c));
+      let count p =
+        List.length
+          (List.filter (fun e -> p e.Recovery.Trace.ev) (Recovery.Trace.events (Cluster.trace c)))
+      in
+      let s = Cluster.stats c in
+      Alcotest.(check bool) "crashes and kills restarted nodes" true (s.restarts >= 5);
+      Alcotest.(check int) "deliveries = live Message_delivered" s.deliveries
+        (count (function Recovery.Trace.Message_delivered _ -> true | _ -> false));
+      Alcotest.(check int) "releases = Message_released" s.releases
+        (count (function Recovery.Trace.Message_released _ -> true | _ -> false));
+      Alcotest.(check int) "outputs_committed = Output_committed" s.outputs_committed
+        (count (function Recovery.Trace.Output_committed _ -> true | _ -> false));
+      Alcotest.(check int) "one delay sample per delivery" s.deliveries
+        (Sim.Summary.count s.delivery_delay))
+
 let suite =
   [
     Alcotest.test_case "inject and run" `Quick test_inject_and_run;
+    Alcotest.test_case "stats counters agree with the trace under chaos" `Quick
+      test_stats_agree_with_trace;
     Alcotest.test_case "forwarding crosses network" `Quick test_forwarding_crosses_network;
     Alcotest.test_case "crash/restart cycle" `Quick test_crash_restart_cycle;
     Alcotest.test_case "client retry recovers lost request" `Quick

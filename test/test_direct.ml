@@ -56,7 +56,7 @@ let test_arrival_orphan_check_direct_only () =
           ~dep:[ (1, e ~inc:0 ~sii:6) ]
           (App_model.Counter_app.Add 1)));
   Alcotest.(check int) "direct orphan discarded" 1
-    (Node.metrics d.node).orphans_discarded
+    (metric d.node "orphans_discarded")
 
 let test_direct_rollback_on_announcement () =
   let d = D.make (direct_config ()) counter in
@@ -67,7 +67,7 @@ let test_direct_rollback_on_announcement () =
           (App_model.Counter_app.Add 50)));
   D.clear d;
   D.packet d (Wire.Ann { Wire.from_ = 1; ending = e ~inc:0 ~sii:4; failure = true });
-  Alcotest.(check int) "rolled back" 1 (Node.metrics d.node).induced_rollbacks;
+  Alcotest.(check int) "rolled back" 1 (metric d.node "induced_rollbacks");
   let st : App_model.Counter_app.state = Node.app_state d.node in
   Alcotest.(check int) "state reverted" 0 st.total;
   (* direct tracking must announce its own rollback for the cascade *)

@@ -278,7 +278,8 @@ let test_store_group_commit_coalesces () =
      a single fsync round: the leader's prepare drains all N records, the
      rest either wait out that round or find nothing left to do. *)
   with_dir (fun dir ->
-      let s, _ = open_str dir in
+      let obs = Obs.Registry.create () in
+      let s, _ = D.open_ ~dir ~obs () in
       let n = 8 in
       let mu = Mutex.create () in
       let cv = Condition.create () in
@@ -300,9 +301,10 @@ let test_store_group_commit_coalesces () =
       Alcotest.(check int) "all records stable" n (D.stable_log_length s);
       Alcotest.(check int) "no volatile leftovers" 0 (D.volatile_length s);
       Alcotest.(check int) "N concurrent flushes, one fsync round" 1 (D.flushes s);
-      let gc = D.commit_stats s in
+      (* The flushing threads are joined: the snapshot is exact. *)
+      let snap = Obs.Registry.snapshot obs in
       Alcotest.(check bool) "strictly fewer rounds than callers" true
-        (gc.Durable.Group_commit.rounds < n);
+        (Obs.Snapshot.counter snap "flush_rounds_total" < n);
       Alcotest.(check (list string)) "every record made it"
         (List.sort compare (List.init n (Printf.sprintf "rec-%d")))
         (List.sort compare (D.stable_log_from s ~pos:0));
@@ -416,7 +418,7 @@ let test_node_restart_from_disk () =
       let st : Counter.state = Node.app_state fresh in
       Alcotest.(check int) "flushed work replayed, volatile lost" 15 st.total;
       Alcotest.(check int) "restart counted" 1
-        (Node.metrics fresh).Recovery.Metrics.restarts)
+        (Util.metric fresh "restarts"))
 
 let test_node_halt_requires_durable_store () =
   let config = quiet_counter_config () in

@@ -68,7 +68,7 @@ let test_gc_reclaims_after_clean_checkpoint () =
      Corollary 2: the whole prefix is reclaimable. *)
   Alcotest.(check int) "log reclaimed" 0 (Node.live_log_records d.node);
   Alcotest.(check int) "logical length preserved" 8 (Node.stable_log_length d.node);
-  Alcotest.(check int) "metric" 8 (Node.metrics d.node).gc_records
+  Alcotest.(check int) "metric" 8 (metric d.node "gc_records")
 
 let test_gc_disabled_by_default () =
   let d = D.make (counter_config ()) counter in
@@ -112,7 +112,7 @@ let test_gc_survives_crash_with_dedupe () =
   D.restart d;
   D.packet d (Wire.App m);
   Alcotest.(check int) "retransmission recognized via stub" 1
-    (Node.metrics d.node).duplicates_dropped;
+    (metric d.node "duplicates_dropped");
   let st : App_model.Counter_app.state = Node.app_state d.node in
   Alcotest.(check int) "applied exactly once" 3 st.total
 
@@ -128,7 +128,7 @@ let test_gc_restart_replays_only_retained () =
   D.restart d;
   let st : App_model.Counter_app.state = Node.app_state d.node in
   Alcotest.(check int) "checkpoint state + retained suffix" 75 st.total;
-  Alcotest.(check int) "only the suffix was replayed" 1 (Node.metrics d.node).replayed
+  Alcotest.(check int) "only the suffix was replayed" 1 (metric d.node "replayed")
 
 let test_gc_blocked_by_undelivered_requeue () =
   (* Build a Requeued record whose message is re-delivered, then force a

@@ -277,6 +277,50 @@ let test_stats_plane_live () =
           (Obs.Snapshot.hist_count h > 0)
       | None -> Alcotest.fail "phase_seconds{phase=\"handle\"} missing")
 
+(* An in-process [Crash] builds a fresh node over the daemon's registry.
+   Its counters must carry on from the crashed node's values: no [_total]
+   series may fall, and the status plane's delivery count (what [settle]
+   watches for progress) must not fall either. *)
+let test_counters_survive_crash () =
+  let k = 1 in
+  with_deployment ~prefix:"test-net-crash-counters"
+    (fun ~root -> Deployment.launch ~n:3 ~k ~seed:16 ~root ())
+    (fun t ->
+      let scrape pid =
+        match Deployment.scrape t ~dst:pid with
+        | Some (Ok snap) -> snap
+        | Some (Error e) -> Alcotest.fail (Fmt.str "unparseable exposition: %s" e)
+        | None -> Alcotest.fail "no Stats reply"
+      in
+      let delivered () =
+        match Deployment.status t ~dst:1 with
+        | Some s -> s.Net.Wire_codec.st_deliveries
+        | None -> Alcotest.fail "no Status reply"
+      in
+      Deployment.run_workload t ~ops:30 ~seed:6;
+      Alcotest.(check bool) "settles before the crash" true (Deployment.settle t);
+      let before = scrape 1 and delivered_before = delivered () in
+      Alcotest.(check bool) "pid 1 delivered work" true
+        (Obs.Snapshot.counter before "deliveries_total" > 0);
+      Deployment.crash t ~dst:1;
+      Deployment.run_workload t ~ops:30 ~seed:7;
+      Alcotest.(check bool) "settles after the crash" true (Deployment.settle t);
+      let after = scrape 1 in
+      List.iter
+        (fun ((name, labels), v) ->
+          match v with
+          | Obs.Snapshot.Counter c when String.ends_with ~suffix:"_total" name ->
+            let c' = Obs.Snapshot.counter after ~labels name in
+            if c' < c then Alcotest.failf "%s fell from %d to %d across Crash" name c c'
+          | _ -> ())
+        (Obs.Snapshot.bindings before);
+      Alcotest.(check int) "the crash restarted the node once" 1
+        (Obs.Snapshot.counter after "restarts_total"
+        - Obs.Snapshot.counter before "restarts_total");
+      Alcotest.(check bool) "status delivery count did not fall" true
+        (delivered () >= delivered_before);
+      certify ~k (Deployment.finish t))
+
 (* Satellite of the churn work: a writer parked in a multi-second dial
    backoff must notice [close]'s stop flag within a slice, not sleep out
    the rest of its nap.  We point the transport at a port nothing listens
@@ -296,11 +340,15 @@ let test_shutdown_latency_bounded () =
     port
   in
   let dead_port = reserve_port () in
+  let obs = Obs.Registry.create () in
   let transport =
     Net.Transport.create ~self:0 ~listen_port:(reserve_port ())
       ~peers:[ (1, dead_port) ]
       ~on_frame:(fun ~src:_ ~kind:_ ~body:_ -> ())
-      ~backoff_base:3.0 ~backoff_cap:3.0 ()
+      ~backoff_base:3.0 ~backoff_cap:3.0 ~obs ()
+  in
+  let count name =
+    Obs.Snapshot.counter (Obs.Registry.snapshot obs) ("transport_" ^ name ^ "_total")
   in
   Net.Transport.send transport ~dst:1 "doomed frame";
   (* Let the writer pop the frame, fail the dial, and park in backoff. *)
@@ -309,8 +357,7 @@ let test_shutdown_latency_bounded () =
   Net.Transport.close transport;
   let deadline = t0 +. 1.0 in
   let rec await_accounting () =
-    let s = Net.Transport.stats transport in
-    if s.Net.Transport.frames_sent + s.Net.Transport.frames_dropped >= 1 then ()
+    if count "frames_sent" + count "frames_dropped" >= 1 then ()
     else if Unix.gettimeofday () > deadline then
       Alcotest.fail
         "shutdown latency unbounded: frame still unaccounted 1 s after close \
@@ -326,8 +373,7 @@ let test_shutdown_latency_bounded () =
     (Fmt.str "close interrupted a 3 s backoff in %.3f s" elapsed)
     true
     (elapsed < 1.0);
-  Alcotest.(check int) "frame counted dropped, not lost" 1
-    (Net.Transport.stats transport).Net.Transport.frames_dropped
+  Alcotest.(check int) "frame counted dropped, not lost" 1 (count "frames_dropped")
 
 let suite =
   [
@@ -338,6 +384,8 @@ let suite =
     Alcotest.test_case "SIGKILL + respawn from durable store" `Slow test_cluster_kill;
     Alcotest.test_case "live stats plane: scrape, kill, merge" `Slow
       test_stats_plane_live;
+    Alcotest.test_case "counters carry on across an in-process Crash" `Slow
+      test_counters_survive_crash;
     Alcotest.test_case "through the fault proxy" `Slow test_cluster_proxy;
     Alcotest.test_case "SIGKILL again mid-replay, certified" `Slow
       test_kill_during_replay;

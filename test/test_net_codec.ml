@@ -154,13 +154,15 @@ let gen_event =
             Trace.Message_sent { id; src; dst; send_interval })
           (triple gen_identity (pair gen_pid gen_pid) gen_entry) );
       ( 2,
-        map3
-          (fun id dep_size blocked -> Trace.Message_released { id; dep_size; blocked })
-          gen_identity (int_bound 8) gen_time );
+        map4
+          (fun id dep_size wire_vector blocked ->
+            Trace.Message_released { id; dep_size; wire_vector; blocked })
+          gen_identity (int_bound 8) (int_bound 8) gen_time );
       ( 2,
-        map3
-          (fun id dst interval -> Trace.Message_delivered { id; dst; interval })
-          gen_identity gen_pid gen_entry );
+        map4
+          (fun id dst interval waited ->
+            Trace.Message_delivered { id; dst; interval; waited })
+          gen_identity gen_pid gen_entry gen_time );
       ( 1,
         map3
           (fun id dst orphan ->

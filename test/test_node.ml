@@ -41,7 +41,7 @@ let test_inject_starts_interval () =
   Alcotest.check entry "interval advanced" (e ~inc:0 ~sii:2) (Node.current d.node);
   Alcotest.(check (list (pair int entry))) "own entry tracked"
     [ (0, e ~inc:0 ~sii:2) ] (vec_entries d.node);
-  Alcotest.(check int) "deliveries counted" 1 (Node.metrics d.node).deliveries
+  Alcotest.(check int) "deliveries counted" 1 (metric d.node "deliveries")
 
 let test_delivery_merges_piggyback () =
   let d = D.make (config ()) counter in
@@ -157,7 +157,7 @@ let test_deliverable_no_local_entry () =
     (Wire.App (incoming_from ~src:1 ~inc:3 ~sii:9 [ (1, e ~inc:3 ~sii:9) ]
                  (App_model.Counter_app.Add 1)));
   Alcotest.(check int) "delivered without any announcement" 1
-    (Node.metrics d.node).deliveries
+    (metric d.node "deliveries")
 
 let test_deliverable_same_incarnation () =
   let d = D.make (config ()) counter in
@@ -167,7 +167,7 @@ let test_deliverable_same_incarnation () =
   D.packet d
     (Wire.App (incoming_from ~src:1 ~inc:0 ~sii:9 ~idx:1 [ (1, e ~inc:0 ~sii:9) ]
                  (App_model.Counter_app.Add 1)));
-  Alcotest.(check int) "both delivered" 2 (Node.metrics d.node).deliveries
+  Alcotest.(check int) "both delivered" 2 (metric d.node "deliveries")
 
 let test_delivery_waits_for_smaller_stability () =
   (* Section 3's improvement: dependency on (t-4, x) is overwritten by
@@ -180,12 +180,12 @@ let test_delivery_waits_for_smaller_stability () =
   D.packet d
     (Wire.App (incoming_from ~src:1 ~inc:2 ~sii:9 ~idx:1 [ (1, e ~inc:2 ~sii:9) ]
                  (App_model.Counter_app.Add 1)));
-  Alcotest.(check int) "second waits" 1 (Node.metrics d.node).deliveries;
+  Alcotest.(check int) "second waits" 1 (metric d.node "deliveries");
   Alcotest.(check int) "buffered" 1 (Node.receive_buffer_size d.node);
   (* A logging-progress notification makes (0,5) stable: delivery proceeds
      and the entry is overwritten by the lexicographic max. *)
   D.packet d (D.notice_packet ~from_:1 ~rows:[ (1, [ e ~inc:0 ~sii:6 ]) ]);
-  Alcotest.(check int) "unblocked" 2 (Node.metrics d.node).deliveries;
+  Alcotest.(check int) "unblocked" 2 (metric d.node "deliveries");
   Alcotest.(check (option entry)) "overwritten to the larger incarnation"
     (Some (e ~inc:2 ~sii:9))
     (Dep_vector.get (Node.dep_vector d.node) 1)
@@ -200,10 +200,10 @@ let test_delivery_unblocked_by_announcement () =
   D.packet d
     (Wire.App (incoming_from ~src:1 ~inc:1 ~sii:8 ~idx:1 [ (1, e ~inc:1 ~sii:8) ]
                  (App_model.Counter_app.Add 1)));
-  Alcotest.(check int) "conflicting incarnation waits" 1 (Node.metrics d.node).deliveries;
+  Alcotest.(check int) "conflicting incarnation waits" 1 (metric d.node "deliveries");
   D.packet d (Wire.Ann (D.ann ~from_:1 ~ending:(e ~inc:0 ~sii:4) ()));
   Alcotest.(check int) "announcement doubles as stability news" 2
-    (Node.metrics d.node).deliveries
+    (metric d.node "deliveries")
 
 let test_wait_announcement_rule () =
   let d = D.make (Config.strom_yemini ~timing:quiet_timing ~n:4 ()) counter in
@@ -211,9 +211,9 @@ let test_wait_announcement_rule () =
     (Wire.App (incoming_from ~src:1 ~inc:1 ~sii:8 [ (1, e ~inc:1 ~sii:8) ]
                  (App_model.Counter_app.Add 1)));
   Alcotest.(check int) "incarnation 1 needs the announcement for 0" 0
-    (Node.metrics d.node).deliveries;
+    (metric d.node "deliveries");
   D.packet d (Wire.Ann { Wire.from_ = 1; ending = e ~inc:0 ~sii:4; failure = false });
-  Alcotest.(check int) "announcement admits it" 1 (Node.metrics d.node).deliveries
+  Alcotest.(check int) "announcement admits it" 1 (metric d.node "deliveries")
 
 let test_wait_announcement_own_incarnation () =
   (* Regression: a process never receives its own broadcast, yet must accept
@@ -231,7 +231,7 @@ let test_wait_announcement_own_incarnation () =
           (App_model.Counter_app.Add 1)));
   (* one live delivery before the crash, plus this one *)
   Alcotest.(check int) "dep on own incarnation delivered" 2
-    (Node.metrics d.node).deliveries;
+    (metric d.node "deliveries");
   Alcotest.(check int) "nothing left buffered" 0 (Node.receive_buffer_size d.node)
 
 (* ------------------------------------------------------------------ *)
@@ -244,8 +244,8 @@ let test_orphan_discarded_on_arrival () =
     (Wire.App (incoming_from ~src:2 ~inc:0 ~sii:3
                  [ (2, e ~inc:0 ~sii:3); (1, e ~inc:0 ~sii:5) ]
                  (App_model.Counter_app.Add 1)));
-  Alcotest.(check int) "discarded" 1 (Node.metrics d.node).orphans_discarded;
-  Alcotest.(check int) "not delivered" 0 (Node.metrics d.node).deliveries
+  Alcotest.(check int) "discarded" 1 (metric d.node "orphans_discarded");
+  Alcotest.(check int) "not delivered" 0 (metric d.node "deliveries")
 
 let test_orphan_discarded_from_receive_buffer () =
   let d = D.make (config ()) counter in
@@ -260,7 +260,7 @@ let test_orphan_discarded_from_receive_buffer () =
   Alcotest.(check int) "one buffered" 1 (Node.receive_buffer_size d.node);
   D.packet d (Wire.Ann (D.ann ~from_:2 ~ending:(e ~inc:0 ~sii:7) ()));
   Alcotest.(check int) "buffered orphan purged" 0 (Node.receive_buffer_size d.node);
-  Alcotest.(check int) "counted" 1 (Node.metrics d.node).orphans_discarded
+  Alcotest.(check int) "counted" 1 (metric d.node "orphans_discarded")
 
 let test_receive_buffer_duplicate_suppressed () =
   (* Regression: a retransmitted copy racing the buffered original must not
@@ -276,10 +276,10 @@ let test_receive_buffer_duplicate_suppressed () =
   D.packet d (Wire.App blocked);
   D.packet d (Wire.App blocked);
   Alcotest.(check int) "single buffered copy" 1 (Node.receive_buffer_size d.node);
-  Alcotest.(check int) "duplicate counted" 1 (Node.metrics d.node).duplicates_dropped;
+  Alcotest.(check int) "duplicate counted" 1 (metric d.node "duplicates_dropped");
   D.packet d (D.notice_packet ~from_:1 ~rows:[ (1, [ e ~inc:0 ~sii:5 ]) ]);
   Alcotest.(check int) "delivered exactly twice in total" 2
-    (Node.metrics d.node).deliveries
+    (metric d.node "deliveries")
 
 let test_duplicate_of_delivered_dropped () =
   let d = D.make (config ()) counter in
@@ -289,8 +289,8 @@ let test_duplicate_of_delivered_dropped () =
   in
   D.packet d (Wire.App m);
   D.packet d (Wire.App m);
-  Alcotest.(check int) "one delivery" 1 (Node.metrics d.node).deliveries;
-  Alcotest.(check int) "duplicate dropped" 1 (Node.metrics d.node).duplicates_dropped
+  Alcotest.(check int) "one delivery" 1 (metric d.node "deliveries");
+  Alcotest.(check int) "duplicate dropped" 1 (metric d.node "duplicates_dropped")
 
 (* ------------------------------------------------------------------ *)
 (* Receive_failure_ann / Rollback                                      *)
@@ -301,7 +301,7 @@ let test_announcement_no_rollback_when_clean () =
     (Wire.App (incoming_from ~src:1 ~inc:0 ~sii:4 [ (1, e ~inc:0 ~sii:4) ]
                  (App_model.Counter_app.Add 1)));
   D.packet d (Wire.Ann (D.ann ~from_:1 ~ending:(e ~inc:0 ~sii:4) ()));
-  Alcotest.(check int) "no rollback" 0 (Node.metrics d.node).induced_rollbacks;
+  Alcotest.(check int) "no rollback" 0 (metric d.node "induced_rollbacks");
   (* Corollary 1 applied: (0,4) is now known stable, so the entry is elided
      (Theorem 2). *)
   Alcotest.(check (option entry)) "entry elided" None
@@ -316,8 +316,8 @@ let test_announcement_triggers_rollback () =
     (Wire.App (incoming_from ~src:1 ~inc:0 ~sii:5 [ (1, e ~inc:0 ~sii:5) ]
                  (App_model.Counter_app.Add 100)));
   D.packet d (Wire.Ann (D.ann ~from_:1 ~ending:(e ~inc:0 ~sii:4) ()));
-  Alcotest.(check int) "rollback happened" 1 (Node.metrics d.node).induced_rollbacks;
-  Alcotest.(check int) "orphan delivery undone" 1 (Node.metrics d.node).undone_intervals;
+  Alcotest.(check int) "rollback happened" 1 (metric d.node "induced_rollbacks");
+  Alcotest.(check int) "orphan delivery undone" 1 (metric d.node "undone_intervals");
   Alcotest.check entry "new incarnation, next index" (e ~inc:1 ~sii:2)
     (Node.current d.node);
   Alcotest.(check int) "state reverted" digest_before
@@ -345,12 +345,12 @@ let test_rollback_requeues_non_orphans () =
                  (App_model.Counter_app.Add 100)));
   (* A client message delivered after the orphan: undone but not orphan. *)
   D.inject d ~seq:1 (App_model.Counter_app.Add 7);
-  Alcotest.(check int) "two deliveries" 2 (Node.metrics d.node).deliveries;
+  Alcotest.(check int) "two deliveries" 2 (metric d.node "deliveries");
   D.packet d (Wire.Ann (D.ann ~from_:1 ~ending:(e ~inc:0 ~sii:4) ()));
   (* The orphan is discarded; the client message is re-delivered in the new
      incarnation. *)
-  Alcotest.(check int) "orphan discarded" 1 (Node.metrics d.node).orphans_discarded;
-  Alcotest.(check int) "three deliveries total" 3 (Node.metrics d.node).deliveries;
+  Alcotest.(check int) "orphan discarded" 1 (metric d.node "orphans_discarded");
+  Alcotest.(check int) "three deliveries total" 3 (metric d.node "deliveries");
   (* rollback continues as the marker interval (1,2); the re-delivery then
      starts (1,3) *)
   Alcotest.check entry "re-delivered at (1,3)" (e ~inc:1 ~sii:3) (Node.current d.node);
@@ -366,7 +366,7 @@ let test_rollback_restores_matching_checkpoint () =
                  (App_model.Counter_app.Add 100)));
   D.checkpoint d (* checkpoint whose vector depends on the orphan *);
   D.packet d (Wire.Ann (D.ann ~from_:1 ~ending:(e ~inc:0 ~sii:4) ()));
-  Alcotest.(check int) "rollback" 1 (Node.metrics d.node).induced_rollbacks;
+  Alcotest.(check int) "rollback" 1 (metric d.node "induced_rollbacks");
   let st : App_model.Counter_app.state = Node.app_state d.node in
   Alcotest.(check int) "clean state restored" 1 st.total;
   Alcotest.check entry "continues past the clean checkpoint" (e ~inc:1 ~sii:3)
@@ -381,7 +381,7 @@ let test_rollback_cancels_pending_orphan_sends () =
                  (App_model.Counter_app.Forward { dst = 2; amount = 1 })));
   Alcotest.(check int) "pending" 1 (Node.send_buffer_size d.node);
   D.packet d (Wire.Ann (D.ann ~from_:1 ~ending:(e ~inc:0 ~sii:4) ()));
-  Alcotest.(check int) "cancelled" 1 (Node.metrics d.node).cancelled_sends;
+  Alcotest.(check int) "cancelled" 1 (metric d.node "cancelled_sends");
   Alcotest.(check int) "buffer empty" 0 (Node.send_buffer_size d.node);
   Alcotest.(check (list reject)) "never released" []
     (List.map (fun _ -> ()) (D.released d))
@@ -417,7 +417,7 @@ let test_restart_announces_and_replays () =
   ignore digest_stable;
   D.crash d;
   Alcotest.(check bool) "down" false (Node.is_up d.node);
-  Alcotest.(check int) "one interval lost" 1 (Node.metrics d.node).lost_intervals;
+  Alcotest.(check int) "one interval lost" 1 (metric d.node "lost_intervals");
   D.clear d;
   D.restart d;
   Alcotest.(check bool) "up" true (Node.is_up d.node);
@@ -430,7 +430,7 @@ let test_restart_announces_and_replays () =
   Alcotest.check entry "new incarnation" (e ~inc:1 ~sii:4) (Node.current d.node);
   let st : App_model.Counter_app.state = Node.app_state d.node in
   Alcotest.(check int) "stable prefix replayed, volatile lost" 30 st.total;
-  Alcotest.(check int) "replay counted" 2 (Node.metrics d.node).replayed
+  Alcotest.(check int) "replay counted" 2 (metric d.node "replayed")
 
 let test_restart_dedupes_stable_retransmission () =
   let d = D.make (config ()) counter in
@@ -444,7 +444,7 @@ let test_restart_dedupes_stable_retransmission () =
   D.restart d;
   D.packet d (Wire.App m) (* sender retransmits after the announcement *);
   Alcotest.(check int) "replayed delivery recognized, duplicate dropped" 1
-    (Node.metrics d.node).duplicates_dropped;
+    (metric d.node "duplicates_dropped");
   let st : App_model.Counter_app.state = Node.app_state d.node in
   Alcotest.(check int) "applied exactly once" 3 st.total
 
@@ -460,7 +460,7 @@ let test_restart_accepts_retransmission_of_lost () =
   D.restart d;
   D.packet d (Wire.App m);
   Alcotest.(check int) "re-delivered, not a duplicate" 0
-    (Node.metrics d.node).duplicates_dropped;
+    (metric d.node "duplicates_dropped");
   let st : App_model.Counter_app.state = Node.app_state d.node in
   Alcotest.(check int) "applied once" 3 st.total
 
@@ -486,11 +486,11 @@ let test_committed_output_not_repeated () =
   D.inject d ~seq:1 (App_model.Counter_app.Add 4);
   D.inject d ~seq:2 App_model.Counter_app.Report;
   D.flush d (* own intervals stable: output commits *);
-  Alcotest.(check int) "committed" 1 (Node.metrics d.node).outputs_committed;
+  Alcotest.(check int) "committed" 1 (metric d.node "outputs_committed");
   D.crash d;
   D.restart d;
   Alcotest.(check int) "not re-committed by replay" 1
-    (Node.metrics d.node).outputs_committed;
+    (metric d.node "outputs_committed");
   Alcotest.(check (list string)) "ledger intact" [ "p0 total=4" ]
     (List.map fst (Node.committed_outputs d.node))
 
@@ -553,11 +553,11 @@ let test_output_waits_for_stability () =
                  (App_model.Counter_app.Add 2)));
   D.inject d ~seq:1 App_model.Counter_app.Report;
   D.flush d (* own intervals stable, but P1's dependency is not *);
-  Alcotest.(check int) "not yet committed" 0 (Node.metrics d.node).outputs_committed;
+  Alcotest.(check int) "not yet committed" 0 (metric d.node "outputs_committed");
   Alcotest.(check int) "buffered" 1 (Node.output_buffer_size d.node);
   D.packet d (D.notice_packet ~from_:1 ~rows:[ (1, [ e ~inc:0 ~sii:5 ]) ]);
   Alcotest.(check int) "committed once all dependencies stable" 1
-    (Node.metrics d.node).outputs_committed;
+    (metric d.node "outputs_committed");
   Alcotest.(check (list string)) "text" [ "p0 total=2" ]
     (List.map fst (Node.committed_outputs d.node))
 
@@ -627,7 +627,7 @@ let test_retransmit_on_failure_announcement () =
   (match D.released d with
   | [ m ] -> Alcotest.(check int) "archived copy resent to restarted P1" 1 m.Wire.dst
   | l -> Alcotest.failf "expected 1 retransmission, got %d" (List.length l));
-  Alcotest.(check int) "metric" 1 (Node.metrics d.node).retransmissions
+  Alcotest.(check int) "metric" 1 (metric d.node "retransmissions")
 
 let test_ack_stops_retransmission () =
   let d = D.make (config ()) counter in
@@ -658,7 +658,7 @@ let test_down_node_ignores_packets () =
   D.packet d
     (Wire.App (incoming_from ~src:1 ~inc:0 ~sii:2 [ (1, e ~inc:0 ~sii:2) ]
                  (App_model.Counter_app.Add 1)));
-  Alcotest.(check int) "nothing delivered while down" 0 (Node.metrics d.node).deliveries
+  Alcotest.(check int) "nothing delivered while down" 0 (metric d.node "deliveries")
 
 let test_cost_accounting () =
   let d = D.make (config ()) counter in
@@ -672,7 +672,9 @@ let test_sy_wire_size_is_n () =
   let d = D.make (Config.strom_yemini ~timing:quiet_timing ~n:4 ()) counter in
   D.inject d ~seq:1 (App_model.Counter_app.Forward { dst = 1; amount = 1 });
   Alcotest.(check (float 0.0)) "fixed size-N vector on the wire" 4.
-    (Sim.Summary.mean (Node.metrics d.node).wire_vector_size)
+    (match Obs.Snapshot.hist (Obs.Registry.snapshot (Node.obs d.node)) "wire_vector_size" with
+    | Some h -> Obs.Snapshot.hist_mean h
+    | None -> nan)
 
 let test_notice_gossip () =
   let base = config () in
@@ -693,9 +695,46 @@ let test_notice_gossip () =
   Alcotest.(check bool) "gossip includes P2's row" true (List.mem 2 rows);
   Alcotest.(check bool) "own row present" true (List.mem 0 rows)
 
+(* A node's scrape costs O(series × buckets), never O(traffic): after 100
+   deliveries and after 10,000 it holds the same series, within the same
+   exposition line budget. *)
+let test_scrape_bounded () =
+  let d = D.make (config ~k:1 ()) counter in
+  let drive ~from ~upto =
+    for seq = from to upto do
+      D.inject d ~seq
+        (match seq mod 3 with
+        | 0 -> App_model.Counter_app.Forward { dst = 1 + (seq mod 3); amount = 1 }
+        | 1 -> App_model.Counter_app.Report
+        | _ -> App_model.Counter_app.Add 1);
+      if seq mod 10 = 0 then D.flush d;
+      D.clear d
+    done;
+    Obs.Registry.snapshot (Node.obs d.node)
+  in
+  let small = drive ~from:1 ~upto:100 in
+  let large = drive ~from:101 ~upto:10_000 in
+  Alcotest.(check (pair int int)) "deliveries counted" (100, 10_000)
+    ( Obs.Snapshot.counter small "deliveries_total",
+      Obs.Snapshot.counter large "deliveries_total" );
+  Alcotest.(check bool) "histograms saw the traffic" true
+    (match Obs.Snapshot.hist large "output_latency" with
+    | Some h -> Obs.Snapshot.hist_count h > 1000
+    | None -> false);
+  let series snap = List.map fst (Obs.Snapshot.bindings snap) in
+  Alcotest.(check bool) "same series at 100 and 10,000 deliveries" true
+    (series small = series large);
+  List.iter
+    (fun snap ->
+      let lines = List.length (String.split_on_char '\n' (Obs.Snapshot.to_text snap)) in
+      let budget = List.length (series snap) * (Obs.Histogram.bucket_count + 5) in
+      if lines > budget then Alcotest.failf "%d exposition lines over a budget of %d" lines budget)
+    [ small; large ]
+
 let suite =
   [
     Alcotest.test_case "Initialize (Corollary 3)" `Quick test_initial_state;
+    Alcotest.test_case "scrape stays bounded as traffic grows" `Quick test_scrape_bounded;
     Alcotest.test_case "delivery starts interval" `Quick test_inject_starts_interval;
     Alcotest.test_case "delivery merges piggyback" `Quick test_delivery_merges_piggyback;
     Alcotest.test_case "delivery takes lexicographic max" `Quick test_delivery_takes_lex_max;

@@ -109,11 +109,11 @@ let test_checkpointed_output_commits_once_after_crash () =
   D.restart d;
   Alcotest.(check int) "restored from checkpoint" 1 (Node.output_buffer_size d.node);
   D.packet d (D.notice_packet ~from_:1 ~rows:[ (1, [ e ~inc:0 ~sii:5 ]) ]);
-  Alcotest.(check int) "committed exactly once" 1 (Node.metrics d.node).outputs_committed;
+  Alcotest.(check int) "committed exactly once" 1 (metric d.node "outputs_committed");
   D.crash d;
   D.restart d;
   Alcotest.(check int) "not repeated by the second recovery" 1
-    (Node.metrics d.node).outputs_committed
+    (metric d.node "outputs_committed")
 
 let test_per_incarnation_stability_rows () =
   (* After a rollback, the process's own logging-progress row must keep a
@@ -144,9 +144,9 @@ let test_wait_rule_blocks_gap_incarnation () =
           ~dep:[ (1, e ~inc:2 ~sii:9) ]
           (App_model.Counter_app.Add 1)));
   Alcotest.(check int) "blocked on the missing announcement" 0
-    (Node.metrics d.node).deliveries;
+    (metric d.node "deliveries");
   D.packet d (Wire.Ann { Wire.from_ = 1; ending = e ~inc:1 ~sii:6; failure = false });
-  Alcotest.(check int) "unblocked" 1 (Node.metrics d.node).deliveries
+  Alcotest.(check int) "unblocked" 1 (metric d.node "deliveries")
 
 let test_checkpoint_restore_prefers_latest_clean () =
   (* Figure 3 restores the LATEST checkpoint satisfying condition (I), not
@@ -163,10 +163,10 @@ let test_checkpoint_restore_prefers_latest_clean () =
        (D.app_msg ~src:1 ~dst:0 ~send_interval:(e ~inc:0 ~sii:5)
           ~dep:[ (1, e ~inc:0 ~sii:5) ]
           (App_model.Counter_app.Add 100)));
-  let replayed_before = (Node.metrics d.node).replayed in
+  let replayed_before = (metric d.node "replayed") in
   D.packet d (Wire.Ann (D.ann ~from_:1 ~ending:(e ~inc:0 ~sii:4) ()));
   Alcotest.(check int) "nothing to replay from the latest clean checkpoint"
-    replayed_before (Node.metrics d.node).replayed;
+    replayed_before (metric d.node "replayed");
   let st : App_model.Counter_app.state = Node.app_state d.node in
   Alcotest.(check int) "all pre-checkpoint work kept" 40 st.total
 
@@ -191,7 +191,7 @@ let test_archive_survives_sender_checkpoint_and_crash () =
   match D.released d with
   | [ m ] ->
     Alcotest.(check int) "archived copy retransmitted" 2 m.Wire.dst;
-    Alcotest.(check int) "counted" 1 (Node.metrics d.node).retransmissions
+    Alcotest.(check int) "counted" 1 (metric d.node "retransmissions")
   | l -> Alcotest.failf "expected 1 retransmission, got %d" (List.length l)
 
 let suite =

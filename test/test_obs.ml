@@ -216,15 +216,41 @@ let test_registry_guards () =
   Obs.Counter.incr c2;
   Alcotest.(check int) "one cell behind one key" 2 (Obs.Counter.value c1)
 
-let test_collect_hook () =
+let group =
+  Obs.Group.make (fun cells ->
+      (Obs.Group.counter cells "hits_total", Obs.Group.histogram cells "wait"))
+
+let test_group () =
+  let expect_invalid what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s was not rejected" what
+  in
   let reg = Obs.Registry.create () in
-  let external_count = ref 0 in
-  let mirrored = Obs.Registry.counter reg "mirrored_total" in
-  Obs.Registry.on_collect reg (fun () -> Obs.Counter.set mirrored !external_count);
-  external_count := 7;
+  let hits, wait = Obs.Registry.group reg group in
+  Obs.Counter.incr hits;
+  (* get-or-create: a second instantiation returns the same cells ... *)
+  let hits', _ = Obs.Registry.group reg group in
+  Obs.Counter.incr hits';
+  (* ... which lookups by name and snapshots see as ordinary metrics *)
+  Obs.Counter.incr (Obs.Registry.counter reg "hits_total");
+  Obs.Histogram.observe wait 0.5;
   let snap = Obs.Registry.snapshot reg in
-  Alcotest.(check int) "hook ran before collection" 7
-    (Obs.Snapshot.counter snap "mirrored_total")
+  Alcotest.(check int) "one counter behind three handles" 3
+    (Obs.Snapshot.counter snap "hits_total");
+  Alcotest.(check (option int)) "histogram indexed" (Some 1)
+    (Option.map Obs.Snapshot.hist_count (Obs.Snapshot.hist snap "wait"));
+  expect_invalid "kind clash with a group metric" (fun () ->
+      Obs.Registry.gauge reg "hits_total");
+  let reg = Obs.Registry.create () in
+  ignore (Obs.Registry.counter reg "hits_total");
+  ignore (Obs.Registry.group reg group);
+  expect_invalid "group name registered on its own first" (fun () ->
+      Obs.Registry.snapshot reg);
+  let bad = Obs.Group.make (fun cells -> Obs.Group.counter cells "bad name") in
+  let reg = Obs.Registry.create () in
+  ignore (Obs.Registry.group reg bad);
+  expect_invalid "malformed group name" (fun () -> Obs.Registry.snapshot reg)
 
 let suite =
   [
@@ -240,5 +266,5 @@ let suite =
       test_exposition_rejects;
     Alcotest.test_case "registry guards names, kinds and labels" `Quick
       test_registry_guards;
-    Alcotest.test_case "collect hooks bridge external counters" `Quick test_collect_hook;
+    Alcotest.test_case "groups are get-or-create registry metrics" `Quick test_group;
   ]

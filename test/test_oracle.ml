@@ -39,7 +39,7 @@ let send tr ~time ~mid ~src ~dst ~send_interval =
   Trace.add tr ~time (Trace.Message_sent { id = mid; src; dst; send_interval })
 
 let deliver tr ~time ~mid ~dst ~interval =
-  Trace.add tr ~time (Trace.Message_delivered { id = mid; dst; interval })
+  Trace.add tr ~time (Trace.Message_delivered { id = mid; dst; interval; waited = 0. })
 
 let stable tr ~time ~pid ~upto =
   Trace.add tr ~time (Trace.Stability_advanced { pid; upto })
@@ -59,7 +59,7 @@ let simple_exchange tr =
     ~by:(Some (id ~origin:(-1) ~interval:(e ~inc:0 ~sii:1) ()))
     ~sender_interval:None ~digest:42;
   send tr ~time:1. ~mid:m ~src:0 ~dst:1 ~send_interval:(e ~inc:0 ~sii:2);
-  Trace.add tr ~time:1.5 (Trace.Message_released { id = m; dep_size = 1; blocked = 0. });
+  Trace.add tr ~time:1.5 (Trace.Message_released { id = m; dep_size = 1; wire_vector = 1; blocked = 0. });
   deliver tr ~time:2. ~mid:m ~dst:1 ~interval:(e ~inc:0 ~sii:2);
   start tr ~time:2. ~pid:1 ~interval:(e ~inc:0 ~sii:2) ~pred:(Some Entry.initial)
     ~by:(Some m) ~sender_interval:(Some (e ~inc:0 ~sii:2)) ~digest:7;
@@ -201,7 +201,7 @@ let test_stability_lowers_risk () =
   send tr ~time:1. ~mid:m ~src:0 ~dst:1 ~send_interval:(e ~inc:0 ~sii:2);
   (* Stability arrives before the release: zero risk at release time. *)
   stable tr ~time:1.2 ~pid:0 ~upto:(e ~inc:0 ~sii:2);
-  Trace.add tr ~time:1.5 (Trace.Message_released { id = m; dep_size = 0; blocked = 0.5 });
+  Trace.add tr ~time:1.5 (Trace.Message_released { id = m; dep_size = 0; wire_vector = 0; blocked = 0.5 });
   let report = Harness.Oracle.check ~k:0 ~n tr in
   Alcotest.(check bool) "k=0 satisfied" true (Harness.Oracle.ok report);
   Alcotest.(check int) "risk zero" 0 report.Harness.Oracle.max_risk

@@ -65,7 +65,7 @@ let test_crash_recovery_threads () =
   Rt.shutdown rt;
   Alcotest.(check bool) "all ten additions survive the crash" true recovered;
   Alcotest.(check int) "restart happened" 1
-    (Rt.with_node rt 1 (fun nd -> (Node.metrics nd).restarts))
+    (Rt.with_node rt 1 (fun nd -> Util.metric nd "restarts"))
 
 let test_kill_respawn_from_disk () =
   (* The acceptance case for the durable subsystem on real threads: a node

@@ -11,6 +11,11 @@ let dep_vector = Alcotest.testable Dep_vector.pp Dep_vector.equal
 
 let e ~inc ~sii = Entry.make ~inc ~sii
 
+(* A node protocol counter read back from the node's registry, the way a
+   scrape sees it: [metric nd "deliveries"] is [deliveries_total]. *)
+let metric nd name =
+  Obs.Snapshot.counter (Obs.Registry.snapshot (Recovery.Node.obs nd)) (name ^ "_total")
+
 (* QCheck generators *)
 
 let gen_entry =
