@@ -21,7 +21,14 @@
    notice timer remains the fallback for idle periods.  A SIGKILL loses at
    most the batch being formatted — the deployment's merge step truncates
    any torn tail and synthesises the missing [Crashed] event from the
-   successor's [Restarted]. *)
+   successor's [Restarted].
+
+   What the daemon has written to disk it does not also keep in memory:
+   each sync hands the trace's new entries to the trace file and drops
+   them, and the durable store reads its flushed log back from the segment
+   files on the rare paths that need it (rollback, restart).  The trace
+   file and the segments are the only copies of what they hold, so
+   neither trace nor log grows the daemon's memory with its history. *)
 
 module Node = Recovery.Node
 module Trace = Recovery.Trace

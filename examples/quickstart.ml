@@ -50,12 +50,13 @@ let () =
   Fmt.pr "@.deliveries=%d released=%d restarts=%d rollbacks=%d replayed=%d@."
     stats.deliveries stats.releases stats.restarts stats.induced_rollbacks
     stats.replayed;
-  Array.iter
-    (fun node ->
-      List.iter
-        (fun (text, time) -> Fmt.pr "output committed at %.1f: %s@." time text)
-        (Node.committed_outputs node))
-    (Cluster.nodes cluster);
+  List.iter
+    (fun { Recovery.Trace.time; ev; _ } ->
+      match ev with
+      | Recovery.Trace.Output_committed { text; _ } ->
+        Fmt.pr "output committed at %.1f: %s@." time text
+      | _ -> ())
+    (Recovery.Trace.events (Cluster.trace cluster));
 
   (* The offline oracle re-derives the true causal order and certifies the
      run: no orphan survived, no output was revoked, and Theorem 4's bound

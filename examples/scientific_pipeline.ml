@@ -18,13 +18,13 @@ let stages = 6
 let jobs = 80
 
 let last_output_time cluster =
-  Array.fold_left
-    (fun acc node ->
-      List.fold_left
-        (fun acc (_, time) -> Float.max acc time)
-        acc
-        (Recovery.Node.committed_outputs node))
-    0. (Cluster.nodes cluster)
+  List.fold_left
+    (fun acc { Recovery.Trace.time; ev; _ } ->
+      match ev with
+      | Recovery.Trace.Output_committed _ -> Float.max acc time
+      | _ -> acc)
+    0.
+    (Recovery.Trace.events (Cluster.trace cluster))
 
 let run name config ~failures =
   let cluster =

@@ -57,8 +57,7 @@ let pp_open_report ppf r =
 type ('ckpt, 'log, 'ann) t = {
   root : string;
   log : Segment_log.t;
-  mutable stable_log : 'log list; (* newest first, mirrors the segments *)
-  mutable stable_len : int;
+  mutable stable_len : int; (* the records themselves live only in [log] *)
   mutable base : int;
   volatile : 'log Queue.t;
   mutable ckpts : (int * 'ckpt) list; (* (file seq, snapshot), newest first *)
@@ -169,15 +168,16 @@ let open_ ~dir ?segment_bytes ?obs () =
     !sync_records;
   (* Message log.  An undecodable record breaks the gap-free prefix the
      log promises, so recovery truncates there — the suffix is counted as
-     dropped bytes, exactly like a torn tail. *)
+     dropped bytes, exactly like a torn tail.  The decoded records are not
+     kept: reads go back to the segments ([stable_log_from]). *)
   let log, recovered = Segment_log.open_ ~dir ?segment_bytes () in
   let log_undecodable_bytes = ref 0 in
-  let stable_log =
-    let rec decode_prefix idx acc = function
-      | [] -> acc
+  let recovered_log =
+    let rec decode_prefix idx = function
+      | [] -> idx
       | payload :: rest -> (
         match of_bin_opt payload with
-        | Some r -> decode_prefix (idx + 1) (r :: acc) rest
+        | Some _ -> decode_prefix (idx + 1) rest
         | None ->
           List.iter
             (fun p ->
@@ -185,9 +185,10 @@ let open_ ~dir ?segment_bytes ?obs () =
                 !log_undecodable_bytes + String.length p + Codec.header_bytes)
             (payload :: rest);
           Segment_log.truncate_after log ~keep:idx;
-          acc)
+          idx)
     in
-    decode_prefix recovered.Segment_log.first [] recovered.Segment_log.payloads
+    let first = recovered.Segment_log.first in
+    decode_prefix first recovered.Segment_log.payloads - first
   in
   let stable_len = Segment_log.next_index log in
   let missing =
@@ -227,7 +228,7 @@ let open_ ~dir ?segment_bytes ?obs () =
   let report =
     {
       fresh;
-      recovered_log = List.length stable_log;
+      recovered_log;
       log_bytes_dropped =
         recovered.Segment_log.bytes_dropped + !log_undecodable_bytes;
       log_segments_dropped = recovered.Segment_log.segments_dropped;
@@ -246,7 +247,6 @@ let open_ ~dir ?segment_bytes ?obs () =
     {
       root = dir;
       log;
-      stable_log;
       stable_len;
       base = max !logical_base (Segment_log.first_index log);
       volatile = Queue.create ();
@@ -319,9 +319,7 @@ let flush_run t =
       ~prepare:(fun () ->
         let n = Queue.length t.volatile in
         Queue.iter
-          (fun r ->
-            ignore (Segment_log.append t.log (to_bin r) : int);
-            t.stable_log <- r :: t.stable_log)
+          (fun r -> ignore (Segment_log.append t.log (to_bin r) : int))
           t.volatile;
         Queue.clear t.volatile;
         t.stable_len <- t.stable_len + n;
@@ -375,14 +373,13 @@ let volatile_length t = with_lock t (fun () -> Queue.length t.volatile)
 
 let volatile_peek t = with_lock t (fun () -> Queue.peek_opt t.volatile)
 
+(* Read back from the segments: a record that no longer decodes raises
+   (naming its segment and index) instead of shortening the answer. *)
 let log_from t ~pos =
+  guard t;
   if pos < t.base || pos > t.stable_len then
     invalid_arg "Stable_store.stable_log_from: position out of range";
-  let rec take i acc = function
-    | [] -> acc
-    | r :: rest -> if i < pos then acc else take (i - 1) (r :: acc) rest
-  in
-  take (t.stable_len - 1) [] t.stable_log
+  Segment_log.read_from t.log ~pos ~decode:of_bin_opt
 
 let stable_log_from t ~pos = with_lock t (fun () -> log_from t ~pos)
 
@@ -392,8 +389,6 @@ let truncate_stable_log t ~keep =
       if keep < t.base || keep > t.stable_len then
         invalid_arg "Stable_store.truncate_stable_log: keep out of range";
       let removed = log_from t ~pos:keep in
-      let rec drop i l = if i = 0 then l else drop (i - 1) (List.tl l) in
-      t.stable_log <- drop (t.stable_len - keep) t.stable_log;
       t.stable_len <- keep;
       Segment_log.truncate_after t.log ~keep;
       sync_put t ~kind:k_len (to_bin keep);
@@ -407,16 +402,7 @@ let discard_log_prefix t ~before =
     invalid_arg "Stable_store.discard_log_prefix: position out of range";
   if before <= t.base then 0
   else begin
-    let keep_cells = t.stable_len - before in
-    let rec take i acc l =
-      if i = 0 then List.rev acc
-      else
-        match l with
-        | [] -> List.rev acc
-        | r :: rest -> take (i - 1) (r :: acc) rest
-    in
     let discarded = before - t.base in
-    t.stable_log <- take keep_cells [] t.stable_log;
     t.base <- before;
     (* Record the logical base first, then reclaim whole segments; if we
        die in between, reopen just sees a few extra records below base. *)

@@ -8,7 +8,9 @@
       durability point — the log's fsync, the paper's single
       stable-storage operation — and concurrent flushes coalesce through a
       {!Group_commit} coordinator, so N simultaneous callers cost one
-      fsync, not N;
+      fsync, not N.  The segments are the only copy of the flushed
+      records: the store keeps none in memory and reads them back from the
+      files when asked ({!stable_log_from});
     - each {b checkpoint} is its own [ckpt-<seq>.dat] file holding one
       checksummed record: the pair (stable length at save time, snapshot);
       the length lets open-time recovery reject checkpoints that point past
@@ -102,8 +104,20 @@ val volatile_length : ('ckpt, 'log, 'ann) t -> int
 val volatile_peek : ('ckpt, 'log, 'ann) t -> 'log option
 
 val stable_log_from : ('ckpt, 'log, 'ann) t -> pos:int -> 'log list
+(** The stable records from [pos] on, oldest first, read back from the
+    segment files ({!Segment_log.read_from}) — flushed records are
+    readable before their fsync completes, as they would be from memory.
+    Only rollback, restart and log GC call this, so the flush path keeps
+    no copy of what it wrote.
+    @raise Failure naming the segment file and the record's logical
+    position if a record read back fails its checksum or no longer
+    decodes: damage found after open is reported, never answered with a
+    shorter log.
+    @raise Invalid_argument if [pos] is below {!log_base} or past
+    {!stable_log_length}. *)
 
 val truncate_stable_log : ('ckpt, 'log, 'ann) t -> keep:int -> 'log list
+(** Returns the removed records, read back like {!stable_log_from}. *)
 
 val discard_log_prefix : ('ckpt, 'log, 'ann) t -> before:int -> int
 

@@ -39,6 +39,18 @@ val append : t -> string -> int
 (** Append one record payload; returns its absolute logical index.  The
     record is volatile until the next {!sync}. *)
 
+val read_from : t -> pos:int -> decode:(string -> 'a option) -> 'a list
+(** The records at logical indices [pos] .. [next_index - 1], oldest
+    first, each payload mapped through [decode].  Read back from the
+    segment files — the log keeps no payloads in memory — starting at
+    [pos]'s byte offset rather than rescanning each segment from byte 0.
+    Appended records are readable before their {!sync}.
+    @raise Failure naming the segment file and the record's logical index
+    if a record fails its checksum, is cut short, or [decode] rejects it:
+    a damaged log is reported, never returned shorter.
+    @raise Invalid_argument if [pos] is outside
+    [[first_index, next_index]]. *)
+
 val sync : t -> unit
 (** fsync the newest segment (one synchronous operation per batch). *)
 

@@ -19,7 +19,7 @@ type report = {
   orphans_at_end : int;
   released : int;
   max_risk : int;
-  committed_outputs : int;
+  outputs_committed : int;
 }
 
 let ok r = r.violations = []
@@ -29,7 +29,7 @@ let pp_report ppf r =
     "oracle: %s (%d intervals, %d lost, %d undone, %d released, max risk %d, %d \
      outputs)"
     (if ok r then "OK" else Fmt.str "%d VIOLATIONS" (List.length r.violations))
-    r.intervals r.lost r.undone r.released r.max_risk r.committed_outputs;
+    r.intervals r.lost r.undone r.released r.max_risk r.outputs_committed;
   if not (ok r) then
     List.iter (fun v -> Fmt.pf ppf "@\n  - %s" v) r.violations
 
@@ -311,5 +311,5 @@ let check ?k ~n trace =
     orphans_at_end = !orphans_at_end;
     released = List.length !released;
     max_risk = !max_risk;
-    committed_outputs = List.length !committed;
+    outputs_committed = List.length !committed;
   }

@@ -36,7 +36,7 @@ type report = {
   max_risk : int;
       (** largest observed number of processes able to revoke a released
           message *)
-  committed_outputs : int;
+  outputs_committed : int;
 }
 
 val check : ?k:int -> n:int -> Recovery.Trace.t -> report

@@ -247,21 +247,16 @@ let load_file path =
   | s -> Ok (decode_stream s)
   | exception Sys_error e -> Error e
 
-type writer = { oc : out_channel; mutable written : int }
+type writer = out_channel
 
 let open_writer path =
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
-  in
-  { oc; written = 0 }
+  open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
 
-let append w entries =
-  List.iter (fun e -> output_string w.oc (encode_entry e)) entries;
-  flush w.oc;
-  w.written <- w.written + List.length entries
+let close_writer = close_out_noerr
 
-let close_writer w = close_out_noerr w.oc
-
-let sync w trace =
-  if Trace.length trace > w.written then
-    append w (Trace.suffix trace ~from_:w.written)
+let sync oc trace =
+  match Trace.drain trace with
+  | [] -> ()
+  | entries ->
+    List.iter (fun e -> output_string oc (encode_entry e)) entries;
+    flush oc

@@ -37,12 +37,12 @@ type writer
 val open_writer : string -> writer
 (** Open (append mode, created if missing) a trace file. *)
 
-val append : writer -> Recovery.Trace.entry list -> unit
-(** Write entries and flush them to the file descriptor, so they survive a
-    subsequent [SIGKILL] of the writing process. *)
-
 val close_writer : writer -> unit
 
 val sync : writer -> Recovery.Trace.t -> unit
-(** Append every entry of [trace] beyond what this writer already wrote —
-    the daemon calls this after each protocol step. *)
+(** Write and release: append the entries added to [trace] since the
+    previous sync ({!Recovery.Trace.drain}) and flush them to the file
+    descriptor, so they survive a later [SIGKILL] of the writing process.
+    The file then holds the only copy: the daemon calls this after each
+    protocol step, so its memory does not grow with the length of its
+    trace.  O(1) when the step added nothing. *)

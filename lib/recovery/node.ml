@@ -275,9 +275,9 @@ type ('state, 'msg) t = {
   stubs : (Wire.identity, unit) Hashtbl.t;
       (* deliveries whose records were GC'd; see Wire.Gc_stubs *)
   direct_parents : (Entry.t, (int * Entry.t) list) Hashtbl.t;
-      (* direct tracking: each local interval's chain predecessor and, for
-         delivery-started intervals, the sending interval.  Rebuilt by
-         replay; pruned with the chain on rollback. *)
+      (* direct tracking only (empty otherwise): each local interval's
+         chain predecessor and, for delivery-started intervals, the sending
+         interval.  Rebuilt by replay; pruned with the chain on rollback. *)
   assemblies : (Wire.output_id, assembly) Hashtbl.t;
       (* direct tracking: one transitive-closure assembly per pending
          output *)
@@ -294,7 +294,6 @@ type ('state, 'msg) t = {
   mutable send_idx : int; (* sends performed in the current interval *)
   mutable out_idx : int; (* outputs performed in the current interval *)
   mutable frontier : Entry.t; (* own chain's known-stable frontier *)
-  mutable outputs_log : (string * float) list; (* outside world's ledger *)
   mutable ckpt_ops : int;
   mutable actions : 'msg action list; (* reversed accumulator *)
   mutable recovery : 'msg recovery option;
@@ -322,6 +321,12 @@ let trace t ~now ev = Trace.add t.trace ~time:now ev
 let proto t = t.cfg.Config.protocol
 
 let breakage t = (proto t).Config.breakage
+
+(* Only direct tracking's [Dep_query] answers ([local_dep_info]) read an
+   interval's parents, so transitive tracking does not record them. *)
+let note_parents t interval parents =
+  if (proto t).tracking = Config.Direct then
+    Hashtbl.replace t.direct_parents interval parents
 
 (* Remember an announcement (received or our own) for dedup and gossip. *)
 let note_ann t ann =
@@ -548,7 +553,6 @@ let commit_output t ~now po =
   Hashtbl.remove t.assemblies po.po_id;
   Hashtbl.replace t.committed_ids po.po_id ();
   Store.log_announcement t.store (Wire.Committed po.po_id);
-  t.outputs_log <- (po.po_text, now) :: t.outputs_log;
   let latency = now -. po.po_buffered in
   Obs.Counter.incr t.meters.outputs_committed;
   Obs.Histogram.observe t.meters.output_latency latency;
@@ -775,7 +779,7 @@ let deliver t ~now ~replay ~waited (m : 'msg Wire.app_message) =
   elide_tdv t;
   t.send_idx <- 0;
   t.out_idx <- 0;
-  Hashtbl.replace t.direct_parents t.current
+  note_parents t t.current
     ((t.pid, pred) :: (if m.src >= 0 then [ (m.src, m.send_interval) ] else []));
   Hashtbl.replace t.delivered m.id t.current;
   if replay then Obs.Counter.incr t.meters.replayed
@@ -1010,7 +1014,7 @@ let effective_markers t ~from_pos =
    continue as the marker interval. *)
 let apply_marker t ((entry : Entry.t), _pos) =
   t.log_tab.(t.pid) <- Entry_set.insert t.log_tab.(t.pid) t.current;
-  Hashtbl.replace t.direct_parents entry [ (t.pid, t.current) ];
+  note_parents t entry [ (t.pid, t.current) ];
   t.current <- entry;
   Dep_vector.set t.tdv t.pid (Some entry);
   t.log_tab.(t.pid) <- Entry_set.insert t.log_tab.(t.pid) entry;
@@ -1263,7 +1267,7 @@ let rollback t ~now ~(because : Wire.announcement) =
      after this rollback cannot lead to number reuse. *)
   let new_current = Entry.make ~inc:(old_current.inc + 1) ~sii:(stop.sii + 1) in
   t.current <- new_current;
-  Hashtbl.replace t.direct_parents new_current [ (t.pid, stop) ];
+  note_parents t new_current [ (t.pid, stop) ];
   Store.log_announcement t.store (Wire.Marker { entry = new_current; log_pos = stop_pos });
   Dep_vector.set t.tdv t.pid (Some new_current);
   t.log_tab.(t.pid) <- Entry_set.insert t.log_tab.(t.pid) stop;
@@ -1664,7 +1668,7 @@ let restart_epilogue t ~now =
   t.log_tab.(t.pid) <- Entry_set.insert t.log_tab.(t.pid) fa.ending;
   t.log_tab.(t.pid) <- Entry_set.insert t.log_tab.(t.pid) t.current;
   let new_current = Entry.make ~inc:(max_inc + 1) ~sii:(t.current.sii + 1) in
-  Hashtbl.replace t.direct_parents new_current [ (t.pid, t.current) ];
+  note_parents t new_current [ (t.pid, t.current) ];
   t.current <- new_current;
   Store.log_announcement t.store
     (Wire.Marker { entry = new_current; log_pos = Store.stable_log_length t.store });
@@ -1828,7 +1832,7 @@ let do_restart_begin t ~now =
         t.current <- Entry.next_interval t.current;
         Dep_vector.set t.tdv t.pid (Some t.current);
         assert (Entry.equal t.current d.lg_interval);
-        Hashtbl.replace t.direct_parents t.current
+        note_parents t t.current
           ((t.pid, pred)
           ::
           (if d.lg_msg.Wire.src >= 0 then
@@ -2061,7 +2065,6 @@ let[@warning "-16"] create ~config ~pid ~app ?store_dir ?obs ~trace:tr =
       send_idx = 0;
       out_idx = 0;
       frontier = Entry.initial;
-      outputs_log = [];
       ckpt_ops = 0;
       actions = [];
       recovery = None;
@@ -2304,6 +2307,8 @@ let is_up t = t.up
 
 let storage_report t = Store.storage_report t.store
 
+let storage_words t = Obj.reachable_words (Obj.repr t.store)
+
 let arm_storage_fsync_failure t = Store.arm_fsync_failure t.store
 
 let arm_storage_disk_full t ~rounds = Store.arm_disk_full t.store ~rounds
@@ -2381,8 +2386,6 @@ let receive_buffer_messages t = List.map snd t.recv_buf
 let max_announced_inc t j = t.max_ann_inc.(j)
 
 let output_buffer_size t = List.length t.out_buf
-
-let committed_outputs t = List.rev t.outputs_log
 
 let stable_frontier t = t.frontier
 

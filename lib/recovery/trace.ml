@@ -44,7 +44,10 @@ type event =
 
 type entry = { time : float; seq : int; ev : event }
 
-type t = { mutable entries : entry list (* newest first *); mutable next_seq : int }
+type t = {
+  mutable entries : entry list; (* undrained, newest first *)
+  mutable next_seq : int; (* entries ever added *)
+}
 
 let create () = { entries = []; next_seq = 0 }
 
@@ -56,15 +59,10 @@ let events t = List.rev t.entries
 
 let length t = t.next_seq
 
-(* Entries are newest-first and seq is dense, so the suffix from [from_]
-   is a prefix of the internal list: O(suffix), not O(trace) — what lets
-   an incremental trace writer stay cheap on a long-running node. *)
-let suffix t ~from_ =
-  let rec take acc = function
-    | e :: rest when e.seq >= from_ -> take (e :: acc) rest
-    | _ -> acc
-  in
-  take [] t.entries
+let drain t =
+  let drained = List.rev t.entries in
+  t.entries <- [];
+  drained
 
 let pp_reason ppf = function
   | Orphan_message -> Fmt.string ppf "orphan"

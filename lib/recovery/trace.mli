@@ -72,14 +72,19 @@ val create : unit -> t
 val add : t -> time:float -> event -> unit
 
 val events : t -> entry list
-(** In chronological (insertion) order. *)
+(** The entries not yet {!drain}ed, in chronological (insertion) order —
+    the whole trace in the simulator, which never drains. *)
 
 val length : t -> int
+(** Entries ever added, drained or not ([seq] of the next entry). *)
 
-val suffix : t -> from_:int -> entry list
-(** Entries with [seq >= from_], in chronological order, in time
-    proportional to the suffix length — for incremental writers that have
-    already persisted the first [from_] entries. *)
+val drain : t -> entry list
+(** The entries added since the previous drain (since {!create} for the
+    first), oldest first; the trace stops holding them, so {!events}
+    returns [[]] right after.  A daemon drains into its trace file after
+    every protocol step ({!Net.Trace_codec.sync}), which makes the file the
+    only copy and keeps the in-memory trace bounded by one step's worth of
+    events however long the daemon runs. *)
 
 val pp_event : event Fmt.t
 

@@ -134,7 +134,10 @@ val volatile_peek : ('ckpt, 'log, 'ann) t -> 'log option
     would lose. *)
 
 val stable_log_from : ('ckpt, 'log, 'ann) t -> pos:int -> 'log list
-(** Stable log records from position [pos] (0-based) onward, in order. *)
+(** Stable log records from position [pos] (0-based) onward, in order.
+    The durable backend reads them back from its segment files and raises
+    [Failure] if one no longer decodes
+    ({!Durable.Durable_store.stable_log_from}). *)
 
 val truncate_stable_log : ('ckpt, 'log, 'ann) t -> keep:int -> 'log list
 (** Keep only the first [keep] stable records, returning the removed tail in

@@ -102,7 +102,8 @@ let test_audit_outputs () =
   Cluster.run cluster;
   let outputs =
     Array.to_list (Cluster.nodes cluster)
-    |> List.concat_map (fun nd -> List.map fst (Node.committed_outputs nd))
+    |> List.concat_map (fun nd ->
+           List.map fst (Util.committed_outputs (Cluster.trace cluster) ~pid:(Node.pid nd)))
     |> List.sort String.compare
   in
   Alcotest.(check (list string)) "audited balances"

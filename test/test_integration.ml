@@ -40,7 +40,8 @@ let assert_quiescent c =
 
 let count_outputs c =
   Array.fold_left
-    (fun acc nd -> acc + List.length (Node.committed_outputs nd))
+    (fun acc nd ->
+      acc + List.length (Util.committed_outputs (Cluster.trace c) ~pid:(Node.pid nd)))
     0 (Cluster.nodes c)
 
 let presets n =

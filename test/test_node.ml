@@ -492,7 +492,7 @@ let test_committed_output_not_repeated () =
   Alcotest.(check int) "not re-committed by replay" 1
     (metric d.node "outputs_committed");
   Alcotest.(check (list string)) "ledger intact" [ "p0 total=4" ]
-    (List.map fst (Node.committed_outputs d.node))
+    (List.map fst (committed_outputs d.trace ~pid:0))
 
 let test_incarnations_never_reused () =
   let d = D.make (config ()) counter in
@@ -559,7 +559,7 @@ let test_output_waits_for_stability () =
   Alcotest.(check int) "committed once all dependencies stable" 1
     (metric d.node "outputs_committed");
   Alcotest.(check (list string)) "text" [ "p0 total=2" ]
-    (List.map fst (Node.committed_outputs d.node))
+    (List.map fst (committed_outputs d.trace ~pid:0))
 
 let test_output_driven_logging () =
   let base = config () in
