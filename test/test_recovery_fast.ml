@@ -128,14 +128,6 @@ let law_ckpt_prefix_eq_oneshot =
 (* ------------------------------------------------------------------ *)
 (* Scripted on-demand timeline                                         *)
 
-let committed_outputs trace =
-  List.filter_map
-    (fun { Trace.ev; _ } ->
-      match ev with
-      | Trace.Output_committed { text; _ } -> Some text
-      | _ -> None)
-    (Trace.events trace)
-
 let test_on_demand_timeline () =
   (* Two keys in different recovery partitions. *)
   let ka = key_of 0 in
@@ -173,7 +165,7 @@ let test_on_demand_timeline () =
   Alcotest.(check (list string))
     "Get on recovered partition answered mid-replay"
     [ Fmt.str "get %s -> 7 (v2)" ka ]
-    (committed_outputs d.D.trace);
+    (List.map fst (Util.committed_outputs d.D.trace));
   (* A Get on the unrecovered partition parks: no answer, not even a
      wrong one from the wiped pre-crash state. *)
   D.inject d ~seq:11 (App.Get kb);
@@ -183,7 +175,7 @@ let test_on_demand_timeline () =
   Alcotest.(check (list string))
     "parked Get not answered"
     [ Fmt.str "get %s -> 7 (v2)" ka ]
-    (committed_outputs d.D.trace);
+    (List.map fst (Util.committed_outputs d.D.trace));
   (* Finish B's replay: recovery completes, the parked Get drains and is
      answered from the replayed state. *)
   let executed, _, _ =
@@ -195,7 +187,7 @@ let test_on_demand_timeline () =
   Alcotest.(check (list string))
     "parked Get answered after its partition's replay"
     [ Fmt.str "get %s -> 7 (v2)" ka; Fmt.str "get %s -> 8 (v2)" kb ]
-    (committed_outputs d.D.trace);
+    (List.map fst (Util.committed_outputs d.D.trace));
   let completed =
     List.exists
       (fun { Trace.ev; _ } ->
