@@ -23,12 +23,18 @@
    any torn tail and synthesises the missing [Crashed] event from the
    successor's [Restarted].
 
-   What the daemon has written to disk it does not also keep in memory:
-   each sync hands the trace's new entries to the trace file and drops
-   them, and the durable store reads its flushed log back from the segment
-   files on the rare paths that need it (rollback, restart).  The trace
-   file and the segments are the only copies of what they hold, so
-   neither trace nor log grows the daemon's memory with its history. *)
+   The daemon's heap follows its work in flight, not its history or its
+   client's pace.  What it has written to disk it does not also keep in
+   memory: each sync hands the trace's new entries to the trace file and
+   drops them, and the durable store keeps only metadata — it reads its
+   flushed log, checkpoints and announcements back from their files on
+   the rare paths that need them (rollback, restart, log GC).  Client
+   ingress is back-pressured: a control-connection reader waits while the
+   mailbox holds a full batch ([batch_cap] events), so a client that
+   injects back to back queues its backlog in its own TCP send path, which
+   flow control bounds, and not in the mailbox.  Peer frames and timer
+   ticks never wait, so no daemon ever waits on another.  The mailbox's
+   high-water mark is the [mailbox_high_water] gauge. *)
 
 module Node = Recovery.Node
 module Trace = Recovery.Trace
@@ -45,25 +51,55 @@ type 'msg event =
 type 'msg mailbox = {
   q : 'msg event Queue.t;
   mu : Mutex.t;
-  cond : Condition.t;
+  cond : Condition.t; (* an event arrived *)
+  room : Condition.t; (* the main loop took a batch *)
+  high_water : Obs.Gauge.t; (* the deepest the queue has been *)
 }
 
-let mailbox () = { q = Queue.create (); mu = Mutex.create (); cond = Condition.create () }
+let mailbox obs =
+  {
+    q = Queue.create ();
+    mu = Mutex.create ();
+    cond = Condition.create ();
+    room = Condition.create ();
+    high_water = Obs.Registry.gauge obs "mailbox_high_water";
+  }
 
-let post mb ev =
-  Mutex.lock mb.mu;
-  Queue.add ev mb.q;
-  Condition.signal mb.cond;
-  Mutex.unlock mb.mu
-
-(* Block for at least one event, then drain what is available, up to a
-   cap: the main loop processes the mailbox in batches.  The cap bounds
-   how much pending work (gated sends, uncommitted outputs) can pile up
-   between two stability points — the per-event buffer scans are linear in
-   those buffers, so unbounded batches would go quadratic under an
-   injection burst. *)
+(* The main loop processes the mailbox in batches of at most [batch_cap]
+   events.  The cap bounds how much pending work (gated sends,
+   uncommitted outputs) can pile up between two stability points — the
+   per-event buffer scans are linear in those buffers, so unbounded
+   batches would go quadratic under an injection burst.  It also bounds
+   what a client can queue (see [post_client]). *)
 let batch_cap = 256
 
+(* Under [mb.mu]. *)
+let enqueue mb ev =
+  Queue.add ev mb.q;
+  let depth = float_of_int (Queue.length mb.q) in
+  if depth > Obs.Gauge.value mb.high_water then Obs.Gauge.set mb.high_water depth;
+  Condition.signal mb.cond
+
+(* Peer frames and timer ticks never wait: no daemon ever waits on
+   another, so no wait cycle can form between daemons. *)
+let post mb ev =
+  Mutex.lock mb.mu;
+  enqueue mb ev;
+  Mutex.unlock mb.mu
+
+(* Client ingress waits while the mailbox already holds a full batch.  The
+   waiting reader stops reading its connection, so a back-to-back client's
+   backlog queues in that connection's TCP buffers, which flow control
+   bounds, and not in the daemon's heap. *)
+let post_client mb ev =
+  Mutex.lock mb.mu;
+  while Queue.length mb.q >= batch_cap do
+    Condition.wait mb.room mb.mu
+  done;
+  enqueue mb ev;
+  Mutex.unlock mb.mu
+
+(* Block for at least one event, then take up to [batch_cap]. *)
 let take_batch mb =
   Mutex.lock mb.mu;
   while Queue.is_empty mb.q do
@@ -74,6 +110,7 @@ let take_batch mb =
     else grab (k - 1) (Queue.pop mb.q :: acc)
   in
   let evs = grab batch_cap [] in
+  Condition.broadcast mb.room;
   Mutex.unlock mb.mu;
   evs
 
@@ -146,14 +183,15 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
   let now () = (Unix.gettimeofday () -. epoch) /. time_scale in
   let trace = Trace.create () in
   let writer = Trace_codec.open_writer trace_file in
-  let mb = mailbox () in
   (* One registry for the whole process: the node's protocol metrics, the
-     store (and its group-commit layer), the transport and the main
-     loop's phase spans all land in it, so a single Stats scrape — or the
-     Quit-time metrics file — is the full picture.  A [Crash] respawn
-     reuses it: the new node and its reopened store get back the same
-     counters and continue them rather than reset. *)
+     store (and its group-commit layer), the transport, the mailbox's
+     high-water mark and the main loop's phase spans all land in it, so a
+     single Stats scrape — or the Quit-time metrics file — is the full
+     picture.  A [Crash] respawn reuses it: the new node and its reopened
+     store get back the same counters and continue them rather than
+     reset. *)
   let obs = Obs.Registry.create () in
+  let mb = mailbox obs in
   let node = ref (Node.create ~config ~pid ~app ~store_dir ~obs ~trace) in
   let c_deliveries = Obs.Registry.counter obs "deliveries_total" in
 
@@ -220,7 +258,8 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
   timer `Part_ckpt part_ckpt;
 
   (* Control socket: each accepted connection feeds control frames into the
-     mailbox; replies are written by the main loop. *)
+     mailbox, waiting for room ([post_client]); replies are written by the
+     main loop. *)
   let control_sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt control_sock Unix.SO_REUSEADDR true;
   Unix.bind control_sock (Unix.ADDR_INET (Unix.inet_addr_loopback, control_port));
@@ -230,7 +269,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
       match read_control wire fd with
       | None -> (try Unix.close fd with Unix.Unix_error _ -> ())
       | Some ctl ->
-        post mb (Control (ctl, fd));
+        post_client mb (Control (ctl, fd));
         loop ()
     in
     loop ()

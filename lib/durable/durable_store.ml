@@ -60,9 +60,8 @@ type ('ckpt, 'log, 'ann) t = {
   mutable stable_len : int; (* the records themselves live only in [log] *)
   mutable base : int;
   volatile : 'log Queue.t;
-  mutable ckpts : (int * 'ckpt) list; (* (file seq, snapshot), newest first *)
+  mutable ckpts : int list; (* file seqs, newest first; snapshots stay on disk *)
   mutable ckpt_seq : int;
-  mutable anns : 'ann list; (* newest first *)
   mutable inc : int;
   sync_writes : Obs.Counter.t;
   flushes : Obs.Counter.t;
@@ -94,6 +93,14 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+(* A checkpoint file's (stable length at save, snapshot); [None] if it is
+   unreadable, torn or corrupt. *)
+let decode_checkpoint path =
+  match Codec.decode (read_file path) ~pos:0 with
+  | Codec.Record { kind; payload; _ } when kind = k_ckpt -> of_bin_opt payload
+  | _ -> None
+  | exception _ -> None
 
 (* Append one record to the synchronous area.  Writes of protocol data
    (announcements, incarnation) are fsynced and counted by the callers in
@@ -143,7 +150,6 @@ let open_ ~dir ?segment_bytes ?obs () =
        Unix.close fd
      end
    end);
-  let anns = ref [] (* newest first *) in
   let inc = ref 0 in
   let witness_len = ref None in
   let logical_base = ref 0 in
@@ -161,7 +167,7 @@ let open_ ~dir ?segment_bytes ?obs () =
         | Some v -> f v
         | None -> undecodable ()
       in
-      if kind = k_ann then absorb (fun a -> anns := a :: !anns)
+      if kind = k_ann then absorb ignore
       else if kind = k_inc then absorb (fun (i : int) -> inc := i)
       else if kind = k_len then absorb (fun (w : int) -> witness_len := Some w)
       else if kind = k_base then absorb (fun (b : int) -> logical_base := b))
@@ -209,19 +215,9 @@ let open_ ~dir ?segment_bytes ?obs () =
   List.iter
     (fun seq ->
       let path = ckpt_path dir seq in
-      let usable =
-        match Codec.decode (read_file path) ~pos:0 with
-        | Codec.Record { kind; payload; _ } when kind = k_ckpt -> (
-          match (of_bin_opt payload : (int * _) option) with
-          | Some (log_pos, snapshot) when log_pos <= stable_len ->
-            Some (seq, snapshot)
-          | Some _ | None -> None)
-        | _ -> None
-        | exception _ -> None
-      in
-      match usable with
-      | Some c -> ckpts := c :: !ckpts
-      | None ->
+      match (decode_checkpoint path : (int * _) option) with
+      | Some (log_pos, _) when log_pos <= stable_len -> ckpts := seq :: !ckpts
+      | Some _ | None ->
         incr ckpts_dropped;
         Unix.unlink path)
     ckpt_seqs;
@@ -252,7 +248,6 @@ let open_ ~dir ?segment_bytes ?obs () =
       volatile = Queue.create ();
       ckpts = !ckpts;
       ckpt_seq = 1 + List.fold_left (fun m s -> max m s) (-1) ckpt_seqs;
-      anns = !anns;
       inc = !inc;
       disk_full = 0;
       slow_fsync = None;
@@ -436,33 +431,44 @@ let save_checkpoint t c =
           in
           loop 0;
           Unix.fsync fd);
-      t.ckpts <- (seq, c) :: t.ckpts;
+      t.ckpts <- seq :: t.ckpts;
       Obs.Counter.incr t.sync_writes)
+
+(* A snapshot read back from its file.  Open-time recovery kept only
+   files that decoded, so a failure here is damage after open: reported,
+   never answered with another checkpoint. *)
+let read_checkpoint t seq =
+  guard t;
+  let path = ckpt_path t.root seq in
+  match decode_checkpoint path with
+  | Some (_, c) -> c
+  | None -> failwith ("Durable_store: checkpoint no longer decodes: " ^ path)
 
 let latest_checkpoint t =
   with_lock t (fun () ->
-      match t.ckpts with [] -> None | (_, c) :: _ -> Some c)
+      match t.ckpts with [] -> None | seq :: _ -> Some (read_checkpoint t seq))
 
-let checkpoints t = with_lock t (fun () -> List.map snd t.ckpts)
+let checkpoints t = with_lock t (fun () -> List.map (read_checkpoint t) t.ckpts)
 
 let unlink_ckpts t dropped =
-  List.iter (fun (seq, _) -> Unix.unlink (ckpt_path t.root seq)) dropped
+  List.iter (fun seq -> Unix.unlink (ckpt_path t.root seq)) dropped
 
 let restore_checkpoint t ~satisfying =
   exclusive t @@ fun () ->
   guard t;
   let rec find newer = function
     | [] -> None
-    | (seq, c) :: rest ->
-      if satisfying c then Some (List.rev newer, (seq, c) :: rest)
-      else find ((seq, c) :: newer) rest
+    | seq :: rest ->
+      let c = read_checkpoint t seq in
+      if satisfying c then Some (List.rev newer, seq :: rest, c)
+      else find (seq :: newer) rest
   in
   match find [] t.ckpts with
   | None -> None
-  | Some (newer, kept) ->
+  | Some (newer, kept, c) ->
     unlink_ckpts t newer;
     t.ckpts <- kept;
-    Some (snd (List.hd kept))
+    Some c
 
 let prune_checkpoints t ~keep_latest =
   exclusive t @@ fun () ->
@@ -479,29 +485,31 @@ let prune_checkpoints t ~keep_latest =
   unlink_ckpts t dropped;
   List.length dropped
 
-let prune_checkpoints_older_than t ~anchor =
-  exclusive t @@ fun () ->
-  guard t;
-  let rec split acc = function
-    | [] -> None
-    | (seq, c) :: rest when anchor c -> Some (List.rev ((seq, c) :: acc), rest)
-    | c :: rest -> split (c :: acc) rest
-  in
-  match split [] t.ckpts with
-  | None -> 0
-  | Some (kept, dropped) ->
-    t.ckpts <- kept;
-    unlink_ckpts t dropped;
-    List.length dropped
-
 let log_announcement t a =
   with_lock t (fun () ->
       guard t;
       sync_put t ~kind:k_ann (to_bin a);
-      t.anns <- a :: t.anns;
       Obs.Counter.incr t.sync_writes)
 
-let announcements t = with_lock t (fun () -> List.rev t.anns)
+(* The announcements read back from sync.dat, oldest first.  Open
+   truncated any torn or corrupt tail and counted the records whose seal
+   or Marshal header failed; those are the only ones that do not decode
+   (every record written since decodes), and they are skipped here.  A
+   frame anomaly found now is damage after open: reported, never answered
+   with a shorter list. *)
+let read_announcements t =
+  guard t;
+  let path = sync_path t.root in
+  let scanned = Codec.scan (read_file path) in
+  if scanned.tail <> Codec.Clean then
+    failwith
+      (Printf.sprintf "Durable_store: %s: damaged at byte %d" path
+         scanned.valid_bytes);
+  List.filter_map
+    (fun (kind, payload) -> if kind = k_ann then of_bin_opt payload else None)
+    scanned.records
+
+let announcements t = with_lock t (fun () -> read_announcements t)
 
 (* Rewrite the synchronous area keeping only the announcements [keep]
    accepts (plus the store metadata — base, length witness, incarnation —
@@ -510,9 +518,9 @@ let announcements t = with_lock t (fun () -> List.rev t.anns)
    leaves the old area intact; after it, the new one. *)
 let compact_sync t ~keep =
   exclusive t @@ fun () ->
-  guard t;
-  let kept = List.filter keep (List.rev t.anns) (* oldest first *) in
-  let dropped = List.length t.anns - List.length kept in
+  let anns = read_announcements t in
+  let kept = List.filter keep anns in
+  let dropped = List.length anns - List.length kept in
   if dropped > 0 then begin
     let tmp = sync_path t.root ^ ".tmp" in
     let fd =
@@ -540,7 +548,6 @@ let compact_sync t ~keep =
     Unix.close t.sync_fd;
     t.sync_fd <-
       Unix.openfile (sync_path t.root) [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644;
-    t.anns <- List.rev kept;
     Obs.Counter.incr t.sync_writes
   end;
   dropped

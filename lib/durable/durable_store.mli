@@ -14,18 +14,27 @@
     - each {b checkpoint} is its own [ckpt-<seq>.dat] file holding one
       checksummed record: the pair (stable length at save time, snapshot);
       the length lets open-time recovery reject checkpoints that point past
-      a log whose tail was lost;
+      a log whose tail was lost.  The store keeps only the file sequence
+      numbers and reads a snapshot back from its file when asked;
     - the {b synchronous area} is [sync.dat], an append-only record
       stream, fsynced when it carries protocol data (announcements, the
-      incarnation counter).  It also carries store metadata: the logical
-      log base after compaction and a stable-length witness recorded after
-      every flush, so a reopen can {e detect} (not just silently absorb) a
-      log tail lost to a lying fsync.  The witness is a {e buffered} write
+      incarnation counter), which the store keeps none of in memory: it
+      reads them back from the file when asked ({!announcements}).  It
+      also carries store metadata: the logical log base after compaction
+      and a stable-length witness recorded after every flush, so a reopen
+      can {e detect} (not just silently absorb) a log tail lost to a lying
+      fsync.  The witness is a {e buffered} write
       (no fsync of its own): written bytes survive a process kill
       regardless, and only power loss can drop them — which also drops the
       log tail they would have accused, so the witness can under-claim but
       never fabricate damage.  Because it does not ride the log's fsync, a
       lying log fsync still leaves a truthful witness behind.
+
+    So what the store holds in memory is metadata: the log's segment list
+    (start, count and size per segment), the checkpoint sequence numbers,
+    the stable length, base and incarnation, plus the volatile records not
+    yet flushed.  It does not grow with the records, checkpoints or
+    announcements written.  Only rollback, restart and log GC read back.
 
     Every operation is thread-safe: plain reads and appends share the
     coordinator's lock, and operations that rewrite files or close
@@ -128,20 +137,26 @@ val live_log_records : ('ckpt, 'log, 'ann) t -> int
 val save_checkpoint : ('ckpt, 'log, 'ann) t -> 'ckpt -> unit
 
 val latest_checkpoint : ('ckpt, 'log, 'ann) t -> 'ckpt option
+(** Read back from the newest checkpoint file.
+    @raise Failure naming the file if it no longer decodes (damage after
+    open). *)
 
 val checkpoints : ('ckpt, 'log, 'ann) t -> 'ckpt list
+(** Newest first, each read back from its file; raises like
+    {!latest_checkpoint}. *)
 
 val restore_checkpoint :
   ('ckpt, 'log, 'ann) t -> satisfying:('ckpt -> bool) -> 'ckpt option
 
 val prune_checkpoints : ('ckpt, 'log, 'ann) t -> keep_latest:int -> int
 
-val prune_checkpoints_older_than :
-  ('ckpt, 'log, 'ann) t -> anchor:('ckpt -> bool) -> int
-
 val log_announcement : ('ckpt, 'log, 'ann) t -> 'ann -> unit
 
 val announcements : ('ckpt, 'log, 'ann) t -> 'ann list
+(** Oldest first, read back from [sync.dat].  Records open-time recovery
+    reported as undecodable are skipped.
+    @raise Failure naming the file if a frame no longer checks (damage
+    after open). *)
 
 val compact_sync : ('ckpt, 'log, 'ann) t -> keep:('ann -> bool) -> int
 (** Rewrite the synchronous area, keeping only the announcements [keep]

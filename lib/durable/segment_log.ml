@@ -7,7 +7,6 @@ type seg = {
   path : string;
   mutable count : int;
   mutable bytes : int;
-  mutable offsets : int list; (* byte offset of each record, newest first *)
 }
 
 type t = {
@@ -40,16 +39,12 @@ let parse_seg name =
   then int_of_string_opt (String.sub name 4 12)
   else None
 
-(* The bytes [off, off + len) of a file (by default all of it), through a
-   read-only channel of its own. *)
-let read_file ?(off = 0) ?len path =
+(* A whole file, through a read-only channel of its own. *)
+let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = match len with Some l -> l | None -> in_channel_length ic - off in
-      seek_in ic off;
-      really_input_string ic len)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
 let file_size path = (Unix.stat path).Unix.st_size
 
@@ -68,21 +63,11 @@ let write_all fd s =
 
 let guard t name = if not t.alive then invalid_arg ("Segment_log." ^ name ^ ": log closed")
 
-let offsets_of_records records =
-  (* newest first, from a Codec.scan record list (oldest first) *)
-  let off = ref 0 in
-  List.fold_left
-    (fun acc (_, payload) ->
-      let here = !off in
-      off := here + Codec.header_bytes + String.length payload;
-      here :: acc)
-    [] records
-
 let create_segment dir start =
   let path = seg_path dir start in
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   Unix.close fd;
-  { start; path; count = 0; bytes = 0; offsets = [] }
+  { start; path; count = 0; bytes = 0 }
 
 let open_ ~dir ?(segment_bytes = default_segment_bytes) () =
   Temp.mkdir_p dir;
@@ -126,7 +111,6 @@ let open_ ~dir ?(segment_bytes = default_segment_bytes) () =
               path;
               count = List.length scanned.records;
               bytes = scanned.valid_bytes;
-              offsets = offsets_of_records scanned.records;
             }
           in
           List.iter (fun (_, p) -> payloads := p :: !payloads) scanned.records;
@@ -212,14 +196,28 @@ let append t payload =
   let frame = Codec.encode ~kind:log_kind payload in
   write_all t.fd frame;
   let idx = next_index t in
-  t.cur.offsets <- t.cur.bytes :: t.cur.offsets;
   t.cur.count <- t.cur.count + 1;
   t.cur.bytes <- t.cur.bytes + String.length frame;
   t.dirty <- true;
   idx
 
-(* Appends are whole O_APPEND writes made under the caller's lock, so
-   everything appended — synced or not — is readable from the file. *)
+(* The records of segment [s], oldest first, scanned from byte 0 (the log
+   keeps no per-record offsets; a segment is at most [segment_bytes] plus
+   one record).  Appends are whole O_APPEND writes made under the caller's
+   lock, so everything appended — synced or not — is readable from the
+   file.  Fails naming record [s.start + i] where the file stops matching
+   what was written. *)
+let scan_segment ~op s =
+  let fail i reason =
+    failwith
+      (Printf.sprintf "Segment_log.%s: %s: record %d: %s" op s.path (s.start + i)
+         reason)
+  in
+  let records = (Codec.scan (read_file s.path)).records in
+  let n = List.length records in
+  if n < s.count then fail n "bad magic, checksum or length";
+  (records, fail)
+
 let read_from t ~pos ~decode =
   guard t "read_from";
   if pos < first_index t || pos > next_index t then
@@ -228,32 +226,19 @@ let read_from t ~pos ~decode =
     if s.count = 0 || s.start + s.count <= pos then acc
     else begin
       let first = max 0 (pos - s.start) in
-      let off = List.nth s.offsets (s.count - 1 - first) in
-      let fail i reason =
-        failwith
-          (Printf.sprintf "Segment_log.read_from: %s: record %d: %s" s.path
-             (s.start + i) reason)
-      in
-      let bytes =
-        try read_file s.path ~off ~len:(s.bytes - off)
-        with End_of_file -> fail first "segment file shorter than written"
-      in
-      let scanned = Codec.scan bytes in
-      let n = List.length scanned.records in
-      if scanned.tail <> Codec.Clean || n < s.count - first then
-        fail (first + n) "bad magic, checksum or length";
+      let records, fail = scan_segment ~op:"read_from" s in
       snd
         (List.fold_left
            (fun (i, acc) (_, payload) ->
-             match decode payload with
-             | Some v -> (i + 1, v :: acc)
-             | None -> fail i "undecodable payload")
-           (first, acc) scanned.records)
+             if i < first then (i + 1, acc)
+             else
+               match decode payload with
+               | Some v -> (i + 1, v :: acc)
+               | None -> fail i "undecodable payload")
+           (0, acc) records)
     end
   in
   List.rev (List.fold_left read_seg [] t.segs)
-
-let rec drop_n n l = if n = 0 then l else drop_n (n - 1) (List.tl l)
 
 let truncate_after t ~keep =
   guard t "truncate_after";
@@ -285,9 +270,14 @@ let truncate_after t ~keep =
     t.closed_unsynced <- List.remove_assoc cur.path t.closed_unsynced;
     (if keep < cur.start + cur.count then begin
        let i = keep - cur.start in
-       let off = List.nth cur.offsets (cur.count - 1 - i) in
+       let records, _ = scan_segment ~op:"truncate_after" cur in
+       let off =
+         List.fold_left
+           (fun off (_, payload) -> off + Codec.header_bytes + String.length payload)
+           0
+           (List.filteri (fun j _ -> j < i) records)
+       in
        truncate_file cur.path off;
-       cur.offsets <- drop_n (cur.count - i) cur.offsets;
        cur.count <- i;
        cur.bytes <- off
      end);

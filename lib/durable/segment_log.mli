@@ -42,9 +42,10 @@ val append : t -> string -> int
 val read_from : t -> pos:int -> decode:(string -> 'a option) -> 'a list
 (** The records at logical indices [pos] .. [next_index - 1], oldest
     first, each payload mapped through [decode].  Read back from the
-    segment files — the log keeps no payloads in memory — starting at
-    [pos]'s byte offset rather than rescanning each segment from byte 0.
-    Appended records are readable before their {!sync}.
+    segment files: the log keeps neither payloads nor per-record byte
+    offsets in memory, so the segment holding [pos] is scanned from byte
+    0 (at most [segment_bytes] plus one record).  Appended records are
+    readable before their {!sync}.
     @raise Failure naming the segment file and the record's logical index
     if a record fails its checksum, is cut short, or [decode] rejects it:
     a damaged log is reported, never returned shorter.
@@ -66,7 +67,9 @@ val first_index : t -> int
 val truncate_after : t -> keep:int -> unit
 (** Physically discard every record with logical index [>= keep]: later
     segments are deleted and the segment containing [keep] is truncated at
-    the record boundary.  Subsequent appends continue at index [keep]. *)
+    the record boundary, found by scanning that segment.  Subsequent
+    appends continue at index [keep].
+    @raise Failure like {!read_from} if that segment is damaged. *)
 
 val drop_segments_below : t -> before:int -> unit
 (** Delete whole segments that only contain records with index [< before].

@@ -995,8 +995,8 @@ let finish_recovery t ~now =
 (* Incarnation markers persisted in the sync area, latest-writer-wins per
    log position: a marker supersedes every earlier marker at the same or a
    later position, mirroring how a rollback truncates the future it was
-   part of. *)
-let effective_markers t ~from_pos =
+   part of.  [anns] is the synchronous area, oldest first. *)
+let effective_markers anns ~from_pos =
   let all =
     List.fold_left
       (fun acc r ->
@@ -1005,8 +1005,7 @@ let effective_markers t ~from_pos =
           List.filter (fun (_, p) -> p < log_pos) acc @ [ (entry, log_pos) ]
         | Wire.Ann_logged _ | Wire.Committed _ | Wire.Gc_stubs _
         | Wire.Part_ckpt _ -> acc)
-      []
-      (Store.announcements t.store)
+      [] anns
   in
   List.filter (fun (_, p) -> p >= from_pos) all
 
@@ -1086,9 +1085,10 @@ let reinstate_archive t msgs =
 
 (* Restore the checkpoint [ck] and replay the stable log through the
    application, applying incarnation markers at their recorded positions.
-   Stops before the first record satisfying [halt] and returns the log
-   position reached. *)
-let rebuild t ~now ~ck ~halt =
+   [anns] is the synchronous area and [records] the stable log from
+   [ck.ck_log_pos] on, both as the caller read them.  Stops before the
+   first record satisfying [halt] and returns the log position reached. *)
+let rebuild t ~now ~ck ~anns ~records ~halt =
   t.state <- ck.ck_state;
   t.current <- ck.ck_current;
   ensure_deps t ck.ck_tdv;
@@ -1097,8 +1097,7 @@ let rebuild t ~now ~ck ~halt =
   t.out_idx <- 0;
   reinstate_saved_sends t ck.ck_sends;
   reinstate_saved_outs t ck.ck_outs;
-  let markers = effective_markers t ~from_pos:ck.ck_log_pos in
-  let records = Store.stable_log_from t.store ~pos:ck.ck_log_pos in
+  let markers = effective_markers anns ~from_pos:ck.ck_log_pos in
   let pos = ref ck.ck_log_pos in
   let requeued = ref [] in
   let rec walk markers records =
@@ -1190,7 +1189,10 @@ let rollback t ~now ~(because : Wire.announcement) =
     | Delivery d ->
       List.exists (fun (i, e) -> i = j && orphan_entry ann e) d.lg_msg.Wire.dep
   in
-  let stop_pos, walked_requeued = rebuild t ~now ~ck ~halt in
+  let stop_pos, walked_requeued =
+    rebuild t ~now ~ck ~halt ~anns:(Store.announcements t.store)
+      ~records:(Store.stable_log_from t.store ~pos:ck.ck_log_pos)
+  in
   let stop = t.current in
   let removed = Store.truncate_stable_log t.store ~keep:stop_pos in
   let first_undone =
@@ -1446,19 +1448,22 @@ let receive_app t ~now (m : 'msg Wire.app_message) =
    safeguards: the boundary never crosses a still-undelivered Requeued
    record (the only persistent copy of its message), and the identities of
    collected deliveries are persisted as Gc_stubs in the synchronous area
-   so duplicate suppression survives crashes. *)
+   so duplicate suppression survives crashes.  The anchor checkpoint is
+   named by its index in the newest-first checkpoint list: a durable store
+   reads checkpoints back from their files, so no two reads return the
+   same physical value. *)
 let gc_anchor t =
   let all_stable entries = List.for_all (fun (j, e) -> stable_in_log t j e) entries in
   if Dep_vector.non_null_count t.tdv = 0 then Some (Store.stable_log_length t.store, None)
   else
-    List.find_map
-      (fun ck -> if all_stable ck.ck_tdv then Some (ck.ck_log_pos, Some ck) else None)
+    List.find_mapi
+      (fun i ck -> if all_stable ck.ck_tdv then Some (ck.ck_log_pos, Some i) else None)
       (Store.checkpoints t.store)
 
 let run_gc t =
   match gc_anchor t with
   | None -> ()
-  | Some (anchor_pos, anchor_ck) ->
+  | Some (anchor_pos, anchor_idx) ->
     let base = Store.log_base t.store in
     if anchor_pos > base then begin
       let prefix = Store.stable_log_from t.store ~pos:base in
@@ -1483,9 +1488,8 @@ let run_gc t =
       end
     end;
     (* Checkpoints older than the anchor are never restored again. *)
-    (match anchor_ck with
-    | Some anchor ->
-      ignore (Store.prune_checkpoints_older_than t.store ~anchor:(fun c -> c == anchor) : int)
+    (match anchor_idx with
+    | Some i -> ignore (Store.prune_checkpoints t.store ~keep_latest:(i + 1) : int)
     | None ->
       (* anchor is the about-to-be-saved state: prune after it is saved *)
       ())
@@ -1566,7 +1570,10 @@ let do_crash t ~now =
    locate the full checkpoint to rebuild from.  Returns the checkpoint and
    the surviving per-partition checkpoint candidates (latest record per
    partition, invalidated by any later marker that truncated below its
-   covered prefix). *)
+   covered prefix), together with the synchronous area and the stable log
+   from the checkpoint on.  A durable store answers both from its files,
+   so the prologue reads each once and the rest of the restart reuses
+   them. *)
 let restart_prologue t =
   Obs.Counter.incr t.meters.restarts;
   (* Volatile state is gone. *)
@@ -1594,6 +1601,7 @@ let restart_prologue t =
     match t.app.App_intf.partitioning with Some pt -> pt.parts | None -> 0
   in
   let part_ck = Array.make (Stdlib.max parts 1) None in
+  let anns = Store.announcements t.store in
   List.iter
     (function
       | Wire.Ann_logged (ann : Wire.announcement) ->
@@ -1620,7 +1628,7 @@ let restart_prologue t =
       | Wire.Part_ckpt { pc_part; pc_pos; pc_payload } ->
         if pc_part >= 0 && pc_part < parts then
           part_ck.(pc_part) <- Some (pc_pos, pc_payload))
-    (Store.announcements t.store);
+    anns;
   let ck =
     match Store.latest_checkpoint t.store with
     | Some ck -> ck
@@ -1629,17 +1637,23 @@ let restart_prologue t =
   t.ckpt_ops <- t.ckpt_ops + 1;
   (* Deliveries that predate the checkpoint are stable and still valid;
      their identities must survive into the duplicate-suppression table. *)
+  let base = Store.log_base t.store in
+  let log = Store.stable_log_from t.store ~pos:base in
   List.iter
     (function
       | Delivery d -> Hashtbl.replace t.delivered d.lg_msg.Wire.id d.lg_interval
       | Requeued _ -> ())
-    (Store.stable_log_from t.store ~pos:(Store.log_base t.store));
-  (ck, part_ck)
+    log;
+  (* GC never discards past the oldest retained checkpoint. *)
+  assert (ck.ck_log_pos >= base);
+  (ck, part_ck, anns, List.filteri (fun i _ -> base + i >= ck.ck_log_pos) log)
 
 (* Shared restart epilogue: announce the failure, persist the incarnation
    bump, continue as a fresh interval and come back up.  [t.current] must
-   be the frontier of the (metadata or full) replay when this runs. *)
-let restart_epilogue t ~now =
+   be the frontier of the (metadata or full) replay when this runs.
+   [anns] is the synchronous area as the prologue read it: nothing in
+   between logs a marker or an announcement of this process. *)
+let restart_epilogue t ~now ~anns =
   (* Everything reconstructed from the stable log is stable by definition. *)
   trace t ~now (Stability_advanced { pid = t.pid; upto = t.current });
   (* The failed incarnation is the highest number this process ever used,
@@ -1652,8 +1666,7 @@ let restart_epilogue t ~now =
         | Wire.Ann_logged a when a.from_ = t.pid -> Stdlib.max acc a.ending.Entry.inc
         | Wire.Ann_logged _ | Wire.Committed _ | Wire.Gc_stubs _ | Wire.Part_ckpt _
           -> acc)
-      t.current.inc
-      (Store.announcements t.store)
+      t.current.inc anns
   in
   let fa =
     {
@@ -1685,8 +1698,8 @@ let restart_epilogue t ~now =
 
 let do_restart t ~now =
   let rep0 = Obs.Counter.value t.meters.replayed in
-  let ck, _part_ck = restart_prologue t in
-  let _, requeued = rebuild t ~now ~ck ~halt:(fun _ -> false) in
+  let ck, _part_ck, anns, records = restart_prologue t in
+  let _, requeued = rebuild t ~now ~ck ~anns ~records ~halt:(fun _ -> false) in
   (* Recover the retransmission archive: replay re-released the sends of
      replayed intervals; anything older comes from the checkpoint copy. *)
   reinstate_archive t ck.ck_archive;
@@ -1701,7 +1714,7 @@ let do_restart t ~now =
         && not (orphan_wire t m)
       then t.recv_buf <- t.recv_buf @ [ (now, m) ])
     requeued;
-  restart_epilogue t ~now;
+  restart_epilogue t ~now ~anns;
   trace t ~now
     (Recovery_completed { pid = t.pid; replayed = Obs.Counter.value t.meters.replayed - rep0 });
   recheck t ~now
@@ -1717,7 +1730,7 @@ let do_restart_begin t ~now =
   match t.app.App_intf.partitioning with
   | None -> do_restart t ~now
   | Some pt ->
-    let ck, part_ck = restart_prologue t in
+    let ck, part_ck, anns, records = restart_prologue t in
     t.state <- ck.ck_state;
     t.current <- ck.ck_current;
     ensure_deps t ck.ck_tdv;
@@ -1726,7 +1739,6 @@ let do_restart_begin t ~now =
     t.out_idx <- 0;
     reinstate_saved_sends t ck.ck_sends;
     reinstate_saved_outs t ck.ck_outs;
-    let records = Store.stable_log_from t.store ~pos:ck.ck_log_pos in
     (* A barrier in the replay range reads and writes state outside any
        single partition, so no per-partition snapshot is sound across it;
        applications with barriers declare no export anyway. *)
@@ -1802,7 +1814,7 @@ let do_restart_begin t ~now =
     (* Serial metadata pass: evolve intervals, vectors and bookkeeping
        exactly as [rebuild] would, but defer the application handlers into
        per-partition queues. *)
-    let markers = effective_markers t ~from_pos:ck.ck_log_pos in
+    let markers = effective_markers anns ~from_pos:ck.ck_log_pos in
     let pos = ref ck.ck_log_pos in
     let requeued = ref [] in
     let fresh_queues () = Array.init pt.parts (fun _ -> Queue.create ()) in
@@ -1879,7 +1891,7 @@ let do_restart_begin t ~now =
           && not (orphan_wire t m)
         then t.recv_buf <- t.recv_buf @ [ (now, m) ])
       (List.rev !requeued);
-    restart_epilogue t ~now;
+    restart_epilogue t ~now ~anns;
     let pending = Array.fold_left ( + ) 0 part_pending + !barriers in
     if pending = 0 then begin
       trace t ~now (Recovery_completed { pid = t.pid; replayed = 0 });
@@ -2022,12 +2034,12 @@ let[@warning "-16"] create ~config ~pid ~app ?store_dir ?obs ~trace:tr =
   if pid < 0 || pid >= n then invalid_arg "Node.create: pid out of range";
   let state = app.App_intf.init ~pid ~n in
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
-  let store, fresh_store =
+  let store, fresh_store, no_checkpoint =
     match store_dir with
-    | None -> (Store.create (), true)
+    | None -> (Store.create (), true, true)
     | Some dir ->
       let store, report = Store.open_durable ~dir ~obs () in
-      (store, report.Store.fresh)
+      (store, report.Store.fresh, report.Store.recovered_checkpoints = 0)
   in
   let t =
     {
@@ -2080,8 +2092,7 @@ let[@warning "-16"] create ~config ~pid ~app ?store_dir ?obs ~trace:tr =
      by open-time recovery; restart still needs a checkpoint to rebuild
      from, so re-seed the initial one — replay then reconstructs whatever
      the surviving log suffix allows. *)
-  let reseed = (not fresh_store) && Store.latest_checkpoint t.store = None in
-  if fresh_store || reseed then
+  if no_checkpoint then
     (* "Each process execution can be considered as starting with an initial
        checkpoint" (Corollary 3): interval (0,1) is stable from the start. *)
     Store.save_checkpoint t.store

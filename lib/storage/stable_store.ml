@@ -127,18 +127,6 @@ module Mem = struct
     t.ckpts <- kept;
     List.length dropped
 
-  let prune_checkpoints_older_than t ~anchor =
-    let rec split acc = function
-      | [] -> None
-      | c :: rest when anchor c -> Some (List.rev (c :: acc), rest)
-      | c :: rest -> split (c :: acc) rest
-    in
-    match split [] t.ckpts with
-    | None -> 0
-    | Some (kept, dropped) ->
-      t.ckpts <- kept;
-      List.length dropped
-
   let log_announcement t a =
     t.anns <- a :: t.anns;
     t.sync_writes <- t.sync_writes + 1
@@ -257,11 +245,6 @@ let prune_checkpoints t ~keep_latest =
   match t with
   | Mem m -> Mem.prune_checkpoints m ~keep_latest
   | Disk d -> Disk.prune_checkpoints d ~keep_latest
-
-let prune_checkpoints_older_than t ~anchor =
-  match t with
-  | Mem m -> Mem.prune_checkpoints_older_than m ~anchor
-  | Disk d -> Disk.prune_checkpoints_older_than d ~anchor
 
 let log_announcement t a =
   match t with Mem m -> Mem.log_announcement m a | Disk d -> Disk.log_announcement d a

@@ -183,12 +183,6 @@ val prune_checkpoints : ('ckpt, 'log, 'ann) t -> keep_latest:int -> int
     how many were discarded.  Requires [keep_latest >= 1] (the latest
     checkpoint is always needed for restart). *)
 
-val prune_checkpoints_older_than :
-  ('ckpt, 'log, 'ann) t -> anchor:('ckpt -> bool) -> int
-(** Discard every checkpoint older than the newest one satisfying
-    [anchor]; the anchor itself and everything newer are kept.  No-op when
-    no checkpoint satisfies [anchor].  Returns how many were discarded. *)
-
 (** {1 Synchronous area} *)
 
 val log_announcement : ('ckpt, 'log, 'ann) t -> 'ann -> unit

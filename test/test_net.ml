@@ -375,6 +375,42 @@ let test_shutdown_latency_bounded () =
     (elapsed < 1.0);
   Alcotest.(check int) "frame counted dropped, not lost" 1 (count "frames_dropped")
 
+(* Client ingress back-pressure: a daemon flooded with back-to-back
+   Injects holds at most [batch_cap] (256, in bin/koptnode.ml) of them in
+   its mailbox; the rest wait in the control connection's TCP buffers.
+   With n=1 no peer frame can arrive, so only timer ticks (five timers,
+   the fastest every 25 ms) can push the mailbox past the cap, and only
+   while the main loop is busy with one batch; 32 ticks allow a stall of
+   about a third of a second.  The scraped high-water mark shows that the
+   flood reached the cap and that the bound held; every Get must still be
+   answered. *)
+let test_ingress_backpressure () =
+  let ops = 10_000 in
+  with_deployment ~prefix:"test-net-ingress"
+    (fun ~root -> Deployment.launch ~n:1 ~k:1 ~seed:41 ~root ())
+    (fun t ->
+      for i = 0 to ops - 1 do
+        Deployment.inject t ~dst:0 (App.Get (Printf.sprintf "key%d" (i mod 17)))
+      done;
+      Alcotest.(check bool) "settles" true (Deployment.settle ~timeout:120. t);
+      let high_water =
+        match Deployment.scrape t ~dst:0 with
+        | Some (Ok snap) -> Obs.Snapshot.gauge snap "mailbox_high_water"
+        | Some (Error e) -> Alcotest.failf "unparseable scrape: %s" e
+        | None -> Alcotest.fail "daemon unreachable"
+      in
+      let outcome = Deployment.finish t in
+      certify ~k:1 outcome;
+      Alcotest.(check int) "every Get answered" ops
+        (List.length (Util.committed_outputs outcome.Deployment.trace));
+      Alcotest.(check bool)
+        (Fmt.str "flood filled the mailbox to the cap (high-water %.0f)" high_water)
+        true (high_water >= 256.);
+      Alcotest.(check bool)
+        (Fmt.str "high-water %.0f within a batch plus timer ticks" high_water)
+        true
+        (high_water <= 256. +. 32.))
+
 let suite =
   [
     Alcotest.test_case "shutdown interrupts dial backoff" `Quick
@@ -391,4 +427,6 @@ let suite =
       test_kill_during_replay;
     Alcotest.test_case "client flood during replay, certified" `Slow
       test_flood_during_replay;
+    Alcotest.test_case "client flood back-pressured at ingress" `Slow
+      test_ingress_backpressure;
   ]

@@ -251,14 +251,6 @@ module Conformance (B : BACKEND) = struct
       (Invalid_argument "Stable_store.prune_checkpoints: must keep at least one")
       (fun () -> ignore (Store.prune_checkpoints s ~keep_latest:0))
 
-  let test_prune_older_than_anchor () =
-    let s = make () in
-    List.iter (Store.save_checkpoint s) [ "ck1"; "ck2"; "ck3" ];
-    Alcotest.(check int) "older dropped" 1
-      (Store.prune_checkpoints_older_than s ~anchor:(fun c -> c = "ck2"));
-    Alcotest.(check (list string)) "anchor and newer stay" [ "ck3"; "ck2" ]
-      (Store.checkpoints s)
-
   (* Read-back.  The durable backend answers [stable_log_from] from its
      segment files, so these pin it to the in-memory model wherever
      segment boundaries, truncation, compaction, reopen or unsynced
@@ -369,7 +361,6 @@ module Conformance (B : BACKEND) = struct
         ("truncate out of range", test_truncate_out_of_range);
         ("discard log prefix", test_discard_log_prefix);
         ("prune checkpoints", test_prune_checkpoints);
-        ("prune older than anchor", test_prune_older_than_anchor);
         ("read back across segment rotation", test_read_across_rotation);
         ("read back after truncate", test_read_after_truncate);
         ("read back after prefix discard", test_read_after_discard);
