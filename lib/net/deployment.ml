@@ -29,6 +29,7 @@ type t = {
   part_ckpt : float option;  (** [--part-ckpt] period, incremental snapshots *)
   mutable nodes : node array; (* grows on add_node; slots never removed *)
   proxy : Proxy.t option;
+  proxy_obs : Obs.Registry.t;  (** the proxy's counters; empty without one *)
   mutable seq : int;  (** outside-world injection sequence numbers *)
   mutable retired_pids : int list;
   mutable alive : bool;
@@ -287,6 +288,7 @@ let launch ~n ~k ?(app = "kvstore") ?retransmit ?ckpt_interval ?part_ckpt
           ctl = None;
         })
   in
+  let proxy_obs = Obs.Registry.create () in
   let proxy =
     match plan with
     | None -> None
@@ -298,7 +300,7 @@ let launch ~n ~k ?(app = "kvstore") ?retransmit ?ckpt_interval ?part_ckpt
                  (match node.proxy_port with Some p -> p | None -> assert false),
                  node.data_port ))
       in
-      Some (Proxy.start ~routes ~plan ~seed ~time_scale ())
+      Some (Proxy.start ~routes ~plan ~seed ~time_scale ~obs:proxy_obs ())
   in
   let t =
     {
@@ -314,6 +316,7 @@ let launch ~n ~k ?(app = "kvstore") ?retransmit ?ckpt_interval ?part_ckpt
       part_ckpt;
       nodes;
       proxy;
+      proxy_obs;
       seq = 0;
       retired_pids = [];
       alive = true;
@@ -402,7 +405,7 @@ let arm_brownout t ~dst ?slow ~rounds () =
 let kill t ~dst =
   kill_only t ~dst;
   (* The detection + reboot outage of the cost model, in wall-clock terms —
-     the same constant the threaded actor runtime sleeps (Config.real_restart_delay). *)
+     the same constant a daemon's in-process crash sleeps (Config.real_restart_delay). *)
   Thread.delay (Config.real_restart_delay ~time_scale:t.time_scale t.config.Config.timing);
   respawn t ~dst
 
@@ -593,10 +596,9 @@ type outcome = {
   synthesized_crashes : int;
   oracle : Harness.Oracle.report;
   obs : Obs.Snapshot.t;
-      (** all daemons' Quit-time registry snapshots, merged: counters
-          summed, histograms bucket-wise summed *)
+      (** all daemons' Quit-time registry snapshots and the proxy's
+          counters, merged: counters summed, histograms bucket-wise summed *)
   counters : (string * int) list;
-  proxy : Proxy.stats option;
   transport_drops : int;
   decode_errors : int;
       (** inbound frames the daemons' transports could not decode (summed
@@ -711,6 +713,7 @@ let finish t =
            | Error e ->
              metric_damage := e :: !metric_damage;
              Obs.Snapshot.empty)
+    |> List.cons (Obs.Registry.snapshot t.proxy_obs)
     |> Obs.Snapshot.merge_all
   in
   let damage = damage @ List.rev !metric_damage in
@@ -726,7 +729,6 @@ let finish t =
     oracle;
     obs;
     counters;
-    proxy = Option.map Proxy.stats t.proxy;
     transport_drops = count_log_errors t;
     decode_errors = counter counters "transport_decode_errors_total";
     frames_dropped = counter counters "transport_frames_dropped_total";
@@ -809,14 +811,11 @@ let one_run ~n ~k ~ops ~kills ~plan ~seed report =
   List.iter
     (fun d -> Harness.Report.note report (Fmt.str "K=%d trace damage: %s" k d))
     outcome.damage;
-  (match outcome.proxy with
-  | Some p ->
-    Harness.Report.note report
-      (Fmt.str
-         "K=%d proxy: %d forwarded, %d dropped, %d duplicated, %d delayed, %d severed"
-         k p.Proxy.forwarded p.Proxy.dropped p.Proxy.duplicated p.Proxy.delayed
-         p.Proxy.severed)
-  | None -> ());
+  let proxied name = counter outcome.counters ("proxy_" ^ name ^ "_total") in
+  Harness.Report.note report
+    (Fmt.str "K=%d proxy: %d forwarded, %d dropped, %d duplicated, %d delayed, %d severed"
+       k (proxied "forwarded") (proxied "dropped") (proxied "duplicated")
+       (proxied "delayed") (proxied "severed"));
   Harness.Report.add_row report
     [
       string_of_int k;

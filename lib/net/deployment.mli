@@ -172,11 +172,12 @@ type outcome = {
           across the cluster, so e.g. the fsync-latency histogram here is
           the cluster-wide latency distribution.  A daemon reaped without
           draining contributes an empty snapshot (its metrics file was
-          never written) — trace evidence is unaffected. *)
+          never written) — trace evidence is unaffected.  A deployment
+          launched with a fault [plan] also merges in its proxy's
+          [proxy_*_total] counters, read after the proxy closed. *)
   counters : (string * int) list;
       (** flat view over [obs]: every counter family, summed ([_total]
           names, e.g. ["deliveries_total"]) *)
-  proxy : Proxy.stats option;
   transport_drops : int;  (** frames daemons reported undecodable (from logs) *)
   decode_errors : int;
       (** summed [transport_decode_errors_total] counters: inbound frames

@@ -1,11 +1,3 @@
-type stats = {
-  forwarded : int;
-  dropped : int;
-  duplicated : int;
-  delayed : int;
-  severed : int;
-}
-
 type route = { dst : int; listen_port : int; target_port : int }
 
 type t = {
@@ -18,24 +10,18 @@ type t = {
   listeners : Unix.file_descr list;
   conns : (Unix.file_descr, bool ref) Hashtbl.t; (* fd -> closed? *)
   conns_mutex : Mutex.t;
-  counters : Obs.Counter.t array; (* forwarded, dropped, duplicated, delayed, severed *)
-  counters_mutex : Mutex.t; (* serializes relay-thread bumps and [stats] reads *)
+  forwarded : Obs.Counter.t;
+  dropped : Obs.Counter.t;
+  duplicated : Obs.Counter.t;
+  delayed : Obs.Counter.t;
+  severed : Obs.Counter.t;
+  counters_mutex : Mutex.t; (* serializes relay-thread bumps *)
   mutable stopping : bool;
 }
 
-let c_forwarded = 0
-
-let c_dropped = 1
-
-let c_duplicated = 2
-
-let c_delayed = 3
-
-let c_severed = 4
-
-let bump t i =
+let bump t c =
   Mutex.lock t.counters_mutex;
-  Obs.Counter.incr t.counters.(i);
+  Obs.Counter.incr c;
   Mutex.unlock t.counters_mutex
 
 let draw t f =
@@ -135,7 +121,7 @@ let pump_frames t ~src ~dst ~client ~server =
         let forward =
           match active_partition t ~src ~dst with
           | Some { mode = Harness.Netmodel.Drop_packets; _ } ->
-            bump t c_dropped;
+            bump t t.dropped;
             false
           | Some ({ mode = Harness.Netmodel.Queue_packets; _ } as p) ->
             (* Hold the frame (and hence the whole stream suffix) until
@@ -143,11 +129,11 @@ let pump_frames t ~src ~dst ~client ~server =
             let heal = t.epoch +. (p.until *. t.time_scale) in
             let wait = heal -. Unix.gettimeofday () in
             if wait > 0. then Thread.delay wait;
-            bump t c_delayed;
+            bump t t.delayed;
             true
           | None ->
             if draw t (fun rng -> Sim.Rng.bernoulli rng ~p:t.plan.loss) then begin
-              bump t c_dropped;
+              bump t t.dropped;
               false
             end
             else begin
@@ -159,7 +145,7 @@ let pump_frames t ~src ~dst ~client ~server =
                       Sim.Rng.float rng
                         (Float.max 1e-9 (t.plan.reorder_spread *. t.time_scale)))
                 in
-                bump t c_delayed;
+                bump t t.delayed;
                 Thread.delay d
               end);
               true
@@ -170,10 +156,10 @@ let pump_frames t ~src ~dst ~client ~server =
             t.plan.duplicate > 0.
             && draw t (fun rng -> Sim.Rng.bernoulli rng ~p:t.plan.duplicate)
           in
-          if dup then bump t c_duplicated;
+          if dup then bump t t.duplicated;
           let payload = if dup then frame ^ frame else frame in
           if write_all server payload then begin
-            bump t c_forwarded;
+            bump t t.forwarded;
             loop ()
           end
           else begin
@@ -216,7 +202,7 @@ let handle_conn t route client =
          the window closes. *)
       match active_partition t ~src ~dst:route.dst with
       | Some { mode = Harness.Netmodel.Drop_packets; _ } ->
-        bump t c_severed;
+        bump t t.severed;
         close_tracked t client
       | _ -> (
         let server = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -257,8 +243,8 @@ let accept_loop t route listener =
   loop ()
 
 let start ~routes ?(plan = Harness.Netmodel.benign) ?(seed = 0)
-    ?(time_scale = Recovery.Config.default_time_scale) ?obs () =
-  let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
+    ?(time_scale = Recovery.Config.default_time_scale) ~obs () =
+  let c name = Obs.Registry.counter obs ("proxy_" ^ name ^ "_total") in
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let routes =
     List.map
@@ -287,12 +273,11 @@ let start ~routes ?(plan = Harness.Netmodel.benign) ?(seed = 0)
       listeners;
       conns = Hashtbl.create 64;
       conns_mutex = Mutex.create ();
-      counters =
-        (let c name = Obs.Registry.counter obs ("proxy_" ^ name) in
-         [|
-           c "forwarded_total"; c "dropped_total"; c "duplicated_total";
-           c "delayed_total"; c "severed_total";
-         |]);
+      forwarded = c "forwarded";
+      dropped = c "dropped";
+      duplicated = c "duplicated";
+      delayed = c "delayed";
+      severed = c "severed";
       counters_mutex = Mutex.create ();
       stopping = false;
     }
@@ -302,20 +287,6 @@ let start ~routes ?(plan = Harness.Netmodel.benign) ?(seed = 0)
       ignore (Thread.create (fun () -> accept_loop t route listener) () : Thread.t))
     t.routes listeners;
   t
-
-let stats t =
-  Mutex.lock t.counters_mutex;
-  let s =
-    {
-      forwarded = Obs.Counter.value t.counters.(c_forwarded);
-      dropped = Obs.Counter.value t.counters.(c_dropped);
-      duplicated = Obs.Counter.value t.counters.(c_duplicated);
-      delayed = Obs.Counter.value t.counters.(c_delayed);
-      severed = Obs.Counter.value t.counters.(c_severed);
-    }
-  in
-  Mutex.unlock t.counters_mutex;
-  s
 
 let close t =
   Mutex.lock t.conns_mutex;

@@ -23,14 +23,6 @@
     parse past) sever the stream, exactly like a real middlebox dying
     mid-connection. *)
 
-type stats = {
-  forwarded : int;
-  dropped : int;
-  duplicated : int;
-  delayed : int;
-  severed : int;  (** streams cut by a partition window *)
-}
-
 type t
 
 val start :
@@ -38,7 +30,7 @@ val start :
   ?plan:Harness.Netmodel.fault_plan ->
   ?seed:int ->
   ?time_scale:float ->
-  ?obs:Obs.Registry.t ->
+  obs:Obs.Registry.t ->
   unit ->
   t
 (** [routes] lists [(dst_pid, listen_port, target_port)] triples.  Fault
@@ -46,13 +38,10 @@ val start :
     the plan's times (partition windows, [reorder_spread]) are in abstract
     config units and are scaled to wall-clock seconds by [time_scale]
     (default {!Recovery.Config.default_time_scale}).  Fault decisions draw
-    from a seeded {!Sim.Rng}.  [obs] receives the proxy's counters
-    ([proxy_forwarded_total], [proxy_dropped_total], ...); it defaults
-    to a private registry. *)
-
-val stats : t -> stats
-(** Bumps happen on relay threads under the proxy's counters mutex and
-    [stats] reads under that same mutex, so the record is a consistent
-    point-in-time cut across all five counters. *)
+    from a seeded {!Sim.Rng}.  [obs] receives the proxy's counters:
+    [proxy_forwarded_total], [proxy_dropped_total],
+    [proxy_duplicated_total], [proxy_delayed_total] and
+    [proxy_severed_total] (streams cut by a partition window).  Relay
+    threads bump them under one mutex; read them after {!close}. *)
 
 val close : t -> unit

@@ -5,8 +5,8 @@
     after every protocol step), so the trace written {e before} a [SIGKILL]
     survives the kill.  The deployment driver loads the per-process files,
     merges them into one global trace and certifies it with the offline
-    causality oracle — the same end-to-end argument the simulator and the
-    threaded runtime use, now across real process boundaries.
+    causality oracle — the same end-to-end argument the simulator uses,
+    now across real process boundaries.
 
     A file killed mid-append ends in a torn frame; the loader truncates at
     the first undecodable byte and {e reports} the damage, mirroring the

@@ -156,17 +156,14 @@ val damani_garg : ?timing:timing -> n:int -> unit -> t
 
 val default_time_scale : float
 (** Seconds per abstract time unit when a configuration drives {e real}
-    processes (the threaded actor runtime and the [koptnode] daemon):
-    [0.001], i.e. abstract time units are interpreted as milliseconds.
-    Both real deployments share this one constant so that a kill in the
-    actor runtime and a [SIGKILL] of a daemon observe the same outage
-    duration for the same configuration. *)
+    processes (the [koptnode] daemon and its driver): [0.001], i.e.
+    abstract time units are interpreted as milliseconds. *)
 
 val real_restart_delay : ?time_scale:float -> timing -> float
 (** Wall-clock seconds a dead process stays down before it is recovered:
     [timing.restart_delay] scaled by [time_scale] (default
     {!default_time_scale}).  This is the single source of the
-    restart-backoff used by [Runtime.Actor_runtime] (crash and kill) and
+    restart-backoff used by the [koptnode] daemon's in-process crash and
     by the multi-process deployment's respawn path ([Net.Deployment]);
     neither carries its own magic number. *)
 

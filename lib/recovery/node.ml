@@ -1083,12 +1083,9 @@ let reinstate_archive t msgs =
       end)
     msgs
 
-(* Restore the checkpoint [ck] and replay the stable log through the
-   application, applying incarnation markers at their recorded positions.
-   [anns] is the synchronous area and [records] the stable log from
-   [ck.ck_log_pos] on, both as the caller read them.  Stops before the
-   first record satisfying [halt] and returns the log position reached. *)
-let rebuild t ~now ~ck ~anns ~records ~halt =
+(* Restore the checkpoint [ck]'s state, interval, dependency vector and
+   the sends and outputs it saved; both restart paths start here. *)
+let restore_checkpoint t ck =
   t.state <- ck.ck_state;
   t.current <- ck.ck_current;
   ensure_deps t ck.ck_tdv;
@@ -1096,7 +1093,15 @@ let rebuild t ~now ~ck ~anns ~records ~halt =
   t.send_idx <- 0;
   t.out_idx <- 0;
   reinstate_saved_sends t ck.ck_sends;
-  reinstate_saved_outs t ck.ck_outs;
+  reinstate_saved_outs t ck.ck_outs
+
+(* Restore the checkpoint [ck] and replay the stable log through the
+   application, applying incarnation markers at their recorded positions.
+   [anns] is the synchronous area and [records] the stable log from
+   [ck.ck_log_pos] on, both as the caller read them.  Stops before the
+   first record satisfying [halt] and returns the log position reached. *)
+let rebuild t ~now ~ck ~anns ~records ~halt =
+  restore_checkpoint t ck;
   let markers = effective_markers anns ~from_pos:ck.ck_log_pos in
   let pos = ref ck.ck_log_pos in
   let requeued = ref [] in
@@ -1696,16 +1701,10 @@ let restart_epilogue t ~now ~anns =
   trace t ~now (Restarted { pid = t.pid; announced = fa; new_current });
   push t (Broadcast (Wire.Ann fa))
 
-let do_restart t ~now =
-  let rep0 = Obs.Counter.value t.meters.replayed in
-  let ck, _part_ck, anns, records = restart_prologue t in
-  let _, requeued = rebuild t ~now ~ck ~anns ~records ~halt:(fun _ -> false) in
-  (* Recover the retransmission archive: replay re-released the sends of
-     replayed intervals; anything older comes from the checkpoint copy. *)
-  reinstate_archive t ck.ck_archive;
-  (* Requeued messages not re-delivered before the crash go back to the
-     receive buffer; known orphans and anything already delivered are
-     dropped. *)
+(* Requeued messages not re-delivered before the crash go back to the
+   receive buffer, oldest first; known orphans and anything already
+   delivered are dropped. *)
+let requeue_undelivered t ~now requeued =
   List.iter
     (fun (m : 'msg Wire.app_message) ->
       if
@@ -1713,7 +1712,16 @@ let do_restart t ~now =
         && (not (buffered_in_recv t m.id))
         && not (orphan_wire t m)
       then t.recv_buf <- t.recv_buf @ [ (now, m) ])
-    requeued;
+    requeued
+
+let do_restart t ~now =
+  let rep0 = Obs.Counter.value t.meters.replayed in
+  let ck, _part_ck, anns, records = restart_prologue t in
+  let _, requeued = rebuild t ~now ~ck ~anns ~records ~halt:(fun _ -> false) in
+  (* Recover the retransmission archive: replay re-released the sends of
+     replayed intervals; anything older comes from the checkpoint copy. *)
+  reinstate_archive t ck.ck_archive;
+  requeue_undelivered t ~now requeued;
   restart_epilogue t ~now ~anns;
   trace t ~now
     (Recovery_completed { pid = t.pid; replayed = Obs.Counter.value t.meters.replayed - rep0 });
@@ -1731,14 +1739,7 @@ let do_restart_begin t ~now =
   | None -> do_restart t ~now
   | Some pt ->
     let ck, part_ck, anns, records = restart_prologue t in
-    t.state <- ck.ck_state;
-    t.current <- ck.ck_current;
-    ensure_deps t ck.ck_tdv;
-    t.tdv <- Dep_vector.of_non_null ~n:t.n ck.ck_tdv;
-    t.send_idx <- 0;
-    t.out_idx <- 0;
-    reinstate_saved_sends t ck.ck_sends;
-    reinstate_saved_outs t ck.ck_outs;
+    restore_checkpoint t ck;
     (* A barrier in the replay range reads and writes state outside any
        single partition, so no per-partition snapshot is sound across it;
        applications with barriers declare no export anyway. *)
@@ -1883,14 +1884,7 @@ let do_restart_begin t ~now =
     walk markers records;
     stages_rev := { rs_queues = !cur; rs_barrier = None } :: !stages_rev;
     reinstate_archive t ck.ck_archive;
-    List.iter
-      (fun (m : 'msg Wire.app_message) ->
-        if
-          (not (Hashtbl.mem t.delivered m.Wire.id))
-          && (not (buffered_in_recv t m.Wire.id))
-          && not (orphan_wire t m)
-        then t.recv_buf <- t.recv_buf @ [ (now, m) ])
-      (List.rev !requeued);
+    requeue_undelivered t ~now (List.rev !requeued);
     restart_epilogue t ~now ~anns;
     let pending = Array.fold_left ( + ) 0 part_pending + !barriers in
     if pending = 0 then begin

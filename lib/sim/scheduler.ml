@@ -1,15 +1,12 @@
 type policy =
   | Earliest
   | Replay of { mutable upcoming : int list }
-  | Fn of (n_enabled:int -> int)
 
 type t = { policy : policy; mutable picked_rev : int list }
 
 let earliest () = { policy = Earliest; picked_rev = [] }
 
 let replay choices = { policy = Replay { upcoming = choices }; picked_rev = [] }
-
-let of_fun f = { policy = Fn f; picked_rev = [] }
 
 let clamp ~n_enabled i = if i < 0 then 0 else if i >= n_enabled then n_enabled - 1 else i
 
@@ -24,7 +21,6 @@ let pick t ~n_enabled =
       | i :: rest ->
         r.upcoming <- rest;
         clamp ~n_enabled i)
-    | Fn f -> clamp ~n_enabled (f ~n_enabled)
   in
   t.picked_rev <- i :: t.picked_rev;
   i

@@ -6,8 +6,7 @@
     pending (in canonical [(time, seq)] order) and the scheduler answers
     with the index of the one to execute.  This turns the schedule itself
     into an input, which is what lets the model checker enumerate, record
-    and replay interleavings ({!Harness.Explore}) and lets stress tests
-    drive the threaded runtime through adversarial mailbox orders.
+    and replay interleavings ({!Harness.Explore}).
 
     Every pick is recorded, so the exact interleaving of any run can be
     serialized and replayed byte-for-byte. *)
@@ -22,12 +21,6 @@ val replay : int list -> t
     order); after it is exhausted, fall back to earliest-time order.  An
     out-of-range recorded index is clamped into the current pending range,
     so a schedule replayed against a shorter queue still progresses. *)
-
-val of_fun : (n_enabled:int -> int) -> t
-(** Arbitrary policy: the function receives the number of pending events
-    ([>= 1]) and returns the index of the one to execute.  Results are
-    clamped to [[0, n_enabled)].  The function must be pure if the
-    scheduler is shared across threads (see {!Runtime.Actor_runtime}). *)
 
 val pick : t -> n_enabled:int -> int
 (** Next choice, recorded.  Requires [n_enabled >= 1]. *)

@@ -17,7 +17,6 @@ let () =
       ("direct-tracking", Test_direct.suite);
       ("bank-conservation", Test_bank.suite);
       ("fuzz", Test_fuzz.suite);
-      ("actor-runtime", Test_runtime.suite);
       ("harness-bits", Test_harness_bits.suite);
       ("oracle", Test_oracle.suite);
       ("cluster", Test_cluster.suite);

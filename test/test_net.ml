@@ -89,10 +89,9 @@ let test_cluster_proxy () =
       Alcotest.(check (list string))
         "oracle certifies" []
         outcome.Deployment.oracle.Harness.Oracle.violations;
-      match outcome.Deployment.proxy with
-      | Some p ->
-        Alcotest.(check bool) "proxy relayed" true (p.Net.Proxy.forwarded > 0)
-      | None -> Alcotest.fail "expected proxy stats")
+      Alcotest.(check bool)
+        "proxy relayed" true
+        (Deployment.counter outcome.Deployment.counters "proxy_forwarded_total" > 0))
 
 (* ------------------------------------------------------------------ *)
 (* Recovery-window chaos: what happens *during* a fast restart's replay. *)
