@@ -124,6 +124,8 @@ let archive_msgs =
            send_interval = e ~inc:0 ~sii:1;
            dep = [];
            payload = ();
+           epoch = 0;
+           cseq = i;
          }))
 
 let bench_archive_list () =
@@ -295,6 +297,8 @@ let bench_wire_codec () =
         send_interval = e ~inc:1 ~sii:42;
         dep = List.init 8 (fun j -> (j, e ~inc:(j mod 3) ~sii:(10 + j)));
         payload = String.init 128 (fun i -> Char.chr ((i * 17) land 0xff));
+        epoch = 1;
+        cseq = 42;
       }
   in
   Bechamel.Test.make ~name:"B10 wire codec: encode+decode 64 app packets"

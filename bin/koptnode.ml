@@ -391,8 +391,8 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
           | `Retransmit -> Node.retransmit_tick)
       | Control (ctl, fd) -> (
         match ctl with
-        | Wire_codec.Inject { seq; payload } ->
-          step_up (fun nd ~now -> Node.inject nd ~now ~seq payload)
+        | Wire_codec.Inject { seq; cseq; payload } ->
+          step_up (fun nd ~now -> Node.inject nd ~now ~seq ~cseq payload)
         | Wire_codec.Tick t ->
           step_up
             (match t with

@@ -7,7 +7,7 @@ type timer_kind = Flush_timer | Checkpoint_timer | Notice_timer | Retransmit_tim
 type 'msg event =
   | Packet of { src : int; dst : int; packet : 'msg Wire.packet }
   | Timer of { pid : int; kind : timer_kind; periodic : bool }
-  | Inject of { dst : int; payload : 'msg; seq : int; retry : bool }
+  | Inject of { dst : int; payload : 'msg; seq : int; cseq : int; retry : bool }
   | Perform of { pid : int; effects : 'msg App_model.App_intf.effect list }
   | Crash of int
   | Restart of int
@@ -41,7 +41,8 @@ type ('state, 'msg) t = {
   mutable held : (int * int * 'msg Wire.packet) list;
       (* packets addressed to down nodes: (src, dst, packet), oldest last *)
   mutable inject_seq : int;
-  mutable client_log : (int * int * 'msg) list; (* seq, dst, payload *)
+  inject_cseq : (int, int) Hashtbl.t; (* dst -> injections scheduled to it *)
+  mutable client_log : (int * int * int * 'msg) list; (* seq, cseq, dst, payload *)
   mutable busy_time : float;
   mutable storage_reports_ :
     (int * float * string * Storage.Stable_store.open_report) list;
@@ -115,11 +116,11 @@ let consume t ~pid (actions, cost) =
    outside world is a sender too). *)
 let client_retransmit t ~pid =
   List.iter
-    (fun (seq, dst, payload) ->
+    (fun (seq, cseq, dst, payload) ->
       if dst = pid then
         schedule t
           ~time:(t.now +. t.cfg.Config.timing.net_latency)
-          (Inject { dst; payload; seq; retry = true }))
+          (Inject { dst; payload; seq; cseq; retry = true }))
     (List.rev t.client_log)
 
 let rearm t ~pid kind =
@@ -188,15 +189,15 @@ let handle_event t = function
   | Timer { pid; kind; periodic } ->
     fire_timer t ~pid kind;
     if periodic then rearm t ~pid kind
-  | Inject { dst; payload; seq; retry } ->
+  | Inject { dst; payload; seq; cseq; retry } ->
     if t.down.(dst) then
       (* client retries later, like a TCP connect to a rebooting host *)
       schedule t
         ~time:(t.now +. t.cfg.Config.timing.restart_delay)
-        (Inject { dst; payload; seq; retry })
+        (Inject { dst; payload; seq; cseq; retry })
     else begin
-      if not retry then t.client_log <- (seq, dst, payload) :: t.client_log;
-      consume t ~pid:dst (Node.inject t.nodes.(dst) ~now:t.now ~seq payload)
+      if not retry then t.client_log <- (seq, cseq, dst, payload) :: t.client_log;
+      consume t ~pid:dst (Node.inject t.nodes.(dst) ~now:t.now ~seq ~cseq payload)
     end
   | Perform { pid; effects } ->
     if not t.down.(pid) then
@@ -465,6 +466,7 @@ let create ~config ~app ?(seed = 42) ?(horizon = 10_000.) ?net_override
       retired_pids = [];
       held = [];
       inject_seq = 0;
+      inject_cseq = Hashtbl.create 8;
       client_log = [];
       busy_time = 0.;
       storage_reports_ = [];
@@ -477,7 +479,9 @@ let create ~config ~app ?(seed = 42) ?(horizon = 10_000.) ?net_override
 let inject_at t ~time ~dst payload =
   let seq = t.inject_seq + 1 in
   t.inject_seq <- seq;
-  schedule t ~time (Inject { dst; payload; seq; retry = false })
+  let cseq = Option.value (Hashtbl.find_opt t.inject_cseq dst) ~default:0 in
+  Hashtbl.replace t.inject_cseq dst (cseq + 1);
+  schedule t ~time (Inject { dst; payload; seq; cseq; retry = false })
 
 let crash_at t ~time ~pid = schedule t ~time (Crash pid)
 

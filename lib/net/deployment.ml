@@ -14,6 +14,7 @@ type node = {
   log_file : string;
   mutable os_pid : int;
   mutable ctl : Unix.file_descr option;
+  mutable injected : int;  (** injections sent to it: the next channel number *)
 }
 
 type t = {
@@ -286,6 +287,7 @@ let launch ~n ~k ?(app = "kvstore") ?retransmit ?ckpt_interval ?part_ckpt
           log_file = Filename.concat root (Fmt.str "daemon-%d.log" pid);
           os_pid = -1;
           ctl = None;
+          injected = 0;
         })
   in
   let proxy_obs = Obs.Registry.create () in
@@ -329,9 +331,12 @@ let launch ~n ~k ?(app = "kvstore") ?retransmit ?ckpt_interval ?part_ckpt
 (* Driving                                                             *)
 
 let inject_app t ~dst ~wire msg =
+  let node = t.nodes.(dst) in
   t.seq <- t.seq + 1;
+  let cseq = node.injected in
+  node.injected <- cseq + 1;
   ignore
-    (ctl_send' t.nodes.(dst) wire (Wire_codec.Inject { seq = t.seq; payload = msg })
+    (ctl_send' node wire (Wire_codec.Inject { seq = t.seq; cseq; payload = msg })
       : bool)
 
 let inject t ~dst msg = inject_app t ~dst ~wire:App.wire msg
@@ -386,6 +391,7 @@ let add_node t =
       log_file = Filename.concat t.root (Fmt.str "daemon-%d.log" pid);
       os_pid = -1;
       ctl = None;
+      injected = 0;
     }
   in
   t.nodes <- Array.append t.nodes [| node |];

@@ -2,7 +2,7 @@ open Depend
 module Wire = Recovery.Wire
 module App_intf = App_model.App_intf
 
-let version = 1
+let version = 2
 
 let header_bytes = 12
 
@@ -327,6 +327,8 @@ let put_app_body (wf : 'msg App_intf.wire_format) b (m : 'msg Wire.app_message) 
   put_int b m.Wire.dst;
   put_entry b m.Wire.send_interval;
   put_list b put_dep m.Wire.dep;
+  put_int b m.Wire.epoch;
+  put_int b m.Wire.cseq;
   put_string b (wf.App_intf.write m.Wire.payload)
 
 let put_notice_body b (n : Wire.notice) =
@@ -336,7 +338,8 @@ let put_notice_body b (n : Wire.notice) =
       put_int b pid;
       put_list b put_entry entries)
     n.Wire.rows;
-  put_list b put_announcement n.Wire.anns
+  put_list b put_announcement n.Wire.anns;
+  put_entry b n.Wire.floor
 
 let get_notice_body c =
   let from_ = get_int c in
@@ -347,7 +350,8 @@ let get_notice_body c =
         (pid, entries))
   in
   let anns = get_list c get_announcement in
-  { Wire.from_; rows; anns }
+  let floor = get_entry c in
+  { Wire.from_; rows; anns; floor }
 
 (* The raw app fields; the application payload is returned undecoded so
    the caller can report its errors distinctly. *)
@@ -357,14 +361,16 @@ let get_app_fields c =
   let dst = get_int c in
   let send_interval = get_entry c in
   let dep = get_list c get_dep in
+  let epoch = get_int c in
+  let cseq = get_int c in
   let payload = get_string c in
-  (id, src, dst, send_interval, dep, payload)
+  (id, src, dst, send_interval, dep, epoch, cseq, payload)
 
 let app_of_fields (wf : 'msg App_intf.wire_format)
-    (id, src, dst, send_interval, dep, payload) =
+    (id, src, dst, send_interval, dep, epoch, cseq, payload) =
   match wf.App_intf.read payload with
   | Error e -> Error (Fmt.str "app payload: %s" e)
-  | Ok payload -> Ok { Wire.id; src; dst; send_interval; dep; payload }
+  | Ok payload -> Ok { Wire.id; src; dst; send_interval; dep; payload; epoch; cseq }
 
 let encode_packet (wf : 'msg App_intf.wire_format) (p : 'msg Wire.packet) =
   let b = Buffer.create 64 in
@@ -508,7 +514,7 @@ type status = {
 
 type 'msg control =
   | Hello of { pid : int }
-  | Inject of { seq : int; payload : 'msg }
+  | Inject of { seq : int; cseq : int; payload : 'msg }
   | Tick of [ `Flush | `Checkpoint | `Notice ]
   | Crash
   | Status_req
@@ -542,8 +548,9 @@ let encode_control (wf : 'msg App_intf.wire_format) (c : 'msg control) =
   let b = Buffer.create 32 in
   (match c with
   | Hello { pid } -> put_int b pid
-  | Inject { seq; payload } ->
+  | Inject { seq; cseq; payload } ->
     put_int b seq;
+    put_int b cseq;
     put_string b (wf.App_intf.write payload)
   | Tick _ | Crash | Status_req | Quit | Bye | Retire_req | Stats_req -> ()
   | Stats text -> put_string b text
@@ -572,13 +579,14 @@ let decode_control_body (wf : 'msg App_intf.wire_format) ~kind body =
       (run
          (fun c ->
            let seq = get_int c in
+           let cseq = get_int c in
            let payload = get_string c in
-           (seq, payload))
+           (seq, cseq, payload))
          body)
-      (fun (seq, payload) ->
+      (fun (seq, cseq, payload) ->
         match wf.App_intf.read payload with
         | Error e -> Error (Fmt.str "inject payload: %s" e)
-        | Ok payload -> Ok (Inject { seq; payload }))
+        | Ok payload -> Ok (Inject { seq; cseq; payload }))
   else
     run
       (fun c ->

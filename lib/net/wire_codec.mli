@@ -7,7 +7,7 @@
     {v
       offset  size  field
       0       2     magic "KW"
-      2       1     version (currently 1)
+      2       1     version (currently 2)
       3       1     kind
       4       4     payload length, u32 LE
       8       4     CRC32 (IEEE, reflected), u32 LE,
@@ -125,7 +125,10 @@ type status = {
 type 'msg control =
   | Hello of { pid : int }
       (** first frame on every data connection: identifies the dialer *)
-  | Inject of { seq : int; payload : 'msg }
+  | Inject of { seq : int; cseq : int; payload : 'msg }
+      (** a client message: [seq] makes its identity unique, [cseq] is its
+          dense position among the injections to this daemon (see
+          {!Recovery.Node.inject}) *)
   | Tick of [ `Flush | `Checkpoint | `Notice ]
   | Crash  (** soft fail-stop: lose volatile state, restart in-process *)
   | Status_req

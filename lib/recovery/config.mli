@@ -81,9 +81,9 @@ type protocol = {
       (** garbage-collect the stable log and old checkpoints behind any
           checkpoint whose dependency vector is empty — such a checkpoint
           can never be rolled past (Theorem 2's argument), so nothing
-          before it is ever replayed again.  Delivered-message identities
-          from the collected prefix are retained as compact stubs inside
-          the checkpoint so duplicate suppression stays sound; a stable
+          before it is ever replayed again.  The collected deliveries are
+          first persisted in compact form ({!Wire.Gc_stubs}) in the
+          synchronous area so duplicate suppression stays sound; a stable
           log prefix holding a still-undelivered requeued message is never
           collected.  The paper attributes garbage collection to
           accumulated logging progress information (Section 2). *)

@@ -191,6 +191,23 @@ type ('state, 'msg) ckpt = {
          is absorbed into a checkpoint). *)
 }
 
+(* --- Duplicate suppression ----------------------------------------- *)
+
+(* A delivery whose interval may still be rolled back: its identity, the
+   interval it started and its channel position. *)
+type delivery = { dl_interval : Entry.t; dl_epoch : int; dl_cseq : int }
+
+(* One of the process's own checkpoints from the anchor on: its interval,
+   its dependency vector and the least interval index anything it saved
+   (itself, its pending sends and outputs) names.  Once the vector is all
+   stable the checkpoint can never be rolled past, so every delivery up to
+   its interval is committed. *)
+type commit_point = {
+  cp_interval : Entry.t;
+  cp_dep : (int * Entry.t) list;
+  cp_floor : int;
+}
+
 (* --- Partitioned (fast) recovery ----------------------------------- *)
 
 (* One logged delivery awaiting partitioned replay.  The metadata pass of
@@ -271,9 +288,23 @@ type ('state, 'msg) t = {
       (* (arrival time, message), oldest first *)
   mutable send_buf : 'msg pending_send list; (* oldest first *)
   mutable out_buf : pending_output list; (* oldest first *)
-  delivered : (Wire.identity, Entry.t) Hashtbl.t;
-  stubs : (Wire.identity, unit) Hashtbl.t;
-      (* deliveries whose records were GC'd; see Wire.Gc_stubs *)
+  mutable delivered : (Wire.identity, delivery) Hashtbl.t;
+      (* deliveries not yet known committed; see [fold_committed] *)
+  held : (Wire.identity, int * int) Hashtbl.t;
+      (* committed deliveries that cannot fold yet, with their channel
+         position: another copy may still arrive under another number *)
+  chans : (int * int, Seq_set.t) Hashtbl.t;
+      (* (origin, epoch) -> channel numbers of folded committed deliveries *)
+  floors : (int, Entry.t list) Hashtbl.t;
+      (* pid -> the highest floor it advertised in each epoch, newest first *)
+  mutable floor : int;
+      (* own replay floor: every send created below it was released and
+         acked, every output committed; see Wire.notice *)
+  mutable ckpts : commit_point list;
+      (* own checkpoints from the anchor on, newest first *)
+  mutable folded_sii : int; (* interval index of the anchor last folded *)
+  mutable epoch : int; (* channel epoch of this process's releases *)
+  chan_next : (int, int) Hashtbl.t; (* dst -> next channel number *)
   direct_parents : (Entry.t, (int * Entry.t) list) Hashtbl.t;
       (* direct tracking only (empty otherwise): each local interval's
          chain predecessor and, for delivery-started intervals, the sending
@@ -397,6 +428,48 @@ let orphan_wire t (m : 'msg Wire.app_message) =
 let buffered_in_recv t id =
   List.exists (fun (_, (m : 'msg Wire.app_message)) -> m.id = id) t.recv_buf
 
+(* The floors process [j] advertised, newest epoch first; see Wire.notice. *)
+let floors_of t j = Option.value (Hashtbl.find_opt t.floors j) ~default:[]
+
+(* Keep the highest floor heard in each epoch, older epochs included. *)
+let note_floor t j (f : Entry.t) =
+  let rec insert = function
+    | (g : Entry.t) :: rest when g.inc > f.inc -> g :: insert rest
+    | g :: rest when g.inc = f.inc -> (if f.sii > g.sii then f else g) :: rest
+    | fs -> f :: fs
+  in
+  match floors_of t j with
+  | g :: _ when Entry.equal g f -> ()
+  | fs -> Hashtbl.replace t.floors j (insert fs)
+
+(* A copy released in a later life of its sender than the one that created
+   it, below a floor the sender advertised in or before that life: the
+   floor says the original reached this process and was logged here, so
+   this copy is a duplicate even if the original's identity was folded
+   away.  Only storage damage that drops the sender's anchor checkpoint
+   makes its replay regenerate such a copy. *)
+let rereleased_below_floor t (m : 'msg Wire.app_message) =
+  let o = m.id.origin_interval in
+  m.epoch > o.inc
+  && List.exists (fun (f : Entry.t) -> f.inc <= o.inc && o.sii < f.sii) (floors_of t m.id.origin)
+
+(* Was this message delivered on the surviving history?  Non-committed
+   deliveries and committed ones that cannot fold are known by identity,
+   folded ones by their channel position or their sender's floor. *)
+let seen t (m : 'msg Wire.app_message) =
+  Hashtbl.mem t.delivered m.id
+  || Hashtbl.mem t.held m.id
+  || (m.cseq >= 0
+     &&
+     match Hashtbl.find_opt t.chans (m.id.origin, m.epoch) with
+     | Some s -> Seq_set.mem m.cseq s
+     | None -> false)
+  || rereleased_below_floor t m
+
+let note_delivered t (m : 'msg Wire.app_message) interval =
+  Hashtbl.replace t.delivered m.id
+    { dl_interval = interval; dl_epoch = m.epoch; dl_cseq = m.cseq }
+
 let orphan_vector t v =
   let found = ref false in
   Dep_vector.iteri v ~f:(fun j e ->
@@ -445,6 +518,140 @@ let deliverable t (m : 'msg Wire.app_message) =
             else t.max_ann_inc.(j) >= e.Entry.inc - 1))
       m.dep
 
+(* What process [j] guarantees about its numbering; see Wire.notice. *)
+let floor_of t j =
+  if j = t.pid then Entry.make ~inc:t.epoch ~sii:t.floor
+  else match floors_of t j with f :: _ -> f | [] -> Entry.make ~inc:0 ~sii:0
+
+let notice_of t rows =
+  { Wire.from_ = t.pid; rows; anns = gossip_anns t; floor = floor_of t t.pid }
+
+(* Theorem 2 applied to duplicate suppression.  The all-stable predicate
+   [gc_anchor] uses, asked of the current vector at a flush or of the
+   process's own recent checkpoints, names a point no rollback restores
+   past: every delivery up to it is committed, and its identity is needed
+   only to reject a copy.  A committed delivery folds into its channel's
+   runs unless a copy may still arrive under another channel number.  A
+   sender that crashed re-releases, under fresh numbers, what its replay
+   regenerates and what its checkpoints saved — all created before the
+   restart, and none below the floor it advertised before the crash.  So a
+   message folds only if it was created at or after its sender's latest
+   restart known here (origin incarnation at least the advertised epoch,
+   and at least its own release epoch) and below the advertised floor.
+   Everything else committed stays [held] by identity: what a crash may
+   still re-release, and what it already did.  Direct tracking's vectors
+   prove nothing about remote dependencies, so it never folds — as it never
+   collects logs. *)
+let foldable t (id : Wire.identity) ~epoch ~cseq =
+  cseq >= 0
+  && (id.origin = App_intf.outside_world
+     ||
+     let f = floor_of t id.origin and o = id.origin_interval in
+     o.inc >= Stdlib.max epoch f.inc && o.sii < f.sii)
+
+let fold t (id : Wire.identity) ~epoch ~cseq =
+  let key = (id.origin, epoch) in
+  let runs = Option.value (Hashtbl.find_opt t.chans key) ~default:Seq_set.empty in
+  Hashtbl.replace t.chans key (Seq_set.add cseq runs)
+
+(* Every open delivery up to [upto] on the current chain is committed:
+   fold it, or hold it by identity.  The table is rebuilt rather than
+   filtered, so its size follows what is still open, not its high-water
+   mark. *)
+let commit_upto t (upto : Entry.t) =
+  if Hashtbl.length t.delivered > 0 then begin
+    let open_ = Hashtbl.create 64 in
+    Hashtbl.iter
+      (fun id dl ->
+        if dl.dl_interval.sii > upto.sii then Hashtbl.replace open_ id dl
+        else if foldable t id ~epoch:dl.dl_epoch ~cseq:dl.dl_cseq then
+          fold t id ~epoch:dl.dl_epoch ~cseq:dl.dl_cseq
+        else Hashtbl.replace t.held id (dl.dl_epoch, dl.dl_cseq))
+      t.delivered;
+    t.delivered <- open_
+  end
+
+let all_stable t dep = List.for_all (fun (j, e) -> stable_in_log t j e) dep
+
+(* The anchor: the newest of [cks] (newest first) whose dependency vector
+   [dep_of] is all stable.  Log GC and duplicate suppression both ask it. *)
+let find_anchor t dep_of cks = List.find_index (fun ck -> all_stable t (dep_of ck)) cks
+
+(* A flush that leaves the current vector all stable commits everything
+   delivered so far, checkpoint or not. *)
+let commit_current t =
+  if (proto t).tracking = Config.Transitive && all_stable t (Dep_vector.non_null t.tdv)
+  then commit_upto t t.current
+
+(* Move the anchor to the newest own checkpoint whose vector is now all
+   stable, if that is newer than the last one, and fold what it commits. *)
+let fold_committed t =
+  match find_anchor t (fun cp -> cp.cp_dep) t.ckpts with
+  | Some i
+    when (proto t).tracking = Config.Transitive
+         && (List.nth t.ckpts i).cp_interval.sii > t.folded_sii ->
+    let anchor = List.nth t.ckpts i in
+    let kept = List.filteri (fun j _ -> j <= i) t.ckpts in
+    t.ckpts <- kept;
+    t.folded_sii <- anchor.cp_interval.sii;
+    let floor = List.fold_left (fun acc cp -> Stdlib.min acc cp.cp_floor) max_int kept in
+    t.floor <- Stdlib.max t.floor floor;
+    (* Neither restart nor rollback regenerates or re-instates a send or
+       an output from below the floor again. *)
+    let keep (e : Entry.t) = if e.sii < t.floor then None else Some () in
+    Hashtbl.filter_map_inplace
+      (fun (id : Wire.identity) () -> keep id.origin_interval)
+      t.released_ids;
+    Hashtbl.filter_map_inplace
+      (fun (oid : Wire.output_id) () -> keep oid.out_interval)
+      t.committed_ids;
+    Hashtbl.filter_map_inplace
+      (fun id (epoch, cseq) ->
+        if foldable t id ~epoch ~cseq then begin
+          fold t id ~epoch ~cseq;
+          None
+        end
+        else Some (epoch, cseq))
+      t.held;
+    commit_upto t anchor.cp_interval
+  | Some _ | None -> ()
+
+(* Collected deliveries in the compact form Gc_stubs persists: folded ones
+   as runs per channel, the rest by identity. *)
+let stubs_of t msgs =
+  let runs = Hashtbl.create 4 in
+  let exact = ref [] in
+  List.iter
+    (fun (m : 'msg Wire.app_message) ->
+      let key = (m.id.origin, m.epoch) in
+      if Hashtbl.mem t.delivered m.id || Hashtbl.mem t.held m.id then
+        exact := (m.id, m.epoch, m.cseq) :: !exact
+      else
+        let r = Option.value (Hashtbl.find_opt runs key) ~default:Seq_set.empty in
+        Hashtbl.replace runs key (Seq_set.add m.cseq r))
+    msgs;
+  {
+    Wire.gs_runs =
+      List.sort compare
+        (Hashtbl.fold (fun (o, e) r acc -> (o, e, Seq_set.runs r) :: acc) runs []);
+    gs_exact = !exact;
+    gs_floors =
+      (t.pid, floor_of t t.pid)
+      :: Hashtbl.fold (fun j fs acc -> List.map (fun f -> (j, f)) fs @ acc) t.floors [];
+  }
+
+(* Below the floor every send was released and acked and every output
+   committed, so the tables that say so keep nothing there.  A rollback
+   that has to restore a checkpoint older than the anchor (storage damage
+   dropped the newer ones) regenerates nothing there a second time.  A
+   restart knows only the floor of its last GC; receivers drop what it
+   re-releases below the floor it advertised ([rereleased_below_floor]). *)
+let released t (id : Wire.identity) =
+  id.origin_interval.sii < t.floor || Hashtbl.mem t.released_ids id
+
+let committed t (oid : Wire.output_id) =
+  oid.out_interval.sii < t.floor || Hashtbl.mem t.committed_ids oid
+
 (* ------------------------------------------------------------------ *)
 (* Send path: Send_message / Check_send_buffer (Figure 2)              *)
 
@@ -460,6 +667,11 @@ let release_send t ~now (ps : 'msg pending_send) =
          orphan checks. *)
       [ (t.pid, ps.ps_interval) ]
   in
+  (* The channel number is stamped here, not at send time: partitioned
+     replay regenerates sends out of log order and could not reproduce a
+     send-time count. *)
+  let cseq = Option.value (Hashtbl.find_opt t.chan_next ps.ps_dst) ~default:0 in
+  Hashtbl.replace t.chan_next ps.ps_dst (cseq + 1);
   let wire =
     {
       Wire.id = ps.ps_id;
@@ -468,6 +680,8 @@ let release_send t ~now (ps : 'msg pending_send) =
       send_interval = ps.ps_interval;
       dep;
       payload = ps.ps_payload;
+      epoch = t.epoch;
+      cseq;
     }
   in
   let dep_size = List.length dep in
@@ -506,9 +720,9 @@ let send_message_at t ~now ~interval ~tdv ~idx ~dst ~k payload =
   let id = { Wire.origin = t.pid; origin_interval = interval; idx } in
   (* A replayed execution regenerates the sends of reconstructed intervals
      with identical identities; suppress the ones still accounted for.
-     After a crash both tables are empty, so replayed sends are re-released
-     — receivers drop the duplicates by identity. *)
-  if Hashtbl.mem t.released_ids id || Hashtbl.mem t.buffered_send_ids id then ()
+     After a crash both tables are empty, so replayed sends at or above the
+     floor are re-released — receivers drop the duplicates by identity. *)
+  if released t id || Hashtbl.mem t.buffered_send_ids id then ()
   else begin
     Obs.Counter.incr t.meters.sends;
     trace t ~now (Message_sent { id; src = t.pid; dst; send_interval = interval });
@@ -676,7 +890,7 @@ let check_output_buffer t ~now =
    pass, not from the node's live interval. *)
 let rec buffer_output_at t ~now ~interval ~tdv ~idx text =
   let oid = { Wire.out_interval = interval; out_idx = idx } in
-  if Hashtbl.mem t.committed_ids oid || Hashtbl.mem t.buffered_out_ids oid then ()
+  if committed t oid || Hashtbl.mem t.buffered_out_ids oid then ()
   else begin
     Hashtbl.replace t.buffered_out_ids oid ();
     let po =
@@ -719,6 +933,7 @@ and do_flush ?(forced = false) t ~now ~ack =
   else begin
     advance_stability t ~now;
     elide_tdv t;
+    commit_current t;
     do_flush_acks t ~ack;
     check_send_buffer t ~now;
     check_output_buffer t ~now
@@ -781,7 +996,7 @@ let deliver t ~now ~replay ~waited (m : 'msg Wire.app_message) =
   t.out_idx <- 0;
   note_parents t t.current
     ((t.pid, pred) :: (if m.src >= 0 then [ (m.src, m.send_interval) ] else []));
-  Hashtbl.replace t.delivered m.id t.current;
+  note_delivered t m t.current;
   if replay then Obs.Counter.incr t.meters.replayed
   else begin
     Store.append_volatile t.store
@@ -1020,6 +1235,44 @@ let apply_marker t ((entry : Entry.t), _pos) =
   t.send_idx <- 0;
   t.out_idx <- 0
 
+(* "Each process execution can be considered as starting with an initial
+   checkpoint" (Corollary 3): interval (0,1) in the app's initial [state]. *)
+let initial_checkpoint t state =
+  {
+    ck_current = Entry.initial;
+    ck_tdv = [];
+    ck_state = state;
+    ck_log_pos = Store.log_base t.store;
+    ck_sends = [];
+    ck_outs = [];
+    ck_archive = [];
+  }
+
+let commit_point ck =
+  let low acc (e : Entry.t) = Stdlib.min acc e.sii in
+  let floor = ck.ck_current.sii in
+  let floor = List.fold_left (fun acc sv -> low acc sv.sv_interval) floor ck.ck_sends in
+  let floor =
+    List.fold_left (fun acc so -> low acc so.so_id.Wire.out_interval) floor ck.ck_outs
+  in
+  (* An unacked release may still need its archive copy retransmitted. *)
+  let floor =
+    List.fold_left
+      (fun acc (m : 'msg Wire.app_message) -> low acc m.id.origin_interval)
+      floor ck.ck_archive
+  in
+  { cp_interval = ck.ck_current; cp_dep = ck.ck_tdv; cp_floor = floor }
+
+(* A damaged synchronous area can lose an incarnation marker (open-time
+   recovery reports the loss).  Each logged delivery still names the
+   interval it started, so replay applies the marker that record implies
+   instead of running into an interval that never existed.  A lost marker
+   always shows as an incarnation jump; any other mismatch is a replay bug,
+   and the assert after the delivery catches it. *)
+let resync_lost_marker t ~pos (logged : Entry.t) =
+  if logged.inc > t.current.inc then
+    apply_marker t (Entry.make ~inc:logged.inc ~sii:(logged.sii - 1), pos)
+
 (* Re-instate checkpointed pending sends and outputs that are not already
    accounted for (released since the checkpoint, still buffered live, or
    committed). *)
@@ -1027,8 +1280,7 @@ let reinstate_saved_sends t svs =
   List.iter
     (fun sv ->
       if
-        (not (Hashtbl.mem t.released_ids sv.sv_id))
-        && not (Hashtbl.mem t.buffered_send_ids sv.sv_id)
+        (not (released t sv.sv_id)) && not (Hashtbl.mem t.buffered_send_ids sv.sv_id)
       then begin
         ensure_deps t sv.sv_dep;
         Hashtbl.replace t.buffered_send_ids sv.sv_id ();
@@ -1052,8 +1304,7 @@ let reinstate_saved_outs t sos =
   List.iter
     (fun so ->
       if
-        (not (Hashtbl.mem t.committed_ids so.so_id))
-        && not (Hashtbl.mem t.buffered_out_ids so.so_id)
+        (not (committed t so.so_id)) && not (Hashtbl.mem t.buffered_out_ids so.so_id)
       then begin
         ensure_deps t so.so_dep;
         Hashtbl.replace t.buffered_out_ids so.so_id ();
@@ -1120,6 +1371,7 @@ let rebuild t ~now ~ck ~anns ~records ~halt =
     | _, (Delivery d as r) :: rs ->
       if halt r then ()
       else begin
+        resync_lost_marker t ~pos:!pos d.lg_interval;
         deliver t ~now ~replay:true ~waited:0. d.lg_msg;
         assert (Entry.equal t.current d.lg_interval);
         incr pos;
@@ -1177,14 +1429,24 @@ let rollback t ~now ~(because : Wire.announcement) =
         (Store.stable_log_from t.store ~pos:base);
       fun ck -> ck.ck_log_pos <= !halt_pos
   in
-  let ck =
+  let ck, reseed =
     match Store.restore_checkpoint t.store ~satisfying:ck_ok with
-    | Some ck -> ck
-    | None ->
+    | Some ck -> (ck, false)
+    | None -> (
       (* The initial checkpoint has an empty vector at position 0 and
-         satisfies either predicate, and it is never discarded. *)
-      assert false
+         satisfies either predicate, and GC never discards it without a
+         newer anchor that does too — but damage can: open-time recovery
+         drops a corrupt checkpoint file and reports it.  Roll back to the
+         initial state when the whole log is still there; otherwise the
+         oldest survivor is the best state left, and the oracle judges what
+         it holds against the reported loss. *)
+      match List.rev (Store.checkpoints t.store) with
+      | oldest :: _ when Store.log_base t.store > 0 -> (oldest, false)
+      | _ -> (initial_checkpoint t (t.app.App_intf.init ~pid:t.pid ~n:t.app_n), true))
   in
+  t.ckpts <-
+    commit_point ck
+    :: List.filter (fun cp -> cp.cp_interval.sii < ck.ck_current.sii) t.ckpts;
   t.ckpt_ops <- t.ckpt_ops + 1;
   (* Replay "till condition (I) is not satisfied": stop before the first
      logged delivery whose piggyback would make us depend on a rolled-back
@@ -1200,6 +1462,9 @@ let rollback t ~now ~(because : Wire.announcement) =
   in
   let stop = t.current in
   let removed = Store.truncate_stable_log t.store ~keep:stop_pos in
+  (* A re-seeded initial checkpoint must outlive this rollback: every
+     checkpoint left in the store is orphaned. *)
+  if reseed then Store.save_checkpoint t.store ck;
   let first_undone =
     match
       List.find_map (function Delivery d -> Some d.lg_interval | Requeued _ -> None) removed
@@ -1236,7 +1501,7 @@ let rollback t ~now ~(because : Wire.announcement) =
   List.iter
     (fun (m : 'msg Wire.app_message) ->
       if
-        (not (Hashtbl.mem t.delivered m.Wire.id))
+        (not (seen t m))
         && (not (buffered_in_recv t m.Wire.id))
         && not (orphan_wire t m)
       then t.recv_buf <- t.recv_buf @ [ (now, m) ])
@@ -1247,11 +1512,13 @@ let rollback t ~now ~(because : Wire.announcement) =
      "index greater than the replay stop point". *)
   let undone (e : Entry.t) = e.sii > stop.sii in
   Hashtbl.filter_map_inplace
-    (fun _ interval -> if undone interval then None else Some interval)
+    (fun _ dl -> if undone dl.dl_interval then None else Some dl)
     t.delivered;
   Hashtbl.filter_map_inplace
     (fun interval parents -> if undone interval then None else Some parents)
     t.direct_parents;
+  (* Unacked deliveries are all open: a delivery commits only once flushed,
+     and every flush acks. *)
   t.unacked <- List.filter (fun (_, id) -> Hashtbl.mem t.delivered id) t.unacked;
   let cancelled, kept_sends =
     List.partition (fun ps -> undone ps.ps_interval) t.send_buf
@@ -1392,12 +1659,14 @@ let receive_ann t ~now (ann : Wire.announcement) =
 (* Receive_log (Figure 3)                                              *)
 
 let receive_notice t ~now (notice : Wire.notice) =
+  if notice.Wire.from_ <> t.pid then note_floor t notice.Wire.from_ notice.Wire.floor;
   List.iter
     (fun (j, entries) ->
       ensure_member t j;
       List.iter (fun e -> t.log_tab.(j) <- Entry_set.insert t.log_tab.(j) e) entries)
     notice.Wire.rows;
   elide_tdv t;
+  fold_committed t;
   recheck t ~now;
   (* Gossiped announcements (anti-entropy against announcement loss): each
      is absorbed exactly as a direct broadcast would be; already-seen ones
@@ -1414,8 +1683,7 @@ let receive_app t ~now (m : 'msg Wire.app_message) =
   match
     if (breakage t).break_dup_suppression then None
     else if buffered_in_recv t m.id then Some `Buffered
-    else if Hashtbl.mem t.delivered m.id || Hashtbl.mem t.stubs m.id then
-      Some `Delivered
+    else if seen t m then Some `Delivered
     else None
   with
   | Some kind ->
@@ -1451,19 +1719,19 @@ let receive_app t ~now (m : 'msg Wire.app_message) =
    never restores past such a checkpoint and Restart never replays records
    before it: older checkpoints and the log prefix are reclaimable.  Two
    safeguards: the boundary never crosses a still-undelivered Requeued
-   record (the only persistent copy of its message), and the identities of
-   collected deliveries are persisted as Gc_stubs in the synchronous area
-   so duplicate suppression survives crashes.  The anchor checkpoint is
+   record (the only persistent copy of its message), and the collected
+   deliveries are persisted as Gc_stubs in the synchronous area so
+   duplicate suppression survives crashes.  The anchor checkpoint is
    named by its index in the newest-first checkpoint list: a durable store
    reads checkpoints back from their files, so no two reads return the
    same physical value. *)
 let gc_anchor t =
-  let all_stable entries = List.for_all (fun (j, e) -> stable_in_log t j e) entries in
   if Dep_vector.non_null_count t.tdv = 0 then Some (Store.stable_log_length t.store, None)
   else
-    List.find_mapi
-      (fun i ck -> if all_stable ck.ck_tdv then Some (ck.ck_log_pos, Some i) else None)
-      (Store.checkpoints t.store)
+    let cks = Store.checkpoints t.store in
+    Option.map
+      (fun i -> ((List.nth cks i).ck_log_pos, Some i))
+      (find_anchor t (fun ck -> ck.ck_tdv) cks)
 
 let run_gc t =
   match gc_anchor t with
@@ -1473,22 +1741,24 @@ let run_gc t =
     if anchor_pos > base then begin
       let prefix = Store.stable_log_from t.store ~pos:base in
       let boundary = ref base in
-      let stub_ids = ref [] in
+      let collected = ref [] in
       (try
          List.iter
            (fun record ->
              if !boundary >= anchor_pos then raise Exit;
              (match record with
-             | Requeued m when not (Hashtbl.mem t.delivered m.Wire.id) -> raise Exit
-             | Delivery d -> stub_ids := d.lg_msg.Wire.id :: !stub_ids
-             | Requeued m -> stub_ids := m.Wire.id :: !stub_ids);
+             | Requeued m when not (seen t m) -> raise Exit
+             | Delivery d -> collected := d.lg_msg :: !collected
+             | Requeued _ ->
+               (* its re-delivery is a later record, collected with it or
+                  still in the log *)
+               ());
              incr boundary)
            prefix
        with Exit -> ());
       if !boundary > base then begin
-        (* Persist the stub identities before dropping the records. *)
-        Store.log_announcement t.store (Wire.Gc_stubs (List.rev !stub_ids));
-        List.iter (fun id -> Hashtbl.replace t.stubs id ()) !stub_ids;
+        (* Persist the collected deliveries before dropping their records. *)
+        Store.log_announcement t.store (Wire.Gc_stubs (stubs_of t !collected));
         Obs.Counter.add t.meters.gc_records (Store.discard_log_prefix t.store ~before:!boundary)
       end
     end;
@@ -1538,6 +1808,9 @@ let do_checkpoint t ~now =
       ck_archive = Archive.newest_first t.archive;
     }
   in
+  (* Direct tracking never folds: do not let its checkpoints pile up. *)
+  if (proto t).tracking = Config.Transitive then t.ckpts <- commit_point ck :: t.ckpts;
+  fold_committed t;
   if (proto t).gc_logs then run_gc t;
   Store.save_checkpoint t.store ck;
   if (proto t).gc_logs && ck.ck_tdv = [] then
@@ -1587,8 +1860,11 @@ let restart_prologue t =
   t.recv_buf <- [];
   t.send_buf <- [];
   t.out_buf <- [];
-  Hashtbl.reset t.delivered;
-  Hashtbl.reset t.stubs;
+  t.delivered <- Hashtbl.create 64;
+  Hashtbl.reset t.held;
+  Hashtbl.reset t.chans;
+  Hashtbl.reset t.floors;
+  Hashtbl.reset t.chan_next;
   Hashtbl.reset t.direct_parents;
   Hashtbl.reset t.assemblies;
   Hashtbl.reset t.released_ids;
@@ -1607,6 +1883,17 @@ let restart_prologue t =
   in
   let part_ck = Array.make (Stdlib.max parts 1) None in
   let anns = Store.announcements t.store in
+  (* Nothing below the floor of the last GC is regenerated again: see
+     [released]. *)
+  t.floor <-
+    List.fold_left
+      (fun acc -> function
+        | Wire.Gc_stubs gs ->
+          List.fold_left
+            (fun acc (j, (f : Entry.t)) -> if j = t.pid then Stdlib.max acc f.sii else acc)
+            acc gs.gs_floors
+        | _ -> acc)
+      0 anns;
   List.iter
     (function
       | Wire.Ann_logged (ann : Wire.announcement) ->
@@ -1618,8 +1905,20 @@ let restart_prologue t =
         t.log_tab.(ann.from_) <- Entry_set.insert t.log_tab.(ann.from_) ann.ending;
         if ann.ending.inc > t.max_ann_inc.(ann.from_) then
           t.max_ann_inc.(ann.from_) <- ann.ending.inc
-      | Wire.Committed oid -> Hashtbl.replace t.committed_ids oid ()
-      | Wire.Gc_stubs ids -> List.iter (fun id -> Hashtbl.replace t.stubs id ()) ids
+      | Wire.Committed oid ->
+        if oid.out_interval.sii >= t.floor then Hashtbl.replace t.committed_ids oid ()
+      | Wire.Gc_stubs gs ->
+        List.iter
+          (fun (origin, epoch, runs) ->
+            let key = (origin, epoch) in
+            let s = Option.value (Hashtbl.find_opt t.chans key) ~default:Seq_set.empty in
+            Hashtbl.replace t.chans key
+              (List.fold_left (Fun.flip Seq_set.add_run) s runs))
+          gs.gs_runs;
+        List.iter
+          (fun (id, epoch, cseq) -> Hashtbl.replace t.held id (epoch, cseq))
+          gs.gs_exact;
+        List.iter (fun (j, f) -> note_floor t j f) gs.gs_floors
       | Wire.Marker { log_pos; _ } ->
         (* A rollback truncated the log at [log_pos]: any partition
            checkpoint covering a longer prefix describes state that no
@@ -1640,29 +1939,19 @@ let restart_prologue t =
     | None -> assert false (* the initial checkpoint always exists *)
   in
   t.ckpt_ops <- t.ckpt_ops + 1;
+  t.ckpts <- [ commit_point ck ];
+  t.folded_sii <- 0;
   (* Deliveries that predate the checkpoint are stable and still valid;
      their identities must survive into the duplicate-suppression table. *)
   let base = Store.log_base t.store in
   let log = Store.stable_log_from t.store ~pos:base in
   List.iter
-    (function
-      | Delivery d -> Hashtbl.replace t.delivered d.lg_msg.Wire.id d.lg_interval
-      | Requeued _ -> ())
+    (function Delivery d -> note_delivered t d.lg_msg d.lg_interval | Requeued _ -> ())
     log;
-  (* GC never discards past the oldest retained checkpoint. *)
-  assert (ck.ck_log_pos >= base);
-  (ck, part_ck, anns, List.filteri (fun i _ -> base + i >= ck.ck_log_pos) log)
-
-(* Shared restart epilogue: announce the failure, persist the incarnation
-   bump, continue as a fresh interval and come back up.  [t.current] must
-   be the frontier of the (metadata or full) replay when this runs.
-   [anns] is the synchronous area as the prologue read it: nothing in
-   between logs a marker or an announcement of this process. *)
-let restart_epilogue t ~now ~anns =
-  (* Everything reconstructed from the stable log is stable by definition. *)
-  trace t ~now (Stability_advanced { pid = t.pid; upto = t.current });
   (* The failed incarnation is the highest number this process ever used,
-     which every bump persisted as a marker. *)
+     which every bump persisted as a marker (a logged interval still names
+     one whose marker a damaged sync area lost).  The next one numbers
+     this life's releases too: no earlier life released under it. *)
   let max_inc =
     List.fold_left
       (fun acc r ->
@@ -1671,8 +1960,27 @@ let restart_epilogue t ~now ~anns =
         | Wire.Ann_logged a when a.from_ = t.pid -> Stdlib.max acc a.ending.Entry.inc
         | Wire.Ann_logged _ | Wire.Committed _ | Wire.Gc_stubs _ | Wire.Part_ckpt _
           -> acc)
-      t.current.inc anns
+      ck.ck_current.inc anns
   in
+  let max_inc =
+    List.fold_left
+      (fun acc -> function
+        | Delivery d -> Stdlib.max acc d.lg_interval.inc | Requeued _ -> acc)
+      max_inc log
+  in
+  t.epoch <- max_inc + 1;
+  (* GC never discards past the oldest retained checkpoint. *)
+  assert (ck.ck_log_pos >= base);
+  (ck, part_ck, anns, List.filteri (fun i _ -> base + i >= ck.ck_log_pos) log)
+
+(* Shared restart epilogue: announce the failure, persist the incarnation
+   bump, continue as a fresh interval and come back up.  [t.current] must
+   be the frontier of the (metadata or full) replay when this runs, and
+   [t.epoch] the incarnation the prologue chose. *)
+let restart_epilogue t ~now =
+  (* Everything reconstructed from the stable log is stable by definition. *)
+  trace t ~now (Stability_advanced { pid = t.pid; upto = t.current });
+  let max_inc = t.epoch - 1 in
   let fa =
     {
       Wire.from_ = t.pid;
@@ -1708,7 +2016,7 @@ let requeue_undelivered t ~now requeued =
   List.iter
     (fun (m : 'msg Wire.app_message) ->
       if
-        (not (Hashtbl.mem t.delivered m.id))
+        (not (seen t m))
         && (not (buffered_in_recv t m.id))
         && not (orphan_wire t m)
       then t.recv_buf <- t.recv_buf @ [ (now, m) ])
@@ -1722,7 +2030,7 @@ let do_restart t ~now =
      replayed intervals; anything older comes from the checkpoint copy. *)
   reinstate_archive t ck.ck_archive;
   requeue_undelivered t ~now requeued;
-  restart_epilogue t ~now ~anns;
+  restart_epilogue t ~now;
   trace t ~now
     (Recovery_completed { pid = t.pid; replayed = Obs.Counter.value t.meters.replayed - rep0 });
   recheck t ~now
@@ -1835,6 +2143,7 @@ let do_restart_begin t ~now =
         incr pos;
         walk markers rs
       | _, Delivery d :: rs ->
+        resync_lost_marker t ~pos:!pos d.lg_interval;
         let pred = t.current in
         ensure_deps t d.lg_msg.Wire.dep;
         (match (proto t).tracking with
@@ -1851,7 +2160,7 @@ let do_restart_begin t ~now =
           (if d.lg_msg.Wire.src >= 0 then
              [ (d.lg_msg.Wire.src, d.lg_msg.Wire.send_interval) ]
            else []));
-        Hashtbl.replace t.delivered d.lg_msg.Wire.id t.current;
+        note_delivered t d.lg_msg t.current;
         let item covered =
           {
             ri_msg = d.lg_msg;
@@ -1885,7 +2194,7 @@ let do_restart_begin t ~now =
     stages_rev := { rs_queues = !cur; rs_barrier = None } :: !stages_rev;
     reinstate_archive t ck.ck_archive;
     requeue_undelivered t ~now (List.rev !requeued);
-    restart_epilogue t ~now ~anns;
+    restart_epilogue t ~now;
     let pending = Array.fold_left ( + ) 0 part_pending + !barriers in
     if pending = 0 then begin
       trace t ~now (Recovery_completed { pid = t.pid; replayed = 0 });
@@ -2057,7 +2366,14 @@ let[@warning "-16"] create ~config ~pid ~app ?store_dir ?obs ~trace:tr =
       send_buf = [];
       out_buf = [];
       delivered = Hashtbl.create 64;
-      stubs = Hashtbl.create 16;
+      held = Hashtbl.create 16;
+      chans = Hashtbl.create 8;
+      floors = Hashtbl.create 8;
+      floor = 0;
+      ckpts = [];
+      folded_sii = 0;
+      epoch = 0;
+      chan_next = Hashtbl.create 8;
       direct_parents = Hashtbl.create 64;
       assemblies = Hashtbl.create 8;
       released_ids = Hashtbl.create 64;
@@ -2086,19 +2402,7 @@ let[@warning "-16"] create ~config ~pid ~app ?store_dir ?obs ~trace:tr =
      by open-time recovery; restart still needs a checkpoint to rebuild
      from, so re-seed the initial one — replay then reconstructs whatever
      the surviving log suffix allows. *)
-  if no_checkpoint then
-    (* "Each process execution can be considered as starting with an initial
-       checkpoint" (Corollary 3): interval (0,1) is stable from the start. *)
-    Store.save_checkpoint t.store
-      {
-        ck_current = t.current;
-        ck_tdv = [];
-        ck_state = state;
-        ck_log_pos = Store.log_base t.store;
-        ck_sends = [];
-        ck_outs = [];
-        ck_archive = [];
-      };
+  if no_checkpoint then Store.save_checkpoint t.store (initial_checkpoint t state);
   if fresh_store then begin
     t.log_tab.(pid) <- Entry_set.insert t.log_tab.(pid) t.current;
     Trace.add tr ~time:0.
@@ -2155,7 +2459,7 @@ let handle_packet t ~now packet =
               (Unicast
                  {
                    dst = from_;
-                   packet = Wire.Notice { from_ = t.pid; rows; anns = gossip_anns t };
+                   packet = Wire.Notice (notice_of t rows);
                  })
           | Wire.Dep_query { from_; intervals } ->
             let infos =
@@ -2193,7 +2497,7 @@ let handle_packet t ~now packet =
                 (Unicast
                    {
                      dst = from_;
-                     packet = Wire.Notice { from_ = t.pid; rows; anns = gossip_anns t };
+                     packet = Wire.Notice (notice_of t rows);
                    })
             end
           | Wire.Retire { from_; upto } ->
@@ -2210,7 +2514,7 @@ let handle_packet t ~now packet =
               recheck t ~now
             end))
 
-let inject t ~now ~seq payload =
+let inject t ~now ~seq ?(cseq = Wire.no_cseq) payload =
   with_cost t (fun () ->
       guard t (fun () ->
           let m =
@@ -2226,6 +2530,8 @@ let inject t ~now ~seq payload =
               send_interval = Entry.initial;
               dep = [];
               payload;
+              epoch = 0;
+              cseq;
             }
           in
           receive_app t ~now m))
@@ -2270,7 +2576,7 @@ let broadcast_notice t ~now =
           Obs.Counter.incr t.meters.notices;
           Obs.Counter.add t.meters.notice_entries entries;
           trace t ~now (Notice_sent { pid = t.pid; entries });
-          push t (Broadcast (Wire.Notice { from_ = t.pid; rows; anns = gossip_anns t }))))
+          push t (Broadcast (Wire.Notice (notice_of t rows)))))
 
 let retransmit_tick t ~now =
   ignore now;
@@ -2313,6 +2619,15 @@ let is_up t = t.up
 let storage_report t = Store.storage_report t.store
 
 let storage_words t = Obj.reachable_words (Obj.repr t.store)
+
+let dedup_words t =
+  Obj.reachable_words
+    (Obj.repr (t.delivered, t.held, t.chans, t.released_ids, t.committed_ids))
+
+let dedup_sizes t =
+  ( Hashtbl.length t.delivered,
+    Hashtbl.length t.held,
+    Hashtbl.fold (fun _ runs acc -> acc + Seq_set.run_count runs) t.chans 0 )
 
 let arm_storage_fsync_failure t = Store.arm_fsync_failure t.store
 
@@ -2380,7 +2695,7 @@ let current_notice t =
           (List.init t.n Fun.id)
       else [ (t.pid, Entry_set.entries t.log_tab.(t.pid)) ]
     in
-    Some { Wire.from_ = t.pid; rows; anns = gossip_anns t }
+    Some (notice_of t rows)
 
 let send_buffer_size t = List.length t.send_buf
 

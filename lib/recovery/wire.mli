@@ -40,7 +40,21 @@ type 'msg app_message = {
   dep : (int * Entry.t) list;
       (** non-NULL dependency entries frozen at release time *)
   payload : 'msg;
+  epoch : int;
+      (** dedup metadata: the incarnation the sender last restarted as (0
+          if it never crashed); the outside world always uses 0.  With
+          [origin] it names the message's channel. *)
+  cseq : int;
+      (** dedup metadata: the message's dense position among everything
+          released on its channel to [dst] — stamped at release, kept by
+          the retransmission archive, reused by client retries; [-1] when
+          unnumbered ({!no_cseq}).  The protocol needs no FIFO: numbers
+          only let a receiver fold committed deliveries into runs
+          (PROTOCOL.md, "Bounded duplicate suppression"). *)
 }
+
+val no_cseq : int
+(** [-1]: the [cseq] of a message released without a channel number. *)
 
 (** A rollback announcement (Figure 1's dotted [r] lines).
 
@@ -64,6 +78,18 @@ type notice = {
   from_ : int;
   rows : (int * Entry.t list) list;
   anns : announcement list;
+  floor : Entry.t;
+      (** [(e, x)]: the sender's epoch [e] (the incarnation it last
+          restarted as) and its replay floor [x], the least index named by
+          its anchor checkpoint, the newer checkpoints, and the sends,
+          outputs and unacked releases they saved; 0 before it knows one.
+          Every message it created at an incarnation of at least [e] with
+          an [origin_interval] index below [x] has been released under one
+          channel number only, and acked: its destination logged it.  This
+          life never releases it again.  A later one does only if storage
+          damage dropped the anchor checkpoint; the copy then carries a
+          newer epoch than its origin incarnation, and its destination
+          drops it by this floor. *)
 }
 
 val notice_entry_count : notice -> int
@@ -116,6 +142,21 @@ type output_id = { out_interval : Entry.t; out_idx : int }
 
 val pp_output_id : output_id Fmt.t
 
+(** Collected deliveries as duplicate suppression needs them.  Most fold
+    into runs of channel numbers; the rest keep their identity. *)
+type stubs = {
+  gs_runs : (int * int * (int * int) list) list;
+      (** [(origin, epoch, runs)]: the channel numbers of collected
+          deliveries, as maximal runs [(lo, hi)] *)
+  gs_exact : (identity * int * int) list;
+      (** [(id, epoch, cseq)]: collected deliveries not folded when
+          collected — a copy may still arrive under another channel number,
+          or they carry none *)
+  gs_floors : (int * Entry.t) list;
+      (** [(pid, floor)]: every floor (see {!notice}) the writer knew when
+          it collected, its own included *)
+}
+
 (** Records written synchronously to stable storage.  Figure 3 logs received
     announcements and its own announcement synchronously; we additionally
     persist incarnation bumps (so numbers are never reused after a crash
@@ -127,9 +168,10 @@ type sync_record =
       (** incarnation bump: after replaying [log_pos] stable records, the
           process continued as interval [entry] *)
   | Committed of output_id
-  | Gc_stubs of identity list
-      (** identities of deliveries whose log records were garbage-collected;
-          retained so duplicate suppression survives GC and crashes *)
+  | Gc_stubs of stubs
+      (** the deliveries whose log records this garbage collection
+          discarded, in compact form, so duplicate suppression survives GC
+          and crashes; restart takes the union of every record *)
   | Part_ckpt of { pc_part : int; pc_pos : int; pc_payload : string }
       (** incremental per-partition checkpoint: after the first [pc_pos]
           stable records, partition [pc_part]'s state slice (plus the

@@ -579,23 +579,43 @@ let test_daemon_retention_flat () =
           Alcotest.fail "trace kept entries after a sync"
       in
       let ops = ref 0 in
+      (* Op [i] is the client's [i]th injection: channel number [i - 1]. *)
+      let inject i =
+        let msg = if i mod 10 = 0 then Counter.Report else Counter.Add 1 in
+        ignore (Node.inject node ~now:(float_of_int i) ~seq:i ~cseq:(i - 1) msg);
+        sync ()
+      in
       (* Eager flush every 10 ops: batches of 10 events, as koptnode forms
          them under load.  Each batch ends with a Report, whose output
          commits at the next flush. *)
+      let after i =
+        let now = float_of_int i in
+        if i mod 10 = 0 then begin
+          ignore (Node.flush node ~now);
+          sync ()
+        end;
+        if i mod 500 = 0 then begin
+          ignore (Node.checkpoint node ~now);
+          sync ()
+        end
+      in
+      (* Network faults on the client's side: every seventh op arrives
+         after its successor, and every fifth is delivered twice. *)
       let drive_to total =
         while !ops < total do
           incr ops;
-          let now = float_of_int !ops in
-          let msg = if !ops mod 10 = 0 then Counter.Report else Counter.Add 1 in
-          ignore (Node.inject node ~now ~seq:!ops msg);
-          sync ();
-          if !ops mod 10 = 0 then begin
-            ignore (Node.flush node ~now);
-            sync ()
-          end;
-          if !ops mod 500 = 0 then begin
-            ignore (Node.checkpoint node ~now);
-            sync ()
+          let i = !ops in
+          if i mod 7 = 0 && i < total then begin
+            incr ops;
+            inject (i + 1);
+            inject i;
+            after i;
+            after (i + 1)
+          end
+          else begin
+            inject i;
+            if i mod 5 = 0 then inject i;
+            after i
           end
         done
       in
@@ -610,10 +630,12 @@ let test_daemon_retention_flat () =
       drive_to 1_000;
       check_trace_file ();
       let words_1k = Node.storage_words node in
+      let dedup_1k = Node.dedup_words node in
       let records_1k = Node.stable_log_length node in
       drive_to 10_000;
       check_trace_file ();
       let words_10k = Node.storage_words node in
+      let dedup_10k = Node.dedup_words node in
       let records_10k = Node.stable_log_length node in
       Alcotest.(check int) "every op logged" 9_000 (records_10k - records_1k);
       Alcotest.(check bool) "outputs committed" true
@@ -624,6 +646,12 @@ let test_daemon_retention_flat () =
       if per_record >= 1. then
         Alcotest.failf "store grew %.1f words per flushed record (%d -> %d words)"
           per_record words_1k words_10k;
+      Alcotest.(check bool) "duplicates dropped" true
+        (Util.metric node "duplicates_dropped" >= 1_000);
+      let dedup_per_op = float_of_int (dedup_10k - dedup_1k) /. 9_000. in
+      if dedup_per_op >= 1. then
+        Alcotest.failf "duplicate suppression grew %.1f words per op (%d -> %d words)"
+          dedup_per_op dedup_1k dedup_10k;
       Net.Trace_codec.close_writer writer)
 
 let suite =

@@ -168,9 +168,11 @@ let test_wire_helpers () =
                 send_interval = e ~inc:0 ~sii:1;
                 dep = [];
                 payload = ();
+                epoch = 0;
+                cseq = 0;
               };
             Wire.Ann { Wire.from_ = 0; ending = e ~inc:0 ~sii:1; failure = true };
-            Wire.Notice { Wire.from_ = 0; rows = []; anns = [] };
+            Wire.Notice { Wire.from_ = 0; rows = []; anns = []; floor = e ~inc:0 ~sii:0 };
             Wire.Ack { Wire.from_ = 0; to_ = 1; ids = [] };
             Wire.Flush_request { from_ = 0 };
             Wire.Dep_query { from_ = 0; intervals = [] };
@@ -181,6 +183,7 @@ let test_wire_helpers () =
       Wire.from_ = 0;
       rows = [ (1, [ e ~inc:0 ~sii:1 ]); (2, [ e ~inc:0 ~sii:1; e ~inc:1 ~sii:2 ]) ];
       anns = [];
+      floor = e ~inc:0 ~sii:0;
     }
   in
   Alcotest.(check int) "notice entries" 3 (Wire.notice_entry_count notice);

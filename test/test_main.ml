@@ -6,6 +6,7 @@ let () =
       ("summary", Test_summary.suite);
       ("entry", Test_entry.suite);
       ("entry-set", Test_entry_set.suite);
+      ("seq-set", Test_seq_set.suite);
       ("dep-vector", Test_dep_vector.suite);
       ("storage", Test_storage.suite);
       ("durable", Test_durable.suite);

@@ -34,9 +34,11 @@ let gen_dep = list_size (int_bound 6) (pair gen_pid gen_entry)
 
 let gen_app_message =
   map
-    (fun (id, (src, dst), send_interval, dep, payload) ->
-      { Wire.id; src; dst; send_interval; dep; payload })
-    (tup5 gen_identity (pair gen_pid gen_pid) gen_entry gen_dep gen_payload)
+    (fun ((id, (src, dst), send_interval, dep, payload), (epoch, cseq)) ->
+      { Wire.id; src; dst; send_interval; dep; payload; epoch; cseq })
+    (pair
+       (tup5 gen_identity (pair gen_pid gen_pid) gen_entry gen_dep gen_payload)
+       (pair small_nat (int_range (-1) 1000)))
 
 let gen_announcement =
   map3
@@ -44,11 +46,12 @@ let gen_announcement =
     gen_pid gen_entry bool
 
 let gen_notice =
-  map3
-    (fun from_ rows anns -> { Wire.from_; rows; anns })
+  map4
+    (fun from_ rows anns floor -> { Wire.from_; rows; anns; floor })
     gen_pid
     (list_size (int_bound 4) (pair gen_pid (list_size (int_bound 3) gen_entry)))
     (list_size (int_bound 3) gen_announcement)
+    gen_entry
 
 let gen_ack =
   map3
@@ -112,9 +115,9 @@ let gen_control =
     [
       (1, map (fun pid -> Wire_codec.Hello { pid }) gen_pid);
       ( 3,
-        map2
-          (fun seq payload -> Wire_codec.Inject { seq; payload })
-          small_nat gen_payload );
+        map3
+          (fun seq cseq payload -> Wire_codec.Inject { seq; cseq; payload })
+          small_nat small_nat gen_payload );
       (1, map (fun t -> Wire_codec.Tick t) gen_tick);
       (1, return Wire_codec.Crash);
       (1, return Wire_codec.Status_req);

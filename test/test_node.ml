@@ -731,6 +731,215 @@ let test_scrape_bounded () =
       if lines > budget then Alcotest.failf "%d exposition lines over a budget of %d" lines budget)
     [ small; large ]
 
+(* ------------------------------------------------------------------ *)
+(* Bounded duplicate suppression                                       *)
+
+let dedup_sizes = Alcotest.(triple int int int)
+
+(* The sender's notice, as its next broadcast would carry it. *)
+let notice_from s r =
+  match Node.current_notice s.D.node with
+  | Some n -> D.packet r (Wire.Notice n)
+  | None -> Alcotest.fail "sender is down"
+
+(* Hand the receiver's acks to the sender, so its archive empties. *)
+let acks_back r s =
+  List.iter
+    (function
+      | Node.Unicast { dst; packet = Wire.Ack _ as packet } when dst = Node.pid s.D.node ->
+        D.packet s packet
+      | Node.Unicast _ | Node.Broadcast _ -> ())
+    (D.actions r)
+
+let only_release d =
+  match D.released d with
+  | [ m ] -> m
+  | l -> Alcotest.failf "expected one release, got %d" (List.length l)
+
+(* A crashed sender re-releases what its replay regenerates under a fresh
+   channel number.  The receiver committed the original before the crash,
+   so it no longer sits among the open deliveries — yet both copies must
+   still be dropped, before and after the sender's new floor covers the
+   origin interval. *)
+let test_rerelease_after_commit_dropped () =
+  let cfg = config ~k:2 ~n:2 () in
+  let s = D.make ~pid:0 cfg counter and r = D.make ~pid:1 cfg counter in
+  D.inject s ~seq:1 (App_model.Counter_app.Forward { dst = 1; amount = 5 });
+  D.flush s (* the sending interval is stable: replay will regenerate the send *);
+  let original = only_release s in
+  D.packet r (Wire.App original);
+  notice_from s r;
+  D.flush r (* the receiver's vector is all stable: the delivery commits *);
+  Alcotest.check dedup_sizes "committed, held by identity" (0, 1, 0)
+    (Node.dedup_sizes r.node);
+  D.crash s;
+  D.clear s;
+  D.restart s;
+  let again = only_release s in
+  Alcotest.(check bool) "same identity" true (again.Wire.id = original.Wire.id);
+  Alcotest.(check bool) "fresh channel number" true
+    (again.Wire.epoch > original.Wire.epoch);
+  D.packet r (Wire.App again);
+  Alcotest.(check int) "re-release dropped" 1 (metric r.node "duplicates_dropped");
+  (* The sender's first checkpoint after the restart advertises a floor
+     above the origin interval; copies of either numbering may still be in
+     flight. *)
+  D.inject s ~seq:2 (App_model.Counter_app.Add 1);
+  D.checkpoint s;
+  notice_from s r;
+  D.checkpoint r;
+  D.packet r (Wire.App again);
+  D.packet r (Wire.App original);
+  Alcotest.(check int) "both numberings still dropped" 3
+    (metric r.node "duplicates_dropped");
+  Alcotest.(check int) "delivered once" 1 (metric r.node "deliveries");
+  let st : App_model.Counter_app.state = Node.app_state r.node in
+  Alcotest.(check int) "applied once" 5 st.total
+
+(* Storage damage drops the sender's anchor checkpoint, the one that set
+   the floor the receiver folded by.  The sender's restart replays from
+   the checkpoint before it and re-releases the send under a fresh epoch;
+   the receiver no longer knows the original by identity or by this
+   channel, and must still drop the copy by the floor. *)
+let test_anchor_loss_rerelease_dropped () =
+  let dir = Durable.Temp.fresh_dir ~prefix:"test-anchor-loss" () in
+  Fun.protect
+    ~finally:(fun () -> Durable.Temp.rm_rf dir)
+    (fun () ->
+      let cfg = config ~k:2 ~n:2 () in
+      let s = D.make ~pid:0 ~store_dir:dir cfg counter and r = D.make ~pid:1 cfg counter in
+      D.inject s ~seq:1 (App_model.Counter_app.Forward { dst = 1; amount = 5 });
+      D.flush s;
+      let original = only_release s in
+      D.packet r (Wire.App original);
+      D.flush r;
+      acks_back r s;
+      (* The anchor: a checkpoint in a later, stable interval, with nothing
+         pending or unacked, so the floor passes the send's interval. *)
+      D.inject s ~seq:2 (App_model.Counter_app.Add 1);
+      D.flush s;
+      D.checkpoint s;
+      notice_from s r;
+      D.checkpoint r;
+      Alcotest.check dedup_sizes "original folded" (0, 0, 1) (Node.dedup_sizes r.node);
+      Node.halt s.node ~now:100.;
+      let anchor = Filename.concat dir "ckpt-000000000001.dat" in
+      Alcotest.(check bool) "anchor checkpoint on disk" true (Sys.file_exists anchor);
+      Sys.remove anchor;
+      let s' = D.make ~pid:0 ~store_dir:dir cfg counter in
+      D.restart s';
+      let again = only_release s' in
+      Alcotest.(check bool) "the send regenerated" true (again.Wire.id = original.Wire.id);
+      Alcotest.(check bool) "under a fresh epoch" true
+        (again.Wire.epoch > original.Wire.epoch);
+      D.packet r (Wire.App again);
+      Alcotest.(check int) "re-release dropped" 1 (metric r.node "duplicates_dropped");
+      Alcotest.(check int) "delivered once" 1 (metric r.node "deliveries");
+      let st : App_model.Counter_app.state = Node.app_state r.node in
+      Alcotest.(check int) "applied once" 5 st.total)
+
+(* The floor stops below a release its destination has not acked: here
+   the original was lost on the way, so the copy the sender re-releases
+   after losing its anchor checkpoint is the only one, and must be
+   delivered. *)
+let test_unacked_release_bounds_floor () =
+  let dir = Durable.Temp.fresh_dir ~prefix:"test-unacked-floor" () in
+  Fun.protect
+    ~finally:(fun () -> Durable.Temp.rm_rf dir)
+    (fun () ->
+      let cfg = config ~k:2 ~n:2 () in
+      let s = D.make ~pid:0 ~store_dir:dir cfg counter and r = D.make ~pid:1 cfg counter in
+      D.inject s ~seq:1 (App_model.Counter_app.Forward { dst = 1; amount = 5 });
+      D.flush s;
+      ignore (only_release s : App_model.Counter_app.msg Wire.app_message);
+      D.inject s ~seq:2 (App_model.Counter_app.Add 1);
+      D.flush s;
+      D.checkpoint s;
+      notice_from s r;
+      Node.halt s.node ~now:100.;
+      Sys.remove (Filename.concat dir "ckpt-000000000001.dat");
+      let s' = D.make ~pid:0 ~store_dir:dir cfg counter in
+      D.restart s';
+      D.packet r (Wire.App (only_release s'));
+      Alcotest.(check int) "delivered" 1 (metric r.node "deliveries");
+      let st : App_model.Counter_app.state = Node.app_state r.node in
+      Alcotest.(check int) "applied" 5 st.total)
+
+(* The floors a receiver heard outlive its own log GC and restart: the
+   collected delivery survives only as a channel run in Gc_stubs, and a
+   copy re-released under a later sender epoch is dropped by the floor
+   persisted beside it. *)
+let test_floors_survive_gc_restart () =
+  let cfg =
+    let base = config ~k:2 ~n:2 () in
+    { base with Config.protocol = { base.Config.protocol with gc_logs = true } }
+  in
+  let s = D.make ~pid:0 cfg counter and r = D.make ~pid:1 cfg counter in
+  D.inject s ~seq:1 (App_model.Counter_app.Forward { dst = 1; amount = 5 });
+  D.flush s;
+  let original = only_release s in
+  D.packet r (Wire.App original);
+  D.flush r;
+  acks_back r s;
+  D.inject s ~seq:2 (App_model.Counter_app.Add 1);
+  D.flush s;
+  D.checkpoint s;
+  notice_from s r;
+  D.checkpoint r;
+  Alcotest.check dedup_sizes "original folded" (0, 0, 1) (Node.dedup_sizes r.node);
+  Alcotest.(check bool) "delivery collected" true
+    (Node.live_log_records r.node < Node.stable_log_length r.node);
+  D.crash r;
+  D.restart r;
+  D.packet r (Wire.App { original with Wire.epoch = 1; cseq = 0 });
+  D.packet r (Wire.App original);
+  Alcotest.(check int) "both copies dropped" 2 (metric r.node "duplicates_dropped");
+  let st : App_model.Counter_app.state = Node.app_state r.node in
+  Alcotest.(check int) "applied once" 5 st.total
+
+(* A delivery in a stable interval is not committed while it depends on
+   another process's non-stable interval: that process's crash rolls it
+   back, so it must stay among the open deliveries and vanish with the
+   rollback, never fold. *)
+let test_stable_orphan_not_folded () =
+  let d = D.make (config ()) counter in
+  let m =
+    D.app_msg ~cseq:0 ~src:1 ~dst:0 ~send_interval:(e ~inc:0 ~sii:5)
+      ~dep:[ (1, e ~inc:0 ~sii:5) ]
+      (App_model.Counter_app.Add 100)
+  in
+  D.packet d (Wire.App m);
+  (* P1's floor covers the send, so only commitment stands in the way. *)
+  D.packet d
+    (Wire.Notice { Wire.from_ = 1; rows = []; anns = []; floor = e ~inc:0 ~sii:50 });
+  D.flush d;
+  D.checkpoint d;
+  Alcotest.check dedup_sizes "stable but open" (1, 0, 0) (Node.dedup_sizes d.node);
+  D.packet d (Wire.Ann (D.ann ~from_:1 ~ending:(e ~inc:0 ~sii:4) ()));
+  Alcotest.(check int) "rolled back" 1 (metric d.node "induced_rollbacks");
+  Alcotest.check dedup_sizes "gone with the rollback" (0, 0, 0) (Node.dedup_sizes d.node);
+  let orphans = metric d.node "orphans_discarded" in
+  D.packet d (Wire.App m);
+  Alcotest.(check int) "a late copy is an orphan" (orphans + 1)
+    (metric d.node "orphans_discarded");
+  Alcotest.(check int) "not a duplicate" 0 (metric d.node "duplicates_dropped")
+
+(* Committed injections fold into one run per channel; an injection that
+   never arrived costs one gap, however many follow it. *)
+let test_lost_injection_one_gap () =
+  let d = D.make (config ()) counter in
+  for cseq = 0 to 99 do
+    if cseq <> 3 then D.inject d ~cseq ~seq:(cseq + 1) (App_model.Counter_app.Add 1)
+  done;
+  D.flush d;
+  Alcotest.check dedup_sizes "two runs" (0, 0, 2) (Node.dedup_sizes d.node);
+  D.inject d ~cseq:50 ~seq:51 (App_model.Counter_app.Add 1);
+  Alcotest.(check int) "retry dropped" 1 (metric d.node "duplicates_dropped");
+  D.inject d ~cseq:3 ~seq:4 (App_model.Counter_app.Add 1);
+  D.flush d;
+  Alcotest.check dedup_sizes "late arrival closes the gap" (0, 0, 1) (Node.dedup_sizes d.node);
+  Alcotest.(check int) "every injection delivered once" 100 (metric d.node "deliveries")
+
 let suite =
   [
     Alcotest.test_case "Initialize (Corollary 3)" `Quick test_initial_state;
@@ -797,4 +1006,13 @@ let suite =
     Alcotest.test_case "cost accounting" `Quick test_cost_accounting;
     Alcotest.test_case "S&Y wire size is N" `Quick test_sy_wire_size_is_n;
     Alcotest.test_case "notice gossip" `Quick test_notice_gossip;
+    Alcotest.test_case "re-release after commit dropped" `Quick
+      test_rerelease_after_commit_dropped;
+    Alcotest.test_case "re-release after anchor loss dropped" `Quick
+      test_anchor_loss_rerelease_dropped;
+    Alcotest.test_case "unacked release bounds the floor" `Quick
+      test_unacked_release_bounds_floor;
+    Alcotest.test_case "floors survive GC and restart" `Quick test_floors_survive_gc_restart;
+    Alcotest.test_case "stable orphan not folded" `Quick test_stable_orphan_not_folded;
+    Alcotest.test_case "lost injection costs one gap" `Quick test_lost_injection_one_gap;
   ]

@@ -68,7 +68,7 @@ module Driver = struct
 
   let packet t p = absorb t (Node.handle_packet t.node ~now:(tick t) p)
 
-  let inject t ~seq msg = absorb t (Node.inject t.node ~now:(tick t) ~seq msg)
+  let inject ?cseq t ~seq msg = absorb t (Node.inject t.node ~now:(tick t) ~seq ?cseq msg)
 
   let flush t = absorb t (Node.flush t.node ~now:(tick t))
 
@@ -102,7 +102,7 @@ module Driver = struct
       (actions t)
 
   (* Build an incoming application message by hand. *)
-  let app_msg ?(idx = 0) ~src ~dst ~send_interval ~dep payload =
+  let app_msg ?(idx = 0) ?(cseq = Wire.no_cseq) ~src ~dst ~send_interval ~dep payload =
     {
       Wire.id = { Wire.origin = src; origin_interval = send_interval; idx };
       src;
@@ -110,11 +110,14 @@ module Driver = struct
       send_interval;
       dep;
       payload;
+      epoch = 0;
+      cseq;
     }
 
   let ann ~from_ ~ending ?(failure = true) () = { Wire.from_; ending; failure }
 
-  let notice_packet ~from_ ~rows = Wire.Notice { Wire.from_; rows; anns = [] }
+  let notice_packet ~from_ ~rows =
+    Wire.Notice { Wire.from_; rows; anns = []; floor = Depend.Entry.make ~inc:0 ~sii:0 }
 end
 
 let counter_config ?(k = 2) ?(n = 4) () =
