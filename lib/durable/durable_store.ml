@@ -55,6 +55,7 @@ let pp_open_report ppf r =
     (if r.sync_area_missing then ", MISSING" else "")
 
 type ('ckpt, 'log, 'ann) t = {
+  fs : Fs.t;
   root : string;
   log : Segment_log.t;
   mutable stable_len : int; (* the records themselves live only in [log] *)
@@ -65,7 +66,7 @@ type ('ckpt, 'log, 'ann) t = {
   mutable inc : int;
   sync_writes : Obs.Counter.t;
   flushes : Obs.Counter.t;
-  mutable sync_fd : Unix.file_descr; (* sync.dat, appended under the lock *)
+  mutable sync_file : Fs.file; (* sync.dat, appended under the lock *)
   mutable disk_full : int; (* flush rounds still refused (ENOSPC brownout) *)
   mutable slow_fsync : (float * int) option; (* extra seconds, rounds left *)
   mutable round_slow : float; (* slow-down of the round in flight *)
@@ -88,16 +89,10 @@ let parse_ckpt name =
   then int_of_string_opt (String.sub name 5 12)
   else None
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* A checkpoint file's (stable length at save, snapshot); [None] if it is
    unreadable, torn or corrupt. *)
-let decode_checkpoint path =
-  match Codec.decode (read_file path) ~pos:0 with
+let decode_checkpoint (fs : Fs.t) path =
+  match Codec.decode (fs.read path) ~pos:0 with
   | Codec.Record { kind; payload; _ } when kind = k_ckpt -> of_bin_opt payload
   | _ -> None
   | exception _ -> None
@@ -106,26 +101,30 @@ let decode_checkpoint path =
    (announcements, incarnation) are fsynced and counted by the callers in
    [sync_writes]; store-internal metadata (length witness, base) is not
    counted — the paper's cost model has no such operation, it piggybacks
-   here on writes the simulated store performs for free.  With
+   here on the writes that model charges for.  With
    [~fsync:false] the record is only buffered (a [write], no fsync): the
    bytes survive a process kill in the kernel regardless, and become
    power-loss durable with the next fsynced record on this descriptor.
    The flush path's length witness uses this — see [flush]. *)
 let sync_put ?(fsync = true) t ~kind payload =
-  let frame = Codec.encode ~kind payload in
-  let len = String.length frame in
-  let rec loop pos =
-    if pos < len then
-      loop (pos + Unix.write_substring t.sync_fd frame pos (len - pos))
-  in
-  loop 0;
-  if fsync then Unix.fsync t.sync_fd
+  t.sync_file.write (Codec.encode ~kind payload);
+  if fsync then t.sync_file.fsync ()
 
-let open_ ~dir ?segment_bytes ?obs () =
+(* A group, as in {!Group_commit}: opening a store allocates its cells
+   without indexing the registry. *)
+let meters =
+  Obs.Group.make (fun cells ->
+      let c = Obs.Group.counter cells in
+      ( c "storage_degraded_flushes_total",
+        c "storage_slowed_fsyncs_total",
+        c "storage_sync_writes_total",
+        c "storage_flushes_total" ))
+
+let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
-  Temp.mkdir_p dir;
+  fs.mkdir_p dir;
   let pre_existing =
-    Sys.readdir dir |> Array.to_list
+    fs.readdir dir
     |> List.filter (fun name ->
            name = "sync.dat"
            || Filename.check_suffix name ".dat"
@@ -134,20 +133,18 @@ let open_ ~dir ?segment_bytes ?obs () =
   in
   let fresh = pre_existing = [] in
   let sync_file = sync_path dir in
-  let sync_missing = (not fresh) && not (Sys.file_exists sync_file) in
+  let sync_missing = (not fresh) && not (fs.exists sync_file) in
   (* Synchronous area first: it holds the metadata (base, length witness)
      that interprets the rest. *)
   let sync_records = ref [] (* oldest first after rev *) in
   let sync_bytes_dropped = ref 0 in
-  (if Sys.file_exists sync_file then begin
-     let contents = read_file sync_file in
+  (if fs.exists sync_file then begin
+     let contents = fs.read sync_file in
      let scanned = Codec.scan contents in
      sync_records := scanned.records;
      if scanned.valid_bytes < String.length contents then begin
        sync_bytes_dropped := String.length contents - scanned.valid_bytes;
-       let fd = Unix.openfile sync_file [ Unix.O_WRONLY ] 0o644 in
-       Unix.ftruncate fd scanned.valid_bytes;
-       Unix.close fd
+       fs.truncate sync_file scanned.valid_bytes
      end
    end);
   let inc = ref 0 in
@@ -176,7 +173,7 @@ let open_ ~dir ?segment_bytes ?obs () =
      log promises, so recovery truncates there — the suffix is counted as
      dropped bytes, exactly like a torn tail.  The decoded records are not
      kept: reads go back to the segments ([stable_log_from]). *)
-  let log, recovered = Segment_log.open_ ~dir ?segment_bytes () in
+  let log, recovered = Segment_log.open_ ~fs ~dir ?segment_bytes () in
   let log_undecodable_bytes = ref 0 in
   let recovered_log =
     let rec decode_prefix idx = function
@@ -206,8 +203,7 @@ let open_ ~dir ?segment_bytes ?obs () =
      saved stable length exceeds the recovered log (its replay suffix is
      gone, an older checkpoint still covers the surviving prefix). *)
   let ckpt_seqs =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter_map parse_ckpt
+    List.filter_map parse_ckpt pre_existing
     |> List.sort compare
   in
   let ckpts = ref [] (* newest first *) in
@@ -215,11 +211,11 @@ let open_ ~dir ?segment_bytes ?obs () =
   List.iter
     (fun seq ->
       let path = ckpt_path dir seq in
-      match (decode_checkpoint path : (int * _) option) with
+      match (decode_checkpoint fs path : (int * _) option) with
       | Some (log_pos, _) when log_pos <= stable_len -> ckpts := seq :: !ckpts
       | Some _ | None ->
         incr ckpts_dropped;
-        Unix.unlink path)
+        fs.unlink path)
     ckpt_seqs;
   let report =
     {
@@ -236,11 +232,12 @@ let open_ ~dir ?segment_bytes ?obs () =
       sync_area_missing = sync_missing;
     }
   in
-  let sync_fd =
-    Unix.openfile sync_file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
+  let degraded_flushes, slowed_fsyncs, sync_writes, flushes =
+    Obs.Registry.group obs meters
   in
   let t =
     {
+      fs;
       root = dir;
       log;
       stable_len;
@@ -252,11 +249,11 @@ let open_ ~dir ?segment_bytes ?obs () =
       disk_full = 0;
       slow_fsync = None;
       round_slow = 0.;
-      degraded_flushes = Obs.Registry.counter obs "storage_degraded_flushes_total";
-      slowed_fsyncs = Obs.Registry.counter obs "storage_slowed_fsyncs_total";
-      sync_writes = Obs.Registry.counter obs "storage_sync_writes_total";
-      flushes = Obs.Registry.counter obs "storage_flushes_total";
-      sync_fd;
+      degraded_flushes;
+      slowed_fsyncs;
+      sync_writes;
+      flushes;
+      sync_file = fs.open_append sync_file;
       alive = true;
       gc = Group_commit.create ~obs ();
       report;
@@ -268,7 +265,7 @@ let report t = t.report
 
 let dir t = t.root
 
-(* --- the Stable_store contract ------------------------------------- *)
+(* --- the stable-storage contract --------------------------------------- *)
 
 (* Thread safety: every public operation runs under the group-commit
    coordinator's lock.  Plain reads and appends take it directly
@@ -373,7 +370,7 @@ let volatile_peek t = with_lock t (fun () -> Queue.peek_opt t.volatile)
 let log_from t ~pos =
   guard t;
   if pos < t.base || pos > t.stable_len then
-    invalid_arg "Stable_store.stable_log_from: position out of range";
+    invalid_arg "Durable_store.stable_log_from: position out of range";
   Segment_log.read_from t.log ~pos ~decode:of_bin_opt
 
 let stable_log_from t ~pos = with_lock t (fun () -> log_from t ~pos)
@@ -382,7 +379,7 @@ let truncate_stable_log t ~keep =
   exclusive t (fun () ->
       guard t;
       if keep < t.base || keep > t.stable_len then
-        invalid_arg "Stable_store.truncate_stable_log: keep out of range";
+        invalid_arg "Durable_store.truncate_stable_log: keep out of range";
       let removed = log_from t ~pos:keep in
       t.stable_len <- keep;
       Segment_log.truncate_after t.log ~keep;
@@ -394,7 +391,7 @@ let discard_log_prefix t ~before =
   exclusive t @@ fun () ->
   guard t;
   if before > t.stable_len then
-    invalid_arg "Stable_store.discard_log_prefix: position out of range";
+    invalid_arg "Durable_store.discard_log_prefix: position out of range";
   if before <= t.base then 0
   else begin
     let discarded = before - t.base in
@@ -416,21 +413,8 @@ let save_checkpoint t c =
       guard t;
       let seq = t.ckpt_seq in
       t.ckpt_seq <- seq + 1;
-      let path = ckpt_path t.root seq in
-      let fd =
-        Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-      in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          let frame = Codec.encode ~kind:k_ckpt (to_bin (t.stable_len, c)) in
-          let len = String.length frame in
-          let rec loop pos =
-            if pos < len then
-              loop (pos + Unix.write_substring fd frame pos (len - pos))
-          in
-          loop 0;
-          Unix.fsync fd);
+      Fs.write_file t.fs (ckpt_path t.root seq)
+        (Codec.encode ~kind:k_ckpt (to_bin (t.stable_len, c)));
       t.ckpts <- seq :: t.ckpts;
       Obs.Counter.incr t.sync_writes)
 
@@ -440,7 +424,7 @@ let save_checkpoint t c =
 let read_checkpoint t seq =
   guard t;
   let path = ckpt_path t.root seq in
-  match decode_checkpoint path with
+  match decode_checkpoint t.fs path with
   | Some (_, c) -> c
   | None -> failwith ("Durable_store: checkpoint no longer decodes: " ^ path)
 
@@ -451,7 +435,7 @@ let latest_checkpoint t =
 let checkpoints t = with_lock t (fun () -> List.map (read_checkpoint t) t.ckpts)
 
 let unlink_ckpts t dropped =
-  List.iter (fun seq -> Unix.unlink (ckpt_path t.root seq)) dropped
+  List.iter (fun seq -> t.fs.unlink (ckpt_path t.root seq)) dropped
 
 let restore_checkpoint t ~satisfying =
   exclusive t @@ fun () ->
@@ -474,7 +458,7 @@ let prune_checkpoints t ~keep_latest =
   exclusive t @@ fun () ->
   guard t;
   if keep_latest < 1 then
-    invalid_arg "Stable_store.prune_checkpoints: must keep at least one";
+    invalid_arg "Durable_store.prune_checkpoints: must keep at least one";
   let rec split i acc = function
     | [] -> (List.rev acc, [])
     | rest when i = 0 -> (List.rev acc, rest)
@@ -500,7 +484,7 @@ let log_announcement t a =
 let read_announcements t =
   guard t;
   let path = sync_path t.root in
-  let scanned = Codec.scan (read_file path) in
+  let scanned = Codec.scan (t.fs.read path) in
   if scanned.tail <> Codec.Clean then
     failwith
       (Printf.sprintf "Durable_store: %s: damaged at byte %d" path
@@ -522,32 +506,17 @@ let compact_sync t ~keep =
   let kept = List.filter keep anns in
   let dropped = List.length anns - List.length kept in
   if dropped > 0 then begin
-    let tmp = sync_path t.root ^ ".tmp" in
-    let fd =
-      Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-    in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        let b = Buffer.create 4096 in
-        Buffer.add_string b (Codec.encode ~kind:k_base (to_bin t.base));
-        Buffer.add_string b (Codec.encode ~kind:k_len (to_bin t.stable_len));
-        Buffer.add_string b (Codec.encode ~kind:k_inc (to_bin t.inc));
-        List.iter
-          (fun a -> Buffer.add_string b (Codec.encode ~kind:k_ann (to_bin a)))
-          kept;
-        let frame = Buffer.contents b in
-        let len = String.length frame in
-        let rec loop pos =
-          if pos < len then
-            loop (pos + Unix.write_substring fd frame pos (len - pos))
-        in
-        loop 0;
-        Unix.fsync fd);
-    Unix.rename tmp (sync_path t.root);
-    Unix.close t.sync_fd;
-    t.sync_fd <-
-      Unix.openfile (sync_path t.root) [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644;
+    let path = sync_path t.root in
+    let tmp = path ^ ".tmp" in
+    let b = Buffer.create 4096 in
+    Codec.encode_into b ~kind:k_base (to_bin t.base);
+    Codec.encode_into b ~kind:k_len (to_bin t.stable_len);
+    Codec.encode_into b ~kind:k_inc (to_bin t.inc);
+    List.iter (fun a -> Codec.encode_into b ~kind:k_ann (to_bin a)) kept;
+    Fs.write_file t.fs tmp (Buffer.contents b);
+    t.fs.rename tmp path;
+    t.sync_file.close ();
+    t.sync_file <- t.fs.open_append path;
     Obs.Counter.incr t.sync_writes
   end;
   dropped
@@ -579,7 +548,7 @@ let kill t =
       if t.alive then begin
         Queue.clear t.volatile;
         Segment_log.kill t.log;
-        Unix.close t.sync_fd;
+        t.sync_file.close ();
         t.alive <- false
       end)
 

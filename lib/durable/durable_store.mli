@@ -1,7 +1,23 @@
-(** File-backed stable storage.
+(** Per-process stable storage: the one store every node runs.
 
-    Implements the same contract as the in-memory [Storage.Stable_store]
-    (same operations, same counters, same error strings) on real files:
+    Models exactly the storage properties the recovery protocol relies
+    on: a message log split into a stable prefix and a volatile suffix
+    (the paper's optimistic logging "first saves messages in a volatile
+    buffer and later writes several messages to stable storage in a
+    single operation", [flush]); checkpoints, each of which also flushes
+    the volatile buffer "so that stable state intervals are always
+    continuous" (Section 2); and a small synchronous area for failure
+    announcements and the incarnation counter, which must survive a crash
+    so that a process never reuses an incarnation number.  {!crash}
+    discards the volatile suffix and nothing else; {!kill} is a process
+    death.  The store is generic in the checkpoint, log-record and
+    announcement types, and counts synchronous writes and flushes, which
+    the simulator converts into time through its cost model.
+
+    Every file call goes through an {!Fs.t}: daemons open their store on
+    real files ({!Fs.unix}); the simulator, the chaos campaigns and the
+    model checker open it on an in-memory tree ({!Fs.mem}).  The layout is
+    the same on both:
 
     - the {b message log} is a {!Segment_log} of Marshal-encoded records,
       made durable in batches by [flush].  A flush has exactly {e one}
@@ -70,16 +86,18 @@ val damaged : open_report -> bool
 val pp_open_report : Format.formatter -> open_report -> unit
 
 val open_ :
+  fs:Fs.t ->
   dir:string ->
   ?segment_bytes:int ->
   ?obs:Obs.Registry.t ->
   unit ->
   ('ckpt, 'log, 'ann) t * open_report
-(** Open the store rooted at [dir], creating it if needed, running
-    open-time recovery otherwise.  Serialization uses [Marshal] (with
+(** Open the store rooted at [dir] of [fs], creating it if needed, running
+    open-time recovery otherwise.  [segment_bytes] sizes the log's
+    segments ({!Segment_log.open_}).  Serialization uses [Marshal] (with
     closures permitted), so a store must be reopened by the same binary
     that wrote it — true of every use here (restart within a run, or the
-    respawn of a killed actor).
+    respawn of a killed process).
 
     [obs] receives the store's metric families —
     [storage_flushes_total], [storage_sync_writes_total],
@@ -93,11 +111,17 @@ val open_ :
 
 val report : ('ckpt, 'log, 'ann) t -> open_report
 
-(** {1 The [Storage.Stable_store] contract} *)
+(** {1 Message log} *)
 
 val append_volatile : ('ckpt, 'log, 'ann) t -> 'log -> unit
+(** Record a delivered message in the volatile buffer. *)
 
 val flush : ('ckpt, 'log, 'ann) t -> int
+(** Write the whole volatile buffer to stable storage in one operation;
+    returns the number of records made stable.  Counted as one flush (and
+    as a synchronous write) only when records were written.  An armed
+    disk-full window ({!arm_disk_full}) makes it refuse instead (return 0
+    with the buffer intact). *)
 
 val flush_forced : ('ckpt, 'log, 'ann) t -> int
 (** Like {!flush}, but an armed disk-full window ({!arm_disk_full}) never
@@ -111,6 +135,8 @@ val stable_log_length : ('ckpt, 'log, 'ann) t -> int
 val volatile_length : ('ckpt, 'log, 'ann) t -> int
 
 val volatile_peek : ('ckpt, 'log, 'ann) t -> 'log option
+(** Oldest record still in the volatile buffer — the first record a crash
+    would lose. *)
 
 val stable_log_from : ('ckpt, 'log, 'ann) t -> pos:int -> 'log list
 (** The stable records from [pos] on, oldest first, read back from the
@@ -126,15 +152,33 @@ val stable_log_from : ('ckpt, 'log, 'ann) t -> pos:int -> 'log list
     {!stable_log_length}. *)
 
 val truncate_stable_log : ('ckpt, 'log, 'ann) t -> keep:int -> 'log list
-(** Returns the removed records, read back like {!stable_log_from}. *)
+(** Keep only the first [keep] stable records and return the removed tail
+    in order, read back like {!stable_log_from}.  Used by rollback.  Also
+    clears the volatile buffer (its contents started intervals after the
+    truncation point).
+    @raise Invalid_argument if [keep] is below {!log_base} or past
+    {!stable_log_length}. *)
 
 val discard_log_prefix : ('ckpt, 'log, 'ann) t -> before:int -> int
+(** Garbage-collect stable records at logical positions [< before], which
+    replay will never need again.  Logical positions are preserved; only
+    the storage is reclaimed.  Returns the number of records discarded;
+    a prefix already discarded is a no-op.
+    @raise Invalid_argument if [before] exceeds the stable length. *)
 
 val log_base : ('ckpt, 'log, 'ann) t -> int
+(** First logical position still readable (0 until a prefix is
+    discarded). *)
 
 val live_log_records : ('ckpt, 'log, 'ann) t -> int
+(** Stable length minus {!log_base}: the log footprint the
+    garbage-collection experiment reports. *)
+
+(** {1 Checkpoints} *)
 
 val save_checkpoint : ('ckpt, 'log, 'ann) t -> 'ckpt -> unit
+(** Persist a checkpoint; flushes the volatile buffer first
+    ({!flush_forced}), and counts one synchronous write. *)
 
 val latest_checkpoint : ('ckpt, 'log, 'ann) t -> 'ckpt option
 (** Read back from the newest checkpoint file.
@@ -147,10 +191,18 @@ val checkpoints : ('ckpt, 'log, 'ann) t -> 'ckpt list
 
 val restore_checkpoint :
   ('ckpt, 'log, 'ann) t -> satisfying:('ckpt -> bool) -> 'ckpt option
+(** Latest checkpoint satisfying the predicate; discards the newer
+    checkpoints that follow it, per Figure 3's Rollback. *)
 
 val prune_checkpoints : ('ckpt, 'log, 'ann) t -> keep_latest:int -> int
+(** Delete all but the [keep_latest] newest checkpoints; returns how many
+    were deleted.
+    @raise Invalid_argument if [keep_latest < 1]. *)
+
+(** {1 Synchronous area} *)
 
 val log_announcement : ('ckpt, 'log, 'ann) t -> 'ann -> unit
+(** Synchronous write (counted). *)
 
 val announcements : ('ckpt, 'log, 'ann) t -> 'ann list
 (** Oldest first, read back from [sync.dat].  Records open-time recovery
@@ -167,8 +219,12 @@ val compact_sync : ('ckpt, 'log, 'ann) t -> keep:('ann -> bool) -> int
     when per-partition checkpoint records supersede each other. *)
 
 val set_incarnation : ('ckpt, 'log, 'ann) t -> int -> unit
+(** Synchronously persist the incarnation counter (counted). *)
 
 val incarnation : ('ckpt, 'log, 'ann) t -> int
+(** Last persisted incarnation counter; 0 initially. *)
+
+(** {1 Crash semantics and accounting} *)
 
 val crash : ('ckpt, 'log, 'ann) t -> int
 (** In-process crash model: drop the volatile buffer only (disk intact,
@@ -219,5 +275,6 @@ val degraded_flushes : ('ckpt, 'log, 'ann) t -> int
     degradation report. *)
 
 val slowed_fsyncs : ('ckpt, 'log, 'ann) t -> int
+(** Flush rounds stretched by an armed slow-fsync window. *)
 
 val dir : ('ckpt, 'log, 'ann) t -> string

@@ -36,8 +36,8 @@ val of_string : string -> t option
 
 val pp : Format.formatter -> t -> unit
 
-val apply : dir:string -> rand:(int -> int) -> t -> string
-(** Mutate the store files under [dir] after a kill.  [rand n] must return
+val apply : fs:Fs.t -> dir:string -> rand:(int -> int) -> t -> string
+(** Mutate the store files under [dir] of [fs] after a kill.  [rand n] must return
     a uniform integer in [\[0, n)]; callers pass a stream derived from the
     run's seed so campaigns stay reproducible.  Returns a human-readable
     description of the damage done (or why none was possible, e.g. no

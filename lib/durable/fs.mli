@@ -1,0 +1,75 @@
+(** The file-system calls of the durable store, behind one signature.
+
+    {!Segment_log}, {!Durable_store} and {!Fault} make every file call
+    through a [t], so the same store runs on real files ({!unix}) and on
+    an in-memory tree ({!mem}).  Paths are plain strings in both
+    instances; a store never looks outside the directory it is given.
+
+    The in-memory instance models what a store relies on from a kernel:
+    written bytes are readable at once and outlive the store handle that
+    wrote them (a store [kill] followed by a reopen over the same [t]
+    sees them, as after a process death), and each file's fsynced length
+    is recorded, so a test can build the images a power loss could leave
+    behind ({!Mem}).  Creating, truncating, renaming and unlinking take
+    effect at once and are treated as durable: no caller fsyncs a
+    directory. *)
+
+type file = {
+  write : string -> unit;  (** append the whole string *)
+  fsync : unit -> unit;
+  close : unit -> unit;
+}
+(** An open, write-only file handle.  A handle names the file it opened,
+    not its path: after a rename over that path it still writes to the
+    file it opened. *)
+
+type t = {
+  mkdir_p : string -> unit;
+  readdir : string -> string list;
+      (** entry names, unsorted; raises [Sys_error] if the directory does
+          not exist *)
+  exists : string -> bool;
+  size : string -> int;
+  read : string -> string;  (** the whole file *)
+  truncate : string -> int -> unit;
+  unlink : string -> unit;
+  rename : string -> string -> unit;
+  open_append : string -> file;  (** create if missing; writes append *)
+  create : string -> file;  (** create, or empty an existing file *)
+}
+
+val unix : t
+(** Real files, through [Unix]. *)
+
+val mem : unit -> t
+(** A fresh, empty in-memory tree.  Holds no OS resource, so dropping it
+    is enough to free it. *)
+
+val write_file : t -> ?fsync:bool -> string -> string -> unit
+(** [write_file fs path s] replaces [path]'s contents with [s], fsyncing
+    them before it returns unless [~fsync:false]. *)
+
+(** {1 Inspecting the in-memory instance} *)
+
+module Mem : sig
+  type tree
+
+  val create : unit -> tree
+
+  val fs : tree -> t
+
+  type entry = { path : string; bytes : string; synced : int }
+  (** A file's contents and how many leading bytes an fsync has made
+      durable. *)
+
+  val files : tree -> entry list
+  (** Every file, sorted by path. *)
+
+  val of_files : (string * string) list -> tree
+  (** A tree holding exactly these (path, contents) files, all synced,
+      with their parent directories. *)
+
+  val before_fsync : tree -> (unit -> unit) -> unit
+  (** Run [f] at the start of every later fsync, before it makes anything
+      durable: the point where the most bytes are still unsynced. *)
+end

@@ -22,17 +22,26 @@ type t = {
   fsync_seconds : Obs.Histogram.t; (* wall time of each sync () *)
 }
 
+(* A group, so a store opened per simulated process per explored schedule
+   only allocates the cells; the registry indexes them when read. *)
+let meters =
+  Obs.Group.make (fun cells ->
+      ( Obs.Group.counter cells "flush_rounds_total",
+        Obs.Group.counter cells "flush_coalesced_total",
+        Obs.Group.histogram cells "fsync_seconds" ))
+
 let create ?obs () =
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
+  let rounds, coalesced, fsync_seconds = Obs.Registry.group obs meters in
   {
     mu = Mutex.create ();
     done_ = Condition.create ();
     started = 0;
     completed = 0;
     flushing = false;
-    rounds = Obs.Registry.counter obs "flush_rounds_total";
-    coalesced = Obs.Registry.counter obs "flush_coalesced_total";
-    fsync_seconds = Obs.Registry.histogram obs "fsync_seconds";
+    rounds;
+    coalesced;
+    fsync_seconds;
   }
 
 let with_lock t f =

@@ -10,11 +10,12 @@ type seg = {
 }
 
 type t = {
+  fs : Fs.t;
   dir : string;
   segment_bytes : int;
   mutable segs : seg list; (* oldest first; the last one is [cur] *)
   mutable cur : seg;
-  mutable fd : Unix.file_descr;
+  mutable file : Fs.file;
   mutable synced : int; (* durable byte count of [cur] *)
   mutable dirty : bool;
   mutable fail_fsync : bool;
@@ -39,40 +40,17 @@ let parse_seg name =
   then int_of_string_opt (String.sub name 4 12)
   else None
 
-(* A whole file, through a read-only channel of its own. *)
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let file_size path = (Unix.stat path).Unix.st_size
-
-let truncate_file path len =
-  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () -> Unix.ftruncate fd len)
-
-let write_all fd s =
-  let len = String.length s in
-  let rec loop pos =
-    if pos < len then loop (pos + Unix.write_substring fd s pos (len - pos))
-  in
-  loop 0
-
 let guard t name = if not t.alive then invalid_arg ("Segment_log." ^ name ^ ": log closed")
 
-let create_segment dir start =
+let create_segment (fs : Fs.t) dir start =
   let path = seg_path dir start in
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Unix.close fd;
+  (fs.create path).close ();
   { start; path; count = 0; bytes = 0 }
 
-let open_ ~dir ?(segment_bytes = default_segment_bytes) () =
-  Temp.mkdir_p dir;
+let open_ ~(fs : Fs.t) ~dir ?(segment_bytes = default_segment_bytes) () =
+  fs.mkdir_p dir;
   let starts =
-    Sys.readdir dir |> Array.to_list
+    fs.readdir dir
     |> List.filter_map parse_seg
     |> List.sort compare
   in
@@ -86,9 +64,9 @@ let open_ ~dir ?(segment_bytes = default_segment_bytes) () =
     (fun start ->
       let path = seg_path dir start in
       if !stop then begin
-        bytes_dropped := !bytes_dropped + file_size path;
+        bytes_dropped := !bytes_dropped + fs.size path;
         incr segments_dropped;
-        Unix.unlink path
+        fs.unlink path
       end
       else begin
         (match !kept with
@@ -98,12 +76,12 @@ let open_ ~dir ?(segment_bytes = default_segment_bytes) () =
              everything from here on is unusable. *)
           if !tail = Codec.Clean then tail := Codec.Corrupt_tail;
           stop := true;
-          bytes_dropped := !bytes_dropped + file_size path;
+          bytes_dropped := !bytes_dropped + fs.size path;
           incr segments_dropped;
-          Unix.unlink path
+          fs.unlink path
         | _ -> ());
         if not !stop then begin
-          let contents = read_file path in
+          let contents = fs.read path in
           let scanned = Codec.scan contents in
           let seg =
             {
@@ -120,23 +98,23 @@ let open_ ~dir ?(segment_bytes = default_segment_bytes) () =
             stop := true;
             bytes_dropped :=
               !bytes_dropped + (String.length contents - scanned.valid_bytes);
-            truncate_file path scanned.valid_bytes
+            fs.truncate path scanned.valid_bytes
           end
         end
       end)
     starts;
   let segs =
-    match List.rev !kept with [] -> [ create_segment dir 0 ] | segs -> segs
+    match List.rev !kept with [] -> [ create_segment fs dir 0 ] | segs -> segs
   in
   let cur = List.nth segs (List.length segs - 1) in
-  let fd = Unix.openfile cur.path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
   let t =
     {
+      fs;
       dir;
       segment_bytes;
       segs;
       cur;
-      fd;
+      file = fs.open_append cur.path;
       synced = cur.bytes;
       dirty = false;
       fail_fsync = false;
@@ -164,7 +142,7 @@ let segment_count t = List.length t.segs
 let do_sync t =
   if t.dirty then begin
     if not t.fail_fsync then begin
-      Unix.fsync t.fd;
+      t.file.fsync ();
       t.synced <- t.cur.bytes
     end;
     t.dirty <- false
@@ -182,11 +160,11 @@ let rotate t =
   do_sync t;
   if t.synced < t.cur.bytes then
     t.closed_unsynced <- (t.cur.path, t.synced) :: t.closed_unsynced;
-  Unix.close t.fd;
-  let seg = create_segment t.dir (next_index t) in
+  t.file.close ();
+  let seg = create_segment t.fs t.dir (next_index t) in
   t.segs <- t.segs @ [ seg ];
   t.cur <- seg;
-  t.fd <- Unix.openfile seg.path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644;
+  t.file <- t.fs.open_append seg.path;
   t.synced <- 0;
   t.dirty <- false
 
@@ -194,7 +172,7 @@ let append t payload =
   guard t "append";
   if t.cur.bytes >= t.segment_bytes && t.cur.count > 0 then rotate t;
   let frame = Codec.encode ~kind:log_kind payload in
-  write_all t.fd frame;
+  t.file.write frame;
   let idx = next_index t in
   t.cur.count <- t.cur.count + 1;
   t.cur.bytes <- t.cur.bytes + String.length frame;
@@ -207,13 +185,13 @@ let append t payload =
    lock, so everything appended — synced or not — is readable from the
    file.  Fails naming record [s.start + i] where the file stops matching
    what was written. *)
-let scan_segment ~op s =
+let scan_segment t ~op s =
   let fail i reason =
     failwith
       (Printf.sprintf "Segment_log.%s: %s: record %d: %s" op s.path (s.start + i)
          reason)
   in
-  let records = (Codec.scan (read_file s.path)).records in
+  let records = (Codec.scan (t.fs.read s.path)).records in
   let n = List.length records in
   if n < s.count then fail n "bad magic, checksum or length";
   (records, fail)
@@ -226,7 +204,7 @@ let read_from t ~pos ~decode =
     if s.count = 0 || s.start + s.count <= pos then acc
     else begin
       let first = max 0 (pos - s.start) in
-      let records, fail = scan_segment ~op:"read_from" s in
+      let records, fail = scan_segment t ~op:"read_from" s in
       snd
         (List.fold_left
            (fun (i, acc) (_, payload) ->
@@ -245,18 +223,18 @@ let truncate_after t ~keep =
   if keep < first_index t then
     invalid_arg "Segment_log.truncate_after: keep below first retained record";
   if keep < next_index t then begin
-    Unix.close t.fd;
+    t.file.close ();
     let keep_segs, dropped =
       List.partition (fun s -> s.start < keep) t.segs
     in
     List.iter
       (fun s ->
         t.closed_unsynced <- List.remove_assoc s.path t.closed_unsynced;
-        Unix.unlink s.path)
+        t.fs.unlink s.path)
       dropped;
     let cur =
       match List.rev keep_segs with
-      | [] -> create_segment t.dir keep
+      | [] -> create_segment t.fs t.dir keep
       | s :: _ -> s
     in
     t.segs <- (match keep_segs with [] -> [ cur ] | _ -> keep_segs);
@@ -270,19 +248,19 @@ let truncate_after t ~keep =
     t.closed_unsynced <- List.remove_assoc cur.path t.closed_unsynced;
     (if keep < cur.start + cur.count then begin
        let i = keep - cur.start in
-       let records, _ = scan_segment ~op:"truncate_after" cur in
+       let records, _ = scan_segment t ~op:"truncate_after" cur in
        let off =
          List.fold_left
            (fun off (_, payload) -> off + Codec.header_bytes + String.length payload)
            0
            (List.filteri (fun j _ -> j < i) records)
        in
-       truncate_file cur.path off;
+       t.fs.truncate cur.path off;
        cur.count <- i;
        cur.bytes <- off
      end);
     t.cur <- cur;
-    t.fd <- Unix.openfile cur.path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644;
+    t.file <- t.fs.open_append cur.path;
     t.synced <- min durable cur.bytes;
     t.dirty <- t.cur.bytes > t.synced
   end
@@ -297,21 +275,21 @@ let drop_segments_below t ~before =
   List.iter
     (fun s ->
       t.closed_unsynced <- List.remove_assoc s.path t.closed_unsynced;
-      Unix.unlink s.path)
+      t.fs.unlink s.path)
     dropped;
   t.segs <- keep
 
 let kill t =
   if t.alive then begin
-    Unix.close t.fd;
-    if t.cur.bytes > t.synced then truncate_file t.cur.path t.synced;
-    List.iter (fun (path, durable) -> truncate_file path durable) t.closed_unsynced;
+    t.file.close ();
+    if t.cur.bytes > t.synced then t.fs.truncate t.cur.path t.synced;
+    List.iter (fun (path, durable) -> t.fs.truncate path durable) t.closed_unsynced;
     t.alive <- false
   end
 
 let close t =
   if t.alive then begin
     do_sync t;
-    Unix.close t.fd;
+    t.file.close ();
     t.alive <- false
   end

@@ -30,8 +30,8 @@ type recovered = {
   tail : Codec.tail;  (** state of the first anomaly encountered *)
 }
 
-val open_ : dir:string -> ?segment_bytes:int -> unit -> t * recovered
-(** Open (creating if needed) the segment log in [dir].  [segment_bytes]
+val open_ : fs:Fs.t -> dir:string -> ?segment_bytes:int -> unit -> t * recovered
+(** Open (creating if needed) the segment log in [dir] of [fs].  [segment_bytes]
     (default 64 KiB) is the size threshold past which appends rotate to a
     new segment. *)
 

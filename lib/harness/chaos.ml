@@ -170,10 +170,10 @@ let run_case ?(breakage = Config.no_breakage) ?(calls = 60) case =
         let damage =
           List.filter_map
             (fun (pid, time, note, report) ->
-              if note <> "none" || Storage.Stable_store.report_damaged report then
+              if note <> "none" || Durable.Durable_store.damaged report then
                 Some
                   (Fmt.str "P%d respawned at %.0f: %s; %a" pid time note
-                     Storage.Stable_store.pp_open_report report)
+                     Durable.Durable_store.pp_open_report report)
               else None)
             (Cluster.storage_reports cluster)
         in

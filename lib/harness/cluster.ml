@@ -45,7 +45,7 @@ type ('state, 'msg) t = {
   mutable client_log : (int * int * int * 'msg) list; (* seq, cseq, dst, payload *)
   mutable busy_time : float;
   mutable storage_reports_ :
-    (int * float * string * Storage.Stable_store.open_report) list;
+    (int * float * string * Durable.Durable_store.open_report) list;
       (* (pid, respawn time, injected-damage description, report), oldest last *)
   mutable fault_notes : (int * string) list; (* pid, damage description *)
 }
@@ -223,7 +223,7 @@ let handle_event t = function
       (match (fault, t.store_root, t.storage_rng) with
       | Some f, Some root, Some rng ->
         let dir = Filename.concat root (Printf.sprintf "p%d" pid) in
-        let note = Durable.Fault.apply ~dir ~rand:(Sim.Rng.int rng) f in
+        let note = Durable.Fault.apply ~fs:Durable.Fs.unix ~dir ~rand:(Sim.Rng.int rng) f in
         t.fault_notes <- (pid, note) :: t.fault_notes
       | _ -> ());
       t.next_free.(pid) <- t.now;
@@ -242,17 +242,15 @@ let handle_event t = function
         ~obs:t.registries.(pid) ~trace:t.trace_
     in
     t.nodes.(pid) <- fresh;
-    (match Node.storage_report fresh with
-    | Some report ->
-      let note =
-        match List.assoc_opt pid t.fault_notes with
-        | Some n ->
-          t.fault_notes <- List.remove_assoc pid t.fault_notes;
-          n
-        | None -> "none"
-      in
-      t.storage_reports_ <- t.storage_reports_ @ [ (pid, t.now, note, report) ]
-    | None -> ());
+    let note =
+      match List.assoc_opt pid t.fault_notes with
+      | Some n ->
+        t.fault_notes <- List.remove_assoc pid t.fault_notes;
+        n
+      | None -> "none"
+    in
+    t.storage_reports_ <-
+      t.storage_reports_ @ [ (pid, t.now, note, Node.storage_report fresh) ];
     t.down.(pid) <- false;
     consume t ~pid (Node.restart fresh ~now:t.now);
     release_held t ~pid
@@ -438,7 +436,8 @@ let create ~config ~app ?(seed = 42) ?(horizon = 10_000.) ?net_override
      same child the pre-fault-plan model derived, so benign runs reproduce
      historical tables bit-for-bit); the fault stream is a further split.
      The storage-fault stream is split only when a store root exists, so
-     in-memory runs keep their historical streams untouched. *)
+     runs without one (every store on its own in-memory file system) keep
+     their historical streams untouched. *)
   let net_rng = Sim.Rng.split rng in
   let fault_rng = Sim.Rng.split rng in
   let storage_rng =

@@ -61,7 +61,7 @@ val kill_at :
 
 val storage_reports :
   ('state, 'msg) t ->
-  (int * float * string * Storage.Stable_store.open_report) list
+  (int * float * string * Durable.Durable_store.open_report) list
 (** One entry per respawn, oldest first: (pid, respawn time, description of
     the injected file damage or ["none"], what open-time recovery found). *)
 
@@ -104,7 +104,7 @@ val arm_disk_full_at :
   ('state, 'msg) t -> time:float -> pid:int -> rounds:int -> unit
 (** Brownout injection: from [time], the node's next [rounds] ordinary
     flushes refuse as if the disk were full (see
-    {!Storage.Stable_store.arm_disk_full}).  Degradation is graceful: the
+    {!Durable.Durable_store.arm_disk_full}).  Degradation is graceful: the
     volatile buffer is retained and the K-rule keeps sends gated until the
     window passes. *)
 

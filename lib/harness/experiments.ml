@@ -772,7 +772,7 @@ let durability ?(n = 6) ?(seeds = default_seeds) () =
         let damaged =
           List.exists
             (fun (_, _, note, report) ->
-              note <> "none" || Storage.Stable_store.report_damaged report)
+              note <> "none" || Durable.Durable_store.damaged report)
             reports
         in
         if (not (Oracle.ok oracle)) && not damaged then
@@ -809,11 +809,11 @@ let durability ?(n = 6) ?(seeds = default_seeds) () =
         Report.cell_i (List.length runs - certified);
         Fmt.str "%d (K=%d: %s)" max_risk k (if max_risk <= k then "OK" else "FAIL");
         Report.cell_i
-          (rsum (fun r -> r.Storage.Stable_store.log_bytes_dropped));
+          (rsum (fun r -> r.Durable.Durable_store.log_bytes_dropped));
         Report.cell_i
-          (rsum (fun r -> r.Storage.Stable_store.missing_log_records));
+          (rsum (fun r -> r.Durable.Durable_store.missing_log_records));
         Report.cell_i
-          (rsum (fun r -> r.Storage.Stable_store.checkpoints_dropped));
+          (rsum (fun r -> r.Durable.Durable_store.checkpoints_dropped));
         Report.cell_i (ssum (fun s -> s.Cluster.replayed));
         Report.cell_i (ssum (fun s -> s.Cluster.outputs_committed));
       ]

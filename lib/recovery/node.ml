@@ -275,7 +275,7 @@ type ('state, 'msg) t = {
   trace : Trace.t;
   obs : Obs.Registry.t;
   meters : meters;
-  store : (('state, 'msg) ckpt, 'msg logged, Wire.sync_record) Storage.Stable_store.t;
+  store : (('state, 'msg) ckpt, 'msg logged, Wire.sync_record) Durable.Durable_store.t;
   (* --- volatile protocol state (lost at crash) --- *)
   mutable up : bool;
   mutable current : Entry.t;
@@ -343,7 +343,7 @@ type ('state, 'msg) t = {
          retiree again. *)
 }
 
-module Store = Storage.Stable_store
+module Store = Durable.Durable_store
 
 let push t a = t.actions <- a :: t.actions
 
@@ -2228,7 +2228,7 @@ let do_restart_begin t ~now =
    when the application exports no slices or nothing is dirty. *)
 let do_partition_checkpoint t ~now =
   match t.app.App_intf.partitioning with
-  | Some ({ part_export = Some export; _ } as pt) when t.recovery = None ->
+  | Some { part_export = Some export; _ } when t.recovery = None ->
     let best = ref (-1) in
     Array.iteri
       (fun p c -> if c > 0 && (!best < 0 || c > t.part_dirty.(!best)) then best := p)
@@ -2284,7 +2284,6 @@ let do_partition_checkpoint t ~now =
            | Wire.Ann_logged _ | Wire.Marker _ | Wire.Committed _
            | Wire.Gc_stubs _ -> true)
           : int);
-      ignore pt.parts;
       t.part_dirty.(p) <- 0;
       true
     end
@@ -2337,13 +2336,13 @@ let[@warning "-16"] create ~config ~pid ~app ?store_dir ?obs ~trace:tr =
   if pid < 0 || pid >= n then invalid_arg "Node.create: pid out of range";
   let state = app.App_intf.init ~pid ~n in
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
-  let store, fresh_store, no_checkpoint =
+  let fs, dir =
     match store_dir with
-    | None -> (Store.create (), true, true)
-    | Some dir ->
-      let store, report = Store.open_durable ~dir ~obs () in
-      (store, report.Store.fresh, report.Store.recovered_checkpoints = 0)
+    | None -> (Durable.Fs.mem (), "store")
+    | Some dir -> (Durable.Fs.unix, dir)
   in
+  let store, report = Store.open_ ~fs ~dir ~obs () in
+  let fresh_store = report.Store.fresh in
   let t =
     {
       cfg = config;
@@ -2402,7 +2401,7 @@ let[@warning "-16"] create ~config ~pid ~app ?store_dir ?obs ~trace:tr =
      by open-time recovery; restart still needs a checkpoint to rebuild
      from, so re-seed the initial one — replay then reconstructs whatever
      the surviving log suffix allows. *)
-  if no_checkpoint then Store.save_checkpoint t.store (initial_checkpoint t state);
+  if report.Store.recovered_checkpoints = 0 then Store.save_checkpoint t.store (initial_checkpoint t state);
   if fresh_store then begin
     t.log_tab.(pid) <- Entry_set.insert t.log_tab.(pid) t.current;
     Trace.add tr ~time:0.
@@ -2587,8 +2586,6 @@ let crash t ~now =
   refresh_recovery_gauges t
 
 let halt t ~now =
-  if not (Store.is_durable t.store) then
-    invalid_arg "Node.halt: only a node with a durable store can be killed";
   crash t ~now;
   Store.kill t.store
 
@@ -2616,7 +2613,7 @@ let partition_checkpoint t ~now =
 
 let is_up t = t.up
 
-let storage_report t = Store.storage_report t.store
+let storage_report t = Store.report t.store
 
 let storage_words t = Obj.reachable_words (Obj.repr t.store)
 

@@ -1,9 +1,9 @@
-(* The durable storage subsystem: record codec, segmented log, open-time
-   recovery, storage fault injection, and crash-restart-from-disk at the
-   node and cluster level.  Conformance of the durable backend against the
-   in-memory [Stable_store] contract is in [Test_storage]; these tests
-   cover what only a file-backed store can do: die, get damaged, and come
-   back from its files. *)
+(* The durable storage subsystem on real files: record codec, segmented
+   log, open-time recovery, storage fault injection, and
+   crash-restart-from-disk at the node and cluster level.  The store's
+   contract, run over both file systems, is in [Test_storage]; these tests
+   aim at specific bytes of real files and at whole processes that die and
+   come back from them. *)
 
 module Codec = Durable.Codec
 module Seg = Durable.Segment_log
@@ -107,7 +107,7 @@ let test_codec_scan_stops_at_torn_tail () =
 
 let test_segment_rotation_and_reopen () =
   with_dir (fun dir ->
-      let log, r0 = Seg.open_ ~dir ~segment_bytes:64 () in
+      let log, r0 = Seg.open_ ~fs:Durable.Fs.unix ~dir ~segment_bytes:64 () in
       Alcotest.(check (list string)) "fresh" [] r0.Seg.payloads;
       let payloads = List.init 20 (fun i -> Printf.sprintf "record-%02d" i) in
       List.iteri
@@ -116,7 +116,7 @@ let test_segment_rotation_and_reopen () =
       Seg.sync log;
       Alcotest.(check bool) "rotated" true (Seg.segment_count log > 1);
       Seg.kill log;
-      let log2, r = Seg.open_ ~dir ~segment_bytes:64 () in
+      let log2, r = Seg.open_ ~fs:Durable.Fs.unix ~dir ~segment_bytes:64 () in
       Alcotest.(check (list string)) "all synced records recovered" payloads
         r.Seg.payloads;
       Alcotest.(check int) "no bytes dropped" 0 r.Seg.bytes_dropped;
@@ -125,12 +125,12 @@ let test_segment_rotation_and_reopen () =
 
 let test_segment_kill_drops_unsynced () =
   with_dir (fun dir ->
-      let log, _ = Seg.open_ ~dir () in
+      let log, _ = Seg.open_ ~fs:Durable.Fs.unix ~dir () in
       ignore (Seg.append log "synced" : int);
       Seg.sync log;
       ignore (Seg.append log "lost" : int);
       Seg.kill log;
-      let log2, r = Seg.open_ ~dir () in
+      let log2, r = Seg.open_ ~fs:Durable.Fs.unix ~dir () in
       Alcotest.(check (list string)) "only synced survives" [ "synced" ] r.Seg.payloads;
       Alcotest.(check bool) "clean tail (no torn bytes on disk)" true
         (r.Seg.tail = Codec.Clean);
@@ -140,7 +140,7 @@ let test_segment_read_skips_empty_newest () =
   (* A kill between a rotation and its first sync leaves the newest segment
      empty, starting above every earlier record: read-back must skip it. *)
   with_dir (fun dir ->
-      let log, _ = Seg.open_ ~dir ~segment_bytes:16 () in
+      let log, _ = Seg.open_ ~fs:Durable.Fs.unix ~dir ~segment_bytes:16 () in
       List.iter
         (fun p -> ignore (Seg.append log p : int))
         [ "first record"; "second record" ];
@@ -148,7 +148,7 @@ let test_segment_read_skips_empty_newest () =
       ignore (Seg.append log "lost after rotation" : int);
       Alcotest.(check int) "one record per segment" 3 (Seg.segment_count log);
       Seg.kill log;
-      let log2, _ = Seg.open_ ~dir ~segment_bytes:16 () in
+      let log2, _ = Seg.open_ ~fs:Durable.Fs.unix ~dir ~segment_bytes:16 () in
       Alcotest.(check int) "empty newest segment kept" 3 (Seg.segment_count log2);
       List.iter
         (fun (pos, expected) ->
@@ -159,7 +159,7 @@ let test_segment_read_skips_empty_newest () =
 
 let test_segment_boundary_gap_detected () =
   with_dir (fun dir ->
-      let log, _ = Seg.open_ ~dir ~segment_bytes:64 () in
+      let log, _ = Seg.open_ ~fs:Durable.Fs.unix ~dir ~segment_bytes:64 () in
       List.iter
         (fun i -> ignore (Seg.append log (Printf.sprintf "r%02d" i) : int))
         (List.init 20 Fun.id);
@@ -174,7 +174,7 @@ let test_segment_boundary_gap_detected () =
       (match seg_files dir with
       | _ :: middle :: _ -> chop middle (Codec.header_bytes + 3)
       | _ -> Alcotest.fail "expected at least two segments");
-      let log2, r = Seg.open_ ~dir ~segment_bytes:64 () in
+      let log2, r = Seg.open_ ~fs:Durable.Fs.unix ~dir ~segment_bytes:64 () in
       Alcotest.(check bool) "corrupt tail" true (r.Seg.tail = Codec.Corrupt_tail);
       Alcotest.(check bool) "later segments dropped" true (r.Seg.segments_dropped >= 1);
       Alcotest.(check bool) "strict prefix recovered" true
@@ -187,7 +187,7 @@ let test_segment_boundary_gap_detected () =
 
 let test_segment_truncate_and_compact () =
   with_dir (fun dir ->
-      let log, _ = Seg.open_ ~dir ~segment_bytes:64 () in
+      let log, _ = Seg.open_ ~fs:Durable.Fs.unix ~dir ~segment_bytes:64 () in
       List.iter
         (fun i -> ignore (Seg.append log (Printf.sprintf "r%02d" i) : int))
         (List.init 20 Fun.id);
@@ -198,7 +198,7 @@ let test_segment_truncate_and_compact () =
       Seg.drop_segments_below log ~before:8;
       Alcotest.(check bool) "old segments gone" true (Seg.first_index log > 0);
       Seg.kill log;
-      let log2, r = Seg.open_ ~dir ~segment_bytes:64 () in
+      let log2, r = Seg.open_ ~fs:Durable.Fs.unix ~dir ~segment_bytes:64 () in
       Alcotest.(check int) "first index survives reopen" (Seg.first_index log2) r.Seg.first;
       let expected =
         List.filteri (fun i _ -> i + r.Seg.first < 12) (List.init 20 Fun.id)
@@ -212,7 +212,7 @@ let test_segment_truncate_and_compact () =
 (* ------------------------------------------------------------------ *)
 (* Durable store: open-time recovery under damage *)
 
-let open_str dir : (string, string, string) D.t * D.open_report = D.open_ ~dir ()
+let open_str dir : (string, string, string) D.t * D.open_report = D.open_ ~fs:Durable.Fs.unix ~dir ()
 
 let test_store_reopen_roundtrip () =
   with_dir (fun dir ->
@@ -300,7 +300,7 @@ let test_store_group_commit_coalesces () =
      rest either wait out that round or find nothing left to do. *)
   with_dir (fun dir ->
       let obs = Obs.Registry.create () in
-      let s, _ = D.open_ ~dir ~obs () in
+      let s, _ = D.open_ ~fs:Durable.Fs.unix ~dir ~obs () in
       let n = 8 in
       let mu = Mutex.create () in
       let cv = Condition.create () in
@@ -461,12 +461,9 @@ let test_node_restart_from_disk () =
         Node.create ~config ~pid:0 ~app:Counter.app ~store_dir:dir ?obs:None ~trace
       in
       Alcotest.(check bool) "fresh handle starts down" false (Node.is_up fresh);
-      (match Node.storage_report fresh with
-      | Some r ->
-        Alcotest.(check bool) "reopen not fresh" false r.Storage.Stable_store.fresh;
-        Alcotest.(check bool) "clean store" false
-          (Storage.Stable_store.report_damaged r)
-      | None -> Alcotest.fail "durable node must have a storage report");
+      let r = Node.storage_report fresh in
+      Alcotest.(check bool) "reopen not fresh" false r.D.fresh;
+      Alcotest.(check bool) "clean store" false (D.damaged r);
       ignore (Node.restart fresh ~now:10.);
       Alcotest.(check bool) "up after restart" true (Node.is_up fresh);
       let st : Counter.state = Node.app_state fresh in
@@ -474,15 +471,19 @@ let test_node_restart_from_disk () =
       Alcotest.(check int) "restart counted" 1
         (Util.metric fresh "restarts"))
 
-let test_node_halt_requires_durable_store () =
+(* Without a directory the store lives in an in-memory tree; halting
+   still kills it, and nothing can come back from it. *)
+let test_node_halt_in_memory () =
   let config = quiet_counter_config () in
   let trace = Recovery.Trace.create () in
   let node =
     Node.create ~config ~pid:0 ~app:Counter.app ?store_dir:None ?obs:None ~trace
   in
-  Alcotest.check_raises "halt on in-memory node"
-    (Invalid_argument "Node.halt: only a node with a durable store can be killed")
-    (fun () -> Node.halt node ~now:1.)
+  ignore (Node.inject node ~now:1. ~seq:1 (Counter.Add 1));
+  Node.halt node ~now:2.;
+  Alcotest.(check bool) "down" false (Node.is_up node);
+  Alcotest.check_raises "restart of the dead handle" (Invalid_argument "Durable_store: store killed")
+    (fun () -> ignore (Node.restart node ~now:3.))
 
 (* ------------------------------------------------------------------ *)
 (* Cluster: kill + respawn mid-run, certified by the causality oracle *)
@@ -511,10 +512,8 @@ let test_cluster_kill_respawn_certified () =
         Alcotest.(check int) "respawned pid" 1 pid;
         Alcotest.(check bool) "after restart delay" true (time > 50.);
         Alcotest.(check string) "no injected damage" "none" note;
-        Alcotest.(check bool) "recovered from pre-existing files" false
-          report.Storage.Stable_store.fresh;
-        Alcotest.(check bool) "clean recovery" false
-          (Storage.Stable_store.report_damaged report)
+        Alcotest.(check bool) "recovered from pre-existing files" false report.D.fresh;
+        Alcotest.(check bool) "clean recovery" false (D.damaged report)
       | reports ->
         Alcotest.failf "expected exactly one respawn, got %d" (List.length reports));
       let stats = Harness.Cluster.stats cluster in
@@ -544,7 +543,7 @@ let test_cluster_kill_with_damage_is_loud () =
       let damage_reported =
         List.exists
           (fun (_, _, note, report) ->
-            note <> "none" || Storage.Stable_store.report_damaged report)
+            note <> "none" || D.damaged report)
           (Harness.Cluster.storage_reports cluster)
       in
       Alcotest.(check bool) "fault injection recorded" true damage_reported;
@@ -689,8 +688,8 @@ let suite =
     Alcotest.test_case "store read-back of damage after open fails" `Quick
       test_store_read_back_damage_fails;
     Alcotest.test_case "node restarts from disk" `Quick test_node_restart_from_disk;
-    Alcotest.test_case "node halt requires durable store" `Quick
-      test_node_halt_requires_durable_store;
+    Alcotest.test_case "node halt kills in-memory store" `Quick
+      test_node_halt_in_memory;
     Alcotest.test_case "daemon retention flat over history" `Quick
       test_daemon_retention_flat;
     Alcotest.test_case "cluster kill+respawn certified" `Slow

@@ -10,7 +10,7 @@ open Util
 module Node = Recovery.Node
 module Wire = Recovery.Wire
 module Config = Recovery.Config
-module Store = Storage.Stable_store
+module Store = Durable.Durable_store
 module D = Util.Driver
 
 let counter = App_model.Counter_app.app
@@ -21,8 +21,11 @@ let gc_config ?(k = 4) ?(n = 4) () =
 
 (* --- storage-level --- *)
 
+let mem_store () : (string, string, string) Store.t =
+  fst (Store.open_ ~fs:(Durable.Fs.mem ()) ~dir:"store" ())
+
 let test_store_discard_prefix () =
-  let s : (string, string, string) Store.t = Store.create () in
+  let s = mem_store () in
   List.iter (Store.append_volatile s) [ "a"; "b"; "c"; "d" ];
   ignore (Store.flush s : int);
   Alcotest.(check int) "discards two" 2 (Store.discard_log_prefix s ~before:2);
@@ -33,11 +36,11 @@ let test_store_discard_prefix () =
     (Store.stable_log_from s ~pos:2);
   Alcotest.(check int) "idempotent" 0 (Store.discard_log_prefix s ~before:1);
   Alcotest.check_raises "reading into the discarded prefix fails"
-    (Invalid_argument "Stable_store.stable_log_from: position out of range")
+    (Invalid_argument "Durable_store.stable_log_from: position out of range")
     (fun () -> ignore (Store.stable_log_from s ~pos:0))
 
 let test_store_grow_after_gc () =
-  let s : (string, string, string) Store.t = Store.create () in
+  let s = mem_store () in
   List.iter (Store.append_volatile s) [ "a"; "b" ];
   ignore (Store.flush s : int);
   ignore (Store.discard_log_prefix s ~before:2 : int);
@@ -48,12 +51,12 @@ let test_store_grow_after_gc () =
   Alcotest.(check int) "length" 3 (Store.stable_log_length s)
 
 let test_store_prune_checkpoints () =
-  let s : (string, string, string) Store.t = Store.create () in
+  let s = mem_store () in
   List.iter (Store.save_checkpoint s) [ "c1"; "c2"; "c3" ];
   Alcotest.(check int) "two dropped" 2 (Store.prune_checkpoints s ~keep_latest:1);
   Alcotest.(check (list string)) "latest kept" [ "c3" ] (Store.checkpoints s);
   Alcotest.check_raises "must keep one"
-    (Invalid_argument "Stable_store.prune_checkpoints: must keep at least one")
+    (Invalid_argument "Durable_store.prune_checkpoints: must keep at least one")
     (fun () -> ignore (Store.prune_checkpoints s ~keep_latest:0))
 
 (* --- node-level --- *)
@@ -240,7 +243,7 @@ let test_gc_durable_anchor () =
         Alcotest.failf "oracle: %a" Harness.Oracle.pp_report oracle;
       (match Harness.Cluster.storage_reports c with
       | [ (0, _, "none", report) ] ->
-        Alcotest.(check bool) "clean reopen" false (Store.report_damaged report)
+        Alcotest.(check bool) "clean reopen" false (Store.damaged report)
       | _ -> Alcotest.fail "expected one clean respawn of P0");
       let dir = Filename.concat root "p0" in
       let present name = Sys.file_exists (Filename.concat dir name) in
@@ -255,7 +258,7 @@ let test_gc_durable_anchor () =
         (Node.live_log_records p0 < Node.stable_log_length p0);
       (* P0 is quiescent at the horizon: a second handle reads its sync
          area, then closes without touching the files. *)
-      let store, _ = Durable.Durable_store.open_ ~dir () in
+      let store, _ = Durable.Durable_store.open_ ~fs:Durable.Fs.unix ~dir () in
       let stubs =
         List.filter_map
           (function Wire.Gc_stubs gs -> Some gs | _ -> None)

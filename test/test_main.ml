@@ -10,6 +10,7 @@ let () =
       ("dep-vector", Test_dep_vector.suite);
       ("storage", Test_storage.suite);
       ("durable", Test_durable.suite);
+      ("crash-images", Test_crash_images.suite);
       ("apps", Test_apps.suite);
       ("node", Test_node.suite);
       ("node-edge", Test_node_edge.suite);

@@ -1,50 +1,27 @@
 (* Stable storage: crash semantics, flush, truncation.
 
-   Every assertion runs as a functor over both backends — the in-memory
-   simulation and the file-backed durable store — so the two implementations
-   of the [Stable_store] contract can never drift apart.  Durable-only
-   behavior (kill, reopen, file damage) lives in [Test_durable]. *)
+   Every assertion runs as a functor over both file systems the store
+   runs on — the in-memory tree of the simulator and the model checker,
+   and the real files of the daemons — so the two deployments of the one
+   store cannot drift apart.  Tests aimed at specific bytes of real files
+   live in [Test_durable]. *)
 
-module Store = Storage.Stable_store
+module Store = Durable.Durable_store
+module Fs = Durable.Fs
 
 type store = (string, string, string) Store.t
 
 module type BACKEND = sig
   val name : string
 
-  val make : ?segment_bytes:int -> unit -> store
-  (** [segment_bytes] sizes the durable backend's log segments. *)
-
-  val reopen : store -> store
-  (** Process death after the last flush, then reopen. *)
-
-  val arm_fsync_failure : store -> unit
-
-  val corrupt_newest_record : store -> string option
-  (** Flip a byte of the newest log record on disk and name its segment
-      file; [None] when the backend keeps no files to damage. *)
-
-  val tear_newest_record : store -> store
-  (** Process death with the newest log record torn, then reopen: the
-      record is lost, as [truncate_stable_log] would lose it. *)
+  val fresh : unit -> Fs.t * string
+  (** A file system and an empty directory on it, for one store. *)
 end
 
 module Mem_backend = struct
   let name = "mem"
 
-  let make ?segment_bytes:_ () : store = Store.create ()
-
-  (* The in-memory model outlives nothing; its stable part is what a
-     reopen would recover. *)
-  let reopen s = s
-
-  let arm_fsync_failure _ = ()
-
-  let corrupt_newest_record _ = None
-
-  let tear_newest_record s =
-    ignore (Store.truncate_stable_log s ~keep:(Store.stable_log_length s - 1) : string list);
-    s
+  let fresh () = (Fs.mem (), "store")
 end
 
 module Disk_backend = struct
@@ -54,55 +31,62 @@ module Disk_backend = struct
 
   let () = at_exit (fun () -> List.iter Durable.Temp.rm_rf !dirs)
 
-  let make ?segment_bytes () : store =
+  let fresh () =
     let dir = Durable.Temp.fresh_dir ~prefix:"conformance" () in
     dirs := dir :: !dirs;
-    let store, report = Store.open_durable ~dir ?segment_bytes () in
-    Alcotest.(check bool) "fresh store" true report.Store.fresh;
-    store
-
-  let dir s = Option.get (Store.storage_dir s)
-
-  let segments s =
-    Sys.readdir (dir s) |> Array.to_list
-    |> List.filter (fun f -> String.length f > 4 && String.sub f 0 4 = "seg-")
-    |> List.sort compare
-
-  let reopen s =
-    Store.kill s;
-    let s', report = Store.open_durable ~dir:(dir s) ~segment_bytes:64 () in
-    Alcotest.(check bool) "clean reopen" false (Store.report_damaged report);
-    s'
-
-  let arm_fsync_failure = Store.arm_fsync_failure
-
-  let corrupt_newest_record s =
-    let seg = List.nth (segments s) (List.length (segments s) - 1) in
-    let path = Filename.concat (dir s) seg in
-    let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        let last = (Unix.fstat fd).Unix.st_size - 1 in
-        let b = Bytes.create 1 in
-        ignore (Unix.lseek fd last Unix.SEEK_SET : int);
-        ignore (Unix.read fd b 0 1 : int);
-        Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x40));
-        ignore (Unix.lseek fd last Unix.SEEK_SET : int);
-        ignore (Unix.write fd b 0 1 : int));
-    Some seg
-
-  let tear_newest_record s =
-    Store.kill s;
-    let path = Filename.concat (dir s) (List.nth (segments s) (List.length (segments s) - 1)) in
-    Unix.truncate path ((Unix.stat path).Unix.st_size - 1);
-    let s', report = Store.open_durable ~dir:(dir s) ~segment_bytes:64 () in
-    Alcotest.(check bool) "torn tail reported" true (Store.report_damaged report);
-    s'
+    (Fs.unix, dir)
 end
 
 module Conformance (B : BACKEND) = struct
-  let make = B.make
+  (* Each store opened so far, with the file system it was opened on. *)
+  let opened : (store * Fs.t) list ref = ref []
+
+  let fs_of s = List.assq s !opened
+
+  let open_ fs ~dir ?segment_bytes () =
+    let s, report = Store.open_ ~fs ~dir ?segment_bytes () in
+    opened := (s, fs) :: !opened;
+    (s, report)
+
+  let make ?segment_bytes () : store =
+    let fs, dir = B.fresh () in
+    let s, report = open_ fs ~dir ?segment_bytes () in
+    Alcotest.(check bool) "fresh store" true report.Store.fresh;
+    s
+
+  let newest_segment s =
+    (fs_of s).readdir (Store.dir s)
+    |> List.filter (fun f -> String.length f > 4 && String.sub f 0 4 = "seg-")
+    |> List.sort compare |> List.rev |> List.hd
+
+  (* Process death after the last flush, then reopen. *)
+  let reopen s =
+    Store.kill s;
+    let s', report = open_ (fs_of s) ~dir:(Store.dir s) ~segment_bytes:64 () in
+    Alcotest.(check bool) "clean reopen" false (Store.damaged report);
+    s'
+
+  (* Flip a bit of the newest log record's last byte; returns the name of
+     its segment file. *)
+  let corrupt_newest_record s =
+    let fs = fs_of s and seg = newest_segment s in
+    let path = Filename.concat (Store.dir s) seg in
+    let b = Bytes.of_string (fs.read path) in
+    let last = Bytes.length b - 1 in
+    Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 0x40));
+    Fs.write_file fs ~fsync:false path (Bytes.to_string b);
+    seg
+
+  (* Process death with the newest log record torn, then reopen: the
+     record is lost, and the reopen reports it. *)
+  let tear_newest_record s =
+    Store.kill s;
+    let fs = fs_of s in
+    let path = Filename.concat (Store.dir s) (newest_segment s) in
+    fs.truncate path (fs.size path - 1);
+    let s', report = open_ fs ~dir:(Store.dir s) ~segment_bytes:64 () in
+    Alcotest.(check bool) "torn tail reported" true (Store.damaged report);
+    s'
 
   let test_volatile_then_flush () =
     let s = make () in
@@ -142,7 +126,7 @@ module Conformance (B : BACKEND) = struct
       (Store.stable_log_from s ~pos:0);
     Alcotest.(check (list string)) "empty suffix" [] (Store.stable_log_from s ~pos:4);
     Alcotest.check_raises "out of range"
-      (Invalid_argument "Stable_store.stable_log_from: position out of range") (fun () ->
+      (Invalid_argument "Durable_store.stable_log_from: position out of range") (fun () ->
         ignore (Store.stable_log_from s ~pos:5))
 
   let test_truncate () =
@@ -227,7 +211,7 @@ module Conformance (B : BACKEND) = struct
     Store.append_volatile s "a";
     ignore (Store.flush s : int);
     Alcotest.check_raises "keep too large"
-      (Invalid_argument "Stable_store.truncate_stable_log: keep out of range") (fun () ->
+      (Invalid_argument "Durable_store.truncate_stable_log: keep out of range") (fun () ->
         ignore (Store.truncate_stable_log s ~keep:2))
 
   let test_discard_log_prefix () =
@@ -248,14 +232,13 @@ module Conformance (B : BACKEND) = struct
     Alcotest.(check (list string)) "latest survive" [ "ck4"; "ck3" ]
       (Store.checkpoints s);
     Alcotest.check_raises "must keep one"
-      (Invalid_argument "Stable_store.prune_checkpoints: must keep at least one")
+      (Invalid_argument "Durable_store.prune_checkpoints: must keep at least one")
       (fun () -> ignore (Store.prune_checkpoints s ~keep_latest:0))
 
-  (* Read-back.  The durable backend answers [stable_log_from] from its
-     segment files, so these pin it to the in-memory model wherever
-     segment boundaries, truncation, compaction, reopen or unsynced
-     appends could make the two disagree.  64-byte segments hold one or
-     two records each. *)
+  (* Read-back.  The store answers [stable_log_from] from its segment
+     files, so these pin it down wherever segment boundaries, truncation,
+     compaction, reopen or unsynced appends could make it disagree with
+     what was flushed.  64-byte segments hold one or two records each. *)
   let records lo hi = List.init (hi - lo) (fun i -> Printf.sprintf "r%03d" (lo + i))
 
   let fill s rs =
@@ -294,14 +277,14 @@ module Conformance (B : BACKEND) = struct
     check_from s ~pos:17 (records 17 42);
     check_from s ~pos:30 (records 30 42);
     Alcotest.check_raises "below base"
-      (Invalid_argument "Stable_store.stable_log_from: position out of range")
+      (Invalid_argument "Durable_store.stable_log_from: position out of range")
       (fun () -> ignore (Store.stable_log_from s ~pos:16))
 
   let test_read_after_reopen () =
     let s = small () in
     ignore (Store.truncate_stable_log s ~keep:25 : string list);
     ignore (Store.discard_log_prefix s ~before:5 : int);
-    let s = B.reopen s in
+    let s = reopen s in
     Alcotest.(check int) "length" 25 (Store.stable_log_length s);
     Alcotest.(check int) "base" 5 (Store.log_base s);
     check_from s ~pos:5 (records 5 25);
@@ -310,7 +293,7 @@ module Conformance (B : BACKEND) = struct
 
   let test_read_unsynced () =
     let s = small () in
-    B.arm_fsync_failure s;
+    Store.arm_fsync_failure s;
     fill s (records 42 50);
     check_from s ~pos:40 (records 40 50)
 
@@ -322,14 +305,12 @@ module Conformance (B : BACKEND) = struct
   (* Damage is reported, never read back as a shorter log. *)
   let test_read_damaged () =
     let s = small () in
-    match B.corrupt_newest_record s with
-    | None -> check_from s ~pos:0 (records 0 42)
-    | Some seg -> (
-      match Store.stable_log_from s ~pos:0 with
-      | _ -> Alcotest.fail "a damaged record was read back"
-      | exception Failure msg ->
-        Alcotest.(check bool) ("names segment and record: " ^ msg) true
-          (contains msg seg && contains msg "record 41"))
+    let seg = corrupt_newest_record s in
+    match Store.stable_log_from s ~pos:0 with
+    | _ -> Alcotest.fail "a damaged record was read back"
+    | exception Failure msg ->
+      Alcotest.(check bool) ("names segment and record: " ^ msg) true
+        (contains msg seg && contains msg "record 41")
 
   (* Records of more than 64 bytes sit one to a segment, so tearing the
      newest leaves its segment empty, starting above every earlier
@@ -338,7 +319,7 @@ module Conformance (B : BACKEND) = struct
     let s = make ~segment_bytes:64 () in
     let big i = String.make 64 (Char.chr (Char.code 'a' + i)) in
     fill s (List.init 4 big);
-    let s = B.tear_newest_record s in
+    let s = tear_newest_record s in
     check_from s ~pos:0 (List.init 3 big);
     check_from s ~pos:3 [];
     fill s [ "after" ];
