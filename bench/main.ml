@@ -5,9 +5,9 @@
    1. The macro tables (F1, T*, E1–E7): every figure/claim of the paper is
       regenerated as a measured table by the experiment suite.  The oracle
       certifies each run, so a printed table implies a correct execution.
-   2. Micro-benchmarks (B1–B6, Bechamel): cost of the protocol's hot data
-      structures and of one protocol step, which is what the paper's
-      "failure-free overhead" is made of.
+   2. Micro-benchmarks (B1–B9, B13, Bechamel): cost of the protocol's hot
+      data structures, of one protocol step and of a restart, which is
+      what the paper's "failure-free overhead" and recovery are made of.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- micro   # micro-benchmarks only
@@ -90,6 +90,60 @@ let bench_crash_recovery () =
          ignore (Node.flush node ~now:40.);
          Node.crash node ~now:41.;
          ignore (Node.restart node ~now:42.)))
+
+(* B5, durable: the daemon's respawn — open-time recovery plus Restart —
+   over a store holding 5,000 logged deliveries (ten-record flushes, a
+   checkpoint every 250: several 64 KiB segments and 21 checkpoint files).
+   Each run kills the node's store and reopens it from its files.  Besides
+   the time, [restart_words] records the words one restart promotes to
+   the major heap per logged delivery, which [check] bounds: restart reads
+   the store back one record at a time, so what it promotes is the
+   duplicate-suppression entry of each delivery, not the log. *)
+let restart_name = "B5 node: durable restart over 5,000 logged deliveries"
+
+let restart_words_name = restart_name ^ " (promoted words/record)"
+
+let restart_records = 5_000
+
+(* The bound of test_durable's "restart promotes bounded words per logged
+   record". *)
+let restart_words_bound = 25.
+
+let restart_node =
+  lazy
+    (let config = Config.k_optimistic ~n:4 ~k:2 () in
+     let dir = Durable.Temp.fresh_dir ~prefix:"bench-b5" () in
+     at_exit (fun () -> Durable.Temp.rm_rf dir);
+     let trace = Recovery.Trace.create () in
+     let create () =
+       Node.create ~config ~pid:0 ~app:App_model.Counter_app.app ~store_dir:dir ?obs:None
+         ~trace
+     in
+     let node = create () in
+     for i = 1 to restart_records do
+       let now = float_of_int i in
+       ignore (Node.inject node ~now ~seq:i ~cseq:(i - 1) (App_model.Counter_app.Add i));
+       if i mod 10 = 0 then ignore (Node.flush node ~now);
+       if i mod 250 = 0 then ignore (Node.checkpoint node ~now)
+     done;
+     (ref node, create))
+
+let respawn () =
+  let node, create = Lazy.force restart_node in
+  Node.halt !node ~now:0.;
+  node := create ();
+  ignore (Node.restart_begin !node ~now:0.)
+
+let bench_durable_restart () =
+  Bechamel.Test.make ~name:restart_name (Bechamel.Staged.stage respawn)
+
+let restart_words () =
+  ignore (Lazy.force restart_node);
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  respawn ();
+  Gc.minor ();
+  ((Gc.quick_stat ()).Gc.promoted_words -. before) /. float_of_int restart_records
 
 let oracle_trace =
   lazy
@@ -231,6 +285,7 @@ let micro_tests () =
     bench_entry_set ();
     bench_node_step ();
     bench_crash_recovery ();
+    bench_durable_restart ();
     bench_oracle ();
     bench_archive_list ();
     bench_archive_keyed ();
@@ -261,6 +316,7 @@ let run_micro () =
           rows := (name, estimate) :: !rows)
         results)
     (micro_tests ());
+  let words = restart_words () in
   (* Hashtbl.iter order is nondeterministic; sort so runs are comparable. *)
   let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) !rows in
   List.iter
@@ -270,6 +326,11 @@ let run_micro () =
         | Some est -> Fmt.str "%12.1f ns/run" est
         | None -> "n/a"))
     rows;
+  Fmt.pr "%-45s %12.1f words@." restart_words_name words;
+  let rows =
+    List.sort (fun (a, _) (b, _) -> String.compare a b)
+      ((restart_words_name, Some words) :: rows)
+  in
   let oc = open_out "BENCH_micro.json" in
   let field (name, estimate) =
     Fmt.str "  %S: %s" name
@@ -540,7 +601,17 @@ let run_check_micro_floors () =
   in
   let c = per_op (Fmt.str "B13 obs: counter incr (x%d)" b13_ops) 500. in
   let h = per_op (Fmt.str "B13 obs: histogram observe (x%d)" b13_ops) 1500. in
-  Fmt.pr "micro floors ok: obs counter %.1f ns/op, histogram %.1f ns/op@." c h
+  (* The durable restart: committed, and within the test's words bound. *)
+  let restart_us = find restart_name /. 1000. in
+  let words = find restart_words_name in
+  if words > restart_words_bound then
+    failwith
+      (Fmt.str "%s: %.1f exceeds the %.0f words/record bound" restart_words_name words
+         restart_words_bound);
+  Fmt.pr
+    "micro floors ok: obs counter %.1f ns/op, histogram %.1f ns/op; durable restart \
+     %.0f us, %.1f promoted words/record@."
+    c h restart_us words
 
 (* ------------------------------------------------------------------ *)
 

@@ -27,8 +27,11 @@
    client's pace.  What it has written to disk it does not also keep in
    memory: each sync hands the trace's new entries to the trace file and
    drops them, and the durable store keeps only metadata — it reads its
-   flushed log, checkpoints and announcements back from their files on
-   the rare paths that need them (rollback, restart, log GC).  Client
+   flushed log, checkpoints and announcements back from their files, one
+   record at a time, on the rare paths that need them (rollback, restart,
+   log GC).  So a respawn's reopen and restart keep of the log only the
+   delivery identities duplicate suppression needs and the suffix after
+   the newest checkpoint, not the whole log.  Client
    ingress is back-pressured: a control-connection reader waits while the
    mailbox holds a full batch ([batch_cap] events), so a client that
    injects back to back queues its backlog in its own TCP send path, which

@@ -123,12 +123,18 @@ type scan_result = {
   tail : tail;
 }
 
-let scan s =
+let fold s ~init ~f =
   let rec loop pos acc =
     match decode s ~pos with
-    | End -> { records = List.rev acc; valid_bytes = pos; tail = Clean }
-    | Truncated -> { records = List.rev acc; valid_bytes = pos; tail = Torn }
-    | Corrupt -> { records = List.rev acc; valid_bytes = pos; tail = Corrupt_tail }
-    | Record { kind; payload; next } -> loop next ((kind, payload) :: acc)
+    | End -> (acc, pos, Clean)
+    | Truncated -> (acc, pos, Torn)
+    | Corrupt -> (acc, pos, Corrupt_tail)
+    | Record { kind; payload; next } -> loop next (f acc kind payload)
   in
-  loop 0 []
+  loop 0 init
+
+let scan s =
+  let records, valid_bytes, tail =
+    fold s ~init:[] ~f:(fun acc kind payload -> (kind, payload) :: acc)
+  in
+  { records = List.rev records; valid_bytes; tail }

@@ -61,5 +61,13 @@ type scan_result = {
   tail : tail;
 }
 
+val fold :
+  string -> init:'a -> f:('a -> int -> string -> 'a) -> 'a * int * tail
+(** [fold s ~init ~f] feeds each record's kind and payload to [f], oldest
+    first, from offset 0 until the first anomaly or the end; returns the
+    accumulator, the length of the longest valid prefix and how the input
+    ended.  Only one decoded payload is live at a time. *)
+
 val scan : string -> scan_result
-(** Decode records from offset 0 until the first anomaly or the end. *)
+(** Decode records from offset 0 until the first anomaly or the end,
+    collecting them: {!fold} into a list. *)

@@ -135,64 +135,49 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
   let sync_file = sync_path dir in
   let sync_missing = (not fresh) && not (fs.exists sync_file) in
   (* Synchronous area first: it holds the metadata (base, length witness)
-     that interprets the rest. *)
-  let sync_records = ref [] (* oldest first after rev *) in
+     that interprets the rest.  Folded one record at a time; only the
+     metadata is kept.  A record whose seal or Marshal header is damaged
+     (in a way the frame CRC happened to miss, or after version skew) is
+     dropped and its bytes counted — reported damage, never a crash and
+     never silent acceptance. *)
+  let sync_records = ref 0 in
   let sync_bytes_dropped = ref 0 in
-  (if fs.exists sync_file then begin
-     let contents = fs.read sync_file in
-     let scanned = Codec.scan contents in
-     sync_records := scanned.records;
-     if scanned.valid_bytes < String.length contents then begin
-       sync_bytes_dropped := String.length contents - scanned.valid_bytes;
-       fs.truncate sync_file scanned.valid_bytes
-     end
-   end);
   let inc = ref 0 in
   let witness_len = ref None in
   let logical_base = ref 0 in
-  (* A record whose seal or Marshal header is damaged (in a way the frame
-     CRC happened to miss, or after version skew) is dropped and its bytes
-     counted — reported damage, never a crash and never silent
-     acceptance. *)
-  List.iter
-    (fun (kind, payload) ->
-      let undecodable () =
+  let absorb_sync () kind payload =
+    incr sync_records;
+    let absorb f = match of_bin_opt payload with
+      | Some v -> f v
+      | None ->
         sync_bytes_dropped :=
           !sync_bytes_dropped + String.length payload + Codec.header_bytes
-      in
-      let absorb f = match of_bin_opt payload with
-        | Some v -> f v
-        | None -> undecodable ()
-      in
-      if kind = k_ann then absorb ignore
-      else if kind = k_inc then absorb (fun (i : int) -> inc := i)
-      else if kind = k_len then absorb (fun (w : int) -> witness_len := Some w)
-      else if kind = k_base then absorb (fun (b : int) -> logical_base := b))
-    !sync_records;
+    in
+    if kind = k_ann then absorb ignore
+    else if kind = k_inc then absorb (fun (i : int) -> inc := i)
+    else if kind = k_len then absorb (fun (w : int) -> witness_len := Some w)
+    else if kind = k_base then absorb (fun (b : int) -> logical_base := b)
+  in
+  (if fs.exists sync_file then begin
+     let contents = fs.read sync_file in
+     let (), valid_bytes, _ = Codec.fold contents ~init:() ~f:absorb_sync in
+     if valid_bytes < String.length contents then begin
+       sync_bytes_dropped :=
+         !sync_bytes_dropped + String.length contents - valid_bytes;
+       fs.truncate sync_file valid_bytes
+     end
+   end);
   (* Message log.  An undecodable record breaks the gap-free prefix the
      log promises, so recovery truncates there — the suffix is counted as
-     dropped bytes, exactly like a torn tail.  The decoded records are not
-     kept: reads go back to the segments ([stable_log_from]). *)
-  let log, recovered = Segment_log.open_ ~fs ~dir ?segment_bytes () in
-  let log_undecodable_bytes = ref 0 in
-  let recovered_log =
-    let rec decode_prefix idx = function
-      | [] -> idx
-      | payload :: rest -> (
-        match of_bin_opt payload with
-        | Some _ -> decode_prefix (idx + 1) rest
-        | None ->
-          List.iter
-            (fun p ->
-              log_undecodable_bytes :=
-                !log_undecodable_bytes + String.length p + Codec.header_bytes)
-            (payload :: rest);
-          Segment_log.truncate_after log ~keep:idx;
-          idx)
-    in
-    let first = recovered.Segment_log.first in
-    decode_prefix first recovered.Segment_log.payloads - first
+     dropped bytes, exactly like a torn tail.  Each record is decoded once
+     to check it and then dropped: reads go back to the segments
+     ([fold_log_from]). *)
+  let log, recovered =
+    Segment_log.open_ ~fs ~dir ?segment_bytes
+      ~valid:(fun p -> Option.is_some (of_bin_opt p))
+      ()
   in
+  let recovered_log = Segment_log.next_index log - recovered.Segment_log.first in
   let stable_len = Segment_log.next_index log in
   let missing =
     match !witness_len with
@@ -221,13 +206,12 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
     {
       fresh;
       recovered_log;
-      log_bytes_dropped =
-        recovered.Segment_log.bytes_dropped + !log_undecodable_bytes;
+      log_bytes_dropped = recovered.Segment_log.bytes_dropped;
       log_segments_dropped = recovered.Segment_log.segments_dropped;
       missing_log_records = missing;
       recovered_checkpoints = List.length !ckpts;
       checkpoints_dropped = !ckpts_dropped;
-      sync_records = List.length !sync_records;
+      sync_records = !sync_records;
       sync_bytes_dropped = !sync_bytes_dropped;
       sync_area_missing = sync_missing;
     }
@@ -367,11 +351,16 @@ let volatile_peek t = with_lock t (fun () -> Queue.peek_opt t.volatile)
 
 (* Read back from the segments: a record that no longer decodes raises
    (naming its segment and index) instead of shortening the answer. *)
-let log_from t ~pos =
+let fold_log t ~pos ~init ~f =
   guard t;
   if pos < t.base || pos > t.stable_len then
     invalid_arg "Durable_store.stable_log_from: position out of range";
-  Segment_log.read_from t.log ~pos ~decode:of_bin_opt
+  Segment_log.fold_from t.log ~pos ~decode:of_bin_opt ~init ~f
+
+let fold_log_from t ~pos ~init ~f = with_lock t (fun () -> fold_log t ~pos ~init ~f)
+
+let log_from t ~pos =
+  List.rev (fold_log t ~pos ~init:[] ~f:(fun acc _ r -> r :: acc))
 
 let stable_log_from t ~pos = with_lock t (fun () -> log_from t ~pos)
 
@@ -432,7 +421,13 @@ let latest_checkpoint t =
   with_lock t (fun () ->
       match t.ckpts with [] -> None | seq :: _ -> Some (read_checkpoint t seq))
 
-let checkpoints t = with_lock t (fun () -> List.map (read_checkpoint t) t.ckpts)
+let checkpoints t =
+  let seqs = with_lock t (fun () -> t.ckpts) in
+  Seq.map (fun seq -> with_lock t (fun () -> read_checkpoint t seq)) (List.to_seq seqs)
+
+let oldest_checkpoint t =
+  with_lock t (fun () ->
+      match List.rev t.ckpts with [] -> None | seq :: _ -> Some (read_checkpoint t seq))
 
 let unlink_ckpts t dropped =
   List.iter (fun seq -> t.fs.unlink (ckpt_path t.root seq)) dropped
@@ -484,14 +479,16 @@ let log_announcement t a =
 let read_announcements t =
   guard t;
   let path = sync_path t.root in
-  let scanned = Codec.scan (t.fs.read path) in
-  if scanned.tail <> Codec.Clean then
+  let anns, valid_bytes, tail =
+    Codec.fold (t.fs.read path) ~init:[] ~f:(fun acc kind payload ->
+        if kind = k_ann then
+          match of_bin_opt payload with Some a -> a :: acc | None -> acc
+        else acc)
+  in
+  if tail <> Codec.Clean then
     failwith
-      (Printf.sprintf "Durable_store: %s: damaged at byte %d" path
-         scanned.valid_bytes);
-  List.filter_map
-    (fun (kind, payload) -> if kind = k_ann then of_bin_opt payload else None)
-    scanned.records
+      (Printf.sprintf "Durable_store: %s: damaged at byte %d" path valid_bytes);
+  List.rev anns
 
 let announcements t = with_lock t (fun () -> read_announcements t)
 

@@ -26,12 +26,13 @@
       {!Group_commit} coordinator, so N simultaneous callers cost one
       fsync, not N.  The segments are the only copy of the flushed
       records: the store keeps none in memory and reads them back from the
-      files when asked ({!stable_log_from});
+      files when asked, one record at a time ({!fold_log_from});
     - each {b checkpoint} is its own [ckpt-<seq>.dat] file holding one
       checksummed record: the pair (stable length at save time, snapshot);
       the length lets open-time recovery reject checkpoints that point past
       a log whose tail was lost.  The store keeps only the file sequence
-      numbers and reads a snapshot back from its file when asked;
+      numbers and reads a snapshot back from its file when asked, one
+      file at a time ({!checkpoints} is a lazy sequence);
     - the {b synchronous area} is [sync.dat], an append-only record
       stream, fsynced when it carries protocol data (announcements, the
       incarnation counter), which the store keeps none of in memory: it
@@ -58,7 +59,10 @@
 
     Open-time recovery scans everything, truncates torn or corrupt tails,
     drops unusable checkpoints and reports what it found in
-    {!open_report}. *)
+    {!open_report}.  It folds over the synchronous area, each log segment
+    and each checkpoint file one decoded record at a time and keeps only
+    the metadata above, so opening a store costs no memory that grows
+    with its history. *)
 
 type ('ckpt, 'log, 'ann) t
 
@@ -138,18 +142,25 @@ val volatile_peek : ('ckpt, 'log, 'ann) t -> 'log option
 (** Oldest record still in the volatile buffer — the first record a crash
     would lose. *)
 
-val stable_log_from : ('ckpt, 'log, 'ann) t -> pos:int -> 'log list
-(** The stable records from [pos] on, oldest first, read back from the
-    segment files ({!Segment_log.read_from}) — flushed records are
+val fold_log_from :
+  ('ckpt, 'log, 'ann) t -> pos:int -> init:'acc -> f:('acc -> int -> 'log -> 'acc) -> 'acc
+(** Fold [f] over the stable records from [pos] on, oldest first, each
+    with its logical position, read back from the segment files one
+    record at a time ({!Segment_log.fold_from}) — flushed records are
     readable before their fsync completes, as they would be from memory.
-    Only rollback, restart and log GC call this, so the flush path keeps
-    no copy of what it wrote.
+    Only rollback, restart and log GC read the log, so the flush path
+    keeps no copy of what it wrote, and a read keeps no more of the log
+    than [f] does.  [f] runs under the store's lock and must not call
+    back into the store; an exception it raises stops the fold.
     @raise Failure naming the segment file and the record's logical
     position if a record read back fails its checksum or no longer
     decodes: damage found after open is reported, never answered with a
     shorter log.
     @raise Invalid_argument if [pos] is below {!log_base} or past
     {!stable_log_length}. *)
+
+val stable_log_from : ('ckpt, 'log, 'ann) t -> pos:int -> 'log list
+(** {!fold_log_from} into a list, oldest first; raises like it. *)
 
 val truncate_stable_log : ('ckpt, 'log, 'ann) t -> keep:int -> 'log list
 (** Keep only the first [keep] stable records and return the removed tail
@@ -185,8 +196,15 @@ val latest_checkpoint : ('ckpt, 'log, 'ann) t -> 'ckpt option
     @raise Failure naming the file if it no longer decodes (damage after
     open). *)
 
-val checkpoints : ('ckpt, 'log, 'ann) t -> 'ckpt list
-(** Newest first, each read back from its file; raises like
+val checkpoints : ('ckpt, 'log, 'ann) t -> 'ckpt Seq.t
+(** Newest first, each read back from its file only when its element is
+    forced, so a caller that stops at the first match reads no older
+    file.  The sequence lists the checkpoints retained when it was made;
+    forcing an element raises like {!latest_checkpoint}, also when its
+    file was pruned or restored away since. *)
+
+val oldest_checkpoint : ('ckpt, 'log, 'ann) t -> 'ckpt option
+(** Read back from the oldest retained checkpoint file; raises like
     {!latest_checkpoint}. *)
 
 val restore_checkpoint :
@@ -205,7 +223,8 @@ val log_announcement : ('ckpt, 'log, 'ann) t -> 'ann -> unit
 (** Synchronous write (counted). *)
 
 val announcements : ('ckpt, 'log, 'ann) t -> 'ann list
-(** Oldest first, read back from [sync.dat].  Records open-time recovery
+(** Oldest first, read back from [sync.dat] in one fold that keeps only
+    the announcements.  Records open-time recovery
     reported as undecodable are skipped.
     @raise Failure naming the file if a frame no longer checks (damage
     after open). *)

@@ -26,7 +26,6 @@ type t = {
 
 type recovered = {
   first : int;
-  payloads : string list;
   bytes_dropped : int;
   segments_dropped : int;
   tail : Codec.tail;
@@ -47,7 +46,11 @@ let create_segment (fs : Fs.t) dir start =
   (fs.create path).close ();
   { start; path; count = 0; bytes = 0 }
 
-let open_ ~(fs : Fs.t) ~dir ?(segment_bytes = default_segment_bytes) () =
+(* Open-time recovery, one segment in memory at a time: each segment is
+   folded record by record, counting what passes [valid], and the first
+   anomaly — a torn or corrupt frame, a rejected record, or a segment that
+   does not start where its predecessor ends — truncates the log there. *)
+let open_ ~(fs : Fs.t) ~dir ?(segment_bytes = default_segment_bytes) ~valid () =
   fs.mkdir_p dir;
   let starts =
     fs.readdir dir
@@ -57,51 +60,44 @@ let open_ ~(fs : Fs.t) ~dir ?(segment_bytes = default_segment_bytes) () =
   let bytes_dropped = ref 0 in
   let segments_dropped = ref 0 in
   let tail = ref Codec.Clean in
-  let stop = ref false in
   let kept = ref [] (* newest first *) in
-  let payloads = ref [] (* newest first *) in
+  let drop path =
+    bytes_dropped := !bytes_dropped + fs.size path;
+    incr segments_dropped;
+    fs.unlink path
+  in
+  let exception Rejected of int * int in
   List.iter
     (fun start ->
       let path = seg_path dir start in
-      if !stop then begin
-        bytes_dropped := !bytes_dropped + fs.size path;
-        incr segments_dropped;
-        fs.unlink path
-      end
-      else begin
-        (match !kept with
+      if !tail <> Codec.Clean then drop path
+      else
+        match !kept with
         | prev :: _ when prev.start + prev.count <> start ->
           (* The previous segment lost records (a mid-log truncation or
              corruption ate its tail): logical positions would gap, so
              everything from here on is unusable. *)
-          if !tail = Codec.Clean then tail := Codec.Corrupt_tail;
-          stop := true;
-          bytes_dropped := !bytes_dropped + fs.size path;
-          incr segments_dropped;
-          fs.unlink path
-        | _ -> ());
-        if not !stop then begin
+          tail := Codec.Corrupt_tail;
+          drop path
+        | _ ->
           let contents = fs.read path in
-          let scanned = Codec.scan contents in
-          let seg =
-            {
-              start;
-              path;
-              count = List.length scanned.records;
-              bytes = scanned.valid_bytes;
-            }
+          let count, valid_bytes, seg_tail =
+            match
+              Codec.fold contents ~init:(0, 0) ~f:(fun (n, off) _ payload ->
+                  if valid payload then
+                    (n + 1, off + Codec.header_bytes + String.length payload)
+                  else raise (Rejected (n, off)))
+            with
+            | (n, _), valid_bytes, seg_tail -> (n, valid_bytes, seg_tail)
+            | exception Rejected (n, off) -> (n, off, Codec.Corrupt_tail)
           in
-          List.iter (fun (_, p) -> payloads := p :: !payloads) scanned.records;
-          kept := seg :: !kept;
-          if scanned.tail <> Codec.Clean then begin
-            tail := scanned.tail;
-            stop := true;
+          kept := { start; path; count; bytes = valid_bytes } :: !kept;
+          if seg_tail <> Codec.Clean then begin
+            tail := seg_tail;
             bytes_dropped :=
-              !bytes_dropped + (String.length contents - scanned.valid_bytes);
-            fs.truncate path scanned.valid_bytes
-          end
-        end
-      end)
+              !bytes_dropped + (String.length contents - valid_bytes);
+            fs.truncate path valid_bytes
+          end)
     starts;
   let segs =
     match List.rev !kept with [] -> [ create_segment fs dir 0 ] | segs -> segs
@@ -125,7 +121,6 @@ let open_ ~(fs : Fs.t) ~dir ?(segment_bytes = default_segment_bytes) () =
   let recovered =
     {
       first = (List.hd segs).start;
-      payloads = List.rev !payloads;
       bytes_dropped = !bytes_dropped;
       segments_dropped = !segments_dropped;
       tail = !tail;
@@ -179,44 +174,42 @@ let append t payload =
   t.dirty <- true;
   idx
 
-(* The records of segment [s], oldest first, scanned from byte 0 (the log
-   keeps no per-record offsets; a segment is at most [segment_bytes] plus
-   one record).  Appends are whole O_APPEND writes made under the caller's
-   lock, so everything appended — synced or not — is readable from the
-   file.  Fails naming record [s.start + i] where the file stops matching
-   what was written. *)
-let scan_segment t ~op s =
-  let fail i reason =
-    failwith
-      (Printf.sprintf "Segment_log.%s: %s: record %d: %s" op s.path (s.start + i)
-         reason)
+let fail ~op s i reason =
+  failwith (Printf.sprintf "Segment_log.%s: %s: record %d: %s" op s.path i reason)
+
+(* Fold [f] over the records of segment [s], oldest first, each with its
+   logical index, scanned from byte 0 (the log keeps no per-record
+   offsets; a segment is at most [segment_bytes] plus one record).
+   Appends are whole O_APPEND writes made under the caller's lock, so
+   everything appended — synced or not — is readable from the file.
+   Fails naming the record where the file stops matching what was
+   written. *)
+let fold_segment t ~op s ~init ~f =
+  let (n, acc), _, _ =
+    Codec.fold (t.fs.read s.path) ~init:(0, init) ~f:(fun (i, acc) _ payload ->
+        (i + 1, f acc (s.start + i) payload))
   in
-  let records = (Codec.scan (t.fs.read s.path)).records in
-  let n = List.length records in
-  if n < s.count then fail n "bad magic, checksum or length";
-  (records, fail)
+  if n < s.count then fail ~op s (s.start + n) "bad magic, checksum or length";
+  acc
+
+let fold_from t ~pos ~decode ~init ~f =
+  guard t "fold_from";
+  if pos < first_index t || pos > next_index t then
+    invalid_arg "Segment_log.fold_from: position out of range";
+  List.fold_left
+    (fun acc s ->
+      if s.count = 0 || s.start + s.count <= pos then acc
+      else
+        fold_segment t ~op:"fold_from" s ~init:acc ~f:(fun acc i payload ->
+            if i < pos then acc
+            else
+              match decode payload with
+              | Some v -> f acc i v
+              | None -> fail ~op:"fold_from" s i "undecodable payload"))
+    init t.segs
 
 let read_from t ~pos ~decode =
-  guard t "read_from";
-  if pos < first_index t || pos > next_index t then
-    invalid_arg "Segment_log.read_from: position out of range";
-  let read_seg acc s =
-    if s.count = 0 || s.start + s.count <= pos then acc
-    else begin
-      let first = max 0 (pos - s.start) in
-      let records, fail = scan_segment t ~op:"read_from" s in
-      snd
-        (List.fold_left
-           (fun (i, acc) (_, payload) ->
-             if i < first then (i + 1, acc)
-             else
-               match decode payload with
-               | Some v -> (i + 1, v :: acc)
-               | None -> fail i "undecodable payload")
-           (0, acc) records)
-    end
-  in
-  List.rev (List.fold_left read_seg [] t.segs)
+  List.rev (fold_from t ~pos ~decode ~init:[] ~f:(fun acc _ v -> v :: acc))
 
 let truncate_after t ~keep =
   guard t "truncate_after";
@@ -247,16 +240,13 @@ let truncate_after t ~keep =
     in
     t.closed_unsynced <- List.remove_assoc cur.path t.closed_unsynced;
     (if keep < cur.start + cur.count then begin
-       let i = keep - cur.start in
-       let records, _ = scan_segment t ~op:"truncate_after" cur in
        let off =
-         List.fold_left
-           (fun off (_, payload) -> off + Codec.header_bytes + String.length payload)
-           0
-           (List.filteri (fun j _ -> j < i) records)
+         fold_segment t ~op:"truncate_after" cur ~init:0 ~f:(fun off j payload ->
+             if j < keep then off + Codec.header_bytes + String.length payload
+             else off)
        in
        t.fs.truncate cur.path off;
-       cur.count <- i;
+       cur.count <- keep - cur.start;
        cur.bytes <- off
      end);
     t.cur <- cur;

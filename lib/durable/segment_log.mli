@@ -8,11 +8,14 @@
     and are made durable in batches by {!sync}, which is the physical face
     of the paper's [flush] operation.
 
-    Open-time recovery scans every segment in order and stops at the first
-    anomaly — a torn frame, a checksum mismatch, or a segment whose record
-    count does not meet the next segment's start index.  Everything from
-    the anomaly onward is truncated (later segments deleted), so the
-    recovered log is always a gap-free prefix of what was written.
+    Open-time recovery folds over every segment in order, one segment
+    file and one decoded record in memory at a time, and stops at the
+    first anomaly — a torn frame, a checksum mismatch, a record the
+    caller's validity check rejects, or a segment whose record count does
+    not meet the next segment's start index.  Everything from the anomaly
+    onward is truncated (later segments deleted), so the recovered log is
+    always a gap-free prefix of what was written.  Open keeps no record:
+    reads go back to the files ({!fold_from}).
 
     [kill] models a process death: nothing is synced, every byte past the
     last successful [sync] is discarded, exactly like an OS losing the page
@@ -24,33 +27,55 @@ type t
 
 type recovered = {
   first : int;  (** logical index of the first recovered record *)
-  payloads : string list;  (** recovered record payloads, oldest first *)
-  bytes_dropped : int;  (** bytes truncated from torn/corrupt tails *)
+  bytes_dropped : int;
+      (** bytes truncated from the first anomaly on: the rest of its
+          segment plus every later segment *)
   segments_dropped : int;  (** later segments discarded after an anomaly *)
-  tail : Codec.tail;  (** state of the first anomaly encountered *)
+  tail : Codec.tail;
+      (** state of the first anomaly encountered; a record [valid]
+          rejected counts as [Corrupt_tail] *)
 }
 
-val open_ : fs:Fs.t -> dir:string -> ?segment_bytes:int -> unit -> t * recovered
+val open_ :
+  fs:Fs.t ->
+  dir:string ->
+  ?segment_bytes:int ->
+  valid:(string -> bool) ->
+  unit ->
+  t * recovered
 (** Open (creating if needed) the segment log in [dir] of [fs].  [segment_bytes]
     (default 64 KiB) is the size threshold past which appends rotate to a
-    new segment. *)
+    new segment.  [valid] is asked of each well-framed payload in log
+    order; the first one it rejects ends the recovered log, exactly like a
+    corrupt frame.  The recovered records are [first] .. [next_index - 1]. *)
 
 val append : t -> string -> int
 (** Append one record payload; returns its absolute logical index.  The
     record is volatile until the next {!sync}. *)
 
-val read_from : t -> pos:int -> decode:(string -> 'a option) -> 'a list
-(** The records at logical indices [pos] .. [next_index - 1], oldest
-    first, each payload mapped through [decode].  Read back from the
-    segment files: the log keeps neither payloads nor per-record byte
-    offsets in memory, so the segment holding [pos] is scanned from byte
-    0 (at most [segment_bytes] plus one record).  Appended records are
-    readable before their {!sync}.
+val fold_from :
+  t ->
+  pos:int ->
+  decode:(string -> 'a option) ->
+  init:'acc ->
+  f:('acc -> int -> 'a -> 'acc) ->
+  'acc
+(** Fold [f] over the records at logical indices [pos] .. [next_index - 1],
+    oldest first, each payload mapped through [decode] and passed with its
+    index.  Read back from the segment files one segment at a time: the
+    log keeps neither payloads nor per-record byte offsets in memory, so
+    the segment holding [pos] is scanned from byte 0 (at most
+    [segment_bytes] plus one record), and only one decoded record is live
+    besides what [f] keeps.  Appended records are readable before their
+    {!sync}.  An exception raised by [f] stops the fold.
     @raise Failure naming the segment file and the record's logical index
     if a record fails its checksum, is cut short, or [decode] rejects it:
-    a damaged log is reported, never returned shorter.
+    a damaged log is reported, never folded shorter.
     @raise Invalid_argument if [pos] is outside
     [[first_index, next_index]]. *)
+
+val read_from : t -> pos:int -> decode:(string -> 'a option) -> 'a list
+(** {!fold_from} into a list, oldest first; raises like it. *)
 
 val sync : t -> unit
 (** fsync the newest segment (one synchronous operation per batch). *)
@@ -69,7 +94,7 @@ val truncate_after : t -> keep:int -> unit
     segments are deleted and the segment containing [keep] is truncated at
     the record boundary, found by scanning that segment.  Subsequent
     appends continue at index [keep].
-    @raise Failure like {!read_from} if that segment is damaged. *)
+    @raise Failure like {!fold_from} if that segment is damaged. *)
 
 val drop_segments_below : t -> before:int -> unit
 (** Delete whole segments that only contain records with index [< before].

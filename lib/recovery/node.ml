@@ -574,8 +574,10 @@ let commit_upto t (upto : Entry.t) =
 let all_stable t dep = List.for_all (fun (j, e) -> stable_in_log t j e) dep
 
 (* The anchor: the newest of [cks] (newest first) whose dependency vector
-   [dep_of] is all stable.  Log GC and duplicate suppression both ask it. *)
-let find_anchor t dep_of cks = List.find_index (fun ck -> all_stable t (dep_of ck)) cks
+   [dep_of] is all stable, with its index.  Log GC and duplicate
+   suppression both ask it; nothing after the anchor is forced. *)
+let find_anchor t dep_of cks =
+  Seq.find_mapi (fun i ck -> if all_stable t (dep_of ck) then Some (i, ck) else None) cks
 
 (* A flush that leaves the current vector all stable commits everything
    delivered so far, checkpoint or not. *)
@@ -586,11 +588,10 @@ let commit_current t =
 (* Move the anchor to the newest own checkpoint whose vector is now all
    stable, if that is newer than the last one, and fold what it commits. *)
 let fold_committed t =
-  match find_anchor t (fun cp -> cp.cp_dep) t.ckpts with
-  | Some i
+  match find_anchor t (fun cp -> cp.cp_dep) (List.to_seq t.ckpts) with
+  | Some (i, anchor)
     when (proto t).tracking = Config.Transitive
-         && (List.nth t.ckpts i).cp_interval.sii > t.folded_sii ->
-    let anchor = List.nth t.ckpts i in
+         && anchor.cp_interval.sii > t.folded_sii ->
     let kept = List.filteri (fun j _ -> j <= i) t.ckpts in
     t.ckpts <- kept;
     t.folded_sii <- anchor.cp_interval.sii;
@@ -1414,20 +1415,22 @@ let rollback t ~now ~(because : Wire.announcement) =
       (* The checkpoint's vector records no remote dependencies, so locate
          the first directly-orphan record and restore behind it.  Direct
          tracking forbids log GC, so the scan always reaches the record. *)
-      let base = Store.log_base t.store in
-      let halt_pos = ref (Store.stable_log_length t.store) in
-      List.iteri
-        (fun i record ->
-          match record with
-          | Delivery d
-            when base + i < !halt_pos
-                 && List.exists
-                      (fun (p, e) -> p = j && orphan_entry ann e)
-                      d.lg_msg.Wire.dep ->
-            halt_pos := base + i
-          | Delivery _ | Requeued _ -> ())
-        (Store.stable_log_from t.store ~pos:base);
-      fun ck -> ck.ck_log_pos <= !halt_pos
+      let exception Halt of int in
+      let halt_pos =
+        match
+          Store.fold_log_from t.store ~pos:(Store.log_base t.store) ~init:()
+            ~f:(fun () pos -> function
+              | Delivery d
+                when List.exists
+                       (fun (p, e) -> p = j && orphan_entry ann e)
+                       d.lg_msg.Wire.dep ->
+                raise (Halt pos)
+              | Delivery _ | Requeued _ -> ())
+        with
+        | () -> Store.stable_log_length t.store
+        | exception Halt pos -> pos
+      in
+      fun ck -> ck.ck_log_pos <= halt_pos
   in
   let ck, reseed =
     match Store.restore_checkpoint t.store ~satisfying:ck_ok with
@@ -1440,9 +1443,11 @@ let rollback t ~now ~(because : Wire.announcement) =
          initial state when the whole log is still there; otherwise the
          oldest survivor is the best state left, and the oracle judges what
          it holds against the reported loss. *)
-      match List.rev (Store.checkpoints t.store) with
-      | oldest :: _ when Store.log_base t.store > 0 -> (oldest, false)
-      | _ -> (initial_checkpoint t (t.app.App_intf.init ~pid:t.pid ~n:t.app_n), true))
+      match
+        if Store.log_base t.store > 0 then Store.oldest_checkpoint t.store else None
+      with
+      | Some oldest -> (oldest, false)
+      | None -> (initial_checkpoint t (t.app.App_intf.init ~pid:t.pid ~n:t.app_n), true))
   in
   t.ckpts <-
     commit_point ck
@@ -1722,16 +1727,16 @@ let receive_app t ~now (m : 'msg Wire.app_message) =
    record (the only persistent copy of its message), and the collected
    deliveries are persisted as Gc_stubs in the synchronous area so
    duplicate suppression survives crashes.  The anchor checkpoint is
-   named by its index in the newest-first checkpoint list: a durable store
-   reads checkpoints back from their files, so no two reads return the
-   same physical value. *)
+   named by its index in the newest-first checkpoint sequence: a durable
+   store reads checkpoints back from their files, newest first and only
+   as far as the anchor, so no two reads return the same physical
+   value. *)
 let gc_anchor t =
   if Dep_vector.non_null_count t.tdv = 0 then Some (Store.stable_log_length t.store, None)
   else
-    let cks = Store.checkpoints t.store in
     Option.map
-      (fun i -> ((List.nth cks i).ck_log_pos, Some i))
-      (find_anchor t (fun ck -> ck.ck_tdv) cks)
+      (fun (i, ck) -> (ck.ck_log_pos, Some i))
+      (find_anchor t (fun ck -> ck.ck_tdv) (Store.checkpoints t.store))
 
 let run_gc t =
   match gc_anchor t with
@@ -1739,13 +1744,11 @@ let run_gc t =
   | Some (anchor_pos, anchor_idx) ->
     let base = Store.log_base t.store in
     if anchor_pos > base then begin
-      let prefix = Store.stable_log_from t.store ~pos:base in
       let boundary = ref base in
       let collected = ref [] in
       (try
-         List.iter
-           (fun record ->
-             if !boundary >= anchor_pos then raise Exit;
+         Store.fold_log_from t.store ~pos:base ~init:() ~f:(fun () pos record ->
+             if pos >= anchor_pos then raise Exit;
              (match record with
              | Requeued m when not (seen t m) -> raise Exit
              | Delivery d -> collected := d.lg_msg :: !collected
@@ -1753,8 +1756,7 @@ let run_gc t =
                (* its re-delivery is a later record, collected with it or
                   still in the log *)
                ());
-             incr boundary)
-           prefix
+             boundary := pos + 1)
        with Exit -> ());
       if !boundary > base then begin
         (* Persist the collected deliveries before dropping their records. *)
@@ -1844,14 +1846,15 @@ let do_crash t ~now =
 (* Shared restart prologue: wipe volatile state, rebuild durable knowledge
    from the synchronous area (announcements we logged — ours and others' —
    committed outputs, incarnation markers, per-partition checkpoints),
-   re-seed the duplicate-suppression table from the whole stable log and
-   locate the full checkpoint to rebuild from.  Returns the checkpoint and
-   the surviving per-partition checkpoint candidates (latest record per
-   partition, invalidated by any later marker that truncated below its
-   covered prefix), together with the synchronous area and the stable log
-   from the checkpoint on.  A durable store answers both from its files,
-   so the prologue reads each once and the rest of the restart reuses
-   them. *)
+   locate the full checkpoint to rebuild from, and make one streamed pass
+   over the stable log that re-seeds the duplicate-suppression table,
+   finds the highest incarnation and keeps only the records from the
+   checkpoint on.  Returns the checkpoint and the surviving per-partition
+   checkpoint candidates (latest record per partition, invalidated by any
+   later marker that truncated below its covered prefix), together with
+   the synchronous area and that log suffix.  A durable store answers
+   both from its files, so the prologue reads each once and the rest of
+   the restart reuses them. *)
 let restart_prologue t =
   Obs.Counter.incr t.meters.restarts;
   (* Volatile state is gone. *)
@@ -1941,13 +1944,6 @@ let restart_prologue t =
   t.ckpt_ops <- t.ckpt_ops + 1;
   t.ckpts <- [ commit_point ck ];
   t.folded_sii <- 0;
-  (* Deliveries that predate the checkpoint are stable and still valid;
-     their identities must survive into the duplicate-suppression table. *)
-  let base = Store.log_base t.store in
-  let log = Store.stable_log_from t.store ~pos:base in
-  List.iter
-    (function Delivery d -> note_delivered t d.lg_msg d.lg_interval | Requeued _ -> ())
-    log;
   (* The failed incarnation is the highest number this process ever used,
      which every bump persisted as a marker (a logged interval still names
      one whose marker a damaged sync area lost).  The next one numbers
@@ -1962,16 +1958,26 @@ let restart_prologue t =
           -> acc)
       ck.ck_current.inc anns
   in
-  let max_inc =
-    List.fold_left
-      (fun acc -> function
-        | Delivery d -> Stdlib.max acc d.lg_interval.inc | Requeued _ -> acc)
-      max_inc log
-  in
-  t.epoch <- max_inc + 1;
+  (* Deliveries that predate the checkpoint are stable and still valid;
+     their identities must survive into the duplicate-suppression table.
+     Only the records the rebuild replays are kept. *)
+  let base = Store.log_base t.store in
   (* GC never discards past the oldest retained checkpoint. *)
   assert (ck.ck_log_pos >= base);
-  (ck, part_ck, anns, List.filteri (fun i _ -> base + i >= ck.ck_log_pos) log)
+  let max_inc, suffix =
+    Store.fold_log_from t.store ~pos:base ~init:(max_inc, [])
+      ~f:(fun (max_inc, suffix) pos record ->
+        let max_inc =
+          match record with
+          | Delivery d ->
+            note_delivered t d.lg_msg d.lg_interval;
+            Stdlib.max max_inc d.lg_interval.inc
+          | Requeued _ -> max_inc
+        in
+        (max_inc, if pos >= ck.ck_log_pos then record :: suffix else suffix))
+  in
+  t.epoch <- max_inc + 1;
+  (ck, part_ck, anns, List.rev suffix)
 
 (* Shared restart epilogue: announce the failure, persist the incarnation
    bump, continue as a fresh interval and come back up.  [t.current] must

@@ -105,10 +105,19 @@ let test_codec_scan_stops_at_torn_tail () =
 (* ------------------------------------------------------------------ *)
 (* Segment log *)
 
+(* The segment log alone frames records: accept any payload. *)
+let open_seg ?segment_bytes dir =
+  Seg.open_ ~fs:Durable.Fs.unix ~dir ?segment_bytes ~valid:(fun _ -> true) ()
+
+(* What an open recovered, read back through the log. *)
+let recovered_payloads log =
+  Seg.read_from log ~pos:(Seg.first_index log) ~decode:Option.some
+
 let test_segment_rotation_and_reopen () =
   with_dir (fun dir ->
-      let log, r0 = Seg.open_ ~fs:Durable.Fs.unix ~dir ~segment_bytes:64 () in
-      Alcotest.(check (list string)) "fresh" [] r0.Seg.payloads;
+      let log, r0 = open_seg ~segment_bytes:64 dir in
+      Alcotest.(check (list string)) "fresh" [] (recovered_payloads log);
+      Alcotest.(check int) "fresh starts at 0" 0 r0.Seg.first;
       let payloads = List.init 20 (fun i -> Printf.sprintf "record-%02d" i) in
       List.iteri
         (fun i p -> Alcotest.(check int) "index" i (Seg.append log p))
@@ -116,22 +125,23 @@ let test_segment_rotation_and_reopen () =
       Seg.sync log;
       Alcotest.(check bool) "rotated" true (Seg.segment_count log > 1);
       Seg.kill log;
-      let log2, r = Seg.open_ ~fs:Durable.Fs.unix ~dir ~segment_bytes:64 () in
+      let log2, r = open_seg ~segment_bytes:64 dir in
       Alcotest.(check (list string)) "all synced records recovered" payloads
-        r.Seg.payloads;
+        (recovered_payloads log2);
       Alcotest.(check int) "no bytes dropped" 0 r.Seg.bytes_dropped;
       Alcotest.(check int) "next index continues" 20 (Seg.next_index log2);
       Seg.close log2)
 
 let test_segment_kill_drops_unsynced () =
   with_dir (fun dir ->
-      let log, _ = Seg.open_ ~fs:Durable.Fs.unix ~dir () in
+      let log, _ = open_seg dir in
       ignore (Seg.append log "synced" : int);
       Seg.sync log;
       ignore (Seg.append log "lost" : int);
       Seg.kill log;
-      let log2, r = Seg.open_ ~fs:Durable.Fs.unix ~dir () in
-      Alcotest.(check (list string)) "only synced survives" [ "synced" ] r.Seg.payloads;
+      let log2, r = open_seg dir in
+      Alcotest.(check (list string)) "only synced survives" [ "synced" ]
+        (recovered_payloads log2);
       Alcotest.(check bool) "clean tail (no torn bytes on disk)" true
         (r.Seg.tail = Codec.Clean);
       Seg.close log2)
@@ -140,7 +150,7 @@ let test_segment_read_skips_empty_newest () =
   (* A kill between a rotation and its first sync leaves the newest segment
      empty, starting above every earlier record: read-back must skip it. *)
   with_dir (fun dir ->
-      let log, _ = Seg.open_ ~fs:Durable.Fs.unix ~dir ~segment_bytes:16 () in
+      let log, _ = open_seg ~segment_bytes:16 dir in
       List.iter
         (fun p -> ignore (Seg.append log p : int))
         [ "first record"; "second record" ];
@@ -148,7 +158,7 @@ let test_segment_read_skips_empty_newest () =
       ignore (Seg.append log "lost after rotation" : int);
       Alcotest.(check int) "one record per segment" 3 (Seg.segment_count log);
       Seg.kill log;
-      let log2, _ = Seg.open_ ~fs:Durable.Fs.unix ~dir ~segment_bytes:16 () in
+      let log2, _ = open_seg ~segment_bytes:16 dir in
       Alcotest.(check int) "empty newest segment kept" 3 (Seg.segment_count log2);
       List.iter
         (fun (pos, expected) ->
@@ -159,7 +169,7 @@ let test_segment_read_skips_empty_newest () =
 
 let test_segment_boundary_gap_detected () =
   with_dir (fun dir ->
-      let log, _ = Seg.open_ ~fs:Durable.Fs.unix ~dir ~segment_bytes:64 () in
+      let log, _ = open_seg ~segment_bytes:64 dir in
       List.iter
         (fun i -> ignore (Seg.append log (Printf.sprintf "r%02d" i) : int))
         (List.init 20 Fun.id);
@@ -174,20 +184,21 @@ let test_segment_boundary_gap_detected () =
       (match seg_files dir with
       | _ :: middle :: _ -> chop middle (Codec.header_bytes + 3)
       | _ -> Alcotest.fail "expected at least two segments");
-      let log2, r = Seg.open_ ~fs:Durable.Fs.unix ~dir ~segment_bytes:64 () in
+      let log2, r = open_seg ~segment_bytes:64 dir in
       Alcotest.(check bool) "corrupt tail" true (r.Seg.tail = Codec.Corrupt_tail);
       Alcotest.(check bool) "later segments dropped" true (r.Seg.segments_dropped >= 1);
+      let recovered = recovered_payloads log2 in
       Alcotest.(check bool) "strict prefix recovered" true
-        (List.length r.Seg.payloads < 20);
+        (List.length recovered < 20);
       (* what survives is a gap-free prefix *)
       List.iteri
         (fun i p -> Alcotest.(check string) "prefix record" (Printf.sprintf "r%02d" i) p)
-        r.Seg.payloads;
+        recovered;
       Seg.close log2)
 
 let test_segment_truncate_and_compact () =
   with_dir (fun dir ->
-      let log, _ = Seg.open_ ~fs:Durable.Fs.unix ~dir ~segment_bytes:64 () in
+      let log, _ = open_seg ~segment_bytes:64 dir in
       List.iter
         (fun i -> ignore (Seg.append log (Printf.sprintf "r%02d" i) : int))
         (List.init 20 Fun.id);
@@ -198,7 +209,7 @@ let test_segment_truncate_and_compact () =
       Seg.drop_segments_below log ~before:8;
       Alcotest.(check bool) "old segments gone" true (Seg.first_index log > 0);
       Seg.kill log;
-      let log2, r = Seg.open_ ~fs:Durable.Fs.unix ~dir ~segment_bytes:64 () in
+      let log2, r = open_seg ~segment_bytes:64 dir in
       Alcotest.(check int) "first index survives reopen" (Seg.first_index log2) r.Seg.first;
       let expected =
         List.filteri (fun i _ -> i + r.Seg.first < 12) (List.init 20 Fun.id)
@@ -206,7 +217,7 @@ let test_segment_truncate_and_compact () =
       in
       Alcotest.(check (list string)) "suffix + new record"
         (expected @ [ "new-12" ])
-        r.Seg.payloads;
+        (recovered_payloads log2);
       Seg.close log2)
 
 (* ------------------------------------------------------------------ *)
@@ -230,7 +241,8 @@ let test_store_reopen_roundtrip () =
       Alcotest.(check int) "log recovered" 3 r.D.recovered_log;
       Alcotest.(check (list string)) "log back" [ "a"; "b"; "c" ]
         (D.stable_log_from s2 ~pos:0);
-      Alcotest.(check (list string)) "checkpoint back" [ "ck0" ] (D.checkpoints s2);
+      Alcotest.(check (list string)) "checkpoint back" [ "ck0" ]
+        (List.of_seq (D.checkpoints s2));
       Alcotest.(check (list string)) "announcement back" [ "ann1" ]
         (D.announcements s2);
       Alcotest.(check int) "incarnation back" 2 (D.incarnation s2);
@@ -653,6 +665,78 @@ let test_daemon_retention_flat () =
           dedup_per_op dedup_1k dedup_10k;
       Net.Trace_codec.close_writer writer)
 
+(* Restart reads its store back one record at a time: the log, the
+   synchronous area and the checkpoints are folded over, and what a
+   restart keeps is what the protocol retains on purpose — the identities
+   of the logged deliveries (duplicate suppression, until the first commit
+   folds them) and the log suffix after the newest checkpoint.  So the
+   words a restart promotes to the major heap grow by a bounded amount per
+   logged delivery: about 18, nearly all of it the duplicate-suppression
+   entry.  5,000 deliveries in ten-record flushes and a checkpoint every
+   250 make several 64 KiB segments and 21 checkpoint files; the newest
+   checkpoint leaves no suffix to replay.  A restart that read the whole
+   log into one list promoted 33 words per record, and with an open that
+   collected every recovered payload, 55. *)
+let restart_records = 5_000
+
+let restart_words_per_record = 25.
+
+let logged_node ?store_dir () =
+  let config = quiet_counter_config () in
+  let trace = Recovery.Trace.create () in
+  let node =
+    Node.create ~config ~pid:0 ~app:Counter.app ?store_dir ?obs:None ~trace
+  in
+  for i = 1 to restart_records do
+    let now = float_of_int i in
+    ignore (Node.inject node ~now ~seq:i ~cseq:(i - 1) (Counter.Add i));
+    if i mod 10 = 0 then ignore (Node.flush node ~now);
+    if i mod 250 = 0 then ignore (Node.checkpoint node ~now)
+  done;
+  Alcotest.(check int) "every delivery logged" restart_records
+    (Node.stable_log_length node);
+  (node, config, trace)
+
+(* Words promoted to the major heap while [f] runs, per logged record. *)
+let promoted_per_record f =
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  let node = f () in
+  Gc.minor ();
+  let words = (Gc.quick_stat ()).Gc.promoted_words -. before in
+  Alcotest.(check bool) "up after restart" true (Node.is_up node);
+  words /. float_of_int restart_records
+
+let check_restart_words what per_record =
+  if per_record > restart_words_per_record then
+    Alcotest.failf "%s promoted %.1f words per logged record (bound %.0f)" what
+      per_record restart_words_per_record
+
+let test_restart_words_bounded () =
+  (* In process, on the in-memory tree: the simulator's crash. *)
+  let node, _, _ = logged_node () in
+  Node.crash node ~now:6_000.;
+  check_restart_words "in-memory crash + restart_begin"
+    (promoted_per_record (fun () ->
+         ignore (Node.restart_begin node ~now:6_001.);
+         node));
+  (* A process death over real files, the daemon's respawn: the reopen
+     runs open-time recovery over every segment, checkpoint and sync
+     record. *)
+  with_dir (fun dir ->
+      let node, config, trace = logged_node ~store_dir:dir () in
+      Node.halt node ~now:6_000.;
+      Alcotest.(check bool) "several segments" true (List.length (seg_files dir) >= 3);
+      Alcotest.(check int) "every checkpoint kept" 21 (List.length (ckpt_files dir));
+      check_restart_words "Node.create + restart_begin"
+        (promoted_per_record (fun () ->
+             let fresh =
+               Node.create ~config ~pid:0 ~app:Counter.app ~store_dir:dir
+                 ?obs:None ~trace
+             in
+             ignore (Node.restart_begin fresh ~now:6_001.);
+             fresh)))
+
 let suite =
   [
     Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
@@ -690,6 +774,8 @@ let suite =
     Alcotest.test_case "node restarts from disk" `Quick test_node_restart_from_disk;
     Alcotest.test_case "node halt kills in-memory store" `Quick
       test_node_halt_in_memory;
+    Alcotest.test_case "restart promotes bounded words per logged record" `Quick
+      test_restart_words_bounded;
     Alcotest.test_case "daemon retention flat over history" `Quick
       test_daemon_retention_flat;
     Alcotest.test_case "cluster kill+respawn certified" `Slow

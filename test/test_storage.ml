@@ -153,7 +153,24 @@ module Conformance (B : BACKEND) = struct
     Store.save_checkpoint s "ck2";
     Alcotest.(check int) "checkpoint flushes" 1 (Store.stable_log_length s);
     Alcotest.(check (option string)) "latest" (Some "ck2") (Store.latest_checkpoint s);
-    Alcotest.(check (list string)) "newest first" [ "ck2"; "ck1" ] (Store.checkpoints s)
+    Alcotest.(check (list string)) "newest first" [ "ck2"; "ck1" ]
+      (List.of_seq (Store.checkpoints s));
+    Alcotest.(check (option string)) "oldest" (Some "ck1") (Store.oldest_checkpoint s);
+    (* The sequence reads a file only when its element is forced: with the
+       oldest file damaged, the newest still reads back. *)
+    let fs = fs_of s in
+    let oldest =
+      fs.readdir (Store.dir s)
+      |> List.filter (fun f -> String.length f > 5 && String.sub f 0 5 = "ckpt-")
+      |> List.sort compare |> List.hd
+    in
+    Fs.write_file fs ~fsync:false (Filename.concat (Store.dir s) oldest) "garbage";
+    (match Store.checkpoints s () with
+    | Seq.Cons (newest, _) -> Alcotest.(check string) "newest forced alone" "ck2" newest
+    | Seq.Nil -> Alcotest.fail "no checkpoint");
+    match Store.oldest_checkpoint s with
+    | _ -> Alcotest.fail "a damaged checkpoint was read back"
+    | exception Failure _ -> ()
 
   let test_restore_checkpoint () =
     let s = make () in
@@ -162,7 +179,7 @@ module Conformance (B : BACKEND) = struct
     Alcotest.(check (option string)) "found" (Some "ck2") found;
     (* "Discard the checkpoints that follow" (Figure 3). *)
     Alcotest.(check (list string)) "later ones discarded" [ "ck2"; "ck1" ]
-      (Store.checkpoints s);
+      (List.of_seq (Store.checkpoints s));
     Alcotest.(check (option string)) "none match" None
       (Store.restore_checkpoint s ~satisfying:(fun c -> c = "ck3"))
 
@@ -230,7 +247,7 @@ module Conformance (B : BACKEND) = struct
     List.iter (Store.save_checkpoint s) [ "ck1"; "ck2"; "ck3"; "ck4" ];
     Alcotest.(check int) "pruned" 2 (Store.prune_checkpoints s ~keep_latest:2);
     Alcotest.(check (list string)) "latest survive" [ "ck4"; "ck3" ]
-      (Store.checkpoints s);
+      (List.of_seq (Store.checkpoints s));
     Alcotest.check_raises "must keep one"
       (Invalid_argument "Durable_store.prune_checkpoints: must keep at least one")
       (fun () -> ignore (Store.prune_checkpoints s ~keep_latest:0))
@@ -325,6 +342,68 @@ module Conformance (B : BACKEND) = struct
     fill s [ "after" ];
     check_from s ~pos:2 [ big 2; "after" ]
 
+  (* A record whose frame checks but whose payload no longer decodes — a
+     damaged seal, or sealed bytes that are not a Marshal value — in a
+     middle segment.  Open truncates the log at that record and counts it
+     and every byte after it as dropped, with the later segments; what
+     survives reads back without raising, and appends continue there. *)
+  let test_undecodable_middle_record damage () =
+    let s = small () in
+    Store.kill s;
+    let fs = fs_of s and dir = Store.dir s in
+    let segs =
+      fs.readdir dir
+      |> List.filter (fun f -> String.length f > 4 && String.sub f 0 4 = "seg-")
+      |> List.sort compare
+    in
+    let mid = List.length segs / 2 in
+    let name = List.nth segs mid in
+    let path = Filename.concat dir name in
+    let start = int_of_string (String.sub name 4 12) in
+    let scanned = Durable.Codec.scan (fs.read path) in
+    (* the segment's last record, so a good record precedes it *)
+    let victim = List.length scanned.Durable.Codec.records - 1 in
+    let b = Buffer.create 128 in
+    let victim_off = ref 0 in
+    List.iteri
+      (fun i (kind, payload) ->
+        if i = victim then begin
+          victim_off := Buffer.length b;
+          Durable.Codec.encode_into b ~kind (damage payload)
+        end
+        else Durable.Codec.encode_into b ~kind payload)
+      scanned.Durable.Codec.records;
+    Fs.write_file fs ~fsync:false path (Buffer.contents b);
+    let later = List.filteri (fun i _ -> i > mid) segs in
+    let expected_dropped =
+      List.fold_left
+        (fun acc f -> acc + fs.size (Filename.concat dir f))
+        (Buffer.length b - !victim_off)
+        later
+    in
+    let s, report = open_ fs ~dir ~segment_bytes:64 () in
+    let keep = start + victim in
+    Alcotest.(check bool) "damage reported" true (Store.damaged report);
+    Alcotest.(check int) "log ends before the record" keep report.Store.recovered_log;
+    Alcotest.(check int) "the record and all after it dropped" expected_dropped
+      report.Store.log_bytes_dropped;
+    Alcotest.(check int) "later segments dropped" (List.length later)
+      report.Store.log_segments_dropped;
+    Alcotest.(check int) "stable length" keep (Store.stable_log_length s);
+    check_from s ~pos:0 (records 0 keep);
+    fill s [ "after" ];
+    check_from s ~pos:(keep - 1) (records (keep - 1) keep @ [ "after" ])
+
+  (* Flip a byte of the sealed blob's own payload: its CRC no longer
+     matches, but the frame around it is rebuilt and checks. *)
+  let broken_seal payload =
+    let p = Bytes.of_string payload in
+    let i = Durable.Codec.header_bytes + 1 in
+    Bytes.set p i (Char.chr (Char.code (Bytes.get p i) lxor 0x40));
+    Bytes.to_string p
+
+  let not_marshal _ = Durable.Codec.seal "sealed, but not a Marshal value"
+
   let suite =
     List.map
       (fun (name, f) -> Alcotest.test_case (B.name ^ ": " ^ name) `Quick f)
@@ -349,6 +428,8 @@ module Conformance (B : BACKEND) = struct
         ("read back unsynced records", test_read_unsynced);
         ("read back of a damaged record fails", test_read_damaged);
         ("read back past an empty newest segment", test_read_empty_newest_segment);
+        ("undecodable seal in a middle segment", test_undecodable_middle_record broken_seal);
+        ("undecodable Marshal in a middle segment", test_undecodable_middle_record not_marshal);
       ]
 end
 
