@@ -402,10 +402,7 @@ let run_b11 rows =
       let outcome = Net.Deployment.finish t in
       if outcome.Net.Deployment.oracle.Harness.Oracle.violations <> [] then
         failwith "B11: oracle violations in a benign run";
-      let delivs =
-        try List.assoc "deliveries_total" outcome.Net.Deployment.counters
-        with Not_found -> 0
-      in
+      let delivs = Obs.Snapshot.counter outcome.Net.Deployment.obs "deliveries_total" in
       (* Mean output-commit latency from the cluster-merged snapshot's
          [output_latency] histogram — sum and count are exact (the
          daemons rebuild the histogram from raw samples at collect), in
@@ -465,9 +462,7 @@ let b12_run ~n ~k ~ops ~seed =
   let outcome = Net.Deployment.finish t in
   if outcome.Net.Deployment.oracle.Harness.Oracle.violations <> [] then
     failwith "B12: oracle violations in a benign run";
-  let delivs =
-    try List.assoc "deliveries_total" outcome.Net.Deployment.counters with Not_found -> 0
-  in
+  let delivs = Obs.Snapshot.counter outcome.Net.Deployment.obs "deliveries_total" in
   let lats =
     output_latencies outcome.Net.Deployment.trace
     |> List.sort compare |> Array.of_list

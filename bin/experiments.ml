@@ -258,13 +258,14 @@ let chaos_cmd =
     let summary =
       Harness.Chaos.campaign ~breakage ~storage_faults ~progress ~runs ~seed ()
     in
+    let count = Obs.Snapshot.counter summary.Harness.Chaos.obs in
     Fmt.pr
       "certified %d/%d runs, %d with detected storage data loss (max risk seen \
        %d; wire faults injected: %d lost, %d duplicated; %d protocol \
        retransmissions)@."
       summary.Harness.Chaos.certified summary.runs summary.Harness.Chaos.detected
-      summary.max_risk_seen summary.total_net_lost summary.total_net_duplicated
-      summary.total_retransmissions;
+      summary.max_risk_seen (count "net_lost_total") (count "net_duplicated_total")
+      (count "retransmissions_total");
     match summary.Harness.Chaos.failures with
     | [] ->
       Fmt.pr "all runs oracle-certified.@.";

@@ -123,49 +123,6 @@ let pending mb =
   Mutex.unlock mb.mu;
   n
 
-let write_all fd s =
-  let buf = Bytes.unsafe_of_string s in
-  let n = Bytes.length buf in
-  let rec loop off =
-    if off = n then true
-    else
-      match Unix.write fd buf off (n - off) with
-      | 0 -> false
-      | k -> loop (off + k)
-      | exception Unix.Unix_error _ -> false
-  in
-  loop 0
-
-let read_exact fd n =
-  let buf = Bytes.create n in
-  let rec loop off =
-    if off = n then Some (Bytes.unsafe_to_string buf)
-    else
-      match Unix.read fd buf off (n - off) with
-      | 0 -> None
-      | k -> loop (off + k)
-      | exception Unix.Unix_error _ -> None
-  in
-  loop 0
-
-(* Read one control frame off a connection. *)
-let read_control wire fd =
-  match read_exact fd Wire_codec.header_bytes with
-  | None -> None
-  | Some header -> (
-    match Wire_codec.parse_header header ~pos:0 with
-    | Error _ -> None
-    | Ok (kind, len) -> (
-      match if len = 0 then Some "" else read_exact fd len with
-      | None -> None
-      | Some payload -> (
-        match Wire_codec.check_frame ~header ~payload with
-        | Error _ -> None
-        | Ok () -> (
-          match Wire_codec.decode_control_body wire ~kind payload with
-          | Error _ -> None
-          | Ok ctl -> Some ctl))))
-
 let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
     ~(wire : msg App_model.App_intf.wire_format) ~pid ~n ~k ~listen_port ~peers
     ~control_port ~store_dir ~trace_file ~metrics_file ~epoch ~time_scale
@@ -269,8 +226,8 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
   Unix.listen control_sock 16;
   let control_conn fd =
     let rec loop () =
-      match read_control wire fd with
-      | None -> (try Unix.close fd with Unix.Unix_error _ -> ())
+      match Wire_codec.read_control wire fd with
+      | None -> Wire_codec.close_quiet fd
       | Some ctl ->
         post_client mb (Control (ctl, fd));
         loop ()
@@ -320,7 +277,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
   let c_batch_events = Obs.Registry.counter obs "batch_events_total" in
   let c_eager_flushes = Obs.Registry.counter obs "eager_flushes_total" in
   let reply fd ctl =
-    ignore (write_all fd (Wire_codec.encode_control wire ctl) : bool)
+    ignore (Wire_codec.write_all fd (Wire_codec.encode_control wire ctl) : bool)
   in
   let finish () =
     stopping := true;
@@ -396,12 +353,6 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
         match ctl with
         | Wire_codec.Inject { seq; cseq; payload } ->
           step_up (fun nd ~now -> Node.inject nd ~now ~seq ~cseq payload)
-        | Wire_codec.Tick t ->
-          step_up
-            (match t with
-            | `Flush -> Node.flush
-            | `Checkpoint -> Node.checkpoint
-            | `Notice -> Node.broadcast_notice)
         | Wire_codec.Crash ->
           (* Soft fail-stop: same recovery path as a SIGKILL + respawn,
              without losing the OS process.  The new node registers over

@@ -72,26 +72,35 @@ let config_of ~preset ~n ~k =
   | Direct -> Config.direct_dependency ~n ()
 
 let pp_stats (s : Cluster.stats) =
+  let count name = Obs.Snapshot.counter s.obs name in
+  let packets =
+    List.filter_map
+      (function
+        | ("net_packets_total", [ ("kind", kind) ]), Obs.Snapshot.Counter v ->
+          Some (kind, v)
+        | _ -> None)
+      (Obs.Snapshot.bindings s.obs)
+  in
   Fmt.pr "makespan            %10.1f@." s.makespan;
-  Fmt.pr "deliveries          %10d@." s.deliveries;
-  Fmt.pr "messages released   %10d@." s.releases;
-  Fmt.pr "sync writes         %10d@." s.sync_writes;
+  Fmt.pr "deliveries          %10d@." (count "deliveries_total");
+  Fmt.pr "messages released   %10d@." (count "releases_total");
+  Fmt.pr "sync writes         %10d@." (count "storage_sync_writes_total");
   Fmt.pr "send blocked        %a@." Sim.Summary.pp s.blocked_time;
   Fmt.pr "wire vector size    %a@." Sim.Summary.pp s.wire_vector_size;
   Fmt.pr "delivery delay      %a@." Sim.Summary.pp s.delivery_delay;
-  Fmt.pr "outputs committed   %10d@." s.outputs_committed;
+  Fmt.pr "outputs committed   %10d@." (count "outputs_committed_total");
   Fmt.pr "output latency      %a@." Sim.Summary.pp s.output_latency;
-  Fmt.pr "restarts            %10d@." s.restarts;
-  Fmt.pr "induced rollbacks   %10d@." s.induced_rollbacks;
-  Fmt.pr "intervals lost      %10d@." s.lost_intervals;
-  Fmt.pr "intervals undone    %10d@." s.undone_intervals;
-  Fmt.pr "orphan msgs dropped %10d@." s.orphans_discarded;
-  Fmt.pr "duplicates dropped  %10d@." s.duplicates_dropped;
-  Fmt.pr "replayed            %10d@." s.replayed;
-  Fmt.pr "retransmissions     %10d@." s.retransmissions;
+  Fmt.pr "restarts            %10d@." (count "restarts_total");
+  Fmt.pr "induced rollbacks   %10d@." (count "induced_rollbacks_total");
+  Fmt.pr "intervals lost      %10d@." (count "lost_intervals_total");
+  Fmt.pr "intervals undone    %10d@." (count "undone_intervals_total");
+  Fmt.pr "orphan msgs dropped %10d@." (count "orphans_discarded_total");
+  Fmt.pr "duplicates dropped  %10d@." (count "duplicates_dropped_total");
+  Fmt.pr "replayed            %10d@." (count "replayed_total");
+  Fmt.pr "retransmissions     %10d@." (count "retransmissions_total");
   Fmt.pr "packets             %a@."
     Fmt.(list ~sep:comma (pair ~sep:(any "=") string int))
-    s.packets
+    packets
 
 let simulate preset n k workload items failures seed horizon show_trace =
   let config = config_of ~preset ~n ~k in

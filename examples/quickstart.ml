@@ -46,10 +46,10 @@ let () =
         Depend.Entry.pp (Node.stable_frontier node))
     (Cluster.nodes cluster);
 
-  let stats = Cluster.stats cluster in
+  let count = Obs.Snapshot.counter (Cluster.stats cluster).obs in
   Fmt.pr "@.deliveries=%d released=%d restarts=%d rollbacks=%d replayed=%d@."
-    stats.deliveries stats.releases stats.restarts stats.induced_rollbacks
-    stats.replayed;
+    (count "deliveries_total") (count "releases_total") (count "restarts_total")
+    (count "induced_rollbacks_total") (count "replayed_total");
   List.iter
     (fun { Recovery.Trace.time; ev; _ } ->
       match ev with

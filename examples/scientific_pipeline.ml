@@ -37,13 +37,15 @@ let run name config ~failures =
   end;
   Cluster.run cluster;
   let s = Cluster.stats cluster in
+  let count = Obs.Snapshot.counter s.obs in
   Fmt.pr
     "%-12s %s | jobs done %3d/%d | last result at %7.1f | busy time %8.1f | \
      replayed %4d | lost+undone %3d@."
     name
     (if failures then "2 crashes " else "no crashes")
-    s.outputs_committed jobs (last_output_time cluster) s.busy_time s.replayed
-    (s.lost_intervals + s.undone_intervals);
+    (count "outputs_committed_total") jobs (last_output_time cluster) s.busy_time
+    (count "replayed_total")
+    (count "lost_intervals_total" + count "undone_intervals_total");
   let report =
     Harness.Oracle.check ~k:config.Config.protocol.k ~n:stages (Cluster.trace cluster)
   in

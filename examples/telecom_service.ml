@@ -32,13 +32,15 @@ let run name config =
   Cluster.crash_at cluster ~time:95. ~pid:5;
   Cluster.run cluster;
   let s = Cluster.stats cluster in
+  let count = Obs.Snapshot.counter s.obs in
   Fmt.pr
     "%-12s calls connected %3d/%d | blocked %6.2f | connect latency %7.2f | sync \
      writes %4d | rollbacks %2d | undone work %3d intervals@."
-    name s.outputs_committed calls
+    name (count "outputs_committed_total") calls
     (Sim.Summary.mean s.blocked_time)
     (Sim.Summary.mean s.output_latency)
-    s.sync_writes s.induced_rollbacks s.undone_intervals;
+    (count "storage_sync_writes_total") (count "induced_rollbacks_total")
+    (count "undone_intervals_total");
   let report =
     Harness.Oracle.check ~k:config.Config.protocol.k ~n:switches
       (Cluster.trace cluster)

@@ -42,7 +42,9 @@ let () =
       Fmt.pr " %2d | %12.2f | %11.2f | %12d | %10d | %11d@." k
         (Sim.Summary.mean free.blocked_time)
         (Sim.Summary.mean free.wire_vector_size)
-        k faulty.induced_rollbacks faulty.undone_intervals)
+        k
+        (Obs.Snapshot.counter faulty.obs "induced_rollbacks_total")
+        (Obs.Snapshot.counter faulty.obs "undone_intervals_total"))
     [ 0; 1; 2; 3; 4; 6; 8 ];
   Fmt.pr
     "@.Left columns: failure-free run (overhead falls as K grows).@.Right \

@@ -535,8 +535,6 @@ let crash t =
 
 let sync_writes t = with_lock t (fun () -> Obs.Counter.value t.sync_writes)
 
-let flushes t = with_lock t (fun () -> Obs.Counter.value t.flushes)
-
 
 let kill t =
   (* [exclusive] waits out an fsync in flight: descriptors must not close
@@ -565,7 +563,3 @@ let arm_slow_fsync t ~delay ~rounds =
   with_lock t (fun () ->
       guard t;
       t.slow_fsync <- (if rounds = 0 then None else Some (delay, rounds)))
-
-let degraded_flushes t = with_lock t (fun () -> Obs.Counter.value t.degraded_flushes)
-
-let slowed_fsyncs t = with_lock t (fun () -> Obs.Counter.value t.slowed_fsyncs)

@@ -108,8 +108,8 @@ val open_ :
     [storage_degraded_flushes_total], [storage_slowed_fsyncs_total] —
     plus the embedded group-commit coordinator's ({!Group_commit.create}).
     Defaults to a private registry.  All cells are bumped under the
-    store's lock; the accessors below read under that same lock, so
-    their values are exact.  Note that get-or-create semantics mean a
+    store's lock; {!sync_writes} reads under that same lock, so its
+    value is exact.  Note that get-or-create semantics mean a
     store reopened into the {e same} registry (a daemon respawning in
     process) continues the counters of its predecessor. *)
 
@@ -254,13 +254,9 @@ val sync_writes : ('ckpt, 'log, 'ann) t -> int
     non-empty flush round, checkpoint, announcement and incarnation write
     — the quantity the paper's cost model charges for, and what E12/B9
     report.  Store-internal metadata writes (length witness, log base) are
-    not counted. *)
-
-val flushes : ('ckpt, 'log, 'ann) t -> int
-(** Non-empty flush rounds completed.  Each round issues exactly one
-    fsync, so under concurrent flushing this is also the fsync count of
-    the flush path (strictly less than the number of callers whenever
-    coalescing happened). *)
+    not counted.  The same count is the registry's
+    [storage_sync_writes_total]; {!Recovery.Node} reads it here to cost
+    each step. *)
 
 (** {1 Process death and fault injection} *)
 
@@ -278,7 +274,7 @@ val arm_fsync_failure : ('ckpt, 'log, 'ann) t -> unit
 val arm_disk_full : ('ckpt, 'log, 'ann) t -> rounds:int -> unit
 (** ENOSPC brownout: the next [rounds] non-empty {!flush} attempts refuse
     — nothing is drained or dropped, the volatile queue stays intact, and
-    each refusal is counted in {!degraded_flushes}.  Degradation is
+    each refusal is counted in [storage_degraded_flushes_total].  Degradation is
     graceful by construction: records the disk refused remain volatile, so
     the K-rule keeps the owning node's sends gated instead of ever
     claiming stability the disk did not provide; the first flush after the
@@ -286,14 +282,8 @@ val arm_disk_full : ('ckpt, 'log, 'ann) t -> rounds:int -> unit
 
 val arm_slow_fsync : ('ckpt, 'log, 'ann) t -> delay:float -> rounds:int -> unit
 (** Slow-disk brownout: the next [rounds] flush rounds stretch their fsync
-    by [delay] seconds (counted in {!slowed_fsyncs}).  The group-commit
-    coordinator absorbs the slowdown by coalescing more callers per round. *)
-
-val degraded_flushes : ('ckpt, 'log, 'ann) t -> int
-(** Flush attempts refused by a disk-full window — the brownout
-    degradation report. *)
-
-val slowed_fsyncs : ('ckpt, 'log, 'ann) t -> int
-(** Flush rounds stretched by an armed slow-fsync window. *)
+    by [delay] seconds (counted in [storage_slowed_fsyncs_total]).  The
+    group-commit coordinator absorbs the slowdown by coalescing more
+    callers per round. *)
 
 val dir : ('ckpt, 'log, 'ann) t -> string

@@ -260,9 +260,7 @@ type summary = {
   certified : int;
   detected : int;  (* storage damage reported instead of silent wrong state *)
   failures : (case * verdict) list;  (* oldest first *)
-  total_retransmissions : int;
-  total_net_lost : int;
-  total_net_duplicated : int;
+  obs : Obs.Snapshot.t;  (* every run's counts, merged *)
   max_risk_seen : int;
 }
 
@@ -272,16 +270,11 @@ let campaign ?(breakage = Config.no_breakage) ?(storage_faults = false) ?progres
   let certified = ref 0 in
   let detected = ref 0 in
   let failures = ref [] in
-  let retrans = ref 0 and lost = ref 0 and dup = ref 0 and risk = ref 0 in
+  let obs = ref Obs.Snapshot.empty and risk = ref 0 in
   for index = 0 to runs - 1 do
     let case = random_case ~storage_faults rng ~index in
     let { verdict; stats } = run_case ~breakage case in
-    (match stats with
-    | Some s ->
-      retrans := !retrans + s.Cluster.retransmissions;
-      lost := !lost + s.Cluster.net_faults.Netmodel.lost;
-      dup := !dup + s.Cluster.net_faults.Netmodel.duplicated
-    | None -> ());
+    Option.iter (fun (s : Cluster.stats) -> obs := Obs.Snapshot.merge !obs s.obs) stats;
     (match verdict with
     | Certified r ->
       incr certified;
@@ -295,9 +288,7 @@ let campaign ?(breakage = Config.no_breakage) ?(storage_faults = false) ?progres
     certified = !certified;
     detected = !detected;
     failures = List.rev !failures;
-    total_retransmissions = !retrans;
-    total_net_lost = !lost;
-    total_net_duplicated = !dup;
+    obs = !obs;
     max_risk_seen = !risk;
   }
 

@@ -93,9 +93,9 @@ type summary = {
       (** runs whose oracle violations were matched by reported storage
           damage — data loss was injected, detected and reported *)
   failures : (case * verdict) list;  (** oldest first *)
-  total_retransmissions : int;
-  total_net_lost : int;
-  total_net_duplicated : int;
+  obs : Obs.Snapshot.t;
+      (** {!Obs.Snapshot.merge_all} over every run's {!Cluster.stats}
+          snapshot (runs that raised contribute nothing) *)
   max_risk_seen : int;
 }
 

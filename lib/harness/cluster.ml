@@ -29,6 +29,7 @@ type ('state, 'msg) t = {
       (* one per pid, shared by every node that pid ever runs — kills
          respawn over it and joins append one — like a daemon's
          per-process registry *)
+  net_obs : Obs.Registry.t; (* the network model's traffic and fault counts *)
   queue : 'msg event Sim.Event_queue.t;
   net : Netmodel.t;
   trace_ : Recovery.Trace.t;
@@ -443,6 +444,7 @@ let create ~config ~app ?(seed = 42) ?(horizon = 10_000.) ?net_override
   let storage_rng =
     match store_root with None -> None | Some _ -> Some (Sim.Rng.split rng)
   in
+  let net_obs = Obs.Registry.create () in
   let t =
     {
       cfg = config;
@@ -452,10 +454,11 @@ let create ~config ~app ?(seed = 42) ?(horizon = 10_000.) ?net_override
       sched = scheduler;
       nodes;
       registries;
+      net_obs;
       queue = Sim.Event_queue.create ();
       net =
         Netmodel.create ~n ~timing:config.Config.timing ~rng:net_rng ~fault_rng
-          ~plan:fault_plan ?override:net_override ();
+          ~plan:fault_plan ?override:net_override ~obs:net_obs ();
       trace_;
       horizon;
       now = 0.;
@@ -576,32 +579,14 @@ let crash_during_flush_at t ~time ~pid =
   crash_at t ~time:(time +. (0.5 *. t.cfg.Config.timing.t_sync_write)) ~pid
 
 type stats = {
+  obs : Obs.Snapshot.t;
   makespan : float;
-  deliveries : int;
-  releases : int;
-  sends : int;
-  sync_writes : int;
-  flushes : int;
+  busy_time : float;
   blocked_time : Sim.Summary.t;
   wire_vector_size : Sim.Summary.t;
   release_dep_entries : Sim.Summary.t;
   delivery_delay : Sim.Summary.t;
   output_latency : Sim.Summary.t;
-  outputs_committed : int;
-  orphans_discarded : int;
-  duplicates_dropped : int;
-  induced_rollbacks : int;
-  restarts : int;
-  undone_intervals : int;
-  lost_intervals : int;
-  replayed : int;
-  retransmissions : int;
-  announcements : int;
-  notices : int;
-  packets : (string * int) list;
-  piggyback_entries : int;
-  net_faults : Netmodel.fault_stats;
-  busy_time : float;
 }
 
 (* The exact distributions, in one fold over the trace: blocked time,
@@ -635,37 +620,16 @@ let trace_summaries t =
     samples
 
 let stats t =
-  let snap =
-    Obs.Snapshot.merge_all (Array.to_list (Array.map Obs.Registry.snapshot t.registries))
-  in
-  let count name = Obs.Snapshot.counter snap (name ^ "_total") in
   let dist = trace_summaries t in
   {
+    obs =
+      Obs.Snapshot.merge_all
+        (List.map Obs.Registry.snapshot (t.net_obs :: Array.to_list t.registries));
     makespan = t.now;
-    deliveries = count "deliveries";
-    releases = count "releases";
-    sends = count "sends";
-    sync_writes =
-      Array.fold_left (fun acc nd -> acc + Node.sync_writes nd) 0 t.nodes;
-    flushes = Array.fold_left (fun acc nd -> acc + Node.flushes nd) 0 t.nodes;
+    busy_time = t.busy_time;
     blocked_time = dist.(0);
     wire_vector_size = dist.(1);
     release_dep_entries = dist.(2);
     delivery_delay = dist.(3);
     output_latency = dist.(4);
-    outputs_committed = count "outputs_committed";
-    orphans_discarded = count "orphans_discarded";
-    duplicates_dropped = count "duplicates_dropped";
-    induced_rollbacks = count "induced_rollbacks";
-    restarts = count "restarts";
-    undone_intervals = count "undone_intervals";
-    lost_intervals = count "lost_intervals";
-    replayed = count "replayed";
-    retransmissions = count "retransmissions";
-    announcements = count "announcements_sent";
-    notices = count "notices";
-    packets = Netmodel.packets_sent t.net;
-    piggyback_entries = Netmodel.entries_carried t.net;
-    net_faults = Netmodel.fault_stats t.net;
-    busy_time = t.busy_time;
   }

@@ -195,38 +195,21 @@ val config : ('state, 'msg) t -> Recovery.Config.t
 (** Aggregate run statistics over every process the run ever had,
     killed incarnations included, plus network accounting. *)
 type stats = {
+  obs : Obs.Snapshot.t;
+      (** every count the run made: {!Obs.Snapshot.merge_all} over one
+          registry per pid, shared by every node that pid runs (kills
+          respawn over it), as a daemon keeps one per process, and the
+          network model's registry ([net_*] series, see {!Netmodel}) *)
   makespan : float;  (** time of the last processed event *)
-  deliveries : int;
-  releases : int;
-  sends : int;
-  sync_writes : int;
-  flushes : int;
+  busy_time : float;  (** total node busy time (work-weighted overhead) *)
   blocked_time : Sim.Summary.t;
   wire_vector_size : Sim.Summary.t;
   release_dep_entries : Sim.Summary.t;
   delivery_delay : Sim.Summary.t;
   output_latency : Sim.Summary.t;
-  outputs_committed : int;
-  orphans_discarded : int;
-  duplicates_dropped : int;
-  induced_rollbacks : int;
-  restarts : int;
-  undone_intervals : int;
-  lost_intervals : int;
-  replayed : int;
-  retransmissions : int;
-  announcements : int;
-  notices : int;
-  packets : (string * int) list;
-  piggyback_entries : int;
-  net_faults : Netmodel.fault_stats;
-      (** wire-level faults injected by the fault plan *)
-  busy_time : float;  (** total node busy time (work-weighted overhead) *)
 }
 
 val stats : ('state, 'msg) t -> stats
-(** Integer fields: {!Obs.Snapshot.merge_all} over one registry per pid,
-    shared by every node that pid runs (kills respawn over it), as a
-    daemon keeps one per process.  The {!Sim.Summary.t} fields are exact,
-    from one fold over {!trace} ([Message_released], [Message_delivered],
-    [Output_committed]), fed pid by pid downwards, each oldest first. *)
+(** The {!Sim.Summary.t} fields are exact, from one fold over {!trace}
+    ([Message_released], [Message_delivered], [Output_committed]), fed
+    pid by pid downwards, each oldest first. *)

@@ -37,6 +37,8 @@ let favg f runs =
 
 let iavg f runs = favg (fun r -> float_of_int (f r)) runs
 
+let count name (s : Cluster.stats) = Obs.Snapshot.counter s.obs name
+
 let merged f runs =
   List.fold_left
     (fun acc r -> Sim.Summary.merge acc (f r))
@@ -120,7 +122,7 @@ let theorems ?(seeds = default_seeds) () =
           Report.cell_i viol;
           Report.cell_i max_risk;
           (if max_risk <= k then "risk <= K: OK" else "risk > K: FAIL");
-          Report.cell_f (iavg (fun r -> r.stats.Cluster.induced_rollbacks) runs);
+          Report.cell_f (iavg (fun r -> count "induced_rollbacks_total" r.stats) runs);
           Report.cell_i
             (List.fold_left (fun acc r -> acc + r.oracle.Oracle.orphans_at_end) 0 runs);
         ])
@@ -136,7 +138,7 @@ let overhead_row t name config runs =
       name;
       Report.cell_summary (merged (fun r -> r.stats.Cluster.blocked_time) runs);
       Report.cell_f (Sim.Summary.mean (merged (fun r -> r.stats.Cluster.wire_vector_size) runs));
-      Report.cell_f (iavg (fun r -> r.stats.Cluster.sync_writes) runs);
+      Report.cell_f (iavg (fun r -> count "storage_sync_writes_total" r.stats) runs);
       Report.cell_summary (merged (fun r -> r.stats.Cluster.output_latency) runs);
       Report.cell_f (favg (fun r -> r.stats.Cluster.makespan) runs);
       Report.cell_f (favg (fun r -> r.stats.Cluster.busy_time) runs);
@@ -188,12 +190,12 @@ let recovery_vs_k ?(n = 8) ?(seeds = default_seeds) () =
     Report.add_row t
       [
         name;
-        Report.cell_f (iavg (fun r -> r.stats.Cluster.induced_rollbacks) runs);
-        Report.cell_f (iavg (fun r -> r.stats.Cluster.undone_intervals) runs);
-        Report.cell_f (iavg (fun r -> r.stats.Cluster.orphans_discarded) runs);
-        Report.cell_f (iavg (fun r -> r.stats.Cluster.replayed) runs);
-        Report.cell_f (iavg (fun r -> r.stats.Cluster.retransmissions) runs);
-        Report.cell_f (iavg (fun r -> r.stats.Cluster.outputs_committed) runs);
+        Report.cell_f (iavg (fun r -> count "induced_rollbacks_total" r.stats) runs);
+        Report.cell_f (iavg (fun r -> count "undone_intervals_total" r.stats) runs);
+        Report.cell_f (iavg (fun r -> count "orphans_discarded_total" r.stats) runs);
+        Report.cell_f (iavg (fun r -> count "replayed_total" r.stats) runs);
+        Report.cell_f (iavg (fun r -> count "retransmissions_total" r.stats) runs);
+        Report.cell_f (iavg (fun r -> count "outputs_committed_total" r.stats) runs);
       ]
   in
   row "pessimistic" (Config.pessimistic ~n ());
@@ -265,11 +267,11 @@ let preset_comparison ?(n = 8) ?(seeds = default_seeds) () =
         Report.cell_f (Sim.Summary.mean (merged (fun r -> r.stats.Cluster.blocked_time) runs));
         Report.cell_f
           (Sim.Summary.mean (merged (fun r -> r.stats.Cluster.wire_vector_size) runs));
-        Report.cell_f (iavg (fun r -> r.stats.Cluster.sync_writes) runs);
-        Report.cell_f (iavg (fun r -> r.stats.Cluster.induced_rollbacks) runs);
-        Report.cell_f (iavg (fun r -> r.stats.Cluster.undone_intervals) runs);
-        Report.cell_f (iavg (fun r -> r.stats.Cluster.orphans_discarded) runs);
-        Report.cell_f (iavg (fun r -> r.stats.Cluster.outputs_committed) runs);
+        Report.cell_f (iavg (fun r -> count "storage_sync_writes_total" r.stats) runs);
+        Report.cell_f (iavg (fun r -> count "induced_rollbacks_total" r.stats) runs);
+        Report.cell_f (iavg (fun r -> count "undone_intervals_total" r.stats) runs);
+        Report.cell_f (iavg (fun r -> count "orphans_discarded_total" r.stats) runs);
+        Report.cell_f (iavg (fun r -> count "outputs_committed_total" r.stats) runs);
         Report.cell_f (Sim.Summary.mean (merged (fun r -> r.stats.Cluster.output_latency) runs));
       ]
   in
@@ -295,7 +297,7 @@ let output_commit ?(n = 8) ?(seeds = default_seeds) () =
     Report.add_row t
       [
         name;
-        Report.cell_f (iavg (fun r -> r.stats.Cluster.outputs_committed) runs);
+        Report.cell_f (iavg (fun r -> count "outputs_committed_total" r.stats) runs);
         Report.cell_f (Sim.Summary.mean lat);
         Report.cell_f (Sim.Summary.percentile lat 99.);
       ]
@@ -342,12 +344,12 @@ let ablation ?(n = 8) ?(seeds = default_seeds) () =
     Report.add_row t
       [
         name;
-        Report.cell_f (iavg (fun r -> r.stats.Cluster.announcements) runs);
+        Report.cell_f (iavg (fun r -> count "announcements_sent_total" r.stats) runs);
         Report.cell_f
           (Sim.Summary.mean (merged (fun r -> r.stats.Cluster.wire_vector_size) runs));
         Report.cell_summary (merged (fun r -> r.stats.Cluster.delivery_delay) runs);
         Report.cell_f (Sim.Summary.mean (merged (fun r -> r.stats.Cluster.blocked_time) runs));
-        Report.cell_f (iavg (fun r -> r.stats.Cluster.induced_rollbacks) runs);
+        Report.cell_f (iavg (fun r -> count "induced_rollbacks_total" r.stats) runs);
       ]
   in
   let base = Config.optimistic ~n () in
@@ -417,9 +419,9 @@ let sensitivity ?(n = 8) ?(seeds = default_seeds) () =
         Report.cell_f ckpt;
         Report.cell_f (Sim.Summary.mean (merged (fun r -> r.stats.Cluster.blocked_time) runs));
         Report.cell_f (Sim.Summary.mean (merged (fun r -> r.stats.Cluster.output_latency) runs));
-        Report.cell_f (iavg (fun r -> r.stats.Cluster.sync_writes) runs);
-        Report.cell_f (iavg (fun r -> r.stats.Cluster.undone_intervals) runs);
-        Report.cell_f (iavg (fun r -> r.stats.Cluster.replayed) runs);
+        Report.cell_f (iavg (fun r -> count "storage_sync_writes_total" r.stats) runs);
+        Report.cell_f (iavg (fun r -> count "undone_intervals_total" r.stats) runs);
+        Report.cell_f (iavg (fun r -> count "replayed_total" r.stats) runs);
       ]
   in
   List.iter (fun f -> row f 400.) [ 10.; 50.; 200. ];
@@ -485,13 +487,11 @@ let gc_footprint ?(n = 8) ?(seeds = default_seeds) () =
               (fun acc nd -> acc + Recovery.Node.stable_log_length nd)
               0 nodes
           in
-          let reclaimed =
-            Array.fold_left
-              (fun acc nd ->
-                acc + Obs.Counter.value (Obs.Registry.counter (Recovery.Node.obs nd) "gc_records_total"))
-              0 nodes
-          in
-          (retained, written, reclaimed, (Cluster.stats cluster).Cluster.outputs_committed))
+          let stats = Cluster.stats cluster in
+          ( retained,
+            written,
+            count "gc_records_total" stats,
+            count "outputs_committed_total" stats ))
         seeds
     in
     let avg f =
@@ -532,7 +532,7 @@ let tracking_comparison ?(n = 8) ?(seeds = default_seeds) () =
         ]
   in
   let row name config =
-    let runs =
+    let stats =
       List.map
         (fun seed ->
           let cluster =
@@ -547,41 +547,18 @@ let tracking_comparison ?(n = 8) ?(seeds = default_seeds) () =
           in
           if not (Oracle.ok oracle) then
             failwith (Fmt.str "E9 run incorrect: %a" Oracle.pp_report oracle);
-          let queries =
-            Array.fold_left
-              (fun acc nd ->
-                acc + Obs.Counter.value (Obs.Registry.counter (Recovery.Node.obs nd) "dep_queries_total"))
-              0 (Cluster.nodes cluster)
-          in
-          (Cluster.stats cluster, queries))
+          Cluster.stats cluster)
         seeds
-    in
-    let stats = List.map fst runs in
-    let favg f =
-      List.fold_left (fun acc s -> acc +. f s) 0. stats
-      /. float_of_int (List.length stats)
-    in
-    let lat =
-      List.fold_left
-        (fun acc (s : Cluster.stats) -> Sim.Summary.merge acc s.output_latency)
-        (Sim.Summary.create ())
-        stats
     in
     Report.add_row t
       [
         name;
         Report.cell_f
-          (Sim.Summary.mean
-             (List.fold_left
-                (fun acc (s : Cluster.stats) -> Sim.Summary.merge acc s.wire_vector_size)
-                (Sim.Summary.create ())
-                stats));
-        Report.cell_f (favg (fun s -> float_of_int s.piggyback_entries));
-        Report.cell_f
-          (List.fold_left (fun acc (_, q) -> acc +. float_of_int q) 0. runs
-          /. float_of_int (List.length runs));
-        Report.cell_summary lat;
-        Report.cell_f (favg (fun s -> float_of_int s.announcements));
+          (Sim.Summary.mean (merged (fun (s : Cluster.stats) -> s.wire_vector_size) stats));
+        Report.cell_f (iavg (count "net_piggyback_entries_total") stats);
+        Report.cell_f (iavg (count "dep_queries_total") stats);
+        Report.cell_summary (merged (fun (s : Cluster.stats) -> s.output_latency) stats);
+        Report.cell_f (iavg (count "announcements_sent_total") stats);
       ]
   in
   row "transitive, K=N" (Config.optimistic ~n ());
@@ -647,13 +624,13 @@ let adversarial_network ?(n = 8) ?(seeds = default_seeds) () =
         Report.cell_pct (100. *. loss);
         Report.cell_i 0;
         Report.cell_i max_risk;
-        Report.cell_i (sum (fun s -> s.Cluster.retransmissions));
-        Report.cell_i (sum (fun s -> s.Cluster.duplicates_dropped));
+        Report.cell_i (sum (count "retransmissions_total"));
+        Report.cell_i (sum (count "duplicates_dropped_total"));
         Fmt.str "%d/%d/%d"
-          (sum (fun s -> s.Cluster.net_faults.Netmodel.lost))
-          (sum (fun s -> s.Cluster.net_faults.Netmodel.duplicated))
-          (sum (fun s -> s.Cluster.net_faults.Netmodel.reordered));
-        Report.cell_i (sum (fun s -> s.Cluster.outputs_committed));
+          (sum (count "net_lost_total"))
+          (sum (count "net_duplicated_total"))
+          (sum (count "net_reordered_total"));
+        Report.cell_i (sum (count "outputs_committed_total"));
       ]
   in
   List.iter (fun k -> List.iter (fun loss -> row ~k ~loss) [ 0.02; 0.10 ]) [ 0; 2; n ];
@@ -715,12 +692,12 @@ let correlated_failures ?(n = 8) ?(seeds = default_seeds) () =
           name;
           Report.cell_i 0;
           Report.cell_i max_risk;
-          Report.cell_i (sum (fun s -> s.Cluster.restarts));
-          Report.cell_i (sum (fun s -> s.Cluster.induced_rollbacks));
-          Report.cell_i (sum (fun s -> s.Cluster.undone_intervals));
-          Report.cell_i (sum (fun s -> s.Cluster.replayed));
+          Report.cell_i (sum (count "restarts_total"));
+          Report.cell_i (sum (count "induced_rollbacks_total"));
+          Report.cell_i (sum (count "undone_intervals_total"));
+          Report.cell_i (sum (count "replayed_total"));
           Report.cell_i (osum (fun (r : Oracle.report) -> r.Oracle.orphans_at_end));
-          Report.cell_i (sum (fun s -> s.Cluster.outputs_committed));
+          Report.cell_i (sum (count "outputs_committed_total"));
         ])
     scenarios;
   Report.note t
@@ -814,8 +791,8 @@ let durability ?(n = 6) ?(seeds = default_seeds) () =
           (rsum (fun r -> r.Durable.Durable_store.missing_log_records));
         Report.cell_i
           (rsum (fun r -> r.Durable.Durable_store.checkpoints_dropped));
-        Report.cell_i (ssum (fun s -> s.Cluster.replayed));
-        Report.cell_i (ssum (fun s -> s.Cluster.outputs_committed));
+        Report.cell_i (ssum (count "replayed_total"));
+        Report.cell_i (ssum (count "outputs_committed_total"));
       ]
   in
   row "none (clean kill)" None;

@@ -25,13 +25,28 @@ let benign =
 let plan_is_benign p =
   p.loss <= 0. && p.duplicate <= 0. && p.reorder <= 0. && p.partitions = []
 
-type fault_stats = {
-  lost : int;
-  duplicated : int;
-  reordered : int;
-  partition_dropped : int;
-  partition_queued : int;
+(* The fault series exist from creation (at 0); the per-kind packet
+   counters appear with the first packet of their kind. *)
+type meters = {
+  piggyback_entries : Obs.Counter.t;
+  lost : Obs.Counter.t;
+  duplicated : Obs.Counter.t;
+  reordered : Obs.Counter.t;
+  partition_dropped : Obs.Counter.t;
+  partition_queued : Obs.Counter.t;
 }
+
+let meters =
+  Obs.Group.make (fun cells ->
+      let c = Obs.Group.counter cells in
+      {
+        piggyback_entries = c "net_piggyback_entries_total";
+        lost = c "net_lost_total";
+        duplicated = c "net_duplicated_total";
+        reordered = c "net_reordered_total";
+        partition_dropped = c "net_partition_dropped_total";
+        partition_queued = c "net_partition_queued_total";
+      })
 
 type t = {
   timing : Recovery.Config.timing;
@@ -41,16 +56,12 @@ type t = {
   override : override option;
   mutable channel_last : float array array;
       (* last scheduled arrival per (src,dst); grows when membership does *)
-  counts : (string, int) Hashtbl.t;
-  mutable entries : int;
-  mutable lost : int;
-  mutable duplicated : int;
-  mutable reordered : int;
-  mutable partition_dropped : int;
-  mutable partition_queued : int;
+  obs : Obs.Registry.t;
+  m : meters;
+  packets : (string, Obs.Counter.t) Hashtbl.t; (* kind -> net_packets_total{kind} *)
 }
 
-let create ~n ~timing ~rng ?fault_rng ?(plan = benign) ?override () =
+let create ~n ~timing ~rng ?fault_rng ?(plan = benign) ?override ~obs () =
   {
     timing;
     rng;
@@ -61,13 +72,9 @@ let create ~n ~timing ~rng ?fault_rng ?(plan = benign) ?override () =
     plan;
     override;
     channel_last = Array.make_matrix (n + 1) (n + 1) 0.;
-    counts = Hashtbl.create 8;
-    entries = 0;
-    lost = 0;
-    duplicated = 0;
-    reordered = 0;
-    partition_dropped = 0;
-    partition_queued = 0;
+    obs;
+    m = Obs.Registry.group obs meters;
+    packets = Hashtbl.create 8;
   }
 
 (* Widen the per-channel FIFO matrix when a joiner brings a pid the
@@ -86,9 +93,17 @@ let ensure_pid t pid =
     t.channel_last <- fresh
   end
 
+let count_packet t kind =
+  match Hashtbl.find_opt t.packets kind with
+  | Some c -> Obs.Counter.incr c
+  | None ->
+    let c = Obs.Registry.counter t.obs ~labels:[ ("kind", kind) ] "net_packets_total" in
+    Hashtbl.add t.packets kind c;
+    Obs.Counter.incr c
+
 let transit t ~now ~src ~dst ~kind ~entries =
-  Hashtbl.replace t.counts kind (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts kind));
-  t.entries <- t.entries + entries;
+  count_packet t kind;
+  Obs.Counter.add t.m.piggyback_entries entries;
   let tm = t.timing in
   let delay =
     match t.override with
@@ -136,11 +151,11 @@ let arrivals t ~now ~src ~dst ~kind ~entries =
     let p = t.plan in
     match active_partition t ~now ~src ~dst with
     | Some part when part.mode = Drop_packets ->
-      t.partition_dropped <- t.partition_dropped + 1;
+      Obs.Counter.incr t.m.partition_dropped;
       []
     | (Some _ | None) as part ->
       if p.loss > 0. && Sim.Rng.bernoulli t.fault_rng ~p:p.loss then begin
-        t.lost <- t.lost + 1;
+        Obs.Counter.incr t.m.lost;
         []
       end
       else begin
@@ -149,19 +164,19 @@ let arrivals t ~now ~src ~dst ~kind ~entries =
           | Some q ->
             (* Queued at the partition boundary: delivered shortly after
                the partition heals, in a fault-stream-jittered order. *)
-            t.partition_queued <- t.partition_queued + 1;
+            Obs.Counter.incr t.m.partition_queued;
             Stdlib.max base (q.until +. Sim.Rng.float t.fault_rng 1.0)
           | None -> base
         in
         let arrival =
           if p.reorder > 0. && Sim.Rng.bernoulli t.fault_rng ~p:p.reorder then begin
-            t.reordered <- t.reordered + 1;
+            Obs.Counter.incr t.m.reordered;
             arrival +. Sim.Rng.float t.fault_rng (Stdlib.max 1e-9 p.reorder_spread)
           end
           else arrival
         in
         if p.duplicate > 0. && Sim.Rng.bernoulli t.fault_rng ~p:p.duplicate then begin
-          t.duplicated <- t.duplicated + 1;
+          Obs.Counter.incr t.m.duplicated;
           let echo =
             arrival +. Sim.Rng.float t.fault_rng (Stdlib.max 1e-9 t.timing.net_jitter)
           in
@@ -169,18 +184,3 @@ let arrivals t ~now ~src ~dst ~kind ~entries =
         end
         else [ arrival ]
       end
-
-let packets_sent t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counts []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let entries_carried t = t.entries
-
-let fault_stats t =
-  {
-    lost = t.lost;
-    duplicated = t.duplicated;
-    reordered = t.reordered;
-    partition_dropped = t.partition_dropped;
-    partition_queued = t.partition_queued;
-  }

@@ -11,7 +11,14 @@
     wire-level duplication, reordering bursts and timed partitions.  The
     fault decisions draw from their own RNG stream, so the {!benign} plan
     is observationally identical to the pure timing model — same arrival
-    times for the same seed (a property the test suite checks). *)
+    times for the same seed (a property the test suite checks).
+
+    Traffic and fault counts live in the registry passed to {!create}:
+    [net_packets_total{kind}] (every packet handed to the network,
+    including ones the fault plan then eats), [net_piggyback_entries_total]
+    (dependency entries carried), and the fault series [net_lost_total],
+    [net_duplicated_total], [net_reordered_total],
+    [net_partition_dropped_total] and [net_partition_queued_total]. *)
 
 type override = src:int -> dst:int -> packet_kind:string -> float option
 (** Returns the full transit time for a packet, or [None] to use the model. *)
@@ -42,14 +49,6 @@ val benign : fault_plan
 
 val plan_is_benign : fault_plan -> bool
 
-type fault_stats = {
-  lost : int;
-  duplicated : int;
-  reordered : int;
-  partition_dropped : int;
-  partition_queued : int;
-}
-
 type t
 
 val create :
@@ -59,12 +58,13 @@ val create :
   ?fault_rng:Sim.Rng.t ->
   ?plan:fault_plan ->
   ?override:override ->
+  obs:Obs.Registry.t ->
   unit ->
   t
 (** [rng] drives timing jitter; [fault_rng] (required for a non-benign
     [plan] to be deterministic) drives fault decisions.  Keeping the two
     streams separate is what makes a benign plan bit-identical to the
-    timing-only model. *)
+    timing-only model.  Every packet bumps [obs]. *)
 
 val transit :
   t -> now:float -> src:int -> dst:int -> kind:string -> entries:int -> float
@@ -79,12 +79,3 @@ val arrivals :
     lost (wire loss or a dropping partition), two arrivals if duplicated,
     delayed arrivals under reordering or a queueing partition.  Under
     {!benign} this is always the singleton [[transit ...]]. *)
-
-val packets_sent : t -> (string * int) list
-(** Packet counts by kind, for traffic accounting (counts every packet
-    handed to the network, including ones the fault plan then drops). *)
-
-val entries_carried : t -> int
-(** Total piggybacked dependency entries carried by all packets. *)
-
-val fault_stats : t -> fault_stats

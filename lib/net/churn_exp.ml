@@ -108,7 +108,7 @@ let e17_run ~k ~ops ~brownout_rounds ~seed ~label report =
       failwith
         (Fmt.str "E17 %s: measured risk %d exceeds K=%d" label
            o.Harness.Oracle.max_risk k);
-    let counter = Deployment.counter outcome.Deployment.counters in
+    let counter = Obs.Snapshot.counter outcome.Deployment.obs in
     let degraded = counter "storage_degraded_flushes_total" in
     if degraded = 0 then
       failwith

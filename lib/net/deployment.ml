@@ -98,33 +98,6 @@ let free_ports count =
   List.iter Unix.close fds;
   Array.of_list ports
 
-let write_all fd s =
-  let buf = Bytes.unsafe_of_string s in
-  let len = Bytes.length buf in
-  let rec loop off =
-    if off = len then true
-    else
-      match Unix.write fd buf off (len - off) with
-      | 0 -> false
-      | k -> loop (off + k)
-      | exception Unix.Unix_error _ -> false
-  in
-  loop 0
-
-let read_exact fd len =
-  let buf = Bytes.create len in
-  let rec loop off =
-    if off = len then Some (Bytes.unsafe_to_string buf)
-    else
-      match Unix.read fd buf off (len - off) with
-      | 0 -> None
-      | k -> loop (off + k)
-      | exception Unix.Unix_error _ -> None
-  in
-  loop 0
-
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Daemon lifecycle                                                    *)
 
@@ -205,7 +178,7 @@ let rec ctl_fd ?(attempts = 100) node =
         node.ctl <- Some fd;
         Some fd
       | exception Unix.Unix_error _ ->
-        close_quiet fd;
+        Wire_codec.close_quiet fd;
         Thread.delay 0.05;
         ctl_fd ~attempts:(attempts - 1) node
     end
@@ -213,7 +186,7 @@ let rec ctl_fd ?(attempts = 100) node =
 let ctl_drop node =
   match node.ctl with
   | Some fd ->
-    close_quiet fd;
+    Wire_codec.close_quiet fd;
     node.ctl <- None
   | None -> ()
 
@@ -221,26 +194,11 @@ let ctl_send' node wire ctl =
   match ctl_fd node with
   | None -> false
   | Some fd ->
-    let ok = write_all fd (Wire_codec.encode_control wire ctl) in
+    let ok = Wire_codec.write_all fd (Wire_codec.encode_control wire ctl) in
     if not ok then ctl_drop node;
     ok
 
 let ctl_send node ctl = ctl_send' node App.wire ctl
-
-let read_reply fd =
-  match read_exact fd Wire_codec.header_bytes with
-  | None -> None
-  | Some header -> (
-    match Wire_codec.parse_header header ~pos:0 with
-    | Error _ -> None
-    | Ok (kind, len) -> (
-      match if len = 0 then Some "" else read_exact fd len with
-      | None -> None
-      | Some payload -> (
-        match Wire_codec.check_frame ~header ~payload with
-        | Error _ -> None
-        | Ok () ->
-          Result.to_option (Wire_codec.decode_control_body App.wire ~kind payload))))
 
 let ctl_rpc node ctl =
   if not (ctl_send node ctl) then None
@@ -248,7 +206,7 @@ let ctl_rpc node ctl =
     match node.ctl with
     | None -> None
     | Some fd -> (
-      match read_reply fd with
+      match Wire_codec.read_control App.wire fd with
       | Some r -> Some r
       | None ->
         ctl_drop node;
@@ -340,8 +298,6 @@ let inject_app t ~dst ~wire msg =
       : bool)
 
 let inject t ~dst msg = inject_app t ~dst ~wire:App.wire msg
-
-let tick t ~dst kind = ignore (ctl_send t.nodes.(dst) (Wire_codec.Tick kind) : bool)
 
 let status t ~dst =
   match ctl_rpc t.nodes.(dst) Wire_codec.Status_req with
@@ -555,47 +511,6 @@ let load_metrics node =
     | Error e -> Error (Fmt.str "pid %d metrics: %s" node.pid e)
   end
 
-(* The flat counters view over a merged snapshot: every counter family,
-   label sets summed away.  (The per-daemon families are unlabelled today;
-   summing keeps the view stable if labels appear.) *)
-let counters_of_snapshot snap =
-  List.fold_left
-    (fun acc ((name, _labels), v) ->
-      match v with
-      | Obs.Snapshot.Counter v ->
-        let cur = try List.assoc name acc with Not_found -> 0 in
-        (name, cur + v) :: List.remove_assoc name acc
-      | Obs.Snapshot.Gauge _ | Obs.Snapshot.Hist _ -> acc)
-    [] (Obs.Snapshot.bindings snap)
-  |> List.sort compare
-
-let contains line sub =
-  let nl = String.length line and ns = String.length sub in
-  let rec at i = i + ns <= nl && (String.sub line i ns = sub || at (i + 1)) in
-  at 0
-
-let count_log_errors t =
-  Array.to_list t.nodes
-  |> List.fold_left
-       (fun acc node ->
-         if not (Sys.file_exists node.log_file) then acc
-         else begin
-           let ic = open_in node.log_file in
-           let rec loop n =
-             match input_line ic with
-             | line ->
-               loop
-                 (if contains line "undecodable" || contains line "inbound frame"
-                  then n + 1
-                  else n)
-             | exception End_of_file -> n
-           in
-           let n = loop 0 in
-           close_in ic;
-           acc + n
-         end)
-       0
-
 type outcome = {
   trace : Trace.t;
   damage : string list;
@@ -604,17 +519,7 @@ type outcome = {
   obs : Obs.Snapshot.t;
       (** all daemons' Quit-time registry snapshots and the proxy's
           counters, merged: counters summed, histograms bucket-wise summed *)
-  counters : (string * int) list;
-  transport_drops : int;
-  decode_errors : int;
-      (** inbound frames the daemons' transports could not decode (summed
-          [transport_decode_errors_total] counters) *)
-  frames_dropped : int;
-      (** outbound frames dropped to queue overflow (summed
-          [transport_frames_dropped_total] counters) *)
 }
-
-let counter counters name = try List.assoc name counters with Not_found -> 0
 
 let check_fault_free outcome =
   (* On a run with no proxy and no kills nothing on the wire may be
@@ -622,13 +527,14 @@ let check_fault_free outcome =
      the framing regressed, and dropped outbound frames mean the send
      queues overflowed — certification must fail rather than lean on the
      protocol's loss tolerance to paper over either. *)
-  if outcome.decode_errors > 0 then
+  let count = Obs.Snapshot.counter outcome.obs in
+  let decode_errors = count "transport_decode_errors_total" in
+  if decode_errors > 0 then
+    failwith (Fmt.str "fault-free run decoded %d frame(s) as garbage" decode_errors);
+  let frames_dropped = count "transport_frames_dropped_total" in
+  if frames_dropped > 0 then
     failwith
-      (Fmt.str "fault-free run decoded %d frame(s) as garbage" outcome.decode_errors);
-  if outcome.frames_dropped > 0 then
-    failwith
-      (Fmt.str "fault-free run shed %d outbound frame(s) to queue overflow"
-         outcome.frames_dropped)
+      (Fmt.str "fault-free run shed %d outbound frame(s) to queue overflow" frames_dropped)
 
 let reap node =
   if node.os_pid > 0 then begin
@@ -723,7 +629,6 @@ let finish t =
     |> Obs.Snapshot.merge_all
   in
   let damage = damage @ List.rev !metric_damage in
-  let counters = counters_of_snapshot obs in
   (* [n] is the final membership width: joins may have widened the cluster
      past the launch size, and every pid that ever existed must be in
      range for the oracle's per-process tables. *)
@@ -734,10 +639,6 @@ let finish t =
     synthesized_crashes;
     oracle;
     obs;
-    counters;
-    transport_drops = count_log_errors t;
-    decode_errors = counter counters "transport_decode_errors_total";
-    frames_dropped = counter counters "transport_frames_dropped_total";
   }
 
 let destroy t =
@@ -817,7 +718,8 @@ let one_run ~n ~k ~ops ~kills ~plan ~seed report =
   List.iter
     (fun d -> Harness.Report.note report (Fmt.str "K=%d trace damage: %s" k d))
     outcome.damage;
-  let proxied name = counter outcome.counters ("proxy_" ^ name ^ "_total") in
+  let count name = Obs.Snapshot.counter outcome.obs (name ^ "_total") in
+  let proxied name = count ("proxy_" ^ name) in
   Harness.Report.note report
     (Fmt.str "K=%d proxy: %d forwarded, %d dropped, %d duplicated, %d delayed, %d severed"
        k (proxied "forwarded") (proxied "dropped") (proxied "duplicated")
@@ -826,16 +728,16 @@ let one_run ~n ~k ~ops ~kills ~plan ~seed report =
     [
       string_of_int k;
       string_of_int (List.length kills);
-      string_of_int (counter outcome.counters "deliveries_total");
-      string_of_int (counter outcome.counters "releases_total");
-      string_of_int (counter outcome.counters "restarts_total");
+      string_of_int (count "deliveries");
+      string_of_int (count "releases");
+      string_of_int (count "restarts");
       string_of_int outcome.synthesized_crashes;
-      string_of_int (counter outcome.counters "orphans_discarded_total");
-      string_of_int (counter outcome.counters "duplicates_dropped_total");
-      string_of_int (counter outcome.counters "retransmissions_total");
-      string_of_int (counter outcome.counters "outputs_committed_total");
-      string_of_int outcome.decode_errors;
-      string_of_int outcome.frames_dropped;
+      string_of_int (count "orphans_discarded");
+      string_of_int (count "duplicates_dropped");
+      string_of_int (count "retransmissions");
+      string_of_int (count "outputs_committed");
+      string_of_int (count "transport_decode_errors");
+      string_of_int (count "transport_frames_dropped");
       string_of_int o.Harness.Oracle.lost;
       string_of_int o.Harness.Oracle.undone;
       string_of_int o.Harness.Oracle.max_risk;

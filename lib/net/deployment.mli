@@ -81,8 +81,6 @@ val inject_app :
     [--app] (a mismatch is counted by the daemon as a decode failure,
     never misread). *)
 
-val tick : t -> dst:int -> [ `Flush | `Checkpoint | `Notice ] -> unit
-
 val status : t -> dst:int -> Wire_codec.status option
 (** Poll a daemon's control socket; [None] if it cannot be reached. *)
 
@@ -175,25 +173,13 @@ type outcome = {
           never written) — trace evidence is unaffected.  A deployment
           launched with a fault [plan] also merges in its proxy's
           [proxy_*_total] counters, read after the proxy closed. *)
-  counters : (string * int) list;
-      (** flat view over [obs]: every counter family, summed ([_total]
-          names, e.g. ["deliveries_total"]) *)
-  transport_drops : int;  (** frames daemons reported undecodable (from logs) *)
-  decode_errors : int;
-      (** summed [transport_decode_errors_total] counters: inbound frames
-          whose checksum or payload failed to decode, cluster-wide *)
-  frames_dropped : int;
-      (** summed [transport_frames_dropped_total] counters: outbound
-          frames shed to per-peer queue overflow *)
 }
-
-val counter : (string * int) list -> string -> int
-(** Look up a summed metrics counter ([0] if absent). *)
 
 val check_fault_free : outcome -> unit
 (** Certification tightening for runs with no proxy and no kills: a
     benign network must decode every frame and shed none, so
-    @raise Failure if [decode_errors] or [frames_dropped] is nonzero. *)
+    @raise Failure if [obs] shows a nonzero
+    [transport_decode_errors_total] or [transport_frames_dropped_total]. *)
 
 val finish : t -> outcome
 (** Drain every daemon (Quit → metrics + final trace sync), reap the

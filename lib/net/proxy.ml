@@ -30,8 +30,6 @@ let draw t f =
   Mutex.unlock t.rng_mutex;
   v
 
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 (* Each proxied stream is served by two pump threads, and shutdown may
    race both: a tracked descriptor therefore carries a close guard so
    it is closed exactly once no matter who gets there first.  A double
@@ -54,32 +52,7 @@ let close_tracked t fd =
     | None -> true (* untracked: the caller is the sole owner *)
   in
   Mutex.unlock t.conns_mutex;
-  if do_close then close_quiet fd
-
-let read_exact fd n =
-  let buf = Bytes.create n in
-  let rec loop off =
-    if off = n then Some (Bytes.unsafe_to_string buf)
-    else
-      match Unix.read fd buf off (n - off) with
-      | 0 -> None
-      | k -> loop (off + k)
-      | exception Unix.Unix_error _ -> None
-  in
-  loop 0
-
-let write_all fd s =
-  let buf = Bytes.unsafe_of_string s in
-  let n = Bytes.length buf in
-  let rec loop off =
-    if off = n then true
-    else
-      match Unix.write fd buf off (n - off) with
-      | 0 -> false
-      | k -> loop (off + k)
-      | exception Unix.Unix_error _ -> false
-  in
-  loop 0
+  if do_close then Wire_codec.close_quiet fd
 
 (* Abstract-time clock shared with the fault plan's partition windows. *)
 let abstract_now t = (Unix.gettimeofday () -. t.epoch) /. t.time_scale
@@ -93,31 +66,20 @@ let active_partition t ~src ~dst =
       && List.mem src p.group <> List.mem dst p.group)
     t.plan.partitions
 
-let read_frame fd =
-  match read_exact fd Wire_codec.header_bytes with
-  | None -> None
-  | Some header -> (
-    match Wire_codec.parse_header header ~pos:0 with
-    | Error _ -> None
-    | Ok (_, len) -> (
-      match if len = 0 then Some "" else read_exact fd len with
-      | None -> None
-      | Some payload ->
-        (* Forward verbatim; the endpoint's CRC check is the arbiter of
-           integrity, the proxy only needs the framing to cut the stream
-           into faultable units. *)
-        Some (header ^ payload)))
-
 (* Relay frames client -> server, applying per-frame faults. *)
 let pump_frames t ~src ~dst ~client ~server =
   let rec loop () =
     if t.stopping then ()
     else
-      match read_frame client with
-      | None ->
+      match Wire_codec.read_frame client with
+      | None | Some (Error _) ->
         close_tracked t client;
         close_tracked t server
-      | Some frame ->
+      | Some (Ok (_, header, payload)) ->
+        (* Forward verbatim; the endpoint's CRC check is the arbiter of
+           integrity, the proxy only needs the framing to cut the stream
+           into faultable units. *)
+        let frame = header ^ payload in
         let forward =
           match active_partition t ~src ~dst with
           | Some { mode = Harness.Netmodel.Drop_packets; _ } ->
@@ -158,7 +120,7 @@ let pump_frames t ~src ~dst ~client ~server =
           in
           if dup then bump t t.duplicated;
           let payload = if dup then frame ^ frame else frame in
-          if write_all server payload then begin
+          if Wire_codec.write_all server payload then begin
             bump t t.forwarded;
             loop ()
           end
@@ -180,20 +142,15 @@ let pump_raw t client server =
     | 0 | (exception Unix.Unix_error _) ->
       close_tracked t client;
       close_tracked t server
-    | n -> if write_all client (Bytes.sub_string buf 0 n) then loop ()
+    | n -> if Wire_codec.write_all client (Bytes.sub_string buf 0 n) then loop ()
   in
   loop ()
 
 let handle_conn t route client =
   track t client;
-  match read_frame client with
-  | Some frame
-    when String.length frame > Wire_codec.header_bytes
-         && Char.code frame.[3] = Wire_codec.hello_kind -> (
-    let body =
-      String.sub frame Wire_codec.header_bytes
-        (String.length frame - Wire_codec.header_bytes)
-    in
+  match Wire_codec.read_frame client with
+  | Some (Ok (kind, header, body)) when kind = Wire_codec.hello_kind && body <> "" -> (
+    let frame = header ^ body in
     match Wire_codec.Prim.run Wire_codec.Prim.get_int body with
     | Error _ -> close_tracked t client
     | Ok src -> (
@@ -214,7 +171,7 @@ let handle_conn t route client =
         with
         | () ->
           track t server;
-          if write_all server frame then begin
+          if Wire_codec.write_all server frame then begin
             ignore (Thread.create (fun () -> pump_raw t client server) () : Thread.t);
             pump_frames t ~src ~dst:route.dst ~client ~server
           end
@@ -223,7 +180,7 @@ let handle_conn t route client =
             close_tracked t server
           end
         | exception Unix.Unix_error _ ->
-          close_quiet server;
+          Wire_codec.close_quiet server;
           close_tracked t client)))
   | _ -> close_tracked t client (* not a transport stream: refuse *)
 
@@ -307,6 +264,6 @@ let close t =
   Mutex.unlock t.conns_mutex;
   (* Second call is a no-op: listeners and streams close exactly once. *)
   if first then begin
-    List.iter close_quiet t.listeners;
-    List.iter close_quiet pending
+    List.iter Wire_codec.close_quiet t.listeners;
+    List.iter Wire_codec.close_quiet pending
   end

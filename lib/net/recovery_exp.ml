@@ -165,7 +165,7 @@ let e16_run ~k ~ops ~part_ckpt ~seed ~label report =
         Harness.Report.cell_f (ms m.ttfr);
         Harness.Report.cell_f (ms m.ttfull);
         string_of_int m.replayed;
-        string_of_int (Deployment.counter outcome.Deployment.counters "restarts_total");
+        string_of_int (Obs.Snapshot.counter outcome.Deployment.obs "restarts_total");
         string_of_int o.Harness.Oracle.max_risk;
         string_of_int (List.length o.Harness.Oracle.violations);
       ];

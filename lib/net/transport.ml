@@ -43,57 +43,22 @@ let bump t i = bump_n t i 1
 
 let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
 
-(* Read exactly [n] bytes; [None] on EOF or any socket error (the
-   connection is finished either way). *)
-let read_exact fd n =
-  let buf = Bytes.create n in
-  let rec loop off =
-    if off = n then Some (Bytes.unsafe_to_string buf)
-    else
-      match Unix.read fd buf off (n - off) with
-      | 0 -> None
-      | k -> loop (off + k)
-      | exception Unix.Unix_error _ -> None
-  in
-  loop 0
-
-let write_all fd s =
-  let buf = Bytes.unsafe_of_string s in
-  let n = Bytes.length buf in
-  let rec loop off =
-    if off = n then true
-    else
-      match Unix.write fd buf off (n - off) with
-      | 0 -> false
-      | k -> loop (off + k)
-      | exception Unix.Unix_error _ -> false
-  in
-  loop 0
-
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 (* One inbound connection: a Hello frame naming the dialer, then a stream
    of frames.  Any framing or checksum error is reported and kills the
    connection — the dialer's backoff loop brings up a fresh one. *)
 let read_frame t fd =
-  match read_exact fd Wire_codec.header_bytes with
+  let reject e =
+    bump t c_decode_errors;
+    t.on_error e;
+    None
+  in
+  match Wire_codec.read_frame fd with
   | None -> None
-  | Some header -> (
-    match Wire_codec.parse_header header ~pos:0 with
-    | Error e ->
-      bump t c_decode_errors;
-      t.on_error (Fmt.str "inbound frame header: %s" e);
-      None
-    | Ok (kind, len) -> (
-      match if len = 0 then Some "" else read_exact fd len with
-      | None -> None
-      | Some payload -> (
-        match Wire_codec.check_frame ~header ~payload with
-        | Error e ->
-          bump t c_decode_errors;
-          t.on_error (Fmt.str "inbound frame: %s" e);
-          None
-        | Ok () -> Some (kind, payload))))
+  | Some (Error e) -> reject (Fmt.str "inbound frame header: %s" e)
+  | Some (Ok (kind, header, payload)) -> (
+    match Wire_codec.check_frame ~header ~payload with
+    | Error e -> reject (Fmt.str "inbound frame: %s" e)
+    | Ok () -> Some (kind, payload))
 
 let reader_loop t fd =
   let src =
@@ -109,11 +74,11 @@ let reader_loop t fd =
     | None -> None
   in
   match src with
-  | None -> close_quiet fd
+  | None -> Wire_codec.close_quiet fd
   | Some src ->
     let rec loop () =
       match read_frame t fd with
-      | None -> close_quiet fd
+      | None -> Wire_codec.close_quiet fd
       | Some (kind, body) ->
         bump t c_received;
         (try t.on_frame ~src ~kind ~body
@@ -162,14 +127,14 @@ let rec dial t peer ~backoff ~first =
       Unix.setsockopt fd Unix.TCP_NODELAY true
     with
     | () ->
-      if write_all fd (hello_frame t.self) then Some fd
+      if Wire_codec.write_all fd (hello_frame t.self) then Some fd
       else begin
-        close_quiet fd;
+        Wire_codec.close_quiet fd;
         interruptible_delay t backoff;
         dial t peer ~backoff:(Float.min (2. *. backoff) t.backoff_cap) ~first:false
       end
     | exception Unix.Unix_error _ ->
-      close_quiet fd;
+      Wire_codec.close_quiet fd;
       interruptible_delay t backoff;
       dial t peer ~backoff:(Float.min (2. *. backoff) t.backoff_cap) ~first:false
   end
@@ -213,7 +178,7 @@ let writer_loop t peer =
         else
           match peer.sock with
           | Some fd ->
-            if write_all fd batch then bump_n t c_sent n
+            if Wire_codec.write_all fd batch then bump_n t c_sent n
             else begin
               (* Close under the peer mutex, and only if [close t] has not
                  raced us to it: a second close of the same descriptor
@@ -221,7 +186,7 @@ let writer_loop t peer =
               Mutex.lock peer.mutex;
               (match peer.sock with
               | Some fd' when fd' == fd ->
-                close_quiet fd;
+                Wire_codec.close_quiet fd;
                 peer.sock <- None
               | _ -> ());
               Mutex.unlock peer.mutex;
@@ -331,13 +296,13 @@ let broadcast t frame = List.iter (fun p -> send t ~dst:p.pid frame) t.peers
 
 let close t =
   t.stopping <- true;
-  close_quiet t.listen_sock;
+  Wire_codec.close_quiet t.listen_sock;
   List.iter
     (fun peer ->
       Mutex.lock peer.mutex;
       (match peer.sock with
       | Some fd ->
-        close_quiet fd;
+        Wire_codec.close_quiet fd;
         peer.sock <- None
       | None -> ());
       (* Frames still queued will never be popped by a writer: count them

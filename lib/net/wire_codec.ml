@@ -223,6 +223,49 @@ let decode_frame s ~pos =
     end
 
 (* ------------------------------------------------------------------ *)
+(* Frames over a stream socket                                         *)
+
+(* [None] on EOF or any socket error: the connection is finished either
+   way. *)
+let read_exact fd n =
+  let buf = Bytes.create n in
+  let rec loop off =
+    if off = n then Some (Bytes.unsafe_to_string buf)
+    else
+      match Unix.read fd buf off (n - off) with
+      | 0 -> None
+      | k -> loop (off + k)
+      | exception Unix.Unix_error _ -> None
+  in
+  loop 0
+
+let write_all fd s =
+  let buf = Bytes.unsafe_of_string s in
+  let n = Bytes.length buf in
+  let rec loop off =
+    if off = n then true
+    else
+      match Unix.write fd buf off (n - off) with
+      | 0 -> false
+      | k -> loop (off + k)
+      | exception Unix.Unix_error _ -> false
+  in
+  loop 0
+
+let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let read_frame fd =
+  match read_exact fd header_bytes with
+  | None -> None
+  | Some header -> (
+    match parse_header header ~pos:0 with
+    | Error _ as e -> Some e
+    | Ok (kind, len) -> (
+      match if len = 0 then Some "" else read_exact fd len with
+      | None -> None
+      | Some payload -> Some (Ok (kind, header, payload))))
+
+(* ------------------------------------------------------------------ *)
 (* Protocol packets                                                    *)
 
 let k_hello = 1
@@ -249,11 +292,8 @@ let k_retire = 11
 
 let k_inject = 16
 
-let k_tick_flush = 17
-
-let k_tick_checkpoint = 18
-
-let k_tick_notice = 19
+(* Kinds 17-19 stay unassigned: a frame of one decodes as an unknown
+   control. *)
 
 let k_crash = 20
 
@@ -281,7 +321,7 @@ let app_notice_kind = k_app_notice
 
 let is_packet_kind k = k >= k_app && k <= k_retire
 
-let is_control_kind k = k = k_hello || (k >= k_inject && k <= k_stats)
+let is_control_kind k = k = k_hello || k = k_inject || (k >= k_crash && k <= k_stats)
 
 let packet_kind_code : type msg. msg Wire.packet -> int = function
   | Wire.App _ -> k_app
@@ -515,7 +555,6 @@ type status = {
 type 'msg control =
   | Hello of { pid : int }
   | Inject of { seq : int; cseq : int; payload : 'msg }
-  | Tick of [ `Flush | `Checkpoint | `Notice ]
   | Crash
   | Status_req
   | Status of status
@@ -530,9 +569,6 @@ type 'msg control =
 let control_kind_code : type msg. msg control -> int = function
   | Hello _ -> k_hello
   | Inject _ -> k_inject
-  | Tick `Flush -> k_tick_flush
-  | Tick `Checkpoint -> k_tick_checkpoint
-  | Tick `Notice -> k_tick_notice
   | Crash -> k_crash
   | Status_req -> k_status_req
   | Status _ -> k_status
@@ -552,7 +588,7 @@ let encode_control (wf : 'msg App_intf.wire_format) (c : 'msg control) =
     put_int b seq;
     put_int b cseq;
     put_string b (wf.App_intf.write payload)
-  | Tick _ | Crash | Status_req | Quit | Bye | Retire_req | Stats_req -> ()
+  | Crash | Status_req | Quit | Bye | Retire_req | Stats_req -> ()
   | Stats text -> put_string b text
   | Add_peer { pid; port } ->
     put_int b pid;
@@ -591,9 +627,6 @@ let decode_control_body (wf : 'msg App_intf.wire_format) ~kind body =
     run
       (fun c ->
         if kind = k_hello then Hello { pid = get_int c }
-        else if kind = k_tick_flush then Tick `Flush
-        else if kind = k_tick_checkpoint then Tick `Checkpoint
-        else if kind = k_tick_notice then Tick `Notice
         else if kind = k_crash then Crash
         else if kind = k_status_req then Status_req
         else if kind = k_status then begin
@@ -645,3 +678,9 @@ let decode_control wf s =
   | Ok (kind, body, next) ->
     if next <> String.length s then Error "trailing bytes after frame"
     else decode_control_body wf ~kind body
+
+let read_control wf fd =
+  match read_frame fd with
+  | Some (Ok (kind, header, payload)) when check_frame ~header ~payload = Ok () ->
+    Result.to_option (decode_control_body wf ~kind payload)
+  | Some _ | None -> None

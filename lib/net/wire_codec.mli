@@ -52,6 +52,27 @@ val check_frame : header:string -> payload:string -> (unit, string) result
 val decode_frame : string -> pos:int -> (int * string * int, string) result
 (** Decode one frame from a buffer: [(kind, payload, next_pos)]. *)
 
+(** {1 Frames over a stream socket}
+
+    The daemon, its transport, the deployment driver and the fault proxy
+    all read and write frames with these. *)
+
+val read_exact : Unix.file_descr -> int -> string option
+(** Exactly [n] bytes; [None] on EOF or any socket error. *)
+
+val write_all : Unix.file_descr -> string -> bool
+(** Write the whole string; [false] on a short write or socket error. *)
+
+val close_quiet : Unix.file_descr -> unit
+(** [Unix.close], ignoring errors. *)
+
+val read_frame : Unix.file_descr -> (int * string * string, string) result option
+(** One frame off a stream, its CRC {e not} checked:
+    [Ok (kind, header, payload)] with the raw 12 header bytes, [Error] for
+    a malformed header ({!parse_header}), [None] on EOF or a socket error.
+    A reader that trusts the bytes calls {!check_frame}; the proxy
+    forwards them unchecked. *)
+
 (** {1 Protocol packets} *)
 
 val packet_kind_code : 'msg Recovery.Wire.packet -> int
@@ -129,7 +150,6 @@ type 'msg control =
       (** a client message: [seq] makes its identity unique, [cseq] is its
           dense position among the injections to this daemon (see
           {!Recovery.Node.inject}) *)
-  | Tick of [ `Flush | `Checkpoint | `Notice ]
   | Crash  (** soft fail-stop: lose volatile state, restart in-process *)
   | Status_req
   | Status of status
@@ -170,6 +190,12 @@ val decode_control :
   'msg App_model.App_intf.wire_format ->
   string ->
   ('msg control, string) result
+
+val read_control :
+  'msg App_model.App_intf.wire_format -> Unix.file_descr -> 'msg control option
+(** {!read_frame}, {!check_frame} and {!decode_control_body}: the next
+    control frame on a control connection, [None] once the connection
+    is finished or carries anything but a well-formed control frame. *)
 
 val is_packet_kind : int -> bool
 

@@ -2639,10 +2639,6 @@ let arm_storage_disk_full t ~rounds = Store.arm_disk_full t.store ~rounds
 let arm_storage_slow_fsync t ~delay ~rounds =
   Store.arm_slow_fsync t.store ~delay ~rounds
 
-let storage_degraded_flushes t = Store.degraded_flushes t.store
-
-let storage_slowed_fsyncs t = Store.slowed_fsyncs t.store
-
 (* ------------------------------------------------------------------ *)
 (* Membership                                                          *)
 
@@ -2722,10 +2718,6 @@ let partition_digest t p =
   | Some _ | None -> None
 
 let obs t = t.obs
-
-let sync_writes t = Store.sync_writes t.store
-
-let flushes t = Store.flushes t.store
 
 let volatile_log_length t = Store.volatile_length t.store
 

@@ -279,7 +279,8 @@ let e15_run ~shards ~k ~ops ~rate ~kills ~plan ~seed ~label report =
     List.iter
       (fun d -> Harness.Report.note report (Fmt.str "%s trace damage: %s" label d))
       outcome.Net.Deployment.damage;
-    let delivs = Net.Deployment.counter outcome.Net.Deployment.counters "deliveries_total" in
+    let count = Obs.Snapshot.counter outcome.Net.Deployment.obs in
+    let delivs = count "deliveries_total" in
     let throughput = float_of_int delivs /. elapsed in
     let ms v = 1000. *. v in
     Harness.Report.add_row report
@@ -294,8 +295,8 @@ let e15_run ~shards ~k ~ops ~rate ~kills ~plan ~seed ~label report =
         Harness.Report.cell_f throughput;
         Harness.Report.cell_f (ms stats.p50);
         Harness.Report.cell_f (ms stats.p99);
-        string_of_int outcome.Net.Deployment.decode_errors;
-        string_of_int outcome.Net.Deployment.frames_dropped;
+        string_of_int (count "transport_decode_errors_total");
+        string_of_int (count "transport_frames_dropped_total");
         string_of_int o.Harness.Oracle.max_risk;
         string_of_int (List.length o.Harness.Oracle.violations);
       ];

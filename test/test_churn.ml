@@ -98,7 +98,7 @@ let test_rolling_restart () =
     Cluster.inject_at c ~time:(120. +. (40. *. float_of_int i)) ~dst:i (Counter.Add 1)
   done;
   Cluster.run c;
-  Alcotest.(check int) "all four restarted" 4 (Cluster.stats c).restarts;
+  Alcotest.(check int) "all four restarted" 4 (Util.total (Cluster.stats c) "restarts");
   Alcotest.(check int)
     "nothing lost across the wave" 16
     (total c 0 + total c 1 + total c 2 + total c 3);
@@ -124,7 +124,7 @@ let test_disk_full_brownout () =
   Cluster.run c;
   Alcotest.(check bool)
     "degradation reported" true
-    (Node.storage_degraded_flushes (Cluster.node c 0) >= 3);
+    (Util.metric (Cluster.node c 0) "storage_degraded_flushes" >= 3);
   Alcotest.(check int) "no delivery dropped" 7 (total c 0);
   ignore (certify c : Harness.Oracle.report)
 
@@ -166,10 +166,9 @@ let test_long_partition_minority_logging () =
     Cluster.inject_at c ~time:(t +. 5.) ~dst:1 (Counter.Forward { dst = 2; amount = 1 })
   done;
   Cluster.run c;
-  let faults = (Cluster.stats c).net_faults in
   Alcotest.(check bool)
     "the cut actually dropped traffic" true
-    (faults.Harness.Netmodel.partition_dropped > 0);
+    (Util.total (Cluster.stats c) "net_partition_dropped" > 0);
   Alcotest.(check int) "minority delivered everything it was sent" 6 (total c 0);
   Alcotest.(check int) "majority side reconciled" 6 (total c 2);
   ignore (certify c : Harness.Oracle.report)

@@ -15,7 +15,8 @@ let test_inject_and_run () =
   Cluster.run c;
   let st : Counter.state = Node.app_state (Cluster.node c 2) in
   Alcotest.(check int) "both applied" 12 st.total;
-  Alcotest.(check int) "stats count deliveries" 2 (Cluster.stats c).deliveries
+  Alcotest.(check int) "stats count deliveries" 2
+    (Util.total (Cluster.stats c) "deliveries")
 
 let test_forwarding_crosses_network () =
   let c = Cluster.create ~config:(config ()) ~app:Counter.app ~horizon:100. () in
@@ -30,8 +31,9 @@ let test_crash_restart_cycle () =
   Cluster.crash_at c ~time:50. ~pid:1;
   Cluster.run c;
   Alcotest.(check bool) "back up" true (Node.is_up (Cluster.node c 1));
-  Alcotest.(check int) "restart counted" 1 (Cluster.stats c).restarts;
-  Alcotest.(check int) "announcement broadcast" 1 (Cluster.stats c).announcements
+  Alcotest.(check int) "restart counted" 1 (Util.total (Cluster.stats c) "restarts");
+  Alcotest.(check int) "announcement broadcast" 1
+    (Util.total (Cluster.stats c) "announcements_sent")
 
 let test_client_retry_recovers_lost_request () =
   (* Long flush interval: the injected request is still volatile at the
@@ -72,15 +74,16 @@ let test_run_until_is_partial () =
   Cluster.inject_at c ~time:1. ~dst:0 (Counter.Add 1);
   Cluster.inject_at c ~time:50. ~dst:0 (Counter.Add 1);
   Cluster.run_until c 10.;
-  Alcotest.(check int) "only the first processed" 1 (Cluster.stats c).deliveries;
+  Alcotest.(check int) "only the first processed" 1
+    (Util.total (Cluster.stats c) "deliveries");
   Cluster.run c;
-  Alcotest.(check int) "rest follows" 2 (Cluster.stats c).deliveries
+  Alcotest.(check int) "rest follows" 2 (Util.total (Cluster.stats c) "deliveries")
 
 let test_horizon_stops_run () =
   let c = Cluster.create ~config:(config ()) ~app:Counter.app ~horizon:20. () in
   Cluster.inject_at c ~time:50. ~dst:0 (Counter.Add 1);
   Cluster.run c;
-  Alcotest.(check int) "beyond the horizon" 0 (Cluster.stats c).deliveries
+  Alcotest.(check int) "beyond the horizon" 0 (Util.total (Cluster.stats c) "deliveries")
 
 let test_net_override_controls_latency () =
   let override ~src:_ ~dst:_ ~packet_kind:_ = Some 25. in
@@ -134,7 +137,10 @@ let test_determinism_across_runs () =
     Cluster.crash_at c ~time:40. ~pid:2;
     Cluster.run c;
     let s = Cluster.stats c in
-    (s.deliveries, s.releases, s.induced_rollbacks, Recovery.Trace.length (Cluster.trace c))
+    ( Util.total s "deliveries",
+      Util.total s "releases",
+      Util.total s "induced_rollbacks",
+      Recovery.Trace.length (Cluster.trace c) )
   in
   Alcotest.(check (pair (pair int int) (pair int int)))
     "identical runs"
@@ -162,9 +168,12 @@ let test_stats_packets () =
   let c = Cluster.create ~config:(config ()) ~app:Counter.app ~horizon:200. () in
   Cluster.inject_at c ~time:1. ~dst:0 (Counter.Forward { dst = 1; amount = 1 });
   Cluster.run c;
-  let packets = (Cluster.stats c).packets in
-  Alcotest.(check bool) "app packets counted" true (List.mem_assoc "app" packets);
-  Alcotest.(check bool) "notices counted" true (List.mem_assoc "notice" packets)
+  let s = Cluster.stats c in
+  let packets kind =
+    Obs.Snapshot.counter s.obs ~labels:[ ("kind", kind) ] "net_packets_total"
+  in
+  Alcotest.(check bool) "app packets counted" true (packets "app" > 0);
+  Alcotest.(check bool) "notices counted" true (packets "notice" > 0)
 
 let test_busy_gating_serializes_node () =
   (* With a large per-delivery cost, a node processes back-to-back arrivals
@@ -217,14 +226,17 @@ let test_stats_agree_with_trace () =
           (List.filter (fun e -> p e.Recovery.Trace.ev) (Recovery.Trace.events (Cluster.trace c)))
       in
       let s = Cluster.stats c in
-      Alcotest.(check bool) "crashes and kills restarted nodes" true (s.restarts >= 5);
-      Alcotest.(check int) "deliveries = live Message_delivered" s.deliveries
+      let deliveries = Util.total s "deliveries" in
+      Alcotest.(check bool) "crashes and kills restarted nodes" true
+        (Util.total s "restarts" >= 5);
+      Alcotest.(check int) "deliveries = live Message_delivered" deliveries
         (count (function Recovery.Trace.Message_delivered _ -> true | _ -> false));
-      Alcotest.(check int) "releases = Message_released" s.releases
+      Alcotest.(check int) "releases = Message_released" (Util.total s "releases")
         (count (function Recovery.Trace.Message_released _ -> true | _ -> false));
-      Alcotest.(check int) "outputs_committed = Output_committed" s.outputs_committed
+      Alcotest.(check int) "outputs_committed = Output_committed"
+        (Util.total s "outputs_committed")
         (count (function Recovery.Trace.Output_committed _ -> true | _ -> false));
-      Alcotest.(check int) "one delay sample per delivery" s.deliveries
+      Alcotest.(check int) "one delay sample per delivery" deliveries
         (Sim.Summary.count s.delivery_delay))
 
 let suite =

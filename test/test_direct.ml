@@ -124,11 +124,11 @@ let test_failure_free_end_to_end () =
   let n = 6 in
   let c = run_telecom (Config.direct_dependency ~n ()) ~seed:5 ~calls:40 in
   let s = Cluster.stats c in
-  Alcotest.(check int) "all calls connect" 40 s.outputs_committed;
+  Alcotest.(check int) "all calls connect" 40 (total s "outputs_committed");
   Alcotest.(check (float 0.001)) "one entry per message" 1.
     (Sim.Summary.mean s.wire_vector_size);
   Alcotest.(check bool) "assembly traffic present" true
-    (List.mem_assoc "dep-query" s.packets);
+    (Obs.Snapshot.counter s.obs ~labels:[ ("kind", "dep-query") ] "net_packets_total" > 0);
   let report = Harness.Oracle.check ~k:n ~n (Cluster.trace c) in
   if not (Harness.Oracle.ok report) then
     Alcotest.failf "oracle: %a" Harness.Oracle.pp_report report
@@ -151,7 +151,8 @@ let test_commit_needs_assembly () =
     }
   in
   let c = run_telecom config ~seed:9 ~calls:10 in
-  Alcotest.(check int) "commits via assembly" 10 (Cluster.stats c).outputs_committed
+  Alcotest.(check int) "commits via assembly" 10
+    (Util.total (Cluster.stats c) "outputs_committed")
 
 let test_recovery_storm_demonstration () =
   (* The cautionary experiment: a single crash under uncoordinated direct
@@ -168,7 +169,7 @@ let test_recovery_storm_demonstration () =
     Harness.Workload.telecom c ~rng ~calls:40 ~hops:3 ~start:10. ~rate:1.5;
     Cluster.crash_at c ~time:30. ~pid:2;
     Cluster.run c;
-    (Cluster.stats c).induced_rollbacks
+    (Util.total (Cluster.stats c) "induced_rollbacks")
   in
   let direct = rollbacks (Config.direct_dependency ~n ()) in
   let transitive = rollbacks (Config.optimistic ~n ()) in

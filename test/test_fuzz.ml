@@ -248,7 +248,10 @@ let test_netmodel_zero_plan_equiv =
   qtest ~count:200 "netmodel: zeroed fault plan is observationally identical"
     gen_net_schedule (fun (seed, steps) ->
       let timing = Recovery.Config.default_timing in
-      let plain = Harness.Netmodel.create ~n:4 ~timing ~rng:(Sim.Rng.create seed) () in
+      let plain =
+        Harness.Netmodel.create ~n:4 ~timing ~rng:(Sim.Rng.create seed)
+          ~obs:(Obs.Registry.create ()) ()
+      in
       let planned =
         Harness.Netmodel.create ~n:4 ~timing ~rng:(Sim.Rng.create seed)
           ~fault_rng:(Sim.Rng.create (seed + 1))
@@ -260,7 +263,7 @@ let test_netmodel_zero_plan_equiv =
               reorder_spread = 17.;
               partitions = [];
             }
-          ()
+          ~obs:(Obs.Registry.create ()) ()
       in
       net_steps
         (fun ~now ~src ~dst ~kind ~entries ->
@@ -275,12 +278,15 @@ let test_netmodel_duplication_first_arrival =
   qtest ~count:200 "netmodel: duplication-only plan preserves first arrivals"
     gen_net_schedule (fun (seed, steps) ->
       let timing = Recovery.Config.default_timing in
-      let plain = Harness.Netmodel.create ~n:4 ~timing ~rng:(Sim.Rng.create seed) () in
+      let plain =
+        Harness.Netmodel.create ~n:4 ~timing ~rng:(Sim.Rng.create seed)
+          ~obs:(Obs.Registry.create ()) ()
+      in
       let planned =
         Harness.Netmodel.create ~n:4 ~timing ~rng:(Sim.Rng.create seed)
           ~fault_rng:(Sim.Rng.create (seed + 1))
           ~plan:{ Harness.Netmodel.benign with duplicate = 0.5 }
-          ()
+          ~obs:(Obs.Registry.create ()) ()
       in
       net_steps
         (fun ~now ~src ~dst ~kind ~entries ->
@@ -290,6 +296,70 @@ let test_netmodel_duplication_first_arrival =
           | [ a; echo ] -> a = base && echo >= a
           | _ -> false)
         steps)
+
+(* The network model's counters against what [arrivals] returned, over
+   random fault plans: every eaten packet is one wire loss or one
+   partition drop, every two-arrival result one duplication, and every
+   call one packet of its kind.  A benign plan injects nothing. *)
+
+let gen_fault_plan =
+  QCheck2.Gen.(
+    let prob = map (fun i -> float_of_int i /. 20.) (int_range 0 10) in
+    let partition =
+      map
+        (fun (side, from_, len, drop) ->
+          {
+            Harness.Netmodel.group =
+              List.filter (fun p -> side land (1 lsl p) <> 0) [ 0; 1; 2; 3 ];
+            from_ = float_of_int from_;
+            until = float_of_int (from_ + len);
+            mode = (if drop then Harness.Netmodel.Drop_packets else Queue_packets);
+          })
+        (tup4 (int_range 0 15) (int_range 0 80) (int_range 1 40) bool)
+    in
+    oneof
+      [
+        pure Harness.Netmodel.benign;
+        map
+          (fun ((loss, duplicate, reorder), partitions) ->
+            { Harness.Netmodel.loss; duplicate; reorder; reorder_spread = 5.; partitions })
+          (pair (triple prob prob prob) (list_size (int_range 0 2) partition));
+      ])
+
+let test_netmodel_counters_match_arrivals =
+  qtest ~count:200 "netmodel: fault counters agree with arrivals"
+    QCheck2.Gen.(pair gen_fault_plan gen_net_schedule) (fun (plan, (seed, steps)) ->
+      let obs = Obs.Registry.create () in
+      let net =
+        Harness.Netmodel.create ~n:4 ~timing:Recovery.Config.default_timing
+          ~rng:(Sim.Rng.create seed) ~fault_rng:(Sim.Rng.create (seed + 1)) ~plan ~obs ()
+      in
+      let eaten = ref 0 and doubled = ref 0 and sent = Hashtbl.create 2 in
+      let sent_of kind = Option.value ~default:0 (Hashtbl.find_opt sent kind) in
+      net_steps
+        (fun ~now ~src ~dst ~kind ~entries ->
+          Hashtbl.replace sent kind (1 + sent_of kind);
+          (match Harness.Netmodel.arrivals net ~now ~src ~dst ~kind ~entries with
+          | [] -> incr eaten
+          | [ _; _ ] -> incr doubled
+          | _ -> ());
+          true)
+        steps
+      &&
+      let snap = Obs.Registry.snapshot obs in
+      let count name = Obs.Snapshot.counter snap ("net_" ^ name ^ "_total") in
+      let faults =
+        List.map count
+          [ "lost"; "duplicated"; "reordered"; "partition_dropped"; "partition_queued" ]
+      in
+      count "lost" + count "partition_dropped" = !eaten
+      && count "duplicated" = !doubled
+      && List.for_all
+           (fun kind ->
+             Obs.Snapshot.counter snap ~labels:[ ("kind", kind) ] "net_packets_total"
+             = sent_of kind)
+           [ "app"; "notice" ]
+      && ((not (Harness.Netmodel.plan_is_benign plan)) || List.for_all (( = ) 0) faults))
 
 (* Durable record codec: the property open-time recovery rests on.  A
    reader faced with mutated bytes may lose records (truncation) but must
@@ -364,4 +434,5 @@ let suite =
     test_codec_stream_mutation_prefix;
     test_netmodel_zero_plan_equiv;
     test_netmodel_duplication_first_arrival;
+    test_netmodel_counters_match_arrivals;
   ]

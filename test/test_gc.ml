@@ -177,7 +177,7 @@ let test_gc_cluster_run_equivalent () =
       Array.fold_left (fun acc nd -> acc + Node.live_log_records nd) 0
         (Harness.Cluster.nodes c)
     in
-    (s.outputs_committed, retained)
+    (total s "outputs_committed", retained)
   in
   let outputs_gc, retained_gc = run true in
   let outputs_plain, retained_plain = run false in

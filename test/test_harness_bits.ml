@@ -47,10 +47,12 @@ let test_report_cells () =
 
 let timing = Config.default_timing
 
+let net ~timing ?override ~n seed =
+  Harness.Netmodel.create ~n ~timing ~rng:(Sim.Rng.create seed) ?override
+    ~obs:(Obs.Registry.create ()) ()
+
 let test_transit_after_now () =
-  let net =
-    Harness.Netmodel.create ~n:4 ~timing ~rng:(Sim.Rng.create 1) ()
-  in
+  let net = net ~timing ~n:4 1 in
   for i = 1 to 50 do
     let now = float_of_int i in
     let arrival =
@@ -61,14 +63,14 @@ let test_transit_after_now () =
 
 let test_per_entry_overhead () =
   let timing = { timing with net_jitter = 0.0000001; per_entry_overhead = 1. } in
-  let net = Harness.Netmodel.create ~n:2 ~timing ~rng:(Sim.Rng.create 1) () in
+  let net = net ~timing ~n:2 1 in
   let small = Harness.Netmodel.transit net ~now:0. ~src:0 ~dst:1 ~kind:"app" ~entries:0 in
   let big = Harness.Netmodel.transit net ~now:0. ~src:0 ~dst:1 ~kind:"app" ~entries:10 in
   Alcotest.(check bool) "10 entries cost ~10 units more" true (big -. small > 9.5)
 
 let test_fifo_monotone () =
   let timing = { timing with fifo = true; net_jitter = 50. } in
-  let net = Harness.Netmodel.create ~n:2 ~timing ~rng:(Sim.Rng.create 3) () in
+  let net = net ~timing ~n:2 3 in
   let last = ref 0. in
   for i = 0 to 30 do
     let arrival =
@@ -81,21 +83,26 @@ let test_fifo_monotone () =
 
 let test_override_wins () =
   let override ~src:_ ~dst:_ ~packet_kind = if packet_kind = "ann" then Some 99. else None in
-  let net = Harness.Netmodel.create ~n:2 ~timing ~rng:(Sim.Rng.create 3) ~override () in
+  let net = net ~timing ~n:2 ~override 3 in
   let a = Harness.Netmodel.transit net ~now:1. ~src:0 ~dst:1 ~kind:"ann" ~entries:0 in
   Alcotest.(check (float 0.0001)) "override applied" 100. a;
   let b = Harness.Netmodel.transit net ~now:1. ~src:0 ~dst:1 ~kind:"app" ~entries:0 in
   Alcotest.(check bool) "model used otherwise" true (b < 10.)
 
 let test_packet_accounting () =
-  let net = Harness.Netmodel.create ~n:2 ~timing ~rng:(Sim.Rng.create 3) () in
+  let obs = Obs.Registry.create () in
+  let net = Harness.Netmodel.create ~n:2 ~timing ~rng:(Sim.Rng.create 3) ~obs () in
   ignore (Harness.Netmodel.transit net ~now:0. ~src:0 ~dst:1 ~kind:"app" ~entries:4);
   ignore (Harness.Netmodel.transit net ~now:0. ~src:1 ~dst:0 ~kind:"app" ~entries:1);
   ignore (Harness.Netmodel.transit net ~now:0. ~src:0 ~dst:1 ~kind:"ann" ~entries:0);
-  Alcotest.(check (list (pair string int))) "counts by kind"
-    [ ("ann", 1); ("app", 2) ]
-    (Harness.Netmodel.packets_sent net);
-  Alcotest.(check int) "entries carried" 5 (Harness.Netmodel.entries_carried net)
+  let snap = Obs.Registry.snapshot obs in
+  let packets kind =
+    Obs.Snapshot.counter snap ~labels:[ ("kind", kind) ] "net_packets_total"
+  in
+  Alcotest.(check (list int)) "counts by kind" [ 1; 2; 0 ]
+    [ packets "ann"; packets "app"; packets "notice" ];
+  Alcotest.(check int) "entries carried" 5
+    (Obs.Snapshot.counter snap "net_piggyback_entries_total")
 
 (* --- Workload -------------------------------------------------------- *)
 
@@ -108,7 +115,7 @@ let test_workload_counts () =
     ~rate:2.;
   Harness.Cluster.run c;
   Alcotest.(check int) "each call commits one output" 25
-    (Harness.Cluster.stats c).outputs_committed
+    (Util.total (Harness.Cluster.stats c) "outputs_committed")
 
 let test_failure_schedule_in_window () =
   let config = Config.k_optimistic ~n:4 ~k:4 () in
@@ -120,7 +127,8 @@ let test_failure_schedule_in_window () =
   Harness.Cluster.run c;
   (* All crashes land inside the horizon, so every one produced a restart
      (unless two hit the same down process, which the seed avoids). *)
-  Alcotest.(check bool) "restarts happened" true ((Harness.Cluster.stats c).restarts >= 1)
+  Alcotest.(check bool) "restarts happened" true
+    (Util.total (Harness.Cluster.stats c) "restarts" >= 1)
 
 (* --- Trace / Wire ---------------------------------------------------- *)
 

@@ -7,8 +7,7 @@
 module Deployment = Net.Deployment
 module App = App_model.Kvstore_app
 
-let counter outcome name =
-  try List.assoc name outcome.Deployment.counters with Not_found -> 0
+let counter outcome name = Obs.Snapshot.counter outcome.Deployment.obs name
 
 (* Every test gets its own named temp root and removes it however the test
    exits; [destroy] also reaps any daemon a failing assertion left behind. *)
@@ -48,6 +47,36 @@ let test_cluster_benign () =
              (Recovery.Trace.events outcome.Deployment.trace))
       in
       Alcotest.(check int) "every daemon quit cleanly" 3 clean_quits)
+
+(* [check_fault_free]'s failing branches, on outcomes whose counts are a
+   parsed exposition: one undecodable frame or one shed frame is enough to
+   fail certification, and an empty snapshot passes. *)
+let test_check_fault_free_fails () =
+  let outcome text =
+    let obs =
+      match Obs.Snapshot.of_text ("# koptlog-obs v1\n" ^ text) with
+      | Ok obs -> obs
+      | Error e -> Alcotest.failf "exposition rejected: %s" e
+    in
+    let trace = Recovery.Trace.create () in
+    {
+      Deployment.trace;
+      damage = [];
+      synthesized_crashes = 0;
+      oracle = Harness.Oracle.check ~k:1 ~n:1 trace;
+      obs;
+    }
+  in
+  let raises name text =
+    match Deployment.check_fault_free (outcome text) with
+    | () -> Alcotest.failf "%s: certified a faulty run" name
+    | exception Failure _ -> ()
+  in
+  raises "decode error"
+    "# TYPE transport_decode_errors_total counter\ntransport_decode_errors_total 1\n";
+  raises "dropped frame"
+    "# TYPE transport_frames_dropped_total counter\ntransport_frames_dropped_total 1\n";
+  Deployment.check_fault_free (outcome "")
 
 (* SIGKILL one daemon mid-workload; the respawned incarnation must recover
    from its durable store and the merge must synthesize the Crashed event
@@ -91,7 +120,7 @@ let test_cluster_proxy () =
         outcome.Deployment.oracle.Harness.Oracle.violations;
       Alcotest.(check bool)
         "proxy relayed" true
-        (Deployment.counter outcome.Deployment.counters "proxy_forwarded_total" > 0))
+        (counter outcome "proxy_forwarded_total" > 0))
 
 (* ------------------------------------------------------------------ *)
 (* Recovery-window chaos: what happens *during* a fast restart's replay. *)
@@ -416,6 +445,8 @@ let suite =
       test_shutdown_latency_bounded;
     Alcotest.test_case "3 daemons on loopback, oracle-certified" `Slow
       test_cluster_benign;
+    Alcotest.test_case "check_fault_free rejects decode errors and drops" `Quick
+      test_check_fault_free_fails;
     Alcotest.test_case "SIGKILL + respawn from durable store" `Slow test_cluster_kill;
     Alcotest.test_case "live stats plane: scrape, kill, merge" `Slow
       test_stats_plane_live;

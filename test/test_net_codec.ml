@@ -108,8 +108,6 @@ let gen_status =
           (pair small_nat small_nat) (pair small_nat gen_entry))
        (pair bool small_nat))
 
-let gen_tick = oneofl [ `Flush; `Checkpoint; `Notice ]
-
 let gen_control =
   frequency
     [
@@ -118,7 +116,6 @@ let gen_control =
         map3
           (fun seq cseq payload -> Wire_codec.Inject { seq; cseq; payload })
           small_nat small_nat gen_payload );
-      (1, map (fun t -> Wire_codec.Tick t) gen_tick);
       (1, return Wire_codec.Crash);
       (1, return Wire_codec.Status_req);
       (1, map (fun s -> Wire_codec.Status s) gen_status);
@@ -230,6 +227,17 @@ let test_control_roundtrip =
       match Wire_codec.decode_control swf (Wire_codec.encode_control swf ctl) with
       | Ok c -> c = ctl
       | Error _ -> false)
+
+(* Kinds 17-19 are unassigned control kinds.  A well-framed frame of one
+   of them, whatever its payload, is an [Error], never an exception. *)
+let test_retired_tick_kinds =
+  qtest ~count:300 "control: unassigned kinds 17-19 decode to Error"
+    (pair (int_range 17 19) (string_size (int_bound 40)))
+    (fun (kind, payload) ->
+      match Wire_codec.decode_control swf (Wire_codec.frame ~kind payload) with
+      | Error _ -> true
+      | Ok _ -> false
+      | exception _ -> false)
 
 let test_trace_roundtrip =
   qtest ~count:1000 "trace entry: decode inverts encode (every event)"
@@ -395,6 +403,7 @@ let suite =
   [
     test_packet_roundtrip;
     test_control_roundtrip;
+    test_retired_tick_kinds;
     test_trace_roundtrip;
     test_kv_roundtrip;
     test_data_frame_roundtrip;

@@ -134,7 +134,7 @@ let test_per_message_k_override () =
 
 let test_pessimistic_sync_logging () =
   let d = D.make (Config.pessimistic ~timing:quiet_timing ~n:4 ()) counter in
-  let sync0 = Node.sync_writes d.node in
+  let sync0 = Util.metric d.node "storage_sync_writes" in
   D.inject d ~seq:1 (App_model.Counter_app.Forward { dst = 1; amount = 2 });
   (* Logged synchronously on delivery, so the send leaves at once with an
      empty vector: no failure can ever revoke it. *)
@@ -142,7 +142,7 @@ let test_pessimistic_sync_logging () =
   | [ m ] -> Alcotest.(check int) "no risky entries" 0 (List.length m.Wire.dep)
   | _ -> Alcotest.fail "pessimistic send must not block");
   Alcotest.(check bool) "synchronous write happened" true
-    (Node.sync_writes d.node > sync0)
+    (Util.metric d.node "storage_sync_writes" > sync0)
 
 (* ------------------------------------------------------------------ *)
 (* Check_deliverability (Corollary 1)                                  *)

@@ -167,31 +167,31 @@ let test_multi_put_gating_k0 () =
   (* K = 0 gates the Mp_apply fan-out until the coordinator flushes. *)
   Alcotest.(check bool) "fan-out gated before flush" true
     (Recovery.Node.send_buffer_size (Cluster.node cl coord) > 0);
-  Alcotest.(check int) "no ack yet" 0 (Cluster.stats cl).outputs_committed;
+  Alcotest.(check int) "no ack yet" 0 (Util.total (Cluster.stats cl) "outputs_committed");
   Cluster.flush_at cl ~time:6. ~pid:coord;
   Cluster.run_until cl 10.;
   Alcotest.(check int) "participant applied" 1
     (Recovery.Node.app_state (Cluster.node cl participant)).Shard_app.puts;
-  Alcotest.(check int) "still no ack" 0 (Cluster.stats cl).outputs_committed;
+  Alcotest.(check int) "still no ack" 0 (Util.total (Cluster.stats cl) "outputs_committed");
   (* Crash the participant before it ever flushed: its apply interval and
      its gated Mp_ack are lost; recovery must redo both. *)
   Cluster.crash_at cl ~time:11. ~pid:participant;
   Cluster.run_until cl 80.;
   Alcotest.(check int) "ack still withheld after crash + replay" 0
-    (Cluster.stats cl).outputs_committed;
+    (Util.total (Cluster.stats cl) "outputs_committed");
   Cluster.flush_at cl ~time:85. ~pid:participant;
   Cluster.run_until cl 95.;
   (* The Mp_ack has now reached the coordinator and the ack output exists —
      but the coordinator's own receiving interval is not stable, so the
      commit must still wait: no ack precedes commit stability. *)
   Alcotest.(check int) "ack delivered but uncommitted" 0
-    (Cluster.stats cl).outputs_committed;
+    (Util.total (Cluster.stats cl) "outputs_committed");
   Alcotest.(check bool) "ack buffered at coordinator" true
     (Recovery.Node.output_buffer_size (Cluster.node cl coord) > 0);
   Cluster.flush_at cl ~time:100. ~pid:coord;
   Cluster.run_until cl 110.;
   Alcotest.(check int) "ack committed exactly once" 1
-    (Cluster.stats cl).outputs_committed;
+    (Util.total (Cluster.stats cl) "outputs_committed");
   let committed_texts =
     List.filter_map
       (fun { Recovery.Trace.ev; _ } ->

@@ -16,6 +16,10 @@ let e ~inc ~sii = Entry.make ~inc ~sii
 let metric nd name =
   Obs.Snapshot.counter (Obs.Registry.snapshot (Recovery.Node.obs nd)) (name ^ "_total")
 
+(* A run-wide counter from a cluster's merged stats snapshot:
+   [total s "restarts"] is [restarts_total]. *)
+let total (s : Harness.Cluster.stats) name = Obs.Snapshot.counter s.obs (name ^ "_total")
+
 (* Outputs committed to the outside world, oldest first, with their
    commit times: the trace's [Output_committed] events, of [pid] only when
    given. *)
