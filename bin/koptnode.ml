@@ -126,11 +126,8 @@ let pending mb =
 let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
     ~(wire : msg App_model.App_intf.wire_format) ~pid ~n ~k ~listen_port ~peers
     ~control_port ~store_dir ~trace_file ~metrics_file ~epoch ~time_scale
-    ~retransmit ~ckpt_interval ~part_ckpt ~join =
-  let config =
-    Config.harden ?retransmit_interval:retransmit
-      (Config.k_optimistic ~n ~k ())
-  in
+    ~ckpt_interval ~part_ckpt ~join =
+  let config = Config.harden (Config.k_optimistic ~n ~k ()) in
   (* --ckpt-interval overrides the full-checkpoint period; 0 disables it
      (incremental per-partition checkpoints, when armed, keep replay
      bounded instead). *)
@@ -548,11 +545,6 @@ let cmd =
       & opt float Config.default_time_scale
       & info [ "time-scale" ] ~doc:"Seconds per abstract time unit.")
   in
-  let retransmit =
-    Arg.(
-      value & opt (some float) None
-      & info [ "retransmit" ] ~doc:"Retransmission period (abstract units).")
-  in
   let ckpt_interval =
     Arg.(
       value & opt (some float) None
@@ -578,12 +570,12 @@ let cmd =
           ~doc:"Announce this process as a joiner on boot (membership churn).")
   in
   let run' app pid n k listen_port peers control_port store_dir trace_file
-      metrics_file epoch time_scale retransmit ckpt_interval part_ckpt join =
+      metrics_file epoch time_scale ckpt_interval part_ckpt join =
     let go (type state msg) ((app, wire) :
           (state, msg) App_model.App_intf.t * msg App_model.App_intf.wire_format) =
       run ~app ~wire ~pid ~n ~k ~listen_port ~peers ~control_port ~store_dir
-        ~trace_file ~metrics_file ~epoch ~time_scale ~retransmit ~ckpt_interval
-        ~part_ckpt ~join
+        ~trace_file ~metrics_file ~epoch ~time_scale ~ckpt_interval ~part_ckpt
+        ~join
     in
     match app with
     | `Kvstore -> go (App.app, App.wire)
@@ -593,7 +585,7 @@ let cmd =
     (Cmd.info "koptnode" ~doc:"K-optimistic logging daemon (one cluster process).")
     Term.(
       const run' $ app_t $ pid $ n $ k $ listen_port $ peers $ control_port
-      $ store_dir $ trace_file $ metrics_file $ epoch $ time_scale $ retransmit
-      $ ckpt_interval $ part_ckpt $ join)
+      $ store_dir $ trace_file $ metrics_file $ epoch $ time_scale $ ckpt_interval
+      $ part_ckpt $ join)
 
 let () = exit (Cmd.eval cmd)

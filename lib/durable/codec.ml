@@ -31,8 +31,6 @@ let crc32 ?(init = 0) s ~pos ~len =
   done;
   !c lxor mask32
 
-let crc32_string s = crc32 s ~pos:0 ~len:(String.length s)
-
 (* The checksum covers kind + length + payload, i.e. everything after the
    magic byte, so no single flipped byte can yield a different valid
    record. *)

@@ -27,8 +27,6 @@ val crc32 : ?init:int -> string -> pos:int -> len:int -> int
     substring.  [init] defaults to the empty-message state; feed the result
     back in to checksum discontiguous pieces.  The result fits 32 bits. *)
 
-val crc32_string : string -> int
-
 val encode : kind:int -> string -> string
 (** Frame one record.  [kind] must fit one byte. *)
 

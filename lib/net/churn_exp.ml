@@ -98,24 +98,13 @@ let e17_run ~k ~ops ~brownout_rounds ~seed ~label report =
     (try Deployment.destroy t with _ -> ());
     raise e
   | outcome ->
+    Deployment.certify ~report ~exp:"E17" ~label outcome;
     let o = outcome.Deployment.oracle in
-    if o.Harness.Oracle.violations <> [] then
-      failwith
-        (Fmt.str "E17 %s: oracle violations:@.%a" label
-           (Fmt.list ~sep:Fmt.cut Fmt.string)
-           o.Harness.Oracle.violations);
-    if o.Harness.Oracle.max_risk > k then
-      failwith
-        (Fmt.str "E17 %s: measured risk %d exceeds K=%d" label
-           o.Harness.Oracle.max_risk k);
     let counter = Obs.Snapshot.counter outcome.Deployment.obs in
     let degraded = counter "storage_degraded_flushes_total" in
     if degraded = 0 then
       failwith
         (Fmt.str "E17 %s: brownout window armed but no flush was refused" label);
-    List.iter
-      (fun d -> Harness.Report.note report (Fmt.str "%s trace damage: %s" label d))
-      outcome.Deployment.damage;
     let m =
       {
         width = Deployment.width t;

@@ -110,11 +110,6 @@ let spawn ?(join = false) t node =
              (match p.proxy_port with Some pp -> pp | None -> p.data_port))
     |> String.concat ","
   in
-  let retransmit =
-    match t.config.Config.timing.Config.retransmit_interval with
-    | Some r -> [ "--retransmit"; Fmt.str "%g" r ]
-    | None -> []
-  in
   let ckpt =
     match t.ckpt_interval with
     | Some i -> [ "--ckpt-interval"; Fmt.str "%g" i ]
@@ -140,7 +135,7 @@ let spawn ?(join = false) t node =
       node.metrics_file; "--epoch"; Fmt.str "%.6f" t.epoch; "--time-scale";
       Fmt.str "%g" t.time_scale;
     ]
-    @ retransmit @ ckpt @ part_ckpt
+    @ ckpt @ part_ckpt
     @ (if join then [ "--join" ] else [])
   in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
@@ -215,13 +210,13 @@ let ctl_rpc node ctl =
 (* ------------------------------------------------------------------ *)
 (* Launch                                                              *)
 
-let launch ~n ~k ?(app = "kvstore") ?retransmit ?ckpt_interval ?part_ckpt
+let launch ~n ~k ?(app = "kvstore") ?ckpt_interval ?part_ckpt
     ?(time_scale = Config.default_time_scale) ?plan ?(seed = 0) ?root ?exe () =
   (* Control writes race daemon SIGKILLs; a broken pipe must be an error on
      the write, not a fatal signal. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let exe = find_exe exe in
-  let config = Config.harden ?retransmit_interval:retransmit (Config.k_optimistic ~n ~k ()) in
+  let config = Config.harden (Config.k_optimistic ~n ~k ()) in
   let root =
     match root with
     | Some r ->
@@ -536,6 +531,17 @@ let check_fault_free outcome =
     failwith
       (Fmt.str "fault-free run shed %d outbound frame(s) to queue overflow" frames_dropped)
 
+let certify ~report ~exp ~label outcome =
+  let violations = outcome.oracle.Harness.Oracle.violations in
+  if violations <> [] then
+    failwith
+      (Fmt.str "%s %s: oracle violations:@.%a" exp label
+         (Fmt.list ~sep:Fmt.cut Fmt.string)
+         violations);
+  List.iter
+    (fun d -> Harness.Report.note report (Fmt.str "%s trace damage: %s" label d))
+    outcome.damage
+
 let reap node =
   if node.os_pid > 0 then begin
     (try Unix.kill node.os_pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -709,15 +715,8 @@ let one_run ~n ~k ~ops ~kills ~plan ~seed report =
           Harness.Report.note report (Fmt.str "K=%d: settle timed out" k);
         outcome)
   in
+  certify ~report ~exp:"E14" ~label:(Fmt.str "K=%d" k) outcome;
   let o = outcome.oracle in
-  if o.Harness.Oracle.violations <> [] then
-    failwith
-      (Fmt.str "E14: oracle violations at K=%d:@.%a" k
-         (Fmt.list ~sep:Fmt.cut Fmt.string)
-         o.Harness.Oracle.violations);
-  List.iter
-    (fun d -> Harness.Report.note report (Fmt.str "K=%d trace damage: %s" k d))
-    outcome.damage;
   let count name = Obs.Snapshot.counter outcome.obs (name ^ "_total") in
   let proxied name = count ("proxy_" ^ name) in
   Harness.Report.note report

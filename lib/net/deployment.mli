@@ -25,7 +25,6 @@ val launch :
   n:int ->
   k:int ->
   ?app:string ->
-  ?retransmit:float ->
   ?ckpt_interval:float ->
   ?part_ckpt:float ->
   ?time_scale:float ->
@@ -180,6 +179,14 @@ val check_fault_free : outcome -> unit
     benign network must decode every frame and shed none, so
     @raise Failure if [obs] shows a nonzero
     [transport_decode_errors_total] or [transport_frames_dropped_total]. *)
+
+val certify :
+  report:Harness.Report.t -> exp:string -> label:string -> outcome -> unit
+(** The certification every live experiment applies to its outcome:
+    @raise Failure naming experiment [exp] and run [label] on any oracle
+    violation, else note each piece of trace damage in [report].  Risk
+    above K needs no check of its own: {!finish} runs the oracle with the
+    deployment's K, and the oracle counts that as a violation. *)
 
 val finish : t -> outcome
 (** Drain every daemon (Quit → metrics + final trace sync), reap the

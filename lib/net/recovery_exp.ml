@@ -142,19 +142,8 @@ let e16_run ~k ~ops ~part_ckpt ~seed ~label report =
     (try Deployment.destroy t with _ -> ());
     raise e
   | probe, outcome ->
+    Deployment.certify ~report ~exp:"E16" ~label outcome;
     let o = outcome.Deployment.oracle in
-    if o.Harness.Oracle.violations <> [] then
-      failwith
-        (Fmt.str "E16 %s: oracle violations:@.%a" label
-           (Fmt.list ~sep:Fmt.cut Fmt.string)
-           o.Harness.Oracle.violations);
-    if o.Harness.Oracle.max_risk > k then
-      failwith
-        (Fmt.str "E16 %s: measured risk %d exceeds K=%d" label
-           o.Harness.Oracle.max_risk k);
-    List.iter
-      (fun d -> Harness.Report.note report (Fmt.str "%s trace damage: %s" label d))
-      outcome.Deployment.damage;
     let m = analyze t outcome.Deployment.trace ~probe ~label in
     let ms v = 1000. *. v in
     Harness.Report.add_row report

@@ -19,8 +19,6 @@ type protocol = {
   delivery_rule : delivery_rule;
   sync_logging : bool;
   output_driven_logging : bool;
-  retransmit_on_failure : bool;
-  gossip_notices : bool;
   gossip_announcements : bool;
   gc_logs : bool;
   breakage : breakage;
@@ -101,8 +99,6 @@ let base_protocol ~k =
     delivery_rule = Corollary1;
     sync_logging = false;
     output_driven_logging = false;
-    retransmit_on_failure = true;
-    gossip_notices = false;
     gossip_announcements = false;
     gc_logs = false;
     breakage = no_breakage;
@@ -158,15 +154,15 @@ let real_restart_delay ?(time_scale = default_time_scale) timing =
   timing.restart_delay *. time_scale
 
 (* Turn on the reliability machinery needed to survive a lossy network:
-   a periodic retransmission timer on every sender's archive, and
-   announcement gossip so a dropped failure announcement is eventually
-   healed by a periodic notice.  Off by default so the benign-network
-   experiments are bit-for-bit unchanged. *)
-let harden ?(retransmit_interval = 40.) t =
+   a periodic retransmission timer (every 40 units) on every sender's
+   archive, and announcement gossip so a dropped failure announcement is
+   eventually healed by a periodic notice.  Off by default so the
+   benign-network experiments are bit-for-bit unchanged. *)
+let harden t =
   {
     t with
     protocol = { t.protocol with gossip_announcements = true };
-    timing = { t.timing with retransmit_interval = Some retransmit_interval };
+    timing = { t.timing with retransmit_interval = Some 40. };
   }
 
 let describe t =

@@ -66,12 +66,6 @@ type protocol = {
       (** on buffering an output, send flush requests to the processes it
           depends on instead of waiting for periodic notices (the
           alternative discussed at the end of Section 2). *)
-  retransmit_on_failure : bool;
-      (** senders replay their archives to a failed process (footnote 3:
-          lost in-transit messages "can be retrieved from the senders'
-          volatile logs"). *)
-  gossip_notices : bool;
-      (** notices carry all known stability rows, not just the sender's. *)
   gossip_announcements : bool;
       (** periodic notices also carry every failure announcement the
           sender has seen, so an announcement lost on the wire is healed
@@ -167,9 +161,10 @@ val real_restart_delay : ?time_scale:float -> timing -> float
     by the multi-process deployment's respawn path ([Net.Deployment]);
     neither carries its own magic number. *)
 
-val harden : ?retransmit_interval:float -> t -> t
+val harden : t -> t
 (** Enable the reliability machinery required on a lossy network:
-    periodic sender retransmission and announcement gossip.  Leaves every
+    periodic sender retransmission (every 40 abstract units) and
+    announcement gossip.  Leaves every
     other axis untouched; never weakens the K bound (see PROTOCOL.md). *)
 
 val describe : t -> string

@@ -12,16 +12,6 @@ type cost = {
   checkpoints : int;
 }
 
-let zero_cost = { deliveries = 0; replays = 0; sync_writes = 0; checkpoints = 0 }
-
-let add_cost a b =
-  {
-    deliveries = a.deliveries + b.deliveries;
-    replays = a.replays + b.replays;
-    sync_writes = a.sync_writes + b.sync_writes;
-    checkpoints = a.checkpoints + b.checkpoints;
-  }
-
 (* Protocol metrics, one registry group (see Node.obs): the paper's two
    axes, failure-free overhead (blocked sends, piggyback size, output
    latency) and recovery cost (rollbacks, undone intervals, replay).
@@ -210,18 +200,18 @@ type commit_point = {
 
 (* --- Partitioned (fast) recovery ----------------------------------- *)
 
-(* One logged delivery awaiting partitioned replay.  The metadata pass of
-   [restart_begin] walks the log serially {e without} running the
-   application, so it can pre-compute per-record context: the interval the
-   replay must land on and the dependency-vector snapshot the record's
-   regenerated effects must carry.  Replaying records of different
+(* One logged delivery awaiting partitioned replay.  The deferred
+   restart's log walk takes each record's interval step {e without}
+   running the application, so it can pre-compute per-record context: the
+   interval the replay must land on and the dependency-vector snapshot the
+   record's regenerated effects must carry.  Replaying records of different
    partitions in any order then yields the serial result, because
    cross-partition handlers commute (the {!App_intf.partitioning}
    contract). *)
 type 'msg replay_item = {
   ri_msg : 'msg Wire.app_message;
   ri_interval : Entry.t;
-  ri_tdv : Dep_vector.t; (* vector after this delivery, from the metadata pass *)
+  ri_tdv : Dep_vector.t; (* vector after this delivery, from the log walk *)
   ri_window : bool; (* the record's [lg_window] flag *)
   ri_covered : bool;
       (* a per-partition checkpoint already covers this record: count it
@@ -523,8 +513,14 @@ let floor_of t j =
   if j = t.pid then Entry.make ~inc:t.epoch ~sii:t.floor
   else match floors_of t j with f :: _ -> f | [] -> Entry.make ~inc:0 ~sii:0
 
-let notice_of t rows =
-  { Wire.from_ = t.pid; rows; anns = gossip_anns t; floor = floor_of t t.pid }
+(* The notice this process sends: its own stability row and floor. *)
+let own_notice t =
+  {
+    Wire.from_ = t.pid;
+    rows = [ (t.pid, Entry_set.entries t.log_tab.(t.pid)) ];
+    anns = gossip_anns t;
+    floor = floor_of t t.pid;
+  }
 
 (* Theorem 2 applied to duplicate suppression.  The all-stable predicate
    [gc_anchor] uses, asked of the current vector at a flush or of the
@@ -692,8 +688,7 @@ let release_send t ~now (ps : 'msg pending_send) =
   Obs.Histogram.observe t.meters.blocked_time blocked;
   Obs.Histogram.observe t.meters.release_dep_entries (float_of_int dep_size);
   Obs.Histogram.observe t.meters.wire_vector_size (float_of_int wire_vector);
-  if (proto t).retransmit_on_failure || t.cfg.Config.timing.retransmit_interval <> None
-  then Archive.add t.archive wire;
+  Archive.add t.archive wire;
   trace t ~now (Message_released { id = ps.ps_id; dep_size; wire_vector; blocked });
   push t (Unicast { dst = ps.ps_dst; packet = Wire.App wire })
 
@@ -715,7 +710,7 @@ let check_send_buffer t ~now =
 (* [send_message_at] performs a send in an explicit interval context
    instead of the node's live one — partitioned replay re-executes records
    out of log order, so the regenerated sends must carry the interval and
-   vector snapshot the metadata pass computed for their record, not
+   vector snapshot the log walk computed for their record, not
    whatever the interleaved replay happens to have made current. *)
 let send_message_at t ~now ~interval ~tdv ~idx ~dst ~k payload =
   let id = { Wire.origin = t.pid; origin_interval = interval; idx } in
@@ -887,8 +882,8 @@ let check_output_buffer t ~now =
 
 (* Explicit-context variant of [buffer_output], for the same reason as
    {!send_message_at}: partitioned replay regenerates outputs out of log
-   order, so their identity and dependency snapshot come from the metadata
-   pass, not from the node's live interval. *)
+   order, so their identity and dependency snapshot come from the log
+   walk, not from the node's live interval. *)
 let rec buffer_output_at t ~now ~interval ~tdv ~idx text =
   let oid = { Wire.out_interval = interval; out_idx = idx } in
   if committed t oid || Hashtbl.mem t.buffered_out_ids oid then ()
@@ -914,14 +909,14 @@ let rec buffer_output_at t ~now ~interval ~tdv ~idx text =
           | Some _ when j <> t.pid ->
             push t (Unicast { dst = j; packet = Wire.Flush_request { from_ = t.pid } })
           | Some _ | None -> ());
-      do_flush t ~now ~ack:true
+      do_flush t ~now
     end
   end
 
 (* ------------------------------------------------------------------ *)
 (* Flush: asynchronous logging progress                                *)
 
-and do_flush ?(forced = false) t ~now ~ack =
+and do_flush ?(forced = false) t ~now =
   ignore
     ((if forced then Store.flush_forced t.store else Store.flush t.store) : int);
   (* A brownout-refused flush left records volatile: nothing new is stable,
@@ -935,13 +930,13 @@ and do_flush ?(forced = false) t ~now ~ack =
     advance_stability t ~now;
     elide_tdv t;
     commit_current t;
-    do_flush_acks t ~ack;
+    do_flush_acks t;
     check_send_buffer t ~now;
     check_output_buffer t ~now
   end
 
-and do_flush_acks t ~ack =
-  if ack && t.unacked <> [] then begin
+and do_flush_acks t =
+  if t.unacked <> [] then begin
     (* Everything delivered so far is now stable: tell the senders so they
        can garbage-collect their retransmission archives. *)
     let by_src = Hashtbl.create 8 in
@@ -979,7 +974,11 @@ let mark_part_dirty t payload =
     | Some p -> t.part_dirty.(p) <- t.part_dirty.(p) + 1
     | None -> ()
 
-let deliver t ~now ~replay ~waited (m : 'msg Wire.app_message) =
+(* The interval step of Deliver_message: start the next interval, merge
+   the message's dependencies into the vector, and note the interval's
+   parents and the delivery.  Live delivery, serial replay and the
+   deferred restart's walk all take it; it returns the interval left. *)
+let step_interval t (m : 'msg Wire.app_message) =
   let pred = t.current in
   ensure_deps t m.dep;
   (match (proto t).tracking with
@@ -992,12 +991,16 @@ let deliver t ~now ~replay ~waited (m : 'msg Wire.app_message) =
     ());
   t.current <- Entry.next_interval t.current;
   Dep_vector.set t.tdv t.pid (Some t.current);
-  elide_tdv t;
   t.send_idx <- 0;
   t.out_idx <- 0;
   note_parents t t.current
     ((t.pid, pred) :: (if m.src >= 0 then [ (m.src, m.send_interval) ] else []));
   note_delivered t m t.current;
+  pred
+
+let deliver t ~now ~replay ~waited (m : 'msg Wire.app_message) =
+  let pred = step_interval t m in
+  elide_tdv t;
   if replay then Obs.Counter.incr t.meters.replayed
   else begin
     Store.append_volatile t.store
@@ -1036,7 +1039,7 @@ let deliver t ~now ~replay ~waited (m : 'msg Wire.app_message) =
     effects;
   (* Pessimistic logging: the volatile buffer is written synchronously on
      every delivery, before any message leaves the send buffer. *)
-  if (proto t).sync_logging && not replay then do_flush t ~now ~ack:true
+  if (proto t).sync_logging && not replay then do_flush t ~now
   else begin
     (* Low-risk sends leave immediately; only riskier-than-K ones wait. *)
     check_send_buffer t ~now;
@@ -1347,14 +1350,16 @@ let restore_checkpoint t ck =
   reinstate_saved_sends t ck.ck_sends;
   reinstate_saved_outs t ck.ck_outs
 
-(* Restore the checkpoint [ck] and replay the stable log through the
-   application, applying incarnation markers at their recorded positions.
+(* The one log walk of Restart and Rollback (Figure 3): from the restored
+   checkpoint [ck], apply incarnation markers at their recorded positions
+   and hand each logged delivery to [exec], which must leave the node on
+   the interval the record names.  Serial restart and rollback re-execute
+   the delivery; the deferred restart takes its interval step and queues
+   the handler.  Stops before the first delivery satisfying [halt].
    [anns] is the synchronous area and [records] the stable log from
-   [ck.ck_log_pos] on, both as the caller read them.  Stops before the
-   first record satisfying [halt] and returns the log position reached. *)
-let rebuild t ~now ~ck ~anns ~records ~halt =
-  restore_checkpoint t ck;
-  let markers = effective_markers anns ~from_pos:ck.ck_log_pos in
+   [ck.ck_log_pos] on, both as the caller read them.  Returns the log
+   position reached and the [Requeued] messages passed, oldest first. *)
+let walk_log t ~ck ~anns ~records ~halt ~exec =
   let pos = ref ck.ck_log_pos in
   let requeued = ref [] in
   let rec walk markers records =
@@ -1364,23 +1369,61 @@ let rebuild t ~now ~ck ~anns ~records ~halt =
       walk ms records
     | _, [] -> ()
     | _, Requeued m :: rs ->
-      (* Not a state transition: remember it for the caller (Restart puts
-         undelivered ones back into the receive buffer). *)
+      (* Not a state transition: the caller puts the undelivered ones back
+         into the receive buffer. *)
       requeued := m :: !requeued;
       incr pos;
       walk markers rs
-    | _, (Delivery d as r) :: rs ->
-      if halt r then ()
-      else begin
+    | _, Delivery d :: rs ->
+      if not (halt d.lg_msg) then begin
         resync_lost_marker t ~pos:!pos d.lg_interval;
-        deliver t ~now ~replay:true ~waited:0. d.lg_msg;
+        exec ~pos:!pos ~window:d.lg_window d.lg_msg;
         assert (Entry.equal t.current d.lg_interval);
         incr pos;
         walk markers rs
       end
   in
-  walk markers records;
+  walk (effective_markers anns ~from_pos:ck.ck_log_pos) records;
   (!pos, List.rev !requeued)
+
+(* The immediate executor of [walk_log]: re-execute the delivery now. *)
+let redeliver t ~now ~pos:_ ~window:_ m = deliver t ~now ~replay:true ~waited:0. m
+
+(* Requeued messages not re-delivered since go back to the receive buffer,
+   oldest first; known orphans and anything already delivered are
+   dropped. *)
+let requeue_undelivered t ~now requeued =
+  List.iter
+    (fun (m : 'msg Wire.app_message) ->
+      if
+        (not (seen t m))
+        && (not (buffered_in_recv t m.id))
+        && not (orphan_wire t m)
+      then t.recv_buf <- t.recv_buf @ [ (now, m) ])
+    requeued
+
+(* Absorb a failure or rollback announcement — received, our own, or read
+   back from the synchronous area ([persist] is false only then): the
+   ending incarnation's end table entry and, by Corollary 1, its
+   stability.  A pid beyond the current width is membership evidence. *)
+let absorb_ann t ~persist (ann : Wire.announcement) =
+  if persist then Store.log_announcement t.store (Wire.Ann_logged ann);
+  let j = ann.from_ in
+  ensure_member t j;
+  note_ann t ann;
+  t.iet.(j) <- Entry_set.insert_min t.iet.(j) ann.ending;
+  t.log_tab.(j) <- Entry_set.insert t.log_tab.(j) ann.ending;
+  if ann.ending.inc > t.max_ann_inc.(j) then t.max_ann_inc.(j) <- ann.ending.inc
+
+(* Start incarnation [inc] right after the current interval, which is
+   stable (replayed from the log, or just flushed), "as if it itself has
+   failed".  The marker persists the bump at log position [log_pos], so a
+   crash right after it cannot reuse the number. *)
+let bump_incarnation t ~inc ~log_pos =
+  let next = Entry.make ~inc ~sii:(t.current.sii + 1) in
+  Store.log_announcement t.store (Wire.Marker { entry = next; log_pos });
+  apply_marker t (next, log_pos);
+  t.frontier <- next
 
 (* ------------------------------------------------------------------ *)
 (* Rollback (Figure 3)                                                 *)
@@ -1404,6 +1447,11 @@ let rollback t ~now ~(because : Wire.announcement) =
      deliveries the process has already absorbed. *)
   ignore (Store.flush_forced t.store : int);
   let j = ann.from_ in
+  (* A logged delivery that would make us depend on a rolled-back interval
+     of P_j: condition (I) of Figure 3 fails there. *)
+  let orphaned_by (m : 'msg Wire.app_message) =
+    List.exists (fun (i, e) -> i = j && orphan_entry ann e) m.dep
+  in
   let ck_ok =
     match (proto t).tracking with
     | Config.Transitive ->
@@ -1420,11 +1468,7 @@ let rollback t ~now ~(because : Wire.announcement) =
         match
           Store.fold_log_from t.store ~pos:(Store.log_base t.store) ~init:()
             ~f:(fun () pos -> function
-              | Delivery d
-                when List.exists
-                       (fun (p, e) -> p = j && orphan_entry ann e)
-                       d.lg_msg.Wire.dep ->
-                raise (Halt pos)
+              | Delivery d when orphaned_by d.lg_msg -> raise (Halt pos)
               | Delivery _ | Requeued _ -> ())
         with
         | () -> Store.stable_log_length t.store
@@ -1453,17 +1497,13 @@ let rollback t ~now ~(because : Wire.announcement) =
     commit_point ck
     :: List.filter (fun cp -> cp.cp_interval.sii < ck.ck_current.sii) t.ckpts;
   t.ckpt_ops <- t.ckpt_ops + 1;
-  (* Replay "till condition (I) is not satisfied": stop before the first
-     logged delivery whose piggyback would make us depend on a rolled-back
-     interval of P_j. *)
-  let halt = function
-    | Requeued _ -> false
-    | Delivery d ->
-      List.exists (fun (i, e) -> i = j && orphan_entry ann e) d.lg_msg.Wire.dep
-  in
+  (* Replay "till condition (I) is not satisfied". *)
+  restore_checkpoint t ck;
   let stop_pos, walked_requeued =
-    rebuild t ~now ~ck ~halt ~anns:(Store.announcements t.store)
+    walk_log t ~ck ~anns:(Store.announcements t.store)
       ~records:(Store.stable_log_from t.store ~pos:ck.ck_log_pos)
+      ~halt:orphaned_by
+      ~exec:(redeliver t ~now)
   in
   let stop = t.current in
   let removed = Store.truncate_stable_log t.store ~keep:stop_pos in
@@ -1503,14 +1543,7 @@ let rollback t ~now ~(because : Wire.announcement) =
      crash, so the live node must too — dropping them here would leave the
      store remembering a message the process forgot, and the next restart
      would deliver it, diverging from the live run. *)
-  List.iter
-    (fun (m : 'msg Wire.app_message) ->
-      if
-        (not (seen t m))
-        && (not (buffered_in_recv t m.Wire.id))
-        && not (orphan_wire t m)
-      then t.recv_buf <- t.recv_buf @ [ (now, m) ])
-    walked_requeued;
+  requeue_undelivered t ~now walked_requeued;
   ignore (Store.flush_forced t.store : int);
   (* Prune volatile structures of the undone intervals.  State-interval
      indices are monotone along a process history, so "undone" is exactly
@@ -1540,20 +1573,10 @@ let rollback t ~now ~(because : Wire.announcement) =
       Hashtbl.remove t.assemblies po.po_id)
     dropped_outs;
   Obs.Counter.add t.meters.undone_intervals (old_current.sii - stop.sii);
-  (* Start a new incarnation, "as if it itself has failed".  The new number
-     must exceed every incarnation this process ever used; [old_current.inc]
-     is that maximum.  The bump is persisted so that a crash immediately
-     after this rollback cannot lead to number reuse. *)
-  let new_current = Entry.make ~inc:(old_current.inc + 1) ~sii:(stop.sii + 1) in
-  t.current <- new_current;
-  note_parents t new_current [ (t.pid, stop) ];
-  Store.log_announcement t.store (Wire.Marker { entry = new_current; log_pos = stop_pos });
-  Dep_vector.set t.tdv t.pid (Some new_current);
-  t.log_tab.(t.pid) <- Entry_set.insert t.log_tab.(t.pid) stop;
-  t.log_tab.(t.pid) <- Entry_set.insert t.log_tab.(t.pid) new_current;
-  t.frontier <- new_current;
-  t.send_idx <- 0;
-  t.out_idx <- 0;
+  (* The new number must exceed every incarnation this process ever used;
+     [old_current.inc] is that maximum. *)
+  bump_incarnation t ~inc:(old_current.inc + 1) ~log_pos:stop_pos;
+  let new_current = t.current in
   (* The pre-restore flush made the surviving prefix stable; record that
      transition (the new marker interval is stable by construction). *)
   trace t ~now (Stability_advanced { pid = t.pid; upto = stop });
@@ -1570,10 +1593,7 @@ let rollback t ~now ~(because : Wire.announcement) =
         failure = false;
       }
     in
-    Store.log_announcement t.store (Wire.Ann_logged fa);
-    note_ann t fa;
-    t.iet.(t.pid) <- Entry_set.insert_min t.iet.(t.pid) fa.ending;
-    t.log_tab.(t.pid) <- Entry_set.insert t.log_tab.(t.pid) fa.ending;
+    absorb_ann t ~persist:true fa;
     Obs.Counter.incr t.meters.announcements_sent;
     push t (Broadcast (Wire.Ann fa))
   end
@@ -1627,16 +1647,9 @@ let receive_ann t ~now (ann : Wire.announcement) =
      unique per rollback/restart, so structural equality identifies them). *)
   if j = t.pid || Hashtbl.mem t.anns_seen ann then ()
   else begin
-    ensure_member t j;
-    note_ann t ann;
     trace t ~now (Announcement_received { pid = t.pid; ann });
     (* "Synchronously log the received announcement". *)
-    Store.log_announcement t.store (Wire.Ann_logged ann);
-    t.iet.(j) <- Entry_set.insert_min t.iet.(j) ann.ending;
-    (* Corollary 1: the announcement doubles as a logging-progress
-       notification that the ending interval is stable. *)
-    t.log_tab.(j) <- Entry_set.insert t.log_tab.(j) ann.ending;
-    if ann.ending.inc > t.max_ann_inc.(j) then t.max_ann_inc.(j) <- ann.ending.inc;
+    absorb_ann t ~persist:true ann;
     discard_orphan_receives t ~now;
     cancel_orphan_sends t ~now;
     Archive.remove_if t.archive (orphan_wire t);
@@ -1657,7 +1670,9 @@ let receive_ann t ~now (ann : Wire.announcement) =
       if hit then rollback t ~now ~because:ann);
     elide_tdv t;
     recheck t ~now;
-    if ann.failure && (proto t).retransmit_on_failure then retransmit t ~dst:j
+    (* Footnote 3: messages lost in transit to a failed process "can be
+       retrieved from the senders' volatile logs". *)
+    if ann.failure then retransmit t ~dst:j
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1771,42 +1786,47 @@ let run_gc t =
       (* anchor is the about-to-be-saved state: prune after it is saved *)
       ())
 
+(* Immutable snapshots of the buffered sends and outputs, for a full or a
+   per-partition checkpoint. *)
+let saved_effects t =
+  ( List.map
+      (fun ps ->
+        {
+          sv_id = ps.ps_id;
+          sv_dst = ps.ps_dst;
+          sv_interval = ps.ps_interval;
+          sv_dep = Dep_vector.non_null ps.ps_tdv;
+          sv_payload = ps.ps_payload;
+          sv_enqueued = ps.ps_enqueued;
+          sv_k = ps.ps_k;
+        })
+      t.send_buf,
+    List.map
+      (fun po ->
+        {
+          so_id = po.po_id;
+          so_text = po.po_text;
+          so_dep = Dep_vector.non_null po.po_tdv;
+          so_buffered = po.po_buffered;
+        })
+      t.out_buf )
+
 let do_checkpoint t ~now =
   (* A full checkpoint snapshots the whole state; a partially replayed
      hybrid is not a state serial replay can reach, so drain first.  The
      flush is forced: the checkpoint's log position must cover every
      delivery its state absorbed, brownout or not. *)
   finish_recovery t ~now;
-  do_flush ~forced:true t ~now ~ack:true;
+  do_flush ~forced:true t ~now;
+  let sends, outs = saved_effects t in
   let ck =
     {
       ck_current = t.current;
       ck_tdv = Dep_vector.non_null t.tdv;
       ck_state = t.state;
       ck_log_pos = Store.stable_log_length t.store;
-      ck_sends =
-        List.map
-          (fun ps ->
-            {
-              sv_id = ps.ps_id;
-              sv_dst = ps.ps_dst;
-              sv_interval = ps.ps_interval;
-              sv_dep = Dep_vector.non_null ps.ps_tdv;
-              sv_payload = ps.ps_payload;
-              sv_enqueued = ps.ps_enqueued;
-              sv_k = ps.ps_k;
-            })
-          t.send_buf;
-      ck_outs =
-        List.map
-          (fun po ->
-            {
-              so_id = po.po_id;
-              so_text = po.po_text;
-              so_dep = Dep_vector.non_null po.po_tdv;
-              so_buffered = po.po_buffered;
-            })
-          t.out_buf;
+      ck_sends = sends;
+      ck_outs = outs;
       ck_archive = Archive.newest_first t.archive;
     }
   in
@@ -1843,7 +1863,7 @@ let do_crash t ~now =
   t.recovery <- None;
   trace t ~now (Crashed { pid = t.pid; first_lost })
 
-(* Shared restart prologue: wipe volatile state, rebuild durable knowledge
+(* Restart prologue: wipe volatile state, rebuild durable knowledge
    from the synchronous area (announcements we logged — ours and others' —
    committed outputs, incarnation markers, per-partition checkpoints),
    locate the full checkpoint to rebuild from, and make one streamed pass
@@ -1899,15 +1919,7 @@ let restart_prologue t =
       0 anns;
   List.iter
     (function
-      | Wire.Ann_logged (ann : Wire.announcement) ->
-        (* Announcements persisted by a previous, wider incarnation are
-           membership evidence too. *)
-        ensure_member t ann.from_;
-        note_ann t ann;
-        t.iet.(ann.from_) <- Entry_set.insert_min t.iet.(ann.from_) ann.ending;
-        t.log_tab.(ann.from_) <- Entry_set.insert t.log_tab.(ann.from_) ann.ending;
-        if ann.ending.inc > t.max_ann_inc.(ann.from_) then
-          t.max_ann_inc.(ann.from_) <- ann.ending.inc
+      | Wire.Ann_logged ann -> absorb_ann t ~persist:false ann
       | Wire.Committed oid ->
         if oid.out_interval.sii >= t.floor then Hashtbl.replace t.committed_ids oid ()
       | Wire.Gc_stubs gs ->
@@ -1979,248 +1991,189 @@ let restart_prologue t =
   t.epoch <- max_inc + 1;
   (ck, part_ck, anns, List.rev suffix)
 
-(* Shared restart epilogue: announce the failure, persist the incarnation
-   bump, continue as a fresh interval and come back up.  [t.current] must
-   be the frontier of the (metadata or full) replay when this runs, and
-   [t.epoch] the incarnation the prologue chose. *)
-let restart_epilogue t ~now =
-  (* Everything reconstructed from the stable log is stable by definition. *)
-  trace t ~now (Stability_advanced { pid = t.pid; upto = t.current });
-  let max_inc = t.epoch - 1 in
-  let fa =
-    {
-      Wire.from_ = t.pid;
-      ending = Entry.make ~inc:max_inc ~sii:t.current.sii;
-      failure = true;
-    }
+(* Apply the per-partition checkpoints that survive over the restored
+   full checkpoint [ck], and re-instate the pending effects their covered
+   (skipped) records would have regenerated.  [records] is the log suffix
+   the walk will replay.  Slots that cannot be used are cleared. *)
+let apply_part_checkpoints t (pt : ('state, 'msg) App_intf.partitioning) ~ck ~part_ck
+    ~records =
+  (* A barrier in the replay range reads and writes state outside any
+     single partition, so no per-partition snapshot is sound across it;
+     applications with barriers declare no export anyway. *)
+  let has_barrier =
+    List.exists
+      (function
+        | Delivery d -> pt.part_of_msg ~n:t.app_n d.lg_msg.Wire.payload = None
+        | Requeued _ -> false)
+      records
   in
-  Store.log_announcement t.store (Wire.Ann_logged fa);
-  note_ann t fa;
-  t.iet.(t.pid) <- Entry_set.insert_min t.iet.(t.pid) fa.ending;
-  t.log_tab.(t.pid) <- Entry_set.insert t.log_tab.(t.pid) fa.ending;
-  t.log_tab.(t.pid) <- Entry_set.insert t.log_tab.(t.pid) t.current;
-  let new_current = Entry.make ~inc:(max_inc + 1) ~sii:(t.current.sii + 1) in
-  note_parents t new_current [ (t.pid, t.current) ];
-  t.current <- new_current;
-  Store.log_announcement t.store
-    (Wire.Marker { entry = new_current; log_pos = Store.stable_log_length t.store });
-  Dep_vector.set t.tdv t.pid (Some new_current);
-  t.log_tab.(t.pid) <- Entry_set.insert t.log_tab.(t.pid) new_current;
-  t.frontier <- new_current;
-  t.send_idx <- 0;
-  t.out_idx <- 0;
-  elide_tdv t;
-  t.up <- true;
-  Obs.Counter.incr t.meters.announcements_sent;
-  trace t ~now (Restarted { pid = t.pid; announced = fa; new_current });
-  push t (Broadcast (Wire.Ann fa))
+  let stable_len = Store.stable_log_length t.store in
+  Array.iteri
+    (fun p slot ->
+      match slot with
+      | Some (pos, _)
+        when pt.part_import <> None
+             && (not has_barrier)
+             && pos > ck.ck_log_pos && pos <= stable_len -> ()
+      | Some _ -> part_ck.(p) <- None
+      | None -> ())
+    part_ck;
+  Array.iteri
+    (fun p slot ->
+      match slot with
+      | None -> ()
+      | Some (_, payload) ->
+        (* The payload is a sealed (length- and CRC-witnessed) blob; the
+           witness covers exactly the marshalled bytes, so [Marshal] never
+           runs on damaged input it could crash on — and a blob that fails
+           the witness (or the unmarshal, or the app's import) is a
+           {e reported} loss: the slot is dropped, the partition falls
+           back to replaying from the full checkpoint, and the drop is
+           counted.  Never a silent acceptance, never an abort. *)
+        let decoded =
+          match Durable.Codec.unseal payload with
+          | Error _ -> None
+          | Ok bytes -> (
+            match
+              (Marshal.from_string bytes 0
+                : string
+                  * 'msg saved_send list
+                  * saved_output list
+                  * 'msg Wire.app_message list)
+            with
+            | v -> Some v
+            | exception (Failure _ | Invalid_argument _ | End_of_file) -> None)
+        in
+        let imported =
+          match decoded with
+          | None -> None
+          | Some ((slice, _, _, _) as v) -> (
+            match pt.part_import with
+            | None -> Some v
+            | Some import -> (
+              match import t.state p slice with
+              | state' ->
+                t.state <- state';
+                Some v
+              | exception Failure _ -> None))
+        in
+        match imported with
+        | None ->
+          part_ck.(p) <- None;
+          Obs.Counter.incr t.meters.part_ckpt_dropped
+        | Some (_, sends, outs, archive) ->
+          reinstate_saved_sends t sends;
+          reinstate_saved_outs t outs;
+          reinstate_archive t archive)
+    part_ck
 
-(* Requeued messages not re-delivered before the crash go back to the
-   receive buffer, oldest first; known orphans and anything already
-   delivered are dropped. *)
-let requeue_undelivered t ~now requeued =
-  List.iter
-    (fun (m : 'msg Wire.app_message) ->
-      if
-        (not (seen t m))
-        && (not (buffered_in_recv t m.id))
-        && not (orphan_wire t m)
-      then t.recv_buf <- t.recv_buf @ [ (now, m) ])
-    requeued
+(* The deferred restart's executor: take each logged delivery's interval
+   step now, with the dependency-vector snapshot its regenerated effects
+   must carry, and queue its handler per partition (a barrier closes a
+   stage).  [finish] turns the queues into the recovery window, or [None]
+   when nothing is left to replay. *)
+let deferred_exec t (pt : ('state, 'msg) App_intf.partitioning) ~part_ck =
+  let fresh_queues () = Array.init pt.parts (fun _ -> Queue.create ()) in
+  let stages_rev = ref [] in
+  let cur = ref (fresh_queues ()) in
+  let part_pending = Array.make pt.parts 0 in
+  let barriers = ref 0 in
+  let frontier = ref None in
+  let exec ~pos ~window (m : 'msg Wire.app_message) =
+    ignore (step_interval t m : Entry.t);
+    let item covered =
+      {
+        ri_msg = m;
+        ri_interval = t.current;
+        ri_tdv = Dep_vector.copy t.tdv;
+        ri_window = window;
+        ri_covered = covered;
+      }
+    in
+    match pt.part_of_msg ~n:t.app_n m.payload with
+    | Some p ->
+      let covered =
+        match part_ck.(p) with Some (cpos, _) -> pos < cpos | None -> false
+      in
+      let ri = item covered in
+      Queue.add ri (!cur).(p);
+      part_pending.(p) <- part_pending.(p) + 1;
+      frontier := Some ri
+    | None ->
+      let ri = item false in
+      stages_rev := { rs_queues = !cur; rs_barrier = Some ri } :: !stages_rev;
+      cur := fresh_queues ();
+      incr barriers;
+      frontier := Some ri
+  in
+  let finish () =
+    if Array.fold_left ( + ) 0 part_pending + !barriers = 0 then None
+    else
+      Some
+        {
+          rc_parts = pt.parts;
+          rc_stages = List.rev ({ rs_queues = !cur; rs_barrier = None } :: !stages_rev);
+          rc_part_pending = part_pending;
+          rc_barriers_pending = !barriers;
+          rc_replayed = 0;
+          rc_frontier = !frontier;
+          rc_next = 0;
+          rc_live_delivered = false;
+        }
+  in
+  (exec, finish)
 
-let do_restart t ~now =
+(* Restart (Figure 3), one body for both variants: rebuild durable
+   knowledge, restore the newest checkpoint, walk the log from it,
+   re-instate the archive and the undelivered requeued messages, and start
+   a new incarnation.  The serial restart re-executes each logged delivery
+   as the walk reaches it.  The deferred one ([restart_begin] of a
+   partitioned application) first applies the surviving per-partition
+   checkpoints, then queues each delivery's handler: the node comes back
+   up {e before} replaying, and the caller pumps {!do_replay_step} while
+   already serving requests on partitions whose queues have drained. *)
+let do_restart t ~now ~deferred =
   let rep0 = Obs.Counter.value t.meters.replayed in
-  let ck, _part_ck, anns, records = restart_prologue t in
-  let _, requeued = rebuild t ~now ~ck ~anns ~records ~halt:(fun _ -> false) in
+  let ck, part_ck, anns, records = restart_prologue t in
+  restore_checkpoint t ck;
+  let exec, recovery =
+    match t.app.App_intf.partitioning with
+    | Some pt when deferred ->
+      apply_part_checkpoints t pt ~ck ~part_ck ~records;
+      deferred_exec t pt ~part_ck
+    | Some _ | None ->
+      (redeliver t ~now, fun () -> None)
+  in
+  let _, requeued = walk_log t ~ck ~anns ~records ~halt:(fun _ -> false) ~exec in
   (* Recover the retransmission archive: replay re-released the sends of
      replayed intervals; anything older comes from the checkpoint copy. *)
   reinstate_archive t ck.ck_archive;
   requeue_undelivered t ~now requeued;
-  restart_epilogue t ~now;
-  trace t ~now
-    (Recovery_completed { pid = t.pid; replayed = Obs.Counter.value t.meters.replayed - rep0 });
+  (* Everything reconstructed from the stable log is stable by definition;
+     announce the failure and continue in the incarnation the prologue
+     chose. *)
+  trace t ~now (Stability_advanced { pid = t.pid; upto = t.current });
+  let fa =
+    {
+      Wire.from_ = t.pid;
+      ending = Entry.make ~inc:(t.epoch - 1) ~sii:t.current.sii;
+      failure = true;
+    }
+  in
+  absorb_ann t ~persist:true fa;
+  bump_incarnation t ~inc:t.epoch ~log_pos:(Store.stable_log_length t.store);
+  elide_tdv t;
+  t.up <- true;
+  Obs.Counter.incr t.meters.announcements_sent;
+  trace t ~now (Restarted { pid = t.pid; announced = fa; new_current = t.current });
+  push t (Broadcast (Wire.Ann fa));
+  (match recovery () with
+  | Some rc -> t.recovery <- Some rc
+  | None ->
+    trace t ~now
+      (Recovery_completed
+         { pid = t.pid; replayed = Obs.Counter.value t.meters.replayed - rep0 }));
   recheck t ~now
-
-(* Restart's fast-path variant: come back up {e before} replaying.  The
-   serial metadata pass reconstructs everything replay can derive from the
-   log alone (intervals, dependency snapshots, duplicate suppression,
-   direct parents) and queues the application re-execution per partition;
-   the caller then pumps {!do_replay_step} while already serving requests
-   on partitions whose queues have drained.  Falls back to the serial
-   restart when the application declares no partitioning. *)
-let do_restart_begin t ~now =
-  match t.app.App_intf.partitioning with
-  | None -> do_restart t ~now
-  | Some pt ->
-    let ck, part_ck, anns, records = restart_prologue t in
-    restore_checkpoint t ck;
-    (* A barrier in the replay range reads and writes state outside any
-       single partition, so no per-partition snapshot is sound across it;
-       applications with barriers declare no export anyway. *)
-    let has_barrier =
-      List.exists
-        (function
-          | Delivery d -> pt.part_of_msg ~n:t.app_n d.lg_msg.Wire.payload = None
-          | Requeued _ -> false)
-        records
-    in
-    let stable_len = Store.stable_log_length t.store in
-    Array.iteri
-      (fun p slot ->
-        match slot with
-        | Some (pos, _)
-          when pt.part_import <> None
-               && (not has_barrier)
-               && pos > ck.ck_log_pos && pos <= stable_len -> ()
-        | Some _ -> part_ck.(p) <- None
-        | None -> ())
-      part_ck;
-    (* Apply the surviving per-partition checkpoints over the full
-       checkpoint's state, and re-instate the pending effects their
-       covered (skipped) records would have regenerated. *)
-    Array.iteri
-      (fun p slot ->
-        match slot with
-        | None -> ()
-        | Some (_, payload) ->
-          (* The payload is a sealed (length- and CRC-witnessed) blob; the
-             witness covers exactly the marshalled bytes, so [Marshal] never
-             runs on damaged input it could crash on — and a blob that fails
-             the witness (or the unmarshal, or the app's import) is a
-             {e reported} loss: the slot is dropped, the partition falls
-             back to replaying from the full checkpoint, and the drop is
-             counted.  Never a silent acceptance, never an abort. *)
-          let decoded =
-            match Durable.Codec.unseal payload with
-            | Error _ -> None
-            | Ok bytes -> (
-              match
-                (Marshal.from_string bytes 0
-                  : string
-                    * 'msg saved_send list
-                    * saved_output list
-                    * 'msg Wire.app_message list)
-              with
-              | v -> Some v
-              | exception (Failure _ | Invalid_argument _ | End_of_file) -> None)
-          in
-          let imported =
-            match decoded with
-            | None -> None
-            | Some ((slice, _, _, _) as v) -> (
-              match pt.part_import with
-              | None -> Some v
-              | Some import -> (
-                match import t.state p slice with
-                | state' ->
-                  t.state <- state';
-                  Some v
-                | exception Failure _ -> None))
-          in
-          match imported with
-          | None ->
-            part_ck.(p) <- None;
-            Obs.Counter.incr t.meters.part_ckpt_dropped
-          | Some (_, sends, outs, archive) ->
-            reinstate_saved_sends t sends;
-            reinstate_saved_outs t outs;
-            reinstate_archive t archive)
-      part_ck;
-    (* Serial metadata pass: evolve intervals, vectors and bookkeeping
-       exactly as [rebuild] would, but defer the application handlers into
-       per-partition queues. *)
-    let markers = effective_markers anns ~from_pos:ck.ck_log_pos in
-    let pos = ref ck.ck_log_pos in
-    let requeued = ref [] in
-    let fresh_queues () = Array.init pt.parts (fun _ -> Queue.create ()) in
-    let stages_rev = ref [] in
-    let cur = ref (fresh_queues ()) in
-    let part_pending = Array.make pt.parts 0 in
-    let barriers = ref 0 in
-    let frontier = ref None in
-    let rec walk markers records =
-      match markers, records with
-      | ((_, p) as m) :: ms, _ when p <= !pos ->
-        apply_marker t m;
-        walk ms records
-      | _, [] -> ()
-      | _, Requeued m :: rs ->
-        requeued := m :: !requeued;
-        incr pos;
-        walk markers rs
-      | _, Delivery d :: rs ->
-        resync_lost_marker t ~pos:!pos d.lg_interval;
-        let pred = t.current in
-        ensure_deps t d.lg_msg.Wire.dep;
-        (match (proto t).tracking with
-        | Config.Transitive ->
-          Dep_vector.merge_max ~into:t.tdv
-            (Dep_vector.of_non_null ~n:t.n d.lg_msg.Wire.dep)
-        | Config.Direct -> ());
-        t.current <- Entry.next_interval t.current;
-        Dep_vector.set t.tdv t.pid (Some t.current);
-        assert (Entry.equal t.current d.lg_interval);
-        note_parents t t.current
-          ((t.pid, pred)
-          ::
-          (if d.lg_msg.Wire.src >= 0 then
-             [ (d.lg_msg.Wire.src, d.lg_msg.Wire.send_interval) ]
-           else []));
-        note_delivered t d.lg_msg t.current;
-        let item covered =
-          {
-            ri_msg = d.lg_msg;
-            ri_interval = t.current;
-            ri_tdv = Dep_vector.copy t.tdv;
-            ri_window = d.lg_window;
-            ri_covered = covered;
-          }
-        in
-        (match pt.part_of_msg ~n:t.app_n d.lg_msg.Wire.payload with
-        | Some p ->
-          let covered =
-            match part_ck.(p) with
-            | Some (cpos, _) -> !pos < cpos
-            | None -> false
-          in
-          let ri = item covered in
-          Queue.add ri (!cur).(p);
-          part_pending.(p) <- part_pending.(p) + 1;
-          frontier := Some ri
-        | None ->
-          let ri = item false in
-          stages_rev := { rs_queues = !cur; rs_barrier = Some ri } :: !stages_rev;
-          cur := fresh_queues ();
-          incr barriers;
-          frontier := Some ri);
-        incr pos;
-        walk markers rs
-    in
-    walk markers records;
-    stages_rev := { rs_queues = !cur; rs_barrier = None } :: !stages_rev;
-    reinstate_archive t ck.ck_archive;
-    requeue_undelivered t ~now (List.rev !requeued);
-    restart_epilogue t ~now;
-    let pending = Array.fold_left ( + ) 0 part_pending + !barriers in
-    if pending = 0 then begin
-      trace t ~now (Recovery_completed { pid = t.pid; replayed = 0 });
-      recheck t ~now
-    end
-    else begin
-      t.recovery <-
-        Some
-          {
-            rc_parts = pt.parts;
-            rc_stages = List.rev !stages_rev;
-            rc_part_pending = part_pending;
-            rc_barriers_pending = !barriers;
-            rc_replayed = 0;
-            rc_frontier = !frontier;
-            rc_next = 0;
-            rc_live_delivered = false;
-          };
-      recheck t ~now
-    end
 
 (* ------------------------------------------------------------------ *)
 (* Per-partition incremental checkpoints                               *)
@@ -2244,36 +2197,12 @@ let do_partition_checkpoint t ~now =
       let p = !best in
       (* Flush first (forced, like the full checkpoint's) so the snapshot
          corresponds exactly to the stable prefix it claims to cover. *)
-      do_flush ~forced:true t ~now ~ack:true;
+      do_flush ~forced:true t ~now;
       let pos = Store.stable_log_length t.store in
-      let sends =
-        List.map
-          (fun ps ->
-            {
-              sv_id = ps.ps_id;
-              sv_dst = ps.ps_dst;
-              sv_interval = ps.ps_interval;
-              sv_dep = Dep_vector.non_null ps.ps_tdv;
-              sv_payload = ps.ps_payload;
-              sv_enqueued = ps.ps_enqueued;
-              sv_k = ps.ps_k;
-            })
-          t.send_buf
-      in
-      let outs =
-        List.map
-          (fun po ->
-            {
-              so_id = po.po_id;
-              so_text = po.po_text;
-              so_dep = Dep_vector.non_null po.po_tdv;
-              so_buffered = po.po_buffered;
-            })
-          t.out_buf
-      in
+      let sends, outs = saved_effects t in
       let payload =
         (* Sealed so restart can witness integrity before unmarshalling;
-           see the decode side in [do_restart_begin]. *)
+           see the decode side in [apply_part_checkpoints]. *)
         Durable.Codec.seal
           (Marshal.to_string
              (export t.state p, sends, outs, Archive.newest_first t.archive)
@@ -2458,14 +2387,8 @@ let handle_packet t ~now packet =
           | Wire.Notice notice -> receive_notice t ~now notice
           | Wire.Ack ack -> receive_ack t ack
           | Wire.Flush_request { from_ } ->
-            do_flush t ~now ~ack:true;
-            let rows = [ (t.pid, Entry_set.entries t.log_tab.(t.pid)) ] in
-            push t
-              (Unicast
-                 {
-                   dst = from_;
-                   packet = Wire.Notice (notice_of t rows);
-                 })
+            do_flush t ~now;
+            push t (Unicast { dst = from_; packet = Wire.Notice (own_notice t) })
           | Wire.Dep_query { from_; intervals } ->
             let infos =
               List.map (fun interval -> (interval, local_dep_info t interval)) intervals
@@ -2497,13 +2420,7 @@ let handle_packet t ~now packet =
               recheck t ~now;
               (* Hand the joiner our stability knowledge so its own vector
                  entries start draining without waiting a notice period. *)
-              let rows = [ (t.pid, Entry_set.entries t.log_tab.(t.pid)) ] in
-              push t
-                (Unicast
-                   {
-                     dst = from_;
-                     packet = Wire.Notice (notice_of t rows);
-                   })
+              push t (Unicast { dst = from_; packet = Wire.Notice (own_notice t) })
             end
           | Wire.Retire { from_; upto } ->
             if from_ >= 0 && from_ <> t.pid then begin
@@ -2541,7 +2458,7 @@ let inject t ~now ~seq ?(cseq = Wire.no_cseq) payload =
           in
           receive_app t ~now m))
 
-let flush t ~now = with_cost t (fun () -> guard t (fun () -> do_flush t ~now ~ack:true))
+let flush t ~now = with_cost t (fun () -> guard t (fun () -> do_flush t ~now))
 
 let perform t ~now effects =
   with_cost t (fun () ->
@@ -2568,20 +2485,14 @@ let broadcast_notice t ~now =
               t.assemblies;
             check_output_buffer t ~now
           end;
-          let rows =
-            if (proto t).gossip_notices then
-              List.filter_map
-                (fun j ->
-                  let es = Entry_set.entries t.log_tab.(j) in
-                  if es = [] then None else Some (j, es))
-                (List.init t.n Fun.id)
-            else [ (t.pid, Entry_set.entries t.log_tab.(t.pid)) ]
+          let notice = own_notice t in
+          let entries =
+            List.fold_left (fun acc (_, es) -> acc + List.length es) 0 notice.Wire.rows
           in
-          let entries = List.fold_left (fun acc (_, es) -> acc + List.length es) 0 rows in
           Obs.Counter.incr t.meters.notices;
           Obs.Counter.add t.meters.notice_entries entries;
           trace t ~now (Notice_sent { pid = t.pid; entries });
-          push t (Broadcast (Wire.Notice (notice_of t rows)))))
+          push t (Broadcast (Wire.Notice notice))))
 
 let retransmit_tick t ~now =
   ignore now;
@@ -2596,10 +2507,10 @@ let halt t ~now =
   Store.kill t.store
 
 let restart t ~now =
-  with_cost t (fun () -> if not t.up then do_restart t ~now)
+  with_cost t (fun () -> if not t.up then do_restart t ~now ~deferred:false)
 
 let restart_begin t ~now =
-  with_cost t (fun () -> if not t.up then do_restart_begin t ~now)
+  with_cost t (fun () -> if not t.up then do_restart t ~now ~deferred:true)
 
 let replay_step t ~now ?prefer ~budget () =
   let executed = ref 0 in
@@ -2660,7 +2571,7 @@ let retire t ~now =
           (* Flush first (forced — a leaver must not be stoppable by a
              brownout window): the Retire frontier claims stability up to
              [t.current], so make it true before anyone hears the claim. *)
-          do_flush ~forced:true t ~now ~ack:true;
+          do_flush ~forced:true t ~now;
           push t (Broadcast (Wire.Retire { from_ = t.pid; upto = t.current }))))
 
 (* ------------------------------------------------------------------ *)
@@ -2684,25 +2595,13 @@ let iet_row t j = t.iet.(j)
    or trace side effects — for piggybacking on outgoing data frames. *)
 let current_notice t =
   if not t.up then None
-  else
-    let rows =
-      if (proto t).gossip_notices then
-        List.filter_map
-          (fun j ->
-            let es = Entry_set.entries t.log_tab.(j) in
-            if es = [] then None else Some (j, es))
-          (List.init t.n Fun.id)
-      else [ (t.pid, Entry_set.entries t.log_tab.(t.pid)) ]
-    in
-    Some (notice_of t rows)
+  else Some (own_notice t)
 
 let send_buffer_size t = List.length t.send_buf
 
 let receive_buffer_size t = List.length t.recv_buf
 
 let receive_buffer_messages t = List.map snd t.recv_buf
-
-let max_announced_inc t j = t.max_ann_inc.(j)
 
 let output_buffer_size t = List.length t.out_buf
 
@@ -2724,12 +2623,3 @@ let volatile_log_length t = Store.volatile_length t.store
 let stable_log_length t = Store.stable_log_length t.store
 
 let live_log_records t = Store.live_log_records t.store
-
-let pp_state ppf t =
-  Fmt.pf ppf "P%d%s at %a tdv=%a recv=%d send=%d out=%d stable=%a" t.pid
-    (if t.up then "" else " (down)")
-    Entry.pp t.current Dep_vector.pp t.tdv
-    (List.length t.recv_buf)
-    (List.length t.send_buf)
-    (List.length t.out_buf)
-    Entry.pp t.frontier

@@ -257,16 +257,8 @@ let e15_run ~shards ~k ~ops ~rate ~kills ~plan ~seed ~label report =
     (try Net.Deployment.destroy t with _ -> ());
     raise e
   | svc, outcome, elapsed ->
+    Net.Deployment.certify ~report ~exp:"E15" ~label outcome;
     let o = outcome.Net.Deployment.oracle in
-    if o.Harness.Oracle.violations <> [] then
-      failwith
-        (Fmt.str "E15 %s: oracle violations:@.%a" label
-           (Fmt.list ~sep:Fmt.cut Fmt.string)
-           o.Harness.Oracle.violations);
-    if o.Harness.Oracle.max_risk > k then
-      failwith
-        (Fmt.str "E15 %s: measured risk %d exceeds K=%d" label
-           o.Harness.Oracle.max_risk k);
     Latency.ingest svc.lat outcome.Net.Deployment.trace;
     let stats = Latency.stats svc.lat in
     if not faulted then begin
@@ -276,9 +268,6 @@ let e15_run ~shards ~k ~ops ~rate ~kills ~plan ~seed ~label report =
           (Fmt.str "E15 %s: %d acks missing on a fault-free run" label
              stats.outstanding)
     end;
-    List.iter
-      (fun d -> Harness.Report.note report (Fmt.str "%s trace damage: %s" label d))
-      outcome.Net.Deployment.damage;
     let count = Obs.Snapshot.counter outcome.Net.Deployment.obs in
     let delivs = count "deliveries_total" in
     let throughput = float_of_int delivs /. elapsed in

@@ -676,25 +676,6 @@ let test_sy_wire_size_is_n () =
     | Some h -> Obs.Snapshot.hist_mean h
     | None -> nan)
 
-let test_notice_gossip () =
-  let base = config () in
-  let cfg =
-    { base with Config.protocol = { base.Config.protocol with gossip_notices = true } }
-  in
-  let d = D.make cfg counter in
-  D.packet d (D.notice_packet ~from_:2 ~rows:[ (2, [ e ~inc:0 ~sii:8 ]) ]);
-  D.clear d;
-  D.notice d;
-  let rows =
-    List.concat_map
-      (function
-        | Node.Broadcast (Wire.Notice n) -> List.map fst n.Wire.rows
-        | Node.Unicast _ | Node.Broadcast _ -> [])
-      (D.actions d)
-  in
-  Alcotest.(check bool) "gossip includes P2's row" true (List.mem 2 rows);
-  Alcotest.(check bool) "own row present" true (List.mem 0 rows)
-
 (* A node's scrape costs O(series × buckets), never O(traffic): after 100
    deliveries and after 10,000 it holds the same series, within the same
    exposition line budget. *)
@@ -1005,7 +986,6 @@ let suite =
     Alcotest.test_case "down node ignores packets" `Quick test_down_node_ignores_packets;
     Alcotest.test_case "cost accounting" `Quick test_cost_accounting;
     Alcotest.test_case "S&Y wire size is N" `Quick test_sy_wire_size_is_n;
-    Alcotest.test_case "notice gossip" `Quick test_notice_gossip;
     Alcotest.test_case "re-release after commit dropped" `Quick
       test_rerelease_after_commit_dropped;
     Alcotest.test_case "re-release after anchor loss dropped" `Quick

@@ -2,9 +2,14 @@
    in-memory store (crash + restart on the same handle):
 
    - QCheck law: partitioned replay ([restart_begin] + [replay_step] in
-     any preference order, any budgets) reaches the same per-partition
-     digests as Figure 3's serial [restart], for any op sequence and any
-     stability point at the crash.
+     any preference order, any budgets) reaches the same interval and
+     per-partition digests as Figure 3's serial [restart], for any op
+     sequence and any stability point at the crash — also when a second
+     crash makes the replayed range cross the first restart's
+     incarnation marker.
+   - Scripted lost marker: with the newest marker cut from the
+     synchronous area, both restarts resync the marker a logged delivery
+     implies and reach the same interval and digests.
    - QCheck law: a prefix captured by incremental [Part_ckpt] snapshots
      plus replay of the remainder equals one-shot replay of the whole log.
    - Scripted on-demand timeline: a Get for an already-replayed partition
@@ -29,14 +34,14 @@ let parts = App.parts
 (* A small key pool with a known partition for each key. *)
 let key_of i = Fmt.str "law-%d" i
 
-let feed d ops ~flush_at =
+let feed ?(seq0 = 0) d ops ~flush_at =
   List.iteri
     (fun i (ki, v) ->
-      D.inject d ~seq:(i + 1) (App.Put { key = key_of ki; value = v });
+      D.inject d ~seq:(seq0 + i + 1) (App.Put { key = key_of ki; value = v });
       if i + 1 = flush_at then D.flush d)
     ops
 
-let drain_replay ?(rng = fun _ -> 0) node =
+let drain_replay ?(now = 2000.) ?(rng = fun _ -> 0) node =
   let fuel = ref 10_000 in
   while Node.recovery_active node do
     decr fuel;
@@ -44,10 +49,11 @@ let drain_replay ?(rng = fun _ -> 0) node =
     let prefer = rng parts in
     let budget = 1 + rng 3 in
     ignore
-      (Node.replay_step node ~now:2000. ~prefer ~budget () : int * _ list * _)
+      (Node.replay_step node ~now ~prefer ~budget () : int * _ list * _)
   done
 
 let check_digests ~msg a b =
+  Alcotest.check Util.entry (Fmt.str "%s: interval" msg) (Node.current b) (Node.current a);
   for p = 0 to parts - 1 do
     Alcotest.(check (option int))
       (Fmt.str "%s: partition %d digest" msg p)
@@ -56,33 +62,44 @@ let check_digests ~msg a b =
 
 (* Generator: an op sequence over a 24-key pool, a stability point (flush
    position) and a seed for the replay preference/budget walk. *)
-let gen_case =
-  QCheck2.Gen.(
-    triple
-      (list_size (int_range 1 40) (pair (int_bound 23) (int_bound 99)))
-      (int_bound 40) (int_bound 1000))
+let gen_ops =
+  QCheck2.Gen.(list_size (int_range 1 40) (pair (int_bound 23) (int_bound 99)))
 
+let gen_case = QCheck2.Gen.(triple gen_ops (int_bound 40) (int_bound 1000))
+
+let lcg seed =
+  let state = ref seed in
+  fun bound ->
+    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+    !state mod bound
+
+(* Two rounds of ops, each ended by a crash and both restarts.  The second
+   round's replay starts at the initial checkpoint again, so it crosses
+   the incarnation marker the first restart wrote. *)
 let law_partitioned_eq_serial =
-  Util.qtest ~count:80 "partitioned replay == serial replay (digests)" gen_case
-    (fun (ops, flush_at, seed) ->
-      let flush_at = min flush_at (List.length ops) in
+  Util.qtest ~count:80 "partitioned replay == serial replay (digests)"
+    QCheck2.Gen.(quad gen_ops (int_bound 40) (int_bound 1000) gen_ops)
+    (fun (ops, flush_at, seed, more) ->
       let a = D.make (config ()) App.app in
       let b = D.make (config ()) App.app in
-      feed a ops ~flush_at;
-      feed b ops ~flush_at;
-      D.crash a;
-      D.crash b;
-      (* A: incremental, replayed in a seed-dependent preference order
-         with small uneven budgets; B: Figure 3's serial restart. *)
-      ignore (Node.restart_begin a.D.node ~now:1000. : _ list * _);
-      let state = ref seed in
-      let rng bound =
-        state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-        !state mod bound
+      let rng = lcg seed in
+      let round ~seq0 ~now ops =
+        let flush_at = min flush_at (List.length ops) in
+        feed a ~seq0 ops ~flush_at;
+        feed b ~seq0 ops ~flush_at;
+        D.crash a;
+        D.crash b;
+        (* A: incremental, replayed in a seed-dependent preference order
+           with small uneven budgets; B: Figure 3's serial restart. *)
+        ignore (Node.restart_begin a.D.node ~now : _ list * _);
+        drain_replay ~now ~rng a.D.node;
+        ignore (Node.restart b.D.node ~now : _ list * _);
+        check_digests ~msg:(Fmt.str "law1 at %g" now) a.D.node b.D.node;
+        a.D.clock <- now;
+        b.D.clock <- now
       in
-      drain_replay ~rng a.D.node;
-      ignore (Node.restart b.D.node ~now:1000. : _ list * _);
-      check_digests ~msg:"law1" a.D.node b.D.node;
+      round ~seq0:0 ~now:1000. ops;
+      round ~seq0:(List.length ops) ~now:2000. more;
       true)
 
 let law_ckpt_prefix_eq_oneshot =
@@ -115,12 +132,7 @@ let law_ckpt_prefix_eq_oneshot =
       D.crash a;
       D.crash b;
       ignore (Node.restart_begin a.D.node ~now:1000. : _ list * _);
-      let state = ref seed in
-      let rng bound =
-        state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-        !state mod bound
-      in
-      drain_replay ~rng a.D.node;
+      drain_replay ~rng:(lcg seed) a.D.node;
       ignore (Node.restart b.D.node ~now:1000. : _ list * _);
       check_digests ~msg:"law2" a.D.node b.D.node;
       true)
@@ -196,10 +208,82 @@ let test_on_demand_timeline () =
   in
   Alcotest.(check bool) "Recovery_completed traced" true completed
 
+(* ------------------------------------------------------------------ *)
+(* Lost incarnation marker                                             *)
+
+(* Truncate a synchronous area at the start of its newest [Marker] frame,
+   dropping that frame and everything after it.  Its records are
+   announcement frames (kind ['A']) whose payload is a sealed marshalled
+   [Wire.sync_record]. *)
+let cut_at_newest_marker path =
+  let contents = In_channel.with_open_bin path In_channel.input_all in
+  let rec newest pos found =
+    match Durable.Codec.decode contents ~pos with
+    | Durable.Codec.Record { kind; payload; next } ->
+      let marker =
+        kind = Char.code 'A'
+        &&
+        match Durable.Codec.unseal payload with
+        | Ok bytes -> (
+          match (Marshal.from_string bytes 0 : Recovery.Wire.sync_record) with
+          | Recovery.Wire.Marker _ -> true
+          | _ -> false)
+        | Error _ -> false
+      in
+      newest next (if marker then Some pos else found)
+    | Durable.Codec.Truncated | Durable.Codec.Corrupt | Durable.Codec.End -> found
+  in
+  match newest 0 None with
+  | Some pos -> Unix.truncate path pos
+  | None -> Alcotest.fail "no Marker frame in the synchronous area"
+
+let copy_dir src dst =
+  Array.iter
+    (fun name ->
+      let bytes =
+        In_channel.with_open_bin (Filename.concat src name) In_channel.input_all
+      in
+      Out_channel.with_open_bin (Filename.concat dst name) (fun oc ->
+          Out_channel.output_string oc bytes))
+    (Sys.readdir src)
+
+(* A crash, a restart (marker (1,6) at log position 4), four more logged
+   Puts in incarnation 1 and a process death; then the synchronous area
+   loses that marker.  Each logged delivery still names its interval, so
+   both restarts resync the marker it implies and must land on the same
+   interval, (2,11), with the same per-partition digests. *)
+let test_lost_marker_resync () =
+  let serial_dir = Durable.Temp.fresh_dir ~prefix:"test-lost-marker" () in
+  let deferred_dir = Durable.Temp.fresh_dir ~prefix:"test-lost-marker" () in
+  Fun.protect
+    ~finally:(fun () ->
+      Durable.Temp.rm_rf serial_dir;
+      Durable.Temp.rm_rf deferred_dir)
+    (fun () ->
+      let d = D.make ~store_dir:serial_dir (config ()) App.app in
+      let ops = List.init 4 (fun i -> (i, i + 1)) in
+      feed d ops ~flush_at:4;
+      D.crash d;
+      D.restart d;
+      feed d ~seq0:4 (List.map (fun (k, v) -> (k + 4, v * 10)) ops) ~flush_at:4;
+      Node.halt d.D.node ~now:(D.tick d);
+      cut_at_newest_marker (Filename.concat serial_dir "sync.dat");
+      copy_dir serial_dir deferred_dir;
+      let a = D.make ~store_dir:deferred_dir (config ()) App.app in
+      let b = D.make ~store_dir:serial_dir (config ()) App.app in
+      ignore (Node.restart_begin a.D.node ~now:1000. : _ list * _);
+      drain_replay a.D.node;
+      ignore (Node.restart b.D.node ~now:1000. : _ list * _);
+      Alcotest.check Util.entry "serial restart resynced the lost marker"
+        (Util.e ~inc:2 ~sii:11) (Node.current b.D.node);
+      check_digests ~msg:"lost marker" a.D.node b.D.node)
+
 let suite =
   [
     law_partitioned_eq_serial;
     law_ckpt_prefix_eq_oneshot;
+    Alcotest.test_case "lost marker: restart_begin resyncs like restart" `Quick
+      test_lost_marker_resync;
     Alcotest.test_case "on-demand timeline: serve early, park until replayed"
       `Quick test_on_demand_timeline;
   ]
