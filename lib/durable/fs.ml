@@ -37,11 +37,30 @@ let unix =
     exists = Sys.file_exists;
     size = (fun path -> (Unix.stat path).Unix.st_size);
     read =
+      (* Straight from the descriptor into one buffer of the file's size.
+         An [in_channel] would bring a 64 KB buffer the runtime charges
+         against the minor heap, so the handful of reads a restart makes
+         would force minor collections before the daemon's first batch. *)
       (fun path ->
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic)));
+        match Unix.openfile path [ Unix.O_RDONLY ] 0 with
+        | exception Unix.Unix_error (e, _, _) ->
+          raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+        | fd ->
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              let len = (Unix.fstat fd).Unix.st_size in
+              let buf = Bytes.create len in
+              let rec fill pos =
+                if pos = len then pos
+                else
+                  match Unix.read fd buf pos (len - pos) with
+                  | 0 -> pos
+                  | n -> fill (pos + n)
+              in
+              let got = fill 0 in
+              if got = len then Bytes.unsafe_to_string buf
+              else Bytes.sub_string buf 0 got));
     truncate = Unix.truncate;
     unlink = Unix.unlink;
     rename = Unix.rename;

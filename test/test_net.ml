@@ -253,16 +253,18 @@ let test_flood_during_replay () =
 
 (* The live stats plane end to end: every daemon must answer the control
    socket's Stats arm mid-load with a parseable exposition covering the
-   delivery, flush, transport and recovery metric families; a SIGKILLed
-   daemon's successor must answer again; and the Quit-time metrics files
-   must merge into the outcome snapshot with the always-on phase spans
-   aboard. *)
+   delivery, flush, transport, recovery and memory metric families; a
+   SIGKILLed daemon's successor must answer again; and the Quit-time
+   metrics files must merge into the outcome snapshot with the always-on
+   phase spans and the memory gauges aboard.  Every daemon, the successor
+   included, must report koptnode's 64k-word nursery and a boot that ran
+   no minor collection, both with OCAMLRUNPARAM unset and with it holding
+   options other than [s=] (CI runs the suite under [b]). *)
 let test_stats_plane_live () =
   let k = 2 in
   with_deployment ~prefix:"test-net-stats"
     (fun ~root -> Deployment.launch ~n:3 ~k ~seed:14 ~root ())
     (fun t ->
-      Deployment.run_workload t ~ops:30 ~seed:4;
       let scrape_ok pid =
         match Deployment.scrape t ~dst:pid with
         | Some (Ok snap) -> snap
@@ -270,7 +272,31 @@ let test_stats_plane_live () =
           Alcotest.fail (Fmt.str "pid %d: unparseable exposition: %s" pid e)
         | None -> Alcotest.fail (Fmt.str "pid %d: no Stats reply" pid)
       in
-      let live = Obs.Snapshot.merge_all (List.map scrape_ok [ 0; 1; 2 ]) in
+      let check_boot pid snap =
+        Alcotest.(check (float 0.))
+          (Fmt.str "pid %d: 64k-word nursery" pid)
+          65536. (Obs.Snapshot.gauge snap "gc_minor_heap_words");
+        Alcotest.(check (float 0.))
+          (Fmt.str "pid %d: boot ran no minor collection" pid)
+          0. (Obs.Snapshot.gauge snap "gc_boot_minor_collections")
+      in
+      let check_positive what snap names =
+        List.iter
+          (fun name ->
+            Alcotest.(check bool) (Fmt.str "%s: %s above 0" what name) true
+              (Obs.Snapshot.gauge snap name > 0.))
+          names
+      in
+      (* The runtime samples its heap sizes at each minor collection, and
+         a daemon may not have collected yet mid-load (it then reports 0),
+         so they are checked on the Quit-time merge. *)
+      let heap = [ "gc_heap_words"; "gc_top_heap_words" ] in
+      let resident = [ "process_resident_bytes"; "process_resident_peak_bytes" ] in
+      List.iter (fun pid -> check_boot pid (scrape_ok pid)) [ 0; 1; 2 ];
+      Deployment.run_workload t ~ops:30 ~seed:4;
+      let scraped = List.map scrape_ok [ 0; 1; 2 ] in
+      List.iteri (fun pid snap -> check_positive (Fmt.str "pid %d" pid) snap resident) scraped;
+      let live = Obs.Snapshot.merge_all scraped in
       Alcotest.(check bool) "mid-load deliveries scraped" true
         (Obs.Snapshot.counter live "deliveries_total" > 0);
       Alcotest.(check bool) "flush family present" true
@@ -290,11 +316,14 @@ let test_stats_plane_live () =
       let after = scrape_ok 1 in
       Alcotest.(check bool) "successor answers Stats after SIGKILL" true
         (Obs.Snapshot.counter after "batches_total" > 0);
+      check_boot 1 after;
+      check_positive "successor" after resident;
       ignore (Deployment.settle t : bool);
       let outcome = Deployment.finish t in
       certify ~k outcome;
       Alcotest.(check bool) "outcome merges daemon snapshots" true
         (Obs.Snapshot.counter outcome.Deployment.obs "deliveries_total" > 0);
+      check_positive "Quit-time metrics" outcome.Deployment.obs (heap @ resident);
       match
         Obs.Snapshot.hist outcome.Deployment.obs
           ~labels:[ ("phase", "handle") ]
