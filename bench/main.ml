@@ -65,8 +65,8 @@ let bench_node_step () =
     (Bechamel.Staged.stage (fun () ->
          let trace = Recovery.Trace.create () in
          let node =
-           Node.create ~config ~pid:0 ~app:App_model.Counter_app.app ?store_dir:None ?obs:None
-             ~trace
+           Node.create_on ~fs:(Durable.Fs.mem ()) ~config ~pid:0 ~app:App_model.Counter_app.app
+             ~store_dir:"store" ?obs:None ~trace
          in
          for seq = 1 to 16 do
            ignore
@@ -79,17 +79,19 @@ let bench_crash_recovery () =
   Bechamel.Test.make ~name:"B5 node: crash + replay of 32 deliveries"
     (Bechamel.Staged.stage (fun () ->
          let trace = Recovery.Trace.create () in
-         let node =
-           Node.create ~config ~pid:0 ~app:App_model.Counter_app.app ?store_dir:None ?obs:None
-             ~trace
+         let fs = Durable.Fs.mem () in
+         let create () =
+           Node.create_on ~fs ~config ~pid:0 ~app:App_model.Counter_app.app ~store_dir:"store"
+             ?obs:None ~trace
          in
+         let node = create () in
          for seq = 1 to 32 do
            ignore
              (Node.inject node ~now:(float_of_int seq) ~seq (App_model.Counter_app.Add seq))
          done;
          ignore (Node.flush node ~now:40.);
-         Node.crash node ~now:41.;
-         ignore (Node.restart node ~now:42.)))
+         Node.halt node ~now:41.;
+         ignore (Node.restart (create ()) ~now:42.)))
 
 (* B5, durable: the daemon's respawn — open-time recovery plus Restart —
    over a store holding 5,000 logged deliveries (ten-record flushes, a

@@ -527,12 +527,6 @@ let set_incarnation t i =
 
 let incarnation t = with_lock t (fun () -> t.inc)
 
-let crash t =
-  with_lock t (fun () ->
-      let lost = Queue.length t.volatile in
-      Queue.clear t.volatile;
-      lost)
-
 let sync_writes t = with_lock t (fun () -> Obs.Counter.value t.sync_writes)
 
 

@@ -8,9 +8,10 @@
     the volatile buffer "so that stable state intervals are always
     continuous" (Section 2); and a small synchronous area for failure
     announcements and the incarnation counter, which must survive a crash
-    so that a process never reuses an incarnation number.  {!crash}
-    discards the volatile suffix and nothing else; {!kill} is a process
-    death.  The store is generic in the checkpoint, log-record and
+    so that a process never reuses an incarnation number.  {!kill} is a
+    process death: it discards the volatile suffix and every armed fault
+    with the handle, and a reopen over the same files recovers the rest.
+    The store is generic in the checkpoint, log-record and
     announcement types, and counts synchronous writes and flushes, which
     the simulator converts into time through its cost model.
 
@@ -244,10 +245,6 @@ val incarnation : ('ckpt, 'log, 'ann) t -> int
 (** Last persisted incarnation counter; 0 initially. *)
 
 (** {1 Crash semantics and accounting} *)
-
-val crash : ('ckpt, 'log, 'ann) t -> int
-(** In-process crash model: drop the volatile buffer only (disk intact,
-    handles still open).  Use {!kill} for a process death. *)
 
 val sync_writes : ('ckpt, 'log, 'ann) t -> int
 (** Protocol-level synchronous stable-storage operations: one per

@@ -9,8 +9,6 @@ type 'msg event =
   | Timer of { pid : int; kind : timer_kind; periodic : bool }
   | Inject of { dst : int; payload : 'msg; seq : int; cseq : int; retry : bool }
   | Perform of { pid : int; effects : 'msg App_model.App_intf.effect list }
-  | Crash of int
-  | Restart of int
   | Arm_fsync_failure of int
   | Kill of { pid : int; fault : Durable.Fault.t option }
   | Respawn of int
@@ -22,9 +20,12 @@ type ('state, 'msg) t = {
   cfg : Config.t;
   app : ('state, 'msg) App_model.App_intf.t;
   store_root : string option;
+  mutable fs : Durable.Fs.t array;
+      (* per pid, where its store lives, outliving the nodes that die over
+         it: real files under [store_root], or an in-memory tree *)
   storage_rng : Sim.Rng.t option;
   sched : Sim.Scheduler.t option;
-  mutable nodes : ('state, 'msg) Node.t array; (* slots replaced on kill *)
+  mutable nodes : ('state, 'msg) Node.t array; (* slots replaced on respawn *)
   mutable registries : Obs.Registry.t array;
       (* one per pid, shared by every node that pid ever runs — kills
          respawn over it and joins append one — like a daemon's
@@ -129,8 +130,18 @@ let rearm t ~pid kind =
   | Some p -> schedule t ~time:(t.now +. p) (Timer { pid; kind; periodic = true })
   | None -> ()
 
-let node_dir_of t pid =
-  Option.map (fun root -> Filename.concat root (Printf.sprintf "p%d" pid)) t.store_root
+let store_dir t pid =
+  let name = Printf.sprintf "p%d" pid in
+  match t.store_root with Some root -> Filename.concat root name | None -> name
+
+let new_fs store_root =
+  match store_root with Some _ -> Durable.Fs.unix | None -> Durable.Fs.mem ()
+
+(* A process over pid's store: fresh if the store is empty, otherwise down
+   until restarted from what its predecessor left behind. *)
+let spawn t ~config pid =
+  Node.create_on ~fs:t.fs.(pid) ~config ~pid ~app:t.app ~store_dir:(store_dir t pid)
+    ~obs:t.registries.(pid) ~trace:t.trace_
 
 (* Arm the periodic timers of one node, staggering first firings so the
    cluster does not flush in lockstep.  Used at create for the initial
@@ -165,6 +176,24 @@ let release_held t ~pid =
     (fun i (src, dst, packet) ->
       schedule t ~time:(t.now +. (0.001 *. float_of_int (i + 1))) (Packet { src; dst; packet }))
     (List.rev mine)
+
+(* A fresh process over the same store, with the dead one's config (a
+   joiner's counts itself): everything it knows, it knows from open-time
+   recovery of the files the death left behind. *)
+let respawn t pid =
+  let fresh = spawn t ~config:(Node.config t.nodes.(pid)) pid in
+  t.nodes.(pid) <- fresh;
+  let note =
+    match List.assoc_opt pid t.fault_notes with
+    | Some n ->
+      t.fault_notes <- List.remove_assoc pid t.fault_notes;
+      n
+    | None -> "none"
+  in
+  t.storage_reports_ <- t.storage_reports_ @ [ (pid, t.now, note, Node.storage_report fresh) ];
+  t.down.(pid) <- false;
+  consume t ~pid (Node.restart fresh ~now:t.now);
+  release_held t ~pid
 
 let handle_event t = function
   | Packet { src; dst; packet } ->
@@ -203,17 +232,6 @@ let handle_event t = function
   | Perform { pid; effects } ->
     if not t.down.(pid) then
       consume t ~pid (Node.perform t.nodes.(pid) ~now:t.now effects)
-  | Crash pid ->
-    if not t.down.(pid) then begin
-      t.down.(pid) <- true;
-      Node.crash t.nodes.(pid) ~now:t.now;
-      t.next_free.(pid) <- t.now;
-      schedule t ~time:(t.now +. t.cfg.Config.timing.restart_delay) (Restart pid)
-    end
-  | Restart pid ->
-    t.down.(pid) <- false;
-    consume t ~pid (Node.restart t.nodes.(pid) ~now:t.now);
-    release_held t ~pid
   | Arm_fsync_failure pid ->
     if not t.down.(pid) then Node.arm_storage_fsync_failure t.nodes.(pid)
   | Kill { pid; fault } ->
@@ -221,40 +239,17 @@ let handle_event t = function
       t.down.(pid) <- true;
       Node.halt t.nodes.(pid) ~now:t.now;
       (* Post-mortem file damage happens between death and respawn. *)
-      (match (fault, t.store_root, t.storage_rng) with
-      | Some f, Some root, Some rng ->
-        let dir = Filename.concat root (Printf.sprintf "p%d" pid) in
-        let note = Durable.Fault.apply ~fs:Durable.Fs.unix ~dir ~rand:(Sim.Rng.int rng) f in
+      (match (fault, t.storage_rng) with
+      | Some f, Some rng ->
+        let note =
+          Durable.Fault.apply ~fs:t.fs.(pid) ~dir:(store_dir t pid) ~rand:(Sim.Rng.int rng) f
+        in
         t.fault_notes <- (pid, note) :: t.fault_notes
       | _ -> ());
       t.next_free.(pid) <- t.now;
       schedule t ~time:(t.now +. t.cfg.Config.timing.restart_delay) (Respawn pid)
     end
-  | Respawn pid ->
-    (* A fresh process over the same store directory: everything it knows,
-       it knows from open-time recovery of the files the kill left behind. *)
-    let dir =
-      match t.store_root with
-      | Some root -> Filename.concat root (Printf.sprintf "p%d" pid)
-      | None -> invalid_arg "Cluster: Respawn without a store root"
-    in
-    let fresh =
-      Node.create ~config:t.cfg ~pid ~app:t.app ~store_dir:dir
-        ~obs:t.registries.(pid) ~trace:t.trace_
-    in
-    t.nodes.(pid) <- fresh;
-    let note =
-      match List.assoc_opt pid t.fault_notes with
-      | Some n ->
-        t.fault_notes <- List.remove_assoc pid t.fault_notes;
-        n
-      | None -> "none"
-    in
-    t.storage_reports_ <-
-      t.storage_reports_ @ [ (pid, t.now, note, Node.storage_report fresh) ];
-    t.down.(pid) <- false;
-    consume t ~pid (Node.restart fresh ~now:t.now);
-    release_held t ~pid
+  | Respawn pid -> respawn t pid
   | Join_node pid ->
     if pid = Array.length t.nodes then begin
       (* A brand-new process.  Its own config already counts itself
@@ -264,13 +259,10 @@ let handle_event t = function
          vectors then — membership growth is protocol traffic, not an
          out-of-band reconfiguration. *)
       let jcfg = Config.validate_exn { t.cfg with Config.n = pid + 1 } in
-      let obs = Obs.Registry.create () in
-      let fresh =
-        Node.create ~config:jcfg ~pid ~app:t.app ?store_dir:(node_dir_of t pid) ~obs
-          ~trace:t.trace_
-      in
+      t.registries <- Array.append t.registries [| Obs.Registry.create () |];
+      t.fs <- Array.append t.fs [| new_fs t.store_root |];
+      let fresh = spawn t ~config:jcfg pid in
       t.nodes <- Array.append t.nodes [| fresh |];
-      t.registries <- Array.append t.registries [| obs |];
       t.next_free <- Array.append t.next_free [| t.now |];
       t.down <- Array.append t.down [| false |];
       arm_timers t ~pid;
@@ -280,11 +272,7 @@ let handle_event t = function
       (* Rejoin of a known pid (typically after retirement): same identity,
          same store, so it resumes where it left off and re-announces. *)
       t.retired_pids <- List.filter (fun p -> p <> pid) t.retired_pids;
-      if t.down.(pid) then begin
-        t.down.(pid) <- false;
-        consume t ~pid (Node.restart t.nodes.(pid) ~now:t.now);
-        release_held t ~pid
-      end;
+      if t.down.(pid) then respawn t pid;
       consume t ~pid (Node.announce_join t.nodes.(pid) ~now:t.now)
     end
   | Retire_node pid ->
@@ -294,7 +282,7 @@ let handle_event t = function
          then fall silent.  No restart is scheduled — the pid is gone until
          an explicit rejoin. *)
       consume t ~pid (Node.retire t.nodes.(pid) ~now:t.now);
-      Node.crash t.nodes.(pid) ~now:t.now;
+      Node.halt t.nodes.(pid) ~now:t.now;
       t.down.(pid) <- true;
       t.retired_pids <- pid :: t.retired_pids;
       t.next_free.(pid) <- t.now
@@ -312,9 +300,9 @@ let event_pid = function
   | Timer { pid; _ } -> Some pid
   | Inject { dst; _ } -> Some dst
   | Perform { pid; _ } -> Some pid
-  | Crash _ | Restart _ | Arm_fsync_failure _ | Kill _ | Respawn _ | Join_node _
-  | Retire_node _ | Arm_disk_full _ ->
-    None (* crashes/kills/membership changes preempt; restarts are external *)
+  | Arm_fsync_failure _ | Kill _ | Respawn _ | Join_node _ | Retire_node _
+  | Arm_disk_full _ ->
+    None (* kills/membership changes preempt; respawns are external *)
 
 let exec_cell t (time, ev) =
   t.now <- Stdlib.max t.now time;
@@ -369,8 +357,6 @@ let describe_event = function
   | Inject { dst; seq; retry; _ } ->
     Fmt.str "inject #%d->P%d%s" seq dst (if retry then " (retry)" else "")
   | Perform { pid; _ } -> Fmt.str "perform P%d" pid
-  | Crash pid -> Fmt.str "crash P%d" pid
-  | Restart pid -> Fmt.str "restart P%d" pid
   | Arm_fsync_failure pid -> Fmt.str "arm-fsync-failure P%d" pid
   | Kill { pid; _ } -> Fmt.str "kill P%d" pid
   | Respawn pid -> Fmt.str "respawn P%d" pid
@@ -423,21 +409,11 @@ let create ~config ~app ?(seed = 42) ?(horizon = 10_000.) ?net_override
   let config = Config.validate_exn config in
   let n = config.Config.n in
   let rng = Sim.Rng.create seed in
-  let trace_ = Recovery.Trace.create () in
-  let node_dir pid =
-    Option.map (fun root -> Filename.concat root (Printf.sprintf "p%d" pid)) store_root
-  in
-  let registries = Array.init n (fun _ -> Obs.Registry.create ()) in
-  let nodes =
-    Array.init n (fun pid ->
-        Node.create ~config ~pid ~app ?store_dir:(node_dir pid) ~obs:registries.(pid)
-          ~trace:trace_)
-  in
   (* Bind the splits in sequence: the first must be the timing stream (the
      same child the pre-fault-plan model derived, so benign runs reproduce
      historical tables bit-for-bit); the fault stream is a further split.
      The storage-fault stream is split only when a store root exists, so
-     runs without one (every store on its own in-memory file system) keep
+     runs without one (every store on its own in-memory tree) keep
      their historical streams untouched. *)
   let net_rng = Sim.Rng.split rng in
   let fault_rng = Sim.Rng.split rng in
@@ -450,16 +426,17 @@ let create ~config ~app ?(seed = 42) ?(horizon = 10_000.) ?net_override
       cfg = config;
       app;
       store_root;
+      fs = Array.init n (fun _ -> new_fs store_root);
       storage_rng;
       sched = scheduler;
-      nodes;
-      registries;
+      nodes = [||];
+      registries = Array.init n (fun _ -> Obs.Registry.create ());
       net_obs;
       queue = Sim.Event_queue.create ();
       net =
         Netmodel.create ~n ~timing:config.Config.timing ~rng:net_rng ~fault_rng
           ~plan:fault_plan ?override:net_override ~obs:net_obs ();
-      trace_;
+      trace_ = Recovery.Trace.create ();
       horizon;
       now = 0.;
       auto_timers_ = auto_timers;
@@ -475,7 +452,8 @@ let create ~config ~app ?(seed = 42) ?(horizon = 10_000.) ?net_override
       fault_notes = [];
     }
   in
-  Array.iteri (fun pid _ -> arm_timers t ~pid) nodes;
+  t.nodes <- Array.init n (spawn t ~config);
+  Array.iteri (fun pid _ -> arm_timers t ~pid) t.nodes;
   t
 
 let inject_at t ~time ~dst payload =
@@ -485,13 +463,11 @@ let inject_at t ~time ~dst payload =
   Hashtbl.replace t.inject_cseq dst (cseq + 1);
   schedule t ~time (Inject { dst; payload; seq; cseq; retry = false })
 
-let crash_at t ~time ~pid = schedule t ~time (Crash pid)
-
-(* --- Process death with durable storage ------------------------------ *)
+(* --- Process death ------------------------------------------------------ *)
 
 let kill_at t ~time ~pid ?storage_fault () =
-  if t.store_root = None then
-    invalid_arg "Cluster.kill_at: cluster was created without ~store_root";
+  if storage_fault <> None && t.store_root = None then
+    invalid_arg "Cluster.kill_at: a storage fault needs ~store_root";
   match storage_fault with
   | Some Durable.Fault.Failed_fsync ->
     (* A lying fsync must be armed while the process is alive: the disk
@@ -507,6 +483,8 @@ let kill_at t ~time ~pid ?storage_fault () =
        kill records the injected damage in the respawn's report. *)
     schedule t ~time (Kill { pid; fault = Some Durable.Fault.Failed_fsync })
   | fault -> schedule t ~time (Kill { pid; fault })
+
+let crash_at t ~time ~pid = kill_at t ~time ~pid ()
 
 let storage_reports t = t.storage_reports_
 

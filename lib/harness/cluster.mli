@@ -42,7 +42,7 @@ val inject_at : ('state, 'msg) t -> time:float -> dst:int -> 'msg -> unit
 (** Client message from the outside world. *)
 
 val crash_at : ('state, 'msg) t -> time:float -> pid:int -> unit
-(** Fail-stop crash; the node restarts [restart_delay] later. *)
+(** Fail-stop crash: [kill_at] without a storage fault. *)
 
 val kill_at :
   ('state, 'msg) t ->
@@ -51,18 +51,24 @@ val kill_at :
   ?storage_fault:Durable.Fault.t ->
   unit ->
   unit
-(** Process death (requires [~store_root]): the node handle is discarded
-    with its store descriptors, the optional storage fault mutates the
-    closed files, and after [restart_delay] a {e fresh} node is created
-    over the same directory — recovering solely from disk — and restarted.
-    [Failed_fsync] is special: it is armed on the live store a couple of
-    flush periods {e before} [time], so the node announces stability for
-    log records the disk never persisted. *)
+(** Process death ({!Recovery.Node.halt}), the one way a simulated node
+    fails: the node and all its volatile state are discarded with its
+    store descriptors, and after [restart_delay] a {e fresh} node, with
+    the dead one's config, is created over the same store — recovering
+    solely from what the death left behind — and restarted.  Each pid's
+    store lives in [p<pid>] under [~store_root] on real files, or in an
+    in-memory tree the cluster keeps across deaths.
+
+    The optional storage fault (requires [~store_root]) damages the
+    closed files before the respawn.  [Failed_fsync] is special: it is
+    armed on the live store a couple of flush periods {e before} [time],
+    so the node announces stability for log records the disk never
+    persisted. *)
 
 val storage_reports :
   ('state, 'msg) t ->
   (int * float * string * Durable.Durable_store.open_report) list
-(** One entry per respawn, oldest first: (pid, respawn time, description of
+(** One entry per respawn (after a crash, a kill or a rejoin), oldest first: (pid, respawn time, description of
     the injected file damage or ["none"], what open-time recovery found). *)
 
 val crash_group_at : ('state, 'msg) t -> time:float -> pids:int list -> unit

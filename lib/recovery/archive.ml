@@ -45,11 +45,6 @@ let add t (msg : 'msg Wire.app_message) =
 
 let remove t id = Hashtbl.remove t.tbl id
 
-let clear t =
-  Hashtbl.reset t.tbl;
-  t.next_seq <- 0;
-  t.ticks <- 0
-
 let remove_if t pred =
   Hashtbl.filter_map_inplace
     (fun _ item -> if pred item.msg then None else Some item)

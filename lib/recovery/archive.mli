@@ -22,8 +22,6 @@ val remove : 'msg t -> Wire.identity -> unit
 
 val remove_if : 'msg t -> ('msg Wire.app_message -> bool) -> unit
 
-val clear : 'msg t -> unit
-
 val oldest_first : 'msg t -> 'msg Wire.app_message list
 (** Archived messages in release order. *)
 

@@ -1848,24 +1848,11 @@ let do_checkpoint t ~now =
 (* ------------------------------------------------------------------ *)
 (* Crash / Restart (Figure 3)                                          *)
 
-let do_crash t ~now =
-  let first_lost =
-    match Store.volatile_peek t.store with
-    | Some (Delivery d) -> Some d.lg_interval
-    | Some (Requeued _) | None ->
-      (* Requeued records are flushed as soon as they are written, so the
-         volatile buffer starts with a delivery whenever it is non-empty. *)
-      None
-  in
-  Obs.Counter.add t.meters.lost_intervals (Store.volatile_length t.store);
-  ignore (Store.crash t.store : int);
-  t.up <- false;
-  t.recovery <- None;
-  trace t ~now (Crashed { pid = t.pid; first_lost })
-
-(* Restart prologue: wipe volatile state, rebuild durable knowledge
-   from the synchronous area (announcements we logged — ours and others' —
-   committed outputs, incarnation markers, per-partition checkpoints),
+(* Restart prologue.  It runs only on a node [create]d over the store
+   its predecessor halted on, so every volatile field is already at its
+   initial value.  Rebuild durable knowledge from the synchronous area
+   (announcements we logged — ours and others' — committed outputs,
+   incarnation markers, per-partition checkpoints),
    locate the full checkpoint to rebuild from, and make one streamed pass
    over the stable log that re-seeds the duplicate-suppression table,
    finds the highest incarnation and keeps only the records from the
@@ -1877,30 +1864,6 @@ let do_crash t ~now =
    the restart reuses them. *)
 let restart_prologue t =
   Obs.Counter.incr t.meters.restarts;
-  (* Volatile state is gone. *)
-  t.recovery <- None;
-  if t.part_dirty <> [||] then Array.fill t.part_dirty 0 (Array.length t.part_dirty) 0;
-  t.recv_buf <- [];
-  t.send_buf <- [];
-  t.out_buf <- [];
-  t.delivered <- Hashtbl.create 64;
-  Hashtbl.reset t.held;
-  Hashtbl.reset t.chans;
-  Hashtbl.reset t.floors;
-  Hashtbl.reset t.chan_next;
-  Hashtbl.reset t.direct_parents;
-  Hashtbl.reset t.assemblies;
-  Hashtbl.reset t.released_ids;
-  Hashtbl.reset t.buffered_send_ids;
-  Hashtbl.reset t.buffered_out_ids;
-  Hashtbl.reset t.committed_ids;
-  Archive.clear t.archive;
-  Hashtbl.reset t.anns_seen;
-  t.anns_order <- [];
-  t.unacked <- [];
-  t.log_tab <- Array.make t.n Entry_set.empty;
-  t.iet <- Array.make t.n Entry_set.empty;
-  t.max_ann_inc <- Array.make t.n (-1);
   let parts =
     match t.app.App_intf.partitioning with Some pt -> pt.parts | None -> 0
   in
@@ -2246,7 +2209,7 @@ let partition_recovered t p =
     && rc.rc_barriers_pending = 0
 
 (* The recovery-window gauges: set at creation, then refreshed after a
-   crash and after every driver step while a window is open or has just
+   halt and after every driver step while a window is open or has just
    closed — the only places it can move. *)
 let set_recovery_gauges t =
   let parts = partition_count t in
@@ -2261,22 +2224,17 @@ let refresh_recovery_gauges t =
   if t.recovery <> None || Obs.Gauge.value t.meters.recovery_active > 0. then
     set_recovery_gauges t
 
-(* [?store_dir] and [?obs] sit before the labelled [~trace], so they can
-   never be erased by a positional application — warning 16 does not apply
-   to how this function is actually used (every caller passes the
-   arguments or forwards [?store_dir:None] / [?obs:None]). *)
-let[@warning "-16"] create ~config ~pid ~app ?store_dir ?obs ~trace:tr =
+(* [?obs] sits before the labelled [~trace], so it can never be erased by
+   a positional application — warning 16 does not apply to how these
+   functions are actually used (every caller passes it or forwards
+   [?obs:None]). *)
+let[@warning "-16"] create_on ~fs ~config ~pid ~app ~store_dir ?obs ~trace:tr =
   let config = Config.validate_exn config in
   let n = config.Config.n in
   if pid < 0 || pid >= n then invalid_arg "Node.create: pid out of range";
   let state = app.App_intf.init ~pid ~n in
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
-  let fs, dir =
-    match store_dir with
-    | None -> (Durable.Fs.mem (), "store")
-    | Some dir -> (Durable.Fs.unix, dir)
-  in
-  let store, report = Store.open_ ~fs ~dir ~obs () in
+  let store, report = Store.open_ ~fs ~dir:store_dir ~obs () in
   let fresh_store = report.Store.fresh in
   let t =
     {
@@ -2357,6 +2315,9 @@ let[@warning "-16"] create ~config ~pid ~app ?store_dir ?obs ~trace:tr =
      Figure 3's Restart, now from real files. *)
   set_recovery_gauges t;
   t
+
+let[@warning "-16"] create ~config ~pid ~app ~store_dir ?obs ~trace =
+  create_on ~fs:Durable.Fs.unix ~config ~pid ~app ~store_dir ?obs ~trace
 
 let with_cost t f =
   let sync0 = Store.sync_writes t.store in
@@ -2498,13 +2459,23 @@ let retransmit_tick t ~now =
   ignore now;
   with_cost t (fun () -> guard t (fun () -> do_retransmit_tick t))
 
-let crash t ~now =
-  if t.up then do_crash t ~now;
-  refresh_recovery_gauges t
-
 let halt t ~now =
-  crash t ~now;
-  Store.kill t.store
+  if t.up then begin
+    let first_lost =
+      match Store.volatile_peek t.store with
+      | Some (Delivery d) -> Some d.lg_interval
+      | Some (Requeued _) | None ->
+        (* Requeued records are flushed as soon as they are written, so the
+           volatile buffer starts with a delivery whenever it is non-empty. *)
+        None
+    in
+    Obs.Counter.add t.meters.lost_intervals (Store.volatile_length t.store);
+    t.up <- false;
+    t.recovery <- None;
+    trace t ~now (Crashed { pid = t.pid; first_lost })
+  end;
+  Store.kill t.store;
+  refresh_recovery_gauges t
 
 let restart t ~now =
   with_cost t (fun () -> if not t.up then do_restart t ~now ~deferred:false)

@@ -128,6 +128,60 @@ let test_disk_full_brownout () =
   Alcotest.(check int) "no delivery dropped" 7 (total c 0);
   ignore (certify c : Harness.Oracle.report)
 
+(* A joiner's config counts itself, so its respawn must be built from
+   that config, not the launch one (which has no slot for it). *)
+let test_joiner_respawns () =
+  let root = Durable.Temp.fresh_dir ~prefix:"churn-join-kill" () in
+  Fun.protect
+    ~finally:(fun () -> Durable.Temp.rm_rf root)
+    (fun () ->
+      let c =
+        Cluster.create ~config:(config ()) ~app:Counter.app ~horizon:600. ~store_root:root ()
+      in
+      Cluster.join_at c ~time:50. ~pid:3;
+      Cluster.inject_at c ~time:80. ~dst:3 (Counter.Add 5);
+      Cluster.kill_at c ~time:120. ~pid:3 ();
+      Cluster.inject_at c ~time:200. ~dst:3 (Counter.Add 7);
+      Cluster.inject_at c ~time:210. ~dst:0 (Counter.Forward { dst = 3; amount = 2 });
+      Cluster.run c;
+      Alcotest.(check int) "joiner respawned" 1 (Util.total (Cluster.stats c) "restarts");
+      Alcotest.(check int) "joiner delivers after its respawn" 14 (total c 3);
+      ignore (certify c : Harness.Oracle.report))
+
+(* A death loses what only the dead process knew, as a daemon's does:
+   retirements it heard (nothing logs them) and a brownout armed on its
+   store (the successor opens the files afresh). *)
+let test_death_forgets_retirements () =
+  let c = Cluster.create ~config:(config ()) ~app:Counter.app ~horizon:600. () in
+  Cluster.retire_at c ~time:20. ~pid:2;
+  Cluster.run_until c 50.;
+  Alcotest.(check bool) "retirement heard" true (Node.is_retired (Cluster.node c 0) 2);
+  Cluster.crash_at c ~time:60. ~pid:0;
+  Cluster.inject_at c ~time:200. ~dst:0 (Counter.Add 1);
+  Cluster.run c;
+  Alcotest.(check bool) "up again" true (Node.is_up (Cluster.node c 0));
+  Alcotest.(check bool) "retirement forgotten" false (Node.is_retired (Cluster.node c 0) 2);
+  Alcotest.(check int) "delivers after the restart" 1 (total c 0);
+  ignore (certify c : Harness.Oracle.report)
+
+let test_death_ends_brownout () =
+  (* No checkpoints: their forced flushes are exempt from the brownout. *)
+  let timing = { Config.default_timing with checkpoint_interval = None } in
+  let c =
+    Cluster.create
+      ~config:(Config.k_optimistic ~timing ~n:3 ~k:2 ())
+      ~app:Counter.app ~horizon:900. ()
+  in
+  Cluster.arm_disk_full_at c ~time:10. ~pid:0 ~rounds:1_000;
+  Cluster.crash_at c ~time:20. ~pid:0;
+  for i = 1 to 20 do
+    Cluster.inject_at c ~time:(100. +. float_of_int i) ~dst:0 (Counter.Add 1)
+  done;
+  Cluster.run c;
+  Alcotest.(check int) "every put stable" 20 (Node.stable_log_length (Cluster.node c 0));
+  Alcotest.(check int) "every put delivered" 20 (total c 0);
+  ignore (certify c : Harness.Oracle.report)
+
 let test_long_partition_minority_logging () =
   (* P0 alone on one side of a dropping cut for 300 time units — an order
      of magnitude beyond any timer period — while clients keep it busy:
@@ -293,9 +347,9 @@ let build_store dir ops =
     end
   in
   snap App.parts;
-  D.crash d;
-  D.crash twin;
-  ignore (Node.restart twin.D.node ~now:1000. : _ list * _);
+  D.halt d;
+  D.halt twin;
+  D.restart ~now:1000. twin;
   (d, Array.init App.parts (Node.partition_digest twin.D.node))
 
 let check_recovered_digests ~msg node expected =
@@ -350,9 +404,9 @@ let law_sync_damage_never_crashes =
             done;
             write_file sync (Bytes.to_string b)
           end;
-          (* The store handle is dead (crash closed it); recover over the
-             damaged directory with a fresh node, exactly as a successor
-             incarnation would. *)
+          (* The store handle is dead (the halt closed it); recover over
+             the damaged directory with a fresh node, exactly as a
+             successor incarnation would. *)
           let d' = D.make ~store_dir:dir (kv_config ()) App.app in
           ignore (Node.restart d'.D.node ~now:1000. : _ list * _);
           check_recovered_digests ~msg:"fuzz" d'.D.node expected;
@@ -443,6 +497,11 @@ let suite =
       test_rolling_restart;
     Alcotest.test_case "disk-full brownout degrades gracefully" `Quick
       test_disk_full_brownout;
+    Alcotest.test_case "a joiner is respawned with its own config" `Quick
+      test_joiner_respawns;
+    Alcotest.test_case "death forgets the retirements it heard" `Quick
+      test_death_forgets_retirements;
+    Alcotest.test_case "death ends a disk-full brownout" `Quick test_death_ends_brownout;
     Alcotest.test_case "long partition with minority logging" `Quick
       test_long_partition_minority_logging;
     Alcotest.test_case "Join/Retire handshake widens, adopts, un-retires"

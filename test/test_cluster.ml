@@ -220,7 +220,8 @@ let test_stats_agree_with_trace () =
       Cluster.run c;
       let oracle = Harness.Oracle.check ~k:2 ~n:4 (Cluster.trace c) in
       Alcotest.(check (list string)) "certified" [] oracle.Harness.Oracle.violations;
-      Alcotest.(check int) "both kills respawned" 2 (List.length (Cluster.storage_reports c));
+      Alcotest.(check int) "every crash and kill respawned" 5
+        (List.length (Cluster.storage_reports c));
       let count p =
         List.length
           (List.filter (fun e -> p e.Recovery.Trace.ev) (Recovery.Trace.events (Cluster.trace c)))

@@ -484,13 +484,14 @@ let test_node_restart_from_disk () =
       Alcotest.(check int) "restart counted" 1
         (Util.metric fresh "restarts"))
 
-(* Without a directory the store lives in an in-memory tree; halting
-   still kills it, and nothing can come back from it. *)
+(* On an in-memory tree halting kills the store just the same, and
+   nothing can come back through the dead handle. *)
 let test_node_halt_in_memory () =
   let config = quiet_counter_config () in
   let trace = Recovery.Trace.create () in
   let node =
-    Node.create ~config ~pid:0 ~app:Counter.app ?store_dir:None ?obs:None ~trace
+    Node.create_on ~fs:(Durable.Fs.mem ()) ~config ~pid:0 ~app:Counter.app
+      ~store_dir:"store" ?obs:None ~trace
   in
   ignore (Node.inject node ~now:1. ~seq:1 (Counter.Add 1));
   Node.halt node ~now:2.;
@@ -681,11 +682,11 @@ let restart_records = 5_000
 
 let restart_words_per_record = 25.
 
-let logged_node ?store_dir () =
+let logged_node ~fs ~store_dir () =
   let config = quiet_counter_config () in
   let trace = Recovery.Trace.create () in
   let node =
-    Node.create ~config ~pid:0 ~app:Counter.app ?store_dir ?obs:None ~trace
+    Node.create_on ~fs ~config ~pid:0 ~app:Counter.app ~store_dir ?obs:None ~trace
   in
   for i = 1 to restart_records do
     let now = float_of_int i in
@@ -713,29 +714,32 @@ let check_restart_words what per_record =
       per_record restart_words_per_record
 
 let test_restart_words_bounded () =
-  (* In process, on the in-memory tree: the simulator's crash. *)
-  let node, _, _ = logged_node () in
-  Node.crash node ~now:6_000.;
-  check_restart_words "in-memory crash + restart_begin"
-    (promoted_per_record (fun () ->
-         ignore (Node.restart_begin node ~now:6_001.);
-         node));
-  (* A process death over real files, the daemon's respawn: the reopen
-     runs open-time recovery over every segment, checkpoint and sync
-     record. *)
+  (* A process death and a fresh node over what it left behind, on the
+     in-memory tree (the simulator's) and on real files (the daemon's).
+     The reopen runs open-time recovery over every segment, checkpoint
+     and sync record. *)
+  let respawn ?(left_behind = ignore) what ~fs ~store_dir =
+    let node, config, trace = logged_node ~fs ~store_dir () in
+    Node.halt node ~now:6_000.;
+    left_behind ();
+    check_restart_words what
+      (promoted_per_record (fun () ->
+           let fresh =
+             Node.create_on ~fs ~config ~pid:0 ~app:Counter.app ~store_dir ?obs:None
+               ~trace
+           in
+           ignore (Node.restart_begin fresh ~now:6_001.);
+           fresh))
+  in
+  respawn "in-memory halt + reopen + restart_begin" ~fs:(Durable.Fs.mem ())
+    ~store_dir:"store";
   with_dir (fun dir ->
-      let node, config, trace = logged_node ~store_dir:dir () in
-      Node.halt node ~now:6_000.;
-      Alcotest.(check bool) "several segments" true (List.length (seg_files dir) >= 3);
-      Alcotest.(check int) "every checkpoint kept" 21 (List.length (ckpt_files dir));
-      check_restart_words "Node.create + restart_begin"
-        (promoted_per_record (fun () ->
-             let fresh =
-               Node.create ~config ~pid:0 ~app:Counter.app ~store_dir:dir
-                 ?obs:None ~trace
-             in
-             ignore (Node.restart_begin fresh ~now:6_001.);
-             fresh)))
+      let left_behind () =
+        Alcotest.(check bool) "several segments" true (List.length (seg_files dir) >= 3);
+        Alcotest.(check int) "every checkpoint kept" 21 (List.length (ckpt_files dir))
+      in
+      respawn ~left_behind "on-disk halt + reopen + restart_begin" ~fs:Durable.Fs.unix
+        ~store_dir:dir)
 
 let suite =
   [

@@ -124,7 +124,7 @@ let run_cmds ~k cmds =
     | Flush -> D.flush d
     | Checkpoint -> D.checkpoint d
     | Crash_restart ->
-      D.crash d;
+      D.halt d;
       D.restart d
     | Perform_send dst ->
       D.perform d [ App_model.App_intf.send dst (App_model.Counter_app.Add 1) ]
@@ -179,7 +179,7 @@ let test_fuzz_replay =
             | _ -> ())
           (Recovery.Trace.events d.trace);
         let before = Recovery.Trace.length d.trace in
-        D.crash d;
+        D.halt d;
         D.restart d;
         List.for_all
           (fun { Recovery.Trace.ev; seq; _ } ->
@@ -218,7 +218,7 @@ let test_fuzz_sy =
           | Flush -> D.flush d
           | Checkpoint -> D.checkpoint d
           | Crash_restart ->
-            D.crash d;
+            D.halt d;
             D.restart d
           | Perform_send dst ->
             D.perform d [ App_model.App_intf.send dst (App_model.Counter_app.Add 1) ])

@@ -111,7 +111,7 @@ let test_gc_survives_crash_with_dedupe () =
   D.packet d (D.notice_packet ~from_:1 ~rows:[ (1, [ e ~inc:0 ~sii:5 ]) ]);
   D.checkpoint d;
   Alcotest.(check int) "record collected" 0 (Node.live_log_records d.node);
-  D.crash d;
+  D.halt d;
   D.restart d;
   D.packet d (Wire.App m);
   Alcotest.(check int) "retransmission recognized via stub" 1
@@ -127,7 +127,7 @@ let test_gc_restart_replays_only_retained () =
   D.checkpoint d (* collects all five *);
   D.inject d ~seq:6 (App_model.Counter_app.Add 60);
   D.flush d;
-  D.crash d;
+  D.halt d;
   D.restart d;
   let st : App_model.Counter_app.state = Node.app_state d.node in
   Alcotest.(check int) "checkpoint state + retained suffix" 75 st.total;
@@ -147,7 +147,7 @@ let test_gc_blocked_by_undelivered_requeue () =
   D.inject d ~seq:1 (App_model.Counter_app.Add 7);
   D.packet d (Wire.Ann (D.ann ~from_:1 ~ending:(e ~inc:0 ~sii:4) ()));
   D.checkpoint d;
-  D.crash d;
+  D.halt d;
   D.restart d;
   let st : App_model.Counter_app.state = Node.app_state d.node in
   Alcotest.(check int) "client effect survives GC + crash" 7 st.total

@@ -220,7 +220,7 @@ let test_wait_announcement_own_incarnation () =
      dependencies on its own later incarnations. *)
   let d = D.make (Config.strom_yemini ~timing:quiet_timing ~n:4 ()) counter in
   D.inject d ~seq:1 (App_model.Counter_app.Add 1);
-  D.crash d;
+  D.halt d;
   D.restart d;
   Alcotest.(check int) "in incarnation 1" 1 (Node.current d.node).Entry.inc;
   D.clear d;
@@ -415,7 +415,7 @@ let test_restart_announces_and_replays () =
     ()
   in
   ignore digest_stable;
-  D.crash d;
+  D.halt d;
   Alcotest.(check bool) "down" false (Node.is_up d.node);
   Alcotest.(check int) "one interval lost" 1 (metric d.node "lost_intervals");
   D.clear d;
@@ -440,7 +440,7 @@ let test_restart_dedupes_stable_retransmission () =
   in
   D.packet d (Wire.App m);
   D.flush d;
-  D.crash d;
+  D.halt d;
   D.restart d;
   D.packet d (Wire.App m) (* sender retransmits after the announcement *);
   Alcotest.(check int) "replayed delivery recognized, duplicate dropped" 1
@@ -456,7 +456,7 @@ let test_restart_accepts_retransmission_of_lost () =
   in
   D.packet d (Wire.App m);
   (* no flush: the delivery is volatile and dies with the crash *)
-  D.crash d;
+  D.halt d;
   D.restart d;
   D.packet d (Wire.App m);
   Alcotest.(check int) "re-delivered, not a duplicate" 0
@@ -469,7 +469,7 @@ let test_replay_regenerates_sends () =
   D.inject d ~seq:1 (App_model.Counter_app.Forward { dst = 2; amount = 5 });
   D.flush d;
   Alcotest.(check int) "released live" 1 (List.length (D.released d));
-  D.crash d;
+  D.halt d;
   D.clear d;
   D.restart d;
   (* The send is regenerated during replay and re-released; the receiver's
@@ -487,7 +487,7 @@ let test_committed_output_not_repeated () =
   D.inject d ~seq:2 App_model.Counter_app.Report;
   D.flush d (* own intervals stable: output commits *);
   Alcotest.(check int) "committed" 1 (metric d.node "outputs_committed");
-  D.crash d;
+  D.halt d;
   D.restart d;
   Alcotest.(check int) "not re-committed by replay" 1
     (metric d.node "outputs_committed");
@@ -498,7 +498,7 @@ let test_incarnations_never_reused () =
   let d = D.make (config ()) counter in
   for seq = 1 to 3 do
     D.inject d ~seq (App_model.Counter_app.Add 1);
-    D.crash d;
+    D.halt d;
     D.restart d
   done;
   Alcotest.(check int) "three distinct incarnations consumed" 3
@@ -516,7 +516,7 @@ let test_checkpointed_pending_send_survives_crash () =
   D.checkpoint d;
   Alcotest.(check int) "still blocked (P1's interval not stable)" 1
     (Node.send_buffer_size d.node);
-  D.crash d;
+  D.halt d;
   D.restart d;
   Alcotest.(check int) "pending send restored from checkpoint" 1
     (Node.send_buffer_size d.node);
@@ -538,7 +538,7 @@ let test_requeued_record_survives_crash () =
   (* the marker interval is (1,2); the client re-delivery starts (1,3) and
      is volatile *)
   Alcotest.check entry "re-delivered" (e ~inc:1 ~sii:3) (Node.current d.node);
-  D.crash d;
+  D.halt d;
   D.restart d;
   let st : App_model.Counter_app.state = Node.app_state d.node in
   Alcotest.(check int) "client effect recovered from Requeued record" 7 st.total
@@ -654,7 +654,7 @@ let test_no_retransmission_for_induced_rollback () =
 
 let test_down_node_ignores_packets () =
   let d = D.make (config ()) counter in
-  D.crash d;
+  D.halt d;
   D.packet d
     (Wire.App (incoming_from ~src:1 ~inc:0 ~sii:2 [ (1, e ~inc:0 ~sii:2) ]
                  (App_model.Counter_app.Add 1)));
@@ -753,7 +753,7 @@ let test_rerelease_after_commit_dropped () =
   D.flush r (* the receiver's vector is all stable: the delivery commits *);
   Alcotest.check dedup_sizes "committed, held by identity" (0, 1, 0)
     (Node.dedup_sizes r.node);
-  D.crash s;
+  D.halt s;
   D.clear s;
   D.restart s;
   let again = only_release s in
@@ -870,7 +870,7 @@ let test_floors_survive_gc_restart () =
   Alcotest.check dedup_sizes "original folded" (0, 0, 1) (Node.dedup_sizes r.node);
   Alcotest.(check bool) "delivery collected" true
     (Node.live_log_records r.node < Node.stable_log_length r.node);
-  D.crash r;
+  D.halt r;
   D.restart r;
   D.packet r (Wire.App { original with Wire.epoch = 1; cseq = 0 });
   D.packet r (Wire.App original);

@@ -24,7 +24,7 @@ let test_rollback_then_crash_then_restart () =
           (App_model.Counter_app.Add 100)));
   D.packet d (Wire.Ann (D.ann ~from_:1 ~ending:(e ~inc:0 ~sii:4) ()));
   Alcotest.(check int) "rolled back into incarnation 1" 1 (Node.current d.node).Entry.inc;
-  D.crash d;
+  D.halt d;
   D.clear d;
   D.restart d;
   Alcotest.(check int) "restart takes incarnation 2" 2 (Node.current d.node).Entry.inc;
@@ -38,9 +38,9 @@ let test_double_crash_no_deliveries_between () =
   let d = D.make (config ()) counter in
   D.inject d ~seq:1 (App_model.Counter_app.Add 5);
   D.flush d;
-  D.crash d;
+  D.halt d;
   D.restart d;
-  D.crash d;
+  D.halt d;
   D.restart d;
   Alcotest.(check int) "two distinct incarnations consumed" 2
     (Node.current d.node).Entry.inc;
@@ -105,12 +105,12 @@ let test_checkpointed_output_commits_once_after_crash () =
   D.inject d ~seq:1 App_model.Counter_app.Report;
   D.checkpoint d;
   Alcotest.(check int) "still buffered" 1 (Node.output_buffer_size d.node);
-  D.crash d;
+  D.halt d;
   D.restart d;
   Alcotest.(check int) "restored from checkpoint" 1 (Node.output_buffer_size d.node);
   D.packet d (D.notice_packet ~from_:1 ~rows:[ (1, [ e ~inc:0 ~sii:5 ]) ]);
   Alcotest.(check int) "committed exactly once" 1 (metric d.node "outputs_committed");
-  D.crash d;
+  D.halt d;
   D.restart d;
   Alcotest.(check int) "not repeated by the second recovery" 1
     (metric d.node "outputs_committed")
@@ -179,7 +179,7 @@ let test_archive_survives_sender_checkpoint_and_crash () =
   D.inject d ~seq:1 (App_model.Counter_app.Forward { dst = 2; amount = 9 });
   Alcotest.(check int) "released live" 1 (List.length (D.released d));
   D.checkpoint d (* the send interval is now behind the checkpoint *);
-  D.crash d;
+  D.halt d;
   D.clear d;
   D.restart d;
   Alcotest.(check int) "replay regenerates nothing (pre-checkpoint)" 0

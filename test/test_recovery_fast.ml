@@ -87,13 +87,13 @@ let law_partitioned_eq_serial =
         let flush_at = min flush_at (List.length ops) in
         feed a ~seq0 ops ~flush_at;
         feed b ~seq0 ops ~flush_at;
-        D.crash a;
-        D.crash b;
+        D.halt a;
+        D.halt b;
         (* A: incremental, replayed in a seed-dependent preference order
            with small uneven budgets; B: Figure 3's serial restart. *)
-        ignore (Node.restart_begin a.D.node ~now : _ list * _);
+        D.restart_begin ~now a;
         drain_replay ~now ~rng a.D.node;
-        ignore (Node.restart b.D.node ~now : _ list * _);
+        D.restart ~now b;
         check_digests ~msg:(Fmt.str "law1 at %g" now) a.D.node b.D.node;
         a.D.clock <- now;
         b.D.clock <- now
@@ -129,11 +129,11 @@ let law_ckpt_prefix_eq_oneshot =
         rest;
       D.flush a;
       D.flush b;
-      D.crash a;
-      D.crash b;
-      ignore (Node.restart_begin a.D.node ~now:1000. : _ list * _);
+      D.halt a;
+      D.halt b;
+      D.restart_begin ~now:1000. a;
       drain_replay ~rng:(lcg seed) a.D.node;
-      ignore (Node.restart b.D.node ~now:1000. : _ list * _);
+      D.restart ~now:1000. b;
       check_digests ~msg:"law2" a.D.node b.D.node;
       true)
 
@@ -157,8 +157,8 @@ let test_on_demand_timeline () =
   D.inject d ~seq:3 (App.Put { key = ka; value = 7 });
   D.inject d ~seq:4 (App.Put { key = kb; value = 8 });
   D.flush d;
-  D.crash d;
-  ignore (Node.restart_begin d.D.node ~now:1000. : _ list * _);
+  D.halt d;
+  D.restart_begin ~now:1000. d;
   Alcotest.(check bool) "recovery active" true (Node.recovery_active d.D.node);
   Alcotest.(check int) "four records pending" 4 (Node.recovery_pending d.D.node);
   (* Replay exactly partition A (two records); B stays pending. *)
@@ -263,7 +263,7 @@ let test_lost_marker_resync () =
       let d = D.make ~store_dir:serial_dir (config ()) App.app in
       let ops = List.init 4 (fun i -> (i, i + 1)) in
       feed d ops ~flush_at:4;
-      D.crash d;
+      D.halt d;
       D.restart d;
       feed d ~seq0:4 (List.map (fun (k, v) -> (k + 4, v * 10)) ops) ~flush_at:4;
       Node.halt d.D.node ~now:(D.tick d);

@@ -47,13 +47,18 @@ let qtest ?(count = 200) name gen prop =
 
 (* A minimal driver that feeds packets to a single node and records its
    outgoing actions, without network, timers or time costs.  Tests drive
-   protocol routines one call at a time and inspect the node in between. *)
+   protocol routines one call at a time and inspect the node in between.
+   The driver owns the node's store (an in-memory tree, or [store_dir] on
+   real files) and its registry, so a [halt] followed by [restart] is a
+   process death and a fresh node over what it left behind, as in a
+   daemon. *)
 module Driver = struct
   module Node = Recovery.Node
   module Wire = Recovery.Wire
 
   type ('s, 'm) t = {
-    node : ('s, 'm) Node.t;
+    mutable node : ('s, 'm) Node.t;
+    respawn : unit -> ('s, 'm) Node.t; (* a new node over the same store *)
     trace : Recovery.Trace.t;
     mutable outbox : 'm Node.action list; (* newest first *)
     mutable clock : float;
@@ -61,8 +66,14 @@ module Driver = struct
 
   let make ?(pid = 0) ?store_dir config app =
     let trace = Recovery.Trace.create () in
-    let node = Node.create ~config ~pid ~app ?store_dir ?obs:None ~trace in
-    { node; trace; outbox = []; clock = 0. }
+    let fs, store_dir =
+      match store_dir with
+      | Some dir -> (Durable.Fs.unix, dir)
+      | None -> (Durable.Fs.mem (), "store")
+    in
+    let obs = Obs.Registry.create () in
+    let respawn () = Node.create_on ~fs ~config ~pid ~app ~store_dir ~obs ~trace in
+    { node = respawn (); respawn; trace; outbox = []; clock = 0. }
 
   let absorb t (actions, _cost) = t.outbox <- List.rev_append actions t.outbox
 
@@ -80,9 +91,20 @@ module Driver = struct
 
   let notice t = absorb t (Node.broadcast_notice t.node ~now:(tick t))
 
-  let crash t = Node.crash t.node ~now:(tick t)
+  let halt t = Node.halt t.node ~now:(tick t)
 
-  let restart t = absorb t (Node.restart t.node ~now:(tick t))
+  (* A fresh node over the store, then Figure 3's Restart ([restart]) or
+     its deferred variant ([restart_begin]).  The old node is halted first;
+     that does nothing to one already dead. *)
+  let respawn_with f ?now t =
+    let now = match now with Some now -> now | None -> tick t in
+    Node.halt t.node ~now;
+    t.node <- t.respawn ();
+    absorb t (f t.node ~now)
+
+  let restart ?now t = respawn_with Node.restart ?now t
+
+  let restart_begin ?now t = respawn_with Node.restart_begin ?now t
 
   let perform t effects = absorb t (Node.perform t.node ~now:(tick t) effects)
 
