@@ -40,10 +40,14 @@
    high-water mark is the [mailbox_high_water] gauge.
 
    Resident memory.  On the benchmark's steady workload a daemon's
-   resident peak is ~7.4 MB: ~3.8 MB file-backed (this binary's text and
-   the shared libraries) and ~3.6 MB anonymous, which is the minor heap
-   (0.5 MB), the major heap (~215k words, 1.7 MB at its top) and ~1.4 MB
-   of runtime, thread stacks and C buffers.  The minor heap is 64k words
+   resident peak is ~6.5 MB: ~2.9 MB file-backed (this binary's text,
+   1.0 MB, and the shared libraries, 1.9 MB) and ~3.6 MB anonymous,
+   which is the minor heap (0.5 MB), the major heap (~215k words, 1.7 MB
+   at its top), the binary's .data (0.6 MB) and the rest of the runtime,
+   thread stacks and C buffers.  The binary is linked without the
+   loader-only tables that were another ~0.85 MB of file-backed pages: a
+   full relative-relocation table and an export of every OCaml symbol
+   (see bin/dune).  The minor heap is 64k words
    rather than the runtime's 256k-word default, which is resident whole
    (2 MB) once the first allocation cycle has walked it.  The size is
    fixed before the runtime starts (koptnode_runparam.c prepends [s=64k]
@@ -56,7 +60,8 @@
    32k-word minor heap collects three times during boot, while 64k words
    leave room for three more; the durable store reads its files without
    channels for the same reason.  Every scrape reports the heap, the
-   resident set and the message buffers (see [memory_gauges]), and
+   resident set (split into file-backed and anonymous pages), the
+   message buffers and the archive (see [memory_gauges]), and
    [gc_boot_minor_collections] records what boot collected. *)
 
 module Node = Recovery.Node
@@ -143,10 +148,11 @@ let pending mb =
   Mutex.unlock mb.mu;
   n
 
-(* [VmRSS] and [VmHWM] from /proc/self/status, in bytes; [None] for each
-   line the file lacks, and for both when it cannot be read.  Read through
-   a descriptor, not a channel, so a scrape does not charge a channel
-   buffer against the minor heap whose collections it reports. *)
+(* [VmRSS], [VmHWM], [RssFile] and [RssAnon] from /proc/self/status, in
+   bytes; [None] for each line the file lacks, and for all four when it
+   cannot be read.  Read through a descriptor, not a channel, so a scrape
+   does not charge a channel buffer against the minor heap whose
+   collections it reports. *)
 let resident_bytes () =
   let read_all path =
     let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
@@ -177,30 +183,42 @@ let resident_bytes () =
   match read_all "/proc/self/status" with
   | text ->
     let lines = String.split_on_char '\n' text in
-    (field lines "VmRSS", field lines "VmHWM")
-  | exception Unix.Unix_error _ -> (None, None)
+    List.map (field lines) [ "VmRSS"; "VmHWM"; "RssFile"; "RssAnon" ]
+  | exception Unix.Unix_error _ -> [ None; None; None; None ]
 
 (* The memory gauges, refreshed at every Stats scrape and just before the
    Quit-time metrics file: the runtime's heap sizes and collection counts,
-   the process's resident set, and the node's three message buffers.  Each
-   is one series; the resident pair is left out while /proc/self/status is
-   unreadable. *)
+   the process's resident set (whole, peak, and split into file-backed and
+   anonymous pages), and the node's three message buffers and archive.
+   Each is one series.  The runtime samples its heap sizes at each minor
+   collection and reads 0 before the first, so the two heap gauges are
+   left out until one has run, as the resident gauges are while
+   /proc/self/status is unreadable. *)
 let memory_gauges obs =
   let gauge = Obs.Registry.gauge obs in
   let set name v = Obs.Gauge.set (gauge name) v in
   fun node ->
     let st = Gc.quick_stat () in
     set "gc_minor_heap_words" (float_of_int (Gc.get ()).Gc.minor_heap_size);
-    set "gc_heap_words" (float_of_int st.Gc.heap_words);
-    set "gc_top_heap_words" (float_of_int st.Gc.top_heap_words);
+    if st.Gc.minor_collections > 0 then begin
+      set "gc_heap_words" (float_of_int st.Gc.heap_words);
+      set "gc_top_heap_words" (float_of_int st.Gc.top_heap_words)
+    end;
     set "gc_minor_collections" (float_of_int st.Gc.minor_collections);
     set "gc_major_collections" (float_of_int st.Gc.major_collections);
-    let rss, hwm = resident_bytes () in
-    Option.iter (set "process_resident_bytes") rss;
-    Option.iter (set "process_resident_peak_bytes") hwm;
+    List.iter2
+      (fun name v -> Option.iter (set name) v)
+      [
+        "process_resident_bytes";
+        "process_resident_peak_bytes";
+        "process_resident_file_bytes";
+        "process_resident_anon_bytes";
+      ]
+      (resident_bytes ());
     set "send_buf_len" (float_of_int (Node.send_buffer_size node));
     set "out_buf_len" (float_of_int (Node.output_buffer_size node));
-    set "recv_buf_len" (float_of_int (Node.receive_buffer_size node))
+    set "recv_buf_len" (float_of_int (Node.receive_buffer_size node));
+    set "archive_len" (float_of_int (Node.archive_size node))
 
 let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
     ~(wire : msg App_model.App_intf.wire_format) ~pid ~n ~k ~listen_port ~peers

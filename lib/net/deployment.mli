@@ -46,6 +46,12 @@ val launch :
     [part_ckpt] arms incremental per-partition checkpointing with the
     given period — both in abstract time units. *)
 
+val find_exe : string option -> string
+(** The daemon binary {!launch} runs: the given path, else
+    [$KOPTNODE_EXE], else the first [koptnode.exe] found beside the
+    running executable, in a sibling [bin/] or in the build tree.
+    @raise Invalid_argument when none exists. *)
+
 val n : t -> int
 (** Launch-time cluster size (the width incumbents were configured with). *)
 

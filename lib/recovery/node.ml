@@ -2572,6 +2572,8 @@ let send_buffer_size t = List.length t.send_buf
 
 let receive_buffer_size t = List.length t.recv_buf
 
+let archive_size t = Archive.length t.archive
+
 let receive_buffer_messages t = List.map snd t.recv_buf
 
 let output_buffer_size t = List.length t.out_buf

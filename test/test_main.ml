@@ -31,5 +31,6 @@ let () =
       ("obs", Test_obs.suite);
       ("net-codec", Test_net_codec.suite);
       ("net-deployment", Test_net.suite);
+      ("link", Test_link.suite);
       ("shardkv", Test_shardkv.suite);
     ]

@@ -259,18 +259,58 @@ let test_flood_during_replay () =
    phase spans and the memory gauges aboard.  Every daemon, the successor
    included, must report koptnode's 64k-word nursery and a boot that ran
    no minor collection, both with OCAMLRUNPARAM unset and with it holding
-   options other than [s=] (CI runs the suite under [b]). *)
+   options other than [s=] (CI runs the suite under [b]).  Every scrape
+   carries the heap gauges exactly when a minor collection has run (the
+   runtime reads 0 before the first), and its file-backed and anonymous
+   resident pages add up to at most its resident set. *)
 let test_stats_plane_live () =
   let k = 2 in
   with_deployment ~prefix:"test-net-stats"
     (fun ~root -> Deployment.launch ~n:3 ~k ~seed:14 ~root ())
     (fun t ->
+      let has snap name =
+        List.exists (fun ((n, _), _) -> n = name) (Obs.Snapshot.bindings snap)
+      in
+      let check_positive what snap names =
+        List.iter
+          (fun name ->
+            Alcotest.(check bool) (Fmt.str "%s: %s above 0" what name) true
+              (Obs.Snapshot.gauge snap name > 0.))
+          names
+      in
+      let heap = [ "gc_heap_words"; "gc_top_heap_words" ] in
+      let resident =
+        [
+          "process_resident_bytes";
+          "process_resident_peak_bytes";
+          "process_resident_file_bytes";
+          "process_resident_anon_bytes";
+        ]
+      in
       let scrape_ok pid =
-        match Deployment.scrape t ~dst:pid with
-        | Some (Ok snap) -> snap
-        | Some (Error e) ->
-          Alcotest.fail (Fmt.str "pid %d: unparseable exposition: %s" pid e)
-        | None -> Alcotest.fail (Fmt.str "pid %d: no Stats reply" pid)
+        let snap =
+          match Deployment.scrape t ~dst:pid with
+          | Some (Ok snap) -> snap
+          | Some (Error e) ->
+            Alcotest.fail (Fmt.str "pid %d: unparseable exposition: %s" pid e)
+          | None -> Alcotest.fail (Fmt.str "pid %d: no Stats reply" pid)
+        in
+        let what = Fmt.str "pid %d" pid in
+        if Obs.Snapshot.gauge snap "gc_minor_collections" = 0. then
+          List.iter
+            (fun name ->
+              Alcotest.(check bool)
+                (Fmt.str "%s: no %s before the first minor collection" what name)
+                false (has snap name))
+            heap
+        else check_positive what snap heap;
+        let g = Obs.Snapshot.gauge snap in
+        Alcotest.(check bool)
+          (Fmt.str "%s: file + anon resident within the resident set" what)
+          true
+          (g "process_resident_file_bytes" +. g "process_resident_anon_bytes"
+          <= g "process_resident_bytes");
+        snap
       in
       let check_boot pid snap =
         Alcotest.(check (float 0.))
@@ -280,18 +320,6 @@ let test_stats_plane_live () =
           (Fmt.str "pid %d: boot ran no minor collection" pid)
           0. (Obs.Snapshot.gauge snap "gc_boot_minor_collections")
       in
-      let check_positive what snap names =
-        List.iter
-          (fun name ->
-            Alcotest.(check bool) (Fmt.str "%s: %s above 0" what name) true
-              (Obs.Snapshot.gauge snap name > 0.))
-          names
-      in
-      (* The runtime samples its heap sizes at each minor collection, and
-         a daemon may not have collected yet mid-load (it then reports 0),
-         so they are checked on the Quit-time merge. *)
-      let heap = [ "gc_heap_words"; "gc_top_heap_words" ] in
-      let resident = [ "process_resident_bytes"; "process_resident_peak_bytes" ] in
       List.iter (fun pid -> check_boot pid (scrape_ok pid)) [ 0; 1; 2 ];
       Deployment.run_workload t ~ops:30 ~seed:4;
       let scraped = List.map scrape_ok [ 0; 1; 2 ] in
@@ -324,6 +352,11 @@ let test_stats_plane_live () =
       Alcotest.(check bool) "outcome merges daemon snapshots" true
         (Obs.Snapshot.counter outcome.Deployment.obs "deliveries_total" > 0);
       check_positive "Quit-time metrics" outcome.Deployment.obs (heap @ resident);
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (Fmt.str "Quit-time metrics: %s present" name) true
+            (has outcome.Deployment.obs name))
+        [ "send_buf_len"; "out_buf_len"; "recv_buf_len"; "archive_len" ];
       match
         Obs.Snapshot.hist outcome.Deployment.obs
           ~labels:[ ("phase", "handle") ]
