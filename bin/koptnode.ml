@@ -40,14 +40,22 @@
    high-water mark is the [mailbox_high_water] gauge.
 
    Resident memory.  On the benchmark's steady workload a daemon's
-   resident peak is ~6.5 MB: ~2.9 MB file-backed (this binary's text,
-   1.0 MB, and the shared libraries, 1.9 MB) and ~3.6 MB anonymous,
-   which is the minor heap (0.5 MB), the major heap (~215k words, 1.7 MB
+   resident peak is ~6.0 MB: ~2.9 MB file-backed (this binary's text,
+   1.0 MB, and the shared libraries, 1.9 MB) and ~3.1 MB anonymous,
+   which is the minor heap (0.5 MB), the major heap (~155k words, 1.2 MB
    at its top), the binary's .data (0.6 MB) and the rest of the runtime,
-   thread stacks and C buffers.  The binary is linked without the
-   loader-only tables that were another ~0.85 MB of file-backed pages: a
-   full relative-relocation table and an export of every OCaml symbol
-   (see bin/dune).  The minor heap is 64k words
+   thread stacks and C buffers.  The major heap's top is set by the
+   collector's slack more than by live data, so koptnode_runparam.c also
+   prepends [o=60] (space overhead 60% instead of 120%): the top falls
+   from ~220k to ~155k words on steady and from ~550k to ~345k on burst,
+   and the extra collector work is paid for by a delivery's allocation
+   not growing with the store or the buffered backlog (daemon CPU per op
+   stays below that of a daemon with neither at o=120; the sweep is in
+   koptnode_runparam.c).  An operator's own [o=] wins, and every scrape
+   reports the value in force ([gc_space_overhead]).  The binary is
+   linked without the loader-only tables that were another ~0.85 MB of
+   file-backed pages: a full relative-relocation table and an export of
+   every OCaml symbol (see bin/dune).  The minor heap is 64k words
    rather than the runtime's 256k-word default, which is resident whole
    (2 MB) once the first allocation cycle has walked it.  The size is
    fixed before the runtime starts (koptnode_runparam.c prepends [s=64k]
@@ -74,6 +82,9 @@ module App = App_model.Kvstore_app
 type 'msg event =
   | From_net of 'msg Recovery.Wire.packet
   | Control of 'msg Wire_codec.control * Unix.file_descr
+  | Control_closed of Unix.file_descr
+      (** the client hung up; queued behind its last request, so the main
+          loop, which replies on the descriptor, is the one to close it *)
   | Timer of [ `Flush | `Checkpoint | `Notice | `Retransmit | `Part_ckpt ]
 
 type 'msg mailbox = {
@@ -95,10 +106,10 @@ let mailbox obs =
 
 (* The main loop processes the mailbox in batches of at most [batch_cap]
    events.  The cap bounds how much pending work (gated sends,
-   uncommitted outputs) can pile up between two stability points — the
-   per-event buffer scans are linear in those buffers, so unbounded
-   batches would go quadratic under an injection burst.  It also bounds
-   what a client can queue (see [post_client]). *)
+   uncommitted outputs) can pile up between two stability points, and so
+   what the buffer rescan at each stability point costs (between them a
+   delivery examines only the entries it added).  It also bounds what a
+   client can queue (see [post_client]). *)
 let batch_cap = 256
 
 (* Under [mb.mu]. *)
@@ -198,8 +209,9 @@ let memory_gauges obs =
   let gauge = Obs.Registry.gauge obs in
   let set name v = Obs.Gauge.set (gauge name) v in
   fun node ->
-    let st = Gc.quick_stat () in
-    set "gc_minor_heap_words" (float_of_int (Gc.get ()).Gc.minor_heap_size);
+    let st = Gc.quick_stat () and ctl = Gc.get () in
+    set "gc_minor_heap_words" (float_of_int ctl.Gc.minor_heap_size);
+    set "gc_space_overhead" (float_of_int ctl.Gc.space_overhead);
     if st.Gc.minor_collections > 0 then begin
       set "gc_heap_words" (float_of_int st.Gc.heap_words);
       set "gc_top_heap_words" (float_of_int st.Gc.top_heap_words)
@@ -313,7 +325,10 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
 
   (* Control socket: each accepted connection feeds control frames into the
      mailbox, waiting for room ([post_client]); replies are written by the
-     main loop. *)
+     main loop.  On EOF the reader does not close the descriptor itself:
+     replies to its queued requests are still to be written, and once
+     closed its number can be reused (a segment file, a peer connection)
+     before they are.  It queues [Control_closed] behind them instead. *)
   let control_sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt control_sock Unix.SO_REUSEADDR true;
   Unix.bind control_sock (Unix.ADDR_INET (Unix.inet_addr_loopback, control_port));
@@ -321,7 +336,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
   let control_conn fd =
     let rec loop () =
       match Wire_codec.read_control wire fd with
-      | None -> Wire_codec.close_quiet fd
+      | None -> post mb (Control_closed fd)
       | Some ctl ->
         post_client mb (Control (ctl, fd));
         loop ()
@@ -499,6 +514,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
         | Wire_codec.Quit -> quit_fd := Some fd
         | Wire_codec.Hello _ | Wire_codec.Status _ | Wire_codec.Stats _
         | Wire_codec.Bye -> ())
+      | Control_closed fd -> Wire_codec.close_quiet fd
     in
     let rec consume = function
       | [] -> ()

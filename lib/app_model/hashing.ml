@@ -12,10 +12,12 @@ let mix h x =
 
 let int x = mix 0 x
 
-let string s =
-  let h = ref (String.length s) in
-  String.iter (fun c -> h := mix !h (Char.code c)) s;
-  !h
+(* A loop with no closure, so hashing a key allocates nothing. *)
+let rec string_from s h i =
+  if i = String.length s then h
+  else string_from s (mix h (Char.code (String.unsafe_get s i))) (i + 1)
+
+let string s = string_from s (String.length s) 0
 
 let pair a b = mix (int a) b
 

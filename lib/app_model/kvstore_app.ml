@@ -43,11 +43,7 @@ let apply state key value version =
    unknown tags and short buffers are errors, and the trailing-bytes check
    means no encoded message is a proper prefix of another. *)
 let wire : msg App_intf.wire_format =
-  let put_int b v =
-    let s = Bytes.create 8 in
-    Bytes.set_int64_le s 0 (Int64.of_int v);
-    Buffer.add_bytes b s
-  in
+  let put_int b v = Buffer.add_int64_le b (Int64.of_int v) in
   let put_str b s =
     put_int b (String.length s);
     Buffer.add_string b s

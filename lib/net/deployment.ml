@@ -46,6 +46,10 @@ let config t = t.config
 
 let root t = t.root
 
+let control_port t ~dst = t.nodes.(dst).control_port
+
+let store_dir t ~dst = t.nodes.(dst).store_dir
+
 let epoch t = t.epoch
 
 let time_scale t = t.time_scale

@@ -67,6 +67,12 @@ val config : t -> Recovery.Config.t
 
 val root : t -> string
 
+val control_port : t -> dst:int -> int
+(** Daemon [dst]'s control port on loopback, for a client of its own. *)
+
+val store_dir : t -> dst:int -> string
+(** Daemon [dst]'s durable store directory (under {!root}). *)
+
 val epoch : t -> float
 (** The shared wall-clock origin (Unix time) of every daemon's trace
     timestamps: [epoch +. time *. time_scale] converts a merged-trace

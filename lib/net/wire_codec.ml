@@ -16,15 +16,9 @@ let magic1 = 'W'
 (* Primitives                                                          *)
 
 module Prim = struct
-  let put_int b v =
-    let s = Bytes.create 8 in
-    Bytes.set_int64_le s 0 (Int64.of_int v);
-    Buffer.add_bytes b s
+  let put_int b v = Buffer.add_int64_le b (Int64.of_int v)
 
-  let put_float b v =
-    let s = Bytes.create 8 in
-    Bytes.set_int64_le s 0 (Int64.bits_of_float v);
-    Buffer.add_bytes b s
+  let put_float b v = Buffer.add_int64_le b (Int64.bits_of_float v)
 
   let put_string b s =
     put_int b (String.length s);

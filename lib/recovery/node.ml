@@ -272,12 +272,15 @@ type ('state, 'msg) t = {
   mutable tdv : Dep_vector.t;
   mutable state : 'state;
   mutable log_tab : Entry_set.t array; (* log[j]: stability knowledge *)
+  mutable log_gen : int;
+      (* moves whenever [log_tab] grows ([note_stable]); the buffers below
+         re-examine an entry they found waiting only after it moves *)
   mutable iet : Entry_set.t array; (* incarnation end tables *)
   mutable max_ann_inc : int array; (* highest announced incarnation, or -1 *)
   mutable recv_buf : (float * 'msg Wire.app_message) list;
       (* (arrival time, message), oldest first *)
-  mutable send_buf : 'msg pending_send list; (* oldest first *)
-  mutable out_buf : pending_output list; (* oldest first *)
+  send_buf : 'msg pending_send Backlog.t;
+  out_buf : pending_output Backlog.t;
   mutable delivered : (Wire.identity, delivery) Hashtbl.t;
       (* deliveries not yet known committed; see [fold_committed] *)
   held : (Wire.identity, int * int) Hashtbl.t;
@@ -398,6 +401,15 @@ let stable_in_log t j e =
   ensure_member t j;
   Entry_set.covers t.log_tab.(j) e
 
+(* Figure 3's Insert into log[j].  Only an insert that grows the row moves
+   [log_gen], so a notice that repeats known progress leaves the buffers'
+   verdicts standing. *)
+let note_stable t j e =
+  if not (Entry_set.covers t.log_tab.(j) e) then begin
+    t.log_tab.(j) <- Entry_set.insert t.log_tab.(j) e;
+    t.log_gen <- t.log_gen + 1
+  end
+
 (* Theorem 2: dependencies on stable intervals are redundant. *)
 let elide_tdv t =
   if (proto t).commit_tracking then
@@ -471,7 +483,7 @@ let orphan_vector t v =
 (* Mark the whole current chain stable (everything delivered is now in the
    stable log, and marker intervals are reconstructable from sync records). *)
 let advance_stability t ~now =
-  t.log_tab.(t.pid) <- Entry_set.insert t.log_tab.(t.pid) t.current;
+  note_stable t t.pid t.current;
   if Entry.lt t.frontier t.current then begin
     t.frontier <- t.current;
     trace t ~now (Stability_advanced { pid = t.pid; upto = t.current })
@@ -692,19 +704,15 @@ let release_send t ~now (ps : 'msg pending_send) =
   trace t ~now (Message_released { id = ps.ps_id; dep_size; wire_vector; blocked });
   push t (Unicast { dst = ps.ps_dst; packet = Wire.App wire })
 
+(* A send's verdict depends only on [log_tab], so only the sends buffered
+   since the last check are examined unless [log_gen] moved. *)
 let check_send_buffer t ~now =
-  if (proto t).commit_tracking then
-    List.iter
-      (fun ps -> ignore (Dep_vector.elide_stable ps.ps_tdv ~stable:(stable_in_log t) : int))
-      t.send_buf;
-  let ready, blocked =
-    List.partition
-      (fun ps ->
-        (breakage t).break_send_gate
-        || Dep_vector.non_null_count ps.ps_tdv <= ps.ps_k)
-      t.send_buf
+  let ready =
+    Backlog.take_ready t.send_buf ~gen:t.log_gen (fun ps ->
+        if (proto t).commit_tracking then
+          ignore (Dep_vector.elide_stable ps.ps_tdv ~stable:(stable_in_log t) : int);
+        (breakage t).break_send_gate || Dep_vector.non_null_count ps.ps_tdv <= ps.ps_k)
   in
-  t.send_buf <- blocked;
   List.iter (release_send t ~now) ready
 
 (* [send_message_at] performs a send in an explicit interval context
@@ -739,7 +747,7 @@ let send_message_at t ~now ~interval ~tdv ~idx ~dst ~k payload =
         ps_k = k;
       }
     in
-    t.send_buf <- t.send_buf @ [ ps ]
+    Backlog.push t.send_buf ps
   end
 
 let send_message t ~now ~dst ~k payload =
@@ -840,12 +848,12 @@ let assembly_step t ~now asm =
 let check_output_buffer t ~now =
   match (proto t).tracking with
   | Config.Transitive ->
-    let ready, waiting = List.partition (output_ready t) t.out_buf in
-    t.out_buf <- waiting;
-    List.iter (commit_output t ~now) ready
+    (* Like the send buffer: an output waits on [log_tab] alone. *)
+    List.iter (commit_output t ~now)
+      (Backlog.take_ready t.out_buf ~gen:t.log_gen (output_ready t))
   | Config.Direct ->
-    let ready, waiting =
-      List.partition
+    let ready =
+      Backlog.remove_if t.out_buf
         (fun po ->
           match Hashtbl.find_opt t.assemblies po.po_id with
           | Some asm ->
@@ -869,16 +877,12 @@ let check_output_buffer t ~now =
             settle ();
             assembly_complete asm
           | None -> false)
-        t.out_buf
     in
-    t.out_buf <- waiting;
     List.iter (commit_output t ~now) ready;
-    List.iter
-      (fun po ->
+    Backlog.iter t.out_buf (fun po ->
         match Hashtbl.find_opt t.assemblies po.po_id with
         | Some asm -> assembly_step t ~now asm
         | None -> ())
-      waiting
 
 (* Explicit-context variant of [buffer_output], for the same reason as
    {!send_message_at}: partitioned replay regenerates outputs out of log
@@ -892,7 +896,7 @@ let rec buffer_output_at t ~now ~interval ~tdv ~idx text =
     let po =
       { po_id = oid; po_text = text; po_tdv = Dep_vector.copy tdv; po_buffered = now }
     in
-    t.out_buf <- t.out_buf @ [ po ];
+    Backlog.push t.out_buf po;
     (match (proto t).tracking with
     | Config.Direct ->
       let asm = { members = Hashtbl.create 8 } in
@@ -1231,11 +1235,11 @@ let effective_markers anns ~from_pos =
 (* End of an incarnation's stable prefix: remember its frontier, then
    continue as the marker interval. *)
 let apply_marker t ((entry : Entry.t), _pos) =
-  t.log_tab.(t.pid) <- Entry_set.insert t.log_tab.(t.pid) t.current;
+  note_stable t t.pid t.current;
   note_parents t entry [ (t.pid, t.current) ];
   t.current <- entry;
   Dep_vector.set t.tdv t.pid (Some entry);
-  t.log_tab.(t.pid) <- Entry_set.insert t.log_tab.(t.pid) entry;
+  note_stable t t.pid entry;
   t.send_idx <- 0;
   t.out_idx <- 0
 
@@ -1288,19 +1292,16 @@ let reinstate_saved_sends t svs =
       then begin
         ensure_deps t sv.sv_dep;
         Hashtbl.replace t.buffered_send_ids sv.sv_id ();
-        t.send_buf <-
-          t.send_buf
-          @ [
-              {
-                ps_id = sv.sv_id;
-                ps_dst = sv.sv_dst;
-                ps_interval = sv.sv_interval;
-                ps_tdv = Dep_vector.of_non_null ~n:t.n sv.sv_dep;
-                ps_payload = sv.sv_payload;
-                ps_enqueued = sv.sv_enqueued;
-                ps_k = sv.sv_k;
-              };
-            ]
+        Backlog.push t.send_buf
+          {
+            ps_id = sv.sv_id;
+            ps_dst = sv.sv_dst;
+            ps_interval = sv.sv_interval;
+            ps_tdv = Dep_vector.of_non_null ~n:t.n sv.sv_dep;
+            ps_payload = sv.sv_payload;
+            ps_enqueued = sv.sv_enqueued;
+            ps_k = sv.sv_k;
+          }
       end)
     svs
 
@@ -1312,16 +1313,13 @@ let reinstate_saved_outs t sos =
       then begin
         ensure_deps t so.so_dep;
         Hashtbl.replace t.buffered_out_ids so.so_id ();
-        t.out_buf <-
-          t.out_buf
-          @ [
-              {
-                po_id = so.so_id;
-                po_text = so.so_text;
-                po_tdv = Dep_vector.of_non_null ~n:t.n so.so_dep;
-                po_buffered = so.so_buffered;
-              };
-            ]
+        Backlog.push t.out_buf
+          {
+            po_id = so.so_id;
+            po_text = so.so_text;
+            po_tdv = Dep_vector.of_non_null ~n:t.n so.so_dep;
+            po_buffered = so.so_buffered;
+          }
       end)
     sos
 
@@ -1412,7 +1410,7 @@ let absorb_ann t ~persist (ann : Wire.announcement) =
   ensure_member t j;
   note_ann t ann;
   t.iet.(j) <- Entry_set.insert_min t.iet.(j) ann.ending;
-  t.log_tab.(j) <- Entry_set.insert t.log_tab.(j) ann.ending;
+  note_stable t j ann.ending;
   if ann.ending.inc > t.max_ann_inc.(j) then t.max_ann_inc.(j) <- ann.ending.inc
 
 (* Start incarnation [inc] right after the current interval, which is
@@ -1558,15 +1556,11 @@ let rollback t ~now ~(because : Wire.announcement) =
   (* Unacked deliveries are all open: a delivery commits only once flushed,
      and every flush acks. *)
   t.unacked <- List.filter (fun (_, id) -> Hashtbl.mem t.delivered id) t.unacked;
-  let cancelled, kept_sends =
-    List.partition (fun ps -> undone ps.ps_interval) t.send_buf
+  List.iter (cancel_send t ~now)
+    (Backlog.remove_if t.send_buf (fun ps -> undone ps.ps_interval));
+  let dropped_outs =
+    Backlog.remove_if t.out_buf (fun po -> undone po.po_id.Wire.out_interval)
   in
-  t.send_buf <- kept_sends;
-  List.iter (cancel_send t ~now) cancelled;
-  let dropped_outs, kept_outs =
-    List.partition (fun po -> undone po.po_id.Wire.out_interval) t.out_buf
-  in
-  t.out_buf <- kept_outs;
   List.iter
     (fun po ->
       Hashtbl.remove t.buffered_out_ids po.po_id;
@@ -1615,9 +1609,8 @@ let discard_orphan_receives t ~now =
     orphans
 
 let cancel_orphan_sends t ~now =
-  let orphans, kept = List.partition (fun ps -> orphan_vector t ps.ps_tdv) t.send_buf in
-  t.send_buf <- kept;
-  List.iter (cancel_send t ~now) orphans
+  List.iter (cancel_send t ~now)
+    (Backlog.remove_if t.send_buf (fun ps -> orphan_vector t ps.ps_tdv))
 
 let retransmit t ~dst =
   Archive.iter_oldest t.archive (fun (m : 'msg Wire.app_message) ->
@@ -1683,7 +1676,7 @@ let receive_notice t ~now (notice : Wire.notice) =
   List.iter
     (fun (j, entries) ->
       ensure_member t j;
-      List.iter (fun e -> t.log_tab.(j) <- Entry_set.insert t.log_tab.(j) e) entries)
+      List.iter (note_stable t j) entries)
     notice.Wire.rows;
   elide_tdv t;
   fold_committed t;
@@ -1800,7 +1793,7 @@ let saved_effects t =
           sv_enqueued = ps.ps_enqueued;
           sv_k = ps.ps_k;
         })
-      t.send_buf,
+      (Backlog.to_list t.send_buf),
     List.map
       (fun po ->
         {
@@ -1809,7 +1802,7 @@ let saved_effects t =
           so_dep = Dep_vector.non_null po.po_tdv;
           so_buffered = po.po_buffered;
         })
-      t.out_buf )
+      (Backlog.to_list t.out_buf) )
 
 let do_checkpoint t ~now =
   (* A full checkpoint snapshots the whole state; a partially replayed
@@ -2252,11 +2245,12 @@ let[@warning "-16"] create_on ~fs ~config ~pid ~app ~store_dir ?obs ~trace:tr =
       tdv = Dep_vector.create ~n;
       state;
       log_tab = Array.make n Entry_set.empty;
+      log_gen = 0;
       iet = Array.make n Entry_set.empty;
       max_ann_inc = Array.make n (-1);
       recv_buf = [];
-      send_buf = [];
-      out_buf = [];
+      send_buf = Backlog.create ();
+      out_buf = Backlog.create ();
       delivered = Hashtbl.create 64;
       held = Hashtbl.create 16;
       chans = Hashtbl.create 8;
@@ -2296,7 +2290,7 @@ let[@warning "-16"] create_on ~fs ~config ~pid ~app ~store_dir ?obs ~trace:tr =
      the surviving log suffix allows. *)
   if report.Store.recovered_checkpoints = 0 then Store.save_checkpoint t.store (initial_checkpoint t state);
   if fresh_store then begin
-    t.log_tab.(pid) <- Entry_set.insert t.log_tab.(pid) t.current;
+    note_stable t pid t.current;
     Trace.add tr ~time:0.
       (Interval_started
          {
@@ -2376,7 +2370,7 @@ let handle_packet t ~now packet =
                  stability row. *)
               ensure_member t (n - 1);
               Hashtbl.remove t.retired from_;
-              t.log_tab.(from_) <- Entry_set.insert t.log_tab.(from_) current;
+              note_stable t from_ current;
               elide_tdv t;
               recheck t ~now;
               (* Hand the joiner our stability knowledge so its own vector
@@ -2392,7 +2386,7 @@ let handle_packet t ~now packet =
                  entries, so no send blocks forever on a process that is
                  gone. *)
               Hashtbl.replace t.retired from_ upto;
-              t.log_tab.(from_) <- Entry_set.insert t.log_tab.(from_) upto;
+              note_stable t from_ upto;
               elide_tdv t;
               recheck t ~now
             end))
@@ -2568,7 +2562,7 @@ let current_notice t =
   if not t.up then None
   else Some (own_notice t)
 
-let send_buffer_size t = List.length t.send_buf
+let send_buffer_size t = Backlog.length t.send_buf
 
 let receive_buffer_size t = List.length t.recv_buf
 
@@ -2576,7 +2570,7 @@ let archive_size t = Archive.length t.archive
 
 let receive_buffer_messages t = List.map snd t.recv_buf
 
-let output_buffer_size t = List.length t.out_buf
+let output_buffer_size t = Backlog.length t.out_buf
 
 let stable_frontier t = t.frontier
 

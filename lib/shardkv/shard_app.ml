@@ -46,6 +46,9 @@ type state = {
   store : (int * int) Str_map.t;  (** key -> (value, version) *)
   pending : int Int_map.t;  (** multi-put id -> acks still missing *)
   puts : int;
+  entry_sum : int;
+      (** sum of [entry_hash] over [store], kept by [apply_one], so that
+          [digest] costs O(|pending|) and not O(|store|) *)
 }
 
 let pp_msg ppf = function
@@ -63,12 +66,25 @@ let pp_msg ppf = function
 
 let lookup state key = Str_map.find_opt key state.store
 
+(* One store entry's share of the digest, from its key's hash.  The digest
+   sums the shares, so it depends on what the store holds and not on the
+   order the writes arrived in. *)
+let entry_hash key_hash (value, version) =
+  App_model.Hashing.(mix (mix key_hash value) version)
+
 let apply_one state (key, value) =
-  let version = match lookup state key with None -> 1 | Some (_, v) -> v + 1 in
+  let key_hash = App_model.Hashing.string key in
+  let sum, version =
+    match lookup state key with
+    | None -> (state.entry_sum, 1)
+    | Some ((_, v) as old) -> (state.entry_sum - entry_hash key_hash old, v + 1)
+  in
+  let entry = (value, version) in
   {
     state with
-    store = Str_map.add key (value, version) state.store;
+    store = Str_map.add key entry state.store;
     puts = state.puts + 1;
+    entry_sum = sum + entry_hash key_hash entry;
   }
 
 (* Partition [pairs] by owning shard, preserving first-seen owner order and
@@ -85,11 +101,19 @@ let partition ring pairs =
     pairs;
   List.rev_map (fun (o, acc) -> (o, List.rev !acc)) !groups
 
-let mp_ack_text m = Fmt.str "mp:%d ok" m
+(* Output texts.  [Service] reads the leading tag ("get:12", "mp:7"), so
+   the format is fixed; they are concatenated directly because a Format
+   call per output costs ~10x the allocation. *)
+let mp_ack_text m = String.concat "" [ "mp:"; string_of_int m; " ok" ]
 
 let get_text g key = function
-  | None -> Fmt.str "get:%d %s -> none" g key
-  | Some (value, version) -> Fmt.str "get:%d %s -> %d (v%d)" g key value version
+  | None -> String.concat "" [ "get:"; string_of_int g; " "; key; " -> none" ]
+  | Some (value, version) ->
+    String.concat ""
+      [
+        "get:"; string_of_int g; " "; key; " -> "; string_of_int value; " (v";
+        string_of_int version; ")";
+      ]
 
 let handle ~pid ~n:_ state ~src:_ msg =
   match msg with
@@ -141,26 +165,20 @@ let handle ~pid ~n:_ state ~src:_ msg =
 let digest s =
   (* The ring is a deterministic fold of the logged [Grow]/[Retire_shard]
      messages over the [(n, seed)] starting point — identical on every
-     incarnation replaying the same log — so it stays out of the digest. *)
-  let h =
-    Str_map.fold
-      (fun key (value, version) h ->
-        App_model.Hashing.(mix (mix (mix h (string key)) value) version))
-      s.store
-      (App_model.Hashing.pair s.pid s.puts)
-  in
-  Int_map.fold (fun m left h -> App_model.Hashing.(mix (mix h m) left)) s.pending h
+     incarnation replaying the same log — so it stays out of the digest.
+     The store enters through [entry_sum]; only the (short) pending table
+     is folded here, once per delivery. *)
+  Int_map.fold
+    (fun m left h -> App_model.Hashing.(mix (mix h m) left))
+    s.pending
+    App_model.Hashing.(mix (pair s.pid s.puts) s.entry_sum)
 
 (* Byte-level payload format, mirroring the kvstore app's conventions: a
    tag byte, int64-LE integers, u32-length-prefixed strings, and a
    count-prefixed pair list; unknown tags, short buffers and trailing
    bytes are decode errors. *)
 let wire : msg App_model.App_intf.wire_format =
-  let put_int b v =
-    let s = Bytes.create 8 in
-    Bytes.set_int64_le s 0 (Int64.of_int v);
-    Buffer.add_bytes b s
-  in
+  let put_int b v = Buffer.add_int64_le b (Int64.of_int v) in
   let put_str b s =
     put_int b (String.length s);
     Buffer.add_string b s
@@ -312,6 +330,7 @@ let app : (state, msg) App_model.App_intf.t =
           store = Str_map.empty;
           pending = Int_map.empty;
           puts = 0;
+          entry_sum = 0;
         });
     handle;
     digest;

@@ -251,6 +251,22 @@ let test_flood_during_replay () =
         (counter outcome "outputs_committed_total" > 0);
       Alcotest.(check bool) "replay happened" true (counter outcome "replayed_total" > 0))
 
+(* The space overhead a daemon should run with: koptnode's 60 unless the
+   environment it inherits sets [o=] (the last one wins, as in the
+   runtime's own parse). *)
+let expected_space_overhead () =
+  let params =
+    match Sys.getenv_opt "OCAMLRUNPARAM" with
+    | Some p -> p
+    | None -> Option.value (Sys.getenv_opt "CAMLRUNPARAM") ~default:""
+  in
+  List.fold_left
+    (fun acc opt ->
+      match String.split_on_char '=' opt with
+      | [ "o"; v ] -> float_of_string v
+      | _ -> acc)
+    60. (String.split_on_char ',' params)
+
 (* The live stats plane end to end: every daemon must answer the control
    socket's Stats arm mid-load with a parseable exposition covering the
    delivery, flush, transport, recovery and memory metric families; a
@@ -259,7 +275,9 @@ let test_flood_during_replay () =
    phase spans and the memory gauges aboard.  Every daemon, the successor
    included, must report koptnode's 64k-word nursery and a boot that ran
    no minor collection, both with OCAMLRUNPARAM unset and with it holding
-   options other than [s=] (CI runs the suite under [b]).  Every scrape
+   options other than [s=] (CI runs the suite under [b]).  Each must also
+   report the major heap's space overhead koptnode sets, 60, or the [o=]
+   the operator's OCAMLRUNPARAM gives, which wins.  Every scrape
    carries the heap gauges exactly when a minor collection has run (the
    runtime reads 0 before the first), and its file-backed and anonymous
    resident pages add up to at most its resident set. *)
@@ -318,7 +336,11 @@ let test_stats_plane_live () =
           65536. (Obs.Snapshot.gauge snap "gc_minor_heap_words");
         Alcotest.(check (float 0.))
           (Fmt.str "pid %d: boot ran no minor collection" pid)
-          0. (Obs.Snapshot.gauge snap "gc_boot_minor_collections")
+          0. (Obs.Snapshot.gauge snap "gc_boot_minor_collections");
+        Alcotest.(check (float 0.))
+          (Fmt.str "pid %d: major heap space overhead" pid)
+          (expected_space_overhead ())
+          (Obs.Snapshot.gauge snap "gc_space_overhead")
       in
       List.iter (fun pid -> check_boot pid (scrape_ok pid)) [ 0; 1; 2 ];
       Deployment.run_workload t ~ops:30 ~seed:4;
@@ -501,6 +523,55 @@ let test_ingress_backpressure () =
         true
         (high_water <= 256. +. 32.))
 
+(* A control client that hangs up with requests still queued: the daemon
+   must not close the descriptor before it has answered them, or a reply
+   can land on whatever reuses the number in between — a fresh segment
+   file, a peer connection, the next control connection.  A raw client
+   writes 50 Stats requests and closes at once; a fresh connection must
+   then get a Status reply to its Status request (not a stray Stats), and
+   after Quit the store must reopen clean and the merged trace must
+   certify. *)
+let test_control_hangup () =
+  let k = 1 in
+  with_deployment ~prefix:"test-net-hangup"
+    (fun ~root -> Deployment.launch ~n:2 ~k ~seed:17 ~root ())
+    (fun t ->
+      Deployment.run_workload t ~ops:20 ~seed:8;
+      let connect () =
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect fd
+          (Unix.ADDR_INET (Unix.inet_addr_loopback, Deployment.control_port t ~dst:0));
+        fd
+      in
+      let frame = Net.Wire_codec.encode_control App.wire in
+      let fd = connect () in
+      Alcotest.(check bool) "requests written" true
+        (Net.Wire_codec.write_all fd
+           (String.concat "" (List.init 50 (fun _ -> frame Net.Wire_codec.Stats_req))));
+      Unix.close fd;
+      let fd = connect () in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      Alcotest.(check bool) "status request written" true
+        (Net.Wire_codec.write_all fd (frame Net.Wire_codec.Status_req));
+      (match Net.Wire_codec.read_control App.wire fd with
+      | Some (Net.Wire_codec.Status _) -> ()
+      | Some _ -> Alcotest.fail "a fresh connection got another client's reply"
+      | None -> Alcotest.fail "no Status reply on a fresh connection");
+      Unix.close fd;
+      Deployment.run_workload t ~ops:20 ~seed:9;
+      ignore (Deployment.settle t : bool);
+      let outcome = Deployment.finish t in
+      certify ~k outcome;
+      let store, report =
+        Durable.Durable_store.open_ ~fs:Durable.Fs.unix
+          ~dir:(Deployment.store_dir t ~dst:0) ()
+      in
+      Durable.Durable_store.kill store;
+      Alcotest.(check bool)
+        (Fmt.str "store reopens clean: %a" Durable.Durable_store.pp_open_report report)
+        false
+        (Durable.Durable_store.damaged report))
+
 let suite =
   [
     Alcotest.test_case "shutdown interrupts dial backoff" `Quick
@@ -521,4 +592,6 @@ let suite =
       test_flood_during_replay;
     Alcotest.test_case "client flood back-pressured at ingress" `Slow
       test_ingress_backpressure;
+    Alcotest.test_case "control client hangs up with requests queued" `Slow
+      test_control_hangup;
   ]

@@ -712,6 +712,45 @@ let test_scrape_bounded () =
       if lines > budget then Alcotest.failf "%d exposition lines over a budget of %d" lines budget)
     [ small; large ]
 
+(* The cost of a delivery must not grow with the buffered backlog
+   (ROADMAP items 11 and 14).  At K=1 with flushes withheld, each Report's
+   output waits on its own interval, so the output buffer grows by one per
+   delivery.  Minor words per delivery over deliveries 391-400 may be at
+   most 1.5x those over 11-20: a list buffer, appended with [@] and
+   re-partitioned on every delivery, allocates per buffered output on each
+   one.  A final flush commits every output in the order it was buffered. *)
+let test_backlog_cost_flat () =
+  let d = D.make (config ~k:1 ~n:1 ()) counter in
+  let deliveries = 400 in
+  let words = Array.make (deliveries + 1) 0. in
+  for seq = 1 to deliveries do
+    let w0 = Gc.minor_words () in
+    D.inject d ~seq App_model.Counter_app.Report;
+    words.(seq) <- Gc.minor_words () -. w0;
+    D.clear d
+  done;
+  Alcotest.(check int) "every output still buffered" deliveries
+    (Node.output_buffer_size d.node);
+  let per_delivery lo hi =
+    let sum = ref 0. in
+    for i = lo to hi do
+      sum := !sum +. words.(i)
+    done;
+    !sum /. float_of_int (hi - lo + 1)
+  in
+  let early = per_delivery 11 20 and late = per_delivery 391 400 in
+  if late > 1.5 *. early then
+    Alcotest.failf "%.0f minor words per delivery at a backlog of ~400, %.0f at ~15" late early;
+  D.flush d;
+  Alcotest.(check int) "the flush committed every output" 0 (Node.output_buffer_size d.node);
+  let ids f =
+    List.filter_map (fun { Recovery.Trace.ev; _ } -> f ev) (Recovery.Trace.events d.trace)
+  in
+  let buffered = ids (function Recovery.Trace.Output_buffered { id; _ } -> Some id | _ -> None) in
+  let committed = ids (function Recovery.Trace.Output_committed { id; _ } -> Some id | _ -> None) in
+  Alcotest.(check int) "every output buffered once" deliveries (List.length buffered);
+  Alcotest.(check bool) "committed in buffered order" true (committed = buffered)
+
 (* ------------------------------------------------------------------ *)
 (* Bounded duplicate suppression                                       *)
 
@@ -925,6 +964,8 @@ let suite =
   [
     Alcotest.test_case "Initialize (Corollary 3)" `Quick test_initial_state;
     Alcotest.test_case "scrape stays bounded as traffic grows" `Quick test_scrape_bounded;
+    Alcotest.test_case "delivery cost flat as the output backlog deepens" `Quick
+      test_backlog_cost_flat;
     Alcotest.test_case "delivery starts interval" `Quick test_inject_starts_interval;
     Alcotest.test_case "delivery merges piggyback" `Quick test_delivery_merges_piggyback;
     Alcotest.test_case "delivery takes lexicographic max" `Quick test_delivery_takes_lex_max;

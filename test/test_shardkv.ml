@@ -135,6 +135,118 @@ let test_wire_roundtrip =
       | Ok msg' -> msg = msg'
       | Error e -> QCheck2.Test.fail_report e)
 
+(* The output texts are built without Format, and [Service] parses their
+   tags: they must stay byte for byte what the Format strings gave. *)
+let test_output_texts =
+  qtest "output texts: byte-identical to their Format strings"
+    QCheck2.Gen.(
+      quad int (string_size ~gen:printable (int_bound 12)) int (option (pair int int)))
+    (fun (g, key, m, found) ->
+      Shard_app.mp_ack_text m = Fmt.str "mp:%d ok" m
+      && Shard_app.get_text g key found
+         =
+         match found with
+         | None -> Fmt.str "get:%d %s -> none" g key
+         | Some (value, version) -> Fmt.str "get:%d %s -> %d (v%d)" g key value version)
+
+(* ------------------------------------------------------------------ *)
+(* Digest                                                              *)
+
+(* The digest [Shard_app] keeps incrementally, computed from scratch: each
+   store entry's hash summed over the whole store, then the pid, the put
+   count and the pending table folded in. *)
+let reference_digest (s : Shard_app.state) =
+  let open App_model.Hashing in
+  let sum =
+    Shard_app.Str_map.fold
+      (fun key (value, version) acc -> acc + mix (mix (string key) value) version)
+      s.store 0
+  in
+  Shard_app.Int_map.fold
+    (fun m left h -> mix (mix h m) left)
+    s.pending
+    (mix (pair s.pid s.puts) sum)
+
+(* Shard 0 of 2, so multi-puts fan out and leave acks pending, and single
+   Puts for shard 1's keys are forwarded untouched; eight keys, so writes
+   overwrite. *)
+let digest_pid = 0
+
+let digest_n = 2
+
+let gen_digest_history =
+  QCheck2.Gen.(
+    let key = map (Printf.sprintf "k%d") (int_bound 7) in
+    let pair = pair key (int_range (-50) 50) in
+    let pairs = list_size (int_range 1 4) pair in
+    list_size (int_range 0 40)
+      (oneof
+         [
+           map (fun (key, value) -> Shard_app.Put { key; value }) pair;
+           map2 (fun m pairs -> Shard_app.Multi_put { m; pairs }) (int_bound 5) pairs;
+           map3
+             (fun m coord pairs -> Shard_app.Mp_apply { m; coord; pairs })
+             (int_bound 5) (int_bound 1) pairs;
+           map2 (fun m from_ -> Shard_app.Mp_ack { m; from_ }) (int_bound 5) (int_bound 1);
+         ]))
+
+let apply_history state msgs =
+  List.fold_left
+    (fun s msg ->
+      fst (Shard_app.app.handle ~pid:digest_pid ~n:digest_n s ~src:(-1) msg))
+    state msgs
+
+let fresh_state () = Shard_app.app.init ~pid:digest_pid ~n:digest_n
+
+(* Another history to the same store and counters: each key written as
+   often as its version says, round-robin over the keys in reverse order,
+   junk first and the final value last, as one-pair [Mp_apply]s (applied
+   wherever the key lives); the pending table copied over. *)
+let rewrite_history (s : Shard_app.state) =
+  let entries = List.rev (Shard_app.Str_map.bindings s.store) in
+  let rounds = List.fold_left (fun acc (_, (_, v)) -> Stdlib.max acc v) 0 entries in
+  let msgs =
+    List.concat_map
+      (fun r ->
+        List.filter_map
+          (fun (key, (value, version)) ->
+            if r > version then None
+            else
+              let value = if r = version then value else 1000 + r in
+              Some (Shard_app.Mp_apply { m = 0; coord = 1; pairs = [ (key, value) ] }))
+          entries)
+      (List.init rounds (fun r -> r + 1))
+  in
+  { (apply_history (fresh_state ()) msgs) with pending = s.pending }
+
+let test_digest_law =
+  qtest ~count:500 "digest: incremental sum equals a fold over store and pending"
+    gen_digest_history (fun msgs ->
+      let digest = Shard_app.app.digest in
+      (* After every step, not just at the end. *)
+      let s =
+        List.fold_left
+          (fun s msg ->
+            let s = apply_history s [ msg ] in
+            if digest s <> reference_digest s then
+              QCheck2.Test.fail_reportf "digest %d, reference %d after %a" (digest s)
+                (reference_digest s) Shard_app.pp_msg msg;
+            s)
+          (fresh_state ()) msgs
+      in
+      let s' = rewrite_history s in
+      if (not (Shard_app.Str_map.equal ( = ) s'.store s.store)) || s'.puts <> s.puts then
+        QCheck2.Test.fail_report "rewritten history reached another store";
+      if digest s' <> digest s then
+        QCheck2.Test.fail_report "same store and counters, different digest";
+      let restored : Shard_app.state =
+        Marshal.from_string (Marshal.to_string s [ Marshal.Closures ]) 0
+      in
+      if digest restored <> digest s then
+        QCheck2.Test.fail_report "a Marshal round trip changed the digest";
+      let more = [ Shard_app.Mp_apply { m = 0; coord = 1; pairs = [ ("k0", 7); ("k0", 8) ] } ] in
+      digest (apply_history restored more) = reference_digest (apply_history s more))
+
 (* ------------------------------------------------------------------ *)
 (* Multi-put commit gating (scripted, K = 0)                           *)
 
@@ -401,6 +513,8 @@ let suite =
     test_ring_grow_law;
     test_ring_remove_law;
     test_wire_roundtrip;
+    test_digest_law;
+    test_output_texts;
     Alcotest.test_case "latency tracker: histogram vs exact reference"
       `Quick test_latency_tracker_equivalence;
     Alcotest.test_case "multi-put ack gated by the K rule (K=0, scripted)"
