@@ -98,9 +98,10 @@ let bench_crash_recovery () =
    checkpoint every 250: several 64 KiB segments and 21 checkpoint files).
    Each run kills the node's store and reopens it from its files.  Besides
    the time, [restart_words] records the words one restart promotes to
-   the major heap per logged delivery, which [check] bounds: restart reads
-   the store back one record at a time, so what it promotes is the
-   duplicate-suppression entry of each delivery, not the log. *)
+   the major heap per logged delivery, which [check] bounds: open checks
+   the files in place and the restart decodes the newest checkpoint, whose
+   saved duplicate-suppression state stands for every delivery before
+   it, and reads only the log after it. *)
 let restart_name = "B5 node: durable restart over 5,000 logged deliveries"
 
 let restart_words_name = restart_name ^ " (promoted words/record)"

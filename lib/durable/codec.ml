@@ -19,17 +19,21 @@ let table =
 
 let mask32 = 0xFFFFFFFF
 
-let crc32 ?(init = 0) s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
+(* The running state in and out of the table loop, without an optional
+   argument: a call from the frame checks allocates nothing. *)
+let crc_update crc b ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Codec.crc32";
   let table = Lazy.force table in
-  let c = ref (init lxor mask32) in
+  let c = ref (crc lxor mask32) in
   for i = pos to pos + len - 1 do
     c :=
-      Array.unsafe_get table ((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
+      Array.unsafe_get table ((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
       lxor (!c lsr 8)
   done;
   !c lxor mask32
+
+let crc32 ?(init = 0) s ~pos ~len = crc_update init (Bytes.unsafe_of_string s) ~pos ~len
 
 (* The checksum covers kind + length + payload, i.e. everything after the
    magic byte, so no single flipped byte can yield a different valid
@@ -65,6 +69,14 @@ type decoded =
 
 let get_le32 s pos =
   Int32.to_int (String.get_int32_le s pos) land mask32
+
+let get_le32_bytes b pos = Int32.to_int (Bytes.get_int32_le b pos) land mask32
+
+(* The checksum of the frame at [b.[pos..]] with a [len]-byte payload
+   matches. *)
+let frame_ok b ~pos ~len =
+  let c = crc_update 0 b ~pos:(pos + 1) ~len:5 in
+  crc_update c b ~pos:(pos + header_bytes) ~len = get_le32_bytes b (pos + 6)
 
 let decode s ~pos =
   let total = String.length s in
@@ -113,6 +125,13 @@ let unseal s =
   | End -> Error "sealed blob: empty"
   | exception Invalid_argument _ -> Error "sealed blob: bad position"
 
+let is_sealed b ~off ~len =
+  len >= header_bytes
+  && Bytes.get b off = magic
+  && Char.code (Bytes.get b (off + 1)) = k_sealed
+  && get_le32_bytes b (off + 2) = len - header_bytes
+  && frame_ok b ~pos:off ~len:(len - header_bytes)
+
 type tail = Clean | Torn | Corrupt_tail
 
 type scan_result = {
@@ -136,3 +155,75 @@ let scan s =
     fold s ~init:[] ~f:(fun acc kind payload -> (kind, payload) :: acc)
   in
   { records = List.rev records; valid_bytes; tail }
+
+type buffer = { mutable bytes : Bytes.t }
+
+let buffer () = { bytes = Bytes.empty }
+
+(* Reads go through at most this many bytes at a time, unless one frame
+   is larger. *)
+let chunk = 4096
+
+(* The state of one [fold_input]: [buf.bytes.[lo, hi)] holds the input's
+   bytes from offset [at] on.  A frame is parsed where it lies; the buffer
+   moves what is left to its front before a read, and grows only when a
+   frame does not fit: to the frame, at least, and to the smaller of
+   [chunk] and the input, so a small file costs a small buffer.  [size]
+   bounds every growth.  The loop is top-level over this one record, so a
+   fold allocates it and nothing per frame. *)
+type reader = {
+  buf : buffer;
+  size : int;
+  input : Bytes.t -> int -> int -> int;
+  mutable lo : int;
+  mutable hi : int;
+  mutable at : int;
+  mutable eof : bool;
+}
+
+let rec fill r need =
+  if r.hi - r.lo >= need then true
+  else if r.eof then false
+  else begin
+    let b = r.buf.bytes in
+    if r.lo + need > Bytes.length b then begin
+      let cap = Int.max need (Int.min chunk r.size) in
+      let b' = if cap > Bytes.length b then Bytes.create cap else b in
+      Bytes.blit b r.lo b' 0 (r.hi - r.lo);
+      r.buf.bytes <- b';
+      r.hi <- r.hi - r.lo;
+      r.lo <- 0
+    end;
+    let n = r.input r.buf.bytes r.hi (Bytes.length r.buf.bytes - r.hi) in
+    if n = 0 then r.eof <- true else r.hi <- r.hi + n;
+    fill r need
+  end
+
+let rec frames r acc ~f =
+  if not (fill r header_bytes) then (acc, r.at, if r.hi = r.lo then Clean else Torn)
+  else begin
+    let b = r.buf.bytes and p = r.lo in
+    if Bytes.get b p <> magic then (acc, r.at, Corrupt_tail)
+    else begin
+      let kind = Char.code (Bytes.get b (p + 1)) in
+      let len = get_le32_bytes b (p + 2) in
+      (* The length is checked against the input's size before anything
+         is read or allocated for it: a mutated length field reads as a
+         torn frame, as in [decode]. *)
+      if len > r.size - r.at - header_bytes || not (fill r (header_bytes + len)) then
+        (acc, r.at, Torn)
+      else begin
+        let b = r.buf.bytes and p = r.lo in
+        if not (frame_ok b ~pos:p ~len) then (acc, r.at, Corrupt_tail)
+        else begin
+          let pos = r.at in
+          r.lo <- p + header_bytes + len;
+          r.at <- pos + header_bytes + len;
+          frames r (f acc ~pos ~kind b ~off:(p + header_bytes) ~len) ~f
+        end
+      end
+    end
+  end
+
+let fold_input ?(buf = buffer ()) ~size ~input ~init ~f () =
+  frames { buf; size; input; lo = 0; hi = 0; at = 0; eof = false } init ~f

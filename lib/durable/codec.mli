@@ -51,6 +51,11 @@ val unseal : string -> (string, string) result
 (** Recover the sealed blob; [Error] (with a reason) on any mismatch —
     truncation, checksum failure, trailing bytes.  Never raises. *)
 
+val is_sealed : Bytes.t -> off:int -> len:int -> bool
+(** In place: [b.[off, off+len)] is exactly one sealed blob that {!unseal}
+    would accept.  The blob is the [len - header_bytes] bytes from
+    [off + header_bytes]. *)
+
 type tail = Clean | Torn | Corrupt_tail
 
 type scan_result = {
@@ -69,3 +74,28 @@ val fold :
 val scan : string -> scan_result
 (** Decode records from offset 0 until the first anomaly or the end,
     collecting them: {!fold} into a list. *)
+
+(** {1 Streaming} *)
+
+type buffer
+(** A reusable frame buffer, grown on demand to the smaller of 4 KB and
+    the input, or to a larger frame. *)
+
+val buffer : unit -> buffer
+
+val fold_input :
+  ?buf:buffer ->
+  size:int ->
+  input:(Bytes.t -> int -> int -> int) ->
+  init:'a ->
+  f:('a -> pos:int -> kind:int -> Bytes.t -> off:int -> len:int -> 'a) ->
+  unit ->
+  'a * int * tail
+(** {!fold} over an input of [size] bytes read through [input] (as
+    {!Fs.t.read_with} gives it), each frame checked where it lies in
+    [buf] (a fresh one by default).  [f] gets each record's offset in the
+    input, its kind and its payload as [len] bytes of the buffer from
+    [off]; the bytes are valid only until [f] returns.  A frame's length
+    is checked against [size] before it is read, so a damaged length
+    never allocates more than the input holds.  Allocates nothing per
+    record besides what [f] does. *)

@@ -1,6 +1,9 @@
 (* Record kinds, one byte each.  The segment log uses its own fixed kind
-   internally; these are the checkpoint-file and synchronous-area kinds. *)
-let k_ckpt = 0x43 (* 'C': (stable length at save, checkpoint snapshot) *)
+   internally; these are the checkpoint-file and synchronous-area kinds.
+   A checkpoint file is a [k_pos] frame, then a [k_ckpt] frame. *)
+let k_pos = 0x50 (* 'P': stable length at save, 8 bytes little-endian *)
+
+let k_ckpt = 0x43 (* 'C': the checkpoint snapshot *)
 
 let k_ann = 0x41 (* 'A': announcement *)
 
@@ -11,19 +14,42 @@ let k_len = 0x4E (* 'N': stable-length witness, recorded after each flush *)
 let k_base = 0x42 (* 'B': logical log base after prefix compaction *)
 
 (* Every Marshal blob travels sealed: the envelope's CRC witnesses the
-   exact marshalled bytes, so [of_bin_opt] rejects damaged or skewed input
-   before [Marshal.from_string] can crash on it.  Decode failures are
+   exact marshalled bytes, so [sealed_value] rejects damaged or skewed
+   input before [Marshal.from_bytes] can crash on it.  Decode failures are
    never raised out of [open_] — they are counted into the open report. *)
 let to_bin v = Codec.seal (Marshal.to_string v [ Marshal.Closures ])
 
-let of_bin_opt (s : string) =
-  match Codec.unseal s with
-  | Error _ -> None
-  | Ok p -> (
-    match Marshal.from_string p 0 with
-    | v -> Some v
-    | exception (Failure _ | Invalid_argument _ | End_of_file) -> None)
+(* In place, on a frame payload: it is one sealed blob, and the blob opens
+   with a whole Marshal header (the small format's 20 bytes or the 64-bit
+   format's 32) whose total size is exactly the sealed length.  What open
+   checks of every record and snapshot, without copying or decoding it. *)
+let sealed_value b ~off ~len =
+  Codec.is_sealed b ~off ~len
+  &&
+  let off = off + Codec.header_bytes and len = len - Codec.header_bytes in
+  len >= 20
+  && (match Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF with
+     | 0x8495A6BE -> true
+     | 0x8495A6BF -> len >= 32
+     | _ -> false)
+  &&
+  match Marshal.total_size b off with
+  | n -> n = len
+  | exception (Failure _ | Invalid_argument _) -> false
 
+(* The value of a payload [sealed_value] accepted.  Raises only on a
+   format bug: bytes that check but do not decode. *)
+let value_at b ~off = Marshal.from_bytes b (off + Codec.header_bytes)
+
+let decode_opt b ~off ~len =
+  if sealed_value b ~off ~len then
+    match value_at b ~off with
+    | v -> Some v
+    | exception (Failure _ | Invalid_argument _ | End_of_file) -> None
+  else None
+
+let fold_file (fs : Fs.t) ?buf path ~init ~f =
+  fs.read_with path (fun size input -> Codec.fold_input ?buf ~size ~input ~init ~f ())
 
 type open_report = {
   fresh : bool;
@@ -66,7 +92,11 @@ type ('ckpt, 'log, 'ann) t = {
   mutable inc : int;
   sync_writes : Obs.Counter.t;
   flushes : Obs.Counter.t;
+  ckpt_bytes : Obs.Counter.t; (* bytes written to checkpoint files *)
   mutable sync_file : Fs.file; (* sync.dat, appended under the lock *)
+  mutable sync_checked : int;
+      (* sync.dat's leading bytes that open checked: a record there that
+         fails [sealed_value] is one open counted as dropped *)
   mutable disk_full : int; (* flush rounds still refused (ENOSPC brownout) *)
   mutable slow_fsync : (float * int) option; (* extra seconds, rounds left *)
   mutable round_slow : float; (* slow-down of the round in flight *)
@@ -81,21 +111,33 @@ let guard t = if not t.alive then invalid_arg "Durable_store: store killed"
 
 let sync_path root = Filename.concat root "sync.dat"
 
-let ckpt_path root seq = Filename.concat root (Printf.sprintf "ckpt-%012d.dat" seq)
+let ckpt_path root seq = Filename.concat root (Fs.numbered "ckpt-" seq)
 
 let parse_ckpt name =
-  if String.length name = 21 && String.sub name 0 5 = "ckpt-"
-     && Filename.check_suffix name ".dat"
+  if String.length name = 21 && String.starts_with ~prefix:"ckpt-" name
+     && String.ends_with ~suffix:".dat" name
   then int_of_string_opt (String.sub name 5 12)
   else None
 
-(* A checkpoint file's (stable length at save, snapshot); [None] if it is
-   unreadable, torn or corrupt. *)
-let decode_checkpoint (fs : Fs.t) path =
-  match Codec.decode (fs.read path) ~pos:0 with
-  | Codec.Record { kind; payload; _ } when kind = k_ckpt -> of_bin_opt payload
-  | _ -> None
-  | exception _ -> None
+(* A checkpoint file is exactly a position frame, then a snapshot frame,
+   each checked in place, the snapshot's seal and Marshal header too
+   ([sealed_value]).  [checkpoint_frame ~snapshot] is the fold over them:
+   it applies [snapshot] to the checked snapshot bytes — open's decodes
+   nothing, a restore's decodes them. *)
+let checkpoint_frame ~snapshot st ~pos:_ ~kind b ~off ~len =
+  match st with
+  | `Start when kind = k_pos && len = 8 -> `Pos (Int64.to_int (Bytes.get_int64_le b off))
+  | `Pos p when kind = k_ckpt && sealed_value b ~off ~len -> `Snapshot (p, snapshot b ~off)
+  | `Start | `Pos _ | `Snapshot _ | `Bad -> `Bad
+
+(* The file's stable length at save and what [frame] made of its
+   snapshot; [None] if it is unreadable, torn, corrupt or in another
+   layout (the single frame of the layout before the position frame). *)
+let decode_checkpoint (fs : Fs.t) ?buf path ~frame =
+  match fold_file fs ?buf path ~init:`Start ~f:frame with
+  | `Snapshot (p, c), _, Codec.Clean when p >= 0 -> Some (p, c)
+  | (`Start | `Pos _ | `Snapshot _ | `Bad), _, _ -> None
+  | exception (Sys_error _ | Failure _ | Invalid_argument _ | End_of_file) -> None
 
 (* Append one record to the synchronous area.  Writes of protocol data
    (announcements, incarnation) are fsynced and counted by the callers in
@@ -118,7 +160,8 @@ let meters =
       ( c "storage_degraded_flushes_total",
         c "storage_slowed_fsyncs_total",
         c "storage_sync_writes_total",
-        c "storage_flushes_total" ))
+        c "storage_flushes_total",
+        c "storage_checkpoint_bytes_total" ))
 
 let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
@@ -127,77 +170,84 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
     fs.readdir dir
     |> List.filter (fun name ->
            name = "sync.dat"
-           || Filename.check_suffix name ".dat"
-              && (String.length name >= 4 && String.sub name 0 4 = "seg-"
-                 || String.length name >= 5 && String.sub name 0 5 = "ckpt-"))
+           || String.ends_with ~suffix:".dat" name
+              && (String.starts_with ~prefix:"seg-" name
+                 || String.starts_with ~prefix:"ckpt-" name))
   in
   let fresh = pre_existing = [] in
   let sync_file = sync_path dir in
   let sync_missing = (not fresh) && not (fs.exists sync_file) in
+  (* Every file is streamed through this one frame buffer, each frame
+     checked where it lies: no file is read whole, and no record or
+     snapshot is copied or decoded except the few integers of the store
+     metadata. *)
+  let buf = Codec.buffer () in
   (* Synchronous area first: it holds the metadata (base, length witness)
-     that interprets the rest.  Folded one record at a time; only the
-     metadata is kept.  A record whose seal or Marshal header is damaged
-     (in a way the frame CRC happened to miss, or after version skew) is
-     dropped and its bytes counted — reported damage, never a crash and
-     never silent acceptance. *)
+     that interprets the rest.  Only the metadata is kept.  A record whose
+     seal or Marshal header is damaged (in a way the frame CRC happened to
+     miss, or after version skew) is dropped and its bytes counted —
+     reported damage, never a crash and never silent acceptance. *)
   let sync_records = ref 0 in
   let sync_bytes_dropped = ref 0 in
   let inc = ref 0 in
-  let witness_len = ref None in
+  let witness_len = ref (-1) in
   let logical_base = ref 0 in
-  let absorb_sync () kind payload =
-    incr sync_records;
-    let absorb f = match of_bin_opt payload with
-      | Some v -> f v
-      | None ->
-        sync_bytes_dropped :=
-          !sync_bytes_dropped + String.length payload + Codec.header_bytes
-    in
-    if kind = k_ann then absorb ignore
-    else if kind = k_inc then absorb (fun (i : int) -> inc := i)
-    else if kind = k_len then absorb (fun (w : int) -> witness_len := Some w)
-    else if kind = k_base then absorb (fun (b : int) -> logical_base := b)
+  let dropped len = sync_bytes_dropped := !sync_bytes_dropped + len + Codec.header_bytes in
+  let absorb r b ~off ~len =
+    if not (sealed_value b ~off ~len) then dropped len
+    else
+      match value_at b ~off with
+      | v -> r := v
+      | exception (Failure _ | Invalid_argument _ | End_of_file) -> dropped len
   in
-  (if fs.exists sync_file then begin
-     let contents = fs.read sync_file in
-     let (), valid_bytes, _ = Codec.fold contents ~init:() ~f:absorb_sync in
-     if valid_bytes < String.length contents then begin
-       sync_bytes_dropped :=
-         !sync_bytes_dropped + String.length contents - valid_bytes;
-       fs.truncate sync_file valid_bytes
-     end
-   end);
-  (* Message log.  An undecodable record breaks the gap-free prefix the
-     log promises, so recovery truncates there — the suffix is counted as
-     dropped bytes, exactly like a torn tail.  Each record is decoded once
-     to check it and then dropped: reads go back to the segments
-     ([fold_log_from]). *)
+  let absorb_sync () ~pos:_ ~kind b ~off ~len =
+    incr sync_records;
+    if kind = k_ann then (if not (sealed_value b ~off ~len) then dropped len)
+    else if kind = k_inc then absorb inc b ~off ~len
+    else if kind = k_len then absorb witness_len b ~off ~len
+    else if kind = k_base then absorb logical_base b ~off ~len
+  in
+  let sync_checked =
+    if fs.exists sync_file then begin
+      let size, ((), valid_bytes, _) =
+        fs.read_with sync_file (fun size input ->
+            (size, Codec.fold_input ~buf ~size ~input ~init:() ~f:absorb_sync ()))
+      in
+      if valid_bytes < size then begin
+        sync_bytes_dropped := !sync_bytes_dropped + size - valid_bytes;
+        fs.truncate sync_file valid_bytes
+      end;
+      valid_bytes
+    end
+    else 0
+  in
+  (* Message log.  A record that fails its seal or Marshal header breaks
+     the gap-free prefix the log promises, so recovery truncates there —
+     the suffix is counted as dropped bytes, exactly like a torn tail.
+     Records are checked in place and not kept: reads go back to the
+     segments ([fold_log_from]). *)
   let log, recovered =
-    Segment_log.open_ ~fs ~dir ?segment_bytes
-      ~valid:(fun p -> Option.is_some (of_bin_opt p))
-      ()
+    Segment_log.open_ ~fs ~dir ?segment_bytes ~valid:sealed_value ()
   in
   let recovered_log = Segment_log.next_index log - recovered.Segment_log.first in
   let stable_len = Segment_log.next_index log in
-  let missing =
-    match !witness_len with
-    | Some w when w > stable_len -> w - stable_len
-    | Some _ | None -> 0
-  in
+  let missing = Int.max 0 (!witness_len - stable_len) in
   (* Checkpoints: each its own file; drop torn/corrupt ones and any whose
      saved stable length exceeds the recovered log (its replay suffix is
-     gone, an older checkpoint still covers the surviving prefix). *)
-  let ckpt_seqs =
-    List.filter_map parse_ckpt pre_existing
-    |> List.sort compare
-  in
+     gone, an older checkpoint still covers the surviving prefix).  The
+     length is the file's first frame; the snapshot is checked, never
+     decoded. *)
+  let ckpt_seqs = Array.of_list (List.filter_map parse_ckpt pre_existing) in
+  Array.sort Int.compare ckpt_seqs;
   let ckpts = ref [] (* newest first *) in
   let ckpts_dropped = ref 0 in
-  List.iter
+  let prefix = Filename.concat dir "ckpt-" in
+  let checked = checkpoint_frame ~snapshot:(fun _ ~off:_ -> ()) in
+  Array.iter
     (fun seq ->
-      let path = ckpt_path dir seq in
-      match (decode_checkpoint fs path : (int * _) option) with
-      | Some (log_pos, _) when log_pos <= stable_len -> ckpts := seq :: !ckpts
+      let path = Fs.numbered prefix seq in
+      match decode_checkpoint fs ~buf path ~frame:checked with
+      | Some (log_pos, ()) when log_pos <= stable_len -> ckpts := seq :: !ckpts
       | Some _ | None ->
         incr ckpts_dropped;
         fs.unlink path)
@@ -216,7 +266,7 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
       sync_area_missing = sync_missing;
     }
   in
-  let degraded_flushes, slowed_fsyncs, sync_writes, flushes =
+  let degraded_flushes, slowed_fsyncs, sync_writes, flushes, ckpt_bytes =
     Obs.Registry.group obs meters
   in
   let t =
@@ -228,7 +278,7 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
       base = max !logical_base (Segment_log.first_index log);
       volatile = Queue.create ();
       ckpts = !ckpts;
-      ckpt_seq = 1 + List.fold_left (fun m s -> max m s) (-1) ckpt_seqs;
+      ckpt_seq = 1 + Array.fold_left max (-1) ckpt_seqs;
       inc = !inc;
       disk_full = 0;
       slow_fsync = None;
@@ -237,7 +287,9 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
       slowed_fsyncs;
       sync_writes;
       flushes;
+      ckpt_bytes;
       sync_file = fs.open_append sync_file;
+      sync_checked;
       alive = true;
       gc = Group_commit.create ~obs ();
       report;
@@ -355,7 +407,7 @@ let fold_log t ~pos ~init ~f =
   guard t;
   if pos < t.base || pos > t.stable_len then
     invalid_arg "Durable_store.stable_log_from: position out of range";
-  Segment_log.fold_from t.log ~pos ~decode:of_bin_opt ~init ~f
+  Segment_log.fold_from t.log ~pos ~decode:decode_opt ~init ~f
 
 let fold_log_from t ~pos ~init ~f = with_lock t (fun () -> fold_log t ~pos ~init ~f)
 
@@ -402,9 +454,14 @@ let save_checkpoint t c =
       guard t;
       let seq = t.ckpt_seq in
       t.ckpt_seq <- seq + 1;
-      Fs.write_file t.fs (ckpt_path t.root seq)
-        (Codec.encode ~kind:k_ckpt (to_bin (t.stable_len, c)));
+      let pos = Bytes.create 8 in
+      Bytes.set_int64_le pos 0 (Int64.of_int t.stable_len);
+      let b = Buffer.create 256 in
+      Codec.encode_into b ~kind:k_pos (Bytes.unsafe_to_string pos);
+      Codec.encode_into b ~kind:k_ckpt (to_bin c);
+      Fs.write_file t.fs (ckpt_path t.root seq) (Buffer.contents b);
       t.ckpts <- seq :: t.ckpts;
+      Obs.Counter.add t.ckpt_bytes (Buffer.length b);
       Obs.Counter.incr t.sync_writes)
 
 (* A snapshot read back from its file.  Open-time recovery kept only
@@ -413,7 +470,7 @@ let save_checkpoint t c =
 let read_checkpoint t seq =
   guard t;
   let path = ckpt_path t.root seq in
-  match decode_checkpoint t.fs path with
+  match decode_checkpoint t.fs path ~frame:(checkpoint_frame ~snapshot:value_at) with
   | Some (_, c) -> c
   | None -> failwith ("Durable_store: checkpoint no longer decodes: " ^ path)
 
@@ -470,20 +527,27 @@ let log_announcement t a =
       sync_put t ~kind:k_ann (to_bin a);
       Obs.Counter.incr t.sync_writes)
 
-(* The announcements read back from sync.dat, oldest first.  Open
-   truncated any torn or corrupt tail and counted the records whose seal
-   or Marshal header failed; those are the only ones that do not decode
-   (every record written since decodes), and they are skipped here.  A
-   frame anomaly found now is damage after open: reported, never answered
-   with a shorter list. *)
+(* The announcements read back from sync.dat, oldest first, streamed.
+   Open truncated any torn or corrupt tail and counted the records in the
+   bytes it checked whose seal or Marshal header failed; those records,
+   found by the same predicate, are skipped here.  Anything else that does
+   not decode, and a frame anomaly, is damage after open or a format bug:
+   reported with its byte offset, never answered with a shorter list. *)
 let read_announcements t =
   guard t;
   let path = sync_path t.root in
+  let undecodable pos =
+    failwith (Printf.sprintf "Durable_store: %s: undecodable record at byte %d" path pos)
+  in
   let anns, valid_bytes, tail =
-    Codec.fold (t.fs.read path) ~init:[] ~f:(fun acc kind payload ->
-        if kind = k_ann then
-          match of_bin_opt payload with Some a -> a :: acc | None -> acc
-        else acc)
+    fold_file t.fs path ~init:[] ~f:(fun acc ~pos ~kind b ~off ~len ->
+        if kind <> k_ann then acc
+        else if sealed_value b ~off ~len then
+          match value_at b ~off with
+          | a -> a :: acc
+          | exception (Failure _ | Invalid_argument _ | End_of_file) -> undecodable pos
+        else if pos < t.sync_checked then acc
+        else undecodable pos)
   in
   if tail <> Codec.Clean then
     failwith
@@ -514,6 +578,8 @@ let compact_sync t ~keep =
     t.fs.rename tmp path;
     t.sync_file.close ();
     t.sync_file <- t.fs.open_append path;
+    (* Every record left decodes: none is one open counted. *)
+    t.sync_checked <- 0;
     Obs.Counter.incr t.sync_writes
   end;
   dropped

@@ -28,12 +28,13 @@
       fsync, not N.  The segments are the only copy of the flushed
       records: the store keeps none in memory and reads them back from the
       files when asked, one record at a time ({!fold_log_from});
-    - each {b checkpoint} is its own [ckpt-<seq>.dat] file holding one
-      checksummed record: the pair (stable length at save time, snapshot);
-      the length lets open-time recovery reject checkpoints that point past
-      a log whose tail was lost.  The store keeps only the file sequence
-      numbers and reads a snapshot back from its file when asked, one
-      file at a time ({!checkpoints} is a lazy sequence);
+    - each {b checkpoint} is its own [ckpt-<seq>.dat] file of two
+      checksummed frames: the stable length at save time (8 bytes), then
+      the snapshot; the length lets open-time recovery reject checkpoints
+      that point past a log whose tail was lost without decoding the
+      snapshot.  The store keeps only the file sequence numbers and reads
+      a snapshot back from its file when asked, one file at a time
+      ({!checkpoints} is a lazy sequence);
     - the {b synchronous area} is [sync.dat], an append-only record
       stream, fsynced when it carries protocol data (announcements, the
       incarnation counter), which the store keeps none of in memory: it
@@ -60,10 +61,14 @@
 
     Open-time recovery scans everything, truncates torn or corrupt tails,
     drops unusable checkpoints and reports what it found in
-    {!open_report}.  It folds over the synchronous area, each log segment
-    and each checkpoint file one decoded record at a time and keeps only
-    the metadata above, so opening a store costs no memory that grows
-    with its history. *)
+    {!open_report}.  It streams the synchronous area, each log segment
+    and each checkpoint file once through one frame buffer
+    ({!Codec.fold_input}) and checks each frame where it lies: the frame
+    checksum, the seal's checksum and that the Marshal header's size is
+    the sealed length.  It decodes only the few integers of the store
+    metadata — no record, announcement or snapshot — and keeps only the
+    metadata above, so opening a store costs no memory that grows with
+    its history. *)
 
 type ('ckpt, 'log, 'ann) t
 
@@ -77,7 +82,9 @@ type open_report = {
           stable-length witness: records the store claimed stable (e.g.
           under a failing fsync) that did not survive *)
   recovered_checkpoints : int;
-  checkpoints_dropped : int;  (** corrupt, torn, or pointing past the log *)
+  checkpoints_dropped : int;
+      (** corrupt, torn, pointing past the log, or in another layout (the
+          earlier single-frame file) *)
   sync_records : int;
   sync_bytes_dropped : int;  (** synchronous-area tail truncated *)
   sync_area_missing : bool;
@@ -110,7 +117,8 @@ val open_ :
     plus the embedded group-commit coordinator's ({!Group_commit.create}).
     Defaults to a private registry.  All cells are bumped under the
     store's lock; {!sync_writes} reads under that same lock, so its
-    value is exact.  Note that get-or-create semantics mean a
+    value is exact.  [storage_checkpoint_bytes_total] counts the bytes
+    written to checkpoint files.  Note that get-or-create semantics mean a
     store reopened into the {e same} registry (a daemon respawning in
     process) continues the counters of its predecessor. *)
 
@@ -193,7 +201,8 @@ val save_checkpoint : ('ckpt, 'log, 'ann) t -> 'ckpt -> unit
     ({!flush_forced}), and counts one synchronous write. *)
 
 val latest_checkpoint : ('ckpt, 'log, 'ann) t -> 'ckpt option
-(** Read back from the newest checkpoint file.
+(** Read back from the newest checkpoint file: its snapshot is the only
+    one decoded.
     @raise Failure naming the file if it no longer decodes (damage after
     open). *)
 
@@ -224,11 +233,13 @@ val log_announcement : ('ckpt, 'log, 'ann) t -> 'ann -> unit
 (** Synchronous write (counted). *)
 
 val announcements : ('ckpt, 'log, 'ann) t -> 'ann list
-(** Oldest first, read back from [sync.dat] in one fold that keeps only
-    the announcements.  Records open-time recovery
-    reported as undecodable are skipped.
-    @raise Failure naming the file if a frame no longer checks (damage
-    after open). *)
+(** Oldest first, streamed back from [sync.dat] in one fold that keeps
+    only the announcements.  The records open-time recovery counted as
+    dropped (a failed seal or Marshal header in the bytes it checked) are
+    skipped.
+    @raise Failure naming the file and the byte offset if a frame no
+    longer checks, or any other record does not decode (damage after
+    open, or a format bug). *)
 
 val compact_sync : ('ckpt, 'log, 'ann) t -> keep:('ann -> bool) -> int
 (** Rewrite the synchronous area, keeping only the announcements [keep]

@@ -10,6 +10,7 @@ type t = {
   exists : string -> bool;
   size : string -> int;
   read : string -> string;
+  read_with : 'a. string -> (int -> (Bytes.t -> int -> int -> int) -> 'a) -> 'a;
   truncate : string -> int -> unit;
   unlink : string -> unit;
   rename : string -> string -> unit;
@@ -30,6 +31,12 @@ let unix_file fd =
     close = (fun () -> Unix.close fd);
   }
 
+let open_read path =
+  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error (e, _, _) ->
+    raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+  | fd -> fd
+
 let unix =
   {
     mkdir_p = Temp.mkdir_p;
@@ -42,25 +49,28 @@ let unix =
          against the minor heap, so the handful of reads a restart makes
          would force minor collections before the daemon's first batch. *)
       (fun path ->
-        match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-        | exception Unix.Unix_error (e, _, _) ->
-          raise (Sys_error (path ^ ": " ^ Unix.error_message e))
-        | fd ->
-          Fun.protect
-            ~finally:(fun () -> Unix.close fd)
-            (fun () ->
-              let len = (Unix.fstat fd).Unix.st_size in
-              let buf = Bytes.create len in
-              let rec fill pos =
-                if pos = len then pos
-                else
-                  match Unix.read fd buf pos (len - pos) with
-                  | 0 -> pos
-                  | n -> fill (pos + n)
-              in
-              let got = fill 0 in
-              if got = len then Bytes.unsafe_to_string buf
-              else Bytes.sub_string buf 0 got));
+        let fd = open_read path in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            let len = (Unix.fstat fd).Unix.st_size in
+            let buf = Bytes.create len in
+            let rec fill pos =
+              if pos = len then pos
+              else
+                match Unix.read fd buf pos (len - pos) with
+                | 0 -> pos
+                | n -> fill (pos + n)
+            in
+            let got = fill 0 in
+            if got = len then Bytes.unsafe_to_string buf
+            else Bytes.sub_string buf 0 got));
+    read_with =
+      (fun path k ->
+        let fd = open_read path in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () -> k (Unix.fstat fd).Unix.st_size (Unix.read fd)));
     truncate = Unix.truncate;
     unlink = Unix.unlink;
     rename = Unix.rename;
@@ -71,6 +81,20 @@ let unix =
       (fun path ->
         unix_file (Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644));
   }
+
+let numbered prefix n =
+  if n < 0 || n >= 1_000_000_000_000 then invalid_arg "Fs.numbered";
+  let p = String.length prefix in
+  let b = Bytes.make (p + 16) '0' in
+  Bytes.blit_string prefix 0 b 0 p;
+  let n = ref n and i = ref (p + 11) in
+  while !n > 0 do
+    Bytes.set b !i (Char.unsafe_chr (48 + (!n mod 10)));
+    n := !n / 10;
+    decr i
+  done;
+  Bytes.blit_string ".dat" 0 b (p + 12) 4;
+  Bytes.unsafe_to_string b
 
 let write_file fs ?(fsync = true) path s =
   let f = fs.create path in
@@ -107,11 +131,18 @@ module Mem = struct
       if parent <> path then mkdir_p t parent
     end
 
+  (* The entries directly under [dir]: a path that starts with [dir] and
+     a separator and has no separator after it.  Asked of every file in
+     the tree, so it allocates only the names it returns. *)
   let readdir t dir =
     if not (Hashtbl.mem t.dirs dir) then missing dir;
+    let n = String.length dir in
     let child path acc =
-      if Filename.dirname path = dir && path <> dir then Filename.basename path :: acc
-      else acc
+      match String.rindex path '/' with
+      | i when i = n && String.starts_with ~prefix:dir path ->
+        String.sub path (n + 1) (String.length path - n - 1) :: acc
+      | _ -> acc
+      | exception Not_found -> if dir = "." && path <> dir then path :: acc else acc
     in
     Hashtbl.fold (fun path _ acc -> child path acc) t.files []
     |> Hashtbl.fold (fun path () acc -> child path acc) t.dirs
@@ -156,6 +187,15 @@ module Mem = struct
       exists = (fun path -> Hashtbl.mem t.files path || Hashtbl.mem t.dirs path);
       size = (fun path -> Buffer.length (node t path).data);
       read = (fun path -> Buffer.contents (node t path).data);
+      read_with =
+        (fun path k ->
+          let data = (node t path).data in
+          let off = ref 0 in
+          k (Buffer.length data) (fun buf pos len ->
+              let n = Int.min len (Buffer.length data - !off) in
+              Buffer.blit data !off buf pos n;
+              off := !off + n;
+              n));
       truncate = truncate t;
       unlink =
         (fun path ->

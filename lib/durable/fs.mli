@@ -31,6 +31,13 @@ type t = {
   exists : string -> bool;
   size : string -> int;
   read : string -> string;  (** the whole file *)
+  read_with : 'a. string -> (int -> (Bytes.t -> int -> int -> int) -> 'a) -> 'a;
+      (** [read_with path k] opens [path] and runs [k size input]: [size] is
+          the file's length at open, and [input buf pos len] reads up to
+          [len] of the following bytes into [buf] at [pos], returning how
+          many it read, 0 at the end.  The file is closed when [k] returns
+          or raises.  The streaming read: nothing the size of the file is
+          allocated ({!Codec.fold_input}). *)
   truncate : string -> int -> unit;
   unlink : string -> unit;
   rename : string -> string -> unit;
@@ -44,6 +51,10 @@ val unix : t
 val mem : unit -> t
 (** A fresh, empty in-memory tree.  Holds no OS resource, so dropping it
     is enough to free it. *)
+
+val numbered : string -> int -> string
+(** [numbered prefix n] is [Printf.sprintf "%s%012d.dat" prefix n], built
+    in one allocation: a store opening over many files names each one. *)
 
 val write_file : t -> ?fsync:bool -> string -> string -> unit
 (** [write_file fs path s] replaces [path]'s contents with [s], fsyncing

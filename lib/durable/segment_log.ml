@@ -31,11 +31,11 @@ type recovered = {
   tail : Codec.tail;
 }
 
-let seg_path dir start = Filename.concat dir (Printf.sprintf "seg-%012d.dat" start)
+let seg_path dir start = Filename.concat dir (Fs.numbered "seg-" start)
 
 let parse_seg name =
-  if String.length name = 20 && String.sub name 0 4 = "seg-"
-     && Filename.check_suffix name ".dat"
+  if String.length name = 20 && String.starts_with ~prefix:"seg-" name
+     && String.ends_with ~suffix:".dat" name
   then int_of_string_opt (String.sub name 4 12)
   else None
 
@@ -46,17 +46,16 @@ let create_segment (fs : Fs.t) dir start =
   (fs.create path).close ();
   { start; path; count = 0; bytes = 0 }
 
-(* Open-time recovery, one segment in memory at a time: each segment is
-   folded record by record, counting what passes [valid], and the first
-   anomaly — a torn or corrupt frame, a rejected record, or a segment that
-   does not start where its predecessor ends — truncates the log there. *)
+(* Open-time recovery, one frame in memory at a time: each segment is
+   streamed frame by frame through one buffer, counting what passes
+   [valid] in place, and the first anomaly — a torn or corrupt frame, a
+   rejected record, or a segment that does not start where its predecessor
+   ends — truncates the log there. *)
 let open_ ~(fs : Fs.t) ~dir ?(segment_bytes = default_segment_bytes) ~valid () =
   fs.mkdir_p dir;
-  let starts =
-    fs.readdir dir
-    |> List.filter_map parse_seg
-    |> List.sort compare
-  in
+  let starts = Array.of_list (List.filter_map parse_seg (fs.readdir dir)) in
+  Array.sort Int.compare starts;
+  let prefix = Filename.concat dir "seg-" in
   let bytes_dropped = ref 0 in
   let segments_dropped = ref 0 in
   let tail = ref Codec.Clean in
@@ -66,10 +65,23 @@ let open_ ~(fs : Fs.t) ~dir ?(segment_bytes = default_segment_bytes) ~valid () =
     incr segments_dropped;
     fs.unlink path
   in
-  let exception Rejected of int * int in
-  List.iter
+  let buf = Codec.buffer () in
+  (* One closure pair for every segment: per segment, open allocates its
+     name, its descriptor's reader and its entry, and nothing per record. *)
+  let count = ref 0 in
+  let exception Rejected of int in
+  let check () ~pos ~kind:_ b ~off ~len =
+    if valid b ~off ~len then incr count else raise (Rejected pos)
+  in
+  let scan size input =
+    count := 0;
+    match Codec.fold_input ~buf ~size ~input ~init:() ~f:check () with
+    | (), valid_bytes, seg_tail -> (size, valid_bytes, seg_tail)
+    | exception Rejected pos -> (size, pos, Codec.Corrupt_tail)
+  in
+  Array.iter
     (fun start ->
-      let path = seg_path dir start in
+      let path = Fs.numbered prefix start in
       if !tail <> Codec.Clean then drop path
       else
         match !kept with
@@ -80,22 +92,11 @@ let open_ ~(fs : Fs.t) ~dir ?(segment_bytes = default_segment_bytes) ~valid () =
           tail := Codec.Corrupt_tail;
           drop path
         | _ ->
-          let contents = fs.read path in
-          let count, valid_bytes, seg_tail =
-            match
-              Codec.fold contents ~init:(0, 0) ~f:(fun (n, off) _ payload ->
-                  if valid payload then
-                    (n + 1, off + Codec.header_bytes + String.length payload)
-                  else raise (Rejected (n, off)))
-            with
-            | (n, _), valid_bytes, seg_tail -> (n, valid_bytes, seg_tail)
-            | exception Rejected (n, off) -> (n, off, Codec.Corrupt_tail)
-          in
-          kept := { start; path; count; bytes = valid_bytes } :: !kept;
+          let size, valid_bytes, seg_tail = fs.read_with path scan in
+          kept := { start; path; count = !count; bytes = valid_bytes } :: !kept;
           if seg_tail <> Codec.Clean then begin
             tail := seg_tail;
-            bytes_dropped :=
-              !bytes_dropped + (String.length contents - valid_bytes);
+            bytes_dropped := !bytes_dropped + (size - valid_bytes);
             fs.truncate path valid_bytes
           end)
     starts;
@@ -178,32 +179,39 @@ let fail ~op s i reason =
   failwith (Printf.sprintf "Segment_log.%s: %s: record %d: %s" op s.path i reason)
 
 (* Fold [f] over the records of segment [s], oldest first, each with its
-   logical index, scanned from byte 0 (the log keeps no per-record
-   offsets; a segment is at most [segment_bytes] plus one record).
-   Appends are whole O_APPEND writes made under the caller's lock, so
-   everything appended — synced or not — is readable from the file.
-   Fails naming the record where the file stops matching what was
-   written. *)
-let fold_segment t ~op s ~init ~f =
-  let (n, acc), _, _ =
-    Codec.fold (t.fs.read s.path) ~init:(0, init) ~f:(fun (i, acc) _ payload ->
-        (i + 1, f acc (s.start + i) payload))
+   logical index and its payload in place in [buf], streamed from byte 0
+   (the log keeps no per-record offsets; a segment is at most
+   [segment_bytes] plus one record).  Appends are whole O_APPEND writes
+   made under the caller's lock, so everything appended — synced or not —
+   is readable from the file.  Fails naming the record where the file
+   stops matching what was written. *)
+let fold_segment t ~op ~buf s ~init ~f =
+  let n = ref 0 in
+  let acc, _, _ =
+    t.fs.read_with s.path (fun size input ->
+        Codec.fold_input ~buf ~size ~input ~init
+          ~f:(fun acc ~pos:_ ~kind:_ b ~off ~len ->
+            let i = s.start + !n in
+            incr n;
+            f acc i b ~off ~len)
+          ())
   in
-  if n < s.count then fail ~op s (s.start + n) "bad magic, checksum or length";
+  if !n < s.count then fail ~op s (s.start + !n) "bad magic, checksum or length";
   acc
 
 let fold_from t ~pos ~decode ~init ~f =
   guard t "fold_from";
   if pos < first_index t || pos > next_index t then
     invalid_arg "Segment_log.fold_from: position out of range";
+  let buf = Codec.buffer () in
   List.fold_left
     (fun acc s ->
       if s.count = 0 || s.start + s.count <= pos then acc
       else
-        fold_segment t ~op:"fold_from" s ~init:acc ~f:(fun acc i payload ->
+        fold_segment t ~op:"fold_from" ~buf s ~init:acc ~f:(fun acc i b ~off ~len ->
             if i < pos then acc
             else
-              match decode payload with
+              match decode b ~off ~len with
               | Some v -> f acc i v
               | None -> fail ~op:"fold_from" s i "undecodable payload"))
     init t.segs
@@ -241,9 +249,9 @@ let truncate_after t ~keep =
     t.closed_unsynced <- List.remove_assoc cur.path t.closed_unsynced;
     (if keep < cur.start + cur.count then begin
        let off =
-         fold_segment t ~op:"truncate_after" cur ~init:0 ~f:(fun off j payload ->
-             if j < keep then off + Codec.header_bytes + String.length payload
-             else off)
+         fold_segment t ~op:"truncate_after" ~buf:(Codec.buffer ()) cur ~init:0
+           ~f:(fun off j _ ~off:_ ~len ->
+             if j < keep then off + Codec.header_bytes + len else off)
        in
        t.fs.truncate cur.path off;
        cur.count <- keep - cur.start;

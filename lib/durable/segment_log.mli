@@ -8,9 +8,9 @@
     and are made durable in batches by {!sync}, which is the physical face
     of the paper's [flush] operation.
 
-    Open-time recovery folds over every segment in order, one segment
-    file and one decoded record in memory at a time, and stops at the
-    first anomaly — a torn frame, a checksum mismatch, a record the
+    Open-time recovery streams every segment in order, one frame in
+    memory at a time and checked where it lies, and stops at the first
+    anomaly — a torn frame, a checksum mismatch, a record the
     caller's validity check rejects, or a segment whose record count does
     not meet the next segment's start index.  Everything from the anomaly
     onward is truncated (later segments deleted), so the recovered log is
@@ -40,13 +40,13 @@ val open_ :
   fs:Fs.t ->
   dir:string ->
   ?segment_bytes:int ->
-  valid:(string -> bool) ->
+  valid:(Bytes.t -> off:int -> len:int -> bool) ->
   unit ->
   t * recovered
 (** Open (creating if needed) the segment log in [dir] of [fs].  [segment_bytes]
     (default 64 KiB) is the size threshold past which appends rotate to a
     new segment.  [valid] is asked of each well-framed payload in log
-    order; the first one it rejects ends the recovered log, exactly like a
+    order, in place ([len] bytes from [off], valid only during the call); the first one it rejects ends the recovered log, exactly like a
     corrupt frame.  The recovered records are [first] .. [next_index - 1]. *)
 
 val append : t -> string -> int
@@ -56,17 +56,17 @@ val append : t -> string -> int
 val fold_from :
   t ->
   pos:int ->
-  decode:(string -> 'a option) ->
+  decode:(Bytes.t -> off:int -> len:int -> 'a option) ->
   init:'acc ->
   f:('acc -> int -> 'a -> 'acc) ->
   'acc
 (** Fold [f] over the records at logical indices [pos] .. [next_index - 1],
     oldest first, each payload mapped through [decode] and passed with its
-    index.  Read back from the segment files one segment at a time: the
-    log keeps neither payloads nor per-record byte offsets in memory, so
-    the segment holding [pos] is scanned from byte 0 (at most
-    [segment_bytes] plus one record), and only one decoded record is live
-    besides what [f] keeps.  Appended records are readable before their
+    index.  Streamed from the segment files through one frame buffer
+    ({!Codec.fold_input}): the log keeps neither payloads nor per-record
+    byte offsets in memory, so the segment holding [pos] is scanned from
+    byte 0, segments wholly below [pos] are not read, and [decode] sees
+    only the records from [pos] on, in place.  Appended records are readable before their
     {!sync}.  An exception raised by [f] stops the fold.
     @raise Failure naming the segment file and the record's logical index
     if a record fails its checksum, is cut short, or [decode] rejects it:
@@ -74,7 +74,8 @@ val fold_from :
     @raise Invalid_argument if [pos] is outside
     [[first_index, next_index]]. *)
 
-val read_from : t -> pos:int -> decode:(string -> 'a option) -> 'a list
+val read_from :
+  t -> pos:int -> decode:(Bytes.t -> off:int -> len:int -> 'a option) -> 'a list
 (** {!fold_from} into a list, oldest first; raises like it. *)
 
 val sync : t -> unit

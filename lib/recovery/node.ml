@@ -165,6 +165,10 @@ type member_state = {
 
 type assembly = { members : (int * Entry.t, member_state) Hashtbl.t }
 
+(* A delivery whose interval may still be rolled back: its identity, the
+   interval it started and its channel position. *)
+type delivery = { dl_interval : Entry.t; dl_epoch : int; dl_cseq : int }
+
 type ('state, 'msg) ckpt = {
   ck_current : Entry.t;
   ck_tdv : (int * Entry.t) list;
@@ -179,13 +183,16 @@ type ('state, 'msg) ckpt = {
          restarted sender can retransmit (footnote 3's "senders' volatile
          logs" must survive the sender's own crash once the send interval
          is absorbed into a checkpoint). *)
+  ck_stubs : Wire.stubs;
+      (* the committed duplicate-suppression state at save time, in the
+         form Gc_stubs persists: channel runs, held identities, floors *)
+  ck_open : (Wire.identity * delivery) list;
+      (* the deliveries not yet known committed at save time.  With
+         [ck_stubs] they stand for every delivery before [ck_log_pos], so
+         a restart reads the log from there only *)
 }
 
 (* --- Duplicate suppression ----------------------------------------- *)
-
-(* A delivery whose interval may still be rolled back: its identity, the
-   interval it started and its channel position. *)
-type delivery = { dl_interval : Entry.t; dl_epoch : int; dl_cseq : int }
 
 (* One of the process's own checkpoints from the anchor on: its interval,
    its dependency vector and the least interval index anything it saved
@@ -625,6 +632,12 @@ let fold_committed t =
     commit_upto t anchor.cp_interval
   | Some _ | None -> ()
 
+(* Channel runs and every floor heard, in the form Gc_stubs persists. *)
+let runs_of chans =
+  List.sort compare (Hashtbl.fold (fun (o, e) r acc -> (o, e, Seq_set.runs r) :: acc) chans [])
+
+let heard_floors t = Hashtbl.fold (fun j fs acc -> List.map (fun f -> (j, f)) fs @ acc) t.floors []
+
 (* Collected deliveries in the compact form Gc_stubs persists: folded ones
    as runs per channel, the rest by identity. *)
 let stubs_of t msgs =
@@ -640,14 +653,31 @@ let stubs_of t msgs =
         Hashtbl.replace runs key (Seq_set.add m.cseq r))
     msgs;
   {
-    Wire.gs_runs =
-      List.sort compare
-        (Hashtbl.fold (fun (o, e) r acc -> (o, e, Seq_set.runs r) :: acc) runs []);
+    Wire.gs_runs = runs_of runs;
     gs_exact = !exact;
-    gs_floors =
-      (t.pid, floor_of t t.pid)
-      :: Hashtbl.fold (fun j fs acc -> List.map (fun f -> (j, f)) fs @ acc) t.floors [];
+    gs_floors = (t.pid, floor_of t t.pid) :: heard_floors t;
   }
+
+let no_stubs = { Wire.gs_runs = []; gs_exact = []; gs_floors = [] }
+
+(* The whole committed state in the same form, for a checkpoint. *)
+let committed_stubs t =
+  {
+    Wire.gs_runs = runs_of t.chans;
+    gs_exact = Hashtbl.fold (fun id (epoch, cseq) acc -> (id, epoch, cseq) :: acc) t.held [];
+    gs_floors = heard_floors t;
+  }
+
+(* Take in persisted stubs — a Gc_stubs record's or a checkpoint's. *)
+let absorb_stubs t (gs : Wire.stubs) =
+  List.iter
+    (fun (origin, epoch, runs) ->
+      let key = (origin, epoch) in
+      let s = Option.value (Hashtbl.find_opt t.chans key) ~default:Seq_set.empty in
+      Hashtbl.replace t.chans key (List.fold_left (Fun.flip Seq_set.add_run) s runs))
+    gs.gs_runs;
+  List.iter (fun (id, epoch, cseq) -> Hashtbl.replace t.held id (epoch, cseq)) gs.gs_exact;
+  List.iter (fun (j, f) -> note_floor t j f) gs.gs_floors
 
 (* Below the floor every send was released and acked and every output
    committed, so the tables that say so keep nothing there.  A rollback
@@ -1244,7 +1274,9 @@ let apply_marker t ((entry : Entry.t), _pos) =
   t.out_idx <- 0
 
 (* "Each process execution can be considered as starting with an initial
-   checkpoint" (Corollary 3): interval (0,1) in the app's initial [state]. *)
+   checkpoint" (Corollary 3): interval (0,1) in the app's initial [state].
+   Its empty stubs at the log base leave a restart from it to re-seed
+   duplicate suppression from the whole surviving log. *)
 let initial_checkpoint t state =
   {
     ck_current = Entry.initial;
@@ -1254,6 +1286,8 @@ let initial_checkpoint t state =
     ck_sends = [];
     ck_outs = [];
     ck_archive = [];
+    ck_stubs = no_stubs;
+    ck_open = [];
   }
 
 let commit_point ck =
@@ -1821,12 +1855,24 @@ let do_checkpoint t ~now =
       ck_sends = sends;
       ck_outs = outs;
       ck_archive = Archive.newest_first t.archive;
+      ck_stubs = no_stubs;
+      ck_open = [];
     }
   in
   (* Direct tracking never folds: do not let its checkpoints pile up. *)
   if (proto t).tracking = Config.Transitive then t.ckpts <- commit_point ck :: t.ckpts;
   fold_committed t;
   if (proto t).gc_logs then run_gc t;
+  (* The duplicate-suppression state as this checkpoint's fold left it
+     covers every delivery before its log position; direct tracking never
+     folds, so its checkpoints carry every delivery as open. *)
+  let ck =
+    {
+      ck with
+      ck_stubs = committed_stubs t;
+      ck_open = Hashtbl.fold (fun id dl acc -> (id, dl) :: acc) t.delivered [];
+    }
+  in
   Store.save_checkpoint t.store ck;
   if (proto t).gc_logs && ck.ck_tdv = [] then
     (* the state just checkpointed is itself a clean anchor *)
@@ -1845,16 +1891,18 @@ let do_checkpoint t ~now =
    its predecessor halted on, so every volatile field is already at its
    initial value.  Rebuild durable knowledge from the synchronous area
    (announcements we logged — ours and others' — committed outputs,
-   incarnation markers, per-partition checkpoints),
-   locate the full checkpoint to rebuild from, and make one streamed pass
-   over the stable log that re-seeds the duplicate-suppression table,
-   finds the highest incarnation and keeps only the records from the
-   checkpoint on.  Returns the checkpoint and the surviving per-partition
-   checkpoint candidates (latest record per partition, invalidated by any
-   later marker that truncated below its covered prefix), together with
-   the synchronous area and that log suffix.  A durable store answers
-   both from its files, so the prologue reads each once and the rest of
-   the restart reuses them. *)
+   incarnation markers, per-partition checkpoints), locate the full
+   checkpoint to rebuild from, take in the duplicate-suppression state it
+   saved, and make one streamed pass over the stable log from its
+   position that re-seeds the deliveries after it and finds the highest
+   incarnation.  Nothing before the checkpoint's position is read: its
+   deliveries are in its stubs and open entries, and their incarnations
+   are at most its interval's.  Returns the checkpoint and the surviving
+   per-partition checkpoint candidates (latest record per partition,
+   invalidated by any later marker that truncated below its covered
+   prefix), together with the synchronous area and that log suffix.  A
+   durable store answers both from its files, so the prologue reads each
+   once and the rest of the restart reuses them. *)
 let restart_prologue t =
   Obs.Counter.incr t.meters.restarts;
   let parts =
@@ -1878,18 +1926,7 @@ let restart_prologue t =
       | Wire.Ann_logged ann -> absorb_ann t ~persist:false ann
       | Wire.Committed oid ->
         if oid.out_interval.sii >= t.floor then Hashtbl.replace t.committed_ids oid ()
-      | Wire.Gc_stubs gs ->
-        List.iter
-          (fun (origin, epoch, runs) ->
-            let key = (origin, epoch) in
-            let s = Option.value (Hashtbl.find_opt t.chans key) ~default:Seq_set.empty in
-            Hashtbl.replace t.chans key
-              (List.fold_left (Fun.flip Seq_set.add_run) s runs))
-          gs.gs_runs;
-        List.iter
-          (fun (id, epoch, cseq) -> Hashtbl.replace t.held id (epoch, cseq))
-          gs.gs_exact;
-        List.iter (fun (j, f) -> note_floor t j f) gs.gs_floors
+      | Wire.Gc_stubs gs -> absorb_stubs t gs
       | Wire.Marker { log_pos; _ } ->
         (* A rollback truncated the log at [log_pos]: any partition
            checkpoint covering a longer prefix describes state that no
@@ -1912,6 +1949,8 @@ let restart_prologue t =
   t.ckpt_ops <- t.ckpt_ops + 1;
   t.ckpts <- [ commit_point ck ];
   t.folded_sii <- 0;
+  absorb_stubs t ck.ck_stubs;
+  List.iter (fun (id, dl) -> Hashtbl.replace t.delivered id dl) ck.ck_open;
   (* The failed incarnation is the highest number this process ever used,
      which every bump persisted as a marker (a logged interval still names
      one whose marker a damaged sync area lost).  The next one numbers
@@ -1926,15 +1965,11 @@ let restart_prologue t =
           -> acc)
       ck.ck_current.inc anns
   in
-  (* Deliveries that predate the checkpoint are stable and still valid;
-     their identities must survive into the duplicate-suppression table.
-     Only the records the rebuild replays are kept. *)
-  let base = Store.log_base t.store in
   (* GC never discards past the oldest retained checkpoint. *)
-  assert (ck.ck_log_pos >= base);
+  assert (ck.ck_log_pos >= Store.log_base t.store);
   let max_inc, suffix =
-    Store.fold_log_from t.store ~pos:base ~init:(max_inc, [])
-      ~f:(fun (max_inc, suffix) pos record ->
+    Store.fold_log_from t.store ~pos:ck.ck_log_pos ~init:(max_inc, [])
+      ~f:(fun (max_inc, suffix) _ record ->
         let max_inc =
           match record with
           | Delivery d ->
@@ -1942,7 +1977,7 @@ let restart_prologue t =
             Stdlib.max max_inc d.lg_interval.inc
           | Requeued _ -> max_inc
         in
-        (max_inc, if pos >= ck.ck_log_pos then record :: suffix else suffix))
+        (max_inc, record :: suffix))
   in
   t.epoch <- max_inc + 1;
   (ck, part_ck, anns, List.rev suffix)

@@ -107,11 +107,13 @@ let test_codec_scan_stops_at_torn_tail () =
 
 (* The segment log alone frames records: accept any payload. *)
 let open_seg ?segment_bytes dir =
-  Seg.open_ ~fs:Durable.Fs.unix ~dir ?segment_bytes ~valid:(fun _ -> true) ()
+  Seg.open_ ~fs:Durable.Fs.unix ~dir ?segment_bytes ~valid:(fun _ ~off:_ ~len:_ -> true) ()
+
+let payload b ~off ~len = Some (Bytes.sub_string b off len)
 
 (* What an open recovered, read back through the log. *)
 let recovered_payloads log =
-  Seg.read_from log ~pos:(Seg.first_index log) ~decode:Option.some
+  Seg.read_from log ~pos:(Seg.first_index log) ~decode:payload
 
 let test_segment_rotation_and_reopen () =
   with_dir (fun dir ->
@@ -163,7 +165,7 @@ let test_segment_read_skips_empty_newest () =
       List.iter
         (fun (pos, expected) ->
           Alcotest.(check (list string)) (Printf.sprintf "from %d" pos) expected
-            (Seg.read_from log2 ~pos ~decode:Option.some))
+            (Seg.read_from log2 ~pos ~decode:payload))
         [ (0, [ "first record"; "second record" ]); (1, [ "second record" ]); (2, []) ];
       Seg.close log2)
 
@@ -449,6 +451,47 @@ let test_store_read_back_damage_fails () =
       | files -> Alcotest.failf "expected one checkpoint file, got %d" (List.length files));
       D.kill s)
 
+(* [announcements] skips only the records open counted as dropped, found
+   by the same seal-and-header check.  A record whose seal is broken is
+   there at open and counted; a sealed record that is not a Marshal value,
+   appended after open, is damage open never saw: reading it back fails,
+   naming the file and the byte, and never answers with a shorter list. *)
+let k_ann = 0x41 (* the synchronous area's announcement kind *)
+
+let test_store_sync_undecodable_after_open_fails () =
+  let fs = Durable.Fs.mem () in
+  let sync = "store/sync.dat" in
+  let append frame =
+    let f = fs.open_append sync in
+    f.write frame;
+    f.close ()
+  in
+  let open_ () : (string, string, string) D.t * D.open_report = D.open_ ~fs ~dir:"store" () in
+  let s, _ = open_ () in
+  D.log_announcement s "ann-1";
+  D.kill s;
+  append (Codec.encode ~kind:k_ann "not sealed");
+  let s, r = open_ () in
+  Alcotest.(check int) "open counts the broken seal"
+    (2 * Codec.header_bytes + String.length "not sealed" - Codec.header_bytes)
+    r.D.sync_bytes_dropped;
+  D.log_announcement s "ann-2";
+  Alcotest.(check (list string)) "the counted record is skipped" [ "ann-1"; "ann-2" ]
+    (D.announcements s);
+  let at = fs.size sync in
+  append (Codec.encode ~kind:k_ann (Codec.seal "not a Marshal value"));
+  (match D.announcements s with
+  | anns -> Alcotest.failf "read back %d announcements past a bad record" (List.length anns)
+  | exception Failure msg ->
+    let names part =
+      let n = String.length part in
+      let rec at i = i + n <= String.length msg && (String.sub msg i n = part || at (i + 1)) in
+      at 0
+    in
+    Alcotest.(check bool) ("names the file: " ^ msg) true (names sync);
+    Alcotest.(check bool) ("names the byte: " ^ msg) true (names (Printf.sprintf "byte %d" at)));
+  D.kill s
+
 (* ------------------------------------------------------------------ *)
 (* Node: kill, then a fresh node over the same directory *)
 
@@ -666,36 +709,34 @@ let test_daemon_retention_flat () =
           dedup_per_op dedup_1k dedup_10k;
       Net.Trace_codec.close_writer writer)
 
-(* Restart reads its store back one record at a time: the log, the
-   synchronous area and the checkpoints are folded over, and what a
-   restart keeps is what the protocol retains on purpose — the identities
-   of the logged deliveries (duplicate suppression, until the first commit
-   folds them) and the log suffix after the newest checkpoint.  So the
-   words a restart promotes to the major heap grow by a bounded amount per
-   logged delivery: about 18, nearly all of it the duplicate-suppression
-   entry.  5,000 deliveries in ten-record flushes and a checkpoint every
-   250 make several 64 KiB segments and 21 checkpoint files; the newest
-   checkpoint leaves no suffix to replay.  A restart that read the whole
-   log into one list promoted 33 words per record, and with an open that
+(* Restart reads its store back one frame at a time, and what a restart
+   keeps is what the protocol retains on purpose — the duplicate-
+   suppression state its newest checkpoint saved, the identities of the
+   deliveries after it, and the log suffix after it.  So the words a
+   restart promotes to the major heap are bounded per logged delivery.
+   5,000 deliveries in ten-record flushes and a checkpoint every 250 make
+   several 64 KiB segments and 21 checkpoint files; the newest checkpoint
+   leaves no suffix to replay.  A restart that re-seeded duplicate
+   suppression from the whole log promoted about 18 words per record; one
+   that read the whole log into one list, 33, and with an open that
    collected every recovered payload, 55. *)
 let restart_records = 5_000
 
 let restart_words_per_record = 25.
 
-let logged_node ~fs ~store_dir () =
+let logged_node ?(records = restart_records) ?(every = 250) ~fs ~store_dir () =
   let config = quiet_counter_config () in
   let trace = Recovery.Trace.create () in
   let node =
     Node.create_on ~fs ~config ~pid:0 ~app:Counter.app ~store_dir ?obs:None ~trace
   in
-  for i = 1 to restart_records do
+  for i = 1 to records do
     let now = float_of_int i in
     ignore (Node.inject node ~now ~seq:i ~cseq:(i - 1) (Counter.Add i));
     if i mod 10 = 0 then ignore (Node.flush node ~now);
-    if i mod 250 = 0 then ignore (Node.checkpoint node ~now)
+    if i mod every = 0 then ignore (Node.checkpoint node ~now)
   done;
-  Alcotest.(check int) "every delivery logged" restart_records
-    (Node.stable_log_length node);
+  Alcotest.(check int) "every delivery logged" records (Node.stable_log_length node);
   (node, config, trace)
 
 (* Words promoted to the major heap while [f] runs, per logged record. *)
@@ -741,6 +782,157 @@ let test_restart_words_bounded () =
       respawn ~left_behind "on-disk halt + reopen + restart_begin" ~fs:Durable.Fs.unix
         ~store_dir:dir)
 
+(* A checkpoint file in the earlier single-frame layout — one frame
+   holding the pair (log position, snapshot) — is another format: open
+   drops it without decoding it and reports it, and the restart falls
+   back to the older checkpoint and replays the log from there. *)
+let test_single_frame_checkpoint_dropped () =
+  let fs = Durable.Fs.mem () in
+  let store_dir = "store" in
+  let config = quiet_counter_config () in
+  let trace = Recovery.Trace.create () in
+  let create () =
+    Node.create_on ~fs ~config ~pid:0 ~app:Counter.app ~store_dir ?obs:None ~trace
+  in
+  let node = create () in
+  for i = 1 to 30 do
+    let now = float_of_int i in
+    ignore (Node.inject node ~now ~seq:i ~cseq:(i - 1) (Counter.Add i));
+    if i mod 10 = 0 then ignore (Node.checkpoint node ~now)
+  done;
+  let before = Node.app_state node in
+  Node.halt node ~now:31.;
+  let newest =
+    fs.readdir store_dir
+    |> List.filter (fun f -> String.starts_with ~prefix:"ckpt-" f)
+    |> List.sort compare |> List.rev |> List.hd |> Filename.concat store_dir
+  in
+  Durable.Fs.write_file fs newest
+    (Codec.encode ~kind:0x43 (Codec.seal (Marshal.to_string (30, "snapshot") [])));
+  let fresh = create () in
+  let r = Node.storage_report fresh in
+  Alcotest.(check int) "single-frame file dropped" 1 r.D.checkpoints_dropped;
+  Alcotest.(check int) "older checkpoints kept" 3 r.D.recovered_checkpoints;
+  ignore (Node.restart fresh ~now:32.);
+  Alcotest.(check bool) "up" true (Node.is_up fresh);
+  Alcotest.(check bool) "state rebuilt from the older checkpoint" true
+    (Node.app_state fresh = before)
+
+(* A file system that counts the reads of each path, whole or streamed. *)
+let counting (fs : Durable.Fs.t) =
+  let reads = Hashtbl.create 64 in
+  let bump path =
+    Hashtbl.replace reads path (1 + Option.value (Hashtbl.find_opt reads path) ~default:0)
+  in
+  let read path =
+    bump path;
+    fs.read path
+  in
+  let read_with path k =
+    bump path;
+    fs.read_with path k
+  in
+  ( { fs with read; read_with },
+    (fun path -> Option.value (Hashtbl.find_opt reads path) ~default:0),
+    fun () -> Hashtbl.reset reads )
+
+(* A respawn reads its store once.  Open streams each file exactly once,
+   checking frames where they lie; the restart then reads the newest
+   checkpoint file — the one snapshot it decodes — the synchronous area,
+   and only the segments holding log records at or after that
+   checkpoint's position.  5,000 deliveries with a checkpoint every 250
+   leave 21 checkpoint files and several segments; 37 more make a suffix
+   to replay. *)
+let test_respawn_reads_store_once () =
+  let fs, reads, reset = counting (Durable.Fs.mem ()) in
+  let store_dir = "store" in
+  let node, config, trace = logged_node ~fs ~store_dir () in
+  for i = restart_records + 1 to restart_records + 37 do
+    ignore (Node.inject node ~now:(float_of_int i) ~seq:i ~cseq:(i - 1) (Counter.Add i))
+  done;
+  ignore (Node.flush node ~now:6_000.);
+  Node.halt node ~now:6_000.;
+  let files prefix =
+    fs.readdir store_dir
+    |> List.filter (fun f -> String.length f > 4 && String.sub f 0 4 = prefix)
+    |> List.sort compare
+    |> List.map (Filename.concat store_dir)
+  in
+  let segs = files "seg-" and ckpts = files "ckpt" in
+  Alcotest.(check bool) "several segments" true (List.length segs >= 3);
+  Alcotest.(check int) "every checkpoint kept" 21 (List.length ckpts);
+  let sync = Filename.concat store_dir "sync.dat" in
+  reset ();
+  let fresh = Node.create_on ~fs ~config ~pid:0 ~app:Counter.app ~store_dir ?obs:None ~trace in
+  List.iter
+    (fun path -> Alcotest.(check int) ("open reads " ^ path) 1 (reads path))
+    ((sync :: segs) @ ckpts);
+  reset ();
+  ignore (Node.restart_begin fresh ~now:6_001.);
+  Alcotest.(check bool) "up" true (Node.is_up fresh);
+  let newest = List.nth ckpts 20 in
+  List.iter
+    (fun path ->
+      Alcotest.(check int) ("restart reads " ^ path)
+        (if path = newest then 1 else 0)
+        (reads path))
+    ckpts;
+  Alcotest.(check int) "restart reads the synchronous area" 1 (reads sync);
+  (* segment [i] holds the records from its start to the next one's *)
+  let start path = int_of_string (String.sub (Filename.basename path) 4 12) in
+  List.iteri
+    (fun i path ->
+      let wholly_below =
+        match List.nth_opt segs (i + 1) with
+        | Some next -> start next <= restart_records
+        | None -> false
+      in
+      Alcotest.(check int) ("restart reads " ^ path)
+        (if wholly_below then 0 else 1)
+        (reads path))
+    segs;
+  Alcotest.(check int) "suffix replayed" (restart_records + 37)
+    (Node.stable_log_length fresh)
+
+(* The cost of a respawn follows the checkpoint suffix, not the history.
+   The same cadence over 5,000 and over 20,000 logged deliveries, and
+   the words a reopen + restart_begin allocates and promotes.  Promoted
+   words — what a respawn keeps — may grow by at most half.  The minor
+   words allocated grow only by what open spends per file: it lists and
+   checks every checkpoint and segment file once, ~100 words each, and
+   with GC off a checkpoint file accumulates per 250 deliveries and a
+   segment per ~490 (0.64 words per delivery here).  With a few thousand
+   fixed words per respawn that is more than half again over 15,000
+   deliveries, so the minor words are bounded per logged delivery
+   instead, at one word.  A restart that re-seeded duplicate suppression
+   from the whole log allocated and promoted about 20 words per delivery
+   more. *)
+let test_restart_cost_flat () =
+  let cost records =
+    let fs = Durable.Fs.mem () in
+    let node, config, trace = logged_node ~records ~fs ~store_dir:"store" () in
+    Node.halt node ~now:30_000.;
+    Gc.minor ();
+    let s0 = Gc.quick_stat () in
+    let fresh =
+      Node.create_on ~fs ~config ~pid:0 ~app:Counter.app ~store_dir:"store" ?obs:None ~trace
+    in
+    ignore (Node.restart_begin fresh ~now:30_001.);
+    Gc.minor ();
+    let s1 = Gc.quick_stat () in
+    Alcotest.(check bool) "up after restart" true (Node.is_up fresh);
+    (s1.Gc.minor_words -. s0.Gc.minor_words, s1.Gc.promoted_words -. s0.Gc.promoted_words)
+  in
+  let minor_5k, promoted_5k = cost 5_000 in
+  let minor_20k, promoted_20k = cost 20_000 in
+  if promoted_20k > 1.5 *. promoted_5k then
+    Alcotest.failf "promoted words per respawn grew from %.0f to %.0f" promoted_5k
+      promoted_20k;
+  let per_delivery = (minor_20k -. minor_5k) /. 15_000. in
+  if per_delivery > 1. then
+    Alcotest.failf "minor words per respawn grew from %.0f to %.0f, %.2f per delivery"
+      minor_5k minor_20k per_delivery
+
 let suite =
   [
     Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
@@ -775,11 +967,17 @@ let suite =
     Alcotest.test_case "store sync-area missing" `Quick test_store_sync_area_missing;
     Alcotest.test_case "store read-back of damage after open fails" `Quick
       test_store_read_back_damage_fails;
+    Alcotest.test_case "store sync record undecodable after open fails" `Quick
+      test_store_sync_undecodable_after_open_fails;
     Alcotest.test_case "node restarts from disk" `Quick test_node_restart_from_disk;
     Alcotest.test_case "node halt kills in-memory store" `Quick
       test_node_halt_in_memory;
     Alcotest.test_case "restart promotes bounded words per logged record" `Quick
       test_restart_words_bounded;
+    Alcotest.test_case "single-frame checkpoint dropped at open" `Quick
+      test_single_frame_checkpoint_dropped;
+    Alcotest.test_case "respawn reads its store once" `Quick test_respawn_reads_store_once;
+    Alcotest.test_case "restart cost flat as history grows" `Quick test_restart_cost_flat;
     Alcotest.test_case "daemon retention flat over history" `Quick
       test_daemon_retention_flat;
     Alcotest.test_case "cluster kill+respawn certified" `Slow

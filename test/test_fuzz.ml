@@ -422,6 +422,48 @@ let test_codec_stream_mutation_prefix =
       in
       is_prefix scan.Codec.records records)
 
+(* The streamed fold the store opens files with reads each frame in place
+   through a reusable buffer, in reads of any size: on any stream, intact,
+   torn or mutated, it must see the records, the valid prefix and the
+   tail the string fold sees.  Records up to 3 KB over reads of 1 to 97
+   bytes make the buffer both move its leftover bytes and grow. *)
+let test_codec_streamed_fold_eq_string_fold =
+  qtest ~count:500 "codec: streamed fold equals the string fold"
+    QCheck2.Gen.(
+      tup5
+        (list_size (int_range 0 6) (pair (int_bound 255) (string_size (int_bound 3_000))))
+        (int_bound 100_000) (int_range 0 255) bool (int_range 1 97))
+    (fun (records, off_seed, xor, tear, chunk) ->
+      let buf = Buffer.create 256 in
+      List.iter (fun (kind, payload) -> Codec.encode_into buf ~kind payload) records;
+      let whole = Buffer.contents buf in
+      let damaged =
+        if whole = "" then whole
+        else if tear then String.sub whole 0 (off_seed mod String.length whole)
+        else begin
+          let off = off_seed mod String.length whole in
+          let b = Bytes.of_string whole in
+          Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor xor));
+          Bytes.to_string b
+        end
+      in
+      let at = ref 0 in
+      let input b pos len =
+        let n = min (min len chunk) (String.length damaged - !at) in
+        Bytes.blit_string damaged !at b pos n;
+        at := !at + n;
+        n
+      in
+      let streamed, valid, tail =
+        Codec.fold_input ~size:(String.length damaged) ~input ~init:[]
+          ~f:(fun acc ~pos:_ ~kind b ~off ~len -> (kind, Bytes.sub_string b off len) :: acc)
+          ()
+      in
+      let scan = Codec.scan damaged in
+      List.rev streamed = scan.Codec.records
+      && valid = scan.Codec.valid_bytes
+      && tail = scan.Codec.tail)
+
 let suite =
   [
     test_fuzz_k0;
@@ -432,6 +474,7 @@ let suite =
     test_codec_roundtrip;
     test_codec_single_byte_mutation;
     test_codec_stream_mutation_prefix;
+    test_codec_streamed_fold_eq_string_fold;
     test_netmodel_zero_plan_equiv;
     test_netmodel_duplication_first_arrival;
     test_netmodel_counters_match_arrivals;

@@ -16,7 +16,11 @@
      is answered while another partition is still replaying; a Get parked
      on an unrecovered partition is answered only after that partition's
      replay completes — from the replayed state, never the pre-crash
-     (wiped) one. *)
+     (wiped) one.
+   - QCheck law: duplicate suppression survives a respawn that reads the
+     log only from its newest checkpoint on.  Every logged message offered
+     again — the same-channel copy and a re-release in a later epoch of its
+     sender — is dropped, and a message never logged still delivers. *)
 
 module Node = Recovery.Node
 module Trace = Recovery.Trace
@@ -278,6 +282,113 @@ let test_lost_marker_resync () =
         (Util.e ~inc:2 ~sii:11) (Node.current b.D.node);
       check_digests ~msg:"lost marker" a.D.node b.D.node)
 
+(* Duplicate suppression across respawns.  Process 1 is played by hand: it
+   sends a stream of Adds to process 0 over one channel, each from its own
+   interval and depending on it, and its notices mark every interval it
+   sent from stable and advertise the floor below which process 0 has
+   logged everything it sent.  That lets process 0's flushes, checkpoints
+   and notices fold deliveries into channel runs, so the checkpoint stubs
+   are what remembers them.  A respawn loses the deliveries not yet
+   logged; like a sender retransmitting what was never acked, the law
+   offers them again at once, and they must deliver. *)
+module Counter = App_model.Counter_app
+
+type dedup_op = Send | Flush | Checkpoint | Notice | Respawn
+
+let gen_dedup_op =
+  QCheck2.Gen.frequency
+    [
+      (6, QCheck2.Gen.pure Send);
+      (2, QCheck2.Gen.pure Flush);
+      (1, QCheck2.Gen.pure Checkpoint);
+      (2, QCheck2.Gen.pure Notice);
+      (1, QCheck2.Gen.pure Respawn);
+    ]
+
+let print_dedup_op = function
+  | Send -> "send"
+  | Flush -> "flush"
+  | Checkpoint -> "checkpoint"
+  | Notice -> "notice"
+  | Respawn -> "respawn"
+
+let law_dedup_survives_respawn =
+  QCheck_alcotest.to_alcotest
+  @@ QCheck2.Test.make ~count:150 ~name:"dedup survives a respawn from the newest checkpoint"
+       ~print:QCheck2.Print.(pair bool (list print_dedup_op))
+       QCheck2.Gen.(pair bool (list_size (int_range 1 60) gen_dedup_op))
+       (fun (gc_logs, ops) ->
+         let base =
+           Recovery.Config.k_optimistic ~timing:Util.quiet_timing ~n:2 ~k:1 ()
+         in
+         let config = { base with protocol = { base.protocol with gc_logs } } in
+         let d = D.make config Counter.app in
+         let next = ref 0 in
+         (* every message sent, oldest first, and whether it is logged *)
+         let sent = ref [] in
+         let msg i =
+           let sii = i + 1 in
+           let e = Util.e ~inc:0 ~sii in
+           D.app_msg ~cseq:i ~src:1 ~dst:0 ~send_interval:e ~dep:[ (1, e) ] (Counter.Add sii)
+         in
+         let offer m =
+           let count name = Util.metric d.D.node name in
+           let dup0 = count "duplicates_dropped" and del0 = count "deliveries" in
+           D.packet d (Recovery.Wire.App m);
+           (count "duplicates_dropped" - dup0, count "deliveries" - del0)
+         in
+         let expect what m (dup, del) =
+           let got = offer m in
+           if got <> (dup, del) then
+             QCheck2.Test.fail_reportf "%s %a: %d dropped, %d delivered (expected %d, %d)" what
+               Recovery.Wire.pp_identity m.Recovery.Wire.id (fst got) (snd got) dup del
+         in
+         let log_all () = sent := List.map (fun (m, _) -> (m, true)) !sent in
+         let respawn () =
+           D.restart d;
+           (* the unlogged deliveries died with the node: retransmitted *)
+           List.iter (fun (m, logged) -> if not logged then expect "lost" m (0, 1)) !sent
+         in
+         let floor () =
+           match List.find_opt (fun (_, logged) -> not logged) !sent with
+           | Some (m, _) -> m.Recovery.Wire.id.origin_interval.sii
+           | None -> !next + 1
+         in
+         List.iter
+           (function
+             | Send ->
+               let m = msg !next in
+               incr next;
+               sent := !sent @ [ (m, false) ];
+               expect "fresh" m (0, 1)
+             | Flush ->
+               D.flush d;
+               log_all ()
+             | Checkpoint ->
+               D.checkpoint d;
+               log_all ()
+             | Notice ->
+               D.packet d
+                 (Recovery.Wire.Notice
+                    {
+                      Recovery.Wire.from_ = 1;
+                      rows = (if !next = 0 then [] else [ (1, [ Util.e ~inc:0 ~sii:!next ]) ]);
+                      anns = [];
+                      floor = Util.e ~inc:0 ~sii:(floor ());
+                    })
+             | Respawn -> respawn ())
+           ops;
+         respawn ();
+         List.iteri
+           (fun i (m, logged) ->
+             if logged then begin
+               expect "same-channel copy of" m (1, 0);
+               expect "re-release of" { m with epoch = 1; cseq = 1_000 + i } (1, 0)
+             end)
+           !sent;
+         expect "never-sent" (msg !next) (0, 1);
+         true)
+
 let suite =
   [
     law_partitioned_eq_serial;
@@ -286,4 +397,5 @@ let suite =
       test_lost_marker_resync;
     Alcotest.test_case "on-demand timeline: serve early, park until replayed"
       `Quick test_on_demand_timeline;
+    law_dedup_survives_respawn;
   ]
