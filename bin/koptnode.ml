@@ -6,22 +6,28 @@
    The kvstore application is the workload (its multi-hop Put -> Replica
    chains exercise cross-process causality over the real network).
 
-   Single-ownership design: one main-loop thread owns the node; transport
-   reader threads, timer threads and control-connection threads only append
-   events to a mailbox.  Each wakeup drains the {e whole} mailbox and
-   processes it as one batch: actions are accumulated across the batch, the
-   trace file is synced once per batch {e before} any action reaches the
-   wire (so the persisted trace is always ahead of what peers have seen —
-   strictly stronger than the old per-event sync-after-dispatch), and if
-   the batch left gated sends or uncommitted outputs behind, a flush is run
-   immediately instead of waiting for the flush timer (the group-commit
-   layer in the durable store coalesces the resulting fsyncs).  Outgoing
-   application frames piggyback the node's current logging-progress notice
-   (frame kind 9), so stability news travels at data-traffic speed; the
-   notice timer remains the fallback for idle periods.  A SIGKILL loses at
-   most the batch being formatted — the deployment's merge step truncates
-   any torn tail and synthesises the missing [Crashed] event from the
-   successor's [Restarted].
+   Single-ownership design: the daemon is one thread, as the paper's
+   process is one piecewise-deterministic state machine.  Its loop waits
+   in one [Unix.select] on nonblocking sockets — the transport's listener
+   and connections, the control listener and its clients — with the next
+   timer or replay-pacing deadline as the timeout, and builds each batch
+   from what is ready: every timer due (once, however late), every frame
+   on every readable peer connection, and client control frames while the
+   batch holds fewer than [batch_cap] events.  It then runs the batch as
+   one step: actions are accumulated across the batch, the trace file is
+   synced as events produce entries and once more {e before} any action
+   reaches the wire (so the persisted trace is always ahead of what peers
+   have seen), and if the batch left gated sends or uncommitted outputs
+   behind, a flush is run immediately instead of waiting for the flush
+   timer.  The actions' frames are then written straight to the peers'
+   sockets; what a socket does not take waits in that peer's pending
+   buffer (bounded, overflow dropped and counted), so no daemon ever waits
+   on another.  Outgoing application frames piggyback the node's current
+   logging-progress notice (frame kind 9), so stability news travels at
+   data-traffic speed; the notice timer remains the fallback for idle
+   periods.  A SIGKILL loses at most the batch being formatted — the
+   deployment's merge step truncates any torn tail and synthesises the
+   missing [Crashed] event from the successor's [Restarted].
 
    The daemon's heap follows its work in flight, not its history or its
    client's pace.  What it has written to disk it does not also keep in
@@ -31,37 +37,39 @@
    record at a time, on the rare paths that need them (rollback, restart,
    log GC).  So a respawn's reopen and restart keep of the log only the
    delivery identities duplicate suppression needs and the suffix after
-   the newest checkpoint, not the whole log.  Client
-   ingress is back-pressured: a control-connection reader waits while the
-   mailbox holds a full batch ([batch_cap] events), so a client that
-   injects back to back queues its backlog in its own TCP send path, which
-   flow control bounds, and not in the mailbox.  Peer frames and timer
-   ticks never wait, so no daemon ever waits on another.  The mailbox's
-   high-water mark is the [mailbox_high_water] gauge.
+   the newest checkpoint, not the whole log.  Client ingress is
+   back-pressured: once a batch holds [batch_cap] events the loop stops
+   reading control connections, so a client that injects back to back
+   queues its backlog in its own TCP send path, which flow control
+   bounds, and not in the daemon; every connection's frames are
+   reassembled in a 4 KB buffer that grows only for a larger frame.  The
+   most events one iteration took is the [batch_high_water] gauge.
 
    Resident memory.  On the benchmark's steady workload a daemon's
-   resident peak is ~6.0 MB: ~2.9 MB file-backed (this binary's text,
-   1.0 MB, and the shared libraries, 1.9 MB) and ~3.1 MB anonymous,
+   resident peak is ~5.8 MB: ~2.9 MB file-backed (this binary's text,
+   1.0 MB, and the shared libraries, 1.9 MB) and ~2.8 MB anonymous,
    which is the minor heap (0.5 MB), the major heap (~155k words, 1.2 MB
-   at its top), the binary's .data (0.6 MB) and the rest of the runtime,
-   thread stacks and C buffers.  The major heap's top is set by the
-   collector's slack more than by live data, so koptnode_runparam.c also
-   prepends [o=60] (space overhead 60% instead of 120%): the top falls
-   from ~220k to ~155k words on steady and from ~550k to ~345k on burst,
-   and the extra collector work is paid for by a delivery's allocation
-   not growing with the store or the buffered backlog (daemon CPU per op
-   stays below that of a daemon with neither at o=120; the sweep is in
-   koptnode_runparam.c).  An operator's own [o=] wins, and every scrape
-   reports the value in force ([gc_space_overhead]).  The binary is
-   linked without the loader-only tables that were another ~0.85 MB of
-   file-backed pages: a full relative-relocation table and an export of
-   every OCaml symbol (see bin/dune).  The minor heap is 64k words
-   rather than the runtime's 256k-word default, which is resident whole
-   (2 MB) once the first allocation cycle has walked it.  The size is
-   fixed before the runtime starts (koptnode_runparam.c prepends [s=64k]
-   to OCAMLRUNPARAM, so an operator's own [s=] still wins): resizing
-   later with [Gc.set] forces a collection, and a fresh boot otherwise
-   runs none.
+   at its top), the binary's .data (0.6 MB) and the rest of the runtime
+   and C buffers.  One thread means one malloc arena and one stack: glibc
+   gives every further thread an arena of its own as well as a stack,
+   ~20 KB resident per thread under this load.  The major heap's top
+   is set by the collector's slack more than by live data, so
+   koptnode_runparam.c also prepends [o=60] (space overhead 60% instead
+   of 120%): the top falls from ~220k to ~155k words on steady and from
+   ~550k to ~345k on burst, and the extra collector work is paid for by a
+   delivery's allocation not growing with the store or the buffered
+   backlog (daemon CPU per op stays below that of a daemon with neither
+   at o=120; the sweep is in koptnode_runparam.c).  An operator's own
+   [o=] wins, and every scrape reports the value in force
+   ([gc_space_overhead]).  The binary is linked without the loader-only
+   tables that were another ~0.85 MB of file-backed pages: a full
+   relative-relocation table and an export of every OCaml symbol (see
+   bin/dune).  The minor heap is 64k words rather than the runtime's
+   256k-word default, which is resident whole (2 MB) once the first
+   allocation cycle has walked it.  The size is fixed before the runtime
+   starts (koptnode_runparam.c prepends [s=64k] to OCAMLRUNPARAM, so an
+   operator's own [s=] still wins): resizing later with [Gc.set] forces a
+   collection, and a fresh boot otherwise runs none.
    The runtime also collects once the 64 KB buffers of the channels
    opened since the last collection add up to the minor heap's size.
    Boot opens four (the standard three and the trace file), so a
@@ -69,142 +77,91 @@
    leave room for three more; the durable store reads its files without
    channels for the same reason.  Every scrape reports the heap, the
    resident set (split into file-backed and anonymous pages), the
-   message buffers and the archive (see [memory_gauges]), and
-   [gc_boot_minor_collections] records what boot collected. *)
+   thread and descriptor counts, the message buffers and the archive
+   (see [memory_gauges]), and [gc_boot_minor_collections] records what
+   boot collected. *)
 
 module Node = Recovery.Node
 module Trace = Recovery.Trace
 module Config = Recovery.Config
-module Wire_codec = Net.Wire_codec
-module Trace_codec = Net.Trace_codec
+module Wire_codec = Net_core.Wire_codec
+module Trace_codec = Net_core.Trace_codec
+module Transport = Net_core.Transport
 module App = App_model.Kvstore_app
+
+(* One control connection.  [live] turns false once its end (EOF or an
+   undecodable frame) is in a batch; the loop closes the descriptor only
+   when it processes that event, after the replies to everything queued
+   ahead of it. *)
+type client = { fd : Unix.file_descr; reader : Wire_codec.Reader.t; mutable live : bool }
+
+type timer_kind = [ `Flush | `Checkpoint | `Notice | `Retransmit | `Part_ckpt ]
 
 type 'msg event =
   | From_net of 'msg Recovery.Wire.packet
-  | Control of 'msg Wire_codec.control * Unix.file_descr
-  | Control_closed of Unix.file_descr
-      (** the client hung up; queued behind its last request, so the main
-          loop, which replies on the descriptor, is the one to close it *)
-  | Timer of [ `Flush | `Checkpoint | `Notice | `Retransmit | `Part_ckpt ]
+  | Control of 'msg Wire_codec.control * client
+  | Control_closed of client
+  | Timer of timer_kind
 
-type 'msg mailbox = {
-  q : 'msg event Queue.t;
-  mu : Mutex.t;
-  cond : Condition.t; (* an event arrived *)
-  room : Condition.t; (* the main loop took a batch *)
-  high_water : Obs.Gauge.t; (* the deepest the queue has been *)
-}
+(* A periodic event: due [period] seconds after it last fired. *)
+type timer = { kind : timer_kind; period : float; mutable due : float }
 
-let mailbox obs =
-  {
-    q = Queue.create ();
-    mu = Mutex.create ();
-    cond = Condition.create ();
-    room = Condition.create ();
-    high_water = Obs.Registry.gauge obs "mailbox_high_water";
-  }
-
-(* The main loop processes the mailbox in batches of at most [batch_cap]
-   events.  The cap bounds how much pending work (gated sends,
+(* A batch takes client control frames only while it holds fewer than
+   [batch_cap] events.  The cap bounds how much pending work (gated sends,
    uncommitted outputs) can pile up between two stability points, and so
    what the buffer rescan at each stability point costs (between them a
    delivery examines only the entries it added).  It also bounds what a
-   client can queue (see [post_client]). *)
+   client can queue in the daemon (see [read_clients] in [run]). *)
 let batch_cap = 256
 
-(* Under [mb.mu]. *)
-let enqueue mb ev =
-  Queue.add ev mb.q;
-  let depth = float_of_int (Queue.length mb.q) in
-  if depth > Obs.Gauge.value mb.high_water then Obs.Gauge.set mb.high_water depth;
-  Condition.signal mb.cond
-
-(* Peer frames and timer ticks never wait: no daemon ever waits on
-   another, so no wait cycle can form between daemons. *)
-let post mb ev =
-  Mutex.lock mb.mu;
-  enqueue mb ev;
-  Mutex.unlock mb.mu
-
-(* Client ingress waits while the mailbox already holds a full batch.  The
-   waiting reader stops reading its connection, so a back-to-back client's
-   backlog queues in that connection's TCP buffers, which flow control
-   bounds, and not in the daemon's heap. *)
-let post_client mb ev =
-  Mutex.lock mb.mu;
-  while Queue.length mb.q >= batch_cap do
-    Condition.wait mb.room mb.mu
-  done;
-  enqueue mb ev;
-  Mutex.unlock mb.mu
-
-(* Block for at least one event, then take up to [batch_cap]. *)
-let take_batch mb =
-  Mutex.lock mb.mu;
-  while Queue.is_empty mb.q do
-    Condition.wait mb.cond mb.mu
-  done;
-  let rec grab k acc =
-    if k = 0 || Queue.is_empty mb.q then List.rev acc
-    else grab (k - 1) (Queue.pop mb.q :: acc)
-  in
-  let evs = grab batch_cap [] in
-  Condition.broadcast mb.room;
-  Mutex.unlock mb.mu;
-  evs
-
-let pending mb =
-  Mutex.lock mb.mu;
-  let n = Queue.length mb.q in
-  Mutex.unlock mb.mu;
-  n
-
-(* [VmRSS], [VmHWM], [RssFile] and [RssAnon] from /proc/self/status, in
-   bytes; [None] for each line the file lacks, and for all four when it
-   cannot be read.  Read through a descriptor, not a channel, so a scrape
-   does not charge a channel buffer against the minor heap whose
-   collections it reports. *)
-let resident_bytes () =
-  let read_all path =
-    let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+(* /proc/self/status, read through a descriptor, not a channel, so a
+   scrape does not charge a channel buffer against the minor heap whose
+   collections it reports; [None] when it cannot be read. *)
+let proc_status () =
+  match Unix.openfile "/proc/self/status" [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> None
+  | fd ->
     Fun.protect
       ~finally:(fun () -> Unix.close fd)
       (fun () ->
         let text = Buffer.create 2048 and chunk = Bytes.create 1024 in
         let rec loop () =
           match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> Buffer.contents text
+          | 0 -> Some (String.split_on_char '\n' (Buffer.contents text))
           | n ->
             Buffer.add_subbytes text chunk 0 n;
             loop ()
         in
         loop ())
-  in
-  let field lines key =
-    List.find_map
-      (fun line ->
-        match String.split_on_char ':' line with
-        | [ k; v ] when k = key -> (
-          match String.split_on_char ' ' (String.trim v) with
-          | [ kb; "kB" ] -> Option.map (fun kb -> 1024. *. kb) (float_of_string_opt kb)
-          | _ -> None)
+
+(* The value of the status line [key] as a number, with a [kB] unit
+   converted to bytes; [None] when the line is missing or malformed. *)
+let status_field lines key =
+  List.find_map
+    (fun line ->
+      match String.split_on_char ':' line with
+      | [ k; v ] when k = key -> (
+        match String.split_on_char ' ' (String.trim v) with
+        | [ kb; "kB" ] -> Option.map (fun kb -> 1024. *. kb) (float_of_string_opt kb)
+        | [ count ] -> float_of_string_opt count
         | _ -> None)
-      lines
-  in
-  match read_all "/proc/self/status" with
-  | text ->
-    let lines = String.split_on_char '\n' text in
-    List.map (field lines) [ "VmRSS"; "VmHWM"; "RssFile"; "RssAnon" ]
-  | exception Unix.Unix_error _ -> [ None; None; None; None ]
+      | _ -> None)
+    lines
+
+(* Entries of /proc/self/fd, less the descriptor listing them holds. *)
+let open_fds () =
+  match Sys.readdir "/proc/self/fd" with
+  | entries -> Some (float_of_int (Array.length entries - 1))
+  | exception Sys_error _ -> None
 
 (* The memory gauges, refreshed at every Stats scrape and just before the
    Quit-time metrics file: the runtime's heap sizes and collection counts,
    the process's resident set (whole, peak, and split into file-backed and
-   anonymous pages), and the node's three message buffers and archive.
-   Each is one series.  The runtime samples its heap sizes at each minor
-   collection and reads 0 before the first, so the two heap gauges are
-   left out until one has run, as the resident gauges are while
-   /proc/self/status is unreadable. *)
+   anonymous pages), its threads and open descriptors, and the node's
+   three message buffers and archive.  Each is one series.  The runtime
+   samples its heap sizes at each minor collection and reads 0 before the
+   first, so the two heap gauges are left out until one has run, as the
+   process gauges are while /proc cannot be read. *)
 let memory_gauges obs =
   let gauge = Obs.Registry.gauge obs in
   let set name v = Obs.Gauge.set (gauge name) v in
@@ -218,19 +175,38 @@ let memory_gauges obs =
     end;
     set "gc_minor_collections" (float_of_int st.Gc.minor_collections);
     set "gc_major_collections" (float_of_int st.Gc.major_collections);
-    List.iter2
-      (fun name v -> Option.iter (set name) v)
-      [
-        "process_resident_bytes";
-        "process_resident_peak_bytes";
-        "process_resident_file_bytes";
-        "process_resident_anon_bytes";
-      ]
-      (resident_bytes ());
+    Option.iter
+      (fun lines ->
+        List.iter
+          (fun (name, key) -> Option.iter (set name) (status_field lines key))
+          [
+            ("process_resident_bytes", "VmRSS");
+            ("process_resident_peak_bytes", "VmHWM");
+            ("process_resident_file_bytes", "RssFile");
+            ("process_resident_anon_bytes", "RssAnon");
+            ("process_threads", "Threads");
+          ])
+      (proc_status ());
+    Option.iter (set "process_open_fds") (open_fds ());
     set "send_buf_len" (float_of_int (Node.send_buffer_size node));
     set "out_buf_len" (float_of_int (Node.output_buffer_size node));
     set "recv_buf_len" (float_of_int (Node.receive_buffer_size node));
     set "archive_len" (float_of_int (Node.archive_size node))
+
+(* [Unix.select] on the lists' descriptors, [timeout] seconds at most
+   ([infinity]: no bound).  It can wait on descriptors numbered below
+   FD_SETSIZE (1024) only, and refuses the whole call past that. *)
+let select ~pid reads writes timeout =
+  match Unix.select reads writes [] (if timeout = infinity then -1. else timeout) with
+  | r, w, _ -> (r, w)
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) ->
+    failwith
+      (Fmt.str
+         "koptnode %d: a socket's descriptor is 1024 or above, which \
+          Unix.select cannot wait on (FD_SETSIZE); this daemon's peers and \
+          control clients must stay under ~1000 connections"
+         pid)
 
 let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
     ~(wire : msg App_model.App_intf.wire_format) ~pid ~n ~k ~listen_port ~peers
@@ -250,18 +226,25 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
   let trace = Trace.create () in
   let writer = Trace_codec.open_writer trace_file in
   (* One registry for the whole process: the node's protocol metrics, the
-     store (and its group-commit layer), the transport, the mailbox's
+     store (and its group-commit layer), the transport, the batch
      high-water mark and the main loop's phase spans all land in it, so a
      single Stats scrape — or the Quit-time metrics file — is the full
      picture.  A [Crash] respawn reuses it: the new node and its reopened
      store get back the same counters and continue them rather than
      reset. *)
   let obs = Obs.Registry.create () in
-  let mb = mailbox obs in
   let node = ref (Node.create ~config ~pid ~app ~store_dir ~obs ~trace) in
   let c_deliveries = Obs.Registry.counter obs "deliveries_total" in
+  let high_water = Obs.Registry.gauge obs "batch_high_water" in
 
-  (* Transport: frames from peers become mailbox events; decode failures
+  (* The batch being gathered, newest event first, and its length. *)
+  let incoming = ref [] and incoming_n = ref 0 in
+  let add_event ev =
+    incoming := ev :: !incoming;
+    incr incoming_n
+  in
+
+  (* Transport: frames from peers become batch events; decode failures
      are reported on stderr (and counted by the transport), never lost. *)
   let on_error msg = Fmt.epr "[koptnode %d] %s@." pid msg in
   let on_frame ~src:_ ~kind ~body =
@@ -270,92 +253,111 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
          message it rode in on, as if it had arrived just ahead of it. *)
       match Wire_codec.decode_data_body wire ~kind body with
       | Ok (m, notice) ->
-        Option.iter (fun nt -> post mb (From_net (Recovery.Wire.Notice nt))) notice;
-        post mb (From_net (Recovery.Wire.App m))
+        Option.iter (fun nt -> add_event (From_net (Recovery.Wire.Notice nt))) notice;
+        add_event (From_net (Recovery.Wire.App m))
       | Error e -> on_error (Fmt.str "undecodable data frame (kind %d): %s" kind e)
     else
       match Wire_codec.decode_packet_body wire ~kind body with
-      | Ok packet -> post mb (From_net packet)
+      | Ok packet -> add_event (From_net packet)
       | Error e -> on_error (Fmt.str "undecodable packet (kind %d): %s" kind e)
   in
-  let transport =
-    Net.Transport.create ~self:pid ~listen_port ~peers ~on_frame ~on_error ~obs ()
-  in
+  let transport = Transport.create ~self:pid ~listen_port ~peers ~on_frame ~on_error ~obs () in
   let dispatch actions =
     List.iter
       (fun action ->
         match (action : msg Node.action) with
         | Node.Unicast { dst; packet = Recovery.Wire.App m } ->
           (* Data frames carry the current stability frontier along. *)
-          Net.Transport.send transport ~dst
-            (Wire_codec.encode_data wire
-               ?piggyback:(Node.current_notice !node) m)
+          Transport.send transport ~dst
+            (Wire_codec.encode_data wire ?piggyback:(Node.current_notice !node) m)
         | Node.Unicast { dst; packet } ->
-          Net.Transport.send transport ~dst
-            (Wire_codec.encode_packet wire packet)
+          Transport.send transport ~dst (Wire_codec.encode_packet wire packet)
         | Node.Broadcast packet ->
-          Net.Transport.broadcast transport
-            (Wire_codec.encode_packet wire packet))
+          Transport.broadcast transport (Wire_codec.encode_packet wire packet))
       actions
   in
 
-  (* Timers, one thread per configured period (abstract units scaled to
-     wall clock). *)
-  let stopping = ref false in
-  let timer kind interval =
-    match interval with
-    | None -> ()
-    | Some period ->
-      let delay = period *. time_scale in
-      ignore
-        (Thread.create
-           (fun () ->
-             while not !stopping do
-               Thread.delay delay;
-               if not !stopping then post mb (Timer kind)
-             done)
-           ()
-          : Thread.t)
+  (* Timers, one per configured period (abstract units scaled to wall
+     clock). *)
+  let timers =
+    let start = Unix.gettimeofday () in
+    List.filter_map
+      (fun (kind, interval) ->
+        Option.map
+          (fun period ->
+            let period = period *. time_scale in
+            { kind; period; due = start +. period })
+          interval)
+      [
+        (`Flush, config.Config.timing.Config.flush_interval);
+        (`Checkpoint, checkpoint_interval);
+        (`Notice, config.Config.timing.Config.notice_interval);
+        (`Retransmit, config.Config.timing.Config.retransmit_interval);
+        (`Part_ckpt, part_ckpt);
+      ]
   in
-  timer `Flush config.Config.timing.Config.flush_interval;
-  timer `Checkpoint checkpoint_interval;
-  timer `Notice config.Config.timing.Config.notice_interval;
-  timer `Retransmit config.Config.timing.Config.retransmit_interval;
-  timer `Part_ckpt part_ckpt;
 
-  (* Control socket: each accepted connection feeds control frames into the
-     mailbox, waiting for room ([post_client]); replies are written by the
-     main loop.  On EOF the reader does not close the descriptor itself:
-     replies to its queued requests are still to be written, and once
-     closed its number can be reused (a segment file, a peer connection)
-     before they are.  It queues [Control_closed] behind them instead. *)
-  let control_sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (* Control socket: every accepted connection's frames become batch
+     events; replies are written as the loop processes them. *)
+  let control_sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt control_sock Unix.SO_REUSEADDR true;
   Unix.bind control_sock (Unix.ADDR_INET (Unix.inet_addr_loopback, control_port));
   Unix.listen control_sock 16;
-  let control_conn fd =
-    let rec loop () =
-      match Wire_codec.read_control wire fd with
-      | None -> post mb (Control_closed fd)
-      | Some ctl ->
-        post_client mb (Control (ctl, fd));
-        loop ()
-    in
-    loop ()
+  Unix.set_nonblock control_sock;
+  let clients = ref [] in
+  let rec accept_clients () =
+    match Unix.accept ~cloexec:true control_sock with
+    | fd, _ ->
+      Unix.set_nonblock fd;
+      clients := !clients @ [ { fd; reader = Wire_codec.Reader.create (); live = true } ];
+      accept_clients ()
+    | exception Unix.Unix_error _ -> ()
   in
-  ignore
-    (Thread.create
-       (fun () ->
-         let rec loop () =
-           match Unix.accept control_sock with
-           | fd, _ ->
-             ignore (Thread.create control_conn fd : Thread.t);
-             loop ()
-           | exception Unix.Unix_error _ -> ()
-         in
-         loop ())
-       ()
-      : Thread.t);
+  let hang_up c =
+    c.live <- false;
+    add_event (Control_closed c)
+  in
+  (* Take [c]'s control frames while the batch has room, reading its
+     socket (if [select] found it readable) only once its buffer holds no
+     whole frame.  [true] when the batch filled first: [c] may still hold
+     buffered frames, which the next iteration takes without waiting. *)
+  let rec from_client c ~readable =
+    if !incoming_n >= batch_cap then true
+    else
+      match Wire_codec.Reader.next c.reader with
+      | Some (Ok (kind, body)) -> (
+        match Wire_codec.decode_control_body wire ~kind body with
+        | Ok ctl ->
+          add_event (Control (ctl, c));
+          from_client c ~readable
+        | Error _ ->
+          hang_up c;
+          false)
+      | Some (Error _) ->
+        hang_up c;
+        false
+      | None when not readable -> false
+      | None -> (
+        match Wire_codec.Reader.read c.reader c.fd with
+        | `Read -> from_client c ~readable
+        | `Again -> false
+        | `Eof ->
+          hang_up c;
+          false)
+  in
+  (* Clients are served in turn; when a batch fills, the one served first
+     goes last, so a flooding client cannot starve the others. *)
+  let read_clients readable =
+    let capped =
+      List.fold_left
+        (fun capped c ->
+          (c.live && from_client c ~readable:(List.mem c.fd readable)) || capped)
+        false !clients
+    in
+    (if capped then
+       match !clients with c :: rest -> clients := rest @ [ c ] | [] -> ());
+    capped
+  in
 
   (* Boot: a pre-existing store means we are the successor of a killed
      incarnation.  [restart_begin] completes the protocol part of Figure
@@ -370,6 +372,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
      (the driver has already pointed them at our data port via Add_peer). *)
   if join then dispatch (fst (Node.announce_join !node ~now:(now ())));
   Trace_codec.sync writer trace;
+  Transport.flush transport;
 
   (* Main-loop phase timing, always on: what the retired KOPT_PROF env
      knob printed at exit is now four [phase_seconds] histograms in the
@@ -386,26 +389,21 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
   let c_batch_events = Obs.Registry.counter obs "batch_events_total" in
   let c_eager_flushes = Obs.Registry.counter obs "eager_flushes_total" in
   let refresh_memory = memory_gauges obs in
-  let reply fd ctl =
-    ignore (Wire_codec.write_all fd (Wire_codec.encode_control wire ctl) : bool)
+  let reply c ctl =
+    ignore (Wire_codec.write_all c.fd (Wire_codec.encode_control wire ctl) : bool)
   in
   let finish () =
-    stopping := true;
     Trace_codec.sync writer trace;
     Trace_codec.close_writer writer;
     refresh_memory !node;
     let oc = open_out metrics_file in
     output_string oc (Obs.Snapshot.to_text (Obs.Registry.snapshot obs));
     close_out oc;
-    Net.Transport.close transport;
-    (try Unix.close control_sock with Unix.Unix_error _ -> ())
+    (* The drain's last frames get their one chance at the wire. *)
+    Transport.flush transport;
+    Transport.close transport;
+    Wire_codec.close_quiet control_sock
   in
-  (* Batched main loop.  Per wakeup: drain the mailbox, run every event
-     through the node accumulating its actions (syncing the trace file as
-     events produce entries), flush eagerly if the batch left gated sends
-     or uncommitted outputs behind, and only then put the accumulated
-     actions on the wire — the persisted trace is always ahead of the
-     store's stability point and of anything a peer can have seen. *)
   (* On-demand recovery: replay the partition clients are actually asking
      for first.  Parked requests sit in the node's receive buffer; the most
      frequently named unrecovered partition is the hottest. *)
@@ -428,23 +426,23 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
   in
   (* Replay pacing: each re-executed record costs [t_replay] abstract
      units, the same charge the simulator's cost model levies — so ttfull
-     measured here scales with log length the way E6 predicts. *)
+     measured here scales with log length the way E6 predicts.  The charge
+     is a deadline for the next replay step, not a sleep: batches keep
+     being served until it falls due. *)
   let replay_budget = 32 in
-  let replay_pace executed =
-    if executed > 0 then
-      Thread.delay
-        (float_of_int executed *. config.Config.timing.Config.t_replay *. time_scale)
-  in
-  let rec main_loop () =
-    (* While a replay is in progress the loop must not block on the
-       mailbox: an idle wakeup pumps the replay queues instead. *)
-    let batch =
-      if Node.recovery_active !node && pending mb = 0 then []
-      else take_batch mb
-    in
+  let replay_due = ref 0. in
+  (* The batch step.  Run every event through the node accumulating its
+     actions (syncing the trace file as events produce entries), pump the
+     replay if it is due, flush eagerly if the batch left gated sends or
+     uncommitted outputs behind, and only then put the accumulated actions
+     on the wire — the persisted trace is always ahead of the store's
+     stability point and of anything a peer can have seen.  [Some c] when
+     the batch asked to drain and exit: [c] gets the Bye. *)
+  let step batch =
     let acc = ref [] in
     let add actions = if actions <> [] then acc := actions :: !acc in
-    let quit_fd = ref None in
+    let quit = ref None in
+    let pending = ref 0 in
     let step_up f = if Node.is_up !node then add (fst (f !node ~now:(now ()))) in
     let process ev =
       match ev with
@@ -460,7 +458,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
           | `Checkpoint -> Node.checkpoint
           | `Notice -> Node.broadcast_notice
           | `Retransmit -> Node.retransmit_tick)
-      | Control (ctl, fd) -> (
+      | Control (ctl, c) -> (
         match ctl with
         | Wire_codec.Inject { seq; cseq; payload } ->
           step_up (fun nd ~now -> Node.inject nd ~now ~seq ~cseq payload)
@@ -471,15 +469,15 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
              node's values. *)
           Node.halt !node ~now:(now ());
           Trace_codec.sync writer trace;
-          Thread.delay (Config.real_restart_delay ~time_scale config.Config.timing);
+          Unix.sleepf (Config.real_restart_delay ~time_scale config.Config.timing);
           node := Node.create ~config ~pid ~app ~store_dir ~obs ~trace;
           add (fst (Node.restart_begin !node ~now:(now ())))
         | Wire_codec.Status_req ->
-          reply fd
+          reply c
             (Wire_codec.Status
                {
                  st_up = Node.is_up !node;
-                 st_pending = pending mb;
+                 st_pending = !pending;
                  st_send_buf = Node.send_buffer_size !node;
                  st_recv_buf = Node.receive_buffer_size !node;
                  st_out_buf = Node.output_buffer_size !node;
@@ -492,14 +490,14 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
         | Wire_codec.Add_peer { pid = peer_pid; port } ->
           (* Live membership: a joiner's data port.  The transport treats a
              known pid as a no-op, so re-announcement is harmless. *)
-          Net.Transport.add_peer transport ~pid:peer_pid ~port
+          Transport.add_peer transport ~pid:peer_pid ~port
         | Wire_codec.Retire_req ->
           (* Graceful permanent leave: broadcast the final frontier (a
              forced flush inside [Node.retire] makes it stable first), then
              drain and exit exactly like Quit — the accumulated Retire
              broadcast goes on the wire before the drain closes shop. *)
           step_up (fun nd ~now -> Node.retire nd ~now);
-          quit_fd := Some fd
+          quit := Some c
         | Wire_codec.Arm_brownout { slow; rounds } -> (
           match slow with
           | None -> Node.arm_storage_disk_full !node ~rounds
@@ -509,16 +507,20 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
              snapshot of the registry, serialised as the versioned text
              exposition. *)
           refresh_memory !node;
-          reply fd
-            (Wire_codec.Stats (Obs.Snapshot.to_text (Obs.Registry.snapshot obs)))
-        | Wire_codec.Quit -> quit_fd := Some fd
+          reply c (Wire_codec.Stats (Obs.Snapshot.to_text (Obs.Registry.snapshot obs)))
+        | Wire_codec.Quit -> quit := Some c
         | Wire_codec.Hello _ | Wire_codec.Status _ | Wire_codec.Stats _
         | Wire_codec.Bye -> ())
-      | Control_closed fd -> Wire_codec.close_quiet fd
+      | Control_closed c ->
+        Wire_codec.close_quiet c.fd;
+        clients := List.filter (fun c' -> c' != c) !clients
     in
-    let rec consume = function
+    (* [left]: events of the batch not yet processed, this one included;
+       a Status reply reports the ones after it as pending. *)
+    let rec consume left = function
       | [] -> ()
       | ev :: rest ->
+        pending := left - 1;
         process ev;
         (* The trace file must never fall behind the stable store: a later
            event in this batch may fsync the store (rollback, checkpoint,
@@ -529,32 +531,36 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
            [Trace_codec.sync] is O(1) when the event added nothing, so this
            keeps the batch's single eager fsync as the only per-batch cost. *)
         Trace_codec.sync writer trace;
-        if !quit_fd = None then consume rest
+        if !quit = None then consume (left - 1) rest
     in
+    let events = List.length batch in
     Obs.Counter.incr c_batches;
-    Obs.Counter.add c_batch_events (List.length batch);
-    Obs.Span.time sp_handle (fun () -> consume batch);
-    (* Background replay pump: one bounded step per wakeup, prioritising
-       the partition parked client requests are waiting on.  Interleaving
-       with the batch processing above is what makes recovery on-demand —
-       Gets on recovered partitions are answered between steps. *)
-    if !quit_fd = None && Node.recovery_active !node then begin
+    Obs.Counter.add c_batch_events events;
+    Obs.Span.time sp_handle (fun () -> consume events batch);
+    (* Background replay pump: one bounded step when its pacing deadline
+       has passed, prioritising the partition parked client requests are
+       waiting on.  Interleaving with the batch processing above is what
+       makes recovery on-demand — Gets on recovered partitions are
+       answered between steps. *)
+    if !quit = None && Node.recovery_active !node && Unix.gettimeofday () >= !replay_due
+    then begin
       let prefer = hot_partition () in
       let executed, actions, _cost =
         Node.replay_step !node ~now:(now ()) ?prefer ~budget:replay_budget ()
       in
       add actions;
       Trace_codec.sync writer trace;
-      replay_pace executed
+      replay_due :=
+        Unix.gettimeofday ()
+        +. (float_of_int executed *. config.Config.timing.Config.t_replay *. time_scale)
     end;
     (* Eager flush: anything the batch left volatile gets its stability
        point now instead of at the next flush-timer tick — gated sends
        release, outputs commit, and fresh deliveries are acknowledged
-       before the senders' retransmission timers re-send them.  The group
-       commit layer makes the per-batch fsync cheap; idle batches skip it
-       entirely. *)
+       before the senders' retransmission timers re-send them.  Idle
+       batches skip it entirely. *)
     if
-      !quit_fd = None
+      !quit = None
       && Node.is_up !node
       && (Node.volatile_log_length !node > 0
          || Node.output_buffer_size !node > 0
@@ -565,32 +571,76 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
     end;
     Obs.Span.time sp_sync (fun () -> Trace_codec.sync writer trace);
     Obs.Span.time sp_dispatch (fun () -> List.iter dispatch (List.rev !acc));
-    match !quit_fd with
-    | Some fd ->
-      (* Graceful drain: one last flush gives everything volatile its
-         stability point (and the dispatch below puts the resulting
-         releases on the wire), then [halt] records the clean exit as a
-         [Crashed] with no lost interval — the oracle treats that as a
-         no-op, so a quit daemon is distinguishable in the merged trace
-         from a torn SIGKILL without weakening certification. *)
-      if Node.is_up !node then begin
-        (* Finish any in-progress replay first so the drain leaves a fully
-           recovered store (and the merged trace its Recovery_completed). *)
-        if Node.recovery_active !node then begin
-          let _, actions, _ =
-            Node.replay_step !node ~now:(now ()) ~budget:max_int ()
-          in
-          Trace_codec.sync writer trace;
-          dispatch actions
-        end;
-        let actions = fst (Node.flush !node ~now:(now ())) in
+    !quit
+  in
+  (* Graceful drain: one last flush gives everything volatile its
+     stability point (and the dispatch below puts the resulting releases on
+     the wire), then [halt] records the clean exit as a [Crashed] with no
+     lost interval — the oracle treats that as a no-op, so a quit daemon is
+     distinguishable in the merged trace from a torn SIGKILL without
+     weakening certification. *)
+  let drain c =
+    if Node.is_up !node then begin
+      (* Finish any in-progress replay first so the drain leaves a fully
+         recovered store (and the merged trace its Recovery_completed). *)
+      if Node.recovery_active !node then begin
+        let _, actions, _ = Node.replay_step !node ~now:(now ()) ~budget:max_int () in
         Trace_codec.sync writer trace;
-        dispatch actions;
-        Node.halt !node ~now:(now ())
+        dispatch actions
       end;
-      finish ();
-      reply fd Wire_codec.Bye
-    | None -> main_loop ()
+      let actions = fst (Node.flush !node ~now:(now ())) in
+      Trace_codec.sync writer trace;
+      dispatch actions;
+      Node.halt !node ~now:(now ())
+    end;
+    finish ();
+    reply c Wire_codec.Bye
+  in
+  (* The loop.  [capped]: the last batch filled before every client's
+     buffered frames were taken, so the next wait must not block. *)
+  let rec main_loop ~capped =
+    let t_reads, t_writes = Transport.interest transport in
+    let reads =
+      control_sock
+      :: List.fold_left (fun acc c -> if c.live then c.fd :: acc else acc) t_reads !clients
+    in
+    let recovering = Node.recovery_active !node in
+    let deadline =
+      List.fold_left
+        (fun acc tm -> Float.min acc tm.due)
+        (Float.min (Transport.deadline transport)
+           (if recovering then !replay_due else infinity))
+        timers
+    in
+    let timeout =
+      if capped then 0. else Float.max 0. (deadline -. Unix.gettimeofday ())
+    in
+    let readable, writable = select ~pid reads t_writes timeout in
+    let wall = Unix.gettimeofday () in
+    List.iter
+      (fun tm ->
+        if wall >= tm.due then begin
+          add_event (Timer tm.kind);
+          tm.due <- wall +. tm.period
+        end)
+      timers;
+    Transport.service transport ~readable ~writable;
+    if List.mem control_sock readable then accept_clients ();
+    let capped = read_clients readable in
+    let batch = List.rev !incoming in
+    let events = !incoming_n in
+    incoming := [];
+    incoming_n := 0;
+    if float_of_int events > Obs.Gauge.value high_water then
+      Obs.Gauge.set high_water (float_of_int events);
+    let quit =
+      if events > 0 || (recovering && wall >= !replay_due) then step batch else None
+    in
+    match quit with
+    | Some c -> drain c
+    | None ->
+      Transport.flush transport;
+      main_loop ~capped
   in
   (* What boot cost the minor heap, fixed once: with the 64k-word nursery
      a daemon boots (store reopen, restart, first sync) without a single
@@ -598,7 +648,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
   Obs.Gauge.set
     (Obs.Registry.gauge obs "gc_boot_minor_collections")
     (float_of_int (Gc.quick_stat ()).Gc.minor_collections);
-  main_loop ()
+  main_loop ~capped:false
 
 (* ------------------------------------------------------------------ *)
 (* Command line                                                        *)
@@ -701,7 +751,7 @@ let cmd =
     in
     match app with
     | `Kvstore -> go (App.app, App.wire)
-    | `Shardkv -> go (Shardkv.Shard_app.app, Shardkv.Shard_app.wire)
+    | `Shardkv -> go (Shardkv_app.Shard_app.app, Shardkv_app.Shard_app.wire)
   in
   Cmd.v
     (Cmd.info "koptnode" ~doc:"K-optimistic logging daemon (one cluster process).")

@@ -366,7 +366,7 @@ let flush_run t =
         let s = t.round_slow in
         if s > 0. then begin
           t.round_slow <- 0.;
-          Thread.delay s
+          Unix.sleepf s
         end)
       ~commit:(fun (_, len) ->
         sync_put ~fsync:false t ~kind:k_len (to_bin len);

@@ -165,8 +165,9 @@ val run_workload : t -> ops:int -> seed:int -> unit
 
 val settle : ?timeout:float -> t -> bool
 (** Poll until every daemon is up with empty protocol buffers, no replay
-    in progress, an idle mailbox and a delivery count stable across
-    consecutive polls; [false] on [timeout] (default 30 s). *)
+    in progress, nothing left of the batch serving the poll and a
+    delivery count stable across consecutive polls; [false] on [timeout]
+    (default 30 s). *)
 
 type outcome = {
   trace : Recovery.Trace.t;  (** merged, globally ordered *)

@@ -233,6 +233,9 @@ let read_exact fd n =
   in
   loop 0
 
+(* A nonblocking descriptor that cannot take more waits until it can: a
+   reply to a control client blocks the daemon exactly as a blocking
+   socket would. *)
 let write_all fd s =
   let buf = Bytes.unsafe_of_string s in
   let n = Bytes.length buf in
@@ -242,6 +245,10 @@ let write_all fd s =
       match Unix.write fd buf off (n - off) with
       | 0 -> false
       | k -> loop (off + k)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> (
+        match Unix.select [] [ fd ] [] (-1.) with
+        | _ -> loop off
+        | exception Unix.Unix_error _ -> false)
       | exception Unix.Unix_error _ -> false
   in
   loop 0
@@ -258,6 +265,78 @@ let read_frame fd =
       match if len = 0 then Some "" else read_exact fd len with
       | None -> None
       | Some payload -> Some (Ok (kind, header, payload))))
+
+module Reader = struct
+  (* [buf.[off .. len)] holds the bytes read but not yet framed.  The
+     buffer starts small and grows only to fit a frame larger than it;
+     once that frame is consumed it shrinks back. *)
+  type t = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
+
+  let initial = 4096
+
+  let create () = { buf = Bytes.create initial; off = 0; len = 0 }
+
+  let buffered r = r.len - r.off
+
+  let slide r =
+    let have = buffered r in
+    Bytes.blit r.buf r.off r.buf 0 have;
+    r.off <- 0;
+    r.len <- have
+
+  (* Room for [n] more bytes past [len]: slide the unframed bytes to the
+     front, and grow only if they still do not fit. *)
+  let reserve r n =
+    if r.len + n > Bytes.length r.buf then begin
+      slide r;
+      if r.len + n > Bytes.length r.buf then begin
+        let buf = Bytes.create (max (r.len + n) (2 * Bytes.length r.buf)) in
+        Bytes.blit r.buf 0 buf 0 r.len;
+        r.buf <- buf
+      end
+    end
+
+  let read r fd =
+    if r.off > 0 && Bytes.length r.buf - r.len < initial / 2 then slide r;
+    reserve r 1;
+    match Unix.read fd r.buf r.len (Bytes.length r.buf - r.len) with
+    | 0 -> `Eof
+    | k ->
+      r.len <- r.len + k;
+      `Read
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+      `Again
+    | exception Unix.Unix_error _ -> `Eof
+
+  let consume r n =
+    r.off <- r.off + n;
+    if r.off = r.len then begin
+      if Bytes.length r.buf > initial then r.buf <- Bytes.create initial;
+      r.off <- 0;
+      r.len <- 0
+    end
+
+  let next r =
+    if buffered r < header_bytes then None
+    else
+      (* Only [buf.[off .. len)] is meaningful: every bound below is
+         checked against [len] before the bytes are read. *)
+      let s = Bytes.unsafe_to_string r.buf in
+      match parse_header s ~pos:r.off with
+      | Error _ as e -> Some e
+      | Ok (_, plen) ->
+        let whole = header_bytes + plen in
+        if buffered r < whole then begin
+          reserve r (whole - buffered r);
+          None
+        end
+        else
+          match decode_frame s ~pos:r.off with
+          | Error _ as e -> Some e
+          | Ok (kind, payload, _) ->
+            consume r whole;
+            Some (Ok (kind, payload))
+end
 
 (* ------------------------------------------------------------------ *)
 (* Protocol packets                                                    *)

@@ -61,7 +61,9 @@ val read_exact : Unix.file_descr -> int -> string option
 (** Exactly [n] bytes; [None] on EOF or any socket error. *)
 
 val write_all : Unix.file_descr -> string -> bool
-(** Write the whole string; [false] on a short write or socket error. *)
+(** Write the whole string; [false] on a short write or socket error.  On
+    a nonblocking descriptor that cannot take more yet, waits until it
+    can. *)
 
 val close_quiet : Unix.file_descr -> unit
 (** [Unix.close], ignoring errors. *)
@@ -72,6 +74,27 @@ val read_frame : Unix.file_descr -> (int * string * string, string) result optio
     a malformed header ({!parse_header}), [None] on EOF or a socket error.
     A reader that trusts the bytes calls {!check_frame}; the proxy
     forwards them unchecked. *)
+
+(** Frame reassembly on a nonblocking stream: whatever sizes the reads
+    come in, {!Reader.next} yields the frames in order, checked. *)
+module Reader : sig
+  type t
+
+  val create : unit -> t
+  (** An empty reader with a 4 KB buffer. *)
+
+  val read : t -> Unix.file_descr -> [ `Read | `Again | `Eof ]
+  (** One [read] into the buffer's free space: [`Again] when the
+      descriptor has nothing now, [`Eof] on end of stream or a socket
+      error. *)
+
+  val next : t -> (int * string, string) result option
+  (** The next whole buffered frame, [(kind, payload)] with its CRC
+      checked; [Error] for a bad header or checksum (the stream cannot be
+      resynchronised: close it); [None] until more bytes arrive.  The
+      buffer grows only to fit a frame larger than itself, and shrinks
+      back once that frame is consumed. *)
+end
 
 (** {1 Protocol packets} *)
 
@@ -132,7 +155,7 @@ val decode_data_body :
 
 type status = {
   st_up : bool;
-  st_pending : int;  (** mailbox backlog *)
+  st_pending : int;  (** events of the current batch still to process *)
   st_send_buf : int;
   st_recv_buf : int;
   st_out_buf : int;

@@ -204,8 +204,8 @@ let e15_plan =
 let e15_run ~shards ~k ~ops ~rate ~kills ~plan ~seed ~label report =
   (* Periodic logging-progress gossip is O(N^2) frames per flush interval;
      at 64 daemons on modest hardware the default 1 ms/unit clock floods
-     every mailbox (and feeds the retransmission timers a storm of their
-     own).  Large clusters therefore run the *abstract* clock 10x
+     every daemon's batches (and feeds the retransmission timers a storm
+     of their own).  Large clusters therefore run the *abstract* clock 10x
      coarser — same protocol, same certification, gentler wall-clock
      timer rates; commit latencies simply reflect the scaled flush
      cadence. *)

@@ -341,6 +341,119 @@ let test_coalesced_batch_decodes_like_per_frame =
       is_prefix (walk (String.sub batch 0 cut)) expected)
 
 (* ------------------------------------------------------------------ *)
+(* The transport's reassembly, over a real connection                   *)
+
+(* One transport serves every case: each case dials it afresh, sends a
+   Hello and then a stream of frames, cut into chunks that are written one
+   at a time with a poll after each, so the transport's reads come in the
+   chunks' sizes (a loopback write is readable when it returns).  A valid
+   stream must arrive as the same frames in order.  A stream with one
+   frame's header (magic, version or kind byte) or checksum corrupted must
+   deliver exactly the frames before it, count one decode error, close the
+   connection, and raise nothing.  (A corrupted length field is left out:
+   a grown length makes the reader wait for bytes that never come, which
+   is not an error until the dialer hangs up.) *)
+let reassembly_rig =
+  lazy
+    (let port =
+       let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+       Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+       match Unix.getsockname sock with
+       | Unix.ADDR_INET (_, p) ->
+         Unix.close sock;
+         p
+       | Unix.ADDR_UNIX _ -> assert false
+     in
+     let obs = Obs.Registry.create () and got = ref [] in
+     let t =
+       Net.Transport.create ~self:0 ~listen_port:port ~peers:[]
+         ~on_frame:(fun ~src ~kind ~body -> got := (src, kind, body) :: !got)
+         ~obs ()
+     in
+     (t, port, obs, got))
+
+let test_reassembly_any_reads =
+  qtest ~count:150
+    "transport: frames in reads of any sizes arrive in order; one corrupt frame \
+     ends the connection"
+    (tup3
+       (list_size (int_range 1 8) gen_frame)
+       (list_size (int_range 1 40) (oneof [ int_range 1 16; int_range 1 4096 ]))
+       (option (pair small_nat (oneofl [ 0; 1; 2; 3; 8; 9; 10; 11 ]))))
+    (fun (frames, sizes, corrupt) ->
+      let transport, port, obs, got = Lazy.force reassembly_rig in
+      got := [];
+      let errors () =
+        Obs.Snapshot.counter (Obs.Registry.snapshot obs) "transport_decode_errors_total"
+      in
+      let errors0 = errors () in
+      let corrupt = Option.map (fun (i, off) -> (i mod List.length frames, off)) corrupt in
+      let stream =
+        String.concat ""
+          (List.mapi
+             (fun i f ->
+               match corrupt with
+               | Some (j, off) when i = j ->
+                 let b = Bytes.of_string f in
+                 Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x5a));
+                 Bytes.to_string b
+               | _ -> f)
+             frames)
+      in
+      let expected =
+        List.filteri
+          (fun i _ -> match corrupt with Some (j, _) -> i < j | None -> true)
+          (List.map
+             (fun f ->
+               match Wire_codec.decode_frame f ~pos:0 with
+               | Ok (kind, body, _) -> (5, kind, body)
+               | Error e -> Alcotest.failf "generated frame undecodable: %s" e)
+             frames)
+      in
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.;
+          let write s = ignore (Wire_codec.write_all fd s : bool) in
+          write (Wire_codec.encode_control swf (Wire_codec.Hello { pid = 5 }));
+          Net.Transport.poll transport ~timeout:1.;
+          let rec feed pos sizes =
+            if pos < String.length stream && errors () = errors0 then begin
+              let size, rest =
+                match sizes with [] -> (String.length stream, []) | n :: rest -> (n, rest)
+              in
+              let n = min size (String.length stream - pos) in
+              write (String.sub stream pos n);
+              Net.Transport.poll transport ~timeout:1.;
+              feed (pos + n) rest
+            end
+          in
+          feed 0 sizes;
+          let deadline = Unix.gettimeofday () +. 2. in
+          let settled () =
+            match corrupt with
+            | None -> List.length !got >= List.length expected
+            | Some _ -> errors () > errors0
+          in
+          while (not (settled ())) && Unix.gettimeofday () < deadline do
+            Net.Transport.poll transport ~timeout:0.05
+          done;
+          let closed () =
+            match Unix.read fd (Bytes.create 1) 0 1 with
+            | 0 -> true
+            | _ -> false
+            | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+            | exception Unix.Unix_error _ -> false
+          in
+          List.rev !got = expected
+          &&
+          match corrupt with
+          | None -> errors () = errors0
+          | Some _ -> errors () = errors0 + 1 && closed ()))
+
+(* ------------------------------------------------------------------ *)
 (* Mutation                                                            *)
 
 let test_packet_single_byte_mutation =
@@ -408,6 +521,7 @@ let suite =
     test_kv_roundtrip;
     test_data_frame_roundtrip;
     test_coalesced_batch_decodes_like_per_frame;
+    test_reassembly_any_reads;
     test_packet_single_byte_mutation;
     test_kv_payload_mutation;
     test_trace_stream_tear;
