@@ -46,11 +46,16 @@
    most events one iteration took is the [batch_high_water] gauge.
 
    Resident memory.  On the benchmark's steady workload a daemon's
-   resident peak is ~5.8 MB: ~2.9 MB file-backed (this binary's text,
-   1.0 MB, and the shared libraries, 1.9 MB) and ~2.8 MB anonymous,
+   resident peak is ~5.45 MB: ~2.8 MB file-backed (this binary's text,
+   0.8 MB, and the shared libraries, 1.9 MB) and ~2.7 MB anonymous,
    which is the minor heap (0.5 MB), the major heap (~155k words, 1.2 MB
-   at its top), the binary's .data (0.6 MB) and the rest of the runtime
-   and C buffers.  One thread means one malloc arena and one stack: glibc
+   at its top), the binary's .data (0.5 MB) and the rest of the runtime
+   and C buffers.  The binary links only what the daemon runs: no
+   Cmdliner (the flags are parsed once, with [Stdlib.Arg]) and no Fmt
+   (everything prints through [Stdlib.Format] and [Printf], which it
+   links anyway).  Linked, the two would hold ~0.3 MB of text, .data and
+   frametables resident for code run once at boot or never (bin/dune).
+   One thread means one malloc arena and one stack: glibc
    gives every further thread an arena of its own as well as a stack,
    ~20 KB resident per thread under this load.  The major heap's top
    is set by the collector's slack more than by live data, so
@@ -202,7 +207,7 @@ let select ~pid reads writes timeout =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
   | exception Unix.Unix_error (Unix.EINVAL, _, _) ->
     failwith
-      (Fmt.str
+      (Printf.sprintf
          "koptnode %d: a socket's descriptor is 1024 or above, which \
           Unix.select cannot wait on (FD_SETSIZE); this daemon's peers and \
           control clients must stay under ~1000 connections"
@@ -246,7 +251,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
 
   (* Transport: frames from peers become batch events; decode failures
      are reported on stderr (and counted by the transport), never lost. *)
-  let on_error msg = Fmt.epr "[koptnode %d] %s@." pid msg in
+  let on_error msg = Printf.eprintf "[koptnode %d] %s\n%!" pid msg in
   let on_frame ~src:_ ~kind ~body =
     if kind = Wire_codec.app_notice_kind then
       (* Piggybacked logging progress: absorb the notice before the app
@@ -255,11 +260,11 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
       | Ok (m, notice) ->
         Option.iter (fun nt -> add_event (From_net (Recovery.Wire.Notice nt))) notice;
         add_event (From_net (Recovery.Wire.App m))
-      | Error e -> on_error (Fmt.str "undecodable data frame (kind %d): %s" kind e)
+      | Error e -> on_error (Printf.sprintf "undecodable data frame (kind %d): %s" kind e)
     else
       match Wire_codec.decode_packet_body wire ~kind body with
       | Ok packet -> add_event (From_net packet)
-      | Error e -> on_error (Fmt.str "undecodable packet (kind %d): %s" kind e)
+      | Error e -> on_error (Printf.sprintf "undecodable packet (kind %d): %s" kind e)
   in
   let transport = Transport.create ~self:pid ~listen_port ~peers ~on_frame ~on_error ~obs () in
   let dispatch actions =
@@ -653,111 +658,104 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
 (* ------------------------------------------------------------------ *)
 (* Command line                                                        *)
 
-open Cmdliner
+(* [Stdlib.Arg], not Cmdliner: the flags are parsed once at boot, and a
+   library linked for that would stay resident for the daemon's whole life
+   (see bin/dune).  [Stdlib.Arg] has no required options, so each is
+   checked after parsing.  A missing, malformed or unknown option ends the
+   process with status 2 and a message naming it; [--help] prints the
+   usage and exits 0. *)
 
-let peers_conv =
-  let parse s =
-    try
-      Ok
-        (String.split_on_char ',' s
-        |> List.filter (fun s -> s <> "")
-        |> List.map (fun kv ->
-               match String.split_on_char ':' kv with
-               | [ pid; port ] -> (int_of_string pid, int_of_string port)
-               | _ -> failwith "bad"))
-    with _ -> Error (`Msg "expected PID:PORT[,PID:PORT...]")
-  in
-  let print ppf peers =
-    Fmt.pf ppf "%a"
-      (Fmt.list ~sep:(Fmt.any ",") (fun ppf (p, q) -> Fmt.pf ppf "%d:%d" p q))
-      peers
-  in
-  Arg.conv (parse, print)
+let usage =
+  "koptnode --pid P --nodes N --optimism K --listen PORT --control PORT\n\
+  \  --store-dir DIR --trace-file FILE --metrics-file FILE [OPTION]...\n\
+   K-optimistic logging daemon (one cluster process).  Options:"
 
-let cmd =
-  let pid = Arg.(required & opt (some int) None & info [ "pid" ] ~doc:"Process id.") in
-  let n =
-    Arg.(required & opt (some int) None & info [ "nodes" ] ~doc:"Cluster size.")
-  in
-  let k =
-    Arg.(required & opt (some int) None & info [ "optimism" ] ~doc:"Degree of optimism.")
-  in
-  let listen_port =
-    Arg.(required & opt (some int) None & info [ "listen" ] ~doc:"Data port to listen on.")
-  in
-  let peers =
-    Arg.(
-      value & opt peers_conv []
-      & info [ "peers" ] ~doc:"Peer data ports as PID:PORT,... (proxy ports under faults).")
-  in
-  let control_port =
-    Arg.(required & opt (some int) None & info [ "control" ] ~doc:"Control port.")
-  in
-  let store_dir =
-    Arg.(
-      required & opt (some string) None
-      & info [ "store-dir" ] ~doc:"Durable store directory (survives SIGKILL).")
-  in
-  let trace_file =
-    Arg.(required & opt (some string) None & info [ "trace-file" ] ~doc:"Trace output file.")
-  in
-  let metrics_file =
-    Arg.(
-      required & opt (some string) None
-      & info [ "metrics-file" ] ~doc:"Metrics output file (written on Quit).")
-  in
-  let epoch =
-    Arg.(
-      value & opt float 0.
-      & info [ "epoch" ] ~doc:"Shared wall-clock origin (Unix time) for trace timestamps.")
-  in
-  let time_scale =
-    Arg.(
-      value
-      & opt float Config.default_time_scale
-      & info [ "time-scale" ] ~doc:"Seconds per abstract time unit.")
-  in
-  let ckpt_interval =
-    Arg.(
-      value & opt (some float) None
-      & info [ "ckpt-interval" ]
-          ~doc:"Full-checkpoint period (abstract units); 0 disables it.")
-  in
-  let part_ckpt =
-    Arg.(
-      value & opt (some float) None
-      & info [ "part-ckpt" ]
-          ~doc:"Incremental per-partition checkpoint period (abstract units).")
-  in
-  let app_t =
-    Arg.(
-      value
-      & opt (enum [ ("kvstore", `Kvstore); ("shardkv", `Shardkv) ]) `Kvstore
-      & info [ "app" ] ~doc:"Application to run: $(b,kvstore) or $(b,shardkv).")
-  in
-  let join =
-    Arg.(
-      value & flag
-      & info [ "join" ]
-          ~doc:"Announce this process as a joiner on boot (membership churn).")
-  in
-  let run' app pid n k listen_port peers control_port store_dir trace_file
-      metrics_file epoch time_scale ckpt_interval part_ckpt join =
-    let go (type state msg) ((app, wire) :
-          (state, msg) App_model.App_intf.t * msg App_model.App_intf.wire_format) =
-      run ~app ~wire ~pid ~n ~k ~listen_port ~peers ~control_port ~store_dir
-        ~trace_file ~metrics_file ~epoch ~time_scale ~ckpt_interval ~part_ckpt
-        ~join
-    in
-    match app with
-    | `Kvstore -> go (App.app, App.wire)
-    | `Shardkv -> go (Shardkv_app.Shard_app.app, Shardkv_app.Shard_app.wire)
-  in
-  Cmd.v
-    (Cmd.info "koptnode" ~doc:"K-optimistic logging daemon (one cluster process).")
-    Term.(
-      const run' $ app_t $ pid $ n $ k $ listen_port $ peers $ control_port
-      $ store_dir $ trace_file $ metrics_file $ epoch $ time_scale $ ckpt_interval
-      $ part_ckpt $ join)
+(* PID:PORT[,PID:PORT...]; empty items are skipped. *)
+let parse_peers s =
+  String.split_on_char ',' s
+  |> List.filter (fun s -> s <> "")
+  |> List.map (fun kv ->
+         match List.map int_of_string_opt (String.split_on_char ':' kv) with
+         | [ Some pid; Some port ] -> (pid, port)
+         | _ ->
+           raise
+             (Arg.Bad
+                (Printf.sprintf
+                   "wrong argument '%s'; option '--peers' expects \
+                    PID:PORT[,PID:PORT...]"
+                   s)))
 
-let () = exit (Cmd.eval cmd)
+let () =
+  let pid = ref None and n = ref None and k = ref None in
+  let listen_port = ref None and control_port = ref None in
+  let store_dir = ref None and trace_file = ref None and metrics_file = ref None in
+  let peers = ref [] and epoch = ref 0. and time_scale = ref Config.default_time_scale in
+  let ckpt_interval = ref None and part_ckpt = ref None in
+  let app = ref "kvstore" and join = ref false in
+  let some_int r = Arg.Int (fun v -> r := Some v) in
+  let some_string r = Arg.String (fun v -> r := Some v) in
+  let some_float r = Arg.Float (fun v -> r := Some v) in
+  let specs =
+    Arg.align
+      [
+        ("--pid", some_int pid, "P Process id.");
+        ("--nodes", some_int n, "N Cluster size.");
+        ("--optimism", some_int k, "K Degree of optimism.");
+        ("--listen", some_int listen_port, "PORT Data port to listen on.");
+        ( "--peers",
+          Arg.String (fun s -> peers := parse_peers s),
+          "PID:PORT,... Peer data ports (proxy ports under faults)." );
+        ("--control", some_int control_port, "PORT Control port.");
+        ( "--store-dir",
+          some_string store_dir,
+          "DIR Durable store directory (survives SIGKILL)." );
+        ("--trace-file", some_string trace_file, "FILE Trace output file.");
+        ( "--metrics-file",
+          some_string metrics_file,
+          "FILE Metrics output file (written on Quit)." );
+        ( "--epoch",
+          Arg.Set_float epoch,
+          "T Shared wall-clock origin (Unix time) for trace timestamps." );
+        ("--time-scale", Arg.Set_float time_scale, "S Seconds per abstract time unit.");
+        ( "--ckpt-interval",
+          some_float ckpt_interval,
+          "T Full-checkpoint period (abstract units); 0 disables it." );
+        ( "--part-ckpt",
+          some_float part_ckpt,
+          "T Incremental per-partition checkpoint period (abstract units)." );
+        ( "--app",
+          Arg.Symbol ([ "kvstore"; "shardkv" ], fun a -> app := a),
+          " Application to run (default kvstore)." );
+        ( "--join",
+          Arg.Set join,
+          " Announce this process as a joiner on boot (membership churn)." );
+      ]
+  in
+  Arg.parse specs
+    (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument '%s'" a)))
+    usage;
+  let required name r =
+    match !r with
+    | Some v -> v
+    | None ->
+      Printf.eprintf "%s: option '%s' is required.\n" Sys.argv.(0) name;
+      Arg.usage specs usage;
+      exit 2
+  in
+  let pid = required "--pid" pid in
+  let n = required "--nodes" n in
+  let k = required "--optimism" k in
+  let listen_port = required "--listen" listen_port in
+  let control_port = required "--control" control_port in
+  let store_dir = required "--store-dir" store_dir in
+  let trace_file = required "--trace-file" trace_file in
+  let metrics_file = required "--metrics-file" metrics_file in
+  let go (type state msg)
+      ((app, wire) :
+        (state, msg) App_model.App_intf.t * msg App_model.App_intf.wire_format) =
+    run ~app ~wire ~pid ~n ~k ~listen_port ~peers:!peers ~control_port ~store_dir
+      ~trace_file ~metrics_file ~epoch:!epoch ~time_scale:!time_scale
+      ~ckpt_interval:!ckpt_interval ~part_ckpt:!part_ckpt ~join:!join
+  in
+  if !app = "shardkv" then go (Shardkv_app.Shard_app.app, Shardkv_app.Shard_app.wire)
+  else go (App.app, App.wire)

@@ -29,9 +29,10 @@ let parts = 8
 let part_of_key key = Hashing.mix 0x9e37 (Hashing.string key) mod parts
 
 let pp_msg ppf = function
-  | Put { key; value } -> Fmt.pf ppf "Put %s=%d" key value
-  | Replica { key; value; version } -> Fmt.pf ppf "Replica %s=%d v%d" key value version
-  | Get key -> Fmt.pf ppf "Get %s" key
+  | Put { key; value } -> Format.fprintf ppf "Put %s=%d" key value
+  | Replica { key; value; version } ->
+    Format.fprintf ppf "Replica %s=%d v%d" key value version
+  | Get key -> Format.fprintf ppf "Get %s" key
 
 let lookup state key = Str_map.find_opt key state.store
 
@@ -99,7 +100,7 @@ let wire : msg App_intf.wire_format =
             let value = get_int () in
             Replica { key; value; version = get_int () }
           | '\x03' -> Get (get_str ())
-          | c -> failwith (Fmt.str "kvstore wire: unknown tag %#x" (Char.code c))
+          | c -> failwith (Printf.sprintf "kvstore wire: unknown tag %#x" (Char.code c))
         in
         if !pos <> String.length s then failwith "kvstore wire: trailing bytes";
         Ok msg
@@ -192,8 +193,9 @@ let app : (state, msg) App_intf.t =
         | Get key ->
           let answer =
             match lookup state key with
-            | None -> Fmt.str "get %s -> none" key
-            | Some (value, version) -> Fmt.str "get %s -> %d (v%d)" key value version
+            | None -> Printf.sprintf "get %s -> none" key
+            | Some (value, version) ->
+              Printf.sprintf "get %s -> %d (v%d)" key value version
           in
           (state, [ App_intf.output answer ]));
     digest =

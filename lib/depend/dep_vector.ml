@@ -96,4 +96,6 @@ let equal a b =
 
 let pp ppf t =
   let item ppf (j, e) = Entry.pp_at j ppf e in
-  Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any "; ") item) (non_null t)
+  Format.fprintf ppf "{%a}"
+    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ") item)
+    (non_null t)

@@ -63,6 +63,6 @@ val elide_stable : t -> stable:(int -> Entry.t -> bool) -> int
 
 val equal : t -> t -> bool
 
-val pp : t Fmt.t
+val pp : Format.formatter -> t -> unit
 (** Prints the non-NULL entries as [{(t,x)_j; ...}], matching the paper's
     dependency-set notation. *)

@@ -37,10 +37,10 @@ val next_incarnation : t -> t
 (** Next incarnation, next state-interval index — the [current.inc++;
     current.sii++] step of Restart/Rollback in Figure 3. *)
 
-val pp : t Fmt.t
+val pp : Format.formatter -> t -> unit
 (** Prints [(t,x)], matching the paper. *)
 
-val pp_at : int -> t Fmt.t
+val pp_at : int -> Format.formatter -> t -> unit
 (** [pp_at i] prints [(t,x)_i], the paper's subscripted form. *)
 
 val to_string : t -> string

@@ -50,4 +50,7 @@ let of_entries es = List.fold_left insert empty es
 
 let equal = Int_map.equal Int.equal
 
-let pp ppf t = Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma Entry.pp) (entries t)
+let pp ppf t =
+  Format.fprintf ppf "{%a}"
+    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") Entry.pp)
+    (entries t)

@@ -59,4 +59,4 @@ val of_entries : Entry.t list -> t
 
 val equal : t -> t -> bool
 
-val pp : t Fmt.t
+val pp : Format.formatter -> t -> unit

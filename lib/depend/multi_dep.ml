@@ -37,4 +37,6 @@ let equal a b =
 
 let pp ppf t =
   let item ppf (j, e) = Entry.pp_at j ppf e in
-  Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any "; ") item) (entries t)
+  Format.fprintf ppf "{%a}"
+    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ") item)
+    (entries t)

@@ -42,5 +42,5 @@ val entries : t -> (int * Entry.t) list
 
 val equal : t -> t -> bool
 
-val pp : t Fmt.t
+val pp : Format.formatter -> t -> unit
 (** Paper-style set notation [{(t,x)_j; ...}]. *)

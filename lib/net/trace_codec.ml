@@ -190,7 +190,7 @@ let read_event c =
     let pid = get_int c in
     let replayed = get_int c in
     Trace.Recovery_completed { pid; replayed }
-  | t -> failwith (Fmt.str "unknown trace event tag %d" t)
+  | t -> failwith (Printf.sprintf "unknown trace event tag %d" t)
 
 let read_entry c =
   let time = get_float c in
@@ -202,7 +202,7 @@ let decode_entry s =
   match Wire_codec.decode_frame s ~pos:0 with
   | Error _ as e -> e
   | Ok (kind, body, next) ->
-    if kind <> trace_kind then Error (Fmt.str "not a trace frame (kind %d)" kind)
+    if kind <> trace_kind then Error (Printf.sprintf "not a trace frame (kind %d)" kind)
     else if next <> String.length s then Error "trailing bytes after frame"
     else run read_entry body
 
@@ -217,21 +217,23 @@ let decode_stream s =
         {
           entries = List.rev acc;
           damage =
-            Some (Fmt.str "trace file damaged at byte %d: %s (torn tail truncated)"
-                    pos e);
+            Some
+              (Printf.sprintf "trace file damaged at byte %d: %s (torn tail truncated)"
+                 pos e);
         }
       | Ok (kind, body, next) ->
         if kind <> trace_kind then
           {
             entries = List.rev acc;
-            damage = Some (Fmt.str "unexpected frame kind %d at byte %d" kind pos);
+            damage = Some (Printf.sprintf "unexpected frame kind %d at byte %d" kind pos);
           }
         else (
           match run read_entry body with
           | Error e ->
             {
               entries = List.rev acc;
-              damage = Some (Fmt.str "undecodable trace entry at byte %d: %s" pos e);
+              damage =
+                Some (Printf.sprintf "undecodable trace entry at byte %d: %s" pos e);
             }
           | Ok entry -> loop next (entry :: acc))
   in

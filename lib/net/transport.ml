@@ -87,7 +87,7 @@ let rec deliver t c =
   in
   match Wire_codec.Reader.next c.reader with
   | None -> true
-  | Some (Error e) -> reject (Fmt.str "inbound frame: %s" e)
+  | Some (Error e) -> reject (Printf.sprintf "inbound frame: %s" e)
   | Some (Ok (kind, body)) -> (
     match c.src with
     | None when kind = Wire_codec.hello_kind -> (
@@ -96,13 +96,13 @@ let rec deliver t c =
       | Ok src ->
         c.src <- Some src;
         deliver t c
-      | Error e -> reject (Fmt.str "inbound Hello: %s" e))
+      | Error e -> reject (Printf.sprintf "inbound Hello: %s" e))
     | None -> reject "inbound connection did not start with Hello"
     | Some src ->
       bump t c_received;
       (try t.on_frame ~src ~kind ~body
        with exn ->
-         t.on_error (Fmt.str "frame handler raised: %s" (Printexc.to_string exn)));
+         t.on_error (Printf.sprintf "frame handler raised: %s" (Printexc.to_string exn)));
       deliver t c)
 
 (* Read [c] until the socket has nothing more, as a dedicated reader

@@ -64,8 +64,9 @@ module Prim = struct
 
   let need c n =
     if c.pos + n > String.length c.s then
-      failwith (Fmt.str "short payload: need %d bytes at offset %d of %d" n c.pos
-                  (String.length c.s))
+      failwith
+        (Printf.sprintf "short payload: need %d bytes at offset %d of %d" n c.pos
+           (String.length c.s))
 
   let get_int c =
     need c 8;
@@ -99,7 +100,7 @@ module Prim = struct
       match c.s.[c.pos] with
       | '\x00' -> false
       | '\x01' -> true
-      | ch -> failwith (Fmt.str "bad bool byte %#x" (Char.code ch))
+      | ch -> failwith (Printf.sprintf "bad bool byte %#x" (Char.code ch))
     in
     c.pos <- c.pos + 1;
     v
@@ -138,8 +139,8 @@ module Prim = struct
       let c = cursor s in
       let v = reader c in
       if not (finished c) then
-        failwith (Fmt.str "trailing bytes: %d consumed of %d" c.pos
-                    (String.length s));
+        failwith
+          (Printf.sprintf "trailing bytes: %d consumed of %d" c.pos (String.length s));
       v
     with
     | v -> Ok v
@@ -175,14 +176,17 @@ let parse_header s ~pos =
   if pos < 0 || pos + header_bytes > String.length s then Error "short frame header"
   else if s.[pos] <> magic0 || s.[pos + 1] <> magic1 then
     Error
-      (Fmt.str "bad frame magic %#x %#x" (Char.code s.[pos]) (Char.code s.[pos + 1]))
+      (Printf.sprintf "bad frame magic %#x %#x" (Char.code s.[pos])
+         (Char.code s.[pos + 1]))
   else if Char.code s.[pos + 2] <> version then
-    Error (Fmt.str "unsupported wire version %d (want %d)" (Char.code s.[pos + 2])
-             version)
+    Error
+      (Printf.sprintf "unsupported wire version %d (want %d)" (Char.code s.[pos + 2])
+         version)
   else begin
     let kind = Char.code s.[pos + 3] in
     let len = get_le32 s (pos + 4) in
-    if len > max_frame_payload then Error (Fmt.str "frame payload length %d too large" len)
+    if len > max_frame_payload then
+      Error (Printf.sprintf "frame payload length %d too large" len)
     else Ok (kind, len)
   end
 
@@ -482,7 +486,7 @@ let get_app_fields c =
 let app_of_fields (wf : 'msg App_intf.wire_format)
     (id, src, dst, send_interval, dep, epoch, cseq, payload) =
   match wf.App_intf.read payload with
-  | Error e -> Error (Fmt.str "app payload: %s" e)
+  | Error e -> Error (Printf.sprintf "app payload: %s" e)
   | Ok payload -> Ok { Wire.id; src; dst; send_interval; dep; payload; epoch; cseq }
 
 let encode_packet (wf : 'msg App_intf.wire_format) (p : 'msg Wire.packet) =
@@ -561,7 +565,7 @@ let decode_packet_body (wf : 'msg App_intf.wire_format) ~kind body =
           if from_ < 0 then failwith "bad retire pid";
           Wire.Retire { from_; upto }
         end
-        else fail c (Fmt.str "unknown packet kind %d" kind))
+        else fail c (Printf.sprintf "unknown packet kind %d" kind))
       body
 
 let decode_packet wf s =
@@ -607,7 +611,7 @@ let decode_data_body (wf : 'msg App_intf.wire_format) ~kind body =
          body)
       (fun (notice, fields) ->
         Result.map (fun m -> (m, Some notice)) (app_of_fields wf fields))
-  else Error (Fmt.str "not a data frame (kind %d)" kind)
+  else Error (Printf.sprintf "not a data frame (kind %d)" kind)
 
 (* ------------------------------------------------------------------ *)
 (* Control channel                                                     *)
@@ -694,7 +698,7 @@ let decode_control_body (wf : 'msg App_intf.wire_format) ~kind body =
          body)
       (fun (seq, cseq, payload) ->
         match wf.App_intf.read payload with
-        | Error e -> Error (Fmt.str "inject payload: %s" e)
+        | Error e -> Error (Printf.sprintf "inject payload: %s" e)
         | Ok payload -> Ok (Inject { seq; cseq; payload }))
   else
     run
@@ -742,7 +746,7 @@ let decode_control_body (wf : 'msg App_intf.wire_format) ~kind body =
           let rounds = get_int c in
           Arm_brownout { slow; rounds }
         end
-        else fail c (Fmt.str "unknown control kind %d" kind))
+        else fail c (Printf.sprintf "unknown control kind %d" kind))
       body
 
 let decode_control wf s =

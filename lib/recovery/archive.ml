@@ -19,11 +19,16 @@ type 'msg item = {
 
 (* Cap the per-message backoff so a stuck message is still retried within
    a bounded number of ticks — retransmission must stay {e eventual} for
-   the lossy-network delivery argument.  The gap grows 4x per re-send
-   (schedule 1, 5, 21, 85, ... ticks after release): under a benign burst
-   the receiver's ack can take a second or more to fight back through the
-   backlog, and a doubling schedule still re-sent every message ~6 times
-   in that window — over 80%% of all received traffic was duplicates. *)
+   the lossy-network delivery argument.  A message is first re-sent at the
+   second tick after its release, so its ack always has at least one full
+   period to return: a message released just before a tick is not yet
+   overdue at that tick (under a burst, acks are one or two batches away,
+   and re-sending at the next tick sent most messages twice).  The gap grows
+   4x per re-send (schedule 2, 3, 7, 23, 87, 151, ... ticks after the
+   release's tick): under a benign burst the receiver's ack can take a
+   second or more to fight back through the backlog, and a doubling
+   schedule still re-sent every message ~6 times in that window — over 80%%
+   of all received traffic was duplicates. *)
 let max_gap = 64
 
 type 'msg t = {
@@ -40,7 +45,7 @@ let mem t id = Hashtbl.mem t.tbl id
 
 let add t (msg : 'msg Wire.app_message) =
   Hashtbl.replace t.tbl msg.Wire.id
-    { seq = t.next_seq; msg; due = t.ticks + 1; gap = 1 };
+    { seq = t.next_seq; msg; due = t.ticks + 2; gap = 1 };
   t.next_seq <- t.next_seq + 1
 
 let remove t id = Hashtbl.remove t.tbl id

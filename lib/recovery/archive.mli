@@ -33,10 +33,12 @@ val iter_oldest : 'msg t -> ('msg Wire.app_message -> unit) -> unit
 val due_oldest : 'msg t -> ('msg Wire.app_message -> unit) -> unit
 (** Advance the archive's retransmission clock by one tick and apply [f],
     in release order, to exactly the messages whose per-message backoff has
-    expired.  A freshly archived message is due on the first tick after its
-    release; each re-send then doubles its gap (capped), so a message that
-    keeps going unacknowledged is retried ever more rarely — but always
-    eventually, which is all the lossy-network delivery argument needs.
+    expired.  A freshly archived message is due on the second tick after
+    its release, so it waits at least one full period for its ack; the
+    re-sends after it come 1, 4, 16 and then every 64 ticks, so a message
+    that keeps going unacknowledged is retried ever more rarely — but
+    always eventually, which is all the lossy-network delivery argument
+    needs.
     Without the backoff, every tick re-sent the {e whole} archive; under a
     backlog the retransmissions crowded out the acks that would have
     drained the archive, a positive feedback loop that collapsed live

@@ -173,4 +173,4 @@ let describe t =
     if p.announce_all_rollbacks then "strom-yemini (full vector, all rollbacks announced)"
     else "damani-garg (full vector, failures-only announcements)"
   else if p.k >= t.n then "optimistic (K=N)"
-  else Fmt.str "%d-optimistic" p.k
+  else Printf.sprintf "%d-optimistic" p.k

@@ -2560,9 +2560,12 @@ let is_retired t j = Hashtbl.mem t.retired j
 let retired_frontier t j = Hashtbl.find_opt t.retired j
 
 let announce_join t ~now =
-  ignore now;
   with_cost t (fun () ->
       guard t (fun () ->
+          (* Receivers adopt [t.current] as stable (Corollary 3), so make it
+             true first, as [retire] does: a re-announcement by a process
+             that never left may hold unlogged deliveries. *)
+          do_flush ~forced:true t ~now;
           push t (Broadcast (Wire.Join { from_ = t.pid; n = t.n; current = t.current }))))
 
 let retire t ~now =

@@ -65,54 +65,54 @@ let drain t =
   drained
 
 let pp_reason ppf = function
-  | Orphan_message -> Fmt.string ppf "orphan"
-  | Duplicate -> Fmt.string ppf "duplicate"
+  | Orphan_message -> Format.pp_print_string ppf "orphan"
+  | Duplicate -> Format.pp_print_string ppf "duplicate"
 
 let pp_event ppf = function
   | Interval_started { pid; interval; replay; by; _ } ->
-    Fmt.pf ppf "P%d starts %a%s%s" pid Entry.pp interval
+    Format.fprintf ppf "P%d starts %a%s%s" pid Entry.pp interval
       (match by with None -> " (marker)" | Some _ -> "")
       (if replay then " [replay]" else "")
   | Message_sent { id; src; dst; send_interval } ->
-    Fmt.pf ppf "P%d sends %a to P%d from %a" src Wire.pp_identity id dst
+    Format.fprintf ppf "P%d sends %a to P%d from %a" src Wire.pp_identity id dst
       Entry.pp send_interval
   | Message_released { id; dep_size; blocked; _ } ->
-    Fmt.pf ppf "released %a |dep|=%d blocked=%.2f" Wire.pp_identity id dep_size
+    Format.fprintf ppf "released %a |dep|=%d blocked=%.2f" Wire.pp_identity id dep_size
       blocked
   | Message_delivered { id; dst; interval; _ } ->
-    Fmt.pf ppf "P%d delivers %a starting %a" dst Wire.pp_identity id Entry.pp
+    Format.fprintf ppf "P%d delivers %a starting %a" dst Wire.pp_identity id Entry.pp
       interval
   | Message_discarded { id; dst; reason } ->
-    Fmt.pf ppf "P%d discards %a (%a)" dst Wire.pp_identity id pp_reason reason
+    Format.fprintf ppf "P%d discards %a (%a)" dst Wire.pp_identity id pp_reason reason
   | Send_cancelled { id; src } ->
-    Fmt.pf ppf "P%d cancels unreleased %a" src Wire.pp_identity id
+    Format.fprintf ppf "P%d cancels unreleased %a" src Wire.pp_identity id
   | Stability_advanced { pid; upto } ->
-    Fmt.pf ppf "P%d stable up to %a" pid Entry.pp upto
+    Format.fprintf ppf "P%d stable up to %a" pid Entry.pp upto
   | Checkpoint_taken { pid; interval } ->
-    Fmt.pf ppf "P%d checkpoints at %a" pid Entry.pp interval
+    Format.fprintf ppf "P%d checkpoints at %a" pid Entry.pp interval
   | Crashed { pid; first_lost } ->
-    Fmt.pf ppf "P%d crashes%a" pid
-      Fmt.(option (any ", loses from " ++ Entry.pp))
-      first_lost
+    Format.fprintf ppf "P%d crashes" pid;
+    Option.iter (Format.fprintf ppf ", loses from %a" Entry.pp) first_lost
   | Restarted { pid; announced; new_current } ->
-    Fmt.pf ppf "P%d restarts, announces %a, continues as %a" pid
+    Format.fprintf ppf "P%d restarts, announces %a, continues as %a" pid
       Wire.pp_announcement announced Entry.pp new_current
   | Rolled_back { pid; restored; first_undone; new_current; because } ->
-    Fmt.pf ppf "P%d rolls back to %a (undoing from %a) due to %a, continues as %a"
+    Format.fprintf ppf "P%d rolls back to %a (undoing from %a) due to %a, continues as %a"
       pid Entry.pp restored Entry.pp first_undone Wire.pp_announcement because
       Entry.pp new_current
   | Announcement_received { pid; ann } ->
-    Fmt.pf ppf "P%d receives %a" pid Wire.pp_announcement ann
+    Format.fprintf ppf "P%d receives %a" pid Wire.pp_announcement ann
   | Notice_sent { pid; entries } ->
-    Fmt.pf ppf "P%d broadcasts logging progress (%d entries)" pid entries
+    Format.fprintf ppf "P%d broadcasts logging progress (%d entries)" pid entries
   | Output_buffered { pid; id; text } ->
-    Fmt.pf ppf "P%d buffers output %a %S" pid Wire.pp_output_id id text
+    Format.fprintf ppf "P%d buffers output %a %S" pid Wire.pp_output_id id text
   | Output_committed { pid; id; text; latency } ->
-    Fmt.pf ppf "P%d commits output %a %S after %.2f" pid Wire.pp_output_id id
+    Format.fprintf ppf "P%d commits output %a %S after %.2f" pid Wire.pp_output_id id
       text latency
   | Recovery_completed { pid; replayed } ->
-    Fmt.pf ppf "P%d completes recovery (%d records replayed)" pid replayed
+    Format.fprintf ppf "P%d completes recovery (%d records replayed)" pid replayed
 
-let pp_entry ppf e = Fmt.pf ppf "[%8.2f] %a" e.time pp_event e.ev
+let pp_entry ppf e = Format.fprintf ppf "[%8.2f] %a" e.time pp_event e.ev
 
-let dump ppf t = Fmt.(list ~sep:(any "@\n") pp_entry) ppf (events t)
+let dump ppf t =
+  Format.pp_print_list ~pp_sep:Format.pp_force_newline pp_entry ppf (events t)

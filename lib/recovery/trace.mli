@@ -86,9 +86,9 @@ val drain : t -> entry list
     only copy and keeps the in-memory trace bounded by one step's worth of
     events however long the daemon runs. *)
 
-val pp_event : event Fmt.t
+val pp_event : Format.formatter -> event -> unit
 
-val pp_entry : entry Fmt.t
+val pp_entry : Format.formatter -> entry -> unit
 
-val dump : t Fmt.t
+val dump : Format.formatter -> t -> unit
 (** The whole trace, one event per line. *)

@@ -23,7 +23,7 @@ open Depend
 type identity = { origin : int; origin_interval : Entry.t; idx : int }
 
 let pp_identity ppf id =
-  Fmt.pf ppf "%d:%a#%d" id.origin Entry.pp id.origin_interval id.idx
+  Format.fprintf ppf "%d:%a#%d" id.origin Entry.pp id.origin_interval id.idx
 
 (** An application message as released on the wire. *)
 type 'msg app_message = {
@@ -60,7 +60,7 @@ let no_cseq = -1
 type announcement = { from_ : int; ending : Entry.t; failure : bool }
 
 let pp_announcement ppf a =
-  Fmt.pf ppf "%s{P%d ends %a}"
+  Format.fprintf ppf "%s{P%d ends %a}"
     (if a.failure then "fail" else "rollback")
     a.from_ Entry.pp a.ending
 
@@ -147,7 +147,7 @@ let packet_kind = function
 (** Identity of an output sent to the outside world. *)
 type output_id = { out_interval : Entry.t; out_idx : int }
 
-let pp_output_id ppf o = Fmt.pf ppf "%a#%d" Entry.pp o.out_interval o.out_idx
+let pp_output_id ppf o = Format.fprintf ppf "%a#%d" Entry.pp o.out_interval o.out_idx
 
 (** Collected deliveries as duplicate suppression needs them.  Most fold
     into runs of channel numbers; the rest keep their identity. *)

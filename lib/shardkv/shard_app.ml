@@ -52,17 +52,18 @@ type state = {
 }
 
 let pp_msg ppf = function
-  | Put { key; value } -> Fmt.pf ppf "Put %s=%d" key value
-  | Get { g; key } -> Fmt.pf ppf "Get#%d %s" g key
+  | Put { key; value } -> Format.fprintf ppf "Put %s=%d" key value
+  | Get { g; key } -> Format.fprintf ppf "Get#%d %s" g key
   | Multi_put { m; pairs } ->
-    Fmt.pf ppf "MultiPut#%d [%a]" m
-      (Fmt.list ~sep:Fmt.sp (fun ppf (k, v) -> Fmt.pf ppf "%s=%d" k v))
+    Format.fprintf ppf "MultiPut#%d [%a]" m
+      (Format.pp_print_list ~pp_sep:Format.pp_print_space (fun ppf (k, v) ->
+           Format.fprintf ppf "%s=%d" k v))
       pairs
   | Mp_apply { m; coord; pairs } ->
-    Fmt.pf ppf "MpApply#%d coord=%d (%d keys)" m coord (List.length pairs)
-  | Mp_ack { m; from_ } -> Fmt.pf ppf "MpAck#%d from %d" m from_
-  | Grow { w } -> Fmt.pf ppf "Grow w=%d" w
-  | Retire_shard { shard } -> Fmt.pf ppf "RetireShard %d" shard
+    Format.fprintf ppf "MpApply#%d coord=%d (%d keys)" m coord (List.length pairs)
+  | Mp_ack { m; from_ } -> Format.fprintf ppf "MpAck#%d from %d" m from_
+  | Grow { w } -> Format.fprintf ppf "Grow w=%d" w
+  | Retire_shard { shard } -> Format.fprintf ppf "RetireShard %d" shard
 
 let lookup state key = Str_map.find_opt key state.store
 
@@ -274,7 +275,7 @@ let wire : msg App_model.App_intf.wire_format =
             Mp_ack { m; from_ = get_int () }
           | '\x06' -> Grow { w = get_int () }
           | '\x07' -> Retire_shard { shard = get_int () }
-          | c -> failwith (Fmt.str "shardkv wire: unknown tag %#x" (Char.code c))
+          | c -> failwith (Printf.sprintf "shardkv wire: unknown tag %#x" (Char.code c))
         in
         if !pos <> String.length s then failwith "shardkv wire: trailing bytes";
         Ok msg

@@ -3,8 +3,9 @@
    of every OCaml symbol: the loader-only tables those make fill the
    binary's first read-only segment, which is resident in every daemon.
    With both link flags that segment is ~25 KB; with either alone it is
-   over 400 KB.  It must also link no threads library.  The checks read
-   the ELF64 headers directly. *)
+   over 400 KB.  It must also link no threads library, no Cmdliner and no
+   Fmt.  The checks read the ELF64 headers directly.  The last test runs
+   the hand-parsed command line that replaced Cmdliner. *)
 
 module Deployment = Net.Deployment
 
@@ -85,10 +86,90 @@ let test_koptnode_no_threads () =
   | Some sym -> Alcotest.failf "koptnode links the threads library (%s)" sym
   | None -> ()
 
+(* The OCaml module a symbol belongs to: [camlCmdliner_arg.parse_12]
+   and [camlCmdliner_arg] are both [Cmdliner_arg]. *)
+let module_of sym =
+  let name = String.sub sym 4 (String.length sym - 4) in
+  match String.index_opt name '.' with Some i -> String.sub name 0 i | None -> name
+
+(* The daemon parses its flags once, with Stdlib.Arg, and prints with
+   Stdlib.Format and Printf, which it links anyway: Cmdliner (~230 KB of
+   text, data and frametables) and Fmt (~90 KB) would be resident in every
+   daemon for code it runs once or never. *)
+let test_koptnode_no_cli_libraries () =
+  let syms = symbols (read_koptnode ()) ~sh_type:sht_symtab in
+  Alcotest.(check bool) "a symbol table was read" true (syms <> []);
+  let unwanted m =
+    String.starts_with ~prefix:"Cmdliner" m
+    || m = "Fmt"
+    || String.starts_with ~prefix:"Fmt_" m
+  in
+  match
+    List.find_opt
+      (fun sym -> String.starts_with ~prefix:"caml" sym && unwanted (module_of sym))
+      syms
+  with
+  | Some sym -> Alcotest.failf "koptnode links module %s (%s)" (module_of sym) sym
+  | None -> ()
+
+(* Run koptnode with [args]; its exit code, stdout and stderr. *)
+let run_koptnode args =
+  let exe = Deployment.find_exe None in
+  let out, inp, err =
+    Unix.open_process_args_full exe (Array.of_list (exe :: args)) [||]
+  in
+  close_out inp;
+  let stdout = In_channel.input_all out and stderr = In_channel.input_all err in
+  match Unix.close_process_full (out, inp, err) with
+  | Unix.WEXITED code -> (code, stdout, stderr)
+  | Unix.WSIGNALED s | Unix.WSTOPPED s -> Alcotest.failf "koptnode died on signal %d" s
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec from i = i + n <= String.length s && (String.sub s i n = sub || from (i + 1)) in
+  from 0
+
+(* A missing, malformed or unknown option ends the daemon before it opens
+   anything, with a non-zero status and a first line naming the option;
+   [--help] exits 0.  The full argv [Deployment.spawn] passes boots every
+   daemon of the net-deployment tests. *)
+let test_koptnode_command_line () =
+  let valid =
+    [
+      ("--pid", "0"); ("--nodes", "2"); ("--optimism", "1"); ("--listen", "1");
+      ("--control", "2"); ("--store-dir", "store"); ("--trace-file", "trace");
+      ("--metrics-file", "metrics");
+    ]
+  in
+  let argv ?(drop = "") extra =
+    List.concat_map (fun (o, v) -> if o = drop then [] else [ o; v ]) valid @ extra
+  in
+  let rejects what ~option args =
+    let code, _, stderr = run_koptnode args in
+    if code = 0 then Alcotest.failf "%s: exit 0" what;
+    (* The first line, not the usage after it, which lists every option. *)
+    let first = List.hd (String.split_on_char '\n' stderr) in
+    if not (contains ~sub:option first) then
+      Alcotest.failf "%s: first line of stderr does not name %s:\n%s" what option stderr
+  in
+  rejects "missing --store-dir" ~option:"--store-dir" (argv ~drop:"--store-dir" []);
+  rejects "malformed --peers" ~option:"--peers" (argv [ "--peers"; "1:x" ]);
+  rejects "unknown --app" ~option:"--app" (argv [ "--app"; "nope" ]);
+  rejects "malformed --pid" ~option:"--pid" (argv ~drop:"--pid" [ "--pid"; "x" ]);
+  let code, stdout, _ = run_koptnode [ "--help" ] in
+  Alcotest.(check int) "--help exits 0" 0 code;
+  Alcotest.(check bool)
+    "--help lists --store-dir" true
+    (contains ~sub:"--store-dir" stdout)
+
 let suite =
   [
     Alcotest.test_case "koptnode: PIE, small first segment, no caml exports" `Quick
       test_koptnode_link;
     Alcotest.test_case "koptnode: links no threads library" `Quick
       test_koptnode_no_threads;
+    Alcotest.test_case "koptnode: links no Cmdliner and no Fmt" `Quick
+      test_koptnode_no_cli_libraries;
+    Alcotest.test_case "koptnode: command line rejects bad options by name" `Quick
+      test_koptnode_command_line;
   ]

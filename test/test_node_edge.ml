@@ -194,6 +194,38 @@ let test_archive_survives_sender_checkpoint_and_crash () =
     Alcotest.(check int) "counted" 1 (metric d.node "retransmissions")
   | l -> Alcotest.failf "expected 1 retransmission, got %d" (List.length l)
 
+(* The retransmission clock.  A message archived just before a tick is
+   not re-sent at that tick (its ack may still be a batch away) but at
+   the next one, and then 1, 4, 16 and every 64 ticks after that. *)
+let test_archive_first_resend_waits_a_period () =
+  let module Archive = Recovery.Archive in
+  let archive = Archive.create () in
+  let m =
+    {
+      Wire.id = { Wire.origin = 0; origin_interval = Entry.initial; idx = 0 };
+      src = 0;
+      dst = 1;
+      send_interval = Entry.initial;
+      dep = [];
+      payload = ();
+      epoch = 0;
+      cseq = Wire.no_cseq;
+    }
+  in
+  let resent_at = ref [] in
+  let tick i = Archive.due_oldest archive (fun _ -> resent_at := i :: !resent_at) in
+  Archive.add archive m;
+  tick 1;
+  Alcotest.(check (list int)) "not re-sent at the next tick" [] !resent_at;
+  tick 2;
+  Alcotest.(check (list int)) "re-sent at the one after" [ 2 ] !resent_at;
+  for i = 3 to 160 do
+    tick i
+  done;
+  Alcotest.(check (list int))
+    "backoff schedule, in ticks after release" [ 2; 3; 7; 23; 87; 151 ]
+    (List.rev !resent_at)
+
 let suite =
   [
     Alcotest.test_case "rollback then crash then restart" `Quick
@@ -216,4 +248,6 @@ let suite =
       test_checkpoint_restore_prefers_latest_clean;
     Alcotest.test_case "archive survives sender checkpoint + crash (regression)" `Quick
       test_archive_survives_sender_checkpoint_and_crash;
+    Alcotest.test_case "archive: first re-send waits a full tick period" `Quick
+      test_archive_first_resend_waits_a_period;
   ]
