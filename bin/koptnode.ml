@@ -46,14 +46,16 @@
    most events one iteration took is the [batch_high_water] gauge.
 
    Resident memory.  On the benchmark's steady workload a daemon's
-   resident peak is ~5.45 MB: ~2.8 MB file-backed (this binary's text,
-   0.8 MB, and the shared libraries, 1.9 MB) and ~2.7 MB anonymous,
-   which is the minor heap (0.5 MB), the major heap (~155k words, 1.2 MB
-   at its top), the binary's .data (0.5 MB) and the rest of the runtime
-   and C buffers.  The binary links only what the daemon runs: no
-   Cmdliner (the flags are parsed once, with [Stdlib.Arg]) and no Fmt
-   (everything prints through [Stdlib.Format] and [Printf], which it
-   links anyway).  Linked, the two would hold ~0.3 MB of text, .data and
+   resident peak is ~4.5 MB: ~1.9 MB file-backed (this binary's text,
+   1.7 MB with the part of libc it calls, and its rodata, 0.2 MB) and
+   ~2.65 MB anonymous, which is the minor heap (0.5 MB), the major heap
+   (~155k words, 1.2 MB at its top), the binary's .data (0.5 MB) and the
+   rest of the runtime and C buffers.  It is a static PIE, so it maps no
+   dynamic loader and no libc.so or libm.so (~1.9 MB when it was linked
+   dynamically; see bin/dune).  The binary links only what the daemon
+   runs: no Cmdliner (the flags are parsed once, with [Stdlib.Arg]) and
+   no Fmt (everything prints through [Stdlib.Format] and [Printf], which
+   it links anyway).  Linked, the two would hold ~0.3 MB of text, .data and
    frametables resident for code run once at boot or never (bin/dune).
    One thread means one malloc arena and one stack: glibc
    gives every further thread an arena of its own as well as a stack,
@@ -67,7 +69,7 @@
    at o=120; the sweep is in koptnode_runparam.c).  An operator's own
    [o=] wins, and every scrape reports the value in force
    ([gc_space_overhead]).  The binary is linked without the loader-only
-   tables that were another ~0.85 MB of file-backed pages: a full
+   tables that would be another ~0.75 MB of file-backed pages: a full
    relative-relocation table and an export of every OCaml symbol (see
    bin/dune).  The minor heap is 64k words rather than the runtime's
    256k-word default, which is resident whole (2 MB) once the first

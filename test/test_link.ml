@@ -2,10 +2,14 @@
    and must carry neither a full relative-relocation table nor an export
    of every OCaml symbol: the loader-only tables those make fill the
    binary's first read-only segment, which is resident in every daemon.
-   With both link flags that segment is ~25 KB; with either alone it is
-   over 400 KB.  It must also link no threads library, no Cmdliner and no
-   Fmt.  The checks read the ELF64 headers directly.  The last test runs
-   the hand-parsed command line that replaced Cmdliner. *)
+   With both link flags that segment is ~9 KB (~25 KB when the binary was
+   dynamically linked); with either alone it is over 400 KB.  It must
+   also link no threads library, no Cmdliner and no Fmt.  It is a static
+   PIE: no interpreter, no shared library, and no call in its sources to
+   the glibc functions that would need the build host's shared libraries
+   at run time.  The checks read the ELF64 headers directly.  The
+   command-line test runs the hand-parsed command line that replaced
+   Cmdliner. *)
 
 module Deployment = Net.Deployment
 
@@ -19,30 +23,69 @@ let et_dyn = 3
 
 let pt_load = 1
 
+let pt_dynamic = 2
+
+let pt_interp = 3
+
+let dt_needed = 1
+
+let dt_strtab = 5
+
 let sht_symtab = 2
 
 let sht_dynsym = 11
 
+type segment = { p_type : int; offset : int; vaddr : int; filesz : int }
+
+(* The program headers, in file order. *)
+let segments elf =
+  let phoff = u64 elf 32 and phentsize = u16 elf 54 and phnum = u16 elf 56 in
+  List.init phnum (fun i ->
+      let ph = phoff + (i * phentsize) in
+      { p_type = u32 elf ph; offset = u64 elf (ph + 8); vaddr = u64 elf (ph + 16);
+        filesz = u64 elf (ph + 32) })
+
 (* The first segment of [p_type] PT_LOAD, as its file size. *)
 let first_load_size elf =
-  let phoff = u64 elf 32 and phentsize = u16 elf 54 and phnum = u16 elf 56 in
-  let rec find i =
-    if i = phnum then Alcotest.fail "no PT_LOAD segment"
-    else
-      let ph = phoff + (i * phentsize) in
-      if u32 elf ph = pt_load then u64 elf (ph + 32) else find (i + 1)
-  in
-  find 0
+  match List.find_opt (fun s -> s.p_type = pt_load) (segments elf) with
+  | Some s -> s.filesz
+  | None -> Alcotest.fail "no PT_LOAD segment"
+
+(* The file offset of virtual address [vaddr], through the PT_LOAD that
+   maps it. *)
+let file_offset elf vaddr =
+  match
+    List.find_opt
+      (fun s -> s.p_type = pt_load && s.vaddr <= vaddr && vaddr < s.vaddr + s.filesz)
+      (segments elf)
+  with
+  | Some s -> vaddr - s.vaddr + s.offset
+  | None -> Alcotest.failf "address 0x%x is in no PT_LOAD segment" vaddr
+
+let c_string elf off = String.sub elf off (String.index_from elf off '\000' - off)
+
+(* The shared libraries the dynamic section names (DT_NEEDED), read
+   through its string table (DT_STRTAB). *)
+let needed elf =
+  match List.find_opt (fun s -> s.p_type = pt_dynamic) (segments elf) with
+  | None -> []
+  | Some dyn ->
+    let entries =
+      List.init (dyn.filesz / 16) (fun i ->
+          (u64 elf (dyn.offset + (16 * i)), u64 elf (dyn.offset + (16 * i) + 8)))
+    in
+    match List.filter_map (fun (tag, v) -> if tag = dt_needed then Some v else None) entries with
+    | [] -> []
+    | needs ->
+      let strtab = file_offset elf (List.assoc dt_strtab entries) in
+      List.map (fun off -> c_string elf (strtab + off)) needs
 
 (* The names in every section of type [sh_type] ([.symtab] or [.dynsym]),
    read through its linked string table. *)
 let symbols elf ~sh_type =
   let shoff = u64 elf 40 and shentsize = u16 elf 58 and shnum = u16 elf 60 in
   let section i = shoff + (i * shentsize) in
-  let name_at strtab off =
-    let start = u64 elf (section strtab + 24) + off in
-    String.sub elf start (String.index_from elf start '\000' - start)
-  in
+  let name_at strtab off = c_string elf (u64 elf (section strtab + 24) + off) in
   List.concat_map
     (fun i ->
       let sh = section i in
@@ -112,6 +155,111 @@ let test_koptnode_no_cli_libraries () =
   | Some sym -> Alcotest.failf "koptnode links module %s (%s)" (module_of sym) sym
   | None -> ()
 
+(* A static PIE: the kernel maps the binary alone, with no dynamic loader
+   and no libc.so or libm.so, whose pages fault-around would map in whole
+   for the small part of libc the daemon calls.  It still starts from a
+   random base (ET_DYN), so it keeps ASLR. *)
+let test_koptnode_static () =
+  let elf = read_koptnode () in
+  Alcotest.(check int) "e_type is ET_DYN: still a PIE" et_dyn (u16 elf 16);
+  (match List.find_opt (fun s -> s.p_type = pt_interp) (segments elf) with
+  | Some s -> Alcotest.failf "koptnode requests the interpreter %s" (c_string elf s.offset)
+  | None -> ());
+  match needed elf with
+  | [] -> ()
+  | libs -> Alcotest.failf "koptnode needs %s" (String.concat ", " libs)
+
+(* The glibc functions that go through NSS: a static binary that calls one
+   loads the build host's NSS modules at run time (the linker warns of
+   each one the Unix library's stubs carry).  The daemon must call none. *)
+let nss_functions =
+  [
+    "gethostbyname"; "gethostbyaddr"; "getaddrinfo"; "getnameinfo"; "getpwnam";
+    "getpwuid"; "getgrnam"; "getgrgid"; "getservbyname"; "getservbyport";
+    "getprotobyname"; "getprotobynumber"; "getlogin"; "initgroups";
+  ]
+
+(* What koptnode links of this repository, relative to the build's test
+   directory: each library's module prefix, its directory and its files
+   ([None]: every [.ml] there). *)
+let koptnode_sources =
+  [
+    ("Dune__exe", "../bin", Some [ "koptnode.ml"; "koptnode_runparam.c" ]);
+    ("Net_core", "../lib/net", Some [ "wire_codec.ml"; "trace_codec.ml"; "transport.ml" ]);
+    ("Shardkv_app", "../lib/shardkv", Some [ "ring.ml"; "shard_app.ml" ]);
+    ("Recovery", "../lib/recovery", None);
+    ("Durable", "../lib/durable", None);
+    ("Depend", "../lib/depend", None);
+    ("Obs", "../lib/obs", None);
+    ("App_model", "../lib/app_model", None);
+  ]
+
+let is_ident_char c =
+  match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true | _ -> false
+
+(* [word] occurs in [line] as a whole identifier. *)
+let mentions line word =
+  let n = String.length word and len = String.length line in
+  let rec from i =
+    i + n <= len
+    && ((String.sub line i n = word
+        && (i = 0 || not (is_ident_char line.[i - 1]))
+        && (i + n = len || not (is_ident_char line.[i + n])))
+       || from (i + 1))
+  in
+  from 0
+
+(* Scans every line of koptnode's sources for the NSS functions, as whole
+   identifiers, and names the first [file:line] that mentions one. *)
+let test_koptnode_no_nss () =
+  let files =
+    List.concat_map
+      (fun (lib, dir, only) ->
+        let names =
+          match only with
+          | Some names -> names
+          | None ->
+            Sys.readdir dir |> Array.to_list
+            |> List.filter (fun f -> Filename.check_suffix f ".ml")
+            |> List.sort compare
+        in
+        List.map (fun f -> (lib, Filename.concat dir f)) names)
+      koptnode_sources
+  in
+  (* The list must cover every module of this repository the binary
+     links: anything outside the standard and Unix libraries. *)
+  let scanned =
+    List.filter_map
+      (fun (lib, path) ->
+        if not (Filename.check_suffix path ".ml") then None
+        else
+          let m = String.capitalize_ascii (Filename.chop_suffix (Filename.basename path) ".ml") in
+          Some (if m = lib then m else lib ^ "__" ^ m))
+      files
+  in
+  let external_module m =
+    List.exists
+      (fun prefix -> String.starts_with ~prefix m)
+      [ "Stdlib"; "Camlinternal"; "Std_exit"; "Unix" ]
+  in
+  List.iter
+    (fun sym ->
+      if String.starts_with ~prefix:"caml" sym && String.ends_with ~suffix:".code_begin" sym
+      then
+        let m = module_of sym in
+        if m <> "" && 'A' <= m.[0] && m.[0] <= 'Z'
+           && (not (external_module m)) && not (List.mem m scanned)
+        then Alcotest.failf "koptnode links %s, whose source this test does not scan" m)
+    (symbols (read_koptnode ()) ~sh_type:sht_symtab);
+  List.iter
+    (fun (_, path) ->
+      In_channel.with_open_text path In_channel.input_lines
+      |> List.iteri (fun i line ->
+             match List.find_opt (mentions line) nss_functions with
+             | Some f -> Alcotest.failf "%s:%d: calls %s, an NSS lookup" path (i + 1) f
+             | None -> ()))
+    files
+
 (* Run koptnode with [args]; its exit code, stdout and stderr. *)
 let run_koptnode args =
   let exe = Deployment.find_exe None in
@@ -172,4 +320,7 @@ let suite =
       test_koptnode_no_cli_libraries;
     Alcotest.test_case "koptnode: command line rejects bad options by name" `Quick
       test_koptnode_command_line;
+    Alcotest.test_case "koptnode: static PIE, no interpreter, no DT_NEEDED" `Quick
+      test_koptnode_static;
+    Alcotest.test_case "koptnode: calls no NSS lookup" `Quick test_koptnode_no_nss;
   ]
