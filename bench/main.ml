@@ -232,9 +232,9 @@ let bench_codec () =
          done))
 
 (* B9: cost of one batched durable flush — 8 log records made stable with a
-   single fsync plus the stable-length witness write (a second fsync on the
-   synchronous area).  This is the real-file price of the paper's one
-   stable-storage operation per flush. *)
+   single fsync, then the buffered stable-length witness write (no fsync of
+   its own).  This is the real-file price of the paper's one stable-storage
+   operation per flush. *)
 let bench_durable_flush () =
   let store =
     lazy
@@ -431,8 +431,8 @@ let run_b11 rows =
     [ 0; 1; n ]
 
 (* B12: the same loopback cluster, driven open-loop (no pacing sleeps) —
-   measures the batched hot path end to end: group-commit fsyncs, coalesced
-   wire writes, per-batch eager flushes and piggybacked notices.  Reports
+   measures the batched hot path end to end: one fsync per batch flush,
+   coalesced wire writes, per-batch eager flushes and piggybacked notices.  Reports
    delivered-message throughput plus output-commit p50/p99 from the merged
    trace (every 8th injection is a Get, whose reply is a 0-optimistic
    output). *)

@@ -91,9 +91,9 @@
 module Node = Recovery.Node
 module Trace = Recovery.Trace
 module Config = Recovery.Config
-module Wire_codec = Net_core.Wire_codec
-module Trace_codec = Net_core.Trace_codec
-module Transport = Net_core.Transport
+module Wire_codec = Net.Wire_codec
+module Trace_codec = Net.Trace_codec
+module Transport = Net.Transport
 module App = App_model.Kvstore_app
 
 (* One control connection.  [live] turns false once its end (EOF or an
@@ -759,5 +759,5 @@ let () =
       ~trace_file ~metrics_file ~epoch:!epoch ~time_scale:!time_scale
       ~ckpt_interval:!ckpt_interval ~part_ckpt:!part_ckpt ~join:!join
   in
-  if !app = "shardkv" then go (Shardkv_app.Shard_app.app, Shardkv_app.Shard_app.wire)
+  if !app = "shardkv" then go (Shardkv.Shard_app.app, Shardkv.Shard_app.wire)
   else go (App.app, App.wire)

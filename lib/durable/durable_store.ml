@@ -93,17 +93,17 @@ type ('ckpt, 'log, 'ann) t = {
   sync_writes : Obs.Counter.t;
   flushes : Obs.Counter.t;
   ckpt_bytes : Obs.Counter.t; (* bytes written to checkpoint files *)
-  mutable sync_file : Fs.file; (* sync.dat, appended under the lock *)
+  mutable sync_file : Fs.file; (* sync.dat's append handle *)
   mutable sync_checked : int;
       (* sync.dat's leading bytes that open checked: a record there that
          fails [sealed_value] is one open counted as dropped *)
   mutable disk_full : int; (* flush rounds still refused (ENOSPC brownout) *)
   mutable slow_fsync : (float * int) option; (* extra seconds, rounds left *)
-  mutable round_slow : float; (* slow-down of the round in flight *)
   degraded_flushes : Obs.Counter.t;
   slowed_fsyncs : Obs.Counter.t;
   mutable alive : bool;
-  gc : Group_commit.t; (* flush coalescing; its lock guards all state *)
+  rounds : Obs.Counter.t; (* flush rounds, i.e. log fsyncs issued *)
+  fsync_seconds : Obs.Histogram.t; (* wall time of each log fsync *)
   report : open_report;
 }
 
@@ -152,8 +152,8 @@ let sync_put ?(fsync = true) t ~kind payload =
   t.sync_file.write (Codec.encode ~kind payload);
   if fsync then t.sync_file.fsync ()
 
-(* A group, as in {!Group_commit}: opening a store allocates its cells
-   without indexing the registry. *)
+(* A group, so a store opened per simulated process per explored schedule
+   only allocates the cells; the registry indexes them when read. *)
 let meters =
   Obs.Group.make (fun cells ->
       let c = Obs.Group.counter cells in
@@ -161,7 +161,9 @@ let meters =
         c "storage_slowed_fsyncs_total",
         c "storage_sync_writes_total",
         c "storage_flushes_total",
-        c "storage_checkpoint_bytes_total" ))
+        c "storage_checkpoint_bytes_total",
+        c "flush_rounds_total",
+        Obs.Group.histogram cells "fsync_seconds" ))
 
 let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
@@ -266,7 +268,13 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
       sync_area_missing = sync_missing;
     }
   in
-  let degraded_flushes, slowed_fsyncs, sync_writes, flushes, ckpt_bytes =
+  let ( degraded_flushes,
+        slowed_fsyncs,
+        sync_writes,
+        flushes,
+        ckpt_bytes,
+        rounds,
+        fsync_seconds ) =
     Obs.Registry.group obs meters
   in
   let t =
@@ -282,7 +290,6 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
       inc = !inc;
       disk_full = 0;
       slow_fsync = None;
-      round_slow = 0.;
       degraded_flushes;
       slowed_fsyncs;
       sync_writes;
@@ -291,7 +298,8 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
       sync_file = fs.open_append sync_file;
       sync_checked;
       alive = true;
-      gc = Group_commit.create ~obs ();
+      rounds;
+      fsync_seconds;
       report;
     }
   in
@@ -303,90 +311,70 @@ let dir t = t.root
 
 (* --- the stable-storage contract --------------------------------------- *)
 
-(* Thread safety: every public operation runs under the group-commit
-   coordinator's lock.  Plain reads and appends take it directly
-   ([with_lock]); operations that rewrite files or close descriptors
-   ([exclusive]) additionally wait out any fsync in flight.  [flush] goes
-   through {!Group_commit.force} so concurrent flushes coalesce. *)
-
-let with_lock t f = Group_commit.with_lock t.gc (fun () -> f ())
-
-let exclusive t f = Group_commit.exclusive t.gc (fun () -> f ())
-
 let append_volatile t r =
-  with_lock t (fun () ->
-      guard t;
-      Queue.add r t.volatile)
+  guard t;
+  Queue.add r t.volatile
 
 (* The flush path has exactly one durability point: the segment log's
    fsync.  The stable-length witness — which lets a reopen detect a log
    tail that fsync claimed but did not persist — is recorded in the
    synchronous area as a {e buffered} write ([sync_put ~fsync:false]),
-   after the fsync returns and under the lock, valued at what that fsync
-   covered.  Buffered is enough: a process kill never drops written bytes
-   (only power loss can, and that also drops the log tail the witness
-   would have accused, so the witness can only ever under-claim — it
-   never fabricates damage).  Crucially it does {e not} ride the log's
-   fsync, so a lying log fsync still leaves a truthful witness behind. *)
+   only once that fsync has returned, valued at what it covered.  A
+   raising fsync writes no witness and counts no flush.  Buffered is
+   enough: a process kill never drops written bytes (only power loss can,
+   and that also drops the log tail the witness would have accused, so the
+   witness can only ever under-claim — it never fabricates damage).
+   Crucially it does {e not} ride the log's fsync, so a lying log fsync
+   still leaves a truthful witness behind. *)
 (* Brownout degradation.  A disk-full window makes [flush] {e refuse} —
    nothing is drained, the volatile queue is retained intact and the
    refusal is counted — so the caller's records stay volatile and the
    K-rule keeps the node's sends gated: the protocol degrades to blocking
    at the K boundary instead of ever claiming stability the disk did not
    provide, and the first flush after the window drains everything in one
-   synchronous round.  A slow-fsync window stretches each fsync, which the
-   group-commit coordinator absorbs by coalescing more callers per round
-   (its stats report the shed). *)
-(* The group-commit round itself, shared by the refusable and the forced
-   ([flush_forced]) entry points. *)
+   synchronous round.  A slow-fsync window stretches each fsync (timed
+   into [fsync_seconds]) and is counted. *)
+(* One flush round, shared by the refusable and the forced
+   ([flush_forced]) entry points: append the volatile queue, fsync once,
+   then witness what the fsync covered. *)
 let flush_run t =
-  Group_commit.force t.gc
-      ~pending:(fun () ->
-        guard t;
-        not (Queue.is_empty t.volatile))
-      ~prepare:(fun () ->
-        let n = Queue.length t.volatile in
-        Queue.iter
-          (fun r -> ignore (Segment_log.append t.log (to_bin r) : int))
-          t.volatile;
-        Queue.clear t.volatile;
-        t.stable_len <- t.stable_len + n;
-        (* Only one leader is ever between prepare and sync, so a per-round
-           slow-down recorded here (under the lock) can be consumed in
-           [sync] (outside it) without a race. *)
-        (match t.slow_fsync with
-        | Some (delay, rounds) when rounds > 0 ->
-          t.slow_fsync <- (if rounds = 1 then None else Some (delay, rounds - 1));
-          Obs.Counter.incr t.slowed_fsyncs;
-          t.round_slow <- delay
-        | Some _ | None -> t.round_slow <- 0.);
-        (n, t.stable_len))
-      ~sync:(fun () ->
+  guard t;
+  let n = Queue.length t.volatile in
+  if n = 0 then 0
+  else begin
+    Queue.iter (fun r -> ignore (Segment_log.append t.log (to_bin r) : int)) t.volatile;
+    Queue.clear t.volatile;
+    t.stable_len <- t.stable_len + n;
+    let slow =
+      match t.slow_fsync with
+      | Some (delay, rounds) when rounds > 0 ->
+        t.slow_fsync <- (if rounds = 1 then None else Some (delay, rounds - 1));
+        Obs.Counter.incr t.slowed_fsyncs;
+        delay
+      | Some _ | None -> 0.
+    in
+    let began = Unix.gettimeofday () in
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Histogram.observe t.fsync_seconds (Unix.gettimeofday () -. began);
+        Obs.Counter.incr t.rounds)
+      (fun () ->
         Segment_log.sync t.log;
-        let s = t.round_slow in
-        if s > 0. then begin
-          t.round_slow <- 0.;
-          Unix.sleepf s
-        end)
-      ~commit:(fun (_, len) ->
-        sync_put ~fsync:false t ~kind:k_len (to_bin len);
-        Obs.Counter.incr t.flushes;
-        Obs.Counter.incr t.sync_writes)
-      ~default:(0, 0) ()
-  |> fst
+        if slow > 0. then Unix.sleepf slow);
+    sync_put ~fsync:false t ~kind:k_len (to_bin t.stable_len);
+    Obs.Counter.incr t.flushes;
+    Obs.Counter.incr t.sync_writes;
+    n
+  end
 
 let flush t =
-  let refused =
-    with_lock t (fun () ->
-        guard t;
-        if t.disk_full > 0 && not (Queue.is_empty t.volatile) then begin
-          t.disk_full <- t.disk_full - 1;
-          Obs.Counter.incr t.degraded_flushes;
-          true
-        end
-        else false)
-  in
-  if refused then 0 else flush_run t
+  guard t;
+  if t.disk_full > 0 && not (Queue.is_empty t.volatile) then begin
+    t.disk_full <- t.disk_full - 1;
+    Obs.Counter.incr t.degraded_flushes;
+    0
+  end
+  else flush_run t
 
 (* Critical-path flush (checkpoints, rollback): models a writer that
    blocks until space frees, so an armed disk-full window never refuses
@@ -395,41 +383,35 @@ let flush t =
    restart would then replay records the checkpoint already absorbed. *)
 let flush_forced t = flush_run t
 
-let stable_log_length t = with_lock t (fun () -> t.stable_len)
+let stable_log_length t = t.stable_len
 
-let volatile_length t = with_lock t (fun () -> Queue.length t.volatile)
+let volatile_length t = Queue.length t.volatile
 
-let volatile_peek t = with_lock t (fun () -> Queue.peek_opt t.volatile)
+let volatile_peek t = Queue.peek_opt t.volatile
 
 (* Read back from the segments: a record that no longer decodes raises
    (naming its segment and index) instead of shortening the answer. *)
-let fold_log t ~pos ~init ~f =
+let fold_log_from t ~pos ~init ~f =
   guard t;
   if pos < t.base || pos > t.stable_len then
     invalid_arg "Durable_store.stable_log_from: position out of range";
   Segment_log.fold_from t.log ~pos ~decode:decode_opt ~init ~f
 
-let fold_log_from t ~pos ~init ~f = with_lock t (fun () -> fold_log t ~pos ~init ~f)
-
-let log_from t ~pos =
-  List.rev (fold_log t ~pos ~init:[] ~f:(fun acc _ r -> r :: acc))
-
-let stable_log_from t ~pos = with_lock t (fun () -> log_from t ~pos)
+let stable_log_from t ~pos =
+  List.rev (fold_log_from t ~pos ~init:[] ~f:(fun acc _ r -> r :: acc))
 
 let truncate_stable_log t ~keep =
-  exclusive t (fun () ->
-      guard t;
-      if keep < t.base || keep > t.stable_len then
-        invalid_arg "Durable_store.truncate_stable_log: keep out of range";
-      let removed = log_from t ~pos:keep in
-      t.stable_len <- keep;
-      Segment_log.truncate_after t.log ~keep;
-      sync_put t ~kind:k_len (to_bin keep);
-      Queue.clear t.volatile;
-      removed)
+  guard t;
+  if keep < t.base || keep > t.stable_len then
+    invalid_arg "Durable_store.truncate_stable_log: keep out of range";
+  let removed = stable_log_from t ~pos:keep in
+  t.stable_len <- keep;
+  Segment_log.truncate_after t.log ~keep;
+  sync_put t ~kind:k_len (to_bin keep);
+  Queue.clear t.volatile;
+  removed
 
 let discard_log_prefix t ~before =
-  exclusive t @@ fun () ->
   guard t;
   if before > t.stable_len then
     invalid_arg "Durable_store.discard_log_prefix: position out of range";
@@ -444,25 +426,23 @@ let discard_log_prefix t ~before =
     discarded
   end
 
-let log_base t = with_lock t (fun () -> t.base)
+let log_base t = t.base
 
-let live_log_records t = with_lock t (fun () -> t.stable_len - t.base)
+let live_log_records t = t.stable_len - t.base
 
 let save_checkpoint t c =
   ignore (flush_forced t : int);
-  exclusive t (fun () ->
-      guard t;
-      let seq = t.ckpt_seq in
-      t.ckpt_seq <- seq + 1;
-      let pos = Bytes.create 8 in
-      Bytes.set_int64_le pos 0 (Int64.of_int t.stable_len);
-      let b = Buffer.create 256 in
-      Codec.encode_into b ~kind:k_pos (Bytes.unsafe_to_string pos);
-      Codec.encode_into b ~kind:k_ckpt (to_bin c);
-      Fs.write_file t.fs (ckpt_path t.root seq) (Buffer.contents b);
-      t.ckpts <- seq :: t.ckpts;
-      Obs.Counter.add t.ckpt_bytes (Buffer.length b);
-      Obs.Counter.incr t.sync_writes)
+  let seq = t.ckpt_seq in
+  t.ckpt_seq <- seq + 1;
+  let pos = Bytes.create 8 in
+  Bytes.set_int64_le pos 0 (Int64.of_int t.stable_len);
+  let b = Buffer.create 256 in
+  Codec.encode_into b ~kind:k_pos (Bytes.unsafe_to_string pos);
+  Codec.encode_into b ~kind:k_ckpt (to_bin c);
+  Fs.write_file t.fs (ckpt_path t.root seq) (Buffer.contents b);
+  t.ckpts <- seq :: t.ckpts;
+  Obs.Counter.add t.ckpt_bytes (Buffer.length b);
+  Obs.Counter.incr t.sync_writes
 
 (* A snapshot read back from its file.  Open-time recovery kept only
    files that decoded, so a failure here is damage after open: reported,
@@ -475,22 +455,17 @@ let read_checkpoint t seq =
   | None -> failwith ("Durable_store: checkpoint no longer decodes: " ^ path)
 
 let latest_checkpoint t =
-  with_lock t (fun () ->
-      match t.ckpts with [] -> None | seq :: _ -> Some (read_checkpoint t seq))
+  match t.ckpts with [] -> None | seq :: _ -> Some (read_checkpoint t seq)
 
-let checkpoints t =
-  let seqs = with_lock t (fun () -> t.ckpts) in
-  Seq.map (fun seq -> with_lock t (fun () -> read_checkpoint t seq)) (List.to_seq seqs)
+let checkpoints t = Seq.map (read_checkpoint t) (List.to_seq t.ckpts)
 
 let oldest_checkpoint t =
-  with_lock t (fun () ->
-      match List.rev t.ckpts with [] -> None | seq :: _ -> Some (read_checkpoint t seq))
+  match List.rev t.ckpts with [] -> None | seq :: _ -> Some (read_checkpoint t seq)
 
 let unlink_ckpts t dropped =
   List.iter (fun seq -> t.fs.unlink (ckpt_path t.root seq)) dropped
 
 let restore_checkpoint t ~satisfying =
-  exclusive t @@ fun () ->
   guard t;
   let rec find newer = function
     | [] -> None
@@ -507,7 +482,6 @@ let restore_checkpoint t ~satisfying =
     Some c
 
 let prune_checkpoints t ~keep_latest =
-  exclusive t @@ fun () ->
   guard t;
   if keep_latest < 1 then
     invalid_arg "Durable_store.prune_checkpoints: must keep at least one";
@@ -522,10 +496,9 @@ let prune_checkpoints t ~keep_latest =
   List.length dropped
 
 let log_announcement t a =
-  with_lock t (fun () ->
-      guard t;
-      sync_put t ~kind:k_ann (to_bin a);
-      Obs.Counter.incr t.sync_writes)
+  guard t;
+  sync_put t ~kind:k_ann (to_bin a);
+  Obs.Counter.incr t.sync_writes
 
 (* The announcements read back from sync.dat, oldest first, streamed.
    Open truncated any torn or corrupt tail and counted the records in the
@@ -533,7 +506,7 @@ let log_announcement t a =
    found by the same predicate, are skipped here.  Anything else that does
    not decode, and a frame anomaly, is damage after open or a format bug:
    reported with its byte offset, never answered with a shorter list. *)
-let read_announcements t =
+let announcements t =
   guard t;
   let path = sync_path t.root in
   let undecodable pos =
@@ -554,16 +527,13 @@ let read_announcements t =
       (Printf.sprintf "Durable_store: %s: damaged at byte %d" path valid_bytes);
   List.rev anns
 
-let announcements t = with_lock t (fun () -> read_announcements t)
-
 (* Rewrite the synchronous area keeping only the announcements [keep]
    accepts (plus the store metadata — base, length witness, incarnation —
    re-emitted fresh).  Atomic: build a temp file, fsync it, rename over
    sync.dat, reopen the append descriptor.  A crash before the rename
    leaves the old area intact; after it, the new one. *)
 let compact_sync t ~keep =
-  exclusive t @@ fun () ->
-  let anns = read_announcements t in
+  let anns = announcements t in
   let kept = List.filter keep anns in
   let dropped = List.length anns - List.length kept in
   if dropped > 0 then begin
@@ -585,41 +555,33 @@ let compact_sync t ~keep =
   dropped
 
 let set_incarnation t i =
-  with_lock t (fun () ->
-      guard t;
-      sync_put t ~kind:k_inc (to_bin i);
-      t.inc <- i;
-      Obs.Counter.incr t.sync_writes)
+  guard t;
+  sync_put t ~kind:k_inc (to_bin i);
+  t.inc <- i;
+  Obs.Counter.incr t.sync_writes
 
-let incarnation t = with_lock t (fun () -> t.inc)
+let incarnation t = t.inc
 
-let sync_writes t = with_lock t (fun () -> Obs.Counter.value t.sync_writes)
-
+let sync_writes t = Obs.Counter.value t.sync_writes
 
 let kill t =
-  (* [exclusive] waits out an fsync in flight: descriptors must not close
-     under a leader mid-sync. *)
-  exclusive t (fun () ->
-      if t.alive then begin
-        Queue.clear t.volatile;
-        Segment_log.kill t.log;
-        t.sync_file.close ();
-        t.alive <- false
-      end)
+  if t.alive then begin
+    Queue.clear t.volatile;
+    Segment_log.kill t.log;
+    t.sync_file.close ();
+    t.alive <- false
+  end
 
 let arm_fsync_failure t =
-  exclusive t (fun () ->
-      guard t;
-      Segment_log.arm_fsync_failure t.log)
+  guard t;
+  Segment_log.arm_fsync_failure t.log
 
 let arm_disk_full t ~rounds =
   if rounds < 0 then invalid_arg "Durable_store.arm_disk_full";
-  with_lock t (fun () ->
-      guard t;
-      t.disk_full <- rounds)
+  guard t;
+  t.disk_full <- rounds
 
 let arm_slow_fsync t ~delay ~rounds =
   if delay < 0. || rounds < 0 then invalid_arg "Durable_store.arm_slow_fsync";
-  with_lock t (fun () ->
-      guard t;
-      t.slow_fsync <- (if rounds = 0 then None else Some (delay, rounds)))
+  guard t;
+  t.slow_fsync <- (if rounds = 0 then None else Some (delay, rounds))

@@ -23,9 +23,9 @@
     - the {b message log} is a {!Segment_log} of Marshal-encoded records,
       made durable in batches by [flush].  A flush has exactly {e one}
       durability point — the log's fsync, the paper's single
-      stable-storage operation — and concurrent flushes coalesce through a
-      {!Group_commit} coordinator, so N simultaneous callers cost one
-      fsync, not N.  The segments are the only copy of the flushed
+      stable-storage operation: the store's one owner appends the volatile
+      records, fsyncs once, and only then writes the stable-length
+      witness.  The segments are the only copy of the flushed
       records: the store keeps none in memory and reads them back from the
       files when asked, one record at a time ({!fold_log_from});
     - each {b checkpoint} is its own [ckpt-<seq>.dat] file of two
@@ -55,9 +55,8 @@
     yet flushed.  It does not grow with the records, checkpoints or
     announcements written.  Only rollback, restart and log GC read back.
 
-    Every operation is thread-safe: plain reads and appends share the
-    coordinator's lock, and operations that rewrite files or close
-    descriptors additionally wait out any fsync in flight.
+    A store has one owner and no lock: its node's thread calls every
+    operation, one at a time.
 
     Open-time recovery scans everything, truncates torn or corrupt tails,
     drops unusable checkpoints and reports what it found in
@@ -113,11 +112,11 @@ val open_ :
 
     [obs] receives the store's metric families —
     [storage_flushes_total], [storage_sync_writes_total],
-    [storage_degraded_flushes_total], [storage_slowed_fsyncs_total] —
-    plus the embedded group-commit coordinator's ({!Group_commit.create}).
-    Defaults to a private registry.  All cells are bumped under the
-    store's lock; {!sync_writes} reads under that same lock, so its
-    value is exact.  [storage_checkpoint_bytes_total] counts the bytes
+    [storage_degraded_flushes_total], [storage_slowed_fsyncs_total],
+    [flush_rounds_total] (log fsyncs issued, whether or not they
+    returned) and the [fsync_seconds] histogram (wall time of each, an
+    armed slow-down included).  Defaults to a private registry.
+    [storage_checkpoint_bytes_total] counts the bytes
     written to checkpoint files.  Note that get-or-create semantics mean a
     store reopened into the {e same} registry (a daemon respawning in
     process) continues the counters of its predecessor. *)
@@ -134,7 +133,8 @@ val flush : ('ckpt, 'log, 'ann) t -> int
     returns the number of records made stable.  Counted as one flush (and
     as a synchronous write) only when records were written.  An armed
     disk-full window ({!arm_disk_full}) makes it refuse instead (return 0
-    with the buffer intact). *)
+    with the buffer intact).  If the log's fsync raises, so does [flush],
+    with no stable-length witness written and no flush counted. *)
 
 val flush_forced : ('ckpt, 'log, 'ann) t -> int
 (** Like {!flush}, but an armed disk-full window ({!arm_disk_full}) never
@@ -155,12 +155,9 @@ val fold_log_from :
   ('ckpt, 'log, 'ann) t -> pos:int -> init:'acc -> f:('acc -> int -> 'log -> 'acc) -> 'acc
 (** Fold [f] over the stable records from [pos] on, oldest first, each
     with its logical position, read back from the segment files one
-    record at a time ({!Segment_log.fold_from}) — flushed records are
-    readable before their fsync completes, as they would be from memory.
-    Only rollback, restart and log GC read the log, so the flush path
+    record at a time ({!Segment_log.fold_from}).  Only rollback, restart and log GC read the log, so the flush path
     keeps no copy of what it wrote, and a read keeps no more of the log
-    than [f] does.  [f] runs under the store's lock and must not call
-    back into the store; an exception it raises stops the fold.
+    than [f] does.  [f] must not call back into the store; an exception it raises stops the fold.
     @raise Failure naming the segment file and the record's logical
     position if a record read back fails its checksum or no longer
     decodes: damage found after open is reported, never answered with a
@@ -290,8 +287,8 @@ val arm_disk_full : ('ckpt, 'log, 'ann) t -> rounds:int -> unit
 
 val arm_slow_fsync : ('ckpt, 'log, 'ann) t -> delay:float -> rounds:int -> unit
 (** Slow-disk brownout: the next [rounds] flush rounds stretch their fsync
-    by [delay] seconds (counted in [storage_slowed_fsyncs_total]).  The
-    group-commit coordinator absorbs the slowdown by coalescing more
-    callers per round. *)
+    by [delay] seconds (counted in [storage_slowed_fsyncs_total], and
+    timed into [fsync_seconds]).  The owner waits it out: the round's
+    witness is written only after it. *)
 
 val dir : ('ckpt, 'log, 'ann) t -> string

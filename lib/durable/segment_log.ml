@@ -181,9 +181,8 @@ let fail ~op s i reason =
 (* Fold [f] over the records of segment [s], oldest first, each with its
    logical index and its payload in place in [buf], streamed from byte 0
    (the log keeps no per-record offsets; a segment is at most
-   [segment_bytes] plus one record).  Appends are whole O_APPEND writes
-   made under the caller's lock, so everything appended — synced or not —
-   is readable from the file.  Fails naming the record where the file
+   [segment_bytes] plus one record).  Appends are whole O_APPEND writes,
+   so everything appended — synced or not — is readable from the file.  Fails naming the record where the file
    stops matching what was written. *)
 let fold_segment t ~op ~buf s ~init ~f =
   let n = ref 0 in

@@ -42,7 +42,7 @@ let burst t ~dst ~tag ~count ~seed =
   for i = 0 to count - 1 do
     Deployment.inject t ~dst
       (App.Put { key = Fmt.str "e17-%s-%d" tag i; value = seed + i });
-    if i mod 16 = 15 then Thread.delay 0.002
+    if i mod 16 = 15 then Unix.sleepf 0.002
   done
 
 let settle_or_note t report ~label ~stage =

@@ -30,7 +30,6 @@ type t = {
   part_ckpt : float option;  (** [--part-ckpt] period, incremental snapshots *)
   mutable nodes : node array; (* grows on add_node; slots never removed *)
   proxy : Proxy.t option;
-  proxy_obs : Obs.Registry.t;  (** the proxy's counters; empty without one *)
   mutable seq : int;  (** outside-world injection sequence numbers *)
   mutable retired_pids : int list;
   mutable alive : bool;
@@ -101,6 +100,8 @@ let free_ports count =
   in
   List.iter Unix.close fds;
   Array.of_list ports
+
+let proxy_metrics_file root = Filename.concat root "metrics-proxy.txt"
 
 (* ------------------------------------------------------------------ *)
 (* Daemon lifecycle                                                    *)
@@ -178,7 +179,7 @@ let rec ctl_fd ?(attempts = 100) node =
         Some fd
       | exception Unix.Unix_error _ ->
         Wire_codec.close_quiet fd;
-        Thread.delay 0.05;
+        Unix.sleepf 0.05;
         ctl_fd ~attempts:(attempts - 1) node
     end
 
@@ -247,7 +248,6 @@ let launch ~n ~k ?(app = "kvstore") ?ckpt_interval ?part_ckpt
           injected = 0;
         })
   in
-  let proxy_obs = Obs.Registry.create () in
   let proxy =
     match plan with
     | None -> None
@@ -259,7 +259,9 @@ let launch ~n ~k ?(app = "kvstore") ?ckpt_interval ?part_ckpt
                  (match node.proxy_port with Some p -> p | None -> assert false),
                  node.data_port ))
       in
-      Some (Proxy.start ~routes ~plan ~seed ~time_scale ~obs:proxy_obs ())
+      Some
+        (Proxy.start ~routes ~plan ~seed ~time_scale
+           ~metrics_file:(proxy_metrics_file root) ())
   in
   let t =
     {
@@ -275,7 +277,6 @@ let launch ~n ~k ?(app = "kvstore") ?ckpt_interval ?part_ckpt
       part_ckpt;
       nodes;
       proxy;
-      proxy_obs;
       seq = 0;
       retired_pids = [];
       alive = true;
@@ -367,7 +368,7 @@ let kill t ~dst =
   kill_only t ~dst;
   (* The detection + reboot outage of the cost model, in wall-clock terms —
      the same constant a daemon's in-process crash sleeps (Config.real_restart_delay). *)
-  Thread.delay (Config.real_restart_delay ~time_scale:t.time_scale t.config.Config.timing);
+  Unix.sleepf (Config.real_restart_delay ~time_scale:t.time_scale t.config.Config.timing);
   respawn t ~dst
 
 let run_workload t ~ops ~seed =
@@ -380,7 +381,7 @@ let run_workload t ~ops ~seed =
       else App.Put { key; value = (i * 37) + Sim.Rng.int rng 100 }
     in
     inject t ~dst msg;
-    if i mod 8 = 7 then Thread.delay 0.002
+    if i mod 8 = 7 then Unix.sleepf 0.002
   done
 
 let live_pids t =
@@ -418,7 +419,7 @@ let settle ?(timeout = 30.) t =
       if all_ok && deliveries = !prev_deliveries then true
       else begin
         prev_deliveries := deliveries;
-        Thread.delay 0.1;
+        Unix.sleepf 0.1;
         loop ()
       end
     end
@@ -495,20 +496,17 @@ let merge_traces t =
   (trace, List.rev !damage, synthesized)
 
 (* A daemon's metrics file is the text exposition its registry wrote at
-   Quit.  A missing file is an empty snapshot — the daemon was reaped
+   Quit, and the proxy's the one its relay wrote at close.  A missing file
+   is an empty snapshot — there was no proxy, or the daemon was reaped
    (SIGKILLed at teardown) rather than drained, which loses metrics but
    never certification evidence (the trace file is synced continuously).
    An unparseable file is damage worth surfacing, like a torn trace. *)
-let load_metrics node =
-  if not (Sys.file_exists node.metrics_file) then Ok Obs.Snapshot.empty
-  else begin
-    let ic = open_in_bin node.metrics_file in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Obs.Snapshot.of_text text with
+let load_metrics ~what path =
+  if not (Sys.file_exists path) then Ok Obs.Snapshot.empty
+  else
+    match Obs.Snapshot.of_text (In_channel.with_open_bin path In_channel.input_all) with
     | Ok snap -> Ok snap
-    | Error e -> Error (Fmt.str "pid %d metrics: %s" node.pid e)
-  end
+    | Error e -> Error (Fmt.str "%s metrics: %s" what e)
 
 type outcome = {
   trace : Trace.t;
@@ -564,7 +562,7 @@ let wait_exit node =
       | 0, _ ->
         if Unix.gettimeofday () > deadline then reap node
         else begin
-          Thread.delay 0.02;
+          Unix.sleepf 0.02;
           wait ()
         end
       | _ -> node.os_pid <- -1
@@ -628,14 +626,16 @@ let finish t =
   let trace, damage, synthesized_crashes = merge_traces t in
   let metric_damage = ref [] in
   let obs =
-    Array.to_list t.nodes
-    |> List.map (fun node ->
-           match load_metrics node with
+    ("proxy", proxy_metrics_file t.root)
+    :: List.map
+         (fun node -> (Fmt.str "pid %d" node.pid, node.metrics_file))
+         (Array.to_list t.nodes)
+    |> List.map (fun (what, path) ->
+           match load_metrics ~what path with
            | Ok snap -> snap
            | Error e ->
              metric_damage := e :: !metric_damage;
              Obs.Snapshot.empty)
-    |> List.cons (Obs.Registry.snapshot t.proxy_obs)
     |> Obs.Snapshot.merge_all
   in
   let damage = damage @ List.rev !metric_damage in

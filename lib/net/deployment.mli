@@ -184,7 +184,8 @@ type outcome = {
           draining contributes an empty snapshot (its metrics file was
           never written) — trace evidence is unaffected.  A deployment
           launched with a fault [plan] also merges in its proxy's
-          [proxy_*_total] counters, read after the proxy closed. *)
+          [proxy_*_total] counters, from the [metrics-proxy.txt] file
+          the relay writes under [root] when it stops. *)
 }
 
 val check_fault_free : outcome -> unit

@@ -14,14 +14,23 @@
     - {b drop}: each frame is dropped with probability [loss];
     - {b duplicate}: each frame is written twice with probability
       [duplicate] — the receiver's identity-based suppression eats it;
-    - {b partition}: while a partition window is active, streams crossing
-      the cut are severed and new ones are cut at the hello; the dialer's
-      backoff keeps retrying until the network heals.
+    - {b partition}: while a partition window is active, frames crossing
+      the cut are dropped ([Drop_packets]: new streams are also severed
+      at the hello, and the dialer's backoff keeps retrying until the
+      window closes) or held until it heals ([Queue_packets]: each
+      held frame holds its stream's suffix, and all are delivered in
+      order after the heal).
 
     The relay never rewrites bytes: a frame is forwarded verbatim, late,
     twice or not at all.  Corrupt frames (which the relay cannot even
     parse past) sever the stream, exactly like a real middlebox dying
-    mid-connection. *)
+    mid-connection.
+
+    The relay is one [Unix.select] loop over nonblocking sockets in a
+    forked child process, which keeps only its listeners, a pipe from the
+    parent and stdio.  Each stream keeps a FIFO of held frames, and the
+    earliest due head sets the loop's timeout.  Fault decisions draw from
+    one seeded {!Sim.Rng}, in the order frames are read. *)
 
 type t
 
@@ -30,18 +39,24 @@ val start :
   ?plan:Harness.Netmodel.fault_plan ->
   ?seed:int ->
   ?time_scale:float ->
-  obs:Obs.Registry.t ->
+  metrics_file:string ->
   unit ->
   t
-(** [routes] lists [(dst_pid, listen_port, target_port)] triples.  Fault
-    probabilities come from [plan] (default {!Harness.Netmodel.benign});
-    the plan's times (partition windows, [reorder_spread]) are in abstract
-    config units and are scaled to wall-clock seconds by [time_scale]
-    (default {!Recovery.Config.default_time_scale}).  Fault decisions draw
-    from a seeded {!Sim.Rng}.  [obs] receives the proxy's counters:
-    [proxy_forwarded_total], [proxy_dropped_total],
-    [proxy_duplicated_total], [proxy_delayed_total] and
-    [proxy_severed_total] (streams cut by a partition window).  Relay
-    threads bump them under one mutex; read them after {!close}. *)
+(** [routes] lists [(dst_pid, listen_port, target_port)] triples; the
+    listeners are bound before [start] returns, so a port already in use
+    raises here.  Fault probabilities come from [plan] (default
+    {!Harness.Netmodel.benign}); the plan's times (partition windows,
+    [reorder_spread]) are in abstract config units and are scaled to
+    wall-clock seconds by [time_scale] (default
+    {!Recovery.Config.default_time_scale}), from the moment [start] is
+    called.  The relay counts [proxy_forwarded_total],
+    [proxy_dropped_total], [proxy_duplicated_total], [proxy_delayed_total]
+    and [proxy_severed_total] (hellos cut by a partition window) in a
+    registry of its own; they come back in [metrics_file], a text
+    exposition ({!Obs.Snapshot.of_text}) the relay writes as it exits,
+    complete once {!close} returns. *)
 
 val close : t -> unit
+(** Stop the relay: close its pipe, which makes it write [metrics_file]
+    and exit, and reap it.  Streams still open are cut, and frames still
+    held are lost.  A second call is a no-op. *)

@@ -105,7 +105,7 @@ let e16_run ~k ~ops ~part_ckpt ~seed ~label report =
       List.iteri
         (fun i key ->
           Deployment.inject t ~dst:victim (App.Put { key; value = i + seed });
-          if i mod 16 = 15 then Thread.delay 0.002)
+          if i mod 16 = 15 then Unix.sleepf 0.002)
         keys;
       if not (Deployment.settle ~timeout:120. t) then
         Harness.Report.note report (Fmt.str "%s: pre-kill settle timed out" label);
@@ -113,7 +113,7 @@ let e16_run ~k ~ops ~part_ckpt ~seed ~label report =
          rotation enough idle ticks to visit all of them, so the pckpt
          rows measure bounded replay rather than snapshot-timer luck. *)
       (match part_ckpt with
-      | Some period -> Thread.delay (12. *. period *. e16_time_scale)
+      | Some period -> Unix.sleepf (12. *. period *. e16_time_scale)
       | None -> ());
       let probe = List.nth keys (ops - 1) in
       (* The crash, the immediate respawn, and the probe racing the
@@ -128,7 +128,7 @@ let e16_run ~k ~ops ~part_ckpt ~seed ~label report =
         | Some s when s.Wire_codec.st_up && not s.Wire_codec.st_recovering -> ()
         | _ ->
           if Unix.gettimeofday () < deadline then begin
-            Thread.delay 0.02;
+            Unix.sleepf 0.02;
             await_recovery ()
           end
       in

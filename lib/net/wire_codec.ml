@@ -259,6 +259,9 @@ let write_all fd s =
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+(* One frame off a blocking stream, its CRC not checked:
+   [Ok (kind, header, payload)] with the raw header bytes, [Error] for a
+   malformed header, [None] on EOF or a socket error. *)
 let read_frame fd =
   match read_exact fd header_bytes with
   | None -> None

@@ -68,13 +68,6 @@ val write_all : Unix.file_descr -> string -> bool
 val close_quiet : Unix.file_descr -> unit
 (** [Unix.close], ignoring errors. *)
 
-val read_frame : Unix.file_descr -> (int * string * string, string) result option
-(** One frame off a stream, its CRC {e not} checked:
-    [Ok (kind, header, payload)] with the raw 12 header bytes, [Error] for
-    a malformed header ({!parse_header}), [None] on EOF or a socket error.
-    A reader that trusts the bytes calls {!check_frame}; the proxy
-    forwards them unchecked. *)
-
 (** Frame reassembly on a nonblocking stream: whatever sizes the reads
     come in, {!Reader.next} yields the frames in order, checked. *)
 module Reader : sig
@@ -216,8 +209,9 @@ val decode_control :
 
 val read_control :
   'msg App_model.App_intf.wire_format -> Unix.file_descr -> 'msg control option
-(** {!read_frame}, {!check_frame} and {!decode_control_body}: the next
-    control frame on a control connection, [None] once the connection
+(** The next control frame on a blocking control connection, its CRC
+    checked ({!check_frame}) and its body decoded
+    ({!decode_control_body}), [None] once the connection
     is finished or carries anything but a well-formed control frame. *)
 
 val is_packet_kind : int -> bool

@@ -1,8 +1,6 @@
 (* Process-local metric registry with a mergeable snapshot algebra and a
    versioned text exposition format.  See obs.mli for the consistency
-   contract; the short version: cells are word-sized so individual
-   reads/writes are atomic, read-modify-write is NOT, and multi-writer
-   modules bump under their own lock. *)
+   contract; the short version: one registry, one owner, no lock. *)
 
 (* ------------------------------------------------------------------ *)
 (* Live cells                                                          *)
@@ -559,16 +557,10 @@ module Registry = struct
     mutable unindexed : (string list * metric list) list;
         (* their cells, until the next lookup or snapshot moves them
            into [tbl] *)
-    mu : Mutex.t;
   }
 
   let create () =
-    { tbl = Hashtbl.create 16; kinds = Hashtbl.create 16; instances = []; unindexed = [];
-      mu = Mutex.create () }
-
-  let with_lock t f =
-    Mutex.lock t.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+    { tbl = Hashtbl.create 16; kinds = Hashtbl.create 16; instances = []; unindexed = [] }
 
   let kind_name = function
     | MCounter _ -> "counter"
@@ -600,8 +592,8 @@ module Registry = struct
                  name suf))
         hist_suffixes
 
-  (* Insert a cell under [key], validating its family; the caller holds
-     the lock and has checked that [key] is absent. *)
+  (* Insert a cell under [key], validating its family; the caller has
+     checked that [key] is absent. *)
   let insert t ((name, _) as key) m =
     check_name "metric name" name;
     (match Hashtbl.find_opt t.kinds name with
@@ -627,14 +619,13 @@ module Registry = struct
 
   let get_or_create t ?(labels = []) name make =
     let key = (name, norm_labels labels) in
-    with_lock t (fun () ->
-        index t;
-        match Hashtbl.find_opt t.tbl key with
-        | Some m -> m
-        | None ->
-          let m = make () in
-          insert t key m;
-          m)
+    index t;
+    match Hashtbl.find_opt t.tbl key with
+    | Some m -> m
+    | None ->
+      let m = make () in
+      insert t key m;
+      m
 
   let counter t ?labels name =
     match get_or_create t ?labels name (fun () -> MCounter (Counter.make ())) with
@@ -665,40 +656,38 @@ module Registry = struct
     let same (Instance (id, v)) : a option =
       match Type.Id.provably_equal id g.id with Some Type.Equal -> Some v | None -> None
     in
-    with_lock t (fun () ->
-        match List.find_map same t.instances with
-        | Some v -> v
-        | None ->
-          let c = { metrics = []; names = []; naming = false } in
-          let v = g.build c in
-          t.unindexed <- (g.names, c.metrics) :: t.unindexed;
-          t.instances <- Instance (g.id, v) :: t.instances;
-          v)
+    match List.find_map same t.instances with
+    | Some v -> v
+    | None ->
+      let c = { metrics = []; names = []; naming = false } in
+      let v = g.build c in
+      t.unindexed <- (g.names, c.metrics) :: t.unindexed;
+      t.instances <- Instance (g.id, v) :: t.instances;
+      v
 
   let snapshot t =
-    with_lock t (fun () ->
-        index t;
-        Snapshot.of_bindings
-          (Hashtbl.fold
-             (fun key m acc ->
-               let v =
-                 match m with
-                 | MCounter c -> Snapshot.Counter (Counter.value c)
-                 | MGauge g -> Snapshot.Gauge (Gauge.value g)
-                 | MHist h ->
-                   let counts = h.Histogram.counts in
-                   Snapshot.Hist
-                     {
-                       Snapshot.counts =
-                         (if Array.length counts = 0 then Array.make Histogram.bucket_count 0
-                          else Array.copy counts);
-                       sum = h.Histogram.sum;
-                       minv = h.Histogram.minv;
-                       maxv = h.Histogram.maxv;
-                     }
-               in
-               (key, v) :: acc)
-             t.tbl []))
+    index t;
+    Snapshot.of_bindings
+      (Hashtbl.fold
+         (fun key m acc ->
+           let v =
+             match m with
+             | MCounter c -> Snapshot.Counter (Counter.value c)
+             | MGauge g -> Snapshot.Gauge (Gauge.value g)
+             | MHist h ->
+               let counts = h.Histogram.counts in
+               Snapshot.Hist
+                 {
+                   Snapshot.counts =
+                     (if Array.length counts = 0 then Array.make Histogram.bucket_count 0
+                      else Array.copy counts);
+                   sum = h.Histogram.sum;
+                   minv = h.Histogram.minv;
+                   maxv = h.Histogram.maxv;
+                 }
+           in
+           (key, v) :: acc)
+         t.tbl [])
 end
 
 (* ------------------------------------------------------------------ *)

@@ -4,33 +4,21 @@
 
     The subsystem replaces the patchwork of per-module [stats] records
     with one measurement plane: hot paths bump plain [int]/[float]
-    cells (no atomics, no locks of their own), the owning module's
-    existing lock — if it has one — is what makes multi-writer bumps
-    consistent, and a {!Registry.snapshot} turns the live cells into an
-    immutable {!Snapshot.t} that daemons serve over their control
-    socket and drivers merge across processes.
+    cells (no atomics and no locks), and a {!Registry.snapshot} turns the
+    live cells into an immutable {!Snapshot.t} that daemons serve over
+    their control socket and drivers merge across processes.
 
-    {2 Consistency contract}
+    {2 Consistency contract: one registry, one owner}
 
-    Metric cells are word-sized OCaml values, so every individual read
-    and write is atomic — a reader can never observe a torn counter.
-    What is {e not} guaranteed without external serialization:
-
-    - [Counter.add]/[Counter.incr] from two threads may lose updates
-      (read-modify-write races).  Modules with multiple writer threads
-      must bump under their own mutex, as [Net.Transport] does.
-    - A histogram observation updates several cells (bucket, sum,
-      min/max, count); concurrent observers of the {e same} histogram
-      must be serialized by the caller.
-    - {!Registry.snapshot} reads each cell atomically but does not
-      freeze writers: a snapshot taken mid-bump may see metric A
-      before and metric B after the same logical event.  Snapshots
-      are exact whenever the caller quiesces writers or holds the
-      lock the writers bump under.
-
-    Registration ({!Registry.counter} and friends) and snapshotting
-    are serialized by the registry's own mutex and may be called from
-    any thread. *)
+    A registry and every cell in it belong to one thread of one process:
+    the daemon's select loop, the simulator's scheduler, a driver, or the
+    fault proxy's relay process.  Nothing in this module takes a lock,
+    so no cell may be bumped, observed, registered or snapshotted from a
+    second thread.  Under that rule every snapshot is exact: it sees
+    each logical event whole, never metric A before and metric B after
+    the same event.  Numbers cross a process boundary only as a
+    snapshot: a daemon's Stats reply or Quit-time metrics file, the
+    proxy's metrics file, merged with {!Snapshot.merge_all}. *)
 
 module Counter : sig
   type t

@@ -239,10 +239,11 @@ val arm_storage_disk_full : ('state, 'msg) t -> rounds:int -> unit
 val arm_storage_slow_fsync :
   ('state, 'msg) t -> delay:float -> rounds:int -> unit
 (** Brownout fault injection: the next [rounds] flush
-    rounds stretch their fsync by [delay] seconds.  The sleep happens
-    outside the group-commit lock, so concurrent callers coalesce into the
-    slow round instead of queueing behind it.  Stretched rounds are
-    counted in [storage_slowed_fsyncs_total]. *)
+    rounds stretch their fsync by [delay] seconds.  The node waits each
+    stretch out before the round writes its stable-length witness, so a
+    slow disk slows the node's flushes and never lets the witness run
+    ahead of the fsync.  Stretched rounds are counted in
+    [storage_slowed_fsyncs_total]. *)
 
 (** {1 Membership}
 
@@ -329,7 +330,8 @@ val obs : ('state, 'msg) t -> Obs.Registry.t
     memory, so a scrape costs O(series × buckets) however much traffic
     the node has seen; exact per-sample distributions come from the trace
     ({!Harness.Cluster.stats}).  The node's own calls are the only
-    writers; a snapshot from another thread is atomic per cell.  The
+    writers, and its owner takes the snapshots (one registry, one owner:
+    see {!Obs}).  The
     node's store counts its synchronous writes and flushes there too
     ([storage_sync_writes_total], [storage_flushes_total]). *)
 

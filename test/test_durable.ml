@@ -307,48 +307,50 @@ let test_store_failing_fsync_detected () =
       Alcotest.(check bool) "damage reported" true (D.damaged r);
       D.kill s2)
 
-let test_store_group_commit_coalesces () =
-  (* N threads each append a record, meet at a barrier, then all call
-     [flush] at once.  The group-commit layer must serve every caller from
-     a single fsync round: the leader's prepare drains all N records, the
-     rest either wait out that round or find nothing left to do. *)
-  with_dir (fun dir ->
-      let obs = Obs.Registry.create () in
-      let s, _ = D.open_ ~fs:Durable.Fs.unix ~dir ~obs () in
-      let n = 8 in
-      let mu = Mutex.create () in
-      let cv = Condition.create () in
-      let ready = ref 0 in
-      let barrier () =
-        Mutex.lock mu;
-        incr ready;
-        if !ready = n then Condition.broadcast cv
-        else while !ready < n do Condition.wait cv mu done;
-        Mutex.unlock mu
-      in
-      let worker i =
-        D.append_volatile s (Printf.sprintf "rec-%d" i);
-        barrier ();
-        ignore (D.flush s : int)
-      in
-      let threads = List.init n (Thread.create worker) in
-      List.iter Thread.join threads;
-      Alcotest.(check int) "all records stable" n (D.stable_log_length s);
-      Alcotest.(check int) "no volatile leftovers" 0 (D.volatile_length s);
-      (* The flushing threads are joined: the snapshot is exact. *)
-      let snap = Obs.Registry.snapshot obs in
-      Alcotest.(check int) "N concurrent flushes, one fsync round" 1
-        (Obs.Snapshot.counter snap "storage_flushes_total");
-      Alcotest.(check bool) "strictly fewer rounds than callers" true
-        (Obs.Snapshot.counter snap "flush_rounds_total" < n);
-      Alcotest.(check (list string)) "every record made it"
-        (List.sort compare (List.init n (Printf.sprintf "rec-%d")))
-        (List.sort compare (D.stable_log_from s ~pos:0));
-      D.kill s;
-      let s2, r = open_str dir in
-      Alcotest.(check bool) "clean reopen" false (D.damaged r);
-      Alcotest.(check int) "all records recovered" n r.D.recovered_log;
-      D.kill s2)
+(* A flush whose fsync raises: [flush] re-raises, counts no flush and
+   writes no stable-length witness, which would claim records the fsync
+   never made durable.  The wrapper's handles raise EIO on fsync while
+   [failing] is set. *)
+let test_store_raising_fsync_no_witness () =
+  let failing = ref false in
+  let mem = Durable.Fs.mem () in
+  let wrap (f : Durable.Fs.file) =
+    let fsync () =
+      if !failing then raise (Unix.Unix_error (Unix.EIO, "fsync", "")) else f.fsync ()
+    in
+    { f with fsync }
+  in
+  let fs =
+    {
+      mem with
+      open_append = (fun p -> wrap (mem.open_append p));
+      create = (fun p -> wrap (mem.create p));
+    }
+  in
+  let obs = Obs.Registry.create () in
+  let dir = "store" in
+  let s, _ = (D.open_ ~fs ~dir ~obs () : (string, string, string) D.t * _) in
+  let sync_size () = fs.size (Filename.concat dir "sync.dat") in
+  let flushes () = Obs.Snapshot.counter (Obs.Registry.snapshot obs) "storage_flushes_total" in
+  D.append_volatile s "a";
+  let before = sync_size () in
+  Alcotest.(check int) "a good flush" 1 (D.flush s);
+  Alcotest.(check bool) "a good flush writes a witness" true (sync_size () > before);
+  Alcotest.(check int) "a good flush is counted" 1 (flushes ());
+  D.append_volatile s "b";
+  let before = sync_size () in
+  failing := true;
+  (match D.flush s with
+  | _ -> Alcotest.fail "flush returned over a raising fsync"
+  | exception Unix.Unix_error (Unix.EIO, _, _) -> ());
+  Alcotest.(check int) "no witness for the failed round" before (sync_size ());
+  Alcotest.(check int) "the failed round is not counted" 1 (flushes ());
+  failing := false;
+  D.append_volatile s "c";
+  Alcotest.(check int) "the next flush" 1 (D.flush s);
+  Alcotest.(check bool) "the next flush writes a witness" true (sync_size () > before);
+  Alcotest.(check int) "the next flush is counted" 2 (flushes ());
+  D.kill s
 
 let test_store_corrupt_checkpoint_dropped () =
   with_dir (fun dir ->
@@ -956,8 +958,8 @@ let suite =
       test_store_bit_flip_never_wrong_record;
     Alcotest.test_case "store failing fsync detected" `Quick
       test_store_failing_fsync_detected;
-    Alcotest.test_case "store group commit coalesces concurrent flushes" `Quick
-      test_store_group_commit_coalesces;
+    Alcotest.test_case "store raising fsync writes no witness" `Quick
+      test_store_raising_fsync_no_witness;
     Alcotest.test_case "store corrupt checkpoint dropped" `Quick
       test_store_corrupt_checkpoint_dropped;
     Alcotest.test_case "store checkpoint past log dropped" `Quick

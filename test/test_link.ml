@@ -113,9 +113,9 @@ let test_koptnode_link () =
   | None -> ()
 
 (* The daemon is one thread, and must not even carry the machinery for
-   more: threads.cmxa is linked whole into any executable that lists
-   threads.posix, even through one library it uses, and its module
-   initialiser starts the runtime's tick thread.  The full symbol table
+   more: threads.cmxa is linked whole into any executable that lists the
+   POSIX threads library, even through one library it uses, and its
+   module initialiser starts the runtime's tick thread.  The full symbol table
    names every OCaml module linked in. *)
 let test_koptnode_no_threads () =
   let syms = symbols (read_koptnode ()) ~sh_type:sht_symtab in
@@ -185,8 +185,8 @@ let nss_functions =
 let koptnode_sources =
   [
     ("Dune__exe", "../bin", Some [ "koptnode.ml"; "koptnode_runparam.c" ]);
-    ("Net_core", "../lib/net", Some [ "wire_codec.ml"; "trace_codec.ml"; "transport.ml" ]);
-    ("Shardkv_app", "../lib/shardkv", Some [ "ring.ml"; "shard_app.ml" ]);
+    ("Net", "../lib/net", Some [ "wire_codec.ml"; "trace_codec.ml"; "transport.ml" ]);
+    ("Shardkv", "../lib/shardkv", Some [ "ring.ml"; "shard_app.ml" ]);
     ("Recovery", "../lib/recovery", None);
     ("Durable", "../lib/durable", None);
     ("Depend", "../lib/depend", None);

@@ -123,6 +123,157 @@ let test_cluster_proxy () =
         (counter outcome "proxy_forwarded_total" > 0))
 
 (* ------------------------------------------------------------------ *)
+(* The fault proxy alone, against a plain TCP listener.                *)
+
+module Wire_codec = Net.Wire_codec
+
+let loopback_listener () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen fd 8;
+  match Unix.getsockname fd with
+  | Unix.ADDR_INET (_, port) -> (fd, port)
+  | _ -> assert false
+
+let free_port () =
+  let fd, port = loopback_listener () in
+  Unix.close fd;
+  port
+
+(* The pids of this process's children, zombies included, from /proc. *)
+let children () =
+  let me = Unix.getpid () in
+  Sys.readdir "/proc" |> Array.to_list
+  |> List.filter_map (fun d ->
+         match int_of_string_opt d with
+         | None -> None
+         | Some pid -> (
+           match In_channel.with_open_bin (Fmt.str "/proc/%d/stat" pid) In_channel.input_all with
+           | stat -> (
+             (* "pid (comm) state ppid ...": comm may hold spaces. *)
+             let close = String.rindex stat ')' in
+             let after = String.sub stat (close + 2) (String.length stat - close - 2) in
+             match String.split_on_char ' ' after with
+             | _ :: ppid :: _ when int_of_string_opt ppid = Some me -> Some pid
+             | _ -> None)
+           | exception Sys_error _ -> None))
+  |> List.sort compare
+
+(* A proxy from a fresh port to [target_port] for destination pid 1, its
+   counters read back from the metrics file it writes at close. *)
+let with_proxy ~plan ~target_port f =
+  let dir = Durable.Temp.fresh_dir ~prefix:"test-net-relay" () in
+  let metrics_file = Filename.concat dir "metrics-proxy.txt" in
+  let port = free_port () in
+  let before = children () in
+  let proxy =
+    Net.Proxy.start ~routes:[ (1, port, target_port) ] ~plan ~time_scale:0.001
+      ~metrics_file ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Net.Proxy.close proxy;
+      Durable.Temp.rm_rf dir)
+    (fun () ->
+      Alcotest.(check int) "the relay is one child" (List.length before + 1)
+        (List.length (children ()));
+      f port;
+      Net.Proxy.close proxy;
+      Net.Proxy.close proxy;
+      Alcotest.(check (list int)) "no child left after two closes" before (children ());
+      match
+        Obs.Snapshot.of_text (In_channel.with_open_bin metrics_file In_channel.input_all)
+      with
+      | Ok snap -> snap
+      | Error e -> Alcotest.failf "proxy metrics: %s" e)
+
+let dial port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+  fd
+
+let hello ~src = Wire_codec.encode_control App.wire (Wire_codec.Hello { pid = src })
+
+let partitioned mode ~until =
+  {
+    Harness.Netmodel.benign with
+    Harness.Netmodel.partitions =
+      [ { Harness.Netmodel.group = [ 0 ]; from_ = 0.; until; mode } ];
+  }
+
+(* A queue-mode partition holds the stream's frames, then delivers them
+   all, in order, after the heal; a drop-mode one severs the stream at
+   the hello.  Both proxies' second close is a no-op, and neither leaves
+   a child behind. *)
+let test_proxy_partitions () =
+  let server, target_port = loopback_listener () in
+  Fun.protect ~finally:(fun () -> Unix.close server) @@ fun () ->
+  let payloads = List.init 5 (Fmt.str "frame-%d") in
+  let heal = 1.0 in
+  let t0 = Unix.gettimeofday () in
+  let snap =
+    with_proxy ~plan:(partitioned Harness.Netmodel.Queue_packets ~until:(heal *. 1000.))
+      ~target_port (fun port ->
+        let client = dial port in
+        Fun.protect ~finally:(fun () -> Unix.close client) @@ fun () ->
+        ignore (Wire_codec.write_all client (hello ~src:0) : bool);
+        List.iter
+          (fun p -> ignore (Wire_codec.write_all client (Wire_codec.frame ~kind:2 p) : bool))
+          payloads;
+        let conn, _ = Unix.accept server in
+        Fun.protect ~finally:(fun () -> Unix.close conn) @@ fun () ->
+        let reader = Wire_codec.Reader.create () in
+        let deadline = Unix.gettimeofday () +. 10. in
+        let rec collect acc =
+          match Wire_codec.Reader.next reader with
+          | Some (Ok (kind, body)) ->
+            let acc = if kind = 2 then (body, Unix.gettimeofday ()) :: acc else acc in
+            if List.length acc = List.length payloads then List.rev acc else collect acc
+          | Some (Error e) -> Alcotest.failf "relayed bytes do not frame: %s" e
+          | None ->
+            if Unix.gettimeofday () > deadline then Alcotest.fail "frames never arrived";
+            (match Wire_codec.Reader.read reader conn with
+            | `Read | `Again -> ()
+            | `Eof -> Alcotest.fail "relay closed the stream");
+            collect acc
+        in
+        let got = collect [] in
+        Alcotest.(check (list string)) "every frame, in order" payloads (List.map fst got);
+        List.iter
+          (fun (body, at) ->
+            if at -. t0 < heal then
+              Alcotest.failf "%s arrived %.3f s in, before the heal at %.3f s" body
+                (at -. t0) heal)
+          got)
+  in
+  Alcotest.(check int) "every frame held" 5 (Obs.Snapshot.counter snap "proxy_delayed_total");
+  Alcotest.(check int) "every frame forwarded" 5
+    (Obs.Snapshot.counter snap "proxy_forwarded_total");
+  let snap =
+    with_proxy ~plan:(partitioned Harness.Netmodel.Drop_packets ~until:1e6) ~target_port
+      (fun port ->
+        let client = dial port in
+        Fun.protect ~finally:(fun () -> Unix.close client) @@ fun () ->
+        ignore (Wire_codec.write_all client (hello ~src:0) : bool);
+        (match Unix.read client (Bytes.create 1) 0 1 with
+        | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> ()
+        | _ -> Alcotest.fail "the relay answered a severed hello"
+        | exception Unix.Unix_error (e, _, _) ->
+          Alcotest.failf "stream not severed: %s" (Unix.error_message e));
+        Unix.set_nonblock server;
+        (match Unix.accept server with
+        | conn, _ ->
+          Unix.close conn;
+          Alcotest.fail "a severed hello reached the daemon"
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+        Unix.clear_nonblock server)
+  in
+  Alcotest.(check int) "one stream severed" 1 (Obs.Snapshot.counter snap "proxy_severed_total");
+  Alcotest.(check int) "nothing forwarded" 0 (Obs.Snapshot.counter snap "proxy_forwarded_total")
+
+(* ------------------------------------------------------------------ *)
 (* Recovery-window chaos: what happens *during* a fast restart's replay. *)
 
 let victim = 1
@@ -149,7 +300,7 @@ let load_victim t keys =
   List.iteri
     (fun i key ->
       Deployment.inject t ~dst:victim (App.Put { key; value = i });
-      if i mod 16 = 15 then Thread.delay 0.002)
+      if i mod 16 = 15 then Unix.sleepf 0.002)
     keys
 
 (* Poll until the successor reports an active replay; [false] if the
@@ -160,7 +311,7 @@ let await_recovering t =
   let rec loop () =
     match Deployment.status t ~dst:victim with
     | Some s when s.Net.Wire_codec.st_recovering -> true
-    | _ -> Unix.gettimeofday () < deadline && (Thread.delay 0.005; loop ())
+    | _ -> Unix.gettimeofday () < deadline && (Unix.sleepf 0.005; loop ())
   in
   loop ()
 
@@ -601,4 +752,6 @@ let suite =
       test_ingress_backpressure;
     Alcotest.test_case "control client hangs up with requests queued" `Slow
       test_control_hangup;
+    Alcotest.test_case "proxy: queued partition holds, dropped one severs" `Quick
+      test_proxy_partitions;
   ]
