@@ -3,6 +3,8 @@
    Wires together a [Recovery.Node] over the durable file-backed store, the
    loopback TCP transport, and a control socket the deployment driver uses
    to inject client messages, poll status and request a graceful drain.
+   Every control connection opens with a Hello of the wire version
+   ([Wire_codec.greeting]), or is closed without a reply.
    The kvstore application is the workload (its multi-hop Put -> Replica
    chains exercise cross-process causality over the real network).
 
@@ -100,7 +102,12 @@ module App = App_model.Kvstore_app
    undecodable frame) is in a batch; the loop closes the descriptor only
    when it processes that event, after the replies to everything queued
    ahead of it. *)
-type client = { fd : Unix.file_descr; reader : Wire_codec.Reader.t; mutable live : bool }
+type client = {
+  fd : Unix.file_descr;
+  reader : Wire_codec.Reader.t;
+  mutable greeted : bool; (* its Hello of this wire version is in *)
+  mutable live : bool;
+}
 
 type timer_kind = [ `Flush | `Checkpoint | `Notice | `Retransmit | `Part_ckpt ]
 
@@ -236,11 +243,9 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
      store (and its group-commit layer), the transport, the batch
      high-water mark and the main loop's phase spans all land in it, so a
      single Stats scrape — or the Quit-time metrics file — is the full
-     picture.  A [Crash] respawn reuses it: the new node and its reopened
-     store get back the same counters and continue them rather than
-     reset. *)
+     picture. *)
   let obs = Obs.Registry.create () in
-  let node = ref (Node.create ~config ~pid ~app ~store_dir ~obs ~trace) in
+  let node = Node.create ~config ~pid ~app ~store_dir ~obs ~trace in
   let c_deliveries = Obs.Registry.counter obs "deliveries_total" in
   let high_water = Obs.Registry.gauge obs "batch_high_water" in
 
@@ -276,7 +281,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
         | Node.Unicast { dst; packet = Recovery.Wire.App m } ->
           (* Data frames carry the current stability frontier along. *)
           Transport.send transport ~dst
-            (Wire_codec.encode_data wire ?piggyback:(Node.current_notice !node) m)
+            (Wire_codec.encode_data wire ?piggyback:(Node.current_notice node) m)
         | Node.Unicast { dst; packet } ->
           Transport.send transport ~dst (Wire_codec.encode_packet wire packet)
         | Node.Broadcast packet ->
@@ -316,7 +321,8 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
     match Unix.accept ~cloexec:true control_sock with
     | fd, _ ->
       Unix.set_nonblock fd;
-      clients := !clients @ [ { fd; reader = Wire_codec.Reader.create (); live = true } ];
+      let c = { fd; reader = Wire_codec.Reader.create (); greeted = false; live = true } in
+      clients := !clients @ [ c ];
       accept_clients ()
     | exception Unix.Unix_error _ -> ()
   in
@@ -332,6 +338,15 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
     if !incoming_n >= batch_cap then true
     else
       match Wire_codec.Reader.next c.reader with
+      | Some (Ok (kind, body)) when not c.greeted -> (
+        match Wire_codec.greeting ~kind body with
+        | Ok _ ->
+          c.greeted <- true;
+          from_client c ~readable
+        | Error e ->
+          on_error (Printf.sprintf "control connection refused: %s" e);
+          hang_up c;
+          false)
       | Some (Ok (kind, body)) -> (
         match Wire_codec.decode_control_body wire ~kind body with
         | Ok ctl ->
@@ -372,12 +387,12 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
      the application replay into per-partition queues — the daemon starts
      serving requests on recovered partitions while the main loop pumps
      [replay_step] in the background. *)
-  if not (Node.is_up !node) then
-    dispatch (fst (Node.restart_begin !node ~now:(now ())));
+  if not (Node.is_up node) then
+    dispatch (fst (Node.restart_begin node ~now:(now ())));
   (* A joiner introduces itself: the Join broadcast carries its current
      frontier, and every incumbent widens its dependency vector on receipt
      (the driver has already pointed them at our data port via Add_peer). *)
-  if join then dispatch (fst (Node.announce_join !node ~now:(now ())));
+  if join then dispatch (fst (Node.announce_join node ~now:(now ())));
   Trace_codec.sync writer trace;
   Transport.flush transport;
 
@@ -402,7 +417,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
   let finish () =
     Trace_codec.sync writer trace;
     Trace_codec.close_writer writer;
-    refresh_memory !node;
+    refresh_memory node;
     let oc = open_out metrics_file in
     output_string oc (Obs.Snapshot.to_text (Obs.Registry.snapshot obs));
     close_out oc;
@@ -415,17 +430,17 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
      for first.  Parked requests sit in the node's receive buffer; the most
      frequently named unrecovered partition is the hottest. *)
   let hot_partition () =
-    let parts = Node.partition_count !node in
+    let parts = Node.partition_count node in
     if parts = 0 then None
     else begin
       let votes = Array.make parts 0 in
       List.iter
         (fun (m : msg Recovery.Wire.app_message) ->
-          match Node.partition_of_payload !node m.Recovery.Wire.payload with
-          | Some p when not (Node.partition_recovered !node p) ->
+          match Node.partition_of_payload node m.Recovery.Wire.payload with
+          | Some p when not (Node.partition_recovered node p) ->
             votes.(p) <- votes.(p) + 1
           | Some _ | None -> ())
-        (Node.receive_buffer_messages !node);
+        (Node.receive_buffer_messages node);
       let best = ref (-1) in
       Array.iteri (fun p c -> if c > 0 && (!best < 0 || c > votes.(!best)) then best := p) votes;
       if !best < 0 then None else Some !best
@@ -450,7 +465,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
     let add actions = if actions <> [] then acc := actions :: !acc in
     let quit = ref None in
     let pending = ref 0 in
-    let step_up f = if Node.is_up !node then add (fst (f !node ~now:(now ()))) in
+    let step_up f = if Node.is_up node then add (fst (f node ~now:(now ()))) in
     let process ev =
       match ev with
       | From_net packet -> step_up (fun nd ~now -> Node.handle_packet nd ~now packet)
@@ -469,30 +484,20 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
         match ctl with
         | Wire_codec.Inject { seq; cseq; payload } ->
           step_up (fun nd ~now -> Node.inject nd ~now ~seq ~cseq payload)
-        | Wire_codec.Crash ->
-          (* Soft fail-stop: same recovery path as a SIGKILL + respawn,
-             without losing the OS process.  The new node registers over
-             the process registry, so its counters carry on from the old
-             node's values. *)
-          Node.halt !node ~now:(now ());
-          Trace_codec.sync writer trace;
-          Unix.sleepf (Config.real_restart_delay ~time_scale config.Config.timing);
-          node := Node.create ~config ~pid ~app ~store_dir ~obs ~trace;
-          add (fst (Node.restart_begin !node ~now:(now ())))
         | Wire_codec.Status_req ->
           reply c
             (Wire_codec.Status
                {
-                 st_up = Node.is_up !node;
+                 st_up = Node.is_up node;
                  st_pending = !pending;
-                 st_send_buf = Node.send_buffer_size !node;
-                 st_recv_buf = Node.receive_buffer_size !node;
-                 st_out_buf = Node.output_buffer_size !node;
+                 st_send_buf = Node.send_buffer_size node;
+                 st_recv_buf = Node.receive_buffer_size node;
+                 st_out_buf = Node.output_buffer_size node;
                  st_deliveries = Obs.Counter.value c_deliveries;
                  st_trace_len = Trace.length trace;
-                 st_current = Node.current !node;
-                 st_recovering = Node.recovery_active !node;
-                 st_replay_pending = Node.recovery_pending !node;
+                 st_current = Node.current node;
+                 st_recovering = Node.recovery_active node;
+                 st_replay_pending = Node.recovery_pending node;
                })
         | Wire_codec.Add_peer { pid = peer_pid; port } ->
           (* Live membership: a joiner's data port.  The transport treats a
@@ -507,13 +512,13 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
           quit := Some c
         | Wire_codec.Arm_brownout { slow; rounds } -> (
           match slow with
-          | None -> Node.arm_storage_disk_full !node ~rounds
-          | Some delay -> Node.arm_storage_slow_fsync !node ~delay ~rounds)
+          | None -> Node.arm_storage_disk_full node ~rounds
+          | Some delay -> Node.arm_storage_slow_fsync node ~delay ~rounds)
         | Wire_codec.Stats_req ->
           (* Live scrape: the memory gauges refreshed, then a full
              snapshot of the registry, serialised as the versioned text
              exposition. *)
-          refresh_memory !node;
+          refresh_memory node;
           reply c (Wire_codec.Stats (Obs.Snapshot.to_text (Obs.Registry.snapshot obs)))
         | Wire_codec.Quit -> quit := Some c
         | Wire_codec.Hello _ | Wire_codec.Status _ | Wire_codec.Stats _
@@ -549,11 +554,11 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
        waiting on.  Interleaving with the batch processing above is what
        makes recovery on-demand — Gets on recovered partitions are
        answered between steps. *)
-    if !quit = None && Node.recovery_active !node && Unix.gettimeofday () >= !replay_due
+    if !quit = None && Node.recovery_active node && Unix.gettimeofday () >= !replay_due
     then begin
       let prefer = hot_partition () in
       let executed, actions, _cost =
-        Node.replay_step !node ~now:(now ()) ?prefer ~budget:replay_budget ()
+        Node.replay_step node ~now:(now ()) ?prefer ~budget:replay_budget ()
       in
       add actions;
       Trace_codec.sync writer trace;
@@ -568,13 +573,13 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
        batches skip it entirely. *)
     if
       !quit = None
-      && Node.is_up !node
-      && (Node.volatile_log_length !node > 0
-         || Node.output_buffer_size !node > 0
-         || Node.send_buffer_size !node > 0)
+      && Node.is_up node
+      && (Node.volatile_log_length node > 0
+         || Node.output_buffer_size node > 0
+         || Node.send_buffer_size node > 0)
     then begin
       Obs.Counter.incr c_eager_flushes;
-      Obs.Span.time sp_flush (fun () -> add (fst (Node.flush !node ~now:(now ()))))
+      Obs.Span.time sp_flush (fun () -> add (fst (Node.flush node ~now:(now ()))))
     end;
     Obs.Span.time sp_sync (fun () -> Trace_codec.sync writer trace);
     Obs.Span.time sp_dispatch (fun () -> List.iter dispatch (List.rev !acc));
@@ -587,18 +592,18 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
      distinguishable in the merged trace from a torn SIGKILL without
      weakening certification. *)
   let drain c =
-    if Node.is_up !node then begin
+    if Node.is_up node then begin
       (* Finish any in-progress replay first so the drain leaves a fully
          recovered store (and the merged trace its Recovery_completed). *)
-      if Node.recovery_active !node then begin
-        let _, actions, _ = Node.replay_step !node ~now:(now ()) ~budget:max_int () in
+      if Node.recovery_active node then begin
+        let _, actions, _ = Node.replay_step node ~now:(now ()) ~budget:max_int () in
         Trace_codec.sync writer trace;
         dispatch actions
       end;
-      let actions = fst (Node.flush !node ~now:(now ())) in
+      let actions = fst (Node.flush node ~now:(now ())) in
       Trace_codec.sync writer trace;
       dispatch actions;
-      Node.halt !node ~now:(now ())
+      Node.halt node ~now:(now ())
     end;
     finish ();
     reply c Wire_codec.Bye
@@ -611,7 +616,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
       control_sock
       :: List.fold_left (fun acc c -> if c.live then c.fd :: acc else acc) t_reads !clients
     in
-    let recovering = Node.recovery_active !node in
+    let recovering = Node.recovery_active node in
     let deadline =
       List.fold_left
         (fun acc tm -> Float.min acc tm.due)

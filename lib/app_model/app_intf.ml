@@ -67,7 +67,6 @@ type ('state, 'msg) t = {
           process, or {!outside_world} for client/injected messages. *)
   digest : 'state -> int;
       (** Deterministic fingerprint of a state, used to verify replay. *)
-  pp_msg : 'msg Fmt.t;
   partitioning : ('state, 'msg) partitioning option;
       (** State decomposition for partitioned replay; [None] means the
           state is monolithic and recovery replays serially. *)

@@ -37,13 +37,6 @@ let adjust state account delta =
     ops = state.ops + 1;
   }
 
-let pp_msg ppf = function
-  | Deposit { account; amount } -> Fmt.pf ppf "Deposit %d->acc%d" amount account
-  | Transfer { from_account; to_shard; to_account; amount } ->
-    Fmt.pf ppf "Transfer %d acc%d -> P%d/acc%d" amount from_account to_shard to_account
-  | Credit { account; amount } -> Fmt.pf ppf "Credit %d->acc%d" amount account
-  | Audit -> Fmt.string ppf "Audit"
-
 let app : (state, msg) App_intf.t =
   {
     name = "bank";
@@ -67,6 +60,5 @@ let app : (state, msg) App_intf.t =
           (fun account v h -> Hashing.mix (Hashing.mix h account) v)
           s.accounts
           (Hashing.pair s.pid s.ops));
-    pp_msg;
     partitioning = None;
   }

@@ -12,9 +12,6 @@ type msg = Token of { hops_left : int; salt : int }
 
 type state = { pid : int; seen : int; mix : int }
 
-let pp_msg ppf (Token { hops_left; salt }) =
-  Fmt.pf ppf "Token hops=%d salt=%d" hops_left salt
-
 (* Out of 16 hash buckets: 2 die out, 2 fork into two tokens, 12 continue as
    one token — expected branching factor 1, so load stays level. *)
 let branching h = match h mod 16 with 0 | 1 -> 0 | 2 | 3 -> 2 | _ -> 1
@@ -45,6 +42,5 @@ let app : (state, msg) App_intf.t =
           (state, sends)
         end);
     digest = (fun s -> Hashing.mix (Hashing.pair s.pid s.seen) s.mix);
-    pp_msg;
     partitioning = None;
   }

@@ -11,11 +11,6 @@ type msg =
 
 type state = { pid : int; total : int; handled : int }
 
-let pp_msg ppf = function
-  | Add v -> Fmt.pf ppf "Add %d" v
-  | Forward { dst; amount } -> Fmt.pf ppf "Forward %d to %d" amount dst
-  | Report -> Fmt.string ppf "Report"
-
 let app : (state, msg) App_intf.t =
   {
     name = "counter";
@@ -31,6 +26,5 @@ let app : (state, msg) App_intf.t =
         | Report ->
           (state, [ App_intf.output (Fmt.str "p%d total=%d" state.pid state.total) ]));
     digest = (fun s -> Hashing.mix (Hashing.pair s.pid s.total) s.handled);
-    pp_msg;
     partitioning = None;
   }

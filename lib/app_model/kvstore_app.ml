@@ -28,12 +28,6 @@ let parts = 8
 
 let part_of_key key = Hashing.mix 0x9e37 (Hashing.string key) mod parts
 
-let pp_msg ppf = function
-  | Put { key; value } -> Format.fprintf ppf "Put %s=%d" key value
-  | Replica { key; value; version } ->
-    Format.fprintf ppf "Replica %s=%d v%d" key value version
-  | Get key -> Format.fprintf ppf "Get %s" key
-
 let lookup state key = Str_map.find_opt key state.store
 
 let apply state key value version =
@@ -204,6 +198,5 @@ let app : (state, msg) App_intf.t =
           (fun key (value, version) h ->
             Hashing.mix (Hashing.mix (Hashing.mix h (Hashing.string key)) value) version)
           s.store (Hashing.pair s.pid 0));
-    pp_msg;
     partitioning = Some partitioning;
   }

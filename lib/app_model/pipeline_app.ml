@@ -13,9 +13,6 @@ type state = { pid : int; processed : int; acc : int }
 
 let transform ~pid payload = Hashing.mix (Hashing.int payload) (pid + 1)
 
-let pp_msg ppf (Job { id; stage; payload }) =
-  Fmt.pf ppf "Job#%d stage=%d payload=%d" id stage payload
-
 let app : (state, msg) App_intf.t =
   {
     name = "pipeline";
@@ -31,6 +28,5 @@ let app : (state, msg) App_intf.t =
         else
           (state, [ App_intf.send (pid + 1) (Job { id; stage = stage + 1; payload }) ]));
     digest = (fun s -> Hashing.mix (Hashing.pair s.pid s.processed) s.acc);
-    pp_msg;
     partitioning = None;
   }

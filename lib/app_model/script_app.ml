@@ -44,6 +44,5 @@ let app plan : (state, msg) App_intf.t =
         List.fold_left
           (fun h label -> Hashing.mix h (Hashing.string label))
           (Hashing.int s.pid) s.delivered);
-    pp_msg = Fmt.string;
     partitioning = None;
   }

@@ -17,11 +17,6 @@ module Int_set = Set.Make (Int)
 
 type state = { pid : int; active : Int_set.t; connected : int; torn_down : int }
 
-let pp_msg ppf = function
-  | Setup { call_id; route } ->
-    Fmt.pf ppf "Setup call=%d route=[%a]" call_id Fmt.(list ~sep:comma int) route
-  | Teardown { call_id } -> Fmt.pf ppf "Teardown call=%d" call_id
-
 (* A deterministic route of [hops] distinct switches starting after
    [ingress]. *)
 let route ~n ~ingress ~call_id ~hops =
@@ -66,6 +61,5 @@ let app : (state, msg) App_intf.t =
           (fun call h -> Hashing.mix h call)
           s.active
           (Hashing.mix (Hashing.pair s.pid s.connected) s.torn_down));
-    pp_msg;
     partitioning = None;
   }

@@ -67,44 +67,48 @@ type decoded =
   | Corrupt
   | End
 
-let get_le32 s pos =
-  Int32.to_int (String.get_int32_le s pos) land mask32
-
 let get_le32_bytes b pos = Int32.to_int (Bytes.get_int32_le b pos) land mask32
 
-(* The checksum of the frame at [b.[pos..]] with a [len]-byte payload
-   matches. *)
-let frame_ok b ~pos ~len =
-  let c = crc_update 0 b ~pos:(pos + 1) ~len:5 in
-  crc_update c b ~pos:(pos + header_bytes) ~len = get_le32_bytes b (pos + 6)
+type check = Whole | Partial | Damaged
+
+let payload_length b ~pos = get_le32_bytes b (pos + 2)
+
+(* The frame at [b.[pos..]], [avail] bytes of it at hand.  Only those
+   bytes are read: the length is compared with [avail] before the
+   checksum runs over the payload. *)
+let check b ~pos ~avail =
+  if avail < header_bytes then Partial
+  else if Bytes.get b pos <> magic then Damaged
+  else begin
+    let len = payload_length b ~pos in
+    if len > avail - header_bytes then Partial
+    else
+      let c = crc_update 0 b ~pos:(pos + 1) ~len:5 in
+      if crc_update c b ~pos:(pos + header_bytes) ~len = get_le32_bytes b (pos + 6) then
+        Whole
+      else Damaged
+  end
 
 let decode s ~pos =
   let total = String.length s in
   if pos < 0 || pos > total then invalid_arg "Codec.decode: position out of range";
+  let b = Bytes.unsafe_of_string s in
   if pos = total then End
-  else if total - pos < header_bytes then Truncated
-  else if s.[pos] <> magic then Corrupt
-  else begin
-    let kind = Char.code s.[pos + 1] in
-    let len = get_le32 s (pos + 2) in
-    let crc = get_le32 s (pos + 6) in
-    if len > total - pos - header_bytes then
-      (* A mutated length field lands here too; indistinguishable from a
-         torn write and equally safe: the reader truncates, never invents
-         a record. *)
-      Truncated
-    else
-      let c = crc32 s ~pos:(pos + 1) ~len:5 in
-      let c = crc32 ~init:c s ~pos:(pos + header_bytes) ~len in
-      if c <> crc then Corrupt
-      else
-        Record
-          {
-            kind;
-            payload = String.sub s (pos + header_bytes) len;
-            next = pos + header_bytes + len;
-          }
-  end
+  else
+    match check b ~pos ~avail:(total - pos) with
+    (* A mutated length field reads as [Partial] too; indistinguishable
+       from a torn write and equally safe: the reader truncates, never
+       invents a record. *)
+    | Partial -> Truncated
+    | Damaged -> Corrupt
+    | Whole ->
+      let len = payload_length b ~pos in
+      Record
+        {
+          kind = Char.code s.[pos + 1];
+          payload = String.sub s (pos + header_bytes) len;
+          next = pos + header_bytes + len;
+        }
 
 (* A sealed blob is a one-record envelope (fixed kind) whose checksum
    witnesses the exact bytes handed to [seal].  [Marshal] output travels
@@ -127,10 +131,9 @@ let unseal s =
 
 let is_sealed b ~off ~len =
   len >= header_bytes
-  && Bytes.get b off = magic
   && Char.code (Bytes.get b (off + 1)) = k_sealed
-  && get_le32_bytes b (off + 2) = len - header_bytes
-  && frame_ok b ~pos:off ~len:(len - header_bytes)
+  && payload_length b ~pos:off = len - header_bytes
+  && check b ~pos:off ~avail:len = Whole
 
 type tail = Clean | Torn | Corrupt_tail
 
@@ -146,13 +149,13 @@ let fold s ~init ~f =
     | End -> (acc, pos, Clean)
     | Truncated -> (acc, pos, Torn)
     | Corrupt -> (acc, pos, Corrupt_tail)
-    | Record { kind; payload; next } -> loop next (f acc kind payload)
+    | Record { kind; payload; next } -> loop next (f acc ~pos kind payload)
   in
   loop 0 init
 
 let scan s =
   let records, valid_bytes, tail =
-    fold s ~init:[] ~f:(fun acc kind payload -> (kind, payload) :: acc)
+    fold s ~init:[] ~f:(fun acc ~pos:_ kind payload -> (kind, payload) :: acc)
   in
   { records = List.rev records; valid_bytes; tail }
 
@@ -201,29 +204,24 @@ let rec fill r need =
 
 let rec frames r acc ~f =
   if not (fill r header_bytes) then (acc, r.at, if r.hi = r.lo then Clean else Torn)
-  else begin
+  else
     let b = r.buf.bytes and p = r.lo in
-    if Bytes.get b p <> magic then (acc, r.at, Corrupt_tail)
-    else begin
-      let kind = Char.code (Bytes.get b (p + 1)) in
-      let len = get_le32_bytes b (p + 2) in
+    match check b ~pos:p ~avail:(r.hi - p) with
+    | Damaged -> (acc, r.at, Corrupt_tail)
+    | Partial ->
       (* The length is checked against the input's size before anything
          is read or allocated for it: a mutated length field reads as a
          torn frame, as in [decode]. *)
+      let len = payload_length b ~pos:p in
       if len > r.size - r.at - header_bytes || not (fill r (header_bytes + len)) then
         (acc, r.at, Torn)
-      else begin
-        let b = r.buf.bytes and p = r.lo in
-        if not (frame_ok b ~pos:p ~len) then (acc, r.at, Corrupt_tail)
-        else begin
-          let pos = r.at in
-          r.lo <- p + header_bytes + len;
-          r.at <- pos + header_bytes + len;
-          frames r (f acc ~pos ~kind b ~off:(p + header_bytes) ~len) ~f
-        end
-      end
-    end
-  end
+      else frames r acc ~f
+    | Whole ->
+      let len = payload_length b ~pos:p and kind = Char.code (Bytes.get b (p + 1)) in
+      let pos = r.at in
+      r.lo <- p + header_bytes + len;
+      r.at <- pos + header_bytes + len;
+      frames r (f acc ~pos ~kind b ~off:(p + header_bytes) ~len) ~f
 
 let fold_input ?(buf = buffer ()) ~size ~input ~init ~f () =
   frames { buf; size; input; lo = 0; hi = 0; at = 0; eof = false } init ~f

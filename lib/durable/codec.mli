@@ -41,6 +41,28 @@ type decoded =
 
 val decode : string -> pos:int -> decoded
 
+(** {1 In place}
+
+    The one frame check: the store's readers, the socket reader
+    ({!Net.Wire_codec.Reader}) and the trace loader all parse with it. *)
+
+type check =
+  | Whole  (** a complete frame whose magic and checksum hold *)
+  | Partial
+      (** the bytes at hand are fewer than a header, or than the header's
+          length field says: a torn frame, or one still arriving *)
+  | Damaged  (** bad magic, or a checksum mismatch *)
+
+val check : Bytes.t -> pos:int -> avail:int -> check
+(** The frame at [b.[pos]] of which the [avail] bytes [b.[pos, pos+avail)]
+    are at hand; reads nothing past them and allocates nothing.  A
+    [Whole] frame's kind is the byte at [pos + 1] and its payload the
+    {!payload_length} bytes from [pos + header_bytes]. *)
+
+val payload_length : Bytes.t -> pos:int -> int
+(** The length field of the header at [b.[pos]] (which must be whole), as
+    the frame claims it: check it against a bound before trusting it. *)
+
 val seal : string -> string
 (** Wrap a blob in a one-record envelope whose CRC32 witnesses the exact
     sealed bytes.  Everything [Marshal]-encoded that touches disk travels
@@ -65,9 +87,9 @@ type scan_result = {
 }
 
 val fold :
-  string -> init:'a -> f:('a -> int -> string -> 'a) -> 'a * int * tail
-(** [fold s ~init ~f] feeds each record's kind and payload to [f], oldest
-    first, from offset 0 until the first anomaly or the end; returns the
+  string -> init:'a -> f:('a -> pos:int -> int -> string -> 'a) -> 'a * int * tail
+(** [fold s ~init ~f] feeds each record's offset, kind and payload to [f],
+    oldest first, from offset 0 until the first anomaly or the end; returns the
     accumulator, the length of the longest valid prefix and how the input
     ended.  Only one decoded payload is live at a time. *)
 

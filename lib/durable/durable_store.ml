@@ -7,8 +7,6 @@ let k_ckpt = 0x43 (* 'C': the checkpoint snapshot *)
 
 let k_ann = 0x41 (* 'A': announcement *)
 
-let k_inc = 0x49 (* 'I': incarnation counter *)
-
 let k_len = 0x4E (* 'N': stable-length witness, recorded after each flush *)
 
 let k_base = 0x42 (* 'B': logical log base after prefix compaction *)
@@ -89,7 +87,6 @@ type ('ckpt, 'log, 'ann) t = {
   volatile : 'log Queue.t;
   mutable ckpts : int list; (* file seqs, newest first; snapshots stay on disk *)
   mutable ckpt_seq : int;
-  mutable inc : int;
   sync_writes : Obs.Counter.t;
   flushes : Obs.Counter.t;
   ckpt_bytes : Obs.Counter.t; (* bytes written to checkpoint files *)
@@ -140,7 +137,7 @@ let decode_checkpoint (fs : Fs.t) ?buf path ~frame =
   | exception (Sys_error _ | Failure _ | Invalid_argument _ | End_of_file) -> None
 
 (* Append one record to the synchronous area.  Writes of protocol data
-   (announcements, incarnation) are fsynced and counted by the callers in
+   (announcements) are fsynced and counted by the callers in
    [sync_writes]; store-internal metadata (length witness, base) is not
    counted — the paper's cost model has no such operation, it piggybacks
    here on the writes that model charges for.  With
@@ -191,7 +188,6 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
      reported damage, never a crash and never silent acceptance. *)
   let sync_records = ref 0 in
   let sync_bytes_dropped = ref 0 in
-  let inc = ref 0 in
   let witness_len = ref (-1) in
   let logical_base = ref 0 in
   let dropped len = sync_bytes_dropped := !sync_bytes_dropped + len + Codec.header_bytes in
@@ -205,7 +201,6 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
   let absorb_sync () ~pos:_ ~kind b ~off ~len =
     incr sync_records;
     if kind = k_ann then (if not (sealed_value b ~off ~len) then dropped len)
-    else if kind = k_inc then absorb inc b ~off ~len
     else if kind = k_len then absorb witness_len b ~off ~len
     else if kind = k_base then absorb logical_base b ~off ~len
   in
@@ -287,7 +282,6 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
       volatile = Queue.create ();
       ckpts = !ckpts;
       ckpt_seq = 1 + Array.fold_left max (-1) ckpt_seqs;
-      inc = !inc;
       disk_full = 0;
       slow_fsync = None;
       degraded_flushes;
@@ -528,8 +522,8 @@ let announcements t =
   List.rev anns
 
 (* Rewrite the synchronous area keeping only the announcements [keep]
-   accepts (plus the store metadata — base, length witness, incarnation —
-   re-emitted fresh).  Atomic: build a temp file, fsync it, rename over
+   accepts (plus the store metadata — base and length witness — re-emitted
+   fresh).  Atomic: build a temp file, fsync it, rename over
    sync.dat, reopen the append descriptor.  A crash before the rename
    leaves the old area intact; after it, the new one. *)
 let compact_sync t ~keep =
@@ -542,7 +536,6 @@ let compact_sync t ~keep =
     let b = Buffer.create 4096 in
     Codec.encode_into b ~kind:k_base (to_bin t.base);
     Codec.encode_into b ~kind:k_len (to_bin t.stable_len);
-    Codec.encode_into b ~kind:k_inc (to_bin t.inc);
     List.iter (fun a -> Codec.encode_into b ~kind:k_ann (to_bin a)) kept;
     Fs.write_file t.fs tmp (Buffer.contents b);
     t.fs.rename tmp path;
@@ -553,14 +546,6 @@ let compact_sync t ~keep =
     Obs.Counter.incr t.sync_writes
   end;
   dropped
-
-let set_incarnation t i =
-  guard t;
-  sync_put t ~kind:k_inc (to_bin i);
-  t.inc <- i;
-  Obs.Counter.incr t.sync_writes
-
-let incarnation t = t.inc
 
 let sync_writes t = Obs.Counter.value t.sync_writes
 

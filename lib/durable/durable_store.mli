@@ -7,8 +7,8 @@
     single operation", [flush]); checkpoints, each of which also flushes
     the volatile buffer "so that stable state intervals are always
     continuous" (Section 2); and a small synchronous area for failure
-    announcements and the incarnation counter, which must survive a crash
-    so that a process never reuses an incarnation number.  {!kill} is a
+    announcements, which must survive a crash so that a process never
+    reuses an incarnation number.  {!kill} is a
     process death: it discards the volatile suffix and every armed fault
     with the handle, and a reopen over the same files recovers the rest.
     The store is generic in the checkpoint, log-record and
@@ -36,8 +36,8 @@
       a snapshot back from its file when asked, one file at a time
       ({!checkpoints} is a lazy sequence);
     - the {b synchronous area} is [sync.dat], an append-only record
-      stream, fsynced when it carries protocol data (announcements, the
-      incarnation counter), which the store keeps none of in memory: it
+      stream, fsynced when it carries protocol data (announcements),
+      which the store keeps none of in memory: it
       reads them back from the file when asked ({!announcements}).  It
       also carries store metadata: the logical log base after compaction
       and a stable-length witness recorded after every flush, so a reopen
@@ -51,7 +51,7 @@
 
     So what the store holds in memory is metadata: the log's segment list
     (start, count and size per segment), the checkpoint sequence numbers,
-    the stable length, base and incarnation, plus the volatile records not
+    the stable length and base, plus the volatile records not
     yet flushed.  It does not grow with the records, checkpoints or
     announcements written.  Only rollback, restart and log GC read back.
 
@@ -240,23 +240,17 @@ val announcements : ('ckpt, 'log, 'ann) t -> 'ann list
 
 val compact_sync : ('ckpt, 'log, 'ann) t -> keep:('ann -> bool) -> int
 (** Rewrite the synchronous area, keeping only the announcements [keep]
-    accepts (store metadata — log base, stable-length witness, incarnation
-    — is re-emitted).  Atomic (temp file, fsync, rename).  Returns the
+    accepts (store metadata — log base, stable-length witness — is
+    re-emitted).  Atomic (temp file, fsync, rename).  Returns the
     number of records dropped; a no-op (no rewrite, not counted in
     {!sync_writes}) when nothing is dropped.  What bounds the sync area
     when per-partition checkpoint records supersede each other. *)
-
-val set_incarnation : ('ckpt, 'log, 'ann) t -> int -> unit
-(** Synchronously persist the incarnation counter (counted). *)
-
-val incarnation : ('ckpt, 'log, 'ann) t -> int
-(** Last persisted incarnation counter; 0 initially. *)
 
 (** {1 Crash semantics and accounting} *)
 
 val sync_writes : ('ckpt, 'log, 'ann) t -> int
 (** Protocol-level synchronous stable-storage operations: one per
-    non-empty flush round, checkpoint, announcement and incarnation write
+    non-empty flush round, checkpoint and announcement
     — the quantity the paper's cost model charges for, and what E12/B9
     report.  Store-internal metadata writes (length witness, log base) are
     not counted.  The same count is the registry's

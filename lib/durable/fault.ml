@@ -3,20 +3,14 @@ type t =
   | Bit_flip
   | Truncated_segment
   | Failed_fsync
-  | Disk_full
-  | Slow_fsync
 
-let all =
-  [ Torn_final_write; Bit_flip; Truncated_segment; Failed_fsync; Disk_full;
-    Slow_fsync ]
+let all = [ Torn_final_write; Bit_flip; Truncated_segment; Failed_fsync ]
 
 let to_string = function
   | Torn_final_write -> "torn-final-write"
   | Bit_flip -> "bit-flip"
   | Truncated_segment -> "truncated-segment"
   | Failed_fsync -> "failed-fsync"
-  | Disk_full -> "disk-full"
-  | Slow_fsync -> "slow-fsync"
 
 let of_string s = List.find_opt (fun f -> to_string f = s) all
 
@@ -59,8 +53,6 @@ let record_spans (fs : Fs.t) path =
 let apply ~(fs : Fs.t) ~dir ~rand fault =
   match fault with
   | Failed_fsync -> "failed fsync (armed on the live store before the kill)"
-  | Disk_full -> "disk full (armed on the live store; flushes refuse)"
-  | Slow_fsync -> "slow fsync (armed on the live store; rounds stretched)"
   | Torn_final_write -> (
     match
       List.filter (fun p -> fs.size p > 0) (files_matching fs dir "seg-") |> List.rev

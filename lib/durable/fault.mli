@@ -1,11 +1,14 @@
 (** Storage fault injection.
 
-    Faults model what real disks do to logging systems.  [Failed_fsync],
-    [Disk_full] and [Slow_fsync] are armed on a {e live} store (see
-    {!Durable_store.arm_fsync_failure}, {!Durable_store.arm_disk_full},
-    {!Durable_store.arm_slow_fsync}); the other three mutate the closed
-    files of a killed store, between death and respawn — exactly when a
-    real machine would lose or mangle sectors.
+    Faults model what real disks do to logging systems, each one paired
+    with a kill.  [Failed_fsync] is armed on the {e live} store before
+    the kill ({!Durable_store.arm_fsync_failure}); the other three mutate
+    the closed files of the killed store, between death and respawn —
+    exactly when a real machine would lose or mangle sectors.  Brownouts
+    that outlive no process (a full disk, a slow fsync) are armed on a
+    live store without a kill: {!Durable_store.arm_disk_full} and
+    {!Durable_store.arm_slow_fsync}, which the chaos [Brownout] directive
+    and koptnode's [Arm_brownout] control reach.
 
     Damage is targeted {e structurally}: the injector scans the victim
     file's {!Codec} frames and aims at a record index (tear the final
@@ -22,11 +25,6 @@ type t =
   | Failed_fsync
       (** the log's fsync reports success without persisting (lying disk);
           applied before the kill, a no-op afterwards *)
-  | Disk_full
-      (** ENOSPC brownout on the live store: flushes refuse (and are
-          counted) while the window lasts; nothing is dropped *)
-  | Slow_fsync
-      (** slow-disk brownout on the live store: fsync rounds stretched *)
 
 val all : t list
 
@@ -41,6 +39,5 @@ val apply : fs:Fs.t -> dir:string -> rand:(int -> int) -> t -> string
     a uniform integer in [\[0, n)]; callers pass a stream derived from the
     run's seed so campaigns stay reproducible.  Returns a human-readable
     description of the damage done (or why none was possible, e.g. no
-    segment had any bytes yet).  The live-store faults ([Failed_fsync],
-    [Disk_full], [Slow_fsync]) are described only — arming happens through
-    {!Durable_store} before the kill. *)
+    segment had any bytes yet).  [Failed_fsync] is described only —
+    arming happens through {!Durable_store} before the kill. *)

@@ -175,6 +175,9 @@ let rec ctl_fd ?(attempts = 100) node =
            deadline is only checked between polls).  A timed-out RPC
            drops the connection, so no stale reply can ever be read. *)
         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+        (* The stream states its wire version once, up front; a failed
+           write surfaces on the first request. *)
+        ignore (Wire_codec.write_all fd (Wire_codec.hello ~pid:(-1)) : bool);
         node.ctl <- Some fd;
         Some fd
       | exception Unix.Unix_error _ ->
@@ -319,8 +322,6 @@ let kill_only t ~dst =
 
 let respawn t ~dst = spawn t t.nodes.(dst)
 
-let crash t ~dst = ignore (ctl_send t.nodes.(dst) Wire_codec.Crash : bool)
-
 (* ------------------------------------------------------------------ *)
 (* Membership churn                                                    *)
 
@@ -366,8 +367,8 @@ let arm_brownout t ~dst ?slow ~rounds () =
 
 let kill t ~dst =
   kill_only t ~dst;
-  (* The detection + reboot outage of the cost model, in wall-clock terms —
-     the same constant a daemon's in-process crash sleeps (Config.real_restart_delay). *)
+  (* The detection + reboot outage of the cost model, in wall-clock terms
+     (Config.real_restart_delay). *)
   Unix.sleepf (Config.real_restart_delay ~time_scale:t.time_scale t.config.Config.timing);
   respawn t ~dst
 
@@ -432,9 +433,9 @@ let settle ?(timeout = 30.) t =
 (* A SIGKILLed incarnation never wrote its own [Crashed] event; reconstruct
    it from the successor's [Restarted]: the failure announcement pins the
    crashed incarnation's last stable interval, and the successor's first
-   interval (replay frontier + 1) pins the first lost index.  An in-process
-   crash (the [Crash] control, or a future graceful failure path) does
-   write [Crashed], so we only synthesise when none is pending. *)
+   interval (replay frontier + 1) pins the first lost index.  A daemon
+   that drains and halts (Quit, retirement) does write [Crashed], so we
+   only synthesise when none is pending. *)
 let synthesize_crashes entries =
   let crashed = Hashtbl.create 8 in
   let count = ref 0 in
@@ -664,6 +665,9 @@ let destroy t =
 (* ------------------------------------------------------------------ *)
 (* E14                                                                 *)
 
+(* The partition cuts pid 0 off from launch until well after the
+   workload's last injection (~100 ms in), so it always meets the
+   daemons' first dials and the traffic of the run. *)
 let fault_plan ~with_partition =
   {
     Harness.Netmodel.loss = 0.05;
@@ -675,8 +679,8 @@ let fault_plan ~with_partition =
          [
            {
              Harness.Netmodel.group = [ 0 ];
-             from_ = 250.;
-             until = 450.;
+             from_ = 0.;
+             until = 200.;
              mode = Harness.Netmodel.Drop_packets;
            };
          ]
@@ -724,9 +728,14 @@ let one_run ~n ~k ~ops ~kills ~plan ~seed report =
   let count name = Obs.Snapshot.counter outcome.obs (name ^ "_total") in
   let proxied name = count ("proxy_" ^ name) in
   Harness.Report.note report
-    (Fmt.str "K=%d proxy: %d forwarded, %d dropped, %d duplicated, %d delayed, %d severed"
-       k (proxied "forwarded") (proxied "dropped") (proxied "duplicated")
+    (Fmt.str
+       "K=%d proxy: %d forwarded, %d dropped (%d by the partition), %d duplicated, %d \
+        delayed, %d severed"
+       k (proxied "forwarded") (proxied "dropped") (proxied "cut") (proxied "duplicated")
        (proxied "delayed") (proxied "severed"));
+  if plan.Harness.Netmodel.partitions <> [] && proxied "severed" + proxied "cut" = 0 then
+    Harness.Report.note report
+      (Fmt.str "K=%d: WARNING the partition window met no traffic (nothing severed or cut)" k);
   Harness.Report.add_row report
     [
       string_of_int k;

@@ -118,10 +118,6 @@ val respawn : t -> dst:int -> unit
 (** Start a fresh incarnation of a {!kill_only}ed daemon over its store
     directory. *)
 
-val crash : t -> dst:int -> unit
-(** Soft fail-stop of daemon [dst] via its control socket: it halts its
-    node and recovers a fresh one from its store inside the same OS
-    process, whose registry (every counter in it) carries on. *)
 
 (** {1 Membership churn} *)
 

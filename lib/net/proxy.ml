@@ -36,6 +36,7 @@ type relay = {
   mutable streams : stream list;
   forwarded : Obs.Counter.t;
   dropped : Obs.Counter.t;
+  cut : Obs.Counter.t;
   duplicated : Obs.Counter.t;
   delayed : Obs.Counter.t;
   severed : Obs.Counter.t;
@@ -72,7 +73,9 @@ let admit r s frame =
   let now = Unix.gettimeofday () in
   let due =
     match active_partition r ~src:s.src ~dst:s.dst with
-    | Some { mode = Harness.Netmodel.Drop_packets; _ } -> None
+    | Some { mode = Harness.Netmodel.Drop_packets; _ } ->
+      Obs.Counter.incr r.cut;
+      None
     | Some ({ mode = Harness.Netmodel.Queue_packets; _ } as p) ->
       (* Hold the frame, and hence the stream's suffix, until the
          partition heals. *)
@@ -140,7 +143,7 @@ let read_client r s =
     | None -> ()
     | Some (Error _) -> sever s
     | Some (Ok (kind, payload)) ->
-      admit r s (Wire_codec.frame ~kind payload);
+      admit r s (Durable.Codec.encode ~kind payload);
       frames ()
   in
   frames ()
@@ -178,9 +181,9 @@ let greet r g =
   let eof = Wire_codec.Reader.read g.hello g.fd = `Eof in
   match Wire_codec.Reader.next g.hello with
   | None -> not eof || refuse ()
-  | Some (Ok (kind, body)) when kind = Wire_codec.hello_kind && body <> "" -> (
-    match Wire_codec.Prim.run Wire_codec.Prim.get_int body with
-    | Error _ -> refuse ()
+  | Some frame -> (
+    match Result.bind frame (fun (kind, body) -> Wire_codec.greeting ~kind body) with
+    | Error _ -> refuse () (* not a transport stream of this version *)
     | Ok src -> (
       match active_partition r ~src ~dst:g.route.dst with
       | Some { mode = Harness.Netmodel.Drop_packets; _ } ->
@@ -205,12 +208,11 @@ let greet r g =
               open_ = true;
             }
           in
-          Buffer.add_string s.to_server (Wire_codec.frame ~kind body);
+          Buffer.add_string s.to_server (Wire_codec.hello ~pid:src);
           r.streams <- s :: r.streams;
           (* Frames that came in the hello's read. *)
           read_client r s;
           false)))
-  | Some _ -> refuse () (* not a transport stream *)
 
 let accept r (route, listener) =
   let rec go () =
@@ -340,6 +342,7 @@ let start ~routes ?(plan = Harness.Netmodel.benign) ?(seed = 0)
            streams = [];
            forwarded = c "forwarded";
            dropped = c "dropped";
+           cut = c "cut";
            duplicated = c "duplicated";
            delayed = c "delayed";
            severed = c "severed";

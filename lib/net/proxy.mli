@@ -50,7 +50,8 @@ val start :
     wall-clock seconds by [time_scale] (default
     {!Recovery.Config.default_time_scale}), from the moment [start] is
     called.  The relay counts [proxy_forwarded_total],
-    [proxy_dropped_total], [proxy_duplicated_total], [proxy_delayed_total]
+    [proxy_dropped_total] (of which [proxy_cut_total] were dropped by a
+    partition window), [proxy_duplicated_total], [proxy_delayed_total]
     and [proxy_severed_total] (hellos cut by a partition window) in a
     registry of its own; they come back in [metrics_file], a text
     exposition ({!Obs.Snapshot.of_text}) the relay writes as it exits,

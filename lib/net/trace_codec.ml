@@ -5,7 +5,8 @@ open Wire_codec.Prim
 (* All trace entries travel under one frame kind; the event variant is a
    tag byte inside the payload.  Trace frames share the kind space with
    packets and control frames but never cross a socket — they only live in
-   per-process trace files. *)
+   per-process trace files, where each writer's stretch opens with a
+   Hello. *)
 let trace_kind = 33
 
 let tag_of_event = function
@@ -103,7 +104,7 @@ let encode_entry (e : Trace.entry) =
   put_float b e.Trace.time;
   put_int b e.Trace.seq;
   put_event b e.Trace.ev;
-  Wire_codec.frame ~kind:trace_kind (Buffer.contents b)
+  Durable.Codec.encode ~kind:trace_kind (Buffer.contents b)
 
 let read_event c =
   match get_u8 c with
@@ -208,36 +209,34 @@ let decode_entry s =
 
 type load = { entries : Trace.entry list; damage : string option }
 
+(* Each [open_writer] starts a stretch with a Hello (a respawned daemon
+   appends to its predecessor's file), so the file's first frame must be
+   one and any frame may be one; every Hello is held to this version. *)
 let decode_stream s =
-  let rec loop pos acc =
-    if pos = String.length s then { entries = List.rev acc; damage = None }
-    else
-      match Wire_codec.decode_frame s ~pos with
-      | Error e ->
-        {
-          entries = List.rev acc;
-          damage =
-            Some
-              (Printf.sprintf "trace file damaged at byte %d: %s (torn tail truncated)"
-                 pos e);
-        }
-      | Ok (kind, body, next) ->
-        if kind <> trace_kind then
-          {
-            entries = List.rev acc;
-            damage = Some (Printf.sprintf "unexpected frame kind %d at byte %d" kind pos);
-          }
-        else (
-          match run read_entry body with
-          | Error e ->
-            {
-              entries = List.rev acc;
-              damage =
-                Some (Printf.sprintf "undecodable trace entry at byte %d: %s" pos e);
-            }
-          | Ok entry -> loop next (entry :: acc))
+  let entry ((entries, damage) as acc) ~pos kind body =
+    let fail fmt = Printf.ksprintf (fun e -> (entries, Some e)) fmt in
+    match damage with
+    | Some _ -> acc
+    | None when kind = trace_kind && pos > 0 -> (
+      match run read_entry body with
+      | Ok e -> (e :: entries, None)
+      | Error e -> fail "undecodable trace entry at byte %d: %s" pos e)
+    | None -> (
+      match Wire_codec.greeting ~kind body with
+      | Ok _ -> acc
+      | Error e -> fail "trace file refused at byte %d: %s" pos e)
   in
-  loop 0 []
+  let (entries, damage), valid, tail = Durable.Codec.fold s ~init:([], None) ~f:entry in
+  let damage =
+    match (damage, tail) with
+    | Some _, _ | None, Durable.Codec.Clean -> damage
+    | None, (Durable.Codec.Torn | Durable.Codec.Corrupt_tail) ->
+      Some
+        (Printf.sprintf "trace file damaged at byte %d: %s (torn tail truncated)" valid
+           (if tail = Durable.Codec.Torn then "truncated frame"
+            else "bad frame magic or checksum"))
+  in
+  { entries = List.rev entries; damage }
 
 let load_file path =
   match
@@ -252,7 +251,9 @@ let load_file path =
 type writer = out_channel
 
 let open_writer path =
-  open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
+  let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
+  output_string oc (Wire_codec.hello ~pid:(-1));
+  oc
 
 let close_writer = close_out_noerr
 

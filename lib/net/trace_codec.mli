@@ -1,16 +1,20 @@
 (** Serialization of execution-trace entries.
 
     Each daemon appends its {!Recovery.Trace} entries to a per-process
-    trace file as they happen (one {!Wire_codec} frame per entry, flushed
-    after every protocol step), so the trace written {e before} a [SIGKILL]
+    trace file as they happen (one {!Durable.Codec} frame per entry,
+    flushed after every protocol step, after the Hello that opens each
+    writer's stretch), so the trace written {e before} a [SIGKILL]
     survives the kill.  The deployment driver loads the per-process files,
     merges them into one global trace and certifies it with the offline
     causality oracle — the same end-to-end argument the simulator uses,
     now across real process boundaries.
 
-    A file killed mid-append ends in a torn frame; the loader truncates at
+    The file is read with the store's codec ({!Durable.Codec.fold}).  A
+    file killed mid-append ends in a torn frame; the loader truncates at
     the first undecodable byte and {e reports} the damage, mirroring the
-    durable store's open-time recovery discipline. *)
+    durable store's open-time recovery discipline.  A file whose first
+    frame is not a Hello of {!Wire_codec.version}, or that holds a Hello
+    of another version, is refused from that frame on, also reported. *)
 
 val encode_entry : Recovery.Trace.entry -> string
 (** One full frame. *)
@@ -25,7 +29,8 @@ type load = {
 }
 
 val decode_stream : string -> load
-(** Decode concatenated frames until the bytes run out or stop decoding. *)
+(** Decode a trace file's bytes: a Hello, then entries and further Hellos,
+    until the bytes run out or stop decoding. *)
 
 val load_file : string -> (load, string) result
 (** [Error] only if the file cannot be read at all. *)
@@ -35,7 +40,8 @@ val load_file : string -> (load, string) result
 type writer
 
 val open_writer : string -> writer
-(** Open (append mode, created if missing) a trace file. *)
+(** Open (append mode, created if missing) a trace file, and start its
+    stretch with a Hello of {!Wire_codec.version}. *)
 
 val close_writer : writer -> unit
 

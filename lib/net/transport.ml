@@ -22,8 +22,8 @@ type peer = {
   mutable failures : int; (* writes failed since one last completed a frame *)
 }
 
-(* One accepted connection: a Hello frame naming the dialer, then a
-   stream of frames. *)
+(* One accepted connection: a Hello frame of this wire version naming the
+   dialer, then a stream of frames. *)
 type inbound = {
   fd : Unix.file_descr;
   reader : Wire_codec.Reader.t;
@@ -90,14 +90,12 @@ let rec deliver t c =
   | Some (Error e) -> reject (Printf.sprintf "inbound frame: %s" e)
   | Some (Ok (kind, body)) -> (
     match c.src with
-    | None when kind = Wire_codec.hello_kind -> (
-      (* The hello payload is a bare pid (see Wire_codec.encode_control). *)
-      match Wire_codec.Prim.run Wire_codec.Prim.get_int body with
+    | None -> (
+      match Wire_codec.greeting ~kind body with
       | Ok src ->
         c.src <- Some src;
         deliver t c
-      | Error e -> reject (Printf.sprintf "inbound Hello: %s" e))
-    | None -> reject "inbound connection did not start with Hello"
+      | Error e -> reject (Printf.sprintf "inbound connection refused: %s" e))
     | Some src ->
       bump t c_received;
       (try t.on_frame ~src ~kind ~body
@@ -253,9 +251,7 @@ let create ~self ~listen_port ~peers ~on_frame ?(on_error = fun _ -> ())
   Unix.set_nonblock listen_sock;
   {
     listen_sock;
-    hello =
-      Wire_codec.encode_control App_model.App_intf.string_wire_format
-        (Wire_codec.Hello { pid = self });
+    hello = Wire_codec.hello ~pid:self;
     peers = List.map (fun (pid, port) -> make_peer ~backoff:backoff_base ~pid ~port) peers;
     inbound = [];
     on_frame;

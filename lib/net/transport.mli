@@ -4,7 +4,9 @@
     One listening socket per process; for each peer the transport keeps a
     single {e outbound} connection (dialer writes, acceptor reads), so an
     N-process cluster carries at most N·(N−1) connections.  The first
-    frame on every connection is a [Hello] identifying the dialer.
+    frame on every connection is a [Hello] identifying the dialer; one
+    of another wire version, or any other first frame, is refused
+    ({!Wire_codec.greeting}): counted as a decode error and closed.
 
     The transport starts no thread and never blocks: every socket is
     nonblocking, and the owner waits for all of them in one [select]

@@ -1,16 +1,11 @@
 open Depend
 module Wire = Recovery.Wire
 module App_intf = App_model.App_intf
+module Codec = Durable.Codec
 
-let version = 2
-
-let header_bytes = 12
+let version = 3
 
 let max_frame_payload = 16 * 1024 * 1024
-
-let magic0 = 'K'
-
-let magic1 = 'W'
 
 (* ------------------------------------------------------------------ *)
 (* Primitives                                                          *)
@@ -150,75 +145,14 @@ end
 open Prim
 
 (* ------------------------------------------------------------------ *)
-(* Framing                                                             *)
-
-let frame ~kind payload =
-  if kind < 0 || kind > 0xFF then invalid_arg "Wire_codec.frame: kind out of range";
-  let len = String.length payload in
-  if len > max_frame_payload then invalid_arg "Wire_codec.frame: payload too large";
-  let head = Bytes.create header_bytes in
-  Bytes.set head 0 magic0;
-  Bytes.set head 1 magic1;
-  Bytes.set head 2 (Char.chr version);
-  Bytes.set head 3 (Char.chr kind);
-  Bytes.set_int32_le head 4 (Int32.of_int len);
-  let crc =
-    Durable.Codec.crc32
-      ~init:(Durable.Codec.crc32 (Bytes.unsafe_to_string head) ~pos:2 ~len:6)
-      payload ~pos:0 ~len
-  in
-  Bytes.set_int32_le head 8 (Int32.of_int crc);
-  Bytes.unsafe_to_string head ^ payload
-
-let get_le32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
-
-let parse_header s ~pos =
-  if pos < 0 || pos + header_bytes > String.length s then Error "short frame header"
-  else if s.[pos] <> magic0 || s.[pos + 1] <> magic1 then
-    Error
-      (Printf.sprintf "bad frame magic %#x %#x" (Char.code s.[pos])
-         (Char.code s.[pos + 1]))
-  else if Char.code s.[pos + 2] <> version then
-    Error
-      (Printf.sprintf "unsupported wire version %d (want %d)" (Char.code s.[pos + 2])
-         version)
-  else begin
-    let kind = Char.code s.[pos + 3] in
-    let len = get_le32 s (pos + 4) in
-    if len > max_frame_payload then
-      Error (Printf.sprintf "frame payload length %d too large" len)
-    else Ok (kind, len)
-  end
-
-let frame_crc ~header ~pos ~payload =
-  Durable.Codec.crc32
-    ~init:(Durable.Codec.crc32 header ~pos:(pos + 2) ~len:6)
-    payload ~pos:0 ~len:(String.length payload)
-
-let check_frame ~header ~payload =
-  match parse_header header ~pos:0 with
-  | Error _ as e -> e
-  | Ok (_, len) ->
-    if len <> String.length payload then Error "frame length mismatch"
-    else begin
-      let expect = get_le32 header 8 in
-      if frame_crc ~header ~pos:0 ~payload <> expect then
-        Error "frame checksum mismatch"
-      else Ok ()
-    end
+(* Frames: the store's records (Durable.Codec)                         *)
 
 let decode_frame s ~pos =
-  match parse_header s ~pos with
-  | Error _ as e -> e
-  | Ok (kind, len) ->
-    if pos + header_bytes + len > String.length s then Error "truncated frame"
-    else begin
-      let payload = String.sub s (pos + header_bytes) len in
-      let expect = get_le32 s (pos + 8) in
-      if frame_crc ~header:s ~pos ~payload <> expect then
-        Error "frame checksum mismatch"
-      else Ok (kind, payload, pos + header_bytes + len)
-    end
+  match Codec.decode s ~pos with
+  | Codec.Record { kind; payload; next } -> Ok (kind, payload, next)
+  | Codec.Truncated -> Error "truncated frame"
+  | Codec.Corrupt -> Error "bad frame magic or checksum"
+  | Codec.End -> Error "no frame: end of input"
 
 (* ------------------------------------------------------------------ *)
 (* Frames over a stream socket                                         *)
@@ -258,20 +192,6 @@ let write_all fd s =
   loop 0
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* One frame off a blocking stream, its CRC not checked:
-   [Ok (kind, header, payload)] with the raw header bytes, [Error] for a
-   malformed header, [None] on EOF or a socket error. *)
-let read_frame fd =
-  match read_exact fd header_bytes with
-  | None -> None
-  | Some header -> (
-    match parse_header header ~pos:0 with
-    | Error _ as e -> Some e
-    | Ok (kind, len) -> (
-      match if len = 0 then Some "" else read_exact fd len with
-      | None -> None
-      | Some payload -> Some (Ok (kind, header, payload))))
 
 module Reader = struct
   (* [buf.[off .. len)] holds the bytes read but not yet framed.  The
@@ -323,26 +243,29 @@ module Reader = struct
       r.len <- 0
     end
 
+  (* Only [buf.[off .. len)] is meaningful, and [Codec.check] reads no
+     byte past it.  The bytes come from outside the process, so a length
+     field is held to [max_frame_payload] before the buffer grows for
+     it. *)
   let next r =
-    if buffered r < header_bytes then None
-    else
-      (* Only [buf.[off .. len)] is meaningful: every bound below is
-         checked against [len] before the bytes are read. *)
-      let s = Bytes.unsafe_to_string r.buf in
-      match parse_header s ~pos:r.off with
-      | Error _ as e -> Some e
-      | Ok (_, plen) ->
-        let whole = header_bytes + plen in
-        if buffered r < whole then begin
-          reserve r (whole - buffered r);
-          None
-        end
-        else
-          match decode_frame s ~pos:r.off with
-          | Error _ as e -> Some e
-          | Ok (kind, payload, _) ->
-            consume r whole;
-            Some (Ok (kind, payload))
+    let avail = buffered r in
+    match Codec.check r.buf ~pos:r.off ~avail with
+    | Codec.Damaged -> Some (Error "bad frame magic or checksum")
+    | Codec.Partial when avail < Codec.header_bytes -> None
+    | Codec.Partial ->
+      let len = Codec.payload_length r.buf ~pos:r.off in
+      if len > max_frame_payload then
+        Some (Error (Printf.sprintf "frame payload length %d too large" len))
+      else begin
+        reserve r (Codec.header_bytes + len - avail);
+        None
+      end
+    | Codec.Whole ->
+      let kind = Char.code (Bytes.get r.buf (r.off + 1)) in
+      let len = Codec.payload_length r.buf ~pos:r.off in
+      let payload = Bytes.sub_string r.buf (r.off + Codec.header_bytes) len in
+      consume r (Codec.header_bytes + len);
+      Some (Ok (kind, payload))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -372,10 +295,8 @@ let k_retire = 11
 
 let k_inject = 16
 
-(* Kinds 17-19 stay unassigned: a frame of one decodes as an unknown
+(* Kinds 17-20 stay unassigned: a frame of one decodes as an unknown
    control. *)
-
-let k_crash = 20
 
 let k_status_req = 21
 
@@ -395,13 +316,7 @@ let k_stats_req = 28
 
 let k_stats = 29
 
-let hello_kind = k_hello
-
 let app_notice_kind = k_app_notice
-
-let is_packet_kind k = k >= k_app && k <= k_retire
-
-let is_control_kind k = k = k_hello || k = k_inject || (k >= k_crash && k <= k_stats)
 
 let packet_kind_code : type msg. msg Wire.packet -> int = function
   | Wire.App _ -> k_app
@@ -520,7 +435,7 @@ let encode_packet (wf : 'msg App_intf.wire_format) (p : 'msg Wire.packet) =
   | Wire.Retire { from_; upto } ->
     put_int b from_;
     put_entry b upto);
-  frame ~kind:(packet_kind_code p) (Buffer.contents b)
+  Codec.encode ~kind:(packet_kind_code p) (Buffer.contents b)
 
 let decode_packet_body (wf : 'msg App_intf.wire_format) ~kind body =
   if kind = k_app then
@@ -594,11 +509,11 @@ let encode_data (wf : 'msg App_intf.wire_format) ?piggyback
   match piggyback with
   | None ->
     put_app_body wf b m;
-    frame ~kind:k_app (Buffer.contents b)
+    Codec.encode ~kind:k_app (Buffer.contents b)
   | Some notice ->
     put_notice_body b notice;
     put_app_body wf b m;
-    frame ~kind:k_app_notice (Buffer.contents b)
+    Codec.encode ~kind:k_app_notice (Buffer.contents b)
 
 let decode_data_body (wf : 'msg App_intf.wire_format) ~kind body =
   if kind = k_app then
@@ -635,7 +550,6 @@ type status = {
 type 'msg control =
   | Hello of { pid : int }
   | Inject of { seq : int; cseq : int; payload : 'msg }
-  | Crash
   | Status_req
   | Status of status
   | Quit
@@ -649,7 +563,6 @@ type 'msg control =
 let control_kind_code : type msg. msg control -> int = function
   | Hello _ -> k_hello
   | Inject _ -> k_inject
-  | Crash -> k_crash
   | Status_req -> k_status_req
   | Status _ -> k_status
   | Quit -> k_quit
@@ -660,15 +573,25 @@ let control_kind_code : type msg. msg control -> int = function
   | Stats_req -> k_stats_req
   | Stats _ -> k_stats
 
+(* A Hello's payload is the wire version, then the writer's pid: the one
+   place a stream states its version, so a reader of another version is
+   refused at the stream's first frame. *)
+let get_hello c =
+  let v = get_int c in
+  if v <> version then failwith (Printf.sprintf "wire version %d (want %d)" v version);
+  get_int c
+
 let encode_control (wf : 'msg App_intf.wire_format) (c : 'msg control) =
   let b = Buffer.create 32 in
   (match c with
-  | Hello { pid } -> put_int b pid
+  | Hello { pid } ->
+    put_int b version;
+    put_int b pid
   | Inject { seq; cseq; payload } ->
     put_int b seq;
     put_int b cseq;
     put_string b (wf.App_intf.write payload)
-  | Crash | Status_req | Quit | Bye | Retire_req | Stats_req -> ()
+  | Status_req | Quit | Bye | Retire_req | Stats_req -> ()
   | Stats text -> put_string b text
   | Add_peer { pid; port } ->
     put_int b pid;
@@ -687,7 +610,7 @@ let encode_control (wf : 'msg App_intf.wire_format) (c : 'msg control) =
     put_entry b s.st_current;
     put_bool b s.st_recovering;
     put_int b s.st_replay_pending);
-  frame ~kind:(control_kind_code c) (Buffer.contents b)
+  Codec.encode ~kind:(control_kind_code c) (Buffer.contents b)
 
 let decode_control_body (wf : 'msg App_intf.wire_format) ~kind body =
   if kind = k_inject then
@@ -706,8 +629,7 @@ let decode_control_body (wf : 'msg App_intf.wire_format) ~kind body =
   else
     run
       (fun c ->
-        if kind = k_hello then Hello { pid = get_int c }
-        else if kind = k_crash then Crash
+        if kind = k_hello then Hello { pid = get_hello c }
         else if kind = k_status_req then Status_req
         else if kind = k_status then begin
           let st_up = get_bool c in
@@ -759,8 +681,24 @@ let decode_control wf s =
     if next <> String.length s then Error "trailing bytes after frame"
     else decode_control_body wf ~kind body
 
+let hello ~pid = encode_control App_intf.string_wire_format (Hello { pid })
+
+let greeting ~kind body =
+  if kind <> k_hello then Error (Printf.sprintf "stream opened with kind %d, not Hello" kind)
+  else run get_hello body
+
+(* The header first, its length bounded before the payload is read, then
+   the whole frame through the store's check. *)
 let read_control wf fd =
-  match read_frame fd with
-  | Some (Ok (kind, header, payload)) when check_frame ~header ~payload = Ok () ->
-    Result.to_option (decode_control_body wf ~kind payload)
-  | Some _ | None -> None
+  match read_exact fd Codec.header_bytes with
+  | None -> None
+  | Some header -> (
+    let len = Codec.payload_length (Bytes.unsafe_of_string header) ~pos:0 in
+    if len > max_frame_payload then None
+    else
+      match read_exact fd len with
+      | None -> None
+      | Some payload ->
+        Result.to_option
+          (Result.bind (decode_frame (header ^ payload) ~pos:0) (fun (kind, body, _) ->
+               decode_control_body wf ~kind body)))

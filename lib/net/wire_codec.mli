@@ -1,64 +1,40 @@
 (** Byte-level wire format of the networking subsystem.
 
     Everything that crosses a socket — protocol packets between daemons,
-    control traffic between the deployment driver and a daemon, and the
-    trace entries a daemon appends to its trace file — is one {e frame}:
+    control traffic between the deployment driver and a daemon — and the
+    trace entries a daemon appends to its trace file is one
+    {!Durable.Codec} frame, the layout of every store record (magic,
+    kind, length, CRC32; see {!Durable.Codec}).  This module writes the
+    payloads.  One check ({!Durable.Codec.check}) parses store files, socket streams
+    and trace files alike: a damaged or torn frame is rejected, never
+    misread.  The version is stated once per stream, not per frame: every
+    stream (a transport connection, a control connection, a trace file)
+    opens with a [Hello] carrying {!version}, and its reader
+    refuses the stream on a mismatch ({!greeting}).
 
-    {v
-      offset  size  field
-      0       2     magic "KW"
-      2       1     version (currently 2)
-      3       1     kind
-      4       4     payload length, u32 LE
-      8       4     CRC32 (IEEE, reflected), u32 LE,
-                    over bytes 2..7 and the payload
-      12      len   payload
-    v}
-
-    The checksum covers the version, kind and length fields as well as the
-    payload, so no single mutated byte can re-frame a message (the QCheck
-    suite pins this, mirroring the durable-store codec).  Decode failures
-    are {e reported} — every decoding function returns a [result], and the
-    transport counts and surfaces them — never silently dropped.
-
-    Integers inside payloads are int64 LE; strings are u32-length-prefixed
-    bytes; application payloads go through the {!App_model.App_intf.wire_format}
-    the application provides.  Per-packet layouts are specified in
-    PROTOCOL.md §Wire format. *)
+    Decode failures are {e reported} — every decoding function returns a
+    [result], and the transport counts and surfaces them — never silently
+    dropped.  Integers inside payloads are int64 LE; strings are
+    u32-length-prefixed bytes; application payloads go through the
+    {!App_model.App_intf.wire_format} the application provides.
+    Per-packet layouts are specified in PROTOCOL.md §Wire format. *)
 
 val version : int
-
-val header_bytes : int
-(** 12: fixed frame header size. *)
+(** 3: the version every stream's opening Hello carries. *)
 
 val max_frame_payload : int
-(** Upper bound a reader enforces on the advertised payload length (16 MiB)
-    so a corrupt length field cannot make it allocate unboundedly. *)
-
-(** {1 Frames} *)
-
-val frame : kind:int -> string -> string
-(** Wrap a payload into a full frame. *)
-
-val parse_header : string -> pos:int -> (int * int, string) result
-(** [parse_header s ~pos] validates magic, version and length bound of the
-    12 header bytes at [pos] and returns [(kind, payload_length)].  The CRC
-    is checked by {!check_frame} once the payload is available. *)
-
-val check_frame : header:string -> payload:string -> (unit, string) result
-(** Verify the CRC of a reassembled frame ([header] is exactly the 12
-    header bytes). *)
+(** Upper bound a socket reader enforces on the advertised payload length
+    (16 MiB) so a corrupt length field cannot make it allocate
+    unboundedly. *)
 
 val decode_frame : string -> pos:int -> (int * string * int, string) result
-(** Decode one frame from a buffer: [(kind, payload, next_pos)]. *)
+(** {!Durable.Codec.decode} of one frame from a buffer:
+    [(kind, payload, next_pos)]. *)
 
 (** {1 Frames over a stream socket}
 
     The daemon, its transport, the deployment driver and the fault proxy
     all read and write frames with these. *)
-
-val read_exact : Unix.file_descr -> int -> string option
-(** Exactly [n] bytes; [None] on EOF or any socket error. *)
 
 val write_all : Unix.file_descr -> string -> bool
 (** Write the whole string; [false] on a short write or socket error.  On
@@ -82,16 +58,15 @@ module Reader : sig
       error. *)
 
   val next : t -> (int * string, string) result option
-  (** The next whole buffered frame, [(kind, payload)] with its CRC
-      checked; [Error] for a bad header or checksum (the stream cannot be
+  (** The next whole buffered frame, [(kind, payload)], checked in place
+      by {!Durable.Codec.check}; [Error] for a bad magic or checksum or a
+      length over {!max_frame_payload} (the stream cannot be
       resynchronised: close it); [None] until more bytes arrive.  The
       buffer grows only to fit a frame larger than itself, and shrinks
       back once that frame is consumed. *)
 end
 
 (** {1 Protocol packets} *)
-
-val packet_kind_code : 'msg Recovery.Wire.packet -> int
 
 val encode_packet :
   'msg App_model.App_intf.wire_format -> 'msg Recovery.Wire.packet -> string
@@ -161,12 +136,12 @@ type status = {
 
 type 'msg control =
   | Hello of { pid : int }
-      (** first frame on every data connection: identifies the dialer *)
+      (** first frame of every stream: its payload is {!version}, then
+          the writer's pid (-1 for the driver and for trace files) *)
   | Inject of { seq : int; cseq : int; payload : 'msg }
       (** a client message: [seq] makes its identity unique, [cseq] is its
           dense position among the injections to this daemon (see
           {!Recovery.Node.inject}) *)
-  | Crash  (** soft fail-stop: lose volatile state, restart in-process *)
   | Status_req
   | Status of status
   | Quit  (** drain: persist trace + metrics files and exit cleanly *)
@@ -187,11 +162,14 @@ type 'msg control =
           [# koptlog-obs v1] header, then [# TYPE]-declared
           Prometheus-style samples (PROTOCOL.md §Control socket) *)
 
-val control_kind_code : 'msg control -> int
+val hello : pid:int -> string
+(** The frame that opens a stream: a [Hello] of {!version} naming [pid]. *)
 
-val hello_kind : int
-(** Kind code of [Hello], exposed so the transport and the proxy can
-    recognise the connection preamble without a payload codec. *)
+val greeting : kind:int -> string -> (int, string) result
+(** [Ok pid] if the frame [(kind, payload)] is a Hello of {!version};
+    [Error] naming what it is instead.  Every stream's reader (the
+    transport's acceptor, the fault proxy, koptnode's control loop, the
+    trace loader) holds the stream's first frame to this. *)
 
 val encode_control :
   'msg App_model.App_intf.wire_format -> 'msg control -> string
@@ -209,14 +187,10 @@ val decode_control :
 
 val read_control :
   'msg App_model.App_intf.wire_format -> Unix.file_descr -> 'msg control option
-(** The next control frame on a blocking control connection, its CRC
-    checked ({!check_frame}) and its body decoded
+(** The next control frame on a blocking control connection, checked by
+    {!Durable.Codec.decode} and its body decoded
     ({!decode_control_body}), [None] once the connection
     is finished or carries anything but a well-formed control frame. *)
-
-val is_packet_kind : int -> bool
-
-val is_control_kind : int -> bool
 
 (** {1 Primitive readers/writers}
 

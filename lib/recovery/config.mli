@@ -157,9 +157,8 @@ val real_restart_delay : ?time_scale:float -> timing -> float
 (** Wall-clock seconds a dead process stays down before it is recovered:
     [timing.restart_delay] scaled by [time_scale] (default
     {!default_time_scale}).  This is the single source of the
-    restart-backoff used by the [koptnode] daemon's in-process crash and
-    by the multi-process deployment's respawn path ([Net.Deployment]);
-    neither carries its own magic number. *)
+    restart-backoff used by the multi-process deployment's respawn path
+    ([Net.Deployment]), which carries no magic number of its own. *)
 
 val harden : t -> t
 (** Enable the reliability machinery required on a lossy network:

@@ -51,20 +51,6 @@ type state = {
           [digest] costs O(|pending|) and not O(|store|) *)
 }
 
-let pp_msg ppf = function
-  | Put { key; value } -> Format.fprintf ppf "Put %s=%d" key value
-  | Get { g; key } -> Format.fprintf ppf "Get#%d %s" g key
-  | Multi_put { m; pairs } ->
-    Format.fprintf ppf "MultiPut#%d [%a]" m
-      (Format.pp_print_list ~pp_sep:Format.pp_print_space (fun ppf (k, v) ->
-           Format.fprintf ppf "%s=%d" k v))
-      pairs
-  | Mp_apply { m; coord; pairs } ->
-    Format.fprintf ppf "MpApply#%d coord=%d (%d keys)" m coord (List.length pairs)
-  | Mp_ack { m; from_ } -> Format.fprintf ppf "MpAck#%d from %d" m from_
-  | Grow { w } -> Format.fprintf ppf "Grow w=%d" w
-  | Retire_shard { shard } -> Format.fprintf ppf "RetireShard %d" shard
-
 let lookup state key = Str_map.find_opt key state.store
 
 (* One store entry's share of the digest, from its key's hash.  The digest
@@ -335,6 +321,5 @@ let app : (state, msg) App_model.App_intf.t =
         });
     handle;
     digest;
-    pp_msg;
     partitioning = Some partitioning;
   }

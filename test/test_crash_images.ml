@@ -32,11 +32,10 @@ type store = (string, string, string) Store.t
 let dir = "store"
 
 (* The stable state a store promises: its log from the base on (with
-   positions), announcements, incarnation and latest checkpoint. *)
+   positions), announcements and latest checkpoint. *)
 type view = {
   log : (int * string) list;
   anns : string list;
-  inc : int;
   latest : string option;
 }
 
@@ -45,7 +44,6 @@ let view (s : store) =
   {
     log = List.mapi (fun i r -> (base + i, r)) (Store.stable_log_from s ~pos:base);
     anns = Store.announcements s;
-    inc = Store.incarnation s;
     latest = Store.latest_checkpoint s;
   }
 
@@ -56,11 +54,9 @@ let fill s rs =
 let records lo hi = List.init (hi - lo) (fun i -> Printf.sprintf "r%03d" (lo + i))
 
 (* Flushes across several segment rotations, checkpoints, announcements,
-   incarnation writes, a rollback truncation, a prefix discard and a
-   sync-area compaction. *)
+   a rollback truncation, a prefix discard and a sync-area compaction. *)
 let workload : (string * (store -> unit)) list =
   [
-    ("set_incarnation 1", fun s -> Store.set_incarnation s 1);
     ("save_checkpoint ck0", fun s -> Store.save_checkpoint s "ck0");
     ("flush r000-r002", fun s -> fill s (records 0 3));
     ("log_announcement a0", fun s -> Store.log_announcement s "a0");
@@ -73,7 +69,6 @@ let workload : (string * (store -> unit)) list =
     ("flush r008", fun s -> fill s (records 8 9));
     ("discard_log_prefix 2", fun s -> ignore (Store.discard_log_prefix s ~before:2 : int));
     ("compact_sync drops a0", fun s -> ignore (Store.compact_sync s ~keep:(( <> ) "a0") : int));
-    ("set_incarnation 2", fun s -> Store.set_incarnation s 2);
     ("log_announcement a2", fun s -> Store.log_announcement s "a2");
     ("flush r009-r011", fun s -> fill s (records 9 12));
   ]
@@ -164,7 +159,6 @@ let check_image ~before ~after ~ever files =
         if not (List.exists (fun v -> List.mem a v.anns) ever) then
           bad "recovered announcement %s, never logged" a)
       got.anns;
-    if got.inc < min before.inc after.inc then bad "incarnation went back to %d" got.inc;
     if before.latest = after.latest && got.latest <> before.latest then
       bad "latest checkpoint %s, promised %s"
         (Option.value got.latest ~default:"none")

@@ -234,7 +234,6 @@ let test_store_reopen_roundtrip () =
       List.iter (D.append_volatile s) [ "a"; "b"; "c" ];
       ignore (D.flush s : int);
       D.log_announcement s "ann1";
-      D.set_incarnation s 2;
       D.append_volatile s "volatile-lost";
       D.kill s;
       let s2, r = open_str dir in
@@ -247,7 +246,6 @@ let test_store_reopen_roundtrip () =
         (List.of_seq (D.checkpoints s2));
       Alcotest.(check (list string)) "announcement back" [ "ann1" ]
         (D.announcements s2);
-      Alcotest.(check int) "incarnation back" 2 (D.incarnation s2);
       Alcotest.(check int) "volatile gone" 0 (D.volatile_length s2);
       D.kill s2)
 
@@ -394,7 +392,6 @@ let test_store_sync_area_tail_truncated () =
   with_dir (fun dir ->
       let s, _ = open_str dir in
       D.log_announcement s "ann-1";
-      D.set_incarnation s 1;
       D.log_announcement s "ann-2";
       D.kill s;
       chop (Filename.concat dir "sync.dat") 1;
@@ -403,7 +400,6 @@ let test_store_sync_area_tail_truncated () =
       Alcotest.(check bool) "tail bytes dropped" true (r.D.sync_bytes_dropped > 0);
       Alcotest.(check (list string)) "prefix of announcements" [ "ann-1" ]
         (D.announcements s2);
-      Alcotest.(check int) "incarnation prefix" 1 (D.incarnation s2);
       D.kill s2)
 
 let test_store_sync_area_missing () =
@@ -411,13 +407,11 @@ let test_store_sync_area_missing () =
       let s, _ = open_str dir in
       D.append_volatile s "a";
       ignore (D.flush s : int);
-      D.set_incarnation s 3;
       D.kill s;
       Sys.remove (Filename.concat dir "sync.dat");
       let s2, r = open_str dir in
       Alcotest.(check bool) "loss detected" true r.D.sync_area_missing;
       Alcotest.(check bool) "damage reported" true (D.damaged r);
-      Alcotest.(check int) "incarnation lost, not invented" 0 (D.incarnation s2);
       D.kill s2)
 
 (* The store keeps announcements and checkpoint snapshots only in their

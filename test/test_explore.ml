@@ -145,6 +145,43 @@ let test_chaos_schedule_roundtrip () =
   | Ok sched' -> Alcotest.(check bool) "round-trip" true (sched = sched')
   | Error msg -> Alcotest.failf "re-parse failed: %s" msg
 
+(* A kill's storage fault is one of the four that a kill injects; the
+   live-store brownouts are not kill faults, so a schedule naming one does
+   not parse. *)
+let test_kill_storage_names () =
+  let case storage =
+    { Schedule.n = 3; k = 1; seed = 1; faults = [ Schedule.Kill { pid = 1; time = 50.; storage } ] }
+  in
+  let text =
+    Schedule.to_string
+      {
+        Schedule.name = "kill-fault";
+        expect = Schedule.Certified;
+        breakage = Config.no_breakage;
+        scenario = Schedule.Chaos { case = case (Some Durable.Fault.Failed_fsync); calls = 1 };
+        choices = [];
+      }
+  in
+  let with_fault name =
+    let sub = "storage=failed-fsync" in
+    let n = String.length sub in
+    let rec at i = if String.sub text i n = sub then i else at (i + 1) in
+    let i = at 0 in
+    String.sub text 0 i ^ "storage=" ^ name
+    ^ String.sub text (i + n) (String.length text - i - n)
+  in
+  List.iter
+    (fun f ->
+      let name = Durable.Fault.to_string f in
+      Alcotest.(check bool) (name ^ " parses") true
+        (Result.is_ok (Schedule.of_string (with_fault name))))
+    Durable.Fault.all;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " does not parse") true
+        (Result.is_error (Schedule.of_string (with_fault name))))
+    [ "disk-full"; "slow-fsync" ]
+
 let test_chaos_to_schedule_replays () =
   (* A deliberately broken protocol fails a chaos case; the shrunk case
      wrapped as a schedule must replay to the same verdict class. *)
@@ -213,6 +250,8 @@ let suite =
       test_schedule_codec_errors;
     Alcotest.test_case "chaos schedule round-trips all fault kinds" `Quick
       test_chaos_schedule_roundtrip;
+    Alcotest.test_case "a kill's storage fault is a kill fault" `Quick
+      test_kill_storage_names;
     Alcotest.test_case "shrunk chaos case replays via schedule" `Slow
       test_chaos_to_schedule_replays;
     Alcotest.test_case "earliest scheduler is transparent" `Quick

@@ -194,7 +194,7 @@ let dial port =
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
   fd
 
-let hello ~src = Wire_codec.encode_control App.wire (Wire_codec.Hello { pid = src })
+let hello ~src = Wire_codec.hello ~pid:src
 
 let partitioned mode ~until =
   {
@@ -220,7 +220,7 @@ let test_proxy_partitions () =
         Fun.protect ~finally:(fun () -> Unix.close client) @@ fun () ->
         ignore (Wire_codec.write_all client (hello ~src:0) : bool);
         List.iter
-          (fun p -> ignore (Wire_codec.write_all client (Wire_codec.frame ~kind:2 p) : bool))
+          (fun p -> ignore (Wire_codec.write_all client (Durable.Codec.encode ~kind:2 p) : bool))
           payloads;
         let conn, _ = Unix.accept server in
         Fun.protect ~finally:(fun () -> Unix.close conn) @@ fun () ->
@@ -557,50 +557,6 @@ let test_stats_plane_live () =
           (Obs.Snapshot.hist_count h > 0)
       | None -> Alcotest.fail "phase_seconds{phase=\"handle\"} missing")
 
-(* An in-process [Crash] builds a fresh node over the daemon's registry.
-   Its counters must carry on from the crashed node's values: no [_total]
-   series may fall, and the status plane's delivery count (what [settle]
-   watches for progress) must not fall either. *)
-let test_counters_survive_crash () =
-  let k = 1 in
-  with_deployment ~prefix:"test-net-crash-counters"
-    (fun ~root -> Deployment.launch ~n:3 ~k ~seed:16 ~root ())
-    (fun t ->
-      let scrape pid =
-        match Deployment.scrape t ~dst:pid with
-        | Some (Ok snap) -> snap
-        | Some (Error e) -> Alcotest.fail (Fmt.str "unparseable exposition: %s" e)
-        | None -> Alcotest.fail "no Stats reply"
-      in
-      let delivered () =
-        match Deployment.status t ~dst:1 with
-        | Some s -> s.Net.Wire_codec.st_deliveries
-        | None -> Alcotest.fail "no Status reply"
-      in
-      Deployment.run_workload t ~ops:30 ~seed:6;
-      Alcotest.(check bool) "settles before the crash" true (Deployment.settle t);
-      let before = scrape 1 and delivered_before = delivered () in
-      Alcotest.(check bool) "pid 1 delivered work" true
-        (Obs.Snapshot.counter before "deliveries_total" > 0);
-      Deployment.crash t ~dst:1;
-      Deployment.run_workload t ~ops:30 ~seed:7;
-      Alcotest.(check bool) "settles after the crash" true (Deployment.settle t);
-      let after = scrape 1 in
-      List.iter
-        (fun ((name, labels), v) ->
-          match v with
-          | Obs.Snapshot.Counter c when String.ends_with ~suffix:"_total" name ->
-            let c' = Obs.Snapshot.counter after ~labels name in
-            if c' < c then Alcotest.failf "%s fell from %d to %d across Crash" name c c'
-          | _ -> ())
-        (Obs.Snapshot.bindings before);
-      Alcotest.(check int) "the crash restarted the node once" 1
-        (Obs.Snapshot.counter after "restarts_total"
-        - Obs.Snapshot.counter before "restarts_total");
-      Alcotest.(check bool) "status delivery count did not fall" true
-        (delivered () >= delivered_before);
-      certify ~k (Deployment.finish t))
-
 (* A peer parked in a multi-second dial backoff must not hold its pending
    frames past [close]: we point the transport at a port nothing listens
    on with a 3 s backoff floor, poll until the first dial has failed and
@@ -681,6 +637,44 @@ let test_ingress_backpressure () =
         true
         (high_water <= float_of_int (256 + timers)))
 
+(* A raw control connection to daemon [dst]. *)
+let control_connect t ~dst =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd
+    (Unix.ADDR_INET (Unix.inet_addr_loopback, Deployment.control_port t ~dst));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  fd
+
+(* A control stream must open with a Hello of this wire version: one that
+   opens with an older Hello, or with a request, is closed without a
+   reply, while a well-opened one on the same daemon is answered. *)
+let test_control_wrong_version () =
+  with_deployment ~prefix:"test-net-ctl-version"
+    (fun ~root -> Deployment.launch ~n:1 ~k:1 ~seed:18 ~root ())
+    (fun t ->
+      let status = Net.Wire_codec.encode_control App.wire Net.Wire_codec.Status_req in
+      let stale =
+        let b = Buffer.create 16 in
+        Net.Wire_codec.Prim.put_int b (Net.Wire_codec.version - 1);
+        Net.Wire_codec.Prim.put_int b (-1);
+        Durable.Codec.encode
+          ~kind:(Char.code (Net.Wire_codec.hello ~pid:(-1)).[1])
+          (Buffer.contents b)
+      in
+      let ask opening =
+        let fd = control_connect t ~dst:0 in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        ignore (Net.Wire_codec.write_all fd (opening ^ status) : bool);
+        Net.Wire_codec.read_control App.wire fd
+      in
+      Alcotest.(check bool) "the daemon is up" true (Deployment.status t ~dst:0 <> None);
+      Alcotest.(check bool) "an older Hello is refused" true (ask stale = None);
+      Alcotest.(check bool) "a stream without a Hello is refused" true (ask "" = None);
+      (match ask (Net.Wire_codec.hello ~pid:(-1)) with
+      | Some (Net.Wire_codec.Status _) -> ()
+      | Some _ | None -> Alcotest.fail "a current Hello got no Status reply");
+      certify ~k:1 (Deployment.finish t))
+
 (* A control client that hangs up with requests still queued: the daemon
    must not close the descriptor before it has answered them, or a reply
    can land on whatever reuses the number in between — a fresh segment
@@ -695,22 +689,17 @@ let test_control_hangup () =
     (fun ~root -> Deployment.launch ~n:2 ~k ~seed:17 ~root ())
     (fun t ->
       Deployment.run_workload t ~ops:20 ~seed:8;
-      let connect () =
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.connect fd
-          (Unix.ADDR_INET (Unix.inet_addr_loopback, Deployment.control_port t ~dst:0));
-        fd
-      in
       let frame = Net.Wire_codec.encode_control App.wire in
-      let fd = connect () in
+      let fd = control_connect t ~dst:0 in
+      ignore (Net.Wire_codec.write_all fd (Net.Wire_codec.hello ~pid:(-1)) : bool);
       Alcotest.(check bool) "requests written" true
         (Net.Wire_codec.write_all fd
            (String.concat "" (List.init 50 (fun _ -> frame Net.Wire_codec.Stats_req))));
       Unix.close fd;
-      let fd = connect () in
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      let fd = control_connect t ~dst:0 in
       Alcotest.(check bool) "status request written" true
-        (Net.Wire_codec.write_all fd (frame Net.Wire_codec.Status_req));
+        (Net.Wire_codec.write_all fd
+           (Net.Wire_codec.hello ~pid:(-1) ^ frame Net.Wire_codec.Status_req));
       (match Net.Wire_codec.read_control App.wire fd with
       | Some (Net.Wire_codec.Status _) -> ()
       | Some _ -> Alcotest.fail "a fresh connection got another client's reply"
@@ -741,8 +730,6 @@ let suite =
     Alcotest.test_case "SIGKILL + respawn from durable store" `Slow test_cluster_kill;
     Alcotest.test_case "live stats plane: scrape, kill, merge" `Slow
       test_stats_plane_live;
-    Alcotest.test_case "counters carry on across an in-process Crash" `Slow
-      test_counters_survive_crash;
     Alcotest.test_case "through the fault proxy" `Slow test_cluster_proxy;
     Alcotest.test_case "SIGKILL again mid-replay, certified" `Slow
       test_kill_during_replay;
@@ -752,6 +739,8 @@ let suite =
       test_ingress_backpressure;
     Alcotest.test_case "control client hangs up with requests queued" `Slow
       test_control_hangup;
+    Alcotest.test_case "control stream with a wrong-version Hello refused" `Slow
+      test_control_wrong_version;
     Alcotest.test_case "proxy: queued partition holds, dropped one severs" `Quick
       test_proxy_partitions;
   ]

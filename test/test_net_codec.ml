@@ -1,8 +1,11 @@
 (* Wire-codec properties, mirroring the durable-codec suite in
    test_fuzz.ml: every packet/control/trace value round-trips exactly, and
    no single-byte mutation of a frame can decode to a *different* valid
-   value — the CRC covers the version, kind and length fields as well as
-   the payload, so corruption is always reported, never reinterpreted. *)
+   value — frames are the store's Codec frames, whose CRC covers the kind
+   and length fields as well as the payload, so corruption is always
+   reported, never reinterpreted.  Store records and wire frames are read
+   by each other's readers, and a stream that opens with a Hello of
+   another wire version is refused. *)
 
 open Util
 module Wire = Recovery.Wire
@@ -116,7 +119,6 @@ let gen_control =
         map3
           (fun seq cseq payload -> Wire_codec.Inject { seq; cseq; payload })
           small_nat small_nat gen_payload );
-      (1, return Wire_codec.Crash);
       (1, return Wire_codec.Status_req);
       (1, map (fun s -> Wire_codec.Status s) gen_status);
       (1, return Wire_codec.Quit);
@@ -228,13 +230,13 @@ let test_control_roundtrip =
       | Ok c -> c = ctl
       | Error _ -> false)
 
-(* Kinds 17-19 are unassigned control kinds.  A well-framed frame of one
+(* Kinds 17-20 are unassigned control kinds.  A well-framed frame of one
    of them, whatever its payload, is an [Error], never an exception. *)
 let test_retired_tick_kinds =
-  qtest ~count:300 "control: unassigned kinds 17-19 decode to Error"
-    (pair (int_range 17 19) (string_size (int_bound 40)))
+  qtest ~count:300 "control: unassigned kinds 17-19 and 20 decode to Error"
+    (pair (int_range 17 20) (string_size (int_bound 40)))
     (fun (kind, payload) ->
-      match Wire_codec.decode_control swf (Wire_codec.frame ~kind payload) with
+      match Wire_codec.decode_control swf (Durable.Codec.encode ~kind payload) with
       | Error _ -> true
       | Ok _ -> false
       | exception _ -> false)
@@ -348,7 +350,7 @@ let test_coalesced_batch_decodes_like_per_frame =
    at a time with a poll after each, so the transport's reads come in the
    chunks' sizes (a loopback write is readable when it returns).  A valid
    stream must arrive as the same frames in order.  A stream with one
-   frame's header (magic, version or kind byte) or checksum corrupted must
+   frame's header (magic or kind byte) or checksum corrupted must
    deliver exactly the frames before it, count one decode error, close the
    connection, and raise nothing.  (A corrupted length field is left out:
    a grown length makes the reader wait for bytes that never come, which
@@ -379,7 +381,7 @@ let test_reassembly_any_reads =
     (tup3
        (list_size (int_range 1 8) gen_frame)
        (list_size (int_range 1 40) (oneof [ int_range 1 16; int_range 1 4096 ]))
-       (option (pair small_nat (oneofl [ 0; 1; 2; 3; 8; 9; 10; 11 ]))))
+       (option (pair small_nat (oneofl [ 0; 1; 6; 7; 8; 9 ]))))
     (fun (frames, sizes, corrupt) ->
       let transport, port, obs, got = Lazy.force reassembly_rig in
       got := [];
@@ -417,7 +419,7 @@ let test_reassembly_any_reads =
           Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
           Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.;
           let write s = ignore (Wire_codec.write_all fd s : bool) in
-          write (Wire_codec.encode_control swf (Wire_codec.Hello { pid = 5 }));
+          write (Wire_codec.hello ~pid:5);
           Net.Transport.poll transport ~timeout:1.;
           let rec feed pos sizes =
             if pos < String.length stream && errors () = errors0 then begin
@@ -487,13 +489,15 @@ let test_kv_payload_mutation =
         | exception _ -> false
       end)
 
-(* A trace file cut at an arbitrary byte (the SIGKILL torn tail) loads as
-   a true prefix, with the damage reported. *)
+(* A trace file (its writer's Hello, then entries) cut at an arbitrary
+   byte (the SIGKILL torn tail) loads as a true prefix, with the damage
+   reported. *)
 let test_trace_stream_tear =
   qtest ~count:500 "trace stream: a torn tail loads as a reported true prefix"
     (tup2 (list_size (int_range 1 6) gen_trace_entry) (int_bound 100_000))
     (fun (entries, cut_seed) ->
-      let whole = String.concat "" (List.map Trace_codec.encode_entry entries) in
+      let hello = Wire_codec.hello ~pid:(-1) in
+      let whole = hello ^ String.concat "" (List.map Trace_codec.encode_entry entries) in
       let cut = cut_seed mod (String.length whole + 1) in
       let torn = String.sub whole 0 cut in
       let load = Trace_codec.decode_stream torn in
@@ -508,9 +512,144 @@ let test_trace_stream_tear =
       (* no silent truncation: an undamaged load accounted for every byte *)
       match load.Trace_codec.damage with
       | None ->
-        String.concat "" (List.map Trace_codec.encode_entry load.Trace_codec.entries)
-        = torn
+        torn = ""
+        || hello ^ String.concat "" (List.map Trace_codec.encode_entry load.Trace_codec.entries)
+           = torn
       | Some _ -> true)
+
+(* ------------------------------------------------------------------ *)
+(* One frame format: store records and wire frames, each way            *)
+
+(* Feed [bytes] through a pipe into a socket [Reader] in chunks of the
+   given sizes, taking every frame it yields. *)
+let reader_frames bytes sizes =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close rd;
+      Unix.close wr)
+    (fun () ->
+      let reader = Wire_codec.Reader.create () in
+      let rec take acc =
+        match Wire_codec.Reader.next reader with
+        | Some (Ok f) -> take (f :: acc)
+        | Some (Error e) -> Alcotest.failf "reader refused a store record: %s" e
+        | None -> acc
+      in
+      let rec feed pos sizes acc =
+        if pos = String.length bytes then List.rev acc
+        else begin
+          let size, rest = match sizes with [] -> (max_int, []) | n :: r -> (n, r) in
+          let n = min size (String.length bytes - pos) in
+          ignore (Wire_codec.write_all wr (String.sub bytes pos n) : bool);
+          ignore (Wire_codec.Reader.read reader rd : [ `Read | `Again | `Eof ]);
+          feed (pos + n) rest (take acc)
+        end
+      in
+      feed 0 sizes [])
+
+let test_store_record_through_reader =
+  qtest ~count:100 "store records read by the socket Reader in chunks"
+    (pair
+       (list_size (int_range 1 12) (string_size (int_bound 300)))
+       (list_size (int_range 1 40) (int_range 1 64)))
+    (fun (payloads, sizes) ->
+      let fs = Durable.Fs.mem () in
+      let store, _ = Durable.Durable_store.open_ ~fs ~dir:"s" () in
+      List.iter (Durable.Durable_store.append_volatile store) payloads;
+      ignore (Durable.Durable_store.flush store : int);
+      let bytes =
+        fs.Durable.Fs.readdir "s"
+        |> List.filter (fun f -> String.starts_with ~prefix:"seg-" f)
+        |> List.sort compare
+        |> List.map (fun f -> fs.Durable.Fs.read (Filename.concat "s" f))
+        |> String.concat ""
+      in
+      Durable.Durable_store.kill store;
+      let scan = Durable.Codec.scan bytes in
+      scan.Durable.Codec.tail = Durable.Codec.Clean
+      && List.length scan.Durable.Codec.records >= List.length payloads
+      && reader_frames bytes sizes = scan.Durable.Codec.records)
+
+let test_wire_frame_through_fold_input =
+  qtest ~count:300 "wire frames read by the store's fold_input"
+    (pair (list_size (int_range 1 8) gen_frame) (int_range 1 64))
+    (fun (frames, chunk) ->
+      let s = String.concat "" frames in
+      let at = ref 0 in
+      let input b off len =
+        let n = min (min len chunk) (String.length s - !at) in
+        Bytes.blit_string s !at b off n;
+        at := !at + n;
+        n
+      in
+      let got, valid, tail =
+        Durable.Codec.fold_input ~size:(String.length s) ~input ~init:[]
+          ~f:(fun acc ~pos:_ ~kind b ~off ~len -> (kind, Bytes.sub_string b off len) :: acc)
+          ()
+      in
+      let expected =
+        List.map
+          (fun f ->
+            match Wire_codec.decode_frame f ~pos:0 with
+            | Ok (kind, body, _) -> (kind, body)
+            | Error e -> Alcotest.failf "generated frame undecodable: %s" e)
+          frames
+      in
+      tail = Durable.Codec.Clean && valid = String.length s && List.rev got = expected)
+
+(* A Hello of [version] naming [pid], built by hand: only the wire codec
+   makes one of the current version. *)
+let hello_of_version version ~pid =
+  let b = Buffer.create 16 in
+  Wire_codec.Prim.put_int b version;
+  Wire_codec.Prim.put_int b pid;
+  Durable.Codec.encode ~kind:(Char.code (Wire_codec.hello ~pid).[1]) (Buffer.contents b)
+
+(* A peer stream and a trace file that open with a Hello of another wire
+   version are refused: the transport counts a decode error, delivers
+   nothing and closes the connection; the trace loader keeps no entry and
+   reports why. *)
+let test_wrong_version_refused () =
+  let stale = hello_of_version (Wire_codec.version - 1) ~pid:5 in
+  Alcotest.(check bool) "the current Hello passes" true
+    (match Wire_codec.decode_frame (hello_of_version Wire_codec.version ~pid:5) ~pos:0 with
+    | Ok (kind, body, _) -> Wire_codec.greeting ~kind body = Ok 5
+    | Error _ -> false);
+  let transport, port, obs, got = Lazy.force reassembly_rig in
+  got := [];
+  let errors () =
+    Obs.Snapshot.counter (Obs.Registry.snapshot obs) "transport_decode_errors_total"
+  in
+  let errors0 = errors () in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.;
+      ignore
+        (Wire_codec.write_all fd
+           (stale ^ Wire_codec.encode_packet swf (Wire.Flush_request { from_ = 5 }))
+          : bool);
+      let deadline = Unix.gettimeofday () +. 2. in
+      while errors () = errors0 && Unix.gettimeofday () < deadline do
+        Net.Transport.poll transport ~timeout:0.05
+      done;
+      Alcotest.(check int) "one decode error" (errors0 + 1) (errors ());
+      Alcotest.(check int) "nothing delivered" 0 (List.length !got);
+      Alcotest.(check bool) "connection closed" true
+        (match Unix.read fd (Bytes.create 1) 0 1 with
+        | 0 -> true
+        | _ -> false
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true));
+  let entry = { Trace.time = 1.; seq = 0; ev = Trace.Notice_sent { pid = 0; entries = 1 } } in
+  let load = Trace_codec.decode_stream (stale ^ Trace_codec.encode_entry entry) in
+  Alcotest.(check int) "no trace entry kept" 0 (List.length load.Trace_codec.entries);
+  Alcotest.(check bool) "refusal reported" true (load.Trace_codec.damage <> None);
+  let load = Trace_codec.decode_stream (Trace_codec.encode_entry entry) in
+  Alcotest.(check bool) "a trace file without a Hello is refused" true
+    (load.Trace_codec.entries = [] && load.Trace_codec.damage <> None)
 
 let suite =
   [
@@ -525,4 +664,8 @@ let suite =
     test_packet_single_byte_mutation;
     test_kv_payload_mutation;
     test_trace_stream_tear;
+    test_store_record_through_reader;
+    test_wire_frame_through_fold_input;
+    Alcotest.test_case "peer and trace streams with a wrong-version Hello refused"
+      `Quick test_wrong_version_refused;
   ]

@@ -224,15 +224,15 @@ let test_digest_law =
     gen_digest_history (fun msgs ->
       let digest = Shard_app.app.digest in
       (* After every step, not just at the end. *)
-      let s =
+      let s, _ =
         List.fold_left
-          (fun s msg ->
+          (fun (s, step) msg ->
             let s = apply_history s [ msg ] in
             if digest s <> reference_digest s then
-              QCheck2.Test.fail_reportf "digest %d, reference %d after %a" (digest s)
-                (reference_digest s) Shard_app.pp_msg msg;
-            s)
-          (fresh_state ()) msgs
+              QCheck2.Test.fail_reportf "digest %d, reference %d after message %d"
+                (digest s) (reference_digest s) step;
+            (s, step + 1))
+          (fresh_state (), 0) msgs
       in
       let s' = rewrite_history s in
       if (not (Shard_app.Str_map.equal ( = ) s'.store s.store)) || s'.puts <> s.puts then

@@ -202,35 +202,27 @@ module Conformance (B : BACKEND) = struct
     Alcotest.(check (list string)) "survive crash" [ "ann1"; "ann2" ]
       (Store.announcements s)
 
-  let test_incarnation_counter () =
-    let s = make () in
-    Alcotest.(check int) "initial" 0 (Store.incarnation s);
-    Store.set_incarnation s 3;
-    let s = reopen s in
-    Alcotest.(check int) "survives crash" 3 (Store.incarnation s)
-
   let test_sync_write_accounting () =
     let s, count = make_counted () in
     Store.append_volatile s "x";
     ignore (Store.flush s : int);
     Store.save_checkpoint s "ck";
     Store.log_announcement s "ann";
-    Store.set_incarnation s 1;
-    (* flush(1) + checkpoint(1) + announcement(1) + incarnation(1) *)
-    Alcotest.(check int) "sync writes" 4 (Store.sync_writes s);
+    (* flush(1) + checkpoint(1) + announcement(1) *)
+    Alcotest.(check int) "sync writes" 3 (Store.sync_writes s);
     Alcotest.(check int) "flushes" 1 (count "flushes");
-    Alcotest.(check int) "registry agrees" 4 (count "sync_writes");
+    Alcotest.(check int) "registry agrees" 3 (count "sync_writes");
     (* Metrics consistency, as E12/B9 report them: empty flushes are not
        durability rounds, and sync_writes decomposes exactly into flush
-       rounds + checkpoints + announcements + incarnation bumps. *)
+       rounds + checkpoints + announcements. *)
     ignore (Store.flush s : int);
     Store.append_volatile s "y";
     ignore (Store.flush s : int);
     Store.log_announcement s "ann2";
-    let checkpoints = 1 and announcements = 2 and incarnations = 1 in
+    let checkpoints = 1 and announcements = 2 in
     Alcotest.(check int) "flush rounds" 2 (count "flushes");
     Alcotest.(check int) "sync_writes decomposes"
-      (count "flushes" + checkpoints + announcements + incarnations)
+      (count "flushes" + checkpoints + announcements)
       (Store.sync_writes s)
 
   let test_truncate_out_of_range () =
@@ -426,7 +418,6 @@ module Conformance (B : BACKEND) = struct
         ("checkpoints", test_checkpoints);
         ("restore_checkpoint discards later", test_restore_checkpoint);
         ("announcements synchronous", test_announcements);
-        ("incarnation counter", test_incarnation_counter);
         ("sync write accounting", test_sync_write_accounting);
         ("truncate out of range", test_truncate_out_of_range);
         ("discard log prefix", test_discard_log_prefix);
