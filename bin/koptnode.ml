@@ -48,44 +48,51 @@
    most events one iteration took is the [batch_high_water] gauge.
 
    Resident memory.  On the benchmark's steady workload a daemon's
-   resident peak is ~4.5 MB: ~1.9 MB file-backed (this binary's text,
-   1.7 MB with the part of libc it calls, and its rodata, 0.2 MB) and
-   ~2.65 MB anonymous, which is the minor heap (0.5 MB), the major heap
-   (~155k words, 1.2 MB at its top), the binary's .data (0.5 MB) and the
-   rest of the runtime and C buffers.  It is a static PIE, so it maps no
-   dynamic loader and no libc.so or libm.so (~1.9 MB when it was linked
-   dynamically; see bin/dune).  The binary links only what the daemon
-   runs: no Cmdliner (the flags are parsed once, with [Stdlib.Arg]) and
-   no Fmt (everything prints through [Stdlib.Format] and [Printf], which
-   it links anyway).  Linked, the two would hold ~0.3 MB of text, .data and
-   frametables resident for code run once at boot or never (bin/dune).
+   resident peak is ~3.9 MB: ~1.9 MB file-backed (this binary's text,
+   1.6 MB with the part of libc it calls, nearly all of it resident under
+   fault-around, and its rodata, 0.3 MB) and ~2.05 MB anonymous: the
+   minor heap (0.25 MB), the major heap (~130k words, 1 MB at its top),
+   the runtime's table of frame descriptors (128 KB), the binary's .data
+   (0.45 MB, two thirds of it the frametables the runtime reads at boot)
+   and the rest of the runtime and C buffers.  It is a static PIE, so it
+   maps no dynamic loader and no libc.so or libm.so (~1.9 MB when it was
+   linked dynamically; see bin/dune).  The binary links only what the
+   daemon runs: no Cmdliner and no [Stdlib.Arg] (the flags are parsed
+   once, with a plain loop), no Fmt and no [Stdlib.Format] (it prints
+   with [Printf]; the printers of the library types live in Pp modules it
+   does not reference), and no [Stdlib.Filename] (the store joins paths
+   with [Durable.Path]).  Without the last three it has ~7,900 frame
+   descriptors, under 8,192, so the table the runtime builds of them at
+   boot has 16,384 entries (128 KB) rather than 32,768; Cmdliner and Fmt
+   would hold another ~0.3 MB of text, .data and frametables resident
+   for code run once at boot or never (bin/dune).
    One thread means one malloc arena and one stack: glibc
    gives every further thread an arena of its own as well as a stack,
    ~20 KB resident per thread under this load.  The major heap's top
    is set by the collector's slack more than by live data, so
-   koptnode_runparam.c also prepends [o=60] (space overhead 60% instead
-   of 120%): the top falls from ~220k to ~155k words on steady and from
-   ~550k to ~345k on burst, and the extra collector work is paid for by a
-   delivery's allocation not growing with the store or the buffered
-   backlog (daemon CPU per op stays below that of a daemon with neither
-   at o=120; the sweep is in koptnode_runparam.c).  An operator's own
-   [o=] wins, and every scrape reports the value in force
-   ([gc_space_overhead]).  The binary is linked without the loader-only
-   tables that would be another ~0.75 MB of file-backed pages: a full
-   relative-relocation table and an export of every OCaml symbol (see
-   bin/dune).  The minor heap is 64k words rather than the runtime's
-   256k-word default, which is resident whole (2 MB) once the first
-   allocation cycle has walked it.  The size is fixed before the runtime
-   starts (koptnode_runparam.c prepends [s=64k] to OCAMLRUNPARAM, so an
-   operator's own [s=] still wins): resizing later with [Gc.set] forces a
-   collection, and a fresh boot otherwise runs none.
-   The runtime also collects once the 64 KB buffers of the channels
-   opened since the last collection add up to the minor heap's size.
-   Boot opens four (the standard three and the trace file), so a
-   32k-word minor heap collects three times during boot, while 64k words
-   leave room for three more; the durable store reads its files without
-   channels for the same reason.  Every scrape reports the heap, the
-   resident set (split into file-backed and anonymous pages), the
+   koptnode_runparam.c also prepends [o=40] (space overhead 40% instead
+   of 120%): at o=120 the top was ~220k words on steady and ~550k on
+   burst, at o=40 it is ~130k and ~220k, and the extra collector work is
+   paid for by a delivery's allocation not growing with the store or the
+   buffered backlog (daemon CPU per op stays within the spread of o=60's;
+   the sweep is in koptnode_runparam.c).  An operator's own [o=] wins,
+   and every scrape reports the value in force ([gc_space_overhead]).
+   The binary is linked without the loader-only tables that would be
+   another ~0.75 MB of file-backed pages: a full relative-relocation
+   table and an export of every OCaml symbol (see bin/dune).  The minor
+   heap is 32k words rather than the runtime's 256k-word default, which
+   is resident whole (2 MB) once the first allocation cycle has walked
+   it.  The size is fixed before the runtime starts (koptnode_runparam.c
+   prepends [s=32k] to OCAMLRUNPARAM, so an operator's own [s=] still
+   wins): resizing later with [Gc.set] forces a collection, and a fresh
+   boot otherwise runs none.  The runtime also collects once the 64 KB
+   buffers of the channels opened since the last collection add up to
+   the minor heap's size.  The buffers of the standard three channels
+   take three quarters of a 32k-word nursery; with the trace file opened
+   through a channel too, boot collected three times.  So the trace
+   writer, like the durable store, writes through a descriptor and a
+   [Buffer] ([Trace_codec.writer]).  Every scrape reports the heap,
+   the resident set (split into file-backed and anonymous pages), the
    thread and descriptor counts, the message buffers and the archive
    (see [memory_gauges]), and [gc_boot_minor_collections] records what
    boot collected. *)
@@ -654,9 +661,10 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
       Transport.flush transport;
       main_loop ~capped
   in
-  (* What boot cost the minor heap, fixed once: with the 64k-word nursery
-     a daemon boots (store reopen, restart, first sync) without a single
-     minor collection, which is what keeps setup time unchanged. *)
+  (* What boot cost the minor heap, fixed once: with the 32k-word nursery
+     and no channel beyond the standard three, a daemon boots (store
+     reopen, restart, first sync) without a single minor collection,
+     which is what keeps setup time unchanged. *)
   Obs.Gauge.set
     (Obs.Registry.gauge obs "gc_boot_minor_collections")
     (float_of_int (Gc.quick_stat ()).Gc.minor_collections);
@@ -665,32 +673,80 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
 (* ------------------------------------------------------------------ *)
 (* Command line                                                        *)
 
-(* [Stdlib.Arg], not Cmdliner: the flags are parsed once at boot, and a
-   library linked for that would stay resident for the daemon's whole life
-   (see bin/dune).  [Stdlib.Arg] has no required options, so each is
-   checked after parsing.  A missing, malformed or unknown option ends the
-   process with status 2 and a message naming it; [--help] prints the
-   usage and exits 0. *)
+(* A plain loop over argv, neither Cmdliner nor [Stdlib.Arg]: the flags
+   are parsed once at boot, and what a parser links stays resident for the
+   daemon's whole life (see bin/dune).  Every option but [--join] takes
+   the next argument as its value.  A missing, malformed or unknown
+   option ends the process with status 2, a first line naming it and the
+   usage; [--help] prints the usage and exits 0. *)
 
 let usage =
   "koptnode --pid P --nodes N --optimism K --listen PORT --control PORT\n\
   \  --store-dir DIR --trace-file FILE --metrics-file FILE [OPTION]...\n\
    K-optimistic logging daemon (one cluster process).  Options:"
 
-(* PID:PORT[,PID:PORT...]; empty items are skipped. *)
+(* One option: [param] names its value ([""]: it takes none), [expects]
+   says what a value must be, and [set] stores one, [false] if it is
+   malformed. *)
+type flag = {
+  name : string;
+  param : string;
+  doc : string;
+  expects : string;
+  set : string -> bool;
+}
+
+let usage_text flags =
+  let help =
+    { name = "--help"; param = ""; doc = "Display this list of options."; expects = "";
+      set = (fun _ -> true) }
+  in
+  let flags = flags @ [ help ] in
+  let left f = if f.param = "" then f.name else f.name ^ " " ^ f.param in
+  let width = List.fold_left (fun w f -> max w (String.length (left f))) 0 flags in
+  usage ^ "\n"
+  ^ String.concat ""
+      (List.map (fun f -> Printf.sprintf "  %-*s  %s\n" width (left f) f.doc) flags)
+
+let parse_command_line flags =
+  let prog = Sys.argv.(0) in
+  let fail fmt =
+    Printf.ksprintf
+      (fun m ->
+        Printf.eprintf "%s: %s.\n%s" prog m (usage_text flags);
+        exit 2)
+      fmt
+  in
+  let rec go = function
+    | [] -> ()
+    | ("--help" | "-help") :: _ ->
+      print_string (usage_text flags);
+      exit 0
+    | arg :: rest -> (
+      match (List.find_opt (fun f -> f.name = arg) flags, rest) with
+      | None, _ when String.starts_with ~prefix:"-" arg -> fail "unknown option '%s'" arg
+      | None, _ -> fail "unexpected argument '%s'" arg
+      | Some f, _ when f.param = "" ->
+        ignore (f.set "" : bool);
+        go rest
+      | Some f, [] -> fail "option '%s' needs an argument" f.name
+      | Some f, v :: rest ->
+        if not (f.set v) then
+          fail "wrong argument '%s'; option '%s' expects %s" v f.name f.expects;
+        go rest)
+  in
+  go (List.tl (Array.to_list Sys.argv))
+
+(* PID:PORT[,PID:PORT...]; empty items are skipped, [None] if any other
+   item is malformed. *)
 let parse_peers s =
-  String.split_on_char ',' s
-  |> List.filter (fun s -> s <> "")
-  |> List.map (fun kv ->
-         match List.map int_of_string_opt (String.split_on_char ':' kv) with
-         | [ Some pid; Some port ] -> (pid, port)
-         | _ ->
-           raise
-             (Arg.Bad
-                (Printf.sprintf
-                   "wrong argument '%s'; option '--peers' expects \
-                    PID:PORT[,PID:PORT...]"
-                   s)))
+  List.fold_right
+    (fun kv peers ->
+      match (peers, List.map int_of_string_opt (String.split_on_char ':' kv)) with
+      | _ when kv = "" -> peers
+      | Some peers, [ Some pid; Some port ] -> Some ((pid, port) :: peers)
+      | _ -> None)
+    (String.split_on_char ',' s) (Some [])
 
 let () =
   let pid = ref None and n = ref None and k = ref None in
@@ -699,54 +755,64 @@ let () =
   let peers = ref [] and epoch = ref 0. and time_scale = ref Config.default_time_scale in
   let ckpt_interval = ref None and part_ckpt = ref None in
   let app = ref "kvstore" and join = ref false in
-  let some_int r = Arg.Int (fun v -> r := Some v) in
-  let some_string r = Arg.String (fun v -> r := Some v) in
-  let some_float r = Arg.Float (fun v -> r := Some v) in
-  let specs =
-    Arg.align
-      [
-        ("--pid", some_int pid, "P Process id.");
-        ("--nodes", some_int n, "N Cluster size.");
-        ("--optimism", some_int k, "K Degree of optimism.");
-        ("--listen", some_int listen_port, "PORT Data port to listen on.");
-        ( "--peers",
-          Arg.String (fun s -> peers := parse_peers s),
-          "PID:PORT,... Peer data ports (proxy ports under faults)." );
-        ("--control", some_int control_port, "PORT Control port.");
-        ( "--store-dir",
-          some_string store_dir,
-          "DIR Durable store directory (survives SIGKILL)." );
-        ("--trace-file", some_string trace_file, "FILE Trace output file.");
-        ( "--metrics-file",
-          some_string metrics_file,
-          "FILE Metrics output file (written on Quit)." );
-        ( "--epoch",
-          Arg.Set_float epoch,
-          "T Shared wall-clock origin (Unix time) for trace timestamps." );
-        ("--time-scale", Arg.Set_float time_scale, "S Seconds per abstract time unit.");
-        ( "--ckpt-interval",
-          some_float ckpt_interval,
-          "T Full-checkpoint period (abstract units); 0 disables it." );
-        ( "--part-ckpt",
-          some_float part_ckpt,
-          "T Incremental per-partition checkpoint period (abstract units)." );
-        ( "--app",
-          Arg.Symbol ([ "kvstore"; "shardkv" ], fun a -> app := a),
-          " Application to run (default kvstore)." );
-        ( "--join",
-          Arg.Set join,
-          " Announce this process as a joiner on boot (membership churn)." );
-      ]
+  (* [set] for a value [parse] reads: [store] it, or refuse it. *)
+  let parsed parse store v =
+    match parse v with
+    | Some x ->
+      store x;
+      true
+    | None -> false
   in
-  Arg.parse specs
-    (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument '%s'" a)))
-    usage;
+  let int name param doc r =
+    { name; param; doc; expects = "an integer";
+      set = parsed int_of_string_opt (fun v -> r := Some v) }
+  and float name param doc store =
+    { name; param; doc; expects = "a float"; set = parsed float_of_string_opt store }
+  and string name param doc r =
+    { name; param; doc; expects = "a string";
+      set = parsed Option.some (fun v -> r := Some v) }
+  in
+  let flags =
+    [
+      int "--pid" "P" "Process id." pid;
+      int "--nodes" "N" "Cluster size." n;
+      int "--optimism" "K" "Degree of optimism." k;
+      int "--listen" "PORT" "Data port to listen on." listen_port;
+      { name = "--peers"; param = "PID:PORT,...";
+        doc = "Peer data ports (proxy ports under faults).";
+        expects = "PID:PORT[,PID:PORT...]";
+        set = parsed parse_peers (( := ) peers) };
+      int "--control" "PORT" "Control port." control_port;
+      string "--store-dir" "DIR" "Durable store directory (survives SIGKILL)." store_dir;
+      string "--trace-file" "FILE" "Trace output file." trace_file;
+      string "--metrics-file" "FILE" "Metrics output file (written on Quit)."
+        metrics_file;
+      float "--epoch" "T" "Shared wall-clock origin (Unix time) for trace timestamps."
+        (( := ) epoch);
+      float "--time-scale" "S" "Seconds per abstract time unit." (( := ) time_scale);
+      float "--ckpt-interval" "T"
+        "Full-checkpoint period (abstract units); 0 disables it."
+        (fun v -> ckpt_interval := Some v);
+      float "--part-ckpt" "T"
+        "Incremental per-partition checkpoint period (abstract units)."
+        (fun v -> part_ckpt := Some v);
+      { name = "--app"; param = "{kvstore|shardkv}";
+        doc = "Application to run (default kvstore).";
+        expects = "one of: kvstore shardkv";
+        set =
+          parsed (fun a -> List.find_opt (( = ) a) [ "kvstore"; "shardkv" ]) (( := ) app) };
+      { name = "--join"; param = "";
+        doc = "Announce this process as a joiner on boot (membership churn).";
+        expects = ""; set = parsed Option.some (fun _ -> join := true) };
+    ]
+  in
+  parse_command_line flags;
   let required name r =
     match !r with
     | Some v -> v
     | None ->
-      Printf.eprintf "%s: option '%s' is required.\n" Sys.argv.(0) name;
-      Arg.usage specs usage;
+      Printf.eprintf "%s: option '%s' is required.\n%s" Sys.argv.(0) name
+        (usage_text flags);
       exit 2
   in
   let pid = required "--pid" pid in

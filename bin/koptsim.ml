@@ -116,7 +116,8 @@ let simulate preset n k workload items failures seed horizon show_trace =
     Fmt.pr "=== %s | N=%d | workload items=%d | failures=%d | seed=%d ===@."
       (Config.describe config) n items failures seed;
     pp_stats (Cluster.stats cluster);
-    if show_trace then Fmt.pr "@.--- trace ---@.%a@." Recovery.Trace.dump (Cluster.trace cluster);
+    if show_trace then
+      Fmt.pr "@.--- trace ---@.%a@." Recovery.Pp.trace (Cluster.trace cluster);
     oracle_check (Cluster.trace cluster)
   in
   let inject_failures cluster =

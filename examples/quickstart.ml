@@ -42,8 +42,8 @@ let () =
     (fun node ->
       let st : Counter.state = Node.app_state node in
       Fmt.pr "P%d: total=%-4d current interval %a (stable through %a)@."
-        (Node.pid node) st.total Depend.Entry.pp (Node.current node)
-        Depend.Entry.pp (Node.stable_frontier node))
+        (Node.pid node) st.total Depend.Pp.entry (Node.current node)
+        Depend.Pp.entry (Node.stable_frontier node))
     (Cluster.nodes cluster);
 
   let count = Obs.Snapshot.counter (Cluster.stats cluster).obs in

@@ -93,9 +93,3 @@ let equal a b =
     | None, Some _ | Some _, None -> ok := false
   done;
   !ok
-
-let pp ppf t =
-  let item ppf (j, e) = Entry.pp_at j ppf e in
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ") item)
-    (non_null t)

@@ -62,7 +62,3 @@ val elide_stable : t -> stable:(int -> Entry.t -> bool) -> int
     Check_send_buffer and the local-vector loop of Receive_log. *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-(** Prints the non-NULL entries as [{(t,x)_j; ...}], matching the paper's
-    dependency-set notation. *)

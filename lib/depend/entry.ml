@@ -21,9 +21,3 @@ let le a b = compare a b <= 0
 let next_interval e = { e with sii = e.sii + 1 }
 
 let next_incarnation e = { inc = e.inc + 1; sii = e.sii + 1 }
-
-let pp ppf e = Format.fprintf ppf "(%d,%d)" e.inc e.sii
-
-let pp_at i ppf e = Format.fprintf ppf "(%d,%d)_%d" e.inc e.sii i
-
-let to_string e = Format.asprintf "%a" pp e

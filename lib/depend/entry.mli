@@ -36,11 +36,3 @@ val next_interval : t -> t
 val next_incarnation : t -> t
 (** Next incarnation, next state-interval index — the [current.inc++;
     current.sii++] step of Restart/Rollback in Figure 3. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints [(t,x)], matching the paper. *)
-
-val pp_at : int -> Format.formatter -> t -> unit
-(** [pp_at i] prints [(t,x)_i], the paper's subscripted form. *)
-
-val to_string : t -> string

@@ -58,5 +58,3 @@ val entries : t -> Entry.t list
 val of_entries : Entry.t list -> t
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

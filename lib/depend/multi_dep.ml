@@ -34,9 +34,3 @@ let entries t =
 let equal a b =
   Array.length a = Array.length b
   && Array.for_all2 Entry_set.equal a b
-
-let pp ppf t =
-  let item ppf (j, e) = Entry.pp_at j ppf e in
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ") item)
-    (entries t)

@@ -41,6 +41,3 @@ val entries : t -> (int * Entry.t) list
     incarnation. *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-(** Paper-style set notation [{(t,x)_j; ...}]. *)

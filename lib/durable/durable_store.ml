@@ -67,17 +67,6 @@ let damaged r =
   || r.missing_log_records > 0 || r.checkpoints_dropped > 0
   || r.sync_bytes_dropped > 0 || r.sync_area_missing
 
-let pp_open_report ppf r =
-  Format.fprintf ppf
-    "@[<v>fresh: %b@,log: %d records recovered, %d bytes + %d segments dropped@,\
-     missing vs stable-length witness: %d@,\
-     checkpoints: %d recovered, %d dropped@,\
-     sync area: %d records, %d bytes dropped%s@]"
-    r.fresh r.recovered_log r.log_bytes_dropped r.log_segments_dropped
-    r.missing_log_records r.recovered_checkpoints r.checkpoints_dropped
-    r.sync_records r.sync_bytes_dropped
-    (if r.sync_area_missing then ", MISSING" else "")
-
 type ('ckpt, 'log, 'ann) t = {
   fs : Fs.t;
   root : string;
@@ -106,9 +95,9 @@ type ('ckpt, 'log, 'ann) t = {
 
 let guard t = if not t.alive then invalid_arg "Durable_store: store killed"
 
-let sync_path root = Filename.concat root "sync.dat"
+let sync_path root = Path.concat root "sync.dat"
 
-let ckpt_path root seq = Filename.concat root (Fs.numbered "ckpt-" seq)
+let ckpt_path root seq = Path.concat root (Fs.numbered "ckpt-" seq)
 
 let parse_ckpt name =
   if String.length name = 21 && String.starts_with ~prefix:"ckpt-" name
@@ -238,7 +227,7 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
   Array.sort Int.compare ckpt_seqs;
   let ckpts = ref [] (* newest first *) in
   let ckpts_dropped = ref 0 in
-  let prefix = Filename.concat dir "ckpt-" in
+  let prefix = Path.concat dir "ckpt-" in
   let checked = checkpoint_frame ~snapshot:(fun _ ~off:_ -> ()) in
   Array.iter
     (fun seq ->

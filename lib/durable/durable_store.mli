@@ -94,8 +94,6 @@ val damaged : open_report -> bool
 (** True when anything was dropped, missing or truncated — every such
     condition is reported, never silently absorbed. *)
 
-val pp_open_report : Format.formatter -> open_report -> unit
-
 val open_ :
   fs:Fs.t ->
   dir:string ->

@@ -14,8 +14,6 @@ let to_string = function
 
 let of_string s = List.find_opt (fun f -> to_string f = s) all
 
-let pp ppf f = Format.pp_print_string ppf (to_string f)
-
 let files_matching (fs : Fs.t) dir prefix =
   match fs.readdir dir with
   | entries ->
@@ -23,9 +21,9 @@ let files_matching (fs : Fs.t) dir prefix =
     |> List.filter (fun name ->
            String.length name >= String.length prefix
            && String.sub name 0 (String.length prefix) = prefix
-           && Filename.check_suffix name ".dat")
+           && String.ends_with ~suffix:".dat" name)
     |> List.sort compare
-    |> List.map (fun name -> Filename.concat dir name)
+    |> List.map (fun name -> Path.concat dir name)
   | exception Sys_error _ -> []
 
 let flip_byte (fs : Fs.t) path off mask =
@@ -65,7 +63,7 @@ let apply ~(fs : Fs.t) ~dir ~rand fault =
         let tear = 1 + rand (min 16 sz) in
         fs.truncate last (sz - tear);
         Printf.sprintf "tore %d trailing bytes off %s" tear
-          (Filename.basename last)
+          (Path.basename last)
       | spans, sz ->
         (* Cut into the final record: keep everything before it plus a
            random proper prefix of it (possibly mid-header). *)
@@ -74,7 +72,7 @@ let apply ~(fs : Fs.t) ~dir ~rand fault =
         fs.truncate last (min keep sz);
         Printf.sprintf "tore record %d of %s mid-write (kept %d of %d bytes)"
           (List.length spans - 1)
-          (Filename.basename last) (keep - start) len))
+          (Path.basename last) (keep - start) len))
   | Truncated_segment -> (
     match List.filter (fun p -> fs.size p > 0) (files_matching fs dir "seg-") with
     | [] -> "truncated segment: no log bytes to cut"
@@ -85,7 +83,7 @@ let apply ~(fs : Fs.t) ~dir ~rand fault =
         let keep = rand sz in
         fs.truncate victim keep;
         Printf.sprintf "truncated %s from %d to %d bytes"
-          (Filename.basename victim) sz keep
+          (Path.basename victim) sz keep
       | spans, sz ->
         (* Cut at a record boundary: keep the first [k] records. *)
         let k = rand (List.length spans) in
@@ -97,12 +95,12 @@ let apply ~(fs : Fs.t) ~dir ~rand fault =
         in
         fs.truncate victim keep;
         Printf.sprintf "truncated %s to its first %d of %d records (%d of %d bytes)"
-          (Filename.basename victim) k (List.length spans) keep sz))
+          (Path.basename victim) k (List.length spans) keep sz))
   | Bit_flip -> (
     let candidates =
       (files_matching fs dir "seg-" @ files_matching fs dir "ckpt-"
       @
-      let s = Filename.concat dir "sync.dat" in
+      let s = Path.concat dir "sync.dat" in
       if fs.exists s then [ s ] else [])
       |> List.filter (fun p -> fs.size p > 0)
     in
@@ -116,7 +114,7 @@ let apply ~(fs : Fs.t) ~dir ~rand fault =
         let bit = rand 8 in
         flip_byte fs victim off (1 lsl bit);
         Printf.sprintf "flipped bit %d of byte %d in %s" bit off
-          (Filename.basename victim)
+          (Path.basename victim)
       | spans, _ ->
         let idx = rand (List.length spans) in
         let start, len = List.nth spans idx in
@@ -125,4 +123,4 @@ let apply ~(fs : Fs.t) ~dir ~rand fault =
         flip_byte fs victim off (1 lsl bit);
         Printf.sprintf "flipped bit %d of record %d (byte %d of %d) in %s" bit
           idx (off - start) len
-          (Filename.basename victim)))
+          (Path.basename victim)))

@@ -32,8 +32,6 @@ val to_string : t -> string
 
 val of_string : string -> t option
 
-val pp : Format.formatter -> t -> unit
-
 val apply : fs:Fs.t -> dir:string -> rand:(int -> int) -> t -> string
 (** Mutate the store files under [dir] of [fs] after a kill.  [rand n] must return
     a uniform integer in [\[0, n)]; callers pass a stream derived from the

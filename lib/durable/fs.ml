@@ -127,7 +127,7 @@ module Mem = struct
   let rec mkdir_p t path =
     if not (Hashtbl.mem t.dirs path) then begin
       Hashtbl.replace t.dirs path ();
-      let parent = Filename.dirname path in
+      let parent = Path.dirname path in
       if parent <> path then mkdir_p t parent
     end
 
@@ -220,7 +220,7 @@ module Mem = struct
     let t = create () in
     List.iter
       (fun (path, bytes) ->
-        mkdir_p t (Filename.dirname path);
+        mkdir_p t (Path.dirname path);
         let data = Buffer.create (String.length bytes) in
         Buffer.add_string data bytes;
         Hashtbl.replace t.files path { data; synced = String.length bytes })

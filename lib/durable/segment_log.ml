@@ -31,7 +31,7 @@ type recovered = {
   tail : Codec.tail;
 }
 
-let seg_path dir start = Filename.concat dir (Fs.numbered "seg-" start)
+let seg_path dir start = Path.concat dir (Fs.numbered "seg-" start)
 
 let parse_seg name =
   if String.length name = 20 && String.starts_with ~prefix:"seg-" name
@@ -55,7 +55,7 @@ let open_ ~(fs : Fs.t) ~dir ?(segment_bytes = default_segment_bytes) ~valid () =
   fs.mkdir_p dir;
   let starts = Array.of_list (List.filter_map parse_seg (fs.readdir dir)) in
   Array.sort Int.compare starts;
-  let prefix = Filename.concat dir "seg-" in
+  let prefix = Path.concat dir "seg-" in
   let bytes_dropped = ref 0 in
   let segments_dropped = ref 0 in
   let tail = ref Codec.Clean in

@@ -1,6 +1,6 @@
 let rec mkdir_p path =
   if not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
+    mkdir_p (Path.dirname path);
     try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
@@ -8,13 +8,15 @@ let counter = ref 0
 
 let fresh_dir ?base ~prefix () =
   let base =
-    match base with Some b -> b | None -> Filename.get_temp_dir_name ()
+    match base with
+    | Some b -> b
+    | None -> Option.value (Sys.getenv_opt "TMPDIR") ~default:"/tmp"
   in
   mkdir_p base;
   let rec attempt () =
     incr counter;
     let path =
-      Filename.concat base
+      Path.concat base
         (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) !counter)
     in
     match Unix.mkdir path 0o755 with
@@ -27,6 +29,6 @@ let rec rm_rf path =
   match Unix.lstat path with
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
   | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Array.iter (fun e -> rm_rf (Path.concat path e)) (Sys.readdir path);
     (try Unix.rmdir path with Unix.Unix_error (_, _, _) -> ())
   | _ -> ( try Unix.unlink path with Unix.Unix_error (_, _, _) -> ())

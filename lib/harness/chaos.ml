@@ -44,7 +44,7 @@ let pp_fault ppf = function
     | In_flush pid -> Fmt.pf ppf "crash P%d during flush at %.0f" pid time)
   | Kill { pid; time; storage } ->
     Fmt.pf ppf "kill P%d at %.0f%a" pid time
-      Fmt.(option (any " + storage fault " ++ Durable.Fault.pp))
+      Fmt.(option (any " + storage fault " ++ Durable.Pp.fault))
       storage
   | Join { pid; time } -> Fmt.pf ppf "join P%d at %.0f" pid time
   | Retire { pid; time } -> Fmt.pf ppf "retire P%d at %.0f" pid time
@@ -173,7 +173,7 @@ let run_case ?(breakage = Config.no_breakage) ?(calls = 60) case =
               if note <> "none" || Durable.Durable_store.damaged report then
                 Some
                   (Fmt.str "P%d respawned at %.0f: %s; %a" pid time note
-                     Durable.Durable_store.pp_open_report report)
+                     Durable.Pp.open_report report)
               else None)
             (Cluster.storage_reports cluster)
         in

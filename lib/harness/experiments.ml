@@ -760,7 +760,7 @@ let durability ?(n = 6) ?(seeds = default_seeds) () =
                "E12: silent wrong state (seed %d, fault %a): %a with no reported \
                 storage damage"
                seed
-               Fmt.(option ~none:(any "none") Durable.Fault.pp)
+               Fmt.(option ~none:(any "none") Durable.Pp.fault)
                fault Oracle.pp_report oracle);
         (oracle, reports, Cluster.stats cluster))
   in

@@ -193,7 +193,7 @@ let run flavour =
      1st, and other processes' initial intervals) are allowed extras. *)
   let check_dep_set ~interval ~expected ~allowed_extra label =
     match Oracle.dependencies ~n trace ~pid:4 interval with
-    | None -> fail "interval %a of P4 was never created" Entry.pp interval
+    | None -> fail "interval %a of P4 was never created" Depend.Pp.entry interval
     | Some actual ->
       List.iter
         (fun (pid, exp_entry) ->
@@ -206,9 +206,9 @@ let run flavour =
           | Some (_, a) when Entry.equal a exp_entry -> ()
           | Some (_, a) ->
             fail "%s: dependency on P%d incarnation %d is %a, paper says %a" label
-              pid exp_entry.Entry.inc Entry.pp a Entry.pp exp_entry
+              pid exp_entry.Entry.inc Depend.Pp.entry a Depend.Pp.entry exp_entry
           | None ->
-            fail "%s: missing dependency %a on P%d" label Entry.pp exp_entry pid)
+            fail "%s: missing dependency %a on P%d" label Depend.Pp.entry exp_entry pid)
         expected;
       List.iter
         (fun (pid, (a : Entry.t)) ->
@@ -219,7 +219,7 @@ let run flavour =
           in
           let in_allowed = List.mem (pid, a.inc) allowed_extra in
           if not (in_expected || in_allowed) then
-            fail "%s: unexpected dependency %a on P%d" label Entry.pp a pid)
+            fail "%s: unexpected dependency %a on P%d" label Depend.Pp.entry a pid)
         actual
   in
   let prehistory = [ (0, 0); (3, 0); (3, 1); (1, -1) ] in
@@ -277,8 +277,8 @@ let run flavour =
                  (fun (p1, e1) (p2, e2) -> p1 = p2 && Entry.equal e1 e2)
                  got want)
         then
-          fail "%s: vector is %a, paper says {%a}" label Dep_vector.pp v
-            Fmt.(list ~sep:(any "; ") (fun ppf (p, en) -> Entry.pp_at p ppf en))
+          fail "%s: vector is %a, paper says {%a}" label Depend.Pp.dep_vector v
+            Fmt.(list ~sep:(any "; ") (fun ppf (p, en) -> Depend.Pp.entry_at p ppf en))
             want
     in
     expect_vec "P4's vector after m2" probe.p4_after_m2
@@ -364,5 +364,5 @@ let walkthrough ppf =
     Fmt.(option ~none:(any "-") float)
     outcome.r1_at_p5
     Fmt.(option ~none:(any "-") float)
-    outcome.output_committed_at Oracle.pp_report outcome.oracle Trace.dump
+    outcome.output_committed_at Oracle.pp_report outcome.oracle Recovery.Pp.trace
     outcome.trace

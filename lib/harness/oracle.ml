@@ -176,14 +176,14 @@ let check ?k ~n trace =
       match Hashtbl.find_opt sent id with
       | None ->
         violation "P%d discarded %a as orphan but it has no sender interval"
-          dst Wire.pp_identity id
+          dst Recovery.Pp.identity id
       | Some src_key -> (
         match dep_of src_key with
         | None -> ()
         | Some dep ->
           if not (orphan dep) then
             violation "P%d discarded non-orphan message %a (sent from %a)" dst
-              Wire.pp_identity id pp_ikey src_key))
+              Recovery.Pp.identity id pp_ikey src_key))
     | Trace.Message_discarded { reason = Trace.Duplicate; _ } -> ()
     | Trace.Stability_advanced { pid; upto } ->
       (* Stamp unstable chain entries at or below [upto].  Stability is
@@ -277,7 +277,7 @@ let check ?k ~n trace =
   let max_risk = ref 0 in
   let check_release (id, time) =
     match Hashtbl.find_opt sent id with
-    | None -> violation "released message %a was never sent" Wire.pp_identity id
+    | None -> violation "released message %a was never sent" Recovery.Pp.identity id
     | Some src_key -> (
       match dep_of src_key with
       | None -> ()
@@ -299,7 +299,7 @@ let check ?k ~n trace =
         | Some k when risk > k ->
           violation
             "Theorem 4 violated: message %a released with %d risky processes > K=%d"
-            Wire.pp_identity id risk k
+            Recovery.Pp.identity id risk k
         | Some _ | None -> ())
   in
   List.iter check_release (List.rev !released);

@@ -99,12 +99,14 @@ let put_event b ev =
     put_int b pid;
     put_int b replayed
 
-let encode_entry (e : Trace.entry) =
+let entry_payload (e : Trace.entry) =
   let b = Buffer.create 64 in
   put_float b e.Trace.time;
   put_int b e.Trace.seq;
   put_event b e.Trace.ev;
-  Durable.Codec.encode ~kind:trace_kind (Buffer.contents b)
+  Buffer.contents b
+
+let encode_entry e = Durable.Codec.encode ~kind:trace_kind (entry_payload e)
 
 let read_event c =
   match get_u8 c with
@@ -248,18 +250,37 @@ let load_file path =
   | s -> Ok (decode_stream s)
   | exception Sys_error e -> Error e
 
-type writer = out_channel
+(* A descriptor and one reused buffer, as the durable store writes: an
+   [out_channel] would bring a 64 KB buffer that the runtime charges
+   against the minor heap, and with a 32k-word nursery the channels a
+   daemon opens at boot would force minor collections before its first
+   batch (see koptnode.ml).  Nothing reaches the file before the first
+   sync that has entries, as with a channel: the Hello waits in the
+   buffer, so a non-empty trace file still means the daemon has taken its
+   first step (its control socket listens by then).  The buffer goes back
+   to its first size after each write. *)
+type writer = { file : Durable.Fs.file; buf : Buffer.t }
 
 let open_writer path =
-  let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-  output_string oc (Wire_codec.hello ~pid:(-1));
-  oc
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (Wire_codec.hello ~pid:(-1));
+  { file = Durable.Fs.unix.open_append path; buf }
 
-let close_writer = close_out_noerr
+let write_buffered w =
+  if Buffer.length w.buf > 0 then begin
+    w.file.write (Buffer.contents w.buf);
+    Buffer.reset w.buf
+  end
 
-let sync oc trace =
+let close_writer w =
+  (try write_buffered w with Unix.Unix_error _ -> ());
+  try w.file.close () with Unix.Unix_error _ -> ()
+
+let sync w trace =
   match Trace.drain trace with
   | [] -> ()
   | entries ->
-    List.iter (fun e -> output_string oc (encode_entry e)) entries;
-    flush oc
+    List.iter
+      (fun e -> Durable.Codec.encode_into w.buf ~kind:trace_kind (entry_payload e))
+      entries;
+    write_buffered w

@@ -47,7 +47,7 @@ val close_writer : writer -> unit
 
 val sync : writer -> Recovery.Trace.t -> unit
 (** Write and release: append the entries added to [trace] since the
-    previous sync ({!Recovery.Trace.drain}) and flush them to the file
+    previous sync ({!Recovery.Trace.drain}) to the file in one write to its
     descriptor, so they survive a later [SIGKILL] of the writing process.
     The file then holds the only copy: the daemon calls this after each
     protocol step, so its memory does not grow with the length of its

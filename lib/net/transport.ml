@@ -20,6 +20,10 @@ type peer = {
   mutable backoff : float; (* what the next failed dial waits *)
   mutable dialed : bool; (* a dial was attempted: later ones are reconnects *)
   mutable failures : int; (* writes failed since one last completed a frame *)
+  mutable up_at : float; (* when the current connection sent its Hello *)
+  mutable proven : bool;
+      (* the current connection completed a frame [backoff_base] or more
+         after its Hello *)
 }
 
 (* One accepted connection: a Hello frame of this wire version naming the
@@ -162,6 +166,10 @@ let advance t p k =
   done;
   if !sent > 0 then begin
     p.failures <- 0;
+    if (not p.proven) && Unix.gettimeofday () -. p.up_at >= t.backoff_base then begin
+      p.proven <- true;
+      p.backoff <- t.backoff_base
+    end;
     bump_n t c_sent !sent
   end;
   if not (pending p) then reset_out p
@@ -171,9 +179,16 @@ let advance t p k =
    retry can at worst duplicate, which the protocol suppresses by
    identity).  Three failures in a row without a frame getting through
    drop everything pending, so a peer that accepts and resets at once
-   cannot keep frames forever. *)
+   cannot keep frames forever.  A connection that carried a frame
+   [backoff_base] or more after its Hello was a working stream to a peer
+   that since went away (killed, respawning), so it is redialled at once;
+   any other is a peer cutting streams as they open (the fault proxy's
+   partition does), and the peer backs off as after a failed dial.  A
+   completed frame alone proves nothing: the kernel takes the frames
+   written with the Hello before the peer's close arrives. *)
 let write_failed t p =
   disconnect p;
+  if not p.proven then failed_dial t p ~now:(Unix.gettimeofday ());
   p.written <- 0;
   p.failures <- p.failures + 1;
   if p.failures >= 3 then begin
@@ -201,7 +216,8 @@ let established t p fd ~now =
   with
   | k when k = String.length t.hello ->
     p.link <- Up fd;
-    p.backoff <- t.backoff_base;
+    p.up_at <- now;
+    p.proven <- false;
     write_out t p fd
   | _ | (exception Unix.Unix_error _) ->
     Wire_codec.close_quiet fd;
@@ -236,6 +252,8 @@ let make_peer ~backoff ~pid ~port =
     backoff;
     dialed = false;
     failures = 0;
+    up_at = 0.;
+    proven = false;
   }
 
 let create ~self ~listen_port ~peers ~on_frame ?(on_error = fun _ -> ())

@@ -60,7 +60,10 @@ val create :
     from {!service} (and so from {!poll}), once per checked frame.
     [max_queue] (default 1024) bounds each peer's pending frames.  Backoff
     starts at [backoff_base] (default 0.05 s) and doubles to
-    [backoff_cap] (default 2 s).
+    [backoff_cap] (default 2 s) with each failed dial, and with each
+    connection that fails before it carried a frame [backoff_base] or
+    more after its Hello; such a frame resets it to [backoff_base].  A
+    connection that carried one and then failed is redialled at once.
 
     [obs] (default: a private registry) is where the transport registers
     its counters: [transport_frames_sent_total],

@@ -85,10 +85,3 @@ val drain : t -> entry list
     every protocol step ({!Net.Trace_codec.sync}), which makes the file the
     only copy and keeps the in-memory trace bounded by one step's worth of
     events however long the daemon runs. *)
-
-val pp_event : Format.formatter -> event -> unit
-
-val pp_entry : Format.formatter -> entry -> unit
-
-val dump : Format.formatter -> t -> unit
-(** The whole trace, one event per line. *)

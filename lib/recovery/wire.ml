@@ -22,9 +22,6 @@ open Depend
     sequence number instead. *)
 type identity = { origin : int; origin_interval : Entry.t; idx : int }
 
-let pp_identity ppf id =
-  Format.fprintf ppf "%d:%a#%d" id.origin Entry.pp id.origin_interval id.idx
-
 (** An application message as released on the wire. *)
 type 'msg app_message = {
   id : identity;
@@ -58,11 +55,6 @@ let no_cseq = -1
     the Strom–Yemini preset broadcasts (Theorem 1 makes the latter
     unnecessary). *)
 type announcement = { from_ : int; ending : Entry.t; failure : bool }
-
-let pp_announcement ppf a =
-  Format.fprintf ppf "%s{P%d ends %a}"
-    (if a.failure then "fail" else "rollback")
-    a.from_ Entry.pp a.ending
 
 (** A logging progress notification: for each process, the per-incarnation
     stability frontier the sender knows.  With gossiping disabled the list
@@ -146,8 +138,6 @@ let packet_kind = function
 
 (** Identity of an output sent to the outside world. *)
 type output_id = { out_interval : Entry.t; out_idx : int }
-
-let pp_output_id ppf o = Format.fprintf ppf "%a#%d" Entry.pp o.out_interval o.out_idx
 
 (** Collected deliveries as duplicate suppression needs them.  Most fold
     into runs of channel numbers; the rest keep their identity. *)

@@ -29,8 +29,6 @@ open Depend
     sequence number instead. *)
 type identity = { origin : int; origin_interval : Entry.t; idx : int }
 
-val pp_identity : Format.formatter -> identity -> unit
-
 (** An application message as released on the wire. *)
 type 'msg app_message = {
   id : identity;
@@ -65,8 +63,6 @@ val no_cseq : int
     the Strom–Yemini preset broadcasts (Theorem 1 makes the latter
     unnecessary). *)
 type announcement = { from_ : int; ending : Entry.t; failure : bool }
-
-val pp_announcement : Format.formatter -> announcement -> unit
 
 (** A logging progress notification: for each process, the per-incarnation
     stability frontier the sender knows.  With gossiping disabled the list
@@ -139,8 +135,6 @@ val packet_kind : 'msg packet -> string
 
 (** Identity of an output sent to the outside world. *)
 type output_id = { out_interval : Entry.t; out_idx : int }
-
-val pp_output_id : Format.formatter -> output_id -> unit
 
 (** Collected deliveries as duplicate suppression needs them.  Most fold
     into runs of channel numbers; the rest keep their identity. *)

@@ -929,6 +929,31 @@ let test_restart_cost_flat () =
     Alcotest.failf "minor words per respawn grew from %.0f to %.0f, %.2f per delivery"
       minor_5k minor_20k per_delivery
 
+(* [Durable.Path] stands in for [Stdlib.Filename] in the store, so it
+   must name the same files: it agrees with [Filename] on every path
+   shape the store and the in-memory file system build or walk up. *)
+let test_path_matches_filename () =
+  let paths =
+    [
+      ""; "a"; "/"; "//"; "/a"; "a/b"; "a/b/"; "a//b//"; "./x"; "../x/y";
+      "/tmp/s/seg-1.dat";
+    ]
+  in
+  List.iter
+    (fun p ->
+      Alcotest.(check string)
+        ("dirname " ^ p) (Filename.dirname p) (Durable.Path.dirname p);
+      List.iter
+        (fun name ->
+          Alcotest.(check string)
+            (Printf.sprintf "concat %S %S" p name)
+            (Filename.concat p name) (Durable.Path.concat p name))
+        [ "x"; "sync.dat" ];
+      if p <> "" && not (String.ends_with ~suffix:"/" p) then
+        Alcotest.(check string) ("basename " ^ p) (Filename.basename p)
+          (Durable.Path.basename p))
+    paths
+
 let suite =
   [
     Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
@@ -980,4 +1005,5 @@ let suite =
       test_cluster_kill_respawn_certified;
     Alcotest.test_case "cluster kill with damage is loud" `Slow
       test_cluster_kill_with_damage_is_loud;
+    Alcotest.test_case "path names match Filename's" `Quick test_path_matches_filename;
   ]

@@ -40,9 +40,11 @@ let test_next_incarnation () =
     (Entry.next_incarnation (e ~inc:0 ~sii:4))
 
 let test_pp () =
-  Alcotest.(check string) "paper notation" "(0,4)" (Entry.to_string (e ~inc:0 ~sii:4));
+  Alcotest.(check string)
+    "paper notation" "(0,4)"
+    (Depend.Pp.entry_string (e ~inc:0 ~sii:4));
   Alcotest.(check string) "subscripted" "(2,6)_3"
-    (Fmt.str "%a" (Entry.pp_at 3) (e ~inc:2 ~sii:6))
+    (Fmt.str "%a" (Depend.Pp.entry_at 3) (e ~inc:2 ~sii:6))
 
 let suite =
   [

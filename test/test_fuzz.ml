@@ -69,20 +69,20 @@ let check_invariants ~k d ~prev_current =
     raise
       (Violation
          (Fmt.str "current moved back without an incarnation bump: %a -> %a"
-            Entry.pp prev_current Entry.pp current));
+            Depend.Pp.entry prev_current Depend.Pp.entry current));
   if Entry.lt current frontier then
     raise
       (Violation
-         (Fmt.str "stability frontier %a beyond current %a" Entry.pp frontier
-            Entry.pp current));
+         (Fmt.str "stability frontier %a beyond current %a" Depend.Pp.entry frontier
+            Depend.Pp.entry current));
   (match Dep_vector.get (Node.dep_vector node) 0 with
   | None -> ()
   | Some e ->
     if not (Entry.equal e current) then
       raise
         (Violation
-           (Fmt.str "self entry %a is neither NULL nor current %a" Entry.pp e
-              Entry.pp current)));
+           (Fmt.str "self entry %a is neither NULL nor current %a" Depend.Pp.entry e
+              Depend.Pp.entry current)));
   List.iter
     (fun (m : _ Wire.app_message) ->
       if List.length m.dep > k then

@@ -159,7 +159,7 @@ let test_trace_pp_smoke () =
        });
   Trace.add tr ~time:2.
     (Trace.Crashed { pid = 1; first_lost = Some (e ~inc:0 ~sii:5) });
-  let s = Fmt.str "%a" Trace.dump tr in
+  let s = Fmt.str "%a" Recovery.Pp.trace tr in
   Alcotest.(check bool) "mentions replay" true (contains s "replay");
   Alcotest.(check bool) "mentions loss" true (contains s "loses from")
 

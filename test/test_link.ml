@@ -7,9 +7,10 @@
    also link no threads library, no Cmdliner and no Fmt.  It is a static
    PIE: no interpreter, no shared library, and no call in its sources to
    the glibc functions that would need the build host's shared libraries
-   at run time.  The checks read the ELF64 headers directly.  The
-   command-line test runs the hand-parsed command line that replaced
-   Cmdliner. *)
+   at run time.  Its frame descriptors must stay at 8,192 or fewer, which
+   keeps the runtime's descriptor table at 128 KB, and it must link no
+   Stdlib.Format, Arg or Filename.  The checks read the ELF64 headers
+   directly.  The command-line test runs the hand-parsed command line. *)
 
 module Deployment = Net.Deployment
 
@@ -80,9 +81,9 @@ let needed elf =
       let strtab = file_offset elf (List.assoc dt_strtab entries) in
       List.map (fun off -> c_string elf (strtab + off)) needs
 
-(* The names in every section of type [sh_type] ([.symtab] or [.dynsym]),
-   read through its linked string table. *)
-let symbols elf ~sh_type =
+(* The (name, value) of every symbol in every section of type [sh_type]
+   ([.symtab] or [.dynsym]), names read through its linked string table. *)
+let symbol_values elf ~sh_type =
   let shoff = u64 elf 40 and shentsize = u16 elf 58 and shnum = u16 elf 60 in
   let section i = shoff + (i * shentsize) in
   let name_at strtab off = c_string elf (u64 elf (section strtab + 24) + off) in
@@ -93,8 +94,12 @@ let symbols elf ~sh_type =
       else
         let off = u64 elf (sh + 24) and size = u64 elf (sh + 32) in
         let entsize = u64 elf (sh + 56) and strtab = u32 elf (sh + 40) in
-        List.init (size / entsize) (fun j -> name_at strtab (u32 elf (off + (j * entsize)))))
+        List.init (size / entsize) (fun j ->
+            let sym = off + (j * entsize) in
+            (name_at strtab (u32 elf sym), u64 elf (sym + 8))))
     (List.init shnum Fun.id)
+
+let symbols elf ~sh_type = List.map fst (symbol_values elf ~sh_type)
 
 let read_koptnode () =
   In_channel.with_open_bin (Deployment.find_exe None) In_channel.input_all
@@ -135,10 +140,9 @@ let module_of sym =
   let name = String.sub sym 4 (String.length sym - 4) in
   match String.index_opt name '.' with Some i -> String.sub name 0 i | None -> name
 
-(* The daemon parses its flags once, with Stdlib.Arg, and prints with
-   Stdlib.Format and Printf, which it links anyway: Cmdliner (~230 KB of
-   text, data and frametables) and Fmt (~90 KB) would be resident in every
-   daemon for code it runs once or never. *)
+(* The daemon parses its flags once, with a plain loop, and prints with
+   Printf: Cmdliner (~230 KB of text, data and frametables) and Fmt (~90
+   KB) would be resident in every daemon for code it runs once or never. *)
 let test_koptnode_no_cli_libraries () =
   let syms = symbols (read_koptnode ()) ~sh_type:sht_symtab in
   Alcotest.(check bool) "a symbol table was read" true (syms <> []);
@@ -153,6 +157,72 @@ let test_koptnode_no_cli_libraries () =
       syms
   with
   | Some sym -> Alcotest.failf "koptnode links module %s (%s)" (module_of sym) sym
+  | None -> ()
+
+(* The OCaml 5.1 runtime builds one hash table of every frame descriptor
+   at boot (caml/frame_descriptors.h): it walks [caml_frametable], a
+   NULL-terminated array of pointers to each module's table, adds up the
+   descriptor count that starts each one, and allocates the smallest power
+   of two >= twice that many 8-byte entries, all resident.  At 8,192
+   descriptors or fewer the table has 16,384 entries (128 KB); one more
+   doubles it.  The array's pointers are link-time addresses (the
+   relative relocations keep their addends in place), so they are read
+   through the program headers as they are.  Stdlib.Format (~350
+   descriptors), Stdlib.Arg (~220) and Stdlib.Filename (~165) are what
+   the daemon stopped linking to get under the bound: its printers live
+   in the Pp modules it does not reference, it parses argv with a loop,
+   and the store joins paths with Durable.Path. *)
+let max_frame_descriptors = 8192
+
+let test_koptnode_frame_descriptors () =
+  let elf = read_koptnode () in
+  let syms = symbol_values elf ~sh_type:sht_symtab in
+  let word addr = u64 elf (file_offset elf addr) in
+  let owner = Hashtbl.create 256 in
+  List.iter
+    (fun (name, v) ->
+      if String.starts_with ~prefix:"caml" name
+         && String.ends_with ~suffix:"frametable" name
+      then Hashtbl.replace owner v name)
+    syms;
+  let tables =
+    match List.assoc_opt "caml_frametable" syms with
+    | None -> Alcotest.fail "no caml_frametable symbol"
+    | Some array ->
+      let rec walk i acc =
+        match word (array + (8 * i)) with
+        | 0 -> acc
+        | table ->
+          let name = Option.value (Hashtbl.find_opt owner table) ~default:"?" in
+          walk (i + 1) ((module_of name, word table) :: acc)
+      in
+      walk 0 []
+  in
+  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 tables in
+  let entries = ref 4 in
+  while !entries < 2 * total do
+    entries := 2 * !entries
+  done;
+  if total > max_frame_descriptors then begin
+    let largest =
+      List.sort (fun (_, a) (_, b) -> compare b a) tables
+      |> List.filteri (fun i _ -> i < 5)
+      |> List.map (fun (m, n) -> Printf.sprintf "%s %d" m n)
+    in
+    Alcotest.failf
+      "koptnode has %d frame descriptors, over %d: the runtime's table has %d \
+       entries (%d KB).  Largest: %s"
+      total max_frame_descriptors !entries (!entries * 8 / 1024)
+      (String.concat ", " largest)
+  end;
+  let unwanted = [ "Stdlib__Format"; "Stdlib__Arg"; "Stdlib__Filename" ] in
+  match
+    List.find_opt
+      (fun (sym, _) ->
+        String.starts_with ~prefix:"caml" sym && List.mem (module_of sym) unwanted)
+      syms
+  with
+  | Some (sym, _) -> Alcotest.failf "koptnode links module %s (%s)" (module_of sym) sym
   | None -> ()
 
 (* A static PIE: the kernel maps the binary alone, with no dynamic loader
@@ -323,4 +393,7 @@ let suite =
     Alcotest.test_case "koptnode: static PIE, no interpreter, no DT_NEEDED" `Quick
       test_koptnode_static;
     Alcotest.test_case "koptnode: calls no NSS lookup" `Quick test_koptnode_no_nss;
+    Alcotest.test_case
+      "koptnode: at most 8,192 frame descriptors, no Format, Arg or Filename" `Quick
+      test_koptnode_frame_descriptors;
   ]

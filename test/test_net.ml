@@ -402,7 +402,7 @@ let test_flood_during_replay () =
         (counter outcome "outputs_committed_total" > 0);
       Alcotest.(check bool) "replay happened" true (counter outcome "replayed_total" > 0))
 
-(* The space overhead a daemon should run with: koptnode's 60 unless the
+(* The space overhead a daemon should run with: koptnode's 40 unless the
    environment it inherits sets [o=] (the last one wins, as in the
    runtime's own parse). *)
 let expected_space_overhead () =
@@ -416,7 +416,7 @@ let expected_space_overhead () =
       match String.split_on_char '=' opt with
       | [ "o"; v ] -> float_of_string v
       | _ -> acc)
-    60. (String.split_on_char ',' params)
+    40. (String.split_on_char ',' params)
 
 (* The live stats plane end to end: every daemon must answer the control
    socket's Stats arm mid-load with a parseable exposition covering the
@@ -424,10 +424,10 @@ let expected_space_overhead () =
    SIGKILLed daemon's successor must answer again; and the Quit-time
    metrics files must merge into the outcome snapshot with the always-on
    phase spans and the memory gauges aboard.  Every daemon, the successor
-   included, must report koptnode's 64k-word nursery and a boot that ran
+   included, must report koptnode's 32k-word nursery and a boot that ran
    no minor collection, both with OCAMLRUNPARAM unset and with it holding
    options other than [s=] (CI runs the suite under [b]).  Each must also
-   report the major heap's space overhead koptnode sets, 60, or the [o=]
+   report the major heap's space overhead koptnode sets, 40, or the [o=]
    the operator's OCAMLRUNPARAM gives, which wins.  Every scrape
    carries the heap gauges exactly when a minor collection has run (the
    runtime reads 0 before the first), and its file-backed and anonymous
@@ -496,8 +496,8 @@ let test_stats_plane_live () =
       let check_boot pid snap =
         check_process (Fmt.str "pid %d at boot" pid) snap;
         Alcotest.(check (float 0.))
-          (Fmt.str "pid %d: 64k-word nursery" pid)
-          65536. (Obs.Snapshot.gauge snap "gc_minor_heap_words");
+          (Fmt.str "pid %d: 32k-word nursery" pid)
+          32768. (Obs.Snapshot.gauge snap "gc_minor_heap_words");
         Alcotest.(check (float 0.))
           (Fmt.str "pid %d: boot ran no minor collection" pid)
           0. (Obs.Snapshot.gauge snap "gc_boot_minor_collections");
@@ -562,18 +562,18 @@ let test_stats_plane_live () =
    on with a 3 s backoff floor, poll until the first dial has failed and
    the peer is parked, then close and require the pending frame to be
    accounted (sent + dropped covers every accepted frame) at once. *)
+let port_of sock =
+  match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+
+(* A loopback port nothing listens on (until someone binds it). *)
+let reserve_port () =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let port = port_of sock in
+  Unix.close sock;
+  port
+
 let test_shutdown_latency_bounded () =
-  let reserve_port () =
-    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-    let port =
-      match Unix.getsockname sock with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> assert false
-    in
-    Unix.close sock;
-    port
-  in
   let dead_port = reserve_port () in
   let obs = Obs.Registry.create () in
   let transport =
@@ -600,6 +600,110 @@ let test_shutdown_latency_bounded () =
   Alcotest.(check int) "nothing sent" 0 (count "frames_sent");
   Alcotest.(check bool) "a closed transport waits on nothing" true
     (Net.Transport.interest transport = ([], []))
+
+(* A transport whose one peer is a listener this test drives: [f
+   transport ~accepted] runs with [accepted ()] the connections the
+   listener has accepted since the last call. *)
+let with_listening_peer f =
+  let listener = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt listener Unix.SO_REUSEADDR true;
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listener 64;
+  Unix.set_nonblock listener;
+  let transport =
+    Net.Transport.create ~self:0 ~listen_port:(reserve_port ())
+      ~peers:[ (1, port_of listener) ]
+      ~on_frame:(fun ~src:_ ~kind:_ ~body:_ -> ())
+      ()
+  in
+  let rec accepted () =
+    match Unix.accept ~cloexec:true listener with
+    | fd, _ -> fd :: accepted ()
+    | exception Unix.Unix_error _ -> []
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Net.Transport.close transport;
+      Unix.close listener)
+    (fun () -> f transport ~accepted)
+
+(* Send a frame every 2 ms for [seconds], polling between sends, and give
+   [peer] the listener's new connections after each poll; [peer] returns
+   how many it closed. *)
+let dials_closed transport ~accepted ~seconds ~peer =
+  let closed = ref 0 and until = Unix.gettimeofday () +. seconds in
+  while Unix.gettimeofday () < until do
+    Net.Transport.send transport ~dst:1 "frame";
+    Net.Transport.poll transport ~timeout:0.002;
+    closed := !closed + peer (accepted ())
+  done;
+  !closed
+
+(* A peer that cuts every stream must not be redialled at once forever:
+   a connection that completed no frame [backoff_base] (50 ms) or more
+   after its Hello backs off on its write failure, doubling.  Two such
+   peers: one closes what it accepts at once; the other, as the fault
+   proxy does to a partitioned dialer, reads the Hello and the frames
+   sent with it, then closes.  Over a second of sends each sees ~5 dials
+   (tens of thousands without the backoff).  A completed frame alone
+   must not count, or the second peer is still dialled ~8,500 times a
+   second: the kernel takes the frames written with the Hello before the
+   close arrives.  A peer that took frames for a while and then died is
+   still redialled at once, never parked in a backoff: the crash
+   workload's respawn path. *)
+let test_redial_backs_off () =
+  let buf = Bytes.create 65536 in
+  let at_once fds =
+    List.iter Unix.close fds;
+    List.length fds
+  and after_hello pending fds =
+    pending := !pending @ fds;
+    let readable fd = Unix.select [ fd ] [] [] 0. <> ([], [], []) in
+    let read, waiting = List.partition readable !pending in
+    pending := waiting;
+    List.iter
+      (fun fd ->
+        ignore (Unix.read fd buf 0 (Bytes.length buf) : int);
+        Unix.close fd)
+      read;
+    List.length read
+  in
+  List.iter
+    (fun (what, peer) ->
+      with_listening_peer (fun transport ~accepted ->
+          let pending = ref [] in
+          let dials =
+            dials_closed transport ~accepted ~seconds:1. ~peer:(peer pending)
+          in
+          List.iter Unix.close !pending;
+          if dials > 10 then
+            Alcotest.failf "%d dials in 1 s to a peer that %s" dials what))
+    [
+      ("closes every connection at once", fun _ -> at_once);
+      ("closes every connection after its Hello", after_hello);
+    ];
+  with_listening_peer (fun transport ~accepted ->
+      let up = ref [] in
+      let keep fds =
+        up := !up @ fds;
+        0
+      in
+      ignore (dials_closed transport ~accepted ~seconds:0.3 ~peer:keep : int);
+      Alcotest.(check int) "one connection, kept" 1 (List.length !up);
+      List.iter Unix.close !up;
+      (* Until the redial arrives, the peer must never be parked in a
+         backoff: a finite deadline still ahead. *)
+      let until = Unix.gettimeofday () +. 2. in
+      let rec redialled () =
+        Net.Transport.send transport ~dst:1 "frame";
+        Net.Transport.poll transport ~timeout:0.002;
+        let due = Net.Transport.deadline transport and now = Unix.gettimeofday () in
+        if due > now && due < infinity then
+          Alcotest.failf "a peer that took frames backs off %.3f s" (due -. now);
+        at_once (accepted ()) > 0 || (now < until && redialled ())
+      in
+      Alcotest.(check bool) "a peer that took frames is redialled at once" true
+        (redialled ()))
 
 (* Client ingress back-pressure: a daemon flooded with back-to-back
    Injects takes at most [batch_cap] (256, in bin/koptnode.ml) control
@@ -715,7 +819,7 @@ let test_control_hangup () =
       in
       Durable.Durable_store.kill store;
       Alcotest.(check bool)
-        (Fmt.str "store reopens clean: %a" Durable.Durable_store.pp_open_report report)
+        (Fmt.str "store reopens clean: %a" Durable.Pp.open_report report)
         false
         (Durable.Durable_store.damaged report))
 
@@ -743,4 +847,6 @@ let suite =
       test_control_wrong_version;
     Alcotest.test_case "proxy: queued partition holds, dropped one severs" `Quick
       test_proxy_partitions;
+    Alcotest.test_case "redial backs off from a peer that cuts every stream" `Quick
+      test_redial_backs_off;
   ]

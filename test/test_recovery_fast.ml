@@ -341,7 +341,7 @@ let law_dedup_survives_respawn =
            let got = offer m in
            if got <> (dup, del) then
              QCheck2.Test.fail_reportf "%s %a: %d dropped, %d delivered (expected %d, %d)" what
-               Recovery.Wire.pp_identity m.Recovery.Wire.id (fst got) (snd got) dup del
+               Recovery.Pp.identity m.Recovery.Wire.id (fst got) (snd got) dup del
          in
          let log_all () = sent := List.map (fun (m, _) -> (m, true)) !sent in
          let respawn () =

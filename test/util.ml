@@ -3,11 +3,11 @@
 
 open Depend
 
-let entry = Alcotest.testable Entry.pp Entry.equal
+let entry = Alcotest.testable Depend.Pp.entry Entry.equal
 
-let entry_set = Alcotest.testable Entry_set.pp Entry_set.equal
+let entry_set = Alcotest.testable Depend.Pp.entry_set Entry_set.equal
 
-let dep_vector = Alcotest.testable Dep_vector.pp Dep_vector.equal
+let dep_vector = Alcotest.testable Depend.Pp.dep_vector Dep_vector.equal
 
 let e ~inc ~sii = Entry.make ~inc ~sii
 
