@@ -245,9 +245,9 @@ let chaos_cmd =
       value & flag
       & info [ "storage-faults" ]
           ~doc:
-            "Also kill one process per case over a real file-backed store and \
+            "Also kill one process per case over its in-memory store and \
              damage its files before the respawn (torn final write, bit flip, \
-             truncated segment, failing fsync).  Runs whose oracle violations \
+             truncated segment, lying fsync).  Runs whose oracle violations \
              are matched by storage damage reported at reopen count as \
              detected data loss, not protocol failures.")
   in

@@ -517,10 +517,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
              broadcast goes on the wire before the drain closes shop. *)
           step_up (fun nd ~now -> Node.retire nd ~now);
           quit := Some c
-        | Wire_codec.Arm_brownout { slow; rounds } -> (
-          match slow with
-          | None -> Node.arm_storage_disk_full node ~rounds
-          | Some delay -> Node.arm_storage_slow_fsync node ~delay ~rounds)
+        | Wire_codec.Arm_brownout { rounds } -> Node.arm_storage_disk_full node ~rounds
         | Wire_codec.Stats_req ->
           (* Live scrape: the memory gauges refreshed, then a full
              snapshot of the registry, serialised as the versioned text

@@ -84,9 +84,7 @@ type ('ckpt, 'log, 'ann) t = {
       (* sync.dat's leading bytes that open checked: a record there that
          fails [sealed_value] is one open counted as dropped *)
   mutable disk_full : int; (* flush rounds still refused (ENOSPC brownout) *)
-  mutable slow_fsync : (float * int) option; (* extra seconds, rounds left *)
   degraded_flushes : Obs.Counter.t;
-  slowed_fsyncs : Obs.Counter.t;
   mutable alive : bool;
   rounds : Obs.Counter.t; (* flush rounds, i.e. log fsyncs issued *)
   fsync_seconds : Obs.Histogram.t; (* wall time of each log fsync *)
@@ -144,7 +142,6 @@ let meters =
   Obs.Group.make (fun cells ->
       let c = Obs.Group.counter cells in
       ( c "storage_degraded_flushes_total",
-        c "storage_slowed_fsyncs_total",
         c "storage_sync_writes_total",
         c "storage_flushes_total",
         c "storage_checkpoint_bytes_total",
@@ -253,7 +250,6 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
     }
   in
   let ( degraded_flushes,
-        slowed_fsyncs,
         sync_writes,
         flushes,
         ckpt_bytes,
@@ -272,9 +268,7 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
       ckpts = !ckpts;
       ckpt_seq = 1 + Array.fold_left max (-1) ckpt_seqs;
       disk_full = 0;
-      slow_fsync = None;
       degraded_flushes;
-      slowed_fsyncs;
       sync_writes;
       flushes;
       ckpt_bytes;
@@ -315,8 +309,7 @@ let append_volatile t r =
    K-rule keeps the node's sends gated: the protocol degrades to blocking
    at the K boundary instead of ever claiming stability the disk did not
    provide, and the first flush after the window drains everything in one
-   synchronous round.  A slow-fsync window stretches each fsync (timed
-   into [fsync_seconds]) and is counted. *)
+   synchronous round. *)
 (* One flush round, shared by the refusable and the forced
    ([flush_forced]) entry points: append the volatile queue, fsync once,
    then witness what the fsync covered. *)
@@ -328,22 +321,12 @@ let flush_run t =
     Queue.iter (fun r -> ignore (Segment_log.append t.log (to_bin r) : int)) t.volatile;
     Queue.clear t.volatile;
     t.stable_len <- t.stable_len + n;
-    let slow =
-      match t.slow_fsync with
-      | Some (delay, rounds) when rounds > 0 ->
-        t.slow_fsync <- (if rounds = 1 then None else Some (delay, rounds - 1));
-        Obs.Counter.incr t.slowed_fsyncs;
-        delay
-      | Some _ | None -> 0.
-    in
     let began = Unix.gettimeofday () in
     Fun.protect
       ~finally:(fun () ->
         Obs.Histogram.observe t.fsync_seconds (Unix.gettimeofday () -. began);
         Obs.Counter.incr t.rounds)
-      (fun () ->
-        Segment_log.sync t.log;
-        if slow > 0. then Unix.sleepf slow);
+      (fun () -> Segment_log.sync t.log);
     sync_put ~fsync:false t ~kind:k_len (to_bin t.stable_len);
     Obs.Counter.incr t.flushes;
     Obs.Counter.incr t.sync_writes;
@@ -546,16 +529,7 @@ let kill t =
     t.alive <- false
   end
 
-let arm_fsync_failure t =
-  guard t;
-  Segment_log.arm_fsync_failure t.log
-
 let arm_disk_full t ~rounds =
   if rounds < 0 then invalid_arg "Durable_store.arm_disk_full";
   guard t;
   t.disk_full <- rounds
-
-let arm_slow_fsync t ~delay ~rounds =
-  if delay < 0. || rounds < 0 then invalid_arg "Durable_store.arm_slow_fsync";
-  guard t;
-  t.slow_fsync <- (if rounds = 0 then None else Some (delay, rounds))

@@ -9,8 +9,9 @@
     continuous" (Section 2); and a small synchronous area for failure
     announcements, which must survive a crash so that a process never
     reuses an incarnation number.  {!kill} is a
-    process death: it discards the volatile suffix and every armed fault
-    with the handle, and a reopen over the same files recovers the rest.
+    process death: it closes the descriptors and discards the volatile
+    suffix and an armed brownout with the handle, and a reopen over the
+    same files recovers the rest.
     The store is generic in the checkpoint, log-record and
     announcement types, and counts synchronous writes and flushes, which
     the simulator converts into time through its cost model.
@@ -110,10 +111,10 @@ val open_ :
 
     [obs] receives the store's metric families —
     [storage_flushes_total], [storage_sync_writes_total],
-    [storage_degraded_flushes_total], [storage_slowed_fsyncs_total],
+    [storage_degraded_flushes_total],
     [flush_rounds_total] (log fsyncs issued, whether or not they
-    returned) and the [fsync_seconds] histogram (wall time of each, an
-    armed slow-down included).  Defaults to a private registry.
+    returned) and the [fsync_seconds] histogram (wall time of each).
+    Defaults to a private registry.
     [storage_checkpoint_bytes_total] counts the bytes
     written to checkpoint files.  Note that get-or-create semantics mean a
     store reopened into the {e same} registry (a daemon respawning in
@@ -132,7 +133,10 @@ val flush : ('ckpt, 'log, 'ann) t -> int
     as a synchronous write) only when records were written.  An armed
     disk-full window ({!arm_disk_full}) makes it refuse instead (return 0
     with the buffer intact).  If the log's fsync raises, so does [flush],
-    with no stable-length witness written and no flush counted. *)
+    with no stable-length witness written and no flush counted, and the
+    log is fail-stop from then on: every later flush that has records to
+    write raises [Failure] without calling fsync again
+    ({!Segment_log.sync}). *)
 
 val flush_forced : ('ckpt, 'log, 'ann) t -> int
 (** Like {!flush}, but an armed disk-full window ({!arm_disk_full}) never
@@ -258,15 +262,13 @@ val sync_writes : ('ckpt, 'log, 'ann) t -> int
 (** {1 Process death and fault injection} *)
 
 val kill : ('ckpt, 'log, 'ann) t -> unit
-(** Process death: every byte not yet fsynced is discarded from the files,
-    all descriptors close, and the handle becomes unusable.  Recovery is
-    only possible through a fresh {!open_} on the same directory. *)
-
-val arm_fsync_failure : ('ckpt, 'log, 'ann) t -> unit
-(** Make the {e log}'s fsync lie (report success, persist nothing) from
-    now on; the synchronous area keeps its own descriptor and stays honest,
-    which is what lets the stable-length witness expose the loss at the
-    next open. *)
+(** Process death: the volatile queue is dropped, all descriptors close,
+    and the handle becomes unusable.  Nothing is synced or cut: what a
+    death loses on disk belongs to the file system (a lying disk,
+    {!Fs.Mem.lie}, loses the log appends its fsyncs never made durable,
+    and the stable-length witness in the synchronous area exposes that
+    loss as [missing_log_records] at the next open).  Recovery is only
+    possible through a fresh {!open_} on the same directory. *)
 
 val arm_disk_full : ('ckpt, 'log, 'ann) t -> rounds:int -> unit
 (** ENOSPC brownout: the next [rounds] non-empty {!flush} attempts refuse
@@ -276,11 +278,5 @@ val arm_disk_full : ('ckpt, 'log, 'ann) t -> rounds:int -> unit
     the K-rule keeps the owning node's sends gated instead of ever
     claiming stability the disk did not provide; the first flush after the
     window drains the backlog in one synchronous round. *)
-
-val arm_slow_fsync : ('ckpt, 'log, 'ann) t -> delay:float -> rounds:int -> unit
-(** Slow-disk brownout: the next [rounds] flush rounds stretch their fsync
-    by [delay] seconds (counted in [storage_slowed_fsyncs_total], and
-    timed into [fsync_seconds]).  The owner waits it out: the round's
-    witness is written only after it. *)
 
 val dir : ('ckpt, 'log, 'ann) t -> string

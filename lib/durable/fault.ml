@@ -26,10 +26,12 @@ let files_matching (fs : Fs.t) dir prefix =
     |> List.map (fun name -> Path.concat dir name)
   | exception Sys_error _ -> []
 
+(* Damage to the medium is durable: the rewrite is fsynced, so a later
+   lie ({!Fs.Mem.lie}) cannot undo it. *)
 let flip_byte (fs : Fs.t) path off mask =
   let b = Bytes.of_string (fs.read path) in
   Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor mask));
-  Fs.write_file fs ~fsync:false path (Bytes.to_string b)
+  Fs.write_file fs path (Bytes.to_string b)
 
 (* Structural targeting: damage is aimed at a {e record} (index chosen by
    [rand]), located by scanning the file's Codec frames, never at a raw
@@ -50,7 +52,7 @@ let record_spans (fs : Fs.t) path =
 
 let apply ~(fs : Fs.t) ~dir ~rand fault =
   match fault with
-  | Failed_fsync -> "failed fsync (armed on the live store before the kill)"
+  | Failed_fsync -> "failed fsync (the log's fsyncs lied from before the kill)"
   | Torn_final_write -> (
     match
       List.filter (fun p -> fs.size p > 0) (files_matching fs dir "seg-") |> List.rev

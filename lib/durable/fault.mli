@@ -1,14 +1,16 @@
 (** Storage fault injection.
 
     Faults model what real disks do to logging systems, each one paired
-    with a kill.  [Failed_fsync] is armed on the {e live} store before
-    the kill ({!Durable_store.arm_fsync_failure}); the other three mutate
-    the closed files of the killed store, between death and respawn —
-    exactly when a real machine would lose or mangle sectors.  Brownouts
-    that outlive no process (a full disk, a slow fsync) are armed on a
-    live store without a kill: {!Durable_store.arm_disk_full} and
-    {!Durable_store.arm_slow_fsync}, which the chaos [Brownout] directive
-    and koptnode's [Arm_brownout] control reach.
+    with a kill, and each acts on the file system the store runs on.
+    [Failed_fsync] is a lying disk: the process's in-memory tree lies
+    about the log's fsyncs from before the kill ({!Fs.Mem.lie}), and the
+    death cuts every segment back to what was really synced
+    ({!Fs.Mem.halt}).  The other three mutate the closed files of the
+    killed store, between death and respawn — exactly when a real machine
+    would lose or mangle sectors.  The one brownout that outlives no
+    process, a full disk, is armed on a live store without a kill
+    ({!Durable_store.arm_disk_full}), which the chaos [Brownout]
+    directive and koptnode's [Arm_brownout] control reach.
 
     Damage is targeted {e structurally}: the injector scans the victim
     file's {!Codec} frames and aims at a record index (tear the final
@@ -24,7 +26,7 @@ type t =
   | Truncated_segment  (** cut a random log segment at a record boundary *)
   | Failed_fsync
       (** the log's fsync reports success without persisting (lying disk);
-          applied before the kill, a no-op afterwards *)
+          armed on the tree before the kill, a no-op afterwards *)
 
 val all : t list
 
@@ -37,5 +39,6 @@ val apply : fs:Fs.t -> dir:string -> rand:(int -> int) -> t -> string
     a uniform integer in [\[0, n)]; callers pass a stream derived from the
     run's seed so campaigns stay reproducible.  Returns a human-readable
     description of the damage done (or why none was possible, e.g. no
-    segment had any bytes yet).  [Failed_fsync] is described only —
-    arming happens through {!Durable_store} before the kill. *)
+    segment had any bytes yet).  Damage is durable: a flipped bit is
+    rewritten with an fsync.  [Failed_fsync] is described only — the lie
+    is armed on the file system before the kill. *)

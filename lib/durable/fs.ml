@@ -112,12 +112,20 @@ module Mem = struct
     files : (string, node) Hashtbl.t;
     dirs : (string, unit) Hashtbl.t;
     mutable before_fsync : unit -> unit;
+    mutable lie : (string -> bool) option;
+        (* while set, an fsync of a file opened under a path it accepts
+           makes nothing durable *)
   }
 
   type entry = { path : string; bytes : string; synced : int }
 
   let create () =
-    { files = Hashtbl.create 16; dirs = Hashtbl.create 4; before_fsync = ignore }
+    {
+      files = Hashtbl.create 16;
+      dirs = Hashtbl.create 4;
+      before_fsync = ignore;
+      lie = None;
+    }
 
   let missing path = raise (Sys_error (path ^ ": No such file or directory"))
 
@@ -147,13 +155,15 @@ module Mem = struct
     Hashtbl.fold (fun path _ acc -> child path acc) t.files []
     |> Hashtbl.fold (fun path () acc -> child path acc) t.dirs
 
-  let handle t n =
+  let handle t path n =
     {
       write = Buffer.add_string n.data;
       fsync =
         (fun () ->
           t.before_fsync ();
-          n.synced <- Buffer.length n.data);
+          match t.lie with
+          | Some covers when covers path -> ()
+          | Some _ | None -> n.synced <- Buffer.length n.data);
       close = ignore;
     }
 
@@ -178,7 +188,7 @@ module Mem = struct
         Hashtbl.replace t.files path n;
         n
     in
-    handle t n
+    handle t path n
 
   let fs t =
     {
@@ -228,6 +238,17 @@ module Mem = struct
     t
 
   let before_fsync t f = t.before_fsync <- f
+
+  let lie t covers = t.lie <- Some covers
+
+  let halt t =
+    match t.lie with
+    | None -> ()
+    | Some covers ->
+      Hashtbl.iter
+        (fun path n -> if covers path then Buffer.truncate n.data n.synced)
+        t.files;
+      t.lie <- None
 end
 
 let mem () = Mem.fs (Mem.create ())

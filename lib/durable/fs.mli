@@ -10,7 +10,10 @@
     wrote them (a store [kill] followed by a reopen over the same [t]
     sees them, as after a process death), and each file's fsynced length
     is recorded, so a test can build the images a power loss could leave
-    behind ({!Mem}).  Creating, truncating, renaming and unlinking take
+    behind ({!Mem}).  It is also the one place that models a lying disk:
+    while a tree lies, fsyncs stop making bytes durable, and the death of
+    the process over it loses what they did not ({!Mem.lie},
+    {!Mem.halt}).  Creating, truncating, renaming and unlinking take
     effect at once and are treated as durable: no caller fsyncs a
     directory. *)
 
@@ -83,4 +86,16 @@ module Mem : sig
   val before_fsync : tree -> (unit -> unit) -> unit
   (** Run [f] at the start of every later fsync, before it makes anything
       durable: the point where the most bytes are still unsynced. *)
+
+  val lie : tree -> (string -> bool) -> unit
+  (** A lying disk: from now on, an fsync of a file opened under a path
+      [covers] accepts reports success and leaves its synced length where
+      it was, until {!halt}. *)
+
+  val halt : tree -> unit
+  (** The process over the tree died.  While the tree lies, every file
+      whose path the lie covers is cut back to its synced length (the
+      writes the lying disk never made durable) and the lie ends.  An
+      honest tree loses nothing: a death leaves every written byte in
+      place, as a kernel's page cache does. *)
 end

@@ -16,11 +16,8 @@ type t = {
   mutable segs : seg list; (* oldest first; the last one is [cur] *)
   mutable cur : seg;
   mutable file : Fs.file;
-  mutable synced : int; (* durable byte count of [cur] *)
-  mutable dirty : bool;
-  mutable fail_fsync : bool;
-  (* segments rotated away while fsync was failing: (path, durable bytes) *)
-  mutable closed_unsynced : (string * int) list;
+  mutable dirty : bool; (* [cur] holds appends no fsync has covered *)
+  mutable fsync_failed : bool;
   mutable alive : bool;
 }
 
@@ -39,7 +36,17 @@ let parse_seg name =
   then int_of_string_opt (String.sub name 4 12)
   else None
 
+let is_segment path = Option.is_some (parse_seg (Path.basename path))
+
 let guard t name = if not t.alive then invalid_arg ("Segment_log." ^ name ^ ": log closed")
+
+(* Fail-stop after a raising fsync: the kernel may already have dropped
+   the pages it failed to write, so a second fsync could report success
+   for bytes that are gone (PostgreSQL's "fsyncgate").  Nothing is
+   appended or synced again; the caller's process is expected to die. *)
+let writable t name =
+  guard t name;
+  if t.fsync_failed then failwith ("Segment_log." ^ name ^ ": an earlier fsync failed")
 
 let create_segment (fs : Fs.t) dir start =
   let path = seg_path dir start in
@@ -112,10 +119,8 @@ let open_ ~(fs : Fs.t) ~dir ?(segment_bytes = default_segment_bytes) ~valid () =
       segs;
       cur;
       file = fs.open_append cur.path;
-      synced = cur.bytes;
       dirty = false;
-      fail_fsync = false;
-      closed_unsynced = [];
+      fsync_failed = false;
       alive = true;
     }
   in
@@ -137,35 +142,27 @@ let segment_count t = List.length t.segs
 
 let do_sync t =
   if t.dirty then begin
-    if not t.fail_fsync then begin
-      t.file.fsync ();
-      t.synced <- t.cur.bytes
-    end;
+    (try t.file.fsync ()
+     with e ->
+       t.fsync_failed <- true;
+       raise e);
     t.dirty <- false
   end
 
 let sync t =
-  guard t "sync";
+  writable t "sync";
   do_sync t
-
-let arm_fsync_failure t =
-  guard t "arm_fsync_failure";
-  t.fail_fsync <- true
 
 let rotate t =
   do_sync t;
-  if t.synced < t.cur.bytes then
-    t.closed_unsynced <- (t.cur.path, t.synced) :: t.closed_unsynced;
   t.file.close ();
   let seg = create_segment t.fs t.dir (next_index t) in
   t.segs <- t.segs @ [ seg ];
   t.cur <- seg;
-  t.file <- t.fs.open_append seg.path;
-  t.synced <- 0;
-  t.dirty <- false
+  t.file <- t.fs.open_append seg.path
 
 let append t payload =
-  guard t "append";
+  writable t "append";
   if t.cur.bytes >= t.segment_bytes && t.cur.count > 0 then rotate t;
   let frame = Codec.encode ~kind:log_kind payload in
   t.file.write frame;
@@ -227,25 +224,13 @@ let truncate_after t ~keep =
     let keep_segs, dropped =
       List.partition (fun s -> s.start < keep) t.segs
     in
-    List.iter
-      (fun s ->
-        t.closed_unsynced <- List.remove_assoc s.path t.closed_unsynced;
-        t.fs.unlink s.path)
-      dropped;
+    List.iter (fun s -> t.fs.unlink s.path) dropped;
     let cur =
       match List.rev keep_segs with
       | [] -> create_segment t.fs t.dir keep
       | s :: _ -> s
     in
     t.segs <- (match keep_segs with [] -> [ cur ] | _ -> keep_segs);
-    let durable =
-      if cur == t.cur then t.synced
-      else
-        match List.assoc_opt cur.path t.closed_unsynced with
-        | Some b -> b
-        | None -> cur.bytes
-    in
-    t.closed_unsynced <- List.remove_assoc cur.path t.closed_unsynced;
     (if keep < cur.start + cur.count then begin
        let off =
          fold_segment t ~op:"truncate_after" ~buf:(Codec.buffer ()) cur ~init:0
@@ -257,9 +242,7 @@ let truncate_after t ~keep =
        cur.bytes <- off
      end);
     t.cur <- cur;
-    t.file <- t.fs.open_append cur.path;
-    t.synced <- min durable cur.bytes;
-    t.dirty <- t.cur.bytes > t.synced
+    t.file <- t.fs.open_append cur.path
   end
 
 let drop_segments_below t ~before =
@@ -269,24 +252,17 @@ let drop_segments_below t ~before =
       (fun s -> s == t.cur || s.start + s.count > before)
       t.segs
   in
-  List.iter
-    (fun s ->
-      t.closed_unsynced <- List.remove_assoc s.path t.closed_unsynced;
-      t.fs.unlink s.path)
-    dropped;
+  List.iter (fun s -> t.fs.unlink s.path) dropped;
   t.segs <- keep
 
 let kill t =
   if t.alive then begin
     t.file.close ();
-    if t.cur.bytes > t.synced then t.fs.truncate t.cur.path t.synced;
-    List.iter (fun (path, durable) -> t.fs.truncate path durable) t.closed_unsynced;
     t.alive <- false
   end
 
 let close t =
   if t.alive then begin
-    do_sync t;
-    t.file.close ();
-    t.alive <- false
+    if not t.fsync_failed then do_sync t;
+    kill t
   end

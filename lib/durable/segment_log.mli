@@ -17,11 +17,15 @@
     always a gap-free prefix of what was written.  Open keeps no record:
     reads go back to the files ({!fold_from}).
 
-    [kill] models a process death: nothing is synced, every byte past the
-    last successful [sync] is discarded, exactly like an OS losing the page
-    cache.  A log whose [sync] has been armed to fail (see
-    {!arm_fsync_failure}) silently stops making appends durable — the
-    storage-fault campaigns use this to model a lying disk. *)
+    [kill] models a process death: nothing is synced and the descriptors
+    close.  What a death loses belongs to the file system, not to the log:
+    a kernel keeps every written byte, and only a lying disk ({!Fs.Mem.lie})
+    loses the appends its fsyncs never made durable.
+
+    A [sync] whose fsync raises is fail-stop: the log refuses every later
+    {!append} and {!sync} and never calls fsync again, because a second
+    fsync after a failed one can report success for pages the kernel
+    already dropped. *)
 
 type t
 
@@ -51,7 +55,8 @@ val open_ :
 
 val append : t -> string -> int
 (** Append one record payload; returns its absolute logical index.  The
-    record is volatile until the next {!sync}. *)
+    record is volatile until the next {!sync}.
+    @raise Failure once a {!sync} has raised. *)
 
 val fold_from :
   t ->
@@ -79,10 +84,10 @@ val read_from :
 (** {!fold_from} into a list, oldest first; raises like it. *)
 
 val sync : t -> unit
-(** fsync the newest segment (one synchronous operation per batch). *)
-
-val arm_fsync_failure : t -> unit
-(** From now on {!sync} reports success without persisting anything. *)
+(** fsync the newest segment (one synchronous operation per batch).  An
+    exception from the fsync is re-raised, and from then on the log is
+    fail-stop.
+    @raise Failure once an earlier {!sync} has raised. *)
 
 val next_index : t -> int
 (** Logical index the next {!append} will get. *)
@@ -104,10 +109,13 @@ val drop_segments_below : t -> before:int -> unit
 
 val segment_count : t -> int
 
+val is_segment : string -> bool
+(** Whether a path names a segment file ([seg-<start>.dat]). *)
+
 val kill : t -> unit
-(** Process death: discard every un-synced byte (including segments rotated
-    away while fsync was armed to fail) and close all descriptors.  The log
-    is unusable afterwards; reopen with {!open_}. *)
+(** Process death: close all descriptors, sync nothing.  The log is
+    unusable afterwards; reopen with {!open_}. *)
 
 val close : t -> unit
-(** Graceful close: {!sync} then release descriptors. *)
+(** Graceful close: {!sync} (unless an earlier one raised), then release
+    descriptors. *)

@@ -106,8 +106,6 @@ let schedule_crashes cluster faults =
         Cluster.arm_disk_full_at cluster ~time ~pid ~rounds)
     faults
 
-let needs_store faults = List.exists (function Kill _ -> true | _ -> false) faults
-
 type verdict =
   | Certified of Oracle.report
   | Detected of { oracle : Oracle.report; damage : string list }
@@ -137,50 +135,37 @@ let pp_verdict ppf = function
    the full trace.  A deliberately broken protocol ([breakage]) may also
    make the run raise — that counts as a failure, not a campaign abort. *)
 let run_case ?(breakage = Config.no_breakage) ?(calls = 60) case =
-  (* Kill directives need real files to die over; the store root lives only
-     for the duration of the run. *)
-  let store_root =
-    if needs_store case.faults then Some (Durable.Temp.fresh_dir ~prefix:"chaos" ())
-    else None
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Durable.Temp.rm_rf store_root)
-    (fun () ->
-      try
-        let config =
-          Config.harden (Config.k_optimistic ~n:case.n ~k:case.k ())
-        in
-        let config =
-          { config with Config.protocol = { config.Config.protocol with breakage } }
-        in
-        let cluster =
-          Cluster.create ~config ~app:App_model.Telecom_app.app ~seed:case.seed
-            ~horizon:1500. ~fault_plan:(plan_of_faults case.faults) ?store_root ()
-        in
-        let rng = Sim.Rng.create (case.seed * 7919) in
-        Workload.telecom cluster ~rng ~calls ~hops:4 ~start:10. ~rate:1.0;
-        schedule_crashes cluster case.faults;
-        Cluster.run cluster;
-        (* A [Join] directive can grow membership mid-run; certify at the
-           cluster's final width, not the case's starting one. *)
-        let oracle =
-          Oracle.check ~k:case.k ~n:(Cluster.n cluster) (Cluster.trace cluster)
-        in
-        let stats = Some (Cluster.stats cluster) in
-        let damage =
-          List.filter_map
-            (fun (pid, time, note, report) ->
-              if note <> "none" || Durable.Durable_store.damaged report then
-                Some
-                  (Fmt.str "P%d respawned at %.0f: %s; %a" pid time note
-                     Durable.Pp.open_report report)
-              else None)
-            (Cluster.storage_reports cluster)
-        in
-        if Oracle.ok oracle then { verdict = Certified oracle; stats }
-        else if damage <> [] then { verdict = Detected { oracle; damage }; stats }
-        else { verdict = Violated oracle; stats }
-      with exn -> { verdict = Crashed (Printexc.to_string exn); stats = None })
+  try
+    let config = Config.harden (Config.k_optimistic ~n:case.n ~k:case.k ()) in
+    let config =
+      { config with Config.protocol = { config.Config.protocol with breakage } }
+    in
+    let cluster =
+      Cluster.create ~config ~app:App_model.Telecom_app.app ~seed:case.seed
+        ~horizon:1500. ~fault_plan:(plan_of_faults case.faults) ()
+    in
+    let rng = Sim.Rng.create (case.seed * 7919) in
+    Workload.telecom cluster ~rng ~calls ~hops:4 ~start:10. ~rate:1.0;
+    schedule_crashes cluster case.faults;
+    Cluster.run cluster;
+    (* A [Join] directive can grow membership mid-run; certify at the
+       cluster's final width, not the case's starting one. *)
+    let oracle = Oracle.check ~k:case.k ~n:(Cluster.n cluster) (Cluster.trace cluster) in
+    let stats = Some (Cluster.stats cluster) in
+    let damage =
+      List.filter_map
+        (fun (pid, time, note, report) ->
+          if note <> "none" || Durable.Durable_store.damaged report then
+            Some
+              (Fmt.str "P%d respawned at %.0f: %s; %a" pid time note
+                 Durable.Pp.open_report report)
+          else None)
+        (Cluster.storage_reports cluster)
+    in
+    if Oracle.ok oracle then { verdict = Certified oracle; stats }
+    else if damage <> [] then { verdict = Detected { oracle; damage }; stats }
+    else { verdict = Violated oracle; stats }
+  with exn -> { verdict = Crashed (Printexc.to_string exn); stats = None }
 
 (* ------------------------------------------------------------------ *)
 (* Randomized campaign                                                 *)

@@ -71,10 +71,10 @@ val run_case :
     telecom workload, the case's fault plan and crash schedule, then the
     oracle over the full trace.  [breakage] deliberately disables protocol
     safeguards to validate that the oracle (or the harness itself) catches
-    the resulting corruption.  A case with [Kill] directives runs the
-    cluster over a temporary durable store root (removed afterwards); an
-    oracle violation accompanied by reported storage damage yields
-    [Detected], one without yields [Violated]. *)
+    the resulting corruption.  Every store lives on an in-memory tree
+    ({!Cluster.create}), so [Kill] directives and their storage faults
+    touch no real file.  An oracle violation accompanied by reported
+    storage damage yields [Detected], one without yields [Violated]. *)
 
 val random_case : ?storage_faults:bool -> Sim.Rng.t -> index:int -> case
 (** Randomized case generator: every case carries loss (≤ 10%),

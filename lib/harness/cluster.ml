@@ -19,11 +19,10 @@ type 'msg event =
 type ('state, 'msg) t = {
   cfg : Config.t;
   app : ('state, 'msg) App_model.App_intf.t;
-  store_root : string option;
-  mutable fs : Durable.Fs.t array;
-      (* per pid, where its store lives, outliving the nodes that die over
-         it: real files under [store_root], or an in-memory tree *)
-  storage_rng : Sim.Rng.t option;
+  mutable trees : Durable.Fs.Mem.tree array;
+      (* per pid, the in-memory file system its store lives on, outliving
+         the nodes that die over it *)
+  storage_rng : Sim.Rng.t;
   sched : Sim.Scheduler.t option;
   mutable nodes : ('state, 'msg) Node.t array; (* slots replaced on respawn *)
   mutable registries : Obs.Registry.t array;
@@ -130,18 +129,21 @@ let rearm t ~pid kind =
   | Some p -> schedule t ~time:(t.now +. p) (Timer { pid; kind; periodic = true })
   | None -> ()
 
-let store_dir t pid =
-  let name = Printf.sprintf "p%d" pid in
-  match t.store_root with Some root -> Filename.concat root name | None -> name
+let store_dir pid = Printf.sprintf "p%d" pid
 
-let new_fs store_root =
-  match store_root with Some _ -> Durable.Fs.unix | None -> Durable.Fs.mem ()
+let store t pid = (Durable.Fs.Mem.fs t.trees.(pid), store_dir pid)
 
 (* A process over pid's store: fresh if the store is empty, otherwise down
    until restarted from what its predecessor left behind. *)
 let spawn t ~config pid =
-  Node.create_on ~fs:t.fs.(pid) ~config ~pid ~app:t.app ~store_dir:(store_dir t pid)
-    ~obs:t.registries.(pid) ~trace:t.trace_
+  Node.create_on ~fs:(Durable.Fs.Mem.fs t.trees.(pid)) ~config ~pid ~app:t.app
+    ~store_dir:(store_dir pid) ~obs:t.registries.(pid) ~trace:t.trace_
+
+(* Every death of a process: the node goes with its volatile state, and a
+   disk that lied loses what it never made durable. *)
+let halt t pid =
+  Node.halt t.nodes.(pid) ~now:t.now;
+  Durable.Fs.Mem.halt t.trees.(pid)
 
 (* Arm the periodic timers of one node, staggering first firings so the
    cluster does not flush in lockstep.  Used at create for the initial
@@ -233,19 +235,18 @@ let handle_event t = function
     if not t.down.(pid) then
       consume t ~pid (Node.perform t.nodes.(pid) ~now:t.now effects)
   | Arm_fsync_failure pid ->
-    if not t.down.(pid) then Node.arm_storage_fsync_failure t.nodes.(pid)
+    if not t.down.(pid) then Durable.Fs.Mem.lie t.trees.(pid) Durable.Segment_log.is_segment
   | Kill { pid; fault } ->
     if not t.down.(pid) then begin
       t.down.(pid) <- true;
-      Node.halt t.nodes.(pid) ~now:t.now;
+      halt t pid;
       (* Post-mortem file damage happens between death and respawn. *)
-      (match (fault, t.storage_rng) with
-      | Some f, Some rng ->
-        let note =
-          Durable.Fault.apply ~fs:t.fs.(pid) ~dir:(store_dir t pid) ~rand:(Sim.Rng.int rng) f
-        in
-        t.fault_notes <- (pid, note) :: t.fault_notes
-      | _ -> ());
+      Option.iter
+        (fun f ->
+          let fs, dir = store t pid in
+          let note = Durable.Fault.apply ~fs ~dir ~rand:(Sim.Rng.int t.storage_rng) f in
+          t.fault_notes <- (pid, note) :: t.fault_notes)
+        fault;
       t.next_free.(pid) <- t.now;
       schedule t ~time:(t.now +. t.cfg.Config.timing.restart_delay) (Respawn pid)
     end
@@ -260,7 +261,7 @@ let handle_event t = function
          out-of-band reconfiguration. *)
       let jcfg = Config.validate_exn { t.cfg with Config.n = pid + 1 } in
       t.registries <- Array.append t.registries [| Obs.Registry.create () |];
-      t.fs <- Array.append t.fs [| new_fs t.store_root |];
+      t.trees <- Array.append t.trees [| Durable.Fs.Mem.create () |];
       let fresh = spawn t ~config:jcfg pid in
       t.nodes <- Array.append t.nodes [| fresh |];
       t.next_free <- Array.append t.next_free [| t.now |];
@@ -282,7 +283,7 @@ let handle_event t = function
          then fall silent.  No restart is scheduled — the pid is gone until
          an explicit rejoin. *)
       consume t ~pid (Node.retire t.nodes.(pid) ~now:t.now);
-      Node.halt t.nodes.(pid) ~now:t.now;
+      halt t pid;
       t.down.(pid) <- true;
       t.retired_pids <- pid :: t.retired_pids;
       t.next_free.(pid) <- t.now
@@ -405,28 +406,24 @@ let run_until t deadline =
   t.now <- Stdlib.max t.now deadline
 
 let create ~config ~app ?(seed = 42) ?(horizon = 10_000.) ?net_override
-    ?(fault_plan = Netmodel.benign) ?(auto_timers = true) ?store_root ?scheduler () =
+    ?(fault_plan = Netmodel.benign) ?(auto_timers = true) ?scheduler () =
   let config = Config.validate_exn config in
   let n = config.Config.n in
   let rng = Sim.Rng.create seed in
   (* Bind the splits in sequence: the first must be the timing stream (the
      same child the pre-fault-plan model derived, so benign runs reproduce
-     historical tables bit-for-bit); the fault stream is a further split.
-     The storage-fault stream is split only when a store root exists, so
-     runs without one (every store on its own in-memory tree) keep
-     their historical streams untouched. *)
+     historical tables bit-for-bit); the fault stream is a further split,
+     and the storage-fault stream a third.  Nothing draws from [rng] after
+     these splits, so the third moves no other stream. *)
   let net_rng = Sim.Rng.split rng in
   let fault_rng = Sim.Rng.split rng in
-  let storage_rng =
-    match store_root with None -> None | Some _ -> Some (Sim.Rng.split rng)
-  in
+  let storage_rng = Sim.Rng.split rng in
   let net_obs = Obs.Registry.create () in
   let t =
     {
       cfg = config;
       app;
-      store_root;
-      fs = Array.init n (fun _ -> new_fs store_root);
+      trees = Array.init n (fun _ -> Durable.Fs.Mem.create ());
       storage_rng;
       sched = scheduler;
       nodes = [||];
@@ -466,12 +463,10 @@ let inject_at t ~time ~dst payload =
 (* --- Process death ------------------------------------------------------ *)
 
 let kill_at t ~time ~pid ?storage_fault () =
-  if storage_fault <> None && t.store_root = None then
-    invalid_arg "Cluster.kill_at: a storage fault needs ~store_root";
   match storage_fault with
   | Some Durable.Fault.Failed_fsync ->
-    (* A lying fsync must be armed while the process is alive: the disk
-       starts dropping log writes a couple of flush periods before the
+    (* A lying fsync must be armed while the process is alive: the tree
+       starts lying about log fsyncs a couple of flush periods before the
        death, so stability the node announced in between is false. *)
     let lead =
       match t.cfg.Config.timing.flush_interval with

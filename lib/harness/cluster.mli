@@ -18,7 +18,6 @@ val create :
   ?net_override:Netmodel.override ->
   ?fault_plan:Netmodel.fault_plan ->
   ?auto_timers:bool ->
-  ?store_root:string ->
   ?scheduler:Sim.Scheduler.t ->
   unit ->
   ('state, 'msg) t
@@ -34,7 +33,12 @@ val create :
     [fault_plan] (default {!Netmodel.benign}) subjects all inter-node
     traffic to adversarial network faults; its randomness comes from a
     stream separate from the timing jitter, so the benign plan reproduces
-    historical runs bit-for-bit. *)
+    historical runs bit-for-bit.
+
+    Every pid's store lives in [p<pid>] on an in-memory tree
+    ({!Durable.Fs.Mem}) that the cluster keeps for the whole run, across
+    every death of the processes over it: the simulator touches no real
+    file. *)
 
 (** {1 Scheduling inputs} *)
 
@@ -55,15 +59,20 @@ val kill_at :
     fails: the node and all its volatile state are discarded with its
     store descriptors, and after [restart_delay] a {e fresh} node, with
     the dead one's config, is created over the same store — recovering
-    solely from what the death left behind — and restarted.  Each pid's
-    store lives in [p<pid>] under [~store_root] on real files, or in an
-    in-memory tree the cluster keeps across deaths.
+    solely from what the death left behind — and restarted.
 
-    The optional storage fault (requires [~store_root]) damages the
-    closed files before the respawn.  [Failed_fsync] is special: it is
-    armed on the live store a couple of flush periods {e before} [time],
-    so the node announces stability for log records the disk never
-    persisted. *)
+    The optional storage fault damages the closed files on the pid's tree
+    before the respawn, drawing from a stream of its own.
+    [Failed_fsync] is special: the tree starts lying about log fsyncs a
+    couple of flush periods {e before} [time] ({!Durable.Fs.Mem.lie}), so
+    the node announces stability for log records the disk never
+    persisted, and the death cuts each log segment back to what was
+    really synced ({!Durable.Fs.Mem.halt}).  Every death ends a lie: a
+    crash or retirement in between cuts the segments the same way. *)
+
+val store : ('state, 'msg) t -> int -> Durable.Fs.t * string
+(** The file system pid's store lives on (its in-memory tree) and the
+    store's directory there: what a test reads to inspect the files. *)
 
 val storage_reports :
   ('state, 'msg) t ->

@@ -706,10 +706,11 @@ let correlated_failures ?(n = 8) ?(seeds = default_seeds) () =
     "Correlated failure injection at K=2 over a lossy, duplicating,      reordering network: simultaneous multi-node crashes, cascades striking      while the previous victim is still down, and crashes landing mid-      checkpoint and mid-flush.  All runs oracle-certified with max risk <= K.";
   t
 
-(* E12 exercises the durable backend end to end: the cluster runs over real
-   files, one process is killed (descriptors closed, unsynced bytes gone),
-   its files are damaged post mortem, and a fresh process recovers solely
-   from what is on disk.  Acceptable outcomes are exactly two: the run is
+(* E12 exercises the durable backend end to end: the cluster runs every
+   store on an in-memory tree, one process is killed (descriptors closed;
+   a disk that lied loses what it never synced), its files are damaged
+   post mortem, and a fresh process recovers solely from what the tree
+   holds.  Acceptable outcomes are exactly two: the run is
    oracle-certified (damage repaired by truncate-and-replay plus sender
    retransmission), or the data loss is detected and reported at reopen.
    An oracle violation with no reported damage is silent wrong state and
@@ -733,36 +734,29 @@ let durability ?(n = 6) ?(seeds = default_seeds) () =
   in
   let k = 2 in
   let one_run ~seed ~fault =
-    let root = Durable.Temp.fresh_dir ~prefix:"e12" () in
-    Fun.protect
-      ~finally:(fun () -> Durable.Temp.rm_rf root)
-      (fun () ->
-        let config = Config.harden (Config.k_optimistic ~n ~k ()) in
-        let cluster =
-          Cluster.create ~config ~app:App_model.Telecom_app.app ~seed
-            ~horizon:1500. ~store_root:root ()
-        in
-        let rng = Sim.Rng.create (seed * 7919) in
-        Workload.telecom cluster ~rng ~calls:60 ~hops:4 ~start:10. ~rate:1.0;
-        Cluster.kill_at cluster ~time:60. ~pid:2 ?storage_fault:fault ();
-        Cluster.run cluster;
-        let oracle = Oracle.check ~k ~n (Cluster.trace cluster) in
-        let reports = Cluster.storage_reports cluster in
-        let damaged =
-          List.exists
-            (fun (_, _, note, report) ->
-              note <> "none" || Durable.Durable_store.damaged report)
-            reports
-        in
-        if (not (Oracle.ok oracle)) && not damaged then
-          failwith
-            (Fmt.str
-               "E12: silent wrong state (seed %d, fault %a): %a with no reported \
-                storage damage"
-               seed
-               Fmt.(option ~none:(any "none") Durable.Pp.fault)
-               fault Oracle.pp_report oracle);
-        (oracle, reports, Cluster.stats cluster))
+    let config = Config.harden (Config.k_optimistic ~n ~k ()) in
+    let cluster =
+      Cluster.create ~config ~app:App_model.Telecom_app.app ~seed ~horizon:1500. ()
+    in
+    let rng = Sim.Rng.create (seed * 7919) in
+    Workload.telecom cluster ~rng ~calls:60 ~hops:4 ~start:10. ~rate:1.0;
+    Cluster.kill_at cluster ~time:60. ~pid:2 ?storage_fault:fault ();
+    Cluster.run cluster;
+    let oracle = Oracle.check ~k ~n (Cluster.trace cluster) in
+    let reports = Cluster.storage_reports cluster in
+    let damaged =
+      List.exists
+        (fun (_, _, note, report) -> note <> "none" || Durable.Durable_store.damaged report)
+        reports
+    in
+    if (not (Oracle.ok oracle)) && not damaged then
+      failwith
+        (Fmt.str
+           "E12: silent wrong state (seed %d, fault %a): %a with no reported storage damage"
+           seed
+           Fmt.(option ~none:(any "none") Durable.Pp.fault)
+           fault Oracle.pp_report oracle);
+    (oracle, reports, Cluster.stats cluster)
   in
   let row name fault =
     let runs = List.map (fun seed -> one_run ~seed ~fault) seeds in

@@ -87,7 +87,7 @@ let e17_run ~k ~ops ~brownout_rounds ~seed ~label report =
          window.  The post-window burst outnumbers the window so the
          backlog provably drains through a succeeding flush before the
          run ends. *)
-      Deployment.arm_brownout t ~dst:0 ~rounds:brownout_rounds ();
+      Deployment.arm_brownout t ~dst:0 ~rounds:brownout_rounds;
       burst t ~dst:0 ~tag:"brownout" ~count:ops ~seed;
       burst t ~dst:0 ~tag:"drain" ~count:(brownout_rounds + 8) ~seed;
       settle ~stage:"brownout";

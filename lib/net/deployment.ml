@@ -153,12 +153,16 @@ let spawn ?(join = false) t node =
   node.os_pid <- os_pid
 
 (* Control connection: one persistent TCP connection per daemon, re-dialled
-   lazily after a kill. *)
-let rec ctl_fd ?(attempts = 100) node =
+   lazily after a kill.  A refused connect is redialled after 1 ms, then
+   2, 4, ... up to 50 ms between dials, until [budget] seconds of waiting
+   are spent: a daemon whose socket listens a few ms after its spawn is
+   reached within a few ms of listening, and a dead one is given up on
+   after [budget]. *)
+let rec ctl_fd ?(budget = 5.) ?(delay = 0.001) node =
   match node.ctl with
   | Some fd -> Some fd
   | None ->
-    if attempts = 0 then None
+    if budget <= 0. then None
     else begin
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       (* Daemons respawned later must not inherit the driver's control
@@ -182,8 +186,8 @@ let rec ctl_fd ?(attempts = 100) node =
         Some fd
       | exception Unix.Unix_error _ ->
         Wire_codec.close_quiet fd;
-        Unix.sleepf 0.05;
-        ctl_fd ~attempts:(attempts - 1) node
+        Unix.sleepf delay;
+        ctl_fd ~budget:(budget -. delay) ~delay:(Float.min 0.05 (2. *. delay)) node
     end
 
 let ctl_drop node =
@@ -362,8 +366,8 @@ let add_node t =
   spawn ~join:true t node;
   pid
 
-let arm_brownout t ~dst ?slow ~rounds () =
-  ignore (ctl_send t.nodes.(dst) (Wire_codec.Arm_brownout { slow; rounds }) : bool)
+let arm_brownout t ~dst ~rounds =
+  ignore (ctl_send t.nodes.(dst) (Wire_codec.Arm_brownout { rounds }) : bool)
 
 let kill t ~dst =
   kill_only t ~dst;
@@ -575,7 +579,7 @@ let wait_exit node =
 let quit_node node =
   if node.os_pid < 0 then () (* already gone (retired or reaped) *)
   else
-    match ctl_fd ~attempts:10 node with
+    match ctl_fd ~budget:0.5 node with
     | None -> reap node
     | Some fd ->
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;

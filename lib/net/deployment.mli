@@ -147,11 +147,9 @@ val rolling_restart : ?timeout:float -> t -> bool
     to {!settle} between victims so at most one process is down at a time.
     [false] if any settle timed out. *)
 
-val arm_brownout :
-  t -> dst:int -> ?slow:float -> rounds:int -> unit -> unit
-(** Degrade daemon [dst]'s store for its next [rounds] flush rounds: with
-    [slow] each fsync stretches by that many seconds; without it, flushes
-    refuse as if the disk were full (ENOSPC brownout).  Degradation is
+val arm_brownout : t -> dst:int -> rounds:int -> unit
+(** Daemon [dst]'s store refuses its next [rounds] flushes as if the disk
+    were full (ENOSPC brownout).  Degradation is
     graceful: refused records stay volatile and the K-rule keeps the
     daemon's sends gated, so correctness is never traded for progress. *)
 

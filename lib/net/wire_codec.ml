@@ -3,7 +3,7 @@ module Wire = Recovery.Wire
 module App_intf = App_model.App_intf
 module Codec = Durable.Codec
 
-let version = 3
+let version = 4
 
 let max_frame_payload = 16 * 1024 * 1024
 
@@ -556,7 +556,7 @@ type 'msg control =
   | Bye
   | Add_peer of { pid : int; port : int }
   | Retire_req
-  | Arm_brownout of { slow : float option; rounds : int }
+  | Arm_brownout of { rounds : int }
   | Stats_req
   | Stats of string
 
@@ -596,9 +596,7 @@ let encode_control (wf : 'msg App_intf.wire_format) (c : 'msg control) =
   | Add_peer { pid; port } ->
     put_int b pid;
     put_int b port
-  | Arm_brownout { slow; rounds } ->
-    put_option b put_float slow;
-    put_int b rounds
+  | Arm_brownout { rounds } -> put_int b rounds
   | Status s ->
     put_bool b s.st_up;
     put_int b s.st_pending;
@@ -666,11 +664,7 @@ let decode_control_body (wf : 'msg App_intf.wire_format) ~kind body =
         else if kind = k_retire_req then Retire_req
         else if kind = k_stats_req then Stats_req
         else if kind = k_stats then Stats (get_string c)
-        else if kind = k_arm_brownout then begin
-          let slow = get_option c get_float in
-          let rounds = get_int c in
-          Arm_brownout { slow; rounds }
-        end
+        else if kind = k_arm_brownout then Arm_brownout { rounds = get_int c }
         else fail c (Printf.sprintf "unknown control kind %d" kind))
       body
 

@@ -20,7 +20,7 @@
     Per-packet layouts are specified in PROTOCOL.md §Wire format. *)
 
 val version : int
-(** 3: the version every stream's opening Hello carries. *)
+(** 4: the version every stream's opening Hello carries. *)
 
 val max_frame_payload : int
 (** Upper bound a socket reader enforces on the advertised payload length
@@ -151,10 +151,9 @@ type 'msg control =
   | Retire_req
       (** graceful permanent leave: flush, broadcast {!Recovery.Wire.packet.Retire},
           then drain and exit like [Quit] *)
-  | Arm_brownout of { slow : float option; rounds : int }
-      (** degrade the daemon's store for the next [rounds] flush rounds:
-          with [slow = Some d] each fsync is stretched by [d] seconds,
-          with [slow = None] flushes refuse as if the disk were full *)
+  | Arm_brownout of { rounds : int }
+      (** the daemon's store refuses its next [rounds] flushes as if the
+          disk were full *)
   | Stats_req
       (** scrape the daemon's live metric registry *)
   | Stats of string

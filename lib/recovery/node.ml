@@ -2543,12 +2543,7 @@ let dedup_sizes t =
     Hashtbl.length t.held,
     Hashtbl.fold (fun _ runs acc -> acc + Seq_set.run_count runs) t.chans 0 )
 
-let arm_storage_fsync_failure t = Store.arm_fsync_failure t.store
-
 let arm_storage_disk_full t ~rounds = Store.arm_disk_full t.store ~rounds
-
-let arm_storage_slow_fsync t ~delay ~rounds =
-  Store.arm_slow_fsync t.store ~delay ~rounds
 
 (* ------------------------------------------------------------------ *)
 (* Membership                                                          *)

@@ -131,22 +131,16 @@ let test_disk_full_brownout () =
 (* A joiner's config counts itself, so its respawn must be built from
    that config, not the launch one (which has no slot for it). *)
 let test_joiner_respawns () =
-  let root = Durable.Temp.fresh_dir ~prefix:"churn-join-kill" () in
-  Fun.protect
-    ~finally:(fun () -> Durable.Temp.rm_rf root)
-    (fun () ->
-      let c =
-        Cluster.create ~config:(config ()) ~app:Counter.app ~horizon:600. ~store_root:root ()
-      in
-      Cluster.join_at c ~time:50. ~pid:3;
-      Cluster.inject_at c ~time:80. ~dst:3 (Counter.Add 5);
-      Cluster.kill_at c ~time:120. ~pid:3 ();
-      Cluster.inject_at c ~time:200. ~dst:3 (Counter.Add 7);
-      Cluster.inject_at c ~time:210. ~dst:0 (Counter.Forward { dst = 3; amount = 2 });
-      Cluster.run c;
-      Alcotest.(check int) "joiner respawned" 1 (Util.total (Cluster.stats c) "restarts");
-      Alcotest.(check int) "joiner delivers after its respawn" 14 (total c 3);
-      ignore (certify c : Harness.Oracle.report))
+  let c = Cluster.create ~config:(config ()) ~app:Counter.app ~horizon:600. () in
+  Cluster.join_at c ~time:50. ~pid:3;
+  Cluster.inject_at c ~time:80. ~dst:3 (Counter.Add 5);
+  Cluster.kill_at c ~time:120. ~pid:3 ();
+  Cluster.inject_at c ~time:200. ~dst:3 (Counter.Add 7);
+  Cluster.inject_at c ~time:210. ~dst:0 (Counter.Forward { dst = 3; amount = 2 });
+  Cluster.run c;
+  Alcotest.(check int) "joiner respawned" 1 (Util.total (Cluster.stats c) "restarts");
+  Alcotest.(check int) "joiner delivers after its respawn" 14 (total c 3);
+  ignore (certify c : Harness.Oracle.report)
 
 (* A death loses what only the dead process knew, as a daemon's does:
    retirements it heard (nothing logs them) and a brownout armed on its

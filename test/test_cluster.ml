@@ -198,47 +198,43 @@ let test_busy_gating_serializes_node () =
    duplication, a crash, a cascade and two kills respawned from disk, the
    two sources must agree exactly. *)
 let test_stats_agree_with_trace () =
-  let root = Durable.Temp.fresh_dir ~prefix:"test-stats-trace" () in
-  Fun.protect
-    ~finally:(fun () -> Durable.Temp.rm_rf root)
-    (fun () ->
-      let config = Config.harden (Config.k_optimistic ~n:4 ~k:2 ()) in
-      let fault_plan =
-        { Harness.Netmodel.benign with loss = 0.05; duplicate = 0.05; reorder = 0.1;
-          reorder_spread = 5. }
-      in
-      let c =
-        Cluster.create ~config ~app:App_model.Telecom_app.app ~seed:21 ~horizon:1500.
-          ~fault_plan ~store_root:root ()
-      in
-      Harness.Workload.telecom c ~rng:(Sim.Rng.create 21) ~calls:60 ~hops:4 ~start:10.
-        ~rate:1.0;
-      Cluster.crash_at c ~time:30. ~pid:1;
-      Cluster.cascade_crash_at c ~time:45. ~pids:[ 2; 3 ] ();
-      Cluster.kill_at c ~time:60. ~pid:0 ();
-      Cluster.kill_at c ~time:80. ~pid:2 ();
-      Cluster.run c;
-      let oracle = Harness.Oracle.check ~k:2 ~n:4 (Cluster.trace c) in
-      Alcotest.(check (list string)) "certified" [] oracle.Harness.Oracle.violations;
-      Alcotest.(check int) "every crash and kill respawned" 5
-        (List.length (Cluster.storage_reports c));
-      let count p =
-        List.length
-          (List.filter (fun e -> p e.Recovery.Trace.ev) (Recovery.Trace.events (Cluster.trace c)))
-      in
-      let s = Cluster.stats c in
-      let deliveries = Util.total s "deliveries" in
-      Alcotest.(check bool) "crashes and kills restarted nodes" true
-        (Util.total s "restarts" >= 5);
-      Alcotest.(check int) "deliveries = live Message_delivered" deliveries
-        (count (function Recovery.Trace.Message_delivered _ -> true | _ -> false));
-      Alcotest.(check int) "releases = Message_released" (Util.total s "releases")
-        (count (function Recovery.Trace.Message_released _ -> true | _ -> false));
-      Alcotest.(check int) "outputs_committed = Output_committed"
-        (Util.total s "outputs_committed")
-        (count (function Recovery.Trace.Output_committed _ -> true | _ -> false));
-      Alcotest.(check int) "one delay sample per delivery" deliveries
-        (Sim.Summary.count s.delivery_delay))
+  let config = Config.harden (Config.k_optimistic ~n:4 ~k:2 ()) in
+  let fault_plan =
+    { Harness.Netmodel.benign with loss = 0.05; duplicate = 0.05; reorder = 0.1;
+      reorder_spread = 5. }
+  in
+  let c =
+    Cluster.create ~config ~app:App_model.Telecom_app.app ~seed:21 ~horizon:1500.
+      ~fault_plan ()
+  in
+  Harness.Workload.telecom c ~rng:(Sim.Rng.create 21) ~calls:60 ~hops:4 ~start:10.
+    ~rate:1.0;
+  Cluster.crash_at c ~time:30. ~pid:1;
+  Cluster.cascade_crash_at c ~time:45. ~pids:[ 2; 3 ] ();
+  Cluster.kill_at c ~time:60. ~pid:0 ();
+  Cluster.kill_at c ~time:80. ~pid:2 ();
+  Cluster.run c;
+  let oracle = Harness.Oracle.check ~k:2 ~n:4 (Cluster.trace c) in
+  Alcotest.(check (list string)) "certified" [] oracle.Harness.Oracle.violations;
+  Alcotest.(check int) "every crash and kill respawned" 5
+    (List.length (Cluster.storage_reports c));
+  let count p =
+    List.length
+      (List.filter (fun e -> p e.Recovery.Trace.ev) (Recovery.Trace.events (Cluster.trace c)))
+  in
+  let s = Cluster.stats c in
+  let deliveries = Util.total s "deliveries" in
+  Alcotest.(check bool) "crashes and kills restarted nodes" true
+    (Util.total s "restarts" >= 5);
+  Alcotest.(check int) "deliveries = live Message_delivered" deliveries
+    (count (function Recovery.Trace.Message_delivered _ -> true | _ -> false));
+  Alcotest.(check int) "releases = Message_released" (Util.total s "releases")
+    (count (function Recovery.Trace.Message_released _ -> true | _ -> false));
+  Alcotest.(check int) "outputs_committed = Output_committed"
+    (Util.total s "outputs_committed")
+    (count (function Recovery.Trace.Output_committed _ -> true | _ -> false));
+  Alcotest.(check int) "one delay sample per delivery" deliveries
+    (Sim.Summary.count s.delivery_delay)
 
 let suite =
   [

@@ -201,87 +201,83 @@ let test_gc_cluster_run_equivalent () =
    restart from those files must certify. *)
 let test_gc_durable_anchor () =
   let module Kv = App_model.Kvstore_app in
-  let root = Durable.Temp.fresh_dir ~prefix:"test-gc-durable" () in
-  Fun.protect
-    ~finally:(fun () -> Durable.Temp.rm_rf root)
-    (fun () ->
-      let n = 2 in
-      let c =
-        Harness.Cluster.create ~config:(gc_config ~k:1 ~n ()) ~app:Kv.app ~seed:21
-          ~horizon:1000. ~auto_timers:false ~store_root:root ()
-      in
-      let key_of owner =
-        List.find (fun k -> Kv.owner ~n k = owner) (List.init 50 (Printf.sprintf "k%d"))
-      in
-      let inject time dst msg = Harness.Cluster.inject_at c ~time ~dst msg in
-      (* Enough of P0's own deliveries before A to fill a few 64 KiB log
-         segments, paced so P0 keeps up.  Replicas send nothing and
-         output nothing. *)
-      for i = 1 to 1200 do
-        inject (float_of_int i *. 0.3) 0
-          (Kv.Replica { key = key_of 0; value = i; version = i })
-      done;
-      inject 400. 1 (Kv.Put { key = key_of 1; value = 1 });
-      Harness.Cluster.checkpoint_at c ~time:420. ~pid:0;
-      Harness.Cluster.flush_at c ~time:440. ~pid:1;
-      Harness.Cluster.notice_at c ~time:450. ~pid:1;
-      inject 470. 1 (Kv.Put { key = key_of 1; value = 2 });
-      Harness.Cluster.checkpoint_at c ~time:500. ~pid:0;
-      Harness.Cluster.kill_at c ~time:530. ~pid:0 ();
-      inject 700. 0 (Kv.Get (key_of 1));
+  let n = 2 in
+  let c =
+    Harness.Cluster.create ~config:(gc_config ~k:1 ~n ()) ~app:Kv.app ~seed:21
+      ~horizon:1000. ~auto_timers:false ()
+  in
+  let key_of owner =
+    List.find (fun k -> Kv.owner ~n k = owner) (List.init 50 (Printf.sprintf "k%d"))
+  in
+  let inject time dst msg = Harness.Cluster.inject_at c ~time ~dst msg in
+  (* Enough of P0's own deliveries before A to fill a few 64 KiB log
+     segments, paced so P0 keeps up.  Replicas send nothing and
+     output nothing. *)
+  for i = 1 to 1200 do
+    inject (float_of_int i *. 0.3) 0
+      (Kv.Replica { key = key_of 0; value = i; version = i })
+  done;
+  inject 400. 1 (Kv.Put { key = key_of 1; value = 1 });
+  Harness.Cluster.checkpoint_at c ~time:420. ~pid:0;
+  Harness.Cluster.flush_at c ~time:440. ~pid:1;
+  Harness.Cluster.notice_at c ~time:450. ~pid:1;
+  inject 470. 1 (Kv.Put { key = key_of 1; value = 2 });
+  Harness.Cluster.checkpoint_at c ~time:500. ~pid:0;
+  Harness.Cluster.kill_at c ~time:530. ~pid:0 ();
+  inject 700. 0 (Kv.Get (key_of 1));
+  List.iter
+    (fun time ->
       List.iter
-        (fun time ->
-          List.iter
-            (fun pid ->
-              Harness.Cluster.flush_at c ~time ~pid;
-              Harness.Cluster.notice_at c ~time:(time +. 10.) ~pid)
-            [ 0; 1 ])
-        [ 750.; 800.; 850. ];
-      Harness.Cluster.run c;
-      let oracle = Harness.Oracle.check ~k:1 ~n (Harness.Cluster.trace c) in
-      if not (Harness.Oracle.ok oracle) then
-        Alcotest.failf "oracle: %a" Harness.Oracle.pp_report oracle;
-      (match Harness.Cluster.storage_reports c with
-      | [ (0, _, "none", report) ] ->
-        Alcotest.(check bool) "clean reopen" false (Store.damaged report)
-      | _ -> Alcotest.fail "expected one clean respawn of P0");
-      let dir = Filename.concat root "p0" in
-      let present name = Sys.file_exists (Filename.concat dir name) in
-      Alcotest.(check bool) "initial checkpoint file pruned" false
-        (present "ckpt-000000000000.dat");
-      Alcotest.(check bool) "anchor checkpoint file kept" true
-        (present "ckpt-000000000001.dat");
-      Alcotest.(check bool) "first log segment deleted" false
-        (present "seg-000000000000.dat");
-      let p0 = Harness.Cluster.node c 0 in
-      Alcotest.(check bool) "log prefix reclaimed" true
-        (Node.live_log_records p0 < Node.stable_log_length p0);
-      (* P0 is quiescent at the horizon: a second handle reads its sync
-         area, then closes without touching the files. *)
-      let store, _ = Durable.Durable_store.open_ ~fs:Durable.Fs.unix ~dir () in
-      let stubs =
-        List.filter_map
-          (function Wire.Gc_stubs gs -> Some gs | _ -> None)
-          (Durable.Durable_store.announcements
-             (store : (unit, unit, Wire.sync_record) Durable.Durable_store.t))
-      in
-      Durable.Durable_store.kill store;
-      let covered, entries =
-        List.fold_left
-          (fun (covered, entries) (gs : Wire.stubs) ->
-            let runs = List.concat_map (fun (_, _, runs) -> runs) gs.gs_runs in
-            ( covered
-              + List.fold_left (fun acc (lo, hi) -> acc + hi - lo + 1) 0 runs
-              + List.length gs.gs_exact,
-              entries + List.length runs + List.length gs.gs_exact ))
-          (0, 0) stubs
-      in
-      Alcotest.(check bool) "collected deliveries persisted as Gc_stubs" true
-        (covered >= 1200);
-      (* The collected client injections are numbered 0, 1, 2, ... on one
-         channel, so they persist as runs, not one entry each. *)
-      if entries > 10 then
-        Alcotest.failf "Gc_stubs hold %d entries for %d deliveries" entries covered)
+        (fun pid ->
+          Harness.Cluster.flush_at c ~time ~pid;
+          Harness.Cluster.notice_at c ~time:(time +. 10.) ~pid)
+        [ 0; 1 ])
+    [ 750.; 800.; 850. ];
+  Harness.Cluster.run c;
+  let oracle = Harness.Oracle.check ~k:1 ~n (Harness.Cluster.trace c) in
+  if not (Harness.Oracle.ok oracle) then
+    Alcotest.failf "oracle: %a" Harness.Oracle.pp_report oracle;
+  (match Harness.Cluster.storage_reports c with
+  | [ (0, _, "none", report) ] ->
+    Alcotest.(check bool) "clean reopen" false (Store.damaged report)
+  | _ -> Alcotest.fail "expected one clean respawn of P0");
+  let fs, dir = Harness.Cluster.store c 0 in
+  let present name = fs.exists (Durable.Path.concat dir name) in
+  Alcotest.(check bool) "initial checkpoint file pruned" false
+    (present "ckpt-000000000000.dat");
+  Alcotest.(check bool) "anchor checkpoint file kept" true
+    (present "ckpt-000000000001.dat");
+  Alcotest.(check bool) "first log segment deleted" false
+    (present "seg-000000000000.dat");
+  let p0 = Harness.Cluster.node c 0 in
+  Alcotest.(check bool) "log prefix reclaimed" true
+    (Node.live_log_records p0 < Node.stable_log_length p0);
+  (* P0 is quiescent at the horizon: a second handle reads its sync
+     area, then closes without touching the files. *)
+  let store, _ = Durable.Durable_store.open_ ~fs ~dir () in
+  let stubs =
+    List.filter_map
+      (function Wire.Gc_stubs gs -> Some gs | _ -> None)
+      (Durable.Durable_store.announcements
+         (store : (unit, unit, Wire.sync_record) Durable.Durable_store.t))
+  in
+  Durable.Durable_store.kill store;
+  let covered, entries =
+    List.fold_left
+      (fun (covered, entries) (gs : Wire.stubs) ->
+        let runs = List.concat_map (fun (_, _, runs) -> runs) gs.gs_runs in
+        ( covered
+          + List.fold_left (fun acc (lo, hi) -> acc + hi - lo + 1) 0 runs
+          + List.length gs.gs_exact,
+          entries + List.length runs + List.length gs.gs_exact ))
+      (0, 0) stubs
+  in
+  Alcotest.(check bool) "collected deliveries persisted as Gc_stubs" true
+    (covered >= 1200);
+  (* The collected client injections are numbered 0, 1, 2, ... on one
+     channel, so they persist as runs, not one entry each. *)
+  if entries > 10 then
+    Alcotest.failf "Gc_stubs hold %d entries for %d deliveries" entries covered
 
 let suite =
   [

@@ -779,6 +779,83 @@ let test_control_wrong_version () =
       | Some _ | None -> Alcotest.fail "a current Hello got no Status reply");
       certify ~k:1 (Deployment.finish t))
 
+(* A driver's first control dial usually lands a few ms before the
+   daemon's socket listens.  A stand-in daemon (a forked child, over the
+   port of a launch whose executable exits at once) starts listening 5 ms
+   after the driver starts dialling and answers one Status: the driver's
+   redial must reach it within a few ms of the listen, not at the next
+   tick of a fixed 50 ms retry (~45 ms after it). *)
+let test_control_redial_backoff () =
+  with_deployment ~prefix:"test-net-redial"
+    (fun ~root -> Deployment.launch ~n:1 ~k:1 ~seed:19 ~root ~exe:"/bin/true" ())
+    (fun t ->
+      let port = Deployment.control_port t ~dst:0 in
+      let go_rd, go_wr = Unix.pipe () and at_rd, at_wr = Unix.pipe () in
+      let request =
+        Net.Wire_codec.hello ~pid:(-1)
+        ^ Net.Wire_codec.encode_control App.wire Net.Wire_codec.Status_req
+      in
+      match Unix.fork () with
+      | 0 ->
+        (try
+           ignore (Unix.read go_rd (Bytes.create 1) 0 1 : int);
+           Unix.sleepf 0.005;
+           let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+           Unix.setsockopt s Unix.SO_REUSEADDR true;
+           Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+           Unix.listen s 1;
+           let at = Printf.sprintf "%.6f\n" (Unix.gettimeofday ()) in
+           ignore (Unix.write_substring at_wr at 0 (String.length at) : int);
+           let c, _ = Unix.accept s in
+           (* Read the whole request first, so the close below is a FIN,
+              not a reset that could discard the reply. *)
+           let b = Bytes.create (String.length request) in
+           let rec fill pos =
+             if pos < Bytes.length b then
+               match Unix.read c b pos (Bytes.length b - pos) with
+               | 0 -> ()
+               | n -> fill (pos + n)
+           in
+           fill 0;
+           let status =
+             {
+               Net.Wire_codec.st_up = true;
+               st_pending = 0;
+               st_send_buf = 0;
+               st_recv_buf = 0;
+               st_out_buf = 0;
+               st_deliveries = 0;
+               st_trace_len = 0;
+               st_current = Depend.Entry.initial;
+               st_recovering = false;
+               st_replay_pending = 0;
+             }
+           in
+           ignore
+             (Net.Wire_codec.write_all c
+                (Net.Wire_codec.encode_control App.wire (Net.Wire_codec.Status status))
+               : bool);
+           Unix.close c;
+           Unix._exit 0
+         with _ -> Unix._exit 1)
+      | child ->
+        let _ : int = Unix.write_substring go_wr "g" 0 1 in
+        let answered = Deployment.status t ~dst:0 in
+        let replied = Unix.gettimeofday () in
+        let listening =
+          let b = Bytes.create 64 in
+          let n = Unix.read at_rd b 0 64 in
+          float_of_string (String.trim (Bytes.sub_string b 0 n))
+        in
+        let _, exit = Unix.waitpid [] child in
+        List.iter Unix.close [ go_rd; go_wr; at_rd; at_wr ];
+        Alcotest.(check bool) "the stand-in exited cleanly" true (exit = Unix.WEXITED 0);
+        Alcotest.(check bool) "status answered" true (answered <> None);
+        let after = replied -. listening in
+        if after > 0.025 then
+          Alcotest.failf "answered %.1f ms after the socket listened (want < 25 ms)"
+            (after *. 1000.))
+
 (* A control client that hangs up with requests still queued: the daemon
    must not close the descriptor before it has answered them, or a reply
    can land on whatever reuses the number in between — a fresh segment
@@ -849,4 +926,6 @@ let suite =
       test_proxy_partitions;
     Alcotest.test_case "redial backs off from a peer that cuts every stream" `Quick
       test_redial_backs_off;
+    Alcotest.test_case "control redial backs off from 1 ms" `Quick
+      test_control_redial_backoff;
   ]

@@ -125,10 +125,7 @@ let gen_control =
       (1, return Wire_codec.Bye);
       (1, map2 (fun pid port -> Wire_codec.Add_peer { pid; port }) gen_pid small_nat);
       (1, return Wire_codec.Retire_req);
-      ( 1,
-        map2
-          (fun slow rounds -> Wire_codec.Arm_brownout { slow; rounds })
-          (option gen_time) (int_bound 5) );
+      (1, map (fun rounds -> Wire_codec.Arm_brownout { rounds }) (int_bound 5));
       (1, return Wire_codec.Stats_req);
       (* Stats carries an opaque exposition text; the codec must pass any
          bytes through, newlines and quotes included. *)
