@@ -263,22 +263,23 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
     incr incoming_n
   in
 
-  (* Transport: frames from peers become batch events; decode failures
-     are reported on stderr (and counted by the transport), never lost. *)
+  (* Transport: frames from peers become batch events; a payload that
+     does not decode is returned to the transport, which counts it in
+     [transport_decode_errors_total] and reports it on stderr. *)
   let on_error msg = Printf.eprintf "[koptnode %d] %s\n%!" pid msg in
   let on_frame ~src:_ ~kind ~body =
     if kind = Wire_codec.app_notice_kind then
       (* Piggybacked logging progress: absorb the notice before the app
          message it rode in on, as if it had arrived just ahead of it. *)
-      match Wire_codec.decode_data_body wire ~kind body with
-      | Ok (m, notice) ->
-        Option.iter (fun nt -> add_event (From_net (Recovery.Wire.Notice nt))) notice;
-        add_event (From_net (Recovery.Wire.App m))
-      | Error e -> on_error (Printf.sprintf "undecodable data frame (kind %d): %s" kind e)
+      Result.map
+        (fun (m, notice) ->
+          Option.iter (fun nt -> add_event (From_net (Recovery.Wire.Notice nt))) notice;
+          add_event (From_net (Recovery.Wire.App m)))
+        (Wire_codec.decode_data_body wire ~kind body)
     else
-      match Wire_codec.decode_packet_body wire ~kind body with
-      | Ok packet -> add_event (From_net packet)
-      | Error e -> on_error (Printf.sprintf "undecodable packet (kind %d): %s" kind e)
+      Result.map
+        (fun packet -> add_event (From_net packet))
+        (Wire_codec.decode_packet_body wire ~kind body)
   in
   let transport = Transport.create ~self:pid ~listen_port ~peers ~on_frame ~on_error ~obs () in
   let dispatch actions =

@@ -47,6 +47,8 @@ let root t = t.root
 
 let control_port t ~dst = t.nodes.(dst).control_port
 
+let data_port t ~dst = t.nodes.(dst).data_port
+
 let store_dir t ~dst = t.nodes.(dst).store_dir
 
 let epoch t = t.epoch

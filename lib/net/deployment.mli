@@ -70,6 +70,9 @@ val root : t -> string
 val control_port : t -> dst:int -> int
 (** Daemon [dst]'s control port on loopback, for a client of its own. *)
 
+val data_port : t -> dst:int -> int
+(** Daemon [dst]'s peer port on loopback (its own, not a proxy's). *)
+
 val store_dir : t -> dst:int -> string
 (** Daemon [dst]'s durable store directory (under {!root}). *)
 

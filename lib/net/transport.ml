@@ -39,7 +39,7 @@ type t = {
   hello : string;
   mutable peers : peer list;
   mutable inbound : inbound list;
-  on_frame : src:int -> kind:int -> body:string -> unit;
+  on_frame : src:int -> kind:int -> body:string -> (unit, string) result;
   on_error : string -> unit;
   max_queue : int;
   backoff_base : float;
@@ -102,9 +102,16 @@ let rec deliver t c =
       | Error e -> reject (Printf.sprintf "inbound connection refused: %s" e))
     | Some src ->
       bump t c_received;
-      (try t.on_frame ~src ~kind ~body
-       with exn ->
-         t.on_error (Printf.sprintf "frame handler raised: %s" (Printexc.to_string exn)));
+      (* A well-framed payload that does not decode is counted and
+         reported like a framing error; the stream is still in step, so
+         the connection lives on. *)
+      (match t.on_frame ~src ~kind ~body with
+      | Ok () -> ()
+      | Error e ->
+        bump t c_decode_errors;
+        t.on_error (Printf.sprintf "undecodable frame (kind %d) from %d: %s" kind src e)
+      | exception exn ->
+        t.on_error (Printf.sprintf "frame handler raised: %s" (Printexc.to_string exn)));
       deliver t c)
 
 (* Read [c] until the socket has nothing more, as a dedicated reader

@@ -47,7 +47,7 @@ val create :
   self:int ->
   listen_port:int ->
   peers:(int * int) list ->
-  on_frame:(src:int -> kind:int -> body:string -> unit) ->
+  on_frame:(src:int -> kind:int -> body:string -> (unit, string) result) ->
   ?on_error:(string -> unit) ->
   ?max_queue:int ->
   ?backoff_base:float ->
@@ -57,7 +57,10 @@ val create :
   t
 (** [peers] maps peer pid to the TCP port to dial (the peer's own listen
     port, or a fault proxy standing in front of it).  [on_frame] is called
-    from {!service} (and so from {!poll}), once per checked frame.
+    from {!service} (and so from {!poll}), once per checked frame; an
+    [Error] (a payload that does not decode) is counted in
+    [transport_decode_errors_total] and reported through [on_error], and
+    the connection, still in step, stays open.
     [max_queue] (default 1024) bounds each peer's pending frames.  Backoff
     starts at [backoff_base] (default 0.05 s) and doubles to
     [backoff_cap] (default 2 s) with each failed dial, and with each

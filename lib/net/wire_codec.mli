@@ -14,8 +14,9 @@
 
     Decode failures are {e reported} — every decoding function returns a
     [result], and the transport counts and surfaces them — never silently
-    dropped.  Integers inside payloads are int64 LE; strings are
-    u32-length-prefixed bytes; application payloads go through the
+    dropped.  Each payload's layout is one {!Durable.Form} value, which
+    both writes and reads it: integers are int64 LE, strings an int64
+    length then the bytes; application payloads go through the
     {!App_model.App_intf.wire_format} the application provides.
     Per-packet layouts are specified in PROTOCOL.md §Wire format. *)
 
@@ -191,64 +192,15 @@ val read_control :
     ({!decode_control_body}), [None] once the connection
     is finished or carries anything but a well-formed control frame. *)
 
-(** {1 Primitive readers/writers}
+(** {1 Payload forms}
 
-    Shared with {!Trace_codec}; exposed for it and for tests. *)
+    The {!Durable.Form}s of the records packets are made of, shared with
+    {!Trace_codec}. *)
 
-module Prim : sig
-  val put_int : Buffer.t -> int -> unit
+val entry : Depend.Entry.t Durable.Form.t
 
-  val put_float : Buffer.t -> float -> unit
+val identity : Recovery.Wire.identity Durable.Form.t
 
-  val put_string : Buffer.t -> string -> unit
+val announcement : Recovery.Wire.announcement Durable.Form.t
 
-  val put_bool : Buffer.t -> bool -> unit
-
-  val put_entry : Buffer.t -> Depend.Entry.t -> unit
-
-  val put_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
-
-  val put_option : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a option -> unit
-
-  val put_identity : Buffer.t -> Recovery.Wire.identity -> unit
-
-  val put_announcement : Buffer.t -> Recovery.Wire.announcement -> unit
-
-  val put_output_id : Buffer.t -> Recovery.Wire.output_id -> unit
-
-  (** A cursor over a payload string.  Readers raise [Failure] on
-      malformed input; the [decode_*] entry points catch it and return
-      [Error]. *)
-  type cursor
-
-  val cursor : string -> cursor
-
-  val finished : cursor -> bool
-
-  val fail : cursor -> string -> 'a
-
-  val get_u8 : cursor -> int
-
-  val get_int : cursor -> int
-
-  val get_float : cursor -> float
-
-  val get_string : cursor -> string
-
-  val get_bool : cursor -> bool
-
-  val get_entry : cursor -> Depend.Entry.t
-
-  val get_list : cursor -> (cursor -> 'a) -> 'a list
-
-  val get_option : cursor -> (cursor -> 'a) -> 'a option
-
-  val get_identity : cursor -> Recovery.Wire.identity
-
-  val get_announcement : cursor -> Recovery.Wire.announcement
-
-  val get_output_id : cursor -> Recovery.Wire.output_id
-
-  val run : (cursor -> 'a) -> string -> ('a, string) result
-  (** Apply a reader to a whole payload; trailing bytes are an error. *)
-end
+val output_id : Recovery.Wire.output_id Durable.Form.t
