@@ -7,7 +7,9 @@
       certifies each run, so a printed table implies a correct execution.
    2. Micro-benchmarks (B1–B9, B13, Bechamel): cost of the protocol's hot
       data structures, of one protocol step and of a restart, which is
-      what the paper's "failure-free overhead" and recovery are made of.
+      what the paper's "failure-free overhead" and recovery are made of;
+      and B14, an exact count: the synchronous area's fsyncs per output
+      a flush commits.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- micro   # micro-benchmarks only
@@ -252,6 +254,41 @@ let bench_durable_flush () =
          done;
          ignore (Durable.Durable_store.flush store : int)))
 
+(* B14: fsyncs of the synchronous area per committed output, counted
+   exactly on the in-memory tree.  Fifty flushes each commit eight
+   outputs (Counter's [Report]); every fsync a flush issues is counted at
+   [before_fsync], less the log's (its [flush_rounds_total]).  A step's
+   output-commit records share one fsync, so this reads 1/8; one fsync
+   per record reads 1.  [check] fails it above [sync_fsyncs_bound]. *)
+let sync_fsyncs_name = "B14 durable: sync-area fsyncs per committed output"
+
+let sync_fsyncs_bound = 0.25
+
+let sync_fsyncs_per_output () =
+  let tree = Durable.Fs.Mem.create () in
+  let node =
+    Node.create_on ~fs:(Durable.Fs.Mem.fs tree) ~config:(Config.k_optimistic ~n:4 ~k:2 ())
+      ~pid:0 ~app:App_model.Counter_app.app ~store_dir:"store" ?obs:None
+      ~trace:(Recovery.Trace.create ())
+  in
+  let counter name = Obs.Snapshot.counter (Obs.Registry.snapshot (Node.obs node)) name in
+  let fsyncs = ref 0 and seq = ref 0 in
+  let rounds0 = counter "flush_rounds_total" and outputs0 = counter "outputs_committed_total" in
+  for _ = 1 to 50 do
+    for _ = 1 to 8 do
+      incr seq;
+      ignore
+        (Node.inject node ~now:(float_of_int !seq) ~seq:!seq ~cseq:(!seq - 1)
+           App_model.Counter_app.Report)
+    done;
+    Durable.Fs.Mem.before_fsync tree (fun () -> incr fsyncs);
+    ignore (Node.flush node ~now:(float_of_int !seq));
+    Durable.Fs.Mem.before_fsync tree ignore
+  done;
+  let outputs = counter "outputs_committed_total" - outputs0 in
+  if outputs = 0 then failwith "B14: no output committed";
+  float_of_int (!fsyncs - (counter "flush_rounds_total" - rounds0)) /. float_of_int outputs
+
 (* B13: the observability plane's hot path — one counter bump and one
    histogram observation, the per-event price of leaving the registry
    always on (the daemon pays it per delivered frame and per timed
@@ -320,6 +357,7 @@ let run_micro () =
         results)
     (micro_tests ());
   let words = restart_words () in
+  let sync_fsyncs = sync_fsyncs_per_output () in
   (* Hashtbl.iter order is nondeterministic; sort so runs are comparable. *)
   let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) !rows in
   List.iter
@@ -330,14 +368,18 @@ let run_micro () =
         | None -> "n/a"))
     rows;
   Fmt.pr "%-45s %12.1f words@." restart_words_name words;
+  Fmt.pr "%-45s %12.3f@." sync_fsyncs_name sync_fsyncs;
   let rows =
     List.sort (fun (a, _) (b, _) -> String.compare a b)
-      ((restart_words_name, Some words) :: rows)
+      ((restart_words_name, Some words) :: (sync_fsyncs_name, Some sync_fsyncs) :: rows)
   in
   let oc = open_out "BENCH_micro.json" in
   let field (name, estimate) =
     Fmt.str "  %S: %s" name
-      (match estimate with Some est -> Fmt.str "%.1f" est | None -> "null")
+      (match estimate with
+      | Some est when name = sync_fsyncs_name -> Fmt.str "%.3f" est
+      | Some est -> Fmt.str "%.1f" est
+      | None -> "null")
   in
   output_string oc ("{\n" ^ String.concat ",\n" (List.map field rows) ^ "\n}\n");
   close_out oc;
@@ -606,10 +648,16 @@ let run_check_micro_floors () =
     failwith
       (Fmt.str "%s: %.1f exceeds the %.0f words/record bound" restart_words_name words
          restart_words_bound);
+  (* Output commit: one fsync of the synchronous area per node step. *)
+  let sync_fsyncs = find sync_fsyncs_name in
+  if sync_fsyncs > sync_fsyncs_bound then
+    failwith
+      (Fmt.str "%s: %.3f exceeds %.2f (one fsync per commit record?)" sync_fsyncs_name
+         sync_fsyncs sync_fsyncs_bound);
   Fmt.pr
     "micro floors ok: obs counter %.1f ns/op, histogram %.1f ns/op; durable restart \
-     %.0f us, %.1f promoted words/record@."
-    c h restart_us words
+     %.0f us, %.1f promoted words/record; %.3f sync-area fsyncs per output@."
+    c h restart_us words sync_fsyncs
 
 (* ------------------------------------------------------------------ *)
 

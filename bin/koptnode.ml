@@ -48,10 +48,11 @@
    most events one iteration took is the [batch_high_water] gauge.
 
    Resident memory.  On the benchmark's steady workload a daemon's
-   resident peak is ~3.9 MB: ~1.9 MB file-backed (this binary's text,
+   resident peak is ~3.8 MB: ~1.9 MB file-backed (this binary's text,
    1.6 MB with the part of libc it calls, nearly all of it resident under
    fault-around, and its rodata, 0.3 MB) and ~2.05 MB anonymous: the
-   minor heap (0.25 MB), the major heap (~130k words, 1 MB at its top),
+   minor heap (0.25 MB), the major heap (~130k words, 1 MB at its top at
+   o=40, less at o=20),
    the runtime's table of frame descriptors (128 KB), the binary's .data
    (0.45 MB, two thirds of it the frametables the runtime reads at boot)
    and the rest of the runtime and C buffers.  It is a static PIE, so it
@@ -70,12 +71,15 @@
    gives every further thread an arena of its own as well as a stack,
    ~20 KB resident per thread under this load.  The major heap's top
    is set by the collector's slack more than by live data, so
-   koptnode_runparam.c also prepends [o=40] (space overhead 40% instead
+   koptnode_runparam.c also prepends [o=20] (space overhead 20% instead
    of 120%): at o=120 the top was ~220k words on steady and ~550k on
-   burst, at o=40 it is ~130k and ~220k, and the extra collector work is
+   burst, at o=40 ~130k and ~220k, and the extra collector work is
    paid for by a delivery's allocation not growing with the store or the
-   buffered backlog (daemon CPU per op stays within the spread of o=60's;
-   the sweep is in koptnode_runparam.c).  An operator's own [o=] wins,
+   buffered backlog, and by a node step fsyncing its output-commit
+   records once rather than once per output.  From o=40 to o=20 the
+   resident peak falls ~0.12 MB on steady and crash and ~0.3 MB on
+   burst, and daemon CPU per op stays within the spread of o=40 with one
+   fsync per commit record (the sweeps are in koptnode_runparam.c).  An operator's own [o=] wins,
    and every scrape reports the value in force ([gc_space_overhead]).
    The binary is linked without the loader-only tables that would be
    another ~0.75 MB of file-backed pages: a full relative-relocation
@@ -338,6 +342,16 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
     c.live <- false;
     add_event (Control_closed c)
   in
+  (* A control frame that fails its framing or does not decode ends its
+     connection, as one from a peer ends the peer's: counted in
+     [control_decode_errors_total] and reported on stderr. *)
+  let c_control_errors = Obs.Registry.counter obs "control_decode_errors_total" in
+  let refuse c msg =
+    Obs.Counter.incr c_control_errors;
+    on_error msg;
+    hang_up c;
+    false
+  in
   (* Take [c]'s control frames while the batch has room, reading its
      socket (if [select] found it readable) only once its buffer holds no
      whole frame.  [true] when the batch filled first: [c] may still hold
@@ -360,12 +374,9 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
         | Ok ctl ->
           add_event (Control (ctl, c));
           from_client c ~readable
-        | Error _ ->
-          hang_up c;
-          false)
-      | Some (Error _) ->
-        hang_up c;
-        false
+        | Error e ->
+          refuse c (Printf.sprintf "undecodable control frame (kind %d): %s" kind e))
+      | Some (Error e) -> refuse c (Printf.sprintf "control frame: %s" e)
       | None when not readable -> false
       | None -> (
         match Wire_codec.Reader.read c.reader c.fd with

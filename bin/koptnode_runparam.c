@@ -4,7 +4,7 @@
    environment variable (or CAMLRUNPARAM when OCAMLRUNPARAM is unset), read
    once when the runtime starts, and offers no link-time default.  This
    constructor runs before main and so before the runtime: it sets
-   OCAMLRUNPARAM to "s=32k,o=40" followed by whatever the operator set.
+   OCAMLRUNPARAM to "s=32k,o=20" followed by whatever the operator set.
    The runtime applies options left to right and a later option wins, so
    an operator's own s= or o= still overrides the default, and every other
    option (b, v, ...) applies unchanged.
@@ -16,18 +16,54 @@
    more: a delivery's short-lived values survive to the next collection
    more often, ~34 words per delivery on steady against ~24 at 64k.
 
-   o=40: the major heap's space overhead, the garbage the collector lets
+   o=20: the major heap's space overhead, the garbage the collector lets
    accumulate as a percentage of live data before it completes a cycle
    (the runtime's default is 120).  A daemon's live data is small, its
    node, one batch and the mailbox, so the slack, not the live data, sets
-   the major heap's top.  At 40 the collector marks and sweeps more often
+   the major heap's top.  At 20 the collector marks and sweeps more often
    for each word promoted, which a delivery can afford since it stopped
-   allocating in proportion to the store and the buffered backlog.
+   allocating in proportion to the store and the buffered backlog, and a
+   node step stopped paying one fsync per committed output.
 
-   The choice, from perfbench's untraced runs (15 s, seeds 601-610 steady,
-   701-710 burst, 801-810 crash), the four settings of each seed run back
-   to back in a rotating order, all on the same binary (the one that links
-   no Format, Arg or Filename), on a 2-vCPU VM: medians over the 10 runs
+   o=40 was chosen first, by the sweep further below; 20 by this one,
+   after a node step's output-commit records came to share one fsync of
+   sync.dat.  perfbench's untraced runs (15 s, seeds 101-110 on each
+   workload) of the binary before that change (one fsync per commit
+   record, o=40; "per rec" below) and of this one at o=40, 30 and 20
+   (OCAMLRUNPARAM=o=N; the last o= wins), run back to back for each seed
+   and workload in a rotating order, on a 2-vCPU VM; medians over the 10
+   runs (IQR in brackets) of rss_mb and of daemon CPU per op, and the
+   median ops/s:
+
+               o   rss MB        CPU ms/op         ops/s
+   steady
+     per rec  40   3.91 (0.02)   0.3148 (0.0305)     999
+              40   3.92 (0.01)   0.3020 (0.0474)     999
+              30   3.83 (0.01)   0.3032 (0.0355)     999
+              20   3.79 (0.02)   0.3029 (0.0410)     999
+   burst
+     per rec  40   4.97 (0.05)   0.0450 (0.0040)   22289
+              40   5.35 (0.09)   0.0274 (0.0026)   50962
+              30   5.17 (0.11)   0.0269 (0.0046)   50855
+              20   5.03 (0.10)   0.0276 (0.0068)   46892
+   crash
+     per rec  40   4.01 (0.03)   0.3058 (0.0254)     998
+              40   4.01 (0.02)   0.2921 (0.0329)     999
+              30   3.96 (0.01)   0.3074 (0.0471)     999
+              20   3.88 (0.03)   0.3077 (0.0400)     999
+
+   One fsync per step took burst from ~22k to ~51k ops/s and its CPU per
+   op down by 40%, and the heap follows the work rate: at o=40 burst's
+   peak rose 0.38 MB.  20 is the lowest o tried whose CPU per op stays
+   within the per-record binary's spread on all three workloads (on
+   burst it stays 40% under it); it brings burst's peak back to within
+   0.06 MB of that binary's and takes 0.12-0.13 MB off steady's and
+   crash's.
+
+   The first choice, from perfbench's untraced runs (15 s, seeds 601-610
+   steady, 701-710 burst, 801-810 crash), the four settings of each seed
+   run back to back in a rotating order, all on the same binary (the one
+   that links no Format, Arg or Filename), on a 2-vCPU VM: medians over the 10 runs
    (IQR in brackets) of rss_mb and of daemon CPU per op, and minor
    collections per 1,000 deliveries and promoted words per delivery,
    summed over the cluster's daemons from the runtime's exit statistics
@@ -65,7 +101,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-static const char default_params[] = "s=32k,o=40";
+static const char default_params[] = "s=32k,o=20";
 
 __attribute__((constructor)) static void koptnode_runparam(void)
 {

@@ -80,6 +80,8 @@ type ('ckpt, 'log, 'ann) t = {
   flushes : Obs.Counter.t;
   ckpt_bytes : Obs.Counter.t; (* bytes written to checkpoint files *)
   mutable sync_file : Fs.file; (* sync.dat's append handle *)
+  mutable sync_pending : bool;
+      (* sync.dat holds buffered announcements no fsync has covered yet *)
   mutable sync_checked : int;
       (* sync.dat's leading bytes that open checked: a record there that
          fails [sealed_value] is one open counted as dropped *)
@@ -88,6 +90,7 @@ type ('ckpt, 'log, 'ann) t = {
   mutable alive : bool;
   rounds : Obs.Counter.t; (* flush rounds, i.e. log fsyncs issued *)
   fsync_seconds : Obs.Histogram.t; (* wall time of each log fsync *)
+  sync_fsync_seconds : Obs.Histogram.t; (* wall time of each sync.dat fsync *)
   report : open_report;
 }
 
@@ -123,6 +126,17 @@ let decode_checkpoint (fs : Fs.t) ?buf path ~frame =
   | (`Start | `Pos _ | `Snapshot _ | `Bad), _, _ -> None
   | exception (Sys_error _ | Failure _ | Invalid_argument _ | End_of_file) -> None
 
+(* One fsync of sync.dat, timed into its own histogram (the log's
+   [fsync_seconds] stays the log's).  It covers every record written
+   before it, so no buffered announcement is pending after it. *)
+let sync_fsync t =
+  let began = Unix.gettimeofday () in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Histogram.observe t.sync_fsync_seconds (Unix.gettimeofday () -. began))
+    t.sync_file.fsync;
+  t.sync_pending <- false
+
 (* Append one record to the synchronous area.  Writes of protocol data
    (announcements) are fsynced and counted by the callers in
    [sync_writes]; store-internal metadata (length witness, base) is not
@@ -131,10 +145,11 @@ let decode_checkpoint (fs : Fs.t) ?buf path ~frame =
    [~fsync:false] the record is only buffered (a [write], no fsync): the
    bytes survive a process kill in the kernel regardless, and become
    power-loss durable with the next fsynced record on this descriptor.
-   The flush path's length witness uses this — see [flush]. *)
+   The flush path's length witness uses this — see [flush] — and so do
+   the announcements a caller groups under one [sync_announcements]. *)
 let sync_put ?(fsync = true) t ~kind payload =
   t.sync_file.write (Codec.encode ~kind payload);
-  if fsync then t.sync_file.fsync ()
+  if fsync then sync_fsync t
 
 (* A group, so a store opened per simulated process per explored schedule
    only allocates the cells; the registry indexes them when read. *)
@@ -146,7 +161,8 @@ let meters =
         c "storage_flushes_total",
         c "storage_checkpoint_bytes_total",
         c "flush_rounds_total",
-        Obs.Group.histogram cells "fsync_seconds" ))
+        Obs.Group.histogram cells "fsync_seconds",
+        Obs.Group.histogram cells "sync_fsync_seconds" ))
 
 let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
@@ -254,7 +270,8 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
         flushes,
         ckpt_bytes,
         rounds,
-        fsync_seconds ) =
+        fsync_seconds,
+        sync_fsync_seconds ) =
     Obs.Registry.group obs meters
   in
   let t =
@@ -273,10 +290,12 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
       flushes;
       ckpt_bytes;
       sync_file = fs.open_append sync_file;
+      sync_pending = false;
       sync_checked;
       alive = true;
       rounds;
       fsync_seconds;
+      sync_fsync_seconds;
       report;
     }
   in
@@ -461,10 +480,16 @@ let prune_checkpoints t ~keep_latest =
   unlink_ckpts t dropped;
   List.length dropped
 
-let log_announcement t a =
+let log_announcement ?(fsync = true) t a =
   guard t;
-  sync_put t ~kind:k_ann (to_bin a);
+  sync_put ~fsync t ~kind:k_ann (to_bin a);
+  if not fsync then t.sync_pending <- true;
   Obs.Counter.incr t.sync_writes
+
+(* The group commit of the synchronous area: one fsync for every
+   announcement buffered since the last one.  A store with none pending,
+   or a killed one, does nothing. *)
+let sync_announcements t = if t.sync_pending then sync_fsync t
 
 (* The announcements read back from sync.dat, oldest first, streamed.
    Open truncated any torn or corrupt tail and counted the records in the
@@ -513,6 +538,8 @@ let compact_sync t ~keep =
     t.fs.rename tmp path;
     t.sync_file.close ();
     t.sync_file <- t.fs.open_append path;
+    (* The rewrite was fsynced whole, buffered announcements included. *)
+    t.sync_pending <- false;
     (* Every record left decodes: none is one open counted. *)
     t.sync_checked <- 0;
     Obs.Counter.incr t.sync_writes
@@ -526,6 +553,7 @@ let kill t =
     Queue.clear t.volatile;
     Segment_log.kill t.log;
     t.sync_file.close ();
+    t.sync_pending <- false;
     t.alive <- false
   end
 

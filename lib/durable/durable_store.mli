@@ -39,7 +39,12 @@
     - the {b synchronous area} is [sync.dat], an append-only record
       stream, fsynced when it carries protocol data (announcements),
       which the store keeps none of in memory: it
-      reads them back from the file when asked ({!announcements}).  It
+      reads them back from the file when asked ({!announcements}).  An
+      announcement is fsynced as it is written, or written buffered and
+      made durable in a group: one {!sync_announcements} fsyncs every
+      announcement buffered since the last fsync of the file, which is
+      how a node step's output-commit records cost one fsync however
+      many outputs the step commits.  It
       also carries store metadata: the logical log base after compaction
       and a stable-length witness recorded after every flush, so a reopen
       can {e detect} (not just silently absorb) a log tail lost to a lying
@@ -113,7 +118,9 @@ val open_ :
     [storage_flushes_total], [storage_sync_writes_total],
     [storage_degraded_flushes_total],
     [flush_rounds_total] (log fsyncs issued, whether or not they
-    returned) and the [fsync_seconds] histogram (wall time of each).
+    returned) and the [fsync_seconds] histogram (wall time of each), and
+    the [sync_fsync_seconds] histogram (wall time of each fsync of the
+    synchronous area, grouped or not; compaction's rewrite is not one).
     Defaults to a private registry.
     [storage_checkpoint_bytes_total] counts the bytes
     written to checkpoint files.  Note that get-or-create semantics mean a
@@ -228,8 +235,20 @@ val prune_checkpoints : ('ckpt, 'log, 'ann) t -> keep_latest:int -> int
 
 (** {1 Synchronous area} *)
 
-val log_announcement : ('ckpt, 'log, 'ann) t -> 'ann -> unit
-(** Synchronous write (counted). *)
+val log_announcement : ?fsync:bool -> ('ckpt, 'log, 'ann) t -> 'ann -> unit
+(** Synchronous write (counted in {!sync_writes} either way).  With
+    [~fsync:false] the record is only written: it survives a process
+    kill at once, and power loss once the next fsync of the synchronous
+    area covers it — the next announcement fsynced as it is written, or
+    {!sync_announcements}.  A caller that buffers an announcement must
+    call {!sync_announcements} before anything outside the process can
+    learn of it. *)
+
+val sync_announcements : ('ckpt, 'log, 'ann) t -> unit
+(** Fsync the synchronous area once if it holds announcements written
+    with [~fsync:false] that no fsync has covered since; otherwise (and
+    on a killed store) do nothing.  Not counted in {!sync_writes}: each
+    grouped announcement already was. *)
 
 val announcements : ('ckpt, 'log, 'ann) t -> 'ann list
 (** Oldest first, streamed back from [sync.dat] in one fold that keeps
@@ -254,7 +273,10 @@ val sync_writes : ('ckpt, 'log, 'ann) t -> int
 (** Protocol-level synchronous stable-storage operations: one per
     non-empty flush round, checkpoint and announcement
     — the quantity the paper's cost model charges for, and what E12/B9
-    report.  Store-internal metadata writes (length witness, log base) are
+    report.  An announcement counts one whether it is fsynced alone or
+    grouped under one {!sync_announcements}, so the count, and the
+    simulator's costs, do not depend on how the fsyncs are grouped.
+    Store-internal metadata writes (length witness, log base) are
     not counted.  The same count is the registry's
     [storage_sync_writes_total]; {!Recovery.Node} reads it here to cost
     each step. *)

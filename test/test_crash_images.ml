@@ -53,8 +53,10 @@ let fill s rs =
 
 let records lo hi = List.init (hi - lo) (fun i -> Printf.sprintf "r%03d" (lo + i))
 
-(* Flushes across several segment rotations, checkpoints, announcements,
-   a rollback truncation, a prefix discard and a sync-area compaction. *)
+(* Flushes across several segment rotations, checkpoints, announcements
+   (alone and grouped under one fsync, as a node step commits its
+   outputs), a rollback truncation, a prefix discard and a sync-area
+   compaction. *)
 let workload : (string * (store -> unit)) list =
   [
     ("save_checkpoint ck0", fun s -> Store.save_checkpoint s "ck0");
@@ -70,6 +72,10 @@ let workload : (string * (store -> unit)) list =
     ("discard_log_prefix 2", fun s -> ignore (Store.discard_log_prefix s ~before:2 : int));
     ("compact_sync drops a0", fun s -> ignore (Store.compact_sync s ~keep:(( <> ) "a0") : int));
     ("log_announcement a2", fun s -> Store.log_announcement s "a2");
+    ( "grouped announcements g0-g2",
+      fun s ->
+        List.iter (Store.log_announcement ~fsync:false s) [ "g0"; "g1"; "g2" ];
+        Store.sync_announcements s );
     ("flush r009-r011", fun s -> fill s (records 9 12));
   ]
 
@@ -216,6 +222,99 @@ let test_every_power_loss_image () =
     (!empty_newest > 0);
   Alcotest.(check bool) "hundreds of images" true (!n > 200)
 
+(* The same power-loss images around one node step: a flush that commits
+   [outputs] outputs, whose [Committed] records reach sync.dat buffered
+   and are fsynced once at the end of the step.  Every image cut at one
+   of the flush's fsyncs, and the one after it returned (the outputs
+   released), is reopened under a fresh node, restarted and flushed.  An
+   output recorded committed in the image must not be committed again;
+   once the log's fsync has returned (the deliveries are stable) every
+   output is either recorded or committed again by the restart; and
+   every released output is recorded in every image after its release:
+   none is lost after its release, none is committed twice. *)
+let outputs = 8
+
+let committed_ids trace =
+  List.filter_map
+    (fun (e : Recovery.Trace.entry) ->
+      match e.Recovery.Trace.ev with
+      | Recovery.Trace.Output_committed { id; _ } -> Some id
+      | _ -> None)
+    (Recovery.Trace.events trace)
+
+let node_on tree ~trace =
+  let config =
+    { (Util.counter_config ~k:2 ~n:4 ()) with Recovery.Config.timing = Util.quiet_timing }
+  in
+  Recovery.Node.create_on ~fs:(Fs.Mem.fs tree) ~config ~pid:0
+    ~app:App_model.Counter_app.app ~store_dir:dir ?obs:None ~trace
+
+(* The [Committed] records an image holds, read by a store opened over a
+   copy of it. *)
+let recorded files =
+  let s, _ =
+    (Store.open_ ~fs:(Fs.Mem.fs (Fs.Mem.of_files files)) ~dir ()
+      : (unit, unit, Recovery.Wire.sync_record) Store.t * _)
+  in
+  List.filter_map
+    (function Recovery.Wire.Committed id -> Some id | _ -> None)
+    (Store.announcements s)
+
+let test_output_commit_images () =
+  let tree = Fs.Mem.create () in
+  let trace = Recovery.Trace.create () in
+  let node = node_on tree ~trace in
+  for seq = 1 to outputs do
+    ignore
+      (Recovery.Node.inject node ~now:(float_of_int seq) ~seq ~cseq:(seq - 1)
+         App_model.Counter_app.Report)
+  done;
+  let snaps = ref [] in
+  Fs.Mem.before_fsync tree (fun () ->
+      snaps :=
+        { step = 0; fsync = List.length !snaps + 1; files = Fs.Mem.files tree } :: !snaps);
+  ignore (Recovery.Node.flush node ~now:20.);
+  let released = committed_ids trace in
+  Alcotest.(check int) "the flush commits every output" outputs (List.length released);
+  let after = { step = 1; fsync = 3; files = Fs.Mem.files tree } in
+  let n = ref 0 and failures = ref [] in
+  List.iter
+    (fun snap ->
+      List.iter
+        (fun (name, files) ->
+          incr n;
+          let held = recorded files in
+          let trace' = Recovery.Trace.create () in
+          let fresh = node_on (Fs.Mem.of_files files) ~trace:trace' in
+          ignore (Recovery.Node.restart fresh ~now:30.);
+          ignore (Recovery.Node.flush fresh ~now:31.);
+          let again = committed_ids trace' in
+          let why =
+            if List.exists (fun id -> List.mem id held) again then
+              Some "a recorded output committed again"
+            else if snap == after && List.exists (fun id -> not (List.mem id held)) released
+            then Some "a released output has no durable record"
+            else if
+              snap.fsync > 1
+              && List.exists (fun id -> not (List.mem id held || List.mem id again)) released
+            then Some "an output lost"
+            else None
+          in
+          Option.iter
+            (fun m ->
+              failures := Printf.sprintf "fsync %d, %s: %s" snap.fsync name m :: !failures)
+            why)
+        (images snap))
+    (List.rev (after :: !snaps));
+  (match List.rev !failures with
+  | [] -> ()
+  | first :: _ as all ->
+    Alcotest.failf "%d of %d images fail; first: %s" (List.length all) !n first);
+  Alcotest.(check int) "the flush fsyncs twice" 2 (List.length !snaps);
+  Alcotest.(check bool) "the grouped fsync cuts images" true (!n > outputs)
+
 let suite =
   [ Alcotest.test_case "every power-loss image recovers what was promised" `Quick
-      test_every_power_loss_image ]
+      test_every_power_loss_image;
+    Alcotest.test_case "no output lost or committed twice around a step's fsync" `Quick
+      test_output_commit_images ]

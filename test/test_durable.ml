@@ -1055,6 +1055,80 @@ let test_path_matches_filename () =
           (Durable.Path.basename p))
     paths
 
+(* The byte-at-a-time CRC32 the frame checksum was first computed with:
+   the reference the slicing-by-8 [Codec.crc32] must agree with. *)
+let reference_crc32 ?(init = 0) s ~pos ~len =
+  let table =
+    Array.init 256 (fun i ->
+        let c = ref i in
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref (init lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc_matches_reference =
+  Util.qtest ~count:500 "crc32 = byte-at-a-time reference"
+    QCheck2.Gen.(
+      triple (string_size (int_bound 80)) (int_bound 0xFFFFFFFF) (pair nat nat))
+    (fun (s, init, (a, b)) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      Codec.crc32 ~init s ~pos ~len = reference_crc32 ~init s ~pos ~len
+      && Codec.crc32 s ~pos:0 ~len:n = reference_crc32 s ~pos:0 ~len:n)
+
+let test_crc_check_value () =
+  Alcotest.(check int) "CRC-32 of \"123456789\"" 0xCBF43926
+    (Codec.crc32 "123456789" ~pos:0 ~len:9);
+  let s = String.init 4096 (fun i -> Char.chr ((i * 7919) land 0xFF)) in
+  let words = Gc.minor_words () in
+  let c = Codec.crc32 s ~pos:3 ~len:4000 in
+  Alcotest.(check (float 0.)) "no allocation" 0. (Gc.minor_words () -. words);
+  Alcotest.(check int) "4 KiB at an odd offset" (reference_crc32 s ~pos:3 ~len:4000) c
+
+(* The paper's single stable-storage operation per flush, for outputs
+   too: one flush that commits [k] outputs makes its log records durable
+   with one fsync and the [k] output-commit records with one more, all
+   before it returns (the records, buffered as each output commits, are
+   fsynced once at the end of the step).  Each record still counts one
+   synchronous write, as the cost model charges. *)
+let test_flush_commits_outputs_with_one_fsync () =
+  let k = 10 in
+  let tree = Durable.Fs.Mem.create () in
+  let config = quiet_counter_config () in
+  let node =
+    Node.create_on ~fs:(Durable.Fs.Mem.fs tree) ~config ~pid:0 ~app:Counter.app
+      ~store_dir:"store" ?obs:None ~trace:(Recovery.Trace.create ())
+  in
+  for seq = 1 to k do
+    ignore (Node.inject node ~now:(float_of_int seq) ~seq ~cseq:(seq - 1) Counter.Report)
+  done;
+  Alcotest.(check int) "every output waits on the flush" k (Node.output_buffer_size node);
+  let fsyncs = ref 0 in
+  Durable.Fs.Mem.before_fsync tree (fun () -> incr fsyncs);
+  let committed0 = Util.metric node "outputs_committed" in
+  let _, cost = Node.flush node ~now:20. in
+  Alcotest.(check int) "outputs committed" k
+    (Util.metric node "outputs_committed" - committed0);
+  Alcotest.(check int) "fsyncs: the log's and sync.dat's" 2 !fsyncs;
+  Alcotest.(check int) "sync writes: the flush and one per output" (k + 1)
+    cost.Node.sync_writes;
+  match
+    List.find_opt
+      (fun (e : Durable.Fs.Mem.entry) -> Filename.basename e.path = "sync.dat")
+      (Durable.Fs.Mem.files tree)
+  with
+  | None -> Alcotest.fail "no sync.dat"
+  | Some e ->
+    Alcotest.(check int) "sync.dat durable when the flush returns"
+      (String.length e.bytes) e.synced
+
 let suite =
   [
     Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
@@ -1111,4 +1185,8 @@ let suite =
     Alcotest.test_case "cluster kill with damage is loud" `Slow
       test_cluster_kill_with_damage_is_loud;
     Alcotest.test_case "path names match Filename's" `Quick test_path_matches_filename;
+    test_crc_matches_reference;
+    Alcotest.test_case "crc32 check value, no allocation" `Quick test_crc_check_value;
+    Alcotest.test_case "one fsync commits a flush's outputs" `Quick
+      test_flush_commits_outputs_with_one_fsync;
   ]

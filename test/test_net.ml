@@ -400,9 +400,18 @@ let test_flood_during_replay () =
       certify ~k outcome;
       Alcotest.(check bool) "flood was delivered" true
         (counter outcome "outputs_committed_total" > 0);
-      Alcotest.(check bool) "replay happened" true (counter outcome "replayed_total" > 0))
+      Alcotest.(check bool) "replay happened" true (counter outcome "replayed_total" > 0);
+      (* A step's output-commit records share one fsync of sync.dat, so
+         the synchronous area's fsyncs are fewer than the outputs. *)
+      match Obs.Snapshot.hist outcome.Deployment.obs "sync_fsync_seconds" with
+      | None -> Alcotest.fail "sync_fsync_seconds histogram missing"
+      | Some h ->
+        let fsyncs = Obs.Snapshot.hist_count h
+        and committed = counter outcome "outputs_committed_total" in
+        if fsyncs >= committed then
+          Alcotest.failf "%d sync-area fsyncs for %d committed outputs" fsyncs committed)
 
-(* The space overhead a daemon should run with: koptnode's 40 unless the
+(* The space overhead a daemon should run with: koptnode's 20 unless the
    environment it inherits sets [o=] (the last one wins, as in the
    runtime's own parse). *)
 let expected_space_overhead () =
@@ -416,7 +425,7 @@ let expected_space_overhead () =
       match String.split_on_char '=' opt with
       | [ "o"; v ] -> float_of_string v
       | _ -> acc)
-    40. (String.split_on_char ',' params)
+    20. (String.split_on_char ',' params)
 
 (* The live stats plane end to end: every daemon must answer the control
    socket's Stats arm mid-load with a parseable exposition covering the
@@ -427,7 +436,7 @@ let expected_space_overhead () =
    included, must report koptnode's 32k-word nursery and a boot that ran
    no minor collection, both with OCAMLRUNPARAM unset and with it holding
    options other than [s=] (CI runs the suite under [b]).  Each must also
-   report the major heap's space overhead koptnode sets, 40, or the [o=]
+   report the major heap's space overhead koptnode sets, 20, or the [o=]
    the operator's OCAMLRUNPARAM gives, which wins.  Every scrape
    carries the heap gauges exactly when a minor collection has run (the
    runtime reads 0 before the first), and its file-backed and anonymous
@@ -948,6 +957,44 @@ let test_garbage_packet_counted () =
         (Net.Wire_codec.read_control App.wire ctl = None);
       Alcotest.(check bool) "the daemon lives on" true (Deployment.status t ~dst:0 <> None))
 
+(* A control frame whose checksum holds but whose payload does not
+   decode ends the client's connection and is counted, as a peer's is:
+   one Inject with a garbage payload reads 1 in
+   [control_decode_errors_total], and the daemon lives on. *)
+let test_garbage_control_counted () =
+  with_deployment ~prefix:"test-net-garbage-ctl"
+    (fun ~root -> Deployment.launch ~n:1 ~k:1 ~seed:21 ~root ())
+    (fun t ->
+      let errors () =
+        match Deployment.scrape t ~dst:0 with
+        | Some (Ok snap) ->
+          if
+            not
+              (List.exists
+                 (fun ((n, _), _) -> n = "control_decode_errors_total")
+                 (Obs.Snapshot.bindings snap))
+          then Alcotest.fail "no control_decode_errors_total series";
+          Obs.Snapshot.counter snap "control_decode_errors_total"
+        | Some (Error e) -> Alcotest.failf "unparseable scrape: %s" e
+        | None -> Alcotest.fail "daemon unreachable"
+      in
+      Alcotest.(check int) "no control decode error yet" 0 (errors ());
+      let kind =
+        Char.code
+          (Net.Wire_codec.encode_control App.wire
+             (Net.Wire_codec.Inject { seq = 1; cseq = 0; payload = App.Get "k" })).[1]
+      in
+      let ctl = control_connect t ~dst:0 in
+      Fun.protect ~finally:(fun () -> Unix.close ctl) @@ fun () ->
+      ignore
+        (Net.Wire_codec.write_all ctl
+           (Net.Wire_codec.hello ~pid:(-1) ^ Durable.Codec.encode ~kind "garbage")
+          : bool);
+      Alcotest.(check bool) "the garbage Inject ends the connection" true
+        (Net.Wire_codec.read_control App.wire ctl = None);
+      Alcotest.(check int) "one control decode error counted" 1 (errors ());
+      Alcotest.(check bool) "the daemon lives on" true (Deployment.status t ~dst:0 <> None))
+
 let suite =
   [
     Alcotest.test_case "shutdown interrupts dial backoff" `Quick
@@ -978,4 +1025,6 @@ let suite =
       test_control_redial_backoff;
     Alcotest.test_case "a garbage peer payload counts a decode error" `Slow
       test_garbage_packet_counted;
+    Alcotest.test_case "a garbage control payload counts a decode error" `Slow
+      test_garbage_control_counted;
   ]
