@@ -242,7 +242,7 @@ let bench_durable_flush () =
     lazy
       (let dir = Durable.Temp.fresh_dir ~prefix:"bench-b9" () in
        at_exit (fun () -> Durable.Temp.rm_rf dir);
-       let store, _report = Durable.Durable_store.open_ ~fs:Durable.Fs.unix ~dir () in
+       let store = Durable.Durable_store.open_ ~fs:Durable.Fs.unix ~dir () in
        (store : (unit, string, unit) Durable.Durable_store.t))
   in
   let payload = String.make 64 'x' in

@@ -14,7 +14,7 @@ let k_base = 0x42 (* 'B': logical log base after prefix compaction *)
 (* Every Marshal blob travels sealed: the envelope's CRC witnesses the
    exact marshalled bytes, so [sealed_value] rejects damaged or skewed
    input before [Marshal.from_bytes] can crash on it.  Decode failures are
-   never raised out of [open_] — they are counted into the open report. *)
+   never raised out of [open_] — they are counted as data lost. *)
 let to_bin v = Codec.seal (Marshal.to_string v [ Marshal.Closures ])
 
 (* In place, on a frame payload: it is one sealed blob, and the blob opens
@@ -49,24 +49,6 @@ let decode_opt b ~off ~len =
 let fold_file (fs : Fs.t) ?buf path ~init ~f =
   fs.read_with path (fun size input -> Codec.fold_input ?buf ~size ~input ~init ~f ())
 
-type open_report = {
-  fresh : bool;
-  recovered_log : int;
-  log_bytes_dropped : int;
-  log_segments_dropped : int;
-  missing_log_records : int;
-  recovered_checkpoints : int;
-  checkpoints_dropped : int;
-  sync_records : int;
-  sync_bytes_dropped : int;
-  sync_area_missing : bool;
-}
-
-let damaged r =
-  r.log_bytes_dropped > 0 || r.log_segments_dropped > 0
-  || r.missing_log_records > 0 || r.checkpoints_dropped > 0
-  || r.sync_bytes_dropped > 0 || r.sync_area_missing
-
 type ('ckpt, 'log, 'ann) t = {
   fs : Fs.t;
   root : string;
@@ -91,7 +73,7 @@ type ('ckpt, 'log, 'ann) t = {
   rounds : Obs.Counter.t; (* flush rounds, i.e. log fsyncs issued *)
   fsync_seconds : Obs.Histogram.t; (* wall time of each log fsync *)
   sync_fsync_seconds : Obs.Histogram.t; (* wall time of each sync.dat fsync *)
-  report : open_report;
+  fresh : bool; (* open found no store files *)
 }
 
 let guard t = if not t.alive then invalid_arg "Durable_store: store killed"
@@ -151,8 +133,26 @@ let sync_put ?(fsync = true) t ~kind payload =
   t.sync_file.write (Codec.encode ~kind payload);
   if fsync then sync_fsync t
 
+let loss_counters =
+  [
+    "storage_log_bytes_dropped_total";
+    "storage_log_segments_dropped_total";
+    "storage_missing_log_records_total";
+    "storage_checkpoints_dropped_total";
+    "storage_sync_bytes_dropped_total";
+    "storage_sync_area_lost_total";
+  ]
+
+let losses snap =
+  List.filter_map
+    (fun name ->
+      match Obs.Snapshot.counter snap name with 0 -> None | v -> Some (name, v))
+    loss_counters
+
 (* A group, so a store opened per simulated process per explored schedule
-   only allocates the cells; the registry indexes them when read. *)
+   only allocates the cells; the registry indexes them when read.  The
+   last two count what open-time recovery found, summed over every open
+   into the registry. *)
 let meters =
   Obs.Group.make (fun cells ->
       let c = Obs.Group.counter cells in
@@ -162,7 +162,9 @@ let meters =
         c "storage_checkpoint_bytes_total",
         c "flush_rounds_total",
         Obs.Group.histogram cells "fsync_seconds",
-        Obs.Group.histogram cells "sync_fsync_seconds" ))
+        Obs.Group.histogram cells "sync_fsync_seconds",
+        c "storage_reopens_total",
+        List.map c loss_counters ))
 
 let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
@@ -188,7 +190,6 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
      seal or Marshal header is damaged (in a way the frame CRC happened to
      miss, or after version skew) is dropped and its bytes counted —
      reported damage, never a crash and never silent acceptance. *)
-  let sync_records = ref 0 in
   let sync_bytes_dropped = ref 0 in
   let witness_len = ref (-1) in
   let logical_base = ref 0 in
@@ -201,7 +202,6 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
       | exception (Failure _ | Invalid_argument _ | End_of_file) -> dropped len
   in
   let absorb_sync () ~pos:_ ~kind b ~off ~len =
-    incr sync_records;
     if kind = k_ann then (if not (sealed_value b ~off ~len) then dropped len)
     else if kind = k_len then absorb witness_len b ~off ~len
     else if kind = k_base then absorb logical_base b ~off ~len
@@ -228,7 +228,6 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
   let log, recovered =
     Segment_log.open_ ~fs ~dir ?segment_bytes ~valid:sealed_value ()
   in
-  let recovered_log = Segment_log.next_index log - recovered.Segment_log.first in
   let stable_len = Segment_log.next_index log in
   let missing = Int.max 0 (!witness_len - stable_len) in
   (* Checkpoints: each its own file; drop torn/corrupt ones and any whose
@@ -251,57 +250,47 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
         incr ckpts_dropped;
         fs.unlink path)
     ckpt_seqs;
-  let report =
-    {
-      fresh;
-      recovered_log;
-      log_bytes_dropped = recovered.Segment_log.bytes_dropped;
-      log_segments_dropped = recovered.Segment_log.segments_dropped;
-      missing_log_records = missing;
-      recovered_checkpoints = List.length !ckpts;
-      checkpoints_dropped = !ckpts_dropped;
-      sync_records = !sync_records;
-      sync_bytes_dropped = !sync_bytes_dropped;
-      sync_area_missing = sync_missing;
-    }
-  in
-  let ( degraded_flushes,
-        sync_writes,
-        flushes,
-        ckpt_bytes,
-        rounds,
-        fsync_seconds,
-        sync_fsync_seconds ) =
+  let ( degraded_flushes, sync_writes, flushes, ckpt_bytes, rounds, fsync_seconds,
+        sync_fsync_seconds, reopens, lost ) =
     Obs.Registry.group obs meters
   in
-  let t =
-    {
-      fs;
-      root = dir;
-      log;
-      stable_len;
-      base = max !logical_base (Segment_log.first_index log);
-      volatile = Queue.create ();
-      ckpts = !ckpts;
-      ckpt_seq = 1 + Array.fold_left max (-1) ckpt_seqs;
-      disk_full = 0;
-      degraded_flushes;
-      sync_writes;
-      flushes;
-      ckpt_bytes;
-      sync_file = fs.open_append sync_file;
-      sync_pending = false;
-      sync_checked;
-      alive = true;
-      rounds;
-      fsync_seconds;
-      sync_fsync_seconds;
-      report;
-    }
-  in
-  (t, report)
+  if not fresh then Obs.Counter.incr reopens;
+  List.iter2 Obs.Counter.add lost
+    [
+      recovered.Segment_log.bytes_dropped;
+      recovered.Segment_log.segments_dropped;
+      missing;
+      !ckpts_dropped;
+      !sync_bytes_dropped;
+      Bool.to_int sync_missing;
+    ];
+  {
+    fs;
+    root = dir;
+    log;
+    stable_len;
+    base = max !logical_base (Segment_log.first_index log);
+    volatile = Queue.create ();
+    ckpts = !ckpts;
+    ckpt_seq = 1 + Array.fold_left max (-1) ckpt_seqs;
+    disk_full = 0;
+    degraded_flushes;
+    sync_writes;
+    flushes;
+    ckpt_bytes;
+    sync_file = fs.open_append sync_file;
+    sync_pending = false;
+    sync_checked;
+    alive = true;
+    rounds;
+    fsync_seconds;
+    sync_fsync_seconds;
+    fresh;
+  }
 
-let report t = t.report
+let fresh t = t.fresh
+
+let checkpoint_count t = List.length t.ckpts
 
 let dir t = t.root
 

@@ -64,9 +64,13 @@
     A store has one owner and no lock: its node's thread calls every
     operation, one at a time.
 
-    Open-time recovery scans everything, truncates torn or corrupt tails,
-    drops unusable checkpoints and reports what it found in
-    {!open_report}.  It streams the synchronous area, each log segment
+    Open-time recovery scans everything, truncates torn or corrupt tails
+    and drops unusable checkpoints.  What it found is counted in the
+    registry the store is opened into ([obs] of {!open_}), never hidden:
+    [storage_reopens_total] counts the opens that found store files, and
+    the {!loss_counters} count what those opens found lost, so a daemon
+    shows it in every scrape, and a simulated cluster in its stats, like
+    any other count.  It streams the synchronous area, each log segment
     and each checkpoint file once through one frame buffer
     ({!Codec.fold_input}) and checks each frame where it lies: the frame
     checksum, the seal's checksum and that the Marshal header's size is
@@ -77,28 +81,25 @@
 
 type ('ckpt, 'log, 'ann) t
 
-type open_report = {
-  fresh : bool;  (** no pre-existing store in this directory *)
-  recovered_log : int;  (** stable log records recovered *)
-  log_bytes_dropped : int;  (** torn/corrupt log bytes truncated *)
-  log_segments_dropped : int;  (** whole segments discarded after an anomaly *)
-  missing_log_records : int;
-      (** shortfall of the recovered log against the last durable
-          stable-length witness: records the store claimed stable (e.g.
-          under a failing fsync) that did not survive *)
-  recovered_checkpoints : int;
-  checkpoints_dropped : int;
-      (** corrupt, torn, pointing past the log, or in another layout (the
-          earlier single-frame file) *)
-  sync_records : int;
-  sync_bytes_dropped : int;  (** synchronous-area tail truncated *)
-  sync_area_missing : bool;
-      (** the synchronous area vanished although other store files exist *)
-}
+val loss_counters : string list
+(** What open-time recovery found lost, summed over every open into the
+    registry (a fresh store adds zero):
+    - [storage_log_bytes_dropped_total]: torn or corrupt log bytes;
+    - [storage_log_segments_dropped_total]: whole segments discarded
+      after an anomaly;
+    - [storage_missing_log_records_total]: records the last durable
+      stable-length witness claimed stable (e.g. under a lying fsync)
+      that did not survive;
+    - [storage_checkpoints_dropped_total]: checkpoint files corrupt,
+      torn, pointing past the log, or in another layout;
+    - [storage_sync_bytes_dropped_total]: synchronous-area bytes
+      truncated or dropped as undecodable;
+    - [storage_sync_area_lost_total]: opens that found the synchronous
+      area gone although other store files exist. *)
 
-val damaged : open_report -> bool
-(** True when anything was dropped, missing or truncated — every such
-    condition is reported, never silently absorbed. *)
+val losses : Obs.Snapshot.t -> (string * int) list
+(** The {!loss_counters} that are nonzero in a snapshot, with their
+    values: empty exactly when no open the snapshot covers lost data. *)
 
 val open_ :
   fs:Fs.t ->
@@ -106,7 +107,7 @@ val open_ :
   ?segment_bytes:int ->
   ?obs:Obs.Registry.t ->
   unit ->
-  ('ckpt, 'log, 'ann) t * open_report
+  ('ckpt, 'log, 'ann) t
 (** Open the store rooted at [dir] of [fs], creating it if needed, running
     open-time recovery otherwise.  [segment_bytes] sizes the log's
     segments ({!Segment_log.open_}).  Serialization uses [Marshal] (with
@@ -121,13 +122,15 @@ val open_ :
     returned) and the [fsync_seconds] histogram (wall time of each), and
     the [sync_fsync_seconds] histogram (wall time of each fsync of the
     synchronous area, grouped or not; compaction's rewrite is not one).
-    Defaults to a private registry.
-    [storage_checkpoint_bytes_total] counts the bytes
-    written to checkpoint files.  Note that get-or-create semantics mean a
-    store reopened into the {e same} registry (a daemon respawning in
-    process) continues the counters of its predecessor. *)
+    [storage_checkpoint_bytes_total] counts the bytes written to
+    checkpoint files, and [storage_reopens_total] (one unless the store
+    is {!fresh}) and the {!loss_counters} what this open found.  Defaults
+    to a private registry.  Get-or-create semantics mean a store reopened
+    into the {e same} registry (a simulated respawn) continues the
+    counters of its predecessor. *)
 
-val report : ('ckpt, 'log, 'ann) t -> open_report
+val fresh : ('ckpt, 'log, 'ann) t -> bool
+(** Open found no store files in the directory. *)
 
 (** {1 Message log} *)
 
@@ -219,6 +222,9 @@ val checkpoints : ('ckpt, 'log, 'ann) t -> 'ckpt Seq.t
     forcing an element raises like {!latest_checkpoint}, also when its
     file was pruned or restored away since. *)
 
+val checkpoint_count : ('ckpt, 'log, 'ann) t -> int
+(** Checkpoints retained, counted without reading a file. *)
+
 val oldest_checkpoint : ('ckpt, 'log, 'ann) t -> 'ckpt option
 (** Read back from the oldest retained checkpoint file; raises like
     {!latest_checkpoint}. *)
@@ -289,7 +295,7 @@ val kill : ('ckpt, 'log, 'ann) t -> unit
     death loses on disk belongs to the file system (a lying disk,
     {!Fs.Mem.lie}, loses the log appends its fsyncs never made durable,
     and the stable-length witness in the synchronous area exposes that
-    loss as [missing_log_records] at the next open).  Recovery is only
+    loss in [storage_missing_log_records_total] at the next open).  Recovery is only
     possible through a fresh {!open_} on the same directory. *)
 
 val arm_disk_full : ('ckpt, 'log, 'ann) t -> rounds:int -> unit

@@ -109,8 +109,8 @@ let schedule_crashes cluster faults =
 type verdict =
   | Certified of Oracle.report
   | Detected of { oracle : Oracle.report; damage : string list }
-      (* oracle violations, but injected storage damage was detected and
-         reported at reopen: loud data loss, not silent wrong state *)
+      (* oracle violations, but storage faults were injected or a reopen
+         counted lost data: loud data loss, not silent wrong state *)
   | Violated of Oracle.report
   | Crashed of string  (* the harness or protocol raised *)
 
@@ -151,17 +151,15 @@ let run_case ?(breakage = Config.no_breakage) ?(calls = 60) case =
     (* A [Join] directive can grow membership mid-run; certify at the
        cluster's final width, not the case's starting one. *)
     let oracle = Oracle.check ~k:case.k ~n:(Cluster.n cluster) (Cluster.trace cluster) in
-    let stats = Some (Cluster.stats cluster) in
+    let stats = Cluster.stats cluster in
+    (* Loud loss: every fault the run injected, every loss a reopen counted. *)
     let damage =
-      List.filter_map
-        (fun (pid, time, note, report) ->
-          if note <> "none" || Durable.Durable_store.damaged report then
-            Some
-              (Fmt.str "P%d respawned at %.0f: %s; %a" pid time note
-                 Durable.Pp.open_report report)
-          else None)
-        (Cluster.storage_reports cluster)
+      List.map (fun (pid, time, note) -> Fmt.str "P%d killed at %.0f: %s" pid time note)
+        (Cluster.fault_notes cluster)
+      @ List.map (fun (name, v) -> Fmt.str "%s %d" name v)
+          (Durable.Durable_store.losses stats.obs)
     in
+    let stats = Some stats in
     if Oracle.ok oracle then { verdict = Certified oracle; stats }
     else if damage <> [] then { verdict = Detected { oracle; damage }; stats }
     else { verdict = Violated oracle; stats }

@@ -53,9 +53,12 @@ val plan_of_faults : fault list -> Netmodel.fault_plan
 type verdict =
   | Certified of Oracle.report
   | Detected of { oracle : Oracle.report; damage : string list }
-      (** the oracle saw violations, but every respawn over injected
-          storage damage reported the loss at reopen — loud, detected data
-          loss rather than silent wrong state *)
+      (** the oracle saw violations, but the run injected storage faults
+          ({!Cluster.fault_notes}) or its reopened stores counted lost
+          data (a nonzero {!Durable.Durable_store.loss_counters} series in
+          the run's merged {!Cluster.stats}) — loud, detected data loss
+          rather than silent wrong state.  [damage] names each injected
+          fault and each nonzero loss counter. *)
   | Violated of Oracle.report
   | Crashed of string  (** the harness or protocol raised *)
 
@@ -73,8 +76,9 @@ val run_case :
     safeguards to validate that the oracle (or the harness itself) catches
     the resulting corruption.  Every store lives on an in-memory tree
     ({!Cluster.create}), so [Kill] directives and their storage faults
-    touch no real file.  An oracle violation accompanied by reported
-    storage damage yields [Detected], one without yields [Violated]. *)
+    touch no real file.  An oracle violation accompanied by an injected
+    storage fault or a counted loss yields [Detected], one without yields
+    [Violated]. *)
 
 val random_case : ?storage_faults:bool -> Sim.Rng.t -> index:int -> case
 (** Randomized case generator: every case carries loss (≤ 10%),

@@ -45,10 +45,8 @@ type ('state, 'msg) t = {
   inject_cseq : (int, int) Hashtbl.t; (* dst -> injections scheduled to it *)
   mutable client_log : (int * int * int * 'msg) list; (* seq, cseq, dst, payload *)
   mutable busy_time : float;
-  mutable storage_reports_ :
-    (int * float * string * Durable.Durable_store.open_report) list;
-      (* (pid, respawn time, injected-damage description, report), oldest last *)
-  mutable fault_notes : (int * string) list; (* pid, damage description *)
+  mutable fault_notes : (int * float * string) list;
+      (* (pid, kill time, damage description), newest first *)
 }
 
 let n t = Array.length t.nodes
@@ -185,14 +183,6 @@ let release_held t ~pid =
 let respawn t pid =
   let fresh = spawn t ~config:(Node.config t.nodes.(pid)) pid in
   t.nodes.(pid) <- fresh;
-  let note =
-    match List.assoc_opt pid t.fault_notes with
-    | Some n ->
-      t.fault_notes <- List.remove_assoc pid t.fault_notes;
-      n
-    | None -> "none"
-  in
-  t.storage_reports_ <- t.storage_reports_ @ [ (pid, t.now, note, Node.storage_report fresh) ];
   t.down.(pid) <- false;
   consume t ~pid (Node.restart fresh ~now:t.now);
   release_held t ~pid
@@ -245,7 +235,7 @@ let handle_event t = function
         (fun f ->
           let fs, dir = store t pid in
           let note = Durable.Fault.apply ~fs ~dir ~rand:(Sim.Rng.int t.storage_rng) f in
-          t.fault_notes <- (pid, note) :: t.fault_notes)
+          t.fault_notes <- (pid, t.now, note) :: t.fault_notes)
         fault;
       t.next_free.(pid) <- t.now;
       schedule t ~time:(t.now +. t.cfg.Config.timing.restart_delay) (Respawn pid)
@@ -445,7 +435,6 @@ let create ~config ~app ?(seed = 42) ?(horizon = 10_000.) ?net_override
       inject_cseq = Hashtbl.create 8;
       client_log = [];
       busy_time = 0.;
-      storage_reports_ = [];
       fault_notes = [];
     }
   in
@@ -481,7 +470,7 @@ let kill_at t ~time ~pid ?storage_fault () =
 
 let crash_at t ~time ~pid = kill_at t ~time ~pid ()
 
-let storage_reports t = t.storage_reports_
+let fault_notes t = List.rev t.fault_notes
 
 (* --- Correlated failure injection ----------------------------------- *)
 

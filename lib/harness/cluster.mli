@@ -74,11 +74,12 @@ val store : ('state, 'msg) t -> int -> Durable.Fs.t * string
 (** The file system pid's store lives on (its in-memory tree) and the
     store's directory there: what a test reads to inspect the files. *)
 
-val storage_reports :
-  ('state, 'msg) t ->
-  (int * float * string * Durable.Durable_store.open_report) list
-(** One entry per respawn (after a crash, a kill or a rejoin), oldest first: (pid, respawn time, description of
-    the injected file damage or ["none"], what open-time recovery found). *)
+val fault_notes : ('state, 'msg) t -> (int * float * string) list
+(** The storage faults injected so far, oldest first: (pid, kill time,
+    description of the damage {!Durable.Fault.apply} did).  What the
+    respawned stores found is counted in their registries (the
+    [storage_*] series of {!stats}, see
+    {!Durable.Durable_store.loss_counters}). *)
 
 val crash_group_at : ('state, 'msg) t -> time:float -> pids:int list -> unit
 (** Correlated failure: all listed nodes crash at the same instant. *)

@@ -743,11 +743,10 @@ let durability ?(n = 6) ?(seeds = default_seeds) () =
     Cluster.kill_at cluster ~time:60. ~pid:2 ?storage_fault:fault ();
     Cluster.run cluster;
     let oracle = Oracle.check ~k ~n (Cluster.trace cluster) in
-    let reports = Cluster.storage_reports cluster in
+    let stats = Cluster.stats cluster in
     let damaged =
-      List.exists
-        (fun (_, _, note, report) -> note <> "none" || Durable.Durable_store.damaged report)
-        reports
+      Cluster.fault_notes cluster <> []
+      || Durable.Durable_store.losses stats.Cluster.obs <> []
     in
     if (not (Oracle.ok oracle)) && not damaged then
       failwith
@@ -756,37 +755,28 @@ let durability ?(n = 6) ?(seeds = default_seeds) () =
            seed
            Fmt.(option ~none:(any "none") Durable.Pp.fault)
            fault Oracle.pp_report oracle);
-    (oracle, reports, Cluster.stats cluster)
+    (oracle, stats)
   in
   let row name fault =
     let runs = List.map (fun seed -> one_run ~seed ~fault) seeds in
     let certified =
-      List.length (List.filter (fun (o, _, _) -> Oracle.ok o) runs)
+      List.length (List.filter (fun (o, _) -> Oracle.ok o) runs)
     in
     let max_risk =
       List.fold_left
-        (fun acc ((o : Oracle.report), _, _) -> Stdlib.max acc o.Oracle.max_risk)
+        (fun acc ((o : Oracle.report), _) -> Stdlib.max acc o.Oracle.max_risk)
         0 runs
     in
-    let rsum f =
-      List.fold_left
-        (fun acc (_, reports, _) ->
-          List.fold_left (fun acc (_, _, _, r) -> acc + f r) acc reports)
-        0 runs
-    in
-    let ssum f = List.fold_left (fun acc (_, _, s) -> acc + f s) 0 runs in
+    let ssum f = List.fold_left (fun acc (_, s) -> acc + f s) 0 runs in
     Report.add_row t
       [
         name;
         Fmt.str "%d/%d" certified (List.length runs);
         Report.cell_i (List.length runs - certified);
         Fmt.str "%d (K=%d: %s)" max_risk k (if max_risk <= k then "OK" else "FAIL");
-        Report.cell_i
-          (rsum (fun r -> r.Durable.Durable_store.log_bytes_dropped));
-        Report.cell_i
-          (rsum (fun r -> r.Durable.Durable_store.missing_log_records));
-        Report.cell_i
-          (rsum (fun r -> r.Durable.Durable_store.checkpoints_dropped));
+        Report.cell_i (ssum (count "storage_log_bytes_dropped_total"));
+        Report.cell_i (ssum (count "storage_missing_log_records_total"));
+        Report.cell_i (ssum (count "storage_checkpoints_dropped_total"));
         Report.cell_i (ssum (count "replayed_total"));
         Report.cell_i (ssum (count "outputs_committed_total"));
       ]

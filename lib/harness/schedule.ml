@@ -240,7 +240,10 @@ let parse_fault s =
       {
         pid = int_of pid;
         time = float_of (field kvs "at");
-        rounds = int_of (field kvs "rounds");
+        rounds =
+          (match int_of (field kvs "rounds") with
+          | r when r < 0 -> perr "brownout rounds must be >= 0, got %d" r
+          | r -> r);
       }
   | _ -> perr "unparseable fault line %S" s
 

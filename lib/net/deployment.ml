@@ -538,7 +538,11 @@ let check_fault_free outcome =
   let frames_dropped = count "transport_frames_dropped_total" in
   if frames_dropped > 0 then
     failwith
-      (Fmt.str "fault-free run shed %d outbound frame(s) to queue overflow" frames_dropped)
+      (Fmt.str "fault-free run shed %d outbound frame(s) to queue overflow" frames_dropped);
+  (* Nor may a store have lost data: nothing here damaged one. *)
+  match Durable.Durable_store.losses outcome.obs with
+  | [] -> ()
+  | (name, v) :: _ -> failwith (Fmt.str "fault-free run lost stored data: %s %d" name v)
 
 let certify ~report ~exp ~label outcome =
   let violations = outcome.oracle.Harness.Oracle.violations in
@@ -549,7 +553,11 @@ let certify ~report ~exp ~label outcome =
          violations);
   List.iter
     (fun d -> Harness.Report.note report (Fmt.str "%s trace damage: %s" label d))
-    outcome.damage
+    outcome.damage;
+  List.iter
+    (fun (name, v) ->
+      Harness.Report.note report (Fmt.str "%s storage loss at reopen: %s %d" label name v))
+    (Durable.Durable_store.losses outcome.obs)
 
 let reap node =
   if node.os_pid > 0 then begin
@@ -723,6 +731,13 @@ let one_run ~n ~k ~ops ~kills ~plan ~seed report =
         in
         if Obs.Snapshot.counter live "deliveries_total" = 0 then
           failwith "E14: live Stats scrape shows zero deliveries_total";
+        (* Each victim's successor reopened its store once. *)
+        let reopens = Obs.Snapshot.counter live "storage_reopens_total"
+        and victims = List.length (List.sort_uniq Int.compare kills) in
+        if reopens <> victims then
+          failwith
+            (Fmt.str "E14: live Stats scrape shows storage_reopens_total %d after %d kill(s)"
+               reopens victims);
         let settled = settle t in
         let outcome = finish t in
         if not settled then

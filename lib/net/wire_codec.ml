@@ -409,7 +409,9 @@ let[@warning "-8"] controls =
       (k_retire_req, F.record Retire_req F.[]);
       ( k_arm_brownout,
         F.map
-          (fun rounds -> Arm_brownout { rounds })
+          (fun rounds ->
+            if rounds < 0 then failwith "negative brownout rounds";
+            Arm_brownout { rounds })
           (fun (Arm_brownout a) -> a.rounds)
           F.int );
       (k_stats_req, F.record Stats_req F.[]);

@@ -154,7 +154,7 @@ type 'msg control =
           then drain and exit like [Quit] *)
   | Arm_brownout of { rounds : int }
       (** the daemon's store refuses its next [rounds] flushes as if the
-          disk were full *)
+          disk were full; a frame with [rounds < 0] does not decode *)
   | Stats_req
       (** scrape the daemon's live metric registry *)
   | Stats of string

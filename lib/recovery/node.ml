@@ -2268,8 +2268,8 @@ let[@warning "-16"] create_on ~fs ~config ~pid ~app ~store_dir ?obs ~trace:tr =
   if pid < 0 || pid >= n then invalid_arg "Node.create: pid out of range";
   let state = app.App_intf.init ~pid ~n in
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
-  let store, report = Store.open_ ~fs ~dir:store_dir ~obs () in
-  let fresh_store = report.Store.fresh in
+  let store = Store.open_ ~fs ~dir:store_dir ~obs () in
+  let fresh_store = Store.fresh store in
   let t =
     {
       cfg = config;
@@ -2325,11 +2325,11 @@ let[@warning "-16"] create_on ~fs ~config ~pid ~app ~store_dir ?obs ~trace:tr =
     }
   in
   (* A damaged store can come back with every checkpoint dropped (e.g. a
-     bit flip in the only checkpoint file).  The loss is already reported
-     by open-time recovery; restart still needs a checkpoint to rebuild
-     from, so re-seed the initial one — replay then reconstructs whatever
-     the surviving log suffix allows. *)
-  if report.Store.recovered_checkpoints = 0 then Store.save_checkpoint t.store (initial_checkpoint t state);
+     bit flip in the only checkpoint file).  Open-time recovery already
+     counted the loss ([storage_checkpoints_dropped_total]); restart still
+     needs a checkpoint to rebuild from, so re-seed the initial one —
+     replay then reconstructs whatever the surviving log suffix allows. *)
+  if Store.checkpoint_count store = 0 then Store.save_checkpoint t.store (initial_checkpoint t state);
   if fresh_store then begin
     note_stable t pid t.current;
     Trace.add tr ~time:0.
@@ -2537,8 +2537,6 @@ let partition_checkpoint t ~now =
   (!did, actions, cost)
 
 let is_up t = t.up
-
-let storage_report t = Store.report t.store
 
 let storage_words t = Obj.reachable_words (Obj.repr t.store)
 

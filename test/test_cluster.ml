@@ -217,7 +217,7 @@ let test_stats_agree_with_trace () =
   let oracle = Harness.Oracle.check ~k:2 ~n:4 (Cluster.trace c) in
   Alcotest.(check (list string)) "certified" [] oracle.Harness.Oracle.violations;
   Alcotest.(check int) "every crash and kill respawned" 5
-    (List.length (Cluster.storage_reports c));
+    (Obs.Snapshot.counter (Cluster.stats c).Cluster.obs "storage_reopens_total");
   let count p =
     List.length
       (List.filter (fun e -> p e.Recovery.Trace.ev) (Recovery.Trace.events (Cluster.trace c)))

@@ -20,7 +20,8 @@
      every announcement both promise; the latest checkpoint, if both agree
      on it, is the recovered one.
    - Nothing is recovered that the workload never wrote at that position.
-   - Every byte open-time recovery dropped is counted in its report.
+   - Every byte open-time recovery dropped is counted in its storage_*
+     counters.
    - Reading the log back from its base, the announcements and the latest
      checkpoint does not raise. *)
 
@@ -89,7 +90,7 @@ let record () =
   Fs.Mem.before_fsync tree (fun () ->
       incr fsyncs;
       snaps := { step = !step; fsync = !fsyncs; files = Fs.Mem.files tree } :: !snaps);
-  let s, _ = Store.open_ ~fs:(Fs.Mem.fs tree) ~dir ~segment_bytes:64 () in
+  let s = Store.open_ ~fs:(Fs.Mem.fs tree) ~dir ~segment_bytes:64 () in
   let views = Array.make (List.length workload + 1) (view s) in
   List.iteri
     (fun i (_, op) ->
@@ -136,8 +137,11 @@ let count_of prefix files = List.length (List.filter (named prefix) files)
 (* Reopen one image; [Error] names what it got wrong. *)
 let check_image ~before ~after ~ever files =
   let tree = Fs.Mem.of_files files in
-  let s, report =
-    (Store.open_ ~fs:(Fs.Mem.fs tree) ~dir ~segment_bytes:64 () : store * _)
+  let obs = Obs.Registry.create () in
+  let s : store = Store.open_ ~fs:(Fs.Mem.fs tree) ~dir ~segment_bytes:64 ~obs () in
+  let counted =
+    let snap = Obs.Registry.snapshot obs in
+    fun name -> Obs.Snapshot.counter snap ("storage_" ^ name ^ "_total")
   in
   let reopened = List.map (fun (e : Fs.Mem.entry) -> (e.path, e.bytes)) (Fs.Mem.files tree) in
   let problems = ref [] in
@@ -170,16 +174,16 @@ let check_image ~before ~after ~ever files =
         (Option.value got.latest ~default:"none")
         (Option.value before.latest ~default:"none"));
   let dropped_log = bytes_of "seg-" files - bytes_of "seg-" reopened in
-  if dropped_log <> report.Store.log_bytes_dropped then
-    bad "log lost %d bytes, report says %d" dropped_log report.Store.log_bytes_dropped;
+  if dropped_log <> counted "log_bytes_dropped" then
+    bad "log lost %d bytes, report says %d" dropped_log (counted "log_bytes_dropped");
   let dropped_sync = bytes_of "sync.dat" files - bytes_of "sync.dat" reopened in
-  if dropped_sync > report.Store.sync_bytes_dropped then
+  if dropped_sync > counted "sync_bytes_dropped" then
     bad "sync area lost %d bytes, report says %d" dropped_sync
-      report.Store.sync_bytes_dropped;
+      (counted "sync_bytes_dropped");
   let dropped_ckpts = count_of "ckpt-" files - count_of "ckpt-" reopened in
-  if dropped_ckpts <> report.Store.checkpoints_dropped then
+  if dropped_ckpts <> counted "checkpoints_dropped" then
     bad "%d checkpoint files dropped, report says %d" dropped_ckpts
-      report.Store.checkpoints_dropped;
+      (counted "checkpoints_dropped");
   match !problems with [] -> Ok () | ps -> Error (String.concat "; " (List.rev ps))
 
 (* An image whose newest log segment is empty and not the only one: what a
@@ -252,9 +256,8 @@ let node_on tree ~trace =
 (* The [Committed] records an image holds, read by a store opened over a
    copy of it. *)
 let recorded files =
-  let s, _ =
-    (Store.open_ ~fs:(Fs.Mem.fs (Fs.Mem.of_files files)) ~dir ()
-      : (unit, unit, Recovery.Wire.sync_record) Store.t * _)
+  let s : (unit, unit, Recovery.Wire.sync_record) Store.t =
+    Store.open_ ~fs:(Fs.Mem.fs (Fs.Mem.of_files files)) ~dir ()
   in
   List.filter_map
     (function Recovery.Wire.Committed id -> Some id | _ -> None)

@@ -182,6 +182,34 @@ let test_kill_storage_names () =
         (Result.is_error (Schedule.of_string (with_fault name))))
     [ "disk-full"; "slow-fsync" ]
 
+(* A brownout refuses a count of flushes: [rounds=0] parses, a negative
+   count does not. *)
+let test_negative_brownout_rounds () =
+  let text rounds =
+    Schedule.to_string
+      {
+        Schedule.name = "brownout";
+        expect = Schedule.Certified;
+        breakage = Config.no_breakage;
+        scenario =
+          Schedule.Chaos
+            {
+              case =
+                {
+                  Schedule.n = 3;
+                  k = 1;
+                  seed = 1;
+                  faults = [ Schedule.Brownout { pid = 1; time = 50.; rounds } ];
+                };
+              calls = 1;
+            };
+        choices = [];
+      }
+  in
+  Alcotest.(check bool) "rounds=0 parses" true (Result.is_ok (Schedule.of_string (text 0)));
+  Alcotest.(check bool) "rounds=-1 does not parse" true
+    (Result.is_error (Schedule.of_string (text (-1))))
+
 let test_chaos_to_schedule_replays () =
   (* A deliberately broken protocol fails a chaos case; the shrunk case
      wrapped as a schedule must replay to the same verdict class. *)
@@ -256,4 +284,6 @@ let suite =
       test_chaos_to_schedule_replays;
     Alcotest.test_case "earliest scheduler is transparent" `Quick
       test_earliest_scheduler_transparent;
+    Alcotest.test_case "a negative brownout round count does not parse" `Quick
+      test_negative_brownout_rounds;
   ]

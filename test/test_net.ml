@@ -49,8 +49,9 @@ let test_cluster_benign () =
       Alcotest.(check int) "every daemon quit cleanly" 3 clean_quits)
 
 (* [check_fault_free]'s failing branches, on outcomes whose counts are a
-   parsed exposition: one undecodable frame or one shed frame is enough to
-   fail certification, and an empty snapshot passes. *)
+   parsed exposition: one undecodable frame, one shed frame or one unit
+   of stored data a reopen found lost is enough to fail certification,
+   and an empty snapshot, or one showing a clean reopen, passes. *)
 let test_check_fault_free_fails () =
   let outcome text =
     let obs =
@@ -76,6 +77,18 @@ let test_check_fault_free_fails () =
     "# TYPE transport_decode_errors_total counter\ntransport_decode_errors_total 1\n";
   raises "dropped frame"
     "# TYPE transport_frames_dropped_total counter\ntransport_frames_dropped_total 1\n";
+  let one name = Printf.sprintf "# TYPE %s counter\n%s 1\n" name name in
+  List.iter
+    (fun name -> raises name (one name))
+    [
+      "storage_log_bytes_dropped_total";
+      "storage_log_segments_dropped_total";
+      "storage_missing_log_records_total";
+      "storage_checkpoints_dropped_total";
+      "storage_sync_bytes_dropped_total";
+      "storage_sync_area_lost_total";
+    ];
+  Deployment.check_fault_free (outcome (one "storage_reopens_total"));
   Deployment.check_fault_free (outcome "")
 
 (* SIGKILL one daemon mid-workload; the respawned incarnation must recover
@@ -896,15 +909,17 @@ let test_control_hangup () =
       ignore (Deployment.settle t : bool);
       let outcome = Deployment.finish t in
       certify ~k outcome;
-      let store, report =
+      let obs = Obs.Registry.create () in
+      let store =
         Durable.Durable_store.open_ ~fs:Durable.Fs.unix
-          ~dir:(Deployment.store_dir t ~dst:0) ()
+          ~dir:(Deployment.store_dir t ~dst:0) ~obs ()
       in
       Durable.Durable_store.kill store;
-      Alcotest.(check bool)
-        (Fmt.str "store reopens clean: %a" Durable.Pp.open_report report)
-        false
-        (Durable.Durable_store.damaged report))
+      let found = Obs.Registry.snapshot obs in
+      Alcotest.(check int) "the store is reopened" 1
+        (Obs.Snapshot.counter found "storage_reopens_total");
+      Alcotest.(check (list (pair string int))) "store reopens clean" []
+        (Durable.Durable_store.losses found))
 
 (* A peer frame whose checksum holds but whose payload does not decode is
    counted as a decode error, as a framing error is, so a fault-free run's
@@ -995,6 +1010,68 @@ let test_garbage_control_counted () =
       Alcotest.(check int) "one control decode error counted" 1 (errors ());
       Alcotest.(check bool) "the daemon lives on" true (Deployment.status t ~dst:0 <> None))
 
+(* [Arm_brownout] with a negative round count is not a control frame: the
+   daemon counts it as a decode error, hangs up on the client and lives
+   on, instead of handing it to the store, which would raise out of the
+   daemon's loop. *)
+let test_negative_brownout_refused () =
+  with_deployment ~prefix:"test-net-brownout"
+    (fun ~root -> Deployment.launch ~n:1 ~k:1 ~seed:22 ~root ())
+    (fun t ->
+      Alcotest.(check bool) "the daemon is up" true (Deployment.status t ~dst:0 <> None);
+      let ctl = control_connect t ~dst:0 in
+      Fun.protect ~finally:(fun () -> Unix.close ctl) @@ fun () ->
+      ignore
+        (Net.Wire_codec.write_all ctl
+           (Net.Wire_codec.hello ~pid:(-1)
+           ^ Net.Wire_codec.encode_control App.wire
+               (Net.Wire_codec.Arm_brownout { rounds = -1 }))
+          : bool);
+      Alcotest.(check bool) "the frame ends the connection" true
+        (Net.Wire_codec.read_control App.wire ctl = None);
+      (match Deployment.scrape t ~dst:0 with
+      | Some (Ok snap) ->
+        Alcotest.(check int) "one control decode error counted" 1
+          (Obs.Snapshot.counter snap "control_decode_errors_total")
+      | Some (Error e) -> Alcotest.failf "unparseable scrape: %s" e
+      | None -> Alcotest.fail "the daemon died");
+      Alcotest.(check bool) "the daemon lives on" true (Deployment.status t ~dst:0 <> None))
+
+(* A daemon respawned over a log segment that ends in a torn frame (a
+   valid header whose payload is cut short) truncates it and says so in
+   its live scrape: one reopen, and exactly the appended bytes dropped.
+   The run still certifies. *)
+let test_respawn_reports_torn_segment () =
+  let k = 1 and victim = 1 in
+  with_deployment ~prefix:"test-net-torn"
+    (fun ~root -> Deployment.launch ~n:3 ~k ~seed:23 ~root ())
+    (fun t ->
+      Deployment.run_workload t ~ops:30 ~seed:5;
+      Alcotest.(check bool) "settles" true (Deployment.settle t);
+      Deployment.kill_only t ~dst:victim;
+      let dir = Deployment.store_dir t ~dst:victim in
+      let newest =
+        Sys.readdir dir |> Array.to_list
+        |> List.filter (fun f ->
+               String.starts_with ~prefix:"seg-" f && String.ends_with ~suffix:".dat" f)
+        |> List.sort compare |> List.rev |> List.hd
+      in
+      let frame = Durable.Codec.encode ~kind:0x4C (String.make 40 'x') in
+      let torn = String.sub frame 0 (String.length frame - 16) in
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644
+        (Filename.concat dir newest) (fun oc -> output_string oc torn);
+      Deployment.respawn t ~dst:victim;
+      Alcotest.(check bool) "settles after the respawn" true (Deployment.settle t);
+      (match Deployment.scrape t ~dst:victim with
+      | Some (Ok snap) ->
+        Alcotest.(check int) "one reopen" 1
+          (Obs.Snapshot.counter snap "storage_reopens_total");
+        Alcotest.(check int) "the torn frame's bytes dropped" (String.length torn)
+          (Obs.Snapshot.counter snap "storage_log_bytes_dropped_total")
+      | Some (Error e) -> Alcotest.failf "unparseable scrape: %s" e
+      | None -> Alcotest.fail "respawned daemon unreachable");
+      certify ~k (Deployment.finish t))
+
 let suite =
   [
     Alcotest.test_case "shutdown interrupts dial backoff" `Quick
@@ -1027,4 +1104,8 @@ let suite =
       test_garbage_packet_counted;
     Alcotest.test_case "a garbage control payload counts a decode error" `Slow
       test_garbage_control_counted;
+    Alcotest.test_case "a negative brownout frame is refused, the daemon lives" `Slow
+      test_negative_brownout_refused;
+    Alcotest.test_case "a respawn over a torn segment reports it live" `Slow
+      test_respawn_reports_torn_segment;
   ]

@@ -870,7 +870,7 @@ let test_store_record_through_reader =
        (list_size (int_range 1 40) (int_range 1 64)))
     (fun (payloads, sizes) ->
       let fs = Durable.Fs.mem () in
-      let store, _ = Durable.Durable_store.open_ ~fs ~dir:"s" () in
+      let store = Durable.Durable_store.open_ ~fs ~dir:"s" () in
       List.iter (Durable.Durable_store.append_volatile store) payloads;
       ignore (Durable.Durable_store.flush store : int);
       let bytes =

@@ -77,15 +77,17 @@ module Conformance (B : BACKEND) = struct
 
   let fs_of s = List.assq s !opened
 
-  let open_ fs ~dir ?segment_bytes ?obs () =
-    let s, report = Store.open_ ~fs ~dir ?segment_bytes ?obs () in
+  (* The store, and a snapshot of the registry it was opened into (a
+     private one unless [obs] is given): what open-time recovery found. *)
+  let open_ fs ~dir ?segment_bytes ?(obs = Obs.Registry.create ()) () =
+    let s = Store.open_ ~fs ~dir ?segment_bytes ~obs () in
     opened := (s, fs) :: !opened;
-    (s, report)
+    (s, Obs.Registry.snapshot obs)
 
   let make ?segment_bytes ?obs () : store =
     let fs, dir = B.fresh () in
-    let s, report = open_ fs ~dir ?segment_bytes ?obs () in
-    Alcotest.(check bool) "fresh store" true report.Store.fresh;
+    let s, _ = open_ fs ~dir ?segment_bytes ?obs () in
+    Alcotest.(check bool) "fresh store" true (Store.fresh s);
     s
 
   (* A fresh store with a reader of its [storage_<name>_total] counters. *)
@@ -104,8 +106,8 @@ module Conformance (B : BACKEND) = struct
   (* Process death after the last flush, then reopen. *)
   let reopen s =
     Store.kill s;
-    let s', report = open_ (fs_of s) ~dir:(Store.dir s) ~segment_bytes:64 () in
-    Alcotest.(check bool) "clean reopen" false (Store.damaged report);
+    let s', found = open_ (fs_of s) ~dir:(Store.dir s) ~segment_bytes:64 () in
+    Alcotest.(check bool) "clean reopen" true (Store.losses found = []);
     s'
 
   (* Flip a bit of the newest log record's last byte; returns the name of
@@ -126,8 +128,8 @@ module Conformance (B : BACKEND) = struct
     let fs = fs_of s in
     let path = Filename.concat (Store.dir s) (newest_segment s) in
     fs.truncate path (fs.size path - 1);
-    let s', report = open_ fs ~dir:(Store.dir s) ~segment_bytes:64 () in
-    Alcotest.(check bool) "torn tail reported" true (Store.damaged report);
+    let s', found = open_ fs ~dir:(Store.dir s) ~segment_bytes:64 () in
+    Alcotest.(check bool) "torn tail reported" true (Store.losses found <> []);
     s'
 
   let test_volatile_then_flush () =
@@ -419,14 +421,15 @@ module Conformance (B : BACKEND) = struct
         (Buffer.length b - !victim_off)
         later
     in
-    let s, report = open_ fs ~dir ~segment_bytes:64 () in
+    let s, found = open_ fs ~dir ~segment_bytes:64 () in
     let keep = start + victim in
-    Alcotest.(check bool) "damage reported" true (Store.damaged report);
-    Alcotest.(check int) "log ends before the record" keep report.Store.recovered_log;
+    let counted = Obs.Snapshot.counter found in
+    Alcotest.(check bool) "damage reported" true (Store.losses found <> []);
+    Alcotest.(check int) "log ends before the record" keep (Store.live_log_records s);
     Alcotest.(check int) "the record and all after it dropped" expected_dropped
-      report.Store.log_bytes_dropped;
+      (counted "storage_log_bytes_dropped_total");
     Alcotest.(check int) "later segments dropped" (List.length later)
-      report.Store.log_segments_dropped;
+      (counted "storage_log_segments_dropped_total");
     Alcotest.(check int) "stable length" keep (Store.stable_log_length s);
     check_from s ~pos:0 (records 0 keep);
     fill s [ "after" ];
