@@ -22,7 +22,6 @@ type t = {
 }
 
 type recovered = {
-  first : int;
   bytes_dropped : int;
   segments_dropped : int;
   tail : Codec.tail;
@@ -126,7 +125,6 @@ let open_ ~(fs : Fs.t) ~dir ?(segment_bytes = default_segment_bytes) ~valid () =
   in
   let recovered =
     {
-      first = (List.hd segs).start;
       bytes_dropped = !bytes_dropped;
       segments_dropped = !segments_dropped;
       tail = !tail;

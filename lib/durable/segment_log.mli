@@ -30,7 +30,6 @@
 type t
 
 type recovered = {
-  first : int;  (** logical index of the first recovered record *)
   bytes_dropped : int;
       (** bytes truncated from the first anomaly on: the rest of its
           segment plus every later segment *)
@@ -51,7 +50,7 @@ val open_ :
     (default 64 KiB) is the size threshold past which appends rotate to a
     new segment.  [valid] is asked of each well-framed payload in log
     order, in place ([len] bytes from [off], valid only during the call); the first one it rejects ends the recovered log, exactly like a
-    corrupt frame.  The recovered records are [first] .. [next_index - 1]. *)
+    corrupt frame.  The recovered records are {!first_index} .. [next_index - 1]. *)
 
 val append : t -> string -> int
 (** Append one record payload; returns its absolute logical index.  The
