@@ -8,8 +8,9 @@
    2. Micro-benchmarks (B1–B9, B13, Bechamel): cost of the protocol's hot
       data structures, of one protocol step and of a restart, which is
       what the paper's "failure-free overhead" and recovery are made of;
-      and B14, an exact count: the synchronous area's fsyncs per output
-      a flush commits.
+      and two exact counts: B14, the synchronous area's fsyncs per output
+      a flush commits, and B15, the heap words per entry of the
+      exactly-once tables.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- micro   # micro-benchmarks only
@@ -289,6 +290,59 @@ let sync_fsyncs_per_output () =
   if outputs = 0 then failwith "B14: no output committed";
   float_of_int (!fsyncs - (counter "flush_rounds_total" - rounds0)) /. float_of_int outputs
 
+(* B15: heap words per entry of the exactly-once tables (released sends,
+   committed outputs, committed deliveries held by identity), exact on
+   two in-memory nodes.  P0 takes [id_words_ops] numbered injections that
+   each forward one message to P1 and as many that each output; one flush
+   releases and commits all of it, and P0's notice lets P1's flush commit
+   its deliveries.  No checkpoint is taken, so neither anchor moves: P0
+   ends with that many released and committed entries and P1 with that
+   many held (P0's floor is 0, so none folds).  Reachable words of the
+   tables over their entries: one hash-table cell and a share of the
+   bucket array with packed identities (~4.6), ~12 with a record key per
+   entry.  [check] recomputes it and fails it above [id_words_bound]. *)
+let id_words_name = "B15 recovery: duplicate-suppression words per entry"
+
+let id_words_bound = 8.
+
+let id_words_ops = 1_000
+
+let id_words_per_entry () =
+  let config = Config.k_optimistic ~n:2 ~k:2 () in
+  let node pid =
+    Node.create_on ~fs:(Durable.Fs.Mem.fs (Durable.Fs.Mem.create ())) ~config ~pid
+      ~app:App_model.Counter_app.app ~store_dir:"store" ?obs:None
+      ~trace:(Recovery.Trace.create ())
+  in
+  let p0 = node 0 and p1 = node 1 in
+  let now = 1. in
+  let to_p1 (actions, _) =
+    List.iter
+      (function
+        | Node.Unicast { dst = 1; packet } -> ignore (Node.handle_packet p1 ~now packet)
+        | Node.Unicast _ | Node.Broadcast _ -> ())
+      actions
+  in
+  for i = 0 to id_words_ops - 1 do
+    to_p1
+      (Node.inject p0 ~now ~seq:((2 * i) + 1) ~cseq:(2 * i)
+         (App_model.Counter_app.Forward { dst = 1; amount = 1 }));
+    ignore (Node.inject p0 ~now ~seq:((2 * i) + 2) ~cseq:((2 * i) + 1) App_model.Counter_app.Report)
+  done;
+  to_p1 (Node.flush p0 ~now);
+  Option.iter
+    (fun n -> ignore (Node.handle_packet p1 ~now (Recovery.Wire.Notice n)))
+    (Node.current_notice p0);
+  ignore (Node.flush p1 ~now);
+  let entries node =
+    let held, released, committed = Node.id_table_sizes node in
+    held + released + committed
+  in
+  let total = entries p0 + entries p1 in
+  if total <> 3 * id_words_ops then
+    failwith (Fmt.str "B15: %d table entries, expected %d" total (3 * id_words_ops));
+  float_of_int (Node.id_table_words p0 + Node.id_table_words p1) /. float_of_int total
+
 (* B13: the observability plane's hot path — one counter bump and one
    histogram observation, the per-event price of leaving the registry
    always on (the daemon pays it per delivered frame and per timed
@@ -358,6 +412,7 @@ let run_micro () =
     (micro_tests ());
   let words = restart_words () in
   let sync_fsyncs = sync_fsyncs_per_output () in
+  let id_words = id_words_per_entry () in
   (* Hashtbl.iter order is nondeterministic; sort so runs are comparable. *)
   let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) !rows in
   List.iter
@@ -369,15 +424,19 @@ let run_micro () =
     rows;
   Fmt.pr "%-45s %12.1f words@." restart_words_name words;
   Fmt.pr "%-45s %12.3f@." sync_fsyncs_name sync_fsyncs;
+  Fmt.pr "%-45s %12.3f@." id_words_name id_words;
   let rows =
     List.sort (fun (a, _) (b, _) -> String.compare a b)
-      ((restart_words_name, Some words) :: (sync_fsyncs_name, Some sync_fsyncs) :: rows)
+      ((restart_words_name, Some words)
+      :: (sync_fsyncs_name, Some sync_fsyncs)
+      :: (id_words_name, Some id_words)
+      :: rows)
   in
   let oc = open_out "BENCH_micro.json" in
   let field (name, estimate) =
     Fmt.str "  %S: %s" name
       (match estimate with
-      | Some est when name = sync_fsyncs_name -> Fmt.str "%.3f" est
+      | Some est when name = sync_fsyncs_name || name = id_words_name -> Fmt.str "%.3f" est
       | Some est -> Fmt.str "%.1f" est
       | None -> "null")
   in
@@ -654,10 +713,18 @@ let run_check_micro_floors () =
     failwith
       (Fmt.str "%s: %.3f exceeds %.2f (one fsync per commit record?)" sync_fsyncs_name
          sync_fsyncs sync_fsyncs_bound);
+  (* Duplicate suppression: recomputed here, since it is exact. *)
+  let committed_id_words = find id_words_name in
+  let id_words = id_words_per_entry () in
+  if id_words > id_words_bound then
+    failwith
+      (Fmt.str "%s: %.3f exceeds %.0f (an identity record per entry?)" id_words_name id_words
+         id_words_bound);
   Fmt.pr
     "micro floors ok: obs counter %.1f ns/op, histogram %.1f ns/op; durable restart \
-     %.0f us, %.1f promoted words/record; %.3f sync-area fsyncs per output@."
-    c h restart_us words sync_fsyncs
+     %.0f us, %.1f promoted words/record; %.3f sync-area fsyncs per output; %.3f \
+     duplicate-suppression words per entry (%.3f committed)@."
+    c h restart_us words sync_fsyncs id_words committed_id_words
 
 (* ------------------------------------------------------------------ *)
 

@@ -51,11 +51,22 @@
    resident peak is ~3.8 MB: ~1.9 MB file-backed (this binary's text,
    1.6 MB with the part of libc it calls, nearly all of it resident under
    fault-around, and its rodata, 0.3 MB) and ~2.05 MB anonymous: the
-   minor heap (0.25 MB), the major heap (~130k words, 1 MB at its top at
-   o=40, less at o=20),
+   minor heap (0.25 MB), the major heap (~117k words at its top at
+   o=20, 0.9 MB),
    the runtime's table of frame descriptors (128 KB), the binary's .data
    (0.45 MB, two thirds of it the frametables the runtime reads at boot)
-   and the rest of the runtime and C buffers.  It is a static PIE, so it
+   and the rest of the runtime and C buffers.  The rodata the daemon
+   reads lies in its last third, ~32 pages that fault-around maps in
+   64 KB windows aligned in the address space: as the text before it
+   grows, they span two windows or three, 64 KB of resident file either
+   way.  On burst the peak is ~4.6 MB: the major heap tops at
+   ~185-200k words, held by the allocation churn of the store's Marshal
+   path and by the exactly-once tables ([held], [released_ids],
+   [committed_ids] in Node), which keep one checkpoint interval of
+   traffic, up to a few thousand entries a table there.  Their keys are
+   identities packed into one int ([Depend.Id_pack]), ~4.6 words an
+   entry where record keys took ~12 (B15), which took burst's peak from
+   ~5.0 MB to ~4.6 MB.  It is a static PIE, so it
    maps no dynamic loader and no libc.so or libm.so (~1.9 MB when it was
    linked dynamically; see bin/dune).  The binary links only what the
    daemon runs: no Cmdliner and no [Stdlib.Arg] (the flags are parsed
@@ -182,8 +193,9 @@ let open_fds () =
 (* The memory gauges, refreshed at every Stats scrape and just before the
    Quit-time metrics file: the runtime's heap sizes and collection counts,
    the process's resident set (whole, peak, and split into file-backed and
-   anonymous pages), its threads and open descriptors, and the node's
-   three message buffers and archive.  Each is one series.  The runtime
+   anonymous pages), its threads and open descriptors, the node's three
+   message buffers and archive, and the entries of its three exactly-once
+   tables.  Each is one series.  The runtime
    samples its heap sizes at each minor collection and reads 0 before the
    first, so the two heap gauges are left out until one has run, as the
    process gauges are while /proc cannot be read. *)
@@ -216,7 +228,11 @@ let memory_gauges obs =
     set "send_buf_len" (float_of_int (Node.send_buffer_size node));
     set "out_buf_len" (float_of_int (Node.output_buffer_size node));
     set "recv_buf_len" (float_of_int (Node.receive_buffer_size node));
-    set "archive_len" (float_of_int (Node.archive_size node))
+    set "archive_len" (float_of_int (Node.archive_size node));
+    let held, released, committed = Node.id_table_sizes node in
+    set "held_len" (float_of_int held);
+    set "released_ids_len" (float_of_int released);
+    set "committed_ids_len" (float_of_int committed)
 
 (* [Unix.select] on the lists' descriptors, [timeout] seconds at most
    ([infinity]: no bound).  It can wait on descriptors numbered below
@@ -406,8 +422,15 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
      the application replay into per-partition queues — the daemon starts
      serving requests on recovered partitions while the main loop pumps
      [replay_step] in the background. *)
-  if not (Node.is_up node) then
-    dispatch (fst (Node.restart_begin node ~now:(now ())));
+  if not (Node.is_up node) then begin
+    (* What the open that found the store counted, for the driver to sum
+       over this pid's incarnations: one SIGKILLed later writes no metrics
+       file.  Through a descriptor, as boot must not open a channel. *)
+    let reopens = Durable.Fs.unix.open_append (metrics_file ^ ".reopens") in
+    reopens.write (Durable.Durable_store.reopen_lines obs);
+    reopens.close ();
+    dispatch (fst (Node.restart_begin node ~now:(now ())))
+  end;
   (* A joiner introduces itself: the Join broadcast carries its current
      frontier, and every incumbent widens its dependency vector on receipt
      (the driver has already pointed them at our data port via Add_peer). *)

@@ -515,13 +515,43 @@ let load_metrics ~what path =
     | Ok snap -> Ok snap
     | Error e -> Error (Fmt.str "%s metrics: %s" what e)
 
+(* What every open of a node's store found, summed over its incarnations:
+   each daemon that opened a store it found appends its reopen counters
+   to [<metrics file>.reopens] at boot, so one SIGKILLed later, which
+   writes no metrics file, still counts.  They replace the Quit-time
+   snapshot's own, which count only the last incarnation's open. *)
+let with_reopens node snap =
+  let path = node.metrics_file ^ ".reopens" in
+  let names = Durable.Durable_store.reopen_counters in
+  (* [Durable_store.reopen_lines], one "name value" line per counter; a
+     line that does not parse counts nothing. *)
+  let lines =
+    if not (Sys.file_exists path) then []
+    else
+      List.map (String.split_on_char ' ')
+        (String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all))
+  in
+  let sum name =
+    List.fold_left
+      (fun acc -> function
+        | [ n; v ] when n = name -> acc + Option.value (int_of_string_opt v) ~default:0
+        | _ -> acc)
+      0 lines
+  in
+  Obs.Snapshot.merge
+    (Obs.Snapshot.of_bindings
+       (List.filter (fun ((name, _), _) -> not (List.mem name names)) (Obs.Snapshot.bindings snap)))
+    (Obs.Snapshot.of_bindings
+       (List.map (fun name -> ((name, []), Obs.Snapshot.Counter (sum name))) names))
+
 type outcome = {
   trace : Trace.t;
   damage : string list;
   synthesized_crashes : int;
   oracle : Harness.Oracle.report;
   obs : Obs.Snapshot.t;
-      (** all daemons' Quit-time registry snapshots and the proxy's
+      (** all daemons' Quit-time registry snapshots, each with the
+          reopen counters of all its incarnations, and the proxy's
           counters, merged: counters summed, histograms bucket-wise summed *)
 }
 
@@ -640,17 +670,19 @@ let finish t =
   (match t.proxy with Some p -> Proxy.close p | None -> ());
   let trace, damage, synthesized_crashes = merge_traces t in
   let metric_damage = ref [] in
+  let load what path =
+    match load_metrics ~what path with
+    | Ok snap -> snap
+    | Error e ->
+      metric_damage := e :: !metric_damage;
+      Obs.Snapshot.empty
+  in
+  let proxy = load "proxy" (proxy_metrics_file t.root) in
   let obs =
-    ("proxy", proxy_metrics_file t.root)
+    proxy
     :: List.map
-         (fun node -> (Fmt.str "pid %d" node.pid, node.metrics_file))
+         (fun node -> with_reopens node (load (Fmt.str "pid %d" node.pid) node.metrics_file))
          (Array.to_list t.nodes)
-    |> List.map (fun (what, path) ->
-           match load_metrics ~what path with
-           | Ok snap -> snap
-           | Error e ->
-             metric_damage := e :: !metric_damage;
-             Obs.Snapshot.empty)
     |> Obs.Snapshot.merge_all
   in
   let damage = damage @ List.rev !metric_damage in

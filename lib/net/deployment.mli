@@ -179,8 +179,12 @@ type outcome = {
           across the cluster, so e.g. the fsync-latency histogram here is
           the cluster-wide latency distribution.  A daemon reaped without
           draining contributes an empty snapshot (its metrics file was
-          never written) — trace evidence is unaffected.  A deployment
-          launched with a fault [plan] also merges in its proxy's
+          never written) — trace evidence is unaffected.  The
+          {!Durable.Durable_store.reopen_counters} are the exception:
+          they come from the file each incarnation that found a store
+          appends them to at boot ([metrics-<pid>.txt.reopens]), so
+          they sum every open, a SIGKILLed incarnation's included.  A
+          deployment launched with a fault [plan] also merges in its proxy's
           [proxy_*_total] counters, from the [metrics-proxy.txt] file
           the relay writes under [root] when it stops. *)
 }
@@ -191,9 +195,8 @@ val check_fault_free : outcome -> unit
     may lose data, so
     @raise Failure if [obs] shows a nonzero
     [transport_decode_errors_total], [transport_frames_dropped_total] or
-    {!Durable.Durable_store.loss_counters} series.  [obs] holds only the
-    incarnations that quit cleanly: a loss counted by one later SIGKILLed
-    is visible only in a live {!scrape} taken before the kill. *)
+    {!Durable.Durable_store.loss_counters} series.  Those count what the
+    opens of every incarnation found, a SIGKILLed one's included. *)
 
 val certify :
   report:Harness.Report.t -> exp:string -> label:string -> outcome -> unit
@@ -201,9 +204,8 @@ val certify :
     @raise Failure naming experiment [exp] and run [label] on any oracle
     violation, else note in [report] each piece of trace damage and each
     nonzero {!Durable.Durable_store.loss_counters} series of [obs] (what
-    the reopens of the incarnations that quit cleanly found lost; a
-    SIGKILLed incarnation's counts reach only a live {!scrape}, and its
-    successor does not count that loss again).  Risk
+    the reopens of every incarnation found lost, each loss counted by the
+    open that found it).  Risk
     above K needs no check of its own: {!finish} runs the oracle with the
     deployment's K, and the oracle counts that as a violation. *)
 

@@ -82,6 +82,10 @@ module Snapshot : sig
   val bindings : t -> ((string * (string * string) list) * value) list
   (** Sorted by (name, labels). *)
 
+  val of_bindings : ((string * (string * string) list) * value) list -> t
+  (** The snapshot of these samples, whose (name, labels) keys are
+      distinct, labels sorted by name; [of_bindings (bindings s)] is [s]. *)
+
   val counter : t -> ?labels:(string * string) list -> string -> int
   (** Value of a counter sample; [0] when absent. *)
 

@@ -290,7 +290,7 @@ type ('state, 'msg) t = {
   out_buf : pending_output Backlog.t;
   mutable delivered : (Wire.identity, delivery) Hashtbl.t;
       (* deliveries not yet known committed; see [fold_committed] *)
-  held : (Wire.identity, int * int) Hashtbl.t;
+  held : (Wire.identity, int * int) Id_pack.t;
       (* committed deliveries that cannot fold yet, with their channel
          position: another copy may still arrive under another number *)
   chans : (int * int, Seq_set.t) Hashtbl.t;
@@ -312,10 +312,10 @@ type ('state, 'msg) t = {
   assemblies : (Wire.output_id, assembly) Hashtbl.t;
       (* direct tracking: one transitive-closure assembly per pending
          output *)
-  released_ids : (Wire.identity, unit) Hashtbl.t;
+  released_ids : (Wire.identity, unit) Id_pack.t;
   buffered_send_ids : (Wire.identity, unit) Hashtbl.t;
   buffered_out_ids : (Wire.output_id, unit) Hashtbl.t;
-  committed_ids : (Wire.output_id, unit) Hashtbl.t; (* cache of stable records *)
+  committed_ids : (Wire.output_id, unit) Id_pack.t; (* cache of stable records *)
   archive : 'msg Archive.t; (* released msgs awaiting ack, in release order *)
   anns_seen : (Wire.announcement, unit) Hashtbl.t;
   mutable anns_order : Wire.announcement list;
@@ -467,7 +467,7 @@ let rereleased_below_floor t (m : 'msg Wire.app_message) =
    folded ones by their channel position or their sender's floor. *)
 let seen t (m : 'msg Wire.app_message) =
   Hashtbl.mem t.delivered m.id
-  || Hashtbl.mem t.held m.id
+  || Id_pack.mem t.held m.id
   || (m.cseq >= 0
      &&
      match Hashtbl.find_opt t.chans (m.id.origin, m.epoch) with
@@ -581,7 +581,7 @@ let commit_upto t (upto : Entry.t) =
         if dl.dl_interval.sii > upto.sii then Hashtbl.replace open_ id dl
         else if foldable t id ~epoch:dl.dl_epoch ~cseq:dl.dl_cseq then
           fold t id ~epoch:dl.dl_epoch ~cseq:dl.dl_cseq
-        else Hashtbl.replace t.held id (dl.dl_epoch, dl.dl_cseq))
+        else Id_pack.replace t.held id (dl.dl_epoch, dl.dl_cseq))
       t.delivered;
     t.delivered <- open_
   end
@@ -614,20 +614,17 @@ let fold_committed t =
     t.floor <- Stdlib.max t.floor floor;
     (* Neither restart nor rollback regenerates or re-instates a send or
        an output from below the floor again. *)
-    let keep (e : Entry.t) = if e.sii < t.floor then None else Some () in
-    Hashtbl.filter_map_inplace
-      (fun (id : Wire.identity) () -> keep id.origin_interval)
+    Id_pack.filter
+      (fun (id : Wire.identity) () -> id.origin_interval.sii >= t.floor)
       t.released_ids;
-    Hashtbl.filter_map_inplace
-      (fun (oid : Wire.output_id) () -> keep oid.out_interval)
+    Id_pack.filter
+      (fun (oid : Wire.output_id) () -> oid.out_interval.sii >= t.floor)
       t.committed_ids;
-    Hashtbl.filter_map_inplace
+    Id_pack.filter
       (fun id (epoch, cseq) ->
-        if foldable t id ~epoch ~cseq then begin
-          fold t id ~epoch ~cseq;
-          None
-        end
-        else Some (epoch, cseq))
+        let folds = foldable t id ~epoch ~cseq in
+        if folds then fold t id ~epoch ~cseq;
+        not folds)
       t.held;
     commit_upto t anchor.cp_interval
   | Some _ | None -> ()
@@ -646,7 +643,7 @@ let stubs_of t msgs =
   List.iter
     (fun (m : 'msg Wire.app_message) ->
       let key = (m.id.origin, m.epoch) in
-      if Hashtbl.mem t.delivered m.id || Hashtbl.mem t.held m.id then
+      if Hashtbl.mem t.delivered m.id || Id_pack.mem t.held m.id then
         exact := (m.id, m.epoch, m.cseq) :: !exact
       else
         let r = Option.value (Hashtbl.find_opt runs key) ~default:Seq_set.empty in
@@ -664,7 +661,7 @@ let no_stubs = { Wire.gs_runs = []; gs_exact = []; gs_floors = [] }
 let committed_stubs t =
   {
     Wire.gs_runs = runs_of t.chans;
-    gs_exact = Hashtbl.fold (fun id (epoch, cseq) acc -> (id, epoch, cseq) :: acc) t.held [];
+    gs_exact = Id_pack.fold (fun id (epoch, cseq) acc -> (id, epoch, cseq) :: acc) t.held [];
     gs_floors = heard_floors t;
   }
 
@@ -676,7 +673,7 @@ let absorb_stubs t (gs : Wire.stubs) =
       let s = Option.value (Hashtbl.find_opt t.chans key) ~default:Seq_set.empty in
       Hashtbl.replace t.chans key (List.fold_left (Fun.flip Seq_set.add_run) s runs))
     gs.gs_runs;
-  List.iter (fun (id, epoch, cseq) -> Hashtbl.replace t.held id (epoch, cseq)) gs.gs_exact;
+  List.iter (fun (id, epoch, cseq) -> Id_pack.replace t.held id (epoch, cseq)) gs.gs_exact;
   List.iter (fun (j, f) -> note_floor t j f) gs.gs_floors
 
 (* Below the floor every send was released and acked and every output
@@ -686,17 +683,17 @@ let absorb_stubs t (gs : Wire.stubs) =
    restart knows only the floor of its last GC; receivers drop what it
    re-releases below the floor it advertised ([rereleased_below_floor]). *)
 let released t (id : Wire.identity) =
-  id.origin_interval.sii < t.floor || Hashtbl.mem t.released_ids id
+  id.origin_interval.sii < t.floor || Id_pack.mem t.released_ids id
 
 let committed t (oid : Wire.output_id) =
-  oid.out_interval.sii < t.floor || Hashtbl.mem t.committed_ids oid
+  oid.out_interval.sii < t.floor || Id_pack.mem t.committed_ids oid
 
 (* ------------------------------------------------------------------ *)
 (* Send path: Send_message / Check_send_buffer (Figure 2)              *)
 
 let release_send t ~now (ps : 'msg pending_send) =
   Hashtbl.remove t.buffered_send_ids ps.ps_id;
-  Hashtbl.replace t.released_ids ps.ps_id ();
+  Id_pack.replace t.released_ids ps.ps_id ();
   let dep =
     match (proto t).tracking with
     | Config.Transitive -> Dep_vector.non_null ps.ps_tdv
@@ -805,7 +802,7 @@ let output_ready t po =
 let commit_output t ~now po =
   Hashtbl.remove t.buffered_out_ids po.po_id;
   Hashtbl.remove t.assemblies po.po_id;
-  Hashtbl.replace t.committed_ids po.po_id ();
+  Id_pack.replace t.committed_ids po.po_id ();
   Store.log_announcement ~fsync:false t.store (Wire.Committed po.po_id);
   let latency = now -. po.po_buffered in
   Obs.Counter.incr t.meters.outputs_committed;
@@ -1372,7 +1369,7 @@ let reinstate_archive t msgs =
       if (not (Archive.mem t.archive m.id)) && not (Hashtbl.mem t.buffered_send_ids m.id)
       then begin
         Archive.add t.archive m;
-        Hashtbl.replace t.released_ids m.id ()
+        Id_pack.replace t.released_ids m.id ()
       end)
     msgs
 
@@ -1931,7 +1928,7 @@ let restart_prologue t =
     (function
       | Wire.Ann_logged ann -> absorb_ann t ~persist:false ann
       | Wire.Committed oid ->
-        if oid.out_interval.sii >= t.floor then Hashtbl.replace t.committed_ids oid ()
+        if oid.out_interval.sii >= t.floor then Id_pack.replace t.committed_ids oid ()
       | Wire.Gc_stubs gs -> absorb_stubs t gs
       | Wire.Marker { log_pos; _ } ->
         (* A rollback truncated the log at [log_pos]: any partition
@@ -2293,7 +2290,7 @@ let[@warning "-16"] create_on ~fs ~config ~pid ~app ~store_dir ?obs ~trace:tr =
       send_buf = Backlog.create ();
       out_buf = Backlog.create ();
       delivered = Hashtbl.create 64;
-      held = Hashtbl.create 16;
+      held = Id_pack.create Wire.identity_packing Wire.position_packing;
       chans = Hashtbl.create 8;
       floors = Hashtbl.create 8;
       floor = 0;
@@ -2303,10 +2300,10 @@ let[@warning "-16"] create_on ~fs ~config ~pid ~app ~store_dir ?obs ~trace:tr =
       chan_next = Hashtbl.create 8;
       direct_parents = Hashtbl.create 64;
       assemblies = Hashtbl.create 8;
-      released_ids = Hashtbl.create 64;
+      released_ids = Id_pack.create Wire.identity_packing Wire.unit_packing;
       buffered_send_ids = Hashtbl.create 16;
       buffered_out_ids = Hashtbl.create 16;
-      committed_ids = Hashtbl.create 16;
+      committed_ids = Id_pack.create Wire.output_packing Wire.unit_packing;
       archive = Archive.create ();
       anns_seen = Hashtbl.create 16;
       anns_order = [];
@@ -2546,8 +2543,13 @@ let dedup_words t =
 
 let dedup_sizes t =
   ( Hashtbl.length t.delivered,
-    Hashtbl.length t.held,
+    Id_pack.length t.held,
     Hashtbl.fold (fun _ runs acc -> acc + Seq_set.run_count runs) t.chans 0 )
+
+let id_table_sizes t =
+  (Id_pack.length t.held, Id_pack.length t.released_ids, Id_pack.length t.committed_ids)
+
+let id_table_words t = Obj.reachable_words (Obj.repr (t.held, t.released_ids, t.committed_ids))
 
 let arm_storage_disk_full t ~rounds = Store.arm_disk_full t.store ~rounds
 

@@ -180,3 +180,30 @@ type sync_record =
           checkpoint; a later [Marker] whose [log_pos] is below [pc_pos]
           invalidates the record (a rollback truncated the covered
           prefix). *)
+
+let identity_packing =
+  {
+    Id_pack.pack = (fun id -> Id_pack.message ~origin:id.origin id.origin_interval ~idx:id.idx);
+    unpack =
+      (fun k ->
+        {
+          origin = Id_pack.message_origin k;
+          origin_interval = Id_pack.message_interval k;
+          idx = Id_pack.message_idx k;
+        });
+  }
+
+let output_packing =
+  {
+    Id_pack.pack = (fun oid -> Id_pack.output oid.out_interval ~idx:oid.out_idx);
+    unpack =
+      (fun k -> { out_interval = Id_pack.output_interval k; out_idx = Id_pack.output_idx k });
+  }
+
+let unit_packing = { Id_pack.pack = (fun () -> 0); unpack = (fun _ -> ()) }
+
+let position_packing =
+  {
+    Id_pack.pack = (fun (epoch, cseq) -> Id_pack.pair epoch cseq);
+    unpack = (fun k -> (Id_pack.pair_fst k, Id_pack.pair_snd k));
+  }

@@ -173,3 +173,14 @@ type sync_record =
           [pc_payload].  Opaque at this layer — the node marshals it where
           the message type is known; PROTOCOL.md gives the format.  A later
           [Marker] with [log_pos < pc_pos] invalidates the record. *)
+
+(** {1 Packings}
+
+    How a node's exactly-once tables key their entries: each identity as
+    one [int] ({!Depend.Id_pack}), and a held delivery's channel position
+    [(epoch, cseq)] as another.  See PROTOCOL.md, "Folding". *)
+
+val identity_packing : identity Id_pack.packing
+val output_packing : output_id Id_pack.packing
+val unit_packing : unit Id_pack.packing
+val position_packing : (int * int) Id_pack.packing

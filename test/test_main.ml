@@ -7,6 +7,7 @@ let () =
       ("entry", Test_entry.suite);
       ("entry-set", Test_entry_set.suite);
       ("seq-set", Test_seq_set.suite);
+      ("id-pack", Test_id_pack.suite);
       ("dep-vector", Test_dep_vector.suite);
       ("storage", Test_storage.suite);
       ("durable", Test_durable.suite);

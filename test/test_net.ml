@@ -361,8 +361,11 @@ let test_kill_during_replay () =
       Alcotest.(check int)
         "two synthesized crashes" 2 outcome.Deployment.synthesized_crashes;
       (* Metrics files are written on graceful quit only, so the summed
-         restart counter sees just the surviving incarnation. *)
+         restart counter sees just the surviving incarnation; what each
+         incarnation's reopen found is summed from the file it appended
+         to at boot, the re-killed one's included. *)
       Alcotest.(check bool) "restart recorded" true (counter outcome "restarts_total" >= 1);
+      Alcotest.(check int) "both reopens counted" 2 (counter outcome "storage_reopens_total");
       (* [caught] means the second kill was fired while the status socket
          reported an active replay; either way the final incarnation must
          have certified a completed recovery.  (When the window was hit,
@@ -472,6 +475,8 @@ let test_stats_plane_live () =
           names
       in
       let heap = [ "gc_heap_words"; "gc_top_heap_words" ] in
+      (* The exactly-once tables' entries, set at each scrape. *)
+      let id_tables = [ "held_len"; "released_ids_len"; "committed_ids_len" ] in
       let resident =
         [
           "process_resident_bytes";
@@ -537,6 +542,10 @@ let test_stats_plane_live () =
           check_process (Fmt.str "pid %d mid-load" pid) snap)
         scraped;
       let live = Obs.Snapshot.merge_all scraped in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (Fmt.str "live scrape: %s present" name) true (has live name))
+        id_tables;
       Alcotest.(check bool) "mid-load deliveries scraped" true
         (Obs.Snapshot.counter live "deliveries_total" > 0);
       Alcotest.(check bool) "flush family present" true
@@ -568,7 +577,7 @@ let test_stats_plane_live () =
         (fun name ->
           Alcotest.(check bool) (Fmt.str "Quit-time metrics: %s present" name) true
             (has outcome.Deployment.obs name))
-        [ "send_buf_len"; "out_buf_len"; "recv_buf_len"; "archive_len" ];
+        ([ "send_buf_len"; "out_buf_len"; "recv_buf_len"; "archive_len" ] @ id_tables);
       match
         Obs.Snapshot.hist outcome.Deployment.obs
           ~labels:[ ("phase", "handle") ]
