@@ -48,26 +48,37 @@
    most events one iteration took is the [batch_high_water] gauge.
 
    Resident memory.  On the benchmark's steady workload a daemon's
-   resident peak is ~3.8 MB: ~1.9 MB file-backed (this binary's text,
-   1.6 MB with the part of libc it calls, nearly all of it resident under
-   fault-around, and its rodata, 0.3 MB) and ~2.05 MB anonymous: the
-   minor heap (0.25 MB), the major heap (~117k words at its top at
-   o=20, 0.9 MB),
-   the runtime's table of frame descriptors (128 KB), the binary's .data
-   (0.45 MB, two thirds of it the frametables the runtime reads at boot)
-   and the rest of the runtime and C buffers.  The rodata the daemon
-   reads lies in its last third, ~32 pages that fault-around maps in
-   64 KB windows aligned in the address space: as the text before it
-   grows, they span two windows or three, 64 KB of resident file either
-   way.  On burst the peak is ~4.6 MB: the major heap tops at
-   ~185-200k words, held by the allocation churn of the store's Marshal
+   resident peak is ~3.5 MB: ~1.55 MB file-backed and ~2.0 MB anonymous.
+   The file-backed part is this binary's text, 1.69 MB with the part of
+   libc it calls, of which ~1.33 MB is resident, and 192 KB of its
+   rodata.  Fault-around maps file pages in 64 KB windows aligned in the
+   address space, and boot (the module initialisers, the argv loop, the
+   store's open, the restart) touches nearly every window of the text,
+   which kept ~1.65 MB of it resident for the daemon's life.  So boot
+   ends by dropping the pages of the binary's read-only segments
+   ([drop_read_only_mappings]), and only the windows the loop runs fault
+   back in.  Of the rodata three windows come back, 48 pages: the first
+   holds libm's tables (__exp_data, __log2_data, __sincostab), the others
+   glibc's power-of-ten table and the C locale's tables; as the text
+   before them grows they may span one window more or fewer.  The
+   anonymous part is the minor heap (0.25 MB), the major heap (~117k
+   words at its top at o=20, 0.9 MB), the runtime's table of frame
+   descriptors (128 KB), the binary's .data (0.45 MB, two thirds of it
+   the frametables the runtime reads at boot), malloc's heap (~0.2 MB)
+   and the rest of the runtime's and C's buffers.  Every block the
+   runtime allocates above 128 words is malloc's, and free gives memory
+   back only from the top of the heap, so after each full checkpoint,
+   where such blocks come and go in bulk, [malloc_trim] returns the
+   heap's free pages: on burst the heap tops at ~0.27-0.36 MB against
+   ~0.47-0.57 MB without.  On burst the peak is ~4.2 MB: the major heap
+   tops at ~185-200k words, held by the allocation churn of the store's Marshal
    path and by the exactly-once tables ([held], [released_ids],
    [committed_ids] in Node), which keep one checkpoint interval of
    traffic, up to a few thousand entries a table there.  Their keys are
    identities packed into one int ([Depend.Id_pack]), ~4.6 words an
    entry where record keys took ~12 (B15), which took burst's peak from
-   ~5.0 MB to ~4.6 MB.  It is a static PIE, so it
-   maps no dynamic loader and no libc.so or libm.so (~1.9 MB when it was
+   ~5.0 MB to ~4.6 MB (the drop and the trim took it to ~4.2 MB).  It
+   is a static PIE, so it maps no dynamic loader and no libc.so or libm.so (~1.9 MB when it was
    linked dynamically; see bin/dune).  The binary links only what the
    daemon runs: no Cmdliner and no [Stdlib.Arg] (the flags are parsed
    once, with a plain loop), no Fmt and no [Stdlib.Format] (it prints
@@ -149,6 +160,14 @@ type timer = { kind : timer_kind; period : float; mutable due : float }
    delivery examines only the entries it added).  It also bounds what a
    client can queue in the daemon (see [read_clients] in [run]). *)
 let batch_cap = 256
+
+(* Once boot is over, drop the pages of the binary's read-only segments
+   (text, rodata, headers), so that only what the loop runs faults back
+   in; and return malloc's free pages after each full checkpoint (both in
+   koptnode_runparam.c). *)
+external drop_read_only_mappings : unit -> unit = "koptnode_drop_read_only" [@@noalloc]
+
+external malloc_trim : unit -> unit = "koptnode_malloc_trim" [@@noalloc]
 
 (* /proc/self/status, read through a descriptor, not a channel, so a
    scrape does not charge a channel buffer against the minor heap whose
@@ -519,7 +538,11 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
         step_up
           (match kind with
           | `Flush -> Node.flush
-          | `Checkpoint -> Node.checkpoint
+          | `Checkpoint ->
+            fun nd ~now ->
+              let r = Node.checkpoint nd ~now in
+              malloc_trim ();
+              r
           | `Notice -> Node.broadcast_notice
           | `Retransmit -> Node.retransmit_tick)
       | Control (ctl, c) -> (
@@ -696,10 +719,12 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
   (* What boot cost the minor heap, fixed once: with the 32k-word nursery
      and no channel beyond the standard three, a daemon boots (store
      reopen, restart, first sync) without a single minor collection,
-     which is what keeps setup time unchanged. *)
+     which is what keeps setup time unchanged.  Then boot's pages of the
+     binary go: from here on only what the loop runs is resident. *)
   Obs.Gauge.set
     (Obs.Registry.gauge obs "gc_boot_minor_collections")
     (float_of_int (Gc.quick_stat ()).Gc.minor_collections);
+  drop_read_only_mappings ();
   main_loop ~capped:false
 
 (* ------------------------------------------------------------------ *)

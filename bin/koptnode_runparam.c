@@ -1,4 +1,11 @@
-/* koptnode's runtime parameters.
+/* koptnode's runtime parameters, and what it gives back once booted.
+
+   Three pieces of C that the OCaml runtime and Unix library do not offer:
+   the constructor below fixes the runtime's parameters before it starts;
+   koptnode_drop_read_only runs once, at the end of boot, and
+   koptnode_malloc_trim after every full checkpoint.
+
+   The runtime parameters.
 
    OCaml 5.1 takes its runtime parameters only from the OCAMLRUNPARAM
    environment variable (or CAMLRUNPARAM when OCAMLRUNPARAM is unset), read
@@ -97,9 +104,16 @@
    size, and the daemon opens none beyond the standard three (the trace
    writer and the store write through descriptors; see koptnode.ml). */
 
+#define _GNU_SOURCE
+#include <link.h>
+#include <malloc.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <caml/mlvalues.h>
 
 static const char default_params[] = "s=32k,o=20";
 
@@ -117,4 +131,89 @@ __attribute__((constructor)) static void koptnode_runparam(void)
   snprintf(params, len, "%s,%s", default_params, operator_params);
   setenv("OCAMLRUNPARAM", params, 1);
   free(params);
+}
+
+/* Dropping the read-only mappings after boot.
+
+   The binary's text, its .rodata/.eh_frame segment and its header segment
+   are private file mappings the kernel fills on demand, and fault-around
+   fills them in 64 KB windows aligned in the address space: one page
+   touched maps the fifteen around it that are in the page cache.  Boot
+   (the module initialisers, the argv loop, the store's open and the
+   restart) touches nearly every window of the text, so ~1.65 MB of it
+   stayed resident for the daemon's life though the select loop runs a
+   part of it.  MADV_RANDOM does not help: it does not stop fault-around.
+
+   So once boot is over the daemon tells the kernel it no longer needs
+   the pages of every PT_LOAD segment without PF_W (MADV_DONTNEED); the
+   windows the loop runs fault back in, the rest stay on disk, or in the
+   page cache, out of this process's resident set.  For a private file
+   mapping that was never written, MADV_DONTNEED only removes the page
+   table entries: the next access maps the same page-cache page again,
+   with the same bytes, as the kernel may do itself when it reclaims a
+   clean file page.  The program cannot tell.  A page it did write (one
+   the start code relocated, or the runtime's data) is an anonymous copy,
+   and MADV_DONTNEED would throw the copy away and bring back the file's
+   bytes.  No such page is touched: the writable segments (.data, .bss,
+   and RELRO, which is writable until relocation ends) are skipped, and a
+   page a read-only segment shares with one of them is left out of its
+   range.  The binary has no text relocations (test_link.ml fails on
+   DT_TEXTREL and on a read-only segment sharing a page with a writable
+   one or with RELRO), so nothing else in those segments was written.
+
+   dl_iterate_phdr reports the executable first; the walk stops there, so
+   the vDSO, which a static binary may report after it, is left alone. */
+
+static uintptr_t page_down(uintptr_t a, uintptr_t page) { return a & ~(page - 1); }
+
+static uintptr_t page_up(uintptr_t a, uintptr_t page) { return page_down(a + page - 1, page); }
+
+static int drop_segments(struct dl_phdr_info *info, size_t size, void *data)
+{
+  (void)size;
+  (void)data;
+  uintptr_t page = (uintptr_t)sysconf(_SC_PAGESIZE);
+  for (int i = 0; i < info->dlpi_phnum; i++) {
+    const ElfW(Phdr) *ph = &info->dlpi_phdr[i];
+    if (ph->p_type != PT_LOAD || (ph->p_flags & PF_W) || ph->p_memsz == 0) continue;
+    uintptr_t start = page_down(info->dlpi_addr + ph->p_vaddr, page);
+    uintptr_t end = page_up(info->dlpi_addr + ph->p_vaddr + ph->p_memsz, page);
+    /* Trim off any page a writable segment or RELRO also covers. */
+    for (int j = 0; j < info->dlpi_phnum; j++) {
+      const ElfW(Phdr) *w = &info->dlpi_phdr[j];
+      if (!((w->p_type == PT_LOAD && (w->p_flags & PF_W)) || w->p_type == PT_GNU_RELRO))
+        continue;
+      uintptr_t w_start = page_down(info->dlpi_addr + w->p_vaddr, page);
+      uintptr_t w_end = page_up(info->dlpi_addr + w->p_vaddr + w->p_memsz, page);
+      if (w_start >= end || w_end <= start) continue;
+      if (w_start > start) end = w_start;
+      else start = w_end < end ? w_end : end;
+    }
+    if (start < end) madvise((void *)start, end - start, MADV_DONTNEED);
+  }
+  return 1;
+}
+
+value koptnode_drop_read_only(value unit)
+{
+  (void)unit;
+  dl_iterate_phdr(drop_segments, NULL);
+  return Val_unit;
+}
+
+/* Returning malloc's free pages after a full checkpoint.
+
+   OCaml allocates every block above 128 words (the checkpoint's Marshal
+   strings, a Buffer's or a Hashtbl's grown array) with malloc, and frees
+   it with free when the major collector sweeps it.  glibc gives memory
+   back to the kernel only from the top of its heap, past 128 KB free; a
+   free range below a live block stays resident.  A checkpoint is where
+   such blocks come and go in bulk, so after each one malloc_trim(0)
+   returns every free whole page of the heap (MADV_DONTNEED on the free
+   chunks); a page malloc hands out again faults back in zeroed. */
+value koptnode_malloc_trim(value unit)
+{
+  (void)unit;
+  malloc_trim(0);
+  return Val_unit;
 }

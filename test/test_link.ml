@@ -28,23 +28,40 @@ let pt_dynamic = 2
 
 let pt_interp = 3
 
+let pt_gnu_relro = 0x6474e552
+
+let pf_w = 2
+
 let dt_needed = 1
 
 let dt_strtab = 5
+
+let dt_textrel = 22
+
+let dt_flags = 30
+
+let df_textrel = 4
 
 let sht_symtab = 2
 
 let sht_dynsym = 11
 
-type segment = { p_type : int; offset : int; vaddr : int; filesz : int }
+type segment = {
+  p_type : int;
+  p_flags : int;
+  offset : int;
+  vaddr : int;
+  filesz : int;
+  memsz : int;
+}
 
 (* The program headers, in file order. *)
 let segments elf =
   let phoff = u64 elf 32 and phentsize = u16 elf 54 and phnum = u16 elf 56 in
   List.init phnum (fun i ->
       let ph = phoff + (i * phentsize) in
-      { p_type = u32 elf ph; offset = u64 elf (ph + 8); vaddr = u64 elf (ph + 16);
-        filesz = u64 elf (ph + 32) })
+      { p_type = u32 elf ph; p_flags = u32 elf (ph + 4); offset = u64 elf (ph + 8);
+        vaddr = u64 elf (ph + 16); filesz = u64 elf (ph + 32); memsz = u64 elf (ph + 40) })
 
 (* The first segment of [p_type] PT_LOAD, as its file size. *)
 let first_load_size elf =
@@ -65,21 +82,23 @@ let file_offset elf vaddr =
 
 let c_string elf off = String.sub elf off (String.index_from elf off '\000' - off)
 
-(* The shared libraries the dynamic section names (DT_NEEDED), read
-   through its string table (DT_STRTAB). *)
-let needed elf =
+(* The (tag, value) entries of the dynamic section, if there is one. *)
+let dynamic_entries elf =
   match List.find_opt (fun s -> s.p_type = pt_dynamic) (segments elf) with
   | None -> []
   | Some dyn ->
-    let entries =
-      List.init (dyn.filesz / 16) (fun i ->
-          (u64 elf (dyn.offset + (16 * i)), u64 elf (dyn.offset + (16 * i) + 8)))
-    in
-    match List.filter_map (fun (tag, v) -> if tag = dt_needed then Some v else None) entries with
-    | [] -> []
-    | needs ->
-      let strtab = file_offset elf (List.assoc dt_strtab entries) in
-      List.map (fun off -> c_string elf (strtab + off)) needs
+    List.init (dyn.filesz / 16) (fun i ->
+        (u64 elf (dyn.offset + (16 * i)), u64 elf (dyn.offset + (16 * i) + 8)))
+
+(* The shared libraries the dynamic section names (DT_NEEDED), read
+   through its string table (DT_STRTAB). *)
+let needed elf =
+  let entries = dynamic_entries elf in
+  match List.filter_map (fun (tag, v) -> if tag = dt_needed then Some v else None) entries with
+  | [] -> []
+  | needs ->
+    let strtab = file_offset elf (List.assoc dt_strtab entries) in
+    List.map (fun off -> c_string elf (strtab + off)) needs
 
 (* The (name, value) of every symbol in every section of type [sh_type]
    ([.symtab] or [.dynsym]), names read through its linked string table. *)
@@ -380,6 +399,46 @@ let test_koptnode_command_line () =
     "--help lists --store-dir" true
     (contains ~sub:"--store-dir" stdout)
 
+(* Once booted, koptnode drops the pages of every PT_LOAD segment without
+   PF_W (koptnode_runparam.c), which only a page never written survives
+   unchanged: a written page is a private copy, and dropping it brings the
+   file's bytes back.  So no text relocation may write into those
+   segments, and none of their pages may also belong to a writable
+   segment or to RELRO, which the start code writes before making it
+   read-only. *)
+let test_koptnode_dropped_segments_unwritten () =
+  let elf = read_koptnode () in
+  let dyn = dynamic_entries elf in
+  if List.mem_assoc dt_textrel dyn then Alcotest.fail "koptnode has DT_TEXTREL";
+  (match List.assoc_opt dt_flags dyn with
+  | Some flags when flags land df_textrel <> 0 -> Alcotest.fail "koptnode has DF_TEXTREL"
+  | Some _ | None -> ());
+  let page = 4096 in
+  let pages s = (s.vaddr / page, (s.vaddr + s.memsz + page - 1) / page) in
+  let segs = segments elf in
+  let dropped = List.filter (fun s -> s.p_type = pt_load && s.p_flags land pf_w = 0) segs in
+  let written =
+    List.filter
+      (fun s -> (s.p_type = pt_load && s.p_flags land pf_w <> 0) || s.p_type = pt_gnu_relro)
+      segs
+  in
+  Alcotest.(check bool) "a read-only PT_LOAD was found" true (dropped <> []);
+  Alcotest.(check bool) "a writable PT_LOAD was found" true (written <> []);
+  List.iter
+    (fun r ->
+      let r_first, r_end = pages r in
+      List.iter
+        (fun w ->
+          let w_first, w_end = pages w in
+          if r_first < w_end && w_first < r_end then
+            Alcotest.failf
+              "read-only segment 0x%x+0x%x shares a page with the %s segment 0x%x+0x%x"
+              r.vaddr r.memsz
+              (if w.p_type = pt_gnu_relro then "RELRO" else "writable")
+              w.vaddr w.memsz)
+        written)
+    dropped
+
 let suite =
   [
     Alcotest.test_case "koptnode: PIE, small first segment, no caml exports" `Quick
@@ -396,4 +455,6 @@ let suite =
     Alcotest.test_case
       "koptnode: at most 8,192 frame descriptors, no Format, Arg or Filename" `Quick
       test_koptnode_frame_descriptors;
+    Alcotest.test_case "koptnode: the segments it drops after boot are never written"
+      `Quick test_koptnode_dropped_segments_unwritten;
   ]

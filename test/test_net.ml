@@ -1081,6 +1081,61 @@ let test_respawn_reports_torn_segment () =
       | None -> Alcotest.fail "respawned daemon unreachable");
       certify ~k (Deployment.finish t))
 
+(* The [Size] and [Rss] of process [pid]'s text, its R-E mapping of
+   koptnode.exe, in kB from /proc/[pid]/smaps. *)
+let text_kb pid =
+  let size = ref 0 and rss = ref 0 and inside = ref false in
+  In_channel.with_open_bin (Fmt.str "/proc/%d/smaps" pid) In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.iter (fun line ->
+         match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+         | [ "Size:"; kb; "kB" ] when !inside -> size := int_of_string kb
+         | [ "Rss:"; kb; "kB" ] when !inside -> rss := int_of_string kb
+         | key :: _ when String.ends_with ~suffix:":" key -> ()
+         | [ _range; perms; _offset; _dev; _inode; path ] ->
+           inside := perms = "r-xp" && Filename.basename path = "koptnode.exe"
+         | _ -> inside := false);
+  (!size, !rss)
+
+(* Once booted, a daemon drops the pages of its binary's read-only
+   segments (koptnode_runparam.c), so of its text only what the loop ran
+   since is resident.  Without the drop boot leaves ~98% of it resident
+   (fault-around maps every 64 KB window boot touches).  After load past
+   boot on three daemons each must hold under [text_share] of its R-E
+   mapping; what the loop ran of it under this test's load (the workload,
+   flushes, checkpoints, notices) came to 71-79%. *)
+let text_share = 0.9
+
+let test_text_dropped_after_boot () =
+  with_deployment ~prefix:"test-net-text"
+    (fun ~root -> Deployment.launch ~n:3 ~k:1 ~seed:29 ~root ())
+    (fun t ->
+      Deployment.run_workload t ~ops:60 ~seed:6;
+      Alcotest.(check bool) "settles" true (Deployment.settle t);
+      (* Past a checkpoint period: its timer and the trim after it ran. *)
+      Unix.sleepf 0.5;
+      Deployment.run_workload t ~ops:30 ~seed:7;
+      Alcotest.(check bool) "settles again" true (Deployment.settle t);
+      let daemons =
+        List.filter
+          (fun pid ->
+            match In_channel.with_open_bin (Fmt.str "/proc/%d/comm" pid) In_channel.input_all with
+            | comm -> String.trim comm = "koptnode.exe"
+            | exception Sys_error _ -> false)
+          (children ())
+      in
+      Alcotest.(check int) "three daemons found" 3 (List.length daemons);
+      List.iter
+        (fun pid ->
+          let size, rss = text_kb pid in
+          Alcotest.(check bool) (Fmt.str "daemon %d: a text mapping read" pid) true (size > 0);
+          let share = float_of_int rss /. float_of_int size in
+          if share >= text_share then
+            Alcotest.failf "daemon %d: %d of %d KB of text resident (%.0f%%, bound %.0f%%)" pid
+              rss size (100. *. share) (100. *. text_share))
+        daemons;
+      certify ~k:1 (Deployment.finish t))
+
 let suite =
   [
     Alcotest.test_case "shutdown interrupts dial backoff" `Quick
@@ -1117,4 +1172,6 @@ let suite =
       test_negative_brownout_refused;
     Alcotest.test_case "a respawn over a torn segment reports it live" `Slow
       test_respawn_reports_torn_segment;
+    Alcotest.test_case "a daemon's text is resident only as far as its loop ran" `Slow
+      test_text_dropped_after_boot;
   ]
