@@ -10,7 +10,8 @@
       what the paper's "failure-free overhead" and recovery are made of;
       and two exact counts: B14, the synchronous area's fsyncs per output
       a flush commits, and B15, the heap words per entry of the
-      exactly-once tables.
+      exactly-once tables; and B16, the time and exact size of a Stats
+      scrape's snapshot.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- micro   # micro-benchmarks only
@@ -372,6 +373,55 @@ let bench_obs_histogram () =
            Obs.Histogram.observe h (float_of_int i *. 1.3e-6)
          done))
 
+(* B16: the cost of a scrape.  A daemon encodes its registry's snapshot
+   in the Stats reply's form and its driver decodes it; B16 times the
+   pair, and counts the encoded bytes per series exactly, for registries
+   of 100 and 1,000 series in a daemon's mix: of every ten series six
+   counters, two gauges and two histograms with six non-empty buckets,
+   a third of them labelled.  [check] recomputes the bytes and fails them
+   above [scrape_bytes_bound]. *)
+let scrape_sizes = [ 100; 1_000 ]
+
+let scrape_name n = Fmt.str "B16 obs: snapshot encode+decode (%d series)" n
+
+let scrape_bytes_name n = Fmt.str "B16 obs: snapshot bytes per series (%d series)" n
+
+let scrape_bytes_bound = 96.
+
+let scrape_snapshot n =
+  let obs = Obs.Registry.create () in
+  for i = 0 to n - 1 do
+    let labels = if i mod 3 = 0 then [ ("phase", Fmt.str "p%d" (i mod 4)) ] else [] in
+    match i mod 10 with
+    | 0 | 1 | 2 | 3 | 4 | 5 ->
+      Obs.Counter.add (Obs.Registry.counter obs ~labels (Fmt.str "series_%d_total" i)) (i * 7919)
+    | 6 | 7 ->
+      Obs.Gauge.set
+        (Obs.Registry.gauge obs ~labels (Fmt.str "series_%d_bytes" i))
+        (float_of_int i *. 4096.5)
+    | _ ->
+      let h = Obs.Registry.histogram obs ~labels (Fmt.str "series_%d_seconds" i) in
+      for k = 1 to 40 do
+        Obs.Histogram.observe h (1e-5 *. Float.ldexp 1.3 (k mod 6))
+      done
+  done;
+  Obs.Registry.snapshot obs
+
+let scrape_bytes_per_series n =
+  let bytes = String.length (Durable.Form.encode Net.Wire_codec.snapshot (scrape_snapshot n)) in
+  float_of_int bytes /. float_of_int n
+
+let bench_scrape n =
+  let snap = scrape_snapshot n in
+  Bechamel.Test.make ~name:(scrape_name n)
+    (Bechamel.Staged.stage (fun () ->
+         match
+           Durable.Form.decode Net.Wire_codec.snapshot
+             (Durable.Form.encode Net.Wire_codec.snapshot snap)
+         with
+         | Ok _ -> ()
+         | Error e -> failwith ("B16: " ^ e)))
+
 let micro_tests () =
   [
     bench_merge 8;
@@ -389,6 +439,7 @@ let micro_tests () =
     bench_obs_counter ();
     bench_obs_histogram ();
   ]
+  @ List.map bench_scrape scrape_sizes
 
 let run_micro () =
   let open Bechamel in
@@ -414,6 +465,7 @@ let run_micro () =
   let words = restart_words () in
   let sync_fsyncs = sync_fsyncs_per_output () in
   let id_words = id_words_per_entry () in
+  let scrape_bytes = List.map (fun n -> (scrape_bytes_name n, scrape_bytes_per_series n)) scrape_sizes in
   (* Hashtbl.iter order is nondeterministic; sort so runs are comparable. *)
   let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) !rows in
   List.iter
@@ -426,18 +478,21 @@ let run_micro () =
   Fmt.pr "%-45s %12.1f words@." restart_words_name words;
   Fmt.pr "%-45s %12.3f@." sync_fsyncs_name sync_fsyncs;
   Fmt.pr "%-45s %12.3f@." id_words_name id_words;
+  List.iter (fun (name, bytes) -> Fmt.pr "%-45s %12.3f bytes@." name bytes) scrape_bytes;
+  let exact = sync_fsyncs_name :: id_words_name :: List.map fst scrape_bytes in
   let rows =
     List.sort (fun (a, _) (b, _) -> String.compare a b)
       ((restart_words_name, Some words)
       :: (sync_fsyncs_name, Some sync_fsyncs)
       :: (id_words_name, Some id_words)
-      :: rows)
+      :: List.map (fun (name, bytes) -> (name, Some bytes)) scrape_bytes
+      @ rows)
   in
   let oc = open_out "BENCH_micro.json" in
   let field (name, estimate) =
     Fmt.str "  %S: %s" name
       (match estimate with
-      | Some est when name = sync_fsyncs_name || name = id_words_name -> Fmt.str "%.3f" est
+      | Some est when List.mem name exact -> Fmt.str "%.3f" est
       | Some est -> Fmt.str "%.1f" est
       | None -> "null")
   in
@@ -723,11 +778,29 @@ let run_check_micro_floors () =
     failwith
       (Fmt.str "%s: %.3f exceeds %.0f (an identity record per entry?)" id_words_name id_words
          id_words_bound);
+  (* A scrape's size: recomputed here, since it is exact; its time is
+     committed. *)
+  let scrapes =
+    List.map
+      (fun n ->
+        let us = find (scrape_name n) /. 1000. in
+        let committed_bytes = find (scrape_bytes_name n) in
+        let bytes = scrape_bytes_per_series n in
+        if bytes > scrape_bytes_bound then
+          failwith
+            (Fmt.str "%s: %.3f exceeds %.0f bytes per series" (scrape_bytes_name n) bytes
+               scrape_bytes_bound);
+        Fmt.str "%d series %.0f us, %.3f bytes/series (%.3f committed)" n us bytes
+          committed_bytes)
+      scrape_sizes
+  in
   Fmt.pr
     "micro floors ok: obs counter %.1f ns/op, histogram %.1f ns/op; durable restart \
      %.0f us, %.1f promoted words/record; %.3f sync-area fsyncs per output (%.3f \
-     committed); %.3f duplicate-suppression words per entry (%.3f committed)@."
+     committed); %.3f duplicate-suppression words per entry (%.3f committed); scrape \
+     %s@."
     c h restart_us words sync_fsyncs committed_sync_fsyncs id_words committed_id_words
+    (String.concat ", " scrapes)
 
 (* ------------------------------------------------------------------ *)
 

@@ -442,11 +442,19 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
      serving requests on recovered partitions while the main loop pumps
      [replay_step] in the background. *)
   if not (Node.is_up node) then begin
-    (* What the open that found the store counted, for the driver to sum
-       over this pid's incarnations: one SIGKILLed later writes no metrics
-       file.  Through a descriptor, as boot must not open a channel. *)
+    (* What the open that found the store counted, a Hello and a
+       snapshot of the reopen counters, for the driver to sum over this
+       pid's incarnations: one SIGKILLed later writes no metrics file.
+       Through a descriptor, as boot must not open a channel. *)
     let reopens = Durable.Fs.unix.open_append (metrics_file ^ ".reopens") in
-    reopens.write (Durable.Durable_store.reopen_lines obs);
+    reopens.write
+      (Wire_codec.snapshot_file ~pid
+         (Obs.Snapshot.of_bindings
+            (List.map
+               (fun name ->
+                 ( (name, []),
+                   Obs.Snapshot.Counter (Obs.Counter.value (Obs.Registry.counter obs name)) ))
+               Durable.Durable_store.reopen_counters)));
     reopens.close ();
     dispatch (fst (Node.restart_begin node ~now:(now ())))
   end;
@@ -479,9 +487,8 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
     Trace_codec.sync writer trace;
     Trace_codec.close_writer writer;
     refresh_memory node;
-    let oc = open_out metrics_file in
-    output_string oc (Obs.Snapshot.to_text (Obs.Registry.snapshot obs));
-    close_out oc;
+    Out_channel.with_open_bin metrics_file (fun oc ->
+        output_string oc (Wire_codec.snapshot_file ~pid (Obs.Registry.snapshot obs)));
     (* The drain's last frames get their one chance at the wire. *)
     Transport.flush transport;
     Transport.close transport;
@@ -578,10 +585,9 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
         | Wire_codec.Arm_brownout { rounds } -> Node.arm_storage_disk_full node ~rounds
         | Wire_codec.Stats_req ->
           (* Live scrape: the memory gauges refreshed, then a full
-             snapshot of the registry, serialised as the versioned text
-             exposition. *)
+             snapshot of the registry in its binary form. *)
           refresh_memory node;
-          reply c (Wire_codec.Stats (Obs.Snapshot.to_text (Obs.Registry.snapshot obs)))
+          reply c (Wire_codec.Stats (Obs.Registry.snapshot obs))
         | Wire_codec.Quit -> quit := Some c
         | Wire_codec.Hello _ | Wire_codec.Status _ | Wire_codec.Stats _
         | Wire_codec.Bye -> ())

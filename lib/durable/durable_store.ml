@@ -145,13 +145,6 @@ let loss_counters =
 
 let reopen_counters = "storage_reopens_total" :: loss_counters
 
-let reopen_lines obs =
-  String.concat ""
-    (List.map
-       (fun name ->
-         Printf.sprintf "%s %d\n" name (Obs.Counter.value (Obs.Registry.counter obs name)))
-       reopen_counters)
-
 let losses snap =
   List.filter_map
     (fun name ->

@@ -98,13 +98,10 @@ val loss_counters : string list
       area gone although other store files exist. *)
 
 val reopen_counters : string list
-(** [storage_reopens_total] and the {!loss_counters}: what opens count. *)
-
-val reopen_lines : Obs.Registry.t -> string
-(** The {!reopen_counters} of a registry, one ["name value"] line each.  A
-    daemon appends them to a file after an open that found a store, since
-    one SIGKILLed later never writes its metrics; its driver sums the
-    file ([Net.Deployment]). *)
+(** [storage_reopens_total] and the {!loss_counters}: what opens count.  A
+    daemon appends a snapshot of them to a file after an open that found a
+    store, since one SIGKILLed later never writes its metrics; its driver
+    sums the file ([Net.Deployment]). *)
 
 val losses : Obs.Snapshot.t -> (string * int) list
 (** The {!loss_counters} that are nonzero in a snapshot, with their

@@ -103,7 +103,7 @@ let free_ports count =
   List.iter Unix.close fds;
   Array.of_list ports
 
-let proxy_metrics_file root = Filename.concat root "metrics-proxy.txt"
+let proxy_metrics_file root = Filename.concat root "metrics-proxy.bin"
 
 (* ------------------------------------------------------------------ *)
 (* Daemon lifecycle                                                    *)
@@ -209,17 +209,26 @@ let ctl_send' node wire ctl =
 
 let ctl_send node ctl = ctl_send' node App.wire ctl
 
-let ctl_rpc node ctl =
+(* The reply's frame, [(kind, payload)], read whole and checked; a
+   connection that yields none is dropped. *)
+let ctl_rpc_frame node ctl =
   if not (ctl_send node ctl) then None
   else
-    match node.ctl with
-    | None -> None
-    | Some fd -> (
-      match Wire_codec.read_control App.wire fd with
-      | Some r -> Some r
-      | None ->
-        ctl_drop node;
-        None)
+    match Option.bind node.ctl Wire_codec.read_frame with
+    | Some _ as reply -> reply
+    | None ->
+      ctl_drop node;
+      None
+
+let ctl_rpc node ctl =
+  match ctl_rpc_frame node ctl with
+  | None -> None
+  | Some (kind, body) -> (
+    match Wire_codec.decode_control_body App.wire ~kind body with
+    | Ok reply -> Some reply
+    | Error _ ->
+      ctl_drop node;
+      None)
 
 (* ------------------------------------------------------------------ *)
 (* Launch                                                              *)
@@ -250,7 +259,7 @@ let launch ~n ~k ?(app = "kvstore") ?ckpt_interval ?part_ckpt
           control_port = ports.((pid * per_node) + 1);
           store_dir = Filename.concat root (Fmt.str "store-%d" pid);
           trace_file = Filename.concat root (Fmt.str "trace-%d.bin" pid);
-          metrics_file = Filename.concat root (Fmt.str "metrics-%d.txt" pid);
+          metrics_file = Filename.concat root (Fmt.str "metrics-%d.bin" pid);
           log_file = Filename.concat root (Fmt.str "daemon-%d.log" pid);
           os_pid = -1;
           ctl = None;
@@ -313,10 +322,16 @@ let status t ~dst =
   | Some (Wire_codec.Status s) -> Some s
   | _ -> None
 
+(* A whole reply frame whose snapshot does not decode is an [Error], not
+   an unreachable daemon. *)
 let scrape t ~dst =
-  match ctl_rpc t.nodes.(dst) Wire_codec.Stats_req with
-  | Some (Wire_codec.Stats text) -> Some (Obs.Snapshot.of_text text)
-  | _ -> None
+  Option.map
+    (fun (kind, body) ->
+      match Wire_codec.decode_control_body App.wire ~kind body with
+      | Ok (Wire_codec.Stats snap) -> Ok snap
+      | Ok _ -> Error (Fmt.str "kind %d answered Stats_req" kind)
+      | Error e -> Error e)
+    (ctl_rpc_frame t.nodes.(dst) Wire_codec.Stats_req)
 
 let kill_only t ~dst =
   let node = t.nodes.(dst) in
@@ -350,7 +365,7 @@ let add_node t =
       control_port = ports.(1);
       store_dir = Filename.concat t.root (Fmt.str "store-%d" pid);
       trace_file = Filename.concat t.root (Fmt.str "trace-%d.bin" pid);
-      metrics_file = Filename.concat t.root (Fmt.str "metrics-%d.txt" pid);
+      metrics_file = Filename.concat t.root (Fmt.str "metrics-%d.bin" pid);
       log_file = Filename.concat t.root (Fmt.str "daemon-%d.log" pid);
       os_pid = -1;
       ctl = None;
@@ -502,47 +517,17 @@ let merge_traces t =
   List.iter (fun (e : Trace.entry) -> Trace.add trace ~time:e.time e.ev) entries;
   (trace, List.rev !damage, synthesized)
 
-(* A daemon's metrics file is the text exposition its registry wrote at
-   Quit, and the proxy's the one its relay wrote at close.  A missing file
-   is an empty snapshot — there was no proxy, or the daemon was reaped
-   (SIGKILLed at teardown) rather than drained, which loses metrics but
-   never certification evidence (the trace file is synced continuously).
-   An unparseable file is damage worth surfacing, like a torn trace. *)
-let load_metrics ~what path =
-  if not (Sys.file_exists path) then Ok Obs.Snapshot.empty
+(* A missing file is an empty snapshot: there was no proxy, or the
+   daemon was reaped (SIGKILLed at teardown) rather than drained, which
+   loses metrics but never certification evidence (the trace file is
+   synced continuously). *)
+let load_snapshots path =
+  if not (Sys.file_exists path) then (Obs.Snapshot.empty, None)
   else
-    match Obs.Snapshot.of_text (In_channel.with_open_bin path In_channel.input_all) with
-    | Ok snap -> Ok snap
-    | Error e -> Error (Fmt.str "%s metrics: %s" what e)
-
-(* What every open of a node's store found, summed over its incarnations:
-   each daemon that opened a store it found appends its reopen counters
-   to [<metrics file>.reopens] at boot, so one SIGKILLed later, which
-   writes no metrics file, still counts.  They replace the Quit-time
-   snapshot's own, which count only the last incarnation's open. *)
-let with_reopens node snap =
-  let path = node.metrics_file ^ ".reopens" in
-  let names = Durable.Durable_store.reopen_counters in
-  (* [Durable_store.reopen_lines], one "name value" line per counter; a
-     line that does not parse counts nothing. *)
-  let lines =
-    if not (Sys.file_exists path) then []
-    else
-      List.map (String.split_on_char ' ')
-        (String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all))
-  in
-  let sum name =
-    List.fold_left
-      (fun acc -> function
-        | [ n; v ] when n = name -> acc + Option.value (int_of_string_opt v) ~default:0
-        | _ -> acc)
-      0 lines
-  in
-  Obs.Snapshot.merge
-    (Obs.Snapshot.of_bindings
-       (List.filter (fun ((name, _), _) -> not (List.mem name names)) (Obs.Snapshot.bindings snap)))
-    (Obs.Snapshot.of_bindings
-       (List.map (fun name -> ((name, []), Obs.Snapshot.Counter (sum name))) names))
+    let snap, damage =
+      Wire_codec.decode_snapshots (In_channel.with_open_bin path In_channel.input_all)
+    in
+    (snap, Option.map (fun d -> path ^ ": " ^ d) damage)
 
 type outcome = {
   trace : Trace.t;
@@ -582,7 +567,7 @@ let certify ~report ~exp ~label outcome =
          (Fmt.list ~sep:Fmt.cut Fmt.string)
          violations);
   List.iter
-    (fun d -> Harness.Report.note report (Fmt.str "%s trace damage: %s" label d))
+    (fun d -> Harness.Report.note report (Fmt.str "%s damage: %s" label d))
     outcome.damage;
   List.iter
     (fun (name, v) ->
@@ -670,21 +655,26 @@ let finish t =
   (match t.proxy with Some p -> Proxy.close p | None -> ());
   let trace, damage, synthesized_crashes = merge_traces t in
   let metric_damage = ref [] in
-  let load what path =
-    match load_metrics ~what path with
-    | Ok snap -> snap
-    | Error e ->
-      metric_damage := e :: !metric_damage;
-      Obs.Snapshot.empty
+  let load path =
+    let snap, d = load_snapshots path in
+    Option.iter (fun d -> metric_damage := d :: !metric_damage) d;
+    snap
   in
-  let proxy = load "proxy" (proxy_metrics_file t.root) in
-  let obs =
-    proxy
-    :: List.map
-         (fun node -> with_reopens node (load (Fmt.str "pid %d" node.pid) node.metrics_file))
-         (Array.to_list t.nodes)
-    |> Obs.Snapshot.merge_all
+  (* What every open of a node's store found, summed over its
+     incarnations, replaces the Quit-time snapshot's own count of the
+     last one's open: a daemon SIGKILLed later writes no metrics file. *)
+  let reopens = Durable.Durable_store.reopen_counters in
+  let node_obs node =
+    let quit = load node.metrics_file in
+    Obs.Snapshot.merge
+      (Obs.Snapshot.of_bindings
+         (List.filter
+            (fun ((name, _), _) -> not (List.mem name reopens))
+            (Obs.Snapshot.bindings quit)))
+      (load (node.metrics_file ^ ".reopens"))
   in
+  let proxy = load (proxy_metrics_file t.root) in
+  let obs = Obs.Snapshot.merge_all (proxy :: List.map node_obs (Array.to_list t.nodes)) in
   let damage = damage @ List.rev !metric_damage in
   (* [n] is the final membership width: joins may have widened the cluster
      past the launch size, and every pid that ever existed must be in
@@ -747,7 +737,7 @@ let one_run ~n ~k ~ops ~kills ~plan ~seed report =
           kills;
         (* Live stats plane, exercised mid-run (daemons still busy, one of
            them a post-SIGKILL successor): every daemon must answer the
-           Stats arm with a parseable exposition, and the cluster-wide
+           Stats arm with a snapshot that decodes, and the cluster-wide
            merge must show deliveries — this is the gate the CI net smoke
            relies on. *)
         let live =
@@ -756,7 +746,7 @@ let one_run ~n ~k ~ops ~kills ~plan ~seed report =
               match scrape t ~dst:pid with
               | Some (Ok snap) -> snap
               | Some (Error e) ->
-                failwith (Fmt.str "E14: pid %d Stats scrape unparseable: %s" pid e)
+                failwith (Fmt.str "E14: pid %d Stats snapshot does not decode: %s" pid e)
               | None -> failwith (Fmt.str "E14: pid %d did not answer Stats_req" pid))
             (live_pids t)
           |> Obs.Snapshot.merge_all

@@ -100,9 +100,10 @@ val status : t -> dst:int -> Wire_codec.status option
 
 val scrape : t -> dst:int -> (Obs.Snapshot.t, string) result option
 (** Scrape daemon [dst]'s live metric registry over the control socket
-    ([Stats_req]): the parsed exposition, [Error] if the daemon answered
-    with text {!Obs.Snapshot.of_text} rejects (a format regression worth
-    failing on), [None] if it cannot be reached.  The snapshot is a
+    ([Stats_req]): the decoded snapshot, [Error] if the daemon answered
+    with a whole frame whose snapshot does not decode
+    ({!Wire_codec.snapshot} refuses it: a format regression worth failing
+    on), [None] if it cannot be reached.  The snapshot is a
     consistent cut of the daemon's registry taken by its main loop, so
     cross-metric invariants (e.g. [flush_rounds_total] at least the
     fsync histogram's count) hold within one scrape. *)
@@ -169,8 +170,9 @@ val settle : ?timeout:float -> t -> bool
 type outcome = {
   trace : Recovery.Trace.t;  (** merged, globally ordered *)
   damage : string list;
-      (** torn-tail reports from trace-file loads and unparseable
-          metrics files *)
+      (** torn-tail reports from trace-file loads, and each metrics or
+          reopens file that ends in a torn or corrupt frame, named with
+          the byte offset ({!load_snapshots}) *)
   synthesized_crashes : int;  (** [Crashed] events reconstructed at merge *)
   oracle : Harness.Oracle.report;
   obs : Obs.Snapshot.t;
@@ -182,12 +184,20 @@ type outcome = {
           never written) — trace evidence is unaffected.  The
           {!Durable.Durable_store.reopen_counters} are the exception:
           they come from the file each incarnation that found a store
-          appends them to at boot ([metrics-<pid>.txt.reopens]), so
+          appends them to at boot ([metrics-<pid>.bin.reopens]), so
           they sum every open, a SIGKILLed incarnation's included.  A
           deployment launched with a fault [plan] also merges in its proxy's
-          [proxy_*_total] counters, from the [metrics-proxy.txt] file
-          the relay writes under [root] when it stops. *)
+          [proxy_*_total] counters, from the [metrics-proxy.bin] file
+          the relay writes under [root] when it stops.  Every one of
+          these files is read by {!load_snapshots}; the whole frames
+          before any damage count. *)
 }
+
+val load_snapshots : string -> Obs.Snapshot.t * string option
+(** A metrics or reopens file read by {!Wire_codec.decode_snapshots}: the
+    sum of its whole snapshots, and any damage as
+    ["<path>: damaged at byte <offset>: <reason>"].  A missing file is
+    [(Obs.Snapshot.empty, None)]. *)
 
 val check_fault_free : outcome -> unit
 (** Certification tightening for runs with no proxy and no kills: a
@@ -202,7 +212,7 @@ val certify :
   report:Harness.Report.t -> exp:string -> label:string -> outcome -> unit
 (** The certification every live experiment applies to its outcome:
     @raise Failure naming experiment [exp] and run [label] on any oracle
-    violation, else note in [report] each piece of trace damage and each
+    violation, else note in [report] each entry of [damage] and each
     nonzero {!Durable.Durable_store.loss_counters} series of [obs] (what
     the reopens of every incarnation found lost, each loss counted by the
     open that found it).  Risk
@@ -222,7 +232,7 @@ val destroy : t -> unit
 val experiment : ?smoke:bool -> unit -> Harness.Report.t
 (** E14: oracle-certified multi-process runs across K, with a mid-run
     SIGKILL and a proxy fault plan.  Every run also {!scrape}s each live
-    daemon mid-load and fails on an unparseable exposition, a cluster
+    daemon mid-load and fails on a snapshot that does not decode, a cluster
     that shows zero [deliveries_total], or a merged
     [storage_reopens_total] other than the number of daemons killed so
     far (each successor reopens its store once) — the CI net smoke's

@@ -350,7 +350,8 @@ let start ~routes ?(plan = Harness.Netmodel.benign) ?(seed = 0)
        in
        serve r ~listeners ~pipe:pipe_out;
        Out_channel.with_open_bin metrics_file (fun oc ->
-           output_string oc (Obs.Snapshot.to_text (Obs.Registry.snapshot obs)))
+           output_string oc
+             (Wire_codec.snapshot_file ~pid:(-1) (Obs.Registry.snapshot obs)))
      with _ -> ());
     Unix._exit 0
   | child ->

@@ -53,9 +53,10 @@ val start :
     [proxy_dropped_total] (of which [proxy_cut_total] were dropped by a
     partition window), [proxy_duplicated_total], [proxy_delayed_total]
     and [proxy_severed_total] (hellos cut by a partition window) in a
-    registry of its own; they come back in [metrics_file], a text
-    exposition ({!Obs.Snapshot.of_text}) the relay writes as it exits,
-    complete once {!close} returns. *)
+    registry of its own; they come back in [metrics_file], a Hello and
+    one snapshot frame ({!Wire_codec.snapshot_file}, read back by
+    {!Wire_codec.decode_snapshots}) the relay writes as it exits, complete
+    once {!close} returns. *)
 
 val close : t -> unit
 (** Stop the relay: close its pipe, which makes it write [metrics_file]

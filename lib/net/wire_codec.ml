@@ -3,7 +3,7 @@ module Wire = Recovery.Wire
 module App_intf = App_model.App_intf
 module Codec = Durable.Codec
 
-let version = 4
+let version = 5
 
 let max_frame_payload = 16 * 1024 * 1024
 
@@ -327,6 +327,69 @@ let decode_data_body wf ~kind body =
   decoded wf (fun read (m, n) -> (with_payload read m, n)) (F.decode_kind data ~kind body)
 
 (* ------------------------------------------------------------------ *)
+(* Registry snapshots                                                  *)
+
+module Snap = Obs.Snapshot
+
+(* [xs] when their keys strictly increase, else a [Failure] naming
+   [what]: a repeat is refused as an inversion is. *)
+let ascending what key xs =
+  ignore
+    (List.fold_left
+       (fun prev x ->
+         let k = key x in
+         (match prev with
+         | Some p when compare p k >= 0 -> failwith (what ^ " not strictly increasing")
+         | _ -> ());
+         Some k)
+       None xs);
+  xs
+
+(* A histogram's non-empty buckets only, as strictly increasing
+   (index, count) pairs: a sparse histogram costs what it holds. *)
+let buckets =
+  F.map
+    (fun pairs ->
+      let counts = Array.make Obs.Histogram.bucket_count 0 in
+      List.iter
+        (fun (i, n) ->
+          if i < 0 || i >= Obs.Histogram.bucket_count then
+            failwith (Printf.sprintf "bucket index %d out of range" i);
+          if n <= 0 then failwith (Printf.sprintf "bucket %d count %d" i n);
+          counts.(i) <- n)
+        (ascending "bucket indices" fst pairs);
+      counts)
+    (fun counts ->
+      let pairs = ref [] in
+      for i = Array.length counts - 1 downto 0 do
+        if counts.(i) <> 0 then pairs := (i, counts.(i)) :: !pairs
+      done;
+      !pairs)
+    F.(list (pair int int))
+
+let[@warning "-8"] sample_value =
+  F.tagged
+    (F.cases "snapshot value tag"
+       (function Snap.Counter _ -> 0 | Snap.Gauge _ -> 1 | Snap.Hist _ -> 2)
+       [ (0, F.map (fun c -> Snap.Counter c) (fun (Snap.Counter c) -> c) F.int);
+         (1, F.map (fun g -> Snap.Gauge g) (fun (Snap.Gauge g) -> g) F.float);
+         ( 2,
+           F.record
+             (fun sum minv maxv counts -> Snap.Hist { Snap.counts; sum; minv; maxv })
+             F.[ (float, fun (Snap.Hist h) -> h.Snap.sum);
+                 (float, fun (Snap.Hist h) -> h.Snap.minv);
+                 (float, fun (Snap.Hist h) -> h.Snap.maxv);
+                 (buckets, fun (Snap.Hist h) -> h.Snap.counts) ] ) ])
+
+let labels = F.map (ascending "labels" Fun.id) Fun.id F.(list (pair string string))
+
+let snapshot =
+  F.map
+    (fun samples -> Snap.of_bindings (ascending "samples" fst samples))
+    Snap.bindings
+    F.(list (pair (pair string labels) sample_value))
+
+(* ------------------------------------------------------------------ *)
 (* Control channel                                                     *)
 
 type status = {
@@ -353,7 +416,7 @@ type 'msg control =
   | Retire_req
   | Arm_brownout of { rounds : int }
   | Stats_req
-  | Stats of string
+  | Stats of Obs.Snapshot.t
 
 let control_kind : type msg. msg control -> int = function
   | Hello _ -> k_hello
@@ -415,7 +478,7 @@ let[@warning "-8"] controls =
           (fun (Arm_brownout a) -> a.rounds)
           F.int );
       (k_stats_req, F.record Stats_req F.[]);
-      (k_stats, F.map (fun text -> Stats text) (fun (Stats text) -> text) F.string) ]
+      (k_stats, F.map (fun snap -> Stats snap) (fun (Stats snap) -> snap) snapshot) ]
 
 let with_control_payload f : _ control -> _ control = function
   | Inject i -> Inject { seq = i.seq; cseq = i.cseq; payload = f i.payload }
@@ -433,13 +496,36 @@ let decode_control wf s = decode_whole decode_control_body wf s
 
 let hello ~pid = F.frame controls (Hello { pid })
 
+let snapshot_file ~pid snap = hello ~pid ^ F.frame controls (Stats snap)
+
+let decode_snapshots s =
+  let frame ((snaps, damage) as acc) ~pos kind body =
+    let fail e = (snaps, Some (Printf.sprintf "damaged at byte %d: %s" pos e)) in
+    if damage <> None then acc
+    else
+      match F.decode_kind controls ~kind body with
+      | Ok (Hello _) -> acc
+      | Ok (Stats snap) when pos > 0 -> (snap :: snaps, None)
+      | Ok _ -> fail (Printf.sprintf "kind %d where a Hello or a snapshot belongs" kind)
+      | Error e -> fail e
+  in
+  let (snaps, damage), valid, tail = Codec.fold s ~init:([], None) ~f:frame in
+  let damage =
+    match (damage, tail) with
+    | Some _, _ | None, Codec.Clean -> damage
+    | None, Codec.Torn -> Some (Printf.sprintf "damaged at byte %d: torn frame" valid)
+    | None, Codec.Corrupt_tail ->
+      Some (Printf.sprintf "damaged at byte %d: bad frame magic or checksum" valid)
+  in
+  (Obs.Snapshot.merge_all snaps, damage)
+
 let greeting ~kind body =
   if kind <> k_hello then Error (Printf.sprintf "stream opened with kind %d, not Hello" kind)
   else F.decode hello_pid body
 
 (* The header first, its length bounded before the payload is read, then
    the whole frame through the store's check. *)
-let read_control wf fd =
+let read_frame fd =
   match read_exact fd Codec.header_bytes with
   | None -> None
   | Some header -> (
@@ -448,7 +534,11 @@ let read_control wf fd =
     else
       match read_exact fd len with
       | None -> None
-      | Some payload ->
-        Result.to_option
-          (Result.bind (decode_frame (header ^ payload) ~pos:0) (fun (kind, body, _) ->
-               decode_control_body wf ~kind body)))
+      | Some payload -> (
+        match decode_frame (header ^ payload) ~pos:0 with
+        | Ok (kind, body, _) -> Some (kind, body)
+        | Error _ -> None))
+
+let read_control wf fd =
+  Option.bind (read_frame fd) (fun (kind, body) ->
+      Result.to_option (decode_control_body wf ~kind body))

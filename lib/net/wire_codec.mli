@@ -1,8 +1,9 @@
 (** Byte-level wire format of the networking subsystem.
 
     Everything that crosses a socket — protocol packets between daemons,
-    control traffic between the deployment driver and a daemon — and the
-    trace entries a daemon appends to its trace file is one
+    control traffic between the deployment driver and a daemon — the
+    trace entries a daemon appends to its trace file, and the registry
+    snapshots in metrics and reopens files, is one
     {!Durable.Codec} frame, the layout of every store record (magic,
     kind, length, CRC32; see {!Durable.Codec}).  This module writes the
     payloads.  One check ({!Durable.Codec.check}) parses store files, socket streams
@@ -21,7 +22,7 @@
     Per-packet layouts are specified in PROTOCOL.md §Wire format. *)
 
 val version : int
-(** 4: the version every stream's opening Hello carries. *)
+(** 5: the version every stream's opening Hello carries. *)
 
 val max_frame_payload : int
 (** Upper bound a socket reader enforces on the advertised payload length
@@ -157,13 +158,26 @@ type 'msg control =
           disk were full; a frame with [rounds < 0] does not decode *)
   | Stats_req
       (** scrape the daemon's live metric registry *)
-  | Stats of string
-      (** reply to [Stats_req]: an {!Obs.Snapshot.to_text} exposition —
-          [# koptlog-obs v1] header, then [# TYPE]-declared
-          Prometheus-style samples (PROTOCOL.md §Control socket) *)
+  | Stats of Obs.Snapshot.t
+      (** reply to [Stats_req]: the daemon's registry in the {!snapshot}
+          form (PROTOCOL.md §Control socket); a payload that does not
+          decode is an [Error], never a partial snapshot *)
 
 val hello : pid:int -> string
 (** The frame that opens a stream: a [Hello] of {!version} naming [pid]. *)
+
+val snapshot_file : pid:int -> Obs.Snapshot.t -> string
+(** A Hello naming [pid], then a [Stats] frame of the snapshot: the whole
+    of a Quit-time metrics file, and what each incarnation that reopened
+    a store appends to its reopens file. *)
+
+val decode_snapshots : string -> Obs.Snapshot.t * string option
+(** The bytes of one file {!snapshot_file} wrote, or of several appended:
+    Hellos of {!version}, the first at byte 0, and [Stats] frames, each
+    checked by {!Durable.Codec}.  The sum ({!Obs.Snapshot.merge_all}) of
+    the snapshots read up to the first frame that is torn, corrupt,
+    undecodable or out of place, and then [Some] reason naming that
+    frame's byte offset.  Never raises. *)
 
 val greeting : kind:int -> string -> (int, string) result
 (** [Ok pid] if the frame [(kind, payload)] is a Hello of {!version};
@@ -185,12 +199,16 @@ val decode_control :
   string ->
   ('msg control, string) result
 
+val read_frame : Unix.file_descr -> (int * string) option
+(** The next frame on a blocking connection, [(kind, payload)], its length
+    held to {!max_frame_payload} and the whole frame checked by
+    {!Durable.Codec.decode}; [None] once the connection is finished or
+    carries anything but a whole, intact frame. *)
+
 val read_control :
   'msg App_model.App_intf.wire_format -> Unix.file_descr -> 'msg control option
-(** The next control frame on a blocking control connection, checked by
-    {!Durable.Codec.decode} and its body decoded
-    ({!decode_control_body}), [None] once the connection
-    is finished or carries anything but a well-formed control frame. *)
+(** {!read_frame}, its body decoded ({!decode_control_body}); [None] also
+    when the body does not decode. *)
 
 (** {1 Payload forms}
 
@@ -204,3 +222,15 @@ val identity : Recovery.Wire.identity Durable.Form.t
 val announcement : Recovery.Wire.announcement Durable.Form.t
 
 val output_id : Recovery.Wire.output_id Durable.Form.t
+
+val snapshot : Obs.Snapshot.t Durable.Form.t
+(** A registry snapshot: an {!Durable.Form.list} of samples in strictly
+    increasing (name, labels) order, each its name, its labels (a list of
+    name-value pairs, strictly increasing) and its value after a tag
+    byte: 0, a counter as an int; 1, a gauge as a float (its exact bits);
+    2, a histogram as its [sum], [minv] and [maxv] floats, then its
+    non-empty buckets as a list of (index, count) int pairs, indices
+    strictly increasing.  The decoder refuses an index outside
+    [0 .. Obs.Histogram.bucket_count - 1], a repeated or decreasing
+    index, a count that is not positive, and samples or labels out of
+    order or repeated, each as an [Error]. *)

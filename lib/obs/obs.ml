@@ -1,6 +1,6 @@
-(* Process-local metric registry with a mergeable snapshot algebra and a
-   versioned text exposition format.  See obs.mli for the consistency
-   contract; the short version: one registry, one owner, no lock. *)
+(* Process-local metric registry with a mergeable snapshot algebra.  See
+   obs.mli for the consistency contract; the short version: one registry,
+   one owner, no lock. *)
 
 (* ------------------------------------------------------------------ *)
 (* Live cells                                                          *)
@@ -75,7 +75,7 @@ module Histogram = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Names, labels, float text                                           *)
+(* Names and labels                                                    *)
 
 let valid_name s =
   String.length s > 0
@@ -90,30 +90,6 @@ let check_name what s =
 let norm_labels labels =
   List.iter (fun (k, _) -> check_name "label name" k) labels;
   List.sort_uniq compare labels
-
-(* Shortest decimal rendering that survives float_of_string exactly;
-   readable for the common case, never lossy. *)
-let float_repr f =
-  if Float.is_nan f then "nan"
-  else if f = infinity then "inf"
-  else if f = neg_infinity then "-inf"
-  else
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s
-    else
-      let s = Printf.sprintf "%.15g" f in
-      if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
-let escape_label_value v =
-  let b = Buffer.create (String.length v + 4) in
-  String.iter
-    (function
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '"' -> Buffer.add_string b "\\\""
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    v;
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot                                                            *)
@@ -210,325 +186,6 @@ module Snapshot = struct
   let equal a b =
     List.length a = List.length b
     && List.for_all2 (fun (ka, va) (kb, vb) -> ka = kb && value_equal va vb) a b
-
-  (* ---------------------------------------------------------------- *)
-  (* Exposition                                                        *)
-
-  let header = "# koptlog-obs v1"
-
-  let render_labels b labels =
-    match labels with
-    | [] -> ()
-    | _ ->
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b k;
-          Buffer.add_string b "=\"";
-          Buffer.add_string b (escape_label_value v);
-          Buffer.add_char b '"')
-        labels;
-      Buffer.add_char b '}'
-
-  let render_sample b name labels value =
-    Buffer.add_string b name;
-    render_labels b labels;
-    Buffer.add_char b ' ';
-    Buffer.add_string b value;
-    Buffer.add_char b '\n'
-
-  let kind_of = function Counter _ -> "counter" | Gauge _ -> "gauge" | Hist _ -> "histogram"
-
-  let to_text t =
-    let b = Buffer.create 1024 in
-    Buffer.add_string b header;
-    Buffer.add_char b '\n';
-    let last_family = ref "" in
-    List.iter
-      (fun ((name, labels), v) ->
-        if name <> !last_family then begin
-          last_family := name;
-          Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" name (kind_of v))
-        end;
-        match v with
-        | Counter c -> render_sample b name labels (string_of_int c)
-        | Gauge g -> render_sample b name labels (float_repr g)
-        | Hist h ->
-          let cum = ref 0 in
-          Array.iteri
-            (fun i n ->
-              cum := !cum + n;
-              if n > 0 && i < Histogram.bucket_count - 1 then
-                render_sample b (name ^ "_bucket")
-                  (labels @ [ ("le", float_repr (Histogram.bound i)) ])
-                  (string_of_int !cum))
-            h.counts;
-          render_sample b (name ^ "_bucket") (labels @ [ ("le", "+Inf") ])
-            (string_of_int !cum);
-          render_sample b (name ^ "_sum") labels (float_repr h.sum);
-          render_sample b (name ^ "_count") labels (string_of_int !cum);
-          render_sample b (name ^ "_min") labels (float_repr h.minv);
-          render_sample b (name ^ "_max") labels (float_repr h.maxv))
-      t;
-    Buffer.contents b
-
-  (* Parsing.  Line-oriented: [# TYPE name kind] declares a family,
-     other comments are skipped, and every sample line must belong to a
-     declared family (histogram components by suffix). *)
-
-  exception Bad of string
-
-  let parse_labels ln s =
-    (* s is the full text inside the braces *)
-    let n = String.length s in
-    let out = ref [] in
-    let pos = ref 0 in
-    let fail msg = raise (Bad (Printf.sprintf "line %d: %s" ln msg)) in
-    while !pos < n do
-      let eq =
-        match String.index_from_opt s !pos '=' with
-        | Some e -> e
-        | None -> fail "label without '='"
-      in
-      let k = String.sub s !pos (eq - !pos) in
-      if not (valid_name k) then fail (Printf.sprintf "bad label name %S" k);
-      if eq + 1 >= n || s.[eq + 1] <> '"' then fail "label value not quoted";
-      let b = Buffer.create 16 in
-      let i = ref (eq + 2) in
-      let closed = ref false in
-      while not !closed do
-        if !i >= n then fail "unterminated label value"
-        else
-          match s.[!i] with
-          | '"' ->
-            closed := true;
-            incr i
-          | '\\' ->
-            if !i + 1 >= n then fail "dangling escape";
-            (match s.[!i + 1] with
-            | '\\' -> Buffer.add_char b '\\'
-            | '"' -> Buffer.add_char b '"'
-            | 'n' -> Buffer.add_char b '\n'
-            | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-            i := !i + 2
-          | c ->
-            Buffer.add_char b c;
-            incr i
-      done;
-      out := (k, Buffer.contents b) :: !out;
-      if !i < n then
-        if s.[!i] = ',' then pos := !i + 1 else fail "expected ',' between labels"
-      else pos := !i
-    done;
-    List.rev !out
-
-  let parse_sample ln line =
-    let fail msg = raise (Bad (Printf.sprintf "line %d: %s" ln msg)) in
-    let name_end =
-      let rec go i =
-        if i >= String.length line then i
-        else
-          match line.[i] with
-          | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> go (i + 1)
-          | _ -> i
-      in
-      go 0
-    in
-    let name = String.sub line 0 name_end in
-    if not (valid_name name) then fail "sample without a metric name";
-    let labels, rest_pos =
-      if name_end < String.length line && line.[name_end] = '{' then begin
-        (* The closing brace must be found outside quoted label values
-           ('}' and escaped '"' may occur inside them). *)
-        let n = String.length line in
-        let rec close i in_quote =
-          if i >= n then fail "unterminated label set"
-          else
-            match line.[i] with
-            | '\\' when in_quote -> close (i + 2) in_quote
-            | '"' -> close (i + 1) (not in_quote)
-            | '}' when not in_quote -> i
-            | _ -> close (i + 1) in_quote
-        in
-        let close = close (name_end + 1) false in
-        ( parse_labels ln (String.sub line (name_end + 1) (close - name_end - 1)),
-          close + 1 )
-      end
-      else ([], name_end)
-    in
-    if rest_pos >= String.length line || line.[rest_pos] <> ' ' then
-      fail "expected ' ' before sample value";
-    let value = String.sub line (rest_pos + 1) (String.length line - rest_pos - 1) in
-    if String.trim value = "" then fail "missing sample value";
-    (name, labels, String.trim value)
-
-  type hacc = {
-    mutable cums : (int * int) list; (* bucket index, cumulative count *)
-    mutable inf : int option;
-    mutable hsum : float option;
-    mutable hcount : int option;
-    mutable hmin : float option;
-    mutable hmax : float option;
-  }
-
-  (* le strings are matched against the canonical rendering of each
-     bucket bound — the same [float_repr] that produced them. *)
-  let le_table =
-    lazy
-      (let tbl = Hashtbl.create 64 in
-       for i = 0 to Histogram.bucket_count - 2 do
-         Hashtbl.replace tbl (float_repr (Histogram.bound i)) i
-       done;
-       tbl)
-
-  let of_text s =
-    try
-      let lines = String.split_on_char '\n' s in
-      (match lines with
-      | first :: _ when first = header -> ()
-      | _ -> raise (Bad (Printf.sprintf "missing %s header" header)));
-      let types : (string, string) Hashtbl.t = Hashtbl.create 32 in
-      let plain : (key * value) list ref = ref [] in
-      let hists : (key, hacc) Hashtbl.t = Hashtbl.create 16 in
-      let hist_order : key list ref = ref [] in
-      let hacc key =
-        match Hashtbl.find_opt hists key with
-        | Some a -> a
-        | None ->
-          let a =
-            { cums = []; inf = None; hsum = None; hcount = None; hmin = None; hmax = None }
-          in
-          Hashtbl.replace hists key a;
-          hist_order := key :: !hist_order;
-          a
-      in
-      let int_of ln v =
-        match int_of_string_opt v with
-        | Some i -> i
-        | None -> raise (Bad (Printf.sprintf "line %d: bad integer %S" ln v))
-      in
-      let float_of ln v =
-        match float_of_string_opt v with
-        | Some f -> f
-        | None -> raise (Bad (Printf.sprintf "line %d: bad float %S" ln v))
-      in
-      let hist_component name =
-        (* [name] ends in a histogram suffix of a declared histogram family *)
-        let strip suffix =
-          let ls = String.length suffix and ln = String.length name in
-          if ln > ls && String.sub name (ln - ls) ls = suffix then
-            let base = String.sub name 0 (ln - ls) in
-            if Hashtbl.find_opt types base = Some "histogram" then Some base else None
-          else None
-        in
-        match strip "_bucket" with
-        | Some b -> Some (`Bucket, b)
-        | None -> (
-          match strip "_sum" with
-          | Some b -> Some (`Sum, b)
-          | None -> (
-            match strip "_count" with
-            | Some b -> Some (`Count, b)
-            | None -> (
-              match strip "_min" with
-              | Some b -> Some (`Min, b)
-              | None -> (
-                match strip "_max" with
-                | Some b -> Some (`Max, b)
-                | None -> None))))
-      in
-      List.iteri
-        (fun idx line ->
-          let ln = idx + 1 in
-          let fail msg = raise (Bad (Printf.sprintf "line %d: %s" ln msg)) in
-          if ln = 1 || String.trim line = "" then ()
-          else if String.length line > 0 && line.[0] = '#' then begin
-            match String.split_on_char ' ' line with
-            | "#" :: "TYPE" :: name :: kind :: [] ->
-              if not (valid_name name) then fail "bad TYPE name";
-              (match kind with
-              | "counter" | "gauge" | "histogram" -> ()
-              | k -> fail (Printf.sprintf "unknown TYPE kind %S" k));
-              (match Hashtbl.find_opt types name with
-              | Some k when k <> kind -> fail (Printf.sprintf "conflicting TYPE for %s" name)
-              | _ -> Hashtbl.replace types name kind)
-            | _ -> () (* other comments are ignored *)
-          end
-          else begin
-            let name, labels, value = parse_sample ln line in
-            match hist_component name with
-            | Some (`Bucket, base) -> (
-              let le =
-                match List.assoc_opt "le" labels with
-                | Some le -> le
-                | None -> fail "_bucket sample without le label"
-              in
-              let key = (base, norm_labels (List.remove_assoc "le" labels)) in
-              let a = hacc key in
-              let cum = int_of ln value in
-              if le = "+Inf" then
-                match a.inf with
-                | Some _ -> fail "duplicate +Inf bucket"
-                | None -> a.inf <- Some cum
-              else
-                match Hashtbl.find_opt (Lazy.force le_table) le with
-                | None -> fail (Printf.sprintf "unknown bucket bound le=%S" le)
-                | Some i ->
-                  if List.mem_assoc i a.cums then fail "duplicate bucket"
-                  else a.cums <- (i, cum) :: a.cums)
-            | Some (comp, base) -> (
-              let key = (base, norm_labels labels) in
-              let a = hacc key in
-              let dup () = fail (Printf.sprintf "duplicate histogram component for %s" base) in
-              match comp with
-              | `Sum -> if a.hsum <> None then dup () else a.hsum <- Some (float_of ln value)
-              | `Count ->
-                if a.hcount <> None then dup () else a.hcount <- Some (int_of ln value)
-              | `Min -> if a.hmin <> None then dup () else a.hmin <- Some (float_of ln value)
-              | `Max -> if a.hmax <> None then dup () else a.hmax <- Some (float_of ln value)
-              | `Bucket -> assert false)
-            | None -> (
-              let key = (name, norm_labels labels) in
-              match Hashtbl.find_opt types name with
-              | Some "counter" -> plain := (key, Counter (int_of ln value)) :: !plain
-              | Some "gauge" -> plain := (key, Gauge (float_of ln value)) :: !plain
-              | Some "histogram" -> fail "bare sample for a histogram family"
-              | Some _ -> assert false
-              | None -> fail (Printf.sprintf "sample %S has no TYPE declaration" name))
-          end)
-        lines;
-      let finished =
-        List.rev_map
-          (fun ((base, _) as key) ->
-            let a = Hashtbl.find hists key in
-            let fail msg = raise (Bad (Printf.sprintf "histogram %s: %s" base msg)) in
-            let total =
-              match a.inf with Some t -> t | None -> fail "missing +Inf bucket"
-            in
-            let counts = Array.make Histogram.bucket_count 0 in
-            let cums = List.sort compare a.cums in
-            let prev = ref 0 in
-            List.iter
-              (fun (i, cum) ->
-                if cum < !prev then fail "non-monotone bucket cumulative";
-                counts.(i) <- cum - !prev;
-                prev := cum)
-              cums;
-            if total < !prev then fail "non-monotone bucket cumulative";
-            counts.(Histogram.bucket_count - 1) <- total - !prev;
-            (match a.hcount with
-            | Some c when c <> total -> fail "_count disagrees with +Inf cumulative"
-            | Some _ -> ()
-            | None -> fail "missing _count");
-            let sum = match a.hsum with Some s -> s | None -> fail "missing _sum" in
-            let minv = match a.hmin with Some m -> m | None -> fail "missing _min" in
-            let maxv = match a.hmax with Some m -> m | None -> fail "missing _max" in
-            (key, Hist { counts; sum; minv; maxv }))
-          !hist_order
-      in
-      Ok (of_bindings (!plain @ finished))
-    with Bad msg -> Error msg
 end
 
 (* ------------------------------------------------------------------ *)
@@ -567,8 +224,9 @@ module Registry = struct
     | MGauge _ -> "gauge"
     | MHist _ -> "histogram"
 
-  (* Histogram families own their [_bucket]/[_sum]/... sample names in
-     the exposition, so those names are reserved both ways. *)
+  (* A histogram family keeps free the names a Prometheus-style
+     exporter gives its components ([_bucket], [_sum], ...), so its
+     samples never clash with another metric's; reserved both ways. *)
   let hist_suffixes = [ "_bucket"; "_sum"; "_count"; "_min"; "_max" ]
 
   let check_suffixes t name is_hist =

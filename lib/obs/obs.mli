@@ -1,6 +1,5 @@
 (** Process-local observability: named counters, gauges and log-scale
-    latency histograms in a registry, snapshotted into a mergeable value
-    with a versioned text exposition format.
+    latency histograms in a registry, snapshotted into a mergeable value.
 
     The subsystem replaces the patchwork of per-module [stats] records
     with one measurement plane: hot paths bump plain [int]/[float]
@@ -17,8 +16,12 @@
     second thread.  Under that rule every snapshot is exact: it sees
     each logical event whole, never metric A before and metric B after
     the same event.  Numbers cross a process boundary only as a
-    snapshot: a daemon's Stats reply or Quit-time metrics file, the
-    proxy's metrics file, merged with {!Snapshot.merge_all}. *)
+    snapshot: a daemon's Stats reply, Quit-time metrics file or reopens
+    file, or the proxy's metrics file, merged with {!Snapshot.merge_all}.
+    Each carries the snapshot in the layout of [Net.Wire_codec.snapshot],
+    inside a checksummed [Durable.Codec] frame.  This library writes no
+    format itself: [Durable.Form], which describes that layout, depends
+    on it. *)
 
 module Counter : sig
   type t
@@ -116,21 +119,6 @@ module Snapshot : sig
 
   val equal : t -> t -> bool
   (** Structural, with floats compared by bits (so [nan] = [nan]). *)
-
-  val to_text : t -> string
-  (** Versioned text exposition.  First line is [# koptlog-obs v1];
-      each family is announced by a [# TYPE name kind] line followed
-      by Prometheus-style samples [name{label="v",...} value].
-      Histograms render as cumulative [_bucket{le="..."}] lines
-      (zero-increment buckets elided, [le="+Inf"] always present)
-      plus [_sum], [_count], [_min] and [_max] samples. *)
-
-  val of_text : string -> (t, string) result
-  (** Parses what {!to_text} emits; [to_text] then [of_text] is the
-      identity.  Unknown [#] comment lines are ignored; anything else
-      malformed — bad header, untyped sample, non-monotone bucket
-      cumulative, missing histogram component — is an [Error] naming
-      the offending line. *)
 end
 
 module Group : sig

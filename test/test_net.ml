@@ -48,16 +48,15 @@ let test_cluster_benign () =
       in
       Alcotest.(check int) "every daemon quit cleanly" 3 clean_quits)
 
-(* [check_fault_free]'s failing branches, on outcomes whose counts are a
-   parsed exposition: one undecodable frame, one shed frame or one unit
-   of stored data a reopen found lost is enough to fail certification,
-   and an empty snapshot, or one showing a clean reopen, passes. *)
+(* [check_fault_free]'s failing branches, on outcomes whose counts are
+   given samples: one undecodable frame, one shed frame or one unit of
+   stored data a reopen found lost is enough to fail certification, and
+   an empty snapshot, or one showing a clean reopen, passes. *)
 let test_check_fault_free_fails () =
-  let outcome text =
+  let outcome samples =
     let obs =
-      match Obs.Snapshot.of_text ("# koptlog-obs v1\n" ^ text) with
-      | Ok obs -> obs
-      | Error e -> Alcotest.failf "exposition rejected: %s" e
+      Obs.Snapshot.of_bindings
+        (List.map (fun name -> ((name, []), Obs.Snapshot.Counter 1)) samples)
     in
     let trace = Recovery.Trace.create () in
     {
@@ -68,16 +67,14 @@ let test_check_fault_free_fails () =
       obs;
     }
   in
-  let raises name text =
-    match Deployment.check_fault_free (outcome text) with
+  let raises name samples =
+    match Deployment.check_fault_free (outcome samples) with
     | () -> Alcotest.failf "%s: certified a faulty run" name
     | exception Failure _ -> ()
   in
-  raises "decode error"
-    "# TYPE transport_decode_errors_total counter\ntransport_decode_errors_total 1\n";
-  raises "dropped frame"
-    "# TYPE transport_frames_dropped_total counter\ntransport_frames_dropped_total 1\n";
-  let one name = Printf.sprintf "# TYPE %s counter\n%s 1\n" name name in
+  raises "decode error" [ "transport_decode_errors_total" ];
+  raises "dropped frame" [ "transport_frames_dropped_total" ];
+  let one name = [ name ] in
   List.iter
     (fun name -> raises name (one name))
     [
@@ -89,7 +86,7 @@ let test_check_fault_free_fails () =
       "storage_sync_area_lost_total";
     ];
   Deployment.check_fault_free (outcome (one "storage_reopens_total"));
-  Deployment.check_fault_free (outcome "")
+  Deployment.check_fault_free (outcome [])
 
 (* SIGKILL one daemon mid-workload; the respawned incarnation must recover
    from its durable store and the merge must synthesize the Crashed event
@@ -177,7 +174,7 @@ let children () =
    counters read back from the metrics file it writes at close. *)
 let with_proxy ~plan ~target_port f =
   let dir = Durable.Temp.fresh_dir ~prefix:"test-net-relay" () in
-  let metrics_file = Filename.concat dir "metrics-proxy.txt" in
+  let metrics_file = Filename.concat dir "metrics-proxy.bin" in
   let port = free_port () in
   let before = children () in
   let proxy =
@@ -195,11 +192,9 @@ let with_proxy ~plan ~target_port f =
       Net.Proxy.close proxy;
       Net.Proxy.close proxy;
       Alcotest.(check (list int)) "no child left after two closes" before (children ());
-      match
-        Obs.Snapshot.of_text (In_channel.with_open_bin metrics_file In_channel.input_all)
-      with
-      | Ok snap -> snap
-      | Error e -> Alcotest.failf "proxy metrics: %s" e)
+      match Deployment.load_snapshots metrics_file with
+      | snap, None -> snap
+      | _, Some e -> Alcotest.failf "proxy metrics: %s" e)
 
 let dial port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -444,7 +439,7 @@ let expected_space_overhead () =
     20. (String.split_on_char ',' params)
 
 (* The live stats plane end to end: every daemon must answer the control
-   socket's Stats arm mid-load with a parseable exposition covering the
+   socket's Stats arm mid-load with a snapshot that decodes, covering the
    delivery, flush, transport, recovery and memory metric families; a
    SIGKILLed daemon's successor must answer again; and the Quit-time
    metrics files must merge into the outcome snapshot with the always-on
@@ -490,7 +485,7 @@ let test_stats_plane_live () =
           match Deployment.scrape t ~dst:pid with
           | Some (Ok snap) -> snap
           | Some (Error e) ->
-            Alcotest.fail (Fmt.str "pid %d: unparseable exposition: %s" pid e)
+            Alcotest.fail (Fmt.str "pid %d: scrape does not decode: %s" pid e)
           | None -> Alcotest.fail (Fmt.str "pid %d: no Stats reply" pid)
         in
         let what = Fmt.str "pid %d" pid in
@@ -757,7 +752,7 @@ let test_ingress_backpressure () =
       let high_water =
         match Deployment.scrape t ~dst:0 with
         | Some (Ok snap) -> Obs.Snapshot.gauge snap "batch_high_water"
-        | Some (Error e) -> Alcotest.failf "unparseable scrape: %s" e
+        | Some (Error e) -> Alcotest.failf "scrape does not decode: %s" e
         | None -> Alcotest.fail "daemon unreachable"
       in
       let outcome = Deployment.finish t in
@@ -947,7 +942,7 @@ let test_garbage_packet_counted () =
       let errors () =
         match Deployment.scrape t ~dst:0 with
         | Some (Ok snap) -> Obs.Snapshot.counter snap "transport_decode_errors_total"
-        | Some (Error e) -> Alcotest.failf "unparseable scrape: %s" e
+        | Some (Error e) -> Alcotest.failf "scrape does not decode: %s" e
         | None -> Alcotest.fail "daemon unreachable"
       in
       Alcotest.(check int) "no decode error yet" 0 (errors ());
@@ -999,7 +994,7 @@ let test_garbage_control_counted () =
                  (Obs.Snapshot.bindings snap))
           then Alcotest.fail "no control_decode_errors_total series";
           Obs.Snapshot.counter snap "control_decode_errors_total"
-        | Some (Error e) -> Alcotest.failf "unparseable scrape: %s" e
+        | Some (Error e) -> Alcotest.failf "scrape does not decode: %s" e
         | None -> Alcotest.fail "daemon unreachable"
       in
       Alcotest.(check int) "no control decode error yet" 0 (errors ());
@@ -1042,7 +1037,7 @@ let test_negative_brownout_refused () =
       | Some (Ok snap) ->
         Alcotest.(check int) "one control decode error counted" 1
           (Obs.Snapshot.counter snap "control_decode_errors_total")
-      | Some (Error e) -> Alcotest.failf "unparseable scrape: %s" e
+      | Some (Error e) -> Alcotest.failf "scrape does not decode: %s" e
       | None -> Alcotest.fail "the daemon died");
       Alcotest.(check bool) "the daemon lives on" true (Deployment.status t ~dst:0 <> None))
 
@@ -1077,7 +1072,7 @@ let test_respawn_reports_torn_segment () =
           (Obs.Snapshot.counter snap "storage_reopens_total");
         Alcotest.(check int) "the torn frame's bytes dropped" (String.length torn)
           (Obs.Snapshot.counter snap "storage_log_bytes_dropped_total")
-      | Some (Error e) -> Alcotest.failf "unparseable scrape: %s" e
+      | Some (Error e) -> Alcotest.failf "scrape does not decode: %s" e
       | None -> Alcotest.fail "respawned daemon unreachable");
       certify ~k (Deployment.finish t))
 
@@ -1136,6 +1131,111 @@ let test_text_dropped_after_boot () =
         daemons;
       certify ~k:1 (Deployment.finish t))
 
+(* A reopens file that is torn or corrupt is damage, named with the file
+   and the byte offset, and the whole frames before it still count.  Three
+   incarnations' frames are planted for pid 0 of a fresh one-daemon
+   cluster (whose daemon found no store, so wrote none): whole, with the
+   last frame cut one byte short, and with one byte of the second
+   snapshot flipped.  [finish] must sum 3, 2 and 1 reopens, and list no
+   damage, the cut frame's offset, and the flipped frame's offset. *)
+let test_reopens_damage_reported () =
+  let frame lost =
+    Net.Wire_codec.snapshot_file ~pid:0
+      (Obs.Snapshot.of_bindings
+         [
+           (("storage_log_bytes_dropped_total", []), Obs.Snapshot.Counter lost);
+           (("storage_reopens_total", []), Obs.Snapshot.Counter 1);
+         ])
+  in
+  let whole = frame 5 ^ frame 0 ^ frame 0 in
+  let hello = String.length (Net.Wire_codec.hello ~pid:0) in
+  let second = String.length (frame 5) + hello in
+  let third = (2 * String.length (frame 5)) + hello in
+  let flipped =
+    let b = Bytes.of_string whole in
+    let at = second + Durable.Codec.header_bytes + 3 in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x40));
+    Bytes.to_string b
+  in
+  List.iteri
+    (fun i (what, contents, reopens, at) ->
+      with_deployment ~prefix:"test-net-reopens"
+        (fun ~root -> Deployment.launch ~n:1 ~k:1 ~seed:(30 + i) ~root ())
+        (fun t ->
+          Alcotest.(check bool) (what ^ ": settles") true (Deployment.settle t);
+          let path = Filename.concat (Deployment.root t) "metrics-0.bin.reopens" in
+          Alcotest.(check bool) (what ^ ": the daemon wrote no reopens file") false
+            (Sys.file_exists path);
+          Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+          let outcome = Deployment.finish t in
+          certify ~k:1 outcome;
+          Alcotest.(check int) (what ^ ": the whole frames' reopens") reopens
+            (counter outcome "storage_reopens_total");
+          Alcotest.(check int) (what ^ ": the first frame's loss") 5
+            (counter outcome "storage_log_bytes_dropped_total");
+          match at with
+          | None -> Alcotest.(check (list string)) (what ^ ": no damage") [] outcome.damage
+          | Some at ->
+            let prefix = Fmt.str "%s: damaged at byte %d: " path at in
+            if not (List.exists (String.starts_with ~prefix) outcome.damage) then
+              Alcotest.failf "%s: no damage names %s at byte %d in [%s]" what path at
+                (String.concat "; " outcome.damage)))
+    [
+      ("whole", whole, 3, None);
+      ("cut", String.sub whole 0 (String.length whole - 1), 2, Some third);
+      ("flipped", flipped, 1, Some second);
+    ]
+
+(* A whole Stats frame whose snapshot does not decode is a scrape
+   [Error], not an unreachable daemon.  A stand-in daemon (a forked child
+   listening on the control port of a launch whose executable exits at
+   once) reads the request and answers it with a checksummed Stats frame
+   of seven bytes, too short for a snapshot. *)
+let test_scrape_undecodable_is_error () =
+  with_deployment ~prefix:"test-net-scrape"
+    (fun ~root -> Deployment.launch ~n:1 ~k:1 ~seed:23 ~root ~exe:"/bin/true" ())
+    (fun t ->
+      let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.setsockopt s Unix.SO_REUSEADDR true;
+      Unix.bind s
+        (Unix.ADDR_INET (Unix.inet_addr_loopback, Deployment.control_port t ~dst:0));
+      Unix.listen s 1;
+      let request =
+        Net.Wire_codec.hello ~pid:(-1)
+        ^ Net.Wire_codec.encode_control App.wire Net.Wire_codec.Stats_req
+      in
+      let stats_kind =
+        Char.code
+          (Net.Wire_codec.encode_control App.wire (Net.Wire_codec.Stats Obs.Snapshot.empty)).[1]
+      in
+      match Unix.fork () with
+      | 0 ->
+        (try
+           let c, _ = Unix.accept s in
+           let b = Bytes.create (String.length request) in
+           let rec fill pos =
+             if pos < Bytes.length b then
+               match Unix.read c b pos (Bytes.length b - pos) with
+               | 0 -> ()
+               | n -> fill (pos + n)
+           in
+           fill 0;
+           ignore
+             (Net.Wire_codec.write_all c (Durable.Codec.encode ~kind:stats_kind "garbage")
+               : bool);
+           Unix.close c;
+           Unix._exit 0
+         with _ -> Unix._exit 1)
+      | child ->
+        Unix.close s;
+        let scraped = Deployment.scrape t ~dst:0 in
+        let _, exit = Unix.waitpid [] child in
+        Alcotest.(check bool) "the stand-in exited cleanly" true (exit = Unix.WEXITED 0);
+        match scraped with
+        | Some (Error _) -> ()
+        | Some (Ok _) -> Alcotest.fail "a seven-byte snapshot decoded"
+        | None -> Alcotest.fail "a whole reply read as an unreachable daemon")
+
 let suite =
   [
     Alcotest.test_case "shutdown interrupts dial backoff" `Quick
@@ -1174,4 +1274,8 @@ let suite =
       test_respawn_reports_torn_segment;
     Alcotest.test_case "a daemon's text is resident only as far as its loop ran" `Slow
       test_text_dropped_after_boot;
+    Alcotest.test_case "a torn or corrupt reopens file is damage, whole frames count" `Slow
+      test_reopens_damage_reported;
+    Alcotest.test_case "a Stats reply that does not decode is an Error" `Quick
+      test_scrape_undecodable_is_error;
   ]

@@ -116,6 +116,39 @@ let gen_status =
           (pair small_nat small_nat) (pair small_nat gen_entry))
        (pair bool small_nat))
 
+(* Snapshots whose floats are exact and never nan, so (=) compares them
+   as the round-trip laws do: distinct keys, sorted labels, histograms
+   with at least one observation. *)
+let gen_snapshot =
+  let gen_value =
+    oneof
+      [
+        map (fun c -> Obs.Snapshot.Counter c) (int_range (-5) 1_000_000);
+        map (fun g -> Obs.Snapshot.Gauge g) gen_time;
+        map4
+          (fun buckets sum minv maxv ->
+            let counts = Array.make Obs.Histogram.bucket_count 0 in
+            List.iter (fun (i, n) -> counts.(i) <- counts.(i) + n) buckets;
+            Obs.Snapshot.Hist { Obs.Snapshot.counts; sum; minv; maxv })
+          (list_size (int_range 1 6)
+             (pair (int_bound (Obs.Histogram.bucket_count - 1)) (int_range 1 50)))
+          gen_time gen_time gen_time;
+      ]
+  in
+  let gen_key =
+    pair
+      (oneofl [ "deliveries_total"; "fsync_seconds"; "x" ])
+      (oneofl [ []; [ ("phase", "flush") ]; [ ("phase", "a \"b\"\n"); ("shard", "1") ] ])
+  in
+  map
+    (fun samples ->
+      let seen = Hashtbl.create 8 in
+      Obs.Snapshot.of_bindings
+        (List.filter
+           (fun (k, _) -> (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
+           samples))
+    (list_size (int_bound 8) (pair gen_key gen_value))
+
 let gen_control =
   frequency
     [
@@ -132,9 +165,7 @@ let gen_control =
       (1, return Wire_codec.Retire_req);
       (1, map (fun rounds -> Wire_codec.Arm_brownout { rounds }) (int_bound 5));
       (1, return Wire_codec.Stats_req);
-      (* Stats carries an opaque exposition text; the codec must pass any
-         bytes through, newlines and quotes included. *)
-      (1, map (fun s -> Wire_codec.Stats s) (string_size (int_bound 200)));
+      (1, map (fun s -> Wire_codec.Stats s) gen_snapshot);
     ]
 
 let gen_output_id =
@@ -370,7 +401,25 @@ let fixtures =
     control "control-retire-req" Wire_codec.Retire_req;
     control "control-arm-brownout" (Wire_codec.Arm_brownout { rounds = 3 });
     control "control-stats-req" Wire_codec.Stats_req;
-    control "control-stats" (Wire_codec.Stats "# koptlog-obs v1\nx 1\n");
+    control "control-stats"
+      (Wire_codec.Stats
+         (Obs.Snapshot.of_bindings
+            [
+              (("deliveries_total", []), Obs.Snapshot.Counter 500);
+              (("batch_high_water", []), Obs.Snapshot.Gauge 12.);
+              ( ("fsync_seconds", [ ("phase", "flush") ]),
+                Obs.Snapshot.Hist
+                  {
+                    Obs.Snapshot.counts =
+                      Array.init Obs.Histogram.bucket_count (function
+                        | 20 -> 3
+                        | 22 -> 1
+                        | _ -> 0);
+                    sum = 0.0068359375;
+                    minv = 0.0009765625;
+                    maxv = 0.00390625;
+                  } );
+            ]));
     trace "trace-interval-started"
       (Trace.Interval_started
          {
@@ -522,7 +571,8 @@ let test_shard_roundtrip =
    the payload of a valid value, unchanged, cut short, with an 8-byte
    field overwritten by a length near [max_int] or a negative one, or
    replaced by random bytes under a random kind.  A trace entry goes
-   through the file loader, which must report what it cannot decode. *)
+   through the file loader, which must report what it cannot decode, and
+   a metrics file's bytes through the snapshot file decoder. *)
 let payload frame =
   let h = Durable.Codec.header_bytes in
   (Char.code frame.[1], String.sub frame h (String.length frame - h))
@@ -544,6 +594,10 @@ let decoders =
         in
         if load.Trace_codec.entries = [] && load.Trace_codec.damage = None then
           failwith "an undecodable trace entry went unreported" );
+    ( map (fun snap -> (0, Durable.Form.encode Wire_codec.snapshot snap)) gen_snapshot,
+      fun ~kind:_ s -> ignore_result (Durable.Form.decode Wire_codec.snapshot s) );
+    ( map (fun snap -> (0, Wire_codec.snapshot_file ~pid:0 snap)) gen_snapshot,
+      fun ~kind:_ s -> ignore (Wire_codec.decode_snapshots s : Obs.Snapshot.t * string option) );
     ( map (fun m -> (0, kv_wire.App_model.App_intf.write m)) gen_kv_msg,
       fun ~kind:_ s -> ignore_result (kv_wire.App_model.App_intf.read s) );
     ( map (fun m -> (0, shard_wire.App_model.App_intf.write m)) gen_shard_msg,
@@ -987,7 +1041,7 @@ let test_huge_length_is_an_error () =
     refused name (fun () ->
         Wire_codec.decode_control_body swf ~kind:(kind f) (plant_max_length (body f)))
   in
-  control "Stats" (Wire_codec.Stats "");
+  control "Stats" (Wire_codec.Stats Obs.Snapshot.empty);
   control "Inject" (Wire_codec.Inject { seq = 1; cseq = 2; payload = "" });
   let e = Depend.Entry.make ~inc:0 ~sii:1 in
   let app =

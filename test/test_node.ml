@@ -678,7 +678,9 @@ let test_sy_wire_size_is_n () =
 
 (* A node's scrape costs O(series × buckets), never O(traffic): after 100
    deliveries and after 10,000 it holds the same series, within the same
-   exposition line budget. *)
+   budget of encoded bytes: per series a fixed cost (its name, labels, tag
+   and a histogram's three floats and bucket count, 160 bytes covering
+   names up to ~100 characters) plus 16 bytes per non-empty bucket. *)
 let test_scrape_bounded () =
   let d = D.make (config ~k:1 ()) counter in
   let drive ~from ~upto =
@@ -707,9 +709,9 @@ let test_scrape_bounded () =
     (series small = series large);
   List.iter
     (fun snap ->
-      let lines = List.length (String.split_on_char '\n' (Obs.Snapshot.to_text snap)) in
-      let budget = List.length (series snap) * (Obs.Histogram.bucket_count + 5) in
-      if lines > budget then Alcotest.failf "%d exposition lines over a budget of %d" lines budget)
+      let bytes = String.length (Durable.Form.encode Net.Wire_codec.snapshot snap) in
+      let budget = 8 + (List.length (series snap) * (160 + (Obs.Histogram.bucket_count * 16))) in
+      if bytes > budget then Alcotest.failf "%d encoded bytes over a budget of %d" bytes budget)
     [ small; large ]
 
 (* The cost of a delivery must not grow with the buffered backlog

@@ -1,7 +1,8 @@
 (* Laws for the observability core: histogram quantile estimates are
    bounded by the recorded extremes, the snapshot merge algebra is
-   associative/commutative with counter sums exact, and the text
-   exposition round-trips through its parser.  Snapshots can only be
+   associative/commutative with counter sums exact, and the binary form
+   every snapshot crosses a process boundary in ([Wire_codec.snapshot])
+   round-trips and refuses malformed payloads.  Snapshots can only be
    built through a registry, so the generators produce little metric
    programs and run them. *)
 
@@ -12,7 +13,8 @@ open Util
 
 open QCheck2.Gen
 
-(* Label values get the characters the escaper must handle. *)
+(* Label values get the characters a text format would have to escape:
+   the form carries them as they are. *)
 let gen_label_value =
   string_size ~gen:(oneofl [ 'a'; 'z'; '"'; '\\'; '\n'; ' '; '{'; '}'; '='; ',' ])
     (int_bound 6)
@@ -156,45 +158,73 @@ let test_merge_kind_clash () =
       ignore (Obs.Snapshot.merge a b : Obs.Snapshot.t))
 
 (* ------------------------------------------------------------------ *)
-(* Exposition round trip                                               *)
+(* The snapshot form                                                   *)
 
-let test_exposition_roundtrip =
-  qtest ~count:500 "exposition: of_text inverts to_text" gen_spec (fun s ->
+module F = Durable.Form
+
+let form = Net.Wire_codec.snapshot
+
+let test_form_roundtrip =
+  qtest ~count:500 "snapshot form: decode inverts encode" gen_spec (fun s ->
       let snap = build s in
-      match Obs.Snapshot.of_text (Obs.Snapshot.to_text snap) with
+      match F.decode form (F.encode form snap) with
       | Ok snap' -> seq snap snap'
       | Error _ -> false)
 
-let test_exposition_rejects () =
-  let reject what text =
-    match Obs.Snapshot.of_text text with
-    | Ok _ -> Alcotest.failf "parser accepted %s" what
+(* Payloads written field by field in the layout PROTOCOL.md gives: a
+   sample count, then each sample's name, labels, tag byte and value. *)
+let test_form_rejects () =
+  let int = F.encode F.int and float = F.encode F.float and str = F.encode F.string in
+  let sample ?(labels = []) name tag value =
+    str name
+    ^ int (List.length labels)
+    ^ String.concat "" (List.map (fun (k, v) -> str k ^ str v) labels)
+    ^ String.make 1 (Char.chr tag)
+    ^ value
+  in
+  let snapshot samples = int (List.length samples) ^ String.concat "" samples in
+  let hist buckets =
+    float 2.5 ^ float 0.5 ^ float 2.
+    ^ int (List.length buckets)
+    ^ String.concat "" (List.map (fun (i, n) -> int i ^ int n) buckets)
+  in
+  let good =
+    snapshot
+      [
+        sample "c_total" ~labels:[ ("a", "1"); ("b", "\"\n") ] 0 (int 7);
+        sample "g" 1 (float 1.25);
+        sample "h" 2 (hist [ (30, 1); (31, 2) ]);
+      ]
+  in
+  (match F.decode form good with
+  | Error e -> Alcotest.failf "a well-formed payload was refused: %s" e
+  | Ok snap ->
+    Alcotest.(check int) "counter" 7
+      (Obs.Snapshot.counter snap ~labels:[ ("b", "\"\n"); ("a", "1") ] "c_total");
+    Alcotest.(check (float 0.)) "gauge" 1.25 (Obs.Snapshot.gauge snap "g");
+    Alcotest.(check (option (pair int (float 0.)))) "histogram" (Some (3, 2.5))
+      (Option.map
+         (fun h -> (Obs.Snapshot.hist_count h, h.Obs.Snapshot.sum))
+         (Obs.Snapshot.hist snap "h"));
+    Alcotest.(check string) "the form writes those bytes" good (F.encode form snap));
+  let reject what payload =
+    match F.decode form payload with
+    | Ok _ -> Alcotest.failf "decoder accepted %s" what
     | Error _ -> ()
   in
-  reject "a missing header" "# TYPE x counter\nx 1\n";
-  reject "an untyped sample" "# koptlog-obs v1\nmystery 4\n";
-  reject "a malformed value" "# koptlog-obs v1\n# TYPE x counter\nx one\n";
-  reject "an unterminated label set" "# koptlog-obs v1\n# TYPE x counter\nx{a=\"v\" 1\n";
-  reject "a histogram without +Inf"
-    "# koptlog-obs v1\n# TYPE h histogram\nh_sum 1.0\nh_count 1\nh_min 1.0\nh_max 1.0\n";
-  reject "a non-monotone bucket cumulative"
-    (String.concat "\n"
-       [
-         "# koptlog-obs v1";
-         "# TYPE h histogram";
-         Printf.sprintf "h_bucket{le=\"%.12g\"} 5" (Obs.Histogram.bound 31);
-         Printf.sprintf "h_bucket{le=\"%.12g\"} 3" (Obs.Histogram.bound 32);
-         "h_bucket{le=\"+Inf\"} 5";
-         "h_sum 1.0";
-         "h_count 5";
-         "h_min 1.0";
-         "h_max 1.0";
-         "";
-       ]);
-  (* Stray comments are fine. *)
-  match Obs.Snapshot.of_text "# koptlog-obs v1\n# a note\n# TYPE x counter\nx 1\n" with
-  | Ok snap -> Alcotest.(check int) "comment skipped, sample kept" 1 (Obs.Snapshot.counter snap "x")
-  | Error e -> Alcotest.failf "comment broke the parser: %s" e
+  reject "a short payload" (String.sub good 0 (String.length good - 1));
+  reject "a bucket index out of range"
+    (snapshot [ sample "h" 2 (hist [ (Obs.Histogram.bucket_count, 1) ]) ]);
+  reject "a negative bucket index" (snapshot [ sample "h" 2 (hist [ (-1, 1) ]) ]);
+  reject "a repeated bucket index" (snapshot [ sample "h" 2 (hist [ (3, 1); (3, 2) ]) ]);
+  reject "a decreasing bucket index" (snapshot [ sample "h" 2 (hist [ (4, 1); (3, 2) ]) ]);
+  reject "a negative bucket count" (snapshot [ sample "h" 2 (hist [ (3, -1) ]) ]);
+  reject "an unknown value tag" (snapshot [ sample "x" 3 (int 1) ]);
+  reject "trailing bytes" (good ^ "\000");
+  reject "samples out of order" (snapshot [ sample "y" 0 (int 1); sample "x" 0 (int 1) ]);
+  reject "a repeated sample" (snapshot [ sample "x" 0 (int 1); sample "x" 0 (int 2) ]);
+  reject "labels out of order"
+    (snapshot [ sample "x" ~labels:[ ("b", "1"); ("a", "1") ] 0 (int 1) ])
 
 let test_registry_guards () =
   let reg = Obs.Registry.create () in
@@ -261,9 +291,8 @@ let suite =
     test_merge_identity;
     test_merge_counter_sums;
     Alcotest.test_case "merge rejects kind clashes" `Quick test_merge_kind_clash;
-    test_exposition_roundtrip;
-    Alcotest.test_case "exposition parser rejects malformed text" `Quick
-      test_exposition_rejects;
+    test_form_roundtrip;
+    Alcotest.test_case "snapshot form refuses malformed payloads" `Quick test_form_rejects;
     Alcotest.test_case "registry guards names, kinds and labels" `Quick
       test_registry_guards;
     Alcotest.test_case "groups are get-or-create registry metrics" `Quick test_group;
