@@ -555,11 +555,14 @@ let run_b11 rows =
   List.iter
     (fun k ->
       let t = Net.Deployment.launch ~n ~k ~seed:(50 + k) () in
-      let t0 = Unix.gettimeofday () in
-      Net.Deployment.run_workload t ~ops ~seed:21;
-      ignore (Net.Deployment.settle t : bool);
-      let elapsed = Unix.gettimeofday () -. t0 in
-      let outcome = Net.Deployment.finish t in
+      let r =
+        Net.Deployment.run t (fun () ->
+            let t0 = Unix.gettimeofday () in
+            Net.Deployment.run_workload t ~ops ~seed:21;
+            t0)
+      in
+      let elapsed = r.Net.Deployment.settled_at -. r.Net.Deployment.value in
+      let outcome = r.Net.Deployment.outcome in
       if outcome.Net.Deployment.oracle.Harness.Oracle.violations <> [] then
         failwith "B11: oracle violations in a benign run";
       let delivs = Obs.Snapshot.counter outcome.Net.Deployment.obs "deliveries_total" in
@@ -608,18 +611,22 @@ let percentile sorted p =
 
 let b12_run ~n ~k ~ops ~seed =
   let t = Net.Deployment.launch ~n ~k ~seed () in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to ops - 1 do
-    let key = Fmt.str "key%d" (i mod 17) in
-    let msg =
-      if i mod 8 = 7 then App_model.Kvstore_app.Get key
-      else App_model.Kvstore_app.Put { key; value = i * 37 }
-    in
-    Net.Deployment.inject t ~dst:(i mod n) msg
-  done;
-  ignore (Net.Deployment.settle t : bool);
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let outcome = Net.Deployment.finish t in
+  let r =
+    Net.Deployment.run t (fun () ->
+        let t0 = Unix.gettimeofday () in
+        for i = 0 to ops - 1 do
+          let key = Fmt.str "key%d" (i mod 17) in
+          let msg =
+            if i mod 8 = 7 then App_model.Kvstore_app.Get key
+            else App_model.Kvstore_app.Put { key; value = i * 37 }
+          in
+          Net.Deployment.inject t ~dst:(i mod n) msg
+        done;
+        t0)
+  in
+  (* Throughput runs to the end of the settle, not through the drain. *)
+  let elapsed = r.Net.Deployment.settled_at -. r.Net.Deployment.value in
+  let outcome = r.Net.Deployment.outcome in
   if outcome.Net.Deployment.oracle.Harness.Oracle.violations <> [] then
     failwith "B12: oracle violations in a benign run";
   let delivs = Obs.Snapshot.counter outcome.Net.Deployment.obs "deliveries_total" in

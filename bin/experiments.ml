@@ -72,88 +72,18 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc) Term.(const run $ all $ names $ json_arg)
 
-let net_cmd =
-  let doc =
-    "Run E14: a real multi-process cluster on loopback TCP — forked koptnode \
-     daemons over durable stores, SIGKILLed and respawned mid-workload, all \
-     traffic through the fault-injecting proxy; per-process trace files are \
-     merged and certified by the causality oracle."
-  in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Time-capped CI mode: one small cluster, one SIGKILL, oracle must \
-             certify the merged trace.")
-  in
+(* The live experiments: real koptnode daemons on loopback TCP, each run
+   through [Net.Deployment.run].  One row per subcommand: its name, the
+   experiment, and the doc texts of the command and of its [--smoke]. *)
+let live_cmd (name, exp, (experiment : ?smoke:bool -> unit -> _), doc, smoke_doc) =
+  let smoke = Arg.(value & flag & info [ "smoke" ] ~doc:smoke_doc) in
   let run smoke json =
-    match Net.Deployment.experiment ~smoke () with
-    | report ->
-      Harness.Report.print report;
-      write_json json [ report ];
-      0
-    | exception Failure msg ->
-      Fmt.epr "FAIL: %s@." msg;
-      1
-  in
-  Cmd.v (Cmd.info "net" ~doc) Term.(const run $ smoke $ json_arg)
-
-let kv_cmd =
-  let doc =
-    "Run E15: the sharded KV service on live clusters — consistent-hash \
-     routing, Zipfian open-loop load, cross-shard multi-puts whose acks are \
-     K-rule output commits; baseline runs feed throughput and ack-latency \
-     percentiles into BENCH_net.json, faulted runs (SIGKILLs + proxy) must \
-     certify with risk at most K."
-  in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Time-capped CI mode: one 4-shard cluster (baseline + one-kill \
-             faulted run), oracle-certified.")
-  in
-  let run smoke json =
-    match Shardkv.Service.experiment ~smoke () with
-    | report, bench ->
-      Harness.Report.print report;
-      Harness.Report.merge_bench "BENCH_net.json" bench;
-      Fmt.pr "merged %d E15 keys into BENCH_net.json@." (List.length bench);
-      write_json json [ report ];
-      0
-    | exception Failure msg ->
-      Fmt.epr "FAIL: %s@." msg;
-      1
-  in
-  Cmd.v (Cmd.info "kv" ~doc) Term.(const run $ smoke $ json_arg)
-
-let recovery_cmd =
-  let doc =
-    "Run E16: fast recovery on live clusters — SIGKILL a daemon, respawn it \
-     immediately, and race a probe Get against the replay; measures ttfr \
-     (time to first answered request, served from the probe's hot partition \
-     while the rest of the log replays) and ttfull (time to full recovery) \
-     across log lengths, with and without incremental per-partition \
-     checkpoints; baseline rows feed ttfr/ttfull into BENCH_net.json and \
-     every run must oracle-certify with risk at most K."
-  in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Time-capped CI mode: one small cluster, one SIGKILL + probe, \
-             oracle-certified.")
-  in
-  let run smoke json =
-    match Net.Recovery_exp.experiment ~smoke () with
+    match experiment ~smoke () with
     | report, bench ->
       Harness.Report.print report;
       if bench <> [] then begin
         Harness.Report.merge_bench "BENCH_net.json" bench;
-        Fmt.pr "merged %d E16 keys into BENCH_net.json@." (List.length bench)
+        Fmt.pr "merged %d %s keys into BENCH_net.json@." (List.length bench) exp
       end;
       write_json json [ report ];
       0
@@ -161,42 +91,48 @@ let recovery_cmd =
       Fmt.epr "FAIL: %s@." msg;
       1
   in
-  Cmd.v (Cmd.info "recovery" ~doc) Term.(const run $ smoke $ json_arg)
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ smoke $ json_arg)
 
-let churn_cmd =
-  let doc =
-    "Run E17: membership churn and degraded modes on live clusters — add a \
-     daemon mid-run (Join handshake widens incumbent dependency vectors), \
-     SIGKILL+respawn an incumbent, retire a daemon gracefully (frontier \
-     broadcast), rejoin it over its own store, rolling-restart the widened \
-     cluster, and arm a disk-full brownout window on one store; every run \
-     must oracle-certify at the final membership width with risk at most K, \
-     and the brownout must be reported (refused-flush counter) without ever \
-     being visible to the oracle."
-  in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Time-capped CI mode: one small k=1 run covering the full churn \
-             sequence, oracle-certified.")
-  in
-  let run smoke json =
-    match Net.Churn_exp.experiment ~smoke () with
-    | report, bench ->
-      Harness.Report.print report;
-      if bench <> [] then begin
-        Harness.Report.merge_bench "BENCH_net.json" bench;
-        Fmt.pr "merged %d E17 keys into BENCH_net.json@." (List.length bench)
-      end;
-      write_json json [ report ];
-      0
-    | exception Failure msg ->
-      Fmt.epr "FAIL: %s@." msg;
-      1
-  in
-  Cmd.v (Cmd.info "churn" ~doc) Term.(const run $ smoke $ json_arg)
+let live_cmds =
+  List.map live_cmd
+    [
+      ( "net", "E14", Net.Fault_exp.experiment,
+        "Run E14: a real multi-process cluster on loopback TCP — forked koptnode \
+         daemons over durable stores, SIGKILLed and respawned mid-workload, all \
+         traffic through the fault-injecting proxy; per-process trace files are \
+         merged and certified by the causality oracle.",
+        "Time-capped CI mode: one small cluster, one SIGKILL, oracle must \
+         certify the merged trace." );
+      ( "kv", "E15", Shardkv.Service.experiment,
+        "Run E15: the sharded KV service on live clusters — consistent-hash \
+         routing, Zipfian open-loop load, cross-shard multi-puts whose acks are \
+         K-rule output commits; baseline runs feed throughput and ack-latency \
+         percentiles into BENCH_net.json, faulted runs (SIGKILLs + proxy) must \
+         certify with risk at most K.",
+        "Time-capped CI mode: one 4-shard cluster (baseline + one-kill \
+         faulted run), oracle-certified." );
+      ( "recovery", "E16", Net.Recovery_exp.experiment,
+        "Run E16: fast recovery on live clusters — SIGKILL a daemon, respawn it \
+         immediately, and race a probe Get against the replay; measures ttfr \
+         (time to first answered request, served from the probe's hot partition \
+         while the rest of the log replays) and ttfull (time to full recovery) \
+         across log lengths, with and without incremental per-partition \
+         checkpoints; baseline rows feed ttfr/ttfull into BENCH_net.json and \
+         every run must oracle-certify with risk at most K.",
+        "Time-capped CI mode: one small cluster, one SIGKILL + probe, \
+         oracle-certified." );
+      ( "churn", "E17", Net.Churn_exp.experiment,
+        "Run E17: membership churn and degraded modes on live clusters — add a \
+         daemon mid-run (Join handshake widens incumbent dependency vectors), \
+         SIGKILL+respawn an incumbent, retire a daemon gracefully (frontier \
+         broadcast), rejoin it over its own store, rolling-restart the widened \
+         cluster, and arm a disk-full brownout window on one store; every run \
+         must oracle-certify at the final membership width with risk at most K, \
+         and the brownout must be reported (refused-flush counter) without ever \
+         being visible to the oracle.",
+        "Time-capped CI mode: one small k=1 run covering the full churn \
+         sequence, oracle-certified." );
+    ]
 
 let breakage_conv =
   Arg.enum
@@ -466,7 +402,4 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group info
-          [
-            list_cmd; run_cmd; chaos_cmd; explore_cmd; net_cmd; kv_cmd;
-            recovery_cmd; churn_cmd;
-          ]))
+          ([ list_cmd; run_cmd; chaos_cmd; explore_cmd ] @ live_cmds)))

@@ -146,7 +146,8 @@ type timer_kind = [ `Flush | `Checkpoint | `Notice | `Retransmit | `Part_ckpt ]
 
 type 'msg event =
   | From_net of 'msg Recovery.Wire.packet
-  | Control of 'msg Wire_codec.control * client
+  | Inject of { seq : int; cseq : int; msg : 'msg }  (* a client's, decoded *)
+  | Control of Wire_codec.control * client
   | Control_closed of client
   | Timer of timer_kind
 
@@ -405,12 +406,20 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
           hang_up c;
           false)
       | Some (Ok (kind, body)) -> (
-        match Wire_codec.decode_control_body wire ~kind body with
+        let undecodable e =
+          refuse c (Printf.sprintf "undecodable control frame (kind %d): %s" kind e)
+        in
+        match Wire_codec.decode_control_body ~kind body with
+        | Ok (Wire_codec.Inject { seq; cseq; payload }) -> (
+          match wire.App_model.App_intf.read payload with
+          | Ok msg ->
+            add_event (Inject { seq; cseq; msg });
+            from_client c ~readable
+          | Error e -> undecodable ("application payload: " ^ e))
         | Ok ctl ->
           add_event (Control (ctl, c));
           from_client c ~readable
-        | Error e ->
-          refuse c (Printf.sprintf "undecodable control frame (kind %d): %s" kind e))
+        | Error e -> undecodable e)
       | Some (Error e) -> refuse c (Printf.sprintf "control frame: %s" e)
       | None when not readable -> false
       | None -> (
@@ -481,7 +490,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
   let c_eager_flushes = Obs.Registry.counter obs "eager_flushes_total" in
   let refresh_memory = memory_gauges obs in
   let reply c ctl =
-    ignore (Wire_codec.write_all c.fd (Wire_codec.encode_control wire ctl) : bool)
+    ignore (Wire_codec.write_all c.fd (Wire_codec.encode_control ctl) : bool)
   in
   let finish () =
     Trace_codec.sync writer trace;
@@ -552,10 +561,10 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
               r
           | `Notice -> Node.broadcast_notice
           | `Retransmit -> Node.retransmit_tick)
+      | Inject { seq; cseq; msg } ->
+        step_up (fun nd ~now -> Node.inject nd ~now ~seq ~cseq msg)
       | Control (ctl, c) -> (
         match ctl with
-        | Wire_codec.Inject { seq; cseq; payload } ->
-          step_up (fun nd ~now -> Node.inject nd ~now ~seq ~cseq payload)
         | Wire_codec.Status_req ->
           reply c
             (Wire_codec.Status
@@ -589,8 +598,8 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
           refresh_memory node;
           reply c (Wire_codec.Stats (Obs.Registry.snapshot obs))
         | Wire_codec.Quit -> quit := Some c
-        | Wire_codec.Hello _ | Wire_codec.Status _ | Wire_codec.Stats _
-        | Wire_codec.Bye -> ())
+        | Wire_codec.Hello _ | Wire_codec.Inject _ | Wire_codec.Status _
+        | Wire_codec.Stats _ | Wire_codec.Bye -> ())
       | Control_closed c ->
         Wire_codec.close_quiet c.fd;
         clients := List.filter (fun c' -> c' != c) !clients

@@ -45,87 +45,83 @@ let burst t ~dst ~tag ~count ~seed =
     if i mod 16 = 15 then Unix.sleepf 0.002
   done
 
-let settle_or_note t report ~label ~stage =
-  if not (Deployment.settle ~timeout:120. t) then
-    Harness.Report.note report (Fmt.str "%s: settle after %s timed out" label stage)
-
 (* One oracle-certified churn run. *)
 let e17_run ~k ~ops ~brownout_rounds ~seed ~label report =
   let n = 3 in
   let t = Deployment.launch ~n ~k ~seed () in
-  match
-    (fun () ->
-      let settle = settle_or_note t report ~label in
-      (* Steady state at the launch membership. *)
-      for dst = 0 to n - 1 do
-        burst t ~dst ~tag:(Fmt.str "pre%d" dst) ~count:ops ~seed
-      done;
-      settle ~stage:"launch workload";
-      (* Join: membership grows to four under load. *)
-      let joiner = Deployment.add_node t in
-      burst t ~dst:joiner ~tag:"join" ~count:ops ~seed;
-      burst t ~dst:0 ~tag:"postjoin" ~count:ops ~seed;
-      settle ~stage:"join";
-      (* Crash recovery composed with the widened membership. *)
-      Deployment.kill t ~dst:1;
-      burst t ~dst:1 ~tag:"postkill" ~count:ops ~seed;
-      settle ~stage:"kill";
-      (* Graceful leave, then traffic among the survivors only. *)
-      Deployment.retire t ~dst:2;
-      burst t ~dst:0 ~tag:"postretire" ~count:ops ~seed;
-      burst t ~dst:joiner ~tag:"postretire2" ~count:ops ~seed;
-      settle ~stage:"retire";
-      (* The retired pid rejoins over its own store. *)
-      Deployment.rejoin t ~dst:2;
-      burst t ~dst:2 ~tag:"rejoin" ~count:ops ~seed;
-      settle ~stage:"rejoin";
-      (* Rolling restart of the whole (now four-wide) cluster. *)
-      if not (Deployment.rolling_restart ~timeout:120. t) then
-        Harness.Report.note report
-          (Fmt.str "%s: rolling restart settle timed out" label);
-      (* Disk-full brownout at daemon 0: ordinary flushes refuse for a
-         window.  The post-window burst outnumbers the window so the
-         backlog provably drains through a succeeding flush before the
-         run ends. *)
-      Deployment.arm_brownout t ~dst:0 ~rounds:brownout_rounds;
-      burst t ~dst:0 ~tag:"brownout" ~count:ops ~seed;
-      burst t ~dst:0 ~tag:"drain" ~count:(brownout_rounds + 8) ~seed;
-      settle ~stage:"brownout";
-      Deployment.finish t)
-      ()
-  with
-  | exception e ->
-    (try Deployment.destroy t with _ -> ());
-    raise e
-  | outcome ->
-    Deployment.certify ~report ~exp:"E17" ~label outcome;
-    let o = outcome.Deployment.oracle in
-    let counter = Obs.Snapshot.counter outcome.Deployment.obs in
-    let degraded = counter "storage_degraded_flushes_total" in
-    if degraded = 0 then
-      failwith
-        (Fmt.str "E17 %s: brownout window armed but no flush was refused" label);
-    let m =
-      {
-        width = Deployment.width t;
-        deliveries = counter "deliveries_total";
-        degraded;
-        risk = o.Harness.Oracle.max_risk;
-      }
-    in
-    Harness.Report.add_row report
-      [
-        string_of_int k;
-        string_of_int m.width;
-        string_of_int (List.length (Deployment.retired t));
-        string_of_int (counter "restarts_total");
-        string_of_int m.deliveries;
-        string_of_int m.degraded;
-        string_of_int m.risk;
-        string_of_int (List.length o.Harness.Oracle.violations);
-      ];
-    Durable.Temp.rm_rf (Deployment.root t);
-    m
+  let timed_out stage =
+    Harness.Report.note report (Fmt.str "%s: settle after %s timed out" label stage)
+  in
+  let r =
+    Deployment.run ~timeout:120. t (fun () ->
+        let settle ~stage =
+          if not (Deployment.settle ~timeout:120. t) then timed_out stage
+        in
+        (* Steady state at the launch membership. *)
+        for dst = 0 to n - 1 do
+          burst t ~dst ~tag:(Fmt.str "pre%d" dst) ~count:ops ~seed
+        done;
+        settle ~stage:"launch workload";
+        (* Join: membership grows to four under load. *)
+        let joiner = Deployment.add_node t in
+        burst t ~dst:joiner ~tag:"join" ~count:ops ~seed;
+        burst t ~dst:0 ~tag:"postjoin" ~count:ops ~seed;
+        settle ~stage:"join";
+        (* Crash recovery composed with the widened membership. *)
+        Deployment.kill t ~dst:1;
+        burst t ~dst:1 ~tag:"postkill" ~count:ops ~seed;
+        settle ~stage:"kill";
+        (* Graceful leave, then traffic among the survivors only. *)
+        Deployment.retire t ~dst:2;
+        burst t ~dst:0 ~tag:"postretire" ~count:ops ~seed;
+        burst t ~dst:joiner ~tag:"postretire2" ~count:ops ~seed;
+        settle ~stage:"retire";
+        (* The retired pid rejoins over its own store. *)
+        Deployment.rejoin t ~dst:2;
+        burst t ~dst:2 ~tag:"rejoin" ~count:ops ~seed;
+        settle ~stage:"rejoin";
+        (* Rolling restart of the whole (now four-wide) cluster. *)
+        if not (Deployment.rolling_restart ~timeout:120. t) then
+          Harness.Report.note report
+            (Fmt.str "%s: rolling restart settle timed out" label);
+        (* Disk-full brownout at daemon 0: ordinary flushes refuse for a
+           window.  The post-window burst outnumbers the window so the
+           backlog provably drains through a succeeding flush before the
+           run ends. *)
+        Deployment.arm_brownout t ~dst:0 ~rounds:brownout_rounds;
+        burst t ~dst:0 ~tag:"brownout" ~count:ops ~seed;
+        burst t ~dst:0 ~tag:"drain" ~count:(brownout_rounds + 8) ~seed)
+  in
+  if not r.Deployment.settled then timed_out "brownout";
+  let outcome = r.Deployment.outcome in
+  Deployment.certify ~report ~exp:"E17" ~label outcome;
+  let o = outcome.Deployment.oracle in
+  let counter = Obs.Snapshot.counter outcome.Deployment.obs in
+  let degraded = counter "storage_degraded_flushes_total" in
+  if degraded = 0 then
+    failwith
+      (Fmt.str "E17 %s: brownout window armed but no flush was refused" label);
+  let m =
+    {
+      width = Deployment.width t;
+      deliveries = counter "deliveries_total";
+      degraded;
+      risk = o.Harness.Oracle.max_risk;
+    }
+  in
+  Harness.Report.add_row report
+    [
+      string_of_int k;
+      string_of_int m.width;
+      string_of_int (List.length (Deployment.retired t));
+      string_of_int (counter "restarts_total");
+      string_of_int m.deliveries;
+      string_of_int m.degraded;
+      string_of_int m.risk;
+      string_of_int (List.length o.Harness.Oracle.violations);
+    ];
+  Durable.Temp.rm_rf (Deployment.root t);
+  m
 
 let experiment ?(smoke = false) () =
   let report =

@@ -199,15 +199,13 @@ let ctl_drop node =
     node.ctl <- None
   | None -> ()
 
-let ctl_send' node wire ctl =
+let ctl_send node ctl =
   match ctl_fd node with
   | None -> false
   | Some fd ->
-    let ok = Wire_codec.write_all fd (Wire_codec.encode_control wire ctl) in
+    let ok = Wire_codec.write_all fd (Wire_codec.encode_control ctl) in
     if not ok then ctl_drop node;
     ok
-
-let ctl_send node ctl = ctl_send' node App.wire ctl
 
 (* The reply's frame, [(kind, payload)], read whole and checked; a
    connection that yields none is dropped. *)
@@ -224,7 +222,7 @@ let ctl_rpc node ctl =
   match ctl_rpc_frame node ctl with
   | None -> None
   | Some (kind, body) -> (
-    match Wire_codec.decode_control_body App.wire ~kind body with
+    match Wire_codec.decode_control_body ~kind body with
     | Ok reply -> Some reply
     | Error _ ->
       ctl_drop node;
@@ -311,9 +309,8 @@ let inject_app t ~dst ~wire msg =
   t.seq <- t.seq + 1;
   let cseq = node.injected in
   node.injected <- cseq + 1;
-  ignore
-    (ctl_send' node wire (Wire_codec.Inject { seq = t.seq; cseq; payload = msg })
-      : bool)
+  let payload = wire.App_model.App_intf.write msg in
+  ignore (ctl_send node (Wire_codec.Inject { seq = t.seq; cseq; payload }) : bool)
 
 let inject t ~dst msg = inject_app t ~dst ~wire:App.wire msg
 
@@ -327,7 +324,7 @@ let status t ~dst =
 let scrape t ~dst =
   Option.map
     (fun (kind, body) ->
-      match Wire_codec.decode_control_body App.wire ~kind body with
+      match Wire_codec.decode_control_body ~kind body with
       | Ok (Wire_codec.Stats snap) -> Ok snap
       | Ok _ -> Error (Fmt.str "kind %d answered Stats_req" kind)
       | Error e -> Error e)
@@ -699,135 +696,22 @@ let destroy t =
   Durable.Temp.rm_rf t.root
 
 (* ------------------------------------------------------------------ *)
-(* E14                                                                 *)
+(* Live runs                                                           *)
 
-(* The partition cuts pid 0 off from launch until well after the
-   workload's last injection (~100 ms in), so it always meets the
-   daemons' first dials and the traffic of the run. *)
-let fault_plan ~with_partition =
-  {
-    Harness.Netmodel.loss = 0.05;
-    duplicate = 0.05;
-    reorder = 0.10;
-    reorder_spread = 5.;
-    partitions =
-      (if with_partition then
-         [
-           {
-             Harness.Netmodel.group = [ 0 ];
-             from_ = 0.;
-             until = 200.;
-             mode = Harness.Netmodel.Drop_packets;
-           };
-         ]
-       else []);
-  }
+type 'a run = { value : 'a; settled : bool; settled_at : float; outcome : outcome }
 
-let one_run ~n ~k ~ops ~kills ~plan ~seed report =
-  let t = launch ~n ~k ~plan ~seed () in
-  let outcome =
-    Fun.protect
-      ~finally:(fun () -> if t.alive then Array.iter reap t.nodes)
-      (fun () ->
-        run_workload t ~ops:(ops / 2) ~seed;
-        List.iter
-          (fun victim ->
-            kill t ~dst:victim;
-            run_workload t ~ops:(ops / (2 * List.length kills)) ~seed:(seed + victim))
-          kills;
-        (* Live stats plane, exercised mid-run (daemons still busy, one of
-           them a post-SIGKILL successor): every daemon must answer the
-           Stats arm with a snapshot that decodes, and the cluster-wide
-           merge must show deliveries — this is the gate the CI net smoke
-           relies on. *)
-        let live =
-          List.map
-            (fun pid ->
-              match scrape t ~dst:pid with
-              | Some (Ok snap) -> snap
-              | Some (Error e) ->
-                failwith (Fmt.str "E14: pid %d Stats snapshot does not decode: %s" pid e)
-              | None -> failwith (Fmt.str "E14: pid %d did not answer Stats_req" pid))
-            (live_pids t)
-          |> Obs.Snapshot.merge_all
-        in
-        if Obs.Snapshot.counter live "deliveries_total" = 0 then
-          failwith "E14: live Stats scrape shows zero deliveries_total";
-        (* Each victim's successor reopened its store once. *)
-        let reopens = Obs.Snapshot.counter live "storage_reopens_total"
-        and victims = List.length (List.sort_uniq Int.compare kills) in
-        if reopens <> victims then
-          failwith
-            (Fmt.str "E14: live Stats scrape shows storage_reopens_total %d after %d kill(s)"
-               reopens victims);
-        let settled = settle t in
-        let outcome = finish t in
-        if not settled then
-          Harness.Report.note report (Fmt.str "K=%d: settle timed out" k);
-        outcome)
-  in
-  certify ~report ~exp:"E14" ~label:(Fmt.str "K=%d" k) outcome;
-  let o = outcome.oracle in
-  let count name = Obs.Snapshot.counter outcome.obs (name ^ "_total") in
-  let proxied name = count ("proxy_" ^ name) in
-  Harness.Report.note report
-    (Fmt.str
-       "K=%d proxy: %d forwarded, %d dropped (%d by the partition), %d duplicated, %d \
-        delayed, %d severed"
-       k (proxied "forwarded") (proxied "dropped") (proxied "cut") (proxied "duplicated")
-       (proxied "delayed") (proxied "severed"));
-  if plan.Harness.Netmodel.partitions <> [] && proxied "severed" + proxied "cut" = 0 then
-    Harness.Report.note report
-      (Fmt.str "K=%d: WARNING the partition window met no traffic (nothing severed or cut)" k);
-  Harness.Report.add_row report
-    [
-      string_of_int k;
-      string_of_int (List.length kills);
-      string_of_int (count "deliveries");
-      string_of_int (count "releases");
-      string_of_int (count "restarts");
-      string_of_int outcome.synthesized_crashes;
-      string_of_int (count "orphans_discarded");
-      string_of_int (count "duplicates_dropped");
-      string_of_int (count "retransmissions");
-      string_of_int (count "outputs_committed");
-      string_of_int (count "transport_decode_errors");
-      string_of_int (count "transport_frames_dropped");
-      string_of_int o.Harness.Oracle.lost;
-      string_of_int o.Harness.Oracle.undone;
-      string_of_int o.Harness.Oracle.max_risk;
-      string_of_int (List.length o.Harness.Oracle.violations);
-    ];
-  Durable.Temp.rm_rf t.root
-
-let experiment ?(smoke = false) () =
-  let report =
-    Harness.Report.create
-      ~title:
-        (if smoke then "E14-smoke: multi-process deployment (loopback TCP)"
-         else "E14: multi-process deployment (loopback TCP, SIGKILL + proxy faults)")
-      ~columns:
-        [
-          "K"; "kills"; "delivs"; "released"; "restarts"; "synth"; "orphans";
-          "dups"; "retrans"; "outputs"; "dec_err"; "drops"; "lost"; "undone";
-          "risk"; "violations";
-        ]
-  in
-  if smoke then
-    one_run ~n:3 ~k:1 ~ops:48 ~kills:[ 1 ]
-      ~plan:(fault_plan ~with_partition:false)
-      ~seed:7 report
-  else begin
-    let n = 4 in
-    List.iter
-      (fun k ->
-        one_run ~n ~k ~ops:120 ~kills:[ 1 ]
-          ~plan:(fault_plan ~with_partition:true)
-          ~seed:(100 + k) report)
-      [ 0; 2; n ]
-  end;
-  Harness.Report.note report
-    "every run: real OS processes on loopback TCP, durable stores, \
-     SIGKILL mid-workload, all traffic through the fault proxy; merged \
-     trace certified by the causality oracle";
-  report
+(* Until [finish] returns, the run owns live processes and a directory:
+   whatever raises first tears both down, so a failed run leaves no
+   daemon, no proxy and no root behind. *)
+let run ?timeout t body =
+  match
+    let value = body () in
+    let settled = settle ?timeout t in
+    let settled_at = Unix.gettimeofday () in
+    { value; settled; settled_at; outcome = finish t }
+  with
+  | r -> r
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    (try destroy t with _ -> ());
+    Printexc.raise_with_backtrace e bt

@@ -17,7 +17,11 @@
     successor incarnation's [Restarted]: the announcement in that event
     pins the crashed incarnation, and the replay frontier pins the first
     lost interval.  DESIGN.md §E14 spells out why this reconstruction is
-    exact. *)
+    exact.
+
+    Every live experiment (E14–E17) and the loopback benchmarks run as a
+    body of {!run}, which settles, finishes and, on a raise, tears the
+    deployment down. *)
 
 type t
 
@@ -227,15 +231,19 @@ val finish : t -> outcome
 val destroy : t -> unit
 (** Force-kill anything still running and delete [root]. *)
 
-(** {1 Experiment / smoke entry points} *)
+(** {1 Live runs} *)
 
-val experiment : ?smoke:bool -> unit -> Harness.Report.t
-(** E14: oracle-certified multi-process runs across K, with a mid-run
-    SIGKILL and a proxy fault plan.  Every run also {!scrape}s each live
-    daemon mid-load and fails on a snapshot that does not decode, a cluster
-    that shows zero [deliveries_total], or a merged
-    [storage_reopens_total] other than the number of daemons killed so
-    far (each successor reopens its store once) — the CI net smoke's
-    stats-plane gate.  [smoke] shrinks it to one small oracle-certified run (one
-    kill) for CI.
-    @raise Failure on any oracle violation. *)
+type 'a run = {
+  value : 'a;  (** what the body returned *)
+  settled : bool;  (** the final {!settle} converged within its timeout *)
+  settled_at : float;  (** wall clock (Unix time) when that settle returned *)
+  outcome : outcome;  (** what {!finish} returned *)
+}
+
+val run : ?timeout:float -> t -> (unit -> 'a) -> 'a run
+(** [run t body] drives a launched deployment through one live run: it
+    calls [body ()], then {!settle}s the cluster with [timeout] (default
+    30 s), then {!finish}es it.  If anything raises before {!finish}
+    returns, [run] calls {!destroy} — every daemon SIGKILLed and reaped,
+    the proxy closed, [root] removed — and re-raises.  After a run that
+    returns, [root] is left on disk, as {!finish} leaves it. *)

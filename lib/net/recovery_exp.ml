@@ -99,67 +99,63 @@ let e16_run ~k ~ops ~part_ckpt ~seed ~label report =
     Deployment.launch ~n ~k ~ckpt_interval:0. ?part_ckpt
       ~time_scale:e16_time_scale ~seed ()
   in
-  match
-    (fun () ->
-      let keys = victim_keys ~n ~count:ops in
-      List.iteri
-        (fun i key ->
-          Deployment.inject t ~dst:victim (App.Put { key; value = i + seed });
-          if i mod 16 = 15 then Unix.sleepf 0.002)
-        keys;
-      if not (Deployment.settle ~timeout:120. t) then
-        Harness.Report.note report (Fmt.str "%s: pre-kill settle timed out" label);
-      (* The snapshot timer covers one dirty partition per tick; give the
-         rotation enough idle ticks to visit all of them, so the pckpt
-         rows measure bounded replay rather than snapshot-timer luck. *)
-      (match part_ckpt with
-      | Some period -> Unix.sleepf (12. *. period *. e16_time_scale)
-      | None -> ());
-      let probe = List.nth keys (ops - 1) in
-      (* The crash, the immediate respawn, and the probe racing the
-         replay: kill_only/respawn skip the usual restart-delay sleep so
-         the probe lands while partitions are still pending. *)
-      Deployment.kill_only t ~dst:victim;
-      Deployment.respawn t ~dst:victim;
-      Deployment.inject t ~dst:victim (App.Get probe);
-      let deadline = Unix.gettimeofday () +. 120. in
-      let rec await_recovery () =
-        match Deployment.status t ~dst:victim with
-        | Some s when s.Wire_codec.st_up && not s.Wire_codec.st_recovering -> ()
-        | _ ->
-          if Unix.gettimeofday () < deadline then begin
-            Unix.sleepf 0.02;
-            await_recovery ()
-          end
-      in
-      await_recovery ();
-      if not (Deployment.settle ~timeout:120. t) then
-        Harness.Report.note report (Fmt.str "%s: post-kill settle timed out" label);
-      (probe, Deployment.finish t))
-      ()
-  with
-  | exception e ->
-    (try Deployment.destroy t with _ -> ());
-    raise e
-  | probe, outcome ->
-    Deployment.certify ~report ~exp:"E16" ~label outcome;
-    let o = outcome.Deployment.oracle in
-    let m = analyze t outcome.Deployment.trace ~probe ~label in
-    let ms v = 1000. *. v in
-    Harness.Report.add_row report
-      [
-        string_of_int ops;
-        string_of_int k;
-        (match part_ckpt with None -> "-" | Some p -> Fmt.str "%g" p);
-        Harness.Report.cell_f (ms m.ttfr);
-        Harness.Report.cell_f (ms m.ttfull);
-        string_of_int m.replayed;
-        string_of_int (Obs.Snapshot.counter outcome.Deployment.obs "restarts_total");
-        string_of_int o.Harness.Oracle.max_risk;
-        string_of_int (List.length o.Harness.Oracle.violations);
-      ];
-    Durable.Temp.rm_rf (Deployment.root t);
-    m
+  let r =
+    Deployment.run ~timeout:120. t (fun () ->
+        let keys = victim_keys ~n ~count:ops in
+        List.iteri
+          (fun i key ->
+            Deployment.inject t ~dst:victim (App.Put { key; value = i + seed });
+            if i mod 16 = 15 then Unix.sleepf 0.002)
+          keys;
+        if not (Deployment.settle ~timeout:120. t) then
+          Harness.Report.note report (Fmt.str "%s: pre-kill settle timed out" label);
+        (* The snapshot timer covers one dirty partition per tick; give the
+           rotation enough idle ticks to visit all of them, so the pckpt
+           rows measure bounded replay rather than snapshot-timer luck. *)
+        (match part_ckpt with
+        | Some period -> Unix.sleepf (12. *. period *. e16_time_scale)
+        | None -> ());
+        let probe = List.nth keys (ops - 1) in
+        (* The crash, the immediate respawn, and the probe racing the
+           replay: kill_only/respawn skip the usual restart-delay sleep so
+           the probe lands while partitions are still pending. *)
+        Deployment.kill_only t ~dst:victim;
+        Deployment.respawn t ~dst:victim;
+        Deployment.inject t ~dst:victim (App.Get probe);
+        let deadline = Unix.gettimeofday () +. 120. in
+        let rec await_recovery () =
+          match Deployment.status t ~dst:victim with
+          | Some s when s.Wire_codec.st_up && not s.Wire_codec.st_recovering -> ()
+          | _ ->
+            if Unix.gettimeofday () < deadline then begin
+              Unix.sleepf 0.02;
+              await_recovery ()
+            end
+        in
+        await_recovery ();
+        probe)
+  in
+  if not r.Deployment.settled then
+    Harness.Report.note report (Fmt.str "%s: post-kill settle timed out" label);
+  let probe = r.Deployment.value and outcome = r.Deployment.outcome in
+  Deployment.certify ~report ~exp:"E16" ~label outcome;
+  let o = outcome.Deployment.oracle in
+  let m = analyze t outcome.Deployment.trace ~probe ~label in
+  let ms v = 1000. *. v in
+  Harness.Report.add_row report
+    [
+      string_of_int ops;
+      string_of_int k;
+      (match part_ckpt with None -> "-" | Some p -> Fmt.str "%g" p);
+      Harness.Report.cell_f (ms m.ttfr);
+      Harness.Report.cell_f (ms m.ttfull);
+      string_of_int m.replayed;
+      string_of_int (Obs.Snapshot.counter outcome.Deployment.obs "restarts_total");
+      string_of_int o.Harness.Oracle.max_risk;
+      string_of_int (List.length o.Harness.Oracle.violations);
+    ];
+  Durable.Temp.rm_rf (Deployment.root t);
+  m
 
 let experiment ?(smoke = false) () =
   let report =

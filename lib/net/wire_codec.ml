@@ -293,14 +293,14 @@ let decode_packet_body wf ~kind body =
   decoded wf with_packet_payload (F.decode_kind packets ~kind body)
 
 (* One whole frame, its payload read by [body]. *)
-let decode_whole body wf s =
+let decode_whole body s =
   match decode_frame s ~pos:0 with
   | Error _ as e -> e
   | Ok (kind, payload, next) ->
     if next <> String.length s then Error "trailing bytes after frame"
-    else body wf ~kind payload
+    else body ~kind payload
 
-let decode_packet wf s = decode_whole decode_packet_body wf s
+let decode_packet wf s = decode_whole (decode_packet_body wf) s
 
 (* ------------------------------------------------------------------ *)
 (* Data frames with piggybacked logging progress
@@ -405,9 +405,9 @@ type status = {
   st_replay_pending : int;
 }
 
-type 'msg control =
+type control =
   | Hello of { pid : int }
-  | Inject of { seq : int; cseq : int; payload : 'msg }
+  | Inject of { seq : int; cseq : int; payload : string }
   | Status_req
   | Status of status
   | Quit
@@ -418,7 +418,7 @@ type 'msg control =
   | Stats_req
   | Stats of Obs.Snapshot.t
 
-let control_kind : type msg. msg control -> int = function
+let control_kind = function
   | Hello _ -> k_hello
   | Inject _ -> k_inject
   | Status_req -> k_status_req
@@ -480,19 +480,11 @@ let[@warning "-8"] controls =
       (k_stats_req, F.record Stats_req F.[]);
       (k_stats, F.map (fun snap -> Stats snap) (fun (Stats snap) -> snap) snapshot) ]
 
-let with_control_payload f : _ control -> _ control = function
-  | Inject i -> Inject { seq = i.seq; cseq = i.cseq; payload = f i.payload }
-  | ( Hello _ | Status_req | Status _ | Quit | Bye | Add_peer _ | Retire_req
-    | Arm_brownout _ | Stats_req | Stats _ ) as c ->
-    c
+let encode_control c = F.frame controls c
 
-let encode_control (wf : 'msg App_intf.wire_format) (c : 'msg control) =
-  F.frame controls (with_control_payload wf.App_intf.write c)
+let decode_control_body ~kind body = F.decode_kind controls ~kind body
 
-let decode_control_body wf ~kind body =
-  decoded wf with_control_payload (F.decode_kind controls ~kind body)
-
-let decode_control wf s = decode_whole decode_control_body wf s
+let decode_control s = decode_whole decode_control_body s
 
 let hello ~pid = F.frame controls (Hello { pid })
 
@@ -539,6 +531,6 @@ let read_frame fd =
         | Ok (kind, body, _) -> Some (kind, body)
         | Error _ -> None))
 
-let read_control wf fd =
+let read_control fd =
   Option.bind (read_frame fd) (fun (kind, body) ->
-      Result.to_option (decode_control_body wf ~kind body))
+      Result.to_option (decode_control_body ~kind body))

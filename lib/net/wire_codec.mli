@@ -18,7 +18,8 @@
     dropped.  Each payload's layout is one {!Durable.Form} value, which
     both writes and reads it: integers are int64 LE, strings an int64
     length then the bytes; application payloads go through the
-    {!App_model.App_intf.wire_format} the application provides.
+    {!App_model.App_intf.wire_format} the application provides (a
+    control [Inject] carries the bytes it wrote).
     Per-packet layouts are specified in PROTOCOL.md §Wire format. *)
 
 val version : int
@@ -136,14 +137,16 @@ type status = {
   st_replay_pending : int;  (** log records still queued for replay *)
 }
 
-type 'msg control =
+type control =
   | Hello of { pid : int }
       (** first frame of every stream: its payload is {!version}, then
           the writer's pid (-1 for the driver and for trace files) *)
-  | Inject of { seq : int; cseq : int; payload : 'msg }
+  | Inject of { seq : int; cseq : int; payload : string }
       (** a client message: [seq] makes its identity unique, [cseq] is its
           dense position among the injections to this daemon (see
-          {!Recovery.Node.inject}) *)
+          {!Recovery.Node.inject}); [payload] is the bytes the
+          application's {!App_model.App_intf.wire_format} wrote, which the
+          daemon reads with its own app's format *)
   | Status_req
   | Status of status
   | Quit  (** drain: persist trace + metrics files and exit cleanly *)
@@ -185,19 +188,11 @@ val greeting : kind:int -> string -> (int, string) result
     transport's acceptor, the fault proxy, koptnode's control loop, the
     trace loader) holds the stream's first frame to this. *)
 
-val encode_control :
-  'msg App_model.App_intf.wire_format -> 'msg control -> string
+val encode_control : control -> string
 
-val decode_control_body :
-  'msg App_model.App_intf.wire_format ->
-  kind:int ->
-  string ->
-  ('msg control, string) result
+val decode_control_body : kind:int -> string -> (control, string) result
 
-val decode_control :
-  'msg App_model.App_intf.wire_format ->
-  string ->
-  ('msg control, string) result
+val decode_control : string -> (control, string) result
 
 val read_frame : Unix.file_descr -> (int * string) option
 (** The next frame on a blocking connection, [(kind, payload)], its length
@@ -205,8 +200,7 @@ val read_frame : Unix.file_descr -> (int * string) option
     {!Durable.Codec.decode}; [None] once the connection is finished or
     carries anything but a whole, intact frame. *)
 
-val read_control :
-  'msg App_model.App_intf.wire_format -> Unix.file_descr -> 'msg control option
+val read_control : Unix.file_descr -> control option
 (** {!read_frame}, its body decoded ({!decode_control_body}); [None] also
     when the body does not decode. *)
 

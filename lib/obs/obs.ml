@@ -224,32 +224,6 @@ module Registry = struct
     | MGauge _ -> "gauge"
     | MHist _ -> "histogram"
 
-  (* A histogram family keeps free the names a Prometheus-style
-     exporter gives its components ([_bucket], [_sum], ...), so its
-     samples never clash with another metric's; reserved both ways. *)
-  let hist_suffixes = [ "_bucket"; "_sum"; "_count"; "_min"; "_max" ]
-
-  let check_suffixes t name is_hist =
-    List.iter
-      (fun suf ->
-        let ls = String.length suf and ln = String.length name in
-        if ln > ls && String.sub name (ln - ls) ls = suf then
-          match Hashtbl.find_opt t.kinds (String.sub name 0 (ln - ls)) with
-          | Some "histogram" ->
-            invalid_arg
-              (Printf.sprintf "Obs.Registry: %s collides with histogram %s" name
-                 (String.sub name 0 (ln - ls)))
-          | _ -> ())
-      hist_suffixes;
-    if is_hist then
-      List.iter
-        (fun suf ->
-          if Hashtbl.mem t.kinds (name ^ suf) then
-            invalid_arg
-              (Printf.sprintf "Obs.Registry: histogram %s collides with metric %s%s" name
-                 name suf))
-        hist_suffixes
-
   (* Insert a cell under [key], validating its family; the caller has
      checked that [key] is absent. *)
   let insert t ((name, _) as key) m =
@@ -257,9 +231,7 @@ module Registry = struct
     (match Hashtbl.find_opt t.kinds name with
     | Some k when k <> kind_name m ->
       invalid_arg (Printf.sprintf "Obs.Registry: %s already registered as a %s" name k)
-    | _ ->
-      check_suffixes t name (kind_name m = "histogram");
-      Hashtbl.replace t.kinds name (kind_name m));
+    | _ -> Hashtbl.replace t.kinds name (kind_name m));
     Hashtbl.replace t.tbl key m
 
   let index t =
@@ -300,10 +272,6 @@ module Registry = struct
         (Printf.sprintf "Obs.Registry: %s is a %s, not a gauge" name (kind_name m))
 
   let histogram t ?labels name =
-    (match labels with
-    | Some ls when List.mem_assoc "le" ls ->
-      invalid_arg "Obs.Registry: the le label is reserved on histograms"
-    | _ -> ());
     match get_or_create t ?labels name (fun () -> MHist (Histogram.make ())) with
     | MHist h -> h
     | m ->

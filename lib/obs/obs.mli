@@ -149,10 +149,8 @@ module Registry : sig
   (** Get-or-create.  Metric names must match
       [[A-Za-z_][A-Za-z0-9_]*]; labels are sorted internally so label
       order never distinguishes metrics.
-      @raise Invalid_argument on a malformed name, a kind clash with
-      an existing metric of the same name, or a reserved histogram
-      suffix ([_bucket]/[_sum]/[_count]/[_min]/[_max] when the base
-      name is a histogram). *)
+      @raise Invalid_argument on a malformed name or a kind clash with
+      an existing metric of the same name. *)
 
   val gauge : t -> ?labels:(string * string) list -> string -> Gauge.t
   val histogram : t -> ?labels:(string * string) list -> string -> Histogram.t

@@ -213,84 +213,74 @@ let e15_run ~shards ~k ~ops ~rate ~kills ~plan ~seed ~label report =
     if shards >= 32 then 10. *. Recovery.Config.default_time_scale
     else Recovery.Config.default_time_scale
   in
-  let t =
-    match plan with
-    | None -> Net.Deployment.launch ~n:shards ~k ~app:"shardkv" ~time_scale ~seed ()
-    | Some plan ->
-      Net.Deployment.launch ~n:shards ~k ~app:"shardkv" ~time_scale ~plan ~seed ()
-  in
+  let t = Net.Deployment.launch ~n:shards ~k ~app:"shardkv" ~time_scale ?plan ~seed () in
   let faulted = kills <> [] || plan <> None in
-  match
-    (fun () ->
-      let svc = connect t in
-      let rng = Sim.Rng.create seed in
-      let keys = Stdlib.max 50 (12 * shards) in
-      let schedule = Harness.Workload.open_loop_kv ~rng ~ops ~keys ~rate () in
-      (* Kills are spread through the schedule: split it into one segment
-         per kill plus a tail, keeping one wall-clock origin so the
-         arrival process stays open-loop across the interruptions. *)
-      let segments = List.length kills + 1 in
-      let seg_len = (ops + segments - 1) / segments in
-      let rec split i = function
-        | [] -> [ [] ]
-        | sched ->
-          let seg = List.filteri (fun j _ -> j < seg_len) sched in
-          let rest = List.filteri (fun j _ -> j >= seg_len) sched in
-          if i = 0 then [ sched ] else seg :: split (i - 1) rest
-      in
-      let segs = split (segments - 1) schedule in
-      let t0 = Unix.gettimeofday () in
-      List.iteri
-        (fun i seg ->
-          if i > 0 then Net.Deployment.kill t ~dst:(List.nth kills (i - 1));
-          run_open_loop ~start:t0 svc seg)
-        segs;
-      let settled = Net.Deployment.settle ~timeout:120. t in
-      let outcome = Net.Deployment.finish t in
-      let elapsed = Unix.gettimeofday () -. t0 in
-      if not settled then
-        Harness.Report.note report (Fmt.str "%s: settle timed out" label);
-      (svc, outcome, elapsed))
-      ()
-  with
-  | exception e ->
-    (try Net.Deployment.destroy t with _ -> ());
-    raise e
-  | svc, outcome, elapsed ->
-    Net.Deployment.certify ~report ~exp:"E15" ~label outcome;
-    let o = outcome.Net.Deployment.oracle in
-    Latency.ingest svc.lat outcome.Net.Deployment.trace;
-    let stats = Latency.stats svc.lat in
-    if not faulted then begin
-      Net.Deployment.check_fault_free outcome;
-      if stats.outstanding > 0 then
-        failwith
-          (Fmt.str "E15 %s: %d acks missing on a fault-free run" label
-             stats.outstanding)
-    end;
-    let count = Obs.Snapshot.counter outcome.Net.Deployment.obs in
-    let delivs = count "deliveries_total" in
-    let throughput = float_of_int delivs /. elapsed in
-    let ms v = 1000. *. v in
-    Harness.Report.add_row report
-      [
-        string_of_int shards;
-        string_of_int k;
-        string_of_int (List.length kills);
-        (if plan = None then "-" else "proxy");
-        string_of_int ops;
-        string_of_int stats.acked;
-        string_of_int stats.outstanding;
-        Harness.Report.cell_f throughput;
-        Harness.Report.cell_f (ms stats.p50);
-        Harness.Report.cell_f (ms stats.p99);
-        string_of_int (count "transport_decode_errors_total");
-        string_of_int (count "transport_frames_dropped_total");
-        string_of_int o.Harness.Oracle.max_risk;
-        string_of_int (List.length o.Harness.Oracle.violations);
-      ];
-    Durable.Temp.rm_rf (Net.Deployment.root t);
-    (throughput, stats)
+  let r =
+    Net.Deployment.run ~timeout:120. t (fun () ->
+        let svc = connect t in
+        let rng = Sim.Rng.create seed in
+        let keys = Stdlib.max 50 (12 * shards) in
+        let schedule = Harness.Workload.open_loop_kv ~rng ~ops ~keys ~rate () in
+        (* Kills are spread through the schedule: split it into one segment
+           per kill plus a tail, keeping one wall-clock origin so the
+           arrival process stays open-loop across the interruptions. *)
+        let segments = List.length kills + 1 in
+        let seg_len = (ops + segments - 1) / segments in
+        let rec split i = function
+          | [] -> [ [] ]
+          | sched ->
+            let seg = List.filteri (fun j _ -> j < seg_len) sched in
+            let rest = List.filteri (fun j _ -> j >= seg_len) sched in
+            if i = 0 then [ sched ] else seg :: split (i - 1) rest
+        in
+        let segs = split (segments - 1) schedule in
+        let t0 = Unix.gettimeofday () in
+        List.iteri
+          (fun i seg ->
+            if i > 0 then Net.Deployment.kill t ~dst:(List.nth kills (i - 1));
+            run_open_loop ~start:t0 svc seg)
+          segs;
+        (svc, t0))
+  in
+  let svc, t0 = r.Net.Deployment.value in
+  (* Throughput counts the drain: the wall time runs to the end of [finish]. *)
+  let elapsed = Unix.gettimeofday () -. t0 in
+  let outcome = r.Net.Deployment.outcome in
+  if not r.Net.Deployment.settled then
+    Harness.Report.note report (Fmt.str "%s: settle timed out" label);
+  Net.Deployment.certify ~report ~exp:"E15" ~label outcome;
+  let o = outcome.Net.Deployment.oracle in
+  Latency.ingest svc.lat outcome.Net.Deployment.trace;
+  let stats = Latency.stats svc.lat in
+  if not faulted then begin
+    Net.Deployment.check_fault_free outcome;
+    if stats.outstanding > 0 then
+      failwith
+        (Fmt.str "E15 %s: %d acks missing on a fault-free run" label stats.outstanding)
+  end;
+  let count = Obs.Snapshot.counter outcome.Net.Deployment.obs in
+  let delivs = count "deliveries_total" in
+  let throughput = float_of_int delivs /. elapsed in
+  let ms v = 1000. *. v in
+  Harness.Report.add_row report
+    [
+      string_of_int shards;
+      string_of_int k;
+      string_of_int (List.length kills);
+      (if plan = None then "-" else "proxy");
+      string_of_int ops;
+      string_of_int stats.acked;
+      string_of_int stats.outstanding;
+      Harness.Report.cell_f throughput;
+      Harness.Report.cell_f (ms stats.p50);
+      Harness.Report.cell_f (ms stats.p99);
+      string_of_int (count "transport_decode_errors_total");
+      string_of_int (count "transport_frames_dropped_total");
+      string_of_int o.Harness.Oracle.max_risk;
+      string_of_int (List.length o.Harness.Oracle.violations);
+    ];
+  Durable.Temp.rm_rf (Net.Deployment.root t);
+  (throughput, stats)
 
 let experiment ?(smoke = false) () =
   let report =

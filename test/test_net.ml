@@ -782,7 +782,7 @@ let test_control_wrong_version () =
   with_deployment ~prefix:"test-net-ctl-version"
     (fun ~root -> Deployment.launch ~n:1 ~k:1 ~seed:18 ~root ())
     (fun t ->
-      let status = Net.Wire_codec.encode_control App.wire Net.Wire_codec.Status_req in
+      let status = Net.Wire_codec.encode_control Net.Wire_codec.Status_req in
       let stale =
         Durable.Codec.encode
           ~kind:(Char.code (Net.Wire_codec.hello ~pid:(-1)).[1])
@@ -792,7 +792,7 @@ let test_control_wrong_version () =
         let fd = control_connect t ~dst:0 in
         Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
         ignore (Net.Wire_codec.write_all fd (opening ^ status) : bool);
-        Net.Wire_codec.read_control App.wire fd
+        Net.Wire_codec.read_control fd
       in
       Alcotest.(check bool) "the daemon is up" true (Deployment.status t ~dst:0 <> None);
       Alcotest.(check bool) "an older Hello is refused" true (ask stale = None);
@@ -816,7 +816,7 @@ let test_control_redial_backoff () =
       let go_rd, go_wr = Unix.pipe () and at_rd, at_wr = Unix.pipe () in
       let request =
         Net.Wire_codec.hello ~pid:(-1)
-        ^ Net.Wire_codec.encode_control App.wire Net.Wire_codec.Status_req
+        ^ Net.Wire_codec.encode_control Net.Wire_codec.Status_req
       in
       match Unix.fork () with
       | 0 ->
@@ -856,7 +856,7 @@ let test_control_redial_backoff () =
            in
            ignore
              (Net.Wire_codec.write_all c
-                (Net.Wire_codec.encode_control App.wire (Net.Wire_codec.Status status))
+                (Net.Wire_codec.encode_control (Net.Wire_codec.Status status))
                : bool);
            Unix.close c;
            Unix._exit 0
@@ -893,7 +893,7 @@ let test_control_hangup () =
     (fun ~root -> Deployment.launch ~n:2 ~k ~seed:17 ~root ())
     (fun t ->
       Deployment.run_workload t ~ops:20 ~seed:8;
-      let frame = Net.Wire_codec.encode_control App.wire in
+      let frame = Net.Wire_codec.encode_control in
       let fd = control_connect t ~dst:0 in
       ignore (Net.Wire_codec.write_all fd (Net.Wire_codec.hello ~pid:(-1)) : bool);
       Alcotest.(check bool) "requests written" true
@@ -904,7 +904,7 @@ let test_control_hangup () =
       Alcotest.(check bool) "status request written" true
         (Net.Wire_codec.write_all fd
            (Net.Wire_codec.hello ~pid:(-1) ^ frame Net.Wire_codec.Status_req));
-      (match Net.Wire_codec.read_control App.wire fd with
+      (match Net.Wire_codec.read_control fd with
       | Some (Net.Wire_codec.Status _) -> ()
       | Some _ -> Alcotest.fail "a fresh connection got another client's reply"
       | None -> Alcotest.fail "no Status reply on a fresh connection");
@@ -963,8 +963,8 @@ let test_garbage_packet_counted () =
         Buffer.add_string b "xyz";
         let kind =
           Char.code
-            (Net.Wire_codec.encode_control App.wire
-               (Net.Wire_codec.Inject { seq = 1; cseq = 0; payload = App.Get "k" })).[1]
+            (Net.Wire_codec.encode_control
+               (Net.Wire_codec.Inject { seq = 1; cseq = 0; payload = "" })).[1]
         in
         Durable.Codec.encode ~kind (Buffer.contents b)
       in
@@ -973,13 +973,14 @@ let test_garbage_packet_counted () =
       ignore
         (Net.Wire_codec.write_all ctl (Net.Wire_codec.hello ~pid:(-1) ^ inject) : bool);
       Alcotest.(check bool) "the oversized Inject is refused" true
-        (Net.Wire_codec.read_control App.wire ctl = None);
+        (Net.Wire_codec.read_control ctl = None);
       Alcotest.(check bool) "the daemon lives on" true (Deployment.status t ~dst:0 <> None))
 
 (* A control frame whose checksum holds but whose payload does not
    decode ends the client's connection and is counted, as a peer's is:
    one Inject with a garbage payload reads 1 in
-   [control_decode_errors_total], and the daemon lives on. *)
+   [control_decode_errors_total], a whole Inject whose application bytes
+   do not read makes it 2, and the daemon lives on. *)
 let test_garbage_control_counted () =
   with_deployment ~prefix:"test-net-garbage-ctl"
     (fun ~root -> Deployment.launch ~n:1 ~k:1 ~seed:21 ~root ())
@@ -1000,8 +1001,8 @@ let test_garbage_control_counted () =
       Alcotest.(check int) "no control decode error yet" 0 (errors ());
       let kind =
         Char.code
-          (Net.Wire_codec.encode_control App.wire
-             (Net.Wire_codec.Inject { seq = 1; cseq = 0; payload = App.Get "k" })).[1]
+          (Net.Wire_codec.encode_control
+             (Net.Wire_codec.Inject { seq = 1; cseq = 0; payload = "" })).[1]
       in
       let ctl = control_connect t ~dst:0 in
       Fun.protect ~finally:(fun () -> Unix.close ctl) @@ fun () ->
@@ -1010,8 +1011,21 @@ let test_garbage_control_counted () =
            (Net.Wire_codec.hello ~pid:(-1) ^ Durable.Codec.encode ~kind "garbage")
           : bool);
       Alcotest.(check bool) "the garbage Inject ends the connection" true
-        (Net.Wire_codec.read_control App.wire ctl = None);
+        (Net.Wire_codec.read_control ctl = None);
       Alcotest.(check int) "one control decode error counted" 1 (errors ());
+      (* A whole Inject whose application bytes the daemon's app cannot
+         read is refused the same way, when the daemon takes the frame. *)
+      let ctl = control_connect t ~dst:0 in
+      Fun.protect ~finally:(fun () -> Unix.close ctl) @@ fun () ->
+      ignore
+        (Net.Wire_codec.write_all ctl
+           (Net.Wire_codec.hello ~pid:(-1)
+           ^ Net.Wire_codec.encode_control
+               (Net.Wire_codec.Inject { seq = 1; cseq = 0; payload = "garbage" }))
+          : bool);
+      Alcotest.(check bool) "an unreadable application payload ends the connection" true
+        (Net.Wire_codec.read_control ctl = None);
+      Alcotest.(check int) "two control decode errors counted" 2 (errors ());
       Alcotest.(check bool) "the daemon lives on" true (Deployment.status t ~dst:0 <> None))
 
 (* [Arm_brownout] with a negative round count is not a control frame: the
@@ -1028,11 +1042,11 @@ let test_negative_brownout_refused () =
       ignore
         (Net.Wire_codec.write_all ctl
            (Net.Wire_codec.hello ~pid:(-1)
-           ^ Net.Wire_codec.encode_control App.wire
+           ^ Net.Wire_codec.encode_control
                (Net.Wire_codec.Arm_brownout { rounds = -1 }))
           : bool);
       Alcotest.(check bool) "the frame ends the connection" true
-        (Net.Wire_codec.read_control App.wire ctl = None);
+        (Net.Wire_codec.read_control ctl = None);
       (match Deployment.scrape t ~dst:0 with
       | Some (Ok snap) ->
         Alcotest.(check int) "one control decode error counted" 1
@@ -1202,11 +1216,11 @@ let test_scrape_undecodable_is_error () =
       Unix.listen s 1;
       let request =
         Net.Wire_codec.hello ~pid:(-1)
-        ^ Net.Wire_codec.encode_control App.wire Net.Wire_codec.Stats_req
+        ^ Net.Wire_codec.encode_control Net.Wire_codec.Stats_req
       in
       let stats_kind =
         Char.code
-          (Net.Wire_codec.encode_control App.wire (Net.Wire_codec.Stats Obs.Snapshot.empty)).[1]
+          (Net.Wire_codec.encode_control (Net.Wire_codec.Stats Obs.Snapshot.empty)).[1]
       in
       match Unix.fork () with
       | 0 ->
@@ -1235,6 +1249,33 @@ let test_scrape_undecodable_is_error () =
         | Some (Error _) -> ()
         | Some (Ok _) -> Alcotest.fail "a seven-byte snapshot decoded"
         | None -> Alcotest.fail "a whole reply read as an unreachable daemon")
+
+(* A live run whose body raises leaves nothing behind: [Deployment.run]
+   SIGKILLs and reaps every daemon, closes the proxy and removes the root
+   before it re-raises. *)
+let test_run_raise_tears_down () =
+  with_deployment ~prefix:"test-net-teardown"
+    (fun ~root ->
+      Deployment.launch ~n:2 ~k:1 ~plan:Harness.Netmodel.benign ~seed:24 ~root ())
+    (fun t ->
+      (match
+         Deployment.run t (fun () ->
+             Deployment.inject t ~dst:0 (App.Put { key = "k"; value = 1 });
+             failwith "the body raised")
+       with
+      | _ -> Alcotest.fail "run returned"
+      | exception Failure e -> Alcotest.(check string) "re-raised" "the body raised" e);
+      for dst = 0 to 1 do
+        let port = Deployment.control_port t ~dst in
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
+        | () -> Alcotest.failf "pid %d's control port %d still accepts" dst port
+        | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ()
+      done;
+      Alcotest.(check bool)
+        "the root is gone" false
+        (Sys.file_exists (Deployment.root t)))
 
 let suite =
   [
@@ -1278,4 +1319,6 @@ let suite =
       test_reopens_damage_reported;
     Alcotest.test_case "a Stats reply that does not decode is an Error" `Quick
       test_scrape_undecodable_is_error;
+    Alcotest.test_case "a live run that raises leaves nothing behind" `Slow
+      test_run_raise_tears_down;
   ]

@@ -332,8 +332,8 @@ let fixtures =
       {
         name;
         value = c;
-        encode = Wire_codec.encode_control swf;
-        decode = Wire_codec.decode_control swf;
+        encode = Wire_codec.encode_control;
+        decode = Wire_codec.decode_control;
       }
   in
   let trace name ev =
@@ -553,7 +553,7 @@ let test_packet_roundtrip =
 
 let test_control_roundtrip =
   roundtrip "control: decode inverts encode (every kind)" gen_control
-    (Wire_codec.encode_control swf) (Wire_codec.decode_control swf)
+    (Wire_codec.encode_control) (Wire_codec.decode_control)
 
 let test_trace_roundtrip =
   roundtrip ~count:1000 "trace entry: decode inverts encode (every event)" gen_trace_entry
@@ -584,8 +584,8 @@ let decoders =
       fun ~kind s -> ignore_result (Wire_codec.decode_packet_body swf ~kind s) );
     ( map payload gen_frame,
       fun ~kind s -> ignore_result (Wire_codec.decode_data_body swf ~kind s) );
-    ( map (fun c -> payload (Wire_codec.encode_control swf c)) gen_control,
-      fun ~kind s -> ignore_result (Wire_codec.decode_control_body swf ~kind s) );
+    ( map (fun c -> payload (Wire_codec.encode_control c)) gen_control,
+      fun ~kind s -> ignore_result (Wire_codec.decode_control_body ~kind s) );
     ( map (fun e -> payload (Trace_codec.encode_entry e)) gen_trace_entry,
       fun ~kind s ->
         let load =
@@ -644,7 +644,7 @@ let test_retired_tick_kinds =
   qtest ~count:300 "control: unassigned kinds 17-19 and 20 decode to Error"
     (pair (int_range 17 20) (string_size (int_bound 40)))
     (fun (kind, payload) ->
-      match Wire_codec.decode_control swf (Durable.Codec.encode ~kind payload) with
+      match Wire_codec.decode_control (Durable.Codec.encode ~kind payload) with
       | Error _ -> true
       | Ok _ -> false
       | exception _ -> false)
@@ -1037,9 +1037,9 @@ let test_huge_length_is_an_error () =
     | exception exn -> Alcotest.failf "%s: raised %s" name (Printexc.to_string exn)
   in
   let control name c =
-    let f = Wire_codec.encode_control swf c in
+    let f = Wire_codec.encode_control c in
     refused name (fun () ->
-        Wire_codec.decode_control_body swf ~kind:(kind f) (plant_max_length (body f)))
+        Wire_codec.decode_control_body ~kind:(kind f) (plant_max_length (body f)))
   in
   control "Stats" (Wire_codec.Stats Obs.Snapshot.empty);
   control "Inject" (Wire_codec.Inject { seq = 1; cseq = 2; payload = "" });
@@ -1098,7 +1098,7 @@ let test_unknown_tag_named () =
     | Ok _ -> Alcotest.failf "%s: decoded" name
   in
   error "packet" "unknown packet kind 17" (Wire_codec.decode_packet_body swf ~kind:17 "");
-  error "control" "unknown control kind 20" (Wire_codec.decode_control_body swf ~kind:20 "");
+  error "control" "unknown control kind 20" (Wire_codec.decode_control_body ~kind:20 "");
   error "bool" "unknown bool byte 2 at offset 0" (Durable.Form.decode Durable.Form.bool "\002");
   error "kv message" "unknown kv message tag 9 at offset 0"
     (kv_wire.App_model.App_intf.read "\009");
