@@ -245,7 +245,7 @@ let bench_durable_flush () =
       (let dir = Durable.Temp.fresh_dir ~prefix:"bench-b9" () in
        at_exit (fun () -> Durable.Temp.rm_rf dir);
        let store = Durable.Durable_store.open_ ~fs:Durable.Fs.unix ~dir () in
-       (store : (unit, string, unit) Durable.Durable_store.t))
+       (store : (unit, string, unit, unit) Durable.Durable_store.t))
   in
   let payload = String.make 64 'x' in
   Bechamel.Test.make ~name:"B9 durable store: flush of 8 records (fsync)"

@@ -142,7 +142,7 @@ type client = {
   mutable live : bool;
 }
 
-type timer_kind = [ `Flush | `Checkpoint | `Notice | `Retransmit | `Part_ckpt ]
+type timer_kind = [ `Flush | `Checkpoint | `Notice | `Retransmit | `Partition ]
 
 type 'msg event =
   | From_net of 'msg Recovery.Wire.packet
@@ -170,39 +170,45 @@ external drop_read_only_mappings : unit -> unit = "koptnode_drop_read_only" [@@n
 
 external malloc_trim : unit -> unit = "koptnode_malloc_trim" [@@noalloc]
 
-(* /proc/self/status, read through a descriptor, not a channel, so a
-   scrape does not charge a channel buffer against the minor heap whose
-   collections it reports; [None] when it cannot be read. *)
-let proc_status () =
+(* /proc/self/status into [buf], read through a descriptor, not a
+   channel, so a scrape does not charge a channel buffer against the minor
+   heap whose collections it reports; the bytes read, 0 when it cannot be
+   read.  The five lines [memory_gauges] reads come early in the file. *)
+let proc_status buf =
   match Unix.openfile "/proc/self/status" [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> None
+  | exception Unix.Unix_error _ -> 0
   | fd ->
     Fun.protect
       ~finally:(fun () -> Unix.close fd)
       (fun () ->
-        let text = Buffer.create 2048 and chunk = Bytes.create 1024 in
-        let rec loop () =
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> Some (String.split_on_char '\n' (Buffer.contents text))
-          | n ->
-            Buffer.add_subbytes text chunk 0 n;
-            loop ()
+        let rec loop len =
+          match Unix.read fd buf len (Bytes.length buf - len) with
+          | 0 -> len
+          | n -> loop (len + n)
         in
-        loop ())
+        loop 0)
 
-(* The value of the status line [key] as a number, with a [kB] unit
-   converted to bytes; [None] when the line is missing or malformed. *)
-let status_field lines key =
-  List.find_map
-    (fun line ->
-      match String.split_on_char ':' line with
-      | [ k; v ] when k = key -> (
-        match String.split_on_char ' ' (String.trim v) with
-        | [ kb; "kB" ] -> Option.map (fun kb -> 1024. *. kb) (float_of_string_opt kb)
-        | [ count ] -> float_of_string_opt count
-        | _ -> None)
-      | _ -> None)
-    lines
+(* The number on the line [key] of the status bytes [b.[0, len)], with a
+   [kB] unit converted to bytes; [None] when the line is missing or holds
+   no number.  Scanned byte by byte with no library call: this runs after
+   the read, so it must fault no code of its own for the read to report
+   the same resident set whether or not a scrape ran it before. *)
+let status_field b len key =
+  let ch i = if i < len then Bytes.unsafe_get b i else '\n' and k = String.length key in
+  let rec named i j = j = k || (ch (i + j) = key.[j] && named i (j + 1)) in
+  let rec line i =
+    if i >= len then None
+    else if named i 0 && ch (i + k) = ':' then number (i + k + 1) (-1)
+    else next i
+  and next i = if i >= len then None else if ch i = '\n' then line (i + 1) else next (i + 1)
+  and number i v =
+    match ch i with
+    | ' ' | '\t' when v < 0 -> number (i + 1) v
+    | '0' .. '9' as c -> number (i + 1) ((if v < 0 then 0 else 10 * v) + Char.code c - 48)
+    | _ when v < 0 -> None
+    | _ -> Some (float_of_int v *. if ch (i + 1) = 'k' && ch (i + 2) = 'B' then 1024. else 1.)
+  in
+  line 0
 
 (* Entries of /proc/self/fd, less the descriptor listing them holds. *)
 let open_fds () =
@@ -218,10 +224,13 @@ let open_fds () =
    tables.  Each is one series.  The runtime
    samples its heap sizes at each minor collection and reads 0 before the
    first, so the two heap gauges are left out until one has run, as the
-   process gauges are while /proc cannot be read. *)
+   process gauges are while /proc cannot be read.  The status file is read
+   last, so the resident set it reports already holds the code of the
+   refresh: a daemon reads the same whether or not it was scraped. *)
 let memory_gauges obs =
   let gauge = Obs.Registry.gauge obs in
   let set name v = Obs.Gauge.set (gauge name) v in
+  let status = Bytes.create 4096 in
   fun node ->
     let st = Gc.quick_stat () and ctl = Gc.get () in
     set "gc_minor_heap_words" (float_of_int ctl.Gc.minor_heap_size);
@@ -232,19 +241,6 @@ let memory_gauges obs =
     end;
     set "gc_minor_collections" (float_of_int st.Gc.minor_collections);
     set "gc_major_collections" (float_of_int st.Gc.major_collections);
-    Option.iter
-      (fun lines ->
-        List.iter
-          (fun (name, key) -> Option.iter (set name) (status_field lines key))
-          [
-            ("process_resident_bytes", "VmRSS");
-            ("process_resident_peak_bytes", "VmHWM");
-            ("process_resident_file_bytes", "RssFile");
-            ("process_resident_anon_bytes", "RssAnon");
-            ("process_threads", "Threads");
-          ])
-      (proc_status ());
-    Option.iter (set "process_open_fds") (open_fds ());
     set "send_buf_len" (float_of_int (Node.send_buffer_size node));
     set "out_buf_len" (float_of_int (Node.output_buffer_size node));
     set "recv_buf_len" (float_of_int (Node.receive_buffer_size node));
@@ -252,7 +248,18 @@ let memory_gauges obs =
     let held, released, committed = Node.id_table_sizes node in
     set "held_len" (float_of_int held);
     set "released_ids_len" (float_of_int released);
-    set "committed_ids_len" (float_of_int committed)
+    set "committed_ids_len" (float_of_int committed);
+    Option.iter (set "process_open_fds") (open_fds ());
+    let len = proc_status status in
+    List.iter
+      (fun (name, key) -> Option.iter (set name) (status_field status len key))
+      [
+        ("process_resident_bytes", "VmRSS");
+        ("process_resident_peak_bytes", "VmHWM");
+        ("process_resident_file_bytes", "RssFile");
+        ("process_resident_anon_bytes", "RssAnon");
+        ("process_threads", "Threads");
+      ]
 
 (* [Unix.select] on the lists' descriptors, [timeout] seconds at most
    ([infinity]: no bound).  It can wait on descriptors numbered below
@@ -353,7 +360,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
         (`Checkpoint, checkpoint_interval);
         (`Notice, config.Config.timing.Config.notice_interval);
         (`Retransmit, config.Config.timing.Config.retransmit_interval);
-        (`Part_ckpt, part_ckpt);
+        (`Partition, part_ckpt);
       ]
   in
 
@@ -546,7 +553,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
     let process ev =
       match ev with
       | From_net packet -> step_up (fun nd ~now -> Node.handle_packet nd ~now packet)
-      | Timer `Part_ckpt ->
+      | Timer `Partition ->
         step_up (fun nd ~now ->
             let _, actions, cost = Node.partition_checkpoint nd ~now in
             (actions, cost))

@@ -62,6 +62,9 @@ let key_of_msg = function
 let part_slice state p =
   Str_map.filter (fun key _ -> part_of_key key = p) state.store
 
+(* One partition's bindings, [(key, (value, version))], as a form. *)
+let slice = Durable.Form.(list (pair string (pair int int)))
+
 let partitioning : (state, msg) App_intf.partitioning =
   {
     App_intf.parts;
@@ -72,38 +75,21 @@ let partitioning : (state, msg) App_intf.partitioning =
           (fun key (value, version) h ->
             Hashing.mix (Hashing.mix (Hashing.mix h (Hashing.string key)) value) version)
           (part_slice s p) (Hashing.pair s.pid p));
-    part_export =
-      Some
-        (fun s p ->
-          (* Sealed (length + CRC witness over the marshalled bytes) so
-             import can verify integrity before [Marshal] ever runs on
-             disk-sourced input. *)
-          Durable.Codec.seal
-            (Marshal.to_string (Str_map.bindings (part_slice s p)) []));
+    part_export = Some (fun s p -> Durable.Form.encode slice (Str_map.bindings (part_slice s p)));
     part_import =
       Some
-        (fun s p bytes ->
-          let payload =
-            match Durable.Codec.unseal bytes with
-            | Ok payload -> payload
-            | Error e -> failwith ("kvstore slice: " ^ e)
-          in
-          let bindings : (string * (int * int)) list =
-            try Marshal.from_string payload 0
-            with Invalid_argument _ | End_of_file ->
-              failwith "kvstore slice: truncated marshal"
-          in
-          (* Keys only ever gain versions (no delete), so the exported
-             slice supersedes whatever the partial state holds for [p]:
-             overwrite binding by binding. *)
-          ignore p;
-          {
-            s with
-            store =
-              List.fold_left
-                (fun store (key, v) -> Str_map.add key v store)
-                s.store bindings;
-          });
+        (fun s _ bytes ->
+          match Durable.Form.decode slice bytes with
+          | Error e -> failwith ("kvstore slice: " ^ e)
+          | Ok bindings ->
+            (* Keys only ever gain versions (no delete), so the exported
+               slice supersedes whatever the partial state holds for [p]:
+               overwrite binding by binding. *)
+            {
+              s with
+              store =
+                List.fold_left (fun store (key, v) -> Str_map.add key v store) s.store bindings;
+            });
   }
 
 let app : (state, msg) App_intf.t =

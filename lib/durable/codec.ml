@@ -145,21 +145,10 @@ let decode s ~pos =
 (* A sealed blob is a one-record envelope (fixed kind) whose checksum
    witnesses the exact bytes handed to [seal].  [Marshal] output travels
    inside these, so a damaged or version-skewed blob is rejected by the
-   witness before [Marshal.from_string] ever sees it. *)
+   witness ([is_sealed]) before [Marshal] ever reads it. *)
 let k_sealed = 0x53 (* 'S' *)
 
 let seal payload = encode ~kind:k_sealed payload
-
-let unseal s =
-  match decode s ~pos:0 with
-  | Record { kind; payload; next }
-    when kind = k_sealed && next = String.length s ->
-    Ok payload
-  | Record _ -> Error "sealed blob: wrong kind or trailing bytes"
-  | Truncated -> Error "sealed blob: truncated"
-  | Corrupt -> Error "sealed blob: checksum mismatch"
-  | End -> Error "sealed blob: empty"
-  | exception Invalid_argument _ -> Error "sealed blob: bad position"
 
 let is_sealed b ~off ~len =
   len >= header_bytes

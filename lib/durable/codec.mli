@@ -66,17 +66,13 @@ val payload_length : Bytes.t -> pos:int -> int
 val seal : string -> string
 (** Wrap a blob in a one-record envelope whose CRC32 witnesses the exact
     sealed bytes.  Everything [Marshal]-encoded that touches disk travels
-    sealed, so {!unseal} rejects damaged or version-skewed bytes before
-    [Marshal.from_string] can crash (or worse, misread) on them. *)
-
-val unseal : string -> (string, string) result
-(** Recover the sealed blob; [Error] (with a reason) on any mismatch —
-    truncation, checksum failure, trailing bytes.  Never raises. *)
+    sealed, so {!is_sealed} rejects damaged or version-skewed bytes before
+    [Marshal] can crash (or worse, misread) on them. *)
 
 val is_sealed : Bytes.t -> off:int -> len:int -> bool
-(** In place: [b.[off, off+len)] is exactly one sealed blob that {!unseal}
-    would accept.  The blob is the [len - header_bytes] bytes from
-    [off + header_bytes]. *)
+(** In place: [b.[off, off+len)] is exactly one sealed blob: a whole frame
+    of the seal's kind whose checksum holds.  The blob is the
+    [len - header_bytes] bytes from [off + header_bytes]. *)
 
 type tail = Clean | Torn | Corrupt_tail
 

@@ -1,9 +1,12 @@
 (* Record kinds, one byte each.  The segment log uses its own fixed kind
    internally; these are the checkpoint-file and synchronous-area kinds.
-   A checkpoint file is a [k_pos] frame, then a [k_ckpt] frame. *)
+   A checkpoint file is a [k_pos] frame, then a [k_ckpt] frame; a
+   partition checkpoint file a [k_pos] frame, then a [k_part] frame. *)
 let k_pos = 0x50 (* 'P': stable length at save, 8 bytes little-endian *)
 
 let k_ckpt = 0x43 (* 'C': the checkpoint snapshot *)
+
+let k_part = 0x54 (* 'T': one partition's snapshot *)
 
 let k_ann = 0x41 (* 'A': announcement *)
 
@@ -49,7 +52,7 @@ let decode_opt b ~off ~len =
 let fold_file (fs : Fs.t) ?buf path ~init ~f =
   fs.read_with path (fun size input -> Codec.fold_input ?buf ~size ~input ~init ~f ())
 
-type ('ckpt, 'log, 'ann) t = {
+type ('ckpt, 'log, 'ann, 'part) t = {
   fs : Fs.t;
   root : string;
   log : Segment_log.t;
@@ -58,13 +61,17 @@ type ('ckpt, 'log, 'ann) t = {
   volatile : 'log Queue.t;
   mutable ckpts : int list; (* file seqs, newest first; snapshots stay on disk *)
   mutable ckpt_seq : int;
+  mutable parts : (int * int * int) list;
+      (* (partition, file seq, stable length at save): at most one file
+         per partition, its snapshot on disk *)
+  mutable part_seq : int;
   sync_writes : Obs.Counter.t;
   flushes : Obs.Counter.t;
   ckpt_bytes : Obs.Counter.t; (* bytes written to checkpoint files *)
-  mutable sync_file : Fs.file; (* sync.dat's append handle *)
+  sync_file : Fs.file; (* sync.dat's append handle *)
   mutable sync_pending : bool;
       (* sync.dat holds buffered announcements no fsync has covered yet *)
-  mutable sync_checked : int;
+  sync_checked : int;
       (* sync.dat's leading bytes that open checked: a record there that
          fails [sealed_value] is one open counted as dropped *)
   mutable disk_full : int; (* flush rounds still refused (ENOSPC brownout) *)
@@ -88,15 +95,30 @@ let parse_ckpt name =
   then int_of_string_opt (String.sub name 5 12)
   else None
 
-(* A checkpoint file is exactly a position frame, then a snapshot frame,
+let part_name p seq = Fs.numbered (Printf.sprintf "part-%d-" p) seq
+
+let part_path root p seq = Path.concat root (part_name p seq)
+
+(* [part-<p>-<seq>.dat]: the partition and the file's sequence number,
+   for a name [part_name] gives and no other. *)
+let parse_part name =
+  match String.split_on_char '-' name with
+  | [ "part"; p; seq ] when String.ends_with ~suffix:".dat" seq -> (
+    match (int_of_string_opt p, int_of_string_opt (String.sub seq 0 (String.length seq - 4))) with
+    | Some p, Some seq when part_name p seq = name -> Some (p, seq)
+    | _ -> None)
+  | _ -> None
+
+(* A checkpoint file is exactly a position frame, then a snapshot frame of
+   [kind] ([k_ckpt] for a full checkpoint, [k_part] for one partition's),
    each checked in place, the snapshot's seal and Marshal header too
-   ([sealed_value]).  [checkpoint_frame ~snapshot] is the fold over them:
-   it applies [snapshot] to the checked snapshot bytes — open's decodes
-   nothing, a restore's decodes them. *)
-let checkpoint_frame ~snapshot st ~pos:_ ~kind b ~off ~len =
+   ([sealed_value]).  [checkpoint_frame ~kind ~snapshot] is the fold over
+   them: it applies [snapshot] to the checked snapshot bytes — open's
+   decodes nothing, a restore's decodes them. *)
+let checkpoint_frame ~kind:k ~snapshot st ~pos:_ ~kind b ~off ~len =
   match st with
   | `Start when kind = k_pos && len = 8 -> `Pos (Int64.to_int (Bytes.get_int64_le b off))
-  | `Pos p when kind = k_ckpt && sealed_value b ~off ~len -> `Snapshot (p, snapshot b ~off)
+  | `Pos p when kind = k && sealed_value b ~off ~len -> `Snapshot (p, snapshot b ~off)
   | `Start | `Pos _ | `Snapshot _ | `Bad -> `Bad
 
 (* The file's stable length at save and what [frame] made of its
@@ -177,7 +199,8 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
            name = "sync.dat"
            || String.ends_with ~suffix:".dat" name
               && (String.starts_with ~prefix:"seg-" name
-                 || String.starts_with ~prefix:"ckpt-" name))
+                 || String.starts_with ~prefix:"ckpt-" name
+                 || String.starts_with ~prefix:"part-" name))
   in
   let fresh = pre_existing = [] in
   let sync_file = sync_path dir in
@@ -242,16 +265,39 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
   let ckpts = ref [] (* newest first *) in
   let ckpts_dropped = ref 0 in
   let prefix = Path.concat dir "ckpt-" in
-  let checked = checkpoint_frame ~snapshot:(fun _ ~off:_ -> ()) in
+  let usable ~kind path =
+    let checked = checkpoint_frame ~kind ~snapshot:(fun _ ~off:_ -> ()) in
+    match decode_checkpoint fs ~buf path ~frame:checked with
+    | Some (log_pos, ()) when log_pos <= stable_len -> Some log_pos
+    | Some _ | None ->
+      incr ckpts_dropped;
+      fs.unlink path;
+      None
+  in
   Array.iter
     (fun seq ->
-      let path = Fs.numbered prefix seq in
-      match decode_checkpoint fs ~buf path ~frame:checked with
-      | Some (log_pos, ()) when log_pos <= stable_len -> ckpts := seq :: !ckpts
-      | Some _ | None ->
-        incr ckpts_dropped;
-        fs.unlink path)
+      if usable ~kind:k_ckpt (Fs.numbered prefix seq) <> None then ckpts := seq :: !ckpts)
     ckpt_seqs;
+  (* Partition checkpoints: checked the same way, newest first, and the
+     newest usable file of each partition kept.  An older one is what a
+     death between a save and its unlink leaves: superseded, not lost. *)
+  let part_files =
+    List.sort (fun (_, a) (_, b) -> Int.compare b a) (List.filter_map parse_part pre_existing)
+  in
+  let parts =
+    List.fold_left
+      (fun parts (p, seq) ->
+        let path = part_path dir p seq in
+        if List.exists (fun (q, _, _) -> q = p) parts then begin
+          fs.unlink path;
+          parts
+        end
+        else
+          match usable ~kind:k_part path with
+          | Some log_pos -> (p, seq, log_pos) :: parts
+          | None -> parts)
+      [] part_files
+  in
   let ( degraded_flushes, sync_writes, flushes, ckpt_bytes, rounds, fsync_seconds,
         sync_fsync_seconds, reopens, lost ) =
     Obs.Registry.group obs meters
@@ -275,6 +321,8 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
     volatile = Queue.create ();
     ckpts = !ckpts;
     ckpt_seq = 1 + Array.fold_left max (-1) ckpt_seqs;
+    parts;
+    part_seq = 1 + List.fold_left (fun acc (_, seq) -> max acc seq) (-1) part_files;
     disk_full = 0;
     degraded_flushes;
     sync_writes;
@@ -381,6 +429,12 @@ let truncate_stable_log t ~keep =
   if keep < t.base || keep > t.stable_len then
     invalid_arg "Durable_store.truncate_stable_log: keep out of range";
   let removed = stable_log_from t ~pos:keep in
+  (* A partition snapshot past the cut describes state the truncation
+     undoes: it goes first, so no death can leave it beside a shorter log
+     that later grows past its position again. *)
+  let undone, kept = List.partition (fun (_, _, pos) -> pos > keep) t.parts in
+  List.iter (fun (p, seq, _) -> t.fs.unlink (part_path t.root p seq)) undone;
+  t.parts <- kept;
   t.stable_len <- keep;
   Segment_log.truncate_after t.log ~keep;
   sync_put t ~kind:k_len (to_bin keep);
@@ -406,29 +460,35 @@ let log_base t = t.base
 
 let live_log_records t = t.stable_len - t.base
 
-let save_checkpoint t c =
+(* Flush, then write a checkpoint file whole (one fsync): the stable
+   length, then the snapshot in a frame of [kind]. *)
+let write_snapshot t path ~kind v =
   ignore (flush_forced t : int);
-  let seq = t.ckpt_seq in
-  t.ckpt_seq <- seq + 1;
   let pos = Bytes.create 8 in
   Bytes.set_int64_le pos 0 (Int64.of_int t.stable_len);
   let b = Buffer.create 256 in
   Codec.encode_into b ~kind:k_pos (Bytes.unsafe_to_string pos);
-  Codec.encode_into b ~kind:k_ckpt (to_bin c);
-  Fs.write_file t.fs (ckpt_path t.root seq) (Buffer.contents b);
-  t.ckpts <- seq :: t.ckpts;
+  Codec.encode_into b ~kind (to_bin v);
+  Fs.write_file t.fs path (Buffer.contents b);
   Obs.Counter.add t.ckpt_bytes (Buffer.length b);
   Obs.Counter.incr t.sync_writes
+
+let save_checkpoint t c =
+  let seq = t.ckpt_seq in
+  t.ckpt_seq <- seq + 1;
+  write_snapshot t (ckpt_path t.root seq) ~kind:k_ckpt c;
+  t.ckpts <- seq :: t.ckpts
 
 (* A snapshot read back from its file.  Open-time recovery kept only
    files that decoded, so a failure here is damage after open: reported,
    never answered with another checkpoint. *)
-let read_checkpoint t seq =
+let read_snapshot t path ~kind =
   guard t;
-  let path = ckpt_path t.root seq in
-  match decode_checkpoint t.fs path ~frame:(checkpoint_frame ~snapshot:value_at) with
-  | Some (_, c) -> c
+  match decode_checkpoint t.fs path ~frame:(checkpoint_frame ~kind ~snapshot:value_at) with
+  | Some (pos, v) -> (pos, v)
   | None -> failwith ("Durable_store: checkpoint no longer decodes: " ^ path)
+
+let read_checkpoint t seq = snd (read_snapshot t (ckpt_path t.root seq) ~kind:k_ckpt)
 
 let latest_checkpoint t =
   match t.ckpts with [] -> None | seq :: _ -> Some (read_checkpoint t seq)
@@ -471,6 +531,24 @@ let prune_checkpoints t ~keep_latest =
   unlink_ckpts t dropped;
   List.length dropped
 
+(* The new file is whole and fsynced before the one it replaces goes, so
+   a death in between leaves two files of the partition, which open
+   resolves to the newer. *)
+let save_part_checkpoint t ~part v =
+  let seq = t.part_seq in
+  t.part_seq <- seq + 1;
+  write_snapshot t (part_path t.root part seq) ~kind:k_part v;
+  let older, others = List.partition (fun (p, _, _) -> p = part) t.parts in
+  List.iter (fun (p, seq, _) -> t.fs.unlink (part_path t.root p seq)) older;
+  t.parts <- (part, seq, t.stable_len) :: others
+
+let part_checkpoints t =
+  List.map
+    (fun (p, seq, _) ->
+      let pos, v = read_snapshot t (part_path t.root p seq) ~kind:k_part in
+      (p, pos, v))
+    (List.sort compare t.parts)
+
 let log_announcement ?(fsync = true) t a =
   guard t;
   sync_put ~fsync t ~kind:k_ann (to_bin a);
@@ -508,34 +586,6 @@ let announcements t =
     failwith
       (Printf.sprintf "Durable_store: %s: damaged at byte %d" path valid_bytes);
   List.rev anns
-
-(* Rewrite the synchronous area keeping only the announcements [keep]
-   accepts (plus the store metadata — base and length witness — re-emitted
-   fresh).  Atomic: build a temp file, fsync it, rename over
-   sync.dat, reopen the append descriptor.  A crash before the rename
-   leaves the old area intact; after it, the new one. *)
-let compact_sync t ~keep =
-  let anns = announcements t in
-  let kept = List.filter keep anns in
-  let dropped = List.length anns - List.length kept in
-  if dropped > 0 then begin
-    let path = sync_path t.root in
-    let tmp = path ^ ".tmp" in
-    let b = Buffer.create 4096 in
-    Codec.encode_into b ~kind:k_base (to_bin t.base);
-    Codec.encode_into b ~kind:k_len (to_bin t.stable_len);
-    List.iter (fun a -> Codec.encode_into b ~kind:k_ann (to_bin a)) kept;
-    Fs.write_file t.fs tmp (Buffer.contents b);
-    t.fs.rename tmp path;
-    t.sync_file.close ();
-    t.sync_file <- t.fs.open_append path;
-    (* The rewrite was fsynced whole, buffered announcements included. *)
-    t.sync_pending <- false;
-    (* Every record left decodes: none is one open counted. *)
-    t.sync_checked <- 0;
-    Obs.Counter.incr t.sync_writes
-  end;
-  dropped
 
 let sync_writes t = Obs.Counter.value t.sync_writes
 

@@ -12,9 +12,9 @@
     process death: it closes the descriptors and discards the volatile
     suffix and an armed brownout with the handle, and a reopen over the
     same files recovers the rest.
-    The store is generic in the checkpoint, log-record and
-    announcement types, and counts synchronous writes and flushes, which
-    the simulator converts into time through its cost model.
+    The store is generic in the checkpoint, log-record, announcement and
+    partition-snapshot types, and counts synchronous writes and flushes,
+    which the simulator converts into time through its cost model.
 
     Every file call goes through an {!Fs.t}: daemons open their store on
     real files ({!Fs.unix}); the simulator, the chaos campaigns and the
@@ -36,8 +36,13 @@
       snapshot.  The store keeps only the file sequence numbers and reads
       a snapshot back from its file when asked, one file at a time
       ({!checkpoints} is a lazy sequence);
+    - each {b partition checkpoint} is a [part-<p>-<seq>.dat] file in the
+      same layout (its snapshot in a frame of its own kind), at most one
+      per partition: a new one is written whole and fsynced before the
+      file it replaces is unlinked ({!save_part_checkpoint});
     - the {b synchronous area} is [sync.dat], an append-only record
-      stream, fsynced when it carries protocol data (announcements),
+      stream, never rewritten or renamed, fsynced when it carries protocol
+      data (announcements),
       which the store keeps none of in memory: it
       reads them back from the file when asked ({!announcements}).  An
       announcement is fsynced as it is written, or written buffered and
@@ -56,7 +61,8 @@
       lying log fsync still leaves a truthful witness behind.
 
     So what the store holds in memory is metadata: the log's segment list
-    (start, count and size per segment), the checkpoint sequence numbers,
+    (start, count and size per segment), the checkpoint and partition
+    checkpoint file numbers,
     the stable length and base, plus the volatile records not
     yet flushed.  It does not grow with the records, checkpoints or
     announcements written.  Only rollback, restart and log GC read back.
@@ -79,7 +85,7 @@
     metadata above, so opening a store costs no memory that grows with
     its history. *)
 
-type ('ckpt, 'log, 'ann) t
+type ('ckpt, 'log, 'ann, 'part) t
 
 val loss_counters : string list
 (** What open-time recovery found lost, summed over every open into the
@@ -90,8 +96,9 @@ val loss_counters : string list
     - [storage_missing_log_records_total]: records the last durable
       stable-length witness claimed stable (e.g. under a lying fsync)
       that did not survive;
-    - [storage_checkpoints_dropped_total]: checkpoint files corrupt,
-      torn, pointing past the log, or in another layout;
+    - [storage_checkpoints_dropped_total]: checkpoint and partition
+      checkpoint files corrupt, torn, pointing past the log, or in another
+      layout;
     - [storage_sync_bytes_dropped_total]: synchronous-area bytes
       truncated or dropped as undecodable;
     - [storage_sync_area_lost_total]: opens that found the synchronous
@@ -113,7 +120,7 @@ val open_ :
   ?segment_bytes:int ->
   ?obs:Obs.Registry.t ->
   unit ->
-  ('ckpt, 'log, 'ann) t
+  ('ckpt, 'log, 'ann, 'part) t
 (** Open the store rooted at [dir] of [fs], creating it if needed, running
     open-time recovery otherwise.  [segment_bytes] sizes the log's
     segments ({!Segment_log.open_}).  Serialization uses [Marshal] (with
@@ -127,23 +134,23 @@ val open_ :
     [flush_rounds_total] (log fsyncs issued, whether or not they
     returned) and the [fsync_seconds] histogram (wall time of each), and
     the [sync_fsync_seconds] histogram (wall time of each fsync of the
-    synchronous area, grouped or not; compaction's rewrite is not one).
+    synchronous area, grouped or not).
     [storage_checkpoint_bytes_total] counts the bytes written to
-    checkpoint files, and [storage_reopens_total] (one unless the store
+    checkpoint and partition checkpoint files, and [storage_reopens_total] (one unless the store
     is {!fresh}) and the {!loss_counters} what this open found.  Defaults
     to a private registry.  Get-or-create semantics mean a store reopened
     into the {e same} registry (a simulated respawn) continues the
     counters of its predecessor. *)
 
-val fresh : ('ckpt, 'log, 'ann) t -> bool
+val fresh : ('ckpt, 'log, 'ann, 'part) t -> bool
 (** Open found no store files in the directory. *)
 
 (** {1 Message log} *)
 
-val append_volatile : ('ckpt, 'log, 'ann) t -> 'log -> unit
+val append_volatile : ('ckpt, 'log, 'ann, 'part) t -> 'log -> unit
 (** Record a delivered message in the volatile buffer. *)
 
-val flush : ('ckpt, 'log, 'ann) t -> int
+val flush : ('ckpt, 'log, 'ann, 'part) t -> int
 (** Write the whole volatile buffer to stable storage in one operation;
     returns the number of records made stable.  Counted as one flush (and
     as a synchronous write) only when records were written.  An armed
@@ -154,23 +161,23 @@ val flush : ('ckpt, 'log, 'ann) t -> int
     write raises [Failure] without calling fsync again
     ({!Segment_log.sync}). *)
 
-val flush_forced : ('ckpt, 'log, 'ann) t -> int
+val flush_forced : ('ckpt, 'log, 'ann, 'part) t -> int
 (** Like {!flush}, but an armed disk-full window ({!arm_disk_full}) never
     refuses it: the critical-path flushes of checkpointing and rollback
     model a writer that blocks until space frees.  A refused ordinary
     flush before a checkpoint would otherwise let the checkpoint capture
     state whose covering log prefix is still volatile. *)
 
-val stable_log_length : ('ckpt, 'log, 'ann) t -> int
+val stable_log_length : ('ckpt, 'log, 'ann, 'part) t -> int
 
-val volatile_length : ('ckpt, 'log, 'ann) t -> int
+val volatile_length : ('ckpt, 'log, 'ann, 'part) t -> int
 
-val volatile_peek : ('ckpt, 'log, 'ann) t -> 'log option
+val volatile_peek : ('ckpt, 'log, 'ann, 'part) t -> 'log option
 (** Oldest record still in the volatile buffer — the first record a crash
     would lose. *)
 
 val fold_log_from :
-  ('ckpt, 'log, 'ann) t -> pos:int -> init:'acc -> f:('acc -> int -> 'log -> 'acc) -> 'acc
+  ('ckpt, 'log, 'ann, 'part) t -> pos:int -> init:'acc -> f:('acc -> int -> 'log -> 'acc) -> 'acc
 (** Fold [f] over the stable records from [pos] on, oldest first, each
     with its logical position, read back from the segment files one
     record at a time ({!Segment_log.fold_from}).  Only rollback, restart and log GC read the log, so the flush path
@@ -183,71 +190,88 @@ val fold_log_from :
     @raise Invalid_argument if [pos] is below {!log_base} or past
     {!stable_log_length}. *)
 
-val stable_log_from : ('ckpt, 'log, 'ann) t -> pos:int -> 'log list
+val stable_log_from : ('ckpt, 'log, 'ann, 'part) t -> pos:int -> 'log list
 (** {!fold_log_from} into a list, oldest first; raises like it. *)
 
-val truncate_stable_log : ('ckpt, 'log, 'ann) t -> keep:int -> 'log list
+val truncate_stable_log : ('ckpt, 'log, 'ann, 'part) t -> keep:int -> 'log list
 (** Keep only the first [keep] stable records and return the removed tail
     in order, read back like {!stable_log_from}.  Used by rollback.  Also
     clears the volatile buffer (its contents started intervals after the
-    truncation point).
+    truncation point), and first unlinks every partition checkpoint whose
+    position is past [keep].
     @raise Invalid_argument if [keep] is below {!log_base} or past
     {!stable_log_length}. *)
 
-val discard_log_prefix : ('ckpt, 'log, 'ann) t -> before:int -> int
+val discard_log_prefix : ('ckpt, 'log, 'ann, 'part) t -> before:int -> int
 (** Garbage-collect stable records at logical positions [< before], which
     replay will never need again.  Logical positions are preserved; only
     the storage is reclaimed.  Returns the number of records discarded;
     a prefix already discarded is a no-op.
     @raise Invalid_argument if [before] exceeds the stable length. *)
 
-val log_base : ('ckpt, 'log, 'ann) t -> int
+val log_base : ('ckpt, 'log, 'ann, 'part) t -> int
 (** First logical position still readable (0 until a prefix is
     discarded). *)
 
-val live_log_records : ('ckpt, 'log, 'ann) t -> int
+val live_log_records : ('ckpt, 'log, 'ann, 'part) t -> int
 (** Stable length minus {!log_base}: the log footprint the
     garbage-collection experiment reports. *)
 
 (** {1 Checkpoints} *)
 
-val save_checkpoint : ('ckpt, 'log, 'ann) t -> 'ckpt -> unit
+val save_checkpoint : ('ckpt, 'log, 'ann, 'part) t -> 'ckpt -> unit
 (** Persist a checkpoint; flushes the volatile buffer first
     ({!flush_forced}), and counts one synchronous write. *)
 
-val latest_checkpoint : ('ckpt, 'log, 'ann) t -> 'ckpt option
+val latest_checkpoint : ('ckpt, 'log, 'ann, 'part) t -> 'ckpt option
 (** Read back from the newest checkpoint file: its snapshot is the only
     one decoded.
     @raise Failure naming the file if it no longer decodes (damage after
     open). *)
 
-val checkpoints : ('ckpt, 'log, 'ann) t -> 'ckpt Seq.t
+val checkpoints : ('ckpt, 'log, 'ann, 'part) t -> 'ckpt Seq.t
 (** Newest first, each read back from its file only when its element is
     forced, so a caller that stops at the first match reads no older
     file.  The sequence lists the checkpoints retained when it was made;
     forcing an element raises like {!latest_checkpoint}, also when its
     file was pruned or restored away since. *)
 
-val checkpoint_count : ('ckpt, 'log, 'ann) t -> int
+val checkpoint_count : ('ckpt, 'log, 'ann, 'part) t -> int
 (** Checkpoints retained, counted without reading a file. *)
 
-val oldest_checkpoint : ('ckpt, 'log, 'ann) t -> 'ckpt option
+val oldest_checkpoint : ('ckpt, 'log, 'ann, 'part) t -> 'ckpt option
 (** Read back from the oldest retained checkpoint file; raises like
     {!latest_checkpoint}. *)
 
 val restore_checkpoint :
-  ('ckpt, 'log, 'ann) t -> satisfying:('ckpt -> bool) -> 'ckpt option
+  ('ckpt, 'log, 'ann, 'part) t -> satisfying:('ckpt -> bool) -> 'ckpt option
 (** Latest checkpoint satisfying the predicate; discards the newer
     checkpoints that follow it, per Figure 3's Rollback. *)
 
-val prune_checkpoints : ('ckpt, 'log, 'ann) t -> keep_latest:int -> int
+val prune_checkpoints : ('ckpt, 'log, 'ann, 'part) t -> keep_latest:int -> int
 (** Delete all but the [keep_latest] newest checkpoints; returns how many
     were deleted.
     @raise Invalid_argument if [keep_latest < 1]. *)
 
+(** {1 Partition checkpoints} *)
+
+val save_part_checkpoint : ('ckpt, 'log, 'ann, 'part) t -> part:int -> 'part -> unit
+(** Persist one partition's snapshot at the current stable length; flushes
+    the volatile buffer first ({!flush_forced}) and counts one synchronous
+    write.  The file is written whole with one fsync, then the partition's
+    previous file is unlinked: no other file is written.  A
+    {!truncate_stable_log} below a snapshot's position unlinks it, and
+    open drops one whose position is past the recovered log.  Partition
+    files are never listed, pruned or restored as checkpoints. *)
+
+val part_checkpoints : ('ckpt, 'log, 'ann, 'part) t -> (int * int * 'part) list
+(** The newest snapshot of each partition that has one, as
+    [(part, position, snapshot)] in partition order, each read back from
+    its file; raises like {!latest_checkpoint}. *)
+
 (** {1 Synchronous area} *)
 
-val log_announcement : ?fsync:bool -> ('ckpt, 'log, 'ann) t -> 'ann -> unit
+val log_announcement : ?fsync:bool -> ('ckpt, 'log, 'ann, 'part) t -> 'ann -> unit
 (** Synchronous write (counted in {!sync_writes} either way).  With
     [~fsync:false] the record is only written: it survives a process
     kill at once, and power loss once the next fsync of the synchronous
@@ -256,13 +280,13 @@ val log_announcement : ?fsync:bool -> ('ckpt, 'log, 'ann) t -> 'ann -> unit
     call {!sync_announcements} before anything outside the process can
     learn of it. *)
 
-val sync_announcements : ('ckpt, 'log, 'ann) t -> unit
+val sync_announcements : ('ckpt, 'log, 'ann, 'part) t -> unit
 (** Fsync the synchronous area once if it holds announcements written
     with [~fsync:false] that no fsync has covered since; otherwise (and
     on a killed store) do nothing.  Not counted in {!sync_writes}: each
     grouped announcement already was. *)
 
-val announcements : ('ckpt, 'log, 'ann) t -> 'ann list
+val announcements : ('ckpt, 'log, 'ann, 'part) t -> 'ann list
 (** Oldest first, streamed back from [sync.dat] in one fold that keeps
     only the announcements.  The records open-time recovery counted as
     dropped (a failed seal or Marshal header in the bytes it checked) are
@@ -271,19 +295,11 @@ val announcements : ('ckpt, 'log, 'ann) t -> 'ann list
     longer checks, or any other record does not decode (damage after
     open, or a format bug). *)
 
-val compact_sync : ('ckpt, 'log, 'ann) t -> keep:('ann -> bool) -> int
-(** Rewrite the synchronous area, keeping only the announcements [keep]
-    accepts (store metadata — log base, stable-length witness — is
-    re-emitted).  Atomic (temp file, fsync, rename).  Returns the
-    number of records dropped; a no-op (no rewrite, not counted in
-    {!sync_writes}) when nothing is dropped.  What bounds the sync area
-    when per-partition checkpoint records supersede each other. *)
-
 (** {1 Crash semantics and accounting} *)
 
-val sync_writes : ('ckpt, 'log, 'ann) t -> int
+val sync_writes : ('ckpt, 'log, 'ann, 'part) t -> int
 (** Protocol-level synchronous stable-storage operations: one per
-    non-empty flush round, checkpoint and announcement
+    non-empty flush round, checkpoint (full or partition) and announcement
     — the quantity the paper's cost model charges for, and what E12/B9
     report.  An announcement counts one whether it is fsynced alone or
     grouped under one {!sync_announcements}, so the count, and the
@@ -295,7 +311,7 @@ val sync_writes : ('ckpt, 'log, 'ann) t -> int
 
 (** {1 Process death and fault injection} *)
 
-val kill : ('ckpt, 'log, 'ann) t -> unit
+val kill : ('ckpt, 'log, 'ann, 'part) t -> unit
 (** Process death: the volatile queue is dropped, all descriptors close,
     and the handle becomes unusable.  Nothing is synced or cut: what a
     death loses on disk belongs to the file system (a lying disk,
@@ -304,7 +320,7 @@ val kill : ('ckpt, 'log, 'ann) t -> unit
     loss in [storage_missing_log_records_total] at the next open).  Recovery is only
     possible through a fresh {!open_} on the same directory. *)
 
-val arm_disk_full : ('ckpt, 'log, 'ann) t -> rounds:int -> unit
+val arm_disk_full : ('ckpt, 'log, 'ann, 'part) t -> rounds:int -> unit
 (** ENOSPC brownout: the next [rounds] non-empty {!flush} attempts refuse
     — nothing is drained or dropped, the volatile queue stays intact, and
     each refusal is counted in [storage_degraded_flushes_total].  Degradation is
@@ -313,4 +329,4 @@ val arm_disk_full : ('ckpt, 'log, 'ann) t -> rounds:int -> unit
     claiming stability the disk did not provide; the first flush after the
     window drains the backlog in one synchronous round. *)
 
-val dir : ('ckpt, 'log, 'ann) t -> string
+val dir : ('ckpt, 'log, 'ann, 'part) t -> string

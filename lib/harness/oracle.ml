@@ -37,81 +37,54 @@ let key pid (e : Entry.t) : ikey = (pid, e.inc, e.sii)
 
 let pp_ikey ppf (pid, inc, sii) = Fmt.pf ppf "(%d,%d)_%d" inc sii pid
 
-let dependencies ~n trace ~pid interval =
-  (* Lightweight forward pass: rebuild only the dependency sets.  Chains
-     are implicit — an interval's predecessor and sender are named by the
-     trace events, so a single table suffices. *)
-  let table : (ikey, Multi_dep.t) Hashtbl.t = Hashtbl.create 256 in
-  let chains : Entry.t list array = Array.make n [] (* newest first *) in
-  let add pid interval ~pred_dep ~sender_dep =
-    let dep = Multi_dep.create ~n in
-    (match pred_dep with Some d -> Multi_dep.merge ~into:dep d | None -> ());
-    (match sender_dep with Some d -> Multi_dep.merge ~into:dep d | None -> ());
-    Multi_dep.add dep pid interval;
-    Hashtbl.replace table (key pid interval) dep;
-    chains.(pid) <- interval :: chains.(pid)
-  in
-  let head_dep pid =
-    match chains.(pid) with
-    | [] -> None
-    | h :: _ -> Hashtbl.find_opt table (key pid h)
-  in
-  let truncate pid ~keep_le =
-    chains.(pid) <-
-      List.filter (fun (e : Entry.t) -> e.sii <= keep_le) chains.(pid)
-  in
-  let handle (e : Trace.entry) =
-    match e.ev with
-    | Trace.Interval_started { pid; interval; pred; by; sender_interval; replay; _ }
-      when not replay ->
-      let pred_dep =
-        Option.bind pred (fun p -> Hashtbl.find_opt table (key pid p))
-      in
-      let sender_dep =
-        match by, sender_interval with
-        | Some id, Some si when id.Wire.origin >= 0 ->
-          Hashtbl.find_opt table (key id.Wire.origin si)
-        | _, _ -> None
-      in
-      add pid interval ~pred_dep ~sender_dep
-    | Trace.Crashed { pid; first_lost = Some fl } -> truncate pid ~keep_le:(fl.sii - 1)
-    | Trace.Crashed { first_lost = None; _ } -> ()
-    | Trace.Restarted { pid; new_current; _ } ->
-      add pid new_current ~pred_dep:(head_dep pid) ~sender_dep:None
-    | Trace.Rolled_back { pid; restored; new_current; _ } ->
-      truncate pid ~keep_le:restored.sii;
-      add pid new_current ~pred_dep:(head_dep pid) ~sender_dep:None
-    | _ -> ()
-  in
-  List.iter handle (Trace.events trace);
-  Option.map Multi_dep.entries (Hashtbl.find_opt table (key pid interval))
+(* One forward pass over a trace: the interval table with each
+   interval's true dependency set, the surviving chain of each process,
+   the crash-lost intervals, and the sends, releases and commits the
+   end-of-run checks judge.  Violations found on the way are collected. *)
+type pass = {
+  table : (ikey, info) Hashtbl.t;
+  chains : ikey list array; (* newest first *)
+  lost_set : (ikey, unit) Hashtbl.t;
+  sent : (Wire.identity, ikey) Hashtbl.t;
+  mutable released : (Wire.identity * float) list;
+  mutable committed : (int * Entry.t * string) list;
+  mutable undone : int;
+  mutable violations : string list; (* newest first *)
+}
 
-let check ?k ~n trace =
-  let violations = ref [] in
-  let violation fmt = Fmt.kstr (fun s -> violations := s :: !violations) fmt in
-  let table : (ikey, info) Hashtbl.t = Hashtbl.create 1024 in
-  let chains : ikey list array = Array.make n [] (* newest first *) in
-  let lost_set : (ikey, unit) Hashtbl.t = Hashtbl.create 64 in
-  let sent : (Wire.identity, ikey) Hashtbl.t = Hashtbl.create 256 in
-  let released = ref [] in
-  let committed = ref [] in
-  let undone_count = ref 0 in
-  let find ikey = Hashtbl.find_opt table ikey in
-  let dep_of ikey =
-    match find ikey with
-    | Some info -> Some info.dep
-    | None ->
-      violation "internal: unknown interval %a referenced" pp_ikey ikey;
-      None
+let violation st fmt = Fmt.kstr (fun s -> st.violations <- s :: st.violations) fmt
+
+let find st ikey = Hashtbl.find_opt st.table ikey
+
+let dep_of st ikey =
+  match find st ikey with
+  | Some info -> Some info.dep
+  | None ->
+    violation st "internal: unknown interval %a referenced" pp_ikey ikey;
+    None
+
+(* An interval is a true orphan iff its dependency closure meets the set
+   of intervals lost in crashes (Definition 1 + Theorem 1 roots). *)
+let orphan st dep =
+  Hashtbl.fold
+    (fun (pid, inc, sii) () acc -> acc || Multi_dep.depends_on dep pid (Entry.make ~inc ~sii))
+    st.lost_set false
+
+let run ~n trace =
+  let st =
+    {
+      table = Hashtbl.create 1024;
+      chains = Array.make n [];
+      lost_set = Hashtbl.create 64;
+      sent = Hashtbl.create 256;
+      released = [];
+      committed = [];
+      undone = 0;
+      violations = [];
+    }
   in
-  (* An interval is a true orphan iff its dependency closure meets the set
-     of intervals lost in crashes (Definition 1 + Theorem 1 roots). *)
-  let orphan dep =
-    Hashtbl.fold
-      (fun (pid, inc, sii) () acc ->
-        acc || Multi_dep.depends_on dep pid (Entry.make ~inc ~sii))
-      lost_set false
-  in
+  let violation fmt = violation st fmt and find = find st and dep_of = dep_of st in
+  let orphan = orphan st and table = st.table and chains = st.chains in
   let add_interval ~pid ~interval ~pred_dep ~sender_dep ~digest ~stable_at =
     let dep = Multi_dep.create ~n in
     (match pred_dep with Some d -> Multi_dep.merge ~into:dep d | None -> ());
@@ -169,11 +142,11 @@ let check ?k ~n trace =
             : ikey)
       end
     | Trace.Message_sent { id; src; send_interval; _ } ->
-      Hashtbl.replace sent id (key src send_interval)
-    | Trace.Message_released { id; _ } -> released := (id, now) :: !released
+      Hashtbl.replace st.sent id (key src send_interval)
+    | Trace.Message_released { id; _ } -> st.released <- (id, now) :: st.released
     | Trace.Message_delivered _ | Trace.Send_cancelled _ -> ()
     | Trace.Message_discarded { id; reason = Trace.Orphan_message; dst } -> (
-      match Hashtbl.find_opt sent id with
+      match Hashtbl.find_opt st.sent id with
       | None ->
         violation "P%d discarded %a as orphan but it has no sender interval"
           dst Recovery.Pp.identity id
@@ -222,7 +195,7 @@ let check ?k ~n trace =
                   pp_ikey ikey pid;
               info.lost <- true
             | None -> ());
-            Hashtbl.replace lost_set ikey ();
+            Hashtbl.replace st.lost_set ikey ();
             pop rest
           | rest -> rest
         in
@@ -231,7 +204,7 @@ let check ?k ~n trace =
     | Trace.Rolled_back { pid; restored; new_current; _ } ->
       let rec pop = function
         | ikey :: rest when (fun (_, _, sii) -> sii > restored.Entry.sii) ikey ->
-          incr undone_count;
+          st.undone <- st.undone + 1;
           (match find ikey with
           | Some info ->
             if not (orphan info.dep) then
@@ -245,9 +218,18 @@ let check ?k ~n trace =
       chains.(pid) <- pop chains.(pid);
       marker ~now ~pid ~interval:new_current
     | Trace.Output_committed { pid; id; text; _ } ->
-      committed := (pid, id.Wire.out_interval, text) :: !committed
+      st.committed <- (pid, id.Wire.out_interval, text) :: st.committed
   in
   List.iter handle (Trace.events trace);
+  st
+
+let dependencies ~n trace ~pid interval =
+  Option.map (fun i -> Multi_dep.entries i.dep) (find (run ~n trace) (key pid interval))
+
+let check ?k ~n trace =
+  let st = run ~n trace in
+  let violation fmt = violation st fmt and find = find st and dep_of = dep_of st in
+  let orphan = orphan st in
   (* --- end-of-run checks --- *)
   let orphans_at_end = ref 0 in
   Array.iteri
@@ -263,7 +245,7 @@ let check ?k ~n trace =
                 pp_ikey ikey
             end)
         chain)
-    chains;
+    st.chains;
   List.iter
     (fun (pid, out_interval, text) ->
       match dep_of (key pid out_interval) with
@@ -272,11 +254,11 @@ let check ?k ~n trace =
         if orphan dep then
           violation "committed output %S at P%d depends on a lost interval" text
             pid)
-    !committed;
+    st.committed;
   (* Theorem 4: released messages are revocable by at most K failures. *)
   let max_risk = ref 0 in
   let check_release (id, time) =
-    match Hashtbl.find_opt sent id with
+    match Hashtbl.find_opt st.sent id with
     | None -> violation "released message %a was never sent" Recovery.Pp.identity id
     | Some src_key -> (
       match dep_of src_key with
@@ -302,14 +284,14 @@ let check ?k ~n trace =
             Recovery.Pp.identity id risk k
         | Some _ | None -> ())
   in
-  List.iter check_release (List.rev !released);
+  List.iter check_release (List.rev st.released);
   {
-    violations = List.rev !violations;
-    intervals = Hashtbl.length table;
-    lost = Hashtbl.length lost_set;
-    undone = !undone_count;
+    violations = List.rev st.violations;
+    intervals = Hashtbl.length st.table;
+    lost = Hashtbl.length st.lost_set;
+    undone = st.undone;
     orphans_at_end = !orphans_at_end;
-    released = List.length !released;
+    released = List.length st.released;
     max_risk = !max_risk;
-    outputs_committed = List.length !committed;
+    outputs_committed = List.length st.committed;
   }

@@ -172,10 +172,16 @@ let experiment ?(smoke = false) () =
         ]
   in
   let bench = ref [] in
-  if smoke then
-    ignore
-      (e16_run ~k:1 ~ops:120 ~part_ckpt:None ~seed:16 ~label:"smoke" report
-        : measure)
+  if smoke then begin
+    let plain = e16_run ~k:1 ~ops:120 ~part_ckpt:None ~seed:16 ~label:"smoke" report in
+    let pckpt =
+      e16_run ~k:1 ~ops:120 ~part_ckpt:(Some 5.) ~seed:16 ~label:"smoke pckpt" report
+    in
+    if pckpt.replayed >= plain.replayed then
+      failwith
+        (Fmt.str "E16 smoke: partition checkpoints replayed %d records, the plain row %d"
+           pckpt.replayed plain.replayed)
+  end
   else begin
     let sizes = [ 300; 600; 1200 ] in
     (* Pure on-demand replay: ttfr (one hot partition + probe transit)

@@ -38,7 +38,7 @@ type meters = {
   retransmissions : Obs.Counter.t;
   gc_records : Obs.Counter.t;  (* stable-log records reclaimed by GC *)
   dep_queries : Obs.Counter.t;  (* direct-tracking assembly queries sent *)
-  part_ckpt_dropped : Obs.Counter.t;  (* damaged Part_ckpt payloads dropped *)
+  part_ckpt_dropped : Obs.Counter.t;  (* partition snapshots the app refused *)
   blocked_time : Obs.Histogram.t;  (* per release: time held in the send buffer *)
   release_dep_entries : Obs.Histogram.t;  (* piggybacked entries per release *)
   wire_vector_size : Obs.Histogram.t;  (* entries, or N for fixed-size vectors *)
@@ -151,6 +151,12 @@ type saved_output = {
   so_dep : (int * Entry.t) list;
   so_buffered : float;
 }
+
+(* A partition checkpoint: the app's slice of one partition, and the
+   pending sends, outputs and archive that replaying the records it
+   covers would otherwise regenerate. *)
+type 'msg part_snapshot =
+  string * 'msg saved_send list * saved_output list * 'msg Wire.app_message list
 
 (* Direct-tracking commit assembly: the transitive closure of one pending
    output, grown by querying each member interval's owner for its direct
@@ -272,7 +278,12 @@ type ('state, 'msg) t = {
   trace : Trace.t;
   obs : Obs.Registry.t;
   meters : meters;
-  store : (('state, 'msg) ckpt, 'msg logged, Wire.sync_record) Durable.Durable_store.t;
+  store :
+    ( ('state, 'msg) ckpt,
+      'msg logged,
+      Wire.sync_record,
+      'msg part_snapshot )
+    Durable.Durable_store.t;
   (* --- volatile protocol state (lost at crash) --- *)
   mutable up : bool;
   mutable current : Entry.t;
@@ -1259,8 +1270,7 @@ let effective_markers anns ~from_pos =
         match r with
         | Wire.Marker { entry; log_pos } ->
           List.filter (fun (_, p) -> p < log_pos) acc @ [ (entry, log_pos) ]
-        | Wire.Ann_logged _ | Wire.Committed _ | Wire.Gc_stubs _
-        | Wire.Part_ckpt _ -> acc)
+        | Wire.Ann_logged _ | Wire.Committed _ | Wire.Gc_stubs _ -> acc)
       [] anns
   in
   List.filter (fun (_, p) -> p >= from_pos) all
@@ -1894,16 +1904,18 @@ let do_checkpoint t ~now =
    its predecessor halted on, so every volatile field is already at its
    initial value.  Rebuild durable knowledge from the synchronous area
    (announcements we logged — ours and others' — committed outputs,
-   incarnation markers, per-partition checkpoints), locate the full
+   incarnation markers), take the store's per-partition checkpoints as
+   candidates, locate the full
    checkpoint to rebuild from, take in the duplicate-suppression state it
    saved, and make one streamed pass over the stable log from its
    position that re-seeds the deliveries after it and finds the highest
    incarnation.  Nothing before the checkpoint's position is read: its
    deliveries are in its stubs and open entries, and their incarnations
-   are at most its interval's.  Returns the checkpoint and the surviving
-   per-partition checkpoint candidates (latest record per partition,
-   invalidated by any later marker that truncated below its covered
-   prefix), together with the synchronous area and that log suffix.  A
+   are at most its interval's.  Returns the checkpoint and the
+   per-partition checkpoint candidates (the newest file per partition; a
+   rollback's truncation below a file's position unlinked it before the
+   rollback wrote its marker), together with the synchronous area and that
+   log suffix.  A
    durable store answers both from its files, so the prologue reads each
    once and the rest of the restart reuses them. *)
 let restart_prologue t =
@@ -1912,6 +1924,9 @@ let restart_prologue t =
     match t.app.App_intf.partitioning with Some pt -> pt.parts | None -> 0
   in
   let part_ck = Array.make (Stdlib.max parts 1) None in
+  List.iter
+    (fun (p, pos, snap) -> if p < parts then part_ck.(p) <- Some (pos, snap))
+    (Store.part_checkpoints t.store);
   let anns = Store.announcements t.store in
   (* Nothing below the floor of the last GC is regenerated again: see
      [released]. *)
@@ -1930,19 +1945,7 @@ let restart_prologue t =
       | Wire.Committed oid ->
         if oid.out_interval.sii >= t.floor then Id_pack.replace t.committed_ids oid ()
       | Wire.Gc_stubs gs -> absorb_stubs t gs
-      | Wire.Marker { log_pos; _ } ->
-        (* A rollback truncated the log at [log_pos]: any partition
-           checkpoint covering a longer prefix describes state that no
-           longer exists. *)
-        Array.iteri
-          (fun p slot ->
-            match slot with
-            | Some (pos, _) when pos > log_pos -> part_ck.(p) <- None
-            | Some _ | None -> ())
-          part_ck
-      | Wire.Part_ckpt { pc_part; pc_pos; pc_payload } ->
-        if pc_part >= 0 && pc_part < parts then
-          part_ck.(pc_part) <- Some (pc_pos, pc_payload))
+      | Wire.Marker _ -> ())
     anns;
   let ck =
     match Store.latest_checkpoint t.store with
@@ -1964,8 +1967,7 @@ let restart_prologue t =
         match r with
         | Wire.Marker { entry; _ } -> Stdlib.max acc entry.Entry.inc
         | Wire.Ann_logged a when a.from_ = t.pid -> Stdlib.max acc a.ending.Entry.inc
-        | Wire.Ann_logged _ | Wire.Committed _ | Wire.Gc_stubs _ | Wire.Part_ckpt _
-          -> acc)
+        | Wire.Ann_logged _ | Wire.Committed _ | Wire.Gc_stubs _ -> acc)
       ck.ck_current.inc anns
   in
   (* GC never discards past the oldest retained checkpoint. *)
@@ -2004,61 +2006,23 @@ let apply_part_checkpoints t (pt : ('state, 'msg) App_intf.partitioning) ~ck ~pa
   let stable_len = Store.stable_log_length t.store in
   Array.iteri
     (fun p slot ->
-      match slot with
-      | Some (pos, _)
-        when pt.part_import <> None
-             && (not has_barrier)
-             && pos > ck.ck_log_pos && pos <= stable_len -> ()
-      | Some _ -> part_ck.(p) <- None
-      | None -> ())
-    part_ck;
-  Array.iteri
-    (fun p slot ->
-      match slot with
-      | None -> ()
-      | Some (_, payload) ->
-        (* The payload is a sealed (length- and CRC-witnessed) blob; the
-           witness covers exactly the marshalled bytes, so [Marshal] never
-           runs on damaged input it could crash on — and a blob that fails
-           the witness (or the unmarshal, or the app's import) is a
-           {e reported} loss: the slot is dropped, the partition falls
-           back to replaying from the full checkpoint, and the drop is
-           counted.  Never a silent acceptance, never an abort. *)
-        let decoded =
-          match Durable.Codec.unseal payload with
-          | Error _ -> None
-          | Ok bytes -> (
-            match
-              (Marshal.from_string bytes 0
-                : string
-                  * 'msg saved_send list
-                  * saved_output list
-                  * 'msg Wire.app_message list)
-            with
-            | v -> Some v
-            | exception (Failure _ | Invalid_argument _ | End_of_file) -> None)
-        in
-        let imported =
-          match decoded with
-          | None -> None
-          | Some ((slice, _, _, _) as v) -> (
-            match pt.part_import with
-            | None -> Some v
-            | Some import -> (
-              match import t.state p slice with
-              | state' ->
-                t.state <- state';
-                Some v
-              | exception Failure _ -> None))
-        in
-        match imported with
-        | None ->
-          part_ck.(p) <- None;
-          Obs.Counter.incr t.meters.part_ckpt_dropped
-        | Some (_, sends, outs, archive) ->
+      match (slot, pt.part_import) with
+      | Some (pos, (slice, sends, outs, archive)), Some import
+        when (not has_barrier) && pos > ck.ck_log_pos && pos <= stable_len -> (
+        (* A slice the app refuses is a reported loss: the slot is
+           dropped, the partition falls back to replaying from the full
+           checkpoint, and the drop is counted. *)
+        match import t.state p slice with
+        | state' ->
+          t.state <- state';
           reinstate_saved_sends t sends;
           reinstate_saved_outs t outs;
-          reinstate_archive t archive)
+          reinstate_archive t archive
+        | exception Failure _ ->
+          part_ck.(p) <- None;
+          Obs.Counter.incr t.meters.part_ckpt_dropped)
+      | Some _, _ -> part_ck.(p) <- None
+      | None, _ -> ())
     part_ck
 
 (* The deferred restart's executor: take each logged delivery's interval
@@ -2176,9 +2140,9 @@ let do_restart t ~now ~deferred =
    sends, outputs and retransmission archive (the effects replay of its
    covered records would otherwise regenerate — a superset is safe, the
    restore paths deduplicate by identity exactly as full-checkpoint
-   restore does).  The record is synchronous like every sync-area write;
-   superseded same-partition records are compacted away.  Returns false
-   when the application exports no slices or nothing is dirty. *)
+   restore does) into the store's file for that partition, which
+   replaces the partition's previous one.  Returns false when the
+   application exports no slices or nothing is dirty. *)
 let do_partition_checkpoint t ~now =
   match t.app.App_intf.partitioning with
   | Some { part_export = Some export; _ } when t.recovery = None ->
@@ -2192,27 +2156,9 @@ let do_partition_checkpoint t ~now =
       (* Flush first (forced, like the full checkpoint's) so the snapshot
          corresponds exactly to the stable prefix it claims to cover. *)
       do_flush ~forced:true t ~now;
-      let pos = Store.stable_log_length t.store in
       let sends, outs = saved_effects t in
-      let payload =
-        (* Sealed so restart can witness integrity before unmarshalling;
-           see the decode side in [apply_part_checkpoints]. *)
-        Durable.Codec.seal
-          (Marshal.to_string
-             (export t.state p, sends, outs, Archive.newest_first t.archive)
-             [ Marshal.Closures ])
-      in
-      Store.log_announcement t.store
-        (Wire.Part_ckpt { pc_part = p; pc_pos = pos; pc_payload = payload });
-      (* Drop the records this one supersedes so the sync area stays
-         bounded by one snapshot per partition. *)
-      ignore
-        (Store.compact_sync t.store ~keep:(function
-           | Wire.Part_ckpt { pc_part; pc_pos; _ } ->
-             not (pc_part = p && pc_pos < pos)
-           | Wire.Ann_logged _ | Wire.Marker _ | Wire.Committed _
-           | Wire.Gc_stubs _ -> true)
-          : int);
+      Store.save_part_checkpoint t.store ~part:p
+        (export t.state p, sends, outs, Archive.newest_first t.archive);
       t.part_dirty.(p) <- 0;
       true
     end

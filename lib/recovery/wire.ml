@@ -169,17 +169,6 @@ type sync_record =
       (** the deliveries whose log records this garbage collection
           discarded, in compact form, so duplicate suppression survives GC
           and crashes; restart takes the union of every record *)
-  | Part_ckpt of { pc_part : int; pc_pos : int; pc_payload : string }
-      (** incremental per-partition checkpoint: after the first [pc_pos]
-          stable records, partition [pc_part]'s state slice (plus the
-          pending effects that replaying up to [pc_pos] would regenerate)
-          is [pc_payload].  The payload is opaque at this layer — the node
-          marshals it where the message type is known (PROTOCOL.md
-          §Incremental checkpoints gives the format).  Replay of partition
-          [pc_part] may then start at [pc_pos] instead of the last full
-          checkpoint; a later [Marker] whose [log_pos] is below [pc_pos]
-          invalidates the record (a rollback truncated the covered
-          prefix). *)
 
 let identity_packing =
   {

@@ -166,13 +166,6 @@ type sync_record =
       (** the deliveries whose log records this garbage collection
           discarded, in compact form, so duplicate suppression survives GC
           and crashes; restart takes the union of every record *)
-  | Part_ckpt of { pc_part : int; pc_pos : int; pc_payload : string }
-      (** incremental per-partition checkpoint: after the first [pc_pos]
-          stable records, partition [pc_part]'s state slice (plus the
-          pending effects replay up to [pc_pos] would regenerate) is
-          [pc_payload].  Opaque at this layer — the node marshals it where
-          the message type is known; PROTOCOL.md gives the format.  A later
-          [Marker] with [log_pos < pc_pos] invalidates the record. *)
 
 (** {1 Packings}
 

@@ -8,10 +8,10 @@
      adoption, un-retiring on rejoin;
    - QCheck law: identity-preserving vector resize ([Dep_vector.grow] /
      [shrink]) preserves every orphan verdict;
-   - Part_ckpt decode hardening: random byte damage to the synchronous
-     area never crashes a restart and never silently corrupts the
-     recovered state, and a surgically damaged [pc_payload] (valid outer
-     frames, broken inner seal) is dropped and counted. *)
+   - partition checkpoint hardening: random byte damage to a partition
+     checkpoint file never crashes a restart and never silently corrupts
+     the recovered state (open drops the file and counts it), and a slice
+     the application refuses to import is dropped and counted. *)
 
 module Cluster = Harness.Cluster
 module Node = Recovery.Node
@@ -311,19 +311,19 @@ let law_resize_preserves_verdicts =
       && verdict_shrunk = verdict_before)
 
 (* ------------------------------------------------------------------ *)
-(* Part_ckpt decode hardening                                          *)
+(* Partition checkpoint hardening                                      *)
 
 module App = App_model.Kvstore_app
-module Codec = Durable.Codec
 
 let kv_config () =
   Config.k_optimistic ~timing:Util.quiet_timing ~n:1 ~k:0 ()
 
 let key_of i = Fmt.str "fz-%d" i
 
-(* Build a node over [dir] with a replayable log and one Part_ckpt per
-   dirty partition, then crash it.  Returns the expected per-partition
-   digests (from an undamaged in-memory twin fed the same ops). *)
+(* Build a node over [dir] with a replayable log and one partition
+   checkpoint file per dirty partition, then crash it.  Returns the
+   expected per-partition digests (from an undamaged in-memory twin fed
+   the same ops). *)
 let build_store dir ops =
   let d = D.make ~store_dir:dir (kv_config ()) App.app in
   let twin = D.make (kv_config ()) App.app in
@@ -344,7 +344,26 @@ let build_store dir ops =
   D.halt d;
   D.halt twin;
   D.restart ~now:1000. twin;
-  (d, Array.init App.parts (Node.partition_digest twin.D.node))
+  Array.init App.parts (Node.partition_digest twin.D.node)
+
+let part_files dir =
+  List.sort compare
+    (List.filter
+       (fun name -> String.starts_with ~prefix:"part-" name)
+       (Array.to_list (Sys.readdir dir)))
+
+(* A successor over [dir] restarts the partitioned way, the one that reads
+   partition checkpoints, and replays to the end. *)
+let recover dir =
+  let d = D.make ~store_dir:dir (kv_config ()) App.app in
+  ignore (Node.restart_begin d.D.node ~now:1000. : _ list * _);
+  let fuel = ref 10_000 in
+  while Node.recovery_active d.D.node do
+    decr fuel;
+    if !fuel = 0 then Alcotest.fail "replay made no progress";
+    ignore (Node.replay_step d.D.node ~now:1001. ~budget:8 () : int * _ list * _)
+  done;
+  d
 
 let check_recovered_digests ~msg node expected =
   Array.iteri
@@ -354,132 +373,72 @@ let check_recovered_digests ~msg node expected =
         want (Node.partition_digest node p))
     expected
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc s)
-
-(* Random single-byte damage anywhere in the synchronous area (where the
-   Part_ckpt records live): a restart over the damaged store must never
-   raise, and must recover exactly the reference state — a damaged
-   snapshot is dropped and its partition falls back to replaying the
-   intact log, never silently accepted. *)
+(* Random damage to one partition checkpoint file: a restart over the
+   damaged store must never raise, open must drop the file and count it,
+   and the restart must recover exactly the reference state — the
+   partition falls back to replaying the intact log. *)
 let gen_fuzz_case =
   QCheck2.Gen.(
     triple
       (list_size (int_range 4 24) (pair (int_bound 15) (int_bound 99)))
       (int_bound 100_000) (int_range 1 3))
 
-let law_sync_damage_never_crashes =
-  Util.qtest ~count:40 "Part_ckpt byte damage: no crash, no silent acceptance"
+let law_part_file_damage_never_crashes =
+  Util.qtest ~count:40 "partition file byte damage: no crash, no silent acceptance"
     gen_fuzz_case
     (fun (ops, at, flips) ->
       let dir = Durable.Temp.fresh_dir ~prefix:"churn-fuzz" () in
       Fun.protect
         ~finally:(fun () -> Durable.Temp.rm_rf dir)
         (fun () ->
-          let d, expected = build_store dir ops in
-          let sync = Filename.concat dir "sync.dat" in
-          let contents = read_file sync in
-          let len = String.length contents in
-          if len > 0 then begin
-            let b = Bytes.of_string contents in
-            for i = 0 to flips - 1 do
-              let off = (at + (31 * i)) mod len in
-              Bytes.set b off
-                (Char.chr (Char.code (Bytes.get b off) lxor (1 lsl (i mod 8))))
-            done;
-            write_file sync (Bytes.to_string b)
-          end;
-          (* The store handle is dead (the halt closed it); recover over
-             the damaged directory with a fresh node, exactly as a
-             successor incarnation would. *)
-          let d' = D.make ~store_dir:dir (kv_config ()) App.app in
-          ignore (Node.restart d'.D.node ~now:1000. : _ list * _);
-          check_recovered_digests ~msg:"fuzz" d'.D.node expected;
-          ignore d;
+          let expected = build_store dir ops in
+          let files = part_files dir in
+          Alcotest.(check bool) "a partition file was written" true (files <> []);
+          let path = Filename.concat dir (List.nth files (at mod List.length files)) in
+          let b = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+          let len = Bytes.length b in
+          for i = 0 to flips - 1 do
+            let off = (at + (31 * i)) mod len in
+            Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor (1 lsl (i mod 8))))
+          done;
+          Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+          let d = recover dir in
+          Alcotest.(check bool) "open counted the damaged file" true
+            (Util.metric d.D.node "storage_checkpoints_dropped" >= 1);
+          Alcotest.(check bool) "the damaged file is gone" false (Sys.file_exists path);
+          check_recovered_digests ~msg:"fuzz" d.D.node expected;
           true))
 
-(* Surgical inner damage: rewrite the sync area so every outer frame is
-   valid (fresh CRCs) but one Part_ckpt's [pc_payload] seal is broken.
-   The store-level open accepts the record; the node's unseal witness must
-   reject the payload, drop the slot, count it, and fall back to replay —
-   the exact no-silent-acceptance path of the decode hardening. *)
-let test_inner_seal_damage_dropped () =
+(* A slice the application cannot import: one partition's file is
+   replaced, through the store, by a whole and well-formed file whose
+   slice is not a kvstore slice.  Open accepts the file; the import
+   refuses the slice, and the restart drops it, counts it, and replays
+   that partition from the log. *)
+let test_refused_slice_dropped () =
   let ops = List.init 12 (fun i -> (i, 10 + i)) in
-  let dir = Durable.Temp.fresh_dir ~prefix:"churn-inner" () in
+  let dir = Durable.Temp.fresh_dir ~prefix:"churn-refused" () in
   Fun.protect
     ~finally:(fun () -> Durable.Temp.rm_rf dir)
     (fun () ->
-      let d, expected = build_store dir ops in
-      let sync = Filename.concat dir "sync.dat" in
-      let scanned = Codec.scan (read_file sync) in
-      Alcotest.(check bool) "sync area scans clean" true
-        (scanned.Codec.tail = Codec.Clean);
-      let damaged = ref 0 in
-      let buf = Buffer.create 4096 in
-      List.iter
-        (fun (kind, payload) ->
-          let payload =
-            (* Only announcement-kind records ('A') hold marshalled
-               [Wire.sync_record] values; the length/incarnation/base
-               witnesses are marshalled ints, and reading one at a
-               block-only variant type is memory-unsafe.  Re-marshal the
-               first Part_ckpt with a corrupted inner payload, leaving
-               both outer layers valid. *)
-            if !damaged > 0 || kind <> Char.code 'A' then payload
-            else
-              match Codec.unseal payload with
-              | Error _ -> payload
-              | Ok bytes -> (
-                match (Marshal.from_string bytes 0 : Wire.sync_record) with
-                | Wire.Part_ckpt { pc_part; pc_pos; pc_payload } ->
-                  incr damaged;
-                  let b = Bytes.of_string pc_payload in
-                  let off = Bytes.length b - 1 in
-                  Bytes.set b off
-                    (Char.chr (Char.code (Bytes.get b off) lxor 0x40));
-                  Codec.seal
-                    (Marshal.to_string
-                       (Wire.Part_ckpt
-                          {
-                            pc_part;
-                            pc_pos;
-                            pc_payload = Bytes.to_string b;
-                          })
-                       [ Marshal.Closures ])
-                | _ -> payload
-                | exception _ -> payload)
-          in
-          Codec.encode_into buf ~kind payload)
-        scanned.Codec.records;
-      Alcotest.(check int) "one Part_ckpt payload damaged" 1 !damaged;
-      write_file sync (Buffer.contents buf);
-      let d' = D.make ~store_dir:dir (kv_config ()) App.app in
-      (* The partitioned restart is the path that consults Part_ckpt
-         snapshots (the serial [restart] replays the whole log and never
-         reads them), so it is the one that must witness the seal. *)
-      ignore (Node.restart_begin d'.D.node ~now:1000. : _ list * _);
-      let fuel = ref 10_000 in
-      while Node.recovery_active d'.D.node do
-        decr fuel;
-        if !fuel = 0 then Alcotest.fail "replay made no progress";
-        ignore
-          (Node.replay_step d'.D.node ~now:1001. ~budget:8 ()
-            : int * _ list * _)
-      done;
-      Alcotest.(check bool)
-        "drop reported, not silent" true
-        (Util.metric d'.D.node "part_ckpt_dropped" >= 1);
-      check_recovered_digests ~msg:"inner" d'.D.node expected;
-      ignore d)
+      let expected = build_store dir ops in
+      let part =
+        match part_files dir with
+        | name :: _ -> int_of_string (List.nth (String.split_on_char '-' name) 1)
+        | [] -> Alcotest.fail "no partition file written"
+      in
+      let store :
+          (unit, unit, unit, string * unit list * unit list * unit list) Durable.Durable_store.t
+          =
+        Durable.Durable_store.open_ ~fs:Durable.Fs.unix ~dir ()
+      in
+      Durable.Durable_store.save_part_checkpoint store ~part ("not a kvstore slice", [], [], []);
+      Durable.Durable_store.kill store;
+      let d = recover dir in
+      Alcotest.(check int) "open dropped nothing" 0
+        (Util.metric d.D.node "storage_checkpoints_dropped");
+      Alcotest.(check int) "the refused slice is counted" 1
+        (Util.metric d.D.node "part_ckpt_dropped");
+      check_recovered_digests ~msg:"refused" d.D.node expected)
 
 let suite =
   [
@@ -501,7 +460,7 @@ let suite =
     Alcotest.test_case "Join/Retire handshake widens, adopts, un-retires"
       `Quick test_handshake_widens_and_adopts;
     law_resize_preserves_verdicts;
-    law_sync_damage_never_crashes;
-    Alcotest.test_case "damaged Part_ckpt seal is dropped and counted" `Quick
-      test_inner_seal_damage_dropped;
+    law_part_file_damage_never_crashes;
+    Alcotest.test_case "a refused partition slice is dropped and counted" `Quick
+      test_refused_slice_dropped;
   ]

@@ -18,7 +18,9 @@
    after the step in flight (after).
    - Every record both promise is recovered at its position, and so is
      every announcement both promise; the latest checkpoint, if both agree
-     on it, is the recovered one.
+     on it, is the recovered one; each partition's recovered checkpoint is
+     the one before or the one after promises, and at most one file per
+     partition survives, never a torn one.
    - Nothing is recovered that the workload never wrote at that position.
    - Every byte open-time recovery dropped is counted in its storage_*
      counters.
@@ -28,16 +30,18 @@
 module Store = Durable.Durable_store
 module Fs = Durable.Fs
 
-type store = (string, string, string) Store.t
+type store = (string, string, string, string) Store.t
 
 let dir = "store"
 
 (* The stable state a store promises: its log from the base on (with
-   positions), announcements and latest checkpoint. *)
+   positions), announcements, latest checkpoint and partition
+   checkpoints. *)
 type view = {
   log : (int * string) list;
   anns : string list;
   latest : string option;
+  parts : (int * int * string) list;
 }
 
 let view (s : store) =
@@ -46,6 +50,7 @@ let view (s : store) =
     log = List.mapi (fun i r -> (base + i, r)) (Store.stable_log_from s ~pos:base);
     anns = Store.announcements s;
     latest = Store.latest_checkpoint s;
+    parts = Store.part_checkpoints s;
   }
 
 let fill s rs =
@@ -56,8 +61,9 @@ let records lo hi = List.init (hi - lo) (fun i -> Printf.sprintf "r%03d" (lo + i
 
 (* Flushes across several segment rotations, checkpoints, announcements
    (alone and grouped under one fsync, as a node step commits its
-   outputs), a rollback truncation, a prefix discard and a sync-area
-   compaction. *)
+   outputs), a rollback truncation that undoes a partition checkpoint, a
+   prefix discard, and two partition checkpoints of one partition, the
+   second replacing the first. *)
 let workload : (string * (store -> unit)) list =
   [
     ("save_checkpoint ck0", fun s -> Store.save_checkpoint s "ck0");
@@ -67,17 +73,20 @@ let workload : (string * (store -> unit)) list =
     ("log_announcement a1", fun s -> Store.log_announcement s "a1");
     ("save_checkpoint ck1", fun s -> Store.save_checkpoint s "ck1");
     ("flush r005-r007", fun s -> fill s (records 5 8));
+    ("save_part_checkpoint 1 t0", fun s -> Store.save_part_checkpoint s ~part:1 "t0");
     ( "truncate_stable_log 6",
       fun s -> ignore (Store.truncate_stable_log s ~keep:6 : string list) );
     ("flush r008", fun s -> fill s (records 8 9));
     ("discard_log_prefix 2", fun s -> ignore (Store.discard_log_prefix s ~before:2 : int));
-    ("compact_sync drops a0", fun s -> ignore (Store.compact_sync s ~keep:(( <> ) "a0") : int));
+    ("save_part_checkpoint 0 s0", fun s -> Store.save_part_checkpoint s ~part:0 "s0");
     ("log_announcement a2", fun s -> Store.log_announcement s "a2");
+    ("flush r009", fun s -> fill s (records 9 10));
+    ("save_part_checkpoint 0 s1", fun s -> Store.save_part_checkpoint s ~part:0 "s1");
     ( "grouped announcements g0-g2",
       fun s ->
         List.iter (Store.log_announcement ~fsync:false s) [ "g0"; "g1"; "g2" ];
         Store.sync_announcements s );
-    ("flush r009-r011", fun s -> fill s (records 9 12));
+    ("flush r010-r012", fun s -> fill s (records 10 13));
   ]
 
 type snapshot = { step : int; fsync : int; files : Fs.Mem.entry list }
@@ -134,8 +143,9 @@ let bytes_of prefix files =
 
 let count_of prefix files = List.length (List.filter (named prefix) files)
 
-(* Reopen one image; [Error] names what it got wrong. *)
-let check_image ~before ~after ~ever files =
+(* Reopen one image; [Error] names what it got wrong.  [whole] is every
+   file of the snapshot with all its bytes. *)
+let check_image ~before ~after ~ever ~whole files =
   let tree = Fs.Mem.of_files files in
   let obs = Obs.Registry.create () in
   let s : store = Store.open_ ~fs:(Fs.Mem.fs tree) ~dir ~segment_bytes:64 ~obs () in
@@ -172,7 +182,27 @@ let check_image ~before ~after ~ever files =
     if before.latest = after.latest && got.latest <> before.latest then
       bad "latest checkpoint %s, promised %s"
         (Option.value got.latest ~default:"none")
-        (Option.value before.latest ~default:"none"));
+        (Option.value before.latest ~default:"none");
+    let part p v = List.find_opt (fun (q, _, _) -> q = p) v.parts in
+    List.iter
+      (fun p ->
+        let g = part p got in
+        if g <> part p before && g <> part p after then
+          bad "partition %d checkpoint %s, promised %s or %s" p
+            (match g with Some (_, _, v) -> v | None -> "none")
+            (match part p before with Some (_, _, v) -> v | None -> "none")
+            (match part p after with Some (_, _, v) -> v | None -> "none"))
+      [ 0; 1 ]);
+  let part_files = List.filter (named "part-") reopened in
+  List.iter
+    (fun p ->
+      if count_of (Printf.sprintf "part-%d-" p) reopened > 1 then
+        bad "partition %d keeps more than one file" p)
+    [ 0; 1 ];
+  List.iter
+    (fun (path, bytes) ->
+      if List.assoc_opt path whole <> Some bytes then bad "kept a torn %s" path)
+    part_files;
   let dropped_log = bytes_of "seg-" files - bytes_of "seg-" reopened in
   if dropped_log <> counted "log_bytes_dropped" then
     bad "log lost %d bytes, report says %d" dropped_log (counted "log_bytes_dropped");
@@ -180,9 +210,23 @@ let check_image ~before ~after ~ever files =
   if dropped_sync > counted "sync_bytes_dropped" then
     bad "sync area lost %d bytes, report says %d" dropped_sync
       (counted "sync_bytes_dropped");
+  (* Open counts every checkpoint file it drops, except a partition file
+     that a newer kept file of its partition supersedes. *)
+  let partition path = String.sub path 0 (String.rindex path '-') in
+  let dropped_parts =
+    List.filter
+      (fun ((path, _) as f) ->
+        named "part-" f
+        && not
+             (List.exists
+                (fun (kept, _) -> partition kept = partition path && kept >= path)
+                part_files))
+      files
+  in
   let dropped_ckpts = count_of "ckpt-" files - count_of "ckpt-" reopened in
-  if dropped_ckpts <> counted "checkpoints_dropped" then
-    bad "%d checkpoint files dropped, report says %d" dropped_ckpts
+  let dropped = dropped_ckpts + List.length dropped_parts in
+  if dropped <> counted "checkpoints_dropped" then
+    bad "%d checkpoint files dropped, report says %d" dropped
       (counted "checkpoints_dropped");
   match !problems with [] -> Ok () | ps -> Error (String.concat "; " (List.rev ps))
 
@@ -199,13 +243,14 @@ let test_every_power_loss_image () =
   let n = ref 0 and empty_newest = ref 0 and failures = ref [] in
   List.iter
     (fun snap ->
+      let whole = List.map (fun (e : Fs.Mem.entry) -> (e.path, e.bytes)) snap.files in
       let before = views.(snap.step) in
       let after = views.(min (snap.step + 1) (Array.length views - 1)) in
       List.iter
         (fun (name, files) ->
           incr n;
           if empty_newest_segment files then incr empty_newest;
-          match check_image ~before ~after ~ever files with
+          match check_image ~before ~after ~ever ~whole files with
           | Ok () -> ()
           | Error why ->
             let step =
@@ -256,7 +301,7 @@ let node_on tree ~trace =
 (* The [Committed] records an image holds, read by a store opened over a
    copy of it. *)
 let recorded files =
-  let s : (unit, unit, Recovery.Wire.sync_record) Store.t =
+  let s : (unit, unit, Recovery.Wire.sync_record, unit) Store.t =
     Store.open_ ~fs:(Fs.Mem.fs (Fs.Mem.of_files files)) ~dir ()
   in
   List.filter_map

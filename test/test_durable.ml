@@ -241,7 +241,7 @@ let test_segment_truncate_and_compact () =
 
 (* Open into a private registry: the store, and a snapshot of what
    open-time recovery counted there. *)
-let open_found ~fs ~dir ?segment_bytes () : (string, string, string) D.t * Obs.Snapshot.t =
+let open_found ~fs ~dir ?segment_bytes () : (string, string, string, string) D.t * Obs.Snapshot.t =
   let obs = Obs.Registry.create () in
   let s = D.open_ ~fs ~dir ?segment_bytes ~obs () in
   (s, Obs.Registry.snapshot obs)
@@ -410,7 +410,7 @@ let test_store_raising_fsync_no_witness () =
   in
   let obs = Obs.Registry.create () in
   let dir = "store" in
-  let s : (string, string, string) D.t = D.open_ ~fs ~dir ~obs () in
+  let s : (string, string, string, string) D.t = D.open_ ~fs ~dir ~obs () in
   let sync_size () = fs.size (Filename.concat dir "sync.dat") in
   let flushes () = Obs.Snapshot.counter (Obs.Registry.snapshot obs) "storage_flushes_total" in
   D.append_volatile s "a";
@@ -1149,6 +1149,49 @@ let test_flush_commits_outputs_with_one_fsync () =
     Alcotest.(check int) "sync.dat durable when the flush returns"
       (String.length e.bytes) e.synced
 
+(* A partition checkpoint is one file written whole: with nothing
+   volatile, replacing a partition's snapshot costs exactly the new file's
+   fsync, unlinks the old file, and leaves every other file's bytes as
+   they were (the synchronous area is never rewritten). *)
+let test_part_checkpoint_one_fsync () =
+  let tree = Durable.Fs.Mem.create () in
+  let s : (string, string, string, string) D.t =
+    D.open_ ~fs:(Durable.Fs.Mem.fs tree) ~dir:"store" ()
+  in
+  D.save_checkpoint s "ck0";
+  List.iter (D.append_volatile s) [ "a"; "b" ];
+  ignore (D.flush s : int);
+  D.save_part_checkpoint s ~part:3 "first";
+  D.log_announcement s "ann";
+  List.iter (D.append_volatile s) [ "c" ];
+  ignore (D.flush s : int);
+  let files () =
+    List.map (fun (e : Durable.Fs.Mem.entry) -> (e.path, e.bytes)) (Durable.Fs.Mem.files tree)
+  in
+  let before = files () in
+  let fsyncs = ref 0 in
+  Durable.Fs.Mem.before_fsync tree (fun () -> incr fsyncs);
+  D.save_part_checkpoint s ~part:3 "second";
+  Alcotest.(check int) "one fsync" 1 !fsyncs;
+  let after = files () in
+  let parts l = List.filter (fun (p, _) -> String.starts_with ~prefix:"part-" (Filename.basename p)) l in
+  let others l = List.filter (fun f -> not (List.mem f (parts l))) l in
+  Alcotest.(check (list (pair string string))) "no other file touched" (others before) (others after);
+  (match (parts before, parts after) with
+  | [ (old, _) ], [ (nw, _) ] -> Alcotest.(check bool) "a new file replaces the old" true (old <> nw)
+  | _ -> Alcotest.fail "expected one partition file before and after");
+  Alcotest.(check (list (triple int int string))) "read back" [ (3, 3, "second") ]
+    (D.part_checkpoints s);
+  D.kill s;
+  let s', snap = open_found ~fs:(Durable.Fs.Mem.fs tree) ~dir:"store" () in
+  Alcotest.(check (list (triple int int string))) "reopened" [ (3, 3, "second") ]
+    (D.part_checkpoints s');
+  Alcotest.(check bool) "nothing lost" false (damaged snap);
+  (* A rollback's truncation below the snapshot's position unlinks it. *)
+  ignore (D.truncate_stable_log s' ~keep:2 : string list);
+  Alcotest.(check (list (triple int int string))) "truncation undoes it" [] (D.part_checkpoints s');
+  Alcotest.(check int) "and its file" 0 (List.length (parts (files ())))
+
 let suite =
   [
     Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
@@ -1209,4 +1252,6 @@ let suite =
     Alcotest.test_case "crc32 check value, no allocation" `Quick test_crc_check_value;
     Alcotest.test_case "one fsync commits a flush's outputs" `Quick
       test_flush_commits_outputs_with_one_fsync;
+    Alcotest.test_case "a partition checkpoint is one fsync" `Quick
+      test_part_checkpoint_one_fsync;
   ]

@@ -21,7 +21,7 @@ let gc_config ?(k = 4) ?(n = 4) () =
 
 (* --- storage-level --- *)
 
-let mem_store () : (string, string, string) Store.t =
+let mem_store () : (string, string, string, string) Store.t =
   Store.open_ ~fs:(Durable.Fs.mem ()) ~dir:"store" ()
 
 let test_store_discard_prefix () =
@@ -264,7 +264,7 @@ let test_gc_durable_anchor () =
     List.filter_map
       (function Wire.Gc_stubs gs -> Some gs | _ -> None)
       (Durable.Durable_store.announcements
-         (store : (unit, unit, Wire.sync_record) Durable.Durable_store.t))
+         (store : (unit, unit, Wire.sync_record, unit) Durable.Durable_store.t))
   in
   Durable.Durable_store.kill store;
   let covered, entries =

@@ -381,6 +381,67 @@ let test_kill_during_replay () =
         Alcotest.(check bool) "mid-replay kill left at most two completions" true
           (completions <= 2))
 
+(* Partition checkpoints on live daemons ([--part-ckpt]).  Round one: a
+   loaded victim, SIGKILLed after a few snapshot periods, comes back
+   replaying fewer records than its log holds.  Round two: one byte of
+   one of its partition files is flipped before the respawn; the reopen
+   drops the file and counts it, which reaches the outcome through the
+   reopens file, and the run still certifies. *)
+let test_part_ckpt_live () =
+  let k = 1 and period = 5. in
+  let replayed outcome =
+    List.filter_map
+      (fun { Recovery.Trace.ev; _ } ->
+        match ev with
+        | Recovery.Trace.Recovery_completed { pid; replayed } when pid = victim ->
+          Some replayed
+        | _ -> None)
+      (Recovery.Trace.events outcome.Deployment.trace)
+  in
+  with_deployment ~prefix:"test-net-pckpt"
+    (fun ~root ->
+      Deployment.launch ~n:3 ~k ~ckpt_interval:0. ~part_ckpt:period
+        ~time_scale:chaos_time_scale ~seed:43 ~root ())
+    (fun t ->
+      let keys = victim_keys ~n:3 ~count:120 in
+      let round keys =
+        load_victim t keys;
+        Alcotest.(check bool) "settles before the kill" true
+          (Deployment.settle ~timeout:120. t);
+        (* One dirty partition per snapshot tick: enough ticks for all. *)
+        Unix.sleepf (12. *. period *. chaos_time_scale);
+        Deployment.kill_only t ~dst:victim
+      in
+      round (List.filteri (fun i _ -> i < 60) keys);
+      Deployment.respawn t ~dst:victim;
+      round (List.filteri (fun i _ -> i >= 60) keys);
+      let dir = Deployment.store_dir t ~dst:victim in
+      let path =
+        match
+          List.filter (String.starts_with ~prefix:"part-") (Array.to_list (Sys.readdir dir))
+        with
+        | name :: _ -> Filename.concat dir name
+        | [] -> Alcotest.fail "the victim wrote no partition file"
+      in
+      let b = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+      let off = Bytes.length b / 2 in
+      Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x20));
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+      Deployment.respawn t ~dst:victim;
+      Alcotest.(check bool) "settles after the respawns" true
+        (Deployment.settle ~timeout:120. t);
+      let outcome = Deployment.finish t in
+      certify ~k outcome;
+      (match replayed outcome with
+      | first :: _ ->
+        Alcotest.(check bool)
+          (Fmt.str "the first successor replayed %d of its 60 records" first)
+          true (first < 60)
+      | [] -> Alcotest.fail "no successor completed recovery");
+      Alcotest.(check int) "both reopens counted" 2 (counter outcome "storage_reopens_total");
+      Alcotest.(check bool) "the flipped partition file is counted dropped" true
+        (counter outcome "storage_checkpoints_dropped_total" >= 1))
+
 (* Flood the successor with client load while it replays: parked requests
    for unrecovered partitions must all drain, and certification must hold
    with the replay and the fresh deliveries interleaved in the trace. *)
@@ -1321,4 +1382,6 @@ let suite =
       test_scrape_undecodable_is_error;
     Alcotest.test_case "a live run that raises leaves nothing behind" `Slow
       test_run_raise_tears_down;
+    Alcotest.test_case "partition checkpoints bound a live replay, damage counted" `Slow
+      test_part_ckpt_live;
   ]

@@ -10,7 +10,7 @@
    - Scripted lost marker: with the newest marker cut from the
      synchronous area, both restarts resync the marker a logged delivery
      implies and reach the same interval and digests.
-   - QCheck law: a prefix captured by incremental [Part_ckpt] snapshots
+   - QCheck law: a prefix captured by incremental partition snapshots
      plus replay of the remainder equals one-shot replay of the whole log.
    - Scripted on-demand timeline: a Get for an already-replayed partition
      is answered while another partition is still replaying; a Get parked
@@ -227,12 +227,12 @@ let cut_at_newest_marker path =
       let marker =
         kind = Char.code 'A'
         &&
-        match Durable.Codec.unseal payload with
-        | Ok bytes -> (
+        match Durable.Codec.decode payload ~pos:0 with
+        | Durable.Codec.Record { payload = bytes; _ } -> (
           match (Marshal.from_string bytes 0 : Recovery.Wire.sync_record) with
           | Recovery.Wire.Marker _ -> true
           | _ -> false)
-        | Error _ -> false
+        | Durable.Codec.Truncated | Durable.Codec.Corrupt | Durable.Codec.End -> false
       in
       newest next (if marker then Some pos else found)
     | Durable.Codec.Truncated | Durable.Codec.Corrupt | Durable.Codec.End -> found

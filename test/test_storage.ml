@@ -9,7 +9,7 @@
 module Store = Durable.Durable_store
 module Fs = Durable.Fs
 
-type store = (string, string, string) Store.t
+type store = (string, string, string, string) Store.t
 
 module type BACKEND = sig
   val name : string
