@@ -95,7 +95,7 @@ let bench_crash_recovery () =
          done;
          ignore (Node.flush node ~now:40.);
          Node.halt node ~now:41.;
-         ignore (Node.restart (create ()) ~now:42.)))
+         ignore (Node.restart_begin (create ()) ~now:42.)))
 
 (* B5, durable: the daemon's respawn — open-time recovery plus Restart —
    over a store holding 5,000 logged deliveries (ten-record flushes, a

@@ -97,7 +97,7 @@ let schedule_crashes cluster faults =
         match kind with
         | Single pid -> Cluster.crash_at cluster ~time ~pid
         | Group pids -> Cluster.crash_group_at cluster ~time ~pids
-        | Cascade pids -> Cluster.cascade_crash_at cluster ~time ~pids ()
+        | Cascade pids -> Cluster.cascade_crash_at cluster ~time ~pids
         | In_checkpoint pid -> Cluster.crash_during_checkpoint_at cluster ~time ~pid
         | In_flush pid -> Cluster.crash_during_flush_at cluster ~time ~pid)
       | Join { pid; time } -> Cluster.join_at cluster ~time ~pid

@@ -23,7 +23,6 @@ type ('state, 'msg) t = {
       (* per pid, the in-memory file system its store lives on, outliving
          the nodes that die over it *)
   storage_rng : Sim.Rng.t;
-  sched : Sim.Scheduler.t option;
   mutable nodes : ('state, 'msg) Node.t array; (* slots replaced on respawn *)
   mutable registries : Obs.Registry.t array;
       (* one per pid, shared by every node that pid ever runs — kills
@@ -179,12 +178,18 @@ let release_held t ~pid =
 
 (* A fresh process over the same store, with the dead one's config (a
    joiner's counts itself): everything it knows, it knows from open-time
-   recovery of the files the death left behind. *)
+   recovery of the files the death left behind.  It restarts the way a
+   daemon does, and a partitioned application's deferred replay is then
+   drained at the same instant, as a daemon drains it at quit. *)
 let respawn t pid =
   let fresh = spawn t ~config:(Node.config t.nodes.(pid)) pid in
   t.nodes.(pid) <- fresh;
   t.down.(pid) <- false;
-  consume t ~pid (Node.restart fresh ~now:t.now);
+  consume t ~pid (Node.restart_begin fresh ~now:t.now);
+  while Node.recovery_active fresh do
+    let _, actions, cost = Node.replay_step fresh ~now:t.now ~budget:max_int () in
+    consume t ~pid (actions, cost)
+  done;
   release_held t ~pid
 
 let handle_event t = function
@@ -305,15 +310,7 @@ let exec_cell t (time, ev) =
   | Some _ | None -> handle_event t ev
 
 let step t =
-  let cell =
-    match t.sched with
-    | None -> Sim.Event_queue.next t.queue
-    | Some sched ->
-      let pending = Sim.Event_queue.length t.queue in
-      if pending = 0 then None
-      else Sim.Event_queue.remove_nth t.queue (Sim.Scheduler.pick sched ~n_enabled:pending)
-  in
-  match cell with
+  match Sim.Event_queue.remove_nth t.queue 0 with
   | None -> false
   | Some (time, ev) ->
     if time > t.horizon then false
@@ -396,7 +393,7 @@ let run_until t deadline =
   t.now <- Stdlib.max t.now deadline
 
 let create ~config ~app ?(seed = 42) ?(horizon = 10_000.) ?net_override
-    ?(fault_plan = Netmodel.benign) ?(auto_timers = true) ?scheduler () =
+    ?(fault_plan = Netmodel.benign) ?(auto_timers = true) () =
   let config = Config.validate_exn config in
   let n = config.Config.n in
   let rng = Sim.Rng.create seed in
@@ -415,7 +412,6 @@ let create ~config ~app ?(seed = 42) ?(horizon = 10_000.) ?net_override
       app;
       trees = Array.init n (fun _ -> Durable.Fs.Mem.create ());
       storage_rng;
-      sched = scheduler;
       nodes = [||];
       registries = Array.init n (fun _ -> Obs.Registry.create ());
       net_obs;
@@ -478,16 +474,11 @@ let fault_notes t = List.rev t.fault_notes
    so no survivor hears a failure announcement before losing its peers. *)
 let crash_group_at t ~time ~pids = List.iter (fun pid -> crash_at t ~time ~pid) pids
 
-(* Cascading crashes: each subsequent pid fails [gap] after the previous
-   one.  With [gap < restart_delay] (the default: half of it), pid [i+1]
-   dies while pid [i] is still down or replaying — the recovery of one
-   failure overlaps the next. *)
-let cascade_crash_at t ~time ?gap ~pids () =
-  let gap =
-    match gap with
-    | Some g -> g
-    | None -> 0.5 *. t.cfg.Config.timing.restart_delay
-  in
+(* Cascading crashes: each subsequent pid fails half a restart delay
+   after the previous one, so pid [i+1] dies while pid [i] is still down
+   or replaying — the recovery of one failure overlaps the next. *)
+let cascade_crash_at t ~time ~pids =
+  let gap = 0.5 *. t.cfg.Config.timing.restart_delay in
   List.iteri
     (fun i pid -> crash_at t ~time:(time +. (gap *. float_of_int i)) ~pid)
     pids
@@ -498,19 +489,6 @@ let cascade_crash_at t ~time ?gap ~pids () =
 let join_at t ~time ~pid = schedule t ~time (Join_node pid)
 
 let retire_at t ~time ~pid = schedule t ~time (Retire_node pid)
-
-(* Restart every listed node one at a time, each crash spaced so the
-   previous victim has fully recovered before the next goes down (the
-   classic rolling upgrade).  [gap] defaults to twice the restart delay. *)
-let rolling_restart_at t ~time ?gap ~pids () =
-  let gap =
-    match gap with
-    | Some g -> g
-    | None -> 2.0 *. t.cfg.Config.timing.restart_delay
-  in
-  List.iteri
-    (fun i pid -> crash_at t ~time:(time +. (gap *. float_of_int i)) ~pid)
-    pids
 
 let arm_disk_full_at t ~time ~pid ~rounds =
   schedule t ~time (Arm_disk_full { pid; rounds })

@@ -18,13 +18,11 @@ val create :
   ?net_override:Netmodel.override ->
   ?fault_plan:Netmodel.fault_plan ->
   ?auto_timers:bool ->
-  ?scheduler:Sim.Scheduler.t ->
   unit ->
   ('state, 'msg) t
-(** [scheduler] replaces the earliest-time execution order: at every step
-    it picks which pending event runs next (see {!Sim.Scheduler}).  The
-    default is exactly earliest-time order, so runs without a scheduler
-    are bit-for-bit unchanged.  [auto_timers] (default [true]) arms the periodic flush / checkpoint /
+(** Pending events run in earliest-time order, ties broken by insertion
+    ({!run}); the model checker picks them itself ({!step_nth}).
+    [auto_timers] (default [true]) arms the periodic flush / checkpoint /
     notice timers from the configured intervals (plus the retransmission
     timer when {!Recovery.Config.timing.retransmit_interval} is set);
     scripted scenarios turn it off and drive those actions explicitly.
@@ -59,7 +57,11 @@ val kill_at :
     fails: the node and all its volatile state are discarded with its
     store descriptors, and after [restart_delay] a {e fresh} node, with
     the dead one's config, is created over the same store — recovering
-    solely from what the death left behind — and restarted.
+    solely from what the death left behind — and restarted as a daemon
+    restarts ({!Recovery.Node.restart_begin}).  A partitioned
+    application's deferred replay is drained at that same instant
+    ({!Recovery.Node.replay_step}), so the replay's cost makes the node
+    busy but no event interleaves with it.
 
     The optional storage fault damages the closed files on the pid's tree
     before the respawn, drawing from a stream of its own.
@@ -84,11 +86,10 @@ val fault_notes : ('state, 'msg) t -> (int * float * string) list
 val crash_group_at : ('state, 'msg) t -> time:float -> pids:int list -> unit
 (** Correlated failure: all listed nodes crash at the same instant. *)
 
-val cascade_crash_at :
-  ('state, 'msg) t -> time:float -> ?gap:float -> pids:int list -> unit -> unit
-(** Cascading failure: each listed node crashes [gap] (default: half the
-    restart delay, i.e. while the previous victim is still down) after the
-    previous one. *)
+val cascade_crash_at : ('state, 'msg) t -> time:float -> pids:int list -> unit
+(** Cascading failure: each listed node crashes half the restart delay
+    after the previous one, i.e. while the previous victim is still
+    down. *)
 
 (** {1 Membership churn} *)
 
@@ -109,12 +110,6 @@ val retire_at : ('state, 'msg) t -> time:float -> pid:int -> unit
     Theorem 2 justification), and falls permanently silent.  Packets
     addressed to a retired pid are dropped.  No restart is scheduled; the
     pid can come back only through an explicit {!join_at}. *)
-
-val rolling_restart_at :
-  ('state, 'msg) t -> time:float -> ?gap:float -> pids:int list -> unit -> unit
-(** Rolling restart: each listed node crashes [gap] (default: twice the
-    restart delay, i.e. after the previous victim fully recovered) after
-    the previous one — the classic zero-downtime upgrade pattern. *)
 
 val arm_disk_full_at :
   ('state, 'msg) t -> time:float -> pid:int -> rounds:int -> unit

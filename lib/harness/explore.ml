@@ -47,10 +47,11 @@ let pp_result ppf r =
 
 (* Untimed: every cost, interval and latency collapses to zero, so all
    events sit at time 0 and the canonical (time, seq) order degenerates to
-   insertion order — the clock stops mattering and only the scheduler's
-   choices distinguish executions.  Periodic timers are off (they would
-   re-arm forever); stability progress comes from the scenario's explicit
-   flush events instead. *)
+   insertion order — the clock stops mattering and only the choice of
+   which pending event to step ([Cluster.step_nth]) distinguishes
+   executions.  Periodic timers are off (they would re-arm forever);
+   stability progress comes from the scenario's explicit flush events
+   instead. *)
 let untimed =
   {
     Config.t_proc = 0.;
@@ -119,7 +120,7 @@ let independent (a : Cluster.enabled) (b : Cluster.enabled) =
 (* Stateless sleep-set DFS *)
 
 let run ?(breakage = Config.no_breakage) ?(bounds = default_bounds)
-    ?(keep_violations = 16) (p : Schedule.explore_params) =
+    (p : Schedule.explore_params) =
   let schedules = ref 0
   and truncated = ref 0
   and sleep_pruned = ref 0
@@ -132,7 +133,8 @@ let run ?(breakage = Config.no_breakage) ?(bounds = default_bounds)
   and violations = ref []
   and stop = ref false in
   let counterexample prefix_rev expect notes =
-    if List.length !violations < keep_violations then begin
+    (* At most 16 counter-examples are kept; the search runs on. *)
+    if List.length !violations < 16 then begin
       let name =
         Fmt.str "explore-n%d-k%d-m%d-c%d-%s-%d" p.Schedule.n p.Schedule.k
           p.Schedule.messages p.Schedule.crashes

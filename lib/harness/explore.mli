@@ -70,19 +70,19 @@ val build :
     (zero costs, zero latency, no periodic timers, transit pinned to zero
     delay) with [messages] one-hop [Forward] chains, [crashes] fail-stop
     crashes and [flushes] explicit flushes, all scheduled at time 0 —
-    every ordering decision is left to the scheduler.  Both {!run} and
-    {!replay} build scenarios only through this function, which is what
-    makes a recorded choice sequence replayable byte-for-byte. *)
+    every ordering decision is left to the explorer
+    ({!Cluster.step_nth}).  Both {!run} and {!replay} build scenarios
+    only through this function, which is what makes a recorded choice
+    sequence replayable byte-for-byte. *)
 
 val run :
   ?breakage:Recovery.Config.breakage ->
   ?bounds:bounds ->
-  ?keep_violations:int ->
   Schedule.explore_params ->
   result
-(** Explore the configuration's schedule space.  At most
-    [keep_violations] (default 16) counter-examples are retained; the
-    search keeps running to completion (or its bounds) either way. *)
+(** Explore the configuration's schedule space.  At most 16
+    counter-examples are retained; the search keeps running to
+    completion (or its bounds) either way. *)
 
 val replay_explore :
   ?breakage:Recovery.Config.breakage ->

@@ -41,7 +41,6 @@ type t = {
   mutable inbound : inbound list;
   on_frame : src:int -> kind:int -> body:string -> (unit, string) result;
   on_error : string -> unit;
-  max_queue : int;
   backoff_base : float;
   backoff_cap : float;
   mutable closed : bool;
@@ -264,7 +263,7 @@ let make_peer ~backoff ~pid ~port =
   }
 
 let create ~self ~listen_port ~peers ~on_frame ?(on_error = fun _ -> ())
-    ?(max_queue = 1024) ?(backoff_base = 0.05) ?(backoff_cap = 2.) ?obs () =
+    ?(backoff_base = 0.05) ?(backoff_cap = 2.) ?obs () =
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
   (* A peer SIGKILLed mid-write must surface as EPIPE (handled per write),
      not kill this process. *)
@@ -281,7 +280,6 @@ let create ~self ~listen_port ~peers ~on_frame ?(on_error = fun _ -> ())
     inbound = [];
     on_frame;
     on_error;
-    max_queue;
     backoff_base;
     backoff_cap;
     closed = false;
@@ -391,9 +389,12 @@ let append p frame =
   p.len <- p.len + n;
   Queue.add n p.lens
 
+(* Frames pending per peer before [send] drops. *)
+let max_queue = 1024
+
 let send t ~dst frame =
   match List.find_opt (fun p -> p.pid = dst) t.peers with
-  | Some p when (not t.closed) && Queue.length p.lens < t.max_queue -> append p frame
+  | Some p when (not t.closed) && Queue.length p.lens < max_queue -> append p frame
   | Some _ | None -> bump t c_dropped
 
 let broadcast t frame = List.iter (fun p -> send t ~dst:p.pid frame) t.peers

@@ -49,7 +49,6 @@ val create :
   peers:(int * int) list ->
   on_frame:(src:int -> kind:int -> body:string -> (unit, string) result) ->
   ?on_error:(string -> unit) ->
-  ?max_queue:int ->
   ?backoff_base:float ->
   ?backoff_cap:float ->
   ?obs:Obs.Registry.t ->
@@ -61,11 +60,11 @@ val create :
     [Error] (a payload that does not decode) is counted in
     [transport_decode_errors_total] and reported through [on_error], and
     the connection, still in step, stays open.
-    [max_queue] (default 1024) bounds each peer's pending frames.  Backoff
-    starts at [backoff_base] (default 0.05 s) and doubles to
-    [backoff_cap] (default 2 s) with each failed dial, and with each
-    connection that fails before it carried a frame [backoff_base] or
-    more after its Hello; such a frame resets it to [backoff_base].  A
+    Each peer holds at most 1024 pending frames.  Backoff starts at
+    [backoff_base] (default 0.05 s) and doubles to [backoff_cap]
+    (default 2 s) with each failed dial, and with each connection that
+    fails before it carried a frame [backoff_base] or more after its
+    Hello; such a frame resets it to [backoff_base].  A
     connection that carried one and then failed is redialled at once.
 
     [obs] (default: a private registry) is where the transport registers

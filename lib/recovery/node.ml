@@ -340,8 +340,8 @@ type ('state, 'msg) t = {
   mutable actions : 'msg action list; (* reversed accumulator *)
   mutable recovery : 'msg recovery option;
       (* in-progress partitioned replay; [None] once recovery completes
-         (or for serial restarts).  Volatile: a crash drops it and the
-         next restart replays from the log again. *)
+         (or after an unpartitioned application's restart).  Volatile: a
+         crash drops it and the next restart replays from the log again. *)
   part_dirty : int array;
       (* per-partition deliveries since that partition's last incremental
          checkpoint; [[||]] for unpartitioned applications *)
@@ -1384,7 +1384,7 @@ let reinstate_archive t msgs =
     msgs
 
 (* Restore the checkpoint [ck]'s state, interval, dependency vector and
-   the sends and outputs it saved; both restart paths start here. *)
+   the sends and outputs it saved; restart and rollback start here. *)
 let restore_checkpoint t ck =
   t.state <- ck.ck_state;
   t.current <- ck.ck_current;
@@ -1398,10 +1398,10 @@ let restore_checkpoint t ck =
 (* The one log walk of Restart and Rollback (Figure 3): from the restored
    checkpoint [ck], apply incarnation markers at their recorded positions
    and hand each logged delivery to [exec], which must leave the node on
-   the interval the record names.  Serial restart and rollback re-execute
-   the delivery; the deferred restart takes its interval step and queues
-   the handler.  Stops before the first delivery satisfying [halt].
-   [anns] is the synchronous area and [records] the stable log from
+   the interval the record names.  Rollback and the restart of an
+   unpartitioned application re-execute the delivery; a partitioned
+   application's restart takes its interval step and queues the handler.
+   Stops before the first delivery satisfying [halt].  [anns] is the synchronous area and [records] the stable log from
    [ck.ck_log_pos] on, both as the caller read them.  Returns the log
    position reached and the [Requeued] messages passed, oldest first. *)
 let walk_log t ~ck ~anns ~records ~halt ~exec =
@@ -2081,26 +2081,25 @@ let deferred_exec t (pt : ('state, 'msg) App_intf.partitioning) ~part_ck =
   in
   (exec, finish)
 
-(* Restart (Figure 3), one body for both variants: rebuild durable
-   knowledge, restore the newest checkpoint, walk the log from it,
-   re-instate the archive and the undelivered requeued messages, and start
-   a new incarnation.  The serial restart re-executes each logged delivery
-   as the walk reaches it.  The deferred one ([restart_begin] of a
-   partitioned application) first applies the surviving per-partition
+(* Restart (Figure 3): rebuild durable knowledge, restore the newest
+   checkpoint, walk the log from it, re-instate the archive and the
+   undelivered requeued messages, and start a new incarnation.  The
+   application's partitioning picks the executor.  An unpartitioned
+   application re-executes each logged delivery as the walk reaches it.
+   A partitioned one first applies the surviving per-partition
    checkpoints, then queues each delivery's handler: the node comes back
    up {e before} replaying, and the caller pumps {!do_replay_step} while
    already serving requests on partitions whose queues have drained. *)
-let do_restart t ~now ~deferred =
+let do_restart t ~now =
   let rep0 = Obs.Counter.value t.meters.replayed in
   let ck, part_ck, anns, records = restart_prologue t in
   restore_checkpoint t ck;
   let exec, recovery =
     match t.app.App_intf.partitioning with
-    | Some pt when deferred ->
+    | Some pt ->
       apply_part_checkpoints t pt ~ck ~part_ck ~records;
       deferred_exec t pt ~part_ck
-    | Some _ | None ->
-      (redeliver t ~now, fun () -> None)
+    | None -> (redeliver t ~now, fun () -> None)
   in
   let _, requeued = walk_log t ~ck ~anns ~records ~halt:(fun _ -> false) ~exec in
   (* Recover the retransmission archive: replay re-released the sends of
@@ -2289,7 +2288,7 @@ let[@warning "-16"] create_on ~fs ~config ~pid ~app ~store_dir ?obs ~trace:tr =
   end;
   (* A node reopened over a pre-existing store starts down (the previous
      incarnation of the process died); the driver brings it back with
-     [restart], which rebuilds everything from the persisted state —
+     [restart_begin], which rebuilds everything from the persisted state —
      Figure 3's Restart, now from real files. *)
   set_recovery_gauges t;
   t
@@ -2457,11 +2456,7 @@ let halt t ~now =
   Store.kill t.store;
   refresh_recovery_gauges t
 
-let restart t ~now =
-  with_cost t (fun () -> if not t.up then do_restart t ~now ~deferred:false)
-
-let restart_begin t ~now =
-  with_cost t (fun () -> if not t.up then do_restart t ~now ~deferred:true)
+let restart_begin t ~now = with_cost t (fun () -> if not t.up then do_restart t ~now)
 
 let replay_step t ~now ?prefer ~budget () =
   let executed = ref 0 in

@@ -30,8 +30,8 @@ val pending : 'a t -> (int * float * 'a) list
 val remove_nth : 'a t -> int -> (float * 'a) option
 (** Remove and return the [i]-th event of the canonical pop order
     ([remove_nth t 0] is exactly {!next}).  This is the scheduling choice
-    point: a {!Scheduler} picks which pending event runs next instead of
-    always taking the earliest.  Remaining events keep their sequence
+    point: the simulator's run loop always takes index 0, while the model
+    checker picks which pending event runs next.  Remaining events keep their sequence
     numbers, so canonical order — and any recorded schedule — stays
     stable.  [None] if [i] is out of range. *)
 

@@ -92,7 +92,12 @@ let test_rolling_restart () =
   for i = 1 to 12 do
     Cluster.inject_at c ~time:(float_of_int i) ~dst:(i mod 4) (Counter.Add 1)
   done;
-  Cluster.rolling_restart_at c ~time:100. ~pids:[ 0; 1; 2; 3 ] ();
+  (* Each crash comes two restart delays after the previous one, once the
+     previous victim has fully recovered: a rolling upgrade. *)
+  let gap = 2. *. (Cluster.config c).Config.timing.restart_delay in
+  List.iter
+    (fun pid -> Cluster.crash_at c ~time:(100. +. (gap *. float_of_int pid)) ~pid)
+    [ 0; 1; 2; 3 ];
   (* Load keeps flowing while the wave rolls through. *)
   for i = 0 to 3 do
     Cluster.inject_at c ~time:(120. +. (40. *. float_of_int i)) ~dst:i (Counter.Add 1)
@@ -323,10 +328,11 @@ let key_of i = Fmt.str "fz-%d" i
 (* Build a node over [dir] with a replayable log and one partition
    checkpoint file per dirty partition, then crash it.  Returns the
    expected per-partition digests (from an undamaged in-memory twin fed
-   the same ops). *)
+   the same ops, which runs the application unpartitioned, so its restart
+   replays serially inside the log walk). *)
 let build_store dir ops =
   let d = D.make ~store_dir:dir (kv_config ()) App.app in
-  let twin = D.make (kv_config ()) App.app in
+  let twin = D.make (kv_config ()) { App.app with partitioning = None } in
   List.iteri
     (fun i (ki, v) ->
       D.inject d ~seq:(i + 1) (App.Put { key = key_of ki; value = v });
@@ -344,7 +350,8 @@ let build_store dir ops =
   D.halt d;
   D.halt twin;
   D.restart ~now:1000. twin;
-  Array.init App.parts (Node.partition_digest twin.D.node)
+  Array.init App.parts (fun p ->
+      Some (App.partitioning.part_digest (Node.app_state twin.D.node) p))
 
 let part_files dir =
   List.sort compare

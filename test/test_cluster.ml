@@ -210,7 +210,7 @@ let test_stats_agree_with_trace () =
   Harness.Workload.telecom c ~rng:(Sim.Rng.create 21) ~calls:60 ~hops:4 ~start:10.
     ~rate:1.0;
   Cluster.crash_at c ~time:30. ~pid:1;
-  Cluster.cascade_crash_at c ~time:45. ~pids:[ 2; 3 ] ();
+  Cluster.cascade_crash_at c ~time:45. ~pids:[ 2; 3 ];
   Cluster.kill_at c ~time:60. ~pid:0 ();
   Cluster.kill_at c ~time:80. ~pid:2 ();
   Cluster.run c;

@@ -334,7 +334,7 @@ let test_output_commit_images () =
           let held = recorded files in
           let trace' = Recovery.Trace.create () in
           let fresh = node_on (Fs.Mem.of_files files) ~trace:trace' in
-          ignore (Recovery.Node.restart fresh ~now:30.);
+          ignore (Recovery.Node.restart_begin fresh ~now:30.);
           ignore (Recovery.Node.flush fresh ~now:31.);
           let again = committed_ids trace' in
           let why =

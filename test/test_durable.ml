@@ -603,7 +603,7 @@ let test_node_restart_from_disk () =
       let r = Obs.Registry.snapshot (Node.obs fresh) in
       Alcotest.(check int) "reopen not fresh" 1 (found r "reopens");
       Alcotest.(check bool) "clean store" false (damaged r);
-      ignore (Node.restart fresh ~now:10.);
+      ignore (Node.restart_begin fresh ~now:10.);
       Alcotest.(check bool) "up after restart" true (Node.is_up fresh);
       let st : Counter.state = Node.app_state fresh in
       Alcotest.(check int) "flushed work replayed, volatile lost" 15 st.total;
@@ -623,7 +623,7 @@ let test_node_halt_in_memory () =
   Node.halt node ~now:2.;
   Alcotest.(check bool) "down" false (Node.is_up node);
   Alcotest.check_raises "restart of the dead handle" (Invalid_argument "Durable_store: store killed")
-    (fun () -> ignore (Node.restart node ~now:3.))
+    (fun () -> ignore (Node.restart_begin node ~now:3.))
 
 (* ------------------------------------------------------------------ *)
 (* Cluster: kill + respawn mid-run, certified by the causality oracle *)
@@ -930,7 +930,7 @@ let test_single_frame_checkpoint_dropped () =
   Alcotest.(check int) "older checkpoints kept" 3
     (List.length
        (List.filter (String.starts_with ~prefix:"ckpt-") (fs.readdir store_dir)));
-  ignore (Node.restart fresh ~now:32.);
+  ignore (Node.restart_begin fresh ~now:32.);
   Alcotest.(check bool) "up" true (Node.is_up fresh);
   Alcotest.(check bool) "state rebuilt from the older checkpoint" true
     (Node.app_state fresh = before)

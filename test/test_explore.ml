@@ -232,35 +232,6 @@ let test_chaos_to_schedule_replays () =
   (* If this particular case happens to pass even when broken, the corpus
      test still covers the chaos replay path with a pinned failing case. *)
 
-let test_earliest_scheduler_transparent () =
-  (* A Scheduler that always picks index 0 must be observationally
-     identical to running without one, on a timed, crashy workload. *)
-  let run scheduler =
-    let config = Config.k_optimistic ~n:3 ~k:1 () in
-    let cluster =
-      Harness.Cluster.create ~config ~app:Counter.app ~seed:11 ?scheduler ()
-    in
-    for i = 1 to 8 do
-      Harness.Cluster.inject_at cluster
-        ~time:(10. *. float_of_int i)
-        ~dst:(i mod 3)
-        (Counter.Forward { dst = (i + 1) mod 3; amount = i })
-    done;
-    Harness.Cluster.crash_at cluster ~time:35. ~pid:1;
-    Harness.Cluster.run cluster;
-    Harness.Cluster.stats cluster
-  in
-  let default = run None and earliest = run (Some (Sim.Scheduler.earliest ())) in
-  (* Counters only: the stores' latency histograms are wall-clock. *)
-  let counters (s : Harness.Cluster.stats) =
-    List.filter
-      (function _, Obs.Snapshot.Counter _ -> true | _ -> false)
-      (Obs.Snapshot.bindings s.obs)
-  in
-  Alcotest.(check bool) "bit-identical counts" true (counters default = counters earliest);
-  Alcotest.(check bool) "bit-identical statistics" true
-    ({ default with obs = Obs.Snapshot.empty } = { earliest with obs = Obs.Snapshot.empty })
-
 let suite =
   [
     Alcotest.test_case "exhausts a tiny config, POR prunes, oracle clean" `Slow
@@ -282,8 +253,6 @@ let suite =
       test_kill_storage_names;
     Alcotest.test_case "shrunk chaos case replays via schedule" `Slow
       test_chaos_to_schedule_replays;
-    Alcotest.test_case "earliest scheduler is transparent" `Quick
-      test_earliest_scheduler_transparent;
     Alcotest.test_case "a negative brownout round count does not parse" `Quick
       test_negative_brownout_rounds;
   ]

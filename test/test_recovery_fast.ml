@@ -1,22 +1,29 @@
 (* Fast-recovery unit + property tests, on a single node over the
-   in-memory store (crash + restart on the same handle):
+   in-memory store (crash + restart on the same handle) unless a case
+   says otherwise:
 
    - QCheck law: partitioned replay ([restart_begin] + [replay_step] in
      any preference order, any budgets) reaches the same interval and
-     per-partition digests as Figure 3's serial [restart], for any op
-     sequence and any stability point at the crash — also when a second
-     crash makes the replayed range cross the first restart's
-     incarnation marker.
+     per-partition digests as serial replay, for any op sequence and any
+     stability point at the crash — also when a second crash makes the
+     replayed range cross the first restart's incarnation marker.  The
+     serial reference is a twin running the application without its
+     partitioning, whose restart re-executes each record inside the log
+     walk, as rollback does.
    - Scripted lost marker: with the newest marker cut from the
      synchronous area, both restarts resync the marker a logged delivery
      implies and reach the same interval and digests.
    - QCheck law: a prefix captured by incremental partition snapshots
-     plus replay of the remainder equals one-shot replay of the whole log.
+     plus replay of the remainder equals one-shot serial replay of the
+     whole log.
    - Scripted on-demand timeline: a Get for an already-replayed partition
      is answered while another partition is still replaying; a Get parked
      on an unrecovered partition is answered only after that partition's
      replay completes — from the replayed state, never the pre-crash
      (wiped) one.
+   - Scripted simulator restart: a kvstore node killed under the cluster
+     restarts the way a daemon does, certifying its replay once at the
+     frontier instead of once per record.
    - QCheck law: duplicate suppression survives a respawn that reads the
      log only from its newest checkpoint on.  Every logged message offered
      again — the same-channel copy and a re-release in a later epoch of its
@@ -56,12 +63,18 @@ let drain_replay ?(now = 2000.) ?(rng = fun _ -> 0) node =
       (Node.replay_step node ~now ~prefer ~budget () : int * _ list * _)
   done
 
+(* The serial twin's application: without partitioning, a restart
+   replays inside the log walk. *)
+let serial_app = { App.app with partitioning = None }
+
+(* [a] runs the partitioned application, [b] its serial twin. *)
 let check_digests ~msg a b =
   Alcotest.check Util.entry (Fmt.str "%s: interval" msg) (Node.current b) (Node.current a);
   for p = 0 to parts - 1 do
     Alcotest.(check (option int))
       (Fmt.str "%s: partition %d digest" msg p)
-      (Node.partition_digest b p) (Node.partition_digest a p)
+      (Some (App.partitioning.part_digest (Node.app_state b) p))
+      (Node.partition_digest a p)
   done
 
 (* Generator: an op sequence over a 24-key pool, a stability point (flush
@@ -85,7 +98,7 @@ let law_partitioned_eq_serial =
     QCheck2.Gen.(quad gen_ops (int_bound 40) (int_bound 1000) gen_ops)
     (fun (ops, flush_at, seed, more) ->
       let a = D.make (config ()) App.app in
-      let b = D.make (config ()) App.app in
+      let b = D.make (config ()) serial_app in
       let rng = lcg seed in
       let round ~seq0 ~now ops =
         let flush_at = min flush_at (List.length ops) in
@@ -94,7 +107,7 @@ let law_partitioned_eq_serial =
         D.halt a;
         D.halt b;
         (* A: incremental, replayed in a seed-dependent preference order
-           with small uneven budgets; B: Figure 3's serial restart. *)
+           with small uneven budgets; B: the serial twin. *)
         D.restart_begin ~now a;
         drain_replay ~now ~rng a.D.node;
         D.restart ~now b;
@@ -113,7 +126,7 @@ let law_ckpt_prefix_eq_oneshot =
       let prefix = List.filteri (fun i _ -> i < split) ops in
       let rest = List.filteri (fun i _ -> i >= split) ops in
       let a = D.make (config ()) App.app in
-      let b = D.make (config ()) App.app in
+      let b = D.make (config ()) serial_app in
       (* A snapshots every dirty partition after the prefix; B never
          snapshots.  Same injects, same stability points on both. *)
       feed a prefix ~flush_at:split;
@@ -213,6 +226,62 @@ let test_on_demand_timeline () =
   Alcotest.(check bool) "Recovery_completed traced" true completed
 
 (* ------------------------------------------------------------------ *)
+(* Simulated restart of a partitioned application                      *)
+
+(* Two processes, no timers.  Process 0 owns six keys' Puts (replicated
+   to process 1), flushes them at t=20 — past its only checkpoint, the
+   initial one — and dies at t=30.  Its respawn takes the daemon's
+   restart: it comes back up before replaying, so no replayed interval is
+   traced before [Restarted]; the same-instant drain then re-executes
+   every flushed record and certifies the frontier once. *)
+let test_cluster_restart_like_daemon () =
+  let module Cluster = Harness.Cluster in
+  let config = Recovery.Config.k_optimistic ~timing:Util.quiet_timing ~n:2 ~k:1 () in
+  let c = Cluster.create ~config ~app:App.app ~seed:5 ~auto_timers:false () in
+  let keys =
+    List.filteri (fun i _ -> i < 6)
+      (List.filter (fun k -> App.owner ~n:2 k = 0) (List.init 40 key_of))
+  in
+  List.iteri
+    (fun i key ->
+      Cluster.inject_at c ~time:(float_of_int (i + 1)) ~dst:0 (App.Put { key; value = i }))
+    keys;
+  Cluster.flush_at c ~time:20. ~pid:0;
+  Cluster.crash_at c ~time:30. ~pid:0;
+  Cluster.run c;
+  let events = Trace.events (Cluster.trace c) in
+  let flushed =
+    List.length
+      (List.filter
+         (fun { Trace.time; ev; _ } ->
+           match ev with
+           | Trace.Message_delivered { dst = 0; _ } -> time < 20.
+           | _ -> false)
+         events)
+  in
+  Alcotest.(check int) "every Put delivered before the flush" (List.length keys) flushed;
+  let replayed_intervals, completed, _ =
+    List.fold_left
+      (fun (replayed, completed, phase) { Trace.ev; _ } ->
+        match (ev, phase) with
+        | Trace.Crashed { pid = 0; _ }, `Live -> (replayed, completed, `Down)
+        | Trace.Restarted { pid = 0; _ }, `Down -> (replayed, completed, `Up)
+        | Trace.Interval_started { pid = 0; replay = true; _ }, `Down ->
+          Alcotest.fail "a replayed interval traced before Restarted"
+        | Trace.Interval_started { pid = 0; replay = true; _ }, _ ->
+          (replayed + 1, completed, phase)
+        | Trace.Recovery_completed { pid = 0; replayed = r }, `Up ->
+          (replayed, r :: completed, phase)
+        | _ -> (replayed, completed, phase))
+      (0, [], `Live) events
+  in
+  Alcotest.(check (list int)) "Recovery_completed counts the replayed records" [ flushed ]
+    completed;
+  Alcotest.(check int) "the replay is certified once, at its frontier" 1 replayed_intervals;
+  let report = Harness.Oracle.check ~k:1 ~n:2 (Cluster.trace c) in
+  Alcotest.(check (list string)) "oracle certifies" [] report.Harness.Oracle.violations
+
+(* ------------------------------------------------------------------ *)
 (* Lost incarnation marker                                             *)
 
 (* Truncate a synchronous area at the start of its newest [Marker] frame,
@@ -254,8 +323,9 @@ let copy_dir src dst =
 (* A crash, a restart (marker (1,6) at log position 4), four more logged
    Puts in incarnation 1 and a process death; then the synchronous area
    loses that marker.  Each logged delivery still names its interval, so
-   both restarts resync the marker it implies and must land on the same
-   interval, (2,11), with the same per-partition digests. *)
+   the partitioned restart and the serial twin's both resync the marker it
+   implies and must land on the same interval, (2,11), with the same
+   per-partition digests. *)
 let test_lost_marker_resync () =
   let serial_dir = Durable.Temp.fresh_dir ~prefix:"test-lost-marker" () in
   let deferred_dir = Durable.Temp.fresh_dir ~prefix:"test-lost-marker" () in
@@ -274,10 +344,10 @@ let test_lost_marker_resync () =
       cut_at_newest_marker (Filename.concat serial_dir "sync.dat");
       copy_dir serial_dir deferred_dir;
       let a = D.make ~store_dir:deferred_dir (config ()) App.app in
-      let b = D.make ~store_dir:serial_dir (config ()) App.app in
+      let b = D.make ~store_dir:serial_dir (config ()) serial_app in
       ignore (Node.restart_begin a.D.node ~now:1000. : _ list * _);
       drain_replay a.D.node;
-      ignore (Node.restart b.D.node ~now:1000. : _ list * _);
+      ignore (Node.restart_begin b.D.node ~now:1000. : _ list * _);
       Alcotest.check Util.entry "serial restart resynced the lost marker"
         (Util.e ~inc:2 ~sii:11) (Node.current b.D.node);
       check_digests ~msg:"lost marker" a.D.node b.D.node)
@@ -397,5 +467,7 @@ let suite =
       test_lost_marker_resync;
     Alcotest.test_case "on-demand timeline: serve early, park until replayed"
       `Quick test_on_demand_timeline;
+    Alcotest.test_case "simulated kvstore restart defers replay like a daemon" `Quick
+      test_cluster_restart_like_daemon;
     law_dedup_survives_respawn;
   ]

@@ -93,18 +93,25 @@ module Driver = struct
 
   let halt t = Node.halt t.node ~now:(tick t)
 
-  (* A fresh node over the store, then Figure 3's Restart ([restart]) or
-     its deferred variant ([restart_begin]).  The old node is halted first;
-     that does nothing to one already dead. *)
-  let respawn_with f ?now t =
+  (* A fresh node over the store, then Figure 3's Restart.  [restart_begin]
+     leaves a partitioned application's deferred replay for the test to
+     pump; [restart] drains it at once, as a daemon does at quit.  The old
+     node is halted first; that does nothing to one already dead. *)
+  let respawn_at ?now t =
     let now = match now with Some now -> now | None -> tick t in
     Node.halt t.node ~now;
     t.node <- t.respawn ();
-    absorb t (f t.node ~now)
+    absorb t (Node.restart_begin t.node ~now);
+    now
 
-  let restart ?now t = respawn_with Node.restart ?now t
+  let restart_begin ?now t = ignore (respawn_at ?now t : float)
 
-  let restart_begin ?now t = respawn_with Node.restart_begin ?now t
+  let restart ?now t =
+    let now = respawn_at ?now t in
+    while Node.recovery_active t.node do
+      let _, actions, cost = Node.replay_step t.node ~now ~budget:max_int () in
+      absorb t (actions, cost)
+    done
 
   let perform t effects = absorb t (Node.perform t.node ~now:(tick t) effects)
 
