@@ -137,7 +137,8 @@ module App = App_model.Kvstore_app
    ahead of it. *)
 type client = {
   fd : Unix.file_descr;
-  reader : Wire_codec.Reader.t;
+  input : Bytes.t -> int -> int -> int; (* [Wire_codec.input fd] *)
+  reader : Durable.Codec.reader;
   mutable greeted : bool; (* its Hello of this wire version is in *)
   mutable live : bool;
 }
@@ -376,7 +377,15 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
     match Unix.accept ~cloexec:true control_sock with
     | fd, _ ->
       Unix.set_nonblock fd;
-      let c = { fd; reader = Wire_codec.Reader.create (); greeted = false; live = true } in
+      let c =
+        {
+          fd;
+          input = Wire_codec.input fd;
+          reader = Durable.Codec.reader ();
+          greeted = false;
+          live = true;
+        }
+      in
       clients := !clients @ [ c ];
       accept_clients ()
     | exception Unix.Unix_error _ -> ()
@@ -399,11 +408,12 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
      socket (if [select] found it readable) only once its buffer holds no
      whole frame.  [true] when the batch filled first: [c] may still hold
      buffered frames, which the next iteration takes without waiting. *)
+  let unread _ _ _ = -1 in
   let rec from_client c ~readable =
     if !incoming_n >= batch_cap then true
     else
-      match Wire_codec.Reader.next c.reader with
-      | Some (Ok (kind, body)) when not c.greeted -> (
+      match Wire_codec.next_frame c.reader (if readable then c.input else unread) with
+      | Wire_codec.Frame (kind, body) when not c.greeted -> (
         match Wire_codec.greeting ~kind body with
         | Ok _ ->
           c.greeted <- true;
@@ -412,7 +422,7 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
           on_error (Printf.sprintf "control connection refused: %s" e);
           hang_up c;
           false)
-      | Some (Ok (kind, body)) -> (
+      | Wire_codec.Frame (kind, body) -> (
         let undecodable e =
           refuse c (Printf.sprintf "undecodable control frame (kind %d): %s" kind e)
         in
@@ -427,15 +437,11 @@ let run (type state msg) ~(app : (state, msg) App_model.App_intf.t)
           add_event (Control (ctl, c));
           from_client c ~readable
         | Error e -> undecodable e)
-      | Some (Error e) -> refuse c (Printf.sprintf "control frame: %s" e)
-      | None when not readable -> false
-      | None -> (
-        match Wire_codec.Reader.read c.reader c.fd with
-        | `Read -> from_client c ~readable
-        | `Again -> false
-        | `Eof ->
-          hang_up c;
-          false)
+      | Wire_codec.Refused e -> refuse c (Printf.sprintf "control frame: %s" e)
+      | Wire_codec.Await -> false
+      | Wire_codec.Closed ->
+        hang_up c;
+        false
   in
   (* Clients are served in turn; when a batch fills, the one served first
      goes last, so a flooding client cannot starve the others. *)

@@ -91,6 +91,8 @@ let pp_stats (s : Cluster.stats) =
   Fmt.pr "outputs committed   %10d@." (count "outputs_committed_total");
   Fmt.pr "output latency      %a@." Sim.Summary.pp s.output_latency;
   Fmt.pr "restarts            %10d@." (count "restarts_total");
+  if count "kills_ignored_total" > 0 then
+    Fmt.pr "kills ignored       %10d@." (count "kills_ignored_total");
   Fmt.pr "induced rollbacks   %10d@." (count "induced_rollbacks_total");
   Fmt.pr "intervals lost      %10d@." (count "lost_intervals_total");
   Fmt.pr "intervals undone    %10d@." (count "undone_intervals_total");
@@ -171,7 +173,13 @@ let cmd =
     Arg.(value & opt int 100 & info [ "items"; "calls"; "jobs" ] ~doc:"Workload size.")
   in
   let failures =
-    Arg.(value & opt int 2 & info [ "failures" ] ~doc:"Number of crashes to inject.")
+    Arg.(
+      value & opt int 2
+      & info [ "failures" ]
+          ~doc:
+            "Number of kills to schedule, each at a random time on a random process. A \
+             kill that lands while its process is still down is not applied: it is \
+             counted, and printed as $(b,kills ignored).")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Simulation seed.") in
   let horizon =

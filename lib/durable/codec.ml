@@ -101,23 +101,24 @@ type decoded =
 
 let get_le32_bytes b pos = Int32.to_int (Bytes.get_int32_le b pos) land mask32
 
-type check = Whole | Partial | Damaged
+type step = Frame | Await | Eof | Cut | Too_long | Damaged
 
-let payload_length b ~pos = get_le32_bytes b (pos + 2)
-
-(* The frame at [b.[pos..]], [avail] bytes of it at hand.  Only those
-   bytes are read: the length is compared with [avail] before the
-   checksum runs over the payload. *)
-let check b ~pos ~avail =
-  if avail < header_bytes then Partial
+(* The one frame check.  The frame at [b.[pos..]], [avail] bytes of it at
+   hand: [Await] until its header is whole; then [Damaged] on a wrong
+   magic, [Too_long] on a length over [limit], [Await] until the payload
+   is whole, and [Frame] or [Damaged] by its checksum.  Only those bytes
+   are read, and nothing is allocated. *)
+let parse b ~pos ~avail ~limit =
+  if avail < header_bytes then Await
   else if Bytes.get b pos <> magic then Damaged
   else begin
-    let len = payload_length b ~pos in
-    if len > avail - header_bytes then Partial
+    let len = get_le32_bytes b (pos + 2) in
+    if len > limit then Too_long
+    else if len > avail - header_bytes then Await
     else
       let c = crc_update 0 b ~pos:(pos + 1) ~len:5 in
       if crc_update c b ~pos:(pos + header_bytes) ~len = get_le32_bytes b (pos + 6) then
-        Whole
+        Frame
       else Damaged
   end
 
@@ -127,14 +128,15 @@ let decode s ~pos =
   let b = Bytes.unsafe_of_string s in
   if pos = total then End
   else
-    match check b ~pos ~avail:(total - pos) with
-    (* A mutated length field reads as [Partial] too; indistinguishable
-       from a torn write and equally safe: the reader truncates, never
+    let avail = total - pos in
+    match parse b ~pos ~avail ~limit:(avail - header_bytes) with
+    (* A mutated length field reads as a torn frame: indistinguishable
+       from a torn write and equally safe, as the reader truncates, never
        invents a record. *)
-    | Partial -> Truncated
+    | Await | Too_long | Eof | Cut -> Truncated
     | Damaged -> Corrupt
-    | Whole ->
-      let len = payload_length b ~pos in
+    | Frame ->
+      let len = get_le32_bytes b (pos + 2) in
       Record
         {
           kind = Char.code s.[pos + 1];
@@ -153,96 +155,101 @@ let seal payload = encode ~kind:k_sealed payload
 let is_sealed b ~off ~len =
   len >= header_bytes
   && Char.code (Bytes.get b (off + 1)) = k_sealed
-  && payload_length b ~pos:off = len - header_bytes
-  && check b ~pos:off ~avail:len = Whole
+  && get_le32_bytes b (off + 2) = len - header_bytes
+  && parse b ~pos:off ~avail:len ~limit:(len - header_bytes) = Frame
 
-type tail = Clean | Torn | Corrupt_tail
+(* ------------------------------------------------------------------ *)
+(* The reader                                                          *)
 
-type scan_result = {
-  records : (int * string) list;
-  valid_bytes : int;
-  tail : tail;
-}
-
-let fold s ~init ~f =
-  let rec loop pos acc =
-    match decode s ~pos with
-    | End -> (acc, pos, Clean)
-    | Truncated -> (acc, pos, Torn)
-    | Corrupt -> (acc, pos, Corrupt_tail)
-    | Record { kind; payload; next } -> loop next (f acc ~pos kind payload)
-  in
-  loop 0 init
-
-let scan s =
-  let records, valid_bytes, tail =
-    fold s ~init:[] ~f:(fun acc ~pos:_ kind payload -> (kind, payload) :: acc)
-  in
-  { records = List.rev records; valid_bytes; tail }
-
-type buffer = { mutable bytes : Bytes.t }
-
-let buffer () = { bytes = Bytes.empty }
-
-(* Reads go through at most this many bytes at a time, unless one frame
-   is larger. *)
-let chunk = 4096
-
-(* The state of one [fold_input]: [buf.bytes.[lo, hi)] holds the input's
-   bytes from offset [at] on.  A frame is parsed where it lies; the buffer
-   moves what is left to its front before a read, and grows only when a
-   frame does not fit: to the frame, at least, and to the smaller of
-   [chunk] and the input, so a small file costs a small buffer.  [size]
-   bounds every growth.  The loop is top-level over this one record, so a
-   fold allocates it and nothing per frame. *)
+(* [bytes.[lo, hi)] holds what was read and not yet framed, from input
+   offset [at] on; [frame] is where the header [next] last looked at
+   starts: the frame it returned, which [lo] has passed, or the one at
+   [lo] it stopped on.  A returned frame stays in place until the next
+   call, which is the only one that moves or replaces [bytes]. *)
 type reader = {
-  buf : buffer;
-  size : int;
-  input : Bytes.t -> int -> int -> int;
+  mutable bytes : Bytes.t;
   mutable lo : int;
   mutable hi : int;
   mutable at : int;
-  mutable eof : bool;
+  mutable frame : int;
+  mutable ended : bool;
 }
 
-let rec fill r need =
-  if r.hi - r.lo >= need then true
-  else if r.eof then false
-  else begin
-    let b = r.buf.bytes in
-    if r.lo + need > Bytes.length b then begin
-      let cap = Int.max need (Int.min chunk r.size) in
-      let b' = if cap > Bytes.length b then Bytes.create cap else b in
-      Bytes.blit b r.lo b' 0 (r.hi - r.lo);
-      r.buf.bytes <- b';
-      r.hi <- r.hi - r.lo;
-      r.lo <- 0
-    end;
-    let n = r.input r.buf.bytes r.hi (Bytes.length r.buf.bytes - r.hi) in
-    if n = 0 then r.eof <- true else r.hi <- r.hi + n;
-    fill r need
-  end
+let reader () = { bytes = Bytes.empty; lo = 0; hi = 0; at = 0; frame = 0; ended = false }
 
-let rec frames r acc ~f =
-  if not (fill r header_bytes) then (acc, r.at, if r.hi = r.lo then Clean else Torn)
-  else
-    let b = r.buf.bytes and p = r.lo in
-    match check b ~pos:p ~avail:(r.hi - p) with
+let kind r = Char.code (Bytes.get r.bytes (r.frame + 1))
+
+let length r = get_le32_bytes r.bytes (r.frame + 2)
+
+let offset r = r.at - (r.lo - r.frame)
+
+let payload r = Bytes.sub_string r.bytes (r.frame + header_bytes) (length r)
+
+let capacity r = Bytes.length r.bytes
+
+(* Reads fill the buffer, which is at most this long unless one frame is
+   longer. *)
+let chunk = 4096
+
+(* Room for [need] bytes from the front: what is left slides there, and
+   the buffer grows only when a frame does not fit, to the frame or to
+   the smaller of [chunk] and the most a frame may claim, so a small file
+   costs a small buffer. *)
+let room r need ~limit =
+  let have = r.hi - r.lo in
+  if r.lo > 0 then Bytes.blit r.bytes r.lo r.bytes 0 have;
+  if need > Bytes.length r.bytes then begin
+    let b = Bytes.create (Int.max need (if limit < chunk then header_bytes + limit else chunk)) in
+    Bytes.blit r.bytes 0 b 0 have;
+    r.bytes <- b
+  end;
+  r.lo <- 0;
+  r.hi <- have
+
+let rec next r ~limit input =
+  if r.lo = r.hi && r.lo > 0 then begin
+    (* Nothing buffered: start over at the front, and give back a buffer
+       a large frame grew. *)
+    r.lo <- 0;
+    r.hi <- 0;
+    if Bytes.length r.bytes > chunk then r.bytes <- Bytes.empty
+  end;
+  r.frame <- r.lo;
+  let avail = r.hi - r.lo in
+  match parse r.bytes ~pos:r.lo ~avail ~limit with
+  | Frame ->
+    let n = header_bytes + length r in
+    r.lo <- r.lo + n;
+    r.at <- r.at + n;
+    Frame
+  | Await ->
+    if r.ended then if avail = 0 then Eof else Cut
+    else begin
+      room r (if avail < header_bytes then header_bytes else header_bytes + length r) ~limit;
+      let n = input r.bytes r.hi (Bytes.length r.bytes - r.hi) in
+      if n < 0 then Await
+      else begin
+        if n = 0 then r.ended <- true else r.hi <- r.hi + n;
+        next r ~limit input
+      end
+    end
+  | (Too_long | Damaged | Eof | Cut) as s -> s
+
+type tail = Clean | Torn | Corrupt_tail
+
+let frames ?reader:(r = reader ()) ~size input ~init ~f =
+  r.lo <- 0;
+  r.hi <- 0;
+  r.at <- 0;
+  r.ended <- false;
+  let rec go acc =
+    match next r ~limit:(size - r.at - header_bytes) input with
+    | Frame ->
+      go
+        (f acc ~pos:(offset r) ~kind:(kind r) r.bytes ~off:(r.frame + header_bytes)
+           ~len:(length r))
+    | Eof -> (acc, r.at, Clean)
     | Damaged -> (acc, r.at, Corrupt_tail)
-    | Partial ->
-      (* The length is checked against the input's size before anything
-         is read or allocated for it: a mutated length field reads as a
-         torn frame, as in [decode]. *)
-      let len = payload_length b ~pos:p in
-      if len > r.size - r.at - header_bytes || not (fill r (header_bytes + len)) then
-        (acc, r.at, Torn)
-      else frames r acc ~f
-    | Whole ->
-      let len = payload_length b ~pos:p and kind = Char.code (Bytes.get b (p + 1)) in
-      let pos = r.at in
-      r.lo <- p + header_bytes + len;
-      r.at <- pos + header_bytes + len;
-      frames r (f acc ~pos ~kind b ~off:(p + header_bytes) ~len) ~f
-
-let fold_input ?(buf = buffer ()) ~size ~input ~init ~f () =
-  frames { buf; size; input; lo = 0; hi = 0; at = 0; eof = false } init ~f
+    | Await | Cut | Too_long -> (acc, r.at, Torn)
+  in
+  go init

@@ -40,28 +40,8 @@ type decoded =
   | End  (** clean end of input *)
 
 val decode : string -> pos:int -> decoded
-
-(** {1 In place}
-
-    The one frame check: the store's readers, the socket reader
-    ({!Net.Wire_codec.Reader}) and the trace loader all parse with it. *)
-
-type check =
-  | Whole  (** a complete frame whose magic and checksum hold *)
-  | Partial
-      (** the bytes at hand are fewer than a header, or than the header's
-          length field says: a torn frame, or one still arriving *)
-  | Damaged  (** bad magic, or a checksum mismatch *)
-
-val check : Bytes.t -> pos:int -> avail:int -> check
-(** The frame at [b.[pos]] of which the [avail] bytes [b.[pos, pos+avail)]
-    are at hand; reads nothing past them and allocates nothing.  A
-    [Whole] frame's kind is the byte at [pos + 1] and its payload the
-    {!payload_length} bytes from [pos + header_bytes]. *)
-
-val payload_length : Bytes.t -> pos:int -> int
-(** The length field of the header at [b.[pos]] (which must be whole), as
-    the frame claims it: check it against a bound before trusting it. *)
+(** The one frame at [s.[pos..]], held to the bytes [s] has left: a
+    length field that claims more is [Truncated]. *)
 
 val seal : string -> string
 (** Wrap a blob in a one-record envelope whose CRC32 witnesses the exact
@@ -74,46 +54,82 @@ val is_sealed : Bytes.t -> off:int -> len:int -> bool
     of the seal's kind whose checksum holds.  The blob is the
     [len - header_bytes] bytes from [off + header_bytes]. *)
 
+(** {1 The reader}
+
+    Every stream of frames is read through a {!reader}: peer, control and
+    proxy sockets, the driver's control replies, store files, trace files
+    and metrics files.  It takes bytes from an input, as {!Fs.t.read_with}
+    gives one: [input buf pos len] reads up to [len] bytes into [buf] at
+    [pos] and returns how many, [0] at the end of the input, or [-1] when
+    the input has nothing now (a nonblocking socket).  A reader is
+    resumable: after [Await] it picks up where it stopped once the input
+    has more.
+
+    One rule refuses a frame: as soon as its 10-byte header is whole, a
+    wrong magic is [Damaged] and a length over the caller's [limit] is
+    [Too_long], before anything is read or allocated for the payload.  A
+    socket passes the wire's bound and treats both as errors; a file
+    passes the bytes it has left past the header, so a length that runs
+    past its end reads as a torn tail ({!frames}).  A whole frame is
+    checked against its CRC32 where it lies in the buffer.
+
+    The buffer starts empty.  A read fills it, and it grows only when a
+    frame does not fit: to the frame, at least, and to the smaller of 4 KB
+    and [limit] plus the header, so a small file costs a small buffer.
+    Once a frame longer than 4 KB is taken and nothing follows it in the
+    buffer, the buffer is given back.  A read happens only while the
+    frame at hand is incomplete, so a blocking input never waits for
+    bytes past the frame asked for. *)
+
+type reader
+
+val reader : unit -> reader
+
+type step =
+  | Frame
+      (** a whole frame whose magic and checksum hold: {!kind},
+          {!length}, {!offset} and {!payload} describe it until the next
+          call *)
+  | Await  (** the input has nothing now: call again when it has *)
+  | Eof  (** the input ended where a frame would start *)
+  | Cut  (** the input ended inside a frame *)
+  | Too_long  (** a whole header claims a payload over the limit ({!length}) *)
+  | Damaged  (** a wrong magic, or a whole frame whose checksum fails *)
+
+val next : reader -> limit:int -> (Bytes.t -> int -> int -> int) -> step
+(** The next frame of the input, reading it while the frame at hand is
+    incomplete.  After anything but [Frame] or [Await] the stream cannot
+    be resynchronised: stop reading it. *)
+
+val kind : reader -> int
+
+val length : reader -> int
+(** The payload length the header at hand claims. *)
+
+val offset : reader -> int
+(** The input offset of the frame [next] returned; after any other step,
+    of the first byte no frame took (the valid prefix's length). *)
+
+val payload : reader -> string
+(** A copy of the frame's payload. *)
+
+val capacity : reader -> int
+(** The buffer's length. *)
+
 type tail = Clean | Torn | Corrupt_tail
 
-type scan_result = {
-  records : (int * string) list;  (** (kind, payload), oldest first *)
-  valid_bytes : int;  (** length of the longest valid prefix *)
-  tail : tail;
-}
-
-val fold :
-  string -> init:'a -> f:('a -> pos:int -> int -> string -> 'a) -> 'a * int * tail
-(** [fold s ~init ~f] feeds each record's offset, kind and payload to [f],
-    oldest first, from offset 0 until the first anomaly or the end; returns the
-    accumulator, the length of the longest valid prefix and how the input
-    ended.  Only one decoded payload is live at a time. *)
-
-val scan : string -> scan_result
-(** Decode records from offset 0 until the first anomaly or the end,
-    collecting them: {!fold} into a list. *)
-
-(** {1 Streaming} *)
-
-type buffer
-(** A reusable frame buffer, grown on demand to the smaller of 4 KB and
-    the input, or to a larger frame. *)
-
-val buffer : unit -> buffer
-
-val fold_input :
-  ?buf:buffer ->
+val frames :
+  ?reader:reader ->
   size:int ->
-  input:(Bytes.t -> int -> int -> int) ->
+  (Bytes.t -> int -> int -> int) ->
   init:'a ->
   f:('a -> pos:int -> kind:int -> Bytes.t -> off:int -> len:int -> 'a) ->
-  unit ->
   'a * int * tail
-(** {!fold} over an input of [size] bytes read through [input] (as
-    {!Fs.t.read_with} gives it), each frame checked where it lies in
-    [buf] (a fresh one by default).  [f] gets each record's offset in the
-    input, its kind and its payload as [len] bytes of the buffer from
-    [off]; the bytes are valid only until [f] returns.  A frame's length
-    is checked against [size] before it is read, so a damaged length
-    never allocates more than the input holds.  Allocates nothing per
-    record besides what [f] does. *)
+(** Fold [f] over the frames of a file of [size] bytes, oldest first,
+    through [reader] (a fresh one by default; a used one starts over at
+    offset 0 and keeps its buffer), each frame's limit the bytes the file
+    has left.  [f] gets each frame's offset, its kind and its payload as
+    [len] bytes of the buffer from [off], valid only until [f] returns.  Returns the accumulator, the length of the
+    longest valid prefix and how the input ended: an end inside a frame,
+    or a length that runs past the end, is [Torn].  Allocates nothing per
+    frame besides what [f] does. *)

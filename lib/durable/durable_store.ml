@@ -49,8 +49,8 @@ let decode_opt b ~off ~len =
     | exception (Failure _ | Invalid_argument _ | End_of_file) -> None
   else None
 
-let fold_file (fs : Fs.t) ?buf path ~init ~f =
-  fs.read_with path (fun size input -> Codec.fold_input ?buf ~size ~input ~init ~f ())
+let fold_file (fs : Fs.t) ?reader path ~init ~f =
+  fs.read_with path (fun size input -> Codec.frames ?reader ~size input ~init ~f)
 
 type ('ckpt, 'log, 'ann, 'part) t = {
   fs : Fs.t;
@@ -124,8 +124,8 @@ let checkpoint_frame ~kind:k ~snapshot st ~pos:_ ~kind b ~off ~len =
 (* The file's stable length at save and what [frame] made of its
    snapshot; [None] if it is unreadable, torn, corrupt or in another
    layout (the single frame of the layout before the position frame). *)
-let decode_checkpoint (fs : Fs.t) ?buf path ~frame =
-  match fold_file fs ?buf path ~init:`Start ~f:frame with
+let decode_checkpoint (fs : Fs.t) ?reader path ~frame =
+  match fold_file fs ?reader path ~init:`Start ~f:frame with
   | `Snapshot (p, c), _, Codec.Clean when p >= 0 -> Some (p, c)
   | (`Start | `Pos _ | `Snapshot _ | `Bad), _, _ -> None
   | exception (Sys_error _ | Failure _ | Invalid_argument _ | End_of_file) -> None
@@ -205,11 +205,11 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
   let fresh = pre_existing = [] in
   let sync_file = sync_path dir in
   let sync_missing = (not fresh) && not (fs.exists sync_file) in
-  (* Every file is streamed through this one frame buffer, each frame
+  (* Every file is streamed through this one frame reader, each frame
      checked where it lies: no file is read whole, and no record or
      snapshot is copied or decoded except the few integers of the store
      metadata. *)
-  let buf = Codec.buffer () in
+  let reader = Codec.reader () in
   (* Synchronous area first: it holds the metadata (base, length witness)
      that interprets the rest.  Only the metadata is kept.  A record whose
      seal or Marshal header is damaged (in a way the frame CRC happened to
@@ -235,7 +235,7 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
     if fs.exists sync_file then begin
       let size, ((), valid_bytes, _) =
         fs.read_with sync_file (fun size input ->
-            (size, Codec.fold_input ~buf ~size ~input ~init:() ~f:absorb_sync ()))
+            (size, Codec.frames ~reader ~size input ~init:() ~f:absorb_sync))
       in
       if valid_bytes < size then begin
         sync_bytes_dropped := !sync_bytes_dropped + size - valid_bytes;
@@ -267,7 +267,7 @@ let open_ ~(fs : Fs.t) ~dir ?segment_bytes ?obs () =
   let prefix = Path.concat dir "ckpt-" in
   let usable ~kind path =
     let checked = checkpoint_frame ~kind ~snapshot:(fun _ ~off:_ -> ()) in
-    match decode_checkpoint fs ~buf path ~frame:checked with
+    match decode_checkpoint fs ~reader path ~frame:checked with
     | Some (log_pos, ()) when log_pos <= stable_len -> Some log_pos
     | Some _ | None ->
       incr ckpts_dropped;

@@ -78,7 +78,7 @@
     shows it in every scrape, and a simulated cluster in its stats, like
     any other count.  It streams the synchronous area, each log segment
     and each checkpoint file once through one frame buffer
-    ({!Codec.fold_input}) and checks each frame where it lies: the frame
+    ({!Codec.frames}) and checks each frame where it lies: the frame
     checksum, the seal's checksum and that the Marshal header's size is
     the sealed length.  It decodes only the few integers of the store
     metadata — no record, announcement or snapshot — and keeps only the

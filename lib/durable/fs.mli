@@ -40,7 +40,7 @@ type t = {
           [len] of the following bytes into [buf] at [pos], returning how
           many it read, 0 at the end.  The file is closed when [k] returns
           or raises.  The streaming read: nothing the size of the file is
-          allocated ({!Codec.fold_input}). *)
+          allocated ({!Codec.reader}). *)
   truncate : string -> int -> unit;
   unlink : string -> unit;
   rename : string -> string -> unit;

@@ -71,9 +71,9 @@ let open_ ~(fs : Fs.t) ~dir ?(segment_bytes = default_segment_bytes) ~valid () =
     incr segments_dropped;
     fs.unlink path
   in
-  let buf = Codec.buffer () in
+  let reader = Codec.reader () in
   (* One closure pair for every segment: per segment, open allocates its
-     name, its descriptor's reader and its entry, and nothing per record. *)
+     name, its descriptor's input and its entry, and nothing per record. *)
   let count = ref 0 in
   let exception Rejected of int in
   let check () ~pos ~kind:_ b ~off ~len =
@@ -81,7 +81,7 @@ let open_ ~(fs : Fs.t) ~dir ?(segment_bytes = default_segment_bytes) ~valid () =
   in
   let scan size input =
     count := 0;
-    match Codec.fold_input ~buf ~size ~input ~init:() ~f:check () with
+    match Codec.frames ~reader ~size input ~init:() ~f:check with
     | (), valid_bytes, seg_tail -> (size, valid_bytes, seg_tail)
     | exception Rejected pos -> (size, pos, Codec.Corrupt_tail)
   in
@@ -174,21 +174,20 @@ let fail ~op s i reason =
   failwith (Printf.sprintf "Segment_log.%s: %s: record %d: %s" op s.path i reason)
 
 (* Fold [f] over the records of segment [s], oldest first, each with its
-   logical index and its payload in place in [buf], streamed from byte 0
-   (the log keeps no per-record offsets; a segment is at most
-   [segment_bytes] plus one record).  Appends are whole O_APPEND writes,
-   so everything appended — synced or not — is readable from the file.  Fails naming the record where the file
-   stops matching what was written. *)
-let fold_segment t ~op ~buf s ~init ~f =
+   logical index, its offset and its payload in place in [reader]'s
+   buffer, streamed from byte 0 (the log keeps no per-record offsets; a
+   segment is at most [segment_bytes] plus one record).  Appends are
+   whole O_APPEND writes, so everything appended — synced or not — is
+   readable from the file.  Fails naming the record where the file stops
+   matching what was written. *)
+let fold_segment t ~op ~reader s ~init ~f =
   let n = ref 0 in
   let acc, _, _ =
     t.fs.read_with s.path (fun size input ->
-        Codec.fold_input ~buf ~size ~input ~init
-          ~f:(fun acc ~pos:_ ~kind:_ b ~off ~len ->
+        Codec.frames ~reader ~size input ~init ~f:(fun acc ~pos ~kind:_ b ~off ~len ->
             let i = s.start + !n in
             incr n;
-            f acc i b ~off ~len)
-          ())
+            f acc i ~pos b ~off ~len))
   in
   if !n < s.count then fail ~op s (s.start + !n) "bad magic, checksum or length";
   acc
@@ -197,12 +196,12 @@ let fold_from t ~pos ~decode ~init ~f =
   guard t "fold_from";
   if pos < first_index t || pos > next_index t then
     invalid_arg "Segment_log.fold_from: position out of range";
-  let buf = Codec.buffer () in
+  let reader = Codec.reader () in
   List.fold_left
     (fun acc s ->
       if s.count = 0 || s.start + s.count <= pos then acc
       else
-        fold_segment t ~op:"fold_from" ~buf s ~init:acc ~f:(fun acc i b ~off ~len ->
+        fold_segment t ~op:"fold_from" ~reader s ~init:acc ~f:(fun acc i ~pos:_ b ~off ~len ->
             if i < pos then acc
             else
               match decode b ~off ~len with
@@ -230,10 +229,10 @@ let truncate_after t ~keep =
     in
     t.segs <- (match keep_segs with [] -> [ cur ] | _ -> keep_segs);
     (if keep < cur.start + cur.count then begin
+       (* The segment ends where record [keep] starts. *)
        let off =
-         fold_segment t ~op:"truncate_after" ~buf:(Codec.buffer ()) cur ~init:0
-           ~f:(fun off j _ ~off:_ ~len ->
-             if j < keep then off + Codec.header_bytes + len else off)
+         fold_segment t ~op:"truncate_after" ~reader:(Codec.reader ()) cur ~init:0
+           ~f:(fun off j ~pos _ ~off:_ ~len:_ -> if j = keep then pos else off)
        in
        t.fs.truncate cur.path off;
        cur.count <- keep - cur.start;

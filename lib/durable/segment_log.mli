@@ -67,7 +67,7 @@ val fold_from :
 (** Fold [f] over the records at logical indices [pos] .. [next_index - 1],
     oldest first, each payload mapped through [decode] and passed with its
     index.  Streamed from the segment files through one frame buffer
-    ({!Codec.fold_input}): the log keeps neither payloads nor per-record
+    ({!Codec.frames}): the log keeps neither payloads nor per-record
     byte offsets in memory, so the segment holding [pos] is scanned from
     byte 0, segments wholly below [pos] are not read, and [decode] sees
     only the records from [pos] on, in place.  Appended records are readable before their

@@ -28,7 +28,9 @@ type ('state, 'msg) t = {
       (* one per pid, shared by every node that pid ever runs — kills
          respawn over it and joins append one — like a daemon's
          per-process registry *)
-  net_obs : Obs.Registry.t; (* the network model's traffic and fault counts *)
+  net_obs : Obs.Registry.t;
+      (* the network model's traffic and fault counts, and [kills_ignored] *)
+  kills_ignored : Obs.Counter.t; (* kills that landed while their pid was down *)
   queue : 'msg event Sim.Event_queue.t;
   net : Netmodel.t;
   trace_ : Recovery.Trace.t;
@@ -231,20 +233,19 @@ let handle_event t = function
       consume t ~pid (Node.perform t.nodes.(pid) ~now:t.now effects)
   | Arm_fsync_failure pid ->
     if not t.down.(pid) then Durable.Fs.Mem.lie t.trees.(pid) Durable.Segment_log.is_segment
+  | Kill { pid; _ } when t.down.(pid) -> Obs.Counter.incr t.kills_ignored
   | Kill { pid; fault } ->
-    if not t.down.(pid) then begin
-      t.down.(pid) <- true;
-      halt t pid;
-      (* Post-mortem file damage happens between death and respawn. *)
-      Option.iter
-        (fun f ->
-          let fs, dir = store t pid in
-          let note = Durable.Fault.apply ~fs ~dir ~rand:(Sim.Rng.int t.storage_rng) f in
-          t.fault_notes <- (pid, t.now, note) :: t.fault_notes)
-        fault;
-      t.next_free.(pid) <- t.now;
-      schedule t ~time:(t.now +. t.cfg.Config.timing.restart_delay) (Respawn pid)
-    end
+    t.down.(pid) <- true;
+    halt t pid;
+    (* Post-mortem file damage happens between death and respawn. *)
+    Option.iter
+      (fun f ->
+        let fs, dir = store t pid in
+        let note = Durable.Fault.apply ~fs ~dir ~rand:(Sim.Rng.int t.storage_rng) f in
+        t.fault_notes <- (pid, t.now, note) :: t.fault_notes)
+      fault;
+    t.next_free.(pid) <- t.now;
+    schedule t ~time:(t.now +. t.cfg.Config.timing.restart_delay) (Respawn pid)
   | Respawn pid -> respawn t pid
   | Join_node pid ->
     if pid = Array.length t.nodes then begin
@@ -415,6 +416,7 @@ let create ~config ~app ?(seed = 42) ?(horizon = 10_000.) ?net_override
       nodes = [||];
       registries = Array.init n (fun _ -> Obs.Registry.create ());
       net_obs;
+      kills_ignored = Obs.Registry.counter net_obs "kills_ignored_total";
       queue = Sim.Event_queue.create ();
       net =
         Netmodel.create ~n ~timing:config.Config.timing ~rng:net_rng ~fault_rng

@@ -70,7 +70,11 @@ val kill_at :
     the node announces stability for log records the disk never
     persisted, and the death cuts each log segment back to what was
     really synced ({!Durable.Fs.Mem.halt}).  Every death ends a lie: a
-    crash or retirement in between cuts the segments the same way. *)
+    crash or retirement in between cuts the segments the same way.
+
+    A kill that lands while [pid] is down (killed and not yet respawned,
+    or retired) is not applied: it is counted in [kills_ignored_total]
+    ({!stats}). *)
 
 val store : ('state, 'msg) t -> int -> Durable.Fs.t * string
 (** The file system pid's store lives on (its in-memory tree) and the
@@ -210,7 +214,9 @@ type stats = {
       (** every count the run made: {!Obs.Snapshot.merge_all} over one
           registry per pid, shared by every node that pid runs (kills
           respawn over it), as a daemon keeps one per process, and the
-          network model's registry ([net_*] series, see {!Netmodel}) *)
+          network model's registry ([net_*] series, see {!Netmodel}), which
+          also counts [kills_ignored_total], the kills that landed while
+          their pid was down *)
   makespan : float;  (** time of the last processed event *)
   busy_time : float;  (** total node busy time (work-weighted overhead) *)
   blocked_time : Sim.Summary.t;

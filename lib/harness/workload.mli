@@ -94,6 +94,8 @@ val random_failures :
   count:int ->
   window:float * float ->
   unit
-(** Schedule [count] crashes of uniformly random processes at uniformly
-    random times within the window.  At most one crash is scheduled per
-    process per window slice to keep episodes distinguishable. *)
+(** Schedule [count] kills ({!Cluster.crash_at}) of uniformly random
+    processes, one at a uniformly random time in each of [count] equal
+    slices of the window.  A kill that
+    lands while its process is still down is counted in
+    [kills_ignored_total], not applied. *)

@@ -13,7 +13,8 @@ type node = {
   metrics_file : string;
   log_file : string;
   mutable os_pid : int;
-  mutable ctl : Unix.file_descr option;
+  mutable ctl : (Unix.file_descr * Durable.Codec.reader) option;
+      (** the control connection and the reader that stays with it *)
   mutable injected : int;  (** injections sent to it: the next channel number *)
 }
 
@@ -162,7 +163,7 @@ let spawn ?(join = false) t node =
    after [budget]. *)
 let rec ctl_fd ?(budget = 5.) ?(delay = 0.001) node =
   match node.ctl with
-  | Some fd -> Some fd
+  | Some (fd, _) -> Some fd
   | None ->
     if budget <= 0. then None
     else begin
@@ -184,7 +185,7 @@ let rec ctl_fd ?(budget = 5.) ?(delay = 0.001) node =
         (* The stream states its wire version once, up front; a failed
            write surfaces on the first request. *)
         ignore (Wire_codec.write_all fd (Wire_codec.hello ~pid:(-1)) : bool);
-        node.ctl <- Some fd;
+        node.ctl <- Some (fd, Durable.Codec.reader ());
         Some fd
       | exception Unix.Unix_error _ ->
         Wire_codec.close_quiet fd;
@@ -194,7 +195,7 @@ let rec ctl_fd ?(budget = 5.) ?(delay = 0.001) node =
 
 let ctl_drop node =
   match node.ctl with
-  | Some fd ->
+  | Some (fd, _) ->
     Wire_codec.close_quiet fd;
     node.ctl <- None
   | None -> ()
@@ -212,7 +213,7 @@ let ctl_send node ctl =
 let ctl_rpc_frame node ctl =
   if not (ctl_send node ctl) then None
   else
-    match Option.bind node.ctl Wire_codec.read_frame with
+    match Option.bind node.ctl (fun (fd, r) -> Wire_codec.read_frame r fd) with
     | Some _ as reply -> reply
     | None ->
       ctl_drop node;
@@ -521,9 +522,7 @@ let merge_traces t =
 let load_snapshots path =
   if not (Sys.file_exists path) then (Obs.Snapshot.empty, None)
   else
-    let snap, damage =
-      Wire_codec.decode_snapshots (In_channel.with_open_bin path In_channel.input_all)
-    in
+    let snap, damage = Durable.Fs.unix.read_with path Wire_codec.decode_snapshots in
     (snap, Option.map (fun d -> path ^ ": " ^ d) damage)
 
 type outcome = {

@@ -14,7 +14,7 @@ type stream = {
   dst : int;
   client : Unix.file_descr;
   server : Unix.file_descr;
-  frames : Wire_codec.Reader.t;
+  frames : Durable.Codec.reader;
   held : (float * string) Queue.t;
   mutable held_bytes : int;
   to_server : Buffer.t;
@@ -24,7 +24,7 @@ type stream = {
 }
 
 (* An accepted connection whose hello has not arrived whole yet. *)
-type greeting = { route : route; fd : Unix.file_descr; hello : Wire_codec.Reader.t }
+type greeting = { route : route; fd : Unix.file_descr; hello : Durable.Codec.reader }
 
 (* The relay's state; the child process is its only owner. *)
 type relay = {
@@ -129,20 +129,26 @@ let drain fd out =
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> true
   | exception Unix.Unix_error _ -> false
 
-(* Read what the client has sent and admit each whole frame.  The
-   endpoint's CRC check is the arbiter of integrity; a frame the reader
-   cannot check severs the stream, like a middlebox dying mid-connection.
-   Frames are forwarded as read: re-framing a checked frame yields its
-   bytes. *)
+(* Read what the client has sent, in one read, and admit each whole
+   frame: the backlog is checked between reads.  The endpoint's CRC check
+   is the arbiter of integrity; a frame the reader cannot check severs
+   the stream, like a middlebox dying mid-connection.  Frames are
+   forwarded as read: re-framing a checked frame yields its bytes. *)
 let read_client r s =
-  (match Wire_codec.Reader.read s.frames s.client with
-  | `Read | `Again -> ()
-  | `Eof -> s.client_eof <- true);
+  let fresh = ref true in
+  let once b pos len =
+    if !fresh then begin
+      fresh := false;
+      Wire_codec.input s.client b pos len
+    end
+    else -1
+  in
   let rec frames () =
-    match Wire_codec.Reader.next s.frames with
-    | None -> ()
-    | Some (Error _) -> sever s
-    | Some (Ok (kind, payload)) ->
+    match Wire_codec.next_frame s.frames once with
+    | Wire_codec.Await -> ()
+    | Wire_codec.Closed -> s.client_eof <- true
+    | Wire_codec.Refused _ -> sever s
+    | Wire_codec.Frame (kind, payload) ->
       admit r s (Durable.Codec.encode ~kind payload);
       frames ()
   in
@@ -178,11 +184,11 @@ let greet r g =
     Wire_codec.close_quiet g.fd;
     false
   in
-  let eof = Wire_codec.Reader.read g.hello g.fd = `Eof in
-  match Wire_codec.Reader.next g.hello with
-  | None -> not eof || refuse ()
-  | Some frame -> (
-    match Result.bind frame (fun (kind, body) -> Wire_codec.greeting ~kind body) with
+  match Wire_codec.next_frame g.hello (Wire_codec.input g.fd) with
+  | Wire_codec.Await -> true
+  | Wire_codec.Closed | Wire_codec.Refused _ -> refuse ()
+  | Wire_codec.Frame (kind, body) -> (
+    match Wire_codec.greeting ~kind body with
     | Error _ -> refuse () (* not a transport stream of this version *)
     | Ok src -> (
       match active_partition r ~src ~dst:g.route.dst with
@@ -220,7 +226,7 @@ let accept r (route, listener) =
     | fd, _ ->
       Unix.set_nonblock fd;
       Unix.setsockopt fd Unix.TCP_NODELAY true;
-      r.greetings <- { route; fd; hello = Wire_codec.Reader.create () } :: r.greetings;
+      r.greetings <- { route; fd; hello = Durable.Codec.reader () } :: r.greetings;
       go ()
     | exception Unix.Unix_error _ -> ()
   in

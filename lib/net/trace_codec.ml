@@ -154,21 +154,24 @@ type load = { entries : Trace.entry list; damage : string option }
 (* Each [open_writer] starts a stretch with a Hello (a respawned daemon
    appends to its predecessor's file), so the file's first frame must be
    one and any frame may be one; every Hello is held to this version. *)
-let decode_stream s =
-  let entry ((entries, damage) as acc) ~pos kind body =
+let decode_stream size input =
+  let entry ((entries, damage) as acc) ~pos ~kind b ~off ~len =
     let fail fmt = Printf.ksprintf (fun e -> (entries, Some e)) fmt in
-    match damage with
-    | Some _ -> acc
-    | None when kind = trace_kind && pos > 0 -> (
-      match F.decode trace_entry body with
-      | Ok e -> (e :: entries, None)
-      | Error e -> fail "undecodable trace entry at byte %d: %s" pos e)
-    | None -> (
-      match Wire_codec.greeting ~kind body with
-      | Ok _ -> acc
-      | Error e -> fail "trace file refused at byte %d: %s" pos e)
+    if damage <> None then acc
+    else
+      let body = Bytes.sub_string b off len in
+      if kind = trace_kind && pos > 0 then
+        match F.decode trace_entry body with
+        | Ok e -> (e :: entries, None)
+        | Error e -> fail "undecodable trace entry at byte %d: %s" pos e
+      else
+        match Wire_codec.greeting ~kind body with
+        | Ok _ -> acc
+        | Error e -> fail "trace file refused at byte %d: %s" pos e
   in
-  let (entries, damage), valid, tail = Durable.Codec.fold s ~init:([], None) ~f:entry in
+  let (entries, damage), valid, tail =
+    Durable.Codec.frames ~size input ~init:([], None) ~f:entry
+  in
   let damage =
     match (damage, tail) with
     | Some _, _ | None, Durable.Codec.Clean -> damage
@@ -181,13 +184,8 @@ let decode_stream s =
   { entries = List.rev entries; damage }
 
 let load_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> Ok (decode_stream s)
+  match Durable.Fs.unix.read_with path decode_stream with
+  | load -> Ok load
   | exception Sys_error e -> Error e
 
 (* A descriptor and one reused buffer, as the durable store writes: an

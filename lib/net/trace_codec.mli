@@ -9,7 +9,8 @@
     causality oracle — the same end-to-end argument the simulator uses,
     now across real process boundaries.
 
-    The file is read with the store's codec ({!Durable.Codec.fold}).  A
+    The file is streamed through the store's frame reader
+    ({!Durable.Codec.frames}), never read whole.  A
     file killed mid-append ends in a torn frame; the loader truncates at
     the first undecodable byte and {e reports} the damage, mirroring the
     durable store's open-time recovery discipline.  A file whose first
@@ -28,9 +29,11 @@ type load = {
           never silent *)
 }
 
-val decode_stream : string -> load
-(** Decode a trace file's bytes: a Hello, then entries and further Hellos,
-    until the bytes run out or stop decoding. *)
+val decode_stream : int -> (Bytes.t -> int -> int -> int) -> load
+(** [decode_stream size input]: decode the [size] bytes of a trace file
+    that [input] gives, as {!Durable.Fs.t.read_with} gives them: a Hello,
+    then entries and further Hellos, until the bytes run out or stop
+    decoding. *)
 
 val load_file : string -> (load, string) result
 (** [Error] only if the file cannot be read at all. *)

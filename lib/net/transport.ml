@@ -30,7 +30,8 @@ type peer = {
    dialer, then a stream of frames. *)
 type inbound = {
   fd : Unix.file_descr;
-  reader : Wire_codec.Reader.t;
+  input : Bytes.t -> int -> int -> int; (* [Wire_codec.input fd] *)
+  reader : Durable.Codec.reader;
   mutable src : int option; (* the dialer, once its Hello is in *)
 }
 
@@ -79,48 +80,42 @@ let close_inbound t c =
   Wire_codec.close_quiet c.fd;
   t.inbound <- List.filter (fun c' -> c' != c) t.inbound
 
-(* Deliver every whole frame buffered on [c]; [false] once the connection
-   must die.  Any framing or checksum error is counted, reported and
-   kills the connection: the dialer brings up a fresh one. *)
-let rec deliver t c =
+(* Read [c] until the socket has nothing more, as a dedicated reader
+   would: peer frames never wait.  Any framing or checksum error is
+   counted, reported and kills the connection: the dialer brings up a
+   fresh one. *)
+let read_inbound t c =
   let reject e =
     bump t c_decode_errors;
     t.on_error e;
-    false
+    close_inbound t c
   in
-  match Wire_codec.Reader.next c.reader with
-  | None -> true
-  | Some (Error e) -> reject (Printf.sprintf "inbound frame: %s" e)
-  | Some (Ok (kind, body)) -> (
-    match c.src with
-    | None -> (
-      match Wire_codec.greeting ~kind body with
-      | Ok src ->
-        c.src <- Some src;
-        deliver t c
-      | Error e -> reject (Printf.sprintf "inbound connection refused: %s" e))
-    | Some src ->
-      bump t c_received;
-      (* A well-framed payload that does not decode is counted and
-         reported like a framing error; the stream is still in step, so
-         the connection lives on. *)
-      (match t.on_frame ~src ~kind ~body with
-      | Ok () -> ()
-      | Error e ->
-        bump t c_decode_errors;
-        t.on_error (Printf.sprintf "undecodable frame (kind %d) from %d: %s" kind src e)
-      | exception exn ->
-        t.on_error (Printf.sprintf "frame handler raised: %s" (Printexc.to_string exn)));
-      deliver t c)
-
-(* Read [c] until the socket has nothing more, as a dedicated reader
-   would: peer frames never wait. *)
-let read_inbound t c =
   let rec drain () =
-    match Wire_codec.Reader.read c.reader c.fd with
-    | `Again -> ()
-    | `Eof -> close_inbound t c
-    | `Read -> if deliver t c then drain () else close_inbound t c
+    match Wire_codec.next_frame c.reader c.input with
+    | Wire_codec.Await -> ()
+    | Wire_codec.Closed -> close_inbound t c
+    | Wire_codec.Refused e -> reject (Printf.sprintf "inbound frame: %s" e)
+    | Wire_codec.Frame (kind, body) -> (
+      match c.src with
+      | None -> (
+        match Wire_codec.greeting ~kind body with
+        | Ok src ->
+          c.src <- Some src;
+          drain ()
+        | Error e -> reject (Printf.sprintf "inbound connection refused: %s" e))
+      | Some src ->
+        bump t c_received;
+        (* A well-framed payload that does not decode is counted and
+           reported like a framing error; the stream is still in step, so
+           the connection lives on. *)
+        (match t.on_frame ~src ~kind ~body with
+        | Ok () -> ()
+        | Error e ->
+          bump t c_decode_errors;
+          t.on_error (Printf.sprintf "undecodable frame (kind %d) from %d: %s" kind src e)
+        | exception exn ->
+          t.on_error (Printf.sprintf "frame handler raised: %s" (Printexc.to_string exn)));
+        drain ())
   in
   drain ()
 
@@ -129,7 +124,9 @@ let rec accept_all t =
   match Unix.accept ~cloexec:true t.listen_sock with
   | fd, _ ->
     Unix.set_nonblock fd;
-    let c = { fd; reader = Wire_codec.Reader.create (); src = None } in
+    let c =
+      { fd; input = Wire_codec.input fd; reader = Durable.Codec.reader (); src = None }
+    in
     t.inbound <- c :: t.inbound;
     read_inbound t c;
     accept_all t

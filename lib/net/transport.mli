@@ -36,7 +36,9 @@
     lands.
 
     Inbound frames are reassembled in a small per-connection buffer
-    ({!Wire_codec.Reader}).  Decode and checksum failures are counted and
+    ({!Durable.Codec.reader}, through {!Wire_codec.next_frame}).  Decode
+    and checksum failures, and a header claiming more than
+    {!Wire_codec.max_frame_payload}, are counted and
     reported through [on_error]; the damaged connection is closed (the
     dialer re-establishes it) — a corrupt frame is never delivered and
     never silently swallowed. *)

@@ -20,20 +20,6 @@ let decode_frame s ~pos =
 (* ------------------------------------------------------------------ *)
 (* Frames over a stream socket                                         *)
 
-(* [None] on EOF or any socket error: the connection is finished either
-   way. *)
-let read_exact fd n =
-  let buf = Bytes.create n in
-  let rec loop off =
-    if off = n then Some (Bytes.unsafe_to_string buf)
-    else
-      match Unix.read fd buf off (n - off) with
-      | 0 -> None
-      | k -> loop (off + k)
-      | exception Unix.Unix_error _ -> None
-  in
-  loop 0
-
 (* A nonblocking descriptor that cannot take more waits until it can: a
    reply to a control client blocks the daemon exactly as a blocking
    socket would. *)
@@ -56,80 +42,27 @@ let write_all fd s =
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-module Reader = struct
-  (* [buf.[off .. len)] holds the bytes read but not yet framed.  The
-     buffer starts small and grows only to fit a frame larger than it;
-     once that frame is consumed it shrinks back. *)
-  type t = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
+(* One read: the count, 0 at the end of the stream or on a socket error
+   (the connection is finished either way), -1 when the descriptor has
+   nothing now. *)
+let input fd b pos len =
+  match Unix.read fd b pos len with
+  | n -> n
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> -1
+  | exception Unix.Unix_error _ -> 0
 
-  let initial = 4096
+type frame = Frame of int * string | Await | Closed | Refused of string
 
-  let create () = { buf = Bytes.create initial; off = 0; len = 0 }
-
-  let buffered r = r.len - r.off
-
-  let slide r =
-    let have = buffered r in
-    Bytes.blit r.buf r.off r.buf 0 have;
-    r.off <- 0;
-    r.len <- have
-
-  (* Room for [n] more bytes past [len]: slide the unframed bytes to the
-     front, and grow only if they still do not fit. *)
-  let reserve r n =
-    if r.len + n > Bytes.length r.buf then begin
-      slide r;
-      if r.len + n > Bytes.length r.buf then begin
-        let buf = Bytes.create (max (r.len + n) (2 * Bytes.length r.buf)) in
-        Bytes.blit r.buf 0 buf 0 r.len;
-        r.buf <- buf
-      end
-    end
-
-  let read r fd =
-    if r.off > 0 && Bytes.length r.buf - r.len < initial / 2 then slide r;
-    reserve r 1;
-    match Unix.read fd r.buf r.len (Bytes.length r.buf - r.len) with
-    | 0 -> `Eof
-    | k ->
-      r.len <- r.len + k;
-      `Read
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-      `Again
-    | exception Unix.Unix_error _ -> `Eof
-
-  let consume r n =
-    r.off <- r.off + n;
-    if r.off = r.len then begin
-      if Bytes.length r.buf > initial then r.buf <- Bytes.create initial;
-      r.off <- 0;
-      r.len <- 0
-    end
-
-  (* Only [buf.[off .. len)] is meaningful, and [Codec.check] reads no
-     byte past it.  The bytes come from outside the process, so a length
-     field is held to [max_frame_payload] before the buffer grows for
-     it. *)
-  let next r =
-    let avail = buffered r in
-    match Codec.check r.buf ~pos:r.off ~avail with
-    | Codec.Damaged -> Some (Error "bad frame magic or checksum")
-    | Codec.Partial when avail < Codec.header_bytes -> None
-    | Codec.Partial ->
-      let len = Codec.payload_length r.buf ~pos:r.off in
-      if len > max_frame_payload then
-        Some (Error (Printf.sprintf "frame payload length %d too large" len))
-      else begin
-        reserve r (Codec.header_bytes + len - avail);
-        None
-      end
-    | Codec.Whole ->
-      let kind = Char.code (Bytes.get r.buf (r.off + 1)) in
-      let len = Codec.payload_length r.buf ~pos:r.off in
-      let payload = Bytes.sub_string r.buf (r.off + Codec.header_bytes) len in
-      consume r (Codec.header_bytes + len);
-      Some (Ok (kind, payload))
-end
+(* The bytes come from outside the process, so a frame's length is held
+   to [max_frame_payload] as soon as its header is in. *)
+let next_frame r input =
+  match Codec.next r ~limit:max_frame_payload input with
+  | Codec.Frame -> Frame (Codec.kind r, Codec.payload r)
+  | Codec.Await -> Await
+  | Codec.Eof | Codec.Cut -> Closed
+  | Codec.Damaged -> Refused "bad frame magic or checksum"
+  | Codec.Too_long ->
+    Refused (Printf.sprintf "frame payload length %d too large" (Codec.length r))
 
 (* ------------------------------------------------------------------ *)
 (* Payload forms: each record's layout, written and read by one value   *)
@@ -490,18 +423,18 @@ let hello ~pid = F.frame controls (Hello { pid })
 
 let snapshot_file ~pid snap = hello ~pid ^ F.frame controls (Stats snap)
 
-let decode_snapshots s =
-  let frame ((snaps, damage) as acc) ~pos kind body =
+let decode_snapshots size input =
+  let frame ((snaps, damage) as acc) ~pos ~kind b ~off ~len =
     let fail e = (snaps, Some (Printf.sprintf "damaged at byte %d: %s" pos e)) in
     if damage <> None then acc
     else
-      match F.decode_kind controls ~kind body with
+      match F.decode_kind controls ~kind (Bytes.sub_string b off len) with
       | Ok (Hello _) -> acc
       | Ok (Stats snap) when pos > 0 -> (snap :: snaps, None)
       | Ok _ -> fail (Printf.sprintf "kind %d where a Hello or a snapshot belongs" kind)
       | Error e -> fail e
   in
-  let (snaps, damage), valid, tail = Codec.fold s ~init:([], None) ~f:frame in
+  let (snaps, damage), valid, tail = Codec.frames ~size input ~init:([], None) ~f:frame in
   let damage =
     match (damage, tail) with
     | Some _, _ | None, Codec.Clean -> damage
@@ -515,22 +448,12 @@ let greeting ~kind body =
   if kind <> k_hello then Error (Printf.sprintf "stream opened with kind %d, not Hello" kind)
   else F.decode hello_pid body
 
-(* The header first, its length bounded before the payload is read, then
-   the whole frame through the store's check. *)
-let read_frame fd =
-  match read_exact fd Codec.header_bytes with
-  | None -> None
-  | Some header -> (
-    let len = Codec.payload_length (Bytes.unsafe_of_string header) ~pos:0 in
-    if len > max_frame_payload then None
-    else
-      match read_exact fd len with
-      | None -> None
-      | Some payload -> (
-        match decode_frame (header ^ payload) ~pos:0 with
-        | Ok (kind, body, _) -> Some (kind, body)
-        | Error _ -> None))
+(* A blocking descriptor that says it has nothing now timed out. *)
+let read_frame r fd =
+  match next_frame r (input fd) with
+  | Frame (kind, body) -> Some (kind, body)
+  | Await | Closed | Refused _ -> None
 
-let read_control fd =
-  Option.bind (read_frame fd) (fun (kind, body) ->
+let read_control r fd =
+  Option.bind (read_frame r fd) (fun (kind, body) ->
       Result.to_option (decode_control_body ~kind body))

@@ -6,9 +6,9 @@
     snapshots in metrics and reopens files, is one
     {!Durable.Codec} frame, the layout of every store record (magic,
     kind, length, CRC32; see {!Durable.Codec}).  This module writes the
-    payloads.  One check ({!Durable.Codec.check}) parses store files, socket streams
-    and trace files alike: a damaged or torn frame is rejected, never
-    misread.  The version is stated once per stream, not per frame: every
+    payloads.  One reader ({!Durable.Codec.reader}) parses store files, socket
+    streams and trace files alike: a damaged or torn frame is rejected,
+    never misread.  The version is stated once per stream, not per frame: every
     stream (a transport connection, a control connection, a trace file)
     opens with a [Hello] carrying {!version}, and its reader
     refuses the stream on a mismatch ({!greeting}).
@@ -27,8 +27,8 @@ val version : int
 
 val max_frame_payload : int
 (** Upper bound a socket reader enforces on the advertised payload length
-    (16 MiB) so a corrupt length field cannot make it allocate
-    unboundedly. *)
+    (16 MiB), as soon as a header is whole, so a corrupt length field can
+    make it neither allocate unboundedly nor wait for a payload. *)
 
 val decode_frame : string -> pos:int -> (int * string * int, string) result
 (** {!Durable.Codec.decode} of one frame from a buffer:
@@ -37,7 +37,9 @@ val decode_frame : string -> pos:int -> (int * string * int, string) result
 (** {1 Frames over a stream socket}
 
     The daemon, its transport, the deployment driver and the fault proxy
-    all read and write frames with these. *)
+    all read and write frames with these.  Reassembly is the store's
+    one frame reader ({!Durable.Codec.reader}), kept with each
+    descriptor; the wire has no reader of its own. *)
 
 val write_all : Unix.file_descr -> string -> bool
 (** Write the whole string; [false] on a short write or socket error.  On
@@ -47,27 +49,25 @@ val write_all : Unix.file_descr -> string -> bool
 val close_quiet : Unix.file_descr -> unit
 (** [Unix.close], ignoring errors. *)
 
-(** Frame reassembly on a nonblocking stream: whatever sizes the reads
-    come in, {!Reader.next} yields the frames in order, checked. *)
-module Reader : sig
-  type t
+val input : Unix.file_descr -> Bytes.t -> int -> int -> int
+(** A descriptor as a {!Durable.Codec.reader}'s input: one [read], its
+    count; [0] at the end of the stream or on a socket error; [-1] when
+    the descriptor has nothing now (a nonblocking one, or a blocking one
+    whose receive timeout ran out). *)
 
-  val create : unit -> t
-  (** An empty reader with a 4 KB buffer. *)
+type frame =
+  | Frame of int * string  (** the next frame, [(kind, payload)], checked *)
+  | Await  (** the descriptor has nothing more now *)
+  | Closed  (** the stream ended, at a frame boundary or inside a frame *)
+  | Refused of string
+      (** a bad magic or checksum, or a length over {!max_frame_payload}:
+          the stream cannot be resynchronised, close it *)
 
-  val read : t -> Unix.file_descr -> [ `Read | `Again | `Eof ]
-  (** One [read] into the buffer's free space: [`Again] when the
-      descriptor has nothing now, [`Eof] on end of stream or a socket
-      error. *)
-
-  val next : t -> (int * string, string) result option
-  (** The next whole buffered frame, [(kind, payload)], checked in place
-      by {!Durable.Codec.check}; [Error] for a bad magic or checksum or a
-      length over {!max_frame_payload} (the stream cannot be
-      resynchronised: close it); [None] until more bytes arrive.  The
-      buffer grows only to fit a frame larger than itself, and shrinks
-      back once that frame is consumed. *)
-end
+val next_frame : Durable.Codec.reader -> (Bytes.t -> int -> int -> int) -> frame
+(** The next frame of a stream, read through the reader that stays with
+    its descriptor ({!Durable.Codec.next} with {!max_frame_payload} as the
+    limit): a header that claims more is refused as soon as it is whole,
+    before any of its payload is waited for or buffered. *)
 
 (** {1 Protocol packets} *)
 
@@ -174,10 +174,11 @@ val snapshot_file : pid:int -> Obs.Snapshot.t -> string
     of a Quit-time metrics file, and what each incarnation that reopened
     a store appends to its reopens file. *)
 
-val decode_snapshots : string -> Obs.Snapshot.t * string option
-(** The bytes of one file {!snapshot_file} wrote, or of several appended:
-    Hellos of {!version}, the first at byte 0, and [Stats] frames, each
-    checked by {!Durable.Codec}.  The sum ({!Obs.Snapshot.merge_all}) of
+val decode_snapshots : int -> (Bytes.t -> int -> int -> int) -> Obs.Snapshot.t * string option
+(** [decode_snapshots size input]: the [size] bytes [input] gives, as
+    {!Durable.Fs.t.read_with} gives a file's, of one file {!snapshot_file}
+    wrote, or of several appended: Hellos of {!version}, the first at
+    byte 0, and [Stats] frames, each checked by {!Durable.Codec}.  The sum ({!Obs.Snapshot.merge_all}) of
     the snapshots read up to the first frame that is torn, corrupt,
     undecodable or out of place, and then [Some] reason naming that
     frame's byte offset.  Never raises. *)
@@ -194,13 +195,15 @@ val decode_control_body : kind:int -> string -> (control, string) result
 
 val decode_control : string -> (control, string) result
 
-val read_frame : Unix.file_descr -> (int * string) option
-(** The next frame on a blocking connection, [(kind, payload)], its length
-    held to {!max_frame_payload} and the whole frame checked by
-    {!Durable.Codec.decode}; [None] once the connection is finished or
-    carries anything but a whole, intact frame. *)
+val read_frame : Durable.Codec.reader -> Unix.file_descr -> (int * string) option
+(** The next frame on a blocking connection, [(kind, payload)], through
+    the reader kept beside the descriptor ({!next_frame}): [None] once
+    the connection is finished, its receive timeout runs out, or it
+    carries anything but a whole, intact frame of at most
+    {!max_frame_payload} bytes.  Reads only while that frame is
+    incomplete: it never waits for bytes past it. *)
 
-val read_control : Unix.file_descr -> control option
+val read_control : Durable.Codec.reader -> Unix.file_descr -> control option
 (** {!read_frame}, its body decoded ({!decode_control_body}); [None] also
     when the body does not decode. *)
 

@@ -35,6 +35,19 @@ let test_crash_restart_cycle () =
   Alcotest.(check int) "announcement broadcast" 1
     (Util.total (Cluster.stats c) "announcements_sent")
 
+(* A second kill of P1 inside its restart delay (30) lands while it is
+   down: it is not applied, and it is counted, so a run that schedules N
+   kills accounts for all N in restarts plus ignored kills. *)
+let test_kill_of_down_pid_counted () =
+  let c = Cluster.create ~config:(config ()) ~app:Counter.app ~horizon:500. () in
+  Cluster.crash_at c ~time:50. ~pid:1;
+  Cluster.crash_at c ~time:60. ~pid:1;
+  Cluster.run c;
+  let stats = Cluster.stats c in
+  Alcotest.(check bool) "back up" true (Node.is_up (Cluster.node c 1));
+  Alcotest.(check int) "one restart" 1 (Util.total stats "restarts");
+  Alcotest.(check int) "one kill ignored" 1 (Util.total stats "kills_ignored")
+
 let test_client_retry_recovers_lost_request () =
   (* Long flush interval: the injected request is still volatile at the
      crash; the outside world retries it after the failure announcement. *)
@@ -243,6 +256,8 @@ let suite =
       test_stats_agree_with_trace;
     Alcotest.test_case "forwarding crosses network" `Quick test_forwarding_crosses_network;
     Alcotest.test_case "crash/restart cycle" `Quick test_crash_restart_cycle;
+    Alcotest.test_case "a kill of a down pid is counted, not applied" `Quick
+      test_kill_of_down_pid_counted;
     Alcotest.test_case "client retry recovers lost request" `Quick
       test_client_retry_recovers_lost_request;
     Alcotest.test_case "packets to down node held" `Quick test_packets_to_down_node_held;

@@ -61,12 +61,12 @@ let test_codec_roundtrip () =
   Alcotest.(check int) "framed size"
     (List.fold_left (fun acc p -> acc + Codec.header_bytes + String.length p) 0 payloads)
     (String.length s);
-  let scan = Codec.scan s in
-  Alcotest.(check bool) "clean tail" true (scan.Codec.tail = Codec.Clean);
+  let records, _, tail = Util.frames_of s in
+  Alcotest.(check bool) "clean tail" true (tail = Codec.Clean);
   Alcotest.(check (list (pair int string)))
     "all records back, in order"
     (List.mapi (fun i p -> (0x41 + i, p)) payloads)
-    scan.Codec.records
+    records
 
 let test_codec_anomalies () =
   (match Codec.decode "" ~pos:0 with
@@ -95,12 +95,11 @@ let test_codec_scan_stops_at_torn_tail () =
   Codec.encode_into buf ~kind:0x4C "two";
   let whole = Buffer.contents buf in
   let torn = String.sub whole 0 (String.length whole - 1) in
-  let scan = Codec.scan torn in
+  let records, valid, tail = Util.frames_of torn in
   Alcotest.(check (list (pair int string))) "prefix survives"
-    [ (0x4C, "one") ] scan.Codec.records;
-  Alcotest.(check bool) "tail torn" true (scan.Codec.tail = Codec.Torn);
-  Alcotest.(check int) "valid prefix length"
-    (Codec.header_bytes + 3) scan.Codec.valid_bytes
+    [ (0x4C, "one") ] records;
+  Alcotest.(check bool) "tail torn" true (tail = Codec.Torn);
+  Alcotest.(check int) "valid prefix length" (Codec.header_bytes + 3) valid
 
 (* ------------------------------------------------------------------ *)
 (* Segment log *)

@@ -375,10 +375,7 @@ let test_codec_roundtrip =
     (fun records ->
       let buf = Buffer.create 256 in
       List.iter (fun (kind, payload) -> Codec.encode_into buf ~kind payload) records;
-      let scan = Codec.scan (Buffer.contents buf) in
-      scan.Codec.tail = Codec.Clean
-      && scan.Codec.records = records
-      && scan.Codec.valid_bytes = Buffer.length buf)
+      Util.frames_of (Buffer.contents buf) = (records, Buffer.length buf, Codec.Clean))
 
 let test_codec_single_byte_mutation =
   qtest ~count:1000 "codec: any single-byte mutation is detected"
@@ -413,56 +410,113 @@ let test_codec_stream_mutation_prefix =
           Bytes.to_string b
         end
       in
-      let scan = Codec.scan damaged in
+      let read, _, _ = Util.frames_of damaged in
       let rec is_prefix xs ys =
         match (xs, ys) with
         | [], _ -> true
         | x :: xs, y :: ys -> x = y && is_prefix xs ys
         | _ :: _, [] -> false
       in
-      is_prefix scan.Codec.records records)
+      is_prefix read records)
 
-(* The streamed fold the store opens files with reads each frame in place
-   through a reusable buffer, in reads of any size: on any stream, intact,
-   torn or mutated, it must see the records, the valid prefix and the
-   tail the string fold sees.  Records up to 3 KB over reads of 1 to 97
-   bytes make the buffer both move its leftover bytes and grow. *)
-let test_codec_streamed_fold_eq_string_fold =
-  qtest ~count:500 "codec: streamed fold equals the string fold"
-    QCheck2.Gen.(
-      tup5
-        (list_size (int_range 0 6) (pair (int_bound 255) (string_size (int_bound 3_000))))
-        (int_bound 100_000) (int_range 0 255) bool (int_range 1 97))
-    (fun (records, off_seed, xor, tear, chunk) ->
-      let buf = Buffer.create 256 in
-      List.iter (fun (kind, payload) -> Codec.encode_into buf ~kind payload) records;
-      let whole = Buffer.contents buf in
-      let damaged =
-        if whole = "" then whole
-        else if tear then String.sub whole 0 (off_seed mod String.length whole)
-        else begin
-          let off = off_seed mod String.length whole in
-          let b = Bytes.of_string whole in
-          Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor xor));
-          Bytes.to_string b
+(* One frame reader serves sockets and files, so whatever sizes its
+   reads come in, it must see in any byte string the frames, the valid
+   prefix and the tail that one whole read sees ([Codec.decode] over the
+   string).  The strings are frames of up to 6 KB (larger than the
+   reader's 4 KB buffer, so it grows and gives the buffer back), intact,
+   torn, with one byte flipped, or random bytes after a magic byte; the
+   reads are of 1 to 64 bytes. *)
+let gen_stream =
+  QCheck2.Gen.(
+    tup6
+      (list_size (int_range 0 6)
+         (pair (int_bound 255) (string_size (oneof [ int_bound 200; int_range 4_000 6_000 ]))))
+      (int_bound 100_000) (int_range 1 255) (int_bound 3)
+      (string_size (int_bound 300))
+      (int_range 1 64))
+
+let damaged_stream (records, off_seed, xor, damage, noise, _) =
+  let buf = Buffer.create 256 in
+  List.iter (fun (kind, payload) -> Codec.encode_into buf ~kind payload) records;
+  let whole = Buffer.contents buf in
+  let at = if whole = "" then 0 else off_seed mod String.length whole in
+  match damage with
+  | 1 -> String.sub whole 0 at
+  | 2 when whole <> "" ->
+    let b = Bytes.of_string whole in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor xor));
+    Bytes.to_string b
+  | 3 -> whole ^ String.make 1 Codec.magic ^ noise
+  | _ -> whole
+
+(* The reference: one [Codec.decode] after another over the whole string. *)
+let whole_read s =
+  let rec go acc pos =
+    match Codec.decode s ~pos with
+    | Codec.Record { kind; payload; next } -> go ((kind, payload) :: acc) next
+    | Codec.End -> (List.rev acc, pos, Codec.Clean)
+    | Codec.Truncated -> (List.rev acc, pos, Codec.Torn)
+    | Codec.Corrupt -> (List.rev acc, pos, Codec.Corrupt_tail)
+  in
+  go [] 0
+
+(* One reader for every case, as a store's open shares one across its
+   files: each read starts from what the last one left in the buffer. *)
+let shared = Codec.reader ()
+
+let test_reader_chunked_file =
+  qtest ~count:500 "reader: chunked file reads equal one whole read" gen_stream
+    (fun ((_, _, _, _, _, chunk) as case) ->
+      let s = damaged_stream case in
+      let fs = Durable.Fs.mem () in
+      Durable.Fs.write_file fs "f" s;
+      let got =
+        fs.Durable.Fs.read_with "f" (fun size input ->
+            let chunked b pos len = input b pos (min len chunk) in
+            Codec.frames ~reader:shared ~size chunked ~init:[]
+              ~f:(fun acc ~pos:_ ~kind b ~off ~len -> (kind, Bytes.sub_string b off len) :: acc))
+      in
+      let frames, valid, tail = got in
+      (List.rev frames, valid, tail) = whole_read s)
+
+(* Through a nonblocking pipe, [chunk] bytes written at a time, each
+   taken until the reader waits: a socket's reader, with the wire's
+   limit.  A stream that ends inside a frame, or whose header claims more
+   than the limit, reads as a torn file. *)
+let test_reader_chunked_pipe =
+  qtest ~count:300 "reader: chunked pipe reads equal one whole read" gen_stream
+    (fun ((_, _, _, _, _, chunk) as case) ->
+      let s = damaged_stream case in
+      let rd, wr = Unix.pipe ~cloexec:true () in
+      Unix.set_nonblock rd;
+      let writing = ref true in
+      let close_wr () =
+        if !writing then begin
+          writing := false;
+          Unix.close wr
         end
       in
-      let at = ref 0 in
-      let input b pos len =
-        let n = min (min len chunk) (String.length damaged - !at) in
-        Bytes.blit_string damaged !at b pos n;
-        at := !at + n;
-        n
-      in
-      let streamed, valid, tail =
-        Codec.fold_input ~size:(String.length damaged) ~input ~init:[]
-          ~f:(fun acc ~pos:_ ~kind b ~off ~len -> (kind, Bytes.sub_string b off len) :: acc)
-          ()
-      in
-      let scan = Codec.scan damaged in
-      List.rev streamed = scan.Codec.records
-      && valid = scan.Codec.valid_bytes
-      && tail = scan.Codec.tail)
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close rd;
+          close_wr ())
+        (fun () ->
+          let r = Codec.reader () in
+          let input = Net.Wire_codec.input rd in
+          let rec take acc sent =
+            let ended tail = (List.rev acc, Codec.offset r, tail) in
+            match Codec.next r ~limit:Net.Wire_codec.max_frame_payload input with
+            | Codec.Frame -> take ((Codec.kind r, Codec.payload r) :: acc) sent
+            | Codec.Await ->
+              let n = min chunk (String.length s - sent) in
+              if n = 0 then close_wr ()
+              else ignore (Unix.write_substring wr s sent n : int);
+              take acc (sent + n)
+            | Codec.Eof -> ended Codec.Clean
+            | Codec.Cut | Codec.Too_long -> ended Codec.Torn
+            | Codec.Damaged -> ended Codec.Corrupt_tail
+          in
+          take [] 0 = whole_read s))
 
 let suite =
   [
@@ -474,7 +528,8 @@ let suite =
     test_codec_roundtrip;
     test_codec_single_byte_mutation;
     test_codec_stream_mutation_prefix;
-    test_codec_streamed_fold_eq_string_fold;
+    test_reader_chunked_file;
+    test_reader_chunked_pipe;
     test_netmodel_zero_plan_equiv;
     test_netmodel_duplication_first_arrival;
     test_netmodel_counters_match_arrivals;

@@ -232,19 +232,18 @@ let test_proxy_partitions () =
           payloads;
         let conn, _ = Unix.accept server in
         Fun.protect ~finally:(fun () -> Unix.close conn) @@ fun () ->
-        let reader = Wire_codec.Reader.create () in
+        let reader = Durable.Codec.reader () in
+        let input = Wire_codec.input conn in
         let deadline = Unix.gettimeofday () +. 10. in
         let rec collect acc =
-          match Wire_codec.Reader.next reader with
-          | Some (Ok (kind, body)) ->
+          match Wire_codec.next_frame reader input with
+          | Wire_codec.Frame (kind, body) ->
             let acc = if kind = 2 then (body, Unix.gettimeofday ()) :: acc else acc in
             if List.length acc = List.length payloads then List.rev acc else collect acc
-          | Some (Error e) -> Alcotest.failf "relayed bytes do not frame: %s" e
-          | None ->
+          | Wire_codec.Refused e -> Alcotest.failf "relayed bytes do not frame: %s" e
+          | Wire_codec.Closed -> Alcotest.fail "relay closed the stream"
+          | Wire_codec.Await ->
             if Unix.gettimeofday () > deadline then Alcotest.fail "frames never arrived";
-            (match Wire_codec.Reader.read reader conn with
-            | `Read | `Again -> ()
-            | `Eof -> Alcotest.fail "relay closed the stream");
             collect acc
         in
         let got = collect [] in
@@ -853,7 +852,7 @@ let test_control_wrong_version () =
         let fd = control_connect t ~dst:0 in
         Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
         ignore (Net.Wire_codec.write_all fd (opening ^ status) : bool);
-        Net.Wire_codec.read_control fd
+        Net.Wire_codec.read_control (Durable.Codec.reader ()) fd
       in
       Alcotest.(check bool) "the daemon is up" true (Deployment.status t ~dst:0 <> None);
       Alcotest.(check bool) "an older Hello is refused" true (ask stale = None);
@@ -965,7 +964,7 @@ let test_control_hangup () =
       Alcotest.(check bool) "status request written" true
         (Net.Wire_codec.write_all fd
            (Net.Wire_codec.hello ~pid:(-1) ^ frame Net.Wire_codec.Status_req));
-      (match Net.Wire_codec.read_control fd with
+      (match Net.Wire_codec.read_control (Durable.Codec.reader ()) fd with
       | Some (Net.Wire_codec.Status _) -> ()
       | Some _ -> Alcotest.fail "a fresh connection got another client's reply"
       | None -> Alcotest.fail "no Status reply on a fresh connection");
@@ -1034,7 +1033,7 @@ let test_garbage_packet_counted () =
       ignore
         (Net.Wire_codec.write_all ctl (Net.Wire_codec.hello ~pid:(-1) ^ inject) : bool);
       Alcotest.(check bool) "the oversized Inject is refused" true
-        (Net.Wire_codec.read_control ctl = None);
+        (Net.Wire_codec.read_control (Durable.Codec.reader ()) ctl = None);
       Alcotest.(check bool) "the daemon lives on" true (Deployment.status t ~dst:0 <> None))
 
 (* A control frame whose checksum holds but whose payload does not
@@ -1072,7 +1071,7 @@ let test_garbage_control_counted () =
            (Net.Wire_codec.hello ~pid:(-1) ^ Durable.Codec.encode ~kind "garbage")
           : bool);
       Alcotest.(check bool) "the garbage Inject ends the connection" true
-        (Net.Wire_codec.read_control ctl = None);
+        (Net.Wire_codec.read_control (Durable.Codec.reader ()) ctl = None);
       Alcotest.(check int) "one control decode error counted" 1 (errors ());
       (* A whole Inject whose application bytes the daemon's app cannot
          read is refused the same way, when the daemon takes the frame. *)
@@ -1085,7 +1084,7 @@ let test_garbage_control_counted () =
                (Net.Wire_codec.Inject { seq = 1; cseq = 0; payload = "garbage" }))
           : bool);
       Alcotest.(check bool) "an unreadable application payload ends the connection" true
-        (Net.Wire_codec.read_control ctl = None);
+        (Net.Wire_codec.read_control (Durable.Codec.reader ()) ctl = None);
       Alcotest.(check int) "two control decode errors counted" 2 (errors ());
       Alcotest.(check bool) "the daemon lives on" true (Deployment.status t ~dst:0 <> None))
 
@@ -1107,7 +1106,42 @@ let test_negative_brownout_refused () =
                (Net.Wire_codec.Arm_brownout { rounds = -1 }))
           : bool);
       Alcotest.(check bool) "the frame ends the connection" true
-        (Net.Wire_codec.read_control ctl = None);
+        (Net.Wire_codec.read_control (Durable.Codec.reader ()) ctl = None);
+      (match Deployment.scrape t ~dst:0 with
+      | Some (Ok snap) ->
+        Alcotest.(check int) "one control decode error counted" 1
+          (Obs.Snapshot.counter snap "control_decode_errors_total")
+      | Some (Error e) -> Alcotest.failf "scrape does not decode: %s" e
+      | None -> Alcotest.fail "the daemon died");
+      Alcotest.(check bool) "the daemon lives on" true (Deployment.status t ~dst:0 <> None))
+
+(* A control frame whose well-formed header announces
+   [max_frame_payload + 1] bytes, followed by nothing, is refused as soon
+   as the header is in: the daemon counts it in
+   [control_decode_errors_total], hangs up without waiting for the
+   payload (the client's 10 s receive timeout is what waiting would run
+   into) and lives on. *)
+let test_oversized_control_refused () =
+  with_deployment ~prefix:"test-net-oversized"
+    (fun ~root -> Deployment.launch ~n:1 ~k:1 ~seed:24 ~root ())
+    (fun t ->
+      Alcotest.(check bool) "the daemon is up" true (Deployment.status t ~dst:0 <> None);
+      let header = Bytes.make Durable.Codec.header_bytes '\000' in
+      Bytes.set header 0 Durable.Codec.magic;
+      Bytes.set header 1
+        (Net.Wire_codec.encode_control Net.Wire_codec.Status_req).[1];
+      Bytes.set_int32_le header 2 (Int32.of_int (Net.Wire_codec.max_frame_payload + 1));
+      let ctl = control_connect t ~dst:0 in
+      Fun.protect ~finally:(fun () -> Unix.close ctl) @@ fun () ->
+      ignore
+        (Net.Wire_codec.write_all ctl
+           (Net.Wire_codec.hello ~pid:(-1) ^ Bytes.to_string header)
+          : bool);
+      let t0 = Unix.gettimeofday () in
+      Alcotest.(check bool) "the header ends the connection" true
+        (Net.Wire_codec.read_control (Durable.Codec.reader ()) ctl = None);
+      let waited = Unix.gettimeofday () -. t0 in
+      if waited > 5. then Alcotest.failf "the daemon waited %.1f s for the payload" waited;
       (match Deployment.scrape t ~dst:0 with
       | Some (Ok snap) ->
         Alcotest.(check int) "one control decode error counted" 1
@@ -1384,4 +1418,6 @@ let suite =
       test_run_raise_tears_down;
     Alcotest.test_case "partition checkpoints bound a live replay, damage counted" `Slow
       test_part_ckpt_live;
+    Alcotest.test_case "a control header over max_frame_payload is refused at once" `Slow
+      test_oversized_control_refused;
   ]

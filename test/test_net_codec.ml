@@ -589,7 +589,7 @@ let decoders =
     ( map (fun e -> payload (Trace_codec.encode_entry e)) gen_trace_entry,
       fun ~kind s ->
         let load =
-          Trace_codec.decode_stream
+          Util.of_string Trace_codec.decode_stream
             (Wire_codec.hello ~pid:(-1) ^ Durable.Codec.encode ~kind s)
         in
         if load.Trace_codec.entries = [] && load.Trace_codec.damage = None then
@@ -597,7 +597,9 @@ let decoders =
     ( map (fun snap -> (0, Durable.Form.encode Wire_codec.snapshot snap)) gen_snapshot,
       fun ~kind:_ s -> ignore_result (Durable.Form.decode Wire_codec.snapshot s) );
     ( map (fun snap -> (0, Wire_codec.snapshot_file ~pid:0 snap)) gen_snapshot,
-      fun ~kind:_ s -> ignore (Wire_codec.decode_snapshots s : Obs.Snapshot.t * string option) );
+      fun ~kind:_ s ->
+        ignore (Util.of_string Wire_codec.decode_snapshots s : Obs.Snapshot.t * string option)
+    );
     ( map (fun m -> (0, kv_wire.App_model.App_intf.write m)) gen_kv_msg,
       fun ~kind:_ s -> ignore_result (kv_wire.App_model.App_intf.read s) );
     ( map (fun m -> (0, shard_wire.App_model.App_intf.write m)) gen_shard_msg,
@@ -824,6 +826,70 @@ let test_reassembly_any_reads =
           | None -> errors () = errors0
           | Some _ -> errors () = errors0 + 1 && closed ()))
 
+(* A well-formed header that announces [max_frame_payload + 1] bytes,
+   and nothing else: the one length that comes from outside the process
+   must be refused as soon as the header is in, without waiting for the
+   payload or growing a buffer for it.  A peer stream counts a decode
+   error and ends; the driver's blocking read returns [None] at once
+   (its receive timeout, 2 s, is what a reader waiting for the payload
+   would run into); in a file, a length past the end is a torn tail. *)
+let oversized_header =
+  let h = Bytes.make Durable.Codec.header_bytes '\000' in
+  Bytes.set h 0 Durable.Codec.magic;
+  Bytes.set h 1 '\002';
+  Bytes.set_int32_le h 2 (Int32.of_int (Wire_codec.max_frame_payload + 1));
+  Bytes.to_string h
+
+let test_oversized_header_refused () =
+  let transport, port, obs, got = Lazy.force reassembly_rig in
+  got := [];
+  let errors () =
+    Obs.Snapshot.counter (Obs.Registry.snapshot obs) "transport_decode_errors_total"
+  in
+  let errors0 = errors () in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.;
+      ignore (Wire_codec.write_all fd (Wire_codec.hello ~pid:5 ^ oversized_header) : bool);
+      let deadline = Unix.gettimeofday () +. 2. in
+      while errors () = errors0 && Unix.gettimeofday () < deadline do
+        Net.Transport.poll transport ~timeout:0.05
+      done;
+      Alcotest.(check int) "peer stream: one decode error" (errors0 + 1) (errors ());
+      Alcotest.(check bool) "peer stream: connection ended" true
+        (match Unix.read fd (Bytes.create 1) 0 1 with
+        | 0 -> true
+        | _ -> false
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true));
+  let rd, wr = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close rd;
+      Unix.close wr)
+    (fun () ->
+      Unix.setsockopt_float rd Unix.SO_RCVTIMEO 2.;
+      ignore (Wire_codec.write_all wr oversized_header : bool);
+      let reader = Durable.Codec.reader () in
+      let t0 = Unix.gettimeofday () in
+      Alcotest.(check bool) "blocking read: None" true (Wire_codec.read_frame reader rd = None);
+      let waited = Unix.gettimeofday () -. t0 in
+      if waited > 1. then Alcotest.failf "blocking read waited %.2f s for the payload" waited;
+      if Durable.Codec.capacity reader > 4096 then
+        Alcotest.failf "blocking read grew its buffer to %d bytes"
+          (Durable.Codec.capacity reader));
+  let first = Durable.Codec.encode ~kind:2 "first" in
+  List.iter
+    (fun (what, rest) ->
+      Alcotest.(check bool) what true
+        (Util.frames_of (first ^ rest) = ([ (2, "first") ], String.length first, Durable.Codec.Torn)))
+    [
+      ("file: a length past the end is torn", String.sub (Durable.Codec.encode ~kind:2 "second") 0 14);
+      ("file: an oversized header is torn", oversized_header);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Mutation                                                            *)
 
@@ -869,7 +935,7 @@ let test_trace_stream_tear =
       let whole = hello ^ String.concat "" (List.map Trace_codec.encode_entry entries) in
       let cut = cut_seed mod (String.length whole + 1) in
       let torn = String.sub whole 0 cut in
-      let load = Trace_codec.decode_stream torn in
+      let load = Util.of_string Trace_codec.decode_stream torn in
       let rec is_prefix xs ys =
         match (xs, ys) with
         | [], _ -> true
@@ -885,87 +951,6 @@ let test_trace_stream_tear =
         || hello ^ String.concat "" (List.map Trace_codec.encode_entry load.Trace_codec.entries)
            = torn
       | Some _ -> true)
-
-(* ------------------------------------------------------------------ *)
-(* One frame format: store records and wire frames, each way            *)
-
-(* Feed [bytes] through a pipe into a socket [Reader] in chunks of the
-   given sizes, taking every frame it yields. *)
-let reader_frames bytes sizes =
-  let rd, wr = Unix.pipe ~cloexec:true () in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.close rd;
-      Unix.close wr)
-    (fun () ->
-      let reader = Wire_codec.Reader.create () in
-      let rec take acc =
-        match Wire_codec.Reader.next reader with
-        | Some (Ok f) -> take (f :: acc)
-        | Some (Error e) -> Alcotest.failf "reader refused a store record: %s" e
-        | None -> acc
-      in
-      let rec feed pos sizes acc =
-        if pos = String.length bytes then List.rev acc
-        else begin
-          let size, rest = match sizes with [] -> (max_int, []) | n :: r -> (n, r) in
-          let n = min size (String.length bytes - pos) in
-          ignore (Wire_codec.write_all wr (String.sub bytes pos n) : bool);
-          ignore (Wire_codec.Reader.read reader rd : [ `Read | `Again | `Eof ]);
-          feed (pos + n) rest (take acc)
-        end
-      in
-      feed 0 sizes [])
-
-let test_store_record_through_reader =
-  qtest ~count:100 "store records read by the socket Reader in chunks"
-    (pair
-       (list_size (int_range 1 12) (string_size (int_bound 300)))
-       (list_size (int_range 1 40) (int_range 1 64)))
-    (fun (payloads, sizes) ->
-      let fs = Durable.Fs.mem () in
-      let store = Durable.Durable_store.open_ ~fs ~dir:"s" () in
-      List.iter (Durable.Durable_store.append_volatile store) payloads;
-      ignore (Durable.Durable_store.flush store : int);
-      let bytes =
-        fs.Durable.Fs.readdir "s"
-        |> List.filter (fun f -> String.starts_with ~prefix:"seg-" f)
-        |> List.sort compare
-        |> List.map (fun f -> fs.Durable.Fs.read (Filename.concat "s" f))
-        |> String.concat ""
-      in
-      Durable.Durable_store.kill store;
-      let scan = Durable.Codec.scan bytes in
-      scan.Durable.Codec.tail = Durable.Codec.Clean
-      && List.length scan.Durable.Codec.records >= List.length payloads
-      && reader_frames bytes sizes = scan.Durable.Codec.records)
-
-let test_wire_frame_through_fold_input =
-  qtest ~count:300 "wire frames read by the store's fold_input"
-    (pair (list_size (int_range 1 8) gen_frame) (int_range 1 64))
-    (fun (frames, chunk) ->
-      let s = String.concat "" frames in
-      let at = ref 0 in
-      let input b off len =
-        let n = min (min len chunk) (String.length s - !at) in
-        Bytes.blit_string s !at b off n;
-        at := !at + n;
-        n
-      in
-      let got, valid, tail =
-        Durable.Codec.fold_input ~size:(String.length s) ~input ~init:[]
-          ~f:(fun acc ~pos:_ ~kind b ~off ~len -> (kind, Bytes.sub_string b off len) :: acc)
-          ()
-      in
-      let expected =
-        List.map
-          (fun f ->
-            match Wire_codec.decode_frame f ~pos:0 with
-            | Ok (kind, body, _) -> (kind, body)
-            | Error e -> Alcotest.failf "generated frame undecodable: %s" e)
-          frames
-      in
-      tail = Durable.Codec.Clean && valid = String.length s && List.rev got = expected)
 
 (* A Hello of [version] naming [pid], built by hand: only the wire codec
    makes one of the current version. *)
@@ -1012,10 +997,10 @@ let test_wrong_version_refused () =
         | _ -> false
         | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true));
   let entry = { Trace.time = 1.; seq = 0; ev = Trace.Notice_sent { pid = 0; entries = 1 } } in
-  let load = Trace_codec.decode_stream (stale ^ Trace_codec.encode_entry entry) in
+  let load = Util.of_string Trace_codec.decode_stream (stale ^ Trace_codec.encode_entry entry) in
   Alcotest.(check int) "no trace entry kept" 0 (List.length load.Trace_codec.entries);
   Alcotest.(check bool) "refusal reported" true (load.Trace_codec.damage <> None);
-  let load = Trace_codec.decode_stream (Trace_codec.encode_entry entry) in
+  let load = Util.of_string Trace_codec.decode_stream (Trace_codec.encode_entry entry) in
   Alcotest.(check bool) "a trace file without a Hello is refused" true
     (load.Trace_codec.entries = [] && load.Trace_codec.damage <> None)
 
@@ -1078,7 +1063,7 @@ let test_huge_length_is_an_error () =
             { pid = 0; id = { Wire.out_interval = e; out_idx = 0 }; text = "" }))
   in
   match
-    Trace_codec.decode_stream
+    Util.of_string Trace_codec.decode_stream
       (Wire_codec.hello ~pid:(-1) ^ Trace_codec.encode_entry good
       ^ Durable.Codec.encode ~kind:(kind bad) (plant_max_length (body bad)))
   with
@@ -1125,8 +1110,6 @@ let suite =
     test_packet_single_byte_mutation;
     test_kv_payload_mutation;
     test_trace_stream_tear;
-    test_store_record_through_reader;
-    test_wire_frame_through_fold_input;
     Alcotest.test_case "peer and trace streams with a wrong-version Hello refused"
       `Quick test_wrong_version_refused;
     Alcotest.test_case "every record keeps the bytes of wire_frames.hex" `Quick
@@ -1136,4 +1119,6 @@ let suite =
     test_shard_roundtrip;
     test_decoders_never_raise;
     Alcotest.test_case "an unknown tag's Error names its table" `Quick test_unknown_tag_named;
+    Alcotest.test_case "a header over max_frame_payload is refused at once" `Quick
+      test_oversized_header_refused;
   ]

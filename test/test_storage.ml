@@ -400,9 +400,9 @@ module Conformance (B : BACKEND) = struct
     let name = List.nth segs mid in
     let path = Filename.concat dir name in
     let start = int_of_string (String.sub name 4 12) in
-    let scanned = Durable.Codec.scan (fs.read path) in
+    let frames, _, _ = Util.frames_of (fs.read path) in
     (* the segment's last record, so a good record precedes it *)
-    let victim = List.length scanned.Durable.Codec.records - 1 in
+    let victim = List.length frames - 1 in
     let b = Buffer.create 128 in
     let victim_off = ref 0 in
     List.iteri
@@ -412,7 +412,7 @@ module Conformance (B : BACKEND) = struct
           Durable.Codec.encode_into b ~kind (damage payload)
         end
         else Durable.Codec.encode_into b ~kind payload)
-      scanned.Durable.Codec.records;
+      frames;
     Fs.write_file fs ~fsync:false path (Buffer.contents b);
     let later = List.filteri (fun i _ -> i > mid) segs in
     let expected_dropped =

@@ -45,6 +45,31 @@ let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)
 
+(* Frames *)
+
+(* [f size input] over the bytes of [s], as [Fs.t.read_with] gives a
+   file's: a file's decoder fed a string. *)
+let of_string f s =
+  let at = ref 0 in
+  f (String.length s) (fun b pos len ->
+      let n = Int.min len (String.length s - !at) in
+      Bytes.blit_string s !at b pos n;
+      at := !at + n;
+      n)
+
+(* Every frame of [s], [(kind, payload)] oldest first, read whole through
+   the one frame reader as a file of [String.length s] bytes, with the
+   valid prefix's length and the tail. *)
+let frames_of s =
+  let got, valid, tail =
+    of_string
+      (fun size input ->
+        Durable.Codec.frames ~size input ~init:[] ~f:(fun acc ~pos:_ ~kind b ~off ~len ->
+            (kind, Bytes.sub_string b off len) :: acc))
+      s
+  in
+  (List.rev got, valid, tail)
+
 (* A minimal driver that feeds packets to a single node and records its
    outgoing actions, without network, timers or time costs.  Tests drive
    protocol routines one call at a time and inspect the node in between.
