@@ -48,16 +48,22 @@
    most events one iteration took is the [batch_high_water] gauge.
 
    Resident memory.  On the benchmark's steady workload a daemon's
-   resident peak is ~3.5 MB: ~1.55 MB file-backed and ~2.0 MB anonymous.
+   resident peak is ~2.9 MB: ~0.97 MB file-backed and ~1.95 MB anonymous.
    The file-backed part is this binary's text, 1.69 MB with the part of
-   libc it calls, of which ~1.33 MB is resident, and 192 KB of its
-   rodata.  Fault-around maps file pages in 64 KB windows aligned in the
-   address space, and boot (the module initialisers, the argv loop, the
-   store's open, the restart) touches nearly every window of the text,
-   which kept ~1.65 MB of it resident for the daemon's life.  So boot
-   ends by dropping the pages of the binary's read-only segments
-   ([drop_read_only_mappings]), and only the windows the loop runs fault
-   back in.  Of the rodata three windows come back, 48 pages: the first
+   libc it calls, of which ~0.74 MB (189 pages) is resident, and 192 KB
+   of its rodata.  Fault-around maps file pages in 64 KB windows aligned
+   in the address space, and boot (the module initialisers, the argv
+   loop, the store's open, the restart) runs much code the loop never
+   runs.  So boot ends by dropping the pages of the binary's read-only
+   segments ([drop_read_only_mappings]), and only the windows the loop
+   runs fault back in.  Those are few because the code a daemon runs is
+   linked first, the loop's before boot's, in one .text.hot section
+   (bin/dune, bin/koptnode_hot.ld): ~12 windows of text.  Linked in
+   ocamlopt's order the loop's ~200 KB of functions sat among ~1.5 MB of
+   code it never runs, in 22 of the text's 27 windows, ~1.36 MB
+   resident (~1.65 MB without the drop), and the peak was ~3.5 MB.  A
+   freshly booted daemon's VmHWM is ~2,000 KB (~2,650 KB then).  Of the
+   rodata three windows come back, 48 pages: the first
    holds libm's tables (__exp_data, __log2_data, __sincostab), the others
    glibc's power-of-ten table and the C locale's tables; as the text
    before them grows they may span one window more or fewer.  The

@@ -13,13 +13,16 @@ let message ~origin (e : Entry.t) ~idx =
 
 let message_origin k = field k ~at:0 7 - 1
 let message_idx k = field k ~at:7 10
-let message_interval k = Entry.make ~inc:(field k ~at:17 9) ~sii:(k lsr 26)
+let message_inc k = field k ~at:17 9
+let message_sii k = k lsr 26
+let message_interval k = Entry.make ~inc:(message_inc k) ~sii:(message_sii k)
 
 (* From the top: sii 38, inc 10, idx 14. *)
 let output (e : Entry.t) ~idx = push (push (push 0 38 e.sii) 10 e.inc) 14 idx
 
 let output_idx k = field k ~at:0 14
-let output_interval k = Entry.make ~inc:(field k ~at:14 10) ~sii:(k lsr 24)
+let output_sii k = k lsr 24
+let output_interval k = Entry.make ~inc:(field k ~at:14 10) ~sii:(output_sii k)
 
 let pair a b = push (push 0 16 a) 46 (b + 1)
 let pair_fst k = k lsr 46
@@ -62,11 +65,20 @@ let fold f t acc =
     (fun p q acc -> f (t.key.unpack p) (t.value.unpack q) acc)
     t.packed (Hashtbl.fold f t.boxed acc)
 
-let filter f t =
-  let packed = Ints.create 16 and boxed = Hashtbl.create 1 in
-  Ints.iter
-    (fun p q -> if f (t.key.unpack p) (t.value.unpack q) then Ints.replace packed p q)
-    t.packed;
-  Hashtbl.iter (fun k v -> if f k v then Hashtbl.replace boxed k v) t.boxed;
-  t.packed <- packed;
-  t.boxed <- boxed
+(* The ints are filtered in place: a kept binding is neither unpacked nor
+   copied, and only a dropped one costs a list cell.  Removing does not
+   shrink a Hashtbl's bucket array, so a table left with fewer bindings
+   than a quarter of its buckets is rebuilt at its new size. *)
+let filter ~packed f t =
+  let dropped = Ints.fold (fun p q acc -> if packed p q then acc else p :: acc) t.packed [] in
+  if dropped <> [] then begin
+    List.iter (Ints.remove t.packed) dropped;
+    let n = Ints.length t.packed in
+    if 4 * n < (Ints.stats t.packed).Hashtbl.num_buckets then begin
+      let fresh = Ints.create n in
+      Ints.iter (Ints.add fresh) t.packed;
+      t.packed <- fresh
+    end
+  end;
+  if Hashtbl.length t.boxed > 0 then
+    Hashtbl.filter_map_inplace (fun k v -> if f k v then Some v else None) t.boxed

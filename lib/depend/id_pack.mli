@@ -24,12 +24,19 @@ val message_origin : int -> int
 val message_interval : int -> Entry.t
 val message_idx : int -> int
 
+val message_inc : int -> int
+val message_sii : int -> int
+(** The origin interval's incarnation and index, without building it. *)
+
 val output : Entry.t -> idx:int -> int
 (** An output identity: the interval's incarnation in 10 bits and index in
     38, and the output's rank [idx] in 14. *)
 
 val output_interval : int -> Entry.t
 val output_idx : int -> int
+
+val output_sii : int -> int
+(** The interval's index, without building it. *)
 
 val pair : int -> int -> int
 (** [pair a b], [a] in 16 bits and [b + 1] in 46: a channel (epoch,
@@ -55,7 +62,12 @@ val replace : ('k, 'v) t -> 'k -> 'v -> unit
 val fold : ('k -> 'v -> 'a -> 'a) -> ('k, 'v) t -> 'a -> 'a
 (** In no particular order. *)
 
-val filter : ('k -> 'v -> bool) -> ('k, 'v) t -> unit
-(** Keep the bindings [f] accepts, calling [f] once on each.  The table
+val filter : packed:(int -> int -> bool) -> ('k -> 'v -> bool) -> ('k, 'v) t -> unit
+(** Keep the bindings the predicate accepts, calling it once on each: a
+    binding held packed is decided by [packed] on its key's and value's
+    ints, which must answer as [f] would on the unpacked pair, and a
+    side-table binding by [f].  The ints are filtered in place, so
+    keeping a packed binding allocates nothing, whatever the table's
+    size.  A table left with fewer bindings than a quarter of its buckets
     is rebuilt, so its size follows what it keeps, not its high-water
     mark. *)

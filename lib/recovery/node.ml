@@ -568,15 +568,19 @@ let own_notice t =
    still re-release, and what it already did.  Direct tracking's vectors
    prove nothing about remote dependencies, so it never folds — as it never
    collects logs. *)
-let foldable t (id : Wire.identity) ~epoch ~cseq =
+let foldable_at t ~origin ~inc ~sii ~epoch ~cseq =
   cseq >= 0
-  && (id.origin = App_intf.outside_world
+  && (origin = App_intf.outside_world
      ||
-     let f = floor_of t id.origin and o = id.origin_interval in
-     o.inc >= Stdlib.max epoch f.inc && o.sii < f.sii)
+     let f = floor_of t origin in
+     inc >= Stdlib.max epoch f.inc && sii < f.sii)
 
-let fold t (id : Wire.identity) ~epoch ~cseq =
-  let key = (id.origin, epoch) in
+let foldable t (id : Wire.identity) ~epoch ~cseq =
+  let o = id.origin_interval in
+  foldable_at t ~origin:id.origin ~inc:o.inc ~sii:o.sii ~epoch ~cseq
+
+let fold t ~origin ~epoch ~cseq =
+  let key = (origin, epoch) in
   let runs = Option.value (Hashtbl.find_opt t.chans key) ~default:Seq_set.empty in
   Hashtbl.replace t.chans key (Seq_set.add cseq runs)
 
@@ -591,7 +595,7 @@ let commit_upto t (upto : Entry.t) =
       (fun id dl ->
         if dl.dl_interval.sii > upto.sii then Hashtbl.replace open_ id dl
         else if foldable t id ~epoch:dl.dl_epoch ~cseq:dl.dl_cseq then
-          fold t id ~epoch:dl.dl_epoch ~cseq:dl.dl_cseq
+          fold t ~origin:id.origin ~epoch:dl.dl_epoch ~cseq:dl.dl_cseq
         else Id_pack.replace t.held id (dl.dl_epoch, dl.dl_cseq))
       t.delivered;
     t.delivered <- open_
@@ -624,18 +628,29 @@ let fold_committed t =
     let floor = List.fold_left (fun acc cp -> Stdlib.min acc cp.cp_floor) max_int kept in
     t.floor <- Stdlib.max t.floor floor;
     (* Neither restart nor rollback regenerates or re-instates a send or
-       an output from below the floor again. *)
+       an output from below the floor again.  The packed bindings are
+       read as ints (the packings are Wire's), so a kept entry costs no
+       allocation. *)
     Id_pack.filter
+      ~packed:(fun p _ -> Id_pack.message_sii p >= t.floor)
       (fun (id : Wire.identity) () -> id.origin_interval.sii >= t.floor)
       t.released_ids;
     Id_pack.filter
+      ~packed:(fun p _ -> Id_pack.output_sii p >= t.floor)
       (fun (oid : Wire.output_id) () -> oid.out_interval.sii >= t.floor)
       t.committed_ids;
+    let keep ~origin ~inc ~sii ~epoch ~cseq =
+      let folds = foldable_at t ~origin ~inc ~sii ~epoch ~cseq in
+      if folds then fold t ~origin ~epoch ~cseq;
+      not folds
+    in
     Id_pack.filter
-      (fun id (epoch, cseq) ->
-        let folds = foldable t id ~epoch ~cseq in
-        if folds then fold t id ~epoch ~cseq;
-        not folds)
+      ~packed:(fun p q ->
+        keep ~origin:(Id_pack.message_origin p) ~inc:(Id_pack.message_inc p)
+          ~sii:(Id_pack.message_sii p) ~epoch:(Id_pack.pair_fst q) ~cseq:(Id_pack.pair_snd q))
+      (fun (id : Wire.identity) (epoch, cseq) ->
+        let o = id.origin_interval in
+        keep ~origin:id.origin ~inc:o.inc ~sii:o.sii ~epoch ~cseq)
       t.held;
     commit_upto t anchor.cp_interval
   | Some _ | None -> ()

@@ -100,7 +100,9 @@ let table_law name key value gen_key gen_value =
             Hashtbl.replace reference pool.(i) v
           | Prune salt ->
             let keep k v = Hashtbl.hash (salt, k, v) mod 3 <> 0 in
-            Id_pack.filter keep !table;
+            Id_pack.filter
+              ~packed:(fun p q -> keep (key.Id_pack.unpack p) (value.Id_pack.unpack q))
+              keep !table;
             Hashtbl.filter_map_inplace (fun k v -> if keep k v then Some v else None) reference
           | Round_trip ->
             let fresh = Id_pack.create key value in
@@ -137,9 +139,43 @@ let test_side_table () =
   let bindings = Id_pack.fold (fun k v acc -> (k, v) :: acc) t [] in
   Alcotest.(check bool) "values kept" true
     (List.sort compare bindings = List.sort compare [ (wide, (0, 1)); (narrow, (2, 3)) ]);
-  Id_pack.filter (fun k _ -> k = narrow) t;
+  Id_pack.filter
+    ~packed:(fun p _ -> p = Wire.identity_packing.pack narrow)
+    (fun k _ -> k = narrow)
+    t;
   Alcotest.(check bool) "pruned from the side table" false (Id_pack.mem t wide);
   Alcotest.(check bool) "packed one kept" true (Id_pack.mem t narrow)
+
+(* A full checkpoint filters every exactly-once table, so a filter that
+   keeps what it finds must not allocate per binding: the words a keeping
+   filter allocates are the same for 100 and for 10,000 held entries, and
+   a handful.  Dropping most of the entries leaves the table sparse, and
+   it is rebuilt at its new size. *)
+let test_filter_in_place () =
+  let table n =
+    let t = Id_pack.create Wire.identity_packing Wire.position_packing in
+    for i = 0 to n - 1 do
+      let id = { Wire.origin = i mod 4; origin_interval = Entry.make ~inc:1 ~sii:i; idx = 0 } in
+      Id_pack.replace t id (1, i)
+    done;
+    t
+  in
+  let words_to_keep t =
+    let before = Gc.minor_words () in
+    Id_pack.filter ~packed:(fun p _ -> Id_pack.message_sii p >= 0) (fun _ _ -> true) t;
+    Gc.minor_words () -. before
+  in
+  let small = words_to_keep (table 100) and large_t = table 10_000 in
+  let large = words_to_keep large_t in
+  Alcotest.(check int) "all kept" 10_000 (Id_pack.length large_t);
+  if large > small +. 8. || large > 64. then
+    Alcotest.failf "keeping 10,000 packed bindings allocated %.0f words (100: %.0f)" large small;
+  Id_pack.filter ~packed:(fun p _ -> Id_pack.message_sii p < 10) (fun _ _ -> false) large_t;
+  Alcotest.(check int) "ten kept" 10 (Id_pack.length large_t);
+  let id = { Wire.origin = 3; origin_interval = Entry.make ~inc:1 ~sii:7; idx = 0 } in
+  Alcotest.(check bool) "a kept one is found" true (Id_pack.mem large_t id);
+  let words = Obj.reachable_words (Obj.repr large_t) in
+  if words > 1_000 then Alcotest.failf "a table of 10 bindings holds %d words" words
 
 let suite =
   [
@@ -148,4 +184,6 @@ let suite =
     law_identities;
     law_outputs;
     Alcotest.test_case "side table: wide keys and values" `Quick test_side_table;
+    Alcotest.test_case "a filter that keeps allocates nothing per binding" `Quick
+      test_filter_in_place;
   ]

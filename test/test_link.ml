@@ -9,8 +9,9 @@
    the glibc functions that would need the build host's shared libraries
    at run time.  Its frame descriptors must stay at 8,192 or fewer, which
    keeps the runtime's descriptor table at 128 KB, and it must link no
-   Stdlib.Format, Arg or Filename.  The checks read the ELF64 headers
-   directly.  The command-line test runs the hand-parsed command line. *)
+   Stdlib.Format, Arg or Filename, and the code a daemon runs must come
+   first, in .text.hot.  The checks read the ELF64 headers directly.  The
+   command-line test runs the hand-parsed command line. *)
 
 module Deployment = Net.Deployment
 
@@ -439,6 +440,52 @@ let test_koptnode_dropped_segments_unwritten () =
         written)
     dropped
 
+(* The sections, as (name, flags, address, size), in header order. *)
+let sections elf =
+  let shoff = u64 elf 40 and shentsize = u16 elf 58 and shnum = u16 elf 60 in
+  let section i = shoff + (i * shentsize) in
+  let names = u64 elf (section (u16 elf 62) + 24) in
+  List.init shnum (fun i ->
+      let sh = section i in
+      (c_string elf (names + u32 elf sh), u64 elf (sh + 8), u64 elf (sh + 16), u64 elf (sh + 32)))
+
+let shf_execinstr = 4
+
+(* The code a daemon runs is linked first, into .text.hot
+   (bin/koptnode_hot.ld), so that once boot has dropped the read-only pages
+   the loop faults back a few 64 KB windows of text rather than nearly all
+   of them.  The section holds ~1.0 MB: this repository's libraries,
+   koptnode's objects, and the members of the OCaml and C libraries a
+   daemon ran when the script was profiled.  The script names archives by
+   path: one that no longer matches (a renamed library or archive) shrinks
+   the section below the lower bound, and a pattern that takes a whole
+   toolchain archive grows it past the upper one. *)
+let test_koptnode_hot_text () =
+  let elf = read_koptnode () in
+  let exec =
+    List.filter (fun (_, flags, addr, _) -> flags land shf_execinstr <> 0 && addr > 0)
+      (sections elf)
+  in
+  let name, _, addr, size =
+    match List.sort (fun (_, _, a, _) (_, _, b, _) -> compare a b) exec with
+    | first :: _ -> first
+    | [] -> Alcotest.fail "no executable section"
+  in
+  Alcotest.(check string) "first executable section" ".text.hot" name;
+  (match List.find_opt (fun s -> s.p_type = pt_load && s.p_flags land 1 <> 0) (segments elf) with
+  | Some text -> Alcotest.(check int) ".text.hot starts the text segment" text.vaddr addr
+  | None -> Alcotest.fail "no executable PT_LOAD");
+  if size < 896 * 1024 || size > 1280 * 1024 then
+    Alcotest.failf ".text.hot is %d bytes, want 896-1,280 KB" size;
+  let values = symbol_values elf ~sh_type:sht_symtab in
+  List.iter
+    (fun sym ->
+      match List.assoc_opt sym values with
+      | Some v when addr <= v && v < addr + size -> ()
+      | Some v -> Alcotest.failf "%s at 0x%x is outside .text.hot" sym v
+      | None -> Alcotest.failf "no symbol %s" sym)
+    [ "camlRecovery__Node.code_begin"; "camlDune__exe__Koptnode.code_begin"; "caml_alloc_shr" ]
+
 let suite =
   [
     Alcotest.test_case "koptnode: PIE, small first segment, no caml exports" `Quick
@@ -457,4 +504,6 @@ let suite =
       test_koptnode_frame_descriptors;
     Alcotest.test_case "koptnode: the segments it drops after boot are never written"
       `Quick test_koptnode_dropped_segments_unwritten;
+    Alcotest.test_case "koptnode: the code a daemon runs comes first, in .text.hot" `Quick
+      test_koptnode_hot_text;
   ]
