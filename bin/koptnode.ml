@@ -48,22 +48,26 @@
    most events one iteration took is the [batch_high_water] gauge.
 
    Resident memory.  On the benchmark's steady workload a daemon's
-   resident peak is ~2.9 MB: ~0.97 MB file-backed and ~1.95 MB anonymous.
-   The file-backed part is this binary's text, 1.69 MB with the part of
-   libc it calls, of which ~0.74 MB (189 pages) is resident, and 192 KB
-   of its rodata.  Fault-around maps file pages in 64 KB windows aligned
-   in the address space, and boot (the module initialisers, the argv
-   loop, the store's open, the restart) runs much code the loop never
-   runs.  So boot ends by dropping the pages of the binary's read-only
-   segments ([drop_read_only_mappings]), and only the windows the loop
-   runs fault back in.  Those are few because the code a daemon runs is
-   linked first, the loop's before boot's, in one .text.hot section
-   (bin/dune, bin/koptnode_hot.ld): ~12 windows of text.  Linked in
-   ocamlopt's order the loop's ~200 KB of functions sat among ~1.5 MB of
-   code it never runs, in 22 of the text's 27 windows, ~1.36 MB
+   resident peak is ~2.44 MB: ~0.53 MB file-backed and ~1.95 MB
+   anonymous.  The file-backed part is this binary's text, 1.74 MB with
+   the part of libc it calls, of which ~0.31 MB (80 pages) is resident,
+   and 192 KB of its rodata.  Fault-around maps file pages in 64 KB
+   windows aligned in the address space, and boot (the module
+   initialisers, the argv loop, the store's open, the restart) runs much
+   code the loop never runs.  So boot ends by dropping the pages of the
+   binary's read-only segments ([drop_read_only_mappings]), and only the
+   windows the loop runs fault back in.  Those are few because the
+   functions a daemon runs are linked first, one function at a time, in
+   one .text.hot section (bin/dune, bin/koptnode_hot.ld), boot's before
+   the loop's, and the loop's ~310 KB from a window's start: 5 windows
+   of text.  When the script placed whole objects the loop's functions
+   shared ~12 windows with the rest of their modules (189 pages, a peak
+   of ~2.87 MB); linked in ocamlopt's order they sat among ~1.5 MB of
+   code the loop never runs, in 22 of the text's 27 windows, ~1.36 MB
    resident (~1.65 MB without the drop), and the peak was ~3.5 MB.  A
-   freshly booted daemon's VmHWM is ~2,000 KB (~2,650 KB then).  Of the
-   rodata three windows come back, 48 pages: the first
+   freshly booted daemon's file-backed resident set is ~470 KB (~900 KB
+   with whole objects, ~1.3 MB in ocamlopt's order).  Of the rodata three
+   windows come back, 48 pages: the first
    holds libm's tables (__exp_data, __log2_data, __sincostab), the others
    glibc's power-of-ten table and the C locale's tables; as the text
    before them grows they may span one window more or fewer.  The
@@ -76,14 +80,15 @@
    back only from the top of the heap, so after each full checkpoint,
    where such blocks come and go in bulk, [malloc_trim] returns the
    heap's free pages: on burst the heap tops at ~0.27-0.36 MB against
-   ~0.47-0.57 MB without.  On burst the peak is ~4.2 MB: the major heap
+   ~0.47-0.57 MB without.  On burst the peak is ~3.1 MB: the major heap
    tops at ~185-200k words, held by the allocation churn of the store's Marshal
    path and by the exactly-once tables ([held], [released_ids],
    [committed_ids] in Node), which keep one checkpoint interval of
    traffic, up to a few thousand entries a table there.  Their keys are
    identities packed into one int ([Depend.Id_pack]), ~4.6 words an
    entry where record keys took ~12 (B15), which took burst's peak from
-   ~5.0 MB to ~4.6 MB (the drop and the trim took it to ~4.2 MB).  It
+   ~5.0 MB to ~4.6 MB (the drop and the trim took it to ~4.2 MB, and
+   the hot text to ~3.1 MB).  It
    is a static PIE, so it maps no dynamic loader and no libc.so or libm.so (~1.9 MB when it was
    linked dynamically; see bin/dune).  The binary links only what the
    daemon runs: no Cmdliner and no [Stdlib.Arg] (the flags are parsed

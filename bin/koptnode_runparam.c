@@ -143,16 +143,17 @@ __attribute__((constructor)) static void koptnode_runparam(void)
    restart) runs code the loop never runs: linked in ocamlopt's order it
    touched nearly every window of the text (~1.65 MB resident), and with
    the code a daemon runs linked first, in .text.hot (bin/dune,
-   koptnode_hot.ld), it touches that ~1 MB section and a few windows
+   koptnode_hot.ld), it touches that ~660 KB section and a few windows
    besides.  MADV_RANDOM does not help: it does not stop fault-around.
 
    So once boot is over the daemon tells the kernel it no longer needs
    the pages of every PT_LOAD segment without PF_W (MADV_DONTNEED); the
    windows the loop runs fault back in, the rest stay on disk, or in the
-   page cache, out of this process's resident set.  The loop's objects
-   come first in .text.hot, boot's after them, so on steady ~12 windows
-   of text come back, 189 pages (349 when the loop's code sat among cold
-   code in 22 of the text's 27 windows).  For a private file
+   page cache, out of this process's resident set.  The loop's functions
+   are packed together at the end of .text.hot, boot's before them, so on
+   steady ~6 windows of text come back, ~100 pages (189 when whole objects
+   were placed, 349 when the loop's code sat among cold code in 22 of the
+   text's 27 windows).  For a private file
    mapping that was never written, MADV_DONTNEED only removes the page
    table entries: the next access maps the same page-cache page again,
    with the same bytes, as the kernel may do itself when it reclaims a

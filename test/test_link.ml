@@ -10,8 +10,9 @@
    at run time.  Its frame descriptors must stay at 8,192 or fewer, which
    keeps the runtime's descriptor table at 128 KB, and it must link no
    Stdlib.Format, Arg or Filename, and the code a daemon runs must come
-   first, in .text.hot.  The checks read the ELF64 headers directly.  The
-   command-line test runs the hand-parsed command line. *)
+   first, in .text.hot, inside the code fragment the runtime registers.
+   The checks read the ELF64 headers directly.  The command-line test runs
+   the hand-parsed command line. *)
 
 module Deployment = Net.Deployment
 
@@ -101,9 +102,10 @@ let needed elf =
     let strtab = file_offset elf (List.assoc dt_strtab entries) in
     List.map (fun off -> c_string elf (strtab + off)) needs
 
-(* The (name, value) of every symbol in every section of type [sh_type]
-   ([.symtab] or [.dynsym]), names read through its linked string table. *)
-let symbol_values elf ~sh_type =
+(* The (name, value, st_info) of every symbol in every section of type
+   [sh_type] ([.symtab] or [.dynsym]), names read through its linked
+   string table. *)
+let symbol_entries elf ~sh_type =
   let shoff = u64 elf 40 and shentsize = u16 elf 58 and shnum = u16 elf 60 in
   let section i = shoff + (i * shentsize) in
   let name_at strtab off = c_string elf (u64 elf (section strtab + 24) + off) in
@@ -116,10 +118,21 @@ let symbol_values elf ~sh_type =
         let entsize = u64 elf (sh + 56) and strtab = u32 elf (sh + 40) in
         List.init (size / entsize) (fun j ->
             let sym = off + (j * entsize) in
-            (name_at strtab (u32 elf sym), u64 elf (sym + 8))))
+            (name_at strtab (u32 elf sym), u64 elf (sym + 8), Char.code elf.[sym + 4])))
     (List.init shnum Fun.id)
 
+let symbol_values elf ~sh_type =
+  List.map (fun (name, v, _) -> (name, v)) (symbol_entries elf ~sh_type)
+
 let symbols elf ~sh_type = List.map fst (symbol_values elf ~sh_type)
+
+let stt_func = 2
+
+(* The functions of the full symbol table, as (name, address). *)
+let functions elf =
+  List.filter_map
+    (fun (name, v, info) -> if info land 0xf = stt_func then Some (name, v) else None)
+    (symbol_entries elf ~sh_type:sht_symtab)
 
 let read_koptnode () =
   In_channel.with_open_bin (Deployment.find_exe None) In_channel.input_all
@@ -451,15 +464,68 @@ let sections elf =
 
 let shf_execinstr = 4
 
+(* The script koptnode links with, as the build copies it for the link. *)
+let hot_script = "../bin/koptnode_hot.ld"
+
+let hot_loop_start = "koptnode_hot_loop_start"
+
+(* [s] without [prefix], if it starts with it. *)
+let strip prefix s =
+  if String.starts_with ~prefix s then
+    Some (String.sub s (String.length prefix) (String.length s - String.length prefix))
+  else None
+
+(* The script's function patterns, as the function each names: an input
+   section [*(.text.caml.<symbol>)] is OCaml's function <symbol>,
+   [*(.text.unlikely.<name>)] the cold part <name>.cold of a C function,
+   [*(.text.startup.<name>)] a C function GCC runs once (main), and
+   [*(.text.<name>)] the C function <name>.  The line that takes every
+   module's code_begin names no function. *)
+let hot_function_patterns () =
+  In_channel.with_open_text hot_script In_channel.input_lines
+  |> List.filter_map (fun line ->
+         match strip "*(.text." (String.trim line) with
+         | Some rest when not (String.ends_with ~suffix:".code_begin)" rest) ->
+           let section = String.sub rest 0 (String.length rest - 1) in
+           Some
+             (match
+                (strip "caml." section, strip "unlikely." section, strip "startup." section)
+              with
+             | Some sym, _, _ -> sym
+             | None, Some name, _ -> name ^ ".cold"
+             | None, None, Some name -> name
+             | None, None, None -> section)
+         | Some _ | None -> None)
+
+(* [name] up to the stamp ocamlopt appends to a function's name
+   ([deliver_1686] -> [deliver_]), if it has one. *)
+let unstamped name =
+  match String.rindex_opt name '_' with
+  | Some i
+    when i + 1 < String.length name
+         && String.for_all
+              (fun c -> '0' <= c && c <= '9')
+              (String.sub name (i + 1) (String.length name - i - 1)) ->
+    Some (String.sub name 0 (i + 1))
+  | Some _ | None -> None
+
 (* The code a daemon runs is linked first, into .text.hot
    (bin/koptnode_hot.ld), so that once boot has dropped the read-only pages
    the loop faults back a few 64 KB windows of text rather than nearly all
-   of them.  The section holds ~1.0 MB: this repository's libraries,
-   koptnode's objects, and the members of the OCaml and C libraries a
-   daemon ran when the script was profiled.  The script names archives by
-   path: one that no longer matches (a renamed library or archive) shrinks
-   the section below the lower bound, and a pattern that takes a whole
-   toolchain archive grows it past the upper one. *)
+   of them.  The script names code one function at a time (whole objects
+   only for libc's, libm's and the runtime's amd64.o, which have no section
+   per function): the functions only boot runs, then the marker
+   koptnode_hot_loop_start, then the loop's, last, so that their last
+   window also holds the .plt stubs ld places after the section.  The loop's
+   part starts at a 64 KB boundary, a fault-around window's, so that it
+   spans as few windows as its size allows.  The section holds ~685 KB,
+   ~311 KB of it the loop's.  A profile goes stale as functions are
+   renamed and added: their patterns match nothing and their code falls
+   back into .text, which costs memory, not a build.  So at least 95% of
+   the script's function patterns must match a function of the binary, and
+   the functions every step runs (the runtime's allocation and GC entry,
+   Node's delivery, the transport's flush and koptnode's step) must lie in
+   the loop's part. *)
 let test_koptnode_hot_text () =
   let elf = read_koptnode () in
   let exec =
@@ -475,16 +541,85 @@ let test_koptnode_hot_text () =
   (match List.find_opt (fun s -> s.p_type = pt_load && s.p_flags land 1 <> 0) (segments elf) with
   | Some text -> Alcotest.(check int) ".text.hot starts the text segment" text.vaddr addr
   | None -> Alcotest.fail "no executable PT_LOAD");
-  if size < 896 * 1024 || size > 1280 * 1024 then
-    Alcotest.failf ".text.hot is %d bytes, want 896-1,280 KB" size;
-  let values = symbol_values elf ~sh_type:sht_symtab in
+  if size < 576 * 1024 || size > 832 * 1024 then
+    Alcotest.failf ".text.hot is %d bytes, want 576-832 KB" size;
+  let loop_start =
+    match List.assoc_opt hot_loop_start (symbol_values elf ~sh_type:sht_symtab) with
+    | Some v when addr < v && v < addr + size -> v
+    | Some v -> Alcotest.failf "%s at 0x%x is outside .text.hot" hot_loop_start v
+    | None -> Alcotest.failf "no symbol %s" hot_loop_start
+  in
+  if loop_start land 0xffff <> 0 then
+    Alcotest.failf "the loop's part starts at 0x%x, not at a 64 KB boundary" loop_start;
+  let functions = functions elf in
+  let stamped prefix = List.find_opt (fun (n, _) -> unstamped n = Some prefix) functions in
   List.iter
-    (fun sym ->
-      match List.assoc_opt sym values with
-      | Some v when addr <= v && v < addr + size -> ()
-      | Some v -> Alcotest.failf "%s at 0x%x is outside .text.hot" sym v
-      | None -> Alcotest.failf "no symbol %s" sym)
-    [ "camlRecovery__Node.code_begin"; "camlDune__exe__Koptnode.code_begin"; "caml_alloc_shr" ]
+    (fun (what, found) ->
+      match found with
+      | Some (_, v) when loop_start <= v && v < addr + size -> ()
+      | Some (sym, v) ->
+        Alcotest.failf "%s (%s at 0x%x) is not in .text.hot's loop part (0x%x-0x%x)" what
+          sym v loop_start (addr + size)
+      | None -> Alcotest.failf "no function %s" what)
+    [
+      ("caml_call_gc", List.find_opt (fun (n, _) -> n = "caml_call_gc") functions);
+      ("caml_alloc_shr", List.find_opt (fun (n, _) -> n = "caml_alloc_shr") functions);
+      ("Node.deliver", stamped "camlRecovery__Node.deliver_");
+      ("Transport.flush", stamped "camlNet__Transport.flush_");
+      ("koptnode's step", stamped "camlDune__exe__Koptnode.step_");
+    ];
+  (* A pattern is an exact name or one with its stamp as a wildcard. *)
+  let names = Hashtbl.create 32768 in
+  List.iter
+    (fun (n, _) ->
+      Hashtbl.replace names n ();
+      Option.iter (fun stem -> Hashtbl.replace names (stem ^ "[0-9]*") ()) (unstamped n))
+    functions;
+  let patterns = hot_function_patterns () in
+  let stale = List.filter (fun p -> not (Hashtbl.mem names p)) patterns in
+  let total = List.length patterns and missed = List.length stale in
+  if total < 100 then Alcotest.failf "%s names only %d functions" hot_script total;
+  if missed * 20 > total then
+    Alcotest.failf
+      "%d of the %d function patterns of %s match no function of koptnode (over 5%%): \
+       the profile is stale, regenerate it with bin/hot_text.py.  First: %s"
+      missed total hot_script
+      (String.concat ", " (List.filteri (fun i _ -> i < 5) stale))
+
+(* The runtime registers OCaml's code as one fragment, from the lowest
+   [code_begin] of any module to the highest [code_end] (startup_nat.c's
+   init_static), and [Marshal]'s Closures flag, which the store passes,
+   looks a code pointer up in it.  With -function-sections the linker
+   script moves single functions to .text.hot, away from their module's
+   markers, so it opens the section with every module's code_begin; the
+   code_end markers stay in .text, the last after every OCaml function. *)
+let test_koptnode_code_fragment () =
+  let elf = read_koptnode () in
+  let ocaml_marker suffix (name, _) =
+    String.starts_with ~prefix:"caml" name && String.ends_with ~suffix name
+  in
+  let syms = symbol_values elf ~sh_type:sht_symtab in
+  let bound suffix pick =
+    match List.filter (ocaml_marker suffix) syms with
+    | [] -> Alcotest.failf "no %s symbol" suffix
+    | (_, v) :: rest -> List.fold_left (fun acc (_, v) -> pick acc v) v rest
+  in
+  let lo = bound ".code_begin" min and hi = bound ".code_end" max in
+  let ocaml_function name =
+    String.length name > 4
+    && String.starts_with ~prefix:"caml" name
+    && 'A' <= name.[4] && name.[4] <= 'Z'
+    && String.contains name '.'
+  in
+  let fns = List.filter (fun (n, _) -> ocaml_function n) (functions elf) in
+  Alcotest.(check bool) "OCaml functions were read" true (List.length fns > 1000);
+  match List.filter (fun (_, v) -> v < lo || v >= hi) fns with
+  | [] -> ()
+  | (sym, v) :: _ as outside ->
+    Alcotest.failf
+      "%d OCaml functions lie outside the code fragment 0x%x-0x%x (from the lowest \
+       code_begin to the highest code_end), e.g. %s at 0x%x"
+      (List.length outside) lo hi sym v
 
 let suite =
   [
@@ -506,4 +641,6 @@ let suite =
       `Quick test_koptnode_dropped_segments_unwritten;
     Alcotest.test_case "koptnode: the code a daemon runs comes first, in .text.hot" `Quick
       test_koptnode_hot_text;
+    Alcotest.test_case "koptnode: every OCaml function lies in the registered code fragment"
+      `Quick test_koptnode_code_fragment;
   ]

@@ -589,18 +589,19 @@ let test_stats_plane_live () =
           (Obs.Snapshot.gauge snap "gc_space_overhead")
       in
       (* Boot dropped the binary's read-only pages, and only what the loop
-         and the scrape ran came back: ~0.93 MB with the loop's code packed
-         into .text.hot (bin/koptnode_hot.ld), ~1.32 MB with it scattered
-         through the text.  (The successor below is scraped after a replay
-         and a workload, ~1.06 MB.) *)
+         and the scrape ran came back: ~468 KB with the loop's functions
+         packed into .text.hot (bin/koptnode_hot.ld), ~904 KB when the script
+         placed whole objects, ~1.32 MB with the code scattered through the
+         text.  (The successor below is scraped after a replay and a
+         workload.) *)
       List.iter
         (fun pid ->
           let snap = scrape_ok pid in
           check_boot pid snap;
           let file = Obs.Snapshot.gauge snap "process_resident_file_bytes" in
-          if file > 1048576. then
+          if file > 655360. then
             Alcotest.failf
-              "pid %d: %.0f bytes of file-backed pages resident after boot, over 1 MiB \
+              "pid %d: %.0f bytes of file-backed pages resident after boot, over 640 KiB \
                (is bin/koptnode_hot.ld stale? see bin/hot_text.py)"
               pid file)
         [ 0; 1; 2 ];
