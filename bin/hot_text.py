@@ -41,6 +41,19 @@ and the code_end markers stay in .text among the code no pattern names,
 the last of them after all of it; so the fragment spans .text.hot and
 .text and every OCaml function lies inside it (test_link checks this).
 
+The script also gives the read-only data the loop reads a section of its
+own, .rodata.hot, which opens the read-only data segment at a 64 KB
+boundary: without it the tables the loop reads (the runtime's size
+classes, Unix's flag tables, glibc's printf, _itoa and pthread_mutex
+tables) lay scattered through .rodata and kept 3-4 of its windows
+resident, and which ones moved as the text grew.  It takes the .rodata
+and .rodata.* input sections of every object the loop runs code of: every
+OCaml object, the runtime and the Unix library's C stubs whole
+(HOT_RODATA), then the members the loop's part names whole (glibc's, the C
+start files), then the members without code whose read-only data those
+refer to (glibc's _itoa digits); ~35 KB, one window.  No profile of data
+is taken: the profile of code names the objects.
+
 Regenerate the script when a function on the loop's path is renamed or
 added (its pattern then names nothing, or nothing names it), when a
 change calls a function the daemon never called before, when the
@@ -49,10 +62,13 @@ grows (perfbench's rss_mb, and test_net's bound on a booted daemon's
 file-backed resident set).  A stale script still links: a pattern that
 names nothing matches nothing, and code no pattern names is placed in
 .text as usual.  test_link fails when fewer than 95% of the script's
-function patterns match a function of the built koptnode; CI fails when a
-function section or member it names is gone from the toolchain's OCaml
-archives, or a member from glibc's of the release named in the script's
-header.  The build never runs this script, and neither does CI.
+function patterns match a function of the built koptnode, or when
+.rodata.hot does not open its segment in one window with the runtime's
+size classes and glibc's _itoa digits in it; CI fails when a function
+section or member it names, in either section, is gone from the
+toolchain's OCaml archives, or a member from glibc's of the release named
+in the script's header.  The build never runs this script, and neither
+does CI.
 
 What it profiles.  It sets breakpoints (INT3) in the built koptnode.exe
 and restores each one's byte the first time it is hit, so each costs one
@@ -129,6 +145,14 @@ MARKER = "koptnode_hot_loop_start"
 START_FILES = ["rcrt1.o", "crti.o", "crtn.o", "crtbeginS.o", "crtendS.o"]
 REPO_C = ["_build/default/bin/koptnode_runparam.o"]
 WHOLE = "(.text .text.*)"
+# .rodata.hot takes the read-only data of these objects whole, whatever
+# the profile: the loop runs code of each (this repository's libraries and
+# koptnode's own objects, the OCaml standard library, Unix, std_exit and the
+# startup object ocamlopt writes at each link, the runtime and the Unix
+# library's C stubs), and they hold ~25 KB of read-only data in all.
+HOT_RODATA = ["lib/*.a:", "*bin/*.o", "*/stdlib.a:", "*/unix.a:", "*/std_exit.o",
+              "*/camlstartup*.o", "*/libasmrun.a:", "*/libunixnat.a:"]
+RODATA = "(.rodata .rodata.*)"
 # An instruction in objdump -d's listing: "   3000:\tpush ...".
 INSN = re.compile(r"^ +([0-9a-f]+):\t")
 
@@ -496,13 +520,16 @@ FORMAT = re.compile(r"^(\S+):\s+file format ")
 
 class Objects:
     """The text symbols each C object defines, with the input section each
-    lies in."""
+    lies in; the symbols each refers to; and which object defines each
+    global read-only datum."""
 
     def __init__(self, files):
         self.defs = {}  # name -> [(file, member, section, offset, size)]
         self.syms = {}  # (file, member) -> [(name, section, offset)]
         self.ifuncs = set()  # (file, member) defining an ifunc
         self.members = {}  # archive -> member names
+        self.undefined = {}  # (file, member) -> names it refers to
+        self.rodata = {}  # global name in a .rodata section -> (file, member)
         for f in files:
             archive = f.endswith(".a")
             if archive:
@@ -517,9 +544,13 @@ class Objects:
                 if not m:
                     continue
                 offset, flags, section, size, name = m.groups()
+                fm = (f, member)
+                if section == "*UND*":
+                    self.undefined.setdefault(fm, set()).add(name)
+                elif section.startswith(".rodata") and flags[0] in "gu":
+                    self.rodata.setdefault(name, fm)
                 if not section.startswith(".text") or flags[5] in "dD" or flags[6] == "f":
                     continue
-                fm = (f, member)
                 offset, size = int(offset, 16), int(size, 16)
                 self.defs.setdefault(name, []).append((*fm, section, offset, size))
                 self.syms.setdefault(fm, []).append((name, section, offset))
@@ -542,6 +573,14 @@ class Objects:
                  for d, off in cands.items()}
         best = [d for d in cands if score[d] == max(score.values())]
         return set(best) if len(best) == 1 else set(cands)
+
+    def data_only(self, placed):
+        """The objects without code of their own whose read-only data the
+        objects [placed] refer to: glibc keeps _itoa's digit tables in
+        members of their own (itoa-digits.o), which no profile of code can
+        name."""
+        return {self.rodata[n] for fm in placed for n in self.undefined.get(fm, ())
+                if n in self.rodata and self.rodata[n] not in self.syms}
 
     def variants(self, archive, member):
         """Every member of the ifunc family [member] belongs to."""
@@ -583,7 +622,7 @@ def patterns(binary, objects, addrs):
     members of the glibc ifunc families among them that this host did not
     select, for other CPUs; and the names no object defines that are not
     OCaml's."""
-    found, unknown = set(), set()
+    found, unknown, whole = set(), set(), set()
     for a in addrs:
         defs = objects.defs_of(binary, a)
         if not defs:
@@ -595,14 +634,38 @@ def patterns(binary, objects, addrs):
         for path, member, section in defs:
             if any(per_function(n, section) for n in binary.names[a]):
                 found.add((1, "*(%s)" % section))
-            elif member is None:
-                found.add((2, "%s%s" % (object_glob(path, None), WHOLE)))
             else:
+                whole.add((path, member))
                 found |= {(2 if v == member else 3, "%s%s" % (object_glob(path, v), WHOLE))
-                          for v in objects.variants(path, member)}
+                          for v in (objects.variants(path, member) if member else [None])}
     placed = [p for k, p in sorted(found) if k < 3]
     variants = [p for k, p in sorted(found) if k == 3 and p not in set(placed)]
-    return placed, variants, unknown
+    return placed, variants, unknown, whole
+
+
+def rodata_section(objects, whole):
+    """The lines that put the read-only data of the objects the loop runs
+    code of into .rodata.hot, at the start of the read-only data segment:
+    every OCaml object, the runtime and the Unix library's C stubs
+    (HOT_RODATA), then the objects the profile placed whole in the loop's
+    part that those do not cover (glibc's members, the C start files),
+    then the members without code whose read-only data those refer to.
+    INSERT BEFORE .rodata puts the section after the default script's
+    start of the read-only data segment, so the section opens it; its own
+    alignment puts that start at a fault-around window's."""
+    where = ocaml_where()
+    c_objects = {fm for fm in whole if fm[0] not in REPO_C and not fm[0].startswith(where)}
+    named = sorted(c_objects) + sorted(objects.data_only(c_objects) - c_objects)
+    return (["SECTIONS",
+             "{",
+             "  /* The read-only data of the objects the loop runs code of, in one",
+             "     fault-around window at the start of the read-only data segment. */",
+             "  . = ALIGN(0x10000);",
+             "  .rodata.hot :",
+             "  {"]
+            + ["    %s%s" % (p, RODATA) for p in HOT_RODATA]
+            + ["    %s%s" % (object_glob(path, member), RODATA) for path, member in named]
+            + ["  }", "}", "INSERT BEFORE .rodata;", ""])
 
 
 # INSERT BEFORE .init places .text.hot ahead of the default script's page
@@ -610,8 +673,9 @@ def patterns(binary, objects, addrs):
 # that the section would join the read-only segment of the ELF headers.
 # The loop's part comes last, next to the .plt stubs ld puts after it.
 def write_script(binary, objects, tracer):
-    loop, others, _ = patterns(binary, objects, tracer.loop)
-    boot, boot_others, unknown = patterns(binary, objects, tracer.boot - tracer.loop)
+    loop, others, _, whole = patterns(binary, objects, tracer.loop)
+    boot, boot_others, unknown, _ = patterns(binary, objects, tracer.boot - tracer.loop)
+    rodata = rodata_section(objects, whole)
     others = [p for p in others if p not in set(loop)]
     boot = [p for p in boot + boot_others if p not in set(loop + others)]
     glibc = lines("ldd", "--version")[0].split()[-1]
@@ -623,7 +687,8 @@ def write_script(binary, objects, tracer):
            % (len(tracer.loop), len(tracer.boot - tracer.loop)),
            "   %d patterns: %d for the loop, %d for other CPUs' variants of its ifuncs"
            % (len(loop) + len(others) + len(boot), len(loop), len(others)),
-           "   and %d only for boot. */" % len(boot),
+           "   and %d only for boot; .rodata.hot is named by %d more. */"
+           % (len(boot), sum(l.endswith(RODATA) for l in rodata)),
            "SECTIONS",
            "{",
            "  . = ALIGN(CONSTANT (MAXPAGESIZE));",
@@ -642,7 +707,7 @@ def write_script(binary, objects, tracer):
             "    . = ALIGN(0x10000);",
             "    %s = .;" % MARKER]
     out += ["    " + p for p in loop]
-    out += ["  }", "}", "INSERT BEFORE .init;", ""]
+    out += ["  }", "}", "INSERT BEFORE .init;", ""] + rodata
     with open(OUT, "w") as f:
         f.write("\n".join(out))
     log("wrote %s: %d loop, %d variant and %d boot-only patterns"

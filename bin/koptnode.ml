@@ -48,10 +48,10 @@
    most events one iteration took is the [batch_high_water] gauge.
 
    Resident memory.  On the benchmark's steady workload a daemon's
-   resident peak is ~2.44 MB: ~0.53 MB file-backed and ~1.95 MB
+   resident peak is ~2.32 MB: ~0.39 MB file-backed and ~1.95 MB
    anonymous.  The file-backed part is this binary's text, 1.74 MB with
    the part of libc it calls, of which ~0.31 MB (80 pages) is resident,
-   and 192 KB of its rodata.  Fault-around maps file pages in 64 KB
+   and 64 KB of its read-only data.  Fault-around maps file pages in 64 KB
    windows aligned in the address space, and boot (the module
    initialisers, the argv loop, the store's open, the restart) runs much
    code the loop never runs.  So boot ends by dropping the pages of the
@@ -65,12 +65,16 @@
    of ~2.87 MB); linked in ocamlopt's order they sat among ~1.5 MB of
    code the loop never runs, in 22 of the text's 27 windows, ~1.36 MB
    resident (~1.65 MB without the drop), and the peak was ~3.5 MB.  A
-   freshly booted daemon's file-backed resident set is ~470 KB (~900 KB
-   with whole objects, ~1.3 MB in ocamlopt's order).  Of the rodata three
-   windows come back, 48 pages: the first
-   holds libm's tables (__exp_data, __log2_data, __sincostab), the others
-   glibc's power-of-ten table and the C locale's tables; as the text
-   before them grows they may span one window more or fewer.  The
+   freshly booted daemon's file-backed resident set is ~390 KB (~470 KB
+   before the read-only data below, ~900 KB with whole objects, ~1.3 MB
+   in ocamlopt's order).  Of the read-only data one window comes back,
+   16 pages: the loop reads only the tables of the runtime (its size
+   classes), the Unix stubs and a few libc members (printf, _itoa,
+   pthread_mutex), and the script links those first in the segment, in
+   .rodata.hot, from a window's start.  Scattered through .rodata they
+   kept three or four windows resident, 48 pages, and which ones moved
+   with the length of the text before them.  Nor do the binary's headers
+   come back: the drop reads them before it drops their page.  The
    anonymous part is the minor heap (0.25 MB), the major heap (~117k
    words at its top at o=20, 0.9 MB), the runtime's table of frame
    descriptors (128 KB), the binary's .data (0.45 MB, two thirds of it

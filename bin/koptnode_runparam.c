@@ -143,7 +143,7 @@ __attribute__((constructor)) static void koptnode_runparam(void)
    restart) runs code the loop never runs: linked in ocamlopt's order it
    touched nearly every window of the text (~1.65 MB resident), and with
    the code a daemon runs linked first, in .text.hot (bin/dune,
-   koptnode_hot.ld), it touches that ~660 KB section and a few windows
+   koptnode_hot.ld), it touches that ~680 KB section and a few windows
    besides.  MADV_RANDOM does not help: it does not stop fault-around.
 
    So once boot is over the daemon tells the kernel it no longer needs
@@ -151,19 +151,25 @@ __attribute__((constructor)) static void koptnode_runparam(void)
    windows the loop runs fault back in, the rest stay on disk, or in the
    page cache, out of this process's resident set.  The loop's functions
    are packed together at the end of .text.hot, boot's before them, so on
-   steady ~6 windows of text come back, ~100 pages (189 when whole objects
+   steady 5 windows of text come back, 80 pages (189 when whole objects
    were placed, 349 when the loop's code sat among cold code in 22 of the
-   text's 27 windows).  For a private file
+   text's 27 windows); the read-only data the loop reads opens its
+   segment, in .rodata.hot, so one window of it comes back, 16 pages (48
+   in 3-4 windows while those tables lay scattered through .rodata); and
+   the header segment stays out.  For a private file
    mapping that was never written, MADV_DONTNEED only removes the page
    table entries: the next access maps the same page-cache page again,
    with the same bytes, as the kernel may do itself when it reclaims a
    clean file page.  The program cannot tell.  A page it did write (one
    the start code relocated, or the runtime's data) is an anonymous copy,
    and MADV_DONTNEED would throw the copy away and bring back the file's
-   bytes.  No such page is touched: the writable segments (.data, .bss,
+   bytes.  No such page is dropped: the writable segments (.data, .bss,
    and RELRO, which is writable until relocation ends) are skipped, and a
    page a read-only segment shares with one of them is left out of its
-   range.  The binary has no text relocations (test_link.ml fails on
+   range.  And no dropped page is read again by the drop itself: the
+   program headers it walks live in the first read-only segment, so it
+   collects every range first and calls madvise after the walk (reading
+   them after that segment's madvise faulted all of it back, 12 KB).  The binary has no text relocations (test_link.ml fails on
    DT_TEXTREL and on a read-only segment sharing a page with a writable
    one or with RELRO), so nothing else in those segments was written.
 
@@ -174,12 +180,17 @@ static uintptr_t page_down(uintptr_t a, uintptr_t page) { return a & ~(page - 1)
 
 static uintptr_t page_up(uintptr_t a, uintptr_t page) { return page_down(a + page - 1, page); }
 
+/* A static PIE has four PT_LOAD segments; room for more. */
+#define MAX_DROPPED 16
+
 static int drop_segments(struct dl_phdr_info *info, size_t size, void *data)
 {
   (void)size;
   (void)data;
   uintptr_t page = (uintptr_t)sysconf(_SC_PAGESIZE);
-  for (int i = 0; i < info->dlpi_phnum; i++) {
+  uintptr_t starts[MAX_DROPPED], ends[MAX_DROPPED];
+  int dropped = 0;
+  for (int i = 0; i < info->dlpi_phnum && dropped < MAX_DROPPED; i++) {
     const ElfW(Phdr) *ph = &info->dlpi_phdr[i];
     if (ph->p_type != PT_LOAD || (ph->p_flags & PF_W) || ph->p_memsz == 0) continue;
     uintptr_t start = page_down(info->dlpi_addr + ph->p_vaddr, page);
@@ -195,8 +206,14 @@ static int drop_segments(struct dl_phdr_info *info, size_t size, void *data)
       if (w_start > start) end = w_start;
       else start = w_end < end ? w_end : end;
     }
-    if (start < end) madvise((void *)start, end - start, MADV_DONTNEED);
+    if (start < end) {
+      starts[dropped] = start;
+      ends[dropped] = end;
+      dropped++;
+    }
   }
+  for (int i = 0; i < dropped; i++)
+    madvise((void *)starts[i], ends[i] - starts[i], MADV_DONTNEED);
   return 1;
 }
 

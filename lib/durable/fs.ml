@@ -74,12 +74,18 @@ let unix =
     truncate = Unix.truncate;
     unlink = Unix.unlink;
     rename = Unix.rename;
+    (* Close-on-exec: a process that holds stores open and launches
+       daemons (the tests, a driver) must not hand them its descriptors. *)
     open_append =
       (fun path ->
-        unix_file (Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644));
+        unix_file
+          (Unix.openfile path
+             [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND; Unix.O_CLOEXEC ]
+             0o644));
     create =
       (fun path ->
-        unix_file (Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644));
+        unix_file
+          (Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644));
   }
 
 let numbered prefix n =

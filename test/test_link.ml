@@ -10,7 +10,8 @@
    at run time.  Its frame descriptors must stay at 8,192 or fewer, which
    keeps the runtime's descriptor table at 128 KB, and it must link no
    Stdlib.Format, Arg or Filename, and the code a daemon runs must come
-   first, in .text.hot, inside the code fragment the runtime registers.
+   first, in .text.hot, inside the code fragment the runtime registers,
+   and the read-only data it reads first in its segment, in .rodata.hot.
    The checks read the ELF64 headers directly.  The command-line test runs
    the hand-parsed command line. *)
 
@@ -31,6 +32,8 @@ let pt_dynamic = 2
 let pt_interp = 3
 
 let pt_gnu_relro = 0x6474e552
+
+let pf_x = 1
 
 let pf_w = 2
 
@@ -538,7 +541,7 @@ let test_koptnode_hot_text () =
     | [] -> Alcotest.fail "no executable section"
   in
   Alcotest.(check string) "first executable section" ".text.hot" name;
-  (match List.find_opt (fun s -> s.p_type = pt_load && s.p_flags land 1 <> 0) (segments elf) with
+  (match List.find_opt (fun s -> s.p_type = pt_load && s.p_flags land pf_x <> 0) (segments elf) with
   | Some text -> Alcotest.(check int) ".text.hot starts the text segment" text.vaddr addr
   | None -> Alcotest.fail "no executable PT_LOAD");
   if size < 576 * 1024 || size > 832 * 1024 then
@@ -621,6 +624,48 @@ let test_koptnode_code_fragment () =
        code_begin to the highest code_end), e.g. %s at 0x%x"
       (List.length outside) lo hi sym v
 
+(* The read-only data the loop reads is linked first in the read-only data
+   segment, into .rodata.hot (bin/koptnode_hot.ld): the read-only data of
+   every object the loop runs code of.  Fault-around maps the segment's
+   pages in 64 KB windows aligned in the address space, so the section
+   opens the segment at a window's start and fits in that one window; the
+   rest of the segment, libm's tables, the C locale's and the unwind
+   tables, stays out of a daemon's resident set once boot has dropped it.
+   It must hold the runtime's size-class table (sizeclass_wsize, read at
+   every major allocation) and glibc's _itoa digits (a member with no code,
+   which only the script's rule for data-only members places). *)
+let hot_rodata_symbols = [ "sizeclass_wsize"; "_itoa_lower_digits" ]
+
+let test_koptnode_hot_rodata () =
+  let elf = read_koptnode () in
+  let secs = sections elf in
+  let addr, size =
+    match List.find_opt (fun (n, _, _, _) -> n = ".rodata.hot") secs with
+    | Some (_, _, addr, size) -> (addr, size)
+    | None -> Alcotest.fail "no .rodata.hot section (is bin/koptnode_hot.ld stale?)"
+  in
+  let segment =
+    List.find_opt
+      (fun s -> s.p_type = pt_load && s.p_flags land (pf_w lor pf_x) = 0 && s.vaddr > 0)
+      (segments elf)
+  in
+  (match segment with
+  | Some seg when seg.vaddr = addr -> ()
+  | Some seg ->
+    Alcotest.failf ".rodata.hot at 0x%x does not open the read-only data segment (0x%x)" addr
+      seg.vaddr
+  | None -> Alcotest.fail "no read-only data segment");
+  if addr land 0xffff <> 0 then Alcotest.failf ".rodata.hot at 0x%x, not at a 64 KB boundary" addr;
+  if size > 65536 then Alcotest.failf ".rodata.hot is %d bytes, over 64 KB" size;
+  let syms = symbol_values elf ~sh_type:sht_symtab in
+  List.iter
+    (fun name ->
+      match List.assoc_opt name syms with
+      | Some v when addr <= v && v < addr + size -> ()
+      | Some v -> Alcotest.failf "%s at 0x%x is outside .rodata.hot (0x%x+0x%x)" name v addr size
+      | None -> Alcotest.failf "no symbol %s" name)
+    hot_rodata_symbols
+
 let suite =
   [
     Alcotest.test_case "koptnode: PIE, small first segment, no caml exports" `Quick
@@ -643,4 +688,6 @@ let suite =
       test_koptnode_hot_text;
     Alcotest.test_case "koptnode: every OCaml function lies in the registered code fragment"
       `Quick test_koptnode_code_fragment;
+    Alcotest.test_case "koptnode: the read-only data its loop reads opens the rodata, in .rodata.hot"
+      `Quick test_koptnode_hot_rodata;
   ]
