@@ -72,6 +72,134 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc) Term.(const run $ all $ names $ json_arg)
 
+(* E14 and E17 are schedule files of test/corpus (the corpus test
+   replays them in the simulator) played on live daemons, one
+   oracle-certified run per K: the file's own K for --smoke, a sweep
+   otherwise.  [row] reads a run's cells after K off the outcome and the
+   deployment, which stays inspectable after [finish]. *)
+let play_file ~exp ~title ~columns ~sweep ~note ~row text smoke =
+  let report = Harness.Report.create ~title ~columns in
+  let sched =
+    match Harness.Schedule.of_string text with Ok s -> s | Error e -> failwith e
+  in
+  let case, calls = Net.Deployment.live_case sched in
+  let ks = if smoke then [ case.Harness.Schedule.k ] else sweep case in
+  let rows =
+    List.map
+      (fun k ->
+        let case = { case with Harness.Schedule.k } and label = Fmt.str "K=%d" k in
+        let t = Net.Deployment.launch_case case in
+        let r =
+          Net.Deployment.run ~timeout:120. t (fun () -> Net.Deployment.play t case ~calls)
+        in
+        if not r.Net.Deployment.settled then
+          Harness.Report.note report (Fmt.str "%s: settle timed out" label);
+        Net.Deployment.certify ~report ~exp ~label r.Net.Deployment.outcome;
+        Durable.Temp.rm_rf (Net.Deployment.root t);
+        let cells = row report case t r.Net.Deployment.outcome in
+        Harness.Report.add_row report (List.map string_of_int (k :: cells));
+        (k, cells))
+      ks
+  in
+  Harness.Report.note report (Fmt.str "every run plays %s: %s" sched.Harness.Schedule.name note);
+  (report, rows)
+
+let counter (o : Net.Deployment.outcome) name =
+  Obs.Snapshot.counter o.Net.Deployment.obs (name ^ "_total")
+
+let e14 ?(smoke = false) () =
+  let row report (case : Harness.Schedule.case) _ (o : Net.Deployment.outcome) =
+    let count = counter o and oracle = o.Net.Deployment.oracle in
+    let proxied name = count ("proxy_" ^ name) in
+    Harness.Report.note report
+      (Fmt.str
+         "K=%d proxy: %d forwarded, %d dropped (%d by the partition), %d duplicated, \
+          %d delayed, %d severed"
+         case.k (proxied "forwarded") (proxied "dropped") (proxied "cut")
+         (proxied "duplicated") (proxied "delayed") (proxied "severed"));
+    if
+      List.exists (function Harness.Schedule.Partition _ -> true | _ -> false) case.faults
+      && proxied "severed" + proxied "cut" = 0
+    then
+      Harness.Report.note report
+        (Fmt.str "K=%d: WARNING the partition window met no traffic (nothing severed or cut)"
+           case.k);
+    let kills =
+      List.filter
+        (function Harness.Schedule.Kill _ | Harness.Schedule.Crash _ -> true | _ -> false)
+        case.faults
+    in
+    [
+      List.length kills; count "deliveries"; count "releases"; count "restarts";
+      o.Net.Deployment.synthesized_crashes; count "orphans_discarded";
+      count "duplicates_dropped"; count "retransmissions"; count "outputs_committed";
+      count "transport_decode_errors"; count "transport_frames_dropped";
+      oracle.Harness.Oracle.lost; oracle.Harness.Oracle.undone;
+      oracle.Harness.Oracle.max_risk; List.length oracle.Harness.Oracle.violations;
+    ]
+  in
+  let report, _ =
+    play_file ~exp:"E14"
+      ~title:
+        (if smoke then "E14-smoke: multi-process deployment (loopback TCP)"
+         else "E14: multi-process deployment (loopback TCP, SIGKILL + proxy faults)")
+      ~columns:
+        [
+          "K"; "kills"; "delivs"; "released"; "restarts"; "synth"; "orphans"; "dups";
+          "retrans"; "outputs"; "dec_err"; "drops"; "lost"; "undone"; "risk"; "violations";
+        ]
+      ~sweep:(fun case -> [ 0; 2; case.n ])
+      ~note:
+        "real OS processes on loopback TCP, durable stores, SIGKILL + respawn \
+         mid-workload, all traffic through the fault proxy; merged trace certified \
+         by the causality oracle"
+      ~row
+      (if smoke then Live_schedules.e14_smoke else Live_schedules.e14)
+      smoke
+  in
+  (report, [])
+
+let e17 ?(smoke = false) () =
+  let row _ _ t (o : Net.Deployment.outcome) =
+    let degraded = counter o "storage_degraded_flushes" in
+    if degraded = 0 then failwith "E17: brownout window armed but no flush was refused";
+    [
+      Net.Deployment.width t; List.length (Net.Deployment.retired t); counter o "restarts";
+      counter o "deliveries"; degraded; o.Net.Deployment.oracle.Harness.Oracle.max_risk;
+      List.length o.Net.Deployment.oracle.Harness.Oracle.violations;
+    ]
+  in
+  let report, rows =
+    play_file ~exp:"E17"
+      ~title:
+        (if smoke then "E17-smoke: membership churn (live cluster)"
+         else
+           "E17: membership churn — join, kill, retire, rejoin, rolling restart, \
+            disk-full brownout (live clusters)")
+      ~columns:
+        [ "K"; "width"; "retired"; "restarts"; "delivs"; "degraded"; "risk"; "violations" ]
+      ~sweep:(fun _ -> [ 0; 2 ])
+      ~note:
+        "under load at n=3, a join, a SIGKILL, a retire and its rejoin, four \
+         spaced crashes and a disk-full brownout; the merged trace is certified at \
+         the final width: zero violations, risk <= K throughout"
+      ~row
+      (if smoke then Live_schedules.e17_smoke else Live_schedules.e17)
+      smoke
+  in
+  let bench =
+    match List.assoc_opt 2 rows with
+    | Some [ width; _; _; delivs; degraded; risk; _ ] when not smoke ->
+      List.map
+        (fun (key, v) -> (Fmt.str "E17 %s k=2" key, float_of_int v))
+        [
+          ("deliveries", delivs); ("degraded flushes", degraded); ("max risk", risk);
+          ("membership width", width);
+        ]
+    | _ -> []
+  in
+  (report, bench)
+
 (* The live experiments: real koptnode daemons on loopback TCP, each run
    through [Net.Deployment.run].  One row per subcommand: its name, the
    experiment, and the doc texts of the command and of its [--smoke]. *)
@@ -96,7 +224,7 @@ let live_cmd (name, exp, (experiment : ?smoke:bool -> unit -> _), doc, smoke_doc
 let live_cmds =
   List.map live_cmd
     [
-      ( "net", "E14", Net.Fault_exp.experiment,
+      ( "net", "E14", e14,
         "Run E14: a real multi-process cluster on loopback TCP — forked koptnode \
          daemons over durable stores, SIGKILLed and respawned mid-workload, all \
          traffic through the fault-injecting proxy; per-process trace files are \
@@ -121,7 +249,7 @@ let live_cmds =
          every run must oracle-certify with risk at most K.",
         "Time-capped CI mode: one small cluster, one SIGKILL + probe, \
          oracle-certified." );
-      ( "churn", "E17", Net.Churn_exp.experiment,
+      ( "churn", "E17", e17,
         "Run E17: membership churn and degraded modes on live clusters — add a \
          daemon mid-run (Join handshake widens incumbent dependency vectors), \
          SIGKILL+respawn an incumbent, retire a daemon gracefully (frontier \

@@ -93,13 +93,14 @@ let schedule_crashes cluster faults =
       | Loss _ | Duplication _ | Reorder _ | Partition _ -> ()
       | Kill { pid; time; storage } ->
         Cluster.kill_at cluster ~time ~pid ?storage_fault:storage ()
-      | Crash { kind; time } -> (
-        match kind with
-        | Single pid -> Cluster.crash_at cluster ~time ~pid
-        | Group pids -> Cluster.crash_group_at cluster ~time ~pids
-        | Cascade pids -> Cluster.cascade_crash_at cluster ~time ~pids
-        | In_checkpoint pid -> Cluster.crash_during_checkpoint_at cluster ~time ~pid
-        | In_flush pid -> Cluster.crash_during_flush_at cluster ~time ~pid)
+      | Crash { kind = In_checkpoint pid; time } ->
+        Cluster.crash_during_checkpoint_at cluster ~time ~pid
+      | Crash { kind = In_flush pid; time } -> Cluster.crash_during_flush_at cluster ~time ~pid
+      | Crash { kind; time } ->
+        let restart_delay = (Cluster.config cluster).Config.timing.restart_delay in
+        List.iter
+          (fun (pid, time) -> Cluster.crash_at cluster ~time ~pid)
+          (Schedule.crash_times ~restart_delay ~time kind)
       | Join { pid; time } -> Cluster.join_at cluster ~time ~pid
       | Retire { pid; time } -> Cluster.retire_at cluster ~time ~pid
       | Brownout { pid; time; rounds } ->

@@ -470,22 +470,6 @@ let crash_at t ~time ~pid = kill_at t ~time ~pid ()
 
 let fault_notes t = List.rev t.fault_notes
 
-(* --- Correlated failure injection ----------------------------------- *)
-
-(* Simultaneous multi-node crash: every pid goes down at the same instant,
-   so no survivor hears a failure announcement before losing its peers. *)
-let crash_group_at t ~time ~pids = List.iter (fun pid -> crash_at t ~time ~pid) pids
-
-(* Cascading crashes: each subsequent pid fails half a restart delay
-   after the previous one, so pid [i+1] dies while pid [i] is still down
-   or replaying — the recovery of one failure overlaps the next. *)
-let cascade_crash_at t ~time ~pids =
-  let gap = 0.5 *. t.cfg.Config.timing.restart_delay in
-  List.iteri
-    (fun i pid -> crash_at t ~time:(time +. (gap *. float_of_int i)) ~pid)
-    pids
-
-
 (* --- Membership churn ------------------------------------------------ *)
 
 let join_at t ~time ~pid = schedule t ~time (Join_node pid)

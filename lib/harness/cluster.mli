@@ -87,14 +87,6 @@ val fault_notes : ('state, 'msg) t -> (int * float * string) list
     [storage_*] series of {!stats}, see
     {!Durable.Durable_store.loss_counters}). *)
 
-val crash_group_at : ('state, 'msg) t -> time:float -> pids:int list -> unit
-(** Correlated failure: all listed nodes crash at the same instant. *)
-
-val cascade_crash_at : ('state, 'msg) t -> time:float -> pids:int list -> unit
-(** Cascading failure: each listed node crashes half the restart delay
-    after the previous one, i.e. while the previous victim is still
-    down. *)
-
 (** {1 Membership churn} *)
 
 val join_at : ('state, 'msg) t -> time:float -> pid:int -> unit

@@ -20,6 +20,17 @@ type fault =
 
 type case = { n : int; k : int; seed : int; faults : fault list }
 
+(* A cascade's victims fall half a restart delay apart, so each dies
+   while the previous one is down or replaying: the recovery of one
+   failure overlaps the next.  A group dies at one instant, so no
+   survivor hears a failure announcement before losing its peers. *)
+let crash_times ~restart_delay ~time = function
+  | Single pid -> [ (pid, time) ]
+  | Group pids -> List.map (fun pid -> (pid, time)) pids
+  | Cascade pids ->
+    List.mapi (fun i pid -> (pid, time +. (0.5 *. restart_delay *. float_of_int i))) pids
+  | In_checkpoint _ | In_flush _ -> invalid_arg "Schedule.crash_times: simulator-only crash"
+
 type explore_params = {
   n : int;
   k : int;

@@ -54,6 +54,16 @@ type fault =
 type case = { n : int; k : int; seed : int; faults : fault list }
 (** One chaos campaign case. *)
 
+val crash_times : restart_delay:float -> time:float -> crash_kind -> (int * float) list
+(** The deaths a crash directive at [time] expands to, as [(pid, time)]
+    in the order they are scheduled: [Single] and [Group] kill every pid
+    at [time]; [Cascade] kills its [i]-th pid [i] half restart delays
+    later, while the previous victim is still down.  The simulator
+    ({!Chaos.run_case}) and the deployment ([Net.Deployment.play]) both
+    schedule these.
+    @raise Invalid_argument for [In_checkpoint] and [In_flush], which aim
+    at a busy window only the simulator models. *)
+
 (** {1 Scenarios} *)
 
 type explore_params = {
@@ -73,9 +83,11 @@ type scenario =
       (** untimed cluster under explicit scheduling; [choices] are
           positions into {!Cluster.enabled_events} *)
   | Chaos of { case : case; calls : int }
-      (** a chaos case replayed through {!Chaos.run_case}; the timed
-          simulator's earliest-time order is already deterministic given
-          the seeds, so [choices] is empty *)
+      (** a chaos case replayed through {!Chaos.run_case} with [calls]
+          telecom calls; the timed simulator's earliest-time order is
+          already deterministic given the seeds, so [choices] is empty.
+          [Net.Deployment.play] runs the same case on live daemons, with
+          [calls] kvstore operations. *)
   | Figure1 of [ `Improved | `Strom_yemini ]
       (** the paper's worked example, via {!Figure1.run} *)
 

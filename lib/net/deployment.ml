@@ -391,16 +391,17 @@ let kill t ~dst =
   Unix.sleepf (Config.real_restart_delay ~time_scale:t.time_scale t.config.Config.timing);
   respawn t ~dst
 
+(* The [i]-th operation of the kvstore workload: a Put, every fifth a Get. *)
+let workload_msg rng i =
+  let key = Fmt.str "key%d" (Sim.Rng.int rng 17) in
+  if i mod 5 = 4 then App.Get key
+  else App.Put { key; value = (i * 37) + Sim.Rng.int rng 100 }
+
 let run_workload t ~ops ~seed =
   let rng = Sim.Rng.create seed in
   for i = 0 to ops - 1 do
     let dst = Sim.Rng.int rng t.n in
-    let key = Fmt.str "key%d" (Sim.Rng.int rng 17) in
-    let msg =
-      if i mod 5 = 4 then App.Get key
-      else App.Put { key; value = (i * 37) + Sim.Rng.int rng 100 }
-    in
-    inject t ~dst msg;
+    inject t ~dst (workload_msg rng i);
     if i mod 8 = 7 then Unix.sleepf 0.002
   done
 
@@ -633,17 +634,6 @@ let rejoin t ~dst =
     spawn ~join:true t node
   end
 
-(* Rolling restart: SIGKILL + respawn each live daemon in turn, letting the
-   cluster settle between victims so at most one process is ever down —
-   the zero-downtime upgrade pattern.  Returns [false] if any settle timed
-   out. *)
-let rolling_restart ?(timeout = 30.) t =
-  List.fold_left
-    (fun ok pid ->
-      kill t ~dst:pid;
-      settle ~timeout t && ok)
-    true (live_pids t)
-
 let finish t =
   if not t.alive then invalid_arg "Deployment.finish: already finished";
   t.alive <- false;
@@ -714,3 +704,143 @@ let run ?timeout t body =
     let bt = Printexc.get_raw_backtrace () in
     (try destroy t with _ -> ());
     Printexc.raise_with_backtrace e bt
+
+(* ------------------------------------------------------------------ *)
+(* Schedule files on live daemons                                      *)
+
+module Schedule = Harness.Schedule
+
+(* A crash aimed at a checkpoint's or a flush's busy window needs the
+   simulator's view of when a node is busy, and a lying fsync needs its
+   in-memory tree: a daemon offers neither. *)
+let simulator_only (faults : Schedule.fault list) =
+  List.filter_map
+    (function
+      | Schedule.Crash { kind = In_checkpoint _ | In_flush _; _ }
+      | Schedule.Kill { storage = Some Durable.Fault.Failed_fsync; _ } as f ->
+        Some (Fmt.str "%a" Harness.Chaos.pp_fault f)
+      | _ -> None)
+    faults
+
+let refuse ~what refused =
+  if refused <> [] then
+    invalid_arg (Fmt.str "%s: simulator-only: %s" what (String.concat "; " refused))
+
+let live_case (s : Schedule.t) =
+  match s.scenario with
+  | Schedule.Chaos { case; calls } ->
+    refuse ~what:("schedule " ^ s.name)
+      ((if s.breakage = Config.no_breakage then [] else [ "a breakage other than none" ])
+      @ simulator_only case.faults);
+    (case, calls)
+  | Schedule.Explore _ | Schedule.Figure1 _ ->
+    invalid_arg (Fmt.str "schedule %s: not a chaos case" s.name)
+
+let launch_case (case : Schedule.case) =
+  refuse ~what:"Deployment.launch_case" (simulator_only case.faults);
+  let plan = Harness.Chaos.plan_of_faults case.faults in
+  launch ~n:case.n ~k:case.k ~seed:case.seed
+    ?plan:(if plan = Harness.Netmodel.benign then None else Some plan)
+    ()
+
+type action =
+  | Op of int
+  | Die of int * Durable.Fault.t option
+  | Respawn of int
+  | Join of int
+  | Retire of int
+  | Brownout of int * int
+
+let play t (case : Schedule.case) ~calls =
+  refuse ~what:"Deployment.play" (simulator_only case.faults);
+  let restart_delay = t.config.Config.timing.restart_delay in
+  let q = Sim.Event_queue.create () in
+  let at time action = Sim.Event_queue.schedule q ~time action in
+  List.iter
+    (function
+      | Schedule.Loss _ | Duplication _ | Reorder _ | Partition _ -> ()
+      | Crash { kind; time } ->
+        List.iter
+          (fun (pid, time) -> at time (Die (pid, None)))
+          (Schedule.crash_times ~restart_delay ~time kind)
+      | Kill { pid; time; storage } -> at time (Die (pid, storage))
+      | Join { pid; time } -> at time (Join pid)
+      | Retire { pid; time } -> at time (Retire pid)
+      | Brownout { pid; time; rounds } -> at time (Brownout (pid, rounds)))
+    case.faults;
+  for i = 0 to calls - 1 do
+    at (10. +. float_of_int i) (Op i)
+  done;
+  let rng = Sim.Rng.create case.seed in
+  let storage_rng = Sim.Rng.split rng in
+  (* Pids SIGKILLed and not yet respawned, and pids whose running
+     incarnation opened a store a predecessor left. *)
+  let down = Hashtbl.create 8 and reopened = Hashtbl.create 8 in
+  let up pid = (not (Hashtbl.mem down pid)) && not (List.mem pid t.retired_pids) in
+  let now () = (Unix.gettimeofday () -. t.epoch) /. t.time_scale in
+  let rec loop () =
+    match Sim.Event_queue.next q with
+    | None -> ()
+    | Some (time, action) ->
+      let wait = (time -. now ()) *. t.time_scale in
+      if wait > 0. then Unix.sleepf wait;
+      (match action with
+      | Op i -> (
+        match List.filter up (live_pids t) with
+        | [] -> ()
+        | live ->
+          let dst = List.nth live (Sim.Rng.int rng (List.length live)) in
+          inject t ~dst (workload_msg rng i))
+      | Die (pid, storage) ->
+        if up pid then begin
+          kill_only t ~dst:pid;
+          Option.iter
+            (fun f ->
+              ignore
+                (Durable.Fault.apply ~fs:Durable.Fs.unix ~dir:t.nodes.(pid).store_dir
+                   ~rand:(Sim.Rng.int storage_rng) f
+                  : string))
+            storage;
+          Hashtbl.replace down pid ();
+          at (Float.max time (now ()) +. restart_delay) (Respawn pid)
+        end
+      | Respawn pid ->
+        Hashtbl.remove down pid;
+        Hashtbl.replace reopened pid ();
+        respawn t ~dst:pid
+      | Join pid ->
+        if pid = width t then ignore (add_node t : int)
+        else if pid > width t then
+          invalid_arg (Fmt.str "Deployment.play: join %d beyond width %d" pid (width t))
+        else if List.mem pid t.retired_pids then begin
+          Hashtbl.replace reopened pid ();
+          rejoin t ~dst:pid
+        end
+      | Retire pid -> if up pid then retire t ~dst:pid
+      | Brownout (pid, rounds) -> if up pid then arm_brownout t ~dst:pid ~rounds);
+      loop ()
+  in
+  loop ();
+  (* One scrape of every live daemon: each answers with a snapshot that
+     decodes, the cluster has delivered, and every incarnation that took
+     over a store found it (one reopen each in its own registry). *)
+  let live = live_pids t in
+  let merged =
+    Obs.Snapshot.merge_all
+      (List.map
+         (fun pid ->
+           match scrape t ~dst:pid with
+           | Some (Ok snap) -> snap
+           | Some (Error e) ->
+             failwith (Fmt.str "play: pid %d Stats snapshot does not decode: %s" pid e)
+           | None -> failwith (Fmt.str "play: pid %d did not answer Stats_req" pid))
+         live)
+  in
+  if Obs.Snapshot.counter merged "deliveries_total" = 0 then
+    failwith "play: live Stats scrape shows zero deliveries_total";
+  let reopens = Obs.Snapshot.counter merged "storage_reopens_total"
+  and expected = List.length (List.filter (Hashtbl.mem reopened) live) in
+  if reopens <> expected then
+    failwith
+      (Fmt.str "play: live Stats scrape shows storage_reopens_total %d, expected %d"
+         reopens expected)

@@ -150,11 +150,6 @@ val rejoin : t -> dst:int -> unit
     rejoining process is just a joiner whose stable past the survivors
     already hold, per Theorem 2).  A no-op for pids not retired. *)
 
-val rolling_restart : ?timeout:float -> t -> bool
-(** SIGKILL + respawn every live daemon in turn, waiting for the cluster
-    to {!settle} between victims so at most one process is down at a time.
-    [false] if any settle timed out. *)
-
 val arm_brownout : t -> dst:int -> rounds:int -> unit
 (** Daemon [dst]'s store refuses its next [rounds] flushes as if the disk
     were full (ENOSPC brownout).  Degradation is
@@ -247,3 +242,49 @@ val run : ?timeout:float -> t -> (unit -> 'a) -> 'a run
     returns, [run] calls {!destroy} — every daemon SIGKILLed and reaped,
     the proxy closed, [root] removed — and re-raises.  After a run that
     returns, [root] is left on disk, as {!finish} leaves it. *)
+
+(** {1 Schedule files on live daemons}
+
+    A chaos schedule file ({!Harness.Schedule}, PROTOCOL.md §Schedule
+    files) drives the deployment with the fault vocabulary the simulator
+    runs: [launch_case] then [run t (fun () -> play t case ~calls)]. *)
+
+val live_case : Harness.Schedule.t -> Harness.Schedule.case * int
+(** The chaos case a schedule holds and its [calls], the number of
+    operations {!play} injects.
+    @raise Invalid_argument naming, as simulator-only, every directive a
+    deployment cannot run (a crash [in-checkpoint] or [in-flush], a kill
+    with [storage=failed-fsync]) and a breakage other than [none]; or if
+    the schedule is not a chaos case. *)
+
+val launch_case : Harness.Schedule.case -> t
+(** {!launch} [case.n] daemons with [case.k] and [case.seed], behind a
+    {!Proxy} applying the case's loss, duplication, reordering and
+    partitions ({!Harness.Chaos.plan_of_faults}) when it has any.
+    @raise Invalid_argument, before any process starts, on a
+    simulator-only directive. *)
+
+val play : t -> Harness.Schedule.case -> calls:int -> unit
+(** Run the case's timeline on the live deployment, a body for {!run}.
+    Each directive fires at wall clock [epoch t +. time *. time_scale t],
+    the clock the proxy's partition windows use; a directive whose time
+    has passed fires at once.  A [crash] or [kill] is a SIGKILL (a
+    [cascade] or [group] expands as in the simulator,
+    {!Harness.Schedule.crash_times}), then a respawn over the same store
+    [restart_delay] abstract units later; a kill's storage fault damages
+    the dead daemon's store directory in between
+    ({!Durable.Fault.apply} on {!Durable.Fs.unix}).  A [join] of pid
+    {!width} is {!add_node}, of a retired pid {!rejoin}; a [retire] is
+    {!retire}, a [brownout] {!arm_brownout}.  A death, retire or brownout
+    aimed at a pid that is down or retired is not applied, nor is a join
+    of a pid that is not retired.  Meanwhile [calls] kvstore operations
+    (the {!run_workload} mix) are injected, one per abstract time unit
+    from t = 10, each at a daemon drawn from those up at that moment.
+    At the end of the timeline every live daemon is {!scrape}d once.
+    @raise Invalid_argument on a simulator-only directive or a join
+    beyond {!width}.
+    @raise Failure if a daemon does not answer the scrape, its snapshot
+    does not decode, the cluster shows zero [deliveries_total], or the
+    merged [storage_reopens_total] differs from the number of live
+    daemons whose incarnation took over a store (a respawn or a
+    rejoin). *)

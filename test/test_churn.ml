@@ -414,6 +414,7 @@ let law_part_file_damage_never_crashes =
             (Util.metric d.D.node "storage_checkpoints_dropped" >= 1);
           Alcotest.(check bool) "the damaged file is gone" false (Sys.file_exists path);
           check_recovered_digests ~msg:"fuzz" d.D.node expected;
+          D.halt d;
           true))
 
 (* A slice the application cannot import: one partition's file is
@@ -445,7 +446,8 @@ let test_refused_slice_dropped () =
         (Util.metric d.D.node "storage_checkpoints_dropped");
       Alcotest.(check int) "the refused slice is counted" 1
         (Util.metric d.D.node "part_ckpt_dropped");
-      check_recovered_digests ~msg:"refused" d.D.node expected)
+      check_recovered_digests ~msg:"refused" d.D.node expected;
+      D.halt d)
 
 let suite =
   [

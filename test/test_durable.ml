@@ -607,7 +607,8 @@ let test_node_restart_from_disk () =
       let st : Counter.state = Node.app_state fresh in
       Alcotest.(check int) "flushed work replayed, volatile lost" 15 st.total;
       Alcotest.(check int) "restart counted" 1
-        (Util.metric fresh "restarts"))
+        (Util.metric fresh "restarts");
+      Node.halt fresh ~now:11.)
 
 (* On an in-memory tree halting kills the store just the same, and
    nothing can come back through the dead handle. *)
@@ -822,6 +823,7 @@ let test_daemon_retention_flat () =
       if dedup_per_op >= 1. then
         Alcotest.failf "duplicate suppression grew %.1f words per op (%d -> %d words)"
           dedup_per_op dedup_1k dedup_10k;
+      Node.halt node ~now:10_001.;
       Net.Trace_codec.close_writer writer)
 
 (* Restart reads its store back one frame at a time, and what a restart
@@ -862,6 +864,7 @@ let promoted_per_record f =
   Gc.minor ();
   let words = (Gc.quick_stat ()).Gc.promoted_words -. before in
   Alcotest.(check bool) "up after restart" true (Node.is_up node);
+  Node.halt node ~now:7_000.;
   words /. float_of_int restart_records
 
 let check_restart_words what per_record =

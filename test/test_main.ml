@@ -34,4 +34,5 @@ let () =
       ("net-deployment", Test_net.suite);
       ("link", Test_link.suite);
       ("shardkv", Test_shardkv.suite);
+      ("leaks", Test_leaks.suite);
     ]

@@ -1441,6 +1441,93 @@ let test_run_raise_tears_down () =
         "the root is gone" false
         (Sys.file_exists (Deployment.root t)))
 
+let schedule text =
+  match Harness.Schedule.of_string text with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "schedule does not parse: %s" e
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec at i = i + n <= String.length hay && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
+
+(* A deployment runs no directive it cannot honour: a crash aimed at a
+   checkpoint's or a flush's busy window, a lying fsync and a broken
+   protocol are the simulator's alone, and all of them are named in one
+   refusal raised before any daemon is spawned. *)
+let test_play_refuses_simulator_only () =
+  let sched =
+    schedule
+      "koptlog-schedule v1\n\
+       name: sim-only\n\
+       expect: certified\n\
+       breakage: send-gate\n\
+       scenario: chaos n=3 k=1 seed=1 calls=10\n\
+       fault: loss 0.05\n\
+       fault: crash in-checkpoint 1 at=20\n\
+       fault: crash in-flush 2 at=30\n\
+       fault: kill 0 at=40 storage=failed-fsync\n\
+       fault: kill 1 at=50 storage=bit-flip\n\
+       choices:\n"
+  in
+  let refusal f =
+    match f () with
+    | _ -> Alcotest.fail "a simulator-only schedule was accepted"
+    | exception Invalid_argument msg -> msg
+  in
+  let msg = refusal (fun () -> ignore (Deployment.live_case sched)) in
+  List.iter
+    (fun what -> Alcotest.(check bool) (what ^ " named in: " ^ msg) true (contains msg what))
+    [ "simulator-only"; "breakage"; "during checkpoint"; "during flush"; "failed" ];
+  Alcotest.(check bool) "a kill with a real-disk fault is not refused" false
+    (contains msg "P1 at 50");
+  (* [launch_case] refuses the same directives before it spawns anything:
+     it returns no deployment, so no daemon and no root can exist. *)
+  let case =
+    match sched.Harness.Schedule.scenario with
+    | Harness.Schedule.Chaos { case; _ } -> case
+    | _ -> assert false
+  in
+  let msg = refusal (fun () -> ignore (Deployment.launch_case case : Deployment.t)) in
+  Alcotest.(check bool) ("launch refused: " ^ msg) true (contains msg "during flush")
+
+(* A schedule file played on 3 live daemons: a kill and a brownout.  The
+   merged trace certifies, the end-of-play scrape shows the one reopen
+   the kill's respawn made, and the brownout refused a flush. *)
+let test_play_kill_and_brownout () =
+  let case, calls =
+    Deployment.live_case
+      (schedule
+         "koptlog-schedule v1\n\
+          name: play-kill-brownout\n\
+          expect: certified\n\
+          breakage: none\n\
+          scenario: chaos n=3 k=1 seed=5 calls=80\n\
+          fault: kill 1 at=30 storage=none\n\
+          fault: brownout 0 at=50 rounds=2\n\
+          choices:\n")
+  in
+  let t = Deployment.launch_case case in
+  let r =
+    Deployment.run ~timeout:60. t (fun () ->
+        Deployment.play t case ~calls;
+        List.init (Deployment.width t) (fun dst ->
+            match Deployment.scrape t ~dst with
+            | Some (Ok snap) -> snap
+            | _ -> Alcotest.failf "pid %d did not answer the scrape" dst)
+        |> Obs.Snapshot.merge_all)
+  in
+  Fun.protect
+    ~finally:(fun () -> Durable.Temp.rm_rf (Deployment.root t))
+    (fun () ->
+      let outcome = r.Deployment.outcome in
+      Alcotest.(check (list string))
+        "oracle certifies" [] outcome.Deployment.oracle.Harness.Oracle.violations;
+      Alcotest.(check int) "the end-of-play scrape shows one reopen" 1
+        (Obs.Snapshot.counter r.Deployment.value "storage_reopens_total");
+      Alcotest.(check bool) "the brownout refused a flush" true
+        (counter outcome "storage_degraded_flushes_total" >= 1))
+
 let suite =
   [
     Alcotest.test_case "shutdown interrupts dial backoff" `Quick
@@ -1489,4 +1576,8 @@ let suite =
       test_part_ckpt_live;
     Alcotest.test_case "a control header over max_frame_payload is refused at once" `Slow
       test_oversized_control_refused;
+    Alcotest.test_case "play refuses simulator-only directives before launch" `Quick
+      test_play_refuses_simulator_only;
+    Alcotest.test_case "play: a kill and a brownout on 3 daemons, certified" `Slow
+      test_play_kill_and_brownout;
   ]

@@ -858,7 +858,8 @@ let test_anchor_loss_rerelease_dropped () =
       Alcotest.(check int) "re-release dropped" 1 (metric r.node "duplicates_dropped");
       Alcotest.(check int) "delivered once" 1 (metric r.node "deliveries");
       let st : App_model.Counter_app.state = Node.app_state r.node in
-      Alcotest.(check int) "applied once" 5 st.total)
+      Alcotest.(check int) "applied once" 5 st.total;
+      Node.halt s'.node ~now:200.)
 
 (* The floor stops below a release its destination has not acked: here
    the original was lost on the way, so the copy the sender re-releases
@@ -885,7 +886,8 @@ let test_unacked_release_bounds_floor () =
       D.packet r (Wire.App (only_release s'));
       Alcotest.(check int) "delivered" 1 (metric r.node "deliveries");
       let st : App_model.Counter_app.state = Node.app_state r.node in
-      Alcotest.(check int) "applied" 5 st.total)
+      Alcotest.(check int) "applied" 5 st.total;
+      Node.halt s'.node ~now:200.)
 
 (* The floors a receiver heard outlive its own log GC and restart: the
    collected delivery survives only as a channel run in Gc_stubs, and a

@@ -350,7 +350,9 @@ let test_lost_marker_resync () =
       ignore (Node.restart_begin b.D.node ~now:1000. : _ list * _);
       Alcotest.check Util.entry "serial restart resynced the lost marker"
         (Util.e ~inc:2 ~sii:11) (Node.current b.D.node);
-      check_digests ~msg:"lost marker" a.D.node b.D.node)
+      check_digests ~msg:"lost marker" a.D.node b.D.node;
+      D.halt a;
+      D.halt b)
 
 (* Duplicate suppression across respawns.  Process 1 is played by hand: it
    sends a stream of Adds to process 0 over one channel, each from its own

@@ -20,6 +20,9 @@ module type BACKEND = sig
   val lie : Fs.t -> unit
   (** From now on, fsyncs of the log's segments on this file system make
       nothing durable. *)
+
+  val release : unit -> unit
+  (** Remove every directory [fresh] made: its stores are all killed. *)
 end
 
 module Segment_log = Durable.Segment_log
@@ -37,6 +40,8 @@ module Mem_backend = struct
     (fs, "store")
 
   let lie fs = Fs.Mem.lie (List.assq fs !trees) Segment_log.is_segment
+
+  let release () = trees := []
 end
 
 (* A real disk cannot be told to lie: its handles are wrapped so that,
@@ -46,8 +51,6 @@ module Disk_backend = struct
   let name = "disk"
 
   let dirs : string list ref = ref []
-
-  let () = at_exit (fun () -> List.iter Durable.Temp.rm_rf !dirs)
 
   let lying : (Fs.t * bool ref) list ref = ref []
 
@@ -69,6 +72,11 @@ module Disk_backend = struct
     (fs, dir)
 
   let lie fs = List.assq fs !lying := true
+
+  let release () =
+    List.iter Durable.Temp.rm_rf !dirs;
+    dirs := [];
+    lying := []
 end
 
 module Conformance (B : BACKEND) = struct
@@ -445,9 +453,17 @@ module Conformance (B : BACKEND) = struct
 
   let not_marshal _ = Durable.Codec.seal "sealed, but not a Marshal value"
 
+  (* Each test kills every store it opened before its directories go, so
+     no descriptor outlives the test. *)
+  let closing f () =
+    Fun.protect f ~finally:(fun () ->
+        List.iter (fun (s, _) -> Store.kill s) !opened;
+        opened := [];
+        B.release ())
+
   let suite =
     List.map
-      (fun (name, f) -> Alcotest.test_case (B.name ^ ": " ^ name) `Quick f)
+      (fun (name, f) -> Alcotest.test_case (B.name ^ ": " ^ name) `Quick (closing f))
       [
         ("volatile then flush", test_volatile_then_flush);
         ("empty flush not counted", test_empty_flush_not_counted);
